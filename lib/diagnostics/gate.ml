@@ -53,9 +53,9 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
-      (* Dense diagonal-block factorizations per mixer solve — the
-         preconditioner-lagging win; creeping back up means the lag
-         policy quietly stopped keeping factors. *)
+      (* Dense diagonal-block factorizations per mixer solve — one
+         exact build per Newton iterate, shared at the replicated
+         seed; creeping up means more Newton steps or ladder work. *)
       metric = "mixer.lu_dense_factors";
       path = [ "mixer"; "telemetry"; "counters"; "lu.dense_factors" ];
       direction = Lower_better;
@@ -64,8 +64,8 @@ let default_checks ?(overrides = []) tolerance =
     };
     {
       (* Dense triangular-solve calls per mixer solve (one per blocked
-         panel call) — the multi-RHS clustering win; creeping back up
-         means the sweep fell back to point-at-a-time solves. *)
+         panel call); creeping up means more preconditioner sweeps or
+         a shared-factor build no longer solving whole levels. *)
       metric = "mixer.lu_dense_solves";
       path = [ "mixer"; "telemetry"; "counters"; "lu.dense_solves" ];
       direction = Lower_better;

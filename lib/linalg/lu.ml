@@ -4,33 +4,53 @@ exception Singular of int
 
 (* Doolittle LU with partial pivoting, overwriting [lu]. [factor] hands
    in a copy; [factor_in_place] consumes a caller-owned staging matrix
-   so the per-grid-point preconditioner rebuild allocates nothing big. *)
+   so the per-grid-point preconditioner rebuild allocates nothing big.
+   The shape is validated once up front; the loops then run unchecked
+   over the row-major data (the sweep preconditioner factors one block
+   per grid point per Newton iterate). The arithmetic is the textbook
+   order: pivot search by strict [>], whole-row swaps, and the update
+   a_ij − l_ik·a_kj skipped for zero multipliers. *)
 let factor_into ?(pivot_tol = 1e-300) lu =
   let n, m = Mat.dims lu in
-  if n <> m then invalid_arg "Lu.factor: matrix not square";
+  let a = lu.Mat.data in
+  if n <> m || Array.length a <> n * n then
+    invalid_arg "Lu.factor: matrix not square";
   Telemetry.count "lu.dense_factors";
   let perm = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
+    let kb = k * n in
     let piv = ref k in
+    let best = ref (Float.abs (Array.unsafe_get a (kb + k))) in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !piv k) then piv := i
+      let v = Float.abs (Array.unsafe_get a ((i * n) + k)) in
+      if v > !best then begin
+        piv := i;
+        best := v
+      end
     done;
     if !piv <> k then begin
-      Mat.swap_rows lu k !piv;
+      let pb = !piv * n in
+      for j = 0 to n - 1 do
+        let tmp = Array.unsafe_get a (kb + j) in
+        Array.unsafe_set a (kb + j) (Array.unsafe_get a (pb + j));
+        Array.unsafe_set a (pb + j) tmp
+      done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!piv);
       perm.(!piv) <- tmp;
       sign := -. !sign
     end;
-    let pivot = Mat.get lu k k in
+    let pivot = Array.unsafe_get a (kb + k) in
     if Float.abs pivot < pivot_tol then raise (Singular k);
     for i = k + 1 to n - 1 do
-      let factor = Mat.get lu i k /. pivot in
-      Mat.set lu i k factor;
+      let ib = i * n in
+      let factor = Array.unsafe_get a (ib + k) /. pivot in
+      Array.unsafe_set a (ib + k) factor;
       if factor <> 0.0 then
         for j = k + 1 to n - 1 do
-          Mat.set lu i j (Mat.get lu i j -. (factor *. Mat.get lu k j))
+          Array.unsafe_set a (ib + j)
+            (Array.unsafe_get a (ib + j) -. (factor *. Array.unsafe_get a (kb + j)))
         done
     done
   done;
@@ -40,6 +60,7 @@ let factor ?pivot_tol a = factor_into ?pivot_tol (Mat.copy a)
 let factor_in_place ?pivot_tol a = factor_into ?pivot_tol a
 
 let size f = f.lu.Mat.rows
+let packed f = (f.lu, f.perm, f.sign)
 
 (* Fused forward/backward substitution over one column stored at
    offset [xb] of [y]. The factor data is accessed unchecked — the

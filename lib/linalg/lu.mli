@@ -22,6 +22,11 @@ val factor_in_place : ?pivot_tol:float -> Mat.t -> t
     workspace-style callers that restamp and refactor the same staging
     matrix every rebuild. *)
 
+val packed : t -> Mat.t * int array * float
+(** The packed [L\U] factors (shared, not copied), the row permutation
+    and its sign — the factorization's raw state, for tests that check
+    kernels bitwise. *)
+
 val solve : t -> Vec.t -> Vec.t
 (** [solve lu b] returns [x] with [a x = b]. *)
 

@@ -24,8 +24,6 @@ type options = {
   linear_solver : linear_solver;
   allow_continuation : bool;
   budget : Budget.t option;
-  precond_lag : bool;
-  precond_cluster : bool;
   krylov_recycle : bool;
 }
 
@@ -37,8 +35,6 @@ let default_options =
     linear_solver = default_gmres;
     allow_continuation = true;
     budget = None;
-    precond_lag = true;
-    precond_cluster = true;
     krylov_recycle = true;
   }
 
@@ -46,8 +42,6 @@ let make_options ?(max_newton = default_options.max_newton)
     ?(tol = default_options.tol) ?(scheme = default_options.scheme)
     ?(linear_solver = default_options.linear_solver)
     ?(allow_continuation = default_options.allow_continuation) ?budget
-    ?(precond_lag = default_options.precond_lag)
-    ?(precond_cluster = default_options.precond_cluster)
     ?(krylov_recycle = default_options.krylov_recycle) () =
   {
     max_newton;
@@ -56,8 +50,6 @@ let make_options ?(max_newton = default_options.max_newton)
     linear_solver;
     allow_continuation;
     budget;
-    precond_lag;
-    precond_cluster;
     krylov_recycle;
   }
 
@@ -91,43 +83,30 @@ let t1_in_diag = function
 (* Reusable state for the block forward-substitution sweep: the dense
    per-point diagonal factors and the apply buffers. The staging
    matrices are owned by their factorizations after a build
-   ([Lu.factor_in_place]); a rebuild restamps and refactors them in
-   place, so the np dense blocks are allocated exactly once per solve.
+   ([Lu.factor_in_place]); every linear solve restamps and refactors
+   them in place from the current Jacobian, so the np dense blocks are
+   allocated exactly once per solve.
 
    The apply runs over precomputed wavefront [levels] of the sweep's
    dependency DAG — for the backward scheme the anti-diagonals i+j = l
    (every point's lower neighbours live on level l−1), otherwise whole
    t2-rows. Points inside a level are independent, so their right-hand
-   sides are gathered into a contiguous column panel and each distinct
-   dense factor is applied to its run of columns in one blocked
-   multi-RHS call. [factor_id.(p)] names the point whose factorization
-   block [p] uses ([p] itself when unshared); [exact] records whether
-   every factor was built from its own point's Jacobian (as opposed to
-   a drift-clustered representative's). *)
+   sides are gathered into a contiguous column panel; [factors] holds
+   either one factor per point or, after a uniform build, a single
+   factor that is applied to a whole level's panel in one blocked
+   multi-RHS call. *)
 type sweep_cache = {
   sc_n : int;
   sc_np : int;
   sc_n1 : int;
   sc_t1d : bool;  (* t1 coupling inside the diagonal (backward scheme) *)
   mats : Linalg.Mat.t array;
-  mutable factors : Linalg.Lu.t array;  (* [||] until first build *)
-  factor_id : int array;  (* np: representative point of block p's factor *)
-  mutable exact : bool;
+  mutable factors : Linalg.Lu.t array;  (* np, or 1 when shared by every point *)
   levels : int array array;  (* wavefront levels of point indices *)
-  level_order : int array array;
-  (* the same levels with each level's points stably reordered so
-     points sharing a factor sit adjacent — the panel grouping order;
-     recomputed at every factor (re)build. Points inside a level are
-     mutually independent, so any order is bitwise equivalent. *)
   sx : Linalg.Kernel.vec;  (* np*n sweep result, returned to GMRES *)
   panel_b : Vec.t;  (* max-width*n gathered right-hand-side columns *)
   panel_x : Vec.t;  (* max-width*n panel solutions *)
   cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free op *)
-  mutable built_gvals : float array array;  (* G values at last (re)factor *)
-  mutable built_cvals : float array array;  (* C values at last (re)factor *)
-  row_scale : float array;  (* np*n: max |D_p row| at last (re)factor *)
-  mutable built_extra_diag : float;  (* nan until first build *)
-  mutable stale : bool;  (* some factors lag the current Jacobian *)
 }
 
 (* Wavefront levels: for the backward scheme point (i,j) depends on
@@ -176,14 +155,6 @@ let blocks_uniform (jacs : (Sparse.Csr.t * Sparse.Csr.t) array) =
   done;
   !ok
 
-(* A lagged block is refactored when any Jacobian entry moved by more
-   than this fraction of its dense row's magnitude at build time;
-   quieter blocks keep their dense factors. Row-scaled entry-wise
-   comparison is deliberate: a device conductance swinging by 20% of
-   its row visibly weakens the preconditioner, yet is invisible in any
-   whole-block norm dominated by large constant stamp entries. *)
-let refresh_tol = 0.5
-
 (* Per-solve workspace: assembly scratch plus the linear-solver caches
    (GMRES Krylov basis, sweep factors, ILU0/sparse-LU factorizations
    refreshed numerically on their frozen patterns). Owned by exactly
@@ -224,19 +195,11 @@ let make_workspace scheme sys (g : Grid.t) =
         sc_t1d = t1d;
         mats = Array.init np (fun _ -> Linalg.Mat.create n n);
         factors = [||];
-        factor_id = Array.make np 0;
-        exact = false;
         levels;
-        level_order = Array.map Array.copy levels;
         sx = Linalg.Kernel.create big;
         panel_b = Array.make (max_width * n) 0.0;
         panel_x = Array.make (max_width * n) 0.0;
         cw = Linalg.Kernel.create big;
-        built_gvals = [||];  (* sized at the first build (nnz unknown here) *)
-        built_cvals = [||];
-        row_scale = Array.make big 0.0;
-        built_extra_diag = nan;
-        stale = false;
       };
     ilu = None;
     splu = None;
@@ -260,10 +223,6 @@ let workspace_fits ws scheme sys (g : Grid.t) =
    previously ran on this domain. *)
 let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.asm <- Assemble.workspace scheme sys g;
-  ws.sweep.factors <- [||];
-  ws.sweep.exact <- false;
-  ws.sweep.built_extra_diag <- nan;
-  ws.sweep.stale <- false;
   ws.ilu <- None;
   ws.splu <- None;
   (match ws.gmres_ws with
@@ -284,250 +243,51 @@ let sweep_scale_c scheme (g : Grid.t) =
   (if t1_in_diag scheme then 1.0 /. g.Grid.h1 else 0.0) +. (1.0 /. g.Grid.h2)
 
 (* Stamp and factor the dense diagonal block of one grid point,
-   D_p = (1/h1 + 1/h2)·C_p + G_p (+ extra_diag·I), recording the
-   Jacobian values and dense row scales the factor was built from (the
-   reference state for {!block_drifted}). [extra_diag] adds the
+   D_p = (1/h1 + 1/h2)·C_p + G_p (+ extra_diag·I), straight from the
+   CSR arrays into the staging matrix. [extra_diag] adds the
    pseudo-transient loading so the preconditioner tracks the loaded
    Jacobian. *)
-let factor_sweep_point cache scheme (g : Grid.t) ~jacs ~extra_diag p =
+let factor_sweep_point cache ~scale_c ~jacs ~extra_diag p =
   let n = cache.sc_n in
-  let scale_c = sweep_scale_c scheme g in
   let gp, cp = jacs.(p) in
   let d = cache.mats.(p) in
-  Array.fill d.Linalg.Mat.data 0 (n * n) 0.0;
+  let a = d.Linalg.Mat.data in
+  Array.fill a 0 (n * n) 0.0;
+  let crp = cp.Sparse.Csr.row_ptr
+  and cci = cp.Sparse.Csr.col_idx
+  and cv = cp.Sparse.Csr.values in
+  let grp = gp.Sparse.Csr.row_ptr
+  and gci = gp.Sparse.Csr.col_idx
+  and gv = gp.Sparse.Csr.values in
   for i = 0 to n - 1 do
-    Sparse.Csr.iter_row cp i (fun j v -> Linalg.Mat.add_entry d i j (scale_c *. v));
-    Sparse.Csr.iter_row gp i (fun j v -> Linalg.Mat.add_entry d i j v);
-    if extra_diag <> 0.0 then Linalg.Mat.add_entry d i i extra_diag
-  done;
-  cache.built_gvals.(p) <- Array.copy gp.Sparse.Csr.values;
-  cache.built_cvals.(p) <- Array.copy cp.Sparse.Csr.values;
-  for i = 0 to n - 1 do
-    let m = ref 0.0 in
-    for j = 0 to n - 1 do
-      m := Float.max !m (Float.abs (Linalg.Mat.get d i j))
+    let ib = i * n in
+    for k = crp.(i) to crp.(i + 1) - 1 do
+      let e = ib + cci.(k) in
+      a.(e) <- a.(e) +. (scale_c *. cv.(k))
     done;
-    cache.row_scale.((p * n) + i) <- Float.max !m 1e-300
+    for k = grp.(i) to grp.(i + 1) - 1 do
+      let e = ib + gci.(k) in
+      a.(e) <- a.(e) +. gv.(k)
+    done;
+    if extra_diag <> 0.0 then a.(ib + i) <- a.(ib + i) +. extra_diag
   done;
   Linalg.Lu.factor_in_place d
 
-(* Is point [p]'s Jacobian within the refresh tolerance of the build
-   snapshot stored at index [snap]? Entry-wise against the snapshot
-   values, scaled by the magnitude of the stamped dense row the entry
-   lands in. Phrased as "keep only when provably close" so a NaN entry
-   reads as drifted, and a pattern change (the per-point rebuild
-   fallback swapped the CSR) reads as drifted too. With [snap = p] this
-   is the classic lagged-factor drift test; with [snap] a cluster
-   representative it is the clustering criterion. *)
-let drifted_vs ?(tol = refresh_tol) cache scheme (g : Grid.t) ~jacs ~snap p =
-  let gp, cp = jacs.(p) in
-  let bg = cache.built_gvals.(snap) and bc = cache.built_cvals.(snap) in
-  let gv = gp.Sparse.Csr.values and cv = cp.Sparse.Csr.values in
-  if Array.length bg <> Array.length gv || Array.length bc <> Array.length cv
-  then true
-  else begin
-    let n = cache.sc_n in
-    let scale_c = sweep_scale_c scheme g in
-    let base = snap * n in
-    let close = ref true in
-    let scan (m : Sparse.Csr.t) built coeff =
-      let row_ptr = m.Sparse.Csr.row_ptr and v = m.Sparse.Csr.values in
-      let i = ref 0 in
-      while !close && !i < n do
-        let lim = tol *. cache.row_scale.(base + !i) in
-        let k = ref row_ptr.(!i) and stop = row_ptr.(!i + 1) in
-        while !close && !k < stop do
-          if not (Float.abs (coeff *. (v.(!k) -. built.(!k))) <= lim) then
-            close := false;
-          incr k
-        done;
-        incr i
-      done
-    in
-    scan gp bg 1.0;
-    if !close then scan cp bc scale_c;
-    not !close
+(* Exact (re)build of the sweep's dense factors from the current
+   per-point Jacobian, once per linear solve. At a replicated iterate
+   (the DC seed every Newton stage starts from) all blocks are equal
+   and one shared factorization serves every point ([Lu.solve_many_into]
+   never mutates the factors); otherwise each point gets its own. *)
+let build_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag =
+  Telemetry.span "mpde.precond.build" @@ fun () ->
+  let factor_point =
+    factor_sweep_point cache ~scale_c:(sweep_scale_c scheme g) ~jacs ~extra_diag
+  in
+  if blocks_uniform jacs then begin
+    Telemetry.count "mpde.precond.shared_builds";
+    cache.factors <- [| factor_point 0 |]
   end
-
-(* Has block [p]'s Jacobian moved, relative to what its dense factor
-   was built from? Under clustering, [p]'s snapshot *is* its
-   representative's build state (the snapshot arrays are shared and the
-   row scales copied), so the same test covers both lag drift and
-   cluster-membership drift. *)
-let block_drifted cache scheme (g : Grid.t) ~jacs p =
-  drifted_vs cache scheme g ~jacs ~snap:p p
-
-(* How many recent cluster representatives each point is compared
-   against before it is declared a new representative. The converged
-   mixer grid clusters into a handful of factors, so a small window
-   keeps the scan linear while still catching spatially coherent
-   clusters that interleave along the scan order. *)
-let cluster_window = 64
-
-(* Cluster-membership tolerance — deliberately much tighter than
-   [refresh_tol]. Lagging keeps a point's *own* factor, exact at build
-   time and drifting gradually; clustering hands a point a *different*
-   point's factor, so the full tolerance is an immediate, spatially
-   correlated perturbation of the whole sweep. At 0.5 the clustered
-   preconditioner visibly costs GMRES iterations and Newton
-   backtracks; at a few percent it is indistinguishable from exact
-   while the mixer grid still collapses to a handful of
-   representatives. *)
-let cluster_tol = 0.05
-
-(* Full (re)build of the sweep's dense factors from the current
-   per-point Jacobian values.
-
-   [cluster = false] builds one factor per point (bitwise the classic
-   preconditioner). [cluster = true] additionally shares factors
-   between points whose Jacobians agree within the drift tolerance: the
-   grid is scanned in point order, each point compared against the most
-   recent representatives, and matching points adopt the
-   representative's factor, snapshot and row scales. The sweep then
-   applies each distinct factor to a whole panel of columns per
-   wavefront level instead of one dense solve per point. Clustered
-   factors are a (slightly) weaker preconditioner, so the cache is
-   marked non-exact and stale — the stall path rebuilds exact. The
-   uniform replicated-seed fast path is unchanged and exact. *)
-let build_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
-  if Array.length cache.built_gvals = 0 then begin
-    cache.built_gvals <- Array.make cache.sc_np [||];
-    cache.built_cvals <- Array.make cache.sc_np [||]
-  end;
-  let factor_point = factor_sweep_point cache scheme g ~jacs ~extra_diag in
-  let np = cache.sc_np in
-  (if blocks_uniform jacs then begin
-     (* Replicated iterate: one dense factorization shared by all np
-        points ([Lu.solve_into] never mutates the factors). The built
-        value snapshots and row scales are replicated too; sharing the
-        snapshot arrays is sound because a later refactor replaces them
-        with fresh copies instead of mutating. *)
-     Telemetry.count "mpde.precond.shared_builds";
-     let f0 = factor_point 0 in
-     cache.factors <- Array.make np f0;
-     Array.fill cache.factor_id 0 np 0;
-     for p = 1 to np - 1 do
-       cache.built_gvals.(p) <- cache.built_gvals.(0);
-       cache.built_cvals.(p) <- cache.built_cvals.(0)
-     done;
-     let n = cache.sc_n in
-     for p = 1 to np - 1 do
-       Array.blit cache.row_scale 0 cache.row_scale (p * n) n
-     done;
-     cache.exact <- true;
-     cache.stale <- false
-   end
-   else if not cluster then begin
-     cache.factors <- Array.init np factor_point;
-     for p = 0 to np - 1 do
-       cache.factor_id.(p) <- p
-     done;
-     cache.exact <- true;
-     cache.stale <- false
-   end
-   else begin
-     let n = cache.sc_n in
-     let recent = Array.make cluster_window 0 in
-     let head = ref 0 and count = ref 0 in
-     let push r =
-       recent.(!head) <- r;
-       head := (!head + 1) mod cluster_window;
-       if !count < cluster_window then incr count
-     in
-     let find_rep p =
-       let found = ref (-1) and k = ref 0 in
-       while !found < 0 && !k < !count do
-         let idx = (!head - 1 - !k + (2 * cluster_window)) mod cluster_window in
-         let r = recent.(idx) in
-         if not (drifted_vs ~tol:cluster_tol cache scheme g ~jacs ~snap:r p)
-         then found := r;
-         incr k
-       done;
-       !found
-     in
-     let reps = ref 1 in
-     let f0 = factor_point 0 in
-     cache.factors <- Array.make np f0;
-     cache.factor_id.(0) <- 0;
-     push 0;
-     for p = 1 to np - 1 do
-       let r = find_rep p in
-       if r >= 0 then begin
-         cache.factors.(p) <- cache.factors.(r);
-         cache.built_gvals.(p) <- cache.built_gvals.(r);
-         cache.built_cvals.(p) <- cache.built_cvals.(r);
-         Array.blit cache.row_scale (r * n) cache.row_scale (p * n) n;
-         cache.factor_id.(p) <- cache.factor_id.(r)
-       end
-       else begin
-         cache.factors.(p) <- factor_point p;
-         cache.factor_id.(p) <- p;
-         push p;
-         incr reps
-       end
-     done;
-     Telemetry.gauge "mpde.precond.cluster_reps" (float_of_int !reps);
-     cache.exact <- false;
-     cache.stale <- true
-   end);
-  (* Regroup each wavefront level so columns sharing a factor are
-     adjacent: one blocked panel call per distinct factor per level.
-     The sort is stable, so unshared builds (factor_id.(p) = p,
-     already increasing within a level) keep the lexicographic order
-     and uniform builds (all ids 0) are untouched. *)
-  let fid = cache.factor_id in
-  Array.iteri
-    (fun l level ->
-      let order = cache.level_order.(l) in
-      Array.blit level 0 order 0 (Array.length level);
-      Array.stable_sort (fun a b -> compare fid.(a) fid.(b)) order)
-    cache.levels;
-  cache.built_extra_diag <- extra_diag
-
-(* Selective refresh under [precond_lag]: refactor only the blocks
-   that drifted since they were last factored; quiet blocks keep their
-   (slightly stale) dense factors. *)
-let refresh_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag ~cluster =
-  Telemetry.span "mpde.precond.refresh" @@ fun () ->
-  if not cache.exact then begin
-    (* Clustered factors: each point's snapshot is its representative's
-       build state, so drifting against it means the point left its
-       cluster. Refactoring a member in place would corrupt the factor
-       the rest of its cluster still shares, so the first drift
-       anywhere forces a full re-clustered rebuild. *)
-    let drifted = ref false and p = ref 0 in
-    while (not !drifted) && !p < cache.sc_np do
-      if block_drifted cache scheme g ~jacs !p then drifted := true;
-      incr p
-    done;
-    if !drifted then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
-    (* otherwise the cache stays stale by construction (clustered) *)
-  end
-  else if cache.sc_np > 1 && cache.factors.(1) == cache.factors.(0) then begin
-    (* The last build shared one factorization (replicated iterate)
-       backed by [mats.(0)]; refactoring any single block in place
-       would corrupt the factor the others still reference, so the
-       first drift anywhere forces a full unshared rebuild. *)
-    let drifted = ref false and p = ref 0 in
-    while (not !drifted) && !p < cache.sc_np do
-      if block_drifted cache scheme g ~jacs !p then drifted := true;
-      incr p
-    done;
-    if !drifted then build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster
-    else cache.stale <- true
-  end
-  else begin
-    let refreshed = ref 0 in
-    for p = 0 to cache.sc_np - 1 do
-      if block_drifted cache scheme g ~jacs p then begin
-        cache.factors.(p) <- factor_sweep_point cache scheme g ~jacs ~extra_diag p;
-        incr refreshed
-      end
-    done;
-    if !refreshed > 0 then
-      Telemetry.count ~by:!refreshed "mpde.precond.block_refreshes";
-    cache.stale <- !refreshed < cache.sc_np
-  end
+  else cache.factors <- Array.init cache.sc_np factor_point
 
 (* Block forward-substitution sweep: apply M⁻¹ where M keeps the
    diagonal blocks and the two backward-difference neighbour blocks,
@@ -544,7 +304,7 @@ let sweep_apply cache scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
   let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
   let x = cache.sx in
   let pb = cache.panel_b and px = cache.panel_x in
-  let fid = cache.factor_id in
+  let shared = Array.length cache.factors = 1 in
   (* Accumulate one lower-neighbour coupling into panel column [dst],
      pb += inv_h · C_q x_q, reading the CSR arrays directly — this runs
      n·nnz(C) times per sweep, too hot for the iter_row closure (and
@@ -567,14 +327,14 @@ let sweep_apply cache scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
     done
   in
   (* Wavefront sweep: gather every level's right-hand sides into a
-     contiguous column panel, then apply each distinct dense factor to
-     its whole run of columns in one blocked multi-RHS solve. Per
-     column the arithmetic (gather order, coupling order, substitution)
-     is exactly the lexicographic single-point sweep's, so the result
-     is bitwise identical — only the solve granularity changes. *)
-  let nlev = Array.length cache.level_order in
-  for l = 0 to nlev - 1 do
-    let level = cache.level_order.(l) in
+     contiguous column panel, then solve it — one blocked multi-RHS
+     call when the factor is shared, one column per point otherwise.
+     Per column the arithmetic (gather order, coupling order,
+     substitution) is exactly the lexicographic single-point sweep's,
+     so the result is bitwise identical — only the solve granularity
+     changes. *)
+  for l = 0 to Array.length cache.levels - 1 do
+    let level = cache.levels.(l) in
     let w = Array.length level in
     for c = 0 to w - 1 do
       let p = level.(c) in
@@ -588,17 +348,11 @@ let sweep_apply cache scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
       if t1_in_diag && i > 0 then couple (snd jacs.(p - 1)) inv_h1 (p - 1) dst;
       if j > 0 then couple (snd jacs.(p - n1)) inv_h2 (p - n1) dst
     done;
-    let c = ref 0 in
-    while !c < w do
-      let f = fid.(level.(!c)) in
-      let c2 = ref (!c + 1) in
-      while !c2 < w && fid.(level.(!c2)) = f do
-        incr c2
+    if shared then Linalg.Lu.solve_many_into cache.factors.(0) ~cols:w pb px
+    else
+      for c = 0 to w - 1 do
+        Linalg.Lu.solve_many_into cache.factors.(level.(c)) ~off:c ~cols:1 pb px
       done;
-      Linalg.Lu.solve_many_into cache.factors.(level.(!c)) ~off:!c
-        ~cols:(!c2 - !c) pb px;
-      c := !c2
-    done;
     for c = 0 to w - 1 do
       let p = level.(c) in
       let src = c * n in
@@ -671,8 +425,7 @@ let with_extra_diag jac extra_diag =
   if extra_diag = 0.0 then jac
   else Sparse.Csr.add jac (Sparse.Csr.scale extra_diag (Sparse.Csr.identity jac.Sparse.Csr.rows))
 
-let solve_linear ~ws ~linear_solver ~scheme ~precond_lag ~precond_cluster
-    ~krylov_recycle ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
+let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
   (* Numeric-refresh path: with [extra_diag = 0] this returns the same
      CSR instance every Newton iteration, which keeps the ILU0/sparse-LU
      pattern caches below valid. *)
@@ -750,39 +503,13 @@ let solve_linear ~ws ~linear_solver ~scheme ~precond_lag ~precond_cluster
               Sparse.Csr.mul_vec_ba_into m v ws.op_ba;
               ws.op_ba
       in
-      let build () =
-        Telemetry.span "mpde.precond.build" @@ fun () ->
-        build_sweep_factors cache scheme g ~jacs ~extra_diag
-          ~cluster:precond_cluster
-      in
-      (* Preconditioner lagging: keep the dense diagonal factors across
-         Newton iterations and selectively refactor only the blocks
-         whose Jacobian drifted (the values move slowly near the
-         solution and M⁻¹ only steers GMRES); full rebuild when the
-         loading changed, when lagging is off, or on a stall below. *)
-      if
-        Array.length cache.factors = 0
-        || (not precond_lag)
-        || cache.built_extra_diag <> extra_diag
-      then build ()
-      else
-        refresh_sweep_factors cache scheme g ~jacs ~extra_diag
-          ~cluster:precond_cluster;
+      (* Exact factors at every Newton iterate: a lagged or shared
+         block lets a switching device's conductance drift unseen, and
+         GMRES pays for it many times over (DESIGN.md §12). *)
+      build_sweep_factors cache scheme g ~jacs ~extra_diag;
       let precond = sweep_apply cache scheme g ~jacs in
       let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
       if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
-      else if cache.stale then begin
-        (* The lagged (or clustered) factors may have fallen too far
-           behind the iterate: rebuild exact — one factor per point at
-           the current Jacobian — and retry once before declaring a
-           stall. *)
-        Telemetry.count "mpde.precond.lag_rebuilds";
-        (Telemetry.span "mpde.precond.build" @@ fun () ->
-         build_sweep_factors cache scheme g ~jacs ~extra_diag ~cluster:false);
-        let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
-        if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
-        else stalled result
-      end
       else stalled result)
   | Gmres_ilu0 { restart; max_iter; tol } ->
       Telemetry.span "mpde.linear.gmres-ilu0" @@ fun () ->
@@ -891,8 +618,6 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
            on_residual_violation v;
            raise e);
         solve_linear ~ws ~linear_solver ~scheme:options.scheme
-          ~precond_lag:options.precond_lag
-          ~precond_cluster:options.precond_cluster
           ~krylov_recycle:options.krylov_recycle ~budget:options.budget g ~jacs
           ~extra_diag ~rhs:r ~linear_iters);
   }

@@ -10,7 +10,8 @@
       the two periodic wrap couplings, so one sweep (factoring only the
       [n] x [n] diagonal blocks) is a very strong preconditioner — the
       multi-time analogue of the matrix-free Krylov shooting of the
-      paper's ref. [10];
+      paper's ref. [10]. The diagonal blocks are refactored exactly
+      from the current Jacobian for every linear solve;
     - [Gmres_ilu0]: GMRES preconditioned by a zero-fill ILU of the
       global Jacobian — slower to set up than the sweep but stronger
       when the sweep's dropped couplings matter; the first escalation
@@ -54,23 +55,6 @@ type options = {
   budget : Resilience.Budget.t option;
       (** overall deadline/iteration budget for the whole ladder climb;
           default [None] (unbounded) *)
-  precond_lag : bool;
-      (** keep the sweep preconditioner's dense per-point LU factors
-          across Newton iterations instead of rebuilding them for every
-          linear solve; on a GMRES stall with lagged factors the solver
-          rebuilds once and retries before escalating. Affects only
-          preconditioning (GMRES iteration counts), never the converged
-          answer. Default true. *)
-  precond_cluster : bool;
-      (** share one dense factor between grid points whose Jacobians
-          agree within the lag drift tolerance (drift-clustered build).
-          The sweep then applies each distinct factor to whole panels
-          of right-hand-side columns per wavefront level — on the mixer
-          the converged grid clusters to a handful of factors, cutting
-          both factorizations and dense-solve calls by orders of
-          magnitude. On a GMRES stall the solver rebuilds exact
-          (unclustered) and retries before escalating. Affects only
-          preconditioning, never the converged answer. Default true. *)
   krylov_recycle : bool;
       (** seed each GMRES solve from a projection of the previous
           Newton iteration's converged Krylov subspace; a drift test on
@@ -88,8 +72,6 @@ val make_options :
   ?linear_solver:linear_solver ->
   ?allow_continuation:bool ->
   ?budget:Resilience.Budget.t ->
-  ?precond_lag:bool ->
-  ?precond_cluster:bool ->
   ?krylov_recycle:bool ->
   unit ->
   options

@@ -69,7 +69,10 @@ let feed_stream c =
 
 (* Pump a route's stream into the connection's output buffer until it
    yields [`Wait] (poll again next loop iteration) or [`Eof] (flush
-   what is queued, then close — the HTTP/1.0 end-of-stream signal). *)
+   what is queued, then close — the HTTP/1.0 end-of-stream signal).
+   An [`Eof] that finds nothing queued closes at once: the connection
+   is only selected for writing while output is pending, so
+   [write_conn] would never see it again. *)
 let feed_custom c =
   match c.custom with
   | None -> ()
@@ -84,7 +87,8 @@ let feed_custom c =
           | `Wait -> ()
           | `Eof ->
               c.custom <- None;
-              c.close_after_flush <- true
+              if Buffer.length c.out - c.out_off = 0 then c.dead <- true
+              else c.close_after_flush <- true
       in
       go ()
 

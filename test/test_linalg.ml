@@ -233,6 +233,96 @@ let test_lu_solve_many_validates () =
     (Invalid_argument "Lu.solve_many_into: panel dimension mismatch")
     (fun () -> Lu.solve_many_into f ~cols:3 b (Vec.create 9))
 
+(* ---------- factor kernel vs checked reference ---------- *)
+
+(* The checked Doolittle kernel [Lu.factor_into] replaced (Mat.get /
+   Mat.set / Mat.swap_rows), kept verbatim as the bitwise reference for
+   the unchecked one. Returns the packed factors, permutation and sign,
+   or the column of the failing pivot. *)
+let reference_factor ?(pivot_tol = 1e-300) a =
+  let lu = Mat.copy a in
+  let n = lu.Mat.rows in
+  let perm = Array.init n (fun i -> i) in
+  let sign = ref 1.0 in
+  match
+    for k = 0 to n - 1 do
+      let piv = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !piv k) then piv := i
+      done;
+      if !piv <> k then begin
+        Mat.swap_rows lu k !piv;
+        let tmp = perm.(k) in
+        perm.(k) <- perm.(!piv);
+        perm.(!piv) <- tmp;
+        sign := -. !sign
+      end;
+      let pivot = Mat.get lu k k in
+      if Float.abs pivot < pivot_tol then raise (Lu.Singular k);
+      for i = k + 1 to n - 1 do
+        let factor = Mat.get lu i k /. pivot in
+        Mat.set lu i k factor;
+        if factor <> 0.0 then
+          for j = k + 1 to n - 1 do
+            Mat.set lu i j (Mat.get lu i j -. (factor *. Mat.get lu k j))
+          done
+      done
+    done
+  with
+  | () -> Ok (lu, perm, !sign)
+  | exception Lu.Singular k -> Error k
+
+(* Does [Lu.factor] reproduce the reference bit for bit — packed
+   factors, permutation, sign — or fail at the same pivot? *)
+let factor_matches_reference a =
+  let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y in
+  let kernel = try Ok (Lu.packed (Lu.factor a)) with Lu.Singular k -> Error k in
+  match (reference_factor a, kernel) with
+  | Ok (lu, perm, sign), Ok (lu', perm', sign') ->
+      Array.for_all2 same_bits lu.Mat.data lu'.Mat.data
+      && perm = perm' && same_bits sign sign'
+  | Error k, Error k' -> k = k'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let test_lu_factor_matches_reference () =
+  let rand = lcg 7 in
+  (* random blocks of the preconditioner's sizes, not diagonally boosted
+     so the pivot search actually swaps rows *)
+  List.iter
+    (fun n ->
+      for trial = 0 to 4 do
+        let a = Mat.init n n (fun _ _ -> rand ()) in
+        if not (factor_matches_reference a) then
+          Alcotest.failf "random %dx%d (trial %d) differs" n n trial
+      done)
+    [ 1; 2; 5; 9; 17; 33 ];
+  (* pivot ties: an 8x8 Sylvester Hadamard matrix (entries ±1,
+     nonsingular) ties every candidate at the first step and keeps
+     producing ±2 ties, where the strict [>] keeps the first row *)
+  let rec popcount k = if k = 0 then 0 else (k land 1) + popcount (k lsr 1) in
+  let ties =
+    Mat.init 8 8 (fun i j -> if popcount (i land j) mod 2 = 0 then 1.0 else -1.0)
+  in
+  Alcotest.(check bool) "pivot ties" true (factor_matches_reference ties);
+  let zero_col = Mat.of_arrays [| [| 0.0; 1.0 |]; [| 0.0; 3.0 |] |] in
+  Alcotest.(check bool) "zero first column" true
+    (factor_matches_reference zero_col);
+  (* rank-deficient: row 1 = 2·row 0, exact in binary, so elimination
+     (after two row swaps) hits an exactly zero pivot in the last
+     column — both kernels must say which *)
+  let singular =
+    Mat.of_arrays
+      [| [| 2.0; 1.0; 1.0 |]; [| 4.0; 2.0; 2.0 |]; [| 1.0; 3.0; 5.0 |] |]
+  in
+  (match reference_factor singular with
+  | Error 2 -> ()
+  | _ -> Alcotest.fail "reference did not fail at the last pivot");
+  Alcotest.(check bool) "singular at the same column" true
+    (factor_matches_reference singular);
+  Alcotest.check_raises "non-square"
+    (Invalid_argument "Lu.factor: matrix not square") (fun () ->
+      ignore (Lu.factor (Mat.create 2 3)))
+
 (* ---------- Bigarray kernels ---------- *)
 
 module Kernel = Linalg.Kernel
@@ -375,6 +465,16 @@ let prop_solve_many_bitwise =
         (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
         x1 x2)
 
+let prop_factor_bitwise =
+  QCheck.Test.make ~count:100 ~name:"lu: factor ≡ checked reference kernel"
+    QCheck.(
+      make
+        Gen.(
+          int_range 1 12 >>= fun n ->
+          array_size (return (n * n)) (float_range (-10.0) 10.0)
+          |> map (fun data -> Mat.init n n (fun i j -> data.((i * n) + j)))))
+    factor_matches_reference
+
 let prop_kernel_dot_bitwise =
   QCheck.Test.make ~count:100 ~name:"kernel: dot/nrm2 bitwise vs Vec"
     QCheck.(
@@ -439,6 +539,8 @@ let () =
             test_lu_solve_many_bitwise;
           Alcotest.test_case "solve_many_into validates" `Quick
             test_lu_solve_many_validates;
+          Alcotest.test_case "factor bitwise vs reference" `Quick
+            test_lu_factor_matches_reference;
         ] );
       ( "kernel",
         [
@@ -458,6 +560,7 @@ let () =
             prop_lu_solves;
             prop_lu_det_transpose;
             prop_solve_many_bitwise;
+            prop_factor_bitwise;
             prop_kernel_dot_bitwise;
             prop_vec_triangle;
             prop_vec_cauchy_schwarz;

@@ -556,39 +556,72 @@ let test_assemble_ws_bitwise_refresh () =
     Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
   done
 
-let test_solver_precond_lag_matches_eager () =
-  (* Lagged dense sweep factors only steer GMRES; the converged answer
-     must satisfy the same equations to the same residual as the
-     eagerly refactored preconditioner. *)
+let test_solver_sweep_matches_direct_mixer () =
+  (* The exact per-iterate sweep preconditioner only steers GMRES; on
+     the nonlinear mixer it must land on the sparse-LU Newton surface. *)
   let mna, shear = mixer_fixture () in
-  let solve lag =
+  let solve linear_solver =
     Mpde.Solver.solve_mna
-      ~options:{ Mpde.Solver.default_options with precond_lag = lag }
+      ~options:{ Mpde.Solver.default_options with linear_solver }
       ~shear ~n1:16 ~n2:10 mna
   in
-  let eager = solve false and lagged = solve true in
+  let direct = solve Mpde.Solver.Direct
+  and sweep = solve Mpde.Solver.default_gmres in
   Alcotest.(check bool) "both converged" true
-    (eager.Mpde.Solver.stats.converged && lagged.Mpde.Solver.stats.converged);
-  Alcotest.(check bool) "same residual norm" true
-    (Mpde.Solver.residual_norm_check lagged < 1e-7
-    && Mpde.Solver.residual_norm_check eager < 1e-7);
+    (direct.Mpde.Solver.stats.converged && sweep.Mpde.Solver.stats.converged);
+  Alcotest.(check bool) "both residuals < 1e-7" true
+    (Mpde.Solver.residual_norm_check sweep < 1e-7
+    && Mpde.Solver.residual_norm_check direct < 1e-7);
   Alcotest.(check bool) "same solution" true
-    (Linalg.Vec.dist2 eager.Mpde.Solver.big_x lagged.Mpde.Solver.big_x < 1e-5)
+    (Linalg.Vec.dist2 direct.Mpde.Solver.big_x sweep.Mpde.Solver.big_x < 1e-5)
+
+let test_solver_bridge_sweep_guard () =
+  (* Hard-switching guard: on the full-wave diode bridge a lagged or
+     shared block lets a diode's conductance drift unseen, and GMRES
+     stalls or crawls (~150 iterations per Newton step). With exact
+     blocks plain Newton converges with ~5 per step. *)
+  let f1 = 50e3 and fd = 500.0 in
+  let drive =
+    W.sum (W.sine ~amplitude:10.0 ~freq:f1 ())
+      (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
+  in
+  let { Circuits.mna; _ } =
+    Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive ()
+  in
+  let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
+  Telemetry.enable ();
+  let sol =
+    Fun.protect ~finally:Telemetry.disable @@ fun () ->
+    Mpde.Solver.solve_mna ~shear ~n1:16 ~n2:6 mna
+  in
+  let stats = sol.Mpde.Solver.stats in
+  let counter name =
+    match sol.Mpde.Solver.report.Resilience.Report.telemetry with
+    | None -> Alcotest.fail "telemetry summary missing"
+    | Some t ->
+        Option.value
+          (List.assoc_opt name t.Telemetry.Summary.counters)
+          ~default:0
+  in
+  Alcotest.(check bool) "converged" true stats.Mpde.Solver.converged;
+  Alcotest.(check string) "plain newton rung" "newton" stats.Mpde.Solver.strategy;
+  Alcotest.(check int) "no gmres stalls" 0 (counter "gmres.stalls");
+  Alcotest.(check bool)
+    (Printf.sprintf "gmres iterations %d <= 10 x newton %d"
+       stats.Mpde.Solver.linear_iterations stats.Mpde.Solver.newton_iterations)
+    true
+    (stats.Mpde.Solver.linear_iterations
+    <= 10 * stats.Mpde.Solver.newton_iterations)
 
 let test_solver_krylov_recycle_matches_cold () =
-  (* Krylov recycling and factor clustering only steer the linear
-     iterations across the mixer's Newton sequence; the converged
-     surface must satisfy the same equations to the same residual as
-     the cold-start, unclustered configuration. *)
+  (* Krylov recycling only steers the linear iterations across the
+     mixer's Newton sequence; the converged surface must satisfy the
+     same equations to the same residual as the cold-start
+     configuration. *)
   let mna, shear = mixer_fixture () in
   let solve recycle =
     Mpde.Solver.solve_mna
-      ~options:
-        {
-          Mpde.Solver.default_options with
-          krylov_recycle = recycle;
-          precond_cluster = recycle;
-        }
+      ~options:{ Mpde.Solver.default_options with krylov_recycle = recycle }
       ~shear ~n1:16 ~n2:10 mna
   in
   let recycled = solve true and cold = solve false in
@@ -707,8 +740,10 @@ let () =
           Alcotest.test_case "off-lattice raises" `Quick test_solver_off_lattice_raises;
           Alcotest.test_case "seed validation" `Quick test_solver_seed_validation;
           Alcotest.test_case "nonlinear detector" `Quick test_solver_nonlinear_detector;
-          Alcotest.test_case "lagged preconditioner = eager" `Quick
-            test_solver_precond_lag_matches_eager;
+          Alcotest.test_case "mixer gmres-sweep = direct" `Quick
+            test_solver_sweep_matches_direct_mixer;
+          Alcotest.test_case "bridge sweep guard" `Quick
+            test_solver_bridge_sweep_guard;
           Alcotest.test_case "krylov recycle matches cold" `Quick
             test_solver_krylov_recycle_matches_cold;
           Alcotest.test_case "workspace slot reuse" `Quick

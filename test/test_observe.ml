@@ -486,6 +486,42 @@ let test_tcp_ephemeral_port () =
       O.Server.stop srv;
       O.Server.stop srv
 
+(* ---------- route streams ---------- *)
+
+let test_route_stream_late_eof () =
+  (* A route stream whose [`Eof] arrives on a later poll, after its last
+     bytes were already written: the server must close the connection
+     then, not leave the client waiting for its inactivity timeout. *)
+  P.reset ();
+  let eof_after = ref infinity in
+  let poll () =
+    if !eof_after = infinity then begin
+      eof_after := Unix.gettimeofday () +. 0.2;
+      `Data "last line\n"
+    end
+    else if Unix.gettimeofday () < !eof_after then `Wait
+    else `Eof
+  in
+  let routes (req : O.Http.request) _body =
+    if req.O.Http.path = "/stream" then
+      Some (O.Server.Stream { header = O.Http.stream_header (); poll })
+    else None
+  in
+  match O.Server.start ~routes (O.Addr.Tcp ("127.0.0.1", 0)) with
+  | Error e -> Alcotest.fail e
+  | Ok srv -> (
+      Fun.protect ~finally:(fun () -> O.Server.stop srv) @@ fun () ->
+      let t0 = Unix.gettimeofday () in
+      match O.Client.get ~timeout:5.0 (O.Server.addr srv) "/stream" with
+      | Ok (200, _, body) ->
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.(check string) "streamed body" "last line\n" body;
+          Alcotest.(check bool)
+            (Printf.sprintf "closed at Eof (%.2f s), not at the timeout" elapsed)
+            true (elapsed < 1.0)
+      | Ok (st, _, _) -> Alcotest.failf "status %d" st
+      | Error e -> Alcotest.fail e)
+
 (* ---------- run ---------- *)
 
 let () =
@@ -513,5 +549,10 @@ let () =
             test_e2e_unix_socket_sweep;
           Alcotest.test_case "tcp ephemeral port" `Quick
             test_tcp_ephemeral_port;
+        ] );
+      ( "routes",
+        [
+          Alcotest.test_case "stream closes on a late Eof" `Quick
+            test_route_stream_late_eof;
         ] );
     ]
