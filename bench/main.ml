@@ -726,9 +726,10 @@ let sweep_bench () =
    rather than to solver iteration counts. [spmv_mflops] applies the
    assembled mixer-grid Jacobian (the matrix the CSR Bigarray SpMV
    route sees); [block_solve_cols_per_s] applies one n=13 dense LU
-   factor to a 30-column panel — the widest wavefront level of the
-   40x30 sweep — through {!Linalg.Lu.solve_many_into}. Both report the
-   best of three timed batches. *)
+   factor to a 30-column panel through {!Linalg.Lu.solve_many_into},
+   the dense multi-RHS kernel (the sweep preconditioner itself
+   substitutes over compact per-point factors). Both report the best
+   of three timed batches. *)
 type kernel_results = { spmv_mflops : float; block_solve_cols_per_s : float }
 
 let kernel_bench () =
@@ -771,8 +772,7 @@ let kernel_bench () =
     2.0 *. float_of_int nnz *. float_of_int spmv_reps
     /. Float.max spmv_t 1e-12 /. 1e6
   in
-  (* Panel solve: one dense factor applied to a 30-column panel (the
-     widest anti-diagonal of the 40x30 sweep). *)
+  (* Panel solve: one dense factor applied to a 30-column panel. *)
   let cols = 30 in
   let d = Linalg.Mat.create n n in
   for i = 0 to n - 1 do

@@ -875,6 +875,9 @@ let report_cmd file top =
       let lane_order = ref [] in
       let thread_names = Hashtbl.create 8 in
       let ts_min = ref infinity and ts_max = ref neg_infinity in
+      (* Preconditioner counters and gauges (Chrome "C" events), one
+         value per trace part, in document order. *)
+      let precond = ref [] in
       List.iter
         (fun ev ->
           let key =
@@ -906,6 +909,16 @@ let report_cmd file top =
               in
               ignore ph;
               q := ev :: !q
+          | Some "C" -> (
+              let value =
+                Option.bind (J.member "args" ev) (fun a ->
+                    Option.bind (J.member "value" a) J.num)
+              in
+              match (fstr "name" ev, value) with
+              | Some name, Some v
+                when String.starts_with ~prefix:"mpde.precond." name ->
+                  precond := (name, v) :: !precond
+              | _ -> ())
           | _ -> ())
         events;
       let lane_order = List.rev !lane_order in
@@ -1019,6 +1032,21 @@ let report_cmd file top =
                (Option.value ~default:0.0 (gnum "major_pause_p99")))
             (Option.value ~default:0.0 (gnum "lost_events"))
       | _ -> ());
+      (* Which sweep-preconditioner path ran: pattern runs per build,
+         shared (uniform) builds, sweeps — a range when parts differ. *)
+      if !precond <> [] then begin
+        let names = List.sort_uniq compare (List.map fst !precond) in
+        Printf.printf "precond:";
+        List.iter
+          (fun name ->
+            let vs = List.filter_map (fun (n, v) -> if n = name then Some v else None) !precond in
+            let lo = List.fold_left Float.min infinity vs
+            and hi = List.fold_left Float.max neg_infinity vs in
+            if lo = hi then Printf.printf " %s=%g" name lo
+            else Printf.printf " %s=%g..%g" name lo hi)
+          names;
+        print_newline ()
+      end;
       Printf.printf
         "accounting: span self %s = %.1f%% of lane busy %s; lane busy = %.1f%% of %d domains x wall\n"
         (format_seconds total_self)
@@ -1425,6 +1453,19 @@ let top_cmd addr_spec interval once =
 
 open Cmdliner
 
+(* MPDE grid dimensions: the bi-periodic grid needs at least two points
+   per axis, so smaller values are a usage error, not a solver crash. *)
+let grid_points =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 2 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= 2" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+let grid_arg name default doc =
+  Arg.(value & opt grid_points default & info [ name ] ~docv:"N" ~doc)
+
 let circuit_arg =
   Arg.(
     required
@@ -1583,8 +1624,8 @@ let solve_term =
   let points =
     Arg.(value & opt int 64 & info [ "points" ] ~docv:"N" ~doc:"Periodic-FD collocation points.")
   in
-  let n1 = Arg.(value & opt int 32 & info [ "n1" ] ~docv:"N" ~doc:"MPDE fast-scale points.") in
-  let n2 = Arg.(value & opt int 24 & info [ "n2" ] ~docv:"N" ~doc:"MPDE slow-scale points.") in
+  let n1 = grid_arg "n1" 32 "MPDE fast-scale points." in
+  let n2 = grid_arg "n2" 24 "MPDE slow-scale points." in
   let tol =
     Arg.(value & opt float 1e-8 & info [ "tol" ] ~docv:"T" ~doc:"Residual infinity-norm target.")
   in
@@ -1637,8 +1678,8 @@ let sweep_term =
       & opt (Arg.enum [ ("csv", Sweep_csv); ("json", Sweep_json) ]) Sweep_csv
       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: $(b,csv) or $(b,json).")
   in
-  let n1 = Arg.(value & opt int 32 & info [ "n1" ] ~docv:"N" ~doc:"MPDE fast-scale points.") in
-  let n2 = Arg.(value & opt int 24 & info [ "n2" ] ~docv:"N" ~doc:"MPDE slow-scale points.") in
+  let n1 = grid_arg "n1" 32 "MPDE fast-scale points." in
+  let n2 = grid_arg "n2" 24 "MPDE slow-scale points." in
   let steps =
     Arg.(value & opt int 256 & info [ "steps" ] ~docv:"N" ~doc:"Shooting steps per period.")
   in
@@ -1742,8 +1783,8 @@ let report_term =
   Term.(const report_cmd $ file $ top)
 
 let mpde_term =
-  let n1 = Arg.(value & opt int 40 & info [ "n1" ] ~docv:"N" ~doc:"Fast-scale points.") in
-  let n2 = Arg.(value & opt int 30 & info [ "n2" ] ~docv:"N" ~doc:"Slow-scale points.") in
+  let n1 = grid_arg "n1" 40 "Fast-scale points." in
+  let n2 = grid_arg "n2" 30 "Slow-scale points." in
   let output =
     let kind_conv =
       Arg.enum
@@ -1840,8 +1881,8 @@ let submit_term =
       & info [ "engine" ] ~docv:"NAME"
           ~doc:"Engine: shooting, multiple-shooting, hb, periodic-fd or mpde.")
   in
-  let n1 = Arg.(value & opt int 32 & info [ "n1" ] ~docv:"N" ~doc:"Fast-scale points.") in
-  let n2 = Arg.(value & opt int 24 & info [ "n2" ] ~docv:"N" ~doc:"Slow-scale points.") in
+  let n1 = grid_arg "n1" 32 "Fast-scale points." in
+  let n2 = grid_arg "n2" 24 "Slow-scale points." in
   let tol =
     Arg.(value & opt float 1e-8 & info [ "tol" ] ~docv:"T" ~doc:"Residual target.")
   in
@@ -1885,8 +1926,8 @@ let scrape_term =
   Term.(const scrape_cmd $ top_addr_arg $ path $ validate)
 
 let health_term =
-  let n1 = Arg.(value & opt int 40 & info [ "n1" ] ~docv:"N" ~doc:"Fast-scale points.") in
-  let n2 = Arg.(value & opt int 30 & info [ "n2" ] ~docv:"N" ~doc:"Slow-scale points.") in
+  let n1 = grid_arg "n1" 40 "Fast-scale points." in
+  let n2 = grid_arg "n2" 30 "Slow-scale points." in
   Term.(
     const health_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ n1 $ n2
     $ budget_seconds_arg $ max_newton_arg)

@@ -63,13 +63,12 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
-      (* Dense triangular-solve calls per mixer solve (one per blocked
-         panel call); creeping up means more preconditioner sweeps or
-         a shared-factor build no longer solving whole levels. *)
-      metric = "mixer.lu_dense_solves";
-      path = [ "mixer"; "telemetry"; "counters"; "lu.dense_solves" ];
+      (* Sweep-preconditioner applications per mixer solve; creeping
+         up means more preconditioner sweeps, i.e. more GMRES work. *)
+      metric = "mixer.precond_sweeps";
+      path = [ "mixer"; "telemetry"; "counters"; "mpde.precond.sweeps" ];
       direction = Lower_better;
-      tolerance = tol "mixer.lu_dense_solves";
+      tolerance = tol "mixer.precond_sweeps";
       absolute = 0.0;
     };
     {

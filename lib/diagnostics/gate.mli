@@ -48,8 +48,8 @@ val default_tolerance : float
 val default_checks : ?overrides:(string * float) list -> float -> check list
 (** The watched metrics — [mixer.wall_seconds], [mixer.newton_iterations],
     [mixer.gmres_iterations], [mixer.lu_dense_factors] and
-    [mixer.lu_dense_solves] (dense preconditioner factorizations and
-    blocked triangular-solve calls per solve, read from the embedded
+    [mixer.precond_sweeps] (dense preconditioner factorizations and
+    sweep-preconditioner applications per solve, read from the embedded
     telemetry counters), [sweep.wall_1] (lower is better),
     [speedup.ratio], [sweep.speedup_2] and [sweep.speedup_4] (higher is
     better), the kernel micro-benchmarks [kernel.spmv_mflops] and

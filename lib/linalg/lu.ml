@@ -98,9 +98,7 @@ let solve_into f b x =
   Telemetry.count "lu.dense_solves";
   Telemetry.count "lu.dense_solve_columns";
   (* Apply the permutation straight into [x] when it does not alias
-     [b]; the scratch allocation only survives for the aliased case.
-     This is the sweep preconditioner's innermost call (np dense solves
-     per GMRES iteration), so it must not allocate. *)
+     [b]; the scratch allocation only survives for the aliased case. *)
   let y =
     if x == b then Array.init n (fun i -> b.(f.perm.(i)))
     else begin

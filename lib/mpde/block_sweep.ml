@@ -1,0 +1,292 @@
+(* A factored diagonal block's structure. The values of point p live in
+   [vals] at [offs.(p)]: strict-L row i at [ptr.(i) .. ptr.(i+1) − 1],
+   strict-U row i at [ptr.(n+i) .. ptr.(n+i+1) − 1] (columns in
+   [cols] at the same indices, ascending within a row), then the n
+   diagonal entries from [ptr.(2n)]. *)
+type pattern = { perm : int array; ptr : int array; cols : int array }
+
+type t = {
+  n : int;
+  np : int;
+  stage : Linalg.Mat.t;  (* n×n staging block, factored in place *)
+  pats : pattern array;  (* per point; physically shared within a run *)
+  offs : int array;  (* per point offset into [vals] *)
+  mutable vals : float array;
+  mutable runs : int;  (* 0 until a build completes *)
+  rhs : Linalg.Vec.t;  (* n: one point's gathered right-hand side *)
+  y : Linalg.Vec.t;  (* n: one point's substitution *)
+  sx : Linalg.Kernel.vec;  (* np*n result, returned to GMRES *)
+}
+
+let no_pattern = { perm = [||]; ptr = [||]; cols = [||] }
+
+let create ~n ~np =
+  {
+    n;
+    np;
+    stage = Linalg.Mat.create n n;
+    pats = Array.make np no_pattern;
+    offs = Array.make np 0;
+    vals = Array.make (np * n) 0.0;
+    runs = 0;
+    rhs = Array.make n 0.0;
+    y = Array.make n 0.0;
+    sx = Linalg.Kernel.create (np * n);
+  }
+
+let fits t ~n ~np = t.n = n && t.np = np
+let patterns t = t.runs
+
+(* The sweep is exact (up to periodic wraps) for the backward scheme;
+   for central/spectral t1 schemes it degrades to a block Gauss-Seidel
+   over the t2 columns (the t1 coupling is left to GMRES). *)
+let t1_in_diag = function
+  | Assemble.Backward -> true
+  | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both -> false
+
+let ints_equal (a : int array) (b : int array) =
+  a == b
+  ||
+  let len = Array.length a in
+  len = Array.length b
+  &&
+  let rec go i = i = len || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
+  go 0
+
+let csr_values_equal (a : Sparse.Csr.t) (b : Sparse.Csr.t) =
+  let va = a.Sparse.Csr.values and vb = b.Sparse.Csr.values in
+  let len = Array.length va in
+  len = Array.length vb
+  && ints_equal a.Sparse.Csr.col_idx b.Sparse.Csr.col_idx
+  &&
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < len do
+    (* [<>] makes a NaN entry read as "not uniform" — fails safe. *)
+    if va.(!i) <> vb.(!i) then ok := false;
+    incr i
+  done;
+  !ok
+
+(* The MPDE Jacobian's per-point blocks are functions of the per-point
+   state only, so at a replicated seed (DC operating point, zero state
+   — how every Newton stage starts) all np blocks are equal and one
+   factorization serves the whole sweep. Early-exits at the first
+   differing block. *)
+let blocks_uniform (jacs : (Sparse.Csr.t * Sparse.Csr.t) array) =
+  let g0, c0 = jacs.(0) in
+  let ok = ref true and p = ref 1 in
+  while !ok && !p < Array.length jacs do
+    let gp, cp = jacs.(!p) in
+    if not (csr_values_equal gp g0 && csr_values_equal cp c0) then ok := false;
+    incr p
+  done;
+  !ok
+
+(* Stamp D_p = scale_c·C_p + G_p (+ extra_diag·I) straight from the CSR
+   arrays into the staging matrix and factor it in place; returns the
+   packed factors and the permutation. *)
+let factor_point t ~scale_c ~jacs ~extra_diag p =
+  let n = t.n in
+  let gp, cp = jacs.(p) in
+  let a = t.stage.Linalg.Mat.data in
+  Array.fill a 0 (n * n) 0.0;
+  let crp = cp.Sparse.Csr.row_ptr
+  and cci = cp.Sparse.Csr.col_idx
+  and cv = cp.Sparse.Csr.values in
+  let grp = gp.Sparse.Csr.row_ptr
+  and gci = gp.Sparse.Csr.col_idx
+  and gv = gp.Sparse.Csr.values in
+  for i = 0 to n - 1 do
+    let ib = i * n in
+    for k = crp.(i) to crp.(i + 1) - 1 do
+      let e = ib + cci.(k) in
+      a.(e) <- a.(e) +. (scale_c *. cv.(k))
+    done;
+    for k = grp.(i) to grp.(i + 1) - 1 do
+      let e = ib + gci.(k) in
+      a.(e) <- a.(e) +. gv.(k)
+    done;
+    if extra_diag <> 0.0 then a.(ib + i) <- a.(ib + i) +. extra_diag
+  done;
+  let lu, perm, _ = Linalg.Lu.packed (Linalg.Lu.factor_in_place t.stage) in
+  (lu.Linalg.Mat.data, perm)
+
+(* The structure of packed factors [a]: every off-diagonal entry that
+   is not exactly zero (NaN included) is kept. *)
+let pattern_of n (a : float array) perm =
+  let ptr = Array.make ((2 * n) + 1) 0 in
+  let row i j = if j < i then i else n + i in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if j <> i && a.((i * n) + j) <> 0.0 then
+        ptr.(row i j + 1) <- ptr.(row i j + 1) + 1
+    done
+  done;
+  for r = 1 to 2 * n do
+    ptr.(r) <- ptr.(r) + ptr.(r - 1)
+  done;
+  let cols = Array.make ptr.(2 * n) 0 in
+  let next = Array.sub ptr 0 (2 * n) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if j <> i && a.((i * n) + j) <> 0.0 then begin
+        cols.(next.(row i j)) <- j;
+        next.(row i j) <- next.(row i j) + 1
+      end
+    done
+  done;
+  { perm; ptr; cols }
+
+exception Mismatch
+
+(* Copy the nonzero entries of packed factors [a] into [vals] at [off]
+   following [pat]'s layout, checking on the way that [pat] lists
+   exactly those entries: one fused pass for the common case of a point
+   sharing its predecessor's pattern.
+   @raise Mismatch at the first entry [pat] does not list. *)
+let extract pat n (a : float array) vals off =
+  let ptr = pat.ptr and cols = pat.cols in
+  let segment ib k0 k1 j0 j1 =
+    let k = ref k0 in
+    for j = j0 to j1 do
+      let v = Array.unsafe_get a (ib + j) in
+      if v <> 0.0 then begin
+        if !k >= k1 || Array.unsafe_get cols !k <> j then raise_notrace Mismatch;
+        Array.unsafe_set vals (off + !k) v;
+        incr k
+      end
+    done;
+    if !k <> k1 then raise_notrace Mismatch
+  in
+  let diag = off + ptr.(2 * n) in
+  for i = 0 to n - 1 do
+    let ib = i * n in
+    segment ib ptr.(i) ptr.(i + 1) 0 (i - 1);
+    segment ib ptr.(n + i) ptr.(n + i + 1) (i + 1) (n - 1);
+    Array.unsafe_set vals (diag + i) (Array.unsafe_get a (ib + i))
+  done
+
+(* Factor point [p] and store it at [off]: under [prev]'s pattern when
+   identical, otherwise under a fresh one. Returns the pattern used. *)
+let store_point t ~scale_c ~jacs ~extra_diag ~prev ~off p =
+  let n = t.n in
+  let a, perm = factor_point t ~scale_c ~jacs ~extra_diag p in
+  (* A point takes at most n² values; grow geometrically. *)
+  if off + (n * n) > Array.length t.vals then begin
+    let bigger = Array.make (max (2 * Array.length t.vals) (off + (n * n))) 0.0 in
+    Array.blit t.vals 0 bigger 0 off;
+    t.vals <- bigger
+  end;
+  let shared =
+    ints_equal prev.perm perm
+    &&
+    try
+      extract prev n a t.vals off;
+      true
+    with Mismatch -> false
+  in
+  if shared then prev
+  else begin
+    let pat = pattern_of n a perm in
+    extract pat n a t.vals off;
+    pat
+  end
+
+let build t scheme (g : Grid.t) ~jacs ~extra_diag =
+  Telemetry.span "mpde.precond.build" @@ fun () ->
+  let n = t.n in
+  let scale_c =
+    (if t1_in_diag scheme then 1.0 /. g.Grid.h1 else 0.0) +. (1.0 /. g.Grid.h2)
+  in
+  let store = store_point t ~scale_c ~jacs ~extra_diag in
+  (* A build cut short by a singular block leaves no usable store. *)
+  t.runs <- 0;
+  if blocks_uniform jacs then begin
+    Telemetry.count "mpde.precond.shared_builds";
+    Array.fill t.pats 0 t.np (store ~prev:no_pattern ~off:0 0);
+    Array.fill t.offs 0 t.np 0;
+    t.runs <- 1
+  end
+  else begin
+    let prev = ref no_pattern and off = ref 0 and runs = ref 0 in
+    for p = 0 to t.np - 1 do
+      let pat = store ~prev:!prev ~off:!off p in
+      if pat != !prev then incr runs;
+      t.pats.(p) <- pat;
+      t.offs.(p) <- !off;
+      off := !off + pat.ptr.(2 * n) + n;
+      prev := pat
+    done;
+    t.runs <- !runs
+  end;
+  Telemetry.gauge "mpde.precond.patterns" (float_of_int t.runs)
+
+(* One pass in lexicographic point order: point (i,j) reads only the
+   already-solved (i−1,j) and (i,j−1). Per point: gather r_p, move the
+   lower-neighbour couplings (−C/h) to the right side, permute, then
+   forward/back substitution over the stored nonzeros. *)
+let apply t scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
+  if t.runs = 0 then invalid_arg "Block_sweep.apply: no factors built";
+  Telemetry.count "mpde.precond.sweeps";
+  let n = t.n and n1 = g.Grid.n1 in
+  let t1d = t1_in_diag scheme in
+  let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
+  let x = t.sx and b = t.rhs and y = t.y and vals = t.vals in
+  (* b += inv_h · C_q x_q, reading the CSR arrays directly — this runs
+     n·nnz(C) times per sweep, too hot for the iter_row closure (and
+     the reciprocal is hoisted to a multiply). *)
+  let couple (c : Sparse.Csr.t) inv_h q =
+    let rp = c.Sparse.Csr.row_ptr
+    and ci = c.Sparse.Csr.col_idx
+    and cv = c.Sparse.Csr.values in
+    let xb = q * n in
+    for row = 0 to n - 1 do
+      let s = ref 0.0 in
+      for k = rp.(row) to rp.(row + 1) - 1 do
+        s :=
+          !s
+          +. (Array.unsafe_get cv k
+             *. Bigarray.Array1.unsafe_get x (xb + Array.unsafe_get ci k))
+      done;
+      b.(row) <- b.(row) +. (inv_h *. !s)
+    done
+  in
+  for p = 0 to t.np - 1 do
+    let base = p * n in
+    for row = 0 to n - 1 do
+      Array.unsafe_set b row (Bigarray.Array1.unsafe_get r (base + row))
+    done;
+    let i = p mod n1 and j = p / n1 in
+    if t1d && i > 0 then couple (snd jacs.(p - 1)) inv_h1 (p - 1);
+    if j > 0 then couple (snd jacs.(p - n1)) inv_h2 (p - n1);
+    let { perm; ptr; cols } = t.pats.(p) and o = t.offs.(p) in
+    for row = 0 to n - 1 do
+      Array.unsafe_set y row (Array.unsafe_get b (Array.unsafe_get perm row))
+    done;
+    (* Forward substitution with unit L. *)
+    for row = 1 to n - 1 do
+      let s = ref (Array.unsafe_get y row) in
+      for k = Array.unsafe_get ptr row to Array.unsafe_get ptr (row + 1) - 1 do
+        s :=
+          !s
+          -. (Array.unsafe_get vals (o + k)
+             *. Array.unsafe_get y (Array.unsafe_get cols k))
+      done;
+      Array.unsafe_set y row !s
+    done;
+    (* Back substitution with U. *)
+    let diag = o + Array.unsafe_get ptr (2 * n) in
+    for row = n - 1 downto 0 do
+      let s = ref (Array.unsafe_get y row) in
+      for k = Array.unsafe_get ptr (n + row) to Array.unsafe_get ptr (n + row + 1) - 1 do
+        s :=
+          !s
+          -. (Array.unsafe_get vals (o + k)
+             *. Array.unsafe_get y (Array.unsafe_get cols k))
+      done;
+      let v = !s /. Array.unsafe_get vals (diag + row) in
+      Array.unsafe_set y row v;
+      Bigarray.Array1.unsafe_set x (base + row) v
+    done
+  done;
+  x

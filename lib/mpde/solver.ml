@@ -72,89 +72,6 @@ type solution = {
   report : Report.t;
 }
 
-(* The sweep preconditioner is exact (up to periodic wraps) for the
-   backward scheme; for central/spectral t1 schemes it degrades to a
-   block Gauss-Seidel over the t2 columns (the t1 coupling is left to
-   GMRES). *)
-let t1_in_diag = function
-  | Assemble.Backward -> true
-  | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both -> false
-
-(* Reusable state for the block forward-substitution sweep: the dense
-   per-point diagonal factors and the apply buffers. The staging
-   matrices are owned by their factorizations after a build
-   ([Lu.factor_in_place]); every linear solve restamps and refactors
-   them in place from the current Jacobian, so the np dense blocks are
-   allocated exactly once per solve.
-
-   The apply runs over precomputed wavefront [levels] of the sweep's
-   dependency DAG — for the backward scheme the anti-diagonals i+j = l
-   (every point's lower neighbours live on level l−1), otherwise whole
-   t2-rows. Points inside a level are independent, so their right-hand
-   sides are gathered into a contiguous column panel; [factors] holds
-   either one factor per point or, after a uniform build, a single
-   factor that is applied to a whole level's panel in one blocked
-   multi-RHS call. *)
-type sweep_cache = {
-  sc_n : int;
-  sc_np : int;
-  sc_n1 : int;
-  sc_t1d : bool;  (* t1 coupling inside the diagonal (backward scheme) *)
-  mats : Linalg.Mat.t array;
-  mutable factors : Linalg.Lu.t array;  (* np, or 1 when shared by every point *)
-  levels : int array array;  (* wavefront levels of point indices *)
-  sx : Linalg.Kernel.vec;  (* np*n sweep result, returned to GMRES *)
-  panel_b : Vec.t;  (* max-width*n gathered right-hand-side columns *)
-  panel_x : Vec.t;  (* max-width*n panel solutions *)
-  cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free op *)
-}
-
-(* Wavefront levels: for the backward scheme point (i,j) depends on
-   (i−1,j) and (i,j−1) (periodic wraps dropped), so the anti-diagonals
-   i+j = l are mutually independent and level l only reads level l−1;
-   the other schemes couple only through (i,j−1) and the levels are
-   whole t2-rows. Points inside a level are listed in increasing i,
-   i.e. in increasing lexicographic point index. *)
-let sweep_levels (g : Grid.t) ~t1d =
-  let n1 = g.Grid.n1 and n2 = g.Grid.n2 in
-  if t1d then
-    Array.init (n1 + n2 - 1) (fun l ->
-        let i_lo = max 0 (l - n2 + 1) and i_hi = min (n1 - 1) l in
-        Array.init (i_hi - i_lo + 1) (fun k ->
-            let i = i_lo + k in
-            ((l - i) * n1) + i))
-  else Array.init n2 (fun j -> Array.init n1 (fun i -> (j * n1) + i))
-
-let csr_values_equal (a : Sparse.Csr.t) (b : Sparse.Csr.t) =
-  let va = a.Sparse.Csr.values and vb = b.Sparse.Csr.values in
-  let len = Array.length va in
-  len = Array.length vb
-  && a.Sparse.Csr.col_idx = b.Sparse.Csr.col_idx
-  &&
-  let ok = ref true and i = ref 0 in
-  while !ok && !i < len do
-    (* [<>] makes a NaN entry read as "not uniform" — fails safe. *)
-    if va.(!i) <> vb.(!i) then ok := false;
-    incr i
-  done;
-  !ok
-
-(* The MPDE Jacobian's per-point blocks are functions of the per-point
-   state only, so at a replicated seed (DC operating point, zero state
-   — how every Newton stage starts) all np blocks are equal and one
-   dense factorization serves the whole sweep. Early-exits at the first
-   differing block, so the check is O(one block) once the LO swing has
-   been absorbed into the iterate. *)
-let blocks_uniform (jacs : (Sparse.Csr.t * Sparse.Csr.t) array) =
-  let g0, c0 = jacs.(0) in
-  let ok = ref true and p = ref 1 in
-  while !ok && !p < Array.length jacs do
-    let gp, cp = jacs.(!p) in
-    if not (csr_values_equal gp g0 && csr_values_equal cp c0) then ok := false;
-    incr p
-  done;
-  !ok
-
 (* Per-solve workspace: assembly scratch plus the linear-solver caches
    (GMRES Krylov basis, sweep factors, ILU0/sparse-LU factorizations
    refreshed numerically on their frozen patterns). Owned by exactly
@@ -166,7 +83,8 @@ type workspace = {
   op_buf : Vec.t;  (* shared operator output (GMRES buffer contract) *)
   op_ba : Linalg.Kernel.vec;  (* same, for the Bigarray GMRES hot path *)
   ilu_buf : Vec.t;  (* shared preconditioner output *)
-  sweep : sweep_cache;
+  sweep : Block_sweep.t;
+  cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free op *)
   mutable ilu : Sparse.Ilu0.t option;
   mutable splu : Sparse.Splu.t option;
 }
@@ -175,11 +93,6 @@ let make_workspace scheme sys (g : Grid.t) =
   let n = sys.Assemble.size in
   let np = Grid.points g in
   let big = np * n in
-  let t1d = t1_in_diag scheme in
-  let levels = sweep_levels g ~t1d in
-  let max_width =
-    Array.fold_left (fun acc l -> max acc (Array.length l)) 1 levels
-  in
   {
     asm = Assemble.workspace scheme sys g;
     gmres_ws = None;
@@ -187,33 +100,16 @@ let make_workspace scheme sys (g : Grid.t) =
     op_buf = Array.make big 0.0;
     op_ba = Linalg.Kernel.create big;
     ilu_buf = Array.make big 0.0;
-    sweep =
-      {
-        sc_n = n;
-        sc_np = np;
-        sc_n1 = g.Grid.n1;
-        sc_t1d = t1d;
-        mats = Array.init np (fun _ -> Linalg.Mat.create n n);
-        factors = [||];
-        levels;
-        sx = Linalg.Kernel.create big;
-        panel_b = Array.make (max_width * n) 0.0;
-        panel_x = Array.make (max_width * n) 0.0;
-        cw = Linalg.Kernel.create big;
-      };
+    sweep = Block_sweep.create ~n ~np;
+    cw = Linalg.Kernel.create big;
     ilu = None;
     splu = None;
   }
 
 (* Can a retained workspace serve a new solve of this shape? The big
-   buffers, dense staging matrices and wavefront levels all depend only
-   on (n, np, n1, scheme-diagonal-structure). *)
-let workspace_fits ws scheme sys (g : Grid.t) =
-  let c = ws.sweep in
-  c.sc_n = sys.Assemble.size
-  && c.sc_np = Grid.points g
-  && c.sc_n1 = g.Grid.n1
-  && c.sc_t1d = t1_in_diag scheme
+   buffers and the sweep store depend only on (n, np). *)
+let workspace_fits ws sys (g : Grid.t) =
+  Block_sweep.fits ws.sweep ~n:sys.Assemble.size ~np:(Grid.points g)
 
 (* Rebind a retained workspace to a new solve job: fresh assembly
    workspace (it is bound to the system/grid and cheap — the big COO is
@@ -239,147 +135,23 @@ let gmres_workspace ws ~restart ~n =
       ws.gmres_restart <- restart;
       k
 
-let sweep_scale_c scheme (g : Grid.t) =
-  (if t1_in_diag scheme then 1.0 /. g.Grid.h1 else 0.0) +. (1.0 /. g.Grid.h2)
-
-(* Stamp and factor the dense diagonal block of one grid point,
-   D_p = (1/h1 + 1/h2)·C_p + G_p (+ extra_diag·I), straight from the
-   CSR arrays into the staging matrix. [extra_diag] adds the
-   pseudo-transient loading so the preconditioner tracks the loaded
-   Jacobian. *)
-let factor_sweep_point cache ~scale_c ~jacs ~extra_diag p =
-  let n = cache.sc_n in
-  let gp, cp = jacs.(p) in
-  let d = cache.mats.(p) in
-  let a = d.Linalg.Mat.data in
-  Array.fill a 0 (n * n) 0.0;
-  let crp = cp.Sparse.Csr.row_ptr
-  and cci = cp.Sparse.Csr.col_idx
-  and cv = cp.Sparse.Csr.values in
-  let grp = gp.Sparse.Csr.row_ptr
-  and gci = gp.Sparse.Csr.col_idx
-  and gv = gp.Sparse.Csr.values in
-  for i = 0 to n - 1 do
-    let ib = i * n in
-    for k = crp.(i) to crp.(i + 1) - 1 do
-      let e = ib + cci.(k) in
-      a.(e) <- a.(e) +. (scale_c *. cv.(k))
-    done;
-    for k = grp.(i) to grp.(i + 1) - 1 do
-      let e = ib + gci.(k) in
-      a.(e) <- a.(e) +. gv.(k)
-    done;
-    if extra_diag <> 0.0 then a.(ib + i) <- a.(ib + i) +. extra_diag
-  done;
-  Linalg.Lu.factor_in_place d
-
-(* Exact (re)build of the sweep's dense factors from the current
-   per-point Jacobian, once per linear solve. At a replicated iterate
-   (the DC seed every Newton stage starts from) all blocks are equal
-   and one shared factorization serves every point ([Lu.solve_many_into]
-   never mutates the factors); otherwise each point gets its own. *)
-let build_sweep_factors cache scheme (g : Grid.t) ~jacs ~extra_diag =
-  Telemetry.span "mpde.precond.build" @@ fun () ->
-  let factor_point =
-    factor_sweep_point cache ~scale_c:(sweep_scale_c scheme g) ~jacs ~extra_diag
-  in
-  if blocks_uniform jacs then begin
-    Telemetry.count "mpde.precond.shared_builds";
-    cache.factors <- [| factor_point 0 |]
-  end
-  else cache.factors <- Array.init cache.sc_np factor_point
-
-(* Block forward-substitution sweep: apply M⁻¹ where M keeps the
-   diagonal blocks and the two backward-difference neighbour blocks,
-   *dropping the periodic wraps* (i = 0 and j = 0 rows lose their
-   wrapped neighbour). Lexicographic order then makes M block
-   lower-triangular, solvable in one pass with the cached dense
-   factors. Returns the cache's shared output buffer (GMRES copies what
-   it keeps). *)
-let sweep_apply cache scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
-  Telemetry.count "mpde.precond.sweeps";
-  let n = cache.sc_n in
-  let t1_in_diag = t1_in_diag scheme in
-  let n1 = g.Grid.n1 in
-  let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
-  let x = cache.sx in
-  let pb = cache.panel_b and px = cache.panel_x in
-  let shared = Array.length cache.factors = 1 in
-  (* Accumulate one lower-neighbour coupling into panel column [dst],
-     pb += inv_h · C_q x_q, reading the CSR arrays directly — this runs
-     n·nnz(C) times per sweep, too hot for the iter_row closure (and
-     the reciprocal is hoisted to a multiply). The neighbour state
-     lives on an earlier wavefront level, already scattered into [x]. *)
-  let couple (c : Sparse.Csr.t) inv_h q dst =
-    let rp = c.Sparse.Csr.row_ptr
-    and ci = c.Sparse.Csr.col_idx
-    and cv = c.Sparse.Csr.values in
-    let xb = q * n in
-    for row = 0 to n - 1 do
-      let s = ref 0.0 in
-      for k = rp.(row) to rp.(row + 1) - 1 do
-        s :=
-          !s
-          +. (Array.unsafe_get cv k
-              *. Bigarray.Array1.unsafe_get x (xb + Array.unsafe_get ci k))
-      done;
-      pb.(dst + row) <- pb.(dst + row) +. (inv_h *. !s)
-    done
-  in
-  (* Wavefront sweep: gather every level's right-hand sides into a
-     contiguous column panel, then solve it — one blocked multi-RHS
-     call when the factor is shared, one column per point otherwise.
-     Per column the arithmetic (gather order, coupling order,
-     substitution) is exactly the lexicographic single-point sweep's,
-     so the result is bitwise identical — only the solve granularity
-     changes. *)
-  for l = 0 to Array.length cache.levels - 1 do
-    let level = cache.levels.(l) in
-    let w = Array.length level in
-    for c = 0 to w - 1 do
-      let p = level.(c) in
-      let dst = c * n in
-      let src = p * n in
-      for row = 0 to n - 1 do
-        Array.unsafe_set pb (dst + row) (Bigarray.Array1.unsafe_get r (src + row))
-      done;
-      let i = p mod n1 and j = p / n1 in
-      (* Move the lower-neighbour couplings (−C/h) to the right side. *)
-      if t1_in_diag && i > 0 then couple (snd jacs.(p - 1)) inv_h1 (p - 1) dst;
-      if j > 0 then couple (snd jacs.(p - n1)) inv_h2 (p - n1) dst
-    done;
-    if shared then Linalg.Lu.solve_many_into cache.factors.(0) ~cols:w pb px
-    else
-      for c = 0 to w - 1 do
-        Linalg.Lu.solve_many_into cache.factors.(level.(c)) ~off:c ~cols:1 pb px
-      done;
-    for c = 0 to w - 1 do
-      let p = level.(c) in
-      let src = c * n in
-      let dst = p * n in
-      for row = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set x (dst + row) (Array.unsafe_get px (src + row))
-      done
-    done
-  done;
-  x
-
 (* Matrix-free application of the backward-scheme MPDE Jacobian:
    out_p = (1/h1 + 1/h2)·C_p·v_p + G_p·v_p (+ extra_diag·v_p)
            − (C_{i−1,j}·v_{i−1,j})/h1 − (C_{i,j−1}·v_{i,j−1})/h2
    with periodic wraps, mirroring {!Assemble.stamp_big}'s Backward
    stamping. The per-point products C_p·v_p are computed once into
-   [cache.cw] and reused for both neighbour couplings, so one apply
+   [ws.cw] and reused for both neighbour couplings, so one apply
    costs nnz(C) + nnz(G) multiplies per point — cheaper than the SpMV
    on the assembled big CSR, and it removes the big-Jacobian assembly
    from the GMRES hot path entirely. *)
-let sweep_op_apply cache (g : Grid.t) ~jacs ~extra_diag
+let sweep_op_apply ws (g : Grid.t) ~jacs ~extra_diag
     (v : Linalg.Kernel.vec) (out : Linalg.Kernel.vec) =
-  let n = cache.sc_n in
+  let np = Grid.points g in
+  let n = Linalg.Kernel.dim v / np in
   let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
   let scale_c = inv_h1 +. inv_h2 in
-  let w = cache.cw in
-  for p = 0 to cache.sc_np - 1 do
+  let w = ws.cw in
+  for p = 0 to np - 1 do
     let gp, cp = jacs.(p) in
     let base = p * n in
     let crp = cp.Sparse.Csr.row_ptr
@@ -408,7 +180,7 @@ let sweep_op_apply cache (g : Grid.t) ~jacs ~extra_diag
         (!t +. (extra_diag *. Bigarray.Array1.unsafe_get v (base + i)))
     done
   done;
-  for p = 0 to cache.sc_np - 1 do
+  for p = 0 to np - 1 do
     let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
     let bi = Grid.point_index g (i - 1) j * n in
     let bj = Grid.point_index g i (j - 1) * n in
@@ -484,7 +256,6 @@ let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t)
       Sparse.Splu.solve f rhs)
   | Gmres_sweep { restart; max_iter; tol } -> (
       Telemetry.span "mpde.linear.gmres-sweep" @@ fun () ->
-      let cache = ws.sweep in
       (* For the backward scheme the operator is applied matrix-free
          from the per-point blocks, so the big Jacobian is never
          assembled on this path; the other schemes have long-range t1
@@ -494,7 +265,7 @@ let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t)
         match scheme with
         | Assemble.Backward ->
             fun v ->
-              sweep_op_apply cache g ~jacs ~extra_diag v ws.op_ba;
+              sweep_op_apply ws g ~jacs ~extra_diag v ws.op_ba;
               ws.op_ba
         | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both
           ->
@@ -506,8 +277,8 @@ let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t)
       (* Exact factors at every Newton iterate: a lagged or shared
          block lets a switching device's conductance drift unseen, and
          GMRES pays for it many times over (DESIGN.md §12). *)
-      build_sweep_factors cache scheme g ~jacs ~extra_diag;
-      let precond = sweep_apply cache scheme g ~jacs in
+      Block_sweep.build ws.sweep scheme g ~jacs ~extra_diag;
+      let precond = Block_sweep.apply ws.sweep scheme g ~jacs in
       let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
       if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
       else stalled result)
@@ -649,15 +420,15 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   in
   let sources = Assemble.sources_on_grid sys g in
   (* Sweep-scale solves reuse one workspace per domain through the
-     caller-held slot: the multi-megabyte numeric buffers (dense
-     staging matrices, Krylov basis, Bigarray vectors) survive from job
+     caller-held slot: the multi-megabyte numeric buffers (compact
+     sweep factors, Krylov basis, Bigarray vectors) survive from job
      to job, while everything bound to the previous system is rebound
      or dropped. A shape mismatch falls back to a fresh workspace. *)
   let ws =
     match workspace_slot with
     | Some slot -> (
         match !slot with
-        | Some w when workspace_fits w options.scheme sys g ->
+        | Some w when workspace_fits w sys g ->
             Telemetry.count "mpde.workspace.reuses";
             rebind_workspace w options.scheme sys g
         | _ ->

@@ -103,7 +103,7 @@ type solution = {
 
 type workspace
 (** Per-solve numeric state: assembly scratch, the sweep
-    preconditioner's dense staging matrices and factors, the GMRES
+    preconditioner's compact factor store, the GMRES
     Krylov basis, and the Bigarray operator buffers. Owned by exactly
     one solve on one domain at a time. *)
 

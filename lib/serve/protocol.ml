@@ -53,7 +53,15 @@ let known_option_keys =
     "n2";
   ]
 
-exception Bad of string
+type error =
+  | Invalid_request of string
+  | Bad_option of { name : string; reason : string }
+
+let error_message = function
+  | Invalid_request m -> m
+  | Bad_option { name; reason } -> Printf.sprintf "option %S %s" name reason
+
+exception Bad of string * string
 
 let parse_options j (o : Engine.Options.t) =
   match j with
@@ -67,8 +75,9 @@ let parse_options j (o : Engine.Options.t) =
         | Some (k, _) ->
             raise
               (Bad
-                 (Printf.sprintf "unknown option %S; known: %s" k
-                    (String.concat ", " known_option_keys)))
+                 ( k,
+                   Printf.sprintf "is unknown; known: %s"
+                     (String.concat ", " known_option_keys) ))
         | None -> ());
         let num name default =
           match J.member name j with
@@ -76,11 +85,14 @@ let parse_options j (o : Engine.Options.t) =
           | Some v -> (
               match J.num v with
               | Some x -> x
-              | None ->
-                  raise (Bad (Printf.sprintf "option %S is not a number" name)))
+              | None -> raise (Bad (name, "is not a number")))
         in
-        let int_field name default =
-          int_of_float (num name (float_of_int default))
+        (* Counts and sizes must be whole numbers: 2.7 is rejected, not
+           truncated. The grid needs two points per axis. *)
+        let int_field ?(min = 1) name default =
+          let x = num name (float_of_int default) in
+          if Float.is_integer x && x >= float_of_int min then int_of_float x
+          else raise (Bad (name, Printf.sprintf "must be an integer >= %d" min))
         in
         let bool_field name default =
           match J.member name j with
@@ -88,60 +100,40 @@ let parse_options j (o : Engine.Options.t) =
           | Some v -> (
               match J.bool v with
               | Some b -> b
-              | None ->
-                  raise (Bad (Printf.sprintf "option %S is not a bool" name)))
+              | None -> raise (Bad (name, "is not a bool")))
         in
         let tol = num "tol" o.Engine.Options.tol in
-        let max_newton = int_field "max_newton" o.Engine.Options.max_newton in
-        let warm_start = bool_field "warm_start" o.Engine.Options.warm_start in
-        let steps_per_period =
-          int_field "steps_per_period" o.Engine.Options.steps_per_period
-        in
-        let segments = int_field "segments" o.Engine.Options.segments in
-        let steps_per_segment =
-          int_field "steps_per_segment" o.Engine.Options.steps_per_segment
-        in
-        let harmonics = int_field "harmonics" o.Engine.Options.harmonics in
-        let points = int_field "points" o.Engine.Options.points in
-        let n1 = int_field "n1" o.Engine.Options.n1 in
-        let n2 = int_field "n2" o.Engine.Options.n2 in
-        if tol <= 0.0 then raise (Bad "option \"tol\" must be > 0");
-        List.iter
-          (fun (name, v) ->
-            if v < 1 then
-              raise (Bad (Printf.sprintf "option %S must be >= 1" name)))
-          [
-            ("max_newton", max_newton);
-            ("steps_per_period", steps_per_period);
-            ("segments", segments);
-            ("steps_per_segment", steps_per_segment);
-            ("harmonics", harmonics);
-            ("points", points);
-            ("n1", n1);
-            ("n2", n2);
-          ];
+        if tol <= 0.0 then raise (Bad ("tol", "must be > 0"));
         Ok
           {
             o with
             Engine.Options.tol;
-            max_newton;
-            warm_start;
-            steps_per_period;
-            segments;
-            steps_per_segment;
-            harmonics;
-            points;
-            n1;
-            n2;
+            max_newton = int_field "max_newton" o.Engine.Options.max_newton;
+            warm_start = bool_field "warm_start" o.Engine.Options.warm_start;
+            steps_per_period =
+              int_field "steps_per_period" o.Engine.Options.steps_per_period;
+            segments = int_field "segments" o.Engine.Options.segments;
+            steps_per_segment =
+              int_field "steps_per_segment" o.Engine.Options.steps_per_segment;
+            harmonics = int_field "harmonics" o.Engine.Options.harmonics;
+            points = int_field "points" o.Engine.Options.points;
+            n1 = int_field ~min:2 "n1" o.Engine.Options.n1;
+            n2 = int_field ~min:2 "n2" o.Engine.Options.n2;
           }
-      with Bad m -> Error m)
-  | _ -> Error "\"options\" must be an object"
+      with Bad (name, reason) -> Error (Bad_option { name; reason }))
+  | _ -> Error (Invalid_request "\"options\" must be an object")
 
 let parse_job body =
   match J.parse body with
-  | exception J.Parse_error e -> Error ("invalid JSON: " ^ e)
+  | exception J.Parse_error e -> Error (Invalid_request ("invalid JSON: " ^ e))
   | j -> (
-      let ( let* ) = Result.bind in
+      (* Request-level checks fail with a message; [parse_options]
+         fails with a typed [Bad_option]. *)
+      let ( let* ) r f =
+        match r with
+        | Ok v -> f v
+        | Error m -> Error (Invalid_request m)
+      in
       let* () =
         match Option.bind (J.member "v" j) J.str with
         | Some v when v = version -> Ok ()
@@ -175,11 +167,11 @@ let parse_job body =
         if f_fast > 0.0 && fd > 0.0 then Ok ()
         else Error "\"f_fast\" and \"fd\" must be > 0"
       in
-      let* options =
-        match J.member "options" j with
+      Result.bind
+        (match J.member "options" j with
         | Some o -> parse_options o Engine.Options.default
-        | None -> Ok Engine.Options.default
-      in
+        | None -> Ok Engine.Options.default)
+      @@ fun options ->
       let* wall_seconds, max_newton_budget =
         match J.member "budget" j with
         | None -> Ok (None, None)

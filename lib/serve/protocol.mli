@@ -31,13 +31,24 @@ type job = {
 val key_of_job : job -> string
 (** The job's canonical {!Engine.Key.hash}. *)
 
-val parse_job : string -> (job, string) result
+type error =
+  | Invalid_request of string
+      (** malformed JSON, unsupported version, unknown circuit or
+          engine, non-positive tones, malformed budget *)
+  | Bad_option of { name : string; reason : string }
+      (** an ["options"] field that is unknown, of the wrong type or out
+          of range — e.g. [n1]/[n2] not an integer >= 2 *)
+
+val error_message : error -> string
+(** A message suitable for the 400 body. *)
+
+val parse_job : string -> (job, error) result
 (** Parse and validate a request body:
     [{"v":"rfss.jobs/1","circuit":NAME,"engine":NAME?,"f_fast":HZ?,
     "fd":HZ?,"options":{...}?,"budget":{"wall_seconds":S?,
-    "max_newton":N?}?,"warm":BOOL?}]. Unknown option keys, unknown
-    circuits/engines, non-positive tones and malformed budgets are
-    rejected with a message suitable for the 400 body. *)
+    "max_newton":N?}?,"warm":BOOL?}]. Integer options must be whole
+    numbers (never truncated), at least 1, and at least 2 for the grid
+    sizes [n1]/[n2]. *)
 
 val accepted_line : id:int -> key:string -> cache_hit:bool -> string
 

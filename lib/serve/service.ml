@@ -17,7 +17,7 @@ let routes jobs (req : Observe.Http.request) body =
                 (Observe.Server.Response
                    (Observe.Http.response ~status:400
                       ~content_type:"application/jsonl"
-                      (Protocol.error_line e ^ "\n")))
+                      (Protocol.error_line (Protocol.error_message e) ^ "\n")))
           | Ok job ->
               let handle = Jobs.submit jobs job in
               Some

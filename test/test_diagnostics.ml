@@ -247,7 +247,7 @@ let test_json_parse_errors () =
 (* ---------- Gate ---------- *)
 
 let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
-    ?(dense_factors = 1200.0) ?(dense_solves = 6000.0) ?(ratio = 4.0)
+    ?(dense_factors = 1200.0) ?(precond_sweeps = 40.0) ?(ratio = 4.0)
     ?(spmv_mflops = 800.0) ?(block_cols = 2.0e6) ?(sweep_wall = 2.0)
     ?(sweep_speedup = 1.6) ?(sweep_speedup_4 = 1.4) ?(cores = 4.0)
     ?(retries = 0.0) ?(degraded = 0.0) ?(util_2 = 0.9) ?(util_4 = 0.8)
@@ -269,7 +269,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
                     Obj
                       [
                         ("lu.dense_factors", Num dense_factors);
-                        ("lu.dense_solves", Num dense_solves);
+                        ("mpde.precond.sweeps", Num precond_sweeps);
                       ] );
                 ] );
           ] );

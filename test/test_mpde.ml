@@ -653,6 +653,201 @@ let test_solver_workspace_slot_reuse () =
   Alcotest.(check bool) "reused slot bitwise matches fresh" true
     (float_array_bits_equal second.Mpde.Solver.big_x fresh.Mpde.Solver.big_x)
 
+(* ---------- block sweep: compact factors vs a dense reference ---------- *)
+
+module Block_sweep = Mpde.Block_sweep
+
+(* The sweep as the dense kernels compute it: stamp each diagonal block,
+   [Lu.factor] it, then in lexicographic point order gather r_p, add the
+   lower-neighbour couplings and [Lu.solve_into] — the same arithmetic
+   order the compact store must reproduce bit for bit. *)
+let dense_sweep scheme (g : Grid.t) ~jacs ~extra_diag (r : float array) =
+  let np = Grid.points g in
+  let n = (fst jacs.(0)).Sparse.Csr.rows in
+  let t1d = scheme = Mpde.Assemble.Backward in
+  let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
+  let scale_c = (if t1d then inv_h1 else 0.0) +. inv_h2 in
+  let factor (gp, cp) =
+    let d = Linalg.Mat.create n n in
+    let a = d.Linalg.Mat.data in
+    for i = 0 to n - 1 do
+      Sparse.Csr.iter_row cp i (fun j v ->
+          a.((i * n) + j) <- a.((i * n) + j) +. (scale_c *. v));
+      Sparse.Csr.iter_row gp i (fun j v -> a.((i * n) + j) <- a.((i * n) + j) +. v);
+      if extra_diag <> 0.0 then a.((i * n) + i) <- a.((i * n) + i) +. extra_diag
+    done;
+    Linalg.Lu.factor d
+  in
+  let factors = Array.map factor jacs in
+  let x = Array.make (np * n) 0.0 in
+  let b = Array.make n 0.0 and xp = Array.make n 0.0 in
+  let couple c inv_h q =
+    for row = 0 to n - 1 do
+      let s = ref 0.0 in
+      Sparse.Csr.iter_row c row (fun j v -> s := !s +. (v *. x.((q * n) + j)));
+      b.(row) <- b.(row) +. (inv_h *. !s)
+    done
+  in
+  for p = 0 to np - 1 do
+    Array.blit r (p * n) b 0 n;
+    let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
+    if t1d && i > 0 then couple (snd jacs.(p - 1)) inv_h1 (p - 1);
+    if j > 0 then couple (snd jacs.(p - g.Grid.n1)) inv_h2 (p - g.Grid.n1);
+    Linalg.Lu.solve_into factors.(p) b xp;
+    Array.blit xp 0 x (p * n) n
+  done;
+  x
+
+let test_vector len =
+  Array.init len (fun k -> sin (0.37 *. float_of_int (k + 1)) +. (0.01 *. float_of_int (k mod 7)))
+
+(* Build + apply the compact sweep and compare it bitwise with the dense
+   reference on [r]; returns the build's pattern count. *)
+let check_sweep_bitwise ?(extra_diag = 0.0) ?(applies = 2) what scheme g jacs =
+  let np = Grid.points g and n = (fst jacs.(0)).Sparse.Csr.rows in
+  let t = Block_sweep.create ~n ~np in
+  Block_sweep.build t scheme g ~jacs ~extra_diag;
+  (* Repeated applies reuse the workspace and must not drift. *)
+  for k = 1 to applies do
+    let r = Array.map (fun v -> v *. float_of_int k) (test_vector (np * n)) in
+    let got =
+      Linalg.Kernel.to_array (Block_sweep.apply t scheme g ~jacs (Linalg.Kernel.of_array r))
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: apply %d bitwise = dense" what k)
+      true
+      (float_array_bits_equal got (dense_sweep scheme g ~jacs ~extra_diag r))
+  done;
+  Block_sweep.patterns t
+
+let replicated g (dc : float array) =
+  let n = Array.length dc in
+  let x = Array.make (Grid.points g * n) 0.0 in
+  for p = 0 to Grid.points g - 1 do
+    Array.blit dc 0 x (p * n) n
+  done;
+  x
+
+let test_block_sweep_mixer () =
+  let mna, shear = mixer_fixture () in
+  let g = Grid.make ~shear ~n1:10 ~n2:6 in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let sol = Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna in
+  let jacs = Mpde.Assemble.point_jacobians sys g sol.Mpde.Solver.big_x in
+  let patterns = check_sweep_bitwise "mixer" Mpde.Assemble.Backward g jacs in
+  Alcotest.(check int) "mixer shares one pattern" 1 patterns;
+  ignore
+    (check_sweep_bitwise ~extra_diag:0.37 "mixer, loaded diagonal" Mpde.Assemble.Backward g
+       jacs);
+  ignore (check_sweep_bitwise "mixer, central-t1" Mpde.Assemble.Central_t1 g jacs)
+
+let test_block_sweep_seed () =
+  (* At the replicated DC seed every block is equal: one factor serves
+     every point. *)
+  let mna, shear = mixer_fixture () in
+  let g = Grid.make ~shear ~n1:8 ~n2:5 in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let x = replicated g (Circuit.Dcop.solve_exn mna) in
+  let jacs = Mpde.Assemble.point_jacobians sys g x in
+  Alcotest.(check int) "one pattern" 1
+    (check_sweep_bitwise "replicated seed" Mpde.Assemble.Backward g jacs)
+
+let test_block_sweep_bridge () =
+  (* The hard-switching bridge after a few Newton steps from the DC
+     seed: diodes switch between grid points, so pivots and fill differ
+     and the store holds several patterns. *)
+  let f1 = 50e3 and fd = 500.0 in
+  let drive =
+    W.sum (W.sine ~amplitude:10.0 ~freq:f1 ()) (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
+  in
+  let { Circuits.mna; _ } = Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive () in
+  let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let g = Grid.make ~shear ~n1:16 ~n2:6 in
+  let n = sys.Mpde.Assemble.size in
+  let sources = Mpde.Assemble.sources_on_grid sys g in
+  let x = replicated g (Circuit.Dcop.solve_exn mna) in
+  for _ = 1 to 3 do
+    let jacs = Mpde.Assemble.point_jacobians sys g x in
+    let jac = Mpde.Assemble.jacobian_csr Mpde.Assemble.Backward g ~size:n ~jacs in
+    let r = Mpde.Assemble.residual Mpde.Assemble.Backward sys g ~sources x in
+    let dx = Sparse.Splu.solve (Sparse.Splu.factor jac) r in
+    Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
+  done;
+  Alcotest.(check bool) "iterate finite" true (Array.for_all Float.is_finite x);
+  let jacs = Mpde.Assemble.point_jacobians sys g x in
+  let patterns = check_sweep_bitwise "bridge" Mpde.Assemble.Backward g jacs in
+  Alcotest.(check bool) (Printf.sprintf "several patterns (%d)" patterns) true (patterns > 1)
+
+let test_block_sweep_validation () =
+  let t = Block_sweep.create ~n:2 ~np:4 in
+  let g = Grid.make ~shear:shear_1g ~n1:2 ~n2:2 in
+  let apply_fails what jacs =
+    Alcotest.check_raises what (Invalid_argument "Block_sweep.apply: no factors built")
+      (fun () -> ignore (Block_sweep.apply t Mpde.Assemble.Backward g ~jacs (Linalg.Kernel.create 8)))
+  in
+  apply_fails "apply before build" [||];
+  (* A singular block aborts the build, and the half-written store must
+     not be applied. *)
+  let eye = Sparse.Csr.identity 2 and zero = Sparse.Csr.scale 0.0 (Sparse.Csr.identity 2) in
+  let jacs = [| (eye, eye); (eye, eye); (zero, zero); (eye, eye) |] in
+  Block_sweep.build t Mpde.Assemble.Backward g ~jacs:(Array.make 4 (eye, eye)) ~extra_diag:0.0;
+  (match Block_sweep.build t Mpde.Assemble.Backward g ~jacs ~extra_diag:0.0 with
+  | () -> Alcotest.fail "singular block accepted"
+  | exception Linalg.Lu.Singular _ -> ());
+  apply_fails "apply after a failed build" jacs
+
+(* Random small grids whose per-point blocks differ from their
+   neighbours in zero pattern and in which row wins each pivot: G_p is a
+   row-permuted, diagonally dominant sparse matrix (nonsingular, its
+   pivot order set by the permutation) and C_p a small sparse
+   perturbation; half the points copy their predecessor's blocks so
+   shared pattern runs are exercised too. h1, h2 are O(1) so C does not
+   swamp G. *)
+let prop_block_sweep_random =
+  QCheck.Test.make ~count:200 ~name:"block sweep: compact = dense on random grids"
+    QCheck.(
+      make
+        Gen.(
+          quad (int_range 2 4) (int_range 2 4) (int_range 1 6) (int_range 0 1_000_000)))
+    (fun (n1, n2, n, seed) ->
+      let st = Random.State.make [| seed |] in
+      let g = Grid.make ~shear:(Shear.make ~fast_freq:0.25 ~slow_freq:0.05) ~n1 ~n2 in
+      let sparse_block ~density ~scale ~dominant =
+        let perm = Array.init n Fun.id in
+        if dominant then
+          for i = n - 1 downto 1 do
+            let k = Random.State.int st (i + 1) in
+            let t = perm.(i) in
+            perm.(i) <- perm.(k);
+            perm.(k) <- t
+          done;
+        let m = Linalg.Mat.create n n in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if Random.State.float st 1.0 < density then
+              Linalg.Mat.set m perm.(i) j (scale *. (Random.State.float st 2.0 -. 1.0))
+          done;
+          if dominant then
+            Linalg.Mat.set m perm.(i) i (float_of_int n +. 1.0 +. Random.State.float st 1.0)
+        done;
+        Sparse.Csr.of_dense m
+      in
+      let np = Grid.points g in
+      let jacs = Array.make np (Sparse.Csr.identity n, Sparse.Csr.identity n) in
+      for p = 0 to np - 1 do
+        jacs.(p) <-
+          (if p > 0 && Random.State.bool st then jacs.(p - 1)
+           else
+             ( sparse_block ~density:(Random.State.float st 1.0) ~scale:1.0 ~dominant:true,
+               sparse_block ~density:0.3 ~scale:0.05 ~dominant:false ))
+      done;
+      let scheme =
+        if Random.State.bool st then Mpde.Assemble.Backward else Mpde.Assemble.Central_t1
+      in
+      ignore (check_sweep_bitwise ~applies:1 "random" scheme g jacs);
+      true)
+
 (* ---------- properties ---------- *)
 
 let prop_shear_diagonal =
@@ -748,6 +943,10 @@ let () =
             test_solver_krylov_recycle_matches_cold;
           Alcotest.test_case "workspace slot reuse" `Quick
             test_solver_workspace_slot_reuse;
+          Alcotest.test_case "block sweep mixer = dense" `Quick test_block_sweep_mixer;
+          Alcotest.test_case "block sweep seed = dense" `Quick test_block_sweep_seed;
+          Alcotest.test_case "block sweep bridge = dense" `Quick test_block_sweep_bridge;
+          Alcotest.test_case "block sweep validation" `Quick test_block_sweep_validation;
           Alcotest.test_case "grid refinement" `Slow test_solver_grid_refinement_converges;
           Alcotest.test_case "central-t1 accuracy" `Slow test_solver_central_scheme_more_accurate;
         ] );
@@ -774,5 +973,6 @@ let () =
             prop_shear_lattice_roundtrip;
             prop_grid_index_bijective;
             prop_waveform_mt_diagonal;
+            prop_block_sweep_random;
           ] );
     ]

@@ -113,7 +113,7 @@ let test_parse_job () =
      Serve.Protocol.parse_job
        "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"engine\":\"mpde\",\"fd\":2e3,\"options\":{\"n1\":16,\"n2\":12,\"tol\":1e-7},\"budget\":{\"wall_seconds\":5},\"warm\":false}"
    with
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
   | Ok job ->
       Alcotest.(check string) "circuit" "rc"
         job.Serve.Protocol.fixture.Serve.Catalog.name;
@@ -141,6 +141,38 @@ let test_parse_job () =
   rejected "bad budget"
     "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"budget\":{\"wall_seconds\":-1}}";
   rejected "invalid JSON" "{\"v\":"
+
+let test_parse_grid_sizes () =
+  (* The MPDE grid needs two points per axis: smaller or fractional
+     sizes are a typed protocol error at the boundary, never a worker
+     failure or a silent truncation. *)
+  let body options =
+    Printf.sprintf "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"options\":%s}" options
+  in
+  let bad_option what options expected =
+    match Serve.Protocol.parse_job (body options) with
+    | Error (Serve.Protocol.Bad_option { name; _ } as e) ->
+        Alcotest.(check string) (what ^ ": option") expected name;
+        Alcotest.(check string)
+          (what ^ ": message")
+          (Printf.sprintf "option %S must be an integer >= 2" expected)
+          (Serve.Protocol.error_message e)
+    | Error e -> Alcotest.failf "%s: untyped error %s" what (Serve.Protocol.error_message e)
+    | Ok _ -> Alcotest.failf "%s should be rejected" what
+  in
+  bad_option "n1 = 1" "{\"n1\":1}" "n1";
+  bad_option "n2 = 0" "{\"n2\":0}" "n2";
+  bad_option "n2 = -4" "{\"n2\":-4}" "n2";
+  bad_option "n1 = 2.7" "{\"n1\":2.7}" "n1";
+  (match Serve.Protocol.parse_job (body "{\"max_newton\":3.5}") with
+  | Error (Serve.Protocol.Bad_option { name = "max_newton"; _ }) -> ()
+  | _ -> Alcotest.fail "fractional max_newton should be a Bad_option");
+  match Serve.Protocol.parse_job (body "{\"n1\":2,\"n2\":2.0}") with
+  | Ok job ->
+      Alcotest.(check (pair int int)) "smallest grid accepted" (2, 2)
+        (job.Serve.Protocol.options.Engine.Options.n1,
+         job.Serve.Protocol.options.Engine.Options.n2)
+  | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
 
 (* ---------- service helpers ---------- *)
 
@@ -328,6 +360,20 @@ let test_routes () =
             (member_str (String.trim body) "event")
       | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "POST /jobs with a bad body should answer directly");
+  (* A one-point grid is refused at the boundary, before any worker. *)
+  (match
+     routes (req "POST")
+       "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"options\":{\"n1\":1}}"
+   with
+  | Some (Observe.Server.Response raw) -> (
+      match Observe.Http.parse_response raw with
+      | Ok (status, _, body) ->
+          Alcotest.(check int) "n1 = 1 is 400" 400 status;
+          Alcotest.(check string) "grid error message"
+            "option \"n1\" must be an integer >= 2"
+            (member_str (String.trim body) "message")
+      | Error e -> Alcotest.fail e)
+  | _ -> Alcotest.fail "POST /jobs with n1 = 1 should answer directly");
   (* Valid body: a close-delimited JSONL stream. *)
   (match
      routes (req "POST")
@@ -394,7 +440,10 @@ let () =
       ( "cache",
         [ Alcotest.test_case "LRU hit/miss/eviction" `Quick test_cache_lru ] );
       ( "protocol",
-        [ Alcotest.test_case "request parsing" `Quick test_parse_job ] );
+        [
+          Alcotest.test_case "request parsing" `Quick test_parse_job;
+          Alcotest.test_case "grid sizes below 2" `Quick test_parse_grid_sizes;
+        ] );
       ( "service",
         [
           Alcotest.test_case "served CSV = direct CSV" `Quick
