@@ -15,7 +15,6 @@ type t = {
   allow_continuation : bool;
   condition_estimate : bool;
   initial_surface : Linalg.Vec.t option;
-  krylov_recycle : bool;
 }
 
 let default =
@@ -36,7 +35,6 @@ let default =
     allow_continuation = true;
     condition_estimate = false;
     initial_surface = None;
-    krylov_recycle = true;
   }
 
 let with_budget budget o = { o with budget }
@@ -60,4 +58,4 @@ let degrade o =
 let to_mpde o =
   Mpde.Solver.make_options ~max_newton:o.max_newton ~tol:o.tol ~scheme:o.scheme
     ~linear_solver:o.linear_solver ~allow_continuation:o.allow_continuation
-    ?budget:o.budget ~krylov_recycle:o.krylov_recycle ()
+    ?budget:o.budget ()

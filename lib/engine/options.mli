@@ -46,12 +46,6 @@ type t = {
           shared by the solve service's warm-start store. Excluded
           from {!Key}: it changes iteration counts, not the fixed
           point being solved for. Default [None]. *)
-  krylov_recycle : bool;
-      (** seed each MPDE GMRES solve from a projection of the previous
-          Newton iteration's Krylov subspace (with cold-start fallback
-          on operator drift). Excluded from {!Key} like
-          [linear_solver]: it steers the iteration, not the fixed point
-          being solved for. Default [true]. *)
 }
 
 val default : t

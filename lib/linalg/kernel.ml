@@ -46,14 +46,6 @@ let blit_from_array (a : float array) (v : vec) =
     Bigarray.Array1.unsafe_set v i (Array.unsafe_get a i)
   done
 
-let blit_to_array (v : vec) (a : float array) =
-  let n = Array.length a in
-  if Bigarray.Array1.dim v <> n then
-    invalid_arg "Kernel.blit_to_array: dimension mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set a i (Bigarray.Array1.unsafe_get v i)
-  done
-
 let dot (x : vec) (y : vec) =
   check_same_dim x y;
   let n = Bigarray.Array1.dim x in

@@ -24,7 +24,6 @@ val of_array : float array -> vec
 val to_array : vec -> float array
 
 val blit_from_array : float array -> vec -> unit
-val blit_to_array : vec -> float array -> unit
 
 val dot : vec -> vec -> float
 val nrm2 : vec -> float

@@ -24,7 +24,6 @@ type options = {
   linear_solver : linear_solver;
   allow_continuation : bool;
   budget : Budget.t option;
-  krylov_recycle : bool;
 }
 
 let default_options =
@@ -35,23 +34,13 @@ let default_options =
     linear_solver = default_gmres;
     allow_continuation = true;
     budget = None;
-    krylov_recycle = true;
   }
 
 let make_options ?(max_newton = default_options.max_newton)
     ?(tol = default_options.tol) ?(scheme = default_options.scheme)
     ?(linear_solver = default_options.linear_solver)
-    ?(allow_continuation = default_options.allow_continuation) ?budget
-    ?(krylov_recycle = default_options.krylov_recycle) () =
-  {
-    max_newton;
-    tol;
-    scheme;
-    linear_solver;
-    allow_continuation;
-    budget;
-    krylov_recycle;
-  }
+    ?(allow_continuation = default_options.allow_continuation) ?budget () =
+  { max_newton; tol; scheme; linear_solver; allow_continuation; budget }
 
 type stats = {
   newton_iterations : int;
@@ -80,9 +69,8 @@ type workspace = {
   mutable asm : Assemble.workspace;
   mutable gmres_ws : Sparse.Krylov.workspace option;
   mutable gmres_restart : int;
-  op_buf : Vec.t;  (* shared operator output (GMRES buffer contract) *)
-  op_ba : Linalg.Kernel.vec;  (* same, for the Bigarray GMRES hot path *)
-  ilu_buf : Vec.t;  (* shared preconditioner output *)
+  op_ba : Linalg.Kernel.vec;  (* shared operator output (GMRES buffer contract) *)
+  ilu_ba : Linalg.Kernel.vec;  (* shared ILU0 preconditioner output *)
   sweep : Block_sweep.t;
   cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free op *)
   mutable ilu : Sparse.Ilu0.t option;
@@ -97,9 +85,8 @@ let make_workspace scheme sys (g : Grid.t) =
     asm = Assemble.workspace scheme sys g;
     gmres_ws = None;
     gmres_restart = 0;
-    op_buf = Array.make big 0.0;
     op_ba = Linalg.Kernel.create big;
-    ilu_buf = Array.make big 0.0;
+    ilu_ba = Linalg.Kernel.create big;
     sweep = Block_sweep.create ~n ~np;
     cw = Linalg.Kernel.create big;
     ilu = None;
@@ -113,17 +100,12 @@ let workspace_fits ws sys (g : Grid.t) =
 
 (* Rebind a retained workspace to a new solve job: fresh assembly
    workspace (it is bound to the system/grid and cheap — the big COO is
-   lazy), dropped numeric caches, kept big allocations. Forgetting the
-   GMRES recycle state matters for determinism: a recycled seed from an
-   unrelated job would change iteration counts depending on which jobs
-   previously ran on this domain. *)
+   lazy), dropped numeric caches, kept big allocations. The GMRES
+   workspace keeps no state between solves, so it is kept as is. *)
 let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.asm <- Assemble.workspace scheme sys g;
   ws.ilu <- None;
   ws.splu <- None;
-  (match ws.gmres_ws with
-  | Some k -> Sparse.Krylov.forget_recycle k
-  | None -> ());
   ws
 
 let gmres_workspace ws ~restart ~n =
@@ -197,40 +179,33 @@ let with_extra_diag jac extra_diag =
   if extra_diag = 0.0 then jac
   else Sparse.Csr.add jac (Sparse.Csr.scale extra_diag (Sparse.Csr.identity jac.Sparse.Csr.rows))
 
-let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
+let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
   (* Numeric-refresh path: with [extra_diag = 0] this returns the same
      CSR instance every Newton iteration, which keeps the ILU0/sparse-LU
      pattern caches below valid. *)
   let jac () = with_extra_diag (Assemble.jacobian_ws ws.asm) extra_diag in
+  (* The converged GMRES iterate, or a stall: budget exhaustion when the
+     budget ran out, [Linear_stall] otherwise. *)
   let run_gmres ~restart ~max_iter ~tol ~precond op =
     let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
     let result =
       Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ?budget ~workspace op rhs
     in
     linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
-    result
-  in
-  let run_gmres_ba ~restart ~max_iter ~tol ~precond op =
-    let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
-    let result =
-      Sparse.Krylov.gmres_ba ~restart ~max_iter ~tol ~precond ?budget ~workspace
-        ~recycle:krylov_recycle op rhs
-    in
-    linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
-    result
-  in
-  let stalled (result : Sparse.Krylov.result) =
-    (match budget with
-    | Some b -> ( match Budget.exhausted b with Some e -> raise (Budget.Exhausted e) | None -> ())
-    | None -> ());
-    raise
-      (Linear_stall
-         (Printf.sprintf "GMRES stalled (residual %.3e after %d iterations)"
-            result.Sparse.Krylov.residual_norm result.Sparse.Krylov.iterations))
+    if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
+    else begin
+      (match budget with
+      | Some b -> ( match Budget.exhausted b with Some e -> raise (Budget.Exhausted e) | None -> ())
+      | None -> ());
+      raise
+        (Linear_stall
+           (Printf.sprintf "GMRES stalled (residual %.3e after %d iterations)"
+              result.Sparse.Krylov.residual_norm result.Sparse.Krylov.iterations))
+    end
   in
   let op_of m v =
-    Sparse.Csr.mul_vec_into m v ws.op_buf;
-    ws.op_buf
+    Sparse.Csr.mul_vec_ba_into m v ws.op_ba;
+    ws.op_ba
   in
   match linear_solver with
   | Direct -> (
@@ -259,8 +234,7 @@ let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t)
       (* For the backward scheme the operator is applied matrix-free
          from the per-point blocks, so the big Jacobian is never
          assembled on this path; the other schemes have long-range t1
-         couplings and keep the assembled SpMV. Both run on the
-         Bigarray kernels through the staging-free GMRES core. *)
+         couplings and keep the assembled SpMV. *)
       let op =
         match scheme with
         | Assemble.Backward ->
@@ -269,19 +243,14 @@ let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t)
               ws.op_ba
         | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both
           ->
-            let m = jac () in
-            fun v ->
-              Sparse.Csr.mul_vec_ba_into m v ws.op_ba;
-              ws.op_ba
+            op_of (jac ())
       in
       (* Exact factors at every Newton iterate: a lagged or shared
          block lets a switching device's conductance drift unseen, and
          GMRES pays for it many times over (DESIGN.md §12). *)
       Block_sweep.build ws.sweep scheme g ~jacs ~extra_diag;
       let precond = Block_sweep.apply ws.sweep scheme g ~jacs in
-      let result = run_gmres_ba ~restart ~max_iter ~tol ~precond op in
-      if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
-      else stalled result)
+      run_gmres ~restart ~max_iter ~tol ~precond op)
   | Gmres_ilu0 { restart; max_iter; tol } ->
       Telemetry.span "mpde.linear.gmres-ilu0" @@ fun () ->
       let m = jac () in
@@ -295,15 +264,11 @@ let solve_linear ~ws ~linear_solver ~scheme ~krylov_recycle ~budget (g : Grid.t)
             ws.ilu <- Some f;
             f
       in
-      let result =
-        run_gmres ~restart ~max_iter ~tol
-          ~precond:(fun r ->
-            Sparse.Ilu0.apply_into f r ws.ilu_buf;
-            ws.ilu_buf)
-          (op_of m)
-      in
-      if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
-      else stalled result
+      run_gmres ~restart ~max_iter ~tol
+        ~precond:(fun r ->
+          Sparse.Ilu0.apply_into f r ws.ilu_ba;
+          ws.ilu_ba)
+        (op_of m)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
    a NaN entry in G or C would otherwise poison GMRES silently. *)
@@ -389,7 +354,7 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
            on_residual_violation v;
            raise e);
         solve_linear ~ws ~linear_solver ~scheme:options.scheme
-          ~krylov_recycle:options.krylov_recycle ~budget:options.budget g ~jacs
+          ~budget:options.budget g ~jacs
           ~extra_diag ~rhs:r ~linear_iters);
   }
 

@@ -55,12 +55,6 @@ type options = {
   budget : Resilience.Budget.t option;
       (** overall deadline/iteration budget for the whole ladder climb;
           default [None] (unbounded) *)
-  krylov_recycle : bool;
-      (** seed each GMRES solve from a projection of the previous
-          Newton iteration's converged Krylov subspace; a drift test on
-          the true residual falls back to a cold start when the
-          operator moved too far. Affects only iteration counts, never
-          the converged answer. Default true. *)
 }
 
 val default_options : options
@@ -72,7 +66,6 @@ val make_options :
   ?linear_solver:linear_solver ->
   ?allow_continuation:bool ->
   ?budget:Resilience.Budget.t ->
-  ?krylov_recycle:bool ->
   unit ->
   options
 (** Smart constructor under the *normalized* option vocabulary shared
@@ -124,9 +117,9 @@ val solve :
     (one slot per domain in sweep pools): when the retained workspace
     fits this solve's shape (same unknown count, grid points, and
     scheme diagonal structure) its large numeric buffers are reused and
-    every cache bound to the previous job — factors, recycled Krylov
-    state, pattern caches — is dropped, so results are identical to a
-    fresh workspace; otherwise a fresh workspace is stored into the
+    every cache bound to the previous job — factors and pattern
+    caches — is dropped, so results are identical to a fresh
+    workspace; otherwise a fresh workspace is stored into the
     slot. *)
 
 val solve_mna :

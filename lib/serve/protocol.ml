@@ -63,65 +63,86 @@ let error_message = function
 
 exception Bad of string * string
 
-let parse_options j (o : Engine.Options.t) =
+(* Parse the JSON object [j] with [f], after checking that every key is
+   in [known]. The typed field readers below raise [Bad (key, reason)],
+   which becomes a [Bad_option] named [prefix ^ key]. *)
+let parse_object ~what ~prefix ~known j f =
   match j with
   | J.Obj fields -> (
       try
-        (match
-           List.find_opt
-             (fun (k, _) -> not (List.mem k known_option_keys))
-             fields
-         with
+        (match List.find_opt (fun (k, _) -> not (List.mem k known)) fields with
         | Some (k, _) ->
             raise
-              (Bad
-                 ( k,
-                   Printf.sprintf "is unknown; known: %s"
-                     (String.concat ", " known_option_keys) ))
+              (Bad (k, Printf.sprintf "is unknown; known: %s" (String.concat ", " known)))
         | None -> ());
-        let num name default =
-          match J.member name j with
-          | None -> default
-          | Some v -> (
-              match J.num v with
-              | Some x -> x
-              | None -> raise (Bad (name, "is not a number")))
-        in
-        (* Counts and sizes must be whole numbers: 2.7 is rejected, not
-           truncated. The grid needs two points per axis. *)
-        let int_field ?(min = 1) name default =
-          let x = num name (float_of_int default) in
-          if Float.is_integer x && x >= float_of_int min then int_of_float x
-          else raise (Bad (name, Printf.sprintf "must be an integer >= %d" min))
-        in
-        let bool_field name default =
-          match J.member name j with
-          | None -> default
-          | Some v -> (
-              match J.bool v with
-              | Some b -> b
-              | None -> raise (Bad (name, "is not a bool")))
-        in
-        let tol = num "tol" o.Engine.Options.tol in
-        if tol <= 0.0 then raise (Bad ("tol", "must be > 0"));
-        Ok
-          {
-            o with
-            Engine.Options.tol;
-            max_newton = int_field "max_newton" o.Engine.Options.max_newton;
-            warm_start = bool_field "warm_start" o.Engine.Options.warm_start;
-            steps_per_period =
-              int_field "steps_per_period" o.Engine.Options.steps_per_period;
-            segments = int_field "segments" o.Engine.Options.segments;
-            steps_per_segment =
-              int_field "steps_per_segment" o.Engine.Options.steps_per_segment;
-            harmonics = int_field "harmonics" o.Engine.Options.harmonics;
-            points = int_field "points" o.Engine.Options.points;
-            n1 = int_field ~min:2 "n1" o.Engine.Options.n1;
-            n2 = int_field ~min:2 "n2" o.Engine.Options.n2;
-          }
-      with Bad (name, reason) -> Error (Bad_option { name; reason }))
-  | _ -> Error (Invalid_request "\"options\" must be an object")
+        Ok (f ())
+      with Bad (name, reason) -> Error (Bad_option { name = prefix ^ name; reason }))
+  | _ -> Error (Invalid_request (Printf.sprintf "%S must be an object" what))
+
+let field_num j name =
+  Option.map
+    (fun v ->
+      match J.num v with Some x -> x | None -> raise (Bad (name, "is not a number")))
+    (J.member name j)
+
+(* 2^53: every integer up to here is an exact float, so [int_of_float]
+   reads it back exactly. Past [max_int] the conversion is undefined
+   (1e30 reads as 0), so larger counts are rejected. *)
+let max_exact_int = 9007199254740992.0
+
+(* Counts and sizes must be whole numbers: 2.7 is rejected, not
+   truncated. *)
+let field_int ?(min = 1) j name =
+  Option.map
+    (fun x ->
+      if not (Float.is_integer x && x >= float_of_int min) then
+        raise (Bad (name, Printf.sprintf "must be an integer >= %d" min));
+      if x > max_exact_int then raise (Bad (name, "must be at most 2^53"));
+      int_of_float x)
+    (field_num j name)
+
+let parse_options j (o : Engine.Options.t) =
+  parse_object ~what:"options" ~prefix:"" ~known:known_option_keys j @@ fun () ->
+  let num name default = Option.value ~default (field_num j name) in
+  let int_field ?min name default = Option.value ~default (field_int ?min j name) in
+  let bool_field name default =
+    match J.member name j with
+    | None -> default
+    | Some v -> (
+        match J.bool v with
+        | Some b -> b
+        | None -> raise (Bad (name, "is not a bool")))
+  in
+  let tol = num "tol" o.Engine.Options.tol in
+  if tol <= 0.0 then raise (Bad ("tol", "must be > 0"));
+  {
+    o with
+    Engine.Options.tol;
+    max_newton = int_field "max_newton" o.Engine.Options.max_newton;
+    warm_start = bool_field "warm_start" o.Engine.Options.warm_start;
+    steps_per_period =
+      int_field "steps_per_period" o.Engine.Options.steps_per_period;
+    segments = int_field "segments" o.Engine.Options.segments;
+    steps_per_segment =
+      int_field "steps_per_segment" o.Engine.Options.steps_per_segment;
+    harmonics = int_field "harmonics" o.Engine.Options.harmonics;
+    points = int_field "points" o.Engine.Options.points;
+    (* The grid needs two points per axis. *)
+    n1 = int_field ~min:2 "n1" o.Engine.Options.n1;
+    n2 = int_field ~min:2 "n2" o.Engine.Options.n2;
+  }
+
+(* The optional "budget" object: a wall-clock bound in seconds and a
+   Newton cap, under the same typed checks as "options". *)
+let parse_budget j =
+  parse_object ~what:"budget" ~prefix:"budget."
+    ~known:[ "wall_seconds"; "max_newton" ] j
+  @@ fun () ->
+  let wall = field_num j "wall_seconds" in
+  (match wall with
+  | Some v when not (v > 0.0) -> raise (Bad ("wall_seconds", "must be > 0"))
+  | _ -> ());
+  (wall, field_int j "max_newton")
 
 let parse_job body =
   match J.parse body with
@@ -172,22 +193,11 @@ let parse_job body =
         | Some o -> parse_options o Engine.Options.default
         | None -> Ok Engine.Options.default)
       @@ fun options ->
-      let* wall_seconds, max_newton_budget =
-        match J.member "budget" j with
-        | None -> Ok (None, None)
-        | Some (J.Obj _ as b) ->
-            let wall = Option.bind (J.member "wall_seconds" b) J.num in
-            let mn =
-              Option.map int_of_float
-                (Option.bind (J.member "max_newton" b) J.num)
-            in
-            if (match wall with Some v -> v <= 0.0 | None -> false) then
-              Error "budget wall_seconds must be > 0"
-            else if (match mn with Some v -> v < 1 | None -> false) then
-              Error "budget max_newton must be >= 1"
-            else Ok (wall, mn)
-        | Some _ -> Error "\"budget\" must be an object"
-      in
+      Result.bind
+        (match J.member "budget" j with
+        | Some b -> parse_budget b
+        | None -> Ok (None, None))
+      @@ fun (wall_seconds, max_newton_budget) ->
       let* warm =
         match J.member "warm" j with
         | None -> Ok true

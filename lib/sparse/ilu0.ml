@@ -70,34 +70,34 @@ let refactor t (a : Csr.t) =
   eliminate ~row_ptr:t.m.Csr.row_ptr ~col_idx:t.m.Csr.col_idx ~values
     ~diag_pos:t.diag_pos ~pos:t.pos
 
-let apply_into t r out =
+let apply_into t (r : Linalg.Kernel.vec) (out : Linalg.Kernel.vec) =
   let n = t.m.Csr.rows in
-  if Array.length r <> n || Array.length out <> n then
+  if Linalg.Kernel.dim r <> n || Linalg.Kernel.dim out <> n then
     invalid_arg "Ilu0.apply_into: dimension mismatch";
   Telemetry.count "ilu0.applies";
   let row_ptr = t.m.Csr.row_ptr and col_idx = t.m.Csr.col_idx in
   let values = t.m.Csr.values in
-  if out != r then Array.blit r 0 out 0 n;
+  if out != r then Linalg.Kernel.blit r out;
   (* Forward solve with unit-diagonal L (strictly-lower entries). *)
   for i = 0 to n - 1 do
-    let s = ref out.(i) in
+    let s = ref out.{i} in
     let p = ref row_ptr.(i) in
     while !p < row_ptr.(i + 1) && col_idx.(!p) < i do
-      s := !s -. (values.(!p) *. out.(col_idx.(!p)));
+      s := !s -. (values.(!p) *. out.{col_idx.(!p)});
       incr p
     done;
-    out.(i) <- !s
+    out.{i} <- !s
   done;
   (* Backward solve with U (diagonal and above). *)
   for i = n - 1 downto 0 do
-    let s = ref out.(i) in
+    let s = ref out.{i} in
     for p = t.diag_pos.(i) + 1 to row_ptr.(i + 1) - 1 do
-      s := !s -. (values.(p) *. out.(col_idx.(p)))
+      s := !s -. (values.(p) *. out.{col_idx.(p)})
     done;
-    out.(i) <- !s /. values.(t.diag_pos.(i))
+    out.{i} <- !s /. values.(t.diag_pos.(i))
   done
 
 let apply t r =
-  let y = Array.make (t.m.Csr.rows) 0.0 in
-  apply_into t r y;
-  y
+  let y = Linalg.Kernel.of_array r in
+  apply_into t y y;
+  Linalg.Kernel.to_array y

@@ -1,8 +1,7 @@
 (** Zero-fill incomplete LU preconditioner on the CSR pattern.
 
     Produces factors with exactly the sparsity pattern of the input
-    matrix; used as a general-purpose preconditioner for {!Gmres} and
-    {!Bicgstab}. *)
+    matrix; used as a general-purpose preconditioner for {!Krylov.gmres}. *)
 
 type t
 
@@ -26,6 +25,6 @@ val refactor : t -> Csr.t -> unit
 val apply : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [apply p r] approximates [a⁻¹ r] by [U⁻¹ (L⁻¹ r)]. *)
 
-val apply_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+val apply_into : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec -> unit
 (** [apply_into p r out] writes the preconditioned vector into [out]
     (every entry overwritten; [out == r] is allowed). *)

@@ -1,8 +1,7 @@
 module Vec = Linalg.Vec
 module Kernel = Linalg.Kernel
 
-type operator = Vec.t -> Vec.t
-type ba_operator = Kernel.vec -> Kernel.vec
+type operator = Kernel.vec -> Kernel.vec
 
 type stop_reason =
   | Tolerance
@@ -10,7 +9,6 @@ type stop_reason =
   | Poisoned
   | Budget_exhausted
   | Max_iterations
-  | Scalar_breakdown
 
 let stop_reason_to_string = function
   | Tolerance -> "tolerance"
@@ -18,7 +16,6 @@ let stop_reason_to_string = function
   | Poisoned -> "poisoned"
   | Budget_exhausted -> "budget-exhausted"
   | Max_iterations -> "max-iterations"
-  | Scalar_breakdown -> "scalar-breakdown"
 
 type result = {
   x : Vec.t;
@@ -29,8 +26,6 @@ type result = {
   stop : stop_reason;
 }
 
-let identity v = Array.copy v
-
 (* Preallocated GMRES scratch: the Krylov basis, the column-wise
    Hessenberg, the Givens rotation coefficients, and the residual /
    update vectors. Sized for a (restart, n) pair and reused across
@@ -39,10 +34,8 @@ let identity v = Array.copy v
 
    The O(n) vectors are Float64 Bigarrays driven by the {!Kernel}
    hot loops; the O(restart) rotation machinery stays in plain float
-   arrays. After a clean solve the workspace additionally retains the
-   final Krylov cycle ([rec_k] basis columns, their rotated Hessenberg
-   R and the Givens coefficients) so the next call on this workspace
-   can seed itself from a projection of the previous subspace. *)
+   arrays. Every field is overwritten before it is read, so a solve
+   on a used workspace is bitwise the solve on a fresh one. *)
 type workspace = {
   ws_n : int;
   ws_restart : int;
@@ -56,10 +49,7 @@ type workspace = {
   update : Kernel.vec;
   xv : Kernel.vec;  (* the iterate *)
   bv : Kernel.vec;  (* right-hand side staged once per call *)
-  rec_g : Vec.t;  (* recycle projection scratch, restart+1 *)
-  conv_arr : float array;  (* float-array operator boundary staging *)
-  conv_vec : Kernel.vec;
-  mutable rec_k : int;  (* retained basis columns from the last clean cycle *)
+  ident : Kernel.vec;  (* output of the default (identity) preconditioner *)
 }
 
 let workspace ~restart ~n =
@@ -77,49 +67,8 @@ let workspace ~restart ~n =
     update = Kernel.create n;
     xv = Kernel.create n;
     bv = Kernel.create n;
-    rec_g = Array.make (restart + 1) 0.0;
-    conv_arr = Array.make n 0.0;
-    conv_vec = Kernel.create n;
-    rec_k = 0;
+    ident = Kernel.create n;
   }
-
-let forget_recycle ws = ws.rec_k <- 0
-
-(* A recycled seed must shrink the initial residual by at least this
-   factor, or the cycle falls back to a cold start — the retained
-   subspace has drifted too far from the current operator to help. *)
-let recycle_accept = 0.9
-
-(* Seed the iterate from the retained Krylov cycle: project the new
-   right-hand side onto the stored orthonormal basis, reuse the stored
-   Givens rotations and triangular R to solve the least-squares
-   problem in O(k²), and map through the (current) preconditioner.
-   Leaves [ws.xv] holding [precond (V y)]; the caller validates the
-   seed by the first true residual. *)
-let recycle_seed ws ~precond =
-  let k = ws.rec_k in
-  let gb = ws.rec_g in
-  for i = 0 to k do
-    gb.(i) <- Kernel.dot ws.basis.(i) ws.bv
-  done;
-  for i = 0 to k - 1 do
-    let t = (ws.cs.(i) *. gb.(i)) +. (ws.sn.(i) *. gb.(i + 1)) in
-    gb.(i + 1) <- (-.ws.sn.(i) *. gb.(i)) +. (ws.cs.(i) *. gb.(i + 1));
-    gb.(i) <- t
-  done;
-  let y = ws.y in
-  for i = k - 1 downto 0 do
-    let s = ref gb.(i) in
-    for j = i + 1 to k - 1 do
-      s := !s -. (ws.hcols.(j).(i) *. y.(j))
-    done;
-    y.(i) <- (if Float.abs ws.hcols.(i).(i) > 0.0 then !s /. ws.hcols.(i).(i) else 0.0)
-  done;
-  Kernel.fill ws.update 0.0;
-  for j = 0 to k - 1 do
-    Kernel.axpy y.(j) ws.basis.(j) ws.update
-  done;
-  Kernel.blit (precond ws.update) ws.xv
 
 (* Restarted GMRES with right preconditioning and Givens-rotation QR of
    the Hessenberg matrix, on Bigarray vectors.
@@ -134,15 +83,9 @@ let recycle_seed ws ~precond =
 
    Buffer contract: [op] and [precond] may return a shared internal
    buffer — every value GMRES keeps across calls is copied into its own
-   (workspace) storage before the next operator application.
-
-   [recycle] (off by default, ignored when [x0] is given) seeds the
-   first cycle from the workspace's retained previous Krylov subspace;
-   the seed is discarded — a plain cold start, at the cost of one extra
-   operator and preconditioner application — unless it shrinks the
-   initial residual below [recycle_accept]·‖b‖. *)
-let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
-    ?x0 ?workspace:ws ?(recycle = false) op b =
+   (workspace) storage before the next operator application. *)
+let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
+    ?x0 ?workspace:ws op b =
   Telemetry.span "gmres" @@ fun () ->
   let n = Array.length b in
   if Resilience.Faultinject.gmres_stall () then begin
@@ -171,11 +114,11 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
     match precond with
     | Some p -> p
     | None ->
-        (* Identity through the staging buffer: the caller may mutate
-           the returned vector, so never hand back the argument. *)
+        (* Identity into its own buffer: the caller may mutate the
+           returned vector, so never hand back the argument. *)
         fun v ->
-          Kernel.blit v ws.conv_vec;
-          ws.conv_vec
+          Kernel.blit v ws.ident;
+          ws.ident
   in
   let x = ws.xv in
   Kernel.blit_from_array b ws.bv;
@@ -185,20 +128,11 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
   | None -> Kernel.fill x 0.0);
   let bnorm = Kernel.nrm2 bv in
   let target = if bnorm > 0.0 then tol *. bnorm else tol in
-  (* Recycled seed: tentative until the first residual validates it. *)
-  let seed_pending = ref false in
-  if recycle && x0 = None && ws.rec_k > 0 && bnorm > 0.0 then begin
-    recycle_seed ws ~precond;
-    seed_pending := true
-  end;
-  let cold_head () = x0 = None && not !seed_pending in
   let total_iters = ref 0 in
   let final_res = ref infinity in
   let converged = ref false in
   let restarts = ref 0 in
   let stop = ref Max_iterations in
-  let last_k = ref 0 in
-  let poisoned_solve = ref false in
   (try
      while (not !converged) && !total_iters < max_iter do
        (match budget with
@@ -209,26 +143,12 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
        incr restarts;
        Telemetry.count "gmres.restarts";
        let r = ws.r in
-       if !total_iters = 0 && cold_head () then Kernel.blit bv r
+       if !total_iters = 0 && x0 = None then Kernel.blit bv r
        else begin
          let ax = op x in
          Kernel.sub_into bv ax r
        end;
-       let beta = ref (Kernel.nrm2 r) in
-       if !seed_pending then begin
-         (* Validate the recycled seed by its true residual: keep it
-            only when the projection genuinely shrank the residual. *)
-         if Float.is_finite !beta && !beta < recycle_accept *. bnorm then
-           Telemetry.count "gmres.recycle_seeded"
-         else begin
-           Telemetry.count "gmres.recycle_rejected";
-           Kernel.fill x 0.0;
-           Kernel.blit bv r;
-           beta := bnorm
-         end;
-         seed_pending := false
-       end;
-       let beta = !beta in
+       let beta = Kernel.nrm2 r in
        final_res := beta;
        (* Per-restart residual curve: the true (unpreconditioned-side)
           residual at the head of each restart cycle. *)
@@ -319,7 +239,6 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
            end
          end
        done;
-       if !poisoned then poisoned_solve := true;
        if !poisoned && !k = 0 then
          (* No finite direction at all: updating x is impossible and the
             next restart would recompute the identical poisoned column —
@@ -327,7 +246,6 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
          raise Exit;
        (* Solve the triangular system for the Krylov coefficients. *)
        let k = !k in
-       last_k := k;
        let y = ws.y in
        for i = k - 1 downto 0 do
          let s = ref g.(i) in
@@ -353,11 +271,6 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
        | _ -> ())
      done
    with Exit -> ());
-  (* Retain the final cycle for the next call's recycled seed — unless
-     it was poisoned, or this call never built one (keep whatever the
-     workspace already holds). *)
-  if !poisoned_solve || !stop = Poisoned then ws.rec_k <- 0
-  else if !last_k > 0 then ws.rec_k <- !last_k;
   let stop = if !converged && !stop <> Happy_breakdown then Tolerance else !stop in
   Telemetry.count ~by:!total_iters "gmres.iterations";
   if not !converged then Telemetry.count "gmres.stalls";
@@ -378,95 +291,3 @@ let gmres_ba ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
     restarts = !restarts;
     stop;
   }
-
-(* Float-array front end: stages the operator and preconditioner across
-   the Bigarray core through the workspace's boundary buffers. The
-   accumulation order of every float operation is preserved, so the
-   results are bitwise identical to running the kernels on
-   [float array] directly. *)
-let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?(precond = identity)
-    ?budget ?x0 ?workspace:ws ?recycle op b =
-  let n = Array.length b in
-  let ws =
-    match ws with
-    | Some w when w.ws_n = n && w.ws_restart >= restart -> w
-    | _ -> workspace ~restart ~n
-  in
-  let stage f v =
-    Kernel.blit_to_array v ws.conv_arr;
-    let out = f ws.conv_arr in
-    Kernel.blit_from_array out ws.conv_vec;
-    ws.conv_vec
-  in
-  gmres_ba ~restart ~max_iter ~tol ~precond:(stage precond) ?budget ?x0
-    ~workspace:ws ?recycle (stage op) b
-
-let bicgstab ?(max_iter = 500) ?(tol = 1e-10) ?(precond = identity) ?x0 op b =
-  let n = Array.length b in
-  let x = match x0 with Some x0 -> Array.copy x0 | None -> Array.make n 0.0 in
-  let r = if x0 = None then Array.copy b else Vec.sub b (op x) in
-  let r0 = Array.copy r in
-  let bnorm = Vec.norm2 b in
-  let target = if bnorm > 0.0 then tol *. bnorm else tol in
-  let rho = ref 1.0 and alpha = ref 1.0 and omega = ref 1.0 in
-  let v = Array.make n 0.0 and p = Array.make n 0.0 in
-  let iters = ref 0 in
-  let res = ref (Vec.norm2 r) in
-  let broke_down = ref false in
-  while !res > target && !iters < max_iter && not !broke_down do
-    let rho_new = Vec.dot r0 r in
-    if Float.abs rho_new < 1e-300 then broke_down := true
-    else begin
-      let beta = rho_new /. !rho *. (!alpha /. !omega) in
-      rho := rho_new;
-      (* p = r + beta (p - omega v) *)
-      for i = 0 to n - 1 do
-        p.(i) <- r.(i) +. (beta *. (p.(i) -. (!omega *. v.(i))))
-      done;
-      let phat = precond p in
-      let v' = op phat in
-      Array.blit v' 0 v 0 n;
-      let denom = Vec.dot r0 v in
-      if Float.abs denom < 1e-300 then broke_down := true
-      else begin
-        alpha := rho_new /. denom;
-        let s = Array.copy r in
-        Vec.axpy (-. !alpha) v s;
-        if Vec.norm2 s <= target then begin
-          Vec.axpy 1.0 (Vec.scale !alpha phat) x;
-          Array.blit s 0 r 0 n;
-          res := Vec.norm2 r
-        end
-        else begin
-          let shat = precond s in
-          let t = op shat in
-          let tt = Vec.dot t t in
-          if tt < 1e-300 then broke_down := true
-          else begin
-            omega := Vec.dot t s /. tt;
-            for i = 0 to n - 1 do
-              x.(i) <- x.(i) +. (!alpha *. phat.(i)) +. (!omega *. shat.(i));
-              r.(i) <- s.(i) -. (!omega *. t.(i))
-            done;
-            res := Vec.norm2 r;
-            if Float.abs !omega < 1e-300 then broke_down := true
-          end
-        end
-      end
-    end;
-    incr iters
-  done;
-  let converged = !res <= target in
-  {
-    x;
-    converged;
-    iterations = !iters;
-    residual_norm = !res;
-    restarts = 0;
-    stop =
-      (if converged then Tolerance
-       else if !broke_down then Scalar_breakdown
-       else Max_iterations);
-  }
-
-let csr_operator m v = Csr.mul_vec m v

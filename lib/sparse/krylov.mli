@@ -1,15 +1,11 @@
-(** Matrix-free Krylov solvers: restarted GMRES and BiCGSTAB.
+(** Matrix-free restarted GMRES.
 
-    Both accept the operator and the (right) preconditioner as closures
-    so they can be used with explicit CSR matrices, with the
+    The operator and the (right) preconditioner are closures over the
+    unboxed Float64 {!Linalg.Kernel.vec}s the solver runs on, so it can
+    be driven by explicit CSR matrices ({!Csr.mul_vec_ba_into}), by the
     structure-exploiting MPDE block sweep, or fully matrix-free. *)
 
-type operator = Linalg.Vec.t -> Linalg.Vec.t
-
-type ba_operator = Linalg.Kernel.vec -> Linalg.Kernel.vec
-(** Operator over the unboxed Float64 {!Linalg.Kernel.vec}s the GMRES
-    core runs on. The {!gmres_ba} hot path avoids the
-    [float array] staging copies of {!gmres}. *)
+type operator = Linalg.Kernel.vec -> Linalg.Kernel.vec
 
 type stop_reason =
   | Tolerance  (** residual met the convergence target *)
@@ -17,7 +13,6 @@ type stop_reason =
   | Poisoned  (** operator/preconditioner produced a non-finite vector *)
   | Budget_exhausted
   | Max_iterations
-  | Scalar_breakdown  (** BiCGSTAB scalar recurrence collapsed *)
 
 val stop_reason_to_string : stop_reason -> string
 
@@ -26,7 +21,7 @@ type result = {
   converged : bool;
   iterations : int;  (** total inner iterations performed *)
   residual_norm : float;  (** final preconditioned-system residual norm *)
-  restarts : int;  (** GMRES restart cycles entered (0 for BiCGSTAB) *)
+  restarts : int;  (** restart cycles entered *)
   stop : stop_reason;  (** why the iteration ended *)
 }
 
@@ -34,22 +29,14 @@ type workspace
 (** Preallocated GMRES scratch (Krylov basis, Hessenberg columns,
     rotation coefficients, residual/update vectors) for a fixed
     [(restart, n)] shape. Reusing one across calls removes every
-    allocation inside the restart loop. A workspace belongs to one
-    solve stream on one domain — it must not be shared concurrently.
-
-    After a clean solve the workspace also retains the final Krylov
-    cycle (basis columns plus the rotated Hessenberg), which
-    {!gmres_ba} with [~recycle:true] uses to seed the next solve on a
-    nearby operator. *)
+    allocation inside the restart loop, and keeps no state between
+    calls: a solve on a used workspace is bitwise the solve on a fresh
+    one. A workspace belongs to one solve stream on one domain — it
+    must not be shared concurrently. *)
 
 val workspace : restart:int -> n:int -> workspace
 (** Allocate scratch for systems of size [n] solved with up to
     [restart] inner iterations per cycle. *)
-
-val forget_recycle : workspace -> unit
-(** Drop the retained Krylov cycle so the next recycled call starts
-    cold. Call when the workspace is handed to an unrelated operator
-    sequence (a new solve job). *)
 
 val gmres :
   ?restart:int ->
@@ -59,14 +46,15 @@ val gmres :
   ?budget:Resilience.Budget.t ->
   ?x0:Linalg.Vec.t ->
   ?workspace:workspace ->
-  ?recycle:bool ->
   operator ->
   Linalg.Vec.t ->
   result
 (** [gmres op b] solves [op x = b] with right preconditioning:
     the Krylov space is built for [op ∘ precond] and the returned [x]
     is [precond y]. Defaults: [restart = 50], [max_iter = 500],
-    [tol = 1e-10] (relative to [‖b‖], absolute when [b = 0]).
+    [tol = 1e-10] (relative to [‖b‖], absolute when [b = 0]), and the
+    identity preconditioner (which copies into workspace storage, never
+    returning its argument).
 
     Robustness: happy breakdown (zero Hessenberg subdiagonal) returns
     the exact iterate instead of dividing by zero; a non-finite basis
@@ -79,48 +67,4 @@ val gmres :
     locally if its shape does not cover [(restart, n)]). Buffer
     contract: [op] and [precond] may return a shared internal buffer —
     GMRES copies anything it keeps before the next call, and may mutate
-    the returned vector in place.
-
-    This entry point stages the [float array] closures across the
-    Bigarray core of {!gmres_ba} with the accumulation order of every
-    float operation preserved — results are bitwise identical to the
-    historical [float array] implementation. *)
-
-val gmres_ba :
-  ?restart:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  ?precond:ba_operator ->
-  ?budget:Resilience.Budget.t ->
-  ?x0:Linalg.Vec.t ->
-  ?workspace:workspace ->
-  ?recycle:bool ->
-  ba_operator ->
-  Linalg.Vec.t ->
-  result
-(** {!gmres} with the operator and preconditioner over
-    {!Linalg.Kernel.vec} — the allocation- and staging-free hot path.
-    Same semantics and defaults as {!gmres}.
-
-    [recycle] (default [false], ignored when [x0] is given) seeds the
-    first cycle from the workspace's retained previous Krylov subspace:
-    the new right-hand side is projected onto the stored orthonormal
-    basis and solved against the stored triangular factor in O(k²) plus
-    k+1 dot products. The seed is validated against the true residual
-    and discarded — falling back to a cold start at the cost of one
-    extra operator and preconditioner application — unless it shrinks
-    the initial residual below 0.9·‖b‖ (counted as
-    [gmres.recycle_seeded] / [gmres.recycle_rejected]). With
-    [recycle = false] the iteration is bitwise identical to a fresh
-    workspace. *)
-
-val bicgstab :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?precond:operator ->
-  ?x0:Linalg.Vec.t ->
-  operator ->
-  Linalg.Vec.t ->
-  result
-
-val csr_operator : Csr.t -> operator
+    the returned vector in place. *)

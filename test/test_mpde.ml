@@ -613,26 +613,6 @@ let test_solver_bridge_sweep_guard () =
     (stats.Mpde.Solver.linear_iterations
     <= 10 * stats.Mpde.Solver.newton_iterations)
 
-let test_solver_krylov_recycle_matches_cold () =
-  (* Krylov recycling only steers the linear iterations across the
-     mixer's Newton sequence; the converged surface must satisfy the
-     same equations to the same residual as the cold-start
-     configuration. *)
-  let mna, shear = mixer_fixture () in
-  let solve recycle =
-    Mpde.Solver.solve_mna
-      ~options:{ Mpde.Solver.default_options with krylov_recycle = recycle }
-      ~shear ~n1:16 ~n2:10 mna
-  in
-  let recycled = solve true and cold = solve false in
-  Alcotest.(check bool) "both converged" true
-    (recycled.Mpde.Solver.stats.converged && cold.Mpde.Solver.stats.converged);
-  Alcotest.(check bool) "same residual tolerance" true
-    (Mpde.Solver.residual_norm_check recycled < 1e-7
-    && Mpde.Solver.residual_norm_check cold < 1e-7);
-  Alcotest.(check bool) "same solution" true
-    (Linalg.Vec.dist2 recycled.Mpde.Solver.big_x cold.Mpde.Solver.big_x < 1e-5)
-
 let test_solver_workspace_slot_reuse () =
   (* A retained workspace slot (the per-domain sweep cache) must be
      invisible in the results: the second solve through the slot rebinds
@@ -939,8 +919,6 @@ let () =
             test_solver_sweep_matches_direct_mixer;
           Alcotest.test_case "bridge sweep guard" `Quick
             test_solver_bridge_sweep_guard;
-          Alcotest.test_case "krylov recycle matches cold" `Quick
-            test_solver_krylov_recycle_matches_cold;
           Alcotest.test_case "workspace slot reuse" `Quick
             test_solver_workspace_slot_reuse;
           Alcotest.test_case "block sweep mixer = dense" `Quick test_block_sweep_mixer;

@@ -125,7 +125,11 @@ let test_gmres_happy_breakdown () =
      subspace the Krylov space is exhausted after one iteration: the
      Hessenberg subdiagonal is exactly zero. The solver must detect the
      breakdown, return the exact solution, and not divide by zero. *)
-  let op v = Array.map (fun x -> 2.0 *. x) v in
+  let y = Linalg.Kernel.create 3 in
+  let op v =
+    Linalg.Kernel.scale_into 2.0 v y;
+    y
+  in
   let b = [| 4.0; 0.0; 0.0 |] in
   let r = Sparse.Krylov.gmres ~restart:10 ~max_iter:50 ~tol:1e-12 op b in
   Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
@@ -137,7 +141,11 @@ let test_gmres_nan_operator_terminates () =
   (* An operator that poisons every product must not NaN-pollute the
      Givens QR or loop forever on restarts; the result is a clean
      non-converged report with the finite initial iterate. *)
-  let op v = Array.map (fun _ -> nan) v in
+  let y = Linalg.Kernel.create 2 in
+  let op _ =
+    Linalg.Kernel.fill y nan;
+    y
+  in
   let b = [| 1.0; 2.0 |] in
   let r = Sparse.Krylov.gmres ~restart:5 ~max_iter:100 op b in
   Alcotest.(check bool) "not converged" false r.Sparse.Krylov.converged;
@@ -147,11 +155,14 @@ let test_gmres_budget () =
   (* 100-dim Laplacian-ish operator, tiny linear budget: must stop at
      the cap with converged=false rather than raising. *)
   let n = 100 in
+  let y = Linalg.Kernel.create n in
   let op v =
-    Array.init n (fun i ->
-        let left = if i > 0 then v.(i - 1) else 0.0 in
-        let right = if i < n - 1 then v.(i + 1) else 0.0 in
-        (2.0 *. v.(i)) -. left -. right)
+    for i = 0 to n - 1 do
+      let left = if i > 0 then v.{i - 1} else 0.0 in
+      let right = if i < n - 1 then v.{i + 1} else 0.0 in
+      y.{i} <- (2.0 *. v.{i}) -. left -. right
+    done;
+    y
   in
   let b = Array.make n 1.0 in
   let budget = Budget.make ~max_linear:7 () in

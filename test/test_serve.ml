@@ -174,6 +174,43 @@ let test_parse_grid_sizes () =
          job.Serve.Protocol.options.Engine.Options.n2)
   | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
 
+let test_parse_budget_and_ranges () =
+  (* "budget" gets the same typed checks as "options": wrong types,
+     unknown keys and fractional counts are a Bad_option naming the
+     field, never ignored or truncated; integers past 2^53 (where
+     int_of_float stops being exact) are rejected, not wrapped to 0. *)
+  let body fields =
+    Printf.sprintf "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",%s}" fields
+  in
+  let bad_option what fields expected =
+    match Serve.Protocol.parse_job (body fields) with
+    | Error (Serve.Protocol.Bad_option { name; _ }) ->
+        Alcotest.(check string) (what ^ ": option") expected name
+    | Error e -> Alcotest.failf "%s: untyped error %s" what (Serve.Protocol.error_message e)
+    | Ok _ -> Alcotest.failf "%s should be rejected" what
+  in
+  bad_option "string max_newton" "\"budget\":{\"max_newton\":\"5\"}" "budget.max_newton";
+  bad_option "string wall_seconds" "\"budget\":{\"wall_seconds\":\"1\"}"
+    "budget.wall_seconds";
+  bad_option "unknown budget key" "\"budget\":{\"wall_secs\":0.5}" "budget.wall_secs";
+  bad_option "fractional max_newton" "\"budget\":{\"max_newton\":2.7}" "budget.max_newton";
+  bad_option "zero wall_seconds" "\"budget\":{\"wall_seconds\":0}" "budget.wall_seconds";
+  bad_option "n1 = 1e30" "\"options\":{\"n1\":1e30}" "n1";
+  bad_option "max_newton = 1e19" "\"options\":{\"max_newton\":1e19}" "max_newton";
+  bad_option "budget max_newton = 1e19" "\"budget\":{\"max_newton\":1e19}"
+    "budget.max_newton";
+  match
+    Serve.Protocol.parse_job
+      (body "\"budget\":{\"wall_seconds\":1.5,\"max_newton\":5},\"options\":{\"n1\":9007199254740992}")
+  with
+  | Ok job ->
+      Alcotest.(check bool) "wall" true (job.Serve.Protocol.wall_seconds = Some 1.5);
+      Alcotest.(check (option int)) "max_newton" (Some 5)
+        job.Serve.Protocol.max_newton_budget;
+      Alcotest.(check int) "n1 = 2^53 read exactly" (1 lsl 53)
+        job.Serve.Protocol.options.Engine.Options.n1
+  | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
+
 (* ---------- service helpers ---------- *)
 
 (* Drain a handle's JSONL stream (with a deadline so a wedged worker
@@ -443,6 +480,8 @@ let () =
         [
           Alcotest.test_case "request parsing" `Quick test_parse_job;
           Alcotest.test_case "grid sizes below 2" `Quick test_parse_grid_sizes;
+          Alcotest.test_case "budget and integer ranges" `Quick
+            test_parse_budget_and_ranges;
         ] );
       ( "service",
         [

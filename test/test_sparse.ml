@@ -166,58 +166,7 @@ let test_ilu0_missing_diag () =
   | exception Sparse.Ilu0.Zero_pivot _ -> ()
   | _ -> Alcotest.fail "expected Zero_pivot"
 
-(* ---------- Krylov ---------- *)
-
-let test_gmres_identity () =
-  let b = Vec.of_list [ 1.0; 2.0; 3.0 ] in
-  let r = Sparse.Krylov.gmres (fun v -> Array.copy v) b in
-  Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
-  Alcotest.(check bool) "exact" true (Vec.approx_equal ~tol:1e-8 b r.Sparse.Krylov.x)
-
-let test_gmres_spd () =
-  let a = laplacian_1d 30 in
-  let b = Vec.init 30 (fun i -> cos (float_of_int i)) in
-  let r = Sparse.Krylov.gmres ~tol:1e-12 (Sparse.Krylov.csr_operator a) b in
-  Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
-  Alcotest.(check bool) "residual" true (Csr.residual_norm a r.Sparse.Krylov.x b < 1e-8)
-
-let test_gmres_with_ilu0 () =
-  let a = laplacian_1d 50 in
-  let b = Array.make 50 1.0 in
-  let plain = Sparse.Krylov.gmres ~tol:1e-10 (Sparse.Krylov.csr_operator a) b in
-  let pre =
-    Sparse.Krylov.gmres ~tol:1e-10
-      ~precond:(Sparse.Ilu0.apply (Sparse.Ilu0.factor a))
-      (Sparse.Krylov.csr_operator a) b
-  in
-  Alcotest.(check bool) "both converge" true
-    (plain.Sparse.Krylov.converged && pre.Sparse.Krylov.converged);
-  Alcotest.(check bool) "ilu0 accelerates" true
-    (pre.Sparse.Krylov.iterations <= plain.Sparse.Krylov.iterations)
-
-let test_gmres_restart_path () =
-  let a = laplacian_1d 40 in
-  let b = Array.make 40 1.0 in
-  (* Force multiple restarts with a tiny Krylov space. *)
-  let r = Sparse.Krylov.gmres ~restart:5 ~max_iter:2000 ~tol:1e-10
-      (Sparse.Krylov.csr_operator a) b in
-  Alcotest.(check bool) "converged across restarts" true r.Sparse.Krylov.converged;
-  Alcotest.(check bool) "residual small" true (Csr.residual_norm a r.Sparse.Krylov.x b < 1e-6)
-
-let test_gmres_x0 () =
-  let a = laplacian_1d 10 in
-  let b = Array.make 10 1.0 in
-  let exact = Sparse.Splu.solve (Sparse.Splu.factor a) b in
-  let r = Sparse.Krylov.gmres ~x0:exact (Sparse.Krylov.csr_operator a) b in
-  Alcotest.(check bool) "starts converged" true
-    (r.Sparse.Krylov.converged && r.Sparse.Krylov.iterations = 0)
-
-let test_gmres_zero_rhs () =
-  let a = laplacian_1d 5 in
-  let r = Sparse.Krylov.gmres (Sparse.Krylov.csr_operator a) (Array.make 5 0.0) in
-  Alcotest.(check bool) "zero solution" true (Vec.norm2 r.Sparse.Krylov.x < 1e-12)
-
-(* ---------- Bigarray spmv + GMRES core ---------- *)
+(* ---------- Bigarray spmv ---------- *)
 
 module Kernel = Linalg.Kernel
 
@@ -243,142 +192,97 @@ let test_csr_mul_vec_ba_validates () =
     (Invalid_argument "Csr.mul_vec_ba_into: dimension mismatch") (fun () ->
       Csr.mul_vec_ba_into a (Kernel.create 5) (Kernel.create 4))
 
+(* ---------- Krylov ---------- *)
+
 let ba_csr_operator a =
   let y = Kernel.create a.Csr.rows in
   fun x ->
     Csr.mul_vec_ba_into a x y;
     y
 
-let test_gmres_ba_matches_gmres () =
-  (* The array-facing [gmres] stages through the Bigarray core, so
-     driving the core directly with a Kernel operator must give the
-     same iterate bitwise. *)
+let ilu0_precond a =
+  let f = Sparse.Ilu0.factor a and y = Kernel.create a.Csr.rows in
+  fun r ->
+    Sparse.Ilu0.apply_into f r y;
+    y
+
+let test_gmres_identity () =
+  let b = Vec.of_list [ 1.0; 2.0; 3.0 ] in
+  let y = Kernel.create 3 in
+  let r =
+    Sparse.Krylov.gmres
+      (fun v ->
+        Kernel.blit v y;
+        y)
+      b
+  in
+  Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
+  Alcotest.(check bool) "exact" true (Vec.approx_equal ~tol:1e-8 b r.Sparse.Krylov.x)
+
+let test_gmres_spd () =
   let a = laplacian_1d 30 in
   let b = Vec.init 30 (fun i -> cos (float_of_int i)) in
-  let via_arrays =
-    Sparse.Krylov.gmres ~tol:1e-12 (Sparse.Krylov.csr_operator a) b
+  let r = Sparse.Krylov.gmres ~tol:1e-12 (ba_csr_operator a) b in
+  Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
+  Alcotest.(check bool) "residual" true (Csr.residual_norm a r.Sparse.Krylov.x b < 1e-8)
+
+let test_gmres_with_ilu0 () =
+  let a = laplacian_1d 50 in
+  let b = Array.make 50 1.0 in
+  let plain = Sparse.Krylov.gmres ~tol:1e-10 (ba_csr_operator a) b in
+  let pre =
+    Sparse.Krylov.gmres ~tol:1e-10 ~precond:(ilu0_precond a) (ba_csr_operator a) b
   in
-  let via_ba = Sparse.Krylov.gmres_ba ~tol:1e-12 (ba_csr_operator a) b in
-  Alcotest.(check bool) "both converged" true
-    (via_arrays.Sparse.Krylov.converged && via_ba.Sparse.Krylov.converged);
-  Alcotest.(check int) "same iterations" via_arrays.Sparse.Krylov.iterations
-    via_ba.Sparse.Krylov.iterations;
-  Alcotest.(check bool) "bitwise identical x" true
-    (float_array_bits_equal via_arrays.Sparse.Krylov.x via_ba.Sparse.Krylov.x)
+  Alcotest.(check bool) "both converge" true
+    (plain.Sparse.Krylov.converged && pre.Sparse.Krylov.converged);
+  Alcotest.(check bool) "ilu0 accelerates" true
+    (pre.Sparse.Krylov.iterations <= plain.Sparse.Krylov.iterations)
 
-let test_gmres_recycle_repeat_solve () =
-  (* Re-solving the same system through a retained workspace with
-     [recycle] on: the projection seed reproduces the previous converged
-     iterate, so the second solve should start essentially converged. *)
-  let n = 40 in
+let test_gmres_restart_path () =
+  let a = laplacian_1d 40 in
+  let b = Array.make 40 1.0 in
+  (* Force multiple restarts with a tiny Krylov space. *)
+  let r =
+    Sparse.Krylov.gmres ~restart:5 ~max_iter:2000 ~tol:1e-10 (ba_csr_operator a) b
+  in
+  Alcotest.(check bool) "converged across restarts" true r.Sparse.Krylov.converged;
+  Alcotest.(check bool) "residual small" true (Csr.residual_norm a r.Sparse.Krylov.x b < 1e-6)
+
+let test_gmres_x0 () =
+  let a = laplacian_1d 10 in
+  let b = Array.make 10 1.0 in
+  let exact = Sparse.Splu.solve (Sparse.Splu.factor a) b in
+  let r = Sparse.Krylov.gmres ~x0:exact (ba_csr_operator a) b in
+  Alcotest.(check bool) "starts converged" true
+    (r.Sparse.Krylov.converged && r.Sparse.Krylov.iterations = 0)
+
+let test_gmres_zero_rhs () =
+  let a = laplacian_1d 5 in
+  let r = Sparse.Krylov.gmres (ba_csr_operator a) (Array.make 5 0.0) in
+  Alcotest.(check bool) "zero solution" true (Vec.norm2 r.Sparse.Krylov.x < 1e-12)
+
+let test_gmres_used_workspace_bitwise () =
+  (* A workspace left over from another operator's solve (a worker
+     domain's retained scratch) must give bitwise the fresh-workspace
+     iteration. *)
+  let n = 20 in
   let a = laplacian_1d n in
-  let b = Vec.init n (fun i -> sin (float_of_int i)) in
-  let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  let op = ba_csr_operator a in
-  let first = Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true op b in
-  let second = Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true op b in
-  Alcotest.(check bool) "both converged" true
-    (first.Sparse.Krylov.converged && second.Sparse.Krylov.converged);
-  Alcotest.(check bool) "seed short-circuits the repeat" true
-    (second.Sparse.Krylov.iterations < first.Sparse.Krylov.iterations);
-  Alcotest.(check bool) "residual still honoured" true
-    (Csr.residual_norm a second.Sparse.Krylov.x b
-    <= 1e-8 *. Float.max 1.0 (Vec.norm2 b))
-
-let test_gmres_recycle_drifting_operators () =
-  (* A sequence of slowly drifting operators (the Newton lagged-Jacobian
-     shape): every recycled solve must still meet the cold-start
-     residual contract. *)
-  let n = 30 in
-  let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  let b = Vec.init n (fun i -> cos (float_of_int (i + 1)) *. 2.0) in
-  for step = 0 to 4 do
-    let shift = 0.05 *. float_of_int step in
-    let coo = Coo.create n n in
-    for i = 0 to n - 1 do
-      Coo.add coo i i (4.0 +. shift);
-      if i > 0 then Coo.add coo i (i - 1) (-1.0);
-      if i < n - 1 then Coo.add coo i (i + 1) (-1.0 -. (0.01 *. shift))
-    done;
-    let a = Csr.of_coo coo in
-    let r =
-      Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-        (ba_csr_operator a) b
-    in
-    Alcotest.(check bool)
-      (Printf.sprintf "converged (step %d)" step)
-      true r.Sparse.Krylov.converged;
-    Alcotest.(check bool)
-      (Printf.sprintf "residual (step %d)" step)
-      true
-      (Csr.residual_norm a r.Sparse.Krylov.x b
-      <= 1e-8 *. Float.max 1.0 (Vec.norm2 b))
-  done
-
-let test_gmres_recycle_cold_fallback () =
-  (* When the operator changes wholesale the projection seed fails its
-     residual validation and the solve restarts cold — the iterate must
-     be bitwise what a fresh workspace produces. *)
-  let n = 25 in
-  let a = laplacian_1d n in
-  let b = Vec.init n (fun i -> float_of_int ((i mod 5) - 2)) in
-  let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  ignore (Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-      (ba_csr_operator a) b);
-  (* Wildly different operator: -3·A plus a strong diagonal ramp. *)
+  let b = Vec.init n (fun i -> sin (0.7 *. float_of_int i)) in
   let coo = Coo.create n n in
   for i = 0 to n - 1 do
     Coo.add coo i i (20.0 +. (3.0 *. float_of_int i));
     if i > 0 then Coo.add coo i (i - 1) 2.5;
     if i < n - 1 then Coo.add coo i (i + 1) (-2.5)
   done;
-  let a2 = Csr.of_coo coo in
-  let recycled =
-    Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-      (ba_csr_operator a2) b
-  in
-  let cold = Sparse.Krylov.gmres_ba ~tol:1e-10 (ba_csr_operator a2) b in
-  Alcotest.(check bool) "both converged" true
-    (recycled.Sparse.Krylov.converged && cold.Sparse.Krylov.converged);
-  Alcotest.(check bool) "fallback bitwise matches cold" true
-    (float_array_bits_equal recycled.Sparse.Krylov.x cold.Sparse.Krylov.x)
-
-let test_gmres_recycle_off_bitwise () =
-  (* recycle = false through a dirty workspace must be bitwise the
-     fresh-workspace iteration. *)
-  let n = 20 in
-  let a = laplacian_1d n in
-  let b = Vec.init n (fun i -> sin (0.7 *. float_of_int i)) in
+  let other = Csr.of_coo coo in
   let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  ignore (Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:true
-      (ba_csr_operator a) b);
-  let reused =
-    Sparse.Krylov.gmres_ba ~tol:1e-10 ~workspace:ws ~recycle:false
-      (ba_csr_operator a) b
-  in
-  let fresh = Sparse.Krylov.gmres_ba ~tol:1e-10 (ba_csr_operator a) b in
+  ignore (Sparse.Krylov.gmres ~tol:1e-10 ~workspace:ws (ba_csr_operator other) b);
+  let reused = Sparse.Krylov.gmres ~tol:1e-10 ~workspace:ws (ba_csr_operator a) b in
+  let fresh = Sparse.Krylov.gmres ~tol:1e-10 (ba_csr_operator a) b in
   Alcotest.(check bool) "bitwise identical" true
     (float_array_bits_equal reused.Sparse.Krylov.x fresh.Sparse.Krylov.x);
   Alcotest.(check int) "same iterations" fresh.Sparse.Krylov.iterations
     reused.Sparse.Krylov.iterations
-
-let test_bicgstab_spd () =
-  let a = laplacian_1d 30 in
-  let b = Vec.init 30 (fun i -> float_of_int (i mod 3)) in
-  let r = Sparse.Krylov.bicgstab ~tol:1e-12 ~max_iter:200 (Sparse.Krylov.csr_operator a) b in
-  Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
-  Alcotest.(check bool) "residual" true (Csr.residual_norm a r.Sparse.Krylov.x b < 1e-7)
-
-let test_bicgstab_with_precond () =
-  let a = laplacian_1d 40 in
-  let b = Array.make 40 1.0 in
-  let r =
-    Sparse.Krylov.bicgstab ~tol:1e-10
-      ~precond:(Sparse.Ilu0.apply (Sparse.Ilu0.factor a))
-      (Sparse.Krylov.csr_operator a) b
-  in
-  Alcotest.(check bool) "converged fast" true
-    (r.Sparse.Krylov.converged && r.Sparse.Krylov.iterations <= 3)
 
 (* ---------- properties ---------- *)
 
@@ -449,7 +353,7 @@ let prop_gmres_solves =
   QCheck.Test.make ~count:40 ~name:"gmres: residual contract honoured"
     (QCheck.make sparse_system_gen)
     (fun (a, b) ->
-      let r = Sparse.Krylov.gmres ~tol:1e-10 (Sparse.Krylov.csr_operator a) b in
+      let r = Sparse.Krylov.gmres ~tol:1e-10 (ba_csr_operator a) b in
       (not r.Sparse.Krylov.converged)
       || Csr.residual_norm a r.Sparse.Krylov.x b <= 1e-8 *. Float.max 1.0 (Vec.norm2 b))
 
@@ -500,18 +404,8 @@ let () =
             test_csr_mul_vec_ba_bitwise;
           Alcotest.test_case "csr ba spmv validates" `Quick
             test_csr_mul_vec_ba_validates;
-          Alcotest.test_case "gmres_ba ≡ gmres" `Quick
-            test_gmres_ba_matches_gmres;
-          Alcotest.test_case "recycle: repeat solve" `Quick
-            test_gmres_recycle_repeat_solve;
-          Alcotest.test_case "recycle: drifting operators" `Quick
-            test_gmres_recycle_drifting_operators;
-          Alcotest.test_case "recycle: cold fallback" `Quick
-            test_gmres_recycle_cold_fallback;
-          Alcotest.test_case "recycle off bitwise" `Quick
-            test_gmres_recycle_off_bitwise;
-          Alcotest.test_case "bicgstab spd" `Quick test_bicgstab_spd;
-          Alcotest.test_case "bicgstab + ilu0" `Quick test_bicgstab_with_precond;
+          Alcotest.test_case "gmres used workspace bitwise" `Quick
+            test_gmres_used_workspace_bitwise;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
