@@ -64,8 +64,8 @@ let read_json label file =
       Printf.eprintf "compare: cannot read %s file %s: %s\n" label file msg;
       exit 2
   in
-  try Diagnostics.Json_min.parse contents
-  with Diagnostics.Json_min.Parse_error msg ->
+  try Telemetry.Json.parse contents
+  with Telemetry.Json.Parse_error msg ->
     Printf.eprintf "compare: %s file %s is not valid JSON: %s\n" label file msg;
     exit 2
 

@@ -536,19 +536,6 @@ let git_revision () =
     | _ -> None
   with Unix.Unix_error _ | Sys_error _ -> None
 
-let json_escape str =
-  let buf = Buffer.create (String.length str) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    str;
-  Buffer.contents buf
-
 (* SWEEP: the parallel executor on a fixed 8-job MPDE disparity sweep
    (unbalanced mixer, LO 1 MHz) at 1, 2, and 4 domains. Wall times feed
    the perf gate (sweep.wall_1 lower-better, sweep.speedup_2
@@ -889,13 +876,13 @@ let bench_json ?(file = "BENCH_mpde.json") () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"benchmark\":\"mpde\"";
   (match git_revision () with
-  | Some rev -> Buffer.add_string buf (Printf.sprintf ",\"revision\":\"%s\"" (json_escape rev))
+  | Some rev -> Buffer.add_string buf (Printf.sprintf ",\"revision\":%s" (Telemetry.Json.quote rev))
   | None -> ());
   Buffer.add_string buf
     (Printf.sprintf
-       ",\"mixer\":{\"circuit\":\"balanced-mixer\",\"n1\":40,\"n2\":30,\"converged\":%b,\"strategy\":\"%s\",\"newton_iterations\":%d,\"gmres_iterations\":%d,\"residual_norm\":%.6e,\"wall_seconds\":%.6f,\"cpu_seconds\":%.6f"
+       ",\"mixer\":{\"circuit\":\"balanced-mixer\",\"n1\":40,\"n2\":30,\"converged\":%b,\"strategy\":%s,\"newton_iterations\":%d,\"gmres_iterations\":%d,\"residual_norm\":%.6e,\"wall_seconds\":%.6f,\"cpu_seconds\":%.6f"
        stats.Mpde.Solver.converged
-       (json_escape stats.Mpde.Solver.strategy)
+       (Telemetry.Json.quote stats.Mpde.Solver.strategy)
        stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations
        stats.Mpde.Solver.residual_norm wall cpu);
   (match telemetry with

@@ -471,53 +471,6 @@ let emit_sweep_csv ~no_wall (records : Engine.Checkpoint.record array) =
         message)
     records
 
-(* %.6e of a NaN metric is not valid JSON; quote non-finite values the
-   same way Resilience.Report does. *)
-let sweep_json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.6e" v
-
-let emit_sweep_json ~no_wall (records : Engine.Checkpoint.record array) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[";
-  Array.iteri
-    (fun i (r : Engine.Checkpoint.record) ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf
-        (Printf.sprintf "\n  {\"label\":%S,\"engine\":%S,\"fast\":%.9e,\"fd\":%.9e,\"status\":%S,\"attempts\":%d"
-           r.Engine.Checkpoint.label r.Engine.Checkpoint.engine
-           r.Engine.Checkpoint.f_fast r.Engine.Checkpoint.fd
-           r.Engine.Checkpoint.status r.Engine.Checkpoint.attempts);
-      (if r.Engine.Checkpoint.status = "error" then begin
-         Buffer.add_string buf
-           (Printf.sprintf ",\"message\":%S" r.Engine.Checkpoint.message);
-         (match r.Engine.Checkpoint.stage with
-         | Some st -> Buffer.add_string buf (Printf.sprintf ",\"stage\":%S" st)
-         | None -> ());
-         match r.Engine.Checkpoint.backtrace with
-         | Some bt -> Buffer.add_string buf (Printf.sprintf ",\"backtrace\":%S" bt)
-         | None -> ()
-       end
-       else
-         Buffer.add_string buf
-           (Printf.sprintf
-              ",\"converged\":%b,\"newton\":%d,\"residual\":%s,\"h1\":%s,\"thd\":%s,\"waveform_hash\":%S"
-              r.Engine.Checkpoint.converged r.Engine.Checkpoint.newton
-              (sweep_json_float r.Engine.Checkpoint.residual)
-              (sweep_json_float r.Engine.Checkpoint.h1)
-              (sweep_json_float r.Engine.Checkpoint.thd)
-              r.Engine.Checkpoint.waveform_hash));
-      if not no_wall then
-        Buffer.add_string buf
-          (Printf.sprintf ",\"wall_seconds\":%.6f"
-             r.Engine.Checkpoint.wall_seconds);
-      Buffer.add_string buf "}")
-    records;
-  Buffer.add_string buf "\n]\n";
-  print_string (Buffer.contents buf)
-
 (* Live progress meter for --progress. [on_outcome] fires on whichever
    domain finished the job, so the meter serializes internally. ETA is
    naive (mean rate so far), which is the honest choice for jobs of
@@ -586,7 +539,7 @@ let p99_or_zero (h : Telemetry.histogram) =
    wall, per-domain busy/utilization, retry counts, GC pause stats). *)
 let write_merged_trace ~file ~domains ~wall ~gc
     (outcomes : Engine.Sweep.outcome array) =
-  let module J = Diagnostics.Json_min in
+  let module J = Telemetry.Json in
   let pid = Unix.getpid () in
   let parts =
     Array.to_list outcomes
@@ -830,7 +783,7 @@ let sweep_cmd tele listen circuit engines param f_fast fd period domains
       let records = Array.map Option.get records in
       (match format with
       | Sweep_csv -> emit_sweep_csv ~no_wall records
-      | Sweep_json -> emit_sweep_json ~no_wall records);
+      | Sweep_json -> print_string (Engine.Checkpoint.rows_json ~no_wall records));
       let bad =
         Array.exists
           (fun (r : Engine.Checkpoint.record) ->
@@ -848,7 +801,7 @@ let format_seconds s =
   else Printf.sprintf "%.3fs" s
 
 let report_cmd file top =
-  let module J = Diagnostics.Json_min in
+  let module J = Telemetry.Json in
   match
     let ic = open_in file in
     let n = in_channel_length ic in
@@ -1230,7 +1183,7 @@ let submit_cmd addr_spec circuit engine f_fast fd n1 n2 tol max_newton
       1
   | Ok addr -> (
       let b = Buffer.create 256 in
-      let esc = Diagnostics.Json_min.escape_string in
+      let esc = Telemetry.Json.quote in
       Buffer.add_string b
         (Printf.sprintf "{\"v\":%s,\"circuit\":%s,\"engine\":%s"
            (esc Serve.Protocol.version) (esc circuit) (esc engine));
@@ -1260,7 +1213,7 @@ let submit_cmd addr_spec circuit engine f_fast fd n1 n2 tol max_newton
           print_string body;
           (* Exit status mirrors the stream: error event or a
              non-converged result fails the submission. *)
-          let module J = Diagnostics.Json_min in
+          let module J = Telemetry.Json in
           let lines =
             String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
           in
@@ -1316,7 +1269,7 @@ let scrape_cmd addr_spec path validate =
 (* ---------- rfss top: live sweep dashboard ---------- *)
 
 let top_cmd addr_spec interval once =
-  let module J = Diagnostics.Json_min in
+  let module J = Telemetry.Json in
   match Observe.Addr.parse addr_spec with
   | Error e ->
       prerr_endline e;

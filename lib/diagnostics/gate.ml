@@ -145,8 +145,8 @@ let default_checks ?(overrides = []) tolerance =
   ]
 
 let lookup_num doc path =
-  match Json_min.path path doc with
-  | Some j -> Json_min.num j
+  match Telemetry.Json.path path doc with
+  | Some j -> Telemetry.Json.num j
   | None -> None
 
 let evaluate ?checks ~baseline ~current () =
@@ -155,9 +155,9 @@ let evaluate ?checks ~baseline ~current () =
   in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (match Json_min.path [ "mixer"; "converged" ] current with
-  | Some (Json_min.Bool true) -> ()
-  | Some (Json_min.Bool false) ->
+  (match Telemetry.Json.path [ "mixer"; "converged" ] current with
+  | Some (Telemetry.Json.Bool true) -> ()
+  | Some (Telemetry.Json.Bool false) ->
       err "current benchmark did not converge (mixer.converged = false)"
   | _ -> err "current benchmark is missing mixer.converged");
   (* Absolute floor for the parallel sweep, independent of whatever the

@@ -72,14 +72,18 @@ val default_checks : ?overrides:(string * float) list -> float -> check list
     slowdown alongside a healthy 2-domain run means contention, not a
     missing core). Single-core runners skip the floor. *)
 
-val lookup_num : Json_min.t -> string list -> float option
+val lookup_num : Telemetry.Json.t -> string list -> float option
 (** Fetch a numeric leaf from a bench document — exposed so callers
     (e.g. [compare.exe]) can inspect the same fields the gate reads,
     such as [sweep.cores] when reporting why the speedup floor was
     waived. *)
 
 val evaluate :
-  ?checks:check list -> baseline:Json_min.t -> current:Json_min.t -> unit -> result
+  ?checks:check list ->
+  baseline:Telemetry.Json.t ->
+  current:Telemetry.Json.t ->
+  unit ->
+  result
 
 val render : result -> string
 (** Human-readable table plus PASS/FAIL line, one metric per row. *)

@@ -105,25 +105,26 @@ let summary_line h =
   Buffer.contents buf
 
 let to_json h =
+  let module J = Telemetry.Json in
   let opt = function
-    | Some v -> Json_min.Num v
-    | None -> Json_min.Null
+    | Some v -> J.Num v
+    | None -> J.Null
   in
-  Json_min.to_string
-    (Json_min.Obj
+  J.to_string
+    (J.Obj
        [
-         ("convergence", Json_min.Str (Convergence.to_string h.convergence));
-         ("converged", Json_min.Bool h.converged);
-         ("newton_iterations", Json_min.Num (float_of_int h.newton_iterations));
-         ("linear_iterations", Json_min.Num (float_of_int h.linear_iterations));
-         ("residual_norm", Json_min.Num h.residual_norm);
-         ("strategy", Json_min.Str h.strategy);
+         ("convergence", J.Str (Convergence.to_string h.convergence));
+         ("converged", J.Bool h.converged);
+         ("newton_iterations", J.Num (float_of_int h.newton_iterations));
+         ("linear_iterations", J.Num (float_of_int h.linear_iterations));
+         ("residual_norm", J.Num h.residual_norm);
+         ("strategy", J.Str h.strategy);
          ("condition_estimate", opt h.condition_estimate);
          ("diagonal_residual", opt h.diagonal_residual);
          ( "stage_iterations",
-           Json_min.Obj
+           J.Obj
              (List.map
-                (fun (name, it) -> (name, Json_min.Num (float_of_int it)))
+                (fun (name, it) -> (name, J.Num (float_of_int it)))
                 h.stage_iterations) );
        ])
 

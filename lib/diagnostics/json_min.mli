@@ -1,43 +1,3 @@
-(** Minimal JSON tree, parser, and emitter.
-
-    The repo deliberately carries no external JSON dependency; the
-    telemetry sinks and {!Resilience.Report} hand-emit their output.
-    Diagnostics additionally needs to {e read} JSON — the perf gate
-    parses [BENCH_mpde.json] and [bench/baseline.json] — so this module
-    provides the small recursive-descent parser those consumers share.
-
-    Supports the JSON actually produced by this repo: objects, arrays,
-    strings with the common escapes, numbers (including [NaN]-free
-    floats printed by [%.17g]), booleans, and [null]. Unicode escapes
-    are accepted but decoded as ['?']. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-exception Parse_error of string
-
-val parse : string -> t
-(** @raise Parse_error on malformed input or trailing garbage. *)
-
-val member : string -> t -> t option
-(** First binding of the key in an object; [None] otherwise. *)
-
-val path : string list -> t -> t option
-(** [path ["a"; "b"] j] is [member "b"] of [member "a"] of [j]. *)
-
-val num : t -> float option
-
-val str : t -> string option
-
-val bool : t -> bool option
-
-val to_string : t -> string
-(** Compact emission; floats via [%.17g], strings escaped. *)
-
-val escape_string : string -> string
-(** The quoted, escaped form of a string (including the quotes). *)
+include module type of struct
+  include Telemetry.Json
+end

@@ -457,38 +457,40 @@ let parse_csv text =
             | _ -> failwith ("bad CSV row: " ^ row))
         rows
 
-(* Json_min prints floats with %.17g; a NaN quantile (empty histogram)
-   would break the document, so quote non-finite values. *)
+module J = Telemetry.Json
+
+(* J.to_string prints a NaN as null; keep an empty histogram's NaN
+   quantiles distinguishable by quoting non-finite values. *)
 let json_num v =
-  if Float.is_finite v then Json_min.Num v
-  else Json_min.Str (if Float.is_nan v then "nan" else if v > 0.0 then "inf" else "-inf")
+  if Float.is_finite v then J.Num v
+  else J.Str (if Float.is_nan v then "nan" else if v > 0.0 then "inf" else "-inf")
 
 let to_json_fragment registry =
   let scalar s =
-    Json_min.Obj
+    J.Obj
       [
-        ("name", Json_min.Str (sanitize_name s.name));
+        ("name", J.Str (sanitize_name s.name));
         ( "labels",
-          Json_min.Obj (List.map (fun (k, v) -> (k, Json_min.Str v)) s.labels)
+          J.Obj (List.map (fun (k, v) -> (k, J.Str v)) s.labels)
         );
         ( "kind",
-          Json_min.Str
+          J.Str
             (match s.kind with Counter -> "counter" | Gauge -> "gauge") );
         ("value", json_num s.value);
       ]
   in
   let hist h =
-    Json_min.Obj
+    J.Obj
       ([
-         ("name", Json_min.Str (sanitize_name h.h_name));
+         ("name", J.Str (sanitize_name h.h_name));
          ( "labels",
-           Json_min.Obj
-             (List.map (fun (k, v) -> (k, Json_min.Str v)) h.h_labels) );
-         ("kind", Json_min.Str "histogram");
+           J.Obj
+             (List.map (fun (k, v) -> (k, J.Str v)) h.h_labels) );
+         ("kind", J.Str "histogram");
        ]
       @ List.map (fun (stat, v) -> (stat, json_num v)) (hist_stats h.h_hist))
   in
-  Json_min.to_string
-    (Json_min.Arr
+  J.to_string
+    (J.Arr
        (List.map scalar (samples registry)
        @ List.map hist (sorted_hsamples registry)))

@@ -63,18 +63,13 @@ let digest r =
 
 (* ---------- serialization ----------
 
-   Hand-emitted: Json_min prints floats with a bare %.17g, which is not
-   valid JSON for nan/inf, and sweep metrics (h1, thd) are legitimately
-   NaN on error rows. Same convention as Resilience.Report: non-finite
-   floats become quoted strings. *)
+   Hand-formatted: the tree emitter writes a NaN as null, and sweep
+   metrics (h1, thd) are legitimately NaN on error rows. Floats go out
+   as %.17g, non-finite ones as the quoted strings of [J.float]. *)
 
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+module J = Telemetry.Json
 
-let esc = Diagnostics.Json_min.escape_string
+let float17 = J.float "%.17g"
 
 let to_line r =
   let b = Buffer.create 512 in
@@ -85,44 +80,44 @@ let to_line r =
     Buffer.add_string b "\":";
     Buffer.add_string b value
   in
-  field "key" (esc r.key);
-  field "label" (esc r.label);
-  field "engine" (esc r.engine);
-  field "f_fast" (json_float r.f_fast);
-  field "fd" (json_float r.fd);
-  field "status" (esc r.status);
+  field "key" (J.quote r.key);
+  field "label" (J.quote r.label);
+  field "engine" (J.quote r.engine);
+  field "f_fast" (float17 r.f_fast);
+  field "fd" (float17 r.fd);
+  field "status" (J.quote r.status);
   field "converged" (string_of_bool r.converged);
   field "newton" (string_of_int r.newton);
-  field "residual" (json_float r.residual);
-  field "h1" (json_float r.h1);
-  field "thd" (json_float r.thd);
-  field "waveform_hash" (esc r.waveform_hash);
+  field "residual" (float17 r.residual);
+  field "h1" (float17 r.h1);
+  field "thd" (float17 r.thd);
+  field "waveform_hash" (J.quote r.waveform_hash);
   field "attempts" (string_of_int r.attempts);
-  field "wall_seconds" (json_float r.wall_seconds);
-  field "message" (esc r.message);
-  (match r.stage with Some s -> field "stage" (esc s) | None -> ());
-  (match r.backtrace with Some s -> field "backtrace" (esc s) | None -> ());
+  field "wall_seconds" (float17 r.wall_seconds);
+  field "message" (J.quote r.message);
+  (match r.stage with Some s -> field "stage" (J.quote s) | None -> ());
+  (match r.backtrace with Some s -> field "backtrace" (J.quote s) | None -> ());
   (* The report is itself JSON, but it is stored as an escaped string:
-     embedding it as a sub-object would re-emit through Json_min on
+     embedding it as a sub-object would re-emit through J.to_string on
      load, which does not round-trip float formatting byte-for-byte —
      and the digest must. *)
-  (match r.report with Some j -> field "report" (esc j) | None -> ());
-  field "digest" (esc (digest r));
+  (match r.report with Some j -> field "report" (J.quote j) | None -> ());
+  field "digest" (J.quote (digest r));
   Buffer.add_char b '}';
   Buffer.contents b
 
 let float_of_json = function
-  | Diagnostics.Json_min.Num v -> Some v
-  | Diagnostics.Json_min.Str "nan" -> Some Float.nan
-  | Diagnostics.Json_min.Str "inf" -> Some Float.infinity
-  | Diagnostics.Json_min.Str "-inf" -> Some Float.neg_infinity
+  | J.Num v -> Some v
+  | J.Str "nan" -> Some Float.nan
+  | J.Str "inf" -> Some Float.infinity
+  | J.Str "-inf" -> Some Float.neg_infinity
   | _ -> None
 
 let of_line line =
-  match Diagnostics.Json_min.parse line with
-  | exception Diagnostics.Json_min.Parse_error _ -> None
+  match J.parse line with
+  | exception J.Parse_error _ -> None
   | j ->
-      let open Diagnostics.Json_min in
+      let open J in
       let str_f name = Option.bind (member name j) str in
       let num_f name = Option.bind (member name j) float_of_json in
       let int_f name =
@@ -245,6 +240,35 @@ let of_outcome (o : Sweep.outcome) =
         backtrace = f.Sweep.backtrace;
         report = None;
       }
+
+(* The rows of [rfss sweep --format json]: one object per record, an
+   error row carrying its message, stage and backtrace in place of the
+   solve figures. *)
+let rows_json ~no_wall records =
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.bprintf b fmt in
+  add "[";
+  Array.iteri
+    (fun i r ->
+      if i > 0 then add ",";
+      add "\n  {\"label\":%s,\"engine\":%s,\"fast\":%s,\"fd\":%s,\"status\":%s,\"attempts\":%d"
+        (J.quote r.label) (J.quote r.engine) (J.float "%.9e" r.f_fast)
+        (J.float "%.9e" r.fd) (J.quote r.status) r.attempts;
+      if r.status = "error" then begin
+        add ",\"message\":%s" (J.quote r.message);
+        Option.iter (fun s -> add ",\"stage\":%s" (J.quote s)) r.stage;
+        Option.iter (fun s -> add ",\"backtrace\":%s" (J.quote s)) r.backtrace
+      end
+      else
+        add
+          ",\"converged\":%b,\"newton\":%d,\"residual\":%s,\"h1\":%s,\"thd\":%s,\"waveform_hash\":%s"
+          r.converged r.newton (J.float "%.6e" r.residual) (J.float "%.6e" r.h1)
+          (J.float "%.6e" r.thd) (J.quote r.waveform_hash);
+      if not no_wall then add ",\"wall_seconds\":%s" (J.float "%.6f" r.wall_seconds);
+      add "}")
+    records;
+  add "\n]\n";
+  Buffer.contents b
 
 let load path =
   match open_in path with

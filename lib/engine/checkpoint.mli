@@ -68,6 +68,13 @@ val digest : record -> string
 (** Hash of the record's serialized content (excluding any previous
     digest), stored on write and checked on load. *)
 
+val rows_json : no_wall:bool -> record array -> string
+(** The records as the JSON array [rfss sweep --format json] prints,
+    one object per line: identity, status and attempts, then either
+    the solve figures ([residual]/[h1]/[thd] via [%.6e]) or, on an
+    error row, the message, stage and backtrace. [no_wall] omits
+    [wall_seconds], which makes the output deterministic. *)
+
 type t
 (** An open checkpoint log (in-memory records + path). Internally
     mutexed: {!append} may be called concurrently from sweep worker

@@ -1,4 +1,4 @@
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 module Registry = Diagnostics.Registry
 
 type worker = {

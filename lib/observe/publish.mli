@@ -53,7 +53,7 @@ type event = {
   kind : string;
   job : string;
   worker : int;
-  fields : (string * Diagnostics.Json_min.t) list;
+  fields : (string * Telemetry.Json.t) list;
 }
 
 type slice = {

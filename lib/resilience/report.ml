@@ -87,46 +87,26 @@ let pp ppf r =
   | None -> ());
   Format.fprintf ppf "@]"
 
-(* Minimal JSON emission: only strings need escaping, and only the
-   characters our own messages can contain. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6e" f
-  else Printf.sprintf "\"%s\"" (if Float.is_nan f then "nan" else if f > 0.0 then "inf" else "-inf")
-
 let to_json_string r =
+  let module J = Telemetry.Json in
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"outcome\":\"%s\"" (json_escape (outcome_to_string r.outcome));
+  add "{\"outcome\":%s" (J.quote (outcome_to_string r.outcome));
   (match r.strategy with
-  | Some s -> add ",\"strategy\":\"%s\"" (json_escape s)
+  | Some s -> add ",\"strategy\":%s" (J.quote s)
   | None -> add ",\"strategy\":null");
   add ",\"newton_iterations\":%d,\"linear_iterations\":%d" r.newton_iterations
     r.linear_iterations;
-  add ",\"residual_norm\":%s,\"wall_seconds\":%.3f" (json_float r.residual_norm)
+  add ",\"residual_norm\":%s,\"wall_seconds\":%.3f" (J.float "%.6e" r.residual_norm)
     r.wall_seconds;
   add ",\"stages\":[";
   List.iteri
     (fun i s ->
       if i > 0 then add ",";
-      add "{\"name\":\"%s\",\"status\":\"%s\"" (json_escape s.name)
+      add "{\"name\":%s,\"status\":\"%s\"" (J.quote s.name)
         (status_to_string s.status);
       (match s.status with
-      | `Failed msg -> add ",\"error\":\"%s\"" (json_escape msg)
+      | `Failed msg -> add ",\"error\":%s" (J.quote msg)
       | _ -> ());
       add ",\"iterations\":%d,\"wall_seconds\":%.3f}" s.iterations s.wall_seconds)
     r.stages;
@@ -134,7 +114,7 @@ let to_json_string r =
   Array.iteri
     (fun i f ->
       if i > 0 then add ",";
-      add "%s" (json_float f))
+      add "%s" (J.float "%.6e" f))
     r.residual_trajectory;
   add "]";
   (match r.telemetry with
@@ -144,7 +124,7 @@ let to_json_string r =
   | None -> ());
   List.iter
     (fun (name, json) ->
-      add ",\"%s\":" (json_escape name);
+      add ",%s:" (J.quote name);
       Buffer.add_string buf json)
     r.sections;
   add "}";

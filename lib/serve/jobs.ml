@@ -244,7 +244,7 @@ let status_json t =
   let cs = Cache.stats t.cache in
   Printf.sprintf
     "{\"v\":%s,\"workers\":%d,\"queue_depth\":%d,\"submitted\":%d,\"completed\":%d,\"failed\":%d,\"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d},\"warm\":{\"starts\":%d,\"entries\":%d}}"
-    (Diagnostics.Json_min.escape_string Protocol.version)
+    (Telemetry.Json.quote Protocol.version)
     t.workers (queue_depth t) (Atomic.get t.submitted) (Atomic.get t.completed)
     (Atomic.get t.failed) cs.Cache.hits cs.Cache.misses cs.Cache.evictions
     cs.Cache.entries (Atomic.get t.warm_solves) (Warm.size t.warm)

@@ -17,7 +17,7 @@
    byte for byte — which is the identity the cache tests and the CI
    smoke assert. *)
 
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 
 let version = "rfss.jobs/1"
 
@@ -220,28 +220,21 @@ let parse_job body =
 
 (* ---------- response lines ---------- *)
 
-(* Same non-finite-float convention as Checkpoint: residuals on failed
-   solves are legitimately nan/inf, which bare %.17g would emit as
-   invalid JSON. *)
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
-
-let esc = J.escape_string
+(* Same float convention as Checkpoint: %.17g, and residuals on failed
+   solves (legitimately nan/inf) as quoted strings. *)
+let float17 = J.float "%.17g"
 
 let accepted_line ~id ~key ~cache_hit =
   Printf.sprintf "{\"v\":%s,\"event\":\"accepted\",\"id\":%d,\"key\":%s,\"cache\":%s}"
-    (esc version) id (esc key)
-    (esc (if cache_hit then "hit" else "miss"))
+    (J.quote version) id (J.quote key)
+    (J.quote (if cache_hit then "hit" else "miss"))
 
 let error_line msg =
-  Printf.sprintf "{\"v\":%s,\"event\":\"error\",\"message\":%s}" (esc version)
-    (esc msg)
+  Printf.sprintf "{\"v\":%s,\"event\":\"error\",\"message\":%s}" (J.quote version)
+    (J.quote msg)
 
 let done_line ~id =
-  Printf.sprintf "{\"v\":%s,\"event\":\"done\",\"id\":%d}" (esc version) id
+  Printf.sprintf "{\"v\":%s,\"event\":\"done\",\"id\":%d}" (J.quote version) id
 
 (* The exact CSV the CLI prints for a single solve, so "served" and
    "direct" outputs can be compared byte for byte. *)
@@ -258,7 +251,7 @@ let waveform_csv ~output_node (w : Engine.Result.waveform) =
 let result_line ~key ~warm_started job (r : Engine.Result.t) =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"v\":";
-  Buffer.add_string b (esc version);
+  Buffer.add_string b (J.quote version);
   let field name value =
     Buffer.add_string b ",\"";
     Buffer.add_string b name;
@@ -266,23 +259,23 @@ let result_line ~key ~warm_started job (r : Engine.Result.t) =
     Buffer.add_string b value
   in
   field "event" "\"result\"";
-  field "key" (esc key);
-  field "label" (esc r.Engine.Result.label);
-  field "engine" (esc (Engine.kind_name r.Engine.Result.kind));
+  field "key" (J.quote key);
+  field "label" (J.quote r.Engine.Result.label);
+  field "engine" (J.quote (Engine.kind_name r.Engine.Result.kind));
   field "converged" (string_of_bool r.Engine.Result.converged);
   field "newton" (string_of_int r.Engine.Result.newton_iterations);
-  field "residual" (json_float r.Engine.Result.residual_norm);
-  field "wall_seconds" (json_float r.Engine.Result.wall_seconds);
+  field "residual" (float17 r.Engine.Result.residual_norm);
+  field "wall_seconds" (float17 r.Engine.Result.wall_seconds);
   field "warm_started" (string_of_bool warm_started);
   field "metrics"
     ("{"
     ^ String.concat ","
         (List.map
-           (fun (k, v) -> Printf.sprintf "%s:%s" (esc k) (json_float v))
+           (fun (k, v) -> Printf.sprintf "%s:%s" (J.quote k) (float17 v))
            r.Engine.Result.metrics)
     ^ "}");
   field "waveform_csv"
-    (esc
+    (J.quote
        (waveform_csv ~output_node:job.fixture.Catalog.output_node
           r.Engine.Result.waveform));
   Buffer.add_char b '}';

@@ -66,7 +66,3 @@ val waveform_csv :
 (** Exactly the CSV the CLI prints for a single solve ([t,v(node)]
     header, [%.9e,%.6e] rows) so served and direct outputs compare
     byte for byte. *)
-
-val json_float : float -> string
-(** [%.17g], with nan/±inf as quoted strings (the {!Checkpoint}
-    convention). *)

@@ -62,56 +62,56 @@ let write_chrome ?(process_name = "rfss") ?(extra = []) oc parts =
      (pid, tid). Perfetto uses these to label the lanes. *)
   List.iter
     (fun p ->
-      event "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-        p.pid p.tid (Json.escape process_name))
+      event "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"process_name\",\"args\":{\"name\":%s}}"
+        p.pid p.tid (Json.quote process_name))
     (dedup_keep_order (fun p -> p.pid) parts);
   List.iter
     (fun p ->
-      event "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-        p.pid p.tid (Json.escape p.thread_name))
+      event "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}"
+        p.pid p.tid (Json.quote p.thread_name))
     (dedup_keep_order (fun p -> (p.pid, p.tid)) parts);
   List.iter
     (fun p ->
-      let ts w = Json.float (us (p.base -. t0 +. w)) in
+      let ts w = Json.float "%.9e" (us (p.base -. t0 +. w)) in
       (match p.label with
       | Some label ->
           (* Thread-scoped instant event marking the part (job)
              boundary at its first recorded instant. *)
           event
-            "{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"cat\":\"job\",\"name\":\"%s\",\"ts\":%s}"
-            p.pid p.tid (Json.escape label) (ts 0.0)
+            "{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"cat\":\"job\",\"name\":%s,\"ts\":%s}"
+            p.pid p.tid (Json.quote label) (ts 0.0)
       | None -> ());
       Array.iter
         (fun ev ->
           match ev with
           | Core.Span_begin { name; wall; _ } ->
               event
-                "{\"ph\":\"B\",\"pid\":%d,\"tid\":%d,\"cat\":\"solve\",\"name\":\"%s\",\"ts\":%s}"
-                p.pid p.tid (Json.escape name) (ts wall)
+                "{\"ph\":\"B\",\"pid\":%d,\"tid\":%d,\"cat\":\"solve\",\"name\":%s,\"ts\":%s}"
+                p.pid p.tid (Json.quote name) (ts wall)
           | Core.Span_end { name; wall; _ } ->
               event
-                "{\"ph\":\"E\",\"pid\":%d,\"tid\":%d,\"cat\":\"solve\",\"name\":\"%s\",\"ts\":%s}"
-                p.pid p.tid (Json.escape name) (ts wall))
+                "{\"ph\":\"E\",\"pid\":%d,\"tid\":%d,\"cat\":\"solve\",\"name\":%s,\"ts\":%s}"
+                p.pid p.tid (Json.quote name) (ts wall))
         p.snapshot.Core.events;
       List.iter
         (fun (k, v) ->
           event
-            "{\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"ts\":%s,\"args\":{\"value\":%d}}"
-            p.pid p.tid (Json.escape k)
+            "{\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"name\":%s,\"ts\":%s,\"args\":{\"value\":%d}}"
+            p.pid p.tid (Json.quote k)
             (ts p.snapshot.Core.duration)
             v)
         p.snapshot.Core.counters;
       List.iter
         (fun (k, v) ->
           event
-            "{\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\",\"ts\":%s,\"args\":{\"value\":%s}}"
-            p.pid p.tid (Json.escape k)
+            "{\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"name\":%s,\"ts\":%s,\"args\":{\"value\":%s}}"
+            p.pid p.tid (Json.quote k)
             (ts p.snapshot.Core.duration)
-            (Json.float v))
+            (Json.float "%.9e" v))
         p.snapshot.Core.gauges)
     parts;
   out "\n]";
   (* Extra top-level sections (pre-rendered JSON values): trace viewers
      ignore unknown keys, while [rfss report] reads them back. *)
-  List.iter (fun (key, json) -> out ",\"%s\":%s" (Json.escape key) json) extra;
+  List.iter (fun (key, json) -> out ",%s:%s" (Json.quote key) json) extra;
   out "}\n"

@@ -134,12 +134,14 @@ let pp ppf t =
   end;
   fprintf ppf "@]"
 
+let num = Json.float "%.9e"
+
 let add_json buf t =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let rec add_node n =
-    add "{\"name\":\"%s\",\"calls\":%d,\"wall\":%s,\"self\":%s,\"cpu\":%s"
-      (Json.escape n.name) n.calls (Json.float n.wall) (Json.float n.self)
-      (Json.float n.cpu);
+    add "{\"name\":%s,\"calls\":%d,\"wall\":%s,\"self\":%s,\"cpu\":%s"
+      (Json.quote n.name) n.calls (num n.wall) (num n.self)
+      (num n.cpu);
     add ",\"children\":[";
     List.iteri
       (fun i c ->
@@ -148,7 +150,7 @@ let add_json buf t =
       n.children;
     add "]}"
   in
-  add "{\"duration\":%s,\"spans\":[" (Json.float t.duration);
+  add "{\"duration\":%s,\"spans\":[" (num t.duration);
   List.iteri
     (fun i n ->
       if i > 0 then add ",";
@@ -158,25 +160,25 @@ let add_json buf t =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then add ",";
-      add "\"%s\":%d" (Json.escape k) v)
+      add "%s:%d" (Json.quote k) v)
     t.counters;
   add "},\"gauges\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then add ",";
-      add "\"%s\":%s" (Json.escape k) (Json.float v))
+      add "%s:%s" (Json.quote k) (num v))
     t.gauges;
   add "},\"histograms\":{";
   List.iteri
     (fun i (k, (h : Core.histogram)) ->
       if i > 0 then add ",";
       add
-        "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-        (Json.escape k) h.count (Json.float h.sum) (Json.float h.min)
-        (Json.float h.max)
-        (Json.float (Core.quantile h 0.50))
-        (Json.float (Core.quantile h 0.90))
-        (Json.float (Core.quantile h 0.99)))
+        "%s:{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
+        (Json.quote k) h.count (num h.sum) (num h.min)
+        (num h.max)
+        (num (Core.quantile h 0.50))
+        (num (Core.quantile h 0.90))
+        (num (Core.quantile h 0.99)))
     t.histograms;
   add "}}"
 

@@ -4,6 +4,7 @@
 
 include Core
 module Clock = Clock
+module Json = Json
 module Summary = Summary
 module Sink = Sink
 module Merge = Merge

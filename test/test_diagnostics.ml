@@ -1,7 +1,7 @@
 (* Tests for the diagnostics subsystem: the bounded residual ring, the
    convergence classifier on synthetic trajectories, condition estimates
    against matrices with known κ, the metric registry's Prometheus/CSV
-   round-trips, the minimal JSON parser, the perf-regression gate, and
+   round-trips, the JSON codec, the perf-regression gate, and
    the end-to-end pieces — Newton residual histories on a real solve and
    the diagonal-consistency residual on the quickstart circuit. *)
 
@@ -216,10 +216,10 @@ let test_registry_of_telemetry () =
   Alcotest.(check (float 0.0)) "span calls" 1.0
     (value ~labels:[ ("span", "outer") ] "span.calls")
 
-(* ---------- Json_min ---------- *)
+(* ---------- Telemetry.Json ---------- *)
 
 let test_json_round_trip () =
-  let open D.Json_min in
+  let open Telemetry.Json in
   let doc =
     Obj
       [
@@ -238,7 +238,7 @@ let test_json_round_trip () =
     && (match path [ "s" ] doc' with Some (Str s) -> s = "a \"quoted\"\nline" | _ -> false))
 
 let test_json_parse_errors () =
-  let open D.Json_min in
+  let open Telemetry.Json in
   let fails s = match parse s with exception Parse_error _ -> true | _ -> false in
   Alcotest.(check bool) "trailing garbage" true (fails "{} x");
   Alcotest.(check bool) "unterminated" true (fails "{\"a\": ");
@@ -252,7 +252,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
     ?(sweep_speedup = 1.6) ?(sweep_speedup_4 = 1.4) ?(cores = 4.0)
     ?(retries = 0.0) ?(degraded = 0.0) ?(util_2 = 0.9) ?(util_4 = 0.8)
     ?(gc_major_p99 = 0.001) () =
-  let open D.Json_min in
+  let open Telemetry.Json in
   Obj
     [
       ( "mixer",
@@ -339,7 +339,7 @@ let test_gate_hard_errors () =
   in
   Alcotest.(check bool) "non-convergence fails" false r.D.Gate.passed;
   Alcotest.(check bool) "with an error" true (r.D.Gate.errors <> []);
-  let open D.Json_min in
+  let open Telemetry.Json in
   let r =
     D.Gate.evaluate ~baseline:(bench_doc ())
       ~current:(Obj [ ("mixer", Obj [ ("converged", Bool true) ]) ])
@@ -517,8 +517,8 @@ let test_health_of_solution () =
     (String.length line > 0 && String.sub line 0 7 = "health:");
   (* The JSON section must be parseable and must carry the headline
      numbers; the registry export must carry the marker gauge. *)
-  (match D.Json_min.parse (D.Health.to_json h) with
-  | D.Json_min.Obj fields ->
+  (match Telemetry.Json.parse (D.Health.to_json h) with
+  | Telemetry.Json.Obj fields ->
       Alcotest.(check bool) "json has convergence" true
         (List.mem_assoc "convergence" fields && List.mem_assoc "newton_iterations" fields)
   | _ -> Alcotest.fail "health json is not an object");

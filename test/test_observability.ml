@@ -7,7 +7,7 @@
    of the Runtime_events GC consumer. *)
 
 module D = Diagnostics
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 
 (* ---------- helpers ---------- *)
 

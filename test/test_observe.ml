@@ -7,7 +7,7 @@
 
 module O = Observe
 module P = Observe.Publish
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 module W = Circuit.Waveform
 
 (* Every test that arms the global publish hub runs inside this wrapper

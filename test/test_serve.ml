@@ -6,7 +6,7 @@
    identical resubmission, and warm-start sharing (a cache-near point
    must converge in fewer Newton iterations than a cold solve). *)
 
-module J = Diagnostics.Json_min
+module J = Telemetry.Json
 
 let default = Engine.Options.default
 
@@ -173,6 +173,17 @@ let test_parse_grid_sizes () =
         (job.Serve.Protocol.options.Engine.Options.n1,
          job.Serve.Protocol.options.Engine.Options.n2)
   | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
+
+(* The server runs routes on its one select loop, so a body of deep
+   nesting must fail fast: the parser stops at a fixed depth instead of
+   recursing once per byte of a max_body_bytes body. *)
+let test_parse_deep_nesting () =
+  match Serve.Protocol.parse_job (String.make Observe.Http.max_body_bytes '[') with
+  | Error (Serve.Protocol.Invalid_request msg) ->
+      Alcotest.(check string) "names the depth"
+        "invalid JSON: nesting deeper than 512 at offset 512" msg
+  | Error e -> Alcotest.failf "untyped error %s" (Serve.Protocol.error_message e)
+  | Ok _ -> Alcotest.fail "1 MiB of '[' should be rejected"
 
 let test_parse_budget_and_ranges () =
   (* "budget" gets the same typed checks as "options": wrong types,
@@ -482,6 +493,7 @@ let () =
           Alcotest.test_case "grid sizes below 2" `Quick test_parse_grid_sizes;
           Alcotest.test_case "budget and integer ranges" `Quick
             test_parse_budget_and_ranges;
+          Alcotest.test_case "deep nesting rejected" `Quick test_parse_deep_nesting;
         ] );
       ( "service",
         [

@@ -1,175 +1,19 @@
 (* Tests for the telemetry subsystem: span nesting and ordering,
    counter/gauge/histogram accumulation, disabled-mode no-ops, the
-   JSONL and Chrome trace exporters (parsed back with the minimal JSON
-   reader below), fake-clock determinism, and the integration points —
-   budgets on the shared clock and Resilience.Report's embedded
-   telemetry summary. *)
+   JSONL and Chrome trace exporters (parsed back with Telemetry.Json),
+   fake-clock determinism, and the integration points — budgets on the
+   shared clock and Resilience.Report's embedded telemetry summary. *)
 
-(* ---------- minimal JSON reader (validation only) ---------- *)
+(* ---------- JSON reader ---------- *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json text =
-  let pos = ref 0 in
-  let len = String.length text in
-  let peek () = if !pos < len then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= len && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' ->
-              Buffer.add_char buf '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char buf '\t';
-              advance ();
-              go ()
-          | Some ('r' | 'b' | 'f') ->
-              advance ();
-              go ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                advance ()
-              done;
-              Buffer.add_char buf '?';
-              go ()
-          | Some c ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | None -> fail "unterminated escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "empty input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
-
-let member key = function
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> None
+module J = Telemetry.Json
 
 let member_exn key j =
-  match member key j with
+  match J.member key j with
   | Some v -> v
   | None -> Alcotest.fail (Printf.sprintf "missing JSON member %S" key)
 
-let str_exn = function Str s -> s | _ -> Alcotest.fail "expected string"
+let str_exn = function J.Str s -> s | _ -> Alcotest.fail "expected string"
 
 (* ---------- helpers ---------- *)
 
@@ -297,9 +141,9 @@ let test_fake_clock_determinism () =
   in
   let first = run () and second = run () in
   Alcotest.(check string) "byte-identical reruns" first second;
-  let summary = parse_json first in
+  let summary = J.parse first in
   Alcotest.(check (float 0.0)) "duration exact" 2.0
-    (match member_exn "duration" summary with Num f -> f | _ -> nan)
+    (match member_exn "duration" summary with J.Num f -> f | _ -> nan)
 
 let test_mark_and_windowed_snapshot () =
   with_fake_telemetry @@ fun advance ->
@@ -364,7 +208,7 @@ let test_jsonl_roundtrip () =
     read_file path |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
   in
-  let parsed = List.map parse_json lines in
+  let parsed = List.map J.parse lines in
   let kind j = str_exn (member_exn "ev" j) in
   Alcotest.(check (list string))
     "line kinds in order"
@@ -383,10 +227,10 @@ let test_chrome_roundtrip () =
   let oc = open_out path in
   Telemetry.Sink.write_chrome oc s;
   close_out oc;
-  let doc = parse_json (read_file path) in
+  let doc = J.parse (read_file path) in
   let events =
     match member_exn "traceEvents" doc with
-    | Arr l -> l
+    | J.Arr l -> l
     | _ -> Alcotest.fail "traceEvents is not an array"
   in
   let phase j = str_exn (member_exn "ph" j) in
@@ -398,8 +242,8 @@ let test_chrome_roundtrip () =
   Alcotest.(check int) "counter + gauge samples" 2 (count "C");
   List.iter
     (fun j ->
-      match member "ts" j with
-      | Some (Num ts) ->
+      match J.member "ts" j with
+      | Some (J.Num ts) ->
           Alcotest.(check bool) "timestamps are non-negative" true (ts >= 0.0)
       | Some _ -> Alcotest.fail "ts is not a number"
       | None -> Alcotest.(check string) "only metadata lacks ts" "M" (phase j))
@@ -432,17 +276,17 @@ let test_report_embeds_telemetry () =
   let report = Circuit.Dcop.solve mna in
   Alcotest.(check bool) "dcop converged" true report.Circuit.Dcop.converged;
   let doc =
-    parse_json (Resilience.Report.to_json_string report.Circuit.Dcop.resilience)
+    J.parse (Resilience.Report.to_json_string report.Circuit.Dcop.resilience)
   in
   let telemetry = member_exn "telemetry" doc in
   let span_names =
     match member_exn "spans" telemetry with
-    | Arr spans -> List.map (fun s -> str_exn (member_exn "name" s)) spans
+    | J.Arr spans -> List.map (fun s -> str_exn (member_exn "name" s)) spans
     | _ -> Alcotest.fail "spans is not an array"
   in
   Alcotest.(check (list string)) "root span is the dcop solve" [ "dcop.solve" ] span_names;
   match member_exn "counters" telemetry with
-  | Obj counters ->
+  | J.Obj counters ->
       Alcotest.(check bool) "newton iterations counted" true
         (List.mem_assoc "newton.iterations" counters)
   | _ -> Alcotest.fail "counters is not an object"
