@@ -6,8 +6,8 @@
      rfss list
      rfss dcop --circuit rectifier
      rfss transient --circuit detector --t-stop 2e-4 --steps 4000
-     rfss shooting --circuit rectifier --steps 512
-     rfss hb --circuit rectifier --harmonics 12
+     rfss solve --circuit rectifier --engine shooting --steps 512
+     rfss solve --circuit rectifier --engine hb --harmonics 12
      rfss solve --circuit rectifier --engine periodic-fd
      rfss mpde --circuit balanced-mixer --n1 40 --n2 30 --output envelope
      rfss envelope --circuit detector --steps 48
@@ -15,38 +15,9 @@
 
    The steady-state subcommands are thin wrappers over the unified
    [Engine] API (lib/engine, DESIGN.md §11); [sweep] fans jobs out
-   over OCaml 5 domains via [Engine.Sweep]. *)
-
-(* The built-in circuits live in Serve.Catalog, shared with the solve
-   service's request validation; the record is re-exported here so the
-   subcommands keep their unqualified field access. *)
-type fixture = Serve.Catalog.t = {
-  name : string;
-  description : string;
-  build : f_fast:float -> fd:float -> Circuits.built;
-  default_fast : float;
-  default_fd : float;
-  output_node : string;
-  output_node_b : string option;  (** for differential outputs *)
-}
-
-let fixtures = Serve.Catalog.all
-
-let find_fixture = Serve.Catalog.find
-
-let output_value = Serve.Catalog.output_value
-
-let problem_of_fixture ?period ?label fixture ~f_fast ~fd =
-  Serve.Catalog.problem_of ?period ?label fixture ~f_fast ~fd
-
-(* Optional work bound shared by the solve commands: --budget-seconds
-   caps wall time, --max-newton caps total Newton iterations across
-   every escalation stage. *)
-let make_budget budget_seconds max_newton =
-  match (budget_seconds, max_newton) with
-  | None, None -> None
-  | wall_seconds, max_newton ->
-      Some (Resilience.Budget.make ?wall_seconds ?max_newton ())
+   over OCaml 5 domains via [Engine.Sweep]. The built-in circuits, and
+   the one validator of their tones, live in [Serve.Catalog], shared
+   with the solve service. *)
 
 (* Telemetry surface shared by the solve commands: --trace FILE dumps
    the recorded event stream (JSON lines or Chrome trace_event JSON),
@@ -132,250 +103,170 @@ let with_listen listen f =
 
 let list_cmd () =
   Printf.printf "%-18s %s\n" "name" "description";
-  List.iter (fun f -> Printf.printf "%-18s %s\n" f.name f.description) fixtures;
+  List.iter
+    (fun (f : Serve.Catalog.t) -> Printf.printf "%-18s %s\n" f.name f.description)
+    Serve.Catalog.all;
   0
 
-let dcop_cmd tele circuit f_fast fd budget_seconds max_newton =
-  with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture ->
-      let f_fast = Option.value f_fast ~default:fixture.default_fast in
-      let fd = Option.value fd ~default:fixture.default_fd in
-      let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
-      let budget = make_budget budget_seconds max_newton in
-      let report = Circuit.Dcop.solve ?budget mna in
-      Printf.printf "# converged=%b strategy=%s newton=%d\n" report.Circuit.Dcop.converged
-        (match report.Circuit.Dcop.strategy with
-        | `Newton -> "newton"
-        | `Gmin_stepping -> "gmin-stepping"
-        | `Source_stepping -> "source-stepping")
-        report.Circuit.Dcop.newton_iterations;
-      Printf.printf "# report=%s\n"
-        (Resilience.Report.to_json_string report.Circuit.Dcop.resilience);
-      let names = Circuit.Mna.unknown_names mna in
-      Array.iteri
-        (fun i name -> Printf.printf "%-16s %+.6e\n" name report.Circuit.Dcop.x.(i))
-        names;
-      if report.Circuit.Dcop.converged then 0 else 1
+(* Every command that builds a built-in circuit takes its
+   (fixture, f_fast, fd) from [tones_arg], already checked by
+   Serve.Catalog.resolve. *)
 
-let transient_cmd tele circuit f_fast fd t_stop steps =
+let dcop_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) budget_seconds
+    max_newton =
   with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture ->
-      let f_fast = Option.value f_fast ~default:fixture.default_fast in
-      let fd = Option.value fd ~default:fixture.default_fd in
-      let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
-      let t_stop = Option.value t_stop ~default:(10.0 /. f_fast) in
-      let result = Circuit.Transient.run ~mna ~t_stop ~steps () in
-      Printf.printf "t,v(%s)\n" fixture.output_node;
-      Array.iteri
-        (fun k t ->
-          Printf.printf "%.9e,%.6e\n" t
-            (output_value fixture mna result.Circuit.Transient.trace.Numeric.Integrator.states.(k)))
-        result.Circuit.Transient.trace.Numeric.Integrator.times;
-      0
-
-(* Shared CLI rendering for the single-time engines: the legacy header
-   line plus the one-period CSV, now read off the unified result. *)
-let print_single_time fixture (r : Engine.Result.t) =
-  Printf.printf "# converged=%b newton=%d residual=%.2e outcome=%s\n"
-    r.Engine.Result.converged r.Engine.Result.newton_iterations
-    r.Engine.Result.residual_norm
-    (Resilience.Report.outcome_to_string
-       r.Engine.Result.report.Resilience.Report.outcome);
-  Printf.printf "t,v(%s)\n" fixture.output_node;
-  let w = r.Engine.Result.waveform in
+  let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
+  let budget =
+    Resilience.Budget.of_limits ?wall_seconds:budget_seconds ?max_newton ()
+  in
+  let report = Circuit.Dcop.solve ?budget mna in
+  Printf.printf "# converged=%b strategy=%s newton=%d\n" report.Circuit.Dcop.converged
+    (match report.Circuit.Dcop.strategy with
+    | `Newton -> "newton"
+    | `Gmin_stepping -> "gmin-stepping"
+    | `Source_stepping -> "source-stepping")
+    report.Circuit.Dcop.newton_iterations;
+  Printf.printf "# report=%s\n"
+    (Resilience.Report.to_json_string report.Circuit.Dcop.resilience);
+  let names = Circuit.Mna.unknown_names mna in
   Array.iteri
-    (fun k t -> Printf.printf "%.9e,%.6e\n" t w.Engine.Result.values.(k))
-    w.Engine.Result.times;
-  if r.Engine.Result.converged then 0 else 1
+    (fun i name -> Printf.printf "%-16s %+.6e\n" name report.Circuit.Dcop.x.(i))
+    names;
+  if report.Circuit.Dcop.converged then 0 else 1
 
-let shooting_cmd tele circuit f_fast fd steps budget_seconds max_newton =
+let transient_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) t_stop steps =
   with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture ->
-      let f_fast = Option.value f_fast ~default:fixture.default_fast in
-      let fd = Option.value fd ~default:fixture.default_fd in
-      let problem = problem_of_fixture fixture ~f_fast ~fd in
-      let options =
-        {
-          Engine.Options.default with
-          steps_per_period = steps;
-          budget = make_budget budget_seconds max_newton;
-        }
-      in
-      let r = Engine.run problem (Engine.make ~options Engine.Shooting) in
-      print_single_time fixture r
-
-let hb_cmd tele circuit f_fast fd harmonics budget_seconds max_newton =
-  with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture ->
-      let f_fast = Option.value f_fast ~default:fixture.default_fast in
-      let fd = Option.value fd ~default:fixture.default_fd in
-      let problem = problem_of_fixture fixture ~f_fast ~fd in
-      let options =
-        {
-          Engine.Options.default with
-          harmonics;
-          budget = make_budget budget_seconds max_newton;
-        }
-      in
-      let r = Engine.run problem (Engine.make ~options Engine.Hb) in
-      print_single_time fixture r
+  let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
+  let t_stop = Option.value t_stop ~default:(10.0 /. f_fast) in
+  let result = Circuit.Transient.run ~mna ~t_stop ~steps () in
+  Printf.printf "t,v(%s)\n" fixture.output_node;
+  Array.iteri
+    (fun k t ->
+      Printf.printf "%.9e,%.6e\n" t
+        (Serve.Catalog.output_value fixture mna
+           result.Circuit.Transient.trace.Numeric.Integrator.states.(k)))
+    result.Circuit.Transient.trace.Numeric.Integrator.times;
+  0
 
 (* Generic single solve through the unified API: any engine, unified
    options, unified result rendering (metrics + health + report). *)
-let solve_cmd tele listen circuit engine_name f_fast fd period steps segments
-    harmonics points n1 n2 tol budget_seconds max_newton =
+let solve_cmd tele listen kind ((fixture : Serve.Catalog.t), f_fast, fd) period
+    steps segments harmonics points n1 n2 tol budget_seconds max_newton =
   with_listen listen @@ fun () ->
   with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture -> (
-      match Engine.kind_of_name engine_name with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok kind ->
-          let f_fast = Option.value f_fast ~default:fixture.default_fast in
-          let fd = Option.value fd ~default:fixture.default_fd in
-          let problem = problem_of_fixture ~period fixture ~f_fast ~fd in
-          let options =
-            {
-              Engine.Options.default with
-              tol;
-              steps_per_period = steps;
-              segments;
-              harmonics;
-              points;
-              n1;
-              n2;
-              budget = make_budget budget_seconds max_newton;
-            }
-          in
-          Observe.Publish.run_started ~phase:"solve" ~total:1 ();
-          Observe.Publish.job_started ~job:problem.Engine.Problem.label
-            ~worker:0;
-          let r = Engine.run problem (Engine.make ~options kind) in
-          if Observe.Publish.armed () then
-            Observe.Publish.job_finished ~job:problem.Engine.Problem.label
-              ~worker:0
-              ~status:(if r.Engine.Result.converged then "ok" else "failed")
-              ~health:
-                (Some
-                   (Engine.Sweep.health_class
-                      r.Engine.Result.health.Diagnostics.Health.convergence))
-              ~wall_seconds:r.Engine.Result.wall_seconds ~attempts:1;
-          Observe.Publish.run_finished ();
-          Printf.printf "# engine=%s converged=%b newton=%d residual=%.2e wall=%.3fs\n"
-            (Engine.kind_name r.Engine.Result.kind) r.Engine.Result.converged
-            r.Engine.Result.newton_iterations r.Engine.Result.residual_norm
-            r.Engine.Result.wall_seconds;
-          List.iter
-            (fun (k, v) -> Printf.printf "# metric %s=%.6e\n" k v)
-            r.Engine.Result.metrics;
-          (* summary_line already starts with "health: " *)
-          Printf.printf "# %s\n"
-            (Diagnostics.Health.summary_line r.Engine.Result.health);
-          Printf.printf "# report=%s\n"
-            (Resilience.Report.to_json_string r.Engine.Result.report);
-          Printf.printf "t,v(%s)\n" fixture.output_node;
-          let w = r.Engine.Result.waveform in
-          Array.iteri
-            (fun k t -> Printf.printf "%.9e,%.6e\n" t w.Engine.Result.values.(k))
-            w.Engine.Result.times;
-          if r.Engine.Result.converged then 0 else 1)
+  let problem = Serve.Catalog.problem_of ~period fixture ~f_fast ~fd in
+  let options =
+    {
+      Engine.Options.default with
+      tol;
+      steps_per_period = steps;
+      segments;
+      harmonics;
+      points;
+      n1;
+      n2;
+      budget =
+        Resilience.Budget.of_limits ?wall_seconds:budget_seconds ?max_newton ();
+    }
+  in
+  Observe.Publish.run_started ~phase:"solve" ~total:1 ();
+  Observe.Publish.job_started ~job:problem.Engine.Problem.label ~worker:0;
+  let r = Engine.run problem (Engine.make ~options kind) in
+  if Observe.Publish.armed () then
+    Observe.Publish.job_finished ~job:problem.Engine.Problem.label ~worker:0
+      ~status:(if r.Engine.Result.converged then "ok" else "failed")
+      ~health:
+        (Some
+           (Engine.Sweep.health_class
+              r.Engine.Result.health.Diagnostics.Health.convergence))
+      ~wall_seconds:r.Engine.Result.wall_seconds ~attempts:1;
+  Observe.Publish.run_finished ();
+  Printf.printf "# engine=%s converged=%b newton=%d residual=%.2e wall=%.3fs\n"
+    (Engine.kind_name r.Engine.Result.kind) r.Engine.Result.converged
+    r.Engine.Result.newton_iterations r.Engine.Result.residual_norm
+    r.Engine.Result.wall_seconds;
+  List.iter
+    (fun (k, v) -> Printf.printf "# metric %s=%.6e\n" k v)
+    r.Engine.Result.metrics;
+  (* summary_line already starts with "health: " *)
+  Printf.printf "# %s\n" (Diagnostics.Health.summary_line r.Engine.Result.health);
+  Printf.printf "# report=%s\n"
+    (Resilience.Report.to_json_string r.Engine.Result.report);
+  print_string
+    (Serve.Protocol.waveform_csv ~output_node:fixture.output_node
+       r.Engine.Result.waveform);
+  if r.Engine.Result.converged then 0 else 1
 
 type mpde_output = Envelope | Surface | Diagonal | Gain
 
-let mpde_cmd tele circuit f_fast fd n1 n2 output budget_seconds max_newton =
+let mpde_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2 output
+    budget_seconds max_newton =
   with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture ->
-      let f_fast = Option.value f_fast ~default:fixture.default_fast in
-      let fd = Option.value fd ~default:fixture.default_fd in
-      let problem = problem_of_fixture fixture ~f_fast ~fd in
-      let options =
-        {
-          Engine.Options.default with
-          n1;
-          n2;
-          budget = make_budget budget_seconds max_newton;
-        }
-      in
-      let r = Engine.run problem (Engine.make ~options Engine.Mpde) in
-      let sol =
-        match r.Engine.Result.mpde_solution with
-        | Some sol -> sol
-        | None -> assert false (* the MPDE backend always attaches it *)
-      in
-      (* Fresh identically-built MNA for node-index lookups only; the
-         solve itself ran on the problem's own instance. *)
-      let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
-      let stats = sol.Mpde.Solver.stats in
-      Printf.printf
-        "# converged=%b strategy=%s newton=%d gmres=%d continuation=%d residual=%.2e wall=%.2fs\n"
-        stats.Mpde.Solver.converged stats.Mpde.Solver.strategy
-        stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations
-        stats.Mpde.Solver.continuation_steps stats.Mpde.Solver.residual_norm
-        stats.Mpde.Solver.wall_seconds;
-      Printf.printf "# report=%s\n"
-        (Resilience.Report.to_json_string sol.Mpde.Solver.report);
-      let values =
-        match fixture.output_node_b with
-        | None -> Mpde.Extract.surface_of_node sol mna fixture.output_node
-        | Some b -> Mpde.Extract.differential_surface sol mna fixture.output_node b
-      in
-      (match output with
-      | Envelope ->
-          let env = Mpde.Extract.envelope sol ~values in
-          let times = Mpde.Extract.envelope_times sol in
-          Printf.printf "t2,v\n";
-          Array.iteri (fun j v -> Printf.printf "%.9e,%.6e\n" times.(j) v) env
-      | Surface ->
-          Printf.printf "t1,t2,v\n";
+  let problem = Serve.Catalog.problem_of fixture ~f_fast ~fd in
+  let options =
+    {
+      Engine.Options.default with
+      n1;
+      n2;
+      budget =
+        Resilience.Budget.of_limits ?wall_seconds:budget_seconds ?max_newton ();
+    }
+  in
+  let r = Engine.run problem (Engine.make ~options Engine.Mpde) in
+  let sol =
+    match r.Engine.Result.mpde_solution with
+    | Some sol -> sol
+    | None -> assert false (* the MPDE backend always attaches it *)
+  in
+  (* Fresh identically-built MNA for node-index lookups only; the
+     solve itself ran on the problem's own instance. *)
+  let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
+  let stats = sol.Mpde.Solver.stats in
+  Printf.printf
+    "# converged=%b strategy=%s newton=%d gmres=%d continuation=%d residual=%.2e wall=%.2fs\n"
+    stats.Mpde.Solver.converged stats.Mpde.Solver.strategy
+    stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations
+    stats.Mpde.Solver.continuation_steps stats.Mpde.Solver.residual_norm
+    stats.Mpde.Solver.wall_seconds;
+  Printf.printf "# report=%s\n"
+    (Resilience.Report.to_json_string sol.Mpde.Solver.report);
+  let values =
+    match fixture.output_node_b with
+    | None -> Mpde.Extract.surface_of_node sol mna fixture.output_node
+    | Some b -> Mpde.Extract.differential_surface sol mna fixture.output_node b
+  in
+  (match output with
+  | Envelope ->
+      let env = Mpde.Extract.envelope sol ~values in
+      let times = Mpde.Extract.envelope_times sol in
+      Printf.printf "t2,v\n";
+      Array.iteri (fun j v -> Printf.printf "%.9e,%.6e\n" times.(j) v) env
+  | Surface ->
+      Printf.printf "t1,t2,v\n";
+      Array.iteri
+        (fun i row ->
           Array.iteri
-            (fun i row ->
-              Array.iteri
-                (fun j v ->
-                  Printf.printf "%.9e,%.9e,%.6e\n"
-                    (Mpde.Grid.t1_of sol.Mpde.Solver.grid i)
-                    (Mpde.Grid.t2_of sol.Mpde.Solver.grid j)
-                    v)
-                row)
-            values
-      | Diagonal ->
-          let times, series =
-            Mpde.Extract.diagonal sol ~values ~t_start:0.0 ~t_stop:(5.0 /. f_fast)
-              ~samples:200
-          in
-          Printf.printf "t,v\n";
-          Array.iteri (fun k v -> Printf.printf "%.9e,%.6e\n" times.(k) v) series
-      | Gain ->
-          Printf.printf "baseband_amplitude,conversion_gain_db,thd\n";
-          Printf.printf "%.6e,%.3f,%.5f\n"
-            (Mpde.Extract.t2_harmonic_amplitude ~values ~harmonic:1)
-            (Mpde.Extract.conversion_gain_db ~values ~rf_amplitude:1.0 ~harmonic:1)
-            (Mpde.Extract.thd ~values ()));
-      if stats.Mpde.Solver.converged then 0 else 1
+            (fun j v ->
+              Printf.printf "%.9e,%.9e,%.6e\n"
+                (Mpde.Grid.t1_of sol.Mpde.Solver.grid i)
+                (Mpde.Grid.t2_of sol.Mpde.Solver.grid j)
+                v)
+            row)
+        values
+  | Diagonal ->
+      let times, series =
+        Mpde.Extract.diagonal sol ~values ~t_start:0.0 ~t_stop:(5.0 /. f_fast)
+          ~samples:200
+      in
+      Printf.printf "t,v\n";
+      Array.iteri (fun k v -> Printf.printf "%.9e,%.6e\n" times.(k) v) series
+  | Gain ->
+      Printf.printf "baseband_amplitude,conversion_gain_db,thd\n";
+      Printf.printf "%.6e,%.3f,%.5f\n"
+        (Mpde.Extract.t2_harmonic_amplitude ~values ~harmonic:1)
+        (Mpde.Extract.conversion_gain_db ~values ~rf_amplitude:1.0 ~harmonic:1)
+        (Mpde.Extract.thd ~values ()));
+  if stats.Mpde.Solver.converged then 0 else 1
 
 (* ---------- parameter sweeps (Engine.Sweep) ---------- *)
 
@@ -417,15 +308,27 @@ let parse_param s =
   | Not_found -> Error (Printf.sprintf "bad --param %S: expected NAME=SPEC" s)
   | Failure msg -> Error (Printf.sprintf "bad --param %S: %s" s msg)
 
-let parse_engines s =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | name :: rest -> (
-        match Engine.kind_of_name name with
-        | Ok k -> go (k :: acc) rest
-        | Error e -> Error e)
+(* The sweep's jobs as (engine, label, f_fast, fd): every (engine,
+   value) pair, each pair's tones checked by the same
+   Serve.Catalog.resolve as a single solve's. *)
+let sweep_points ((fixture : Serve.Catalog.t), f_fast0, fd0) kinds
+    (pname, values) =
+  let point kind v =
+    let f_fast = if pname = "fast" then v else f_fast0 in
+    let fd = if pname = "fd" then v else fd0 in
+    let label =
+      Printf.sprintf "%s:%s:%s=%g" fixture.name (Engine.kind_name kind) pname v
+    in
+    Result.map
+      (fun _ -> (kind, label, f_fast, fd))
+      (Serve.Catalog.resolve ~engine:kind ~f_fast ~fd fixture.name)
   in
-  go [] (String.split_on_char ',' (String.trim s))
+  let points =
+    List.concat_map (fun kind -> List.map (point kind) (Array.to_list values)) kinds
+  in
+  match List.find_map (function Error e -> Some e | Ok _ -> None) points with
+  | Some e -> Error e
+  | None -> Ok (fixture, List.map Result.get_ok points)
 
 let sweep_default_domains () =
   match Option.bind (Sys.getenv_opt "DOMAINS") int_of_string_opt with
@@ -617,9 +520,9 @@ let write_merged_trace ~file ~domains ~wall ~gc
     parts;
   close_out oc
 
-let sweep_cmd tele listen circuit engines param f_fast fd period domains
+let sweep_cmd tele listen ((fixture : Serve.Catalog.t), points) period domains
     no_wall format n1 n2 steps tol budget_seconds max_newton per_job_telemetry
-    progress fault_plan checkpoint resume keep_going retries no_degrade =
+    progress plan checkpoint resume keep_going retries no_degrade =
   (* A Chrome-format --trace on a sweep means the cross-domain merged
      trace, written from per-job snapshots captured on the executing
      domains — not the caller-domain-only snapshot [with_telemetry]
@@ -635,162 +538,138 @@ let sweep_cmd tele listen circuit engines param f_fast fd period domains
   in
   with_listen listen @@ fun () ->
   with_telemetry tele @@ fun () ->
-  match
-    ( find_fixture circuit,
-      parse_param param,
-      parse_engines engines,
-      match fault_plan with
-      | None -> Ok None
-      | Some spec ->
-          Result.map Option.some (Resilience.Faultinject.parse spec) )
-  with
-  | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e
-    ->
-      prerr_endline e;
-      1
-  | Ok fixture, Ok (pname, values), Ok kinds, Ok plan ->
-      let f_fast0 = Option.value f_fast ~default:fixture.default_fast in
-      let fd0 = Option.value fd ~default:fixture.default_fd in
-      let options =
-        { Engine.Options.default with n1; n2; steps_per_period = steps; tol }
-      in
-      let jobs =
-        Array.of_list
-          (List.concat_map
-             (fun kind ->
-               Array.to_list values
-               |> List.map (fun v ->
-                      let f_fast = if pname = "fast" then v else f_fast0 in
-                      let fd = if pname = "fd" then v else fd0 in
-                      let label =
-                        Printf.sprintf "%s:%s:%s=%g" fixture.name
-                          (Engine.kind_name kind) pname v
-                      in
-                      let problem =
-                        problem_of_fixture ~period ~label fixture ~f_fast ~fd
-                      in
-                      Engine.Sweep.job ~label ~options ~kind problem))
-             kinds)
-      in
-      let domains =
-        match domains with Some d -> d | None -> sweep_default_domains ()
-      in
-      let retry =
-        {
-          Resilience.Retry.default with
-          Resilience.Retry.max_attempts = 1 + max 0 retries;
-          degrade = not no_degrade;
-        }
-      in
-      (* Install the fault plan before any worker domain spawns, so the
-         wrapped (skewable) clock source is the one workers read. *)
-      (match plan with
-      | Some p -> Resilience.Faultinject.install p
-      | None -> ());
-      Fun.protect ~finally:Resilience.Faultinject.uninstall @@ fun () ->
-      let job_key (j : Engine.Sweep.job) =
-        let p = j.Engine.Sweep.problem in
-        Engine.Checkpoint.job_key ~label:j.Engine.Sweep.label
-          ~engine:(Engine.kind_name j.Engine.Sweep.engine.Engine.kind)
-          ~f_fast:p.Engine.Problem.f_fast ~fd:p.Engine.Problem.fd
-          ~options:j.Engine.Sweep.engine.Engine.options
-      in
-      let log =
-        match checkpoint with
-        | None -> None
-        | Some path ->
-            (* Without --resume a stale log must not mask re-runs. *)
-            if not resume then (try Sys.remove path with Sys_error _ -> ());
-            Some (Engine.Checkpoint.create path)
-      in
-      let cached = Array.map (fun _ -> None) jobs in
-      (match log with
-      | Some log when resume ->
-          Array.iteri
-            (fun i j ->
-              cached.(i) <- Engine.Checkpoint.find log ~key:(job_key j))
-            jobs
-      | _ -> ());
-      let to_run =
-        Array.of_list
-          (List.filteri
-             (fun i _ -> cached.(i) = None)
-             (Array.to_list jobs))
-      in
-      let on_outcome =
-        let checkpointer =
-          Option.map
-            (fun log (o : Engine.Sweep.outcome) ->
-              Engine.Checkpoint.append log (Engine.Checkpoint.of_outcome o);
-              Observe.Publish.checkpoint_written
-                ~job:o.Engine.Sweep.job.Engine.Sweep.label)
-            log
-        in
-        let reporter =
-          if progress && Array.length to_run > 0 then
-            Some (progress_reporter ~total:(Array.length to_run))
-          else None
-        in
-        match (checkpointer, reporter) with
-        | None, None -> None
-        | (Some _ as f), None -> f
-        | None, (Some _ as g) -> g
-        | Some f, Some g ->
-            Some
-              (fun o ->
-                f o;
-                g o)
-      in
-      (* GC attribution for the merged trace: arm the runtime-events
-         monitor before any worker domain spawns so every ring is
-         covered from birth. *)
-      let monitor =
-        if merged_trace <> None then Telemetry.Runtime.start () else None
-      in
-      let sweep_t0 = Telemetry.Clock.wall () in
-      let outcomes =
-        Engine.Sweep.run ~domains ?wall_seconds:budget_seconds
-          ?max_newton_per_job:max_newton ~per_job_telemetry
-          ~per_job_trace:(merged_trace <> None) ~retry ?on_outcome to_run
-      in
-      let sweep_wall = Telemetry.Clock.wall () -. sweep_t0 in
-      let gc =
-        Option.map
-          (fun m ->
-            Telemetry.Runtime.poll m;
-            let s = Telemetry.Runtime.stats m in
-            Telemetry.Runtime.observe_into_telemetry m;
-            Telemetry.Runtime.stop m;
-            s)
-          monitor
-      in
-      (match merged_trace with
-      | Some file ->
-          write_merged_trace ~file ~domains ~wall:sweep_wall ~gc outcomes
-      | None -> ());
-      (* Stitch cached and fresh records back into input job order. *)
-      let records = Array.make (Array.length jobs) None in
-      Array.iteri (fun i c -> records.(i) <- c) cached;
-      let fresh = Array.map Engine.Checkpoint.of_outcome outcomes in
-      let k = ref 0 in
+  let options =
+    { Engine.Options.default with n1; n2; steps_per_period = steps; tol }
+  in
+  let jobs =
+    Array.of_list
+      (List.map
+         (fun (kind, label, f_fast, fd) ->
+           let problem =
+             Serve.Catalog.problem_of ~period ~label fixture ~f_fast ~fd
+           in
+           Engine.Sweep.job ~label ~options ~kind problem)
+         points)
+  in
+  let domains =
+    match domains with Some d -> d | None -> sweep_default_domains ()
+  in
+  let retry =
+    {
+      Resilience.Retry.default with
+      Resilience.Retry.max_attempts = 1 + max 0 retries;
+      degrade = not no_degrade;
+    }
+  in
+  (* Install the fault plan before any worker domain spawns, so the
+     wrapped (skewable) clock source is the one workers read. *)
+  (match plan with
+  | Some p -> Resilience.Faultinject.install p
+  | None -> ());
+  Fun.protect ~finally:Resilience.Faultinject.uninstall @@ fun () ->
+  let job_key (j : Engine.Sweep.job) =
+    let p = j.Engine.Sweep.problem in
+    Engine.Checkpoint.job_key ~label:j.Engine.Sweep.label
+      ~engine:(Engine.kind_name j.Engine.Sweep.engine.Engine.kind)
+      ~f_fast:p.Engine.Problem.f_fast ~fd:p.Engine.Problem.fd
+      ~options:j.Engine.Sweep.engine.Engine.options
+  in
+  let log =
+    match checkpoint with
+    | None -> None
+    | Some path ->
+        (* Without --resume a stale log must not mask re-runs. *)
+        if not resume then (try Sys.remove path with Sys_error _ -> ());
+        Some (Engine.Checkpoint.create path)
+  in
+  let cached = Array.map (fun _ -> None) jobs in
+  (match log with
+  | Some log when resume ->
       Array.iteri
-        (fun i c ->
-          if c = None then begin
-            records.(i) <- Some fresh.(!k);
-            incr k
-          end)
-        cached;
-      let records = Array.map Option.get records in
-      (match format with
-      | Sweep_csv -> emit_sweep_csv ~no_wall records
-      | Sweep_json -> print_string (Engine.Checkpoint.rows_json ~no_wall records));
-      let bad =
-        Array.exists
-          (fun (r : Engine.Checkpoint.record) ->
-            r.Engine.Checkpoint.status <> "ok")
-          records
-      in
-      if bad && not keep_going then 1 else 0
+        (fun i j ->
+          cached.(i) <- Engine.Checkpoint.find log ~key:(job_key j))
+        jobs
+  | _ -> ());
+  let to_run =
+    Array.of_list
+      (List.filteri
+         (fun i _ -> cached.(i) = None)
+         (Array.to_list jobs))
+  in
+  let on_outcome =
+    let checkpointer =
+      Option.map
+        (fun log (o : Engine.Sweep.outcome) ->
+          Engine.Checkpoint.append log (Engine.Checkpoint.of_outcome o);
+          Observe.Publish.checkpoint_written
+            ~job:o.Engine.Sweep.job.Engine.Sweep.label)
+        log
+    in
+    let reporter =
+      if progress && Array.length to_run > 0 then
+        Some (progress_reporter ~total:(Array.length to_run))
+      else None
+    in
+    match (checkpointer, reporter) with
+    | None, None -> None
+    | (Some _ as f), None -> f
+    | None, (Some _ as g) -> g
+    | Some f, Some g ->
+        Some
+          (fun o ->
+            f o;
+            g o)
+  in
+  (* GC attribution for the merged trace: arm the runtime-events
+     monitor before any worker domain spawns so every ring is
+     covered from birth. *)
+  let monitor =
+    if merged_trace <> None then Telemetry.Runtime.start () else None
+  in
+  let sweep_t0 = Telemetry.Clock.wall () in
+  let outcomes =
+    Engine.Sweep.run ~domains ?wall_seconds:budget_seconds
+      ?max_newton_per_job:max_newton ~per_job_telemetry
+      ~per_job_trace:(merged_trace <> None) ~retry ?on_outcome to_run
+  in
+  let sweep_wall = Telemetry.Clock.wall () -. sweep_t0 in
+  let gc =
+    Option.map
+      (fun m ->
+        Telemetry.Runtime.poll m;
+        let s = Telemetry.Runtime.stats m in
+        Telemetry.Runtime.observe_into_telemetry m;
+        Telemetry.Runtime.stop m;
+        s)
+      monitor
+  in
+  (match merged_trace with
+  | Some file ->
+      write_merged_trace ~file ~domains ~wall:sweep_wall ~gc outcomes
+  | None -> ());
+  (* Stitch cached and fresh records back into input job order. *)
+  let records = Array.make (Array.length jobs) None in
+  Array.iteri (fun i c -> records.(i) <- c) cached;
+  let fresh = Array.map Engine.Checkpoint.of_outcome outcomes in
+  let k = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if c = None then begin
+        records.(i) <- Some fresh.(!k);
+        incr k
+      end)
+    cached;
+  let records = Array.map Option.get records in
+  (match format with
+  | Sweep_csv -> emit_sweep_csv ~no_wall records
+  | Sweep_json -> print_string (Engine.Checkpoint.rows_json ~no_wall records));
+  let bad =
+    Array.exists
+      (fun (r : Engine.Checkpoint.record) ->
+        r.Engine.Checkpoint.status <> "ok")
+      records
+  in
+  if bad && not keep_going then 1 else 0
 
 (* ---------- rfss report: wall attribution from a merged trace ---------- *)
 
@@ -1011,82 +890,69 @@ let report_cmd file top =
         domains;
       0
 
-let envelope_cmd tele circuit f_fast fd n1 steps periods =
+let envelope_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 steps periods =
   with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture ->
-      let f_fast = Option.value f_fast ~default:fixture.default_fast in
-      let fd = Option.value fd ~default:fixture.default_fd in
-      let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
-      let shear = Mpde.Shear.make ~fast_freq:f_fast ~slow_freq:fd in
-      let sys = Mpde.Assemble.of_mna ~shear mna in
-      let seed = Circuit.Dcop.solve_exn mna in
-      let result =
-        Mpde.Envelope_follow.run ~seed ~system:sys ~shear ~n1
-          ~t2_stop:(periods /. fd) ~steps ()
-      in
-      Printf.printf "# converged=%b newton=%d\n" result.Mpde.Envelope_follow.converged
-        result.Mpde.Envelope_follow.newton_iterations;
-      let unknown =
-        match fixture.output_node_b with
-        | None -> Circuit.Mna.node_index mna fixture.output_node
-        | Some _ -> Circuit.Mna.node_index mna fixture.output_node
-      in
-      let env =
-        Mpde.Envelope_follow.envelope_of result ~unknown ~mode:Mpde.Extract.Mean_t1
-      in
-      Printf.printf "t2,v\n";
-      Array.iteri
-        (fun s v -> Printf.printf "%.9e,%.6e\n" result.Mpde.Envelope_follow.t2_values.(s) v)
-        env;
-      if result.Mpde.Envelope_follow.converged then 0 else 1
+  let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
+  let shear = Mpde.Shear.make ~fast_freq:f_fast ~slow_freq:fd in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let seed = Circuit.Dcop.solve_exn mna in
+  let result =
+    Mpde.Envelope_follow.run ~seed ~system:sys ~shear ~n1
+      ~t2_stop:(periods /. fd) ~steps ()
+  in
+  Printf.printf "# converged=%b newton=%d\n" result.Mpde.Envelope_follow.converged
+    result.Mpde.Envelope_follow.newton_iterations;
+  let unknown = Circuit.Mna.node_index mna fixture.output_node in
+  let env =
+    Mpde.Envelope_follow.envelope_of result ~unknown ~mode:Mpde.Extract.Mean_t1
+  in
+  Printf.printf "t2,v\n";
+  Array.iteri
+    (fun s v -> Printf.printf "%.9e,%.6e\n" result.Mpde.Envelope_follow.t2_values.(s) v)
+    env;
+  if result.Mpde.Envelope_follow.converged then 0 else 1
 
-let health_cmd tele circuit f_fast fd n1 n2 budget_seconds max_newton =
+let health_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2 budget_seconds
+    max_newton =
   with_telemetry tele @@ fun () ->
-  match find_fixture circuit with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok fixture ->
-      let f_fast = Option.value f_fast ~default:fixture.default_fast in
-      let fd = Option.value fd ~default:fixture.default_fd in
-      let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
-      let shear = Mpde.Shear.make ~fast_freq:f_fast ~slow_freq:fd in
-      let options =
-        { Mpde.Solver.default_options with budget = make_budget budget_seconds max_newton }
-      in
-      let sol = Mpde.Solver.solve_mna ~options ~shear ~n1 ~n2 mna in
-      let unknown = Circuit.Mna.node_index mna fixture.output_node in
-      let health = Diagnostics.Health.of_solution ~diagonal_unknown:unknown sol in
-      print_endline (Diagnostics.Health.summary_line health);
-      Printf.printf "convergence:        %s\n"
-        (Diagnostics.Convergence.to_string health.Diagnostics.Health.convergence);
-      Printf.printf "strategy:           %s\n" health.Diagnostics.Health.strategy;
-      Printf.printf "newton iterations:  %d (linear %d)\n"
-        health.Diagnostics.Health.newton_iterations
-        health.Diagnostics.Health.linear_iterations;
-      List.iter
-        (fun (stage, iters) -> Printf.printf "  %-18s newton=%d\n" stage iters)
-        health.Diagnostics.Health.stage_iterations;
-      Printf.printf "residual norm:      %.3e\n"
-        health.Diagnostics.Health.residual_norm;
-      (match health.Diagnostics.Health.condition_estimate with
-      | Some k -> Printf.printf "condition estimate: %.3e\n" k
-      | None -> Printf.printf "condition estimate: unavailable\n");
-      (match health.Diagnostics.Health.diagonal_residual with
-      | Some d when Float.is_finite d ->
-          Printf.printf "diagonal residual:  %.3e (node %s)\n" d fixture.output_node
-      | Some _ -> Printf.printf "diagonal residual:  reference transient failed\n"
-      | None -> ());
-      Printf.printf "# report=%s\n"
-        (Resilience.Report.to_json_string
-           (Diagnostics.Health.attach health sol.Mpde.Solver.report));
-      ignore
-        (Diagnostics.Health.to_registry ~registry:metrics_registry health);
-      if health.Diagnostics.Health.converged then 0 else 1
+  let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
+  let shear = Mpde.Shear.make ~fast_freq:f_fast ~slow_freq:fd in
+  let options =
+    {
+      Mpde.Solver.default_options with
+      budget =
+        Resilience.Budget.of_limits ?wall_seconds:budget_seconds ?max_newton ();
+    }
+  in
+  let sol = Mpde.Solver.solve_mna ~options ~shear ~n1 ~n2 mna in
+  let unknown = Circuit.Mna.node_index mna fixture.output_node in
+  let health = Diagnostics.Health.of_solution ~diagonal_unknown:unknown sol in
+  print_endline (Diagnostics.Health.summary_line health);
+  Printf.printf "convergence:        %s\n"
+    (Diagnostics.Convergence.to_string health.Diagnostics.Health.convergence);
+  Printf.printf "strategy:           %s\n" health.Diagnostics.Health.strategy;
+  Printf.printf "newton iterations:  %d (linear %d)\n"
+    health.Diagnostics.Health.newton_iterations
+    health.Diagnostics.Health.linear_iterations;
+  List.iter
+    (fun (stage, iters) -> Printf.printf "  %-18s newton=%d\n" stage iters)
+    health.Diagnostics.Health.stage_iterations;
+  Printf.printf "residual norm:      %.3e\n"
+    health.Diagnostics.Health.residual_norm;
+  (match health.Diagnostics.Health.condition_estimate with
+  | Some k -> Printf.printf "condition estimate: %.3e\n" k
+  | None -> Printf.printf "condition estimate: unavailable\n");
+  (match health.Diagnostics.Health.diagonal_residual with
+  | Some d when Float.is_finite d ->
+      Printf.printf "diagonal residual:  %.3e (node %s)\n" d fixture.output_node
+  | Some _ -> Printf.printf "diagonal residual:  reference transient failed\n"
+  | None -> ());
+  Printf.printf "# report=%s\n"
+    (Resilience.Report.to_json_string
+       (Diagnostics.Health.attach health sol.Mpde.Solver.report));
+  ignore
+    (Diagnostics.Health.to_registry ~registry:metrics_registry health);
+  if health.Diagnostics.Health.converged then 0 else 1
 
 type deck_analysis = Deck_dcop | Deck_transient | Deck_ac
 
@@ -1175,37 +1041,38 @@ let serve_cmd listen workers cache_capacity warm_capacity =
 
 (* ---------- rfss submit: one job against a running rfssd ---------- *)
 
-let submit_cmd addr_spec circuit engine f_fast fd n1 n2 tol max_newton
-    budget_seconds no_warm =
+let submit_cmd addr_spec kind ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2
+    tol max_newton budget_seconds no_warm =
+  let module J = Telemetry.Json in
   match Observe.Addr.parse addr_spec with
   | Error e ->
       prerr_endline e;
       1
   | Ok addr -> (
-      let b = Buffer.create 256 in
-      let esc = Telemetry.Json.quote in
-      Buffer.add_string b
-        (Printf.sprintf "{\"v\":%s,\"circuit\":%s,\"engine\":%s"
-           (esc Serve.Protocol.version) (esc circuit) (esc engine));
-      let opt_num name = function
-        | None -> ()
-        | Some v ->
-            Buffer.add_string b (Printf.sprintf ",\"%s\":%.17g" name v)
+      let int n = J.Num (float_of_int n) in
+      let request =
+        J.Obj
+          ([
+             ("v", J.Str Serve.Protocol.version);
+             ("circuit", J.Str fixture.name);
+             ("engine", J.Str (Engine.kind_name kind));
+             ("f_fast", J.Num f_fast);
+             ("fd", J.Num fd);
+             ( "options",
+               J.Obj
+                 [
+                   ("n1", int n1);
+                   ("n2", int n2);
+                   ("tol", J.Num tol);
+                   ("max_newton", int max_newton);
+                 ] );
+           ]
+          @ (match budget_seconds with
+            | Some s -> [ ("budget", J.Obj [ ("wall_seconds", J.Num s) ]) ]
+            | None -> [])
+          @ if no_warm then [ ("warm", J.Bool false) ] else [])
       in
-      opt_num "f_fast" f_fast;
-      opt_num "fd" fd;
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"options\":{\"n1\":%d,\"n2\":%d,\"tol\":%.17g,\"max_newton\":%d}"
-           n1 n2 tol max_newton);
-      (match budget_seconds with
-      | Some s ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"budget\":{\"wall_seconds\":%.17g}" s)
-      | None -> ());
-      if no_warm then Buffer.add_string b ",\"warm\":false";
-      Buffer.add_char b '}';
-      match Observe.Client.post ~timeout:600.0 addr "/jobs" (Buffer.contents b) with
+      match Observe.Client.post ~timeout:600.0 addr "/jobs" (J.to_string request) with
       | Error e ->
           prerr_endline e;
           1
@@ -1213,7 +1080,6 @@ let submit_cmd addr_spec circuit engine f_fast fd n1 n2 tol max_newton
           print_string body;
           (* Exit status mirrors the stream: error event or a
              non-converged result fails the submission. *)
-          let module J = Telemetry.Json in
           let lines =
             String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
           in
@@ -1437,6 +1303,26 @@ let fd_arg =
     & opt (some float) None
     & info [ "fd" ] ~docv:"HZ" ~doc:"Difference (slow) frequency.")
 
+let engine_kind =
+  Arg.conv' ~docv:"NAME"
+    ( Engine.kind_of_name,
+      fun ppf k -> Format.pp_print_string ppf (Engine.kind_name k) )
+
+(* --circuit, --fast and --fd resolved by Serve.Catalog.resolve, the
+   validator rfss.jobs/1 uses too: an unknown circuit or a bad tone is
+   a usage error (exit 124), like a bad grid size. [engine] brings the
+   MPDE's fd < f_fast rule; [None] is for DC and transient. *)
+let tones_arg engine =
+  Term.(
+    term_result' ~usage:true
+      (const (fun engine circuit f_fast fd ->
+           Serve.Catalog.resolve ?engine ?f_fast ?fd circuit)
+      $ engine $ circuit_arg $ f_fast_arg $ fd_arg))
+
+let no_engine = Term.const None
+
+let mpde_engine = Term.const (Some Engine.Mpde)
+
 let budget_seconds_arg =
   Arg.(
     value
@@ -1510,7 +1396,7 @@ let listen_arg =
 let list_term = Term.(const list_cmd $ const ())
 
 let dcop_term =
-  Term.(const dcop_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ budget_seconds_arg $ max_newton_arg)
+  Term.(const dcop_cmd $ telemetry_arg $ tones_arg no_engine $ budget_seconds_arg $ max_newton_arg)
 
 let transient_term =
   let t_stop =
@@ -1519,23 +1405,7 @@ let transient_term =
   let steps =
     Arg.(value & opt int 1000 & info [ "steps" ] ~docv:"N" ~doc:"Fixed step count.")
   in
-  Term.(const transient_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ t_stop $ steps)
-
-let shooting_term =
-  let steps =
-    Arg.(value & opt int 256 & info [ "steps" ] ~docv:"N" ~doc:"Steps per period.")
-  in
-  Term.(
-    const shooting_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ steps $ budget_seconds_arg
-    $ max_newton_arg)
-
-let hb_term =
-  let harmonics =
-    Arg.(value & opt int 8 & info [ "harmonics" ] ~docv:"K" ~doc:"Harmonic count.")
-  in
-  Term.(
-    const hb_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ harmonics $ budget_seconds_arg
-    $ max_newton_arg)
+  Term.(const transient_cmd $ telemetry_arg $ tones_arg no_engine $ t_stop $ steps)
 
 let engine_period_arg =
   let period_conv =
@@ -1559,7 +1429,7 @@ let solve_term =
   let engine =
     Arg.(
       value
-      & opt string "shooting"
+      & opt engine_kind Engine.Shooting
       & info [ "engine" ] ~docv:"NAME"
           ~doc:
             "Steady-state engine: $(b,shooting), $(b,multiple-shooting), \
@@ -1583,24 +1453,33 @@ let solve_term =
     Arg.(value & opt float 1e-8 & info [ "tol" ] ~docv:"T" ~doc:"Residual infinity-norm target.")
   in
   Term.(
-    const solve_cmd $ telemetry_arg $ listen_arg $ circuit_arg $ engine
-    $ f_fast_arg $ fd_arg $ engine_period_arg $ steps $ segments $ harmonics
+    const solve_cmd $ telemetry_arg $ listen_arg $ engine
+    $ tones_arg (const Option.some $ engine)
+    $ engine_period_arg $ steps $ segments $ harmonics
     $ points $ n1 $ n2 $ tol $ budget_seconds_arg $ max_newton_arg)
 
 let sweep_term =
   let engines =
     Arg.(
       value
-      & opt string "mpde"
+      & opt (list engine_kind) [ Engine.Mpde ]
       & info [ "engine" ] ~docv:"LIST"
           ~doc:
             "Comma-separated engines to sweep, e.g. $(b,mpde,shooting); each \
              runs every parameter value as its own job.")
   in
   let param =
+    let param_conv =
+      Arg.conv' ~docv:"SPEC"
+        ( parse_param,
+          fun ppf (name, values) ->
+            Format.fprintf ppf "%s=%s" name
+              (String.concat ","
+                 (List.map (Printf.sprintf "%g") (Array.to_list values))) )
+    in
     Arg.(
       required
-      & opt (some string) None
+      & opt (some param_conv) None
       & info [ "param" ] ~docv:"SPEC"
           ~doc:
             "Swept parameter: $(b,fd=START:STOP:lin|log:N) or \
@@ -1657,14 +1536,20 @@ let sweep_term =
              completed/total, percentage, elapsed, ETA and jobs/s.")
   in
   let fault_plan =
+    let plan_conv =
+      Arg.conv' ~docv:"SPEC"
+        ( Resilience.Faultinject.parse,
+          fun ppf p ->
+            Format.pp_print_string ppf (Resilience.Faultinject.to_string p) )
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some plan_conv) None
       & info [ "fault-plan" ] ~docv:"SPEC"
           ~doc:
             "Install a deterministic fault-injection plan for the run, e.g. \
-             $(b,seed=7,nan\\@residual/newton:1,crash\\@job/#1:1). Items are \
-             $(b,KIND\\@SITE[/FILTER]:TRIGGER[=MAG]) with kinds \
+             $(b,seed=7,nan@residual/newton:1,crash@job/#1:1). Items are \
+             $(b,KIND@SITE[/FILTER]:TRIGGER[=MAG]) with kinds \
              nan/inf/singular/illcond/stall/crash/slow/kill, sites \
              residual/jacobian/gmres/newton/job, and triggers N, NxM or ~P.")
   in
@@ -1712,8 +1597,10 @@ let sweep_term =
              final attempt at coarser grid / looser tolerance.")
   in
   Term.(
-    const sweep_cmd $ telemetry_arg $ listen_arg $ circuit_arg $ engines
-    $ param $ f_fast_arg $ fd_arg $ engine_period_arg $ domains $ no_wall
+    const sweep_cmd $ telemetry_arg $ listen_arg
+    $ term_result' ~usage:true
+        (const sweep_points $ tones_arg no_engine $ engines $ param)
+    $ engine_period_arg $ domains $ no_wall
     $ format $ n1 $ n2 $ steps $ tol $ budget_seconds_arg $ max_newton_arg
     $ per_job_telemetry $ progress $ fault_plan $ checkpoint $ resume
     $ keep_going $ retries $ no_degrade)
@@ -1746,7 +1633,7 @@ let mpde_term =
     Arg.(value & opt kind_conv Envelope & info [ "output" ] ~docv:"KIND" ~doc:"What to print.")
   in
   Term.(
-    const mpde_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ n1 $ n2 $ output
+    const mpde_cmd $ telemetry_arg $ tones_arg mpde_engine $ n1 $ n2 $ output
     $ budget_seconds_arg $ max_newton_arg)
 
 let envelope_term =
@@ -1755,7 +1642,7 @@ let envelope_term =
   let periods =
     Arg.(value & opt float 2.0 & info [ "periods" ] ~docv:"X" ~doc:"Difference periods to march.")
   in
-  Term.(const envelope_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ n1 $ steps $ periods)
+  Term.(const envelope_cmd $ telemetry_arg $ tones_arg mpde_engine $ n1 $ steps $ periods)
 
 let deck_term =
   let file =
@@ -1830,7 +1717,7 @@ let serve_term =
 let submit_term =
   let engine =
     Arg.(
-      value & opt string "mpde"
+      value & opt engine_kind Engine.Mpde
       & info [ "engine" ] ~docv:"NAME"
           ~doc:"Engine: shooting, multiple-shooting, hb, periodic-fd or mpde.")
   in
@@ -1853,8 +1740,9 @@ let submit_term =
              warm-start surface store.")
   in
   Term.(
-    const submit_cmd $ top_addr_arg $ circuit_arg $ engine $ f_fast_arg
-    $ fd_arg $ n1 $ n2 $ tol $ max_newton $ budget_seconds_arg $ no_warm)
+    const submit_cmd $ top_addr_arg $ engine
+    $ tones_arg (const Option.some $ engine)
+    $ n1 $ n2 $ tol $ max_newton $ budget_seconds_arg $ no_warm)
 
 let scrape_term =
   let path =
@@ -1882,7 +1770,7 @@ let health_term =
   let n1 = grid_arg "n1" 40 "Fast-scale points." in
   let n2 = grid_arg "n2" 30 "Slow-scale points." in
   Term.(
-    const health_cmd $ telemetry_arg $ circuit_arg $ f_fast_arg $ fd_arg $ n1 $ n2
+    const health_cmd $ telemetry_arg $ tones_arg mpde_engine $ n1 $ n2
     $ budget_seconds_arg $ max_newton_arg)
 
 let cmds =
@@ -1893,8 +1781,6 @@ let cmds =
       deck_term;
     Cmd.v (Cmd.info "dcop" ~doc:"DC operating point.") dcop_term;
     Cmd.v (Cmd.info "transient" ~doc:"Time-stepping transient analysis (CSV).") transient_term;
-    Cmd.v (Cmd.info "shooting" ~doc:"Single-tone periodic steady state by shooting (CSV).") shooting_term;
-    Cmd.v (Cmd.info "hb" ~doc:"Single-tone harmonic balance (CSV).") hb_term;
     Cmd.v
       (Cmd.info "solve"
          ~doc:

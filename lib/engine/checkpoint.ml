@@ -23,25 +23,21 @@ type record = {
 
    The job key is the versioned canonical identity from [Key]
    (rfss.key/1); the waveform fingerprint and the per-record digest
-   reuse its FNV-1a primitives. *)
+   use the same FNV-1a primitives, from [Telemetry.Fnv]. *)
 
-let fnv_basis = Key.fnv_basis
-let mix_string = Key.mix_string
-let mix_float = Key.mix_float
-let mix_int = Key.mix_int
-let hex = Key.hex
+open Telemetry.Fnv
 
 let job_key ~label ~engine ~f_fast ~fd ~options =
   Key.hash ~label ~engine ~f_fast ~fd ~options
 
 let waveform_hash (w : Backend.Result.waveform) =
-  let h = ref fnv_basis in
+  let h = ref basis in
   Array.iter (fun v -> h := mix_float !h v) w.Backend.Result.times;
   Array.iter (fun v -> h := mix_float !h v) w.Backend.Result.values;
   hex !h
 
 let digest r =
-  let h = fnv_basis in
+  let h = basis in
   let h = mix_string h r.key in
   let h = mix_string h r.label in
   let h = mix_string h r.engine in

@@ -8,33 +8,6 @@
 
 let version = "rfss.key/1"
 
-(* ---------- FNV-1a primitives (shared with Checkpoint's digests) --- *)
-
-let fnv_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let mix_byte h byte = Int64.mul (Int64.logxor h (Int64.of_int byte)) fnv_prime
-
-let mix_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := mix_byte !h (Char.code c)) s;
-  (* Terminator so ("ab","c") and ("a","bc") hash differently. *)
-  mix_byte !h 0xFF
-
-let mix_float h v =
-  let bits = Int64.bits_of_float v in
-  let h = ref h in
-  for k = 0 to 7 do
-    h :=
-      mix_byte !h
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * k)) 0xFFL))
-  done;
-  !h
-
-let mix_int h i = mix_float h (float_of_int i)
-
-let hex h = Printf.sprintf "%016Lx" h
-
 (* ---------- the job key ---------- *)
 
 (* The identity fields: what the solve computes, not how long it may
@@ -68,7 +41,8 @@ let canonical ~label ~engine ~f_fast ~fd ~options =
 
 let hash ~label ~engine ~f_fast ~fd ~options =
   let o = (options : Options.t) in
-  let h = fnv_basis in
+  let open Telemetry.Fnv in
+  let h = basis in
   let h = mix_string h version in
   let h = mix_string h label in
   let h = mix_string h engine in

@@ -43,24 +43,3 @@ val of_problem : Problem.t -> engine:string -> options:Options.t -> string
     the {!Backend.kind_name} string. *)
 
 val scheme_name : Mpde.Assemble.scheme -> string
-
-(** {1 Hashing primitives}
-
-    FNV-1a 64 over bytes, shared with {!Checkpoint}'s record digest and
-    waveform fingerprint so one implementation serves all three. *)
-
-val fnv_basis : int64
-
-val mix_byte : int64 -> int -> int64
-
-val mix_string : int64 -> string -> int64
-(** Mixes every byte, then a [0xFF] terminator so [("ab","c")] and
-    [("a","bc")] hash differently. *)
-
-val mix_float : int64 -> float -> int64
-(** Mixes the full 8-byte IEEE-754 image, little-endian byte order. *)
-
-val mix_int : int64 -> int -> int64
-
-val hex : int64 -> string
-(** [%016Lx] rendering of the accumulated hash. *)

@@ -20,7 +20,7 @@ let worker_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 let worker_index () = !(Domain.DLS.get worker_key)
 
-let map ?(chunk = 0) ?(assign = `Dynamic) ~domains f items =
+let map ?(assign = `Dynamic) ~domains f items =
   let n = Array.length items in
   if n = 0 then [||]
   else
@@ -38,7 +38,7 @@ let map ?(chunk = 0) ?(assign = `Dynamic) ~domains f items =
          atomic RMW per chunk, not per item) while still load-balancing
          dynamically — 4 chunks per domain leaves enough slack for
          uneven job costs. *)
-      let chunk = if chunk > 0 then chunk else max 1 (n / (domains * 4)) in
+      let chunk = max 1 (n / (domains * 4)) in
       let results = Array.make n None in
       let next = Atomic.make 0 in
       let rec dynamic () =

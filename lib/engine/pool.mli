@@ -19,7 +19,6 @@
     all and the pool degenerates to [Array.map]. *)
 
 val map :
-  ?chunk:int ->
   ?assign:[ `Dynamic | `Static ] ->
   domains:int ->
   ('a -> 'b) ->
@@ -30,10 +29,8 @@ val map :
     worker, so [domains - 1] are spawned; the count is clamped to
     [1 .. Array.length items]).
 
-    [chunk] is the number of consecutive items claimed per atomic
-    fetch; the default [max 1 (n / (domains * 4))] balances claim
-    traffic against load-balancing slack. Values [<= 0] select the
-    default.
+    Each atomic fetch claims [max 1 (n / (domains * 4))] consecutive
+    items, which balances claim traffic against load-balancing slack.
 
     [assign] picks the scheduling policy. [`Dynamic] (the default) is
     the chunked shared-queue claiming described above. [`Static] gives

@@ -31,6 +31,11 @@ let make ?wall_seconds ?max_newton ?max_linear ?max_continuation ?parent () =
     parent;
   }
 
+let of_limits ?wall_seconds ?max_newton () =
+  match (wall_seconds, max_newton) with
+  | None, None -> None
+  | _ -> Some (make ?wall_seconds ?max_newton ())
+
 let elapsed b = Telemetry.Clock.wall () -. b.started
 
 let over_cap used = function Some limit when used > limit -> Some limit | _ -> None

@@ -32,6 +32,10 @@ val make :
 (** Fresh budget; the wall clock starts now. Omitted limits are
     unbounded. *)
 
+val of_limits : ?wall_seconds:float -> ?max_newton:int -> unit -> t option
+(** [None] when neither limit is given (no budget at all), otherwise a
+    fresh {!make} budget with those limits. *)
+
 val elapsed : t -> float
 (** Wall-clock seconds since creation. *)
 

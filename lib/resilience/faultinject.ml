@@ -61,22 +61,9 @@ let mix64 z =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-let fnv_prime = 0x100000001b3L
-
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  !h
-
-let fnv_int h i =
-  Int64.mul (Int64.logxor h (Int64.of_int i)) fnv_prime
-
 let uniform ~seed ~salt index =
-  let h = fnv_int (fnv_string (fnv_int 0xcbf29ce484222325L seed) salt) index in
+  let open Telemetry.Fnv in
+  let h = mix_byte (mix_bytes (mix_byte basis seed) salt) index in
   let bits = Int64.shift_right_logical (mix64 h) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 

@@ -104,6 +104,27 @@ let find name =
         (Printf.sprintf "unknown circuit %S; try: %s" name
            (String.concat ", " (List.map (fun f -> f.name) all)))
 
+(* The one tone validator, shared by the CLI and rfss.jobs/1: tones
+   default to the fixture's, must be finite and > 0, and the MPDE's
+   sheared time scales exist only for fd < f_fast ([Mpde.Shear.make]'s
+   precondition). The single-time engines lock onto one tone and run
+   with fd > f_fast too. *)
+let resolve ?engine ?f_fast ?fd name =
+  let ( let* ) = Result.bind in
+  let tone what v =
+    if Float.is_finite v && v > 0.0 then Ok v
+    else Error (Printf.sprintf "%s must be finite and > 0, got %g" what v)
+  in
+  let* fixture = find name in
+  let* f_fast = tone "f_fast" (Option.value f_fast ~default:fixture.default_fast) in
+  let* fd = tone "fd" (Option.value fd ~default:fixture.default_fd) in
+  match engine with
+  | Some Engine.Mpde when fd >= f_fast ->
+      Error
+        (Printf.sprintf "mpde needs fd < f_fast, got fd %g >= f_fast %g" fd
+           f_fast)
+  | _ -> Ok (fixture, f_fast, fd)
+
 let output_value fixture mna x =
   match fixture.output_node_b with
   | None -> Circuit.Mna.voltage mna x fixture.output_node

@@ -1,5 +1,6 @@
 (** The built-in circuit fixtures, shared by the CLI subcommands and
-    the solve service's request validation. Each fixture knows how to
+    the solve service's request validation, and the one validator of
+    the tones both front ends solve at. Each fixture knows how to
     build its circuit for a given (f_fast, fd) tone pair, its default
     tones, and which node (or node pair) is the reported output. *)
 
@@ -17,6 +18,21 @@ val all : t list
 
 val find : string -> (t, string) result
 (** Fixture by name, or an error message listing the valid names. *)
+
+val resolve :
+  ?engine:Engine.kind ->
+  ?f_fast:float ->
+  ?fd:float ->
+  string ->
+  (t * float * float, string) result
+(** [resolve ?engine ?f_fast ?fd name] is the fixture [name] with its
+    tones [(fixture, f_fast, fd)], each tone defaulting to the
+    fixture's. The only tone validator: the CLI and
+    {!Protocol.parse_job} both call it. [Error] names the bad value: an
+    unknown circuit, a tone that is not finite and > 0, or
+    [fd >= f_fast] when [engine] is [Mpde] ({!Mpde.Shear.make}'s
+    precondition). Other engines, and no [engine] (DC, transient), may
+    run with [fd > f_fast]. *)
 
 val output_value : t -> Circuit.Mna.t -> Linalg.Vec.t -> float
 (** The fixture's output voltage (differential when [output_node_b] is

@@ -92,10 +92,8 @@ let execute t (p : pending) =
   let o = job.Protocol.options in
   let label = job.Protocol.fixture.Catalog.name in
   let budget =
-    match (job.Protocol.wall_seconds, job.Protocol.max_newton_budget) with
-    | None, None -> None
-    | wall_seconds, max_newton ->
-        Some (Resilience.Budget.make ?wall_seconds ?max_newton ())
+    Resilience.Budget.of_limits ?wall_seconds:job.Protocol.wall_seconds
+      ?max_newton:job.Protocol.max_newton_budget ()
   in
   let warm_surface =
     if job.Protocol.warm && job.Protocol.engine = Engine.Mpde then

@@ -164,9 +164,9 @@ let parse_job body =
                                speaks %s)" v version)
         | None -> Error (Printf.sprintf "missing \"v\" (expected %S)" version)
       in
-      let* fixture =
+      let* name =
         match Option.bind (J.member "circuit" j) J.str with
-        | Some name -> Catalog.find name
+        | Some name -> Ok name
         | None -> Error "missing \"circuit\""
       in
       let* engine =
@@ -174,20 +174,17 @@ let parse_job body =
         | Some name -> Engine.kind_of_name name
         | None -> Ok Engine.Mpde
       in
-      let float_field name default =
+      let float_field name =
         match J.member name j with
         | Some v -> (
             match J.num v with
-            | Some x -> Ok x
+            | Some x -> Ok (Some x)
             | None -> Error (Printf.sprintf "%S is not a number" name))
-        | None -> Ok default
+        | None -> Ok None
       in
-      let* f_fast = float_field "f_fast" fixture.Catalog.default_fast in
-      let* fd = float_field "fd" fixture.Catalog.default_fd in
-      let* () =
-        if f_fast > 0.0 && fd > 0.0 then Ok ()
-        else Error "\"f_fast\" and \"fd\" must be > 0"
-      in
+      let* f_fast = float_field "f_fast" in
+      let* fd = float_field "fd" in
+      let* fixture, f_fast, fd = Catalog.resolve ~engine ?f_fast ?fd name in
       Result.bind
         (match J.member "options" j with
         | Some o -> parse_options o Engine.Options.default

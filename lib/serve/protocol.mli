@@ -34,7 +34,8 @@ val key_of_job : job -> string
 type error =
   | Invalid_request of string
       (** malformed JSON, unsupported version, unknown circuit or
-          engine, non-positive tones, malformed budget *)
+          engine, tones rejected by {!Catalog.resolve}, malformed
+          budget *)
   | Bad_option of { name : string; reason : string }
       (** an ["options"] field that is unknown, of the wrong type or out
           of range — e.g. [n1]/[n2] not an integer >= 2 *)

@@ -5,6 +5,7 @@
 include Core
 module Clock = Clock
 module Json = Json
+module Fnv = Fnv
 module Summary = Summary
 module Sink = Sink
 module Merge = Merge

@@ -1,38 +1,12 @@
-(* Tests for the diagnostics subsystem: the bounded residual ring, the
-   convergence classifier on synthetic trajectories, condition estimates
-   against matrices with known κ, the metric registry's Prometheus/CSV
+(* Tests for the diagnostics subsystem: the convergence classifier on
+   synthetic trajectories, condition estimates against matrices with
+   known κ, the metric registry's Prometheus/CSV
    round-trips, the JSON codec, the perf-regression gate, and
    the end-to-end pieces — Newton residual histories on a real solve and
    the diagonal-consistency residual on the quickstart circuit. *)
 
 module W = Circuit.Waveform
 module D = Diagnostics
-
-(* ---------- Ring ---------- *)
-
-let test_ring_basic () =
-  let r = D.Ring.create 4 in
-  Alcotest.(check int) "capacity" 4 (D.Ring.capacity r);
-  Alcotest.(check int) "empty length" 0 (D.Ring.length r);
-  Alcotest.(check bool) "empty last" true (D.Ring.last r = None);
-  List.iter (D.Ring.push r) [ 1.0; 2.0; 3.0 ];
-  Alcotest.(check int) "length" 3 (D.Ring.length r);
-  Alcotest.(check (array (float 0.0))) "chronological" [| 1.0; 2.0; 3.0 |]
-    (D.Ring.to_array r);
-  Alcotest.(check bool) "last" true (D.Ring.last r = Some 3.0)
-
-let test_ring_wraps () =
-  let r = D.Ring.create 3 in
-  List.iter (D.Ring.push r) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
-  Alcotest.(check int) "length capped" 3 (D.Ring.length r);
-  Alcotest.(check int) "total keeps counting" 5 (D.Ring.total r);
-  Alcotest.(check (array (float 0.0))) "oldest evicted" [| 3.0; 4.0; 5.0 |]
-    (D.Ring.to_array r)
-
-let test_ring_bad_capacity () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Diagnostics.Ring.create: capacity must be positive") (fun () ->
-      ignore (D.Ring.create 0))
 
 (* ---------- Convergence classifier ---------- *)
 
@@ -652,12 +626,6 @@ let test_publish_prometheus_roundtrip () =
 let () =
   Alcotest.run "diagnostics"
     [
-      ( "ring",
-        [
-          Alcotest.test_case "basic" `Quick test_ring_basic;
-          Alcotest.test_case "wraps" `Quick test_ring_wraps;
-          Alcotest.test_case "bad capacity" `Quick test_ring_bad_capacity;
-        ] );
       ( "convergence",
         [
           Alcotest.test_case "quadratic" `Quick test_classify_quadratic;

@@ -45,6 +45,23 @@ let test_prob_deterministic () =
   Alcotest.(check bool) "different seed different draw" true (a <> c);
   Alcotest.(check bool) "in range" true (a >= 0.0 && a < 1.0)
 
+(* Pinned draws: [uniform] feeds Prob triggers and Retry's backoff
+   jitter, so a change in its FNV-1a/splitmix64 arithmetic would move
+   every seeded fault plan and backoff schedule. *)
+let test_uniform_pinned () =
+  List.iter
+    (fun (seed, salt, index, expected) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "uniform seed=%d salt=%S %d" seed salt index)
+        expected (FI.uniform ~seed ~salt index))
+    [
+      (0, "", 0, 0x1.ef084011af584p-2);
+      (7, "job#1", 1, 0x1.7cd27a67fe5d4p-3);
+      (3, "job#1", 5, 0x1.760e54ea50e67p-1);
+      (42, "rc:mpde:fd=1000", 2, 0x1.5dba659886ee8p-1);
+      (-1, "residual/newton", 1000003, 0x1.f30be4bf7f0d4p-3);
+    ]
+
 (* ---------- hooks in isolation ---------- *)
 
 let test_corrupt_vector_counts () =
@@ -380,6 +397,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "prob trigger deterministic" `Quick
             test_prob_deterministic;
+          Alcotest.test_case "uniform draws pinned" `Quick test_uniform_pinned;
         ] );
       ( "hooks",
         [

@@ -1,9 +1,9 @@
 (* Tests for the persistent solve service (lib/serve) and the public
    Engine.Key it is built on: canonical key stability (a pinned
    literal catches encoding drift) and sensitivity, LRU result-cache
-   semantics, rfss.jobs/1 request parsing, byte identity between a
-   served waveform CSV and a direct Engine.run, cache-hit replay of an
-   identical resubmission, and warm-start sharing (a cache-near point
+   semantics, the Catalog tone validator, rfss.jobs/1 request parsing,
+   byte identity between a served waveform CSV and a direct
+   Engine.run, cache-hit replay of an identical resubmission, and warm-start sharing (a cache-near point
    must converge in fewer Newton iterations than a cold solve). *)
 
 module J = Telemetry.Json
@@ -106,6 +106,58 @@ let test_cache_lru () =
   Alcotest.(check bool) "refreshed value" true
     (Serve.Cache.find c "k1" = Some "v1'")
 
+(* ---------- Catalog.resolve: the one tone validator ---------- *)
+
+(* Every row is (engine, circuit, f_fast, fd, accepted?). Tones must be
+   finite and > 0; fd >= f_fast is rejected only for the MPDE, whose
+   sheared time scales need fd < f_fast. *)
+let test_catalog_resolve () =
+  let cases =
+    [
+      (Some Engine.Mpde, "rc", None, None, true);
+      (None, "rc", None, None, true);
+      (Some Engine.Mpde, "nope", None, None, false);
+      (Some Engine.Mpde, "rc", None, Some 0.0, false);
+      (Some Engine.Mpde, "rc", None, Some (-1.0), false);
+      (Some Engine.Mpde, "rc", None, Some Float.nan, false);
+      (Some Engine.Mpde, "rc", None, Some Float.infinity, false);
+      (Some Engine.Mpde, "rc", Some 0.0, None, false);
+      (Some Engine.Shooting, "rc", Some (-1.0), None, false);
+      (Some Engine.Shooting, "rc", Some Float.nan, None, false);
+      (None, "rc", Some Float.infinity, None, false);
+      (Some Engine.Mpde, "rc", None, Some 2e6, false);
+      (Some Engine.Mpde, "rc", Some 1e3, Some 1e3, false);
+      (Some Engine.Shooting, "rc", None, Some 2e6, true);
+      (Some Engine.Hb, "rc", Some 1e3, Some 1e4, true);
+      (None, "rc", None, Some 2e6, true);
+    ]
+  in
+  List.iter
+    (fun (engine, name, f_fast, fd, accepted) ->
+      let what =
+        Printf.sprintf "%s %s f_fast=%s fd=%s"
+          (Option.fold ~none:"-" ~some:Engine.kind_name engine)
+          name
+          (Option.fold ~none:"default" ~some:string_of_float f_fast)
+          (Option.fold ~none:"default" ~some:string_of_float fd)
+      in
+      match Serve.Catalog.resolve ?engine ?f_fast ?fd name with
+      | Ok (fixture, f, d) ->
+          if not accepted then Alcotest.failf "%s should be rejected" what;
+          Alcotest.(check string) (what ^ ": fixture") name fixture.Serve.Catalog.name;
+          Alcotest.(check (float 0.0)) (what ^ ": f_fast")
+            (Option.value f_fast ~default:fixture.Serve.Catalog.default_fast) f;
+          Alcotest.(check (float 0.0)) (what ^ ": fd")
+            (Option.value fd ~default:fixture.Serve.Catalog.default_fd) d
+      | Error msg ->
+          if accepted then Alcotest.failf "%s rejected: %s" what msg)
+    cases;
+  match Serve.Catalog.resolve ~engine:Engine.Mpde ~fd:Float.nan "rc" with
+  | Error msg ->
+      Alcotest.(check string) "names the bad value"
+        "fd must be finite and > 0, got nan" msg
+  | Ok _ -> Alcotest.fail "nan fd accepted"
+
 (* ---------- Protocol: request parsing ---------- *)
 
 let test_parse_job () =
@@ -140,7 +192,26 @@ let test_parse_job () =
     "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"options\":{\"tol\":0}}";
   rejected "bad budget"
     "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"budget\":{\"wall_seconds\":-1}}";
-  rejected "invalid JSON" "{\"v\":"
+  rejected "invalid JSON" "{\"v\":";
+  (* Tones go through Catalog.resolve: 1e999 parses as inf, and the
+     MPDE (the default engine) needs fd < f_fast. *)
+  let invalid what body =
+    match Serve.Protocol.parse_job body with
+    | Error (Serve.Protocol.Invalid_request _) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Serve.Protocol.error_message e)
+    | Ok _ -> Alcotest.failf "%s should be rejected" what
+  in
+  invalid "infinite fd" "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"fd\":1e999}";
+  invalid "infinite f_fast"
+    "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"f_fast\":1e999}";
+  invalid "mpde fd above f_fast"
+    "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"engine\":\"mpde\",\"f_fast\":1e6,\"fd\":2e9}";
+  match
+    Serve.Protocol.parse_job
+      "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"engine\":\"shooting\",\"fd\":2e6}"
+  with
+  | Ok job -> Alcotest.(check (float 0.0)) "shooting fd > f_fast" 2e6 job.Serve.Protocol.fd
+  | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
 
 let test_parse_grid_sizes () =
   (* The MPDE grid needs two points per axis: smaller or fractional
@@ -487,6 +558,8 @@ let () =
         ] );
       ( "cache",
         [ Alcotest.test_case "LRU hit/miss/eviction" `Quick test_cache_lru ] );
+      ( "catalog",
+        [ Alcotest.test_case "resolve validates tones" `Quick test_catalog_resolve ] );
       ( "protocol",
         [
           Alcotest.test_case "request parsing" `Quick test_parse_job;
