@@ -211,23 +211,8 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
   | Direct -> (
       Telemetry.span "mpde.linear.direct" @@ fun () ->
       let m = jac () in
-      let f =
-        match ws.splu with
-        | Some f when Sparse.Splu.refactorable f m -> (
-            try
-              Sparse.Splu.refactor f m;
-              f
-            with Sparse.Splu.Singular _ ->
-              (* The frozen pivot order hit a zero pivot; a fresh factor
-                 is free to pivot differently. *)
-              let f = Sparse.Splu.factor m in
-              ws.splu <- Some f;
-              f)
-        | _ ->
-            let f = Sparse.Splu.factor m in
-            ws.splu <- Some f;
-            f
-      in
+      let f = Sparse.Splu.refactor_or_factor ws.splu m in
+      ws.splu <- Some f;
       Sparse.Splu.solve f rhs)
   | Gmres_sweep { restart; max_iter; tol } -> (
       Telemetry.span "mpde.linear.gmres-sweep" @@ fun () ->

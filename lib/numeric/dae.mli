@@ -23,7 +23,8 @@ type fast = {
           stream (never share across domains). *)
 }
 (** Allocation-free variants of the evaluation callbacks, for hot paths
-    that keep workspaces (the MPDE assembler). Optional: producers that
+    that keep workspaces (the MPDE assembler and
+    {!Integrator.workspace}). Optional: producers that
     cannot provide them leave [fast = None] and callers fall back to
     the allocating closures. *)
 

@@ -9,55 +9,232 @@ type step_result = {
   outcome : Newton.outcome;
 }
 
+(* Step workspace. G and C live on frozen patterns and are refreshed
+   in place through [Dae.fast.jacobian_refresher]; J = sc·C + sg·G lives
+   on the union pattern, filled through slot maps and refactored on the
+   frozen pivot order. [lin_x] is the iterate G and C hold; [lu] is J's
+   factor at [lin_x] with scales [lu_sc]/[lu_sg] while [lu_valid]. *)
+type workspace = {
+  dae : Dae.t;
+  refresh : (Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
+  eval_q_into : Vec.t -> Vec.t -> unit;
+  eval_f_into : Vec.t -> Vec.t -> unit;
+  q_buf : Vec.t;
+  f_buf : Vec.t;
+  q_prev : Vec.t;
+  aux_prev : Vec.t;  (* f(x_prev) for trapezoidal, q(x_prev2) for BDF2 *)
+  mutable g : Sparse.Csr.t;
+  mutable c : Sparse.Csr.t;
+  mutable jac : Sparse.Csr.t;
+  mutable g_slot : int array;
+  mutable c_slot : int array;
+  mutable lu : Sparse.Splu.t option;
+  lin_x : Vec.t;
+  mutable lin_valid : bool;
+  mutable lu_valid : bool;
+  mutable lu_sc : float;
+  mutable lu_sg : float;
+}
+
+let empty_csr n =
+  {
+    Sparse.Csr.rows = n;
+    cols = n;
+    row_ptr = Array.make (n + 1) 0;
+    col_idx = [||];
+    values = [||];
+  }
+
+let workspace (dae : Dae.t) =
+  let n = dae.Dae.size in
+  let refresh, eval_q_into, eval_f_into =
+    match dae.Dae.fast with
+    | Some fast ->
+        (* One private stamping stream per workspace; a workspace is
+           single-domain by contract. *)
+        (Some (fast.Dae.jacobian_refresher ()), fast.Dae.eval_q_into, fast.Dae.eval_f_into)
+    | None ->
+        ( None,
+          (fun x out -> Array.blit (dae.Dae.eval_q x) 0 out 0 n),
+          fun x out -> Array.blit (dae.Dae.eval_f x) 0 out 0 n )
+  in
+  {
+    dae;
+    refresh;
+    eval_q_into;
+    eval_f_into;
+    q_buf = Array.make n 0.0;
+    f_buf = Array.make n 0.0;
+    q_prev = Array.make n 0.0;
+    aux_prev = Array.make n 0.0;
+    g = empty_csr n;
+    c = empty_csr n;
+    jac = empty_csr n;
+    g_slot = [||];
+    c_slot = [||];
+    lu = None;
+    lin_x = Array.make n 0.0;
+    lin_valid = false;
+    lu_valid = false;
+    lu_sc = 0.0;
+    lu_sg = 0.0;
+  }
+
+let size ws = ws.dae.Dae.size
+
+(* Position of entry (i, j) in [m]'s value array; [m] must hold it. *)
+let slot (m : Sparse.Csr.t) i j =
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    let c = m.Sparse.Csr.col_idx.(mid) in
+    if c = j then mid else if c < j then search (mid + 1) hi else search lo (mid - 1)
+  in
+  search m.Sparse.Csr.row_ptr.(i) (m.Sparse.Csr.row_ptr.(i + 1) - 1)
+
+(* Adopt freshly built G and C: J's pattern becomes their union, which
+   also invalidates any held factor's structure. *)
+let install ws g c =
+  let n = size ws in
+  let coo = Sparse.Coo.create ~capacity:(Sparse.Csr.nnz g + Sparse.Csr.nnz c) n n in
+  let add_pattern m =
+    for i = 0 to n - 1 do
+      Sparse.Csr.iter_row m i (fun j _ -> Sparse.Coo.add coo i j 1.0)
+    done
+  in
+  add_pattern c;
+  add_pattern g;
+  let jac = Sparse.Csr.of_coo coo in
+  let slots (m : Sparse.Csr.t) =
+    let s = Array.make (Sparse.Csr.nnz m) 0 in
+    for i = 0 to n - 1 do
+      for p = m.Sparse.Csr.row_ptr.(i) to m.Sparse.Csr.row_ptr.(i + 1) - 1 do
+        s.(p) <- slot jac i m.Sparse.Csr.col_idx.(p)
+      done
+    done;
+    s
+  in
+  ws.g <- g;
+  ws.c <- c;
+  ws.jac <- jac;
+  ws.g_slot <- slots g;
+  ws.c_slot <- slots c
+
+let same_bits (a : Vec.t) (b : Vec.t) =
+  let i = ref (Array.length a - 1) in
+  while !i >= 0 && Int64.equal (Int64.bits_of_float a.(!i)) (Int64.bits_of_float b.(!i)) do
+    decr i
+  done;
+  !i < 0
+
+(* G and C at [x]: an in-place refresh, or a rebuild from [jacobians]
+   when there is no refresher or the pattern grew (the empty patterns
+   of a new workspace always grow). Nothing is valid until it
+   succeeds. *)
+let evaluate_jacobians ws x =
+  if not (ws.lin_valid && same_bits ws.lin_x x) then begin
+    ws.lin_valid <- false;
+    ws.lu_valid <- false;
+    let refreshed =
+      match ws.refresh with Some refresh -> refresh x ~g:ws.g ~c:ws.c | None -> false
+    in
+    if not refreshed then begin
+      Telemetry.count "integrator.jacobian_rebuilds";
+      let g, c = ws.dae.Dae.jacobians x in
+      install ws g c
+    end;
+    Array.blit x 0 ws.lin_x 0 (size ws);
+    ws.lin_valid <- true
+  end
+
+(* J = (a/h) C + β G for each method; BDF2 without [x_prev2] steps with
+   backward Euler. *)
+let scales method_ h =
+  match method_ with
+  | Backward_euler -> (1.0 /. h, 1.0)
+  | Trapezoidal -> (1.0 /. h, 0.5)
+  | Bdf2 -> (1.5 /. h, 1.0)
+
+let factor_jacobian ws ~sc ~sg x =
+  evaluate_jacobians ws x;
+  if not (ws.lu_valid && ws.lu_sc = sc && ws.lu_sg = sg) then begin
+    (* Slot-wise C then G: the same sum, bit for bit, as merging the
+       scaled C and G triplets of a row through [Csr.of_coo]. *)
+    let v = ws.jac.Sparse.Csr.values in
+    Array.fill v 0 (Array.length v) 0.0;
+    let cv = ws.c.Sparse.Csr.values and gv = ws.g.Sparse.Csr.values in
+    for p = 0 to Array.length ws.c_slot - 1 do
+      let s = ws.c_slot.(p) in
+      v.(s) <- v.(s) +. (sc *. cv.(p))
+    done;
+    for p = 0 to Array.length ws.g_slot - 1 do
+      let s = ws.g_slot.(p) in
+      v.(s) <- v.(s) +. (sg *. gv.(p))
+    done;
+    (* A failed refactor leaves [lu]'s values unspecified. *)
+    ws.lu_valid <- false;
+    ws.lu <- Some (Sparse.Splu.refactor_or_factor ws.lu ws.jac);
+    ws.lu_sc <- sc;
+    ws.lu_sg <- sg;
+    ws.lu_valid <- true
+  end
+
+let linearize ws ~method_ ~h x =
+  let sc, sg = scales method_ h in
+  factor_jacobian ws ~sc ~sg x
+
+let solve_into ws b out =
+  match ws.lu with
+  | Some lu when ws.lu_valid -> Sparse.Splu.solve_into lu b out
+  | _ -> invalid_arg "Integrator.solve_into: no step Jacobian factored"
+
+let charge_jacobian ws =
+  if not ws.lin_valid then invalid_arg "Integrator.charge_jacobian: nothing evaluated";
+  ws.c
+
 (* Build the Newton problem for one implicit step. The residual has the
    generic form  alpha_q-combination of charges + f-combination - source
    terms;  the Jacobian is  (a/h) C(x) + beta G(x). *)
-let implicit_step ?(newton_options = Newton.default_options) ~method_ ~(dae : Dae.t)
+let implicit_step ?(newton_options = Newton.default_options) ~method_ ~workspace:ws
     ~t_next ~h ~x_prev ?x_prev2 () =
-  let q_prev = dae.Dae.eval_q x_prev in
-  let b_next = dae.Dae.source t_next in
+  let n = size ws in
+  let q_prev = ws.q_prev and q = ws.q_buf and f = ws.f_buf in
+  ws.eval_q_into x_prev q_prev;
+  let b_next = ws.dae.Dae.source t_next in
   let method_ = match (method_, x_prev2) with Bdf2, None -> Backward_euler | m, _ -> m in
-  let residual, jac_scale_c, jac_scale_g =
+  let residual =
     match method_ with
     | Backward_euler ->
-        let r x =
-          let q = dae.Dae.eval_q x and f = dae.Dae.eval_f x in
-          Array.init dae.Dae.size (fun i ->
-              ((q.(i) -. q_prev.(i)) /. h) +. f.(i) -. b_next.(i))
-        in
-        (r, 1.0 /. h, 1.0)
+        fun x ->
+          ws.eval_q_into x q;
+          ws.eval_f_into x f;
+          Array.init n (fun i -> ((q.(i) -. q_prev.(i)) /. h) +. f.(i) -. b_next.(i))
     | Trapezoidal ->
-        let f_prev = dae.Dae.eval_f x_prev in
-        let b_prev = dae.Dae.source (t_next -. h) in
-        let r x =
-          let q = dae.Dae.eval_q x and f = dae.Dae.eval_f x in
-          Array.init dae.Dae.size (fun i ->
+        let f_prev = ws.aux_prev in
+        ws.eval_f_into x_prev f_prev;
+        let b_prev = ws.dae.Dae.source (t_next -. h) in
+        fun x ->
+          ws.eval_q_into x q;
+          ws.eval_f_into x f;
+          Array.init n (fun i ->
               ((q.(i) -. q_prev.(i)) /. h)
               +. (0.5 *. (f.(i) -. b_next.(i)))
               +. (0.5 *. (f_prev.(i) -. b_prev.(i))))
-        in
-        (r, 1.0 /. h, 0.5)
     | Bdf2 ->
-        let x_prev2 = Option.get x_prev2 in
-        let q_prev2 = dae.Dae.eval_q x_prev2 in
-        let r x =
-          let q = dae.Dae.eval_q x and f = dae.Dae.eval_f x in
-          Array.init dae.Dae.size (fun i ->
+        let q_prev2 = ws.aux_prev in
+        ws.eval_q_into (Option.get x_prev2) q_prev2;
+        fun x ->
+          ws.eval_q_into x q;
+          ws.eval_f_into x f;
+          Array.init n (fun i ->
               (((1.5 *. q.(i)) -. (2.0 *. q_prev.(i)) +. (0.5 *. q_prev2.(i))) /. h)
               +. f.(i) -. b_next.(i))
-        in
-        (r, 1.5 /. h, 1.0)
   in
+  let sc, sg = scales method_ h in
   let solve_linearized x r =
-    let g, c = dae.Dae.jacobians x in
-    let n = dae.Dae.size in
-    let coo = Sparse.Coo.create ~capacity:(Sparse.Csr.nnz g + Sparse.Csr.nnz c) n n in
-    for i = 0 to n - 1 do
-      Sparse.Csr.iter_row c i (fun j v -> Sparse.Coo.add coo i j (jac_scale_c *. v));
-      Sparse.Csr.iter_row g i (fun j v -> Sparse.Coo.add coo i j (jac_scale_g *. v))
-    done;
-    let jac = Sparse.Csr.of_coo coo in
-    Sparse.Splu.solve (Sparse.Splu.factor jac) r
+    factor_jacobian ws ~sc ~sg x;
+    let delta = Array.make n 0.0 in
+    solve_into ws r delta;
+    delta
   in
   let x, stats =
     Newton.solve ~options:newton_options
@@ -74,11 +251,11 @@ let implicit_step ?(newton_options = Newton.default_options) ~method_ ~(dae : Da
 type trace = { times : float array; states : Vec.t array }
 
 (* One macro-step that recursively halves on Newton failure. *)
-let robust_step ?newton_options ~method_ ~dae ~t_start ~h ~x_prev ?x_prev2 () =
+let robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev ?x_prev2 () =
   let rec attempt ~t_start ~h ~x_prev ~x_prev2 ~depth ~remaining_newton =
     if depth > 8 then failwith "Integrator: Newton failed at minimum step size";
     let r =
-      implicit_step ?newton_options ~method_ ~dae ~t_next:(t_start +. h) ~h ~x_prev
+      implicit_step ?newton_options ~method_ ~workspace ~t_next:(t_start +. h) ~h ~x_prev
         ?x_prev2 ()
     in
     if r.converged then
@@ -102,6 +279,7 @@ let robust_step ?newton_options ~method_ ~dae ~t_start ~h ~x_prev ?x_prev2 () =
 let transient ?newton_options ?(method_ = Backward_euler) ~dae ~x0 ~t0 ~t1 ~steps () =
   if steps <= 0 then invalid_arg "Integrator.transient: steps must be positive";
   let h = (t1 -. t0) /. float_of_int steps in
+  let workspace = workspace dae in
   let times = Array.make (steps + 1) t0 in
   let states = Array.make (steps + 1) x0 in
   let reached = ref steps in
@@ -109,7 +287,8 @@ let transient ?newton_options ?(method_ = Backward_euler) ~dae ~x0 ~t0 ~t1 ~step
      for k = 1 to steps do
        let t_start = t0 +. (float_of_int (k - 1) *. h) in
        let x_prev2 = if k >= 2 then Some states.(k - 2) else None in
-       let r = robust_step ?newton_options ~method_ ~dae ~t_start ~h ~x_prev:states.(k - 1) ?x_prev2 () in
+       let r = robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev:states.(k - 1)
+           ?x_prev2 () in
        if not r.converged then begin
          (* Only a budget exhaustion reaches here (robust_step raises on
             genuine step failure); hand back the trace so far. *)
@@ -129,18 +308,19 @@ let transient_adaptive ?newton_options ?(method_ = Backward_euler) ?(rel_tol = 1
   let h_init = Option.value h_init ~default:(span /. 100.0) in
   let h_min = Option.value h_min ~default:(span *. 1e-10) in
   let h_max = Option.value h_max ~default:(span /. 10.0) in
+  let workspace = workspace dae in
   let times = ref [ t0 ] and states = ref [ x0 ] in
   let order = match method_ with Backward_euler -> 1.0 | Trapezoidal | Bdf2 -> 2.0 in
   let rec advance t x h =
     if t >= t1 -. (1e-12 *. span) then ()
     else begin
       let h = Float.min h (t1 -. t) in
-      let full = robust_step ?newton_options ~method_ ~dae ~t_start:t ~h ~x_prev:x () in
+      let full = robust_step ?newton_options ~method_ ~workspace ~t_start:t ~h ~x_prev:x () in
       let half1 =
-        robust_step ?newton_options ~method_ ~dae ~t_start:t ~h:(h /. 2.0) ~x_prev:x ()
+        robust_step ?newton_options ~method_ ~workspace ~t_start:t ~h:(h /. 2.0) ~x_prev:x ()
       in
       let half2 =
-        robust_step ?newton_options ~method_ ~dae ~t_start:(t +. (h /. 2.0)) ~h:(h /. 2.0)
+        robust_step ?newton_options ~method_ ~workspace ~t_start:(t +. (h /. 2.0)) ~h:(h /. 2.0)
           ~x_prev:half1.x ()
       in
       if not (full.converged && half1.converged && half2.converged) then

@@ -12,20 +12,51 @@ type step_result = {
   outcome : Newton.outcome;  (** the inner Newton outcome, for triage *)
 }
 
+type workspace
+(** Per-stream step state: [G] and [C] on frozen sparsity patterns,
+    refreshed in place through {!Dae.fast}[.jacobian_refresher] (or
+    rebuilt from {!Dae.t}[.jacobians] when the pattern changes or the
+    DAE has no fast callbacks), the step Jacobian [J = (a/h) C + β G]
+    on the union pattern, refactored in place with
+    {!Sparse.Splu.refactor_or_factor}, and the residual's [q]/[f]
+    buffers. The factor is kept with its key — the bits of the iterate
+    plus the two scales — so asking again for [J] at the same point
+    costs nothing. Single-domain: create one per solve stream. *)
+
+val workspace : Dae.t -> workspace
+
+val linearize : workspace -> method_:method_ -> h:float -> Linalg.Vec.t -> unit
+(** [linearize ws ~method_ ~h x] evaluates [G(x)], [C(x)] and factors
+    [method_]'s step Jacobian at [x] for step size [h] (a no-op when the
+    held factor has the same key). [Bdf2]'s scales are those of a
+    two-step BDF2 step.
+    @raise Sparse.Splu.Singular when [J] is singular. *)
+
+val solve_into : workspace -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [solve_into ws b out] writes [J⁻¹ b] for the last factored [J].
+    @raise Invalid_argument when no factor is held. *)
+
+val charge_jacobian : workspace -> Sparse.Csr.t
+(** [C] at the last evaluated iterate. The workspace overwrites its
+    values on the next evaluation; copy what must outlive it. *)
+
 val implicit_step :
   ?newton_options:Newton.options ->
   method_:method_ ->
-  dae:Dae.t ->
+  workspace:workspace ->
   t_next:float ->
   h:float ->
   x_prev:Linalg.Vec.t ->
   ?x_prev2:Linalg.Vec.t ->
   unit ->
   step_result
-(** Single implicit step to [t_next] of size [h]. [x_prev2] (the state
-    one step earlier) is required for [Bdf2]; when absent the step falls
-    back to backward Euler. Trapezoidal needs [b] and [f] at the previous
-    time, which it recomputes from [x_prev] and [t_next -. h]. *)
+(** Single implicit step to [t_next] of size [h] for the workspace's
+    DAE. [x_prev2] (the state one step earlier) is required for [Bdf2];
+    when absent the step falls back to backward Euler. Trapezoidal needs
+    [b] and [f] at the previous time, which it recomputes from [x_prev]
+    and [t_next -. h]. Each Newton iteration factors [J] through
+    {!linearize}, so the first iteration reuses a factor already held at
+    [x_prev]. *)
 
 type trace = { times : float array; states : Linalg.Vec.t array }
 
@@ -39,7 +70,8 @@ val transient :
   steps:int ->
   unit ->
   trace
-(** Fixed-step transient from [t0] to [t1]; the trace includes the
+(** Fixed-step transient from [t0] to [t1], every step sharing one
+    {!workspace}; the trace includes the
     initial point, so it has [steps + 1] entries. When a
     {!Resilience.Budget.t} carried in [newton_options] runs out the
     trace is truncated at the last completed step instead (check the
@@ -61,7 +93,8 @@ val transient_adaptive :
   t1:float ->
   unit ->
   trace
-(** Adaptive stepping with step-doubling local error control. *)
+(** Adaptive stepping with step-doubling local error control, on one
+    {!workspace}. *)
 
 val sample : trace -> int -> float array
 (** [sample trace k] extracts the time series of unknown [k]. *)

@@ -43,7 +43,10 @@ type stats = {
 
 (* The history is bounded so a pathological run with a huge iteration
    cap cannot grow it without bound; 512 comfortably covers every
-   configured solver in the repo. *)
+   configured solver in the repo. A run records at most
+   [max_iterations + 1] residuals, so the ring is no longer than that:
+   a 513-word ring is a major-heap allocation on every call, and
+   implicit time steps call [solve] thousands of times. *)
 let history_capacity = 512
 
 let converged s = s.outcome = Converged
@@ -80,12 +83,13 @@ let solve ?(options = default_options) ?on_iteration problem x0 =
   let outcome = ref Max_iterations in
   (* Chronological residual-norm history (initial residual first),
      kept in a bounded ring. *)
-  let hist = Array.make history_capacity 0.0 in
+  let capacity = max 1 (min history_capacity (options.max_iterations + 1)) in
+  let hist = Array.make capacity 0.0 in
   let hist_next = ref 0 in
   let hist_total = ref 0 in
   let record_residual v =
     hist.(!hist_next) <- v;
-    hist_next := (!hist_next + 1) mod history_capacity;
+    hist_next := (!hist_next + 1) mod capacity;
     incr hist_total;
     Telemetry.observe "newton.residual" v
   in
@@ -190,9 +194,9 @@ let solve ?(options = default_options) ?on_iteration problem x0 =
   Telemetry.count ~by:!total_backtracks "newton.backtracks";
   Telemetry.observe "newton.final_residual" !rnorm;
   let residual_history =
-    let retained = min !hist_total history_capacity in
-    let start = if !hist_total <= history_capacity then 0 else !hist_next in
-    Array.init retained (fun k -> hist.((start + k) mod history_capacity))
+    let retained = min !hist_total capacity in
+    let start = if !hist_total <= capacity then 0 else !hist_next in
+    Array.init retained (fun k -> hist.((start + k) mod capacity))
   in
   ( !x,
     {

@@ -243,6 +243,19 @@ let refactor f (a : Csr.t) =
     done
   done
 
+(* One place for the refactor-or-factor decision: replay [prev] on
+   [a]'s values when its frozen structure allows, and factor afresh
+   when it does not or when the frozen pivot order hits a zero pivot
+   (a fresh factor is free to pivot differently). *)
+let refactor_or_factor prev a =
+  match prev with
+  | Some f when refactorable f a -> (
+      try
+        refactor f a;
+        f
+      with Singular _ -> factor a)
+  | _ -> factor a
+
 let size f = f.n
 
 let solve_into f b out =

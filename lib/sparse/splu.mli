@@ -36,6 +36,14 @@ val refactor : t -> Csr.t -> unit
     @raise Invalid_argument when [not (refactorable t a)].
     @raise Singular on a zero or non-finite pivot. *)
 
+val refactor_or_factor : t option -> Csr.t -> t
+(** [refactor_or_factor prev a] factors [a], reusing [prev] when it can:
+    {!refactor} in place (and return [prev]) when
+    [refactorable prev a], otherwise — or when the replay raises
+    {!Singular} on the frozen pivot order — a fresh {!factor}. A failed
+    replay leaves [prev]'s values unspecified; use the returned factor.
+    @raise Singular when the fresh factor is singular too. *)
+
 val solve : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [solve lu b] returns [x] with [a x = b]. *)
 

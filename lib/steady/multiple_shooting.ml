@@ -31,10 +31,11 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_segment = 50) ?budget ?x0
     | None -> None
     | Some b -> Some { Numeric.Newton.default_options with budget = Some b }
   in
+  let workspace = Numeric.Integrator.workspace dae in
   let integrate_all starts =
     Array.mapi
       (fun s x0 ->
-        Shooting.integrate_with_sensitivity ?newton_options ~dae ~x0
+        Shooting.integrate_with_sensitivity ?newton_options ~workspace ~x0
           ~t0:(float_of_int s *. window)
           ~duration:window ~steps:steps_per_segment ())
       starts

@@ -14,63 +14,73 @@ type result = {
   residual_history : float array;
 }
 
+let copy_values (m : Sparse.Csr.t) =
+  { m with Sparse.Csr.values = Array.copy m.Sparse.Csr.values }
+
 (* Integrate one period with backward Euler while propagating the
    sensitivity S = ∂x(t)/∂x(0). The BE step residual
    [q(x⁺) − q(x)]/h + f(x⁺) − b = 0 gives S⁺ = J⁻¹ (C/h) S with
-   J = C⁺/h + G⁺ evaluated at the accepted state. *)
-let integrate_with_sensitivity ?newton_options ~(dae : Numeric.Dae.t) ~x0 ~t0 ~duration
-    ~steps () =
+   J = C⁺/h + G⁺ evaluated at the accepted state. That J(x⁺) is also
+   the matrix the next step's first Newton iteration needs at its
+   [x_prev], so the workspace factors it once for both, and C⁺ is kept
+   as the next step's [c_prev]. *)
+let integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0 ~duration ~steps () =
   Telemetry.span "shooting.integrate" @@ fun () ->
-  let n = dae.Numeric.Dae.size in
+  let module I = Numeric.Integrator in
+  let n = Array.length x0 in
   let h = duration /. float_of_int steps in
-  let sensitivity = ref (Mat.identity n) in
+  let linearize x =
+    try I.linearize workspace ~method_:I.Backward_euler ~h x
+    with Sparse.Splu.Singular k ->
+      failwith (Printf.sprintf "Shooting: singular step Jacobian (column %d)" k)
+  in
+  (* S by columns, double-buffered. *)
+  let s = ref (Array.init n (fun j -> Array.init n (fun i -> if i = j then 1.0 else 0.0))) in
+  let s_next = ref (Array.init n (fun _ -> Array.make n 0.0)) in
+  let rhs = Array.make n 0.0 in
+  linearize x0;
+  (* C(x_prev) keeps its own values: the workspace refreshes C in place. *)
+  let c_prev = ref (copy_values (I.charge_jacobian workspace)) in
+  let keep_charge () =
+    let c = I.charge_jacobian workspace in
+    if c.Sparse.Csr.col_idx == !c_prev.Sparse.Csr.col_idx then
+      Array.blit c.Sparse.Csr.values 0 !c_prev.Sparse.Csr.values 0 (Sparse.Csr.nnz c)
+    else c_prev := copy_values c
+  in
   let times = Array.make (steps + 1) t0 in
   let states = Array.make (steps + 1) x0 in
   for k = 1 to steps do
     let x_prev = states.(k - 1) in
     let t_next = t0 +. (float_of_int k *. h) in
     let step =
-      Numeric.Integrator.implicit_step ?newton_options
-        ~method_:Numeric.Integrator.Backward_euler ~dae ~t_next ~h ~x_prev ()
+      I.implicit_step ?newton_options ~method_:I.Backward_euler ~workspace ~t_next ~h
+        ~x_prev ()
     in
-    if not step.Numeric.Integrator.converged then begin
-      match step.Numeric.Integrator.outcome with
+    if not step.I.converged then begin
+      match step.I.outcome with
       | Numeric.Newton.Exhausted e -> raise (Budget.Exhausted e)
       | _ -> failwith "Shooting: Newton failed inside period integration"
     end;
-    let x_next = step.Numeric.Integrator.x in
-    (* Sensitivity propagation. *)
-    let _, c_prev = dae.Numeric.Dae.jacobians x_prev in
-    let g_next, c_next = dae.Numeric.Dae.jacobians x_next in
-    let jac =
-      let coo = Sparse.Coo.create ~capacity:(Sparse.Csr.nnz g_next + Sparse.Csr.nnz c_next) n n in
-      for i = 0 to n - 1 do
-        Sparse.Csr.iter_row c_next i (fun j v -> Sparse.Coo.add coo i j (v /. h));
-        Sparse.Csr.iter_row g_next i (fun j v -> Sparse.Coo.add coo i j v)
-      done;
-      Sparse.Splu.factor (Sparse.Csr.of_coo coo)
-    in
-    let s = !sensitivity in
-    let s_next = Mat.create n n in
-    let column = Array.make n 0.0 in
+    let x_next = step.I.x in
+    linearize x_next;
+    let s_cur = !s and s_new = !s_next in
     for j = 0 to n - 1 do
       (* rhs = (C_prev/h) · S(:,j) *)
-      let sj = Mat.col s j in
-      let rhs = Sparse.Csr.mul_vec c_prev sj in
+      Sparse.Csr.mul_vec_into !c_prev s_cur.(j) rhs;
       Vec.scale_ip (1.0 /. h) rhs;
-      Sparse.Splu.solve_into jac rhs column;
-      for i = 0 to n - 1 do
-        Mat.set s_next i j column.(i)
-      done
+      I.solve_into workspace rhs s_new.(j)
     done;
-    sensitivity := s_next;
+    s := s_new;
+    s_next := s_cur;
+    keep_charge ();
     times.(k) <- t_next;
     states.(k) <- x_next
   done;
-  ({ Numeric.Integrator.times; states }, !sensitivity)
+  let s = !s in
+  ({ I.times; states }, Mat.init n n (fun i j -> s.(j).(i)))
 
-let integrate_period ?newton_options ~dae ~x0 ~period ~steps () =
-  integrate_with_sensitivity ?newton_options ~dae ~x0 ~t0:0.0 ~duration:period ~steps ()
+let integrate_period ?newton_options ~workspace ~x0 ~period ~steps () =
+  integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0:0.0 ~duration:period ~steps ()
 
 let degenerate_trace x0 = { Numeric.Integrator.times = [| 0.0 |]; states = [| x0 |] }
 
@@ -79,6 +89,7 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0
   Telemetry.span "shooting.solve" @@ fun () ->
   let n = dae.Numeric.Dae.size in
   let x0 = ref (match x0 with Some x -> Array.copy x | None -> Array.make n 0.0) in
+  let workspace = Numeric.Integrator.workspace dae in
   let newton_options =
     match budget with
     | None -> None
@@ -102,7 +113,7 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0
            try Budget.tick_newton b with Budget.Exhausted e -> fail (Report.Exhausted e))
        | None -> ());
        let trace, monodromy =
-         try integrate_period ?newton_options ~dae ~x0:!x0 ~period ~steps:steps_per_period ()
+         try integrate_period ?newton_options ~workspace ~x0:!x0 ~period ~steps:steps_per_period ()
          with
          | Budget.Exhausted e -> fail (Report.Exhausted e)
          | Failure msg -> fail (Report.Failed msg)
@@ -119,9 +130,9 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0
        if !residual <= tol then converged := true
        else begin
          (* Solve (M − I) δ = −r, update x0 ← x0 + δ. *)
-         let m_minus_i = Mat.sub monodromy (Mat.identity n) in
          let delta =
-           try Linalg.Lu.solve_dense m_minus_i (Vec.neg r)
+           Telemetry.span "shooting.newton_update" @@ fun () ->
+           try Linalg.Lu.solve_dense (Mat.sub monodromy (Mat.identity n)) (Vec.neg r)
            with e ->
              fail (Report.Failed ("monodromy solve failed: " ^ Printexc.to_string e))
          in
@@ -141,7 +152,7 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0
     else begin
       try
         let t, _ =
-          integrate_period ?newton_options ~dae ~x0:!x0 ~period ~steps:steps_per_period ()
+          integrate_period ?newton_options ~workspace ~x0:!x0 ~period ~steps:steps_per_period ()
         in
         total_steps := !total_steps + steps_per_period;
         t

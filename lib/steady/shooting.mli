@@ -46,7 +46,7 @@ val solve :
 
 val integrate_with_sensitivity :
   ?newton_options:Numeric.Newton.options ->
-  dae:Numeric.Dae.t ->
+  workspace:Numeric.Integrator.workspace ->
   x0:Linalg.Vec.t ->
   t0:float ->
   duration:float ->
@@ -56,7 +56,14 @@ val integrate_with_sensitivity :
 (** Backward-Euler integration over [[t0, t0 + duration]] that also
     propagates the sensitivity [∂x(t0+duration)/∂x(t0)] (the window
     monodromy). Building block shared with {!Multiple_shooting}.
-    @raise Failure if an inner Newton solve fails.
+
+    Each step's sensitivity update factors the step Jacobian
+    [J(x⁺) = C(x⁺)/h + G(x⁺)] once in the [workspace]; the next step's
+    first Newton iteration reuses that factor, so [S] costs [n]
+    triangular solves per step and no extra factorization. One
+    workspace serves every window of a solve.
+    @raise Failure if an inner Newton solve fails or a step Jacobian
+    is singular.
     @raise Resilience.Budget.Exhausted when the inner Newton budget
     runs out mid-window. *)
 

@@ -118,6 +118,34 @@ let test_newton_max_iterations () =
   in
   Alcotest.(check bool) "not converged" true (not (Newton.converged stats))
 
+let test_newton_history_ring () =
+  (* F(x) = x with a 1% Newton step: every iteration is accepted and
+     the residual never reaches tolerance. *)
+  let problem =
+    {
+      Newton.residual = Array.copy;
+      solve_linearized = (fun _ r -> Array.map (fun v -> 0.01 *. v) r);
+    }
+  in
+  let history max_iterations =
+    let _, stats =
+      Newton.solve ~options:{ Newton.default_options with max_iterations } problem [| 1.0 |]
+    in
+    Alcotest.(check int) "iterations" max_iterations stats.Newton.iterations;
+    stats.Newton.residual_history
+  in
+  (* The residuals the solver records, by the same float operations. *)
+  let expected total =
+    let x = ref 1.0 in
+    Array.init total (fun k ->
+        if k > 0 then x := !x +. (-1.0 *. (0.01 *. !x));
+        Float.abs !x)
+  in
+  let all = expected 601 in
+  Alcotest.(check (array (float 0.0))) "600 iterations keep the last 512"
+    (Array.sub all (601 - 512) 512) (history 600);
+  Alcotest.(check (array (float 0.0))) "3 iterations keep all 4" (Array.sub all 0 4) (history 3)
+
 let test_newton_solver_failure_capture () =
   let problem =
     {
@@ -184,7 +212,8 @@ let test_be_step_decay () =
   (* dx/dt = -x (R=C=1, b=0): BE gives x1 = x0/(1+h). *)
   let dae = rc_dae ~r:1.0 ~c:1.0 ~b:(fun _ -> 0.0) in
   let r =
-    Integrator.implicit_step ~method_:Integrator.Backward_euler ~dae ~t_next:0.1 ~h:0.1
+    Integrator.implicit_step ~method_:Integrator.Backward_euler
+      ~workspace:(Integrator.workspace dae) ~t_next:0.1 ~h:0.1
       ~x_prev:[| 1.0 |] ()
   in
   Alcotest.(check bool) "converged" true r.Integrator.converged;
@@ -240,6 +269,39 @@ let test_transient_sample () =
   let s = Integrator.sample tr 0 in
   Alcotest.(check int) "length" 6 (Array.length s);
   check_float "initial" 1.0 s.(0)
+
+(* One workspace across a transient (in-place refresh, frozen-pivot
+   refactors, the step-k factor reused at step k+1) against a fresh
+   workspace per step (fresh factors only), and against the allocating
+   callbacks of a DAE without [fast]. *)
+let test_step_workspace_paths () =
+  let { Circuits.mna; _ } =
+    Circuits.diode_rectifier
+      ~drive:(Circuit.Waveform.sine ~amplitude:2.0 ~freq:1e3 ())
+      ()
+  in
+  let dae = Circuit.Mna.dae mna in
+  let x0 = Circuit.Dcop.solve_exn mna in
+  let steps = 200 and t1 = 2e-3 in
+  let h = t1 /. float_of_int steps in
+  let shared = Integrator.transient ~dae ~x0 ~t0:0.0 ~t1 ~steps () in
+  let slow =
+    Integrator.transient ~dae:{ dae with Numeric.Dae.fast = None } ~x0 ~t0:0.0 ~t1 ~steps ()
+  in
+  let x = ref x0 in
+  for k = 1 to steps do
+    let r =
+      Integrator.implicit_step ~method_:Integrator.Backward_euler
+        ~workspace:(Integrator.workspace dae) ~t_next:(float_of_int k *. h) ~h ~x_prev:!x ()
+    in
+    Alcotest.(check bool) "fresh step converged" true r.Integrator.converged;
+    x := r.Integrator.x;
+    let close a b = Vec.approx_equal ~tol:1e-9 a b in
+    Alcotest.(check bool) (Printf.sprintf "step %d: shared = fresh" k) true
+      (close shared.Integrator.states.(k) !x);
+    Alcotest.(check bool) (Printf.sprintf "step %d: no fast path = fresh" k) true
+      (close slow.Integrator.states.(k) !x)
+  done
 
 (* ---------- Interp ---------- *)
 
@@ -356,7 +418,8 @@ let prop_be_stable_any_step =
     (fun h ->
       let dae = rc_dae ~r:1.0 ~c:1.0 ~b:(fun _ -> 0.0) in
       let r =
-        Integrator.implicit_step ~method_:Integrator.Backward_euler ~dae ~t_next:h ~h
+        Integrator.implicit_step ~method_:Integrator.Backward_euler
+      ~workspace:(Integrator.workspace dae) ~t_next:h ~h
           ~x_prev:[| 1.0 |] ()
       in
       r.Integrator.converged && Float.abs r.Integrator.x.(0) <= 1.0)
@@ -382,6 +445,7 @@ let () =
           Alcotest.test_case "damping rescues atan" `Quick test_newton_damping_rescues;
           Alcotest.test_case "2-d system" `Quick test_newton_2d;
           Alcotest.test_case "max iterations" `Quick test_newton_max_iterations;
+          Alcotest.test_case "history ring" `Quick test_newton_history_ring;
           Alcotest.test_case "solver failure capture" `Quick test_newton_solver_failure_capture;
           Alcotest.test_case "already converged" `Quick test_newton_already_converged;
           Alcotest.test_case "iteration callback" `Quick test_newton_on_iteration_callback;
@@ -400,6 +464,7 @@ let () =
           Alcotest.test_case "sine response" `Quick test_transient_sine_response;
           Alcotest.test_case "adaptive stepping" `Quick test_transient_adaptive_matches_fixed;
           Alcotest.test_case "sample" `Quick test_transient_sample;
+          Alcotest.test_case "step workspace paths" `Quick test_step_workspace_paths;
         ] );
       ( "interp",
         [

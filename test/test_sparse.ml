@@ -150,6 +150,26 @@ let test_splu_nnz_reported () =
   Alcotest.(check bool) "U fill" true (unz >= 8);
   Alcotest.(check int) "size" 8 (Sparse.Splu.size f)
 
+let test_splu_refactor_or_factor () =
+  let a =
+    Csr.of_coo (Coo.of_triplets 2 2 [ (0, 0, 2.0); (0, 1, 1.0); (1, 0, 1.0); (1, 1, 1.0) ])
+  in
+  let b = Vec.of_list [ 1.0; 2.0 ] in
+  let solves f = Csr.residual_norm a (Sparse.Splu.solve f b) b < 1e-12 in
+  let f = Sparse.Splu.refactor_or_factor None a in
+  Alcotest.(check bool) "fresh factor solves" true (solves f);
+  (* New values on the same pattern: replayed in place. *)
+  a.Csr.values.(0) <- 3.0;
+  let f' = Sparse.Splu.refactor_or_factor (Some f) a in
+  Alcotest.(check bool) "replayed in place" true (f' == f);
+  Alcotest.(check bool) "replay solves" true (solves f');
+  (* A zero on the frozen pivot: the replay raises Singular inside, and
+     a fresh factor pivots on the other row. *)
+  a.Csr.values.(0) <- 0.0;
+  let f'' = Sparse.Splu.refactor_or_factor (Some f') a in
+  Alcotest.(check bool) "fell back to a fresh factor" true (f'' != f');
+  Alcotest.(check bool) "fallback solves" true (solves f'')
+
 (* ---------- Ilu0 ---------- *)
 
 let test_ilu0_exact_on_tridiagonal () =
@@ -386,6 +406,7 @@ let () =
           Alcotest.test_case "singular detection" `Quick test_splu_singular;
           Alcotest.test_case "pivot threshold" `Quick test_splu_pivot_threshold;
           Alcotest.test_case "fill reporting" `Quick test_splu_nnz_reported;
+          Alcotest.test_case "refactor or factor" `Quick test_splu_refactor_or_factor;
         ] );
       ( "ilu0",
         [

@@ -36,6 +36,24 @@ let max_err_vs_analytic times states idx =
 
 (* ---------- Shooting ---------- *)
 
+let unbalanced_mixer_fixture disparity =
+  let f_lo = 1e6 in
+  let fd = f_lo /. disparity in
+  let { Circuits.mna; _ } =
+    Circuits.unbalanced_mixer ~f_lo
+      ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+      ~rf_amplitude:0.05 ()
+  in
+  (mna, 1.0 /. fd)
+
+let rectifier_fixture () =
+  let { Circuits.mna; _ } =
+    Circuits.diode_rectifier ~load_r:10e3 ~load_c:0.5e-6
+      ~drive:(W.sine ~amplitude:2.0 ~freq:rc_freq ())
+      ()
+  in
+  mna
+
 let test_shooting_rc () =
   let mna = rc_fixture () in
   let r =
@@ -71,11 +89,7 @@ let test_shooting_periodicity () =
   Alcotest.(check bool) "x(T) = x(0)" true (Linalg.Vec.dist2 first last < 1e-6)
 
 let test_shooting_rectifier () =
-  let { Circuits.mna; _ } =
-    Circuits.diode_rectifier ~load_r:10e3 ~load_c:0.5e-6
-      ~drive:(W.sine ~amplitude:2.0 ~freq:rc_freq ())
-      ()
-  in
+  let mna = rectifier_fixture () in
   let dc = Circuit.Dcop.solve_exn mna in
   let r =
     Steady.Shooting.solve ~steps_per_period:512 ~x0:dc ~dae:(Circuit.Mna.dae mna)
@@ -87,6 +101,112 @@ let test_shooting_rectifier () =
   let mean = Linalg.Vec.mean samples in
   (* Rectified 2 V sine into a big RC: mean well above zero, below peak. *)
   Alcotest.(check bool) "rectified mean" true (mean > 0.8 && mean < 2.0)
+
+(* ---------- Shooting sensitivity ---------- *)
+
+(* The window monodromy from [integrate_with_sensitivity] against
+   central differences of the window's end state, each perturbed run on
+   a fresh workspace. Returns max |M| and max |M − M_fd|; the integer
+   is how many times the workspace rebuilt G and C for a pattern
+   change. *)
+let monodromy_vs_fd ~dae ~x0 ~t0 ~duration ~steps =
+  let integrate x0 =
+    Steady.Shooting.integrate_with_sensitivity
+      ~workspace:(Numeric.Integrator.workspace dae)
+      ~x0 ~t0 ~duration ~steps ()
+  in
+  Telemetry.enable ();
+  let _, m = integrate x0 in
+  let snap = match Telemetry.snapshot () with Some s -> s | None -> assert false in
+  Telemetry.disable ();
+  let rebuilds =
+    Option.value ~default:0
+      (List.assoc_opt "integrator.jacobian_rebuilds" snap.Telemetry.counters)
+  in
+  let n = dae.Numeric.Dae.size in
+  let m_max = ref 0.0 and err = ref 0.0 in
+  for j = 0 to n - 1 do
+    let eps = 1e-6 *. Float.max 1.0 (Float.abs x0.(j)) in
+    let end_state delta =
+      let x = Array.copy x0 in
+      x.(j) <- x.(j) +. delta;
+      let trace, _ = integrate x in
+      trace.Numeric.Integrator.states.(steps)
+    in
+    let plus = end_state eps and minus = end_state (-.eps) in
+    for i = 0 to n - 1 do
+      let fd = (plus.(i) -. minus.(i)) /. (2.0 *. eps) in
+      let mij = Linalg.Mat.get m i j in
+      m_max := Float.max !m_max (Float.abs mij);
+      err := Float.max !err (Float.abs (mij -. fd))
+    done
+  done;
+  (!m_max, !err, rebuilds)
+
+let check_monodromy name ~dae ~x0 ~t0 ~duration ~steps ~nontrivial =
+  let m_max, err, _ = monodromy_vs_fd ~dae ~x0 ~t0 ~duration ~steps in
+  if nontrivial then
+    Alcotest.(check bool) (Printf.sprintf "%s: |M| = %.2e is not negligible" name m_max) true
+      (m_max > 1e-5);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: |M - FD| = %.2e <= 1e-5 max(1, |M|)" name err)
+    true
+    (err <= 1e-5 *. Float.max 1.0 m_max)
+
+(* The unbalanced mixer at disparities 29.75 and 39.81 (10 steps per LO
+   cycle): the full difference period from the DC point, and four
+   steps from the zero state, where the MOSFET's Jacobian pattern grows
+   after the first step and the workspace must rebuild G and C. *)
+let test_monodromy_mixer disparity () =
+  let mna, period = unbalanced_mixer_fixture disparity in
+  let dae = Circuit.Mna.dae mna in
+  let steps = int_of_float (Float.round (10.0 *. disparity)) in
+  let h = period /. float_of_int steps in
+  check_monodromy "period" ~dae ~x0:(Circuit.Dcop.solve_exn mna) ~t0:0.0 ~duration:period
+    ~steps ~nontrivial:false;
+  let zero = Array.make dae.Numeric.Dae.size 0.0 in
+  check_monodromy "4 steps from zero" ~dae ~x0:zero ~t0:0.0 ~duration:(4.0 *. h) ~steps:4
+    ~nontrivial:true;
+  let _, _, rebuilds = monodromy_vs_fd ~dae ~x0:zero ~t0:0.0 ~duration:(4.0 *. h) ~steps:4 in
+  Alcotest.(check bool) (Printf.sprintf "pattern-change rebuilds (%d) >= 2" rebuilds) true
+    (rebuilds >= 2)
+
+(* The rectifier: the full period (the diode's conduction wipes out the
+   initial state), the negative half where the load capacitor holds
+   its charge, and a charged capacitor carried from the negative peak
+   through the diode switching on near the positive peak. *)
+let test_monodromy_rectifier () =
+  let mna = rectifier_fixture () in
+  let dae = Circuit.Mna.dae mna in
+  let x0 = Circuit.Dcop.solve_exn mna in
+  let period = 1.0 /. rc_freq and steps = 512 in
+  let h = period /. float_of_int steps in
+  check_monodromy "period" ~dae ~x0 ~t0:0.0 ~duration:period ~steps ~nontrivial:false;
+  check_monodromy "off half" ~dae ~x0 ~t0:(period /. 2.0) ~duration:(64.0 *. h) ~steps:64
+    ~nontrivial:true;
+  let charged = Array.copy x0 in
+  charged.(Circuit.Mna.node_index mna "out") <- 1.5;
+  check_monodromy "switch-on" ~dae ~x0:charged ~t0:(0.75 *. period) ~duration:(256.0 *. h)
+    ~steps:256 ~nontrivial:true
+
+(* Allocation guard on the shooting hot loop: one difference period of
+   the unbalanced mixer at disparity 756.5 (7 565 steps) stays under
+   2 000 minor words per step. Rebuilding the step Jacobian from
+   scratch costs about 5 000. *)
+let test_shooting_step_allocation () =
+  let disparity = 756.5 in
+  let mna, period = unbalanced_mixer_fixture disparity in
+  let dae = Circuit.Mna.dae mna in
+  let x0 = Circuit.Dcop.solve_exn mna in
+  let steps = 7565 in
+  let workspace = Numeric.Integrator.workspace dae in
+  let before = Gc.minor_words () in
+  ignore
+    (Steady.Shooting.integrate_with_sensitivity ~workspace ~x0 ~t0:0.0 ~duration:period ~steps
+       ());
+  let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words per step <= 2000" per_step) true
+    (per_step <= 2000.0)
 
 (* ---------- Periodic FD ---------- *)
 
@@ -252,6 +372,12 @@ let () =
           Alcotest.test_case "linear = 1 newton" `Quick test_shooting_linear_one_newton;
           Alcotest.test_case "periodicity" `Quick test_shooting_periodicity;
           Alcotest.test_case "rectifier" `Quick test_shooting_rectifier;
+          Alcotest.test_case "monodromy vs FD, mixer d=29.75" `Quick
+            (test_monodromy_mixer 29.75);
+          Alcotest.test_case "monodromy vs FD, mixer d=39.81" `Quick
+            (test_monodromy_mixer 39.81);
+          Alcotest.test_case "monodromy vs FD, rectifier" `Quick test_monodromy_rectifier;
+          Alcotest.test_case "step allocation" `Quick test_shooting_step_allocation;
         ] );
       ( "periodic_fd",
         [
