@@ -1272,18 +1272,31 @@ let top_cmd addr_spec interval once =
 
 open Cmdliner
 
-(* MPDE grid dimensions: the bi-periodic grid needs at least two points
-   per axis, so smaller values are a usage error, not a solver crash. *)
-let grid_points =
+(* Counts (time steps, segments, harmonics, collocation and grid
+   points) below what their solver needs are a usage error, not a
+   solver crash or an empty answer: >= 1 for steps, segments and
+   harmonics, >= 2 for periodic point sets. *)
+let count ~min =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 2 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= 2" s))
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s min))
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
-let grid_arg name default doc =
-  Arg.(value & opt grid_points default & info [ name ] ~docv:"N" ~doc)
+let count_arg ~min name default docv doc =
+  Arg.(value & opt (count ~min) default & info [ name ] ~docv ~doc)
+
+let grid_arg name default doc = count_arg ~min:2 name default "N" doc
+
+(* Durations and period counts: finite and > 0. *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a finite number > 0" s))
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
 let circuit_arg =
   Arg.(
@@ -1400,11 +1413,9 @@ let dcop_term =
 
 let transient_term =
   let t_stop =
-    Arg.(value & opt (some float) None & info [ "t-stop" ] ~docv:"S" ~doc:"Stop time.")
+    Arg.(value & opt (some positive_float) None & info [ "t-stop" ] ~docv:"S" ~doc:"Stop time.")
   in
-  let steps =
-    Arg.(value & opt int 1000 & info [ "steps" ] ~docv:"N" ~doc:"Fixed step count.")
-  in
+  let steps = count_arg ~min:1 "steps" 1000 "N" "Fixed step count." in
   Term.(const transient_cmd $ telemetry_arg $ tones_arg no_engine $ t_stop $ steps)
 
 let engine_period_arg =
@@ -1435,18 +1446,10 @@ let solve_term =
             "Steady-state engine: $(b,shooting), $(b,multiple-shooting), \
              $(b,hb), $(b,periodic-fd) or $(b,mpde).")
   in
-  let steps =
-    Arg.(value & opt int 256 & info [ "steps" ] ~docv:"N" ~doc:"Shooting steps per period.")
-  in
-  let segments =
-    Arg.(value & opt int 8 & info [ "segments" ] ~docv:"N" ~doc:"Multiple-shooting windows.")
-  in
-  let harmonics =
-    Arg.(value & opt int 8 & info [ "harmonics" ] ~docv:"K" ~doc:"HB harmonic count.")
-  in
-  let points =
-    Arg.(value & opt int 64 & info [ "points" ] ~docv:"N" ~doc:"Periodic-FD collocation points.")
-  in
+  let steps = count_arg ~min:1 "steps" 256 "N" "Shooting steps per period." in
+  let segments = count_arg ~min:1 "segments" 8 "N" "Multiple-shooting windows." in
+  let harmonics = count_arg ~min:1 "harmonics" 8 "K" "HB harmonic count." in
+  let points = count_arg ~min:2 "points" 64 "N" "Periodic-FD collocation points." in
   let n1 = grid_arg "n1" 32 "MPDE fast-scale points." in
   let n2 = grid_arg "n2" 24 "MPDE slow-scale points." in
   let tol =
@@ -1512,9 +1515,7 @@ let sweep_term =
   in
   let n1 = grid_arg "n1" 32 "MPDE fast-scale points." in
   let n2 = grid_arg "n2" 24 "MPDE slow-scale points." in
-  let steps =
-    Arg.(value & opt int 256 & info [ "steps" ] ~docv:"N" ~doc:"Shooting steps per period.")
-  in
+  let steps = count_arg ~min:1 "steps" 256 "N" "Shooting steps per period." in
   let tol =
     Arg.(value & opt float 1e-8 & info [ "tol" ] ~docv:"T" ~doc:"Residual infinity-norm target.")
   in
@@ -1637,10 +1638,12 @@ let mpde_term =
     $ budget_seconds_arg $ max_newton_arg)
 
 let envelope_term =
-  let n1 = Arg.(value & opt int 32 & info [ "n1" ] ~docv:"N" ~doc:"Fast-scale points.") in
-  let steps = Arg.(value & opt int 48 & info [ "steps" ] ~docv:"N" ~doc:"Slow steps.") in
+  let n1 = grid_arg "n1" 32 "Fast-scale points." in
+  let steps = count_arg ~min:1 "steps" 48 "N" "Slow steps." in
   let periods =
-    Arg.(value & opt float 2.0 & info [ "periods" ] ~docv:"X" ~doc:"Difference periods to march.")
+    Arg.(
+      value & opt positive_float 2.0
+      & info [ "periods" ] ~docv:"X" ~doc:"Difference periods to march.")
   in
   Term.(const envelope_cmd $ telemetry_arg $ tones_arg mpde_engine $ n1 $ steps $ periods)
 
@@ -1657,8 +1660,10 @@ let deck_term =
   let node =
     Arg.(value & opt string "out" & info [ "node" ] ~docv:"NAME" ~doc:"Node to report.")
   in
-  let t_stop = Arg.(value & opt float 1e-3 & info [ "t-stop" ] ~docv:"S" ~doc:"Transient stop time.") in
-  let steps = Arg.(value & opt int 1000 & info [ "steps" ] ~docv:"N" ~doc:"Transient steps.") in
+  let t_stop =
+    Arg.(value & opt positive_float 1e-3 & info [ "t-stop" ] ~docv:"S" ~doc:"Transient stop time.")
+  in
+  let steps = count_arg ~min:1 "steps" 1000 "N" "Transient steps." in
   let f_start = Arg.(value & opt float 1.0 & info [ "f-start" ] ~docv:"HZ" ~doc:"AC sweep start.") in
   let f_stop = Arg.(value & opt float 1e9 & info [ "f-stop" ] ~docv:"HZ" ~doc:"AC sweep stop.") in
   Term.(const deck_cmd $ telemetry_arg $ file $ analysis $ node $ t_stop $ steps $ f_start $ f_stop)

@@ -244,8 +244,7 @@ let run (problem : Problem.t) (engine : t) : Result.t =
         ]
       in
       let health =
-        Diagnostics.Health.of_solution ~scheme:o.Options.scheme
-          ~condition:o.Options.condition_estimate sol
+        Diagnostics.Health.of_solution ~condition:false sol
       in
       finalize ~converged:sol.Mpde.Solver.stats.Mpde.Solver.converged
         ~newton_iterations:

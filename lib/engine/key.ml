@@ -1,5 +1,5 @@
 (* Canonical, versioned job identity. The hash is FNV-1a 64 over the
-   typed fields (not over the printable form): strings are terminated,
+   typed fields: strings are terminated,
    floats contribute their full 8-byte IEEE image, so distinct field
    tuples cannot collide by concatenation. The version tag is mixed
    first — any change to the field set or encoding must bump it, which
@@ -15,29 +15,6 @@ let version = "rfss.key/1"
    warm start or a tighter deadline changes iteration counts and wall
    time but not the fixed point being solved for, and including them
    would make every warm-started request a cache miss. *)
-
-let scheme_name = function
-  | Mpde.Assemble.Backward -> "backward"
-  | Mpde.Assemble.Central_t1 -> "central-t1"
-  | Mpde.Assemble.Spectral_t1 -> "spectral-t1"
-  | Mpde.Assemble.Spectral_both -> "spectral-both"
-
-let scheme_tag = function
-  | Mpde.Assemble.Backward -> 0
-  | Mpde.Assemble.Central_t1 -> 1
-  | Mpde.Assemble.Spectral_t1 -> 2
-  | Mpde.Assemble.Spectral_both -> 3
-
-let canonical ~label ~engine ~f_fast ~fd ~options =
-  let o = (options : Options.t) in
-  Printf.sprintf
-    "%s|label=%s|engine=%s|f_fast=%.17g|fd=%.17g|n1=%d|n2=%d|steps_per_period=%d|segments=%d|steps_per_segment=%d|harmonics=%d|points=%d|max_newton=%d|tol=%.17g|warm_start=%b|scheme=%s|continuation=%b"
-    version label engine f_fast fd o.Options.n1 o.Options.n2
-    o.Options.steps_per_period o.Options.segments o.Options.steps_per_segment
-    o.Options.harmonics o.Options.points o.Options.max_newton o.Options.tol
-    o.Options.warm_start
-    (scheme_name o.Options.scheme)
-    o.Options.allow_continuation
 
 let hash ~label ~engine ~f_fast ~fd ~options =
   let o = (options : Options.t) in
@@ -58,10 +35,8 @@ let hash ~label ~engine ~f_fast ~fd ~options =
   let h = mix_int h o.Options.max_newton in
   let h = mix_float h o.Options.tol in
   let h = mix_int h (if o.Options.warm_start then 1 else 0) in
-  let h = mix_int h (scheme_tag o.Options.scheme) in
+  (* The MPDE scheme tag: the backend always runs [Backward] (0). It
+     stays in the encoding so stored [rfss.key/1] keys keep matching. *)
+  let h = mix_int h 0 in
   let h = mix_int h (if o.Options.allow_continuation then 1 else 0) in
   hex h
-
-let of_problem (p : Problem.t) ~engine ~options =
-  hash ~label:p.Problem.label ~engine ~f_fast:p.Problem.f_fast ~fd:p.Problem.fd
-    ~options

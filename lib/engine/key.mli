@@ -18,17 +18,6 @@
 val version : string
 (** ["rfss.key/1"] *)
 
-val canonical :
-  label:string ->
-  engine:string ->
-  f_fast:float ->
-  fd:float ->
-  options:Options.t ->
-  string
-(** Human-readable one-line serialization of the identity fields
-    (floats as [%.17g], round-trip exact). For logs and debugging; the
-    hash is computed over the typed fields, not over this string. *)
-
 val hash :
   label:string ->
   engine:string ->
@@ -37,9 +26,3 @@ val hash :
   options:Options.t ->
   string
 (** 16-hex-digit FNV-1a 64 key of the identity fields. *)
-
-val of_problem : Problem.t -> engine:string -> options:Options.t -> string
-(** {!hash} with label and tones taken from the problem; [engine] is
-    the {!Backend.kind_name} string. *)
-
-val scheme_name : Mpde.Assemble.scheme -> string

@@ -10,10 +10,7 @@ type t = {
   points : int;
   n1 : int;
   n2 : int;
-  scheme : Mpde.Assemble.scheme;
-  linear_solver : Mpde.Solver.linear_solver;
   allow_continuation : bool;
-  condition_estimate : bool;
   initial_surface : Linalg.Vec.t option;
 }
 
@@ -30,10 +27,7 @@ let default =
     points = 64;
     n1 = 32;
     n2 = 24;
-    scheme = Mpde.Assemble.Backward;
-    linear_solver = Mpde.Solver.default_gmres;
     allow_continuation = true;
-    condition_estimate = false;
     initial_surface = None;
   }
 
@@ -56,6 +50,5 @@ let degrade o =
   }
 
 let to_mpde o =
-  Mpde.Solver.make_options ~max_newton:o.max_newton ~tol:o.tol ~scheme:o.scheme
-    ~linear_solver:o.linear_solver ~allow_continuation:o.allow_continuation
-    ?budget:o.budget ()
+  Mpde.Solver.make_options ~max_newton:o.max_newton ~tol:o.tol
+    ~allow_continuation:o.allow_continuation ?budget:o.budget ()

@@ -9,7 +9,13 @@
     nonlinear residual infinity-norm target) and one [max_newton] (the
     outer Newton cap); the per-backend discretization knobs keep their
     own names because they genuinely differ. DESIGN.md §11 tabulates
-    the mapping onto each backend's native record. *)
+    the mapping onto each backend's native record.
+
+    The MPDE backend always runs the [Backward] scheme with
+    {!Mpde.Solver.default_gmres}; other schemes and linear solvers are
+    reached through {!Mpde.Solver.options} directly. Its health
+    assessment skips the Jacobian condition estimate, which
+    {!Diagnostics.Health.of_solution} computes on request. *)
 
 type t = {
   (* shared Newton controls (every backend) *)
@@ -27,18 +33,11 @@ type t = {
   steps_per_segment : int;  (** multiple shooting; default [50] *)
   harmonics : int;  (** harmonic balance; default [8] *)
   points : int;  (** periodic-FD collocation points; default [64] *)
-  (* MPDE grid and linear layer *)
+  (* MPDE grid *)
   n1 : int;  (** fast-scale grid points; default [32] *)
   n2 : int;  (** slow-scale grid points; default [24] *)
-  scheme : Mpde.Assemble.scheme;  (** default [Backward] *)
-  linear_solver : Mpde.Solver.linear_solver;
-      (** default {!Mpde.Solver.default_gmres} *)
   allow_continuation : bool;
       (** enable the MPDE nonlinear escalation rungs; default [true] *)
-  (* result enrichment *)
-  condition_estimate : bool;
-      (** compute the Jacobian κ estimate in the health assessment
-          (MPDE only; costs an extra factorization); default [false] *)
   initial_surface : Linalg.Vec.t option;
       (** full flattened MPDE grid state used as the Newton initial
           guess instead of the replicated DC point (MPDE only) —
@@ -60,4 +59,5 @@ val degrade : t -> t
     floors. *)
 
 val to_mpde : t -> Mpde.Solver.options
-(** Project onto the MPDE backend's native record. *)
+(** Project onto the MPDE backend's native record, with its default
+    [Backward] scheme and {!Mpde.Solver.default_gmres} linear solver. *)

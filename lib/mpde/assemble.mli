@@ -115,4 +115,4 @@ val jacobian_ws : workspace -> Sparse.Csr.t
     [Invalid_argument] otherwise). The first call assembles the CSR
     symbolically; later calls rewrite values in place and return the
     {e same} matrix instance, which keeps downstream pattern-keyed
-    caches ([Splu.refactorable], [Ilu0.refactorable]) valid. *)
+    cache ([Splu.refactorable]) valid. *)

@@ -11,7 +11,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type linear_solver =
   | Direct
   | Gmres_sweep of { restart : int; max_iter : int; tol : float }
-  | Gmres_ilu0 of { restart : int; max_iter : int; tol : float }
 
 let default_gmres = Gmres_sweep { restart = 60; max_iter = 600; tol = 1e-9 }
 
@@ -37,10 +36,9 @@ let default_options =
   }
 
 let make_options ?(max_newton = default_options.max_newton)
-    ?(tol = default_options.tol) ?(scheme = default_options.scheme)
-    ?(linear_solver = default_options.linear_solver)
+    ?(tol = default_options.tol)
     ?(allow_continuation = default_options.allow_continuation) ?budget () =
-  { max_newton; tol; scheme; linear_solver; allow_continuation; budget }
+  { default_options with max_newton; tol; allow_continuation; budget }
 
 type stats = {
   newton_iterations : int;
@@ -62,18 +60,16 @@ type solution = {
 }
 
 (* Per-solve workspace: assembly scratch plus the linear-solver caches
-   (GMRES Krylov basis, sweep factors, ILU0/sparse-LU factorizations
-   refreshed numerically on their frozen patterns). Owned by exactly
-   one solve on one domain. *)
+   (GMRES Krylov basis, sweep factors, the sparse-LU factorization
+   refreshed numerically on its frozen pattern). Owned by exactly one
+   solve on one domain. *)
 type workspace = {
   mutable asm : Assemble.workspace;
   mutable gmres_ws : Sparse.Krylov.workspace option;
   mutable gmres_restart : int;
   op_ba : Linalg.Kernel.vec;  (* shared operator output (GMRES buffer contract) *)
-  ilu_ba : Linalg.Kernel.vec;  (* shared ILU0 preconditioner output *)
   sweep : Block_sweep.t;
   cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free op *)
-  mutable ilu : Sparse.Ilu0.t option;
   mutable splu : Sparse.Splu.t option;
 }
 
@@ -86,10 +82,8 @@ let make_workspace scheme sys (g : Grid.t) =
     gmres_ws = None;
     gmres_restart = 0;
     op_ba = Linalg.Kernel.create big;
-    ilu_ba = Linalg.Kernel.create big;
     sweep = Block_sweep.create ~n ~np;
     cw = Linalg.Kernel.create big;
-    ilu = None;
     splu = None;
   }
 
@@ -104,7 +98,6 @@ let workspace_fits ws sys (g : Grid.t) =
    workspace keeps no state between solves, so it is kept as is. *)
 let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.asm <- Assemble.workspace scheme sys g;
-  ws.ilu <- None;
   ws.splu <- None;
   ws
 
@@ -181,8 +174,8 @@ let with_extra_diag jac extra_diag =
 
 let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
   (* Numeric-refresh path: with [extra_diag = 0] this returns the same
-     CSR instance every Newton iteration, which keeps the ILU0/sparse-LU
-     pattern caches below valid. *)
+     CSR instance every Newton iteration, which keeps the sparse-LU
+     pattern cache below valid. *)
   let jac () = with_extra_diag (Assemble.jacobian_ws ws.asm) extra_diag in
   (* The converged GMRES iterate, or a stall: budget exhaustion when the
      budget ran out, [Linear_stall] otherwise. *)
@@ -202,10 +195,6 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
            (Printf.sprintf "GMRES stalled (residual %.3e after %d iterations)"
               result.Sparse.Krylov.residual_norm result.Sparse.Krylov.iterations))
     end
-  in
-  let op_of m v =
-    Sparse.Csr.mul_vec_ba_into m v ws.op_ba;
-    ws.op_ba
   in
   match linear_solver with
   | Direct -> (
@@ -228,7 +217,10 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
               ws.op_ba
         | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both
           ->
-            op_of (jac ())
+            let m = jac () in
+            fun v ->
+              Sparse.Csr.mul_vec_ba_into m v ws.op_ba;
+              ws.op_ba
       in
       (* Exact factors at every Newton iterate: a lagged or shared
          block lets a switching device's conductance drift unseen, and
@@ -236,24 +228,6 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
       Block_sweep.build ws.sweep scheme g ~jacs ~extra_diag;
       let precond = Block_sweep.apply ws.sweep scheme g ~jacs in
       run_gmres ~restart ~max_iter ~tol ~precond op)
-  | Gmres_ilu0 { restart; max_iter; tol } ->
-      Telemetry.span "mpde.linear.gmres-ilu0" @@ fun () ->
-      let m = jac () in
-      let f =
-        match ws.ilu with
-        | Some f when Sparse.Ilu0.refactorable f m ->
-            Sparse.Ilu0.refactor f m;
-            f
-        | _ ->
-            let f = Sparse.Ilu0.factor m in
-            ws.ilu <- Some f;
-            f
-      in
-      run_gmres ~restart ~max_iter ~tol
-        ~precond:(fun r ->
-          Sparse.Ilu0.apply_into f r ws.ilu_ba;
-          ws.ilu_ba)
-        (op_of m)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
    a NaN entry in G or C would otherwise poison GMRES silently. *)
@@ -342,10 +316,6 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
           ~budget:options.budget g ~jacs
           ~extra_diag ~rhs:r ~linear_iters);
   }
-
-let is_direct = function Direct -> true | _ -> false
-
-let is_ilu0 = function Gmres_ilu0 _ -> true | _ -> false
 
 let solve ?(options = default_options) ?seed ?workspace_slot
     (sys : Assemble.system) (g : Grid.t) =
@@ -530,9 +500,6 @@ let solve ?(options = default_options) ?seed ?workspace_slot
     in
     relax alpha0 big_x0
   in
-  let applies_escalated_linear prev =
-    Ladder.on_linear_stall prev && not (is_direct options.linear_solver)
-  in
   let stages =
     [
       {
@@ -541,15 +508,10 @@ let solve ?(options = default_options) ?seed ?workspace_slot
         attempt = plain_stage "newton" options.linear_solver;
       };
       {
-        Ladder.name = "gmres-ilu0";
-        applies =
-          (fun prev -> applies_escalated_linear prev && not (is_ilu0 options.linear_solver));
-        attempt =
-          plain_stage "gmres-ilu0" (Gmres_ilu0 { restart = 90; max_iter = 900; tol = options.tol });
-      };
-      {
         Ladder.name = "direct-lu";
-        applies = applies_escalated_linear;
+        applies =
+          (fun prev ->
+            Ladder.on_linear_stall prev && options.linear_solver <> Direct);
         attempt = plain_stage "direct-lu" Direct;
       };
       {

@@ -1,6 +1,6 @@
 (** Newton solution of the discretized MPDE.
 
-    Three linear solvers are provided:
+    Two linear solvers are provided:
 
     - [Direct]: general sparse LU on the global Jacobian — robust,
       reasonable for grids up to a few thousand points;
@@ -11,17 +11,18 @@
       [n] x [n] diagonal blocks) is a very strong preconditioner — the
       multi-time analogue of the matrix-free Krylov shooting of the
       paper's ref. [10]. The diagonal blocks are refactored exactly
-      from the current Jacobian for every linear solve;
-    - [Gmres_ilu0]: GMRES preconditioned by a zero-fill ILU of the
-      global Jacobian — slower to set up than the sweep but stronger
-      when the sweep's dropped couplings matter; the first escalation
-      rung after a linear stall.
+      from the current Jacobian for every linear solve.
+
+    There is no incomplete-factorization rung: an MNA voltage-source or
+    inductor branch row has no diagonal entry, so a zero-fill ILU hits
+    a zero pivot on every circuit with such a branch, and exact sparse
+    LU rescues every stall it could.
 
     {2 Escalation ladder}
 
     When plain Newton fails, {!solve} climbs a declarative
-    {!Resilience.Ladder}: on a *linear-solver stall* it strengthens the
-    preconditioner (ILU0) and finally falls back to direct sparse LU;
+    {!Resilience.Ladder}: on a *linear-solver stall* it falls back to
+    direct sparse LU ([direct-lu]), the only linear fallback;
     on *nonlinear* failure (divergence, stall, non-finite device
     evaluations) it runs source-stepping continuation (paper §3: “using
     continuation reliably obtained solutions in 10-20m”) and then a
@@ -36,7 +37,6 @@
 type linear_solver =
   | Direct
   | Gmres_sweep of { restart : int; max_iter : int; tol : float }
-  | Gmres_ilu0 of { restart : int; max_iter : int; tol : float }
 
 val default_gmres : linear_solver
 
@@ -62,8 +62,6 @@ val default_options : options
 val make_options :
   ?max_newton:int ->
   ?tol:float ->
-  ?scheme:Assemble.scheme ->
-  ?linear_solver:linear_solver ->
   ?allow_continuation:bool ->
   ?budget:Resilience.Budget.t ->
   unit ->
@@ -73,7 +71,8 @@ val make_options :
     per-stage Newton cap (other engines historically said [max_iter]),
     [tol] the residual infinity-norm target (elsewhere [rtol]); see
     DESIGN.md §11 for the full name mapping. Omitted fields default to
-    {!default_options}. *)
+    {!default_options}, and [scheme] and [linear_solver] always take
+    its values; set those with a record update. *)
 
 type stats = {
   newton_iterations : int;  (** cumulated across all ladder stages *)

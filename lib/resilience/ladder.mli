@@ -4,10 +4,10 @@
     This generalizes the SPICE convergence ladder already used ad hoc by
     [Circuit.Dcop] (Newton → gmin stepping → source stepping) into one
     strategy interface shared by every engine. Each stage declares the
-    failure classes it is worth trying after — e.g. an
-    ILU0-strengthened Krylov solve only makes sense after a
-    *linear-solver* stall, while source ramping addresses *nonlinear*
-    divergence — so the ladder skips stages that cannot help.
+    failure classes it is worth trying after — e.g. a direct
+    sparse-LU solve only makes sense after a *linear-solver* stall,
+    while source ramping addresses *nonlinear* divergence — so the
+    ladder skips stages that cannot help.
 
     Stage bodies may raise {!Guard.Non_finite} (recorded as a
     [Non_finite] failure; escalation continues) and {!Budget.Exhausted}

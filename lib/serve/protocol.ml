@@ -126,8 +126,9 @@ let parse_options j (o : Engine.Options.t) =
     steps_per_segment =
       int_field "steps_per_segment" o.Engine.Options.steps_per_segment;
     harmonics = int_field "harmonics" o.Engine.Options.harmonics;
-    points = int_field "points" o.Engine.Options.points;
-    (* The grid needs two points per axis. *)
+    (* Periodic point sets need two points: the periodic-FD collocation
+       and each axis of the MPDE grid. *)
+    points = int_field ~min:2 "points" o.Engine.Options.points;
     n1 = int_field ~min:2 "n1" o.Engine.Options.n1;
     n2 = int_field ~min:2 "n2" o.Engine.Options.n2;
   }

@@ -86,6 +86,8 @@ let degenerate_trace x0 = { Numeric.Integrator.times = [| 0.0 |]; states = [| x0
 
 let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0 ~dae
     ~period () =
+  if steps_per_period < 1 then
+    invalid_arg "Shooting.solve: steps_per_period must be positive";
   Telemetry.span "shooting.solve" @@ fun () ->
   let n = dae.Numeric.Dae.size in
   let x0 = ref (match x0 with Some x -> Array.copy x | None -> Array.make n 0.0) in

@@ -42,7 +42,8 @@ val solve :
     absent the zero state is used; pass a DC operating point for
     faster convergence. [budget] bounds the combined work of outer
     shooting iterations and inner time-step Newton solves; exhaustion
-    yields [outcome = Exhausted _] with the best iterate so far. *)
+    yields [outcome = Exhausted _] with the best iterate so far.
+    @raise Invalid_argument if [steps_per_period < 1]. *)
 
 val integrate_with_sensitivity :
   ?newton_options:Numeric.Newton.options ->

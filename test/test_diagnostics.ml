@@ -104,7 +104,7 @@ let fill_registry () =
   D.Registry.gauge reg ~help:"final residual" "newton.residual_norm" 3.25e-11;
   D.Registry.counter reg "gmres.budget_stops" 2.0;
   D.Registry.gauge reg
-    ~labels:[ ("stage", "gmres-ilu0"); ("grid", "40x30") ]
+    ~labels:[ ("stage", "direct-lu"); ("grid", "40x30") ]
     "health.stage_iterations" 7.0;
   D.Registry.gauge reg ~labels:[ ("quote", "say \"hi\"\nok") ] "odd.label" 1.0;
   reg
@@ -126,7 +126,7 @@ let test_prometheus_round_trip () =
   let labels, v = find "rfss_health_stage_iterations" in
   Alcotest.(check (float 0.0)) "labelled value" 7.0 v;
   Alcotest.(check bool) "labels survive" true
-    (List.assoc_opt "stage" labels = Some "gmres-ilu0"
+    (List.assoc_opt "stage" labels = Some "direct-lu"
     && List.assoc_opt "grid" labels = Some "40x30");
   let labels, _ = find "rfss_odd_label" in
   Alcotest.(check bool) "escaped label round-trips" true
@@ -146,7 +146,7 @@ let test_csv_round_trip () =
   Alcotest.(check (float 0.0)) "value survives" 2.0 s.D.Registry.value;
   let s = find "rfss_health_stage_iterations" in
   Alcotest.(check bool) "labels survive" true
-    (List.assoc_opt "stage" s.D.Registry.labels = Some "gmres-ilu0")
+    (List.assoc_opt "stage" s.D.Registry.labels = Some "direct-lu")
 
 let test_sanitize_name () =
   Alcotest.(check string) "dots to underscores" "rfss_mpde_solve_wall"

@@ -140,9 +140,7 @@ let test_backoff_bounds_and_determinism () =
 let small_options =
   { Engine.Options.default with n1 = 16; n2 = 12; steps_per_period = 64 }
 
-(* Voltage-driven RC: the MNA carries a source branch row whose ILU0
-   pivot is structurally zero, so the gmres-ilu0 rung fails over to
-   direct-lu — which makes it the right fixture for the deeper rungs. *)
+(* Voltage-driven RC: the MNA carries a source branch row. *)
 let rc_problem ?(label = "rc") ?(f_fast = 1e6) ?(fd = 1e4) () =
   Engine.Problem.make ~label ~output:"out" ~f_fast ~fd (fun () ->
       Circuits.rc_lowpass
@@ -152,8 +150,7 @@ let rc_problem ?(label = "rc") ?(f_fast = 1e6) ?(fd = 1e4) () =
              (W.sine ~amplitude:1.0 ~freq:(f_fast +. fd) ()))
         ())
 
-(* Current-driven RC: node-only unknowns, every ILU0 pivot nonzero, so
-   the gmres-ilu0 rung can actually rescue an injected sweep stall. *)
+(* Current-driven RC: node-only unknowns, no branch rows. *)
 let current_rc_problem ?(f_fast = 1e6) ?(fd = 1e4) () =
   Engine.Problem.make ~label:"irc" ~output:"out" ~f_fast ~fd (fun () ->
       let nl = Circuit.Netlist.create () in
@@ -188,16 +185,36 @@ let test_stage_newton () =
   let r = run_mpde (rc_problem ()) in
   Alcotest.(check string) "clean solve stays on newton" "newton" (strategy r)
 
-let test_stage_gmres_ilu0 () =
-  (* Stall the first-stage GMRES only while the ladder is on its
-     "newton" rung; the ILU0 rung then runs uninjected and rescues. *)
-  check_rescued ~expect:"gmres-ilu0" "stall@gmres/newton:1x9999"
-    (current_rc_problem ())
-
 let test_stage_direct_lu () =
-  (* Same plan on the voltage-driven RC: ILU0 hits its structural zero
-     pivot, the ladder climbs one more rung. *)
+  (* Stall the first-stage GMRES only while the ladder is on its
+     "newton" rung; direct-lu then runs uninjected and rescues. *)
   check_rescued ~expect:"direct-lu" "stall@gmres/newton:1x9999" (rc_problem ())
+
+let test_stage_direct_lu_every_circuit () =
+  (* Every built-in circuit, with and without branch rows: direct-lu
+     is the only linear fallback, so a linear stall on the "newton"
+     rung is rescued by it, and the report records the four rungs. *)
+  let rows =
+    ("irc", current_rc_problem ())
+    :: List.map
+         (fun (c : Serve.Catalog.t) ->
+           ( c.Serve.Catalog.name,
+             Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
+               ~fd:c.Serve.Catalog.default_fd ))
+         Serve.Catalog.all
+  in
+  List.iter
+    (fun (name, problem) ->
+      let r = run_mpde ~spec:"stall@gmres/newton:1x9999" problem in
+      Alcotest.(check bool) (name ^ " converged") true r.Engine.Result.converged;
+      Alcotest.(check string) (name ^ " rescued by direct-lu") "direct-lu" (strategy r);
+      Alcotest.(check (list string))
+        (name ^ " stages")
+        [ "newton"; "direct-lu"; "source-ramp"; "ptc-ramp" ]
+        (List.map
+           (fun s -> s.Resilience.Report.name)
+           r.Engine.Result.report.Resilience.Report.stages))
+    rows
 
 let test_stage_source_ramp () =
   (* A non-finite residual is a Nonlinear/Non_finite failure: the
@@ -420,7 +437,8 @@ let () =
       ( "ladder",
         [
           Alcotest.test_case "newton (clean)" `Quick test_stage_newton;
-          Alcotest.test_case "gmres-ilu0 rescue" `Quick test_stage_gmres_ilu0;
+          Alcotest.test_case "direct-lu rescue, every circuit" `Quick
+            test_stage_direct_lu_every_circuit;
           Alcotest.test_case "direct-lu rescue" `Quick test_stage_direct_lu;
           Alcotest.test_case "source-ramp rescue" `Quick test_stage_source_ramp;
           Alcotest.test_case "ptc-ramp rescue" `Quick test_stage_ptc_ramp;

@@ -52,9 +52,6 @@ let test_key_sensitivity () =
   differs "points" (base ~options:{ default with Engine.Options.points = 65 });
   differs "harmonics"
     (base ~options:{ default with Engine.Options.harmonics = 9 });
-  differs "scheme"
-    (base
-       ~options:{ default with Engine.Options.scheme = Mpde.Assemble.Central_t1 });
   differs "allow_continuation"
     (base ~options:{ default with Engine.Options.allow_continuation = false });
   (* Budget and warm-start seed change how fast a solve converges, not
@@ -243,6 +240,31 @@ let test_parse_grid_sizes () =
       Alcotest.(check (pair int int)) "smallest grid accepted" (2, 2)
         (job.Serve.Protocol.options.Engine.Options.n1,
          job.Serve.Protocol.options.Engine.Options.n2)
+  | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
+
+let test_parse_points () =
+  (* Periodic-FD collocation needs two points: "points":1 is a typed
+     Bad_option (a 400), not a job that fails inside the solve. *)
+  let body points =
+    Printf.sprintf
+      "{\"v\":\"rfss.jobs/1\",\"circuit\":\"rc\",\"engine\":\"periodic-fd\",\"options\":{\"points\":%d}}"
+      points
+  in
+  List.iter
+    (fun points ->
+      match Serve.Protocol.parse_job (body points) with
+      | Error (Serve.Protocol.Bad_option { name = "points"; _ } as e) ->
+          Alcotest.(check string)
+            (Printf.sprintf "points = %d message" points)
+            "option \"points\" must be an integer >= 2"
+            (Serve.Protocol.error_message e)
+      | Error e -> Alcotest.failf "untyped error %s" (Serve.Protocol.error_message e)
+      | Ok _ -> Alcotest.failf "points = %d should be rejected" points)
+    [ 1; 0 ];
+  match Serve.Protocol.parse_job (body 2) with
+  | Ok job ->
+      Alcotest.(check int) "two points accepted" 2
+        job.Serve.Protocol.options.Engine.Options.points
   | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
 
 (* The server runs routes on its one select loop, so a body of deep
@@ -564,6 +586,7 @@ let () =
         [
           Alcotest.test_case "request parsing" `Quick test_parse_job;
           Alcotest.test_case "grid sizes below 2" `Quick test_parse_grid_sizes;
+          Alcotest.test_case "collocation points below 2" `Quick test_parse_points;
           Alcotest.test_case "budget and integer ranges" `Quick
             test_parse_budget_and_ranges;
           Alcotest.test_case "deep nesting rejected" `Quick test_parse_deep_nesting;

@@ -170,22 +170,6 @@ let test_splu_refactor_or_factor () =
   Alcotest.(check bool) "fell back to a fresh factor" true (f'' != f');
   Alcotest.(check bool) "fallback solves" true (solves f'')
 
-(* ---------- Ilu0 ---------- *)
-
-let test_ilu0_exact_on_tridiagonal () =
-  (* ILU(0) is exact when no fill occurs (tridiagonal without pivoting). *)
-  let a = laplacian_1d 12 in
-  let p = Sparse.Ilu0.factor a in
-  let b = Vec.init 12 (fun i -> sin (float_of_int i)) in
-  let x = Sparse.Ilu0.apply p b in
-  Alcotest.(check bool) "exact" true (Csr.residual_norm a x b < 1e-10)
-
-let test_ilu0_missing_diag () =
-  let a = Csr.of_coo (Coo.of_triplets 2 2 [ (0, 1, 1.0); (1, 0, 1.0) ]) in
-  match Sparse.Ilu0.factor a with
-  | exception Sparse.Ilu0.Zero_pivot _ -> ()
-  | _ -> Alcotest.fail "expected Zero_pivot"
-
 (* ---------- Bigarray spmv ---------- *)
 
 module Kernel = Linalg.Kernel
@@ -220,10 +204,10 @@ let ba_csr_operator a =
     Csr.mul_vec_ba_into a x y;
     y
 
-let ilu0_precond a =
-  let f = Sparse.Ilu0.factor a and y = Kernel.create a.Csr.rows in
+let splu_precond a =
+  let f = Sparse.Splu.factor a and y = Kernel.create a.Csr.rows in
   fun r ->
-    Sparse.Ilu0.apply_into f r y;
+    Kernel.blit_from_array (Sparse.Splu.solve f (Kernel.to_array r)) y;
     y
 
 let test_gmres_identity () =
@@ -246,17 +230,23 @@ let test_gmres_spd () =
   Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
   Alcotest.(check bool) "residual" true (Csr.residual_norm a r.Sparse.Krylov.x b < 1e-8)
 
-let test_gmres_with_ilu0 () =
+let test_gmres_with_splu () =
+  (* An exact factor makes the right-preconditioned operator the
+     identity, so GMRES converges at once where the plain run cannot. *)
   let a = laplacian_1d 50 in
   let b = Array.make 50 1.0 in
   let plain = Sparse.Krylov.gmres ~tol:1e-10 (ba_csr_operator a) b in
   let pre =
-    Sparse.Krylov.gmres ~tol:1e-10 ~precond:(ilu0_precond a) (ba_csr_operator a) b
+    Sparse.Krylov.gmres ~tol:1e-10 ~precond:(splu_precond a) (ba_csr_operator a) b
   in
   Alcotest.(check bool) "both converge" true
     (plain.Sparse.Krylov.converged && pre.Sparse.Krylov.converged);
-  Alcotest.(check bool) "ilu0 accelerates" true
-    (pre.Sparse.Krylov.iterations <= plain.Sparse.Krylov.iterations)
+  Alcotest.(check bool) "exact preconditioner: at most 2 iterations" true
+    (pre.Sparse.Krylov.iterations <= 2);
+  Alcotest.(check bool) "plain run needs more" true
+    (plain.Sparse.Krylov.iterations > 2);
+  Alcotest.(check bool) "preconditioned residual" true
+    (Csr.residual_norm a pre.Sparse.Krylov.x b < 1e-8)
 
 let test_gmres_restart_path () =
   let a = laplacian_1d 40 in
@@ -339,27 +329,6 @@ let prop_csr_transpose_involution =
     (fun (a, _) ->
       Mat.approx_equal (Csr.to_dense a) (Csr.to_dense (Csr.transpose (Csr.transpose a))))
 
-let prop_ilu0_exact_tridiagonal =
-  QCheck.Test.make ~count:60 ~name:"ilu0: exact when no fill occurs (tridiagonal)"
-    QCheck.(
-      make
-        Gen.(
-          pair
-            (array_size (return 10) (float_range 4.0 9.0))
-            (array_size (return 9) (float_range (-1.5) 1.5))))
-    (fun (diag, off) ->
-      let coo = Coo.create 10 10 in
-      Array.iteri (fun i v -> Coo.add coo i i v) diag;
-      Array.iteri
-        (fun i v ->
-          Coo.add coo i (i + 1) v;
-          Coo.add coo (i + 1) i v)
-        off;
-      let a = Csr.of_coo coo in
-      let b = Array.init 10 (fun i -> cos (float_of_int i)) in
-      let x = Sparse.Ilu0.apply (Sparse.Ilu0.factor a) b in
-      Csr.residual_norm a x b < 1e-8)
-
 let prop_rcm_permutation_valid =
   QCheck.Test.make ~count:60 ~name:"rcm: always a valid permutation"
     (QCheck.make sparse_system_gen)
@@ -408,16 +377,11 @@ let () =
           Alcotest.test_case "fill reporting" `Quick test_splu_nnz_reported;
           Alcotest.test_case "refactor or factor" `Quick test_splu_refactor_or_factor;
         ] );
-      ( "ilu0",
-        [
-          Alcotest.test_case "exact on tridiagonal" `Quick test_ilu0_exact_on_tridiagonal;
-          Alcotest.test_case "missing diagonal" `Quick test_ilu0_missing_diag;
-        ] );
       ( "krylov",
         [
           Alcotest.test_case "gmres identity" `Quick test_gmres_identity;
           Alcotest.test_case "gmres spd" `Quick test_gmres_spd;
-          Alcotest.test_case "gmres + ilu0" `Quick test_gmres_with_ilu0;
+          Alcotest.test_case "gmres + splu" `Quick test_gmres_with_splu;
           Alcotest.test_case "gmres restarts" `Quick test_gmres_restart_path;
           Alcotest.test_case "gmres warm start" `Quick test_gmres_x0;
           Alcotest.test_case "gmres zero rhs" `Quick test_gmres_zero_rhs;
@@ -434,7 +398,6 @@ let () =
             prop_splu_matches_dense;
             prop_csr_spmv_matches_dense;
             prop_csr_transpose_involution;
-            prop_ilu0_exact_tridiagonal;
             prop_rcm_permutation_valid;
             prop_gmres_solves;
           ] );

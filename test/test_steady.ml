@@ -253,6 +253,13 @@ let test_periodic_fd_matches_shooting () =
   done;
   Alcotest.(check bool) "fd = shooting on same grid" true (!worst < 1e-4)
 
+let test_shooting_rejects_zero_steps () =
+  let mna = rc_fixture () in
+  Alcotest.check_raises "steps_per_period < 1"
+    (Invalid_argument "Shooting.solve: steps_per_period must be positive") (fun () ->
+      ignore
+        (Steady.Shooting.solve ~dae:(Circuit.Mna.dae mna) ~period:1.0 ~steps_per_period:0 ()))
+
 let test_periodic_fd_rejects_bad_input () =
   let mna = rc_fixture () in
   Alcotest.check_raises "points < 2"
@@ -378,6 +385,7 @@ let () =
             (test_monodromy_mixer 39.81);
           Alcotest.test_case "monodromy vs FD, rectifier" `Quick test_monodromy_rectifier;
           Alcotest.test_case "step allocation" `Quick test_shooting_step_allocation;
+          Alcotest.test_case "input validation" `Quick test_shooting_rejects_zero_steps;
         ] );
       ( "periodic_fd",
         [
