@@ -385,8 +385,8 @@ let ablation_hb_sharpness () =
       let idx = Circuit.Mna.node_index mna "out" in
       let waveform harmonics =
         let r = Steady.Hb.solve ~x_init:dc ~dae ~period:(1.0 /. freq) ~harmonics () in
-        if not r.Steady.Hb.converged then None
-        else Some (Array.map (fun x -> x.(idx)) r.Steady.Hb.states)
+        if not r.Steady.Solution.converged then None
+        else Some (Array.map (fun x -> x.(idx)) r.Steady.Solution.trace.Numeric.Integrator.states)
       in
       match waveform 40 with
       | None -> pr "%-22.3f (reference did not converge)\n" rise_frac

@@ -567,9 +567,9 @@ let sweep_cmd tele listen ((fixture : Serve.Catalog.t), points) period domains
   | Some p -> Resilience.Faultinject.install p
   | None -> ());
   Fun.protect ~finally:Resilience.Faultinject.uninstall @@ fun () ->
-  let job_key (j : Engine.Sweep.job) =
+  let key_of (j : Engine.Sweep.job) =
     let p = j.Engine.Sweep.problem in
-    Engine.Checkpoint.job_key ~label:j.Engine.Sweep.label
+    Engine.Key.hash ~label:j.Engine.Sweep.label
       ~engine:(Engine.kind_name j.Engine.Sweep.engine.Engine.kind)
       ~f_fast:p.Engine.Problem.f_fast ~fd:p.Engine.Problem.fd
       ~options:j.Engine.Sweep.engine.Engine.options
@@ -587,7 +587,7 @@ let sweep_cmd tele listen ((fixture : Serve.Catalog.t), points) period domains
   | Some log when resume ->
       Array.iteri
         (fun i j ->
-          cached.(i) <- Engine.Checkpoint.find log ~key:(job_key j))
+          cached.(i) <- Engine.Checkpoint.find log ~key:(key_of j))
         jobs
   | _ -> ());
   let to_run =

@@ -49,7 +49,7 @@ let () =
       in
       Printf.printf "%-10.0f %-12.3f %-12.3f %-12.1f %-10d%s\n" disparity mpde_time
         shoot_time (shoot_time /. mpde_time) steps
-        (if shoot.Steady.Shooting.converged then "" else "  (shooting did not converge)"))
+        (if shoot.Steady.Solution.converged then "" else "  (shooting did not converge)"))
     disparities;
   Printf.printf
     "\nThe shooting column grows ~linearly with disparity while the MPDE column is\n\

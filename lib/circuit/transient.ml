@@ -31,16 +31,6 @@ let run ?method_ ?newton_options ?budget ?x0 ~mna ~t_stop ~steps () =
   in
   { trace; dc_iterations }
 
-let run_adaptive ?method_ ?newton_options ?budget ?rel_tol ?x0 ~mna ~t_stop () =
-  let x0, dc_iterations = initial_state ?x0 ?newton_options ?budget mna in
-  let newton_options = merge_budget newton_options budget in
-  let trace =
-    Telemetry.span "transient.run" @@ fun () ->
-    Numeric.Integrator.transient_adaptive ?newton_options ?method_ ?rel_tol
-      ~dae:(Mna.dae mna) ~x0 ~t0:0.0 ~t1:t_stop ()
-  in
-  { trace; dc_iterations }
-
 let node_waveform mna result node =
   Array.map (fun x -> Mna.voltage mna x node) result.trace.Numeric.Integrator.states
 

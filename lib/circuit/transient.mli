@@ -24,17 +24,6 @@ val run :
 (** Fixed-step transient from [t = 0] to [t_stop]. When [x0] is absent
     the DC operating point is computed first. *)
 
-val run_adaptive :
-  ?method_:Numeric.Integrator.method_ ->
-  ?newton_options:Numeric.Newton.options ->
-  ?budget:Resilience.Budget.t ->
-  ?rel_tol:float ->
-  ?x0:Linalg.Vec.t ->
-  mna:Mna.t ->
-  t_stop:float ->
-  unit ->
-  result
-
 val node_waveform : Mna.t -> result -> string -> float array
 (** Time series of a node voltage. *)
 

@@ -456,41 +456,3 @@ let parse_csv text =
                 Some { name; labels; kind; value; help = None }
             | _ -> failwith ("bad CSV row: " ^ row))
         rows
-
-module J = Telemetry.Json
-
-(* J.to_string prints a NaN as null; keep an empty histogram's NaN
-   quantiles distinguishable by quoting non-finite values. *)
-let json_num v =
-  if Float.is_finite v then J.Num v
-  else J.Str (if Float.is_nan v then "nan" else if v > 0.0 then "inf" else "-inf")
-
-let to_json_fragment registry =
-  let scalar s =
-    J.Obj
-      [
-        ("name", J.Str (sanitize_name s.name));
-        ( "labels",
-          J.Obj (List.map (fun (k, v) -> (k, J.Str v)) s.labels)
-        );
-        ( "kind",
-          J.Str
-            (match s.kind with Counter -> "counter" | Gauge -> "gauge") );
-        ("value", json_num s.value);
-      ]
-  in
-  let hist h =
-    J.Obj
-      ([
-         ("name", J.Str (sanitize_name h.h_name));
-         ( "labels",
-           J.Obj
-             (List.map (fun (k, v) -> (k, J.Str v)) h.h_labels) );
-         ("kind", J.Str "histogram");
-       ]
-      @ List.map (fun (stat, v) -> (stat, json_num v)) (hist_stats h.h_hist))
-  in
-  J.to_string
-    (J.Arr
-       (List.map scalar (samples registry)
-       @ List.map hist (sorted_hsamples registry)))

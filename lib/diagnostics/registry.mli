@@ -1,13 +1,11 @@
-(** Typed metric registry with three exposition formats.
+(** Typed metric registry with two exposition formats.
 
     The registry is the bridge between the solver-side instrumentation
     ({!Telemetry} counters/gauges/histograms, plus diagnostics-computed
     quantities such as condition estimates) and the outside world:
 
     - Prometheus text exposition (what [--metrics foo.prom] writes),
-    - CSV ([--metrics foo.csv]),
-    - a JSON fragment embedded as the ["diagnostics"] section of
-      {!Resilience.Report}.
+    - CSV ([--metrics foo.csv]).
 
     Metric names are free-form dotted strings on the way in
     (["newton.iterations"]) and sanitized on the way out: a [rfss_]
@@ -89,7 +87,3 @@ val parse_prometheus : string -> (string * (string * string) list * float) list
 val parse_csv : string -> sample list
 (** Inverse of {!to_csv} up to [help] (not serialized) and name
     sanitization (already applied). @raise Failure on malformed rows. *)
-
-val to_json_fragment : t -> string
-(** JSON array of [{"name":…,"labels":{…},"kind":…,"value":…}] objects,
-    for embedding in a {!Resilience.Report} section. *)

@@ -148,9 +148,19 @@ let run (problem : Problem.t) (engine : t) : Result.t =
       mpde_solution;
     }
   in
-  let finalize_single_time ~converged ~newton_iterations ~residual_norm ~times
-      ~values ~report =
-    finalize ~converged ~newton_iterations ~residual_norm ~times ~values
+  (* The single-time backends share one solution type: the report
+     is stamped with the solve's wall time before the output waveform
+     and metrics are extracted. *)
+  let finalize_single_time (r : Steady.Solution.t) =
+    let report =
+      Steady.Solution.to_report ~stage:(kind_name engine.kind)
+        ~wall_seconds:(Telemetry.Clock.wall () -. wall0)
+        r
+    in
+    let times = r.trace.Numeric.Integrator.times in
+    let values = output_values mna problem r.trace.Numeric.Integrator.states in
+    finalize ~converged:r.converged ~newton_iterations:r.newton_iterations
+      ~residual_norm:r.residual_norm ~times ~values
       ~metrics:(periodic_metrics (one_period ~period times values))
       ~report
       ~health:(Diagnostics.Health.of_report report)
@@ -158,65 +168,26 @@ let run (problem : Problem.t) (engine : t) : Result.t =
   in
   match engine.kind with
   | Shooting ->
-      let r =
-        Steady.Shooting.solve ~max_newton:o.Options.max_newton
-          ~tol:o.Options.tol ~steps_per_period:o.Options.steps_per_period
-          ?budget:o.Options.budget ?x0 ~dae ~period ()
-      in
-      let wall = Telemetry.Clock.wall () -. wall0 in
-      let report = Steady.Shooting.to_report ~wall_seconds:wall r in
-      finalize_single_time ~converged:r.Steady.Shooting.converged
-        ~newton_iterations:r.Steady.Shooting.newton_iterations
-        ~residual_norm:r.Steady.Shooting.residual_norm
-        ~times:r.Steady.Shooting.trace.Numeric.Integrator.times
-        ~values:
-          (output_values mna problem
-             r.Steady.Shooting.trace.Numeric.Integrator.states)
-        ~report
+      finalize_single_time
+        (Steady.Shooting.solve ~max_newton:o.Options.max_newton
+           ~tol:o.Options.tol ~steps_per_period:o.Options.steps_per_period
+           ?budget:o.Options.budget ?x0 ~dae ~period ())
   | Multiple_shooting ->
-      let r =
-        Steady.Multiple_shooting.solve ~max_newton:o.Options.max_newton
-          ~tol:o.Options.tol ~steps_per_segment:o.Options.steps_per_segment
-          ?budget:o.Options.budget ?x0 ~dae ~period
-          ~segments:o.Options.segments ()
-      in
-      let wall = Telemetry.Clock.wall () -. wall0 in
-      let report = Steady.Multiple_shooting.to_report ~wall_seconds:wall r in
-      finalize_single_time ~converged:r.Steady.Multiple_shooting.converged
-        ~newton_iterations:r.Steady.Multiple_shooting.newton_iterations
-        ~residual_norm:r.Steady.Multiple_shooting.residual_norm
-        ~times:r.Steady.Multiple_shooting.trace.Numeric.Integrator.times
-        ~values:
-          (output_values mna problem
-             r.Steady.Multiple_shooting.trace.Numeric.Integrator.states)
-        ~report
+      finalize_single_time
+        (Steady.Multiple_shooting.solve ~max_newton:o.Options.max_newton
+           ~tol:o.Options.tol ~steps_per_segment:o.Options.steps_per_segment
+           ?budget:o.Options.budget ?x0 ~dae ~period
+           ~segments:o.Options.segments ())
   | Hb ->
-      let r =
-        Steady.Hb.solve ~max_newton:o.Options.max_newton ~tol:o.Options.tol
-          ?budget:o.Options.budget ?x_init:x0 ~dae ~period
-          ~harmonics:o.Options.harmonics ()
-      in
-      let wall = Telemetry.Clock.wall () -. wall0 in
-      let report = Steady.Hb.to_report ~wall_seconds:wall r in
-      finalize_single_time ~converged:r.Steady.Hb.converged
-        ~newton_iterations:r.Steady.Hb.newton_iterations
-        ~residual_norm:r.Steady.Hb.residual_norm ~times:r.Steady.Hb.times
-        ~values:(output_values mna problem r.Steady.Hb.states)
-        ~report
+      finalize_single_time
+        (Steady.Hb.solve ~max_newton:o.Options.max_newton ~tol:o.Options.tol
+           ?budget:o.Options.budget ?x_init:x0 ~dae ~period
+           ~harmonics:o.Options.harmonics ())
   | Periodic_fd ->
-      let r =
-        Steady.Periodic_fd.solve ~max_newton:o.Options.max_newton
-          ~tol:o.Options.tol ?budget:o.Options.budget ?x_init:x0 ~dae ~period
-          ~points:o.Options.points ()
-      in
-      let wall = Telemetry.Clock.wall () -. wall0 in
-      let report = Steady.Periodic_fd.to_report ~wall_seconds:wall r in
-      finalize_single_time ~converged:r.Steady.Periodic_fd.converged
-        ~newton_iterations:r.Steady.Periodic_fd.newton_iterations
-        ~residual_norm:r.Steady.Periodic_fd.residual_norm
-        ~times:r.Steady.Periodic_fd.times
-        ~values:(output_values mna problem r.Steady.Periodic_fd.states)
-        ~report
+      finalize_single_time
+        (Steady.Periodic_fd.solve ~max_newton:o.Options.max_newton
+           ~tol:o.Options.tol ?budget:o.Options.budget ?x_init:x0 ~dae ~period
+           ~points:o.Options.points ())
   | Mpde ->
       let shear =
         Mpde.Shear.make ~fast_freq:problem.Problem.f_fast

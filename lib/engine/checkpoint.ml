@@ -27,9 +27,6 @@ type record = {
 
 open Telemetry.Fnv
 
-let job_key ~label ~engine ~f_fast ~fd ~options =
-  Key.hash ~label ~engine ~f_fast ~fd ~options
-
 let waveform_hash (w : Backend.Result.waveform) =
   let h = ref basis in
   Array.iter (fun v -> h := mix_float !h v) w.Backend.Result.times;
@@ -184,7 +181,7 @@ let of_outcome (o : Sweep.outcome) =
   let p = j.Sweep.problem in
   let engine = Backend.kind_name j.Sweep.engine.Backend.kind in
   let key =
-    job_key ~label:j.Sweep.label ~engine ~f_fast:p.Problem.f_fast
+    Key.hash ~label:j.Sweep.label ~engine ~f_fast:p.Problem.f_fast
       ~fd:p.Problem.fd ~options:j.Sweep.engine.Backend.options
   in
   match o.Sweep.result with

@@ -3,8 +3,8 @@
     it died and reproduces the uninterrupted run bitwise.
 
     Format: each line is one JSON object carrying the job identity
-    ([key] — a hash of label, engine, frequencies and discretization
-    options), every field the sweep renderers print (so a cached job
+    ([key] — {!Key.hash} of label, engine, frequencies and
+    discretization options), every field the sweep renderers print (so a cached job
     re-renders byte-for-byte, including the waveform fingerprint), the
     resilience report of a successful solve, and a [digest] hash of the
     record itself. Non-finite floats are emitted as the quoted strings
@@ -19,7 +19,7 @@
     degrades to re-running one job rather than poisoning the resume. *)
 
 type record = {
-  key : string;  (** 16-hex job identity *)
+  key : string;  (** 16-hex job identity, {!Key.hash} *)
   label : string;
   engine : string;  (** {!Backend.kind_name} *)
   f_fast : float;
@@ -46,19 +46,6 @@ val of_outcome : Sweep.outcome -> record
     come from the result metrics ([h1_amplitude]/[baseband_h1] and
     [thd]); error outcomes carry NaN metrics and an empty waveform
     hash. *)
-
-val job_key :
-  label:string ->
-  engine:string ->
-  f_fast:float ->
-  fd:float ->
-  options:Options.t ->
-  string
-(** Identity hash of a sweep job: FNV-1a over the label, engine name,
-    the raw bits of both frequencies, and the discretization options
-    that change the numerics (grid sizes, steps, points, harmonics,
-    tolerance). Two jobs with the same key produce bitwise-identical
-    results. *)
 
 val waveform_hash : Backend.Result.waveform -> string
 (** FNV-1a over the raw float bits of times and values — the same

@@ -18,9 +18,6 @@ let of_arrays rows_arr =
     init rows cols (fun i j -> rows_arr.(i).(j))
   end
 
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> m.data.((i * m.cols) + j)))
-
 let copy m = { m with data = Array.copy m.data }
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
@@ -91,10 +88,6 @@ let tmul_vec a x =
 
 let row m i = Array.init m.cols (fun j -> get m i j)
 let col m j = Array.init m.rows (fun i -> get m i j)
-
-let set_row m i v =
-  if Array.length v <> m.cols then invalid_arg "Mat.set_row: dimension mismatch";
-  Array.blit v 0 m.data (i * m.cols) m.cols
 
 let swap_rows m i j =
   if i <> j then

@@ -15,8 +15,6 @@ val identity : int -> t
 val of_arrays : float array array -> t
 (** Rows given as arrays; raises [Invalid_argument] on ragged input. *)
 
-val to_arrays : t -> float array array
-
 val copy : t -> t
 
 val get : t -> int -> int -> float
@@ -51,8 +49,6 @@ val tmul_vec : t -> Vec.t -> Vec.t
 val row : t -> int -> Vec.t
 
 val col : t -> int -> Vec.t
-
-val set_row : t -> int -> Vec.t -> unit
 
 val swap_rows : t -> int -> int -> unit
 

@@ -487,9 +487,6 @@ let solve ?(options = default_options) ?seed ?workspace_slot
         | _, stats -> Error (classify stats)
       else
         let ptc = { alpha; anchor = Array.copy x } in
-        (match options.budget with
-        | Some b -> ( try Budget.tick_continuation b with Budget.Exhausted _ -> ())
-        | None -> ());
         match run_newton ~name:"ptc-ramp" ~linear_solver:options.linear_solver ~ptc
                 ~source_scale:1.0 x
         with

@@ -36,9 +36,6 @@ let trace ?(initial_step = 0.1) ?(min_step = 1e-6) ?(max_step = 0.5)
           exhausted := Some e;
           `Halt
       | _ -> (
-          (match budget with
-          | Some b -> ( try Budget.tick_continuation b with Budget.Exhausted _ -> ())
-          | None -> ());
           let x, stats =
             Newton.solve ~options:newton_options (problem_at lambda) guess
           in

@@ -35,7 +35,7 @@ val trace :
 
     [max_total_steps] (default 200) bounds the *total* number of Newton
     solves, accepted or rejected, so a pathological reject/halve cycle
-    terminates. [budget], when given, is ticked once per continuation
+    terminates. [budget], when given, is checked once per continuation
     step and also installed as the Newton budget (unless
     [newton_options] already carries one); exhaustion halts path
     tracking cleanly with [converged = false] and [exhausted] set. *)

@@ -1,8 +1,9 @@
 (** Composable computational budgets for the steady-state engines.
 
-    A budget bounds a solve by wall-clock time and/or iteration counts.
-    Solvers *tick* the budget as they burn iterations (Newton steps,
-    Krylov inner iterations, continuation steps); a tick past any limit
+    A budget bounds a solve by wall-clock time and/or a Newton
+    iteration count. Solvers *tick* the budget per Newton iteration and
+    {!check} it at their other loop heads (Krylov inner iterations,
+    continuation and ladder steps); a tick or check past either limit
     raises {!Exhausted}, which the solver catches and converts into a
     clean outcome instead of hanging or burning unbounded CPU.
 
@@ -14,21 +15,12 @@
 type exhaustion =
   | Wall_clock of { limit : float; elapsed : float }
   | Newton_iterations of { limit : int; used : int }
-  | Linear_iterations of { limit : int; used : int }
-  | Continuation_steps of { limit : int; used : int }
 
 exception Exhausted of exhaustion
 
 type t
 
-val make :
-  ?wall_seconds:float ->
-  ?max_newton:int ->
-  ?max_linear:int ->
-  ?max_continuation:int ->
-  ?parent:t ->
-  unit ->
-  t
+val make : ?wall_seconds:float -> ?max_newton:int -> ?parent:t -> unit -> t
 (** Fresh budget; the wall clock starts now. Omitted limits are
     unbounded. *)
 
@@ -50,22 +42,7 @@ val tick_newton : ?count:int -> t -> unit
 (** Record [count] (default 1) Newton iterations, then {!check}.
     Counters propagate to ancestors. @raise Exhausted *)
 
-val tick_linear : ?count:int -> t -> unit
-(** Record linear-solver (Krylov) inner iterations, then {!check}.
-    @raise Exhausted *)
-
-val tick_continuation : ?count:int -> t -> unit
-(** Record continuation steps, then {!check}. @raise Exhausted *)
-
 val newton_used : t -> int
-
-val linear_used : t -> int
-
-val continuation_used : t -> int
-
-val remaining_seconds : t -> float option
-(** Tightest wall-clock headroom across the ancestor chain; [None]
-    when no wall limit is set anywhere. *)
 
 val pp_exhaustion : Format.formatter -> exhaustion -> unit
 

@@ -10,13 +10,6 @@ type stop_reason =
   | Budget_exhausted
   | Max_iterations
 
-let stop_reason_to_string = function
-  | Tolerance -> "tolerance"
-  | Happy_breakdown -> "happy-breakdown"
-  | Poisoned -> "poisoned"
-  | Budget_exhausted -> "budget-exhausted"
-  | Max_iterations -> "max-iterations"
-
 type result = {
   x : Vec.t;
   converged : bool;
@@ -222,7 +215,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
            incr total_iters;
            (match budget with
            | Some bu -> (
-               try Resilience.Budget.tick_linear bu
+               try Resilience.Budget.check bu
                with Resilience.Budget.Exhausted _ ->
                  stop := Budget_exhausted;
                  inner_done := true)

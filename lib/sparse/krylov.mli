@@ -14,8 +14,6 @@ type stop_reason =
   | Budget_exhausted
   | Max_iterations
 
-val stop_reason_to_string : stop_reason -> string
-
 type result = {
   x : Linalg.Vec.t;
   converged : bool;
@@ -59,8 +57,8 @@ val gmres :
     Robustness: happy breakdown (zero Hessenberg subdiagonal) returns
     the exact iterate instead of dividing by zero; a non-finite basis
     vector terminates the sweep with the last finite iterate instead of
-    polluting the Givens QR with NaNs; [budget], when given, is ticked
-    per inner iteration and checked at restarts, terminating with
+    polluting the Givens QR with NaNs; [budget], when given, is checked
+    per inner iteration and at restarts, terminating with
     [converged = false] (never raising) when it runs out.
 
     [workspace] supplies preallocated scratch (ignored and rebuilt

@@ -1,17 +1,6 @@
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 
-type result = {
-  times : float array;
-  states : Vec.t array;
-  harmonics : int;
-  newton_iterations : int;
-  converged : bool;
-  residual_norm : float;
-  outcome : Resilience.Report.outcome;
-  residual_history : float array;
-}
-
 let spectral_diff_matrix n period =
   if n mod 2 = 0 then invalid_arg "Hb.spectral_diff_matrix: n must be odd";
   Numeric.Spectral.diff_matrix n period
@@ -78,9 +67,7 @@ let solve ?(max_newton = 60) ?(tol = 1e-8) ?budget ?x_init ~(dae : Numeric.Dae.t
     Numeric.Newton.solve ~options { Numeric.Newton.residual; solve_linearized } x0
   in
   {
-    times;
-    states = Array.init points (state_of big_x);
-    harmonics;
+    Solution.trace = { Numeric.Integrator.times; states = Array.init points (state_of big_x) };
     newton_iterations = stats.Numeric.Newton.iterations;
     converged = Numeric.Newton.converged stats;
     residual_norm = stats.Numeric.Newton.residual_norm;
@@ -88,35 +75,6 @@ let solve ?(max_newton = 60) ?(tol = 1e-8) ?budget ?x_init ~(dae : Numeric.Dae.t
     residual_history = stats.Numeric.Newton.residual_history;
   }
 
-let harmonic_amplitude result ~unknown ~harmonic =
-  let samples = Array.map (fun x -> x.(unknown)) result.states in
+let harmonic_amplitude (result : Solution.t) ~unknown ~harmonic =
+  let samples = Array.map (fun x -> x.(unknown)) result.trace.Numeric.Integrator.states in
   Numeric.Fft.amplitude_at samples harmonic
-
-let to_report ?(wall_seconds = 0.0) r =
-  let status =
-    match r.outcome with
-    | Resilience.Report.Converged -> `Success
-    | Resilience.Report.Failed m -> `Failed m
-    | Resilience.Report.Exhausted e ->
-        `Failed (Resilience.Budget.exhaustion_to_string e)
-  in
-  {
-    Resilience.Report.outcome = r.outcome;
-    strategy = Some "newton";
-    stages =
-      [
-        {
-          Resilience.Report.name = "hb";
-          status;
-          iterations = r.newton_iterations;
-          wall_seconds;
-        };
-      ];
-    residual_trajectory = r.residual_history;
-    residual_norm = r.residual_norm;
-    newton_iterations = r.newton_iterations;
-    linear_iterations = 0;
-    wall_seconds;
-    telemetry = None;
-    sections = [];
-  }

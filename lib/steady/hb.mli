@@ -8,19 +8,10 @@
     HB is the method the paper argues is ill-suited to sharp switching
     waveforms — the [abl_hb_vs_sharpness] bench quantifies that: the
     harmonic count needed for a given accuracy grows steeply as edges
-    sharpen, while the time-domain methods are insensitive. *)
+    sharpen, while the time-domain methods are insensitive.
 
-type result = {
-  times : float array;
-  states : Linalg.Vec.t array;
-  harmonics : int;
-  newton_iterations : int;
-  converged : bool;
-  residual_norm : float;
-  outcome : Resilience.Report.outcome;  (** structured exit classification *)
-  residual_history : float array;
-      (** residual norms per Newton iteration, chronological *)
-}
+    The result is a {!Solution.t} whose [trace] holds the [2K+1]
+    collocation times and states. *)
 
 val solve :
   ?max_newton:int ->
@@ -31,7 +22,7 @@ val solve :
   period:float ->
   harmonics:int ->
   unit ->
-  result
+  Solution.t
 (** [budget] is ticked once per collocation Newton iteration; on
     exhaustion the best iterate is returned with
     [outcome = Exhausted _]. *)
@@ -41,10 +32,6 @@ val spectral_diff_matrix : int -> float -> Linalg.Mat.t
     matrix for trigonometric interpolants on [n] (odd) uniform points;
     exposed for tests. @raise Invalid_argument if [n] is even. *)
 
-val harmonic_amplitude : result -> unknown:int -> harmonic:int -> float
+val harmonic_amplitude : Solution.t -> unknown:int -> harmonic:int -> float
 (** Amplitude of harmonic [k] of the given unknown's steady-state
     waveform. *)
-
-val to_report : ?wall_seconds:float -> result -> Resilience.Report.t
-(** Adapter to the unified engine API: lift this engine's result into
-    the structured report every {!Engine.Result.t} carries. *)

@@ -1,17 +1,5 @@
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
-module Budget = Resilience.Budget
-module Report = Resilience.Report
-
-type result = {
-  segment_starts : Vec.t array;
-  trace : Numeric.Integrator.trace;
-  newton_iterations : int;
-  converged : bool;
-  residual_norm : float;
-  outcome : Report.outcome;
-  residual_history : float array;
-}
 
 (* Unknowns: the S window-start states stacked. Matching conditions:
    Φ_s(x_s) − x_{s+1 mod S} = 0, giving a block-cyclic Jacobian with
@@ -32,146 +20,79 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_segment = 50) ?budget ?x0
     | Some b -> Some { Numeric.Newton.default_options with budget = Some b }
   in
   let workspace = Numeric.Integrator.workspace dae in
-  let integrate_all starts =
-    Array.mapi
-      (fun s x0 ->
-        Shooting.integrate_with_sensitivity ?newton_options ~workspace ~x0
-          ~t0:(float_of_int s *. window)
-          ~duration:window ~steps:steps_per_segment ())
+  let integrate_window s =
+    Shooting.integrate_with_sensitivity ?newton_options ~workspace ~x0:starts.(s)
+      ~t0:(float_of_int s *. window)
+      ~duration:window ~steps:steps_per_segment ()
+  in
+  let endpoint (trace, _) = trace.Numeric.Integrator.states.(steps_per_segment) in
+  (* The first pass is one chained integration from the seed: window s
+     starts where window s − 1 ends, so no window begins from the seed
+     at a time where the sources have moved far from their t = 0
+     values. Later passes integrate every window from its current
+     start. *)
+  let chained = ref false in
+  let integrate_all () =
+    let chain = not !chained in
+    chained := true;
+    let results = Array.make segments (integrate_window 0) in
+    for s = 1 to segments - 1 do
+      if chain then starts.(s) <- Array.copy (endpoint results.(s - 1));
+      results.(s) <- integrate_window s
+    done;
+    results
+  in
+  let defect results =
+    let defects =
+      Array.init segments (fun s ->
+          Vec.sub (endpoint results.(s)) starts.((s + 1) mod segments))
+    in
+    (defects, Array.fold_left (fun acc d -> Float.max acc (Vec.norm_inf d)) 0.0 defects)
+  in
+  let update results defects =
+    let big = segments * n in
+    let coo = Sparse.Coo.create ~capacity:(segments * n * (n + 1)) big big in
+    let rhs = Array.make big 0.0 in
+    Array.iteri
+      (fun s (_, monodromy) ->
+        let next = (s + 1) mod segments in
+        for i = 0 to n - 1 do
+          rhs.((s * n) + i) <- -.defects.(s).(i);
+          Sparse.Coo.add coo ((s * n) + i) ((next * n) + i) (-1.0);
+          for j = 0 to n - 1 do
+            Sparse.Coo.add coo ((s * n) + i) ((s * n) + j) (Mat.get monodromy i j)
+          done
+        done)
+      results;
+    try Sparse.Splu.solve (Sparse.Splu.factor (Sparse.Csr.of_coo coo)) rhs
+    with e -> failwith ("cyclic Jacobian solve failed: " ^ Printexc.to_string e)
+  in
+  let apply delta =
+    Array.iteri
+      (fun s x ->
+        for i = 0 to n - 1 do
+          x.(i) <- x.(i) +. delta.((s * n) + i)
+        done)
       starts
   in
-  let iterations = ref 0 in
-  let converged = ref false in
-  let residual = ref infinity in
-  let history = ref [] in
-  let last_traces = ref [||] in
-  let outcome = ref Report.Converged in
-  let fail o =
-    outcome := o;
-    raise Exit
+  (* Stitch the final windows into one period trace. *)
+  let trace = function
+    | None -> { Numeric.Integrator.times = [| 0.0 |]; states = [| starts.(0) |] }
+    | Some results ->
+        let total = (segments * steps_per_segment) + 1 in
+        let times = Array.make total 0.0 and states = Array.make total starts.(0) in
+        Array.iteri
+          (fun s (trace, _) ->
+            for k = 0 to steps_per_segment do
+              let idx = (s * steps_per_segment) + k in
+              if idx < total then begin
+                times.(idx) <- trace.Numeric.Integrator.times.(k);
+                states.(idx) <- trace.Numeric.Integrator.states.(k)
+              end
+            done)
+          results;
+        { Numeric.Integrator.times; states }
   in
-  (try
-     while (not !converged) && !iterations < max_newton do
-       (match budget with
-       | Some b -> (
-           try Budget.tick_newton b with Budget.Exhausted e -> fail (Report.Exhausted e))
-       | None -> ());
-       (* Integrate every window from its current start. *)
-       let results =
-         try integrate_all starts with
-         | Budget.Exhausted e -> fail (Report.Exhausted e)
-         | Failure msg -> fail (Report.Failed msg)
-       in
-       last_traces := results;
-       (* Matching defects. *)
-       let defects =
-         Array.init segments (fun s ->
-             let trace, _ = results.(s) in
-             let endpoint = trace.Numeric.Integrator.states.(steps_per_segment) in
-             Vec.sub endpoint starts.((s + 1) mod segments))
-       in
-       residual :=
-         Array.fold_left (fun acc d -> Float.max acc (Vec.norm_inf d)) 0.0 defects;
-       history := !residual :: !history;
-       Telemetry.observe "multiple-shooting.residual" !residual;
-       if not (Float.is_finite !residual) then
-         fail (Report.Failed "matching defects diverged (non-finite)");
-       if !residual <= tol then converged := true
-       else begin
-         let big = segments * n in
-         let coo = Sparse.Coo.create ~capacity:(segments * n * (n + 1)) big big in
-         let rhs = Array.make big 0.0 in
-         Array.iteri
-           (fun s (_, monodromy) ->
-             let next = (s + 1) mod segments in
-             for i = 0 to n - 1 do
-               rhs.((s * n) + i) <- -.defects.(s).(i);
-               Sparse.Coo.add coo ((s * n) + i) ((next * n) + i) (-1.0);
-               for j = 0 to n - 1 do
-                 Sparse.Coo.add coo ((s * n) + i) ((s * n) + j) (Mat.get monodromy i j)
-               done
-             done)
-           results;
-         let delta =
-           try Sparse.Splu.solve (Sparse.Splu.factor (Sparse.Csr.of_coo coo)) rhs
-           with e ->
-             fail (Report.Failed ("cyclic Jacobian solve failed: " ^ Printexc.to_string e))
-         in
-         if not (Resilience.Guard.finite delta) then
-           fail (Report.Failed "non-finite multiple-shooting update");
-         Array.iteri
-           (fun s x ->
-             for i = 0 to n - 1 do
-               x.(i) <- x.(i) +. delta.((s * n) + i)
-             done)
-           starts;
-         incr iterations
-       end
-     done;
-     if not !converged then outcome := Report.Failed "max shooting iterations"
-   with Exit -> ());
-  (* Stitch the final windows into one period trace (recompute if the
-     starts moved after the last integration; keep the previous traces
-     when the recomputation itself fails or exhausts the budget). *)
-  let results =
-    if !converged then !last_traces
-    else
-      try integrate_all starts
-      with Budget.Exhausted _ | Failure _ -> !last_traces
-  in
-  let trace =
-    if Array.length results = 0 then
-      { Numeric.Integrator.times = [| 0.0 |]; states = [| starts.(0) |] }
-    else begin
-      let total = (segments * steps_per_segment) + 1 in
-      let times = Array.make total 0.0 and states = Array.make total starts.(0) in
-      Array.iteri
-        (fun s (trace, _) ->
-          for k = 0 to steps_per_segment do
-            let idx = (s * steps_per_segment) + k in
-            if idx < total then begin
-              times.(idx) <- trace.Numeric.Integrator.times.(k);
-              states.(idx) <- trace.Numeric.Integrator.states.(k)
-            end
-          done)
-        results;
-      { Numeric.Integrator.times; states }
-    end
-  in
-  {
-    segment_starts = starts;
-    trace;
-    newton_iterations = !iterations;
-    converged = !converged;
-    residual_norm = !residual;
-    outcome = !outcome;
-    residual_history = Array.of_list (List.rev !history);
-  }
-
-let to_report ?(wall_seconds = 0.0) r =
-  let status =
-    match r.outcome with
-    | Report.Converged -> `Success
-    | Report.Failed m -> `Failed m
-    | Report.Exhausted e -> `Failed (Budget.exhaustion_to_string e)
-  in
-  {
-    Report.outcome = r.outcome;
-    strategy = Some "newton";
-    stages =
-      [
-        {
-          Report.name = "multiple-shooting";
-          status;
-          iterations = r.newton_iterations;
-          wall_seconds;
-        };
-      ];
-    residual_trajectory = r.residual_history;
-    residual_norm = r.residual_norm;
-    newton_iterations = r.newton_iterations;
-    linear_iterations = 0;
-    wall_seconds;
-    telemetry = None;
-    sections = [];
-  }
+  Shooting.outer_newton ~name:"multiple-shooting"
+    ~diverged:"matching defects diverged (non-finite)" ~max_newton ~tol ?budget
+    ~integrate:integrate_all ~defect ~update ~apply ~trace ()

@@ -9,20 +9,14 @@
     contracting circuits; it is also the natural stepping stone between
     shooting and the full collocation of {!Periodic_fd}.
 
+    The outer Newton loop is {!Shooting.outer_newton}, shared with
+    single shooting, so the budget, failure classification and
+    iteration cap behave identically; the solution's [trace] is the
+    stitched period, [segments * steps_per_segment + 1] samples.
+
     Resilience: an optional {!Resilience.Budget.t} bounds outer
     iterations and inner time-step Newton solves; non-finite defects or
     updates abort cleanly and are classified in [outcome]. *)
-
-type result = {
-  segment_starts : Linalg.Vec.t array;  (** [segments] solved window-start states *)
-  trace : Numeric.Integrator.trace;  (** the stitched steady-state period *)
-  newton_iterations : int;
-  converged : bool;
-  residual_norm : float;  (** infinity norm of all matching defects *)
-  outcome : Resilience.Report.outcome;  (** structured exit classification *)
-  residual_history : float array;
-      (** residual norms per Newton iteration, chronological *)
-}
 
 val solve :
   ?max_newton:int ->
@@ -34,13 +28,13 @@ val solve :
   period:float ->
   segments:int ->
   unit ->
-  result
+  Solution.t
 (** Defaults: [max_newton = 25], [tol = 1e-8],
-    [steps_per_segment = 50]. [x0] seeds every window start.
-    Budget exhaustion returns the best iterate with
+    [steps_per_segment = 50]. [x0] (default the zero state) is the
+    first window's start; the first integration is one chained pass
+    from it, each window starting where the previous one ends, and a
+    failure there is classified like any other integration failure.
+    The residual is the infinity norm of all matching defects. Budget
+    exhaustion returns the best iterate with
     [outcome = Exhausted _].
     @raise Invalid_argument when [segments < 1]. *)
-
-val to_report : ?wall_seconds:float -> result -> Resilience.Report.t
-(** Adapter to the unified engine API: lift this engine's result into
-    the structured report every {!Engine.Result.t} carries. *)

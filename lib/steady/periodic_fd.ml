@@ -1,15 +1,5 @@
 module Vec = Linalg.Vec
 
-type result = {
-  times : float array;
-  states : Vec.t array;
-  newton_iterations : int;
-  converged : bool;
-  residual_norm : float;
-  outcome : Resilience.Report.outcome;
-  residual_history : float array;
-}
-
 let solve ?(max_newton = 60) ?(tol = 1e-8) ?budget ?x_init ~(dae : Numeric.Dae.t)
     ~period ~points () =
   if points < 2 then invalid_arg "Periodic_fd.solve: need at least 2 points";
@@ -65,40 +55,10 @@ let solve ?(max_newton = 60) ?(tol = 1e-8) ?budget ?x_init ~(dae : Numeric.Dae.t
     Numeric.Newton.solve ~options { Numeric.Newton.residual; solve_linearized } x0
   in
   {
-    times;
-    states = Array.init points (state_of big_x);
+    Solution.trace = { Numeric.Integrator.times; states = Array.init points (state_of big_x) };
     newton_iterations = stats.Numeric.Newton.iterations;
     converged = Numeric.Newton.converged stats;
     residual_norm = stats.Numeric.Newton.residual_norm;
     outcome = Numeric.Newton.report_outcome stats;
     residual_history = stats.Numeric.Newton.residual_history;
-  }
-
-let to_report ?(wall_seconds = 0.0) r =
-  let status =
-    match r.outcome with
-    | Resilience.Report.Converged -> `Success
-    | Resilience.Report.Failed m -> `Failed m
-    | Resilience.Report.Exhausted e ->
-        `Failed (Resilience.Budget.exhaustion_to_string e)
-  in
-  {
-    Resilience.Report.outcome = r.outcome;
-    strategy = Some "newton";
-    stages =
-      [
-        {
-          Resilience.Report.name = "periodic-fd";
-          status;
-          iterations = r.newton_iterations;
-          wall_seconds;
-        };
-      ];
-    residual_trajectory = r.residual_history;
-    residual_norm = r.residual_norm;
-    newton_iterations = r.newton_iterations;
-    linear_iterations = 0;
-    wall_seconds;
-    telemetry = None;
-    sections = [];
   }

@@ -3,18 +3,10 @@
     states at [N] uniform time points are solved simultaneously with
     backward-difference coupling and a periodic wrap. This is exactly
     the one-dimensional specialization of the MPDE grid solver and
-    serves both as a baseline and as a cross-check for it. *)
+    serves both as a baseline and as a cross-check for it.
 
-type result = {
-  times : float array;  (** [N] collocation times over one period *)
-  states : Linalg.Vec.t array;
-  newton_iterations : int;
-  converged : bool;
-  residual_norm : float;
-  outcome : Resilience.Report.outcome;  (** structured exit classification *)
-  residual_history : float array;
-      (** residual norms per Newton iteration, chronological *)
-}
+    The result is a {!Solution.t} whose [trace] holds the [N]
+    collocation times and states (no duplicated endpoint). *)
 
 val solve :
   ?max_newton:int ->
@@ -25,11 +17,7 @@ val solve :
   period:float ->
   points:int ->
   unit ->
-  result
+  Solution.t
 (** [x_init] seeds every collocation point (e.g. the DC operating
     point). System size is [points * dae.size]; the Jacobian is solved
     with the general sparse LU. *)
-
-val to_report : ?wall_seconds:float -> result -> Resilience.Report.t
-(** Adapter to the unified engine API: lift this engine's result into
-    the structured report every {!Engine.Result.t} carries. *)

@@ -3,17 +3,6 @@ module Mat = Linalg.Mat
 module Budget = Resilience.Budget
 module Report = Resilience.Report
 
-type result = {
-  x0 : Vec.t;
-  trace : Numeric.Integrator.trace;
-  newton_iterations : int;
-  total_time_steps : int;
-  converged : bool;
-  residual_norm : float;
-  outcome : Report.outcome;
-  residual_history : float array;
-}
-
 let copy_values (m : Sparse.Csr.t) =
   { m with Sparse.Csr.values = Array.copy m.Sparse.Csr.values }
 
@@ -79,30 +68,18 @@ let integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0 ~duration ~ste
   let s = !s in
   ({ I.times; states }, Mat.init n n (fun i j -> s.(j).(i)))
 
-let integrate_period ?newton_options ~workspace ~x0 ~period ~steps () =
-  integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0:0.0 ~duration:period ~steps ()
-
-let degenerate_trace x0 = { Numeric.Integrator.times = [| 0.0 |]; states = [| x0 |] }
-
-let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0 ~dae
-    ~period () =
-  if steps_per_period < 1 then
-    invalid_arg "Shooting.solve: steps_per_period must be positive";
-  Telemetry.span "shooting.solve" @@ fun () ->
-  let n = dae.Numeric.Dae.size in
-  let x0 = ref (match x0 with Some x -> Array.copy x | None -> Array.make n 0.0) in
-  let workspace = Numeric.Integrator.workspace dae in
-  let newton_options =
-    match budget with
-    | None -> None
-    | Some b -> Some { Numeric.Newton.default_options with budget = Some b }
-  in
+(* The outer Newton loop of both shooting backends. Each iteration
+   ticks the budget, integrates from the current unknowns, measures the
+   defect and applies the Newton update; every exit is classified in
+   the outcome. *)
+let outer_newton ~name ~diverged ~max_newton ~tol ?budget ~integrate ~defect ~update
+    ~apply ~trace () =
+  let observation = name ^ ".residual" in
   let iterations = ref 0 in
-  let total_steps = ref 0 in
   let converged = ref false in
   let residual = ref infinity in
   let history = ref [] in
-  let last_trace = ref None in
+  let last = ref None in
   let outcome = ref Report.Converged in
   let fail o =
     outcome := o;
@@ -114,89 +91,71 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0
        | Some b -> (
            try Budget.tick_newton b with Budget.Exhausted e -> fail (Report.Exhausted e))
        | None -> ());
-       let trace, monodromy =
-         try integrate_period ?newton_options ~workspace ~x0:!x0 ~period ~steps:steps_per_period ()
-         with
+       let w =
+         try integrate () with
          | Budget.Exhausted e -> fail (Report.Exhausted e)
          | Failure msg -> fail (Report.Failed msg)
        in
-       total_steps := !total_steps + steps_per_period;
-       last_trace := Some trace;
-       let x_end = trace.Numeric.Integrator.states.(steps_per_period) in
-       let r = Vec.sub x_end !x0 in
-       residual := Vec.norm_inf r;
-       history := !residual :: !history;
-       Telemetry.observe "shooting.residual" !residual;
-       if not (Float.is_finite !residual) then
-         fail (Report.Failed "periodicity residual diverged (non-finite)");
-       if !residual <= tol then converged := true
+       last := Some w;
+       let d, norm = defect w in
+       residual := norm;
+       history := norm :: !history;
+       Telemetry.observe observation norm;
+       if not (Float.is_finite norm) then fail (Report.Failed diverged);
+       if norm <= tol then converged := true
        else begin
-         (* Solve (M − I) δ = −r, update x0 ← x0 + δ. *)
-         let delta =
-           Telemetry.span "shooting.newton_update" @@ fun () ->
-           try Linalg.Lu.solve_dense (Mat.sub monodromy (Mat.identity n)) (Vec.neg r)
-           with e ->
-             fail (Report.Failed ("monodromy solve failed: " ^ Printexc.to_string e))
-         in
+         let delta = try update w d with Failure msg -> fail (Report.Failed msg) in
          if not (Resilience.Guard.finite delta) then
-           fail (Report.Failed "non-finite shooting update");
-         Vec.add_ip !x0 delta;
+           fail (Report.Failed ("non-finite " ^ name ^ " update"));
+         apply delta;
          incr iterations
        end
      done;
      if not !converged then outcome := Report.Failed "max shooting iterations"
    with Exit -> ());
-  (* Final trace consistent with the solution (best effort when the
-     solve ended on a failure or budget exhaustion). *)
-  let trace =
-    if !converged then
-      match !last_trace with Some t -> t | None -> assert false
-    else begin
-      try
-        let t, _ =
-          integrate_period ?newton_options ~workspace ~x0:!x0 ~period ~steps:steps_per_period ()
-        in
-        total_steps := !total_steps + steps_per_period;
-        t
-      with Budget.Exhausted _ | Failure _ -> (
-        match !last_trace with Some t -> t | None -> degenerate_trace !x0)
-    end
+  (* Final integration consistent with the solution (best effort when
+     the solve ended on a failure or budget exhaustion). *)
+  let final =
+    if !converged then !last
+    else try Some (integrate ()) with Budget.Exhausted _ | Failure _ -> !last
   in
   {
-    x0 = !x0;
-    trace;
+    Solution.trace = trace final;
     newton_iterations = !iterations;
-    total_time_steps = !total_steps;
     converged = !converged;
     residual_norm = !residual;
     outcome = !outcome;
     residual_history = Array.of_list (List.rev !history);
   }
 
-let to_report ?(wall_seconds = 0.0) r =
-  let status =
-    match r.outcome with
-    | Report.Converged -> `Success
-    | Report.Failed m -> `Failed m
-    | Report.Exhausted e -> `Failed (Budget.exhaustion_to_string e)
+let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0 ~dae
+    ~period () =
+  if steps_per_period < 1 then
+    invalid_arg "Shooting.solve: steps_per_period must be positive";
+  Telemetry.span "shooting.solve" @@ fun () ->
+  let n = dae.Numeric.Dae.size in
+  let x0 = match x0 with Some x -> Array.copy x | None -> Array.make n 0.0 in
+  let workspace = Numeric.Integrator.workspace dae in
+  let newton_options =
+    match budget with
+    | None -> None
+    | Some b -> Some { Numeric.Newton.default_options with budget = Some b }
   in
-  {
-    Report.outcome = r.outcome;
-    strategy = Some "newton";
-    stages =
-      [
-        {
-          Report.name = "shooting";
-          status;
-          iterations = r.newton_iterations;
-          wall_seconds;
-        };
-      ];
-    residual_trajectory = r.residual_history;
-    residual_norm = r.residual_norm;
-    newton_iterations = r.newton_iterations;
-    linear_iterations = 0;
-    wall_seconds;
-    telemetry = None;
-    sections = [];
-  }
+  outer_newton ~name:"shooting" ~diverged:"periodicity residual diverged (non-finite)"
+    ~max_newton ~tol ?budget
+    ~integrate:(fun () ->
+      integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0:0.0 ~duration:period
+        ~steps:steps_per_period ())
+    ~defect:(fun (trace, _) ->
+      let r = Vec.sub trace.Numeric.Integrator.states.(steps_per_period) x0 in
+      (r, Vec.norm_inf r))
+    ~update:(fun (_, monodromy) r ->
+      (* Solve (M − I) δ = −r; the update is x0 ← x0 + δ. *)
+      Telemetry.span "shooting.newton_update" @@ fun () ->
+      try Linalg.Lu.solve_dense (Mat.sub monodromy (Mat.identity n)) (Vec.neg r)
+      with e -> failwith ("monodromy solve failed: " ^ Printexc.to_string e))
+    ~apply:(Vec.add_ip x0)
+    ~trace:(function
+      | Some (trace, _) -> trace
+      | None -> { Numeric.Integrator.times = [| 0.0 |]; states = [| x0 |] })
+    ()

@@ -13,19 +13,9 @@
     shooting iteration and threaded into every inner time-step Newton
     solve; non-finite periodicity residuals or shooting updates abort
     the outer loop instead of propagating NaN. Every exit path is
-    classified in the [outcome] field. *)
-
-type result = {
-  x0 : Linalg.Vec.t;  (** periodic initial state *)
-  trace : Numeric.Integrator.trace;  (** one steady-state period *)
-  newton_iterations : int;
-  total_time_steps : int;  (** integration steps summed over all Newton iterations *)
-  converged : bool;
-  residual_norm : float;  (** ‖Φ(x0) − x0‖∞ at exit *)
-  outcome : Resilience.Report.outcome;  (** structured exit classification *)
-  residual_history : float array;
-      (** periodicity residual per outer Newton iteration, chronological *)
-}
+    classified in the solution's [outcome]. The outer loop,
+    {!outer_newton}, is the one copy of that policy; {!Multiple_shooting}
+    runs it too. *)
 
 val solve :
   ?max_newton:int ->
@@ -36,13 +26,16 @@ val solve :
   dae:Numeric.Dae.t ->
   period:float ->
   unit ->
-  result
+  Solution.t
 (** Defaults: [max_newton = 25], [tol = 1e-8] (infinity norm on the
     periodicity residual), [steps_per_period = 200]. When [x0] is
     absent the zero state is used; pass a DC operating point for
     faster convergence. [budget] bounds the combined work of outer
     shooting iterations and inner time-step Newton solves; exhaustion
-    yields [outcome = Exhausted _] with the best iterate so far.
+    yields [outcome = Exhausted _] with the best iterate so far. The
+    solution's [trace] is one steady-state period, [steps_per_period +
+    1] samples from [t = 0] to [t = period], and its residual is
+    [‖Φ_T(x0) − x0‖∞].
     @raise Invalid_argument if [steps_per_period < 1]. *)
 
 val integrate_with_sensitivity :
@@ -68,8 +61,30 @@ val integrate_with_sensitivity :
     @raise Resilience.Budget.Exhausted when the inner Newton budget
     runs out mid-window. *)
 
-val to_report : ?wall_seconds:float -> result -> Resilience.Report.t
-(** Adapter to the unified engine API: lift this engine's bespoke
-    result into the structured report every {!Engine.Result.t}
-    carries. [wall_seconds] (default 0) stamps the single
-    ["shooting"] stage and the report total. *)
+val outer_newton :
+  name:string ->
+  diverged:string ->
+  max_newton:int ->
+  tol:float ->
+  ?budget:Resilience.Budget.t ->
+  integrate:(unit -> 'w) ->
+  defect:('w -> 'd * float) ->
+  update:('w -> 'd -> Linalg.Vec.t) ->
+  apply:(Linalg.Vec.t -> unit) ->
+  trace:('w option -> Numeric.Integrator.trace) ->
+  unit ->
+  Solution.t
+(** The outer Newton loop of both shooting backends, shared with
+    {!Multiple_shooting}. While the defect norm exceeds [tol] and fewer
+    than [max_newton] updates were applied, each iteration ticks
+    [budget], calls [integrate] from the current unknowns, records the
+    norm from [defect] in the residual history and the
+    ["<name>.residual"] observation, then applies [update]'s correction
+    with [apply]. Exits are classified in the outcome: budget
+    exhaustion as [Exhausted]; an integration or [update] [Failure msg]
+    as [Failed msg]; a non-finite norm as [Failed diverged]; a
+    non-finite correction as [Failed "non-finite <name> update"]; the
+    cap as [Failed "max shooting iterations"]. Unless converged, the
+    final unknowns are integrated once more (best effort: a failure
+    keeps the last integration), and [trace] turns that integration
+    ([None] when there was none) into the solution's trace. *)

@@ -189,22 +189,6 @@ let stats t =
     lost_events = t.lost_events;
   }
 
-let per_ring t =
-  Hashtbl.fold
-    (fun id (r : ring) acc ->
-      ( id,
-        {
-          minor_pause = acc_freeze r.minor_pause;
-          major_pause = acc_freeze r.major_pause;
-          minor_collections = r.minor_collections;
-          major_slices = r.major_slices;
-          domains_seen = 1;
-          domain_spawns = 0;
-          lost_events = 0;
-        } )
-      :: acc)
-    t.rings []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let stop t =
   if not t.freed then begin

@@ -37,9 +37,6 @@ val poll : t -> unit
 val stats : t -> stats
 (** Aggregate over every ring seen so far. Call [poll] first. *)
 
-val per_ring : t -> (int * stats) list
-(** Per-ring (per-domain) breakdown, sorted by ring id. *)
-
 val observe_into_telemetry : ?prefix:string -> t -> unit
 (** Fold [stats] into the current domain's recorder (no-op when
     disabled): histograms [<prefix>.minor_pause_seconds] /

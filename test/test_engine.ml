@@ -4,7 +4,9 @@
    arrays identical to serial, waveforms bitwise), crash isolation
    (a raising build thunk errors its own job only), budget propagation
    from the sweep deadline into per-job budgets, per-domain telemetry
-   isolation, and run determinism for identical inputs. *)
+   isolation, run determinism for identical inputs, and the four
+   single-time backends on every catalog circuit with their shared
+   report shape and pinned iteration-cap and budget outcomes. *)
 
 module W = Circuit.Waveform
 
@@ -300,6 +302,106 @@ let test_sweep_per_job_telemetry () =
       | None -> Alcotest.failf "job %d: no telemetry" o.Engine.Sweep.index)
     outcomes
 
+(* ---------- the single-time backends on every catalog circuit ---------- *)
+
+let single_time_kinds =
+  [ Engine.Shooting; Engine.Multiple_shooting; Engine.Hb; Engine.Periodic_fd ]
+
+let catalog_problem (c : Serve.Catalog.t) =
+  Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
+    ~fd:c.Serve.Catalog.default_fd
+
+(* The report shape every single-time backend shares: strategy
+   "newton", one stage named after the backend holding the outer Newton
+   iterations, and no linear iterations. *)
+let check_single_time_report what kind (r : Engine.Result.t) =
+  let report = r.Engine.Result.report in
+  Alcotest.(check (option string))
+    (what ^ " strategy") (Some "newton") report.Resilience.Report.strategy;
+  (match report.Resilience.Report.stages with
+  | [ stage ] ->
+      Alcotest.(check string)
+        (what ^ " stage name") (Engine.kind_name kind) stage.Resilience.Report.name;
+      Alcotest.(check int)
+        (what ^ " stage iterations") r.Engine.Result.newton_iterations
+        stage.Resilience.Report.iterations
+  | stages -> Alcotest.failf "%s: %d stages, expected 1" what (List.length stages));
+  Alcotest.(check int)
+    (what ^ " linear iterations") 0 report.Resilience.Report.linear_iterations
+
+let test_single_time_table () =
+  List.iter
+    (fun (c : Serve.Catalog.t) ->
+      let problem = catalog_problem c in
+      List.iter
+        (fun kind ->
+          let what = c.Serve.Catalog.name ^ " x " ^ Engine.kind_name kind in
+          let r = Engine.run problem (Engine.make kind) in
+          Alcotest.(check bool) (what ^ " converged") true r.Engine.Result.converged;
+          check_single_time_report what kind r)
+        single_time_kinds)
+    Serve.Catalog.all
+
+(* Multiple shooting's windows and shooting at the same total step
+   count integrate the same backward-Euler discretization of the
+   period, so the two steady states differ only where each outer Newton
+   stops (defects below tol = 1e-8). *)
+let test_multiple_shooting_matches_shooting () =
+  let o = Engine.Options.default in
+  let steps = o.Engine.Options.segments * o.Engine.Options.steps_per_segment in
+  List.iter
+    (fun (c : Serve.Catalog.t) ->
+      let problem = catalog_problem c in
+      let values kind options =
+        (Engine.run problem (Engine.make ~options kind)).Engine.Result.waveform
+          .Engine.Result.values
+      in
+      let sh = values Engine.Shooting { o with steps_per_period = steps } in
+      let msh = values Engine.Multiple_shooting o in
+      Alcotest.(check int) (c.Serve.Catalog.name ^ " samples") (Array.length sh)
+        (Array.length msh);
+      let worst = ref 0.0 in
+      Array.iteri (fun i v -> worst := Float.max !worst (Float.abs (v -. msh.(i)))) sh;
+      if !worst > 1e-7 then
+        Alcotest.failf "%s: multiple shooting and shooting differ by %g V"
+          c.Serve.Catalog.name !worst)
+    Serve.Catalog.all
+
+let outcome_of (r : Engine.Result.t) =
+  Resilience.Report.outcome_to_string r.Engine.Result.report.Resilience.Report.outcome
+
+(* The exits of the shared outer loops, pinned on the rectifier. The
+   shooting backends thread the budget into every inner time-step
+   Newton solve, so three iterations run out inside the first period
+   integration; the collocation backends tick it once per outer
+   iteration. *)
+let test_single_time_limits () =
+  let problem = catalog_problem (Result.get_ok (Serve.Catalog.find "rectifier")) in
+  let run options kind = Engine.run problem (Engine.make ~options kind) in
+  List.iter
+    (fun (kind, cap_outcome, budget_iterations) ->
+      let name = Engine.kind_name kind in
+      let cap = run { Engine.Options.default with max_newton = 1 } kind in
+      Alcotest.(check bool) (name ^ " cap converged") false cap.Engine.Result.converged;
+      Alcotest.(check string) (name ^ " cap outcome") cap_outcome (outcome_of cap);
+      Alcotest.(check int) (name ^ " cap iterations") 1 cap.Engine.Result.newton_iterations;
+      check_single_time_report (name ^ " cap") kind cap;
+      let budget = Resilience.Budget.make ~max_newton:3 () in
+      let exhausted = run { Engine.Options.default with budget = Some budget } kind in
+      Alcotest.(check string)
+        (name ^ " budget outcome") "exhausted: newton-iterations(limit=3 used=4)"
+        (outcome_of exhausted);
+      Alcotest.(check int)
+        (name ^ " budget iterations") budget_iterations
+        exhausted.Engine.Result.newton_iterations;
+      check_single_time_report (name ^ " budget") kind exhausted)
+    [
+      (Engine.Shooting, "failed: max shooting iterations", 0);
+      (Engine.Multiple_shooting, "failed: max shooting iterations", 0);
+      (Engine.Hb, "failed: max-iterations", 3);
+      (Engine.Periodic_fd, "failed: max-iterations", 3);
+    ]
+
 (* ---------- run determinism ---------- *)
 
 (* Replaced the deprecated run_<method> wrapper test when the wrappers
@@ -351,6 +453,14 @@ let () =
             test_telemetry_domain_isolation;
           Alcotest.test_case "per-job telemetry in sweeps" `Quick
             test_sweep_per_job_telemetry;
+        ] );
+      ( "single-time",
+        [
+          Alcotest.test_case "every catalog circuit" `Slow test_single_time_table;
+          Alcotest.test_case "iteration cap and budget" `Quick
+            test_single_time_limits;
+          Alcotest.test_case "multiple shooting matches shooting" `Slow
+            test_multiple_shooting_matches_shooting;
         ] );
       ( "compat",
         [

@@ -18,12 +18,12 @@ let test_mshoot_matches_single () =
     Steady.Multiple_shooting.solve ~steps_per_segment:64 ~dae ~period ~segments:4 ()
   in
   Alcotest.(check bool) "both converge" true
-    (single.Steady.Shooting.converged && multi.Steady.Multiple_shooting.converged);
+    (single.Steady.Solution.converged && multi.Steady.Solution.converged);
   (* Same BE grid (4 x 64 = 256 steps): waveforms must agree closely. *)
   let worst = ref 0.0 in
   for k = 0 to 256 do
-    let a = single.Steady.Shooting.trace.Numeric.Integrator.states.(k).(idx) in
-    let b = multi.Steady.Multiple_shooting.trace.Numeric.Integrator.states.(k).(idx) in
+    let a = single.Steady.Solution.trace.Numeric.Integrator.states.(k).(idx) in
+    let b = multi.Steady.Solution.trace.Numeric.Integrator.states.(k).(idx) in
     worst := Float.max !worst (Float.abs (a -. b))
   done;
   Alcotest.(check bool) "waveforms agree" true (!worst < 1e-6)
@@ -38,11 +38,9 @@ let test_mshoot_matching_defects_closed () =
     Steady.Multiple_shooting.solve ~x0:dc ~steps_per_segment:64 ~dae ~period:1e-3
       ~segments:5 ()
   in
-  Alcotest.(check bool) "converged" true r.Steady.Multiple_shooting.converged;
+  Alcotest.(check bool) "converged" true r.Steady.Solution.converged;
   Alcotest.(check bool) "defects below tolerance" true
-    (r.Steady.Multiple_shooting.residual_norm < 1e-8);
-  Alcotest.(check int) "five segment starts" 5
-    (Array.length r.Steady.Multiple_shooting.segment_starts)
+    (r.Steady.Solution.residual_norm < 1e-8)
 
 let test_mshoot_single_segment_is_shooting () =
   let { Circuits.mna; _ } = rc_fixture () in
@@ -51,7 +49,7 @@ let test_mshoot_single_segment_is_shooting () =
     Steady.Multiple_shooting.solve ~steps_per_segment:128 ~dae ~period:1e-3 ~segments:1 ()
   in
   Alcotest.(check bool) "converges with one segment" true
-    r.Steady.Multiple_shooting.converged
+    r.Steady.Solution.converged
 
 let test_mshoot_validation () =
   let { Circuits.mna; _ } = rc_fixture () in
@@ -378,12 +376,12 @@ let test_frozen_column_is_periodic_steady_state () =
   let reference =
     Steady.Periodic_fd.solve ~dae:(Circuit.Mna.dae mna) ~period:(1.0 /. f1) ~points:64 ()
   in
-  Alcotest.(check bool) "reference converged" true reference.Steady.Periodic_fd.converged;
+  Alcotest.(check bool) "reference converged" true reference.Steady.Solution.converged;
   let worst = ref 0.0 in
   Array.iteri
     (fun i x ->
       worst :=
-        Float.max !worst (Linalg.Vec.dist2 x reference.Steady.Periodic_fd.states.(i)))
+        Float.max !worst (Linalg.Vec.dist2 x reference.Steady.Solution.trace.Numeric.Integrator.states.(i)))
     column;
   Alcotest.(check bool) "matches 1-D periodic collocation" true (!worst < 1e-8)
 

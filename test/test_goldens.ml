@@ -1,7 +1,6 @@
 (* Byte-identity goldens for every JSON emitter whose output leaves the
    program: checkpoint lines, rfss.jobs/1 lines, resilience reports,
-   telemetry summaries and trace sinks, and the registry's JSON
-   fragment. Each literal was captured from the hand-rolled emitters
+   telemetry summaries and trace sinks. Each literal was captured from the hand-rolled emitters
    these outputs used before the one JSON codec replaced them, so a
    passing run shows the consolidation changed no byte. The inputs are
    chosen to need every escape the old emitters shared (quote,
@@ -146,13 +145,6 @@ let summary_json () =
   Telemetry.Summary.add_json buf summary;
   Buffer.contents buf
 
-let registry_json () =
-  let reg = Diagnostics.Registry.create () in
-  Diagnostics.Registry.counter reg "a.count" 3.0;
-  Diagnostics.Registry.gauge reg ~labels:[ ("k", "v\"q") ] "g" Float.nan;
-  Diagnostics.Registry.histogram reg "h" empty_histogram;
-  Diagnostics.Registry.to_json_fragment reg
-
 let snapshot : Telemetry.snapshot =
   {
     events =
@@ -196,9 +188,6 @@ let golden_report =
 let golden_summary =
   "{\"duration\":5.000000000e-01,\"spans\":[{\"name\":\"solve \\\"outer\\\"\",\"calls\":2,\"wall\":2.500000000e-01,\"self\":5.000000000e-02,\"cpu\":2.000000000e-01,\"children\":[{\"name\":\"inner\\\\x\",\"calls\":1,\"wall\":2.000000000e-01,\"self\":2.000000000e-01,\"cpu\":2.000000000e-01,\"children\":[]}]}],\"counters\":{\"newton.\\\"iters\\\"\":5},\"gauges\":{\"res\":\"nan\",\"ok\":1.250000000e+00},\"histograms\":{\"h\":{\"count\":0,\"sum\":0.000000000e+00,\"min\":\"inf\",\"max\":\"-inf\",\"p50\":\"nan\",\"p90\":\"nan\",\"p99\":\"nan\"}}}"
 
-let golden_registry =
-  "[{\"name\":\"rfss_a_count\",\"labels\":{},\"kind\":\"counter\",\"value\":3},{\"name\":\"rfss_g\",\"labels\":{\"k\":\"v\\\"q\"},\"kind\":\"gauge\",\"value\":\"nan\"},{\"name\":\"rfss_h\",\"labels\":{},\"kind\":\"histogram\",\"count\":0,\"sum\":0,\"min\":\"inf\",\"max\":\"-inf\",\"p50\":\"nan\",\"p90\":\"nan\",\"p99\":\"nan\"}]"
-
 let golden_jsonl =
   "{\"ev\":\"begin\",\"id\":1,\"parent\":0,\"name\":\"a\\\"b\",\"t\":5.000000000e-01,\"cpu\":2.500000000e-01}\n{\"ev\":\"end\",\"id\":1,\"name\":\"a\\\"b\",\"t\":1.500000000e+00,\"cpu\":\"nan\"}\n{\"ev\":\"counter\",\"name\":\"c\\\\1\",\"total\":4}\n{\"ev\":\"gauge\",\"name\":\"g\",\"value\":\"inf\"}\n{\"ev\":\"histogram\",\"name\":\"h\",\"count\":0,\"sum\":0.000000000e+00,\"min\":\"inf\",\"max\":\"-inf\",\"p50\":\"nan\",\"p90\":\"nan\",\"p99\":\"nan\"}\n{\"ev\":\"summary\",\"duration\":2.000000000e+00}\n"
 
@@ -220,8 +209,6 @@ let test_report () =
 
 let test_summary () = check_bytes "summary" golden_summary (summary_json ())
 
-let test_registry () = check_bytes "registry" golden_registry (registry_json ())
-
 let test_sinks () =
   check_bytes "jsonl" golden_jsonl (jsonl_trace ());
   check_bytes "chrome" golden_chrome (chrome_trace ())
@@ -235,7 +222,6 @@ let () =
           Alcotest.test_case "protocol lines" `Quick test_protocol;
           Alcotest.test_case "report json" `Quick test_report;
           Alcotest.test_case "summary json" `Quick test_summary;
-          Alcotest.test_case "registry json" `Quick test_registry;
           Alcotest.test_case "trace sinks" `Quick test_sinks;
         ] );
     ]

@@ -169,7 +169,7 @@ let test_periodic_fd_is_mpde_1d () =
     Steady.Periodic_fd.solve ~x_init:dc ~dae:(Circuit.Mna.dae mna) ~period:(1.0 /. f1)
       ~points ()
   in
-  Alcotest.(check bool) "1-D converged" true fd_result.Steady.Periodic_fd.converged;
+  Alcotest.(check bool) "1-D converged" true fd_result.Steady.Solution.converged;
   (* MPDE with the same fast grid; the single-tone source is constant
      along t2, so every t2 column must equal the 1-D solution. *)
   let shear = Mpde.Shear.make ~fast_freq:f1 ~slow_freq:1e3 in
@@ -178,7 +178,7 @@ let test_periodic_fd_is_mpde_1d () =
   let out = Circuit.Mna.node_index mna "out" in
   let worst = ref 0.0 in
   for i = 0 to points - 1 do
-    let v1d = fd_result.Steady.Periodic_fd.states.(i).(out) in
+    let v1d = fd_result.Steady.Solution.trace.Numeric.Integrator.states.(i).(out) in
     for j = 0 to 3 do
       let v2d = (Mpde.Solver.state_at sol ~i ~j).(out) in
       worst := Float.max !worst (Float.abs (v1d -. v2d))

@@ -60,11 +60,11 @@ let test_shooting_rc () =
     Steady.Shooting.solve ~steps_per_period:512 ~dae:(Circuit.Mna.dae mna)
       ~period:(1.0 /. rc_freq) ()
   in
-  Alcotest.(check bool) "converged" true r.Steady.Shooting.converged;
+  Alcotest.(check bool) "converged" true r.Steady.Solution.converged;
   let idx = Circuit.Mna.node_index mna "out" in
   let err =
-    max_err_vs_analytic r.Steady.Shooting.trace.Numeric.Integrator.times
-      r.Steady.Shooting.trace.Numeric.Integrator.states idx
+    max_err_vs_analytic r.Steady.Solution.trace.Numeric.Integrator.times
+      r.Steady.Solution.trace.Numeric.Integrator.states idx
   in
   Alcotest.(check bool) "matches analytic (BE accuracy)" true (err < 0.01)
 
@@ -76,7 +76,7 @@ let test_shooting_linear_one_newton () =
     Steady.Shooting.solve ~steps_per_period:128 ~dae:(Circuit.Mna.dae mna)
       ~period:(1.0 /. rc_freq) ()
   in
-  Alcotest.(check bool) "one newton" true (r.Steady.Shooting.newton_iterations <= 1)
+  Alcotest.(check bool) "one newton" true (r.Steady.Solution.newton_iterations <= 1)
 
 let test_shooting_periodicity () =
   let mna = rc_fixture () in
@@ -84,7 +84,7 @@ let test_shooting_periodicity () =
     Steady.Shooting.solve ~steps_per_period:256 ~dae:(Circuit.Mna.dae mna)
       ~period:(1.0 /. rc_freq) ()
   in
-  let states = r.Steady.Shooting.trace.Numeric.Integrator.states in
+  let states = r.Steady.Solution.trace.Numeric.Integrator.states in
   let first = states.(0) and last = states.(Array.length states - 1) in
   Alcotest.(check bool) "x(T) = x(0)" true (Linalg.Vec.dist2 first last < 1e-6)
 
@@ -95,9 +95,9 @@ let test_shooting_rectifier () =
     Steady.Shooting.solve ~steps_per_period:512 ~x0:dc ~dae:(Circuit.Mna.dae mna)
       ~period:(1.0 /. rc_freq) ()
   in
-  Alcotest.(check bool) "converged" true r.Steady.Shooting.converged;
+  Alcotest.(check bool) "converged" true r.Steady.Solution.converged;
   let idx = Circuit.Mna.node_index mna "out" in
-  let samples = Array.map (fun x -> x.(idx)) r.Steady.Shooting.trace.Numeric.Integrator.states in
+  let samples = Array.map (fun x -> x.(idx)) r.Steady.Solution.trace.Numeric.Integrator.states in
   let mean = Linalg.Vec.mean samples in
   (* Rectified 2 V sine into a big RC: mean well above zero, below peak. *)
   Alcotest.(check bool) "rectified mean" true (mean > 0.8 && mean < 2.0)
@@ -216,15 +216,15 @@ let test_periodic_fd_rc () =
     Steady.Periodic_fd.solve ~dae:(Circuit.Mna.dae mna) ~period:(1.0 /. rc_freq)
       ~points:256 ()
   in
-  Alcotest.(check bool) "converged" true r.Steady.Periodic_fd.converged;
+  Alcotest.(check bool) "converged" true r.Steady.Solution.converged;
   let idx = Circuit.Mna.node_index mna "out" in
   let worst = ref 0.0 in
   Array.iteri
     (fun k t ->
       worst :=
         Float.max !worst
-          (Float.abs (r.Steady.Periodic_fd.states.(k).(idx) -. rc_analytic t)))
-    r.Steady.Periodic_fd.times;
+          (Float.abs (r.Steady.Solution.trace.Numeric.Integrator.states.(k).(idx) -. rc_analytic t)))
+    r.Steady.Solution.trace.Numeric.Integrator.times;
   Alcotest.(check bool) "matches analytic" true (!worst < 0.02)
 
 let test_periodic_fd_matches_shooting () =
@@ -240,7 +240,7 @@ let test_periodic_fd_matches_shooting () =
       ~period ()
   in
   Alcotest.(check bool) "both converged" true
-    (fd.Steady.Periodic_fd.converged && sh.Steady.Shooting.converged);
+    (fd.Steady.Solution.converged && sh.Steady.Solution.converged);
   let idx = Circuit.Mna.node_index mna "out" in
   (* Same BE discretization, same grid → nearly identical waveforms. *)
   let worst = ref 0.0 in
@@ -248,8 +248,8 @@ let test_periodic_fd_matches_shooting () =
     worst :=
       Float.max !worst
         (Float.abs
-           (fd.Steady.Periodic_fd.states.(k).(idx)
-           -. sh.Steady.Shooting.trace.Numeric.Integrator.states.(k).(idx)))
+           (fd.Steady.Solution.trace.Numeric.Integrator.states.(k).(idx)
+           -. sh.Steady.Solution.trace.Numeric.Integrator.states.(k).(idx)))
   done;
   Alcotest.(check bool) "fd = shooting on same grid" true (!worst < 1e-4)
 
@@ -294,7 +294,7 @@ let test_hb_linear_exact () =
      one harmonic. *)
   let mna = rc_fixture () in
   let r = Steady.Hb.solve ~dae:(Circuit.Mna.dae mna) ~period:(1.0 /. rc_freq) ~harmonics:2 () in
-  Alcotest.(check bool) "converged" true r.Steady.Hb.converged;
+  Alcotest.(check bool) "converged" true r.Steady.Solution.converged;
   let idx = Circuit.Mna.node_index mna "out" in
   let w = 2.0 *. pi *. rc_freq in
   let expected = 1.0 /. sqrt (1.0 +. ((w *. rc_r *. rc_c) ** 2.0)) in
@@ -316,8 +316,8 @@ let test_hb_rectifier_needs_harmonics () =
       Steady.Hb.solve ~x_init:dc ~dae:(Circuit.Mna.dae mna) ~period:(1.0 /. rc_freq)
         ~harmonics ()
     in
-    Alcotest.(check bool) (Printf.sprintf "hb%d converged" harmonics) true r.Steady.Hb.converged;
-    Array.map (fun x -> x.(idx)) r.Steady.Hb.states
+    Alcotest.(check bool) (Printf.sprintf "hb%d converged" harmonics) true r.Steady.Solution.converged;
+    Array.map (fun x -> x.(idx)) r.Steady.Solution.trace.Numeric.Integrator.states
   in
   let reference = hb_waveform 30 in
   let err harmonics =
@@ -363,10 +363,10 @@ let test_three_methods_agree_on_rlc () =
   let hb = Steady.Hb.solve ~dae ~period ~harmonics:4 () in
   let fd = Steady.Periodic_fd.solve ~dae ~period ~points:1024 () in
   let a_sh =
-    amp_of (Array.map (fun x -> x.(idx)) sh.Steady.Shooting.trace.Numeric.Integrator.states)
+    amp_of (Array.map (fun x -> x.(idx)) sh.Steady.Solution.trace.Numeric.Integrator.states)
   in
   let a_hb = Steady.Hb.harmonic_amplitude hb ~unknown:idx ~harmonic:1 in
-  let a_fd = amp_of (Array.map (fun x -> x.(idx)) fd.Steady.Periodic_fd.states) in
+  let a_fd = amp_of (Array.map (fun x -> x.(idx)) fd.Steady.Solution.trace.Numeric.Integrator.states) in
   Alcotest.(check bool) "shooting vs hb" true (Float.abs (a_sh -. a_hb) /. a_hb < 0.02);
   Alcotest.(check bool) "fd vs hb" true (Float.abs (a_fd -. a_hb) /. a_hb < 0.02)
 
