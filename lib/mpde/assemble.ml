@@ -29,6 +29,16 @@ let of_dae (dae : Numeric.Dae.t) =
     fast = dae.Numeric.Dae.fast;
   }
 
+let to_dae (sys : system) ~source =
+  {
+    Numeric.Dae.size = sys.size;
+    eval_f = sys.eval_f;
+    eval_q = sys.eval_q;
+    jacobians = sys.jacobians;
+    source;
+    fast = sys.fast;
+  }
+
 type scheme = Backward | Central_t1 | Spectral_t1 | Spectral_both
 
 let spectral_ok (g : Grid.t) = g.Grid.n1 >= 3 && g.Grid.n1 mod 2 = 1

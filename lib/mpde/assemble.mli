@@ -28,6 +28,12 @@ val of_dae : Numeric.Dae.t -> system
     {!of_mna} for multi-tone excitations, where the shear warps each
     source's phase individually. *)
 
+val to_dae : system -> source:(float -> Linalg.Vec.t) -> Numeric.Dae.t
+(** The one-time DAE of the system along a path through the
+    [(t1, t2)] plane, given as its excitation [source t]: e.g.
+    [fun t1 -> sys.source_at ~t1 ~t2] for the fast column at a fixed
+    [t2], or [fun t -> sys.source_at ~t1:t ~t2:t] for the diagonal. *)
+
 type scheme =
   | Backward  (** fully implicit backward differences in t1 and t2 (default) *)
   | Central_t1  (** 2nd-order central differences along t1, backward along t2 *)

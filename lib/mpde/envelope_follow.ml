@@ -7,11 +7,6 @@ type result = {
   converged : bool;
 }
 
-let frozen_column = Fast_column.frozen_column
-
-let initial_column ?max_newton ?tol ?seed sys ~n1 ~shear =
-  Fast_column.frozen_column ?max_newton ?tol ?seed sys ~n1 ~shear ~t2:0.0
-
 let run ?max_newton ?tol ?x_init ?seed ~(system : Assemble.system) ~shear ~n1 ~t2_stop
     ~steps () =
   if steps < 1 then invalid_arg "Envelope_follow.run: steps must be positive";
@@ -20,7 +15,7 @@ let run ?max_newton ?tol ?x_init ?seed ~(system : Assemble.system) ~shear ~n1 ~t
   let column0 =
     match x_init with
     | Some c -> c
-    | None -> initial_column ?max_newton ?tol ?seed system ~n1 ~shear
+    | None -> Fast_column.frozen_column ?max_newton ?tol ?seed system ~n1 ~shear ~t2:0.0
   in
   let t2_values = Array.init (steps + 1) (fun s -> float_of_int s *. h2) in
   let columns = Array.make (steps + 1) column0 in

@@ -4,7 +4,9 @@
     periodic problem. This handles aperiodic slow-scale content (one-
     shot symbol sequences, start-up transients of the envelope) — the
     “envelope simulation” capability of the multi-time family the
-    paper's introduction refers to. *)
+    paper's introduction refers to. Each slow step is one
+    {!Fast_column.march_step}: the shared periodic collocation kernel
+    with a backward-Euler anchor in [t2]. *)
 
 type result = {
   t2_values : float array;  (** slow-time instants, [steps + 1] of them *)
@@ -14,30 +16,6 @@ type result = {
   newton_iterations : int;
   converged : bool;
 }
-
-val frozen_column :
-  ?max_newton:int ->
-  ?tol:float ->
-  ?seed:Linalg.Vec.t ->
-  Assemble.system ->
-  n1:int ->
-  shear:Shear.t ->
-  t2:float ->
-  Linalg.Vec.t array
-(** Quasi-static fast-scale periodic steady state with the slow scale
-    frozen at the given [t2] (drops the [∂/∂t2] term). Used to start
-    the envelope march and to build the MPDE solver's quasi-static
-    initial guess. @raise Failure if the fast-scale Newton fails. *)
-
-val initial_column :
-  ?max_newton:int ->
-  ?tol:float ->
-  ?seed:Linalg.Vec.t ->
-  Assemble.system ->
-  n1:int ->
-  shear:Shear.t ->
-  Linalg.Vec.t array
-(** [frozen_column ~t2:0.0]. *)
 
 val run :
   ?max_newton:int ->
@@ -52,6 +30,7 @@ val run :
   unit ->
   result
 (** March the envelope from [t2 = 0] to [t2_stop]. [x_init] gives the
-    starting fast-scale column (default {!initial_column}). *)
+    starting fast-scale column (default: the quasi-static
+    {!Fast_column.frozen_column} at [t2 = 0]). *)
 
 val envelope_of : result -> unknown:int -> mode:Extract.envelope_mode -> float array

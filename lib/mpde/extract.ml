@@ -61,77 +61,36 @@ let diagonal (sol : Solver.solution) ~values ~t_start ~t_stop ~samples =
    under-resolved) solution. *)
 let diagonal_residual ?(periods = 2) ?(steps_per_period = 128)
     (sol : Solver.solution) ~unknown =
-  let g = sol.Solver.grid in
   let sys = sol.Solver.system in
-  let size = sys.Assemble.size in
-  let t1p = Shear.t1_period g.Grid.shear in
-  let t_stop = float_of_int periods *. t1p in
+  let t_stop = float_of_int periods *. Shear.t1_period sol.Solver.grid.Grid.shear in
   let steps = periods * steps_per_period in
-  let h = t_stop /. float_of_int steps in
-  let x = ref (Solver.state_at sol ~i:0 ~j:0) in
-  let reference = Array.make (steps + 1) 0.0 in
-  reference.(0) <- !x.(unknown);
-  let ok = ref true in
-  (try
-     for k = 1 to steps do
-       let t = float_of_int k *. h in
-       let b_new = sys.Assemble.source_at ~t1:t ~t2:t in
-       let b_old = sys.Assemble.source_at ~t1:(t -. h) ~t2:(t -. h) in
-       let q_old = sys.Assemble.eval_q !x in
-       let f_old = sys.Assemble.eval_f !x in
-       (* Trapezoidal step:
-          (q(y) − q(xₖ))/h + (f(y) + f(xₖ))/2 = (b(tₖ₊₁) + b(tₖ))/2 *)
-       let residual y =
-         let qy = sys.Assemble.eval_q y and fy = sys.Assemble.eval_f y in
-         Array.init size (fun i ->
-             ((qy.(i) -. q_old.(i)) /. h)
-             +. (0.5 *. (fy.(i) +. f_old.(i)))
-             -. (0.5 *. (b_new.(i) +. b_old.(i))))
-       in
-       let solve_linearized y r =
-         let gj, cj = sys.Assemble.jacobians y in
-         let j =
-           Sparse.Csr.add
-             (Sparse.Csr.scale (1.0 /. h) cj)
-             (Sparse.Csr.scale 0.5 gj)
-         in
-         Sparse.Splu.solve (Sparse.Splu.factor j) r
-       in
-       let y, stats =
-         Numeric.Newton.solve
-           { Numeric.Newton.residual; solve_linearized }
-           !x
-       in
-       if not (Numeric.Newton.converged stats) then begin
-         ok := false;
-         raise Exit
-       end;
-       x := y;
-       reference.(k) <- y.(unknown)
-     done
-   with Exit -> ());
-  if not !ok then nan
-  else begin
-    let values = surface sol ~unknown in
-    let _, diag =
-      diagonal sol ~values ~t_start:0.0 ~t_stop ~samples:(steps + 1)
-    in
-    let err = ref 0.0 in
-    let lo = ref infinity and hi = ref neg_infinity in
-    Array.iteri
-      (fun k v ->
-        if v < !lo then lo := v;
-        if v > !hi then hi := v;
-        let e = Float.abs (v -. diag.(k)) in
-        if e > !err then err := e)
-      reference;
-    let swing = !hi -. !lo in
-    let scale =
-      if swing > 1e-12 then swing
-      else Float.max (Float.max (Float.abs !hi) (Float.abs !lo)) 1.0
-    in
-    !err /. scale
-  end
+  let dae = Assemble.to_dae sys ~source:(fun t -> sys.Assemble.source_at ~t1:t ~t2:t) in
+  match
+    Numeric.Integrator.transient ~method_:Numeric.Integrator.Trapezoidal ~dae
+      ~x0:(Solver.state_at sol ~i:0 ~j:0) ~t0:0.0 ~t1:t_stop ~steps ()
+  with
+  | exception Failure _ -> nan
+  | trace ->
+      let reference = Numeric.Integrator.sample trace unknown in
+      let values = surface sol ~unknown in
+      let _, diag =
+        diagonal sol ~values ~t_start:0.0 ~t_stop ~samples:(steps + 1)
+      in
+      let err = ref 0.0 in
+      let lo = ref infinity and hi = ref neg_infinity in
+      Array.iteri
+        (fun k v ->
+          if v < !lo then lo := v;
+          if v > !hi then hi := v;
+          let e = Float.abs (v -. diag.(k)) in
+          if e > !err then err := e)
+        reference;
+      let swing = !hi -. !lo in
+      let scale =
+        if swing > 1e-12 then swing
+        else Float.max (Float.max (Float.abs !hi) (Float.abs !lo)) 1.0
+      in
+      !err /. scale
 
 let mean_t1_waveform values =
   let n1 = Array.length values in

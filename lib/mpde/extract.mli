@@ -37,12 +37,13 @@ val diagonal_residual :
   ?periods:int -> ?steps_per_period:int -> Solver.solution -> unknown:int -> float
 (** Diagonal-consistency check: integrate a reference one-time transient
     from the surface's corner state [x̂(0,0)] over [periods] fast periods
-    (default 2) with [steps_per_period] trapezoidal steps (default 128),
-    and return the maximum deviation of the interpolated diagonal
-    [x̂(t,t)] from it, relative to the reference swing. Values at the
-    discretization-error level (≲ a few percent on the default grids)
-    indicate a consistent surface. [nan] when the reference integration
-    fails to converge. *)
+    (default 2) with [steps_per_period] trapezoidal steps (default 128)
+    of {!Numeric.Integrator.transient} on the system's DAE along the
+    diagonal, [b(t) = b̂(t, t)], and return the maximum deviation of the
+    interpolated diagonal [x̂(t,t)] from it, relative to the reference
+    swing. Values at the discretization-error level (≲ a few percent on
+    the default grids) indicate a consistent surface. [nan] when the
+    reference integration fails to converge. *)
 
 val t2_harmonic_amplitude : values:float array array -> harmonic:int -> float
 (** Amplitude of the given harmonic of the difference frequency in the

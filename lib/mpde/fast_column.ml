@@ -1,91 +1,36 @@
-(* A fast-scale column problem: unknowns are the n1 circuit states over
-   one fast period. [h2_term] is [None] for the quasi-static problem
-   (no slow derivative) or [Some (h2, prev_column)] for an
-   envelope-following backward-Euler step. *)
-let column_problem (sys : Assemble.system) ~n1 ~h1 ~sources ~h2_term =
-  let n = sys.Assemble.size in
-  let state_of big i = Array.sub big (i * n) n in
-  let residual big =
-    let qs = Array.init n1 (fun i -> sys.Assemble.eval_q (state_of big i)) in
-    let r = Array.make (n1 * n) 0.0 in
-    for i = 0 to n1 - 1 do
-      let f = sys.Assemble.eval_f (state_of big i) in
-      let q = qs.(i) and q_im1 = qs.((i + n1 - 1) mod n1) in
-      let b = sources.(i) in
-      for v = 0 to n - 1 do
-        let slow =
-          match h2_term with
-          | None -> 0.0
-          | Some (h2, prev) -> (q.(v) -. (sys.Assemble.eval_q prev.(i)).(v)) /. h2
-        in
-        r.((i * n) + v) <- ((q.(v) -. q_im1.(v)) /. h1) +. slow +. f.(v) -. b.(v)
-      done
-    done;
-    r
-  in
-  let solve_linearized big r =
-    let big_n = n1 * n in
-    let coo = Sparse.Coo.create ~capacity:(10 * big_n) big_n big_n in
-    let jacs = Array.init n1 (fun i -> sys.Assemble.jacobians (state_of big i)) in
-    let c_scale =
-      match h2_term with
-      | None -> 1.0 /. h1
-      | Some (h2, _) -> (1.0 /. h1) +. (1.0 /. h2)
-    in
-    for i = 0 to n1 - 1 do
-      let g, c = jacs.(i) in
-      let im1 = (i + n1 - 1) mod n1 in
-      let _, c_im1 = jacs.(im1) in
-      for row = 0 to n - 1 do
-        Sparse.Csr.iter_row c row (fun col v ->
-            Sparse.Coo.add coo ((i * n) + row) ((i * n) + col) (c_scale *. v));
-        Sparse.Csr.iter_row g row (fun col v ->
-            Sparse.Coo.add coo ((i * n) + row) ((i * n) + col) v);
-        Sparse.Csr.iter_row c_im1 row (fun col v ->
-            Sparse.Coo.add coo ((i * n) + row) ((im1 * n) + col) (-.v /. h1))
-      done
-    done;
-    Sparse.Splu.solve (Sparse.Splu.factor (Sparse.Csr.of_coo coo)) r
-  in
-  { Numeric.Newton.residual; solve_linearized }
+(* The collocation problem of the [n1] states over one fast period,
+   with an optional backward-Euler [anchor] in t2. *)
+let column_problem ?anchor (sys : Assemble.system) ~n1 ~shear ~t2 =
+  let h1 = Shear.t1_period shear /. float_of_int n1 in
+  let times = Array.init n1 (fun i -> float_of_int i *. h1) in
+  Numeric.Collocation.problem ?anchor
+    (Assemble.to_dae sys ~source:(fun t1 -> sys.Assemble.source_at ~t1 ~t2))
+    (Numeric.Collocation.backward_difference ~points:n1 ~h:h1)
+    ~times
 
-let flatten_column n column =
-  let n1 = Array.length column in
-  let big = Array.make (n1 * n) 0.0 in
-  Array.iteri (fun i x -> Array.blit x 0 big (i * n) n) column;
-  big
-
-let split_column n n1 big = Array.init n1 (fun i -> Array.sub big (i * n) n)
-
-let sources_for sys ~n1 ~h1 ~t2 =
-  Array.init n1 (fun i -> sys.Assemble.source_at ~t1:(float_of_int i *. h1) ~t2)
+let newton_options max_newton tol =
+  { Numeric.Newton.default_options with max_iterations = max_newton; abs_tol = tol }
 
 let frozen_column ?(max_newton = 80) ?(tol = 1e-8) ?seed (sys : Assemble.system) ~n1
     ~shear ~t2 =
   let n = sys.Assemble.size in
-  let h1 = Shear.t1_period shear /. float_of_int n1 in
-  let sources = sources_for sys ~n1 ~h1 ~t2 in
-  let problem = column_problem sys ~n1 ~h1 ~sources ~h2_term:None in
-  let big0 =
-    let seed = match seed with Some s -> s | None -> Array.make n 0.0 in
-    flatten_column n (Array.make n1 seed)
+  let seed = match seed with Some s -> s | None -> Array.make n 0.0 in
+  let big, stats =
+    Numeric.Newton.solve ~options:(newton_options max_newton tol)
+      (column_problem sys ~n1 ~shear ~t2)
+      (Numeric.Collocation.replicate n1 seed)
   in
-  let options =
-    { Numeric.Newton.default_options with max_iterations = max_newton; abs_tol = tol }
-  in
-  let big, stats = Numeric.Newton.solve ~options problem big0 in
   if not (Numeric.Newton.converged stats) then
     failwith "Fast_column.frozen_column: fast-scale Newton failed";
-  split_column n n1 big
+  Numeric.Collocation.states n big
 
 let march_step ?(max_newton = 80) ?(tol = 1e-8) (sys : Assemble.system) ~n1 ~shear ~t2
     ~h2 ~prev =
-  let n = sys.Assemble.size in
-  let h1 = Shear.t1_period shear /. float_of_int n1 in
-  let sources = sources_for sys ~n1 ~h1 ~t2 in
-  let problem = column_problem sys ~n1 ~h1 ~sources ~h2_term:(Some (h2, prev)) in
-  let options =
-    { Numeric.Newton.default_options with max_iterations = max_newton; abs_tol = tol }
+  let big, stats =
+    Numeric.Newton.solve ~options:(newton_options max_newton tol)
+      (column_problem ~anchor:(h2, prev) sys ~n1 ~shear ~t2)
+      (Array.concat (Array.to_list prev))
   in
-  let big, stats = Numeric.Newton.solve ~options problem (flatten_column n prev) in
-  (split_column n n1 big, stats.Numeric.Newton.iterations, Numeric.Newton.converged stats)
+  ( Numeric.Collocation.states sys.Assemble.size big,
+    stats.Numeric.Newton.iterations,
+    Numeric.Newton.converged stats )

@@ -1,8 +1,11 @@
 (** Fast-scale column problems: the [n1] circuit states over one fast
     period treated as a single nonlinear system, either quasi-static
     (slow derivative dropped) or as one backward-Euler step of the
-    envelope march. Shared by {!Envelope_follow} and the MPDE solver's
-    quasi-static initializer. *)
+    envelope march. Both are the one periodic collocation kernel,
+    {!Numeric.Collocation} with a backward difference in [t1] — the
+    problem [Steady.Periodic_fd] solves — the march adding its [t2]
+    step as the kernel's [anchor]. Shared by {!Envelope_follow} and the
+    MPDE solver's quasi-static initializer. *)
 
 val frozen_column :
   ?max_newton:int ->

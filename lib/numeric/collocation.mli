@@ -1,0 +1,43 @@
+(** One periodic collocation problem: the states at [N] points over one
+    period of a {!Dae.t}, stacked into a single Newton unknown (paper
+    §3, “time-discretization across one period”). The time-derivative
+    operator is the only choice that varies: backward differences give
+    periodic finite differences (and the MPDE's fast column), a dense
+    spectral matrix gives pseudo-spectral harmonic balance.
+
+    At point [k] the residual is
+
+    [(Σ_l w_kl·q(x_l))/s + f(x_k) − b(t_k)]
+
+    and the Jacobian, whose block [(k, l)] is [(w_kl/s)·C(x_l)] plus
+    [G(x_k)] when [l = k], is assembled as triplets, compressed and
+    solved with the general sparse LU. *)
+
+type operator
+(** Sparse weights [w_kl] and a scale [s], so that
+    [(Σ_l w_kl·q_l)/s] approximates [dq/dt] at point [k]. *)
+
+val backward_difference : points:int -> h:float -> operator
+(** Periodic backward difference: [w = {k: 1, k−1: −1}], [s = h]. *)
+
+val of_matrix : Linalg.Mat.t -> operator
+(** The nonzeros of a dense square differentiation matrix [D], with
+    [s = 1]. *)
+
+val problem :
+  ?anchor:float * Linalg.Vec.t array ->
+  Dae.t ->
+  operator ->
+  times:float array ->
+  Newton.problem
+(** The stacked Newton problem with [b_k = dae.source times.(k)], one
+    time per operator point.
+    [anchor = (h, prev)] adds one backward-Euler step in a second time,
+    [(q(x_k) − q(prev_k))/h], to every point (envelope following);
+    [q(prev_k)] is evaluated once, here. *)
+
+val replicate : int -> Linalg.Vec.t -> Linalg.Vec.t
+(** [replicate points x] stacks [points] copies of [x]: the usual seed. *)
+
+val states : int -> Linalg.Vec.t -> Linalg.Vec.t array
+(** [states size big] splits a stacked unknown back into its points. *)

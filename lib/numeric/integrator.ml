@@ -1,6 +1,6 @@
 module Vec = Linalg.Vec
 
-type method_ = Backward_euler | Trapezoidal | Bdf2
+type method_ = Backward_euler | Trapezoidal
 
 type step_result = {
   x : Vec.t;
@@ -22,7 +22,7 @@ type workspace = {
   q_buf : Vec.t;
   f_buf : Vec.t;
   q_prev : Vec.t;
-  aux_prev : Vec.t;  (* f(x_prev) for trapezoidal, q(x_prev2) for BDF2 *)
+  f_prev : Vec.t;  (* f(x_prev), for trapezoidal *)
   mutable g : Sparse.Csr.t;
   mutable c : Sparse.Csr.t;
   mutable jac : Sparse.Csr.t;
@@ -66,7 +66,7 @@ let workspace (dae : Dae.t) =
     q_buf = Array.make n 0.0;
     f_buf = Array.make n 0.0;
     q_prev = Array.make n 0.0;
-    aux_prev = Array.make n 0.0;
+    f_prev = Array.make n 0.0;
     g = empty_csr n;
     c = empty_csr n;
     jac = empty_csr n;
@@ -146,13 +146,11 @@ let evaluate_jacobians ws x =
     ws.lin_valid <- true
   end
 
-(* J = (a/h) C + β G for each method; BDF2 without [x_prev2] steps with
-   backward Euler. *)
+(* J = (1/h) C + β G for each method. *)
 let scales method_ h =
   match method_ with
   | Backward_euler -> (1.0 /. h, 1.0)
   | Trapezoidal -> (1.0 /. h, 0.5)
-  | Bdf2 -> (1.5 /. h, 1.0)
 
 let factor_jacobian ws ~sc ~sg x =
   evaluate_jacobians ws x;
@@ -191,16 +189,15 @@ let charge_jacobian ws =
   if not ws.lin_valid then invalid_arg "Integrator.charge_jacobian: nothing evaluated";
   ws.c
 
-(* Build the Newton problem for one implicit step. The residual has the
-   generic form  alpha_q-combination of charges + f-combination - source
-   terms;  the Jacobian is  (a/h) C(x) + beta G(x). *)
+(* Build the Newton problem for one implicit step. The residual is
+   (q(x) − q(x_prev))/h plus the method's f and source combination;
+   the Jacobian is  (1/h) C(x) + beta G(x). *)
 let implicit_step ?(newton_options = Newton.default_options) ~method_ ~workspace:ws
-    ~t_next ~h ~x_prev ?x_prev2 () =
+    ~t_next ~h ~x_prev () =
   let n = size ws in
   let q_prev = ws.q_prev and q = ws.q_buf and f = ws.f_buf in
   ws.eval_q_into x_prev q_prev;
   let b_next = ws.dae.Dae.source t_next in
-  let method_ = match (method_, x_prev2) with Bdf2, None -> Backward_euler | m, _ -> m in
   let residual =
     match method_ with
     | Backward_euler ->
@@ -209,7 +206,7 @@ let implicit_step ?(newton_options = Newton.default_options) ~method_ ~workspace
           ws.eval_f_into x f;
           Array.init n (fun i -> ((q.(i) -. q_prev.(i)) /. h) +. f.(i) -. b_next.(i))
     | Trapezoidal ->
-        let f_prev = ws.aux_prev in
+        let f_prev = ws.f_prev in
         ws.eval_f_into x_prev f_prev;
         let b_prev = ws.dae.Dae.source (t_next -. h) in
         fun x ->
@@ -219,15 +216,6 @@ let implicit_step ?(newton_options = Newton.default_options) ~method_ ~workspace
               ((q.(i) -. q_prev.(i)) /. h)
               +. (0.5 *. (f.(i) -. b_next.(i)))
               +. (0.5 *. (f_prev.(i) -. b_prev.(i))))
-    | Bdf2 ->
-        let q_prev2 = ws.aux_prev in
-        ws.eval_q_into (Option.get x_prev2) q_prev2;
-        fun x ->
-          ws.eval_q_into x q;
-          ws.eval_f_into x f;
-          Array.init n (fun i ->
-              (((1.5 *. q.(i)) -. (2.0 *. q_prev.(i)) +. (0.5 *. q_prev2.(i))) /. h)
-              +. f.(i) -. b_next.(i))
   in
   let sc, sg = scales method_ h in
   let solve_linearized x r =
@@ -251,12 +239,11 @@ let implicit_step ?(newton_options = Newton.default_options) ~method_ ~workspace
 type trace = { times : float array; states : Vec.t array }
 
 (* One macro-step that recursively halves on Newton failure. *)
-let robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev ?x_prev2 () =
-  let rec attempt ~t_start ~h ~x_prev ~x_prev2 ~depth ~remaining_newton =
+let robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev () =
+  let rec attempt ~t_start ~h ~x_prev ~depth ~remaining_newton =
     if depth > 8 then failwith "Integrator: Newton failed at minimum step size";
     let r =
-      implicit_step ?newton_options ~method_ ~workspace ~t_next:(t_start +. h) ~h ~x_prev
-        ?x_prev2 ()
+      implicit_step ?newton_options ~method_ ~workspace ~t_next:(t_start +. h) ~h ~x_prev ()
     in
     if r.converged then
       { r with newton_iterations = r.newton_iterations + remaining_newton }
@@ -266,15 +253,14 @@ let robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev ?x_prev2
     else begin
       let half = h /. 2.0 in
       let mid =
-        attempt ~t_start ~h:half ~x_prev ~x_prev2 ~depth:(depth + 1)
+        attempt ~t_start ~h:half ~x_prev ~depth:(depth + 1)
           ~remaining_newton:(remaining_newton + r.newton_iterations)
       in
-      attempt ~t_start:(t_start +. half) ~h:half ~x_prev:mid.x ~x_prev2:(Some x_prev)
-        ~depth:(depth + 1)
+      attempt ~t_start:(t_start +. half) ~h:half ~x_prev:mid.x ~depth:(depth + 1)
         ~remaining_newton:mid.newton_iterations
     end
   in
-  attempt ~t_start ~h ~x_prev ~x_prev2 ~depth:0 ~remaining_newton:0
+  attempt ~t_start ~h ~x_prev ~depth:0 ~remaining_newton:0
 
 let transient ?newton_options ?(method_ = Backward_euler) ~dae ~x0 ~t0 ~t1 ~steps () =
   if steps <= 0 then invalid_arg "Integrator.transient: steps must be positive";
@@ -286,9 +272,9 @@ let transient ?newton_options ?(method_ = Backward_euler) ~dae ~x0 ~t0 ~t1 ~step
   (try
      for k = 1 to steps do
        let t_start = t0 +. (float_of_int (k - 1) *. h) in
-       let x_prev2 = if k >= 2 then Some states.(k - 2) else None in
-       let r = robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev:states.(k - 1)
-           ?x_prev2 () in
+       let r =
+         robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev:states.(k - 1) ()
+       in
        if not r.converged then begin
          (* Only a budget exhaustion reaches here (robust_step raises on
             genuine step failure); hand back the trace so far. *)
@@ -301,51 +287,5 @@ let transient ?newton_options ?(method_ = Backward_euler) ~dae ~x0 ~t0 ~t1 ~step
    with Exit -> ());
   if !reached = steps then { times; states }
   else { times = Array.sub times 0 (!reached + 1); states = Array.sub states 0 (!reached + 1) }
-
-let transient_adaptive ?newton_options ?(method_ = Backward_euler) ?(rel_tol = 1e-4)
-    ?(abs_tol = 1e-9) ?h_init ?h_min ?h_max ~dae ~x0 ~t0 ~t1 () =
-  let span = t1 -. t0 in
-  let h_init = Option.value h_init ~default:(span /. 100.0) in
-  let h_min = Option.value h_min ~default:(span *. 1e-10) in
-  let h_max = Option.value h_max ~default:(span /. 10.0) in
-  let workspace = workspace dae in
-  let times = ref [ t0 ] and states = ref [ x0 ] in
-  let order = match method_ with Backward_euler -> 1.0 | Trapezoidal | Bdf2 -> 2.0 in
-  let rec advance t x h =
-    if t >= t1 -. (1e-12 *. span) then ()
-    else begin
-      let h = Float.min h (t1 -. t) in
-      let full = robust_step ?newton_options ~method_ ~workspace ~t_start:t ~h ~x_prev:x () in
-      let half1 =
-        robust_step ?newton_options ~method_ ~workspace ~t_start:t ~h:(h /. 2.0) ~x_prev:x ()
-      in
-      let half2 =
-        robust_step ?newton_options ~method_ ~workspace ~t_start:(t +. (h /. 2.0)) ~h:(h /. 2.0)
-          ~x_prev:half1.x ()
-      in
-      if not (full.converged && half1.converged && half2.converged) then
-        (* budget exhausted mid-span: return the trace accumulated so far *)
-        ()
-      else
-      let err = ref 0.0 in
-      Array.iteri
-        (fun i v ->
-          let scale = abs_tol +. (rel_tol *. Float.max (Float.abs v) (Float.abs x.(i))) in
-          err := Float.max !err (Float.abs (v -. full.x.(i)) /. scale))
-        half2.x;
-      if !err <= 1.0 || h <= h_min *. 1.0001 then begin
-        times := (t +. h) :: !times;
-        states := half2.x :: !states;
-        let growth = Float.min 4.0 (0.9 *. ((1.0 /. Float.max !err 1e-12) ** (1.0 /. (order +. 1.0)))) in
-        advance (t +. h) half2.x (Float.max h_min (Float.min h_max (h *. Float.max 0.5 growth)))
-      end
-      else advance t x (Float.max h_min (h /. 2.0))
-    end
-  in
-  advance t0 x0 (Float.min h_init h_max);
-  {
-    times = Array.of_list (List.rev !times);
-    states = Array.of_list (List.rev !states);
-  }
 
 let sample trace k = Array.map (fun x -> x.(k)) trace.states

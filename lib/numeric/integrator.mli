@@ -1,9 +1,10 @@
-(** Implicit time-stepping for {!Dae.t} systems: backward Euler,
-    trapezoidal, and fixed-step BDF2, each solved with damped Newton and
-    sparse LU. This is the SPICE-transient substrate and the engine for
-    single-time shooting. *)
+(** Implicit fixed-step time-stepping for {!Dae.t} systems: backward
+    Euler and trapezoidal, each solved with damped Newton and sparse LU.
+    Backward Euler is the SPICE-transient substrate and the engine for
+    single-time shooting; trapezoidal steps the MPDE's diagonal
+    consistency check. *)
 
-type method_ = Backward_euler | Trapezoidal | Bdf2
+type method_ = Backward_euler | Trapezoidal
 
 type step_result = {
   x : Linalg.Vec.t;
@@ -16,7 +17,7 @@ type workspace
 (** Per-stream step state: [G] and [C] on frozen sparsity patterns,
     refreshed in place through {!Dae.fast}[.jacobian_refresher] (or
     rebuilt from {!Dae.t}[.jacobians] when the pattern changes or the
-    DAE has no fast callbacks), the step Jacobian [J = (a/h) C + β G]
+    DAE has no fast callbacks), the step Jacobian [J = (1/h) C + β G]
     on the union pattern, refactored in place with
     {!Sparse.Splu.refactor_or_factor}, and the residual's [q]/[f]
     buffers. The factor is kept with its key — the bits of the iterate
@@ -28,8 +29,7 @@ val workspace : Dae.t -> workspace
 val linearize : workspace -> method_:method_ -> h:float -> Linalg.Vec.t -> unit
 (** [linearize ws ~method_ ~h x] evaluates [G(x)], [C(x)] and factors
     [method_]'s step Jacobian at [x] for step size [h] (a no-op when the
-    held factor has the same key). [Bdf2]'s scales are those of a
-    two-step BDF2 step.
+    held factor has the same key).
     @raise Sparse.Splu.Singular when [J] is singular. *)
 
 val solve_into : workspace -> Linalg.Vec.t -> Linalg.Vec.t -> unit
@@ -47,12 +47,10 @@ val implicit_step :
   t_next:float ->
   h:float ->
   x_prev:Linalg.Vec.t ->
-  ?x_prev2:Linalg.Vec.t ->
   unit ->
   step_result
 (** Single implicit step to [t_next] of size [h] for the workspace's
-    DAE. [x_prev2] (the state one step earlier) is required for [Bdf2];
-    when absent the step falls back to backward Euler. Trapezoidal needs
+    DAE. Trapezoidal needs
     [b] and [f] at the previous time, which it recomputes from [x_prev]
     and [t_next -. h]. Each Newton iteration factors [J] through
     {!linearize}, so the first iteration reuses a factor already held at
@@ -78,23 +76,6 @@ val transient :
     budget to distinguish).
     @raise Failure if a Newton solve fails even after internal step
     halving (up to 8 levels). *)
-
-val transient_adaptive :
-  ?newton_options:Newton.options ->
-  ?method_:method_ ->
-  ?rel_tol:float ->
-  ?abs_tol:float ->
-  ?h_init:float ->
-  ?h_min:float ->
-  ?h_max:float ->
-  dae:Dae.t ->
-  x0:Linalg.Vec.t ->
-  t0:float ->
-  t1:float ->
-  unit ->
-  trace
-(** Adaptive stepping with step-doubling local error control, on one
-    {!workspace}. *)
 
 val sample : trace -> int -> float array
 (** [sample trace k] extracts the time series of unknown [k]. *)

@@ -87,6 +87,10 @@ let publish_metrics t = Observe.Publish.set_metrics (registry t)
 
 (* ---------- execution ---------- *)
 
+(* Solve one pending job and stream its lines. Returns the
+   introspection verdict — Sweep's: an unconverged result is
+   "failed", a raised solve an "error" — computed only while a
+   listener is armed. *)
 let execute t (p : pending) =
   let job = p.job in
   let o = job.Protocol.options in
@@ -111,25 +115,35 @@ let execute t (p : pending) =
     Catalog.problem_of job.Protocol.fixture ~f_fast:job.Protocol.f_fast
       ~fd:job.Protocol.fd
   in
-  (match Engine.run problem (Engine.make ~options job.Protocol.engine) with
-  | r ->
-      let line = Protocol.result_line ~key:p.key ~warm_started job r in
-      Cache.add t.cache p.key line;
-      (if r.Engine.Result.converged && job.Protocol.warm then
-         match r.Engine.Result.mpde_solution with
-         | Some sol ->
-             Warm.offer t.warm ~label ~n1:o.Engine.Options.n1
-               ~n2:o.Engine.Options.n2 ~f_fast:job.Protocol.f_fast
-               ~fd:job.Protocol.fd sol.Mpde.Solver.big_x
-         | None -> ());
-      push p.handle line;
-      Atomic.incr t.completed
-  | exception e ->
-      push p.handle (Protocol.error_line (Printexc.to_string e));
-      Atomic.incr t.failed);
+  let outcome =
+    match Engine.run problem (Engine.make ~options job.Protocol.engine) with
+    | r ->
+        let line = Protocol.result_line ~key:p.key ~warm_started job r in
+        Cache.add t.cache p.key line;
+        (if r.Engine.Result.converged && job.Protocol.warm then
+           match r.Engine.Result.mpde_solution with
+           | Some sol ->
+               Warm.offer t.warm ~label ~n1:o.Engine.Options.n1
+                 ~n2:o.Engine.Options.n2 ~f_fast:job.Protocol.f_fast
+                 ~fd:job.Protocol.fd sol.Mpde.Solver.big_x
+           | None -> ());
+        push p.handle line;
+        Atomic.incr t.completed;
+        Some r
+    | exception e ->
+        push p.handle (Protocol.error_line (Printexc.to_string e));
+        Atomic.incr t.failed;
+        None
+  in
   push p.handle (Protocol.done_line ~id:p.id);
   finish p.handle;
-  publish_metrics t
+  publish_metrics t;
+  if not (Observe.Publish.armed ()) then None
+  else
+    Some
+      (match outcome with
+      | Some r -> Engine.Sweep.published_verdict (Ok r) ~degraded:false
+      | None -> ("error", Some "failed"))
 
 let rec worker_loop t w =
   let next =
@@ -150,11 +164,12 @@ let rec worker_loop t w =
   | Some p ->
       Observe.Publish.job_started ~job:p.key ~worker:w;
       let wall0 = Telemetry.Clock.wall () in
-      execute t p;
-      Observe.Publish.job_finished ~job:p.key ~worker:w ~status:"ok"
-        ~health:None
-        ~wall_seconds:(Telemetry.Clock.wall () -. wall0)
-        ~attempts:1;
+      Option.iter
+        (fun (status, health) ->
+          Observe.Publish.job_finished ~job:p.key ~worker:w ~status ~health
+            ~wall_seconds:(Telemetry.Clock.wall () -. wall0)
+            ~attempts:1)
+        (execute t p);
       worker_loop t w
 
 (* ---------- lifecycle ---------- *)

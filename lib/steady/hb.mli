@@ -10,8 +10,11 @@
     harmonic count needed for a given accuracy grows steeply as edges
     sharpen, while the time-domain methods are insensitive.
 
-    The result is a {!Solution.t} whose [trace] holds the [2K+1]
-    collocation times and states. *)
+    The solve is {!Solution.collocate} with the operator
+    {!Numeric.Collocation.of_matrix} of {!Numeric.Spectral.diff_matrix}:
+    the same collocation kernel as {!Periodic_fd}, with a spectral
+    instead of a backward-difference [D]. The result is a {!Solution.t}
+    whose [trace] holds the [2K+1] collocation times and states. *)
 
 val solve :
   ?max_newton:int ->
@@ -26,11 +29,6 @@ val solve :
 (** [budget] is ticked once per collocation Newton iteration; on
     exhaustion the best iterate is returned with
     [outcome = Exhausted _]. *)
-
-val spectral_diff_matrix : int -> float -> Linalg.Mat.t
-(** [spectral_diff_matrix n period] is the [n] x [n] differentiation
-    matrix for trigonometric interpolants on [n] (odd) uniform points;
-    exposed for tests. @raise Invalid_argument if [n] is even. *)
 
 val harmonic_amplitude : Solution.t -> unknown:int -> harmonic:int -> float
 (** Amplitude of harmonic [k] of the given unknown's steady-state

@@ -5,8 +5,11 @@
     the one-dimensional specialization of the MPDE grid solver and
     serves both as a baseline and as a cross-check for it.
 
-    The result is a {!Solution.t} whose [trace] holds the [N]
-    collocation times and states (no duplicated endpoint). *)
+    The solve is {!Solution.collocate} with
+    {!Numeric.Collocation.backward_difference}, the same kernel the
+    MPDE's fast column and {!Hb} run. The result is a {!Solution.t}
+    whose [trace] holds the [N] collocation times and states (no
+    duplicated endpoint). *)
 
 val solve :
   ?max_newton:int ->

@@ -24,3 +24,18 @@ val to_report :
     and the Newton iterations, and no linear iterations.
     [wall_seconds] (default 0) stamps the stage and the report
     total. *)
+
+val collocate :
+  ?max_newton:int ->
+  ?tol:float ->
+  ?budget:Resilience.Budget.t ->
+  ?x_init:Linalg.Vec.t ->
+  dae:Numeric.Dae.t ->
+  times:float array ->
+  Numeric.Collocation.operator ->
+  t
+(** The collocation backends' one solve: the {!Numeric.Collocation}
+    problem at [times] under [operator], seeded with [x_init] (default
+    zero) at every point, run through damped Newton ([max_newton]
+    default 60, residual target [tol] default 1e-8, [budget] ticked
+    once per iteration) and wrapped with the collocation times. *)

@@ -399,7 +399,7 @@ let test_spectral_ok_predicate () =
 
 (* ---------- Numeric.Spectral ---------- *)
 
-let test_spectral_diff_matrix_shared () =
+let test_spectral_diff_shared () =
   let d = Numeric.Spectral.diff_matrix 7 1.0 in
   let w = 2.0 *. pi in
   let samples = Array.init 7 (fun k -> cos (w *. float_of_int k /. 7.0)) in
@@ -454,7 +454,7 @@ let () =
           Alcotest.test_case "odd n1 required" `Quick test_spectral_requires_odd_n1;
           Alcotest.test_case "gmres path" `Quick test_spectral_gmres_converges;
           Alcotest.test_case "spectral_ok" `Quick test_spectral_ok_predicate;
-          Alcotest.test_case "shared diff matrix" `Quick test_spectral_diff_matrix_shared;
+          Alcotest.test_case "shared diff matrix" `Quick test_spectral_diff_shared;
           Alcotest.test_case "diff matrix validation" `Quick test_spectral_diff_validation;
         ] );
     ]

@@ -229,19 +229,6 @@ let test_trap_second_order () =
   let tr_err = run Integrator.Trapezoidal 100 in
   Alcotest.(check bool) "trapezoidal beats BE" true (tr_err < be_err /. 10.0)
 
-let test_bdf2_order () =
-  let dae = rc_dae ~r:1.0 ~c:1.0 ~b:(fun _ -> 0.0) in
-  let err steps =
-    let tr =
-      Integrator.transient ~method_:Integrator.Bdf2 ~dae ~x0:[| 1.0 |] ~t0:0.0 ~t1:1.0
-        ~steps ()
-    in
-    Float.abs (tr.Integrator.states.(steps).(0) -. exp (-1.0))
-  in
-  let e1 = err 50 and e2 = err 100 in
-  (* Second order: halving h divides the error by ~4. *)
-  Alcotest.(check bool) "bdf2 convergence order" true (e1 /. e2 > 3.0)
-
 let test_transient_sine_response () =
   (* RC driven at the pole frequency: amplitude = 1/√2, phase −45°. *)
   let rc = 1.0 /. (2.0 *. pi *. 1000.0) in
@@ -255,13 +242,62 @@ let test_transient_sine_response () =
   let expected = (1.0 /. sqrt 2.0) *. sin ((2.0 *. pi *. 1000.0 *. t) -. (pi /. 4.0)) in
   Alcotest.(check (float 2e-3)) "steady sine" expected tr.Integrator.states.(k).(0)
 
-let test_transient_adaptive_matches_fixed () =
-  let dae = rc_dae ~r:1.0 ~c:1e-3 ~b:(fun _ -> 1.0) in
-  let tr =
-    Integrator.transient_adaptive ~rel_tol:1e-6 ~dae ~x0:[| 0.0 |] ~t0:0.0 ~t1:5e-3 ()
+(* ---------- collocation kernel ---------- *)
+
+(* A scalar RC (q = c·x, f = x/r) at three points: the residual is the
+   operator applied to the charges, plus f − b, plus the anchor step. *)
+let colloc_dae = rc_dae ~r:2.0 ~c:0.5 ~b:(fun t -> 1.0 +. t)
+
+let colloc_ops =
+  let d =
+    Linalg.Mat.of_arrays
+      [| [| 0.0; 1.0; -1.0 |]; [| -1.0; 0.0; 1.0 |]; [| 1.0; -1.0; 0.0 |] |]
   in
-  let final = tr.Integrator.states.(Array.length tr.Integrator.states - 1).(0) in
-  Alcotest.(check (float 1e-4)) "adaptive final value" (1.0 -. exp (-5.0)) final
+  [ ("backward", Numeric.Collocation.backward_difference ~points:3 ~h:0.25);
+    ("matrix", Numeric.Collocation.of_matrix d) ]
+
+let test_collocation_residual () =
+  let times = [| 0.0; 1.0; 2.0 |] and x = [| 1.0; 2.0; 4.0 |] in
+  let q k = 0.5 *. x.(k) and rest k = (x.(k) /. 2.0) -. (1.0 +. times.(k)) in
+  let expected name k =
+    match name with
+    | "backward" -> ((q k -. q ((k + 2) mod 3)) /. 0.25) +. rest k
+    | _ -> q ((k + 1) mod 3) -. q ((k + 2) mod 3) +. rest k
+  in
+  List.iter
+    (fun (name, op) ->
+      let p = Numeric.Collocation.problem colloc_dae op ~times in
+      let r = p.Numeric.Newton.residual x in
+      Array.iteri
+        (fun k v -> check_float (Printf.sprintf "%s point %d" name k) (expected name k) v)
+        r;
+      let prev = [| [| 0.0 |]; [| 1.0 |]; [| 1.0 |] |] in
+      let p = Numeric.Collocation.problem ~anchor:(0.5, prev) colloc_dae op ~times in
+      let r = p.Numeric.Newton.residual x in
+      Array.iteri
+        (fun k v ->
+          check_float (Printf.sprintf "%s anchored point %d" name k)
+            (expected name k +. ((q k -. (0.5 *. prev.(k).(0))) /. 0.5))
+            v)
+        r)
+    colloc_ops
+
+let test_collocation_newton_exact () =
+  (* The problem is linear, so one exact Newton step lands on it. *)
+  let times = [| 0.0; 1.0; 2.0 |] in
+  List.iter
+    (fun (name, op) ->
+      List.iter
+        (fun anchor ->
+          let p = Numeric.Collocation.problem ?anchor colloc_dae op ~times in
+          let x0 = Numeric.Collocation.replicate 3 [| 0.0 |] in
+          let delta = p.Numeric.Newton.solve_linearized x0 (p.Numeric.Newton.residual x0) in
+          let x1 = Array.mapi (fun i v -> v -. delta.(i)) x0 in
+          Array.iter
+            (fun v -> check_float (name ^ " solved") 0.0 v)
+            (p.Numeric.Newton.residual x1))
+        [ None; Some (0.5, Numeric.Collocation.states 1 [| 1.0; 2.0; 3.0 |]) ])
+    colloc_ops
 
 let test_transient_sample () =
   let dae = rc_dae ~r:1.0 ~c:1.0 ~b:(fun _ -> 0.0) in
@@ -460,11 +496,14 @@ let () =
           Alcotest.test_case "dae residual" `Quick test_dae_residual;
           Alcotest.test_case "BE single step" `Quick test_be_step_decay;
           Alcotest.test_case "trapezoidal order" `Quick test_trap_second_order;
-          Alcotest.test_case "bdf2 order" `Quick test_bdf2_order;
           Alcotest.test_case "sine response" `Quick test_transient_sine_response;
-          Alcotest.test_case "adaptive stepping" `Quick test_transient_adaptive_matches_fixed;
           Alcotest.test_case "sample" `Quick test_transient_sample;
           Alcotest.test_case "step workspace paths" `Quick test_step_workspace_paths;
+        ] );
+      ( "collocation",
+        [
+          Alcotest.test_case "operator residuals" `Quick test_collocation_residual;
+          Alcotest.test_case "linear in one Newton step" `Quick test_collocation_newton_exact;
         ] );
       ( "interp",
         [

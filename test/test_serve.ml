@@ -477,6 +477,56 @@ let test_warm_start_fewer_newton () =
     Alcotest.failf "warm start did not help: warm=%d cold=%d" warm_newton
       cold_newton
 
+(* ---------- served verdicts reach the introspection plane ---------- *)
+
+(* A served job is judged like a sweep job: one converged and one
+   unconverged solve must leave [failed = 1] and a known worst health
+   in the published stats (which /healthz and /metrics expose). *)
+let test_served_verdicts_published () =
+  Observe.Publish.reset ();
+  Observe.Publish.arm ();
+  Fun.protect ~finally:(fun () ->
+      Observe.Publish.disarm ();
+      Observe.Publish.reset ())
+  @@ fun () ->
+  let jobs = Serve.Jobs.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Jobs.stop jobs) @@ fun () ->
+  let ok = line_with_event (drain (Serve.Jobs.submit jobs (rc_job ()))) "result" in
+  Alcotest.(check bool) "rc converged" true (member_bool ok "converged");
+  let fixture = fixture_exn "rectifier" in
+  let starved =
+    {
+      Serve.Protocol.fixture;
+      engine = Engine.Mpde;
+      f_fast = fixture.Serve.Catalog.default_fast;
+      fd = fixture.Serve.Catalog.default_fd;
+      options = { default with Engine.Options.n1 = 16; n2 = 12; max_newton = 1 };
+      wall_seconds = None;
+      max_newton_budget = None;
+      warm = false;
+    }
+  in
+  let bad = line_with_event (drain (Serve.Jobs.submit jobs starved)) "result" in
+  Alcotest.(check bool) "rectifier unconverged" false (member_bool bad "converged");
+  (* The worker publishes after it closes the stream: wait for it. *)
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let rec settled () =
+    let s = Observe.Publish.read_stats () in
+    if s.Observe.Publish.counts.Observe.Publish.finished >= 2
+       || Unix.gettimeofday () > deadline
+    then s
+    else begin
+      Unix.sleepf 0.005;
+      settled ()
+    end
+  in
+  let s = settled () in
+  let counts = s.Observe.Publish.counts in
+  Alcotest.(check int) "both finished" 2 counts.Observe.Publish.finished;
+  Alcotest.(check int) "one failed" 1 counts.Observe.Publish.failed;
+  Alcotest.(check bool) "worst health is known" false
+    (List.mem s.Observe.Publish.worst [ "unknown"; "none" ])
+
 (* ---------- routes: protocol over the HTTP layer, no socket ---------- *)
 
 let test_routes () =
@@ -599,6 +649,8 @@ let () =
             test_resubmission_cache_hit;
           Alcotest.test_case "warm start beats cold Newton count" `Quick
             test_warm_start_fewer_newton;
+          Alcotest.test_case "served verdicts published" `Quick
+            test_served_verdicts_published;
           Alcotest.test_case "routes speak the protocol" `Quick test_routes;
         ] );
     ]

@@ -268,27 +268,6 @@ let test_periodic_fd_rejects_bad_input () =
 
 (* ---------- Harmonic balance ---------- *)
 
-let test_spectral_diff_exact () =
-  (* The spectral differentiation matrix must differentiate
-     sin(2πt/T) exactly at the collocation points. *)
-  let n = 9 and period = 2.0 in
-  let d = Steady.Hb.spectral_diff_matrix n period in
-  let w = 2.0 *. pi /. period in
-  let t k = float_of_int k *. period /. float_of_int n in
-  let samples = Array.init n (fun k -> sin (w *. t k)) in
-  let deriv = Linalg.Mat.mul_vec d samples in
-  Array.iteri
-    (fun k v ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "derivative at %d" k)
-        (w *. cos (w *. t k))
-        v)
-    deriv
-
-let test_spectral_diff_odd_only () =
-  Alcotest.check_raises "even n" (Invalid_argument "Hb.spectral_diff_matrix: n must be odd")
-    (fun () -> ignore (Steady.Hb.spectral_diff_matrix 8 1.0))
-
 let test_hb_linear_exact () =
   (* HB is exact for linear circuits with sinusoidal drive even with
      one harmonic. *)
@@ -395,8 +374,6 @@ let () =
         ] );
       ( "harmonic_balance",
         [
-          Alcotest.test_case "spectral diff exact" `Quick test_spectral_diff_exact;
-          Alcotest.test_case "odd points only" `Quick test_spectral_diff_odd_only;
           Alcotest.test_case "linear exact" `Quick test_hb_linear_exact;
           Alcotest.test_case "harmonics vs sharpness" `Slow test_hb_rectifier_needs_harmonics;
           Alcotest.test_case "input validation" `Quick test_hb_rejects_zero_harmonics;
