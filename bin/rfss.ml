@@ -590,11 +590,8 @@ let sweep_cmd tele listen ((fixture : Serve.Catalog.t), points) period domains
           cached.(i) <- Engine.Checkpoint.find log ~key:(key_of j))
         jobs
   | _ -> ());
-  let to_run =
-    Array.of_list
-      (List.filteri
-         (fun i _ -> cached.(i) = None)
-         (Array.to_list jobs))
+  let pending =
+    Array.fold_left (fun k c -> if c = None then k + 1 else k) 0 cached
   in
   let on_outcome =
     let checkpointer =
@@ -606,8 +603,8 @@ let sweep_cmd tele listen ((fixture : Serve.Catalog.t), points) period domains
         log
     in
     let reporter =
-      if progress && Array.length to_run > 0 then
-        Some (progress_reporter ~total:(Array.length to_run))
+      if progress && pending > 0 then
+        Some (progress_reporter ~total:pending)
       else None
     in
     match (checkpointer, reporter) with
@@ -630,7 +627,9 @@ let sweep_cmd tele listen ((fixture : Serve.Catalog.t), points) period domains
   let outcomes =
     Engine.Sweep.run ~domains ?wall_seconds:budget_seconds
       ?max_newton_per_job:max_newton ~per_job_telemetry
-      ~per_job_trace:(merged_trace <> None) ~retry ?on_outcome to_run
+      ~per_job_trace:(merged_trace <> None) ~retry
+      ~completed:(fun i -> cached.(i) <> None)
+      ?on_outcome jobs
   in
   let sweep_wall = Telemetry.Clock.wall () -. sweep_t0 in
   let gc =
@@ -648,17 +647,11 @@ let sweep_cmd tele listen ((fixture : Serve.Catalog.t), points) period domains
       write_merged_trace ~file ~domains ~wall:sweep_wall ~gc outcomes
   | None -> ());
   (* Stitch cached and fresh records back into input job order. *)
-  let records = Array.make (Array.length jobs) None in
-  Array.iteri (fun i c -> records.(i) <- c) cached;
-  let fresh = Array.map Engine.Checkpoint.of_outcome outcomes in
-  let k = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if c = None then begin
-        records.(i) <- Some fresh.(!k);
-        incr k
-      end)
-    cached;
+  let records = Array.copy cached in
+  Array.iter
+    (fun (o : Engine.Sweep.outcome) ->
+      records.(o.Engine.Sweep.index) <- Some (Engine.Checkpoint.of_outcome o))
+    outcomes;
   let records = Array.map Option.get records in
   (match format with
   | Sweep_csv -> emit_sweep_csv ~no_wall records

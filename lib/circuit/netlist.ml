@@ -50,6 +50,41 @@ let node_name t i =
 let find_node t s =
   if is_ground s then Some 0 else Hashtbl.find_opt t.node_table s
 
+(* Every field that shapes the MNA system — device kind, name, node
+   indices and element values, in insertion order — but no source
+   waveform: the points of a tone sweep over one circuit share a
+   digest, and so have the same unknowns. *)
+let digest t =
+  let module F = Telemetry.Fnv in
+  let element = function
+    | Device.Resistor { resistance; _ } -> ("R", [ resistance ])
+    | Device.Capacitor { capacitance; _ } -> ("C", [ capacitance ])
+    | Device.Inductor { inductance; _ } -> ("L", [ inductance ])
+    | Device.Voltage_source _ -> ("V", [])
+    | Device.Current_source _ -> ("I", [])
+    | Device.Diode { params = p; _ } ->
+        ("D", [ p.Diode.saturation_current; p.ideality; p.junction_cap; p.gmin ])
+    | Device.Mosfet { params = p; _ } ->
+        ( (match p.Mosfet.polarity with Mosfet.Nmos -> "MN" | Pmos -> "MP"),
+          [ p.vt0; p.kp; p.lambda; p.cgs; p.cgd; p.gds_min ] )
+    | Device.Bjt { params = p; _ } ->
+        ( (match p.Bjt.polarity with Bjt.Npn -> "QN" | Pnp -> "QP"),
+          [
+            p.saturation_current; p.beta_forward; p.beta_reverse; p.cbe; p.cbc;
+            p.gmin;
+          ] )
+    | Device.Vccs { gm; _ } -> ("G", [ gm ])
+    | Device.Multiplier { gain; _ } -> ("X", [ gain ])
+  in
+  F.hex
+    (List.fold_left
+       (fun h d ->
+         let kind, values = element d in
+         let h = F.mix_string (F.mix_string h kind) (Device.name d) in
+         let h = List.fold_left F.mix_int h (Device.nodes d) in
+         List.fold_left F.mix_float h values)
+       F.basis (devices t))
+
 let resistor t name p m resistance =
   add t (Device.Resistor { name; n_plus = node t p; n_minus = node t m; resistance })
 

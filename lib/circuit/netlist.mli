@@ -22,6 +22,15 @@ val node_name : t -> Device.node -> string
 
 val find_node : t -> string -> Device.node option
 
+val digest : t -> string
+(** Structural hash (FNV-1a 64, hex) over each device's kind, name,
+    node indices and element values, in insertion order. Source
+    waveforms are left out, so the points of a tone sweep over one
+    circuit share a digest: their MNA systems have the same unknowns,
+    and a converged solution of one is a Newton start for another. A
+    circuit that sizes an element from the tones (the envelope
+    detector's load capacitor) gets a digest per tone pair. *)
+
 (** {1 Convenience builders} — each interns its node names and adds the
     device, returning [()] so netlists read like SPICE decks. *)
 

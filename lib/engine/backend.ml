@@ -106,13 +106,16 @@ let run (problem : Problem.t) (engine : t) : Result.t =
   let { Circuits.mna; _ } = problem.Problem.build () in
   let dae = Circuit.Mna.dae mna in
   let period = Problem.engine_period problem in
+  (* Solved at most once, and only by a backend that reads it: an MPDE
+     solve handed a surface skips the DC point. *)
   let x0 =
-    if o.Options.warm_start then
-      (* A failed DC solve is not fatal — the engines fall back to the
-         zero seed exactly as they would without warm start. *)
-      try Some (Circuit.Dcop.solve_exn ?budget:o.Options.budget mna)
-      with _ -> None
-    else None
+    lazy
+      (if o.Options.warm_start then
+         (* A failed DC solve is not fatal — the engines fall back to the
+            zero seed exactly as they would without warm start. *)
+         try Some (Circuit.Dcop.solve_exn ?budget:o.Options.budget mna)
+         with _ -> None
+       else None)
   in
   let finalize ~converged ~newton_iterations ~residual_norm ~times ~values
       ~metrics ~report ~health ~mpde_solution =
@@ -171,31 +174,38 @@ let run (problem : Problem.t) (engine : t) : Result.t =
       finalize_single_time
         (Steady.Shooting.solve ~max_newton:o.Options.max_newton
            ~tol:o.Options.tol ~steps_per_period:o.Options.steps_per_period
-           ?budget:o.Options.budget ?x0 ~dae ~period ())
+           ?budget:o.Options.budget ?x0:(Lazy.force x0) ~dae ~period ())
   | Multiple_shooting ->
       finalize_single_time
         (Steady.Multiple_shooting.solve ~max_newton:o.Options.max_newton
            ~tol:o.Options.tol ~steps_per_segment:o.Options.steps_per_segment
-           ?budget:o.Options.budget ?x0 ~dae ~period
+           ?budget:o.Options.budget ?x0:(Lazy.force x0) ~dae ~period
            ~segments:o.Options.segments ())
   | Hb ->
       finalize_single_time
         (Steady.Hb.solve ~max_newton:o.Options.max_newton ~tol:o.Options.tol
-           ?budget:o.Options.budget ?x_init:x0 ~dae ~period
+           ?budget:o.Options.budget ?x_init:(Lazy.force x0) ~dae ~period
            ~harmonics:o.Options.harmonics ())
   | Periodic_fd ->
       finalize_single_time
         (Steady.Periodic_fd.solve ~max_newton:o.Options.max_newton
-           ~tol:o.Options.tol ?budget:o.Options.budget ?x_init:x0 ~dae ~period
-           ~points:o.Options.points ())
+           ~tol:o.Options.tol ?budget:o.Options.budget
+           ?x_init:(Lazy.force x0) ~dae ~period ~points:o.Options.points ())
   | Mpde ->
       let shear =
         Mpde.Shear.make ~fast_freq:problem.Problem.f_fast
           ~slow_freq:problem.Problem.fd
       in
+      (* The DC point goes in as the seed, so solve_mna does not solve
+         it again; it still solves DC itself when there is none (DC
+         failed, or warm start is off) or the surface does not fit. *)
+      let seed =
+        match o.Options.initial_surface with
+        | Some _ as surface -> surface
+        | None -> Lazy.force x0
+      in
       let sol =
-        Mpde.Solver.solve_mna ~options:(Options.to_mpde o)
-          ?seed:o.Options.initial_surface
+        Mpde.Solver.solve_mna ~options:(Options.to_mpde o) ?seed
           ~workspace_slot:(Domain.DLS.get mpde_workspace_slot) ~shear
           ~n1:o.Options.n1 ~n2:o.Options.n2 mna
       in

@@ -69,7 +69,9 @@ val reset_workspace_slot : unit -> unit
 
 val run : Problem.t -> t -> Result.t
 (** Build the problem's circuit, seed from the DC operating point
-    (when [options.warm_start]), dispatch to the chosen backend, and
+    (when [options.warm_start]; solved once, and not at all for an
+    MPDE solve given an [initial_surface]), dispatch to the chosen
+    backend, and
     assemble the unified result. Never raises on solver
     non-convergence — inspect [converged] / [report]; it does let
     construction errors escape (e.g. {!Mpde.Shear.Off_lattice} or a

@@ -3,7 +3,8 @@
     One problem description ({!Problem}), one options record
     ({!Options}), one entry point ({!run}) over the five backends, one
     result shape ({!Result}) out — plus {!Sweep}, a parallel parameter
-    sweep executor on OCaml 5 domains. DESIGN.md §11 documents the
+    sweep executor on OCaml 5 domains, and {!Warm}, the warm-start
+    store it shares with the solve service. DESIGN.md §11 documents the
     architecture and the mapping from the unified option vocabulary
     onto each backend's native records.
 
@@ -20,6 +21,7 @@ module Problem = Problem
 module Options = Options
 module Key = Key
 module Pool = Pool
+module Warm = Warm
 module Sweep = Sweep
 module Checkpoint = Checkpoint
 include Backend

@@ -22,3 +22,5 @@ let engine_period p =
   match p.period with
   | Fast_tone -> 1.0 /. p.f_fast
   | Difference_tone -> 1.0 /. p.fd
+
+let digest p = Circuit.Netlist.digest (p.build ()).Circuits.netlist

@@ -46,3 +46,9 @@ val disparity : t -> float
 val engine_period : t -> float
 (** The period a single-time engine solves: [1/f_fast] or [1/fd]
     according to [period]. *)
+
+val digest : t -> string
+(** {!Circuit.Netlist.digest} of a freshly built circuit: equal for
+    problems whose circuits differ only in their source waveforms, the
+    jobs whose converged MPDE surfaces can seed one another
+    ({!Warm}). Raises whatever [build] raises. *)

@@ -27,6 +27,7 @@ type outcome = {
   attempts : int;
   degraded : bool;
   worker : int;
+  anchor : int option;
   trace : (float * Telemetry.snapshot) option;
 }
 
@@ -75,17 +76,45 @@ let published_verdict (result : (Backend.Result.t, failure) Stdlib.result)
       else if degraded then ("degraded", Some health)
       else ("ok", Some health)
 
+(* Warm-start group of a job: an MPDE job that brings no surface of its
+   own, keyed by its circuit's structure and grid — the jobs whose
+   converged surfaces fit one another. A build that raises leaves the
+   job ungrouped, to fail in its own slot. *)
+let group_key (j : job) =
+  let o = j.engine.Backend.options in
+  if j.engine.Backend.kind <> Backend.Mpde || o.Options.initial_surface <> None
+  then None
+  else
+    match Problem.digest j.problem with
+    | digest -> Some (digest, o.Options.n1, o.Options.n2)
+    | exception _ -> None
+
+let with_surface surface (j : job) =
+  {
+    j with
+    engine =
+      {
+        j.engine with
+        Backend.options =
+          { j.engine.Backend.options with Options.initial_surface = Some surface };
+      };
+  }
+
 let run ?domains ?wall_seconds ?max_newton_per_job
     ?(per_job_telemetry = false) ?(per_job_trace = false)
-    ?(retry = Resilience.Retry.none) ?on_outcome jobs =
+    ?(retry = Resilience.Retry.none) ?(completed = fun _ -> false) ?on_outcome
+    jobs =
+  let n = Array.length jobs in
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
   let deadline =
     Option.map (fun s -> Telemetry.Clock.wall () +. s) wall_seconds
   in
+  let pending = Array.init n (fun i -> not (completed i)) in
   Observe.Publish.run_started ?deadline ~domains ~phase:"sweep"
-    ~total:(Array.length jobs) ();
+    ~total:(Array.fold_left (fun k p -> if p then k + 1 else k) 0 pending)
+    ();
   let deadline_open () =
     match deadline with None -> true | Some d -> Telemetry.Clock.wall () < d
   in
@@ -113,24 +142,29 @@ let run ?domains ?wall_seconds ?max_newton_per_job
           Options.with_budget (Some budget) j.engine.Backend.options;
       }
   in
-  let run_one (index, j) =
+  (* [publish = false] is a resumed sweep's silent re-solve of an anchor
+     whose own record is already in the checkpoint: it runs only to seed
+     its pending dependents, so nothing hears of it. [seed] is the
+     anchor index and surface of a phase-2 job. *)
+  let run_one ~publish ~seed index (j : job) =
     let t0 = Telemetry.Clock.wall () in
     let worker = Pool.worker_index () in
-    Observe.Publish.job_started ~job:j.label ~worker;
+    if publish then Observe.Publish.job_started ~job:j.label ~worker;
     (* One fault-injection scope per attempt: occurrence counters reset
        on retry (a [crash@job:1] fault is transient — it hits attempt 1
        and spares attempt 2), and the scope key lets a plan target one
        job ("fd=8000"), one attempt ("#1"), or the degraded pass
-       ("#d"). *)
-    let one_attempt ~scope_key (j : job) =
+       ("#d"). A seeded solve that does not converge is re-solved from
+       DC in the same scope, so a one-shot fault that sank the seeded
+       solve spares the cold one. So is one that converged without a
+       Newton step: the seed already met the residual tolerance, which
+       bounds the residual, not the waveform — the cold solve's last
+       step lands far inside it. Returns whether the seed was kept. *)
+    let one_attempt ~scope_key ~surface (j : job) =
       Resilience.Faultinject.with_scope ~key:scope_key (fun () ->
-          try
-            Resilience.Faultinject.fire_point Resilience.Faultinject.Job;
-            with_job_telemetry per_job_telemetry (fun () ->
-                Ok (Backend.run j.problem (engine_for j)))
-          with e ->
-            (* Capture the trace in the handler, before any other code
-               runs and overwrites it. *)
+          let failure e =
+            (* Called first thing in a handler, before any other code
+               runs and overwrites the trace. *)
             let backtrace =
               if Printexc.backtrace_status () then
                 match Printexc.get_backtrace () with
@@ -143,7 +177,26 @@ let run ?domains ?wall_seconds ?max_newton_per_job
                 message = Printexc.to_string e;
                 backtrace;
                 stage = Resilience.Faultinject.last_stage ();
-              })
+              }
+          in
+          let solve (j : job) =
+            try
+              with_job_telemetry per_job_telemetry (fun () ->
+                  Ok (Backend.run j.problem (engine_for j)))
+            with e -> failure e
+          in
+          match Resilience.Faultinject.fire_point Resilience.Faultinject.Job with
+          | exception e -> (failure e, false)
+          | () -> (
+              match surface with
+              | Some surface -> (
+                  match solve (with_surface surface j) with
+                  | Ok r as seeded
+                    when r.Backend.Result.converged
+                         && r.Backend.Result.newton_iterations > 0 ->
+                      (seeded, true)
+                  | _ -> (solve j, false))
+              | None -> (solve j, false)))
     in
     (* Transient: worth retrying unchanged — a crash (injected or real)
        or a budget slice that ran out. Deterministic non-convergence
@@ -163,7 +216,11 @@ let run ?domains ?wall_seconds ?max_newton_per_job
       | Ok r -> not r.Backend.Result.converged
     in
     let rec attempt_loop n prev_delay =
-      let result = one_attempt ~scope_key:(j.label ^ "#" ^ string_of_int n) j in
+      let result, seeded =
+        one_attempt
+          ~scope_key:(j.label ^ "#" ^ string_of_int n)
+          ~surface:(Option.map snd seed) j
+      in
       if transient result && n < retry.Resilience.Retry.max_attempts
          && deadline_open ()
       then begin
@@ -171,22 +228,24 @@ let run ?domains ?wall_seconds ?max_newton_per_job
           Resilience.Retry.backoff retry ~salt:j.label ~attempt:n
             ~prev:prev_delay
         in
-        Observe.Publish.retry ~job:j.label ~worker ~attempt:n ~delay;
+        if publish then
+          Observe.Publish.retry ~job:j.label ~worker ~attempt:n ~delay;
         Resilience.Retry.sleep delay;
         attempt_loop (n + 1) delay
       end
-      else (result, n)
+      else (result, seeded, n)
     in
     let compute () =
-      let result, attempts = attempt_loop 1 0.0 in
+      let result, seeded, attempts = attempt_loop 1 0.0 in
       (* Watchdog: a job that failed every regular attempt gets one
          final try at degraded options instead of poisoning the sweep.
-         The demotion is only kept if it actually rescued the job. *)
+         The demotion is only kept if it actually rescued the job. The
+         coarser grid does not fit the seed, so it runs cold. *)
       let result, degraded =
         if
           retry.Resilience.Retry.degrade && failed result && deadline_open ()
         then begin
-          Observe.Publish.degraded ~job:j.label ~worker;
+          if publish then Observe.Publish.degraded ~job:j.label ~worker;
           let dj =
             {
               j with
@@ -197,12 +256,14 @@ let run ?domains ?wall_seconds ?max_newton_per_job
                 };
             }
           in
-          let d_result = one_attempt ~scope_key:(j.label ^ "#d") dj in
+          let d_result, _ =
+            one_attempt ~scope_key:(j.label ^ "#d") ~surface:None dj
+          in
           if failed d_result then (result, false) else (d_result, true)
         end
         else (result, false)
       in
-      (result, attempts, degraded)
+      (result, seeded && not degraded, attempts, degraded)
     in
     (* Trace capture spans the whole job — every attempt, backoff and
        the degraded pass — on the executing domain. When a recorder is
@@ -211,7 +272,7 @@ let run ?domains ?wall_seconds ?max_newton_per_job
        otherwise a throwaway recorder wraps the job. Either way span
        timestamps stay relative to that recorder's enable instant,
        which [Telemetry.enabled_at] reports as the base for merging. *)
-    let (result, attempts, degraded), trace =
+    let (result, seeded, attempts, degraded), trace =
       if not per_job_trace then (compute (), None)
       else if Telemetry.enabled () then begin
         let since = Telemetry.mark () in
@@ -236,25 +297,67 @@ let run ?domains ?wall_seconds ?max_newton_per_job
         attempts;
         degraded;
         worker;
+        anchor = (if seeded then Option.map fst seed else None);
         trace;
       }
     in
     (* The armed check here (one atomic load when idle) also gates the
        health classification, which is only worth computing when a
        listener is watching. *)
-    if Observe.Publish.armed () then begin
+    if publish && Observe.Publish.armed () then begin
       let status, health = published_verdict result ~degraded in
       Observe.Publish.job_finished ~job:j.label ~worker ~status ~health
         ~wall_seconds:outcome.wall_seconds ~attempts
     end;
     (* Runs on the executing domain, concurrently across jobs: the
        checkpoint writer (the intended consumer) serializes internally. *)
-    (match on_outcome with Some f -> f outcome | None -> ());
+    (match on_outcome with Some f when publish -> f outcome | _ -> ());
     outcome
   in
+  (* Anchors: the first job of each warm-start group, in input order —
+     completed jobs included, so a resumed sweep picks the anchors the
+     uninterrupted one did. [anchor.(i)] is i's anchor (i itself for
+     an anchor), -1 for an ungrouped job. *)
+  let keys = Array.map group_key jobs in
+  let anchor = Array.make n (-1) in
+  let firsts = Hashtbl.create 8 in
+  Array.iteri
+    (fun i -> function
+      | None -> ()
+      | Some k -> (
+          match Hashtbl.find_opt firsts k with
+          | Some a -> anchor.(i) <- a
+          | None ->
+              Hashtbl.add firsts k i;
+              anchor.(i) <- i))
+    keys;
+  let dependent i = anchor.(i) >= 0 && anchor.(i) <> i in
+  (* A completed anchor is re-solved, silently, when a pending job
+     needs its surface: the solve is deterministic, so the surface is
+     bitwise the one the interrupted run seeded from. *)
+  let needed = Array.make n false in
+  Array.iteri
+    (fun i p -> if p && dependent i then needed.(anchor.(i)) <- true)
+    pending;
+  let phase1 i = (not (dependent i)) && (pending.(i) || needed.(i)) in
+  let phase2 i = pending.(i) && dependent i in
   (* Static placement under tracing: job → worker must be a pure
-     function of the index for two traced runs to merge identically. *)
-  let assign = if per_job_trace then `Static else `Dynamic in
+     function of the index for two traced runs to merge identically,
+     so each phase maps the whole index range and skips the other
+     phase's jobs — job i runs on worker i mod domains in either.
+     Otherwise a phase maps only its own jobs, and spawns no more
+     domains than it has jobs. *)
+  let run_phase member seed_of =
+    let go i = run_one ~publish:pending.(i) ~seed:(seed_of i) i jobs.(i) in
+    if per_job_trace then
+      Pool.map ~assign:`Static ~domains
+        (fun i -> if member i then Some (go i) else None)
+        (Array.init n Fun.id)
+      |> Array.to_list |> List.filter_map Fun.id
+    else
+      List.init n Fun.id |> List.filter member |> Array.of_list
+      |> Pool.map ~domains go |> Array.to_list
+  in
   (* Spawned workers always start with an empty per-domain solver
      workspace slot, but worker 0 is the calling domain, whose slot
      survives from whatever ran before. Clearing it makes every worker
@@ -262,8 +365,44 @@ let run ?domains ?wall_seconds ?max_newton_per_job
      reuse counters (and therefore identical traces) regardless of what
      the caller solved earlier. *)
   Backend.reset_workspace_slot ();
-  let outcomes =
-    Pool.map ~assign ~domains run_one (Array.mapi (fun i j -> (i, j)) jobs)
+  let first = run_phase phase1 (fun _ -> None) in
+  (* Phase 2 seeds each dependent from the nearest converged anchor of
+     its group. Seeds are chosen here, on the calling domain, from the
+     job list alone — never from completion order — so waveforms are
+     bitwise equal across domain counts. *)
+  let second =
+    if not (List.exists phase2 (List.init n Fun.id)) then []
+    else begin
+      let store = Warm.create ~capacity:(Hashtbl.length firsts) in
+      List.iter
+        (fun o ->
+          match (keys.(o.index), o.result) with
+          | Some (digest, n1, n2), Ok r
+            when anchor.(o.index) = o.index && r.Backend.Result.converged
+                 && not o.degraded -> (
+              match r.Backend.Result.mpde_solution with
+              | Some sol ->
+                  let p = o.job.problem in
+                  Warm.offer store ~digest ~n1 ~n2 ~f_fast:p.Problem.f_fast
+                    ~fd:p.Problem.fd sol.Mpde.Solver.big_x
+              | None -> ())
+          | _ -> ())
+        first;
+      let seeds =
+        Array.init n (fun i ->
+            match keys.(i) with
+            | Some (digest, n1, n2) when phase2 i ->
+                let p = jobs.(i).problem in
+                Option.map
+                  (fun surface -> (anchor.(i), surface))
+                  (Warm.nearest store ~digest ~n1 ~n2
+                     ~f_fast:p.Problem.f_fast ~fd:p.Problem.fd)
+            | _ -> None)
+      in
+      run_phase phase2 (fun i -> seeds.(i))
+    end
   in
   Observe.Publish.run_finished ();
-  outcomes
+  List.filter (fun o -> pending.(o.index)) (first @ second)
+  |> List.sort (fun a b -> compare a.index b.index)
+  |> Array.of_list

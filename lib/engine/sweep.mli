@@ -1,11 +1,34 @@
 (** Parameter sweeps over {!Backend.run}, executed in parallel on
-    OCaml 5 domains, with per-job retry and watchdog degradation.
+    OCaml 5 domains, with warm-started MPDE jobs, per-job retry and
+    watchdog degradation.
 
     A sweep is an array of jobs — each a (problem, engine) pair — run
     through {!Pool.map}. Results come back in job order regardless of
     scheduling, so a parallel sweep is sample-for-sample comparable
     with a serial one; with deterministic backends the waveforms are
-    bitwise equal. A job that raises (a mis-built circuit, an
+    bitwise equal.
+
+    Warm starts: an MPDE job whose options carry no [initial_surface]
+    belongs to a group keyed by its circuit's structural digest
+    ({!Problem.digest}) and its grid [(n1, n2)]. The first job of each
+    group, in input order, is the group's {e anchor}. The sweep runs
+    in two phases, each one {!Pool.map}: phase 1 runs the anchors and
+    every ungrouped job (other engines, jobs with a surface of their
+    own, jobs whose build raises); phase 2 runs the rest, each seeded
+    with the {!Warm.nearest} converged anchor surface of its group, and
+    records that anchor in [outcome.anchor]. Which seed a job gets
+    depends only on the job list, never on scheduling, so waveforms
+    stay bitwise equal across domain counts. A seeded solve that does
+    not converge (or raises) is re-solved once from DC in the same
+    attempt, so seeding never turns a converging job into a failing
+    one. So is a seeded solve that converged without a Newton step:
+    its seed already met the residual tolerance, which bounds the
+    residual and not the waveform, and the cold solve's last step
+    lands far inside it. A job whose anchor did not converge runs
+    cold. Phase 2 is
+    skipped when no group has a second job.
+
+    A job that raises (a mis-built circuit, an
     off-lattice MPDE frequency, an injected crash) is captured as
     [Error] — with exception message, backtrace when
     [Printexc.backtrace_status], and the active escalation-ladder stage
@@ -79,6 +102,12 @@ type outcome = {
   worker : int;
       (** {!Pool.worker_index} of the domain that ran the job (0 = the
           calling domain) *)
+  anchor : int option;
+      (** input index of the anchor whose converged surface seeded the
+          returned result; [None] for anchors, ungrouped jobs, jobs
+          whose anchor did not converge, a seeded job re-solved cold
+          (the seeded solve failed, or took no Newton step), and a
+          degraded result *)
   trace : (float * Telemetry.snapshot) option;
       (** with [per_job_trace]: [(base, snapshot)] where [base] is the
           absolute {!Telemetry.Clock.wall} instant the snapshot's span
@@ -113,6 +142,7 @@ val run :
   ?per_job_telemetry:bool ->
   ?per_job_trace:bool ->
   ?retry:Resilience.Retry.policy ->
+  ?completed:(int -> bool) ->
   ?on_outcome:(outcome -> unit) ->
   job array ->
   outcome array
@@ -121,11 +151,22 @@ val run :
     is spawned at all). The result array is index-aligned with the
     input. Never raises on job failure.
 
+    [completed i] marks job [i] as already solved by an interrupted
+    run of the same job list (a checkpoint resume; default: none). A
+    completed job is not run, reported or returned: the result holds
+    the pending jobs' outcomes in input order, each [index] still its
+    input position. Anchors are picked over the whole list, completed
+    jobs included, and a completed anchor with a pending dependent is
+    re-solved silently — no [on_outcome], no event — to seed it. The
+    solve is deterministic, so the resumed jobs' waveforms are bitwise
+    those of the uninterrupted run.
+
     [per_job_trace] captures a full telemetry snapshot per job — all
     attempts, on the executing domain — into [outcome.trace] for
     cross-domain merging ({!Telemetry.Merge}). It also switches
     {!Pool.map} to [`Static] assignment so the job → worker placement
-    (and hence the merged trace) is run-to-run deterministic. An
+    (and hence the merged trace) is run-to-run deterministic: job [i]
+    runs on worker [i mod domains] in either phase. An
     already-live recorder on the executing domain is windowed, not
     replaced, so serial sweeps under [rfss --trace] compose.
 

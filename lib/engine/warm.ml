@@ -1,18 +1,18 @@
 (* Warm-start store: converged MPDE surfaces (the flattened big_x grid
    state) retained per circuit and grid shape, handed out as Newton
-   initial guesses for cache-near parameter points. Bittner &
-   Brachtendorf's frequency-sweep observation — nearby tone pairs
-   share solution structure — is exactly why a converged surface at
-   (f_fast, fd) is a better start than the DC point for
-   (f_fast, fd·(1+ε)).
+   initial guesses for nearby tone pairs. Bittner & Brachtendorf's
+   frequency-sweep observation — nearby tone pairs share solution
+   structure — is exactly why a converged surface at (f_fast, fd) is a
+   better start than the DC point for (f_fast, fd·(1+ε)).
 
-   Only surfaces whose (label, n1, n2, length) match the request
-   exactly are candidates: a surface from another grid would not even
-   have the right dimension (solve_mna additionally guards this).
-   Among candidates the nearest in log-frequency distance wins. *)
+   Only surfaces whose (digest, n1, n2) match the request exactly are
+   candidates: the digest fixes the unknowns and (n1, n2) the grid, so
+   a candidate has the right dimension (solve_mna additionally guards
+   this). Among candidates the nearest in log-frequency distance
+   wins. *)
 
 type entry = {
-  label : string;
+  digest : string;
   n1 : int;
   n2 : int;
   f_fast : float;
@@ -35,25 +35,25 @@ let locked t f = Mutex.protect t.mutex f
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
-let offer t ~label ~n1 ~n2 ~f_fast ~fd surface =
+let offer t ~digest ~n1 ~n2 ~f_fast ~fd surface =
   locked t @@ fun () ->
   let same e =
-    e.label = label && e.n1 = n1 && e.n2 = n2 && e.f_fast = f_fast
+    e.digest = digest && e.n1 = n1 && e.n2 = n2 && e.f_fast = f_fast
     && e.fd = fd
   in
   t.entries <-
     take t.capacity
-      ({ label; n1; n2; f_fast; fd; surface }
+      ({ digest; n1; n2; f_fast; fd; surface }
       :: List.filter (fun e -> not (same e)) t.entries)
 
 let log_distance e ~f_fast ~fd =
   Float.abs (Float.log (f_fast /. e.f_fast))
   +. Float.abs (Float.log (fd /. e.fd))
 
-let nearest t ~label ~n1 ~n2 ~f_fast ~fd =
+let nearest t ~digest ~n1 ~n2 ~f_fast ~fd =
   locked t @@ fun () ->
   let candidates =
-    List.filter (fun e -> e.label = label && e.n1 = n1 && e.n2 = n2) t.entries
+    List.filter (fun e -> e.digest = digest && e.n1 = n1 && e.n2 = n2) t.entries
   in
   match candidates with
   | [] -> None

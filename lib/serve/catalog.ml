@@ -137,3 +137,6 @@ let problem_of ?(period = Engine.Problem.Fast_tone) ?label fixture ~f_fast ~fd =
     ~period ~output:fixture.output_node ?output_b:fixture.output_node_b ~f_fast
     ~fd
     (fun () -> fixture.build ~f_fast ~fd)
+
+let digest f =
+  Engine.Problem.digest (problem_of f ~f_fast:f.default_fast ~fd:f.default_fd)

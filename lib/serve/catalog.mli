@@ -47,3 +47,10 @@ val problem_of :
   Engine.Problem.t
 (** Bridge to the unified engine API; [label] defaults to the fixture
     name (which is what {!Engine.Key} hashes). *)
+
+val digest : t -> string
+(** {!Engine.Problem.digest} of the fixture at its default tones: the
+    solve service's warm-start key. One per fixture, so a
+    request's own tones — and the detector's load capacitor, sized
+    from them — never split a fixture's surfaces, and no two fixtures
+    share one. *)

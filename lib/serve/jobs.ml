@@ -24,7 +24,7 @@ type pending = {
 
 type t = {
   cache : Cache.t;
-  warm : Warm.t;
+  warm : Engine.Warm.t;
   mutex : Mutex.t;
   cond : Condition.t;
   queue : pending Queue.t;
@@ -78,7 +78,8 @@ let registry t =
   g "serve.cache_entries" cs.Cache.entries "Result-cache current size";
   c "serve.warm_starts" (Atomic.get t.warm_solves)
     "Solves seeded from a cached nearby surface";
-  g "serve.warm_entries" (Warm.size t.warm) "Warm-start surfaces retained";
+  g "serve.warm_entries" (Engine.Warm.size t.warm)
+    "Warm-start surfaces retained";
   g "serve.queue_depth" (queue_depth t) "Jobs accepted but not yet solving";
   g "serve.workers" t.workers "Solver worker domains";
   r
@@ -94,14 +95,14 @@ let publish_metrics t = Observe.Publish.set_metrics (registry t)
 let execute t (p : pending) =
   let job = p.job in
   let o = job.Protocol.options in
-  let label = job.Protocol.fixture.Catalog.name in
   let budget =
     Resilience.Budget.of_limits ?wall_seconds:job.Protocol.wall_seconds
       ?max_newton:job.Protocol.max_newton_budget ()
   in
+  let digest = Catalog.digest job.Protocol.fixture in
   let warm_surface =
     if job.Protocol.warm && job.Protocol.engine = Engine.Mpde then
-      Warm.nearest t.warm ~label ~n1:o.Engine.Options.n1
+      Engine.Warm.nearest t.warm ~digest ~n1:o.Engine.Options.n1
         ~n2:o.Engine.Options.n2 ~f_fast:job.Protocol.f_fast
         ~fd:job.Protocol.fd
     else None
@@ -123,7 +124,7 @@ let execute t (p : pending) =
         (if r.Engine.Result.converged && job.Protocol.warm then
            match r.Engine.Result.mpde_solution with
            | Some sol ->
-               Warm.offer t.warm ~label ~n1:o.Engine.Options.n1
+               Engine.Warm.offer t.warm ~digest ~n1:o.Engine.Options.n1
                  ~n2:o.Engine.Options.n2 ~f_fast:job.Protocol.f_fast
                  ~fd:job.Protocol.fd sol.Mpde.Solver.big_x
            | None -> ());
@@ -179,7 +180,7 @@ let create ?(workers = 2) ?(cache_capacity = 64) ?(warm_capacity = 16) () =
   let t =
     {
       cache = Cache.create ~capacity:cache_capacity;
-      warm = Warm.create ~capacity:warm_capacity;
+      warm = Engine.Warm.create ~capacity:warm_capacity;
       mutex = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
@@ -260,4 +261,4 @@ let status_json t =
     (Telemetry.Json.quote Protocol.version)
     t.workers (queue_depth t) (Atomic.get t.submitted) (Atomic.get t.completed)
     (Atomic.get t.failed) cs.Cache.hits cs.Cache.misses cs.Cache.evictions
-    cs.Cache.entries (Atomic.get t.warm_solves) (Warm.size t.warm)
+    cs.Cache.entries (Atomic.get t.warm_solves) (Engine.Warm.size t.warm)

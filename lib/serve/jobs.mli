@@ -37,7 +37,7 @@ val stop : t -> unit
 
 val cache : t -> Cache.t
 
-val warm : t -> Warm.t
+val warm : t -> Engine.Warm.t
 
 val warm_starts : t -> int
 (** Solves that started from a shared nearby surface. *)

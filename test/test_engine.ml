@@ -6,7 +6,10 @@
    from the sweep deadline into per-job budgets, per-domain telemetry
    isolation, run determinism for identical inputs, and the four
    single-time backends on every catalog circuit with their shared
-   report shape and pinned iteration-cap and budget outcomes. *)
+   report shape and pinned iteration-cap and budget outcomes, and
+   warm-started sweeps (MPDE jobs seeded from their group's anchor:
+   bitwise across domain counts, across a resume, and cold when the
+   seeded solve fails or takes no Newton step). *)
 
 module W = Circuit.Waveform
 
@@ -251,6 +254,158 @@ let test_pool_order_and_clamp () =
   let empty = Engine.Pool.map ~domains:4 (fun i -> i) [||] in
   Alcotest.(check int) "empty input" 0 (Array.length empty)
 
+(* ---------- warm-started sweeps ---------- *)
+
+let mixer_fixture =
+  match Serve.Catalog.find "unbalanced-mixer" with
+  | Ok f -> f
+  | Error e -> failwith e
+
+let mixer_fds = [| 1e4; 1.1e4; 1.2e4; 1.3e4; 1.5e4 |]
+
+let mixer_label fd = Printf.sprintf "mixer fd=%g" fd
+
+let mixer_options = { Engine.Options.default with n1 = 16; n2 = 12 }
+
+let mixer_problem fd =
+  Serve.Catalog.problem_of ~label:(mixer_label fd) mixer_fixture
+    ~f_fast:mixer_fixture.Serve.Catalog.default_fast ~fd
+
+let mixer_jobs () =
+  Array.map
+    (fun fd ->
+      Engine.Sweep.job ~label:(mixer_label fd) ~options:mixer_options
+        ~kind:Engine.Mpde (mixer_problem fd))
+    mixer_fds
+
+let cold_mixer fd =
+  Engine.run (mixer_problem fd) (Engine.make ~options:mixer_options Engine.Mpde)
+
+let waveform_bits (r : Engine.Result.t) =
+  Array.map Int64.bits_of_float r.Engine.Result.waveform.Engine.Result.values
+
+let max_abs_diff a b =
+  let worst = ref 0.0 in
+  Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. b.(i)))) a;
+  !worst
+
+let test_warm_sweep_seeds_dependents () =
+  let runs =
+    List.map (fun d -> (d, Engine.Sweep.run ~domains:d (mixer_jobs ()))) [ 1; 2; 4 ]
+  in
+  let reference = List.assoc 1 runs in
+  List.iter
+    (fun (d, outcomes) ->
+      Array.iteri
+        (fun i (o : Engine.Sweep.outcome) ->
+          let r = result_exn o and r1 = result_exn reference.(i) in
+          Alcotest.(check bool)
+            (Printf.sprintf "job %d on %d domains bitwise" i d)
+            true
+            (waveform_bits r = waveform_bits r1);
+          Alcotest.(check (option int))
+            (Printf.sprintf "job %d on %d domains anchor" i d)
+            reference.(i).Engine.Sweep.anchor o.Engine.Sweep.anchor)
+        outcomes)
+    runs;
+  Array.iteri
+    (fun i (o : Engine.Sweep.outcome) ->
+      let r = result_exn o in
+      let cold = cold_mixer mixer_fds.(i) in
+      Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+      if i = 0 then begin
+        (* The anchor runs cold: it is the cold solve, bit for bit. *)
+        Alcotest.(check (option int)) "anchor unseeded" None o.Engine.Sweep.anchor;
+        Alcotest.(check bool) "anchor = cold" true (waveform_bits r = waveform_bits cold)
+      end
+      else begin
+        Alcotest.(check (option int)) "seeded from job 0" (Some 0) o.Engine.Sweep.anchor;
+        if r.Engine.Result.newton_iterations >= cold.Engine.Result.newton_iterations then
+          Alcotest.failf "job %d: %d Newton iterations seeded, %d cold" i
+            r.Engine.Result.newton_iterations cold.Engine.Result.newton_iterations;
+        let diff =
+          max_abs_diff r.Engine.Result.waveform.Engine.Result.values
+            cold.Engine.Result.waveform.Engine.Result.values
+        in
+        if not (diff <= mixer_options.Engine.Options.tol) then
+          Alcotest.failf "job %d: seeded waveform %.3e V from the cold one" i diff
+      end)
+    reference
+
+let test_warm_sweep_resume () =
+  let full = Engine.Sweep.run ~domains:2 (mixer_jobs ()) in
+  (* The anchor's record is already in the checkpoint: it is re-solved
+     silently, and only the pending jobs are reported and returned. *)
+  let reported = ref [] in
+  let resumed =
+    Engine.Sweep.run ~domains:2
+      ~completed:(fun i -> i = 0)
+      ~on_outcome:(fun o -> reported := o.Engine.Sweep.index :: !reported)
+      (mixer_jobs ())
+  in
+  Alcotest.(check (list int)) "pending jobs returned in order" [ 1; 2; 3; 4 ]
+    (Array.to_list (Array.map (fun o -> o.Engine.Sweep.index) resumed));
+  Alcotest.(check (list int)) "pending jobs reported" [ 1; 2; 3; 4 ]
+    (List.sort compare !reported);
+  Array.iter
+    (fun (o : Engine.Sweep.outcome) ->
+      let i = o.Engine.Sweep.index in
+      Alcotest.(check (option int)) "still seeded from job 0" (Some 0)
+        o.Engine.Sweep.anchor;
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d bitwise as uninterrupted" i)
+        true
+        (waveform_bits (result_exn o) = waveform_bits (result_exn full.(i))))
+    resumed
+
+let test_warm_sweep_cold_fallback () =
+  (* One crash on the first Newton iteration of job 1's first attempt
+     sinks its seeded solve; the cold re-solve in the same attempt is
+     past the one-shot trigger and converges. *)
+  let plan = Resilience.Faultinject.parse_exn "crash@newton/fd=11000#1:1" in
+  Resilience.Faultinject.install plan;
+  let outcomes =
+    Fun.protect ~finally:Resilience.Faultinject.uninstall (fun () ->
+        Engine.Sweep.run ~domains:1 (mixer_jobs ()))
+  in
+  let o = outcomes.(1) in
+  let r = result_exn o in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check int) "in one attempt" 1 o.Engine.Sweep.attempts;
+  Alcotest.(check (option int)) "fell back cold" None o.Engine.Sweep.anchor;
+  Alcotest.(check bool) "the cold answer" true
+    (waveform_bits r = waveform_bits (cold_mixer mixer_fds.(1)));
+  Alcotest.(check (option int)) "siblings still seeded" (Some 0)
+    outcomes.(2).Engine.Sweep.anchor
+
+let test_warm_sweep_zero_step_seed () =
+  (* A repeat of the anchor's own point: its surface already meets the
+     residual tolerance, so the seeded solve would take no Newton step
+     and the job is re-solved cold instead. *)
+  let jobs = mixer_jobs () in
+  let repeat = { jobs.(0) with Engine.Sweep.label = "mixer repeat" } in
+  let outcomes = Engine.Sweep.run ~domains:1 [| jobs.(0); repeat |] in
+  let r = result_exn outcomes.(1) in
+  Alcotest.(check (option int)) "not seeded" None outcomes.(1).Engine.Sweep.anchor;
+  Alcotest.(check bool) "took Newton steps" true (r.Engine.Result.newton_iterations > 0);
+  Alcotest.(check bool) "the cold answer" true
+    (waveform_bits r = waveform_bits (result_exn outcomes.(0)))
+
+let test_warm_digest () =
+  (* A sweep's points over one circuit share a digest: tones are not
+     part of it. *)
+  let mixer fd = Engine.Problem.digest (mixer_problem fd) in
+  Array.iter
+    (fun fd ->
+      Alcotest.(check string) "mixer digest tone-independent" (mixer 1e4) (mixer fd))
+    mixer_fds;
+  (* Element values are: the rectifier and the envelope detector are
+     one topology with different load capacitors. *)
+  let digests = List.map Serve.Catalog.digest Serve.Catalog.all in
+  Alcotest.(check int) "one digest per catalog circuit"
+    (List.length digests)
+    (List.length (List.sort_uniq compare digests))
+
 (* ---------- telemetry isolation across domains ---------- *)
 
 let test_telemetry_domain_isolation () =
@@ -446,6 +601,18 @@ let () =
             test_sweep_max_newton_per_job;
           Alcotest.test_case "pool order and clamping" `Quick
             test_pool_order_and_clamp;
+        ] );
+      ( "warm sweep",
+        [
+          Alcotest.test_case "seeded sweep bitwise on 1, 2, 4 domains" `Quick
+            test_warm_sweep_seeds_dependents;
+          Alcotest.test_case "resume re-solves the anchor silently" `Quick
+            test_warm_sweep_resume;
+          Alcotest.test_case "seeded failure falls back cold" `Quick
+            test_warm_sweep_cold_fallback;
+          Alcotest.test_case "zero-step seed re-solved cold" `Quick
+            test_warm_sweep_zero_step_seed;
+          Alcotest.test_case "catalog digests" `Quick test_warm_digest;
         ] );
       ( "telemetry",
         [
