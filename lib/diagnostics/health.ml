@@ -10,7 +10,7 @@ type t = {
   stage_iterations : (string * int) list;
 }
 
-let condition_of_solution scheme (sol : Mpde.Solver.solution) =
+let condition_of_solution (sol : Mpde.Solver.solution) =
   try
     let sys = sol.Mpde.Solver.system in
     let jacs =
@@ -18,7 +18,7 @@ let condition_of_solution scheme (sol : Mpde.Solver.solution) =
         sol.Mpde.Solver.big_x
     in
     let j =
-      Mpde.Assemble.jacobian_csr scheme sol.Mpde.Solver.grid
+      Mpde.Assemble.jacobian_csr sol.Mpde.Solver.scheme sol.Mpde.Solver.grid
         ~size:sys.Mpde.Assemble.size ~jacs
     in
     let lu = Sparse.Splu.factor j in
@@ -26,8 +26,7 @@ let condition_of_solution scheme (sol : Mpde.Solver.solution) =
     if Float.is_finite kappa && kappa > 0.0 then Some kappa else None
   with _ -> None
 
-let of_solution ?(scheme = Mpde.Assemble.Backward) ?(condition = true)
-    ?diagonal_unknown (sol : Mpde.Solver.solution) =
+let of_solution ?(condition = true) ?diagonal_unknown (sol : Mpde.Solver.solution) =
   Telemetry.span "diagnostics.health" @@ fun () ->
   let stats = sol.Mpde.Solver.stats in
   let report = sol.Mpde.Solver.report in
@@ -38,7 +37,7 @@ let of_solution ?(scheme = Mpde.Assemble.Backward) ?(condition = true)
   let condition_estimate =
     if condition then
       Telemetry.span "diagnostics.condest" @@ fun () ->
-      condition_of_solution scheme sol
+      condition_of_solution sol
     else None
   in
   let diagonal_residual =

@@ -24,15 +24,13 @@ type t = {
 }
 
 val of_solution :
-  ?scheme:Mpde.Assemble.scheme ->
   ?condition:bool ->
   ?diagonal_unknown:int ->
   Mpde.Solver.solution ->
   t
-(** Assess a solution. [scheme] (default [Backward]) must match the
-    discretization the solution was computed with — it is used to
-    re-assemble the Jacobian for the condition estimate. [condition]
-    (default [true]) controls the κ estimate; [diagonal_unknown], when
+(** Assess a solution. The condition estimate re-assembles the Jacobian
+    under the solution's own scheme. [condition] (default [true])
+    controls the κ estimate; [diagonal_unknown], when
     given, enables the diagonal-consistency check on that unknown. *)
 
 val of_report : Resilience.Report.t -> t

@@ -41,38 +41,47 @@ let to_dae (sys : system) ~source =
 
 type scheme = Backward | Central_t1 | Spectral_t1 | Spectral_both
 
-let spectral_ok (g : Grid.t) = g.Grid.n1 >= 3 && g.Grid.n1 mod 2 = 1
+let operators scheme (g : Grid.t) =
+  let module C = Numeric.Collocation in
+  let backward points h = C.backward_difference ~points ~h in
+  let spectral points period = C.of_matrix (Numeric.Spectral.diff_matrix points period) in
+  let spectral_t1 () = spectral g.Grid.n1 (Shear.t1_period g.Grid.shear) in
+  match scheme with
+  | Backward -> (backward g.Grid.n1 g.Grid.h1, backward g.Grid.n2 g.Grid.h2)
+  | Central_t1 ->
+      (C.central_difference ~points:g.Grid.n1 ~h:g.Grid.h1, backward g.Grid.n2 g.Grid.h2)
+  | Spectral_t1 -> (spectral_t1 (), backward g.Grid.n2 g.Grid.h2)
+  | Spectral_both -> (spectral_t1 (), spectral g.Grid.n2 (Shear.t2_period g.Grid.shear))
 
-let spectral_both_ok (g : Grid.t) =
-  spectral_ok g && g.Grid.n2 >= 3 && g.Grid.n2 mod 2 = 1
+(* One axis of the tensor-product stencil, per operator row: the points
+   whose index along the axis is r share row r, whose entry l couples
+   point p to point p + (l − r)·stride with weight [w] (residual) and
+   coefficient [coef] = w/s (Jacobian). *)
+type axis = {
+  s : float;
+  stride : int;
+  cols : int array array;
+  w : float array array;
+  coef : float array array;
+  self : float array;
+}
 
-let diff_matrix_t1 (g : Grid.t) =
-  Numeric.Spectral.diff_matrix g.Grid.n1 (Shear.t1_period g.Grid.shear)
+type stencil = { n1 : int; n2 : int; t1 : axis; t2 : axis }
 
-let diff_matrix_t2 (g : Grid.t) =
-  Numeric.Spectral.diff_matrix g.Grid.n2 (Shear.t2_period g.Grid.shear)
+let axis (op : Numeric.Collocation.operator) ~stride =
+  let s = op.Numeric.Collocation.scale and rows = op.Numeric.Collocation.weights in
+  {
+    s;
+    stride;
+    cols = Array.map (Array.map fst) rows;
+    w = Array.map (Array.map snd) rows;
+    coef = Array.map (Array.map (fun (_, w) -> w /. s)) rows;
+    self = Numeric.Collocation.diagonal op;
+  }
 
-(* Validated differentiation matrices for a (scheme, grid) pair: [None]
-   for the finite-difference directions. *)
-let diff_matrices scheme (g : Grid.t) =
-  let diff_t1 =
-    match scheme with
-    | Spectral_t1 ->
-        if not (spectral_ok g) then
-          invalid_arg "Mpde.Assemble: Spectral_t1 needs odd n1 >= 3";
-        Some (diff_matrix_t1 g)
-    | Spectral_both ->
-        if not (spectral_both_ok g) then
-          invalid_arg "Mpde.Assemble: Spectral_both needs odd n1 and n2 >= 3";
-        Some (diff_matrix_t1 g)
-    | Backward | Central_t1 -> None
-  in
-  let diff_t2 =
-    match scheme with
-    | Spectral_both -> Some (diff_matrix_t2 g)
-    | Backward | Central_t1 | Spectral_t1 -> None
-  in
-  (diff_t1, diff_t2)
+let stencil (op1, op2) (g : Grid.t) =
+  let n1 = g.Grid.n1 in
+  { n1; n2 = g.Grid.n2; t1 = axis op1 ~stride:1; t2 = axis op2 ~stride:n1 }
 
 let state_of ~size big_x p = Array.sub big_x (p * size) size
 
@@ -81,77 +90,21 @@ let sources_on_grid sys (g : Grid.t) =
       let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
       sys.source_at ~t1:(Grid.t1_of g i) ~t2:(Grid.t2_of g j))
 
-(* Shared stencil evaluation: both the one-shot [residual] and the
-   workspace path funnel through this loop so their float results are
-   bitwise identical by construction. [qs] holds the per-point charges
-   (distinct buffers — neighbours are read simultaneously); [get_f p]
-   may return a buffer reused across calls (consumed within the
-   iteration). [r] is the caller-owned output, length np*n. *)
-let residual_core scheme (g : Grid.t) ~n ~(qs : Linalg.Vec.t array) ~diff_t1
-    ~diff_t2 ~get_f ~sources (r : Linalg.Vec.t) =
-  let np = Grid.points g in
-  for p = 0 to np - 1 do
-    let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
-    let f = get_f p in
-    let b = sources.(p) in
-    let q = qs.(p) in
-    let q_jm1 = qs.(Grid.point_index g i (j - 1)) in
-    match scheme with
-    | Backward ->
-        let q_im1 = qs.(Grid.point_index g (i - 1) j) in
-        for v = 0 to n - 1 do
-          r.((p * n) + v) <-
-            ((q.(v) -. q_im1.(v)) /. g.Grid.h1)
-            +. ((q.(v) -. q_jm1.(v)) /. g.Grid.h2)
-            +. f.(v) -. b.(v)
-        done
-    | Central_t1 ->
-        let q_im1 = qs.(Grid.point_index g (i - 1) j) in
-        let q_ip1 = qs.(Grid.point_index g (i + 1) j) in
-        for v = 0 to n - 1 do
-          r.((p * n) + v) <-
-            ((q_ip1.(v) -. q_im1.(v)) /. (2.0 *. g.Grid.h1))
-            +. ((q.(v) -. q_jm1.(v)) /. g.Grid.h2)
-            +. f.(v) -. b.(v)
-        done
-    | Spectral_t1 ->
-        let d = Option.get diff_t1 in
-        for v = 0 to n - 1 do
-          let dq = ref 0.0 in
-          for l = 0 to g.Grid.n1 - 1 do
-            let dil = Linalg.Mat.get d i l in
-            if dil <> 0.0 then dq := !dq +. (dil *. qs.(Grid.point_index g l j).(v))
-          done;
-          r.((p * n) + v) <-
-            !dq +. ((q.(v) -. q_jm1.(v)) /. g.Grid.h2) +. f.(v) -. b.(v)
-        done
-    | Spectral_both ->
-        let d1 = Option.get diff_t1 and d2 = Option.get diff_t2 in
-        for v = 0 to n - 1 do
-          let dq = ref 0.0 in
-          for l = 0 to g.Grid.n1 - 1 do
-            let dil = Linalg.Mat.get d1 i l in
-            if dil <> 0.0 then dq := !dq +. (dil *. qs.(Grid.point_index g l j).(v))
-          done;
-          for m = 0 to g.Grid.n2 - 1 do
-            let djm = Linalg.Mat.get d2 j m in
-            if djm <> 0.0 then dq := !dq +. (djm *. qs.(Grid.point_index g i m).(v))
-          done;
-          r.((p * n) + v) <- !dq +. f.(v) -. b.(v)
-        done
+(* acc := Σ_e w_e·q(nbr_e) over point p's entries in row r of one
+   axis. The sum starts from the first term, not from 0.0, so a
+   two-point difference is exact: 1·q + (−1)·q' = q − q'. *)
+let accumulate ax r p ~n ~(qs : Linalg.Vec.t array) (acc : Linalg.Vec.t) =
+  let cols = ax.cols.(r) and w = ax.w.(r) and base = p - (r * ax.stride) in
+  let q = qs.(base + (cols.(0) * ax.stride)) and we = w.(0) in
+  for v = 0 to n - 1 do
+    Array.unsafe_set acc v (we *. Array.unsafe_get q v)
+  done;
+  for e = 1 to Array.length cols - 1 do
+    let q = qs.(base + (cols.(e) * ax.stride)) and we = w.(e) in
+    for v = 0 to n - 1 do
+      Array.unsafe_set acc v (Array.unsafe_get acc v +. (we *. Array.unsafe_get q v))
+    done
   done
-
-let residual scheme sys (g : Grid.t) ~sources big_x =
-  Telemetry.span "mpde.assemble.residual" @@ fun () ->
-  let n = sys.size in
-  let np = Grid.points g in
-  let qs = Array.init np (fun p -> sys.eval_q (state_of ~size:n big_x p)) in
-  let diff_t1, diff_t2 = diff_matrices scheme g in
-  let r = Array.make (np * n) 0.0 in
-  residual_core scheme g ~n ~qs ~diff_t1 ~diff_t2
-    ~get_f:(fun p -> sys.eval_f (state_of ~size:n big_x p))
-    ~sources r;
-  r
 
 let point_jacobians sys (g : Grid.t) big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
@@ -164,77 +117,32 @@ let add_block coo ~row_base ~col_base ~scale (m : Sparse.Csr.t) =
           Sparse.Coo.add coo (row_base + i) (col_base + j) (scale *. v))
     done
 
-(* Stamp the big MPDE Jacobian into [coo]. Shared between the one-shot
-   [jacobian_csr] and the workspace refresh so the triplet insertion
-   order — and hence the duplicate-merge float results in the assembled
-   CSR — is identical on both paths. *)
-let stamp_big coo scheme (g : Grid.t) ~n ~jacs ~diff_t1 ~diff_t2 =
-  let np = Grid.points g in
-  for p = 0 to np - 1 do
-    let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
-    let gp, cp = jacs.(p) in
-    let row_base = p * n in
-    (* t2 coupling: backward difference except for the bi-spectral scheme *)
-    (match scheme with
-    | Backward | Central_t1 | Spectral_t1 ->
-        let p_jm1 = Grid.point_index g i (j - 1) in
-        let _, c_jm1 = jacs.(p_jm1) in
-        add_block coo ~row_base ~col_base:row_base ~scale:(1.0 /. g.Grid.h2) cp;
-        add_block coo ~row_base ~col_base:(p_jm1 * n) ~scale:(-1.0 /. g.Grid.h2) c_jm1
-    | Spectral_both ->
-        let d2 = Option.get diff_t2 in
-        for m = 0 to g.Grid.n2 - 1 do
-          let djm = Linalg.Mat.get d2 j m in
-          if djm <> 0.0 then begin
-            let pm = Grid.point_index g i m in
-            let _, c_m = jacs.(pm) in
-            add_block coo ~row_base ~col_base:(pm * n) ~scale:djm c_m
-          end
-        done);
-    (* conductive part on the diagonal block *)
-    add_block coo ~row_base ~col_base:row_base ~scale:1.0 gp;
-    match scheme with
-    | Backward ->
-        let p_im1 = Grid.point_index g (i - 1) j in
-        let _, c_im1 = jacs.(p_im1) in
-        add_block coo ~row_base ~col_base:row_base ~scale:(1.0 /. g.Grid.h1) cp;
-        add_block coo ~row_base ~col_base:(p_im1 * n) ~scale:(-1.0 /. g.Grid.h1) c_im1
-    | Central_t1 ->
-        let p_im1 = Grid.point_index g (i - 1) j in
-        let p_ip1 = Grid.point_index g (i + 1) j in
-        let _, c_im1 = jacs.(p_im1) in
-        let _, c_ip1 = jacs.(p_ip1) in
-        add_block coo ~row_base ~col_base:(p_ip1 * n) ~scale:(0.5 /. g.Grid.h1) c_ip1;
-        add_block coo ~row_base ~col_base:(p_im1 * n) ~scale:(-0.5 /. g.Grid.h1) c_im1
-    | Spectral_t1 | Spectral_both ->
-        let d = Option.get diff_t1 in
-        for l = 0 to g.Grid.n1 - 1 do
-          let dil = Linalg.Mat.get d i l in
-          if dil <> 0.0 then begin
-            let pl = Grid.point_index g l j in
-            let _, c_l = jacs.(pl) in
-            add_block coo ~row_base ~col_base:(pl * n) ~scale:dil c_l
-          end
-        done
+(* Stamp the big MPDE Jacobian into [coo]: per point, the t2 entries,
+   then G, then the t1 entries, each block [(w/s)·C_q]. Shared between
+   the one-shot [jacobian_csr] and the workspace refresh so the triplet
+   insertion order — and hence the duplicate-merge float results in the
+   assembled CSR — is identical on both paths. *)
+let stamp_big coo st ~n ~jacs =
+  let stamp_axis ax r p =
+    let base = p - (r * ax.stride) in
+    Array.iteri
+      (fun e l ->
+        let q = base + (l * ax.stride) in
+        add_block coo ~row_base:(p * n) ~col_base:(q * n) ~scale:ax.coef.(r).(e)
+          (snd jacs.(q)))
+      ax.cols.(r)
+  in
+  for p = 0 to (st.n1 * st.n2) - 1 do
+    stamp_axis st.t2 (p / st.n1) p;
+    add_block coo ~row_base:(p * n) ~col_base:(p * n) ~scale:1.0 (fst jacs.(p));
+    stamp_axis st.t1 (p mod st.n1) p
   done
 
 let jacobian_csr scheme (g : Grid.t) ~size ~jacs =
   Telemetry.span "mpde.assemble.jacobian_csr" @@ fun () ->
-  let n = size in
-  let np = Grid.points g in
-  let big = np * n in
+  let big = Grid.points g * size in
   let coo = Sparse.Coo.create ~capacity:(12 * big) big big in
-  let diff_t1 =
-    match scheme with
-    | Spectral_t1 | Spectral_both -> Some (diff_matrix_t1 g)
-    | Backward | Central_t1 -> None
-  in
-  let diff_t2 =
-    match scheme with
-    | Spectral_both -> Some (diff_matrix_t2 g)
-    | Backward | Central_t1 | Spectral_t1 -> None
-  in
-  stamp_big coo scheme g ~n ~jacs ~diff_t1 ~diff_t2;
+  stamp_big coo (stencil (operators scheme g) g) ~n:size ~jacs;
   Sparse.Csr.of_coo coo
 
 (* ------------------------------------------------------------------ *)
@@ -242,16 +150,16 @@ let jacobian_csr scheme (g : Grid.t) ~size ~jacs =
 (* ------------------------------------------------------------------ *)
 
 type workspace = {
-  ws_scheme : scheme;
   ws_sys : system;
-  ws_grid : Grid.t;
+  ws_t1 : Numeric.Collocation.operator;
+  ws_stencil : stencil;
   ws_n : int;
   ws_np : int;
-  ws_diff_t1 : Linalg.Mat.t option;
-  ws_diff_t2 : Linalg.Mat.t option;
   qs : Linalg.Vec.t array;  (* np charge buffers of length n *)
   f_buf : Linalg.Vec.t;
   x_buf : Linalg.Vec.t;  (* staging slice of the flattened iterate *)
+  a1 : Linalg.Vec.t;  (* per-axis stencil sums of one point *)
+  a2 : Linalg.Vec.t;
   eval_f_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   eval_q_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   refresh_jacs : (Linalg.Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
@@ -263,7 +171,7 @@ type workspace = {
 let workspace scheme sys (g : Grid.t) =
   let n = sys.size in
   let np = Grid.points g in
-  let diff_t1, diff_t2 = diff_matrices scheme g in
+  let ((t1, _) as ops) = operators scheme g in
   let eval_f_into, eval_q_into, refresh_jacs =
     match sys.fast with
     | Some fast ->
@@ -278,16 +186,16 @@ let workspace scheme sys (g : Grid.t) =
           None )
   in
   {
-    ws_scheme = scheme;
     ws_sys = sys;
-    ws_grid = g;
+    ws_t1 = t1;
+    ws_stencil = stencil ops g;
     ws_n = n;
     ws_np = np;
-    ws_diff_t1 = diff_t1;
-    ws_diff_t2 = diff_t2;
     qs = Array.init np (fun _ -> Array.make n 0.0);
     f_buf = Array.make n 0.0;
     x_buf = Array.make n 0.0;
+    a1 = Array.make n 0.0;
+    a2 = Array.make n 0.0;
     eval_f_into;
     eval_q_into;
     refresh_jacs;
@@ -295,6 +203,8 @@ let workspace scheme sys (g : Grid.t) =
     big_coo = None;
     big_jac = None;
   }
+
+let t1_operator ws = ws.ws_t1
 
 (* Stage grid point [p]'s state into the workspace's slice buffer.
    Consumers must finish with the buffer before the next call. *)
@@ -304,19 +214,31 @@ let load_state ws big_x p =
 
 let residual_ws ws ~sources big_x =
   Telemetry.span "mpde.assemble.residual" @@ fun () ->
-  let n = ws.ws_n and np = ws.ws_np in
-  for p = 0 to np - 1 do
-    ws.eval_q_into (load_state ws big_x p) ws.qs.(p)
+  let n = ws.ws_n and st = ws.ws_stencil and qs = ws.qs in
+  for p = 0 to ws.ws_np - 1 do
+    ws.eval_q_into (load_state ws big_x p) qs.(p)
   done;
   (* Fresh output: Newton retains residual vectors across iterations. *)
-  let r = Array.make (np * n) 0.0 in
-  residual_core ws.ws_scheme ws.ws_grid ~n ~qs:ws.qs ~diff_t1:ws.ws_diff_t1
-    ~diff_t2:ws.ws_diff_t2
-    ~get_f:(fun p ->
-      ws.eval_f_into (load_state ws big_x p) ws.f_buf;
-      ws.f_buf)
-    ~sources r;
+  let r = Array.make (ws.ws_np * n) 0.0 in
+  let s1 = st.t1.s and s2 = st.t2.s and a1 = ws.a1 and a2 = ws.a2 and f = ws.f_buf in
+  for j = 0 to st.n2 - 1 do
+    for i = 0 to st.n1 - 1 do
+      let p = (j * st.n1) + i in
+      ws.eval_f_into (load_state ws big_x p) f;
+      accumulate st.t1 i p ~n ~qs a1;
+      accumulate st.t2 j p ~n ~qs a2;
+      let b = sources.(p) and base = p * n in
+      for v = 0 to n - 1 do
+        Array.unsafe_set r (base + v)
+          ((Array.unsafe_get a1 v /. s1)
+          +. (Array.unsafe_get a2 v /. s2)
+          +. Array.unsafe_get f v -. Array.unsafe_get b v)
+      done
+    done
+  done;
   r
+
+let residual scheme sys g ~sources big_x = residual_ws (workspace scheme sys g) ~sources big_x
 
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
@@ -360,8 +282,7 @@ let jacobian_ws ws =
         ws.big_coo <- Some c;
         c
   in
-  stamp_big coo ws.ws_scheme ws.ws_grid ~n ~jacs:ws.jacs ~diff_t1:ws.ws_diff_t1
-    ~diff_t2:ws.ws_diff_t2;
+  stamp_big coo ws.ws_stencil ~n ~jacs:ws.jacs;
   match ws.big_jac with
   | Some m when Sparse.Csr.refresh_from_coo m coo ->
       Telemetry.count "mpde.assemble.numeric_refreshes";
@@ -371,3 +292,69 @@ let jacobian_ws ws =
       let m = Sparse.Csr.of_coo coo in
       ws.big_jac <- Some m;
       m
+
+(* Pass 1 computes cw_p = C_p·v_p once per point and
+   out_p = self_p·cw_p + G_p·v_p (+ extra_diag·v_p), self_p being the
+   two operators' diagonals; pass 2 adds (w/s)·cw_q for every
+   off-diagonal stencil entry, t1 then t2. One apply costs nnz(C) +
+   nnz(G) multiplies per point plus n per stencil entry. *)
+let jacobian_apply_ws ws ~extra_diag ~(cw : Linalg.Kernel.vec) (v : Linalg.Kernel.vec)
+    (out : Linalg.Kernel.vec) =
+  if Array.length ws.jacs = 0 then
+    invalid_arg "Mpde.Assemble.jacobian_apply_ws: call point_jacobians_ws first";
+  let n = ws.ws_n and st = ws.ws_stencil in
+  for j = 0 to st.n2 - 1 do
+    for i = 0 to st.n1 - 1 do
+      let p = (j * st.n1) + i in
+      let gp, cp = ws.jacs.(p) in
+      let base = p * n in
+      let self = st.t1.self.(i) +. st.t2.self.(j) in
+      let crp = cp.Sparse.Csr.row_ptr
+      and cci = cp.Sparse.Csr.col_idx
+      and cv = cp.Sparse.Csr.values in
+      let grp = gp.Sparse.Csr.row_ptr
+      and gci = gp.Sparse.Csr.col_idx
+      and gv = gp.Sparse.Csr.values in
+      for r = 0 to n - 1 do
+        let s = ref 0.0 in
+        for k = crp.(r) to crp.(r + 1) - 1 do
+          s :=
+            !s
+            +. (Array.unsafe_get cv k
+                *. Bigarray.Array1.unsafe_get v (base + Array.unsafe_get cci k))
+        done;
+        Bigarray.Array1.unsafe_set cw (base + r) !s;
+        let t = ref (self *. !s) in
+        for k = grp.(r) to grp.(r + 1) - 1 do
+          t :=
+            !t
+            +. (Array.unsafe_get gv k
+                *. Bigarray.Array1.unsafe_get v (base + Array.unsafe_get gci k))
+        done;
+        Bigarray.Array1.unsafe_set out (base + r)
+          (!t +. (extra_diag *. Bigarray.Array1.unsafe_get v (base + r)))
+      done
+    done
+  done;
+  let couple ax r p =
+    let cols = ax.cols.(r) and coef = ax.coef.(r) in
+    let base = p - (r * ax.stride) and pb = p * n in
+    for e = 0 to Array.length cols - 1 do
+      let l = Array.unsafe_get cols e in
+      if l <> r then begin
+        let c = Array.unsafe_get coef e and qb = (base + (l * ax.stride)) * n in
+        for k = 0 to n - 1 do
+          Bigarray.Array1.unsafe_set out (pb + k)
+            (Bigarray.Array1.unsafe_get out (pb + k)
+            +. (c *. Bigarray.Array1.unsafe_get cw (qb + k)))
+        done
+      end
+    done
+  in
+  for j = 0 to st.n2 - 1 do
+    for i = 0 to st.n1 - 1 do
+      let p = (j * st.n1) + i in
+      couple st.t1 i p;
+      couple st.t2 j p
+    done
+  done

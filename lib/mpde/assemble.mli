@@ -2,10 +2,11 @@
 
     [∂q(x̂)/∂t1 + ∂q(x̂)/∂t2 + f(x̂) = b̂(t1, t2)]
 
-    on the bi-periodic grid. The default scheme is fully implicit
-    backward differences in both artificial times (robust for the stiff
-    switching circuits the method targets); a central-difference option
-    along [t1] is provided for the accuracy-order ablation. *)
+    on the bi-periodic grid, one {!Numeric.Collocation.operator} per
+    artificial time. At point [(i, j)] the residual is
+    [(Σ_l w1_il·q_lj)/s1 + (Σ_m w2_jm·q_im)/s2 + f − b], and the
+    residual, the Jacobian stamp and the matrix-free [J·v] all walk this
+    one tensor-product stencil. *)
 
 type system = {
   size : int;  (** circuit unknowns per grid point *)
@@ -35,28 +36,24 @@ val to_dae : system -> source:(float -> Linalg.Vec.t) -> Numeric.Dae.t
     [t2], or [fun t -> sys.source_at ~t1:t ~t2:t] for the diagonal. *)
 
 type scheme =
-  | Backward  (** fully implicit backward differences in t1 and t2 (default) *)
-  | Central_t1  (** 2nd-order central differences along t1, backward along t2 *)
+  | Backward  (** backward, backward: fully implicit (default) *)
+  | Central_t1  (** central, backward: 2nd order along t1 *)
   | Spectral_t1
-      (** exact trigonometric (pseudo-spectral) differentiation along t1 —
-          the mixed frequency-time variant: harmonic-balance accuracy on
-          the fast scale, time-domain backward differences on the slow
-          difference scale. Requires odd [n1]; best with the [Direct]
-          linear solver (the Jacobian couples all fast-scale points). *)
+      (** spectral, backward: the mixed frequency-time variant —
+          harmonic-balance accuracy on the fast scale, time-domain
+          backward differences on the slow difference scale. *)
   | Spectral_both
-      (** pseudo-spectral differentiation along *both* artificial times —
-          algebraically this is two-tone harmonic balance with box
-          truncation over the (f1, fd) lattice, recovered inside the
-          MPDE machinery. Exact for smooth (band-limited) solutions;
-          inherits HB's weakness on sharp switching waveforms, which is
-          precisely the comparison the paper draws. Requires odd [n1]
-          and odd [n2]; use the [Direct] linear solver. *)
+      (** spectral, spectral: algebraically two-tone harmonic balance
+          with box truncation over the (f1, fd) lattice. Exact for
+          band-limited solutions; inherits HB's weakness on sharp
+          switching waveforms, which is the comparison the paper
+          draws. *)
 
-val spectral_ok : Grid.t -> bool
-(** Whether the grid's [n1] is acceptable for [Spectral_t1] (odd). *)
-
-val spectral_both_ok : Grid.t -> bool
-(** Whether both grid dimensions are acceptable for [Spectral_both]. *)
+val operators :
+  scheme -> Grid.t -> Numeric.Collocation.operator * Numeric.Collocation.operator
+(** The scheme's t1 and t2 operators; the only code that tells the
+    schemes apart. @raise Invalid_argument on a spectral axis with an
+    even number of points or fewer than 3. *)
 
 val sources_on_grid : system -> Grid.t -> Linalg.Vec.t array
 (** Per-point [b̂] samples in flattened point order (precompute once —
@@ -64,7 +61,8 @@ val sources_on_grid : system -> Grid.t -> Linalg.Vec.t array
 
 val residual :
   scheme -> system -> Grid.t -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t
-(** Residual of the discretized MPDE at the flattened iterate. *)
+(** Residual of the discretized MPDE at the flattened iterate: one
+    {!residual_ws} on a fresh {!workspace}. *)
 
 val point_jacobians :
   system -> Grid.t -> Linalg.Vec.t -> (Sparse.Csr.t * Sparse.Csr.t) array
@@ -88,17 +86,19 @@ val state_of : size:int -> Linalg.Vec.t -> int -> Linalg.Vec.t
     expensive symbolic work — the big Jacobian's CSR pattern, the
     per-point Jacobian patterns, the charge/conductive evaluation
     buffers — at the first call and only rewrites float values on later
-    Newton iterations. Results are bitwise identical to the one-shot
-    path (both funnel through the same stencil and stamping loops, and
-    CSR value refresh replays the duplicate-merge order of a fresh
-    build). A workspace belongs to one solve stream on one domain; it
+    Newton iterations. The Jacobian is bitwise identical to the
+    one-shot path (both stamp through the same loop, and CSR value
+    refresh replays the duplicate-merge order of a fresh build). A workspace belongs to one solve stream on one domain; it
     must never be shared concurrently. *)
 
 type workspace
 
 val workspace : scheme -> system -> Grid.t -> workspace
 (** Allocate reusable assembly scratch for a (scheme, system, grid)
-    triple. Validates spectral-grid requirements eagerly. *)
+    triple, with the operator pair's stencil kept per operator row.
+    Validates the grid eagerly (see {!operators}). *)
+
+val t1_operator : workspace -> Numeric.Collocation.operator
 
 val residual_ws :
   workspace -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t
@@ -122,3 +122,15 @@ val jacobian_ws : workspace -> Sparse.Csr.t
     symbolically; later calls rewrite values in place and return the
     {e same} matrix instance, which keeps downstream pattern-keyed
     cache ([Splu.refactorable]) valid. *)
+
+val jacobian_apply_ws :
+  workspace ->
+  extra_diag:float ->
+  cw:Linalg.Kernel.vec ->
+  Linalg.Kernel.vec ->
+  Linalg.Kernel.vec ->
+  unit
+(** [jacobian_apply_ws ws ~extra_diag ~cw v out] writes
+    [(J + extra_diag·I)·v] into [out] from the current per-point blocks
+    (call {!point_jacobians_ws} first), never assembling [J]. [cw]
+    (length of [v]) is scratch for the [C_p·v_p]. *)

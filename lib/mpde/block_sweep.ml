@@ -13,6 +13,8 @@ type t = {
   offs : int array;  (* per point offset into [vals] *)
   mutable vals : float array;
   mutable runs : int;  (* 0 until a build completes *)
+  mutable lower : (int * float) array array;
+      (* per fast index i: the t1 couplings (l < i, −w/s) of the last build *)
   rhs : Linalg.Vec.t;  (* n: one point's gathered right-hand side *)
   y : Linalg.Vec.t;  (* n: one point's substitution *)
   sx : Linalg.Kernel.vec;  (* np*n result, returned to GMRES *)
@@ -29,6 +31,7 @@ let create ~n ~np =
     offs = Array.make np 0;
     vals = Array.make (np * n) 0.0;
     runs = 0;
+    lower = [||];
     rhs = Array.make n 0.0;
     y = Array.make n 0.0;
     sx = Linalg.Kernel.create (np * n);
@@ -37,12 +40,22 @@ let create ~n ~np =
 let fits t ~n ~np = t.n = n && t.np = np
 let patterns t = t.runs
 
-(* The sweep is exact (up to periodic wraps) for the backward scheme;
-   for central/spectral t1 schemes it degrades to a block Gauss-Seidel
-   over the t2 columns (the t1 coupling is left to GMRES). *)
-let t1_in_diag = function
-  | Assemble.Backward -> true
-  | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both -> false
+(* The t1 operator's share of the sweep, per fast index i: its diagonal
+   (added to C_p's weight in D_p) and its couplings to the earlier points
+   l < i, negated for the right side. Only a lower-triangular operator
+   has a share; for any other the sweep is a block Gauss-Seidel over the
+   t2 columns and GMRES carries the t1 coupling. *)
+let t1_part (op : Numeric.Collocation.operator) =
+  let s = op.Numeric.Collocation.scale and rows = op.Numeric.Collocation.weights in
+  if Numeric.Collocation.lower_triangular op then
+    ( Numeric.Collocation.diagonal op,
+      Array.mapi
+        (fun i row ->
+          List.filter_map (fun (l, w) -> if l < i then Some (l, -.(w /. s)) else None)
+            (Array.to_list row)
+          |> Array.of_list)
+        rows )
+  else (Array.map (fun _ -> 0.0) rows, Array.map (fun _ -> [||]) rows)
 
 let ints_equal (a : int array) (b : int array) =
   a == b
@@ -192,16 +205,17 @@ let store_point t ~scale_c ~jacs ~extra_diag ~prev ~off p =
     pat
   end
 
-let build t scheme (g : Grid.t) ~jacs ~extra_diag =
+let build t op1 (g : Grid.t) ~jacs ~extra_diag =
   Telemetry.span "mpde.precond.build" @@ fun () ->
   let n = t.n in
-  let scale_c =
-    (if t1_in_diag scheme then 1.0 /. g.Grid.h1 else 0.0) +. (1.0 /. g.Grid.h2)
-  in
-  let store = store_point t ~scale_c ~jacs ~extra_diag in
+  let diag, lower = t1_part op1 in
+  t.lower <- lower;
+  let inv_h2 = 1.0 /. g.Grid.h2 in
+  let scale_c p = diag.(p mod g.Grid.n1) +. inv_h2 in
+  let store ~prev ~off p = store_point t ~scale_c:(scale_c p) ~jacs ~extra_diag ~prev ~off p in
   (* A build cut short by a singular block leaves no usable store. *)
   t.runs <- 0;
-  if blocks_uniform jacs then begin
+  if blocks_uniform jacs && Array.for_all (fun d -> d = diag.(0)) diag then begin
     Telemetry.count "mpde.precond.shared_builds";
     Array.fill t.pats 0 t.np (store ~prev:no_pattern ~off:0 0);
     Array.fill t.offs 0 t.np 0;
@@ -222,16 +236,15 @@ let build t scheme (g : Grid.t) ~jacs ~extra_diag =
   Telemetry.gauge "mpde.precond.patterns" (float_of_int t.runs)
 
 (* One pass in lexicographic point order: point (i,j) reads only the
-   already-solved (i−1,j) and (i,j−1). Per point: gather r_p, move the
-   lower-neighbour couplings (−C/h) to the right side, permute, then
-   forward/back substitution over the stored nonzeros. *)
-let apply t scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
+   already-solved (l < i, j) and (i, j−1). Per point: gather r_p, move
+   the lower-neighbour couplings (w/s·C) to the right side, permute,
+   then forward/back substitution over the stored nonzeros. *)
+let apply t (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
   if t.runs = 0 then invalid_arg "Block_sweep.apply: no factors built";
   Telemetry.count "mpde.precond.sweeps";
   let n = t.n and n1 = g.Grid.n1 in
-  let t1d = t1_in_diag scheme in
-  let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
-  let x = t.sx and b = t.rhs and y = t.y and vals = t.vals in
+  let inv_h2 = 1.0 /. g.Grid.h2 in
+  let x = t.sx and b = t.rhs and y = t.y and vals = t.vals and lower_rows = t.lower in
   (* b += inv_h · C_q x_q, reading the CSR arrays directly — this runs
      n·nnz(C) times per sweep, too hot for the iter_row closure (and
      the reciprocal is hoisted to a multiply). *)
@@ -251,42 +264,48 @@ let apply t scheme (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
       b.(row) <- b.(row) +. (inv_h *. !s)
     done
   in
-  for p = 0 to t.np - 1 do
-    let base = p * n in
-    for row = 0 to n - 1 do
-      Array.unsafe_set b row (Bigarray.Array1.unsafe_get r (base + row))
-    done;
-    let i = p mod n1 and j = p / n1 in
-    if t1d && i > 0 then couple (snd jacs.(p - 1)) inv_h1 (p - 1);
-    if j > 0 then couple (snd jacs.(p - n1)) inv_h2 (p - n1);
-    let { perm; ptr; cols } = t.pats.(p) and o = t.offs.(p) in
-    for row = 0 to n - 1 do
-      Array.unsafe_set y row (Array.unsafe_get b (Array.unsafe_get perm row))
-    done;
-    (* Forward substitution with unit L. *)
-    for row = 1 to n - 1 do
-      let s = ref (Array.unsafe_get y row) in
-      for k = Array.unsafe_get ptr row to Array.unsafe_get ptr (row + 1) - 1 do
-        s :=
-          !s
-          -. (Array.unsafe_get vals (o + k)
-             *. Array.unsafe_get y (Array.unsafe_get cols k))
+  for j = 0 to g.Grid.n2 - 1 do
+    for i = 0 to n1 - 1 do
+      let p = (j * n1) + i in
+      let base = p * n in
+      for row = 0 to n - 1 do
+        Array.unsafe_set b row (Bigarray.Array1.unsafe_get r (base + row))
       done;
-      Array.unsafe_set y row !s
-    done;
-    (* Back substitution with U. *)
-    let diag = o + Array.unsafe_get ptr (2 * n) in
-    for row = n - 1 downto 0 do
-      let s = ref (Array.unsafe_get y row) in
-      for k = Array.unsafe_get ptr (n + row) to Array.unsafe_get ptr (n + row + 1) - 1 do
-        s :=
-          !s
-          -. (Array.unsafe_get vals (o + k)
-             *. Array.unsafe_get y (Array.unsafe_get cols k))
+      let lower = Array.unsafe_get lower_rows i in
+      for e = 0 to Array.length lower - 1 do
+        let l, c = Array.unsafe_get lower e in
+        couple (snd jacs.(p - i + l)) c (p - i + l)
       done;
-      let v = !s /. Array.unsafe_get vals (diag + row) in
-      Array.unsafe_set y row v;
-      Bigarray.Array1.unsafe_set x (base + row) v
+      if j > 0 then couple (snd jacs.(p - n1)) inv_h2 (p - n1);
+      let { perm; ptr; cols } = t.pats.(p) and o = t.offs.(p) in
+      for row = 0 to n - 1 do
+        Array.unsafe_set y row (Array.unsafe_get b (Array.unsafe_get perm row))
+      done;
+      (* Forward substitution with unit L. *)
+      for row = 1 to n - 1 do
+        let s = ref (Array.unsafe_get y row) in
+        for k = Array.unsafe_get ptr row to Array.unsafe_get ptr (row + 1) - 1 do
+          s :=
+            !s
+            -. (Array.unsafe_get vals (o + k)
+               *. Array.unsafe_get y (Array.unsafe_get cols k))
+        done;
+        Array.unsafe_set y row !s
+      done;
+      (* Back substitution with U. *)
+      let diag = o + Array.unsafe_get ptr (2 * n) in
+      for row = n - 1 downto 0 do
+        let s = ref (Array.unsafe_get y row) in
+        for k = Array.unsafe_get ptr (n + row) to Array.unsafe_get ptr (n + row + 1) - 1 do
+          s :=
+            !s
+            -. (Array.unsafe_get vals (o + k)
+               *. Array.unsafe_get y (Array.unsafe_get cols k))
+        done;
+        let v = !s /. Array.unsafe_get vals (diag + row) in
+        Array.unsafe_set y row v;
+        Bigarray.Array1.unsafe_set x (base + row) v
+      done
     done
   done;
   x

@@ -2,12 +2,16 @@
     the MPDE Jacobian.
 
     M keeps each grid point's dense diagonal block
-    D_p = (1/h1 + 1/h2)·C_p + G_p (+ extra_diag·I) — the t1 term only
-    when the scheme puts the t1 coupling on the diagonal (backward) —
-    and the backward-difference couplings to the lower neighbours
-    (i−1, j) and (i, j−1), *dropping the periodic wraps*. In
-    lexicographic point order M is block lower-triangular, so M⁻¹ is
-    applied in one pass over the points.
+    D_p = (d1_i + 1/h2)·C_p + G_p (+ extra_diag·I), the backward t2
+    coupling to (i, j−1), and the t1 operator's couplings to the
+    earlier points (l < i, j), *dropping the periodic wraps*. The t1
+    terms (its diagonal weight d1_i = w_ii/s and its lower entries)
+    enter only when the t1 operator is
+    {!Numeric.Collocation.lower_triangular} — then, as for backward
+    differences, the sweep is exact up to the wraps; otherwise the sweep
+    is a block Gauss-Seidel over the t2 columns and GMRES carries the t1
+    coupling. In lexicographic point order M is block lower-triangular,
+    so M⁻¹ is applied in one pass over the points.
 
     The diagonal blocks are factored with {!Linalg.Lu.factor_in_place}
     and kept in compact form: the permutation, the nonzero strict-L and
@@ -30,13 +34,14 @@ val fits : t -> n:int -> np:int -> bool
 
 val build :
   t ->
-  Assemble.scheme ->
+  Numeric.Collocation.operator ->
   Grid.t ->
   jacs:(Sparse.Csr.t * Sparse.Csr.t) array ->
   extra_diag:float ->
   unit
-(** Stamp and factor every diagonal block from the per-point
-    [(G, C)] Jacobians. When all blocks are equal (a replicated
+(** [build t op1 g ~jacs ~extra_diag] stamps and factors every diagonal
+    block from the per-point [(G, C)] Jacobians and the t1 operator
+    [op1]. When all blocks are equal (a replicated
     iterate, such as the DC seed) one factor serves every point.
     Records the [mpde.precond.build] span and the
     [mpde.precond.patterns] gauge.
@@ -44,14 +49,14 @@ val build :
 
 val apply :
   t ->
-  Assemble.scheme ->
   Grid.t ->
   jacs:(Sparse.Csr.t * Sparse.Csr.t) array ->
   Linalg.Kernel.vec ->
   Linalg.Kernel.vec
-(** [apply t scheme g ~jacs r] returns M⁻¹ r in the workspace's output
-    buffer (overwritten by the next call). [jacs] supply the coupling
-    blocks C and must be the ones the last {!build} saw.
+(** [apply t g ~jacs r] returns M⁻¹ r in the workspace's output buffer
+    (overwritten by the next call), with the t1 couplings the last
+    {!build} took from its operator. [jacs] supply the coupling blocks
+    C and must be the ones the last {!build} saw.
     @raise Invalid_argument unless a {!build} has completed. *)
 
 val patterns : t -> int

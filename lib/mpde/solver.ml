@@ -53,6 +53,7 @@ type stats = {
 
 type solution = {
   grid : Grid.t;
+  scheme : Assemble.scheme;
   system : Assemble.system;
   big_x : Vec.t;
   stats : stats;
@@ -69,7 +70,7 @@ type workspace = {
   mutable gmres_restart : int;
   op_ba : Linalg.Kernel.vec;  (* shared operator output (GMRES buffer contract) *)
   sweep : Block_sweep.t;
-  cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free op *)
+  cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free J·v *)
   mutable splu : Sparse.Splu.t option;
 }
 
@@ -110,73 +111,7 @@ let gmres_workspace ws ~restart ~n =
       ws.gmres_restart <- restart;
       k
 
-(* Matrix-free application of the backward-scheme MPDE Jacobian:
-   out_p = (1/h1 + 1/h2)·C_p·v_p + G_p·v_p (+ extra_diag·v_p)
-           − (C_{i−1,j}·v_{i−1,j})/h1 − (C_{i,j−1}·v_{i,j−1})/h2
-   with periodic wraps, mirroring {!Assemble.stamp_big}'s Backward
-   stamping. The per-point products C_p·v_p are computed once into
-   [ws.cw] and reused for both neighbour couplings, so one apply
-   costs nnz(C) + nnz(G) multiplies per point — cheaper than the SpMV
-   on the assembled big CSR, and it removes the big-Jacobian assembly
-   from the GMRES hot path entirely. *)
-let sweep_op_apply ws (g : Grid.t) ~jacs ~extra_diag
-    (v : Linalg.Kernel.vec) (out : Linalg.Kernel.vec) =
-  let np = Grid.points g in
-  let n = Linalg.Kernel.dim v / np in
-  let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
-  let scale_c = inv_h1 +. inv_h2 in
-  let w = ws.cw in
-  for p = 0 to np - 1 do
-    let gp, cp = jacs.(p) in
-    let base = p * n in
-    let crp = cp.Sparse.Csr.row_ptr
-    and cci = cp.Sparse.Csr.col_idx
-    and cv = cp.Sparse.Csr.values in
-    let grp = gp.Sparse.Csr.row_ptr
-    and gci = gp.Sparse.Csr.col_idx
-    and gv = gp.Sparse.Csr.values in
-    for i = 0 to n - 1 do
-      let s = ref 0.0 in
-      for k = crp.(i) to crp.(i + 1) - 1 do
-        s :=
-          !s
-          +. (Array.unsafe_get cv k
-              *. Bigarray.Array1.unsafe_get v (base + Array.unsafe_get cci k))
-      done;
-      Bigarray.Array1.unsafe_set w (base + i) !s;
-      let t = ref (scale_c *. !s) in
-      for k = grp.(i) to grp.(i + 1) - 1 do
-        t :=
-          !t
-          +. (Array.unsafe_get gv k
-              *. Bigarray.Array1.unsafe_get v (base + Array.unsafe_get gci k))
-      done;
-      Bigarray.Array1.unsafe_set out (base + i)
-        (!t +. (extra_diag *. Bigarray.Array1.unsafe_get v (base + i)))
-    done
-  done;
-  for p = 0 to np - 1 do
-    let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
-    let bi = Grid.point_index g (i - 1) j * n in
-    let bj = Grid.point_index g i (j - 1) * n in
-    let base = p * n in
-    for r = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set out (base + r)
-        (Bigarray.Array1.unsafe_get out (base + r)
-        -. (inv_h1 *. Bigarray.Array1.unsafe_get w (bi + r))
-        -. (inv_h2 *. Bigarray.Array1.unsafe_get w (bj + r)))
-    done
-  done
-
-let with_extra_diag jac extra_diag =
-  if extra_diag = 0.0 then jac
-  else Sparse.Csr.add jac (Sparse.Csr.scale extra_diag (Sparse.Csr.identity jac.Sparse.Csr.rows))
-
-let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
-  (* Numeric-refresh path: with [extra_diag = 0] this returns the same
-     CSR instance every Newton iteration, which keeps the sparse-LU
-     pattern cache below valid. *)
-  let jac () = with_extra_diag (Assemble.jacobian_ws ws.asm) extra_diag in
+let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
   (* The converged GMRES iterate, or a stall: budget exhaustion when the
      budget ran out, [Linear_stall] otherwise. *)
   let run_gmres ~restart ~max_iter ~tol ~precond op =
@@ -199,34 +134,30 @@ let solve_linear ~ws ~linear_solver ~scheme ~budget (g : Grid.t) ~jacs ~extra_di
   match linear_solver with
   | Direct -> (
       Telemetry.span "mpde.linear.direct" @@ fun () ->
-      let m = jac () in
+      (* Numeric-refresh path: with [extra_diag = 0] this is the same
+         CSR instance every Newton iteration, which keeps the sparse-LU
+         pattern cache valid. *)
+      let m = Assemble.jacobian_ws ws.asm in
+      let m =
+        if extra_diag = 0.0 then m
+        else Sparse.Csr.add m (Sparse.Csr.scale extra_diag (Sparse.Csr.identity m.Sparse.Csr.rows))
+      in
       let f = Sparse.Splu.refactor_or_factor ws.splu m in
       ws.splu <- Some f;
       Sparse.Splu.solve f rhs)
   | Gmres_sweep { restart; max_iter; tol } -> (
       Telemetry.span "mpde.linear.gmres-sweep" @@ fun () ->
-      (* For the backward scheme the operator is applied matrix-free
-         from the per-point blocks, so the big Jacobian is never
-         assembled on this path; the other schemes have long-range t1
-         couplings and keep the assembled SpMV. *)
-      let op =
-        match scheme with
-        | Assemble.Backward ->
-            fun v ->
-              sweep_op_apply ws g ~jacs ~extra_diag v ws.op_ba;
-              ws.op_ba
-        | Assemble.Central_t1 | Assemble.Spectral_t1 | Assemble.Spectral_both
-          ->
-            let m = jac () in
-            fun v ->
-              Sparse.Csr.mul_vec_ba_into m v ws.op_ba;
-              ws.op_ba
+      (* Matrix-free for every scheme: the big Jacobian is never
+         assembled on this path. *)
+      let op v =
+        Assemble.jacobian_apply_ws ws.asm ~extra_diag ~cw:ws.cw v ws.op_ba;
+        ws.op_ba
       in
       (* Exact factors at every Newton iterate: a lagged or shared
          block lets a switching device's conductance drift unseen, and
          GMRES pays for it many times over (DESIGN.md §12). *)
-      Block_sweep.build ws.sweep scheme g ~jacs ~extra_diag;
-      let precond = Block_sweep.apply ws.sweep scheme g ~jacs in
+      Block_sweep.build ws.sweep (Assemble.t1_operator ws.asm) g ~jacs ~extra_diag;
+      let precond = Block_sweep.apply ws.sweep g ~jacs in
       run_gmres ~restart ~max_iter ~tol ~precond op)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
@@ -312,8 +243,7 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
          with Guard.Non_finite v as e ->
            on_residual_violation v;
            raise e);
-        solve_linear ~ws ~linear_solver ~scheme:options.scheme
-          ~budget:options.budget g ~jacs
+        solve_linear ~ws ~linear_solver ~budget:options.budget g ~jacs
           ~extra_diag ~rhs:r ~linear_iters);
   }
 
@@ -547,6 +477,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   in
   {
     grid = g;
+    scheme = options.scheme;
     system = sys;
     big_x;
     stats =
@@ -604,6 +535,6 @@ let quasi_static_start ?seed (sys : Assemble.system) (g : Grid.t) =
   done;
   big
 
-let residual_norm_check ?(scheme = Assemble.Backward) sol =
+let residual_norm_check sol =
   let sources = Assemble.sources_on_grid sol.system sol.grid in
-  Vec.norm_inf (Assemble.residual scheme sol.system sol.grid ~sources sol.big_x)
+  Vec.norm_inf (Assemble.residual sol.scheme sol.system sol.grid ~sources sol.big_x)

@@ -4,7 +4,8 @@
 
     - [Direct]: general sparse LU on the global Jacobian — robust,
       reasonable for grids up to a few thousand points;
-    - [Gmres_sweep]: GMRES right-preconditioned by a block
+    - [Gmres_sweep]: matrix-free GMRES
+      ({!Assemble.jacobian_apply_ws}) right-preconditioned by a block
       forward-substitution sweep. With lexicographic ordering the
       backward-difference Jacobian is block lower-triangular except for
       the two periodic wrap couplings, so one sweep (factoring only the
@@ -87,6 +88,7 @@ type stats = {
 
 type solution = {
   grid : Grid.t;
+  scheme : Assemble.scheme;  (** the discretization it was computed with *)
   system : Assemble.system;
   big_x : Linalg.Vec.t;
   stats : stats;
@@ -114,8 +116,8 @@ val solve :
 
     [workspace_slot] is an in-out slot for cross-job workspace reuse
     (one slot per domain in sweep pools): when the retained workspace
-    fits this solve's shape (same unknown count, grid points, and
-    scheme diagonal structure) its large numeric buffers are reused and
+    fits this solve's shape (same unknown count and grid points) its
+    large numeric buffers are reused and
     every cache bound to the previous job — factors and pattern
     caches — is dropped, so results are identical to a fresh
     workspace; otherwise a fresh workspace is stored into the
@@ -150,7 +152,6 @@ val quasi_static_start :
     strong; pass the result as [solve]'s full-length [seed].
     @raise Failure if any column's Newton fails. *)
 
-val residual_norm_check : ?scheme:Assemble.scheme -> solution -> float
-(** Recompute ‖residual‖∞ of the stored solution under the given
-    discretization (default [Backward]) — a defensive check for tests;
-    pass the scheme the solution was computed with. *)
+val residual_norm_check : solution -> float
+(** Recompute ‖residual‖∞ of the stored solution under its own
+    [scheme] — a defensive check for tests. *)

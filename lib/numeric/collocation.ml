@@ -6,6 +6,14 @@ let backward_difference ~points ~h =
     scale = h;
   }
 
+let central_difference ~points ~h =
+  {
+    weights =
+      Array.init points (fun k ->
+          [| ((k + 1) mod points, 1.0); ((k + points - 1) mod points, -1.0) |]);
+    scale = 2.0 *. h;
+  }
+
 let of_matrix d =
   let points, _ = Linalg.Mat.dims d in
   let row k =
@@ -14,6 +22,19 @@ let of_matrix d =
     |> Array.of_list
   in
   { weights = Array.init points row; scale = 1.0 }
+
+let diagonal { weights; scale } =
+  Array.mapi
+    (fun k row -> Array.fold_left (fun d (l, w) -> if l = k then d +. (w /. scale) else d) 0.0 row)
+    weights
+
+let lower_triangular { weights; _ } =
+  let points = Array.length weights in
+  let row_ok k row =
+    Array.exists (fun (l, _) -> l = k) row
+    && Array.for_all (fun (l, _) -> l <= k || points <= 2 * (l - k)) row
+  in
+  Array.for_all Fun.id (Array.mapi row_ok weights)
 
 let replicate points x = Array.concat (List.init points (fun _ -> x))
 

@@ -3,7 +3,8 @@
     §3, “time-discretization across one period”). The time-derivative
     operator is the only choice that varies: backward differences give
     periodic finite differences (and the MPDE's fast column), a dense
-    spectral matrix gives pseudo-spectral harmonic balance.
+    spectral matrix gives pseudo-spectral harmonic balance, and the 2-D
+    MPDE grid walks the tensor product of one operator per axis.
 
     At point [k] the residual is
 
@@ -13,16 +14,27 @@
     [G(x_k)] when [l = k], is assembled as triplets, compressed and
     solved with the general sparse LU. *)
 
-type operator
-(** Sparse weights [w_kl] and a scale [s], so that
-    [(Σ_l w_kl·q_l)/s] approximates [dq/dt] at point [k]. *)
+type operator = private { weights : (int * float) array array; scale : float }
+(** Sparse weights [w_kl], row [k] in summation order, and a scale [s],
+    so that [(Σ_l w_kl·q_l)/s] approximates [dq/dt] at point [k]. *)
 
 val backward_difference : points:int -> h:float -> operator
 (** Periodic backward difference: [w = {k: 1, k−1: −1}], [s = h]. *)
 
+val central_difference : points:int -> h:float -> operator
+(** Periodic central difference: [w = {k+1: 1, k−1: −1}], [s = 2h]. *)
+
 val of_matrix : Linalg.Mat.t -> operator
 (** The nonzeros of a dense square differentiation matrix [D], with
     [s = 1]. *)
+
+val diagonal : operator -> float array
+(** The diagonal: per point [k], [Σ w_kk/s] summed from [0.0]. *)
+
+val lower_triangular : operator -> bool
+(** Lower-triangular up to the periodic wrap, so it can be marched point
+    by point: every row has its diagonal entry, and every entry above it
+    is nearer behind across the wrap than ahead. *)
 
 val problem :
   ?anchor:float * Linalg.Vec.t array ->

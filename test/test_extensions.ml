@@ -388,14 +388,7 @@ let test_spectral_gmres_converges () =
   let sol = Mpde.Solver.solve_mna ~options ~shear ~n1:17 ~n2:9 mna in
   Alcotest.(check bool) "gmres path converges" true sol.Mpde.Solver.stats.converged;
   Alcotest.(check bool) "residual small" true
-    (Mpde.Solver.residual_norm_check ~scheme:Mpde.Assemble.Spectral_t1 sol < 1e-7)
-
-let test_spectral_ok_predicate () =
-  let shear = Mpde.Shear.make ~fast_freq:1e6 ~slow_freq:1e3 in
-  Alcotest.(check bool) "odd ok" true
-    (Mpde.Assemble.spectral_ok (Mpde.Grid.make ~shear ~n1:17 ~n2:4));
-  Alcotest.(check bool) "even rejected" false
-    (Mpde.Assemble.spectral_ok (Mpde.Grid.make ~shear ~n1:16 ~n2:4))
+    (Mpde.Solver.residual_norm_check sol < 1e-7)
 
 (* ---------- Numeric.Spectral ---------- *)
 
@@ -453,7 +446,6 @@ let () =
           Alcotest.test_case "accuracy" `Quick test_spectral_scheme_accuracy;
           Alcotest.test_case "odd n1 required" `Quick test_spectral_requires_odd_n1;
           Alcotest.test_case "gmres path" `Quick test_spectral_gmres_converges;
-          Alcotest.test_case "spectral_ok" `Quick test_spectral_ok_predicate;
           Alcotest.test_case "shared diff matrix" `Quick test_spectral_diff_shared;
           Alcotest.test_case "diff matrix validation" `Quick test_spectral_diff_validation;
         ] );

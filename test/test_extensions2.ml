@@ -300,13 +300,6 @@ let test_bispectral_requires_odd_dims () =
       Alcotest.(check bool) "must not converge silently" true
         (not sol.Mpde.Solver.stats.converged)
 
-let test_bispectral_ok_predicate () =
-  let _, shear, _, _ = bispectral_fixture () in
-  Alcotest.(check bool) "odd/odd" true
-    (Mpde.Assemble.spectral_both_ok (Mpde.Grid.make ~shear ~n1:9 ~n2:5));
-  Alcotest.(check bool) "even n2 rejected" false
-    (Mpde.Assemble.spectral_both_ok (Mpde.Grid.make ~shear ~n1:9 ~n2:6))
-
 (* ---------- bridge rectifier ---------- *)
 
 let test_bridge_full_wave () =
@@ -425,7 +418,6 @@ let () =
         [
           Alcotest.test_case "exact on linear" `Quick test_bispectral_exact_on_linear;
           Alcotest.test_case "odd dims required" `Quick test_bispectral_requires_odd_dims;
-          Alcotest.test_case "predicate" `Quick test_bispectral_ok_predicate;
         ] );
       ( "bridge rectifier",
         [

@@ -159,35 +159,45 @@ let test_assemble_residual_zero_for_exact_solution () =
 
 let test_assemble_jacobian_matches_fd () =
   (* Full finite-difference validation of the global MPDE Jacobian on a
-     small nonlinear grid problem. *)
+     small nonlinear grid problem, for every scheme (the spectral axes
+     need an odd number of points). *)
   let f1 = 1e6 and fd = 1e4 in
   let { Circuits.mna; _ } =
     Circuits.envelope_detector ~f1 ~f2:(f1 +. fd) ~amplitude:0.5 ()
   in
   let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
   let sys = Mpde.Assemble.of_mna ~shear mna in
-  let g = Grid.make ~shear ~n1:3 ~n2:2 in
   let n = sys.Mpde.Assemble.size in
-  let big_n = Grid.points g * n in
-  let big = Array.init big_n (fun i -> 0.05 *. sin (float_of_int i)) in
-  let sources = Mpde.Assemble.sources_on_grid sys g in
-  let jacs = Mpde.Assemble.point_jacobians sys g big in
-  let jac = Mpde.Assemble.jacobian_csr Mpde.Assemble.Backward g ~size:n ~jacs in
-  let r0 = Mpde.Assemble.residual Mpde.Assemble.Backward sys g ~sources big in
-  let h = 1e-7 in
-  for j = 0 to big_n - 1 do
-    let xj = Array.copy big in
-    xj.(j) <- xj.(j) +. h;
-    let rj = Mpde.Assemble.residual Mpde.Assemble.Backward sys g ~sources xj in
-    for i = 0 to big_n - 1 do
-      let numeric = (rj.(i) -. r0.(i)) /. h in
-      let stamped = Sparse.Csr.get jac i j in
-      let scale = Float.max 1.0 (Float.abs stamped) in
-      if Float.abs (numeric -. stamped) > 1e-3 *. scale then
-        Alcotest.failf "jacobian mismatch at (%d,%d): fd=%.6g stamped=%.6g" i j numeric
-          stamped
-    done
-  done
+  List.iter
+    (fun (name, scheme, n2) ->
+      let g = Grid.make ~shear ~n1:3 ~n2 in
+      let big_n = Grid.points g * n in
+      let big = Array.init big_n (fun i -> 0.05 *. sin (float_of_int i)) in
+      let sources = Mpde.Assemble.sources_on_grid sys g in
+      let jacs = Mpde.Assemble.point_jacobians sys g big in
+      let jac = Mpde.Assemble.jacobian_csr scheme g ~size:n ~jacs in
+      let r0 = Mpde.Assemble.residual scheme sys g ~sources big in
+      let h = 1e-7 in
+      for j = 0 to big_n - 1 do
+        let xj = Array.copy big in
+        xj.(j) <- xj.(j) +. h;
+        let rj = Mpde.Assemble.residual scheme sys g ~sources xj in
+        for i = 0 to big_n - 1 do
+          let numeric = (rj.(i) -. r0.(i)) /. h in
+          let stamped = Sparse.Csr.get jac i j in
+          let scale = Float.max 1.0 (Float.abs stamped) in
+          if Float.abs (numeric -. stamped) > 1e-3 *. scale then
+            Alcotest.failf "%s: jacobian mismatch at (%d,%d): fd=%.6g stamped=%.6g" name i j
+              numeric stamped
+        done
+      done)
+    Mpde.Assemble.
+      [
+        ("backward", Backward, 2);
+        ("central-t1", Central_t1, 2);
+        ("spectral-t1", Spectral_t1, 2);
+        ("spectral-both", Spectral_both, 3);
+      ]
 
 (* ---------- Solver ---------- *)
 
@@ -556,6 +566,94 @@ let test_assemble_ws_bitwise_refresh () =
     Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
   done
 
+(* The backward scheme written out by hand, as it was before the
+   schemes became operator pairs: the residual
+   ((q − q_{i−1,j})/h1) + ((q − q_{i,j−1})/h2) + f − b, and the stamp
+   t2 (C_p/h2, −C_{i,j−1}/h2), then G_p, then t1 (C_p/h1, −C_{i−1,j}/h1).
+   The generic stencil walk must reproduce both bitwise. *)
+let backward_reference_residual sys (g : Grid.t) ~sources big_x =
+  let n = sys.Mpde.Assemble.size and np = Grid.points g in
+  let state p = Mpde.Assemble.state_of ~size:n big_x p in
+  let qs = Array.init np (fun p -> sys.Mpde.Assemble.eval_q (state p)) in
+  let r = Array.make (np * n) 0.0 in
+  for p = 0 to np - 1 do
+    let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
+    let f = sys.Mpde.Assemble.eval_f (state p) and b = sources.(p) in
+    let q = qs.(p) in
+    let q_im1 = qs.(Grid.point_index g (i - 1) j) and q_jm1 = qs.(Grid.point_index g i (j - 1)) in
+    for v = 0 to n - 1 do
+      r.((p * n) + v) <-
+        ((q.(v) -. q_im1.(v)) /. g.Grid.h1)
+        +. ((q.(v) -. q_jm1.(v)) /. g.Grid.h2)
+        +. f.(v) -. b.(v)
+    done
+  done;
+  r
+
+let backward_reference_jacobian (g : Grid.t) ~n ~jacs =
+  let big = Grid.points g * n in
+  let coo = Sparse.Coo.create ~capacity:(12 * big) big big in
+  let add p q scale (m : Sparse.Csr.t) =
+    for i = 0 to n - 1 do
+      Sparse.Csr.iter_row m i (fun j v ->
+          Sparse.Coo.add coo ((p * n) + i) ((q * n) + j) (scale *. v))
+    done
+  in
+  for p = 0 to Grid.points g - 1 do
+    let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
+    let gp, cp = jacs.(p) in
+    let p_im1 = Grid.point_index g (i - 1) j and p_jm1 = Grid.point_index g i (j - 1) in
+    add p p (1.0 /. g.Grid.h2) cp;
+    add p p_jm1 (-1.0 /. g.Grid.h2) (snd jacs.(p_jm1));
+    add p p 1.0 gp;
+    add p p (1.0 /. g.Grid.h1) cp;
+    add p p_im1 (-1.0 /. g.Grid.h1) (snd jacs.(p_im1))
+  done;
+  Sparse.Csr.of_coo coo
+
+(* Three Newton iterates from the replicated DC point: the workspace's
+   residual and Jacobian must equal the hand-written reference bit for
+   bit at each. *)
+let check_backward_reference what mna shear g =
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let n = sys.Mpde.Assemble.size and np = Grid.points g in
+  let sources = Mpde.Assemble.sources_on_grid sys g in
+  let ws = Mpde.Assemble.workspace Mpde.Assemble.Backward sys g in
+  let dc = Circuit.Dcop.solve_exn mna in
+  let x = Array.init (np * n) (fun k -> dc.(k mod n)) in
+  for iter = 1 to 3 do
+    let r = Mpde.Assemble.residual_ws ws ~sources x in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: residual bitwise (iter %d)" what iter)
+      true
+      (float_array_bits_equal r (backward_reference_residual sys g ~sources x));
+    ignore (Mpde.Assemble.point_jacobians_ws ws x);
+    let j_ws = Mpde.Assemble.jacobian_ws ws in
+    let j_ref =
+      backward_reference_jacobian g ~n ~jacs:(Mpde.Assemble.point_jacobians sys g x)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: jacobian bitwise (iter %d)" what iter)
+      true
+      (j_ws.Sparse.Csr.row_ptr = j_ref.Sparse.Csr.row_ptr
+      && j_ws.Sparse.Csr.col_idx = j_ref.Sparse.Csr.col_idx
+      && float_array_bits_equal j_ws.Sparse.Csr.values j_ref.Sparse.Csr.values);
+    let dx = Sparse.Splu.solve (Sparse.Splu.factor j_ref) r in
+    Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
+  done;
+  Alcotest.(check bool) (what ^ ": iterate finite") true (Array.for_all Float.is_finite x)
+
+let test_assemble_backward_reference () =
+  let mna, shear = mixer_fixture () in
+  check_backward_reference "mixer" mna shear (Grid.make ~shear ~n1:10 ~n2:6);
+  let f1 = 50e3 and fd = 500.0 in
+  let drive =
+    W.sum (W.sine ~amplitude:10.0 ~freq:f1 ()) (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
+  in
+  let { Circuits.mna; _ } = Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive () in
+  let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
+  check_backward_reference "bridge" mna shear (Grid.make ~shear ~n1:16 ~n2:6)
+
 let test_solver_sweep_matches_direct_mixer () =
   (* The exact per-iterate sweep preconditioner only steers GMRES; on
      the nonlinear mixer it must land on the sparse-LU Newton surface. *)
@@ -686,12 +784,13 @@ let test_vector len =
 let check_sweep_bitwise ?(extra_diag = 0.0) ?(applies = 2) what scheme g jacs =
   let np = Grid.points g and n = (fst jacs.(0)).Sparse.Csr.rows in
   let t = Block_sweep.create ~n ~np in
-  Block_sweep.build t scheme g ~jacs ~extra_diag;
+  let t1 = fst (Mpde.Assemble.operators scheme g) in
+  Block_sweep.build t t1 g ~jacs ~extra_diag;
   (* Repeated applies reuse the workspace and must not drift. *)
   for k = 1 to applies do
     let r = Array.map (fun v -> v *. float_of_int k) (test_vector (np * n)) in
     let got =
-      Linalg.Kernel.to_array (Block_sweep.apply t scheme g ~jacs (Linalg.Kernel.of_array r))
+      Linalg.Kernel.to_array (Block_sweep.apply t g ~jacs (Linalg.Kernel.of_array r))
     in
     Alcotest.(check bool)
       (Printf.sprintf "%s: apply %d bitwise = dense" what k)
@@ -764,15 +863,16 @@ let test_block_sweep_validation () =
   let g = Grid.make ~shear:shear_1g ~n1:2 ~n2:2 in
   let apply_fails what jacs =
     Alcotest.check_raises what (Invalid_argument "Block_sweep.apply: no factors built")
-      (fun () -> ignore (Block_sweep.apply t Mpde.Assemble.Backward g ~jacs (Linalg.Kernel.create 8)))
+      (fun () -> ignore (Block_sweep.apply t g ~jacs (Linalg.Kernel.create 8)))
   in
   apply_fails "apply before build" [||];
   (* A singular block aborts the build, and the half-written store must
      not be applied. *)
   let eye = Sparse.Csr.identity 2 and zero = Sparse.Csr.scale 0.0 (Sparse.Csr.identity 2) in
   let jacs = [| (eye, eye); (eye, eye); (zero, zero); (eye, eye) |] in
-  Block_sweep.build t Mpde.Assemble.Backward g ~jacs:(Array.make 4 (eye, eye)) ~extra_diag:0.0;
-  (match Block_sweep.build t Mpde.Assemble.Backward g ~jacs ~extra_diag:0.0 with
+  let t1 = fst (Mpde.Assemble.operators Mpde.Assemble.Backward g) in
+  Block_sweep.build t t1 g ~jacs:(Array.make 4 (eye, eye)) ~extra_diag:0.0;
+  (match Block_sweep.build t t1 g ~jacs ~extra_diag:0.0 with
   | () -> Alcotest.fail "singular block accepted"
   | exception Linalg.Lu.Singular _ -> ());
   apply_fails "apply after a failed build" jacs
@@ -905,6 +1005,8 @@ let () =
             test_assemble_jacobian_matches_fd;
           Alcotest.test_case "workspace refresh bitwise" `Quick
             test_assemble_ws_bitwise_refresh;
+          Alcotest.test_case "backward = hand-written reference" `Quick
+            test_assemble_backward_reference;
         ] );
       ( "solver",
         [

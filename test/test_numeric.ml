@@ -254,6 +254,7 @@ let colloc_ops =
       [| [| 0.0; 1.0; -1.0 |]; [| -1.0; 0.0; 1.0 |]; [| 1.0; -1.0; 0.0 |] |]
   in
   [ ("backward", Numeric.Collocation.backward_difference ~points:3 ~h:0.25);
+    ("central", Numeric.Collocation.central_difference ~points:3 ~h:0.25);
     ("matrix", Numeric.Collocation.of_matrix d) ]
 
 let test_collocation_residual () =
@@ -262,6 +263,7 @@ let test_collocation_residual () =
   let expected name k =
     match name with
     | "backward" -> ((q k -. q ((k + 2) mod 3)) /. 0.25) +. rest k
+    | "central" -> ((q ((k + 1) mod 3) -. q ((k + 2) mod 3)) /. 0.5) +. rest k
     | _ -> q ((k + 1) mod 3) -. q ((k + 2) mod 3) +. rest k
   in
   List.iter
@@ -298,6 +300,29 @@ let test_collocation_newton_exact () =
             (p.Numeric.Newton.residual x1))
         [ None; Some (0.5, Numeric.Collocation.states 1 [| 1.0; 2.0; 3.0 |]) ])
     colloc_ops
+
+let test_collocation_lower_triangular () =
+  (* Only an operator that can be marched point by point qualifies:
+     backward differences at every size, never the central difference
+     (not even at two points, where it has no diagonal) nor a dense
+     spectral matrix. *)
+  List.iter
+    (fun points ->
+      let h = 0.25 in
+      Alcotest.(check bool)
+        (Printf.sprintf "backward, %d points" points)
+        true
+        (Numeric.Collocation.lower_triangular
+           (Numeric.Collocation.backward_difference ~points ~h));
+      Alcotest.(check bool)
+        (Printf.sprintf "central, %d points" points)
+        false
+        (Numeric.Collocation.lower_triangular
+           (Numeric.Collocation.central_difference ~points ~h)))
+    [ 2; 3; 4; 7 ];
+  Alcotest.(check bool) "spectral" false
+    (Numeric.Collocation.lower_triangular
+       (Numeric.Collocation.of_matrix (Numeric.Spectral.diff_matrix 5 1.0)))
 
 let test_transient_sample () =
   let dae = rc_dae ~r:1.0 ~c:1.0 ~b:(fun _ -> 0.0) in
@@ -504,6 +529,8 @@ let () =
         [
           Alcotest.test_case "operator residuals" `Quick test_collocation_residual;
           Alcotest.test_case "linear in one Newton step" `Quick test_collocation_newton_exact;
+          Alcotest.test_case "lower-triangular up to the wrap" `Quick
+            test_collocation_lower_triangular;
         ] );
       ( "interp",
         [
