@@ -80,15 +80,19 @@ let one_period ~period times values =
 
 let finite_or_zero x = if Float.is_finite x then x else 0.0
 
+(* One spectrum per result: the fundamental and the THD of a periodic
+   waveform both read a single real_harmonics array. *)
+let harmonic_metrics ~h1_name samples =
+  let h = Numeric.Fft.real_harmonics samples in
+  [
+    (h1_name, if Array.length h > 1 then fst h.(1) else 0.0);
+    ( "thd",
+      finite_or_zero (Numeric.Fft.thd ~peak:(Linalg.Vec.norm_inf samples) h) );
+  ]
+
 let periodic_metrics samples =
   if Array.length samples < 4 then []
-  else
-    let h = Numeric.Fft.real_harmonics samples in
-    let h1 = if Array.length h > 1 then fst h.(1) else 0.0 in
-    [
-      ("h1_amplitude", h1);
-      ("thd", finite_or_zero (Rf.Metrics.thd samples ()));
-    ]
+  else harmonic_metrics ~h1_name:"h1_amplitude" samples
 
 let run (problem : Problem.t) (engine : t) : Result.t =
   let o = engine.options in
@@ -161,11 +165,13 @@ let run (problem : Problem.t) (engine : t) : Result.t =
         r
     in
     let times = r.trace.Numeric.Integrator.times in
-    let values = output_values mna problem r.trace.Numeric.Integrator.states in
+    let values, metrics =
+      Telemetry.span "engine.metrics" @@ fun () ->
+      let values = output_values mna problem r.trace.Numeric.Integrator.states in
+      (values, periodic_metrics (one_period ~period times values))
+    in
     finalize ~converged:r.converged ~newton_iterations:r.newton_iterations
-      ~residual_norm:r.residual_norm ~times ~values
-      ~metrics:(periodic_metrics (one_period ~period times values))
-      ~report
+      ~residual_norm:r.residual_norm ~times ~values ~metrics ~report
       ~health:(Diagnostics.Health.of_report report)
       ~mpde_solution:None
   in
@@ -209,20 +215,19 @@ let run (problem : Problem.t) (engine : t) : Result.t =
           ~workspace_slot:(Domain.DLS.get mpde_workspace_slot) ~shear
           ~n1:o.Options.n1 ~n2:o.Options.n2 mna
       in
-      let values_2d =
-        match problem.Problem.output_b with
-        | None -> Mpde.Extract.surface_of_node sol mna problem.Problem.output
-        | Some b ->
-            Mpde.Extract.differential_surface sol mna problem.Problem.output b
-      in
-      let times = Mpde.Extract.envelope_times sol in
-      let values = Mpde.Extract.envelope sol ~values:values_2d in
-      let metrics =
-        [
-          ( "baseband_h1",
-            Mpde.Extract.t2_harmonic_amplitude ~values:values_2d ~harmonic:1 );
-          ("thd", finite_or_zero (Mpde.Extract.thd ~values:values_2d ()));
-        ]
+      let times, values, metrics =
+        Telemetry.span "engine.metrics" @@ fun () ->
+        let values_2d =
+          match problem.Problem.output_b with
+          | None -> Mpde.Extract.surface_of_node sol mna problem.Problem.output
+          | Some b ->
+              Mpde.Extract.differential_surface sol mna problem.Problem.output b
+        in
+        (* The Mean_t1 envelope is the t2 baseband the metrics read. *)
+        let values = Mpde.Extract.envelope sol ~values:values_2d in
+        ( Mpde.Extract.envelope_times sol,
+          values,
+          harmonic_metrics ~h1_name:"baseband_h1" values )
       in
       let health =
         Diagnostics.Health.of_solution ~condition:false sol

@@ -12,23 +12,29 @@ let differential_surface sol mna node_a node_b =
 
 type envelope_mode = At_t1 of float | Mean_t1 | Peak_t1
 
+let mean_t1_waveform values =
+  let n1 = Array.length values in
+  let n2 = Array.length values.(0) in
+  Array.init n2 (fun j ->
+      let s = ref 0.0 in
+      for i = 0 to n1 - 1 do
+        s := !s +. values.(i).(j)
+      done;
+      !s /. float_of_int n1)
+
 let envelope ?(mode = Mean_t1) (sol : Solver.solution) ~values =
   let g = sol.Solver.grid in
-  Array.init g.Grid.n2 (fun j ->
-      match mode with
-      | Mean_t1 ->
-          let s = ref 0.0 in
-          for i = 0 to g.Grid.n1 - 1 do
-            s := !s +. values.(i).(j)
-          done;
-          !s /. float_of_int g.Grid.n1
-      | Peak_t1 ->
+  match mode with
+  | Mean_t1 -> mean_t1_waveform values
+  | Peak_t1 ->
+      Array.init g.Grid.n2 (fun j ->
           let m = ref neg_infinity in
           for i = 0 to g.Grid.n1 - 1 do
             if values.(i).(j) > !m then m := values.(i).(j)
           done;
-          !m
-      | At_t1 frac ->
+          !m)
+  | At_t1 frac ->
+      Array.init g.Grid.n2 (fun j ->
           let column = Array.init g.Grid.n1 (fun i -> values.(i).(j)) in
           Numeric.Interp.linear_periodic column frac)
 
@@ -92,16 +98,6 @@ let diagonal_residual ?(periods = 2) ?(steps_per_period = 128)
       in
       !err /. scale
 
-let mean_t1_waveform values =
-  let n1 = Array.length values in
-  let n2 = Array.length values.(0) in
-  Array.init n2 (fun j ->
-      let s = ref 0.0 in
-      for i = 0 to n1 - 1 do
-        s := !s +. values.(i).(j)
-      done;
-      !s /. float_of_int n1)
-
 let t2_harmonic_amplitude ~values ~harmonic =
   Numeric.Fft.amplitude_at (mean_t1_waveform values) harmonic
 
@@ -157,16 +153,5 @@ let mixing_spectrum (sol : Solver.solution) ~values ?(top = 12) () =
 
 let thd ~values ?max_harmonic () =
   let baseband = mean_t1_waveform values in
-  let spectrum = Numeric.Fft.real_harmonics baseband in
-  let kmax =
-    match max_harmonic with
-    | Some k -> min k (Array.length spectrum - 1)
-    | None -> Array.length spectrum - 1
-  in
-  let fundamental = fst spectrum.(1) in
-  let s = ref 0.0 in
-  for k = 2 to kmax do
-    let a = fst spectrum.(k) in
-    s := !s +. (a *. a)
-  done;
-  sqrt !s /. fundamental
+  Numeric.Fft.thd ?max_harmonic ~peak:(Linalg.Vec.norm_inf baseband)
+    (Numeric.Fft.real_harmonics baseband)

@@ -55,8 +55,10 @@ val conversion_gain_db :
     the paper's down-conversion gain figure. *)
 
 val thd : values:float array array -> ?max_harmonic:int -> unit -> float
-(** Total harmonic distortion of the baseband waveform:
-    [sqrt(Σ_{k≥2} A_k²) / A_1] (default [max_harmonic] = [n2/2]). *)
+(** Total harmonic distortion of the [Mean_t1] {!envelope}:
+    {!Numeric.Fft.thd} over its harmonics, so
+    [sqrt(Σ_{k≥2} A_k²) / A_1] (default [max_harmonic] = [n2/2]), and
+    [infinity] when [A_1] is at the roundoff floor. *)
 
 type mixing_product = {
   k1 : int;  (** harmonic of the fast fundamental, [0 .. n1/2] *)

@@ -2,17 +2,38 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let pi = 4.0 *. atan 1.0
 
-(* In-place iterative radix-2 Cooley-Tukey; [sign] is -1 for forward. *)
-let radix2_ip (x : Complex.t array) sign =
-  let n = Array.length x in
-  assert (is_power_of_two n);
+(* The kernel works in place on split real/imaginary float arrays,
+   which OCaml stores unboxed: a butterfly allocates nothing. *)
+
+(* Forward twiddles of a length-[n] radix-2 transform:
+   [exp(−2πik/n)] for [k < n/2], each from its own index, so no
+   rounding accumulates along a stage. *)
+let twiddles n =
+  let half = n / 2 in
+  let wr = Array.create_float half and wi = Array.create_float half in
+  for k = 0 to half - 1 do
+    let angle = -2.0 *. pi *. float_of_int k /. float_of_int n in
+    wr.(k) <- cos angle;
+    wi.(k) <- sin angle
+  done;
+  (wr, wi)
+
+(* In-place iterative radix-2 Cooley–Tukey on [(re, im)], whose length
+   is that of the table [(wr, wi)] from {!twiddles}; [sign] is −1 for
+   the forward transform and +1 for the (unscaled) inverse, which
+   conjugates the table. *)
+let radix2_ip re im (wr, wi) sign =
+  let n = Array.length re in
   (* Bit-reversal permutation. *)
   let j = ref 0 in
   for i = 0 to n - 2 do
     if i < !j then begin
-      let t = x.(i) in
-      x.(i) <- x.(!j);
-      x.(!j) <- t
+      let t = re.(i) in
+      re.(i) <- re.(!j);
+      re.(!j) <- t;
+      let t = im.(i) in
+      im.(i) <- im.(!j);
+      im.(!j) <- t
     end;
     let m = ref (n lsr 1) in
     while !m >= 1 && !j land !m <> 0 do
@@ -21,103 +42,116 @@ let radix2_ip (x : Complex.t array) sign =
     done;
     j := !j lor !m
   done;
+  let conj = -.sign in
   let len = ref 2 in
   while !len <= n do
     let half = !len / 2 in
-    let angle = sign *. 2.0 *. pi /. float_of_int !len in
-    let wstep = { Complex.re = cos angle; im = sin angle } in
+    let stride = n / !len in
     let i = ref 0 in
     while !i < n do
-      let w = ref Complex.one in
-      for k = !i to !i + half - 1 do
-        let u = x.(k) and v = Complex.mul !w x.(k + half) in
-        x.(k) <- Complex.add u v;
-        x.(k + half) <- Complex.sub u v;
-        w := Complex.mul !w wstep
+      for k = 0 to half - 1 do
+        let a = !i + k in
+        let b = a + half in
+        let cr = Array.unsafe_get wr (k * stride)
+        and ci = conj *. Array.unsafe_get wi (k * stride) in
+        let xr = Array.unsafe_get re b and xi = Array.unsafe_get im b in
+        let vr = (cr *. xr) -. (ci *. xi) and vi = (cr *. xi) +. (ci *. xr) in
+        let ur = Array.unsafe_get re a and ui = Array.unsafe_get im a in
+        Array.unsafe_set re a (ur +. vr);
+        Array.unsafe_set im a (ui +. vi);
+        Array.unsafe_set re b (ur -. vr);
+        Array.unsafe_set im b (ui -. vi)
       done;
       i := !i + !len
     done;
     len := !len * 2
   done
 
-let radix2 x sign =
-  let y = Array.copy x in
-  radix2_ip y sign;
-  y
-
 (* Bluestein chirp-z: express the length-n DFT as a convolution of
-   length 2n-1, evaluated with power-of-two FFTs. *)
-let bluestein x sign =
-  let n = Array.length x in
+   length 2n-1, evaluated with power-of-two FFTs that share one
+   twiddle table. Returns fresh arrays. *)
+let bluestein re im sign =
+  let n = Array.length re in
   let m =
     let rec next p = if p >= (2 * n) - 1 then p else next (2 * p) in
     next 1
   in
-  let chirp =
-    Array.init n (fun k ->
-        let phase = sign *. pi *. float_of_int (k * k mod (2 * n)) /. float_of_int n in
-        { Complex.re = cos phase; im = sin phase })
-  in
-  let a = Array.make m Complex.zero in
+  let chr = Array.create_float n and chi = Array.create_float n in
   for k = 0 to n - 1 do
-    a.(k) <- Complex.mul x.(k) chirp.(k)
+    let phase = sign *. pi *. float_of_int (k * k mod (2 * n)) /. float_of_int n in
+    chr.(k) <- cos phase;
+    chi.(k) <- sin phase
   done;
-  let b = Array.make m Complex.zero in
-  b.(0) <- Complex.conj chirp.(0);
+  let ar = Array.make m 0.0 and ai = Array.make m 0.0 in
+  for k = 0 to n - 1 do
+    ar.(k) <- (re.(k) *. chr.(k)) -. (im.(k) *. chi.(k));
+    ai.(k) <- (re.(k) *. chi.(k)) +. (im.(k) *. chr.(k))
+  done;
+  let br = Array.make m 0.0 and bi = Array.make m 0.0 in
+  br.(0) <- chr.(0);
+  bi.(0) <- -.chi.(0);
   for k = 1 to n - 1 do
-    let v = Complex.conj chirp.(k) in
-    b.(k) <- v;
-    b.(m - k) <- v
+    br.(k) <- chr.(k);
+    bi.(k) <- -.chi.(k);
+    br.(m - k) <- chr.(k);
+    bi.(m - k) <- -.chi.(k)
   done;
-  radix2_ip a (-1.0);
-  radix2_ip b (-1.0);
+  let table = twiddles m in
+  radix2_ip ar ai table (-1.0);
+  radix2_ip br bi table (-1.0);
   for k = 0 to m - 1 do
-    a.(k) <- Complex.mul a.(k) b.(k)
+    let xr = ar.(k) and xi = ai.(k) in
+    ar.(k) <- (xr *. br.(k)) -. (xi *. bi.(k));
+    ai.(k) <- (xr *. bi.(k)) +. (xi *. br.(k))
   done;
-  radix2_ip a 1.0;
+  radix2_ip ar ai table 1.0;
   let scale = 1.0 /. float_of_int m in
-  Array.init n (fun k ->
-      Complex.mul chirp.(k)
-        { Complex.re = a.(k).Complex.re *. scale; im = a.(k).Complex.im *. scale })
+  let yr = Array.create_float n and yi = Array.create_float n in
+  for k = 0 to n - 1 do
+    let xr = ar.(k) *. scale and xi = ai.(k) *. scale in
+    yr.(k) <- (chr.(k) *. xr) -. (chi.(k) *. xi);
+    yi.(k) <- (chr.(k) *. xi) +. (chi.(k) *. xr)
+  done;
+  (yr, yi)
 
-let transform x sign =
-  let n = Array.length x in
+(* The length-n DFT of [(re, im)] with exponent sign [sign], unscaled.
+   Consumes its arguments: a power-of-two length is transformed in
+   place. *)
+let transform re im sign =
+  let n = Array.length re in
   Telemetry.count "fft.transforms";
-  if n <= 1 then Array.copy x
-  else if is_power_of_two n then radix2 x sign
-  else bluestein x sign
+  if n <= 1 then (re, im)
+  else if is_power_of_two n then begin
+    radix2_ip re im (twiddles n) sign;
+    (re, im)
+  end
+  else bluestein re im sign
 
-let fft x = transform x (-1.0)
+let split (x : Linalg.Cvec.t) =
+  (Array.map (fun (z : Complex.t) -> z.re) x, Array.map (fun (z : Complex.t) -> z.im) x)
+
+let join ?(scale = 1.0) (re, im) : Linalg.Cvec.t =
+  Array.init (Array.length re) (fun k -> { Complex.re = re.(k) *. scale; im = im.(k) *. scale })
+
+let fft x =
+  let re, im = split x in
+  join (transform re im (-1.0))
 
 let ifft x =
-  let n = Array.length x in
-  let y = transform x 1.0 in
-  let scale = 1.0 /. float_of_int (max n 1) in
-  Array.map (fun (z : Complex.t) -> { Complex.re = z.re *. scale; im = z.im *. scale }) y
+  let re, im = split x in
+  join ~scale:(1.0 /. float_of_int (max (Array.length x) 1)) (transform re im 1.0)
 
-let dft_naive x =
-  let n = Array.length x in
-  Array.init n (fun k ->
-      let s = ref Complex.zero in
-      for j = 0 to n - 1 do
-        let phase = -2.0 *. pi *. float_of_int (k * j) /. float_of_int n in
-        s :=
-          Complex.add !s (Complex.mul x.(j) { Complex.re = cos phase; im = sin phase })
-      done;
-      !s)
-
-let rfft x = fft (Linalg.Cvec.of_real x)
+let rfft x = join (transform (Array.copy x) (Array.make (Array.length x) 0.0) (-1.0))
 
 let real_harmonics x =
   let n = Array.length x in
   if n = 0 then [||]
   else begin
-    let spectrum = rfft x in
-    let half = n / 2 in
-    Array.init (half + 1) (fun k ->
-        if k = 0 then (spectrum.(0).Complex.re /. float_of_int n, 0.0)
+    let re, im = transform (Array.copy x) (Array.make n 0.0) (-1.0) in
+    Array.init ((n / 2) + 1) (fun k ->
+        if k = 0 then (re.(0) /. float_of_int n, 0.0)
         else
-          let z = spectrum.(k) in
+          let z = { Complex.re = re.(k); im = im.(k) } in
           (2.0 *. Complex.norm z /. float_of_int n, Complex.arg z))
   end
 
@@ -125,3 +159,17 @@ let amplitude_at x k =
   let h = real_harmonics x in
   if k < 0 || k >= Array.length h then invalid_arg "Fft.amplitude_at: harmonic out of range";
   if k = 0 then Float.abs (fst h.(0)) else fst h.(k)
+
+let thd ?max_harmonic ~peak harmonics =
+  let last = Array.length harmonics - 1 in
+  if last < 1 then 0.0
+  else begin
+    let kmax = match max_harmonic with Some k -> min k last | None -> last in
+    let fundamental = fst harmonics.(1) in
+    let s = ref 0.0 in
+    for k = 2 to kmax do
+      let a = fst harmonics.(k) in
+      s := !s +. (a *. a)
+    done;
+    if fundamental <= 1e-12 *. peak then infinity else sqrt !s /. fundamental
+  end

@@ -3,7 +3,14 @@
     Radix-2 iterative Cooley–Tukey for power-of-two lengths and
     Bluestein's chirp-z algorithm for arbitrary lengths. Forward
     transform uses the engineering sign convention
-    [X_k = Σ_n x_n exp(−2πi kn/N)]; the inverse divides by [N]. *)
+    [X_k = Σ_n x_n exp(−2πi kn/N)]; the inverse divides by [N].
+
+    The kernel runs in place on split real/imaginary float arrays
+    (unboxed, so a butterfly allocates nothing), and every twiddle is
+    computed from its own index rather than by a running product.
+    Each call counts one [fft.transforms]; a result's metrics should
+    come from one {!real_harmonics} call, with {!thd} reading the
+    same array. *)
 
 val is_power_of_two : int -> bool
 
@@ -11,9 +18,6 @@ val fft : Linalg.Cvec.t -> Linalg.Cvec.t
 (** Forward transform of any length (Bluestein fallback). *)
 
 val ifft : Linalg.Cvec.t -> Linalg.Cvec.t
-
-val dft_naive : Linalg.Cvec.t -> Linalg.Cvec.t
-(** O(n²) reference implementation, for testing. *)
 
 val rfft : Linalg.Vec.t -> Linalg.Cvec.t
 (** Forward transform of a real signal (full spectrum returned). *)
@@ -26,3 +30,11 @@ val real_harmonics : Linalg.Vec.t -> (float * float) array
 val amplitude_at : Linalg.Vec.t -> int -> float
 (** [amplitude_at x k] is the amplitude of harmonic [k] of the periodic
     sample vector [x] ([k = 0] gives the mean's absolute value). *)
+
+val thd : ?max_harmonic:int -> peak:float -> (float * float) array -> float
+(** [thd ~peak h] is the total harmonic distortion
+    [sqrt(Σ_{k=2..kmax} A_k²) / A_1] of a {!real_harmonics} array [h];
+    [kmax] is [max_harmonic] capped at the last harmonic (default: the
+    last). [peak] is [max|x|] of the analysed samples: a fundamental of
+    at most [1e-12·peak] is roundoff, and gives [infinity] as an exact
+    zero does. [0.0] when [h] has fewer than two entries. *)

@@ -1,22 +1,8 @@
 let db ratio = if ratio <= 0.0 then -300.0 else 20.0 *. log10 ratio
 
 let thd samples ?max_harmonic () =
-  let spectrum = Numeric.Fft.real_harmonics samples in
-  let kmax =
-    match max_harmonic with
-    | Some k -> min k (Array.length spectrum - 1)
-    | None -> Array.length spectrum - 1
-  in
-  if Array.length spectrum < 2 then 0.0
-  else begin
-    let fundamental = fst spectrum.(1) in
-    let s = ref 0.0 in
-    for k = 2 to kmax do
-      let a = fst spectrum.(k) in
-      s := !s +. (a *. a)
-    done;
-    if fundamental = 0.0 then infinity else sqrt !s /. fundamental
-  end
+  Numeric.Fft.thd ?max_harmonic ~peak:(Linalg.Vec.norm_inf samples)
+    (Numeric.Fft.real_harmonics samples)
 
 let conversion_gain_db ~baseband_amplitude ~rf_amplitude =
   db (baseband_amplitude /. rf_amplitude)

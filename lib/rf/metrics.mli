@@ -8,7 +8,9 @@ val db : float -> float
 
 val thd : float array -> ?max_harmonic:int -> unit -> float
 (** Total harmonic distortion of one period of samples:
-    [sqrt(Σ_{k≥2} A_k²) / A_1]. *)
+    {!Numeric.Fft.thd} over their {!Numeric.Fft.real_harmonics}, so
+    [sqrt(Σ_{k≥2} A_k²) / A_1], and [infinity] when [A_1] is at the
+    roundoff floor. *)
 
 val conversion_gain_db : baseband_amplitude:float -> rf_amplitude:float -> float
 

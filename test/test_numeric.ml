@@ -11,23 +11,35 @@ let pi = 4.0 *. atan 1.0
 
 (* ---------- Fft ---------- *)
 
+(* O(n²) reference DFT; the phase index is reduced mod n so the
+   reference itself stays accurate at the sweep's lengths. *)
+let dft_naive (x : Linalg.Cvec.t) =
+  let n = Array.length x in
+  Array.init n (fun k ->
+      let s = ref Complex.zero in
+      for j = 0 to n - 1 do
+        let phase = -2.0 *. pi *. float_of_int (k * j mod n) /. float_of_int n in
+        s := Complex.add !s (Complex.mul x.(j) { Complex.re = cos phase; im = sin phase })
+      done;
+      !s)
+
 let test_fft_pow2_matches_dft () =
   let x = Linalg.Cvec.init 16 (fun k ->
       { Complex.re = sin (0.7 *. float_of_int k); im = cos (1.3 *. float_of_int k) }) in
   Alcotest.(check bool) "radix-2 = naive DFT" true
-    (Linalg.Cvec.approx_equal ~tol:1e-9 (Fft.fft x) (Fft.dft_naive x))
+    (Linalg.Cvec.approx_equal ~tol:1e-9 (Fft.fft x) (dft_naive x))
 
 let test_fft_bluestein_matches_dft () =
   (* Non-power-of-two length exercises the chirp-z path. *)
   let x = Linalg.Cvec.init 12 (fun k ->
       { Complex.re = float_of_int (k mod 5); im = -.float_of_int (k mod 3) }) in
   Alcotest.(check bool) "bluestein = naive DFT" true
-    (Linalg.Cvec.approx_equal ~tol:1e-8 (Fft.fft x) (Fft.dft_naive x))
+    (Linalg.Cvec.approx_equal ~tol:1e-8 (Fft.fft x) (dft_naive x))
 
 let test_fft_prime_length () =
   let x = Linalg.Cvec.init 13 (fun k -> { Complex.re = exp (-0.1 *. float_of_int k); im = 0.0 }) in
   Alcotest.(check bool) "prime length" true
-    (Linalg.Cvec.approx_equal ~tol:1e-8 (Fft.fft x) (Fft.dft_naive x))
+    (Linalg.Cvec.approx_equal ~tol:1e-8 (Fft.fft x) (dft_naive x))
 
 let test_fft_roundtrip () =
   let x = Linalg.Cvec.init 21 (fun k ->
@@ -63,6 +75,82 @@ let test_fft_parseval () =
   let y = Fft.fft x in
   let energy v = Array.fold_left (fun a z -> a +. (Complex.norm z ** 2.0)) 0.0 v in
   Alcotest.(check (float 1e-6)) "parseval" (energy x) (energy y /. float_of_int n)
+
+(* The lengths the disparity sweep's metrics transform: 653 and 1130
+   go through Bluestein (radix-2 inner lengths 2048 and 4096), 1024 is
+   radix-2 directly. *)
+let sweep_lengths = [ 653; 1024; 1130 ]
+
+let sweep_signal n =
+  Linalg.Cvec.init n (fun k ->
+      let t = float_of_int k in
+      { Complex.re = sin (0.37 *. t) +. (0.25 *. cos (2.9 *. t)); im = 0.5 *. cos (1.1 *. t) })
+
+let max_err a b =
+  let m = ref 0.0 in
+  Array.iteri (fun k z -> m := Float.max !m (Complex.norm (Complex.sub z b.(k)))) a;
+  !m
+
+let test_fft_sweep_lengths_vs_dft () =
+  List.iter
+    (fun n ->
+      let x = sweep_signal n in
+      let l1 = Array.fold_left (fun a z -> a +. Complex.norm z) 0.0 x in
+      let err = max_err (Fft.fft x) (dft_naive x) in
+      if err > 1e-12 *. l1 then
+        Alcotest.failf "n = %d: |fft − dft| = %.3e > 1e-12·Σ|x| = %.3e" n err (1e-12 *. l1))
+    sweep_lengths
+
+let test_fft_sweep_lengths_roundtrip () =
+  List.iter
+    (fun n ->
+      let x = sweep_signal n in
+      let peak = Linalg.Cvec.norm_inf x in
+      let err = max_err (Fft.ifft (Fft.fft x)) x in
+      if err > 1e-14 *. peak then
+        Alcotest.failf "n = %d: |ifft (fft x) − x| = %.3e > 1e-14·max|x| = %.3e" n err
+          (1e-14 *. peak))
+    sweep_lengths
+
+(* A pure second harmonic has a fundamental at the roundoff floor: its
+   THD is reported as for an exact zero, not as a ratio of roundoff. *)
+let test_thd_pure_second_harmonic () =
+  let n = 64 in
+  let x = Array.init n (fun k -> cos (2.0 *. 2.0 *. pi *. float_of_int k /. float_of_int n)) in
+  let h = Fft.real_harmonics x in
+  Alcotest.(check bool) "fundamental is roundoff" true (fst h.(1) < 1e-12);
+  Alcotest.(check (float 0.0)) "thd = infinity" infinity
+    (Fft.thd ~peak:(Linalg.Vec.norm_inf x) h);
+  Alcotest.(check (float 0.0)) "Rf.Metrics.thd agrees" infinity (Rf.Metrics.thd x ());
+  (* A small but real fundamental is still a ratio. *)
+  let y = Array.mapi (fun k v -> v +. (1e-6 *. cos (2.0 *. pi *. float_of_int k /. float_of_int n))) x in
+  Alcotest.(check (float 1e-3)) "1e-6 fundamental" 1e6 (Rf.Metrics.thd y ())
+
+(* A single-time run computes its output spectrum once, and its THD is
+   Rf.Metrics.thd of the one-period trace, bit for bit. *)
+let test_engine_one_spectrum_per_result () =
+  let problem =
+    Engine.Problem.make ~label:"rectifier" ~output:"out" ~f_fast:1e6 ~fd:1e4 (fun () ->
+        Circuits.diode_rectifier ~drive:(Circuit.Waveform.sine ~amplitude:2.0 ~freq:1e6 ()) ())
+  in
+  let engine =
+    Engine.make ~options:{ Engine.Options.default with steps_per_period = 100 } Engine.Shooting
+  in
+  Telemetry.enable ();
+  let r = Fun.protect ~finally:Telemetry.disable (fun () -> Engine.run problem engine) in
+  let counters =
+    match r.Engine.Result.telemetry with
+    | Some s -> s.Telemetry.Summary.counters
+    | None -> Alcotest.fail "no telemetry summary"
+  in
+  Alcotest.(check (option int)) "fft.transforms" (Some 1) (List.assoc_opt "fft.transforms" counters);
+  let values = r.Engine.Result.waveform.Engine.Result.values in
+  let one_period = Array.sub values 0 (Array.length values - 1) in
+  let thd = List.assoc "thd" r.Engine.Result.metrics in
+  Alcotest.(check bool) "thd finite and positive" true (Float.is_finite thd && thd > 0.0);
+  Alcotest.(check int64) "thd = Rf.Metrics.thd bitwise"
+    (Int64.bits_of_float (Rf.Metrics.thd one_period ()))
+    (Int64.bits_of_float thd)
 
 (* ---------- Newton ---------- *)
 
@@ -498,6 +586,10 @@ let () =
           Alcotest.test_case "is_power_of_two" `Quick test_fft_is_power_of_two;
           Alcotest.test_case "real harmonics" `Quick test_real_harmonics_sine;
           Alcotest.test_case "parseval" `Quick test_fft_parseval;
+          Alcotest.test_case "sweep lengths vs DFT" `Quick test_fft_sweep_lengths_vs_dft;
+          Alcotest.test_case "sweep lengths roundtrip" `Quick test_fft_sweep_lengths_roundtrip;
+          Alcotest.test_case "thd pure second harmonic" `Quick test_thd_pure_second_harmonic;
+          Alcotest.test_case "one spectrum per result" `Quick test_engine_one_spectrum_per_result;
         ] );
       ( "newton",
         [
