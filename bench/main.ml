@@ -785,6 +785,64 @@ let kernel_bench () =
     block_solve_cols_per_s;
   { spmv_mflops; block_solve_cols_per_s }
 
+(* SHOOTING: the disparity sweep's heaviest shooting job (unbalanced
+   mixer, LO 1 MHz, disparity 756.5, 10 backward-Euler steps per LO
+   cycle across one difference period) through [Engine.run], untraced.
+   Minor words per integrated step is a function of the code path
+   alone, so it is the figure the gate watches; the wall is reported
+   as the best of three runs. *)
+type shooting_results = {
+  sh_wall : float;
+  sh_steps : int;  (** steps per period *)
+  sh_newton : int;  (** outer shooting iterations *)
+  sh_minor_words : float;  (** whole job *)
+  sh_words_per_step : float;  (** whole job over every integrated step *)
+}
+
+let shooting_bench () =
+  header "SHOOTING - d = 756.5 unbalanced-mixer job (Engine.run, untraced)";
+  let disparity = 756.5 and f_lo = 1e6 in
+  let fd = f_lo /. disparity in
+  let steps = int_of_float (Float.round (10.0 *. disparity)) in
+  let problem =
+    Engine.Problem.make ~label:"shooting d=756.5" ~period:Engine.Problem.Difference_tone
+      ~output:"out" ~f_fast:f_lo ~fd (fun () ->
+        Circuits.unbalanced_mixer ~f_lo
+          ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+          ~rf_amplitude:0.05 ())
+  in
+  let engine =
+    Engine.make
+      ~options:{ Engine.Options.default with steps_per_period = steps }
+      Engine.Shooting
+  in
+  let run () =
+    let w0 = Gc.minor_words () in
+    let r, wall, _ = time (fun () -> Engine.run problem engine) in
+    (r, wall, Gc.minor_words () -. w0)
+  in
+  let r, wall, words = run () in
+  let best_wall = ref wall in
+  for _ = 1 to 2 do
+    let _, w, _ = run () in
+    best_wall := Float.min !best_wall w
+  done;
+  let wall = !best_wall in
+  if not r.Engine.Result.converged then failwith "shooting bench: d = 756.5 job did not converge";
+  (* A converged shooting solve integrates the period once per outer
+     iteration plus once more to confirm the defect. *)
+  let integrated = steps * (r.Engine.Result.newton_iterations + 1) in
+  let per_step = words /. float_of_int integrated in
+  pr "steps/period=%d  newton=%d  wall=%.4fs  minor words=%.3gM (%.0f per step)\n" steps
+    r.Engine.Result.newton_iterations wall (words /. 1e6) per_step;
+  {
+    sh_wall = wall;
+    sh_steps = steps;
+    sh_newton = r.Engine.Result.newton_iterations;
+    sh_minor_words = words;
+    sh_words_per_step = per_step;
+  }
+
 (* Serve section: exercise the persistent solve service in-process —
    the same job twice (the second must replay from the result cache)
    plus a cache-near frequency point (warm-started from the first
@@ -896,6 +954,11 @@ let bench_json ?(file = "BENCH_mpde.json") () =
        ",\"speedup\":{\"disparity\":%.0f,\"mpde_wall_seconds\":%.6f,\"shooting_wall_seconds\":%.6f,\"ratio\":%.3f}"
        disparity mpde_t shoot_t
        (shoot_t /. Float.max mpde_t 1e-12));
+  let sh = shooting_bench () in
+  Buffer.add_string buf
+    (Printf.sprintf
+       ",\"shooting\":{\"disparity\":756.5,\"steps\":%d,\"newton_iterations\":%d,\"wall_seconds\":%.6f,\"minor_words\":%.0f,\"minor_words_per_step\":%.1f}"
+       sh.sh_steps sh.sh_newton sh.sh_wall sh.sh_minor_words sh.sh_words_per_step);
   let kr = kernel_bench () in
   Buffer.add_string buf
     (Printf.sprintf

@@ -261,11 +261,19 @@ let mpde_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2 output
       Printf.printf "t,v\n";
       Array.iteri (fun k v -> Printf.printf "%.9e,%.6e\n" times.(k) v) series
   | Gain ->
+      (* Engine.run has already taken the baseband's one spectrum: its
+         metrics hold the fundamental and the THD, and its waveform is
+         the baseband. The metrics report a THD at the roundoff floor
+         as 0, where the gain table prints infinity. *)
+      let metric name = List.assoc name r.Engine.Result.metrics in
+      let amplitude = metric "baseband_h1" in
+      let peak = Linalg.Vec.norm_inf r.Engine.Result.waveform.Engine.Result.values in
+      let thd =
+        if Numeric.Fft.at_roundoff_floor ~peak amplitude then infinity else metric "thd"
+      in
       Printf.printf "baseband_amplitude,conversion_gain_db,thd\n";
-      Printf.printf "%.6e,%.3f,%.5f\n"
-        (Mpde.Extract.t2_harmonic_amplitude ~values ~harmonic:1)
-        (Mpde.Extract.conversion_gain_db ~values ~rf_amplitude:1.0 ~harmonic:1)
-        (Mpde.Extract.thd ~values ()));
+      (* Conversion gain for a unit RF drive amplitude. *)
+      Printf.printf "%.6e,%.3f,%.5f\n" amplitude (20.0 *. log10 amplitude) thd);
   if stats.Mpde.Solver.converged then 0 else 1
 
 (* ---------- parameter sweeps (Engine.Sweep) ---------- *)

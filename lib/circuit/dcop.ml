@@ -16,23 +16,27 @@ type report = {
 let dc_problem mna ~source_scale ~extra_gmin =
   let nodes = Mna.num_nodes mna in
   let b0 = Mna.source_with mna ~phase_of:(fun _ -> 0.0) in
-  let residual x =
-    let f = (Mna.dae mna).Numeric.Dae.eval_f x in
-    Array.init (Mna.size mna) (fun i ->
-        let load = if i < nodes then extra_gmin *. x.(i) else 0.0 in
-        f.(i) +. load -. (source_scale *. b0.(i)))
+  let dae = Mna.dae mna in
+  let residual_into x r =
+    (match dae.Numeric.Dae.fast with
+    | Some fast -> fast.Numeric.Dae.eval_f_into x r
+    | None -> Array.blit (dae.Numeric.Dae.eval_f x) 0 r 0 (Mna.size mna));
+    for i = 0 to Mna.size mna - 1 do
+      let load = if i < nodes then extra_gmin *. x.(i) else 0.0 in
+      r.(i) <- r.(i) +. load -. (source_scale *. b0.(i))
+    done
   in
-  let solve_linearized x r =
-    let g, _ = (Mna.dae mna).Numeric.Dae.jacobians x in
+  let solve_into x r delta =
+    let g, _ = dae.Numeric.Dae.jacobians x in
     let n = Mna.size mna in
     let coo = Sparse.Coo.create ~capacity:(Sparse.Csr.nnz g + n) n n in
     for i = 0 to n - 1 do
       Sparse.Csr.iter_row g i (fun j v -> Sparse.Coo.add coo i j v);
       if i < nodes then Sparse.Coo.add coo i i extra_gmin
     done;
-    Sparse.Splu.solve (Sparse.Splu.factor (Sparse.Csr.of_coo coo)) r
+    Sparse.Splu.solve_into (Sparse.Splu.factor (Sparse.Csr.of_coo coo)) r delta
   in
-  { Newton.residual; solve_linearized }
+  { Newton.residual_into; solve_into }
 
 (* The classic SPICE convergence ladder — plain Newton, then gmin
    stepping, then source stepping — expressed as Resilience.Ladder

@@ -67,14 +67,11 @@ let differential_voltage m x a b = voltage m x a -. voltage m x b
 
 (* Node k's voltage lives at index k-1; ground contributes 0 and absorbs
    stamps silently. *)
-let v_of x n = if n = 0 then 0.0 else x.(n - 1)
-let add_node vec n value = if n > 0 then vec.(n - 1) <- vec.(n - 1) +. value
-
-let add_jac coo r c value =
-  if r > 0 && c > 0 then Sparse.Coo.add coo (r - 1) (c - 1) value
+let[@inline] v_of x n = if n = 0 then 0.0 else x.(n - 1)
+let[@inline] add_node vec n value = if n > 0 then vec.(n - 1) <- vec.(n - 1) +. value
 
 (* Stamp helpers for branch rows (already 0-based absolute indices). *)
-let add_row vec r value = vec.(r) <- vec.(r) +. value
+let[@inline] add_row vec r value = vec.(r) <- vec.(r) +. value
 
 let eval_f_into m x f =
   Array.fill f 0 m.size 0.0;
@@ -177,120 +174,203 @@ let eval_q m x =
   eval_q_into m x q;
   q
 
-(* Stamp a two-terminal conductance/capacitance between nodes p and n. *)
-let stamp_pair coo p n value =
-  add_jac coo p p value;
-  add_jac coo p n (-.value);
-  add_jac coo n p (-.value);
-  add_jac coo n n value
+(* Where a Jacobian stamp goes. Every device stamps the same positions
+   in the same order at every iterate; only the values change. [Build]
+   collects triplets for a fresh CSR ([Coo.add] skips exact zeros, so
+   the built pattern can depend on the iterate). [Record] notes each
+   position, zeros included: the stream. [Replay] adds stream entry k
+   into value slot [slots.(k)] of a frozen pattern, or, where the
+   pattern has no slot, notes drift unless the value is exactly 0. *)
+type positions = { mutable len : int; mutable rows : int array; mutable cols : int array }
 
-let stamp_jacobians m x g_coo c_coo =
+type replay = {
+  mutable slots : int array;
+  mutable values : float array;
+  mutable pos : int;
+  mutable fits : bool;
+}
+
+type sink = Build of Sparse.Coo.t | Record of positions | Replay of replay
+
+let record ps i j =
+  if ps.len = Array.length ps.rows then begin
+    let grow a = Array.append a (Array.make (max 16 ps.len) 0) in
+    ps.rows <- grow ps.rows;
+    ps.cols <- grow ps.cols
+  end;
+  ps.rows.(ps.len) <- i;
+  ps.cols.(ps.len) <- j;
+  ps.len <- ps.len + 1
+
+(* [i], [j] are 0-based unknown indices. *)
+let[@inline] put sink i j value =
+  match sink with
+  | Replay r ->
+      let k = r.pos in
+      r.pos <- k + 1;
+      let s = r.slots.(k) in
+      if s >= 0 then r.values.(s) <- r.values.(s) +. value
+      else if value <> 0.0 then r.fits <- false
+  | Build coo -> Sparse.Coo.add coo i j value
+  | Record ps -> record ps i j
+
+(* Node-indexed stamp: ground rows and columns absorb it. *)
+let[@inline] add_jac sink r c value = if r > 0 && c > 0 then put sink (r - 1) (c - 1) value
+
+(* Stamp a two-terminal conductance/capacitance between nodes p and n. *)
+let[@inline] stamp_pair sink p n value =
+  add_jac sink p p value;
+  add_jac sink p n (-.value);
+  add_jac sink n p (-.value);
+  add_jac sink n n value
+
+(* BJT row [row] by the chain rule with vbe = vb − ve, vbc = vb − vc. *)
+let[@inline] stamp_bjt_row g ~base ~emitter ~collector row d_vbe d_vbc =
+  add_jac g row base (d_vbe +. d_vbc);
+  add_jac g row emitter (-.d_vbe);
+  add_jac g row collector (-.d_vbc)
+
+let[@inline] stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va ~vb sign
+    row =
+  add_jac g row a_plus (sign *. gain *. vb);
+  add_jac g row a_minus (-.(sign *. gain *. vb));
+  add_jac g row b_plus (sign *. gain *. va);
+  add_jac g row b_minus (-.(sign *. gain *. va))
+
+let stamp_jacobians m x g c =
   if m.gmin > 0.0 then
     for k = 0 to m.nodes - 1 do
-      Sparse.Coo.add g_coo k k m.gmin
+      put g k k m.gmin
     done;
   for d = 0 to Array.length m.devices - 1 do
     match m.devices.(d) with
     | Device.Resistor { n_plus; n_minus; resistance; _ } ->
-        stamp_pair g_coo n_plus n_minus (1.0 /. resistance)
+        stamp_pair g n_plus n_minus (1.0 /. resistance)
     | Device.Capacitor { n_plus; n_minus; capacitance; _ } ->
-        stamp_pair c_coo n_plus n_minus capacitance
+        stamp_pair c n_plus n_minus capacitance
     | Device.Inductor { n_plus; n_minus; inductance; _ } ->
         let k = m.branch.(d) in
         (* KCL rows get ±i_l; branch row is v+ − v− with flux −L·i. *)
-        if n_plus > 0 then Sparse.Coo.add g_coo (n_plus - 1) k 1.0;
-        if n_minus > 0 then Sparse.Coo.add g_coo (n_minus - 1) k (-1.0);
-        if n_plus > 0 then Sparse.Coo.add g_coo k (n_plus - 1) 1.0;
-        if n_minus > 0 then Sparse.Coo.add g_coo k (n_minus - 1) (-1.0);
-        Sparse.Coo.add c_coo k k (-.inductance)
+        if n_plus > 0 then put g (n_plus - 1) k 1.0;
+        if n_minus > 0 then put g (n_minus - 1) k (-1.0);
+        if n_plus > 0 then put g k (n_plus - 1) 1.0;
+        if n_minus > 0 then put g k (n_minus - 1) (-1.0);
+        put c k k (-.inductance)
     | Device.Voltage_source { n_plus; n_minus; _ } ->
         let k = m.branch.(d) in
-        if n_plus > 0 then Sparse.Coo.add g_coo (n_plus - 1) k 1.0;
-        if n_minus > 0 then Sparse.Coo.add g_coo (n_minus - 1) k (-1.0);
-        if n_plus > 0 then Sparse.Coo.add g_coo k (n_plus - 1) 1.0;
-        if n_minus > 0 then Sparse.Coo.add g_coo k (n_minus - 1) (-1.0)
+        if n_plus > 0 then put g (n_plus - 1) k 1.0;
+        if n_minus > 0 then put g (n_minus - 1) k (-1.0);
+        if n_plus > 0 then put g k (n_plus - 1) 1.0;
+        if n_minus > 0 then put g k (n_minus - 1) (-1.0)
     | Device.Current_source _ -> ()
     | Device.Diode { anode; cathode; params; _ } ->
         let v = v_of x anode -. v_of x cathode in
-        stamp_pair g_coo anode cathode (Diode.conductance params v);
+        stamp_pair g anode cathode (Diode.conductance params v);
         if params.Diode.junction_cap > 0.0 then
-          stamp_pair c_coo anode cathode params.Diode.junction_cap
+          stamp_pair c anode cathode params.Diode.junction_cap
     | Device.Mosfet { drain; gate; source; params; _ } ->
         let vgs = v_of x gate -. v_of x source in
         let vds = v_of x drain -. v_of x source in
         let op = Mosfet.evaluate params ~vgs ~vds in
         let gm = op.Mosfet.gm and gds = op.Mosfet.gds in
         (* ids rows: +drain, −source; columns d, g, s. *)
-        add_jac g_coo drain drain gds;
-        add_jac g_coo drain gate gm;
-        add_jac g_coo drain source (-.(gm +. gds));
-        add_jac g_coo source drain (-.gds);
-        add_jac g_coo source gate (-.gm);
-        add_jac g_coo source source (gm +. gds);
-        stamp_pair c_coo gate source params.Mosfet.cgs;
-        stamp_pair c_coo gate drain params.Mosfet.cgd
+        add_jac g drain drain gds;
+        add_jac g drain gate gm;
+        add_jac g drain source (-.(gm +. gds));
+        add_jac g source drain (-.gds);
+        add_jac g source gate (-.gm);
+        add_jac g source source (gm +. gds);
+        stamp_pair c gate source params.Mosfet.cgs;
+        stamp_pair c gate drain params.Mosfet.cgd
     | Device.Bjt { collector; base; emitter; params; _ } ->
         let vbe = v_of x base -. v_of x emitter in
         let vbc = v_of x base -. v_of x collector in
         let op = Bjt.evaluate params ~vbe ~vbc in
-        (* Row-wise chain rule with vbe = vb − ve, vbc = vb − vc. *)
-        let stamp_row row d_vbe d_vbc =
-          add_jac g_coo row base (d_vbe +. d_vbc);
-          add_jac g_coo row emitter (-.d_vbe);
-          add_jac g_coo row collector (-.d_vbc)
-        in
-        stamp_row collector op.Bjt.d_ic_d_vbe op.Bjt.d_ic_d_vbc;
-        stamp_row base op.Bjt.d_ib_d_vbe op.Bjt.d_ib_d_vbc;
-        stamp_row emitter
+        stamp_bjt_row g ~base ~emitter ~collector collector op.Bjt.d_ic_d_vbe
+          op.Bjt.d_ic_d_vbc;
+        stamp_bjt_row g ~base ~emitter ~collector base op.Bjt.d_ib_d_vbe op.Bjt.d_ib_d_vbc;
+        stamp_bjt_row g ~base ~emitter ~collector emitter
           (-.(op.Bjt.d_ic_d_vbe +. op.Bjt.d_ib_d_vbe))
           (-.(op.Bjt.d_ic_d_vbc +. op.Bjt.d_ib_d_vbc));
-        stamp_pair c_coo base emitter params.Bjt.cbe;
-        stamp_pair c_coo base collector params.Bjt.cbc
+        stamp_pair c base emitter params.Bjt.cbe;
+        stamp_pair c base collector params.Bjt.cbc
     | Device.Vccs { out_plus; out_minus; in_plus; in_minus; gm; _ } ->
-        add_jac g_coo out_plus in_plus gm;
-        add_jac g_coo out_plus in_minus (-.gm);
-        add_jac g_coo out_minus in_plus (-.gm);
-        add_jac g_coo out_minus in_minus gm
+        add_jac g out_plus in_plus gm;
+        add_jac g out_plus in_minus (-.gm);
+        add_jac g out_minus in_plus (-.gm);
+        add_jac g out_minus in_minus gm
     | Device.Multiplier { out_plus; out_minus; a_plus; a_minus; b_plus; b_minus; gain; _ }
       ->
         let va = v_of x a_plus -. v_of x a_minus in
         let vb = v_of x b_plus -. v_of x b_minus in
-        let stamp_row sign row =
-          add_jac g_coo row a_plus (sign *. gain *. vb);
-          add_jac g_coo row a_minus (-.(sign *. gain *. vb));
-          add_jac g_coo row b_plus (sign *. gain *. va);
-          add_jac g_coo row b_minus (-.(sign *. gain *. va))
-        in
-        stamp_row 1.0 out_plus;
-        stamp_row (-1.0) out_minus
+        stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va ~vb 1.0 out_plus;
+        stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va ~vb (-1.0)
+          out_minus
   done
 
 let jacobians m x =
   let g_coo = Sparse.Coo.create ~capacity:(8 * m.size) m.size m.size in
   let c_coo = Sparse.Coo.create ~capacity:(4 * m.size) m.size m.size in
-  stamp_jacobians m x g_coo c_coo;
+  stamp_jacobians m x (Build g_coo) (Build c_coo);
   (Sparse.Csr.of_coo g_coo, Sparse.Csr.of_coo c_coo)
 
-(* Numeric-refresh path for the symbolic/numeric assembly split: one
-   pair of COO builders is kept per refresher and re-stamped into the
-   frozen CSR patterns. The stamp stream order is identical to
-   [jacobians]'s, so refreshed values are bitwise equal to a rebuild.
-   Pattern drift (a device stamp that is exactly 0.0 at one iterate is
-   skipped by [Coo.add]) is reported as [false] for the caller to
-   rebuild from scratch. *)
-let jacobian_refresher m () =
-  let g_coo = Sparse.Coo.create ~capacity:(8 * m.size) m.size m.size in
-  let c_coo = Sparse.Coo.create ~capacity:(4 * m.size) m.size m.size in
-  fun x ~g ~c ->
-    Sparse.Coo.clear g_coo;
-    Sparse.Coo.clear c_coo;
-    stamp_jacobians m x g_coo c_coo;
-    let ok_g = Sparse.Csr.refresh_from_coo g g_coo in
-    let ok_c = Sparse.Csr.refresh_from_coo c c_coo in
-    ok_g && ok_c
+(* Slot maps of the patterns seen most recently, newest first, keyed by
+   the physical [col_idx] array (the key {!Sparse.Splu} uses too). *)
+let slot_cache_size = 4
 
-let source_with m ~phase_of =
-  let b = Array.make m.size 0.0 in
+let rec cached key = function
+  | [] -> raise Not_found
+  | (k, slots) :: rest -> if k == key then slots else cached key rest
+
+let slots_for cache (ps : positions) (a : Sparse.Csr.t) =
+  try cached a.Sparse.Csr.col_idx !cache
+  with Not_found ->
+    let slot k =
+      let i = ps.rows.(k) in
+      if i >= a.Sparse.Csr.rows then -1 else Sparse.Csr.slot a i ps.cols.(k)
+    in
+    let slots = Array.init ps.len slot in
+    cache :=
+      (a.Sparse.Csr.col_idx, slots)
+      :: List.filteri (fun i _ -> i < slot_cache_size - 1) !cache;
+    slots
+
+(* Numeric-refresh path for the symbolic/numeric assembly split. The
+   first call records the stamp stream; each distinct G/C pattern then
+   gets one map from stream position to value slot. A refresh replays
+   the stream into those slots in stream order — the order [of_coo]
+   sums duplicates in — so refreshed values are bitwise equal to a
+   rebuild (adding an exact zero never changes a running sum that
+   starts at +0). A nonzero stamp with no slot (a stamp that was
+   exactly 0.0 when the pattern was built) is drift: [false], and the
+   caller rebuilds. *)
+let jacobian_refresher m () =
+  let g_stream = { len = 0; rows = [||]; cols = [||] } in
+  let c_stream = { len = 0; rows = [||]; cols = [||] } in
+  let recorded = ref false in
+  let g_maps = ref [] and c_maps = ref [] in
+  let g_replay = { slots = [||]; values = [||]; pos = 0; fits = true } in
+  let c_replay = { slots = [||]; values = [||]; pos = 0; fits = true } in
+  let g_sink = Replay g_replay and c_sink = Replay c_replay in
+  let arm r slots (a : Sparse.Csr.t) =
+    r.slots <- slots;
+    r.values <- a.Sparse.Csr.values;
+    r.pos <- 0;
+    r.fits <- true;
+    Array.fill a.Sparse.Csr.values 0 (Array.length a.Sparse.Csr.values) 0.0
+  in
+  fun x ~g ~c ->
+    if not !recorded then begin
+      stamp_jacobians m x (Record g_stream) (Record c_stream);
+      recorded := true
+    end;
+    arm g_replay (slots_for g_maps g_stream g) g;
+    arm c_replay (slots_for c_maps c_stream c) c;
+    stamp_jacobians m x g_sink c_sink;
+    g_replay.fits && c_replay.fits
+
+let source_into_with m ~phase_of b =
+  Array.fill b 0 m.size 0.0;
   for d = 0 to Array.length m.devices - 1 do
     match m.devices.(d) with
     | Device.Voltage_source { waveform; _ } ->
@@ -305,7 +385,11 @@ let source_with m ~phase_of =
     | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Diode _
     | Device.Mosfet _ | Device.Bjt _ | Device.Vccs _ | Device.Multiplier _ ->
         ()
-  done;
+  done
+
+let source_with m ~phase_of =
+  let b = Array.make m.size 0.0 in
+  source_into_with m ~phase_of b;
   b
 
 let source_frequencies m =
@@ -332,6 +416,7 @@ let dae m =
         {
           Numeric.Dae.eval_f_into = eval_f_into m;
           eval_q_into = eval_q_into m;
+          source_into = (fun t b -> source_into_with m ~phase_of:(fun freq -> freq *. t) b);
           jacobian_refresher = jacobian_refresher m;
         };
   }

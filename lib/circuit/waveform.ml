@@ -59,13 +59,27 @@ let eval_periodic shape theta =
       end
   | Sampled samples -> Numeric.Interp.linear_periodic samples theta
 
+(* dc + Σ gain·Π factors, summed and multiplied left to right. Written
+   as loops over the lists: sources are evaluated at every time step,
+   and a fold's closures would be the evaluation's only allocations. *)
 let eval_with ~phase_of w =
-  let term_value { gain; factors } =
-    List.fold_left
-      (fun acc { shape; freq } -> acc *. eval_periodic shape (phase_of freq))
-      gain factors
-  in
-  List.fold_left (fun acc term -> acc +. term_value term) w.dc w.terms
+  let acc = ref w.dc and terms = ref w.terms in
+  while not (List.is_empty !terms) do
+    match !terms with
+    | [] -> ()
+    | { gain; factors } :: rest ->
+        let prod = ref gain and fs = ref factors in
+        while not (List.is_empty !fs) do
+          match !fs with
+          | [] -> ()
+          | { shape; freq } :: more ->
+              prod := !prod *. eval_periodic shape (phase_of freq);
+              fs := more
+        done;
+        acc := !acc +. !prod;
+        terms := rest
+  done;
+  !acc
 
 let eval w t = eval_with ~phase_of:(fun freq -> freq *. t) w
 

@@ -72,6 +72,16 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
+      (* Minor-heap words per backward-Euler step of the d = 756.5
+         shooting job: a function of the code path alone, so it is
+         watched exactly like an iteration count. *)
+      metric = "shooting.minor_words_per_step";
+      path = [ "shooting"; "minor_words_per_step" ];
+      direction = Lower_better;
+      tolerance = tol "shooting.minor_words_per_step";
+      absolute = 0.0;
+    };
+    {
       metric = "speedup.ratio";
       path = [ "speedup"; "ratio" ];
       direction = Higher_better;

@@ -50,7 +50,9 @@ val default_checks : ?overrides:(string * float) list -> float -> check list
     [mixer.gmres_iterations], [mixer.lu_dense_factors] and
     [mixer.precond_sweeps] (dense preconditioner factorizations and
     sweep-preconditioner applications per solve, read from the embedded
-    telemetry counters), [sweep.wall_1] (lower is better),
+    telemetry counters), [shooting.minor_words_per_step] (minor-heap
+    words per time step of the d = 756.5 shooting job, deterministic
+    like an iteration count), [sweep.wall_1] (lower is better),
     [speedup.ratio], [sweep.speedup_2] and [sweep.speedup_4] (higher is
     better), the kernel micro-benchmarks [kernel.spmv_mflops] and
     [kernel.block_solve_cols_per_s] (higher is better, 50% default

@@ -41,7 +41,14 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
+(* A loop, not a fold: a fold's float accumulator is boxed at every
+   element, and Newton takes this norm of every residual. *)
+let norm_inf x =
+  let m = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    m := Float.max !m (Float.abs x.(i))
+  done;
+  !m
 
 let norm1 x = Array.fold_left (fun acc v -> acc +. Float.abs v) 0.0 x
 

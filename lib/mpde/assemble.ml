@@ -110,33 +110,35 @@ let point_jacobians sys (g : Grid.t) big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
   Array.init (Grid.points g) (fun p -> sys.jacobians (state_of ~size:sys.size big_x p))
 
-let add_block coo ~row_base ~col_base ~scale (m : Sparse.Csr.t) =
-  if scale <> 0.0 then
-    for i = 0 to m.Sparse.Csr.rows - 1 do
-      Sparse.Csr.iter_row m i (fun j v ->
-          Sparse.Coo.add coo (row_base + i) (col_base + j) (scale *. v))
-    done
-
-(* Stamp the big MPDE Jacobian into [coo]: per point, the t2 entries,
-   then G, then the t1 entries, each block [(w/s)·C_q]. Shared between
-   the one-shot [jacobian_csr] and the workspace refresh so the triplet
-   insertion order — and hence the duplicate-merge float results in the
-   assembled CSR — is identical on both paths. *)
-let stamp_big coo st ~n ~jacs =
+(* Walk the big MPDE Jacobian's entries in stamp order: per point, the
+   t2 entries, then G, then the t1 entries, each block [(w/s)·C_q];
+   blocks with a zero weight are skipped. [emit row col v] sees every
+   entry of every block's pattern, zeros included, so the order is a
+   function of the per-point patterns alone. The one-shot
+   [jacobian_csr] and the workspace's build and refresh all walk it,
+   so the duplicate-merge float results agree on every path. *)
+let walk_big st ~n ~jacs emit =
+  let block ~row_base ~col_base ~scale (m : Sparse.Csr.t) =
+    if scale <> 0.0 then
+      for i = 0 to m.Sparse.Csr.rows - 1 do
+        Sparse.Csr.iter_row m i (fun j v -> emit (row_base + i) (col_base + j) (scale *. v))
+      done
+  in
   let stamp_axis ax r p =
     let base = p - (r * ax.stride) in
     Array.iteri
       (fun e l ->
         let q = base + (l * ax.stride) in
-        add_block coo ~row_base:(p * n) ~col_base:(q * n) ~scale:ax.coef.(r).(e)
-          (snd jacs.(q)))
+        block ~row_base:(p * n) ~col_base:(q * n) ~scale:ax.coef.(r).(e) (snd jacs.(q)))
       ax.cols.(r)
   in
   for p = 0 to (st.n1 * st.n2) - 1 do
     stamp_axis st.t2 (p / st.n1) p;
-    add_block coo ~row_base:(p * n) ~col_base:(p * n) ~scale:1.0 (fst jacs.(p));
+    block ~row_base:(p * n) ~col_base:(p * n) ~scale:1.0 (fst jacs.(p));
     stamp_axis st.t1 (p mod st.n1) p
   done
+
+let stamp_big coo st ~n ~jacs = walk_big st ~n ~jacs (Sparse.Coo.add coo)
 
 let jacobian_csr scheme (g : Grid.t) ~size ~jacs =
   Telemetry.span "mpde.assemble.jacobian_csr" @@ fun () ->
@@ -164,9 +166,14 @@ type workspace = {
   eval_q_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   refresh_jacs : (Linalg.Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
   mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* [||] until built *)
-  mutable big_coo : Sparse.Coo.t option;  (* lazy: direct solves never stamp *)
-  mutable big_jac : Sparse.Csr.t option;
+  mutable patterns : Sparse.Csr.t list;  (* one per distinct per-point pattern *)
+  mutable big : big option;  (* lazy: matrix-free solves never stamp *)
 }
+
+(* The assembled big Jacobian with its value slot per [walk_big] entry
+   (-1 where its pattern has none), valid while the per-point blocks
+   keep the pattern arrays listed in [keys]. *)
+and big = { big_jac : Sparse.Csr.t; slots : int array; keys : int array array }
 
 let workspace scheme sys (g : Grid.t) =
   let n = sys.size in
@@ -200,8 +207,8 @@ let workspace scheme sys (g : Grid.t) =
     eval_q_into;
     refresh_jacs;
     jacs = [||];
-    big_coo = None;
-    big_jac = None;
+    patterns = [];
+    big = None;
   }
 
 let t1_operator ws = ws.ws_t1
@@ -212,14 +219,12 @@ let load_state ws big_x p =
   Array.blit big_x (p * ws.ws_n) ws.x_buf 0 ws.ws_n;
   ws.x_buf
 
-let residual_ws ws ~sources big_x =
+let residual_into ws ~sources big_x r =
   Telemetry.span "mpde.assemble.residual" @@ fun () ->
   let n = ws.ws_n and st = ws.ws_stencil and qs = ws.qs in
   for p = 0 to ws.ws_np - 1 do
     ws.eval_q_into (load_state ws big_x p) qs.(p)
   done;
-  (* Fresh output: Newton retains residual vectors across iterations. *)
-  let r = Array.make (ws.ws_np * n) 0.0 in
   let s1 = st.t1.s and s2 = st.t2.s and a1 = ws.a1 and a2 = ws.a2 and f = ws.f_buf in
   for j = 0 to st.n2 - 1 do
     for i = 0 to st.n1 - 1 do
@@ -235,18 +240,35 @@ let residual_ws ws ~sources big_x =
           +. Array.unsafe_get f v -. Array.unsafe_get b v)
       done
     done
-  done;
+  done
+
+let residual scheme sys g ~sources big_x =
+  let r = Array.make (Grid.points g * sys.size) 0.0 in
+  residual_into (workspace scheme sys g) ~sources big_x r;
   r
 
-let residual scheme sys g ~sources big_x = residual_ws (workspace scheme sys g) ~sources big_x
+(* Structurally equal per-point patterns share one pair of pattern
+   arrays, so the refresher keeps one slot map for the whole grid. *)
+let intern ws (m : Sparse.Csr.t) =
+  let same (r : Sparse.Csr.t) =
+    r.Sparse.Csr.rows = m.Sparse.Csr.rows
+    && r.Sparse.Csr.row_ptr = m.Sparse.Csr.row_ptr
+    && r.Sparse.Csr.col_idx = m.Sparse.Csr.col_idx
+  in
+  match List.find_opt same ws.patterns with
+  | Some r -> { m with Sparse.Csr.row_ptr = r.Sparse.Csr.row_ptr; col_idx = r.Sparse.Csr.col_idx }
+  | None ->
+      ws.patterns <- m :: ws.patterns;
+      m
+
+let build_point ws big_x p =
+  let g, c = ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p) in
+  (intern ws g, intern ws c)
 
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
   let np = ws.ws_np in
-  if Array.length ws.jacs <> np then
-    ws.jacs <-
-      Array.init np (fun p ->
-          ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p))
+  if Array.length ws.jacs <> np then ws.jacs <- Array.init np (build_point ws big_x)
   else begin
     match ws.refresh_jacs with
     | Some refresh ->
@@ -256,41 +278,72 @@ let point_jacobians_ws ws big_x =
             (* Sparsity drifted at this iterate (a stamp crossed an
                exact zero): rebuild this point from scratch. *)
             Telemetry.count "mpde.assemble.jac_rebuilds";
-            ws.jacs.(p) <- ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p)
+            ws.jacs.(p) <- build_point ws big_x p
           end
         done
     | None ->
         for p = 0 to np - 1 do
-          ws.jacs.(p) <- ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p)
+          ws.jacs.(p) <- build_point ws big_x p
         done
   end;
   ws.jacs
+
+let pattern_keys jacs =
+  Array.init
+    (2 * Array.length jacs)
+    (fun k ->
+      let g, c = jacs.(k / 2) in
+      if k mod 2 = 0 then g.Sparse.Csr.col_idx else c.Sparse.Csr.col_idx)
+
+let same_keys a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> x == y) a b
+
+(* One pattern search per [walk_big] entry; done once per set of
+   per-point patterns. *)
+let big_slots ws (m : Sparse.Csr.t) =
+  let slots = ref [] in
+  walk_big ws.ws_stencil ~n:ws.ws_n ~jacs:ws.jacs (fun i j _ ->
+      slots := Sparse.Csr.slot m i j :: !slots);
+  { big_jac = m; slots = Array.of_list (List.rev !slots); keys = pattern_keys ws.jacs }
+
+(* Rewrite [b.big_jac]'s values by adding each [walk_big] entry into
+   its slot, in walk order: the order [of_coo] sums duplicates in.
+   [false] when a nonzero entry has no slot. *)
+let replay_big ws b =
+  let values = b.big_jac.Sparse.Csr.values and slots = b.slots in
+  Array.fill values 0 (Array.length values) 0.0;
+  let pos = ref 0 and fits = ref true in
+  walk_big ws.ws_stencil ~n:ws.ws_n ~jacs:ws.jacs (fun _ _ v ->
+      let s = slots.(!pos) in
+      incr pos;
+      if s >= 0 then values.(s) <- values.(s) +. v else if v <> 0.0 then fits := false);
+  !fits
 
 let jacobian_ws ws =
   Telemetry.span "mpde.assemble.jacobian_csr" @@ fun () ->
   if Array.length ws.jacs = 0 then
     invalid_arg "Mpde.Assemble.jacobian_ws: call point_jacobians_ws first";
-  let n = ws.ws_n and np = ws.ws_np in
-  let big = np * n in
-  let coo =
-    match ws.big_coo with
-    | Some c ->
-        Sparse.Coo.clear c;
-        c
-    | None ->
-        let c = Sparse.Coo.create ~capacity:(12 * big) big big in
-        ws.big_coo <- Some c;
-        c
+  let refreshed =
+    match ws.big with
+    | Some b ->
+        let b =
+          if same_keys b.keys (pattern_keys ws.jacs) then b else big_slots ws b.big_jac
+        in
+        ws.big <- Some b;
+        if replay_big ws b then Some b.big_jac else None
+    | None -> None
   in
-  stamp_big coo ws.ws_stencil ~n ~jacs:ws.jacs;
-  match ws.big_jac with
-  | Some m when Sparse.Csr.refresh_from_coo m coo ->
+  match refreshed with
+  | Some m ->
       Telemetry.count "mpde.assemble.numeric_refreshes";
       m
-  | _ ->
+  | None ->
       Telemetry.count "mpde.assemble.symbolic_builds";
+      let big = ws.ws_np * ws.ws_n in
+      let coo = Sparse.Coo.create ~capacity:(12 * big) big big in
+      stamp_big coo ws.ws_stencil ~n:ws.ws_n ~jacs:ws.jacs;
       let m = Sparse.Csr.of_coo coo in
-      ws.big_jac <- Some m;
+      ws.big <- Some (big_slots ws m);
       m
 
 (* Pass 1 computes cw_p = C_p·v_p once per point and

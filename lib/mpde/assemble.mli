@@ -62,7 +62,7 @@ val sources_on_grid : system -> Grid.t -> Linalg.Vec.t array
 val residual :
   scheme -> system -> Grid.t -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t
 (** Residual of the discretized MPDE at the flattened iterate: one
-    {!residual_ws} on a fresh {!workspace}. *)
+    {!residual_into} on a fresh {!workspace} and a fresh vector. *)
 
 val point_jacobians :
   system -> Grid.t -> Linalg.Vec.t -> (Sparse.Csr.t * Sparse.Csr.t) array
@@ -100,11 +100,11 @@ val workspace : scheme -> system -> Grid.t -> workspace
 
 val t1_operator : workspace -> Numeric.Collocation.operator
 
-val residual_ws :
-  workspace -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t
-(** Like {!residual}, reusing the workspace's internal buffers. The
-    returned residual is a fresh array each call (Newton keeps residual
-    vectors across iterations); only internal scratch is reused. *)
+val residual_into :
+  workspace -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [residual_into ws ~sources x r] writes {!residual} at [x] into [r]
+    (length [points · size]), reusing the workspace's internal
+    buffers: it allocates nothing of the grid's size. *)
 
 val point_jacobians_ws :
   workspace -> Linalg.Vec.t -> (Sparse.Csr.t * Sparse.Csr.t) array
@@ -112,16 +112,22 @@ val point_jacobians_ws :
     instances are refreshed in place via the system's
     [fast.jacobian_refresher] (falling back to a from-scratch rebuild
     of any point whose sparsity drifted, or of every point when the
-    system has no fast interface). The returned array and its matrices
-    are owned by the workspace and overwritten by the next call. *)
+    system has no fast interface). Structurally equal per-point
+    patterns share one pair of [row_ptr]/[col_idx] arrays, so the
+    refresher maps the stamp stream onto one pattern for the whole
+    grid. The returned array and its matrices are owned by the
+    workspace and overwritten by the next call. *)
 
 val jacobian_ws : workspace -> Sparse.Csr.t
 (** Global sparse Jacobian stamped from the workspace's current
     per-point blocks (call {!point_jacobians_ws} first — raises
     [Invalid_argument] otherwise). The first call assembles the CSR
-    symbolically; later calls rewrite values in place and return the
-    {e same} matrix instance, which keeps downstream pattern-keyed
-    cache ([Splu.refactorable]) valid. *)
+    symbolically and maps every stamped entry to its value slot; later
+    calls add the entries into those slots in stamp order and return
+    the {e same} matrix instance, which keeps a downstream
+    {!Sparse.Splu.refactor} valid. The slot map is rebuilt when a
+    per-point pattern changes, and the matrix when an entry that is
+    not exactly zero has no slot. *)
 
 val jacobian_apply_ws :
   workspace ->

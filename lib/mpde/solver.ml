@@ -111,7 +111,8 @@ let gmres_workspace ws ~restart ~n =
       ws.gmres_restart <- restart;
       k
 
-let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~linear_iters =
+let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~out
+    ~linear_iters =
   (* The converged GMRES iterate, or a stall: budget exhaustion when the
      budget ran out, [Linear_stall] otherwise. *)
   let run_gmres ~restart ~max_iter ~tol ~precond op =
@@ -120,7 +121,8 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
       Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ?budget ~workspace op rhs
     in
     linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
-    if result.Sparse.Krylov.converged then result.Sparse.Krylov.x
+    if result.Sparse.Krylov.converged then
+      Array.blit result.Sparse.Krylov.x 0 out 0 (Array.length out)
     else begin
       (match budget with
       | Some b -> ( match Budget.exhausted b with Some e -> raise (Budget.Exhausted e) | None -> ())
@@ -144,7 +146,7 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
       in
       let f = Sparse.Splu.refactor_or_factor ws.splu m in
       ws.splu <- Some f;
-      Sparse.Splu.solve f rhs)
+      Sparse.Splu.solve_into f rhs out)
   | Gmres_sweep { restart; max_iter; tol } -> (
       Telemetry.span "mpde.linear.gmres-sweep" @@ fun () ->
       (* Matrix-free for every scheme: the big Jacobian is never
@@ -199,23 +201,22 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
     if source_scale = 1.0 then sources
     else Array.map (Vec.scale source_scale) sources
   in
-  let base_residual big_x =
-    let r = Assemble.residual_ws ws.asm ~sources:scaled_sources big_x in
-    (match ptc with
+  let base_residual big_x r =
+    Assemble.residual_into ws.asm ~sources:scaled_sources big_x r;
+    match ptc with
     | Some { alpha; anchor } ->
         for i = 0 to Array.length r - 1 do
           r.(i) <- r.(i) +. (alpha *. (big_x.(i) -. anchor.(i)))
         done
-    | None -> ());
-    r
+    | None -> ()
   in
   let extra_diag = match ptc with Some { alpha; _ } -> alpha | None -> 0.0 in
   {
-    Numeric.Newton.residual =
+    Numeric.Newton.residual_into =
       Guard.guarded ~context:"MPDE residual" ~block_size:n
         ~on_violation:on_residual_violation base_residual;
-    solve_linearized =
-      (fun big_x r ->
+    solve_into =
+      (fun big_x r delta ->
         let jacs = Assemble.point_jacobians_ws ws.asm big_x in
         (* Fault-injection hook: corrupt row 0 of the first point-block.
            The workspace CSRs are restamped from the circuit on every
@@ -244,7 +245,7 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
            on_residual_violation v;
            raise e);
         solve_linear ~ws ~linear_solver ~budget:options.budget g ~jacs
-          ~extra_diag ~rhs:r ~linear_iters);
+          ~extra_diag ~rhs:r ~out:delta ~linear_iters);
   }
 
 let solve ?(options = default_options) ?seed ?workspace_slot
@@ -459,7 +460,8 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   | _ -> ());
   let big_x = match run.Ladder.value with Some x -> x | None -> !last_x in
   let residual_norm =
-    let r = Assemble.residual_ws ws.asm ~sources big_x in
+    let r = Array.make big 0.0 in
+    Assemble.residual_into ws.asm ~sources big_x r;
     Vec.norm_inf r
   in
   let converged = run.Ladder.value <> None in

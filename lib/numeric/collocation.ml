@@ -46,10 +46,9 @@ let problem ?anchor (dae : Dae.t) op ~times =
   let big = points * n in
   let sources = Array.map dae.Dae.source times in
   let anchor = Option.map (fun (h, prev) -> (h, Array.map dae.Dae.eval_q prev)) anchor in
-  let residual big_x =
+  let residual_into big_x r =
     let xs = states n big_x in
     let qs = Array.map dae.Dae.eval_q xs in
-    let r = Array.make big 0.0 in
     for k = 0 to points - 1 do
       let f = dae.Dae.eval_f xs.(k) and b = sources.(k) in
       for i = 0 to n - 1 do
@@ -63,10 +62,9 @@ let problem ?anchor (dae : Dae.t) op ~times =
         in
         r.((k * n) + i) <- dt +. f.(i) -. b.(i)
       done
-    done;
-    r
+    done
   in
-  let solve_linearized big_x r =
+  let solve_into big_x r delta =
     let jacs = Array.map dae.Dae.jacobians (states n big_x) in
     let coo = Sparse.Coo.create ~capacity:(4 * big) big big in
     let add_block k l scale (m : Sparse.Csr.t) =
@@ -83,6 +81,6 @@ let problem ?anchor (dae : Dae.t) op ~times =
         op.weights.(k);
       Option.iter (fun (h, _) -> add_block k k (fun v -> v /. h) c) anchor
     done;
-    Sparse.Splu.solve (Sparse.Splu.factor (Sparse.Csr.of_coo coo)) r
+    Sparse.Splu.solve_into (Sparse.Splu.factor (Sparse.Csr.of_coo coo)) r delta
   in
-  { Newton.residual; solve_linearized }
+  { Newton.residual_into; solve_into }

@@ -1,6 +1,7 @@
 type fast = {
   eval_f_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   eval_q_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+  source_into : float -> Linalg.Vec.t -> unit;
   jacobian_refresher :
     unit -> Linalg.Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
 }
@@ -26,6 +27,7 @@ let linear ~g ~c ~source =
         {
           eval_f_into = (fun x out -> Sparse.Csr.mul_vec_into g x out);
           eval_q_into = (fun x out -> Sparse.Csr.mul_vec_into c x out);
+          source_into = (fun t out -> Array.blit (source t) 0 out 0 (Array.length out));
           jacobian_refresher =
             (fun () ->
               (* The Jacobians are constant and [jacobians] always hands

@@ -11,16 +11,19 @@ type fast = {
   eval_f_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
       (** [eval_f_into x out] overwrites [out] with [f(x)] *)
   eval_q_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+  source_into : float -> Linalg.Vec.t -> unit;
+      (** [source_into t out] overwrites [out] with [b(t)], the same
+          floats as [source t] *)
   jacobian_refresher :
     unit -> Linalg.Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
       (** [jacobian_refresher ()] allocates a private stamping workspace
           and returns a closure that rewrites [g]/[c] values in place at
           a new iterate (same float results, bitwise, as a fresh
           [jacobians] call). Returns [false] — values then unspecified —
-          when the sparsity pattern at the new iterate differs from the
-          given matrices; the caller must rebuild via [jacobians]. Each
-          returned closure owns its workspace: create one per solve
-          stream (never share across domains). *)
+          when a stamp that is not exactly zero has no slot in the
+          given matrices' patterns; the caller must rebuild via
+          [jacobians]. Each returned closure owns its workspace: create
+          one per solve stream (never share across domains). *)
 }
 (** Allocation-free variants of the evaluation callbacks, for hot paths
     that keep workspaces (the MPDE assembler and

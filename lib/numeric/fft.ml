@@ -160,6 +160,8 @@ let amplitude_at x k =
   if k < 0 || k >= Array.length h then invalid_arg "Fft.amplitude_at: harmonic out of range";
   if k = 0 then Float.abs (fst h.(0)) else fst h.(k)
 
+let at_roundoff_floor ~peak fundamental = fundamental <= 1e-12 *. peak
+
 let thd ?max_harmonic ~peak harmonics =
   let last = Array.length harmonics - 1 in
   if last < 1 then 0.0
@@ -171,5 +173,5 @@ let thd ?max_harmonic ~peak harmonics =
       let a = fst harmonics.(k) in
       s := !s +. (a *. a)
     done;
-    if fundamental <= 1e-12 *. peak then infinity else sqrt !s /. fundamental
+    if at_roundoff_floor ~peak fundamental then infinity else sqrt !s /. fundamental
   end

@@ -38,3 +38,8 @@ val thd : ?max_harmonic:int -> peak:float -> (float * float) array -> float
     last). [peak] is [max|x|] of the analysed samples: a fundamental of
     at most [1e-12·peak] is roundoff, and gives [infinity] as an exact
     zero does. [0.0] when [h] has fewer than two entries. *)
+
+val at_roundoff_floor : peak:float -> float -> bool
+(** [at_roundoff_floor ~peak a]: a fundamental amplitude [a] of samples
+    with [max|x| = peak] is roundoff — the case in which {!thd} gives
+    [infinity]. *)

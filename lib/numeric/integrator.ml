@@ -19,10 +19,13 @@ type workspace = {
   refresh : (Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
   eval_q_into : Vec.t -> Vec.t -> unit;
   eval_f_into : Vec.t -> Vec.t -> unit;
+  source_into : float -> Vec.t -> unit;
   q_buf : Vec.t;
   f_buf : Vec.t;
   q_prev : Vec.t;
   f_prev : Vec.t;  (* f(x_prev), for trapezoidal *)
+  b_next : Vec.t;
+  b_prev : Vec.t;  (* b(t_next − h), for trapezoidal *)
   mutable g : Sparse.Csr.t;
   mutable c : Sparse.Csr.t;
   mutable jac : Sparse.Csr.t;
@@ -47,26 +50,33 @@ let empty_csr n =
 
 let workspace (dae : Dae.t) =
   let n = dae.Dae.size in
-  let refresh, eval_q_into, eval_f_into =
+  let refresh, eval_q_into, eval_f_into, source_into =
     match dae.Dae.fast with
     | Some fast ->
         (* One private stamping stream per workspace; a workspace is
            single-domain by contract. *)
-        (Some (fast.Dae.jacobian_refresher ()), fast.Dae.eval_q_into, fast.Dae.eval_f_into)
+        ( Some (fast.Dae.jacobian_refresher ()),
+          fast.Dae.eval_q_into,
+          fast.Dae.eval_f_into,
+          fast.Dae.source_into )
     | None ->
         ( None,
           (fun x out -> Array.blit (dae.Dae.eval_q x) 0 out 0 n),
-          fun x out -> Array.blit (dae.Dae.eval_f x) 0 out 0 n )
+          (fun x out -> Array.blit (dae.Dae.eval_f x) 0 out 0 n),
+          fun t out -> Array.blit (dae.Dae.source t) 0 out 0 n )
   in
   {
     dae;
     refresh;
     eval_q_into;
     eval_f_into;
+    source_into;
     q_buf = Array.make n 0.0;
     f_buf = Array.make n 0.0;
     q_prev = Array.make n 0.0;
     f_prev = Array.make n 0.0;
+    b_next = Array.make n 0.0;
+    b_prev = Array.make n 0.0;
     g = empty_csr n;
     c = empty_csr n;
     jac = empty_csr n;
@@ -81,15 +91,6 @@ let workspace (dae : Dae.t) =
   }
 
 let size ws = ws.dae.Dae.size
-
-(* Position of entry (i, j) in [m]'s value array; [m] must hold it. *)
-let slot (m : Sparse.Csr.t) i j =
-  let rec search lo hi =
-    let mid = (lo + hi) / 2 in
-    let c = m.Sparse.Csr.col_idx.(mid) in
-    if c = j then mid else if c < j then search (mid + 1) hi else search lo (mid - 1)
-  in
-  search m.Sparse.Csr.row_ptr.(i) (m.Sparse.Csr.row_ptr.(i + 1) - 1)
 
 (* Adopt freshly built G and C: J's pattern becomes their union, which
    also invalidates any held factor's structure. *)
@@ -108,7 +109,7 @@ let install ws g c =
     let s = Array.make (Sparse.Csr.nnz m) 0 in
     for i = 0 to n - 1 do
       for p = m.Sparse.Csr.row_ptr.(i) to m.Sparse.Csr.row_ptr.(i + 1) - 1 do
-        s.(p) <- slot jac i m.Sparse.Csr.col_idx.(p)
+        s.(p) <- Sparse.Csr.slot jac i m.Sparse.Csr.col_idx.(p)
       done
     done;
     s
@@ -190,44 +191,45 @@ let charge_jacobian ws =
   ws.c
 
 (* Build the Newton problem for one implicit step. The residual is
-   (q(x) − q(x_prev))/h plus the method's f and source combination;
+   (q(x) − q(x_prev))/h plus the method's f and source combination,
+   written into Newton's buffer from the workspace's q/f/b vectors;
    the Jacobian is  (1/h) C(x) + beta G(x). *)
 let implicit_step ?(newton_options = Newton.default_options) ~method_ ~workspace:ws
     ~t_next ~h ~x_prev () =
   let n = size ws in
-  let q_prev = ws.q_prev and q = ws.q_buf and f = ws.f_buf in
+  let q_prev = ws.q_prev and q = ws.q_buf and f = ws.f_buf and b_next = ws.b_next in
   ws.eval_q_into x_prev q_prev;
-  let b_next = ws.dae.Dae.source t_next in
-  let residual =
+  ws.source_into t_next b_next;
+  let residual_into =
     match method_ with
     | Backward_euler ->
-        fun x ->
+        fun x r ->
           ws.eval_q_into x q;
           ws.eval_f_into x f;
-          Array.init n (fun i -> ((q.(i) -. q_prev.(i)) /. h) +. f.(i) -. b_next.(i))
+          for i = 0 to n - 1 do
+            r.(i) <- ((q.(i) -. q_prev.(i)) /. h) +. f.(i) -. b_next.(i)
+          done
     | Trapezoidal ->
-        let f_prev = ws.f_prev in
+        let f_prev = ws.f_prev and b_prev = ws.b_prev in
         ws.eval_f_into x_prev f_prev;
-        let b_prev = ws.dae.Dae.source (t_next -. h) in
-        fun x ->
+        ws.source_into (t_next -. h) b_prev;
+        fun x r ->
           ws.eval_q_into x q;
           ws.eval_f_into x f;
-          Array.init n (fun i ->
+          for i = 0 to n - 1 do
+            r.(i) <-
               ((q.(i) -. q_prev.(i)) /. h)
               +. (0.5 *. (f.(i) -. b_next.(i)))
-              +. (0.5 *. (f_prev.(i) -. b_prev.(i))))
+              +. (0.5 *. (f_prev.(i) -. b_prev.(i)))
+          done
   in
   let sc, sg = scales method_ h in
-  let solve_linearized x r =
+  let solve_into x r delta =
     factor_jacobian ws ~sc ~sg x;
-    let delta = Array.make n 0.0 in
-    solve_into ws r delta;
-    delta
+    solve_into ws r delta
   in
   let x, stats =
-    Newton.solve ~options:newton_options
-      { Newton.residual; solve_linearized }
-      x_prev
+    Newton.solve ~options:newton_options { Newton.residual_into; solve_into } x_prev
   in
   {
     x;

@@ -19,7 +19,7 @@ type workspace
     rebuilt from {!Dae.t}[.jacobians] when the pattern changes or the
     DAE has no fast callbacks), the step Jacobian [J = (1/h) C + β G]
     on the union pattern, refactored in place with
-    {!Sparse.Splu.refactor_or_factor}, and the residual's [q]/[f]
+    {!Sparse.Splu.refactor_or_factor}, and the residual's [q]/[f]/[b]
     buffers. The factor is kept with its key — the bits of the iterate
     plus the two scales — so asking again for [J] at the same point
     costs nothing. Single-domain: create one per solve stream. *)
@@ -54,7 +54,14 @@ val implicit_step :
     [b] and [f] at the previous time, which it recomputes from [x_prev]
     and [t_next -. h]. Each Newton iteration factors [J] through
     {!linearize}, so the first iteration reuses a factor already held at
-    [x_prev]. *)
+    [x_prev].
+
+    The step residual is written into {!Newton}'s buffer from the
+    workspace's [q]/[f] vectors and a source evaluated once per step
+    through {!Dae.fast}[.source_into]; the Jacobian is refreshed in
+    place and refactored without allocation. What a step allocates is
+    its result, Newton's per-solve buffers and whatever the DAE's
+    device models allocate. *)
 
 type trace = { times : float array; states : Linalg.Vec.t array }
 

@@ -13,11 +13,17 @@
     outcome instead of an open-ended loop. *)
 
 type problem = {
-  residual : Linalg.Vec.t -> Linalg.Vec.t;  (** [F(x)] *)
-  solve_linearized : Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t;
-      (** [solve_linearized x r] returns [J(x)⁻¹ r] (an approximation is
-          acceptable — convergence degrades gracefully). *)
+  residual_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+      (** [residual_into x r] overwrites [r] with [F(x)]. *)
+  solve_into : Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t -> unit;
+      (** [solve_into x r delta] overwrites [delta] with [J(x)⁻¹ r] (an
+          approximation is acceptable — convergence degrades
+          gracefully). *)
 }
+(** Both callbacks work on buffers that {!solve} owns: [x], [r] and
+    [delta] are valid only for the duration of the call, and a callback
+    must not keep them (nor the iterate handed to [on_iteration]) —
+    {!solve} overwrites them on later iterations. *)
 
 type options = {
   max_iterations : int;  (** default 50 *)
@@ -62,7 +68,9 @@ val solve :
   Linalg.Vec.t ->
   Linalg.Vec.t * stats
 (** [solve problem x0] iterates from [x0] (not modified) and returns the
-    final iterate with statistics. Exceptions raised by the solver
+    final iterate with statistics. It allocates its iterate, trial,
+    residual and step buffers once per call; the returned iterate is
+    one of them and belongs to the caller. Exceptions raised by the solver
     closure are captured as [Solver_failure], except
     {!Resilience.Budget.Exhausted} which becomes [Exhausted]. *)
 

@@ -29,20 +29,22 @@ let check ?context ?block_size v =
   | None -> ()
 
 let finite v =
-  let n = Array.length v in
-  let rec go i = i >= n || (Float.is_finite v.(i) && go (i + 1)) in
-  go 0
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length v do
+    ok := Float.is_finite v.(!i);
+    incr i
+  done;
+  !ok
 
-let guarded ?context ?block_size ~on_violation f x =
-  let r = f x in
+let guarded ?context ?block_size ~on_violation f x r =
+  f x r;
   (* Fault-injection hook: a [nan@residual]/[inf@residual] fault
      corrupts the freshly evaluated vector *before* the scan, so the
      poison flows through the same violation path a real one would. *)
   Faultinject.corrupt_vector Faultinject.Residual r;
   (match scan ?context ?block_size r with
   | Some violation -> on_violation violation
-  | None -> ());
-  r
+  | None -> ())
 
 let clamp ~limit (v : Linalg.Vec.t) =
   let touched = ref 0 in

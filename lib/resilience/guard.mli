@@ -31,12 +31,13 @@ val guarded :
   ?context:string ->
   ?block_size:int ->
   on_violation:(violation -> unit) ->
-  (Linalg.Vec.t -> Linalg.Vec.t) ->
+  (Linalg.Vec.t -> Linalg.Vec.t -> unit) ->
   Linalg.Vec.t ->
-  Linalg.Vec.t
-(** [guarded ~on_violation f x] evaluates [f x]; if the result contains
-    a non-finite entry the callback fires (once per evaluation) before
-    the result is returned unmodified. The caller's Newton loop rejects
+  Linalg.Vec.t ->
+  unit
+(** [guarded ~on_violation f x r] evaluates [f x r], which writes its
+    result into [r]; if [r] then contains a non-finite entry the
+    callback fires (once per evaluation) and [r] is left unmodified. The caller's Newton loop rejects
     the step via its non-finite residual-norm handling; the callback
     exists for attribution/logging. *)
 

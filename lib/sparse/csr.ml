@@ -70,44 +70,6 @@ let of_coo coo =
       values = Array.sub values 0 !out;
     }
 
-(* Numeric phase of the symbolic/numeric split: re-stamp a frozen
-   pattern from a fresh triplet stream. Each triplet is scatter-added
-   via binary search on the row's sorted column indices, so entries
-   that [of_coo] merged in insertion order are summed in the same
-   order here — the float results are bitwise identical. *)
-let refresh_from_coo m coo =
-  if Coo.rows coo <> m.rows || Coo.cols coo <> m.cols then false
-  else begin
-    Array.fill m.values 0 (Array.length m.values) 0.0;
-    let ok = ref true in
-    (try
-       Coo.iter
-         (fun i j v ->
-           let lo = ref m.row_ptr.(i) and hi = ref (m.row_ptr.(i + 1) - 1) in
-           let found = ref false in
-           while !lo <= !hi do
-             let mid = (!lo + !hi) / 2 in
-             let c = m.col_idx.(mid) in
-             if c = j then begin
-               m.values.(mid) <- m.values.(mid) +. v;
-               found := true;
-               lo := !hi + 1
-             end
-             else if c < j then lo := mid + 1
-             else hi := mid - 1
-           done;
-           if not !found then begin
-             (* Out-of-pattern triplet: the sparsity changed since the
-                symbolic phase. The caller must rebuild with [of_coo];
-                [m.values] is left in an unspecified state. *)
-             ok := false;
-             raise Exit
-           end)
-         coo
-     with Exit -> ());
-    !ok
-  end
-
 let of_dense ?(drop_tol = 0.0) m =
   let rows, cols = Linalg.Mat.dims m in
   let coo = Coo.create ~capacity:(rows * 4) rows cols in
@@ -128,22 +90,26 @@ let to_dense m =
   done;
   d
 
-let get m i j =
-  if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
-    invalid_arg "Csr.get: index out of range";
+let slot m i j =
   let lo = ref m.row_ptr.(i) and hi = ref (m.row_ptr.(i + 1) - 1) in
-  let result = ref 0.0 in
+  let found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let c = m.col_idx.(mid) in
     if c = j then begin
-      result := m.values.(mid);
+      found := mid;
       lo := !hi + 1
     end
     else if c < j then lo := mid + 1
     else hi := mid - 1
   done;
-  !result
+  !found
+
+let get m i j =
+  if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
+    invalid_arg "Csr.get: index out of range";
+  let k = slot m i j in
+  if k < 0 then 0.0 else m.values.(k)
 
 let mul_vec_into m x y =
   if Array.length x <> m.cols || Array.length y <> m.rows then
@@ -180,7 +146,7 @@ let tmul_vec m x =
   done;
   y
 
-let transpose m =
+let transpose_map m =
   let n = nnz m in
   let row_ptr = Array.make (m.cols + 1) 0 in
   for k = 0 to n - 1 do
@@ -189,18 +155,22 @@ let transpose m =
   for j = 1 to m.cols do
     row_ptr.(j) <- row_ptr.(j) + row_ptr.(j - 1)
   done;
-  let col_idx = Array.make n 0 and values = Array.make n 0.0 in
-  let cursor = Array.copy row_ptr in
+  let col_idx = Array.make n 0 and src = Array.make n 0 in
+  let cursor = Array.sub row_ptr 0 m.cols in
   for i = 0 to m.rows - 1 do
     for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
       let j = m.col_idx.(k) in
       let p = cursor.(j) in
       col_idx.(p) <- i;
-      values.(p) <- m.values.(k);
+      src.(p) <- k;
       cursor.(j) <- p + 1
     done
   done;
-  { rows = m.cols; cols = m.rows; row_ptr; col_idx; values }
+  (row_ptr, col_idx, src)
+
+let transpose m =
+  let row_ptr, col_idx, src = transpose_map m in
+  { rows = m.cols; cols = m.rows; row_ptr; col_idx; values = Array.map (fun k -> m.values.(k)) src }
 
 let diag m =
   let d = Array.make (min m.rows m.cols) 0.0 in

@@ -16,19 +16,6 @@ val of_coo : Coo.t -> t
     only if they were never inserted (explicit zeros from summation are
     kept so patterns remain stable across Newton iterations). *)
 
-val refresh_from_coo : t -> Coo.t -> bool
-(** Numeric phase of the symbolic/numeric assembly split:
-    [refresh_from_coo m coo] rewrites [m.values] in place from the
-    triplet stream without touching the frozen pattern
-    ([row_ptr]/[col_idx]). Duplicates are summed in stream order —
-    exactly the order {!of_coo} uses — so a refresh from the stream
-    that built [m] is bitwise identical to rebuilding from scratch.
-    Pattern slots the stream never touches are left at [0.].
-
-    Returns [false] (leaving [m.values] unspecified) when a triplet
-    falls outside the pattern or the dimensions disagree; the caller
-    must then rebuild with {!of_coo}. *)
-
 val of_dense : ?drop_tol:float -> Linalg.Mat.t -> t
 (** Entries with magnitude [<= drop_tol] (default [0.]) are dropped. *)
 
@@ -38,6 +25,11 @@ val nnz : t -> int
 
 val get : t -> int -> int -> float
 (** [get m i j] is the stored entry or [0.]; binary search within row. *)
+
+val slot : t -> int -> int -> int
+(** [slot m i j] is the position of entry [(i, j)] in [m.values], or
+    [-1] when the pattern has none; binary search within row [i]
+    ([0 <= i < rows]). *)
 
 val mul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
 
@@ -52,6 +44,11 @@ val tmul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** Transposed product [mᵀ x]. *)
 
 val transpose : t -> t
+
+val transpose_map : t -> int array * int array * int array
+(** [(row_ptr, col_idx, src)] of [transpose m], whose entry [p] is
+    [m.values.(src.(p))]: a column view of [m] that stays valid while
+    [m]'s pattern does, whatever its values. *)
 
 val diag : t -> Linalg.Vec.t
 (** Main diagonal (zeros where absent). *)

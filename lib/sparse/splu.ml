@@ -41,6 +41,16 @@ type t = {
      structure that [refactor] cannot replay. *)
   pattern : int array;
   complete : bool;
+  (* Column access to the factored pattern, kept for [refactor]: column
+     k's entries sit at original rows [a_row.(p)] and are read from
+     [a.values.(a_src.(p))] for [p] in [a_ptr.(k) .. a_ptr.(k+1) - 1]. *)
+  a_ptr : int array;
+  a_row : int array;
+  a_src : int array;
+  (* Scratch of length [n]: [x] is all zeros between [refactor] calls,
+     [y] is overwritten by every [solve_into]. *)
+  x : float array;
+  y : float array;
 }
 
 exception Singular of int
@@ -85,10 +95,10 @@ let factor ?(pivot_threshold = 0.1) (a : Csr.t) =
   let n = a.Csr.rows in
   if a.Csr.cols <> n then invalid_arg "Splu.factor: matrix not square";
   Telemetry.span "splu.factor" @@ fun () ->
-  (* Column access: work on the CSC of A, i.e. CSR of Aᵀ. *)
-  let at = Csr.transpose a in
-  let acol_ptr = at.Csr.row_ptr and acol_idx = at.Csr.col_idx in
-  let acol_val = at.Csr.values in
+  (* Column access: the CSC of A, i.e. the CSR of Aᵀ, as a gather map
+     over [a.values] that [refactor] reuses. *)
+  let acol_ptr, acol_idx, acol_src = Csr.transpose_map a in
+  let values = a.Csr.values in
   let l = dyn_create (4 * Csr.nnz a) and u = dyn_create (4 * Csr.nnz a) in
   let l_ptr = Array.make (n + 1) 0 and u_ptr = Array.make (n + 1) 0 in
   let pinv = Array.make n (-1) in
@@ -119,7 +129,7 @@ let factor ?(pivot_threshold = 0.1) (a : Csr.t) =
       x.(stack.(p)) <- 0.0
     done;
     for p = acol_ptr.(k) to acol_ptr.(k + 1) - 1 do
-      x.(acol_idx.(p)) <- acol_val.(p)
+      x.(acol_idx.(p)) <- values.(acol_src.(p))
     done;
     (* Sparse lower-triangular solve in topological order. *)
     for p = !top to n - 1 do
@@ -184,6 +194,11 @@ let factor ?(pivot_threshold = 0.1) (a : Csr.t) =
     pinv;
     pattern = a.Csr.col_idx;
     complete = !complete;
+    a_ptr = acol_ptr;
+    a_row = acol_idx;
+    a_src = acol_src;
+    x;
+    y = Array.make n 0.0;
   }
 
 let refactorable f (a : Csr.t) = f.complete && f.pattern == a.Csr.col_idx
@@ -199,22 +214,11 @@ let refactorable f (a : Csr.t) = f.complete && f.pattern == a.Csr.col_idx
    trade as any KLU-style refactor); callers using the result as an
    exact solver should watch {!Csr.residual_norm} or the pivot
    magnitudes. *)
-let refactor f (a : Csr.t) =
-  if not (refactorable f a) then
-    invalid_arg "Splu.refactor: pattern changed or structure incomplete";
-  Telemetry.span "splu.refactor" @@ fun () ->
-  Telemetry.count "splu.refactors";
-  let n = f.n in
-  let at = Csr.transpose a in
-  let acol_ptr = at.Csr.row_ptr and acol_idx = at.Csr.col_idx in
-  let acol_val = at.Csr.values in
-  (* Scratch in pivotal coordinates; every position written below is
-     covered by the column's stored U/L entries, so the end-of-column
-     clear loop restores all-zeros. *)
-  let x = Array.make n 0.0 in
-  for k = 0 to n - 1 do
-    for p = acol_ptr.(k) to acol_ptr.(k + 1) - 1 do
-      x.(f.pinv.(acol_idx.(p))) <- acol_val.(p)
+let replay f (a : Csr.t) =
+  let x = f.x and values = a.Csr.values in
+  for k = 0 to f.n - 1 do
+    for p = f.a_ptr.(k) to f.a_ptr.(k + 1) - 1 do
+      x.(f.pinv.(f.a_row.(p))) <- values.(f.a_src.(p))
     done;
     (* Replay the sparse triangular solve over the stored U rows
        (topological order; diagonal excluded — it is stored last). *)
@@ -229,11 +233,17 @@ let refactor f (a : Csr.t) =
         done
     done;
     let pivot = x.(k) in
-    if pivot = 0.0 || not (Float.is_finite pivot) then raise (Singular k);
+    if pivot = 0.0 || not (Float.is_finite pivot) then begin
+      (* Leave the scratch clean for the next call. *)
+      Array.fill x 0 f.n 0.0;
+      raise (Singular k)
+    end;
     f.u_val.(dpos) <- pivot;
     for q = f.l_ptr.(k) + 1 to f.l_ptr.(k + 1) - 1 do
       f.l_val.(q) <- x.(f.l_idx.(q)) /. pivot
     done;
+    (* Every position written above is covered by the column's stored
+       U/L entries, so this restores all-zeros. *)
     for p = f.u_ptr.(k) to dpos do
       x.(f.u_idx.(p)) <- 0.0
     done;
@@ -242,6 +252,19 @@ let refactor f (a : Csr.t) =
       x.(f.l_idx.(q)) <- 0.0
     done
   done
+
+(* A span opened and closed by hand: a [Telemetry.span] closure would
+   be the only allocation of a refactor. *)
+let refactor f (a : Csr.t) =
+  if not (refactorable f a) then
+    invalid_arg "Splu.refactor: pattern changed or structure incomplete";
+  let span = Telemetry.span_begin "splu.refactor" in
+  Telemetry.count "splu.refactors";
+  match replay f a with
+  | () -> Telemetry.span_end span
+  | exception e ->
+      Telemetry.span_end span;
+      raise e
 
 (* One place for the refactor-or-factor decision: replay [prev] on
    [a]'s values when its frozen structure allows, and factor afresh
@@ -264,7 +287,7 @@ let solve_into f b out =
     invalid_arg "Splu.solve_into: dimension mismatch";
   Telemetry.count "splu.solves";
   (* y = P b *)
-  let y = Array.make n 0.0 in
+  let y = f.y in
   for i = 0 to n - 1 do
     y.(f.pinv.(i)) <- b.(i)
   done;

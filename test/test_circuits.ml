@@ -118,6 +118,182 @@ let test_paper_rf_bitstream_custom_bits () =
   (* Pattern frequency = symbol_freq / nbits = fd. *)
   Alcotest.(check bool) "pattern at fd" true (List.mem 15e3 (W.frequencies w))
 
+(* ---------- Compiled Jacobian stamps ---------- *)
+
+let stamp_circuits () =
+  List.map
+    (fun (f : Serve.Catalog.t) ->
+      (f.Serve.Catalog.name, (f.Serve.Catalog.build ~f_fast:f.default_fast ~fd:f.default_fd).Circuits.mna))
+    Serve.Catalog.all
+  @ [
+      ("bridge", (Circuits.bridge_rectifier ~drive:(W.sine ~amplitude:5.0 ~freq:1e3 ()) ()).Circuits.mna);
+      ( "gilbert",
+        (Circuits.gilbert_mixer ~f_lo:1e6
+           ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:1.01e6 ())
+           ~rf_amplitude:0.02 ())
+          .Circuits.mna );
+    ]
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every entry of [fresh] has a slot in [frozen]. *)
+let covered ~(frozen : Sparse.Csr.t) (fresh : Sparse.Csr.t) =
+  let ok = ref true in
+  for i = 0 to fresh.Sparse.Csr.rows - 1 do
+    Sparse.Csr.iter_row fresh i (fun j _ ->
+        let present = ref false in
+        Sparse.Csr.iter_row frozen i (fun j' _ -> if j' = j then present := true);
+        if not !present then ok := false)
+  done;
+  !ok
+
+(* Every slot of the refreshed [frozen] holds, bit for bit, the value a
+   rebuild has there (an absent rebuild entry reads +0). *)
+let same_values what ~(frozen : Sparse.Csr.t) (fresh : Sparse.Csr.t) =
+  for i = 0 to frozen.Sparse.Csr.rows - 1 do
+    Sparse.Csr.iter_row frozen i (fun j v ->
+        if not (bits_equal v (Sparse.Csr.get fresh i j)) then
+          Alcotest.failf "%s: entry (%d,%d) refreshed %h, rebuilt %h" what i j v
+            (Sparse.Csr.get fresh i j))
+  done
+
+let refresher_of mna =
+  match (Circuit.Mna.dae mna).Numeric.Dae.fast with
+  | Some fast -> fast.Numeric.Dae.jacobian_refresher ()
+  | None -> Alcotest.fail "MNA systems have fast callbacks"
+
+(* At the DC point and at seeded iterates around it, the slot-replay
+   refresher either fits (and then equals a rebuild bit for bit) or
+   reports drift exactly when a rebuild has an entry outside the frozen
+   pattern; after drift the caller's rebuild becomes the new pattern,
+   with a slot map of its own. *)
+let test_refresher_matches_rebuild () =
+  List.iter
+    (fun (name, mna) ->
+      let dae = Circuit.Mna.dae mna in
+      let refresh = refresher_of mna in
+      let dc = (Circuit.Dcop.solve mna).Circuit.Dcop.x in
+      let st = Random.State.make [| 17 |] in
+      let iterates =
+        dc :: List.init 6 (fun _ -> Array.map (fun v -> v +. Random.State.float st 0.6 -. 0.3) dc)
+      in
+      let frozen = ref (dae.Numeric.Dae.jacobians dc) in
+      List.iteri
+        (fun k x ->
+          let what = Printf.sprintf "%s iterate %d" name k in
+          let g, c = dae.Numeric.Dae.jacobians x in
+          let g0, c0 = !frozen in
+          let fits = refresh x ~g:g0 ~c:c0 in
+          Alcotest.(check bool)
+            (what ^ ": drift reported exactly when the rebuild leaves the pattern")
+            (covered ~frozen:g0 g && covered ~frozen:c0 c)
+            fits;
+          if k = 0 then Alcotest.(check bool) (what ^ ": fits its own pattern") true fits;
+          if fits then begin
+            same_values (what ^ " G") ~frozen:g0 g;
+            same_values (what ^ " C") ~frozen:c0 c
+          end
+          else begin
+            frozen := (g, c);
+            Alcotest.(check bool) (what ^ ": fits the rebuilt pattern") true (refresh x ~g ~c);
+            let g', c' = dae.Numeric.Dae.jacobians x in
+            same_values (what ^ " rebuilt G") ~frozen:g g';
+            same_values (what ^ " rebuilt C") ~frozen:c c'
+          end)
+        iterates)
+    (stamp_circuits ())
+
+(* The ideal mixer's multiplier stamps gain·v_rf and gain·v_lo: exactly
+   0.0 at the zero state, so a pattern built there has no slots for
+   them. *)
+let test_refresher_zero_crossing () =
+  let { Circuits.mna; _ } =
+    Circuits.ideal_mixer ~lo:(W.sine ~amplitude:1.0 ~freq:1e6 ())
+      ~rf:(W.sine ~amplitude:1.0 ~freq:1.01e6 ()) ()
+  in
+  let dae = Circuit.Mna.dae mna in
+  let n = dae.Numeric.Dae.size in
+  let zero = Array.make n 0.0 and x = Array.init n (fun i -> 0.1 *. float_of_int (i + 1)) in
+  let refresh = refresher_of mna in
+  let g0, c0 = dae.Numeric.Dae.jacobians zero in
+  Alcotest.(check bool) "a stamp leaving 0.0 is drift" false (refresh x ~g:g0 ~c:c0);
+  let g, c = dae.Numeric.Dae.jacobians x in
+  Alcotest.(check bool) "the caller's rebuild has the missing entries" true
+    (Sparse.Csr.nnz g > Sparse.Csr.nnz g0);
+  Alcotest.(check bool) "the rebuild fits" true (refresh x ~g ~c);
+  let g', c' = dae.Numeric.Dae.jacobians x in
+  same_values "rebuilt G" ~frozen:g g';
+  same_values "rebuilt C" ~frozen:c c';
+  (* Back at the zero state the full pattern still fits: its extra
+     slots hold +0, as the smaller rebuild reads there. *)
+  Alcotest.(check bool) "a stamp reaching 0.0 fits" true (refresh zero ~g ~c);
+  same_values "G at zero" ~frozen:g g0;
+  same_values "C at zero" ~frozen:c c0
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Linear circuits evaluate no device model, so a refresh after the
+   first (which records the stamp stream) allocates nothing at all —
+   no triplet list, no slot search. *)
+let test_refresher_allocates_nothing () =
+  List.iter
+    (fun (name, { Circuits.mna; _ }) ->
+      let dae = Circuit.Mna.dae mna in
+      let x = Array.make dae.Numeric.Dae.size 0.3 in
+      let g, c = dae.Numeric.Dae.jacobians x in
+      let refresh = refresher_of mna in
+      ignore (refresh x ~g ~c);
+      Alcotest.(check (float 0.0)) (name ^ ": words per refresh") 0.0
+        (minor_words (fun () -> ignore (refresh x ~g ~c))))
+    [
+      ("rc", Circuits.rc_lowpass ~drive:drive_1k ());
+      ("rlc", Circuits.rlc_series ~drive:drive_1k ());
+    ]
+
+(* A backward-Euler step of the unbalanced mixer (5 unknowns, about 1.8
+   Newton iterations per step) allocates its result, Newton's buffers
+   and the MOSFET model's records: about 250 words. Before stamps were
+   replayed into frozen slots and Newton worked in place it was about
+   970. *)
+let implicit_step_word_budget = 300.0
+
+let test_implicit_step_allocation () =
+  let f_lo = 1e6 and fd = 1e6 /. 756.5 in
+  let { Circuits.mna; _ } =
+    Circuits.unbalanced_mixer ~f_lo
+      ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+      ~rf_amplitude:0.05 ()
+  in
+  let dae = Circuit.Mna.dae mna in
+  let ws = Numeric.Integrator.workspace dae in
+  let h = 1.0 /. (10.0 *. f_lo) in
+  let x = ref (Circuit.Dcop.solve_exn mna) and t = ref 0.0 in
+  let step () =
+    t := !t +. h;
+    let r =
+      Numeric.Integrator.implicit_step ~method_:Numeric.Integrator.Backward_euler ~workspace:ws
+        ~t_next:!t ~h ~x_prev:!x ()
+    in
+    if not r.Numeric.Integrator.converged then Alcotest.fail "step did not converge";
+    x := r.Numeric.Integrator.x
+  in
+  for _ = 1 to 10 do
+    step ()
+  done;
+  let steps = 200 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to steps do
+          step ()
+        done)
+  in
+  let per_step = words /. float_of_int steps in
+  if per_step > implicit_step_word_budget then
+    Alcotest.failf "%.0f words per step, budget %.0f" per_step implicit_step_word_budget
+
 let () =
   Alcotest.run "circuits"
     [
@@ -139,5 +315,12 @@ let () =
         [
           Alcotest.test_case "lattice consistency" `Quick test_paper_rf_bitstream_lattice;
           Alcotest.test_case "custom bits" `Quick test_paper_rf_bitstream_custom_bits;
+        ] );
+      ( "compiled stamps",
+        [
+          Alcotest.test_case "refresher = rebuild bitwise" `Quick test_refresher_matches_rebuild;
+          Alcotest.test_case "stamp crossing zero" `Quick test_refresher_zero_crossing;
+          Alcotest.test_case "refresh allocates nothing" `Quick test_refresher_allocates_nothing;
+          Alcotest.test_case "implicit step word budget" `Quick test_implicit_step_allocation;
         ] );
     ]

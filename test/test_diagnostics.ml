@@ -225,7 +225,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
     ?(spmv_mflops = 800.0) ?(block_cols = 2.0e6) ?(sweep_wall = 2.0)
     ?(sweep_speedup = 1.6) ?(sweep_speedup_4 = 1.4) ?(cores = 4.0)
     ?(retries = 0.0) ?(degraded = 0.0) ?(util_2 = 0.9) ?(util_4 = 0.8)
-    ?(gc_major_p99 = 0.001) () =
+    ?(gc_major_p99 = 0.001) ?(shooting_words = 250.0) () =
   let open Telemetry.Json in
   Obj
     [
@@ -248,6 +248,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
                 ] );
           ] );
       ("speedup", Obj [ ("ratio", Num ratio) ]);
+      ("shooting", Obj [ ("minor_words_per_step", Num shooting_words) ]);
       ( "kernel",
         Obj
           [
@@ -274,7 +275,7 @@ let test_gate_passes_identical () =
   let r = D.Gate.evaluate ~baseline:doc ~current:doc () in
   Alcotest.(check bool) "passes" true r.D.Gate.passed;
   Alcotest.(check int) "no errors" 0 (List.length r.D.Gate.errors);
-  Alcotest.(check int) "fourteen verdicts" 14 (List.length r.D.Gate.verdicts)
+  Alcotest.(check int) "fifteen verdicts" 15 (List.length r.D.Gate.verdicts)
 
 let test_gate_improvement_passes () =
   (* Faster wall clock and a better speedup ratio must never fail. *)
@@ -367,7 +368,12 @@ let test_gate_speedup_floor () =
       ~current:(bench_doc ~dense_factors:6000.0 ())
       ()
   in
-  Alcotest.(check bool) "dense-factor regression fails" false r.D.Gate.passed
+  Alcotest.(check bool) "dense-factor regression fails" false r.D.Gate.passed;
+  (* So are the shooting job's words per step. *)
+  let r =
+    D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~shooting_words:400.0 ()) ()
+  in
+  Alcotest.(check bool) "shooting allocation regression fails" false r.D.Gate.passed
 
 let test_gate_retry_floor () =
   (* Any retry or degraded job on the bench's clean sweep is a hard
@@ -433,10 +439,10 @@ let test_gate_overrides () =
 
 let test_newton_history_recorded () =
   (* Scalar x^2 = 4 from x0 = 10: pure Newton, quadratic tail. *)
-  let residual x = [| (x.(0) *. x.(0)) -. 4.0 |] in
-  let solve_linearized x r = [| r.(0) /. (2.0 *. x.(0)) |] in
+  let residual_into x r = r.(0) <- (x.(0) *. x.(0)) -. 4.0 in
+  let solve_into x r d = d.(0) <- r.(0) /. (2.0 *. x.(0)) in
   let _, stats =
-    Numeric.Newton.solve { Numeric.Newton.residual; solve_linearized } [| 10.0 |]
+    Numeric.Newton.solve { Numeric.Newton.residual_into; solve_into } [| 10.0 |]
   in
   let h = stats.Numeric.Newton.residual_history in
   Alcotest.(check bool) "history nonempty" true (Array.length h >= 3);

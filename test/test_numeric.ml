@@ -156,8 +156,8 @@ let test_engine_one_spectrum_per_result () =
 
 let scalar_problem f df =
   {
-    Newton.residual = (fun x -> [| f x.(0) |]);
-    solve_linearized = (fun x r -> [| r.(0) /. df x.(0) |]);
+    Newton.residual_into = (fun x r -> r.(0) <- f x.(0));
+    solve_into = (fun x r d -> d.(0) <- r.(0) /. df x.(0));
   }
 
 let test_newton_sqrt () =
@@ -184,14 +184,16 @@ let test_newton_2d () =
   (* x² + y² = 4, x = y → x = y = √2 *)
   let problem =
     {
-      Newton.residual =
-        (fun v -> [| (v.(0) *. v.(0)) +. (v.(1) *. v.(1)) -. 4.0; v.(0) -. v.(1) |]);
-      solve_linearized =
+      Newton.residual_into =
         (fun v r ->
+          r.(0) <- (v.(0) *. v.(0)) +. (v.(1) *. v.(1)) -. 4.0;
+          r.(1) <- v.(0) -. v.(1));
+      solve_into =
+        (fun v r d ->
           let j =
             Linalg.Mat.of_arrays [| [| 2.0 *. v.(0); 2.0 *. v.(1) |]; [| 1.0; -1.0 |] |]
           in
-          Linalg.Lu.solve_dense j r);
+          Array.blit (Linalg.Lu.solve_dense j r) 0 d 0 2);
     }
   in
   let x, stats = Newton.solve problem [| 1.0; 2.0 |] in
@@ -211,8 +213,8 @@ let test_newton_history_ring () =
      the residual never reaches tolerance. *)
   let problem =
     {
-      Newton.residual = Array.copy;
-      solve_linearized = (fun _ r -> Array.map (fun v -> 0.01 *. v) r);
+      Newton.residual_into = (fun x r -> Array.blit x 0 r 0 (Array.length x));
+      solve_into = (fun _ r d -> Array.iteri (fun i v -> d.(i) <- 0.01 *. v) r);
     }
   in
   let history max_iterations =
@@ -237,8 +239,8 @@ let test_newton_history_ring () =
 let test_newton_solver_failure_capture () =
   let problem =
     {
-      Newton.residual = (fun x -> [| x.(0) -. 1.0 |]);
-      solve_linearized = (fun _ _ -> failwith "boom");
+      Newton.residual_into = (fun x r -> r.(0) <- x.(0) -. 1.0);
+      solve_into = (fun _ _ _ -> failwith "boom");
     }
   in
   let _, stats = Newton.solve problem [| 0.0 |] in
@@ -357,13 +359,15 @@ let test_collocation_residual () =
   List.iter
     (fun (name, op) ->
       let p = Numeric.Collocation.problem colloc_dae op ~times in
-      let r = p.Numeric.Newton.residual x in
+      let r = Array.make 3 0.0 in
+      p.Numeric.Newton.residual_into x r;
       Array.iteri
         (fun k v -> check_float (Printf.sprintf "%s point %d" name k) (expected name k) v)
         r;
       let prev = [| [| 0.0 |]; [| 1.0 |]; [| 1.0 |] |] in
       let p = Numeric.Collocation.problem ~anchor:(0.5, prev) colloc_dae op ~times in
-      let r = p.Numeric.Newton.residual x in
+      let r = Array.make 3 0.0 in
+      p.Numeric.Newton.residual_into x r;
       Array.iteri
         (fun k v ->
           check_float (Printf.sprintf "%s anchored point %d" name k)
@@ -381,11 +385,12 @@ let test_collocation_newton_exact () =
         (fun anchor ->
           let p = Numeric.Collocation.problem ?anchor colloc_dae op ~times in
           let x0 = Numeric.Collocation.replicate 3 [| 0.0 |] in
-          let delta = p.Numeric.Newton.solve_linearized x0 (p.Numeric.Newton.residual x0) in
+          let r0 = Array.make 3 0.0 and delta = Array.make 3 0.0 and r1 = Array.make 3 0.0 in
+          p.Numeric.Newton.residual_into x0 r0;
+          p.Numeric.Newton.solve_into x0 r0 delta;
           let x1 = Array.mapi (fun i v -> v -. delta.(i)) x0 in
-          Array.iter
-            (fun v -> check_float (name ^ " solved") 0.0 v)
-            (p.Numeric.Newton.residual x1))
+          p.Numeric.Newton.residual_into x1 r1;
+          Array.iter (fun v -> check_float (name ^ " solved") 0.0 v) r1)
         [ None; Some (0.5, Numeric.Collocation.states 1 [| 1.0; 2.0; 3.0 |]) ])
     colloc_ops
 

@@ -79,8 +79,8 @@ let test_budget_parent_chain () =
 let test_newton_diverged_on_nan () =
   let problem =
     {
-      Numeric.Newton.residual = (fun _ -> [| nan |]);
-      solve_linearized = (fun _ _ -> [| 0.0 |]);
+      Numeric.Newton.residual_into = (fun _ r -> r.(0) <- nan);
+      solve_into = (fun _ _ d -> d.(0) <- 0.0);
     }
   in
   let _, stats = Numeric.Newton.solve problem [| 0.0 |] in
@@ -91,8 +91,8 @@ let test_newton_diverged_on_nan () =
 let test_newton_rejects_nonfinite_step () =
   let problem =
     {
-      Numeric.Newton.residual = (fun x -> [| x.(0) -. 1.0 |]);
-      solve_linearized = (fun _ _ -> [| nan |]);
+      Numeric.Newton.residual_into = (fun x r -> r.(0) <- x.(0) -. 1.0);
+      solve_into = (fun _ _ d -> d.(0) <- nan);
     }
   in
   let _, stats = Numeric.Newton.solve problem [| 0.0 |] in
@@ -104,9 +104,9 @@ let test_newton_budget_exhaustion () =
   (* A slowly converging scalar problem with a 2-iteration budget. *)
   let problem =
     {
-      Numeric.Newton.residual = (fun x -> [| x.(0) |]);
+      Numeric.Newton.residual_into = (fun x r -> r.(0) <- x.(0));
       (* Deliberately weak step so convergence needs many iterations. *)
-      solve_linearized = (fun _ r -> [| 0.1 *. r.(0) |]);
+      solve_into = (fun _ r d -> d.(0) <- 0.1 *. r.(0));
     }
   in
   let options =
@@ -182,11 +182,11 @@ let test_continuation_total_step_cap () =
   let solves = ref 0 in
   let problem_at _lambda =
     {
-      Numeric.Newton.residual =
-        (fun x ->
+      Numeric.Newton.residual_into =
+        (fun x r ->
           incr solves;
-          [| (x.(0) *. x.(0)) +. 1.0 |]);
-      solve_linearized = (fun _ r -> r);
+          r.(0) <- (x.(0) *. x.(0)) +. 1.0);
+      solve_into = (fun _ r d -> d.(0) <- r.(0));
     }
   in
   let newton_options = { Numeric.Newton.default_options with max_iterations = 3 } in
@@ -201,8 +201,8 @@ let test_continuation_total_step_cap () =
 let test_continuation_budget () =
   let problem_at lambda =
     {
-      Numeric.Newton.residual = (fun x -> [| x.(0) -. lambda |]);
-      solve_linearized = (fun _ r -> r);
+      Numeric.Newton.residual_into = (fun x r -> r.(0) <- x.(0) -. lambda);
+      solve_into = (fun _ r d -> d.(0) <- r.(0));
     }
   in
   let budget = Budget.make ~max_newton:2 () in

@@ -180,6 +180,42 @@ let float_array_bits_equal a b =
        (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
        a b
 
+(* Minor-heap words allocated by [f ()]: deterministic for a fixed code
+   path. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_splu_no_allocation () =
+  (* An unsymmetric matrix that needs pivoting and fills in. *)
+  let n = 12 in
+  let coo = Coo.create n n in
+  for i = 0 to n - 1 do
+    Coo.add coo i i (if i mod 3 = 0 then 1e-3 else 4.0);
+    Coo.add coo i ((i + 1) mod n) 1.0;
+    Coo.add coo ((i + 5) mod n) i (-2.0)
+  done;
+  let a = Csr.of_coo coo in
+  let f = Sparse.Splu.factor a in
+  let b = Array.init n (fun i -> float_of_int (i + 1)) in
+  let x_fresh = Sparse.Splu.solve f b in
+  let out = Array.make n 0.0 in
+  Alcotest.(check (float 0.0)) "refactor allocates nothing" 0.0
+    (minor_words (fun () -> Sparse.Splu.refactor f a));
+  Alcotest.(check (float 0.0)) "solve_into allocates nothing" 0.0
+    (minor_words (fun () -> Sparse.Splu.solve_into f b out));
+  Alcotest.(check bool) "refactor of the same values is bitwise the factor" true
+    (float_array_bits_equal x_fresh out);
+  (* A second pass on changed values, then in place over [b]. *)
+  Array.iteri (fun k v -> a.Csr.values.(k) <- 1.5 *. v) a.Csr.values;
+  Alcotest.(check (float 0.0)) "changed-value refactor allocates nothing" 0.0
+    (minor_words (fun () -> Sparse.Splu.refactor f a));
+  let expected = Sparse.Splu.solve (Sparse.Splu.factor a) b in
+  Sparse.Splu.solve_into f b b;
+  Alcotest.(check bool) "solves the changed matrix" true
+    (Linalg.Vec.dist2 expected b <= 1e-12 *. Linalg.Vec.norm2 expected)
+
 let test_csr_mul_vec_ba_bitwise () =
   (* The Bigarray spmv kernel promises the same per-row accumulation
      order as [mul_vec], so results match bitwise. *)
@@ -376,6 +412,7 @@ let () =
           Alcotest.test_case "pivot threshold" `Quick test_splu_pivot_threshold;
           Alcotest.test_case "fill reporting" `Quick test_splu_nnz_reported;
           Alcotest.test_case "refactor or factor" `Quick test_splu_refactor_or_factor;
+          Alcotest.test_case "no allocation after factor" `Quick test_splu_no_allocation;
         ] );
       ( "krylov",
         [
