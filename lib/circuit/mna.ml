@@ -314,26 +314,37 @@ let jacobians m x =
   stamp_jacobians m x (Build g_coo) (Build c_coo);
   (Sparse.Csr.of_coo g_coo, Sparse.Csr.of_coo c_coo)
 
-(* Slot maps of the patterns seen most recently, newest first, keyed by
-   the physical [col_idx] array (the key {!Sparse.Splu} uses too). *)
-let slot_cache_size = 4
+(* One slot map per distinct pattern structure a refresher is handed.
+   [key] is the [col_idx] array this structure was last seen with: a
+   caller that keeps its pattern arrays (Assemble interns its per-point
+   patterns) hits by physical equality, and a rebuilt but structurally
+   equal pattern is found by comparison and becomes the new key. The
+   list grows only with distinct structures, and a circuit has few: one
+   per set of stamps that are exactly 0.0 at a rebuild. *)
+type slot_map = { mutable key : int array; row_ptr : int array; slot_of : int array }
 
-let rec cached key = function
+let rec by_key col_idx = function
   | [] -> raise Not_found
-  | (k, slots) :: rest -> if k == key then slots else cached key rest
+  | m :: rest -> if m.key == col_idx then m.slot_of else by_key col_idx rest
 
-let slots_for cache (ps : positions) (a : Sparse.Csr.t) =
-  try cached a.Sparse.Csr.col_idx !cache
-  with Not_found ->
-    let slot k =
-      let i = ps.rows.(k) in
-      if i >= a.Sparse.Csr.rows then -1 else Sparse.Csr.slot a i ps.cols.(k)
-    in
-    let slots = Array.init ps.len slot in
-    cache :=
-      (a.Sparse.Csr.col_idx, slots)
-      :: List.filteri (fun i _ -> i < slot_cache_size - 1) !cache;
-    slots
+let slots_for maps (ps : positions) (a : Sparse.Csr.t) =
+  let col_idx = a.Sparse.Csr.col_idx in
+  try by_key col_idx !maps
+  with Not_found -> (
+    let same m = m.row_ptr = a.Sparse.Csr.row_ptr && m.key = col_idx in
+    match List.find_opt same !maps with
+    | Some m ->
+        m.key <- col_idx;
+        m.slot_of
+    | None ->
+        Telemetry.count "mna.slot_maps";
+        let slot k =
+          let i = ps.rows.(k) in
+          if i >= a.Sparse.Csr.rows then -1 else Sparse.Csr.slot a i ps.cols.(k)
+        in
+        let slot_of = Array.init ps.len slot in
+        maps := { key = col_idx; row_ptr = a.Sparse.Csr.row_ptr; slot_of } :: !maps;
+        slot_of)
 
 (* Numeric-refresh path for the symbolic/numeric assembly split. The
    first call records the stamp stream; each distinct G/C pattern then

@@ -168,12 +168,12 @@ type workspace = {
   mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* [||] until built *)
   mutable patterns : Sparse.Csr.t list;  (* one per distinct per-point pattern *)
   mutable big : big option;  (* lazy: matrix-free solves never stamp *)
+  mutable big_stale : bool;  (* a point's pattern changed since [big]'s slots *)
 }
 
 (* The assembled big Jacobian with its value slot per [walk_big] entry
-   (-1 where its pattern has none), valid while the per-point blocks
-   keep the pattern arrays listed in [keys]. *)
-and big = { big_jac : Sparse.Csr.t; slots : int array; keys : int array array }
+   (-1 where its pattern has none). *)
+and big = { big_jac : Sparse.Csr.t; slots : int array }
 
 let workspace scheme sys (g : Grid.t) =
   let n = sys.size in
@@ -209,6 +209,7 @@ let workspace scheme sys (g : Grid.t) =
     jacs = [||];
     patterns = [];
     big = None;
+    big_stale = false;
   }
 
 let t1_operator ws = ws.ws_t1
@@ -265,6 +266,15 @@ let build_point ws big_x p =
   let g, c = ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p) in
   (intern ws g, intern ws c)
 
+(* Rebuild point [p]; the big Jacobian's slots go stale only when the
+   point's interned pattern changes. *)
+let rebuild_point ws big_x p =
+  let ((g, c) as jac) = build_point ws big_x p in
+  let g0, c0 = ws.jacs.(p) in
+  if g.Sparse.Csr.col_idx != g0.Sparse.Csr.col_idx || c.Sparse.Csr.col_idx != c0.Sparse.Csr.col_idx
+  then ws.big_stale <- true;
+  ws.jacs.(p) <- jac
+
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
   let np = ws.ws_np in
@@ -278,25 +288,15 @@ let point_jacobians_ws ws big_x =
             (* Sparsity drifted at this iterate (a stamp crossed an
                exact zero): rebuild this point from scratch. *)
             Telemetry.count "mpde.assemble.jac_rebuilds";
-            ws.jacs.(p) <- build_point ws big_x p
+            rebuild_point ws big_x p
           end
         done
     | None ->
         for p = 0 to np - 1 do
-          ws.jacs.(p) <- build_point ws big_x p
+          rebuild_point ws big_x p
         done
   end;
   ws.jacs
-
-let pattern_keys jacs =
-  Array.init
-    (2 * Array.length jacs)
-    (fun k ->
-      let g, c = jacs.(k / 2) in
-      if k mod 2 = 0 then g.Sparse.Csr.col_idx else c.Sparse.Csr.col_idx)
-
-let same_keys a b =
-  Array.length a = Array.length b && Array.for_all2 (fun x y -> x == y) a b
 
 (* One pattern search per [walk_big] entry; done once per set of
    per-point patterns. *)
@@ -304,7 +304,8 @@ let big_slots ws (m : Sparse.Csr.t) =
   let slots = ref [] in
   walk_big ws.ws_stencil ~n:ws.ws_n ~jacs:ws.jacs (fun i j _ ->
       slots := Sparse.Csr.slot m i j :: !slots);
-  { big_jac = m; slots = Array.of_list (List.rev !slots); keys = pattern_keys ws.jacs }
+  ws.big_stale <- false;
+  { big_jac = m; slots = Array.of_list (List.rev !slots) }
 
 (* Rewrite [b.big_jac]'s values by adding each [walk_big] entry into
    its slot, in walk order: the order [of_coo] sums duplicates in.
@@ -326,9 +327,7 @@ let jacobian_ws ws =
   let refreshed =
     match ws.big with
     | Some b ->
-        let b =
-          if same_keys b.keys (pattern_keys ws.jacs) then b else big_slots ws b.big_jac
-        in
+        let b = if ws.big_stale then big_slots ws b.big_jac else b in
         ws.big <- Some b;
         if replay_big ws b then Some b.big_jac else None
     | None -> None

@@ -22,8 +22,10 @@ type fast = {
           [jacobians] call). Returns [false] — values then unspecified —
           when a stamp that is not exactly zero has no slot in the
           given matrices' patterns; the caller must rebuild via
-          [jacobians]. Each returned closure owns its workspace: create
-          one per solve stream (never share across domains). *)
+          [jacobians]. Each returned closure owns its workspace, which
+          keeps one slot map per distinct pattern structure it is
+          handed: create one per solve stream (never share across
+          domains). *)
 }
 (** Allocation-free variants of the evaluation callbacks, for hot paths
     that keep workspaces (the MPDE assembler and

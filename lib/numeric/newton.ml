@@ -65,188 +65,148 @@ let report_outcome stats =
   | Exhausted e -> Resilience.Report.Exhausted e
   | o -> Resilience.Report.Failed (Format.asprintf "%a" pp_outcome o)
 
-(* The problem's callbacks under their spans, opened and closed by
-   hand: a [Telemetry.span] closure per evaluation would allocate. *)
-let residual_into problem x r =
-  let span = Telemetry.span_begin "newton.residual" in
-  match problem.residual_into x r with
-  | () -> Telemetry.span_end span
-  | exception e ->
-      Telemetry.span_end span;
-      raise e
+(* The problem's callbacks under their spans, without a closure per
+   evaluation. *)
+let residual_into problem x r = Telemetry.span_app "newton.residual" problem.residual_into x r
 
-let linsolve_into problem x r delta =
-  let span = Telemetry.span_begin "newton.linsolve" in
-  match problem.solve_into x r delta with
-  | () -> Telemetry.span_end span
-  | exception e ->
-      Telemetry.span_end span;
-      raise e
-
-(* The chronological residual-norm history (initial residual first),
-   kept in a bounded ring of [capacity] entries. Its storage grows on
-   demand up to [capacity], so a solve of a few iterations — an
-   implicit time step — does not pay for the whole ring. *)
-type history = {
-  capacity : int;
-  mutable data : float array;
-  mutable next : int;
-  mutable total : int;
-}
-
-let record_residual h v =
-  if h.total < h.capacity && h.total = Array.length h.data then begin
-    (* Not yet wrapped: the ring is the prefix [0, total). *)
-    let data = Array.make (min h.capacity (2 * h.total)) 0.0 in
-    Array.blit h.data 0 data 0 h.total;
-    h.data <- data
-  end;
-  h.data.(h.next) <- v;
-  h.next <- (h.next + 1) mod h.capacity;
-  h.total <- h.total + 1;
-  Telemetry.observe "newton.residual" v
-
-let retained h =
-  let kept = min h.total h.capacity in
-  let start = if h.total <= h.capacity then 0 else h.next in
-  Array.init kept (fun k -> h.data.((start + k) mod h.capacity))
-
-(* One Newton solve. Spans are opened and closed by hand, without a
-   closure per iteration; every exit raises [Exit] with [outcome]
-   set. *)
-let iterate ~options ~on_iteration problem x0 =
+let solve ?(options = default_options) ?on_iteration problem x0 =
+  Telemetry.span "newton" @@ fun () ->
   let n = Array.length x0 in
   (* The accepted iterate and its residual, and the line search's trial
      pair; an accepted trial swaps places with them. *)
   let x = ref (Array.copy x0) and trial = ref (Array.make n 0.0) in
   let r = ref (Array.make n 0.0) and rt = ref (Array.make n 0.0) in
   let delta = Array.make n 0.0 in
+  let linsolve r delta = problem.solve_into !x r delta in
   residual_into problem !x !r;
   let rnorm = ref (Vec.norm_inf !r) in
   let iterations = ref 0 in
   let total_backtracks = ref 0 in
   let outcome = ref Max_iterations in
+  (* Chronological residual-norm history (initial residual first),
+     kept in a bounded ring. *)
   let capacity = max 1 (min history_capacity (options.max_iterations + 1)) in
-  let hist = { capacity; data = Array.make (min capacity 4) 0.0; next = 0; total = 0 } in
-  record_residual hist !rnorm;
+  let hist = Array.make capacity 0.0 in
+  let hist_next = ref 0 in
+  let hist_total = ref 0 in
+  let record_residual v =
+    hist.(!hist_next) <- v;
+    hist_next := (!hist_next + 1) mod capacity;
+    incr hist_total;
+    Telemetry.observe "newton.residual" v
+  in
+  record_residual !rnorm;
+  (* One iteration; every exit raises [Exit] with [outcome] set. *)
+  let iteration () =
+    (match on_iteration with
+    | Some f -> f !iterations !x !rnorm
+    | None -> ());
+    (* Fault-injection hook: [crash@newton] simulates a domain dying
+       mid-iteration (the exception is not rescuable by the ladder —
+       deliberately), [slow@newton] ages the budget clock. *)
+    Resilience.Faultinject.fire_point Resilience.Faultinject.Newton_iter;
+    (* A non-finite residual norm can never backtrack into tolerance:
+       every ‖F‖ comparison against NaN is false, so the old code spun
+       through max_iterations of useless halvings. Bail out at once. *)
+    if not (Float.is_finite !rnorm) then begin
+      outcome := Diverged;
+      raise Exit
+    end;
+    if !rnorm <= options.abs_tol then begin
+      outcome := Converged;
+      raise Exit
+    end;
+    (match options.budget with
+    | Some b -> (
+        try Budget.tick_newton b
+        with Budget.Exhausted e ->
+          outcome := Exhausted e;
+          raise Exit)
+    | None -> ());
+    (try Telemetry.span_app "newton.linsolve" linsolve !r delta
+     with
+     | Budget.Exhausted e ->
+         outcome := Exhausted e;
+         raise Exit
+     | e ->
+         outcome := Solver_failure (Printexc.to_string e);
+         raise Exit);
+    (* Reject non-finite Newton directions outright: damping a step
+       that contains NaN/Inf still contains NaN/Inf. *)
+    if not (Resilience.Guard.finite delta) then begin
+      outcome := Solver_failure "non-finite Newton step";
+      raise Exit
+    end;
+    (* Backtracking: accept the first damping that reduces ‖F‖∞, or,
+       failing that, the smallest tried damping (helps escape regions
+       where the residual is momentarily non-monotone). Either way
+       the candidate is the last trial evaluated. *)
+    let damping = ref 1.0 in
+    let accepted = ref false in
+    let candidate = ref false in
+    let tries = ref 0 in
+    while (not !accepted) && !tries <= options.max_backtracks do
+      Array.blit !x 0 !trial 0 n;
+      Vec.axpy (-. !damping) delta !trial;
+      residual_into problem !trial !rt;
+      let rtnorm = Vec.norm_inf !rt in
+      if Float.is_finite rtnorm && rtnorm < !rnorm then begin
+        accepted := true;
+        candidate := true
+      end
+      else begin
+        if Float.is_finite rtnorm && !tries = options.max_backtracks then
+          (* last resort: take the tiny step anyway *)
+          candidate := true;
+        damping := !damping /. 2.0;
+        incr tries;
+        incr total_backtracks
+      end
+    done;
+    if (not !candidate) || !damping < options.min_damping /. 2.0 then begin
+      outcome := Stalled;
+      raise Exit
+    end;
+    let step_size = !damping *. Vec.norm_inf delta in
+    let accepted_x = !trial and accepted_r = !rt in
+    trial := !x;
+    rt := !r;
+    x := accepted_x;
+    r := accepted_r;
+    rnorm := Vec.norm_inf !r;
+    record_residual !rnorm;
+    incr iterations;
+    if not (Float.is_finite !rnorm) then begin
+      outcome := Diverged;
+      raise Exit
+    end;
+    if !rnorm <= options.abs_tol then begin
+      outcome := Converged;
+      raise Exit
+    end;
+    if step_size <= options.step_tol then begin
+      outcome := (if !rnorm <= options.abs_tol then Converged else Stalled);
+      raise Exit
+    end
+  in
   (try
      while !iterations < options.max_iterations do
-       let span = Telemetry.span_begin "newton.iter" in
-       (try
-          (match on_iteration with
-          | Some f -> f !iterations !x !rnorm
-          | None -> ());
-          (* Fault-injection hook: [crash@newton] simulates a domain dying
-             mid-iteration (the exception is not rescuable by the ladder —
-             deliberately), [slow@newton] ages the budget clock. *)
-          Resilience.Faultinject.fire_point Resilience.Faultinject.Newton_iter;
-          (* A non-finite residual norm can never backtrack into tolerance:
-             every ‖F‖ comparison against NaN is false, so the old code spun
-             through max_iterations of useless halvings. Bail out at once. *)
-          if not (Float.is_finite !rnorm) then begin
-            outcome := Diverged;
-            raise Exit
-          end;
-          if !rnorm <= options.abs_tol then begin
-            outcome := Converged;
-            raise Exit
-          end;
-          (match options.budget with
-          | Some b -> (
-              try Budget.tick_newton b
-              with Budget.Exhausted e ->
-                outcome := Exhausted e;
-                raise Exit)
-          | None -> ());
-          (try linsolve_into problem !x !r delta
-           with
-           | Budget.Exhausted e ->
-               outcome := Exhausted e;
-               raise Exit
-           | e ->
-               outcome := Solver_failure (Printexc.to_string e);
-               raise Exit);
-          (* Reject non-finite Newton directions outright: damping a step
-             that contains NaN/Inf still contains NaN/Inf. *)
-          if not (Resilience.Guard.finite delta) then begin
-            outcome := Solver_failure "non-finite Newton step";
-            raise Exit
-          end;
-          (* Backtracking: accept the first damping that reduces ‖F‖∞, or,
-             failing that, the smallest tried damping (helps escape regions
-             where the residual is momentarily non-monotone). Either way
-             the candidate is the last trial evaluated. *)
-          let damping = ref 1.0 in
-          let accepted = ref false in
-          let candidate = ref false in
-          let tries = ref 0 in
-          while (not !accepted) && !tries <= options.max_backtracks do
-            Array.blit !x 0 !trial 0 n;
-            Vec.axpy (-. !damping) delta !trial;
-            residual_into problem !trial !rt;
-            let rtnorm = Vec.norm_inf !rt in
-            if Float.is_finite rtnorm && rtnorm < !rnorm then begin
-              accepted := true;
-              candidate := true
-            end
-            else begin
-              if Float.is_finite rtnorm && !tries = options.max_backtracks then
-                (* last resort: take the tiny step anyway *)
-                candidate := true;
-              damping := !damping /. 2.0;
-              incr tries;
-              incr total_backtracks
-            end
-          done;
-          if (not !candidate) || !damping < options.min_damping /. 2.0 then begin
-            outcome := Stalled;
-            raise Exit
-          end;
-          let step_size = !damping *. Vec.norm_inf delta in
-          let accepted_x = !trial and accepted_r = !rt in
-          trial := !x;
-          rt := !r;
-          x := accepted_x;
-          r := accepted_r;
-          rnorm := Vec.norm_inf !r;
-          record_residual hist !rnorm;
-          incr iterations;
-          if not (Float.is_finite !rnorm) then begin
-            outcome := Diverged;
-            raise Exit
-          end;
-          if !rnorm <= options.abs_tol then begin
-            outcome := Converged;
-            raise Exit
-          end;
-          if step_size <= options.step_tol then begin
-            outcome := (if !rnorm <= options.abs_tol then Converged else Stalled);
-            raise Exit
-          end
-        with e ->
-          Telemetry.span_end span;
-          raise e);
-       Telemetry.span_end span
+       Telemetry.span "newton.iter" iteration
      done
    with Exit -> ());
   Telemetry.count ~by:!iterations "newton.iterations";
   Telemetry.count ~by:!total_backtracks "newton.backtracks";
   Telemetry.observe "newton.final_residual" !rnorm;
+  let residual_history =
+    let retained = min !hist_total capacity in
+    let start = if !hist_total <= capacity then 0 else !hist_next in
+    Array.init retained (fun k -> hist.((start + k) mod capacity))
+  in
   ( !x,
     {
       outcome = !outcome;
       iterations = !iterations;
       residual_norm = !rnorm;
       backtracks = !total_backtracks;
-      residual_history = retained hist;
+      residual_history;
     } )
-
-let solve ?(options = default_options) ?on_iteration problem x0 =
-  let span = Telemetry.span_begin "newton" in
-  match iterate ~options ~on_iteration problem x0 with
-  | result ->
-      Telemetry.span_end span;
-      result
-  | exception e ->
-      Telemetry.span_end span;
-      raise e

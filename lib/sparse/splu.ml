@@ -253,18 +253,11 @@ let replay f (a : Csr.t) =
     done
   done
 
-(* A span opened and closed by hand: a [Telemetry.span] closure would
-   be the only allocation of a refactor. *)
 let refactor f (a : Csr.t) =
   if not (refactorable f a) then
     invalid_arg "Splu.refactor: pattern changed or structure incomplete";
-  let span = Telemetry.span_begin "splu.refactor" in
   Telemetry.count "splu.refactors";
-  match replay f a with
-  | () -> Telemetry.span_end span
-  | exception e ->
-      Telemetry.span_end span;
-      raise e
+  Telemetry.span_app "splu.refactor" replay f a
 
 (* One place for the refactor-or-factor decision: replay [prev] on
    [a]'s values when its frozen structure allows, and factor afresh

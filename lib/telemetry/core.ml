@@ -154,18 +154,24 @@ let end_on st id =
   in
   if List.exists (fun (id', _) -> id' = id) st.stack then pop st.stack
 
-let span name f =
+(* [span] for a two-argument call: no closure to allocate, so hot
+   loops can time a callback per evaluation. Whether [f] returns or
+   raises, the span is closed only if the recorder it was opened on is
+   still the current one. *)
+let span_app name f a b =
   match !(state ()) with
-  | None -> f ()
+  | None -> f a b
   | Some st -> (
       let id = begin_on st name in
-      match f () with
+      match f a b with
       | y ->
           (match !(state ()) with Some st' when st' == st -> end_on st id | _ -> ());
           y
       | exception e ->
           (match !(state ()) with Some st' when st' == st -> end_on st id | _ -> ());
           raise e)
+
+let span name f = span_app name (fun f () -> f ()) f ()
 
 let span_begin name =
   match !(state ()) with None -> -1 | Some st -> begin_on st name

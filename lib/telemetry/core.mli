@@ -82,6 +82,11 @@ val span : string -> (unit -> 'a) -> 'a
     Exception-safe: the span is closed (and the exception re-raised)
     when [f] raises. When disabled this is just [f ()]. *)
 
+val span_app : string -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [span_app name f a b] is [span name (fun () -> f a b)] without the
+    closure: it allocates nothing of its own, for spans around
+    per-evaluation callbacks. *)
+
 val span_begin : string -> int
 (** Open a span without scoping; returns its id (or -1 when disabled).
     Must be closed with {!span_end} in LIFO order. *)

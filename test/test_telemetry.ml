@@ -130,6 +130,37 @@ let test_exception_safety () =
   in
   Alcotest.(check (list string)) "both spans are roots" [ "after"; "boom" ] root_names
 
+(* [span_app] records like [span], closes on a raise, and, with no
+   recorder, costs its callback nothing: the hot loops use it to time a
+   callback per evaluation. *)
+let test_span_app () =
+  (with_fake_telemetry @@ fun advance ->
+   let sum =
+     Telemetry.span_app "add"
+       (fun a b ->
+         advance 1.0;
+         a + b)
+       2 3
+   in
+   Alcotest.(check int) "passes the result through" 5 sum;
+   (try Telemetry.span_app "raise" (fun () () -> failwith "inner") () ()
+    with Failure _ -> ());
+   let summary = Telemetry.Summary.of_snapshot (capture ()) in
+   (match Telemetry.Summary.find summary "add" with
+   | Some node -> Alcotest.(check (float 1e-9)) "add timed" 1.0 node.Telemetry.Summary.wall
+   | None -> Alcotest.fail "span_app was not recorded");
+   let roots = List.map (fun n -> n.Telemetry.Summary.name) summary.Telemetry.Summary.roots in
+   Alcotest.(check (list string)) "both spans closed" [ "add"; "raise" ] (List.sort compare roots));
+  Telemetry.disable ();
+  let r = Array.make 1 0.0 in
+  let set (r : float array) v = r.(0) <- v in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Telemetry.span_app "set" set r 1.0
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 10.0 then Alcotest.failf "span_app allocated %.0f words over 1000 calls" words
+
 let test_fake_clock_determinism () =
   let run () =
     with_fake_telemetry @@ fun advance ->
@@ -301,6 +332,7 @@ let () =
             test_counters_gauges_histograms;
           Alcotest.test_case "disabled mode is a no-op" `Quick test_disabled_noop;
           Alcotest.test_case "exception safety" `Quick test_exception_safety;
+          Alcotest.test_case "span_app" `Quick test_span_app;
           Alcotest.test_case "fake-clock determinism" `Quick test_fake_clock_determinism;
           Alcotest.test_case "mark + windowed snapshot" `Quick
             test_mark_and_windowed_snapshot;
