@@ -1,22 +1,26 @@
 (** Hand-rolled work-queue executor over OCaml 5 domains — no
-    dependencies beyond the stdlib.
+    dependencies beyond the stdlib, and the only code in the engine
+    and the service that spawns a domain.
 
-    Chunks of jobs are pulled from a shared {!Atomic} index (dynamic
-    scheduling: a slow chunk never blocks the queue behind it) and each
-    result is written to its own slot of a pre-sized array, so the
-    output order is always the input order regardless of which domain
-    finished when. [Domain.join] on every worker establishes the
-    happens-before edge that makes those slot writes visible to the
-    caller.
-
-    Spawned workers enlarge their minor heap before starting (the
-    per-domain default is small enough that allocation-heavy solves
-    minor-collect constantly, inverting the parallel speedup); the
+    [map ~domains:k] runs [k] logical {e lanes} on at most [cores =
+    Domain.recommended_domain_count ()] OS domains: domain [d] runs
+    lanes [d], [d + cores], … in turn, so more lanes than cores never
+    oversubscribe the host (every minor GC stops all domains and would
+    wait for a descheduled one). Callers only see lanes:
+    {!worker_index} and static placement are by lane. A lane after its
+    domain's first starts with an empty solver workspace slot, as on a
+    fresh domain, so reuse counters and traces do not depend on the
+    host. Spawned domains enlarge their minor heap first (the default
+    makes allocation-heavy solves minor-collect constantly); the
     calling domain's GC settings are left untouched.
 
-    With [domains = 1] — the serial fallback the sweep uses when
-    [Domain.recommended_domain_count () = 1] — no domain is spawned at
-    all and the pool degenerates to [Array.map]. *)
+    No domain outlives its call: there is no persistent pool. An idle
+    helper domain kept between calls slows serial work in the same
+    process, because it has to join every stop-the-world minor GC. On
+    a 2-vCPU host, the legacy bench's 8-job sweep (1 anchor, 7 seeded
+    jobs, about 45 minor GCs) through [Sweep.run] on one domain took
+    0.024 / 0.030 / 0.041 s without such a helper and 0.030 / 0.042 /
+    0.079 s with it (median of 40 runs, three runs each way). *)
 
 val map :
   ?assign:[ `Dynamic | `Static ] ->
@@ -24,34 +28,30 @@ val map :
   ('a -> 'b) ->
   'a array ->
   'b array
-(** [map ~domains f items] applies [f] to every item on at most
-    [domains] concurrent domains (the calling domain participates as a
-    worker, so [domains - 1] are spawned; the count is clamped to
-    [1 .. Array.length items]).
+(** [map ~domains f items] applies [f] to every item on [domains]
+    lanes (clamped to [1 .. Array.length items]); the calling domain
+    is one of the OS domains, so [domains = 1] spawns none. Results
+    are in input order whichever domain finished when.
 
-    Each atomic fetch claims [max 1 (n / (domains * 4))] consecutive
-    items, which balances claim traffic against load-balancing slack.
-
-    [assign] picks the scheduling policy. [`Dynamic] (the default) is
-    the chunked shared-queue claiming described above. [`Static] gives
-    worker [k] exactly the items with index ≡ k (mod domains): no load
-    balancing, but the job → worker placement is a pure function of
-    the index — the property cross-domain trace merging needs to be
-    run-to-run deterministic.
+    [assign] picks the scheduling policy. [`Dynamic] (the default)
+    claims chunks of [max 1 (n / (lanes * 4))] items from a shared
+    atomic index, so a slow chunk never blocks the queue behind it.
+    [`Static] gives lane [k] exactly the items with index ≡ k
+    (mod lanes): no load balancing, but the placement is a pure
+    function of the index — what deterministic trace merging needs.
 
     [f] must not raise: an escaping exception tears down the whole
     pool ([Domain.join] re-raises it). Wrap fallible work in a
     [result] before mapping — {!Sweep} does exactly that. *)
 
-val tune_worker_gc : unit -> unit
-(** Enlarge the current domain's minor heap to the pool's worker
-    setting (4M words) if it is smaller. [map] applies this to every
-    domain it spawns; long-lived worker domains created elsewhere (the
-    solve service's job executors) call it once at startup so a solve
-    behaves the same wherever it runs. *)
+val spawn_workers : int -> (unit -> unit) -> unit Domain.t list
+(** [spawn_workers n f] starts [n] domains, worker [w] running [f] as
+    lane [w] (GC-tuned, {!worker_index} [= w], worker lifecycle events
+    published); the caller joins them. The solve service's executors:
+    each blocks in [f] until the service stops, so [n] is not clamped
+    to the cores. *)
 
 val worker_index : unit -> int
-(** Index of the pool worker running on the current domain: [0] for
-    the calling domain, [1 .. domains - 1] for spawned workers.
-    Meaningful only inside [f] during a {!map}; outside one it reads
-    the last value set on this domain (the caller's is [0]). *)
+(** Lane running on the current domain: [0 .. domains - 1] inside
+    {!map}'s [f], [w] inside a {!spawn_workers} worker, otherwise the
+    last value set on this domain (the caller's is [0]). *)

@@ -58,24 +58,6 @@ let health_class = function
   | Diagnostics.Convergence.Rescued _ -> "rescued"
   | Diagnostics.Convergence.Insufficient_data -> "insufficient-data"
 
-(* Status/health of one outcome as published on the event stream.
-   Status follows checkpoint-record semantics, except that an
-   unconverged Ok is reported as "failed" (the checkpoint encodes that
-   in a separate [converged] column). *)
-let published_verdict (result : (Backend.Result.t, failure) Stdlib.result)
-    ~degraded =
-  match result with
-  | Error _ -> ("error", Some "failed")
-  | Ok r ->
-      let health =
-        health_class
-          (Diagnostics.Health.of_report r.Backend.Result.report)
-            .Diagnostics.Health.convergence
-      in
-      if not r.Backend.Result.converged then ("failed", Some health)
-      else if degraded then ("degraded", Some health)
-      else ("ok", Some health)
-
 (* Warm-start group of a job: an MPDE job that brings no surface of its
    own, keyed by its circuit's structure and grid — the jobs whose
    converged surfaces fit one another. A build that raises leaves the
@@ -89,16 +71,204 @@ let group_key (j : job) =
     | digest -> Some (digest, o.Options.n1, o.Options.n2)
     | exception _ -> None
 
-let with_surface surface (j : job) =
-  {
-    j with
-    engine =
-      {
-        j.engine with
-        Backend.options =
-          { j.engine.Backend.options with Options.initial_surface = Some surface };
-      };
-  }
+let map_options f (j : job) =
+  { j with engine = { j.engine with Backend.options = f j.engine.Backend.options } }
+
+let deadline_open = function
+  | None -> true
+  | Some d -> Telemetry.Clock.wall () < d
+
+(* Fresh per-attempt budget: standalone counters (cross-domain sharing
+   would race), wall headroom measured against the sweep deadline at
+   attempt start — so a retry gets only what is left, not a fresh
+   slice — chained onto the job's own pre-existing budget which lives
+   on this same domain. *)
+let engine_for ~deadline ~max_newton_per_job (j : job) =
+  if deadline = None && max_newton_per_job = None then j.engine
+  else
+    let wall_left =
+      Option.map (fun d -> Float.max 0.0 (d -. Telemetry.Clock.wall ())) deadline
+    in
+    let budget =
+      Resilience.Budget.make ?wall_seconds:wall_left
+        ?max_newton:max_newton_per_job
+        ?parent:j.engine.Backend.options.Options.budget ()
+    in
+    (map_options (Options.with_budget (Some budget)) j).engine
+
+let run_job ?deadline ?max_newton_per_job ?(per_job_telemetry = false)
+    ?(per_job_trace = false) ?(retry = Resilience.Retry.none) ?on_outcome
+    ?(publish = true) ?seed index (j : job) =
+  let t0 = Telemetry.Clock.wall () in
+  let worker = Pool.worker_index () in
+  if publish then Observe.Publish.job_started ~job:j.label ~worker;
+  (* One fault-injection scope per attempt: occurrence counters reset
+     on retry (a [crash@job:1] fault is transient — it hits attempt 1
+     and spares attempt 2), and the scope key lets a plan target one
+     job ("fd=8000"), one attempt ("#1"), or the degraded pass ("#d").
+     A seeded solve that does not converge is re-solved from DC in the
+     same scope, so a one-shot fault that sank the seeded solve spares
+     the cold one. So is one that converged without a Newton step: the
+     seed already met the residual tolerance, which bounds the
+     residual, not the waveform — the cold solve's last step lands far
+     inside it. Returns whether the seed was kept. *)
+  let one_attempt ~scope_key ~surface (j : job) =
+    Resilience.Faultinject.with_scope ~key:scope_key (fun () ->
+        let failure e =
+          (* Called first thing in a handler, before any other code
+             runs and overwrites the trace. *)
+          let backtrace =
+            if Printexc.backtrace_status () then
+              match Printexc.get_backtrace () with
+              | "" -> None
+              | bt -> Some bt
+            else None
+          in
+          Error
+            {
+              message = Printexc.to_string e;
+              backtrace;
+              stage = Resilience.Faultinject.last_stage ();
+            }
+        in
+        let solve (j : job) =
+          try
+            with_job_telemetry per_job_telemetry (fun () ->
+                Ok
+                  (Backend.run j.problem
+                     (engine_for ~deadline ~max_newton_per_job j)))
+          with e -> failure e
+        in
+        match Resilience.Faultinject.fire_point Resilience.Faultinject.Job with
+        | exception e -> (failure e, false)
+        | () -> (
+            match surface with
+            | Some surface -> (
+                match
+                  solve
+                    (map_options
+                       (fun o -> { o with Options.initial_surface = Some surface })
+                       j)
+                with
+                | Ok r as seeded
+                  when r.Backend.Result.converged
+                       && r.Backend.Result.newton_iterations > 0 ->
+                    (seeded, true)
+                | _ -> (solve j, false))
+            | None -> (solve j, false)))
+  in
+  (* Transient: worth retrying unchanged — a crash (injected or real)
+     or a budget slice that ran out. Deterministic non-convergence
+     (stall, divergence) is not transient; retrying the identical
+     computation reproduces it bitwise. *)
+  let transient = function
+    | Error _ -> true
+    | Ok r -> (
+        (not r.Backend.Result.converged)
+        &&
+        match r.Backend.Result.report.Resilience.Report.outcome with
+        | Resilience.Report.Exhausted _ -> true
+        | _ -> false)
+  in
+  let failed = function
+    | Error _ -> true
+    | Ok r -> not r.Backend.Result.converged
+  in
+  let rec attempt_loop n prev_delay =
+    let result, seeded =
+      one_attempt
+        ~scope_key:(j.label ^ "#" ^ string_of_int n)
+        ~surface:(Option.map snd seed) j
+    in
+    if transient result && n < retry.Resilience.Retry.max_attempts
+       && deadline_open deadline
+    then begin
+      let delay =
+        Resilience.Retry.backoff retry ~salt:j.label ~attempt:n ~prev:prev_delay
+      in
+      if publish then Observe.Publish.retry ~job:j.label ~worker ~attempt:n ~delay;
+      Resilience.Retry.sleep delay;
+      attempt_loop (n + 1) delay
+    end
+    else (result, seeded, n)
+  in
+  let compute () =
+    let result, seeded, attempts = attempt_loop 1 0.0 in
+    (* Watchdog: a job that failed every regular attempt gets one final
+       try at degraded options instead of poisoning the sweep. The
+       demotion is only kept if it actually rescued the job. The
+       coarser grid does not fit the seed, so it runs cold. *)
+    let result, degraded =
+      if retry.Resilience.Retry.degrade && failed result && deadline_open deadline
+      then begin
+        if publish then Observe.Publish.degraded ~job:j.label ~worker;
+        let d_result, _ =
+          one_attempt ~scope_key:(j.label ^ "#d") ~surface:None
+            (map_options Options.degrade j)
+        in
+        if failed d_result then (result, false) else (d_result, true)
+      end
+      else (result, false)
+    in
+    (result, seeded && not degraded, attempts, degraded)
+  in
+  (* Trace capture spans the whole job — every attempt, backoff and the
+     degraded pass — on the executing domain. When a recorder is
+     already live there (serial sweep under [rfss --trace]) the job's
+     slice is windowed out of it with [mark]/[snapshot ~since];
+     otherwise a throwaway recorder wraps the job. Either way span
+     timestamps stay relative to that recorder's enable instant, which
+     [Telemetry.enabled_at] reports as the base for merging. *)
+  let (result, seeded, attempts, degraded), trace =
+    if not per_job_trace then (compute (), None)
+    else
+      with_job_telemetry true (fun () ->
+          let since = Telemetry.mark () in
+          let r = compute () in
+          let base = Option.value ~default:t0 (Telemetry.enabled_at ()) in
+          (r, Option.map (fun s -> (base, s)) (Telemetry.snapshot ~since ())))
+  in
+  let outcome =
+    {
+      index;
+      job = j;
+      result;
+      wall_seconds = Telemetry.Clock.wall () -. t0;
+      attempts;
+      degraded;
+      worker;
+      anchor = (if seeded then Option.map fst seed else None);
+      trace;
+    }
+  in
+  (* Runs on the executing domain, concurrently across jobs: the
+     checkpoint writer serializes internally. It runs before the
+     job_finished event, so whoever that event wakes (the service's
+     HTTP loop, streaming the result line) finds the record written. *)
+  (match on_outcome with Some f when publish -> f outcome | _ -> ());
+  (* The armed check here (one atomic load when idle) also gates the
+     health classification, which is only worth computing when a
+     listener is watching. Status follows checkpoint-record semantics,
+     except that an unconverged Ok is "failed" (the checkpoint encodes
+     that in a separate [converged] column). *)
+  if publish && Observe.Publish.armed () then begin
+    let status, health =
+      match result with
+      | Error _ -> ("error", Some "failed")
+      | Ok r ->
+          let health =
+            health_class
+              (Diagnostics.Health.of_report r.Backend.Result.report)
+                .Diagnostics.Health.convergence
+          in
+          if not r.Backend.Result.converged then ("failed", Some health)
+          else if degraded then ("degraded", Some health)
+          else ("ok", Some health)
+    in
+    Observe.Publish.job_finished ~job:j.label ~worker ~status ~health
+      ~wall_seconds:outcome.wall_seconds ~attempts
+  end;
+  outcome
 
 let run ?domains ?wall_seconds ?max_newton_per_job
     ?(per_job_telemetry = false) ?(per_job_trace = false)
@@ -115,205 +285,6 @@ let run ?domains ?wall_seconds ?max_newton_per_job
   Observe.Publish.run_started ?deadline ~domains ~phase:"sweep"
     ~total:(Array.fold_left (fun k p -> if p then k + 1 else k) 0 pending)
     ();
-  let deadline_open () =
-    match deadline with None -> true | Some d -> Telemetry.Clock.wall () < d
-  in
-  let engine_for (j : job) =
-    if deadline = None && max_newton_per_job = None then j.engine
-    else
-      (* Fresh per-attempt budget: standalone counters (cross-domain
-         sharing would race), wall headroom measured against the sweep
-         deadline at attempt start — so a retry gets only what is left,
-         not a fresh slice — chained onto the job's own pre-existing
-         budget which lives on this same domain. *)
-      let wall_left =
-        Option.map
-          (fun d -> Float.max 0.0 (d -. Telemetry.Clock.wall ()))
-          deadline
-      in
-      let budget =
-        Resilience.Budget.make ?wall_seconds:wall_left
-          ?max_newton:max_newton_per_job
-          ?parent:j.engine.Backend.options.Options.budget ()
-      in
-      {
-        j.engine with
-        Backend.options =
-          Options.with_budget (Some budget) j.engine.Backend.options;
-      }
-  in
-  (* [publish = false] is a resumed sweep's silent re-solve of an anchor
-     whose own record is already in the checkpoint: it runs only to seed
-     its pending dependents, so nothing hears of it. [seed] is the
-     anchor index and surface of a phase-2 job. *)
-  let run_one ~publish ~seed index (j : job) =
-    let t0 = Telemetry.Clock.wall () in
-    let worker = Pool.worker_index () in
-    if publish then Observe.Publish.job_started ~job:j.label ~worker;
-    (* One fault-injection scope per attempt: occurrence counters reset
-       on retry (a [crash@job:1] fault is transient — it hits attempt 1
-       and spares attempt 2), and the scope key lets a plan target one
-       job ("fd=8000"), one attempt ("#1"), or the degraded pass
-       ("#d"). A seeded solve that does not converge is re-solved from
-       DC in the same scope, so a one-shot fault that sank the seeded
-       solve spares the cold one. So is one that converged without a
-       Newton step: the seed already met the residual tolerance, which
-       bounds the residual, not the waveform — the cold solve's last
-       step lands far inside it. Returns whether the seed was kept. *)
-    let one_attempt ~scope_key ~surface (j : job) =
-      Resilience.Faultinject.with_scope ~key:scope_key (fun () ->
-          let failure e =
-            (* Called first thing in a handler, before any other code
-               runs and overwrites the trace. *)
-            let backtrace =
-              if Printexc.backtrace_status () then
-                match Printexc.get_backtrace () with
-                | "" -> None
-                | bt -> Some bt
-              else None
-            in
-            Error
-              {
-                message = Printexc.to_string e;
-                backtrace;
-                stage = Resilience.Faultinject.last_stage ();
-              }
-          in
-          let solve (j : job) =
-            try
-              with_job_telemetry per_job_telemetry (fun () ->
-                  Ok (Backend.run j.problem (engine_for j)))
-            with e -> failure e
-          in
-          match Resilience.Faultinject.fire_point Resilience.Faultinject.Job with
-          | exception e -> (failure e, false)
-          | () -> (
-              match surface with
-              | Some surface -> (
-                  match solve (with_surface surface j) with
-                  | Ok r as seeded
-                    when r.Backend.Result.converged
-                         && r.Backend.Result.newton_iterations > 0 ->
-                      (seeded, true)
-                  | _ -> (solve j, false))
-              | None -> (solve j, false)))
-    in
-    (* Transient: worth retrying unchanged — a crash (injected or real)
-       or a budget slice that ran out. Deterministic non-convergence
-       (stall, divergence) is not transient; retrying the identical
-       computation reproduces it bitwise. *)
-    let transient = function
-      | Error _ -> true
-      | Ok r -> (
-          (not r.Backend.Result.converged)
-          &&
-          match r.Backend.Result.report.Resilience.Report.outcome with
-          | Resilience.Report.Exhausted _ -> true
-          | _ -> false)
-    in
-    let failed = function
-      | Error _ -> true
-      | Ok r -> not r.Backend.Result.converged
-    in
-    let rec attempt_loop n prev_delay =
-      let result, seeded =
-        one_attempt
-          ~scope_key:(j.label ^ "#" ^ string_of_int n)
-          ~surface:(Option.map snd seed) j
-      in
-      if transient result && n < retry.Resilience.Retry.max_attempts
-         && deadline_open ()
-      then begin
-        let delay =
-          Resilience.Retry.backoff retry ~salt:j.label ~attempt:n
-            ~prev:prev_delay
-        in
-        if publish then
-          Observe.Publish.retry ~job:j.label ~worker ~attempt:n ~delay;
-        Resilience.Retry.sleep delay;
-        attempt_loop (n + 1) delay
-      end
-      else (result, seeded, n)
-    in
-    let compute () =
-      let result, seeded, attempts = attempt_loop 1 0.0 in
-      (* Watchdog: a job that failed every regular attempt gets one
-         final try at degraded options instead of poisoning the sweep.
-         The demotion is only kept if it actually rescued the job. The
-         coarser grid does not fit the seed, so it runs cold. *)
-      let result, degraded =
-        if
-          retry.Resilience.Retry.degrade && failed result && deadline_open ()
-        then begin
-          if publish then Observe.Publish.degraded ~job:j.label ~worker;
-          let dj =
-            {
-              j with
-              engine =
-                {
-                  j.engine with
-                  Backend.options = Options.degrade j.engine.Backend.options;
-                };
-            }
-          in
-          let d_result, _ =
-            one_attempt ~scope_key:(j.label ^ "#d") ~surface:None dj
-          in
-          if failed d_result then (result, false) else (d_result, true)
-        end
-        else (result, false)
-      in
-      (result, seeded && not degraded, attempts, degraded)
-    in
-    (* Trace capture spans the whole job — every attempt, backoff and
-       the degraded pass — on the executing domain. When a recorder is
-       already live there (serial sweep under [rfss --trace]) the job's
-       slice is windowed out of it with [mark]/[snapshot ~since];
-       otherwise a throwaway recorder wraps the job. Either way span
-       timestamps stay relative to that recorder's enable instant,
-       which [Telemetry.enabled_at] reports as the base for merging. *)
-    let (result, seeded, attempts, degraded), trace =
-      if not per_job_trace then (compute (), None)
-      else if Telemetry.enabled () then begin
-        let since = Telemetry.mark () in
-        let r = compute () in
-        let base = Option.value ~default:t0 (Telemetry.enabled_at ()) in
-        (r, Option.map (fun s -> (base, s)) (Telemetry.snapshot ~since ()))
-      end
-      else begin
-        Telemetry.enable ();
-        Fun.protect ~finally:Telemetry.disable (fun () ->
-            let r = compute () in
-            let base = Option.value ~default:t0 (Telemetry.enabled_at ()) in
-            (r, Option.map (fun s -> (base, s)) (Telemetry.snapshot ())))
-      end
-    in
-    let outcome =
-      {
-        index;
-        job = j;
-        result;
-        wall_seconds = Telemetry.Clock.wall () -. t0;
-        attempts;
-        degraded;
-        worker;
-        anchor = (if seeded then Option.map fst seed else None);
-        trace;
-      }
-    in
-    (* The armed check here (one atomic load when idle) also gates the
-       health classification, which is only worth computing when a
-       listener is watching. *)
-    if publish && Observe.Publish.armed () then begin
-      let status, health = published_verdict result ~degraded in
-      Observe.Publish.job_finished ~job:j.label ~worker ~status ~health
-        ~wall_seconds:outcome.wall_seconds ~attempts
-    end;
-    (* Runs on the executing domain, concurrently across jobs: the
-       checkpoint writer (the intended consumer) serializes internally. *)
-    (match on_outcome with Some f when publish -> f outcome | _ -> ());
-    outcome
-  in
   (* Anchors: the first job of each warm-start group, in input order —
      completed jobs included, so a resumed sweep picks the anchors the
      uninterrupted one did. [anchor.(i)] is i's anchor (i itself for
@@ -341,14 +312,18 @@ let run ?domains ?wall_seconds ?max_newton_per_job
     pending;
   let phase1 i = (not (dependent i)) && (pending.(i) || needed.(i)) in
   let phase2 i = pending.(i) && dependent i in
-  (* Static placement under tracing: job → worker must be a pure
-     function of the index for two traced runs to merge identically,
-     so each phase maps the whole index range and skips the other
-     phase's jobs — job i runs on worker i mod domains in either.
-     Otherwise a phase maps only its own jobs, and spawns no more
-     domains than it has jobs. *)
+  (* Static placement under tracing: job → lane must be a pure function
+     of the index for two traced runs to merge identically, so each
+     phase maps the whole index range and skips the other phase's jobs
+     — job i runs on lane i mod domains in either. Otherwise a phase
+     maps only its own jobs, and runs no more lanes than it has jobs.
+     An anchor a resumed sweep re-solves only to seed its pending
+     dependents is not published. *)
   let run_phase member seed_of =
-    let go i = run_one ~publish:pending.(i) ~seed:(seed_of i) i jobs.(i) in
+    let go i =
+      run_job ?deadline ?max_newton_per_job ~per_job_telemetry ~per_job_trace
+        ~retry ?on_outcome ~publish:pending.(i) ?seed:(seed_of i) i jobs.(i)
+    in
     if per_job_trace then
       Pool.map ~assign:`Static ~domains
         (fun i -> if member i then Some (go i) else None)

@@ -6,7 +6,10 @@
     through {!Pool.map}. Results come back in job order regardless of
     scheduling, so a parallel sweep is sample-for-sample comparable
     with a serial one; with deterministic backends the waveforms are
-    bitwise equal.
+    bitwise equal. Every job is solved by {!run_job}, which the solve
+    service also calls for each request it solves: served and swept
+    jobs share one seeding rule with its cold fallback, one verdict
+    and one event stream.
 
     Warm starts: an MPDE job whose options carry no [initial_surface]
     belongs to a group keyed by its circuit's structural digest
@@ -123,14 +126,6 @@ val health_class : Diagnostics.Convergence.cls -> string
     "linear", …) — {!Diagnostics.Convergence.to_string} embeds rate or
     rescue-stage detail that event consumers would have to re-parse. *)
 
-val published_verdict :
-  (Backend.Result.t, failure) Stdlib.result ->
-  degraded:bool ->
-  string * string option
-(** (status, health) of one outcome as published on the
-    {!Observe.Publish} event stream. Status follows checkpoint-record
-    semantics except that an unconverged [Ok] is ["failed"]. *)
-
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — 1 on a single-core host,
     which makes {!run} fall back to fully serial execution. *)
@@ -146,10 +141,11 @@ val run :
   ?on_outcome:(outcome -> unit) ->
   job array ->
   outcome array
-(** Execute the jobs on at most [domains] domains (default
-    {!default_domains}; clamped to the job count; [1] means no domain
-    is spawned at all). The result array is index-aligned with the
-    input. Never raises on job failure.
+(** Execute the jobs on [domains] {!Pool} lanes (default
+    {!default_domains}; clamped to the job count), which run on at
+    most [Domain.recommended_domain_count ()] OS domains; [1] means no
+    domain is spawned at all. The result array is index-aligned with
+    the input. Never raises on job failure.
 
     [completed i] marks job [i] as already solved by an interrupted
     run of the same job list (a checkpoint resume; default: none). A
@@ -166,10 +162,42 @@ val run :
     cross-domain merging ({!Telemetry.Merge}). It also switches
     {!Pool.map} to [`Static] assignment so the job → worker placement
     (and hence the merged trace) is run-to-run deterministic: job [i]
-    runs on worker [i mod domains] in either phase. An
+    runs on lane [i mod domains] in either phase, whatever the
+    host's core count. An
     already-live recorder on the executing domain is windowed, not
     replaced, so serial sweeps under [rfss --trace] compose.
 
     [on_outcome] fires once per job as it completes, {e on the
     executing domain} and concurrently across domains — consumers that
-    aggregate (the checkpoint writer) must serialize internally. *)
+    aggregate (the checkpoint writer) must serialize internally — and
+    before the job's [job_finished] event is published. *)
+
+val run_job :
+  ?deadline:float ->
+  ?max_newton_per_job:int ->
+  ?per_job_telemetry:bool ->
+  ?per_job_trace:bool ->
+  ?retry:Resilience.Retry.policy ->
+  ?on_outcome:(outcome -> unit) ->
+  ?publish:bool ->
+  ?seed:int * Linalg.Vec.t ->
+  int ->
+  job ->
+  outcome
+(** [run_job index job] solves one job on the calling domain: the only
+    path by which a job is solved. {!run} calls it for every job in
+    both phases with its own settings ([deadline] is the absolute
+    {!Telemetry.Clock.wall} instant its [wall_seconds] ends at; the
+    rest are its arguments of the same names, same defaults). The solve
+    service calls it per cache miss with the defaults but for
+    [on_outcome], which writes its response lines; the request's
+    budget travels in the job's options.
+
+    It runs the attempts, retry, degraded pass, per-job trace, events
+    (on lane {!Pool.worker_index}) and [on_outcome] described above;
+    [publish = false] (default [true]) silences the last two, for a
+    resumed sweep's re-solve of a checkpointed anchor. [seed =
+    (anchor, surface)] seeds the solve, with the cold fallback
+    described above, and [outcome.anchor] is [Some anchor] only when
+    the seed was kept — the service, which has no anchor index, reads
+    just whether it is set. *)

@@ -1,13 +1,21 @@
 (* The async job executor behind the service: accept → cache probe →
-   queue → solve on a persistent worker domain → stream result lines.
+   queue → solve on a worker domain → stream result lines.
+
+   A job is solved by Engine.Sweep.run_job, the per-job path every
+   sweep job takes: seeding with its cold fallback, the verdict and
+   the job events are the sweep's. This module keeps only what is the
+   service's own: the result cache, the warm-start store (looked up
+   before the solve, offered the converged surface after it), the
+   queue and the response lines.
 
    Threading contract: [submit], [poll] and [status_json] run on the
    Observe server domain (they must never block beyond a mutex held
-   for O(queue) work); the solves run on this module's worker domains,
-   tuned like Engine.Pool workers. Results cross domains through each
-   job's handle (a mutex-guarded line queue) and the shared
-   cache/warm-start stores; the server loop polls handles every tick,
-   so no wake plumbing is needed beyond its existing 50 ms cadence. *)
+   for O(queue) work); the solves run on worker domains from
+   Engine.Pool.spawn_workers, each worker its own lane. Results cross
+   domains through each job's handle (a mutex-guarded line queue) and
+   the shared cache/warm-start stores; the server loop polls handles
+   every tick, so no wake plumbing is needed beyond its existing 50 ms
+   cadence. *)
 
 type handle = {
   hm : Mutex.t;
@@ -77,7 +85,7 @@ let registry t =
   c "serve.cache_evictions" cs.Cache.evictions "Result-cache LRU evictions";
   g "serve.cache_entries" cs.Cache.entries "Result-cache current size";
   c "serve.warm_starts" (Atomic.get t.warm_solves)
-    "Solves seeded from a cached nearby surface";
+    "Solves answered from a cached nearby surface (a seed re-solved cold is not counted)";
   g "serve.warm_entries" (Engine.Warm.size t.warm)
     "Warm-start surfaces retained";
   g "serve.queue_depth" (queue_depth t) "Jobs accepted but not yet solving";
@@ -88,10 +96,8 @@ let publish_metrics t = Observe.Publish.set_metrics (registry t)
 
 (* ---------- execution ---------- *)
 
-(* Solve one pending job and stream its lines. Returns the
-   introspection verdict — Sweep's: an unconverged result is
-   "failed", a raised solve an "error" — computed only while a
-   listener is armed. *)
+(* Solve one pending job through the sweep's per-job path and stream
+   its lines. *)
 let execute t (p : pending) =
   let job = p.job in
   let o = job.Protocol.options in
@@ -100,25 +106,27 @@ let execute t (p : pending) =
       ?max_newton:job.Protocol.max_newton_budget ()
   in
   let digest = Catalog.digest job.Protocol.fixture in
-  let warm_surface =
+  (* No anchor index here: the job id stands in, read only as a flag. *)
+  let seed =
     if job.Protocol.warm && job.Protocol.engine = Engine.Mpde then
-      Engine.Warm.nearest t.warm ~digest ~n1:o.Engine.Options.n1
-        ~n2:o.Engine.Options.n2 ~f_fast:job.Protocol.f_fast
-        ~fd:job.Protocol.fd
+      Option.map
+        (fun surface -> (p.id, surface))
+        (Engine.Warm.nearest t.warm ~digest ~n1:o.Engine.Options.n1
+           ~n2:o.Engine.Options.n2 ~f_fast:job.Protocol.f_fast
+           ~fd:job.Protocol.fd)
     else None
-  in
-  let warm_started = warm_surface <> None in
-  if warm_started then Atomic.incr t.warm_solves;
-  let options =
-    { o with Engine.Options.budget; initial_surface = warm_surface }
   in
   let problem =
     Catalog.problem_of job.Protocol.fixture ~f_fast:job.Protocol.f_fast
       ~fd:job.Protocol.fd
   in
-  let outcome =
-    match Engine.run problem (Engine.make ~options job.Protocol.engine) with
-    | r ->
+  (* Lines and counters are done before the per-job path publishes
+     job_finished, the event that wakes the server to stream them. *)
+  let respond (outcome : Engine.Sweep.outcome) =
+    (match outcome.Engine.Sweep.result with
+    | Ok r ->
+        let warm_started = outcome.Engine.Sweep.anchor <> None in
+        if warm_started then Atomic.incr t.warm_solves;
         let line = Protocol.result_line ~key:p.key ~warm_started job r in
         Cache.add t.cache p.key line;
         (if r.Engine.Result.converged && job.Protocol.warm then
@@ -129,49 +137,33 @@ let execute t (p : pending) =
                  ~fd:job.Protocol.fd sol.Mpde.Solver.big_x
            | None -> ());
         push p.handle line;
-        Atomic.incr t.completed;
-        Some r
-    | exception e ->
-        push p.handle (Protocol.error_line (Printexc.to_string e));
-        Atomic.incr t.failed;
-        None
+        Atomic.incr t.completed
+    | Error f ->
+        push p.handle (Protocol.error_line f.Engine.Sweep.message);
+        Atomic.incr t.failed);
+    push p.handle (Protocol.done_line ~id:p.id);
+    finish p.handle;
+    publish_metrics t
   in
-  push p.handle (Protocol.done_line ~id:p.id);
-  finish p.handle;
-  publish_metrics t;
-  if not (Observe.Publish.armed ()) then None
-  else
-    Some
-      (match outcome with
-      | Some r -> Engine.Sweep.published_verdict (Ok r) ~degraded:false
-      | None -> ("error", Some "failed"))
+  ignore
+    (Engine.Sweep.run_job ?seed ~on_outcome:respond p.id
+       (Engine.Sweep.job ~label:p.key
+          ~options:{ o with Engine.Options.budget }
+          ~kind:job.Protocol.engine problem))
 
-let rec worker_loop t w =
+let rec worker_loop t =
   let next =
     Mutex.protect t.mutex (fun () ->
-        let rec wait () =
-          if t.stopping then None
-          else
-            match Queue.take_opt t.queue with
-            | Some p -> Some p
-            | None ->
-                Condition.wait t.cond t.mutex;
-                wait ()
-        in
-        wait ())
+        while (not t.stopping) && Queue.is_empty t.queue do
+          Condition.wait t.cond t.mutex
+        done;
+        if t.stopping then None else Queue.take_opt t.queue)
   in
   match next with
   | None -> ()
   | Some p ->
-      Observe.Publish.job_started ~job:p.key ~worker:w;
-      let wall0 = Telemetry.Clock.wall () in
-      Option.iter
-        (fun (status, health) ->
-          Observe.Publish.job_finished ~job:p.key ~worker:w ~status ~health
-            ~wall_seconds:(Telemetry.Clock.wall () -. wall0)
-            ~attempts:1)
-        (execute t p);
-      worker_loop t w
+      execute t p;
+      worker_loop t
 
 (* ---------- lifecycle ---------- *)
 
@@ -194,14 +186,7 @@ let create ?(workers = 2) ?(cache_capacity = 64) ?(warm_capacity = 16) () =
       warm_solves = Atomic.make 0;
     }
   in
-  t.domains <-
-    List.init workers (fun w ->
-        Domain.spawn (fun () ->
-            Engine.Pool.tune_worker_gc ();
-            Observe.Publish.worker_started ~worker:w;
-            Fun.protect
-              ~finally:(fun () -> Observe.Publish.worker_stopped ~worker:w)
-              (fun () -> worker_loop t w)));
+  t.domains <- Engine.Pool.spawn_workers workers (fun () -> worker_loop t);
   t
 
 let submit t job =

@@ -1,9 +1,11 @@
 (** The service's async job executor: accept → cache probe → queue →
-    solve on persistent worker domains → stream response lines.
+    solve on worker domains → stream response lines.
 
     [submit] and [poll] are called from the Observe serving domain and
-    never block beyond brief mutex holds; solves run on this module's
-    own worker domains (GC-tuned like {!Engine.Pool} workers). A
+    never block beyond brief mutex holds; solves run on worker domains
+    from {!Engine.Pool.spawn_workers}, each through
+    {!Engine.Sweep.run_job} — the per-job path of a sweep, so a served
+    job is seeded, judged and published exactly like a sweep job. A
     submission whose canonical key is cached completes immediately,
     replaying the stored result line; a miss is queued and its handle
     yields lines as the solve progresses. *)
@@ -40,7 +42,8 @@ val cache : t -> Cache.t
 val warm : t -> Engine.Warm.t
 
 val warm_starts : t -> int
-(** Solves that started from a shared nearby surface. *)
+(** Solves whose answer came from a shared nearby surface: a seed the
+    per-job path re-solved cold is not counted. *)
 
 val registry : t -> Diagnostics.Registry.t
 (** Fresh [serve.*] metric samples (job counters, cache hit/miss/

@@ -251,6 +251,32 @@ let test_pool_order_and_clamp () =
   Alcotest.(check (array int)) "order preserved"
     (Array.map (fun i -> 2 * i) items)
     doubled;
+  (* Eight lanes run on no more OS domains than cores: count the items
+     in flight at once (each holds its slot long enough for the lanes
+     of other domains to overlap it), and check the static placement
+     by lane. *)
+  let live = Atomic.make 0 and peak = Atomic.make 0 in
+  let lanes =
+    Engine.Pool.map ~assign:`Static ~domains:8
+      (fun _ ->
+        let now = 1 + Atomic.fetch_and_add live 1 in
+        let rec raise_peak () =
+          let p = Atomic.get peak in
+          if now > p && not (Atomic.compare_and_set peak p now) then
+            raise_peak ()
+        in
+        raise_peak ();
+        Unix.sleepf 0.002;
+        Atomic.decr live;
+        Engine.Pool.worker_index ())
+      items
+  in
+  let cores = Domain.recommended_domain_count () in
+  if Atomic.get peak > cores then
+    Alcotest.failf "%d items in flight on %d cores" (Atomic.get peak) cores;
+  Alcotest.(check (array int)) "item i on lane i mod 8"
+    (Array.map (fun i -> i mod 8) items)
+    lanes;
   let empty = Engine.Pool.map ~domains:4 (fun i -> i) [||] in
   Alcotest.(check int) "empty input" 0 (Array.length empty)
 

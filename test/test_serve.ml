@@ -477,6 +477,50 @@ let test_warm_start_fewer_newton () =
     Alcotest.failf "warm start did not help: warm=%d cold=%d" warm_newton
       cold_newton
 
+(* A seed that already meets the request's tolerance takes no Newton
+   step and would hand back its own waveform: the served path re-solves
+   it cold, as a sweep does, and does not report a warm start. *)
+let test_warm_seed_within_tol_resolved_cold () =
+  let jobs = Serve.Jobs.create ~workers:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Jobs.stop jobs) @@ fun () ->
+  let tight = rc_job ~warm:true () in
+  let loose =
+    {
+      tight with
+      Serve.Protocol.options =
+        { tight.Serve.Protocol.options with Engine.Options.tol = 1e-6 };
+    }
+  in
+  let r0 = line_with_event (drain (Serve.Jobs.submit jobs tight)) "result" in
+  Alcotest.(check bool) "seed solve converged" true (member_bool r0 "converged");
+  let lines = drain (Serve.Jobs.submit jobs loose) in
+  Alcotest.(check string) "looser tol is a different key" "miss"
+    (member_str (line_with_event lines "accepted") "cache");
+  Alcotest.(check int) "the store handed back the surface" 1
+    (Engine.Warm.served (Serve.Jobs.warm jobs));
+  let served = line_with_event lines "result" in
+  Alcotest.(check bool) "not warm-started" false
+    (member_bool served "warm_started");
+  Alcotest.(check int) "no warm start counted" 0 (Serve.Jobs.warm_starts jobs);
+  let fixture = loose.Serve.Protocol.fixture in
+  let cold =
+    Engine.run
+      (Serve.Catalog.problem_of fixture ~f_fast:loose.Serve.Protocol.f_fast
+         ~fd:loose.Serve.Protocol.fd)
+      (Engine.make ~options:loose.Serve.Protocol.options Engine.Mpde)
+  in
+  let strip line =
+    match J.parse line with
+    | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> "wall_seconds") fields)
+    | j -> j
+  in
+  Alcotest.(check bool) "result line = a cold solve's" true
+    (strip served
+    = strip
+        (Serve.Protocol.result_line
+           ~key:(Serve.Protocol.key_of_job loose)
+           ~warm_started:false loose cold))
+
 (* ---------- served verdicts reach the introspection plane ---------- *)
 
 (* A served job is judged like a sweep job: one converged and one
@@ -649,6 +693,8 @@ let () =
             test_resubmission_cache_hit;
           Alcotest.test_case "warm start beats cold Newton count" `Quick
             test_warm_start_fewer_newton;
+          Alcotest.test_case "seed within tol re-solved cold" `Quick
+            test_warm_seed_within_tol_resolved_cold;
           Alcotest.test_case "served verdicts published" `Quick
             test_served_verdicts_published;
           Alcotest.test_case "routes speak the protocol" `Quick test_routes;
