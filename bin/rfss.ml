@@ -913,21 +913,27 @@ let envelope_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 steps periods
     env;
   if result.Mpde.Envelope_follow.converged then 0 else 1
 
+(* The engine's MPDE solve, plus the two checks the engine leaves out
+   (Health.probe): the κ estimate and the diagonal residual. *)
 let health_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2 budget_seconds
     max_newton =
   with_telemetry tele @@ fun () ->
-  let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
-  let shear = Mpde.Shear.make ~fast_freq:f_fast ~slow_freq:fd in
+  let problem = Serve.Catalog.problem_of fixture ~f_fast ~fd in
   let options =
     {
-      Mpde.Solver.default_options with
+      Engine.Options.default with
+      n1;
+      n2;
       budget =
         Resilience.Budget.of_limits ?wall_seconds:budget_seconds ?max_newton ();
     }
   in
-  let sol = Mpde.Solver.solve_mna ~options ~shear ~n1 ~n2 mna in
+  let r = Engine.run problem (Engine.make ~options Engine.Mpde) in
+  let sol = Option.get r.Engine.Result.mpde_solution in
+  (* Fresh identically-built MNA for the node-index lookup only. *)
+  let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
   let unknown = Circuit.Mna.node_index mna fixture.output_node in
-  let health = Diagnostics.Health.of_solution ~diagonal_unknown:unknown sol in
+  let health = Diagnostics.Health.probe sol ~unknown r.Engine.Result.health in
   print_endline (Diagnostics.Health.summary_line health);
   Printf.printf "convergence:        %s\n"
     (Diagnostics.Convergence.to_string health.Diagnostics.Health.convergence);
@@ -950,7 +956,7 @@ let health_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2 budget_secon
   | None -> ());
   Printf.printf "# report=%s\n"
     (Resilience.Report.to_json_string
-       (Diagnostics.Health.attach health sol.Mpde.Solver.report));
+       (Diagnostics.Health.attach health r.Engine.Result.report));
   ignore
     (Diagnostics.Health.to_registry ~registry:metrics_registry health);
   if health.Diagnostics.Health.converged then 0 else 1

@@ -70,12 +70,15 @@ let () =
     r.Engine.Result.converged r.Engine.Result.newton_iterations
     r.Engine.Result.wall_seconds;
   let sol = Option.get r.Engine.Result.mpde_solution in
-  (* The engine's health skips the Jacobian condition estimate; a full
-     assessment of the solution includes it. *)
-  Printf.printf "%s\n"
-    (Diagnostics.Health.summary_line (Diagnostics.Health.of_solution sol));
   (* Identically-built MNA for node-index lookups in the extractors. *)
   let { Circuits.mna; _ } = Circuits.ideal_mixer ~lo ~rf () in
+  (* The engine's health skips the Jacobian condition estimate and the
+     diagonal check; probing the solution adds both. *)
+  Printf.printf "%s\n"
+    (Diagnostics.Health.summary_line
+       (Diagnostics.Health.probe sol
+          ~unknown:(Circuit.Mna.node_index mna "out")
+          r.Engine.Result.health));
   let out = Mpde.Extract.surface_of_node sol mna "out" in
   let amp = Mpde.Extract.t2_harmonic_amplitude ~values:out ~harmonic:1 in
   Printf.printf "difference-tone (10 kHz) amplitude at the IF output: %.4f V\n" amp;

@@ -26,48 +26,9 @@ let condition_of_solution (sol : Mpde.Solver.solution) =
     if Float.is_finite kappa && kappa > 0.0 then Some kappa else None
   with _ -> None
 
-let of_solution ?(condition = true) ?diagonal_unknown (sol : Mpde.Solver.solution) =
-  Telemetry.span "diagnostics.health" @@ fun () ->
-  let stats = sol.Mpde.Solver.stats in
-  let report = sol.Mpde.Solver.report in
-  let convergence =
-    Convergence.classify ~strategy:stats.Mpde.Solver.strategy
-      report.Resilience.Report.residual_trajectory
-  in
-  let condition_estimate =
-    if condition then
-      Telemetry.span "diagnostics.condest" @@ fun () ->
-      condition_of_solution sol
-    else None
-  in
-  let diagonal_residual =
-    match diagonal_unknown with
-    | Some unknown ->
-        Telemetry.span "diagnostics.diagonal" @@ fun () ->
-        Some (Mpde.Extract.diagonal_residual sol ~unknown)
-    | None -> None
-  in
-  let stage_iterations =
-    List.map
-      (fun s ->
-        (s.Resilience.Report.name, s.Resilience.Report.iterations))
-      report.Resilience.Report.stages
-  in
-  {
-    convergence;
-    newton_iterations = stats.Mpde.Solver.newton_iterations;
-    linear_iterations = stats.Mpde.Solver.linear_iterations;
-    residual_norm = stats.Mpde.Solver.residual_norm;
-    strategy = stats.Mpde.Solver.strategy;
-    converged = stats.Mpde.Solver.converged;
-    condition_estimate;
-    diagonal_residual;
-    stage_iterations;
-  }
-
 let of_report (r : Resilience.Report.t) =
   let strategy =
-    match r.Resilience.Report.strategy with Some s -> s | None -> "newton"
+    match r.Resilience.Report.strategy with Some s -> s | None -> "none"
   in
   {
     convergence =
@@ -87,6 +48,17 @@ let of_report (r : Resilience.Report.t) =
         (fun s -> (s.Resilience.Report.name, s.Resilience.Report.iterations))
         r.Resilience.Report.stages;
   }
+
+let probe (sol : Mpde.Solver.solution) ~unknown h =
+  Telemetry.span "diagnostics.health" @@ fun () ->
+  let condition_estimate =
+    Telemetry.span "diagnostics.condest" @@ fun () -> condition_of_solution sol
+  in
+  let diagonal_residual =
+    Telemetry.span "diagnostics.diagonal" @@ fun () ->
+    Some (Mpde.Extract.diagonal_residual sol ~unknown)
+  in
+  { h with condition_estimate; diagonal_residual }
 
 let summary_line h =
   let buf = Buffer.create 96 in

@@ -1,10 +1,17 @@
-(** Solver-health assessment of an MPDE solution.
+(** Solver-health assessment of a steady-state solve.
 
     Folds the observable evidence of one solve — the Newton residual
-    trajectory, the winning ladder strategy, a condition estimate of the
-    final Jacobian, and the diagonal-consistency residual — into one
-    record that the CLI ([rfss health]), the quickstart example, and the
-    metrics exposition all share. *)
+    trajectory, the winning ladder strategy, and, for an MPDE solution,
+    a condition estimate of the final Jacobian and the
+    diagonal-consistency residual — into one record that the unified
+    engine result, the CLI ([rfss solve], [rfss health]), the
+    quickstart example, and the metrics exposition all share.
+
+    {!of_report} is the one constructor, used by all five backends.
+    {!probe} adds the two MPDE-only checks. The engine never runs them,
+    because every sweep row and served result would pay for them: κ
+    costs up to 15× an MPDE solve, and the diagonal check up to a
+    third of one. [rfss health] runs them on the engine's result. *)
 
 type t = {
   convergence : Convergence.cls;
@@ -23,24 +30,21 @@ type t = {
       (** Newton iterations per ladder stage, from the report *)
 }
 
-val of_solution :
-  ?condition:bool ->
-  ?diagonal_unknown:int ->
-  Mpde.Solver.solution ->
-  t
-(** Assess a solution. The condition estimate re-assembles the Jacobian
-    under the solution's own scheme. [condition] (default [true])
-    controls the κ estimate; [diagonal_unknown], when
-    given, enables the diagonal-consistency check on that unknown. *)
-
 val of_report : Resilience.Report.t -> t
-(** Engine-agnostic assessment built from a structured solve report
-    alone — the path the unified engine API uses for the single-time
-    backends (shooting, multiple shooting, HB, periodic FD), whose
-    results carry no MPDE solution to probe. Convergence is classified
-    from the report's residual trajectory; [condition_estimate] and
-    [diagonal_residual] are [None] (both need the MPDE Jacobian and
-    grid — use {!of_solution} for those). *)
+(** Assessment built from a structured solve report alone, for every
+    backend. Convergence is classified from the report's residual
+    trajectory and strategy; a report with no strategy (no ladder stage
+    produced the value) reads ["none"], as {!Mpde.Solver.stats} does.
+    [condition_estimate] and [diagonal_residual] are [None]; {!probe}
+    fills them in. *)
+
+val probe : Mpde.Solver.solution -> unknown:int -> t -> t
+(** [probe sol ~unknown h] is [h] with the κ estimate of [sol]'s final
+    Jacobian (re-assembled under the solution's own scheme, a sparse LU
+    and a power iteration) and the diagonal-consistency residual of
+    [unknown] ({!Mpde.Extract.diagonal_residual}, a reference one-time
+    transient) filled in, under the [diagnostics.condest] and
+    [diagnostics.diagonal] spans. *)
 
 val summary_line : t -> string
 (** One-line rendering for CLI output, e.g.

@@ -116,18 +116,20 @@ let run_in_span ~tele_mark (problem : Problem.t) (engine : t) : Result.t =
   let dae = Circuit.Mna.dae mna in
   let period = Problem.engine_period problem in
   (* Solved at most once, and only by a backend that reads it: an MPDE
-     solve handed a surface skips the DC point. *)
+     solve handed a surface skips the DC point. The seed is solved
+     outside the job's budget, as Mpde.Solver.solve_mna's own DC
+     fallback is: the budget bounds the steady-state solve, and a DC
+     seed that used it up would leave the job too few Newton steps. *)
   let x0 =
     lazy
       (if o.Options.warm_start then
          (* A failed DC solve is not fatal — the engines fall back to the
             zero seed exactly as they would without warm start. *)
-         try Some (Circuit.Dcop.solve_exn ?budget:o.Options.budget mna)
-         with _ -> None
+         try Some (Circuit.Dcop.solve_exn mna) with _ -> None
        else None)
   in
   let finalize ~converged ~newton_iterations ~residual_norm ~times ~values
-      ~metrics ~report ~health ~mpde_solution =
+      ~metrics ~report ~mpde_solution =
     (* Allocation attribution for the whole run (build, DC seed,
        solve), recorded before the snapshot so the gauges appear in
        this job's own summary. *)
@@ -151,7 +153,7 @@ let run_in_span ~tele_mark (problem : Problem.t) (engine : t) : Result.t =
       waveform = { Result.times; values };
       metrics;
       report;
-      health;
+      health = Diagnostics.Health.of_report report;
       telemetry = None;
       mpde_solution;
     }
@@ -173,7 +175,6 @@ let run_in_span ~tele_mark (problem : Problem.t) (engine : t) : Result.t =
     in
     finalize ~converged:r.converged ~newton_iterations:r.newton_iterations
       ~residual_norm:r.residual_norm ~times ~values ~metrics ~report
-      ~health:(Diagnostics.Health.of_report report)
       ~mpde_solution:None
   in
   match engine.kind with
@@ -230,14 +231,11 @@ let run_in_span ~tele_mark (problem : Problem.t) (engine : t) : Result.t =
           values,
           harmonic_metrics ~h1_name:"baseband_h1" values )
       in
-      let health =
-        Diagnostics.Health.of_solution ~condition:false sol
-      in
       finalize ~converged:sol.Mpde.Solver.stats.Mpde.Solver.converged
         ~newton_iterations:
           sol.Mpde.Solver.stats.Mpde.Solver.newton_iterations
         ~residual_norm:sol.Mpde.Solver.stats.Mpde.Solver.residual_norm ~times
-        ~values ~metrics ~report:sol.Mpde.Solver.report ~health
+        ~values ~metrics ~report:sol.Mpde.Solver.report
         ~mpde_solution:(Some sol)
 
 let run problem engine =

@@ -41,6 +41,8 @@ module Result : sig
             engines, [baseband_h1]/[thd] for MPDE *)
     report : Resilience.Report.t;
     health : Diagnostics.Health.t;
+        (** {!Diagnostics.Health.of_report} of [report]: no κ or
+            diagonal check ({!Diagnostics.Health.probe} adds them) *)
     telemetry : Telemetry.Summary.t option;
         (** per-solve span summary when the executing domain's
             recorder was enabled *)
@@ -69,10 +71,10 @@ val reset_workspace_slot : unit -> unit
 
 val run : Problem.t -> t -> Result.t
 (** Build the problem's circuit, seed from the DC operating point
-    (when [options.warm_start]; solved once, and not at all for an
-    MPDE solve given an [initial_surface]), dispatch to the chosen
-    backend, and
-    assemble the unified result. Never raises on solver
-    non-convergence — inspect [converged] / [report]; it does let
-    construction errors escape (e.g. {!Mpde.Shear.Off_lattice} or a
-    raising [Problem.build] thunk), which {!Sweep} isolates per job. *)
+    (when [options.warm_start]; solved once, outside [options.budget],
+    and not at all for an MPDE solve given an [initial_surface]),
+    dispatch to the chosen backend, and assemble the unified result.
+    Never raises on solver non-convergence — inspect [converged] /
+    [report]; it does let construction errors escape (e.g.
+    {!Mpde.Shear.Off_lattice} or a raising [Problem.build] thunk),
+    which {!Sweep} isolates per job. *)

@@ -14,8 +14,10 @@
     The MPDE backend always runs the [Backward] scheme with
     {!Mpde.Solver.default_gmres}; other schemes and linear solvers are
     reached through {!Mpde.Solver.options} directly. Its health
-    assessment skips the Jacobian condition estimate, which
-    {!Diagnostics.Health.of_solution} computes on request. *)
+    assessment, like every backend's, is
+    {!Diagnostics.Health.of_report}; the condition estimate and the
+    diagonal check are added by {!Diagnostics.Health.probe} on
+    request, never by an option. *)
 
 type t = {
   (* shared Newton controls (every backend) *)
@@ -25,8 +27,8 @@ type t = {
       (** seed from the DC operating point (falling back to the zero
           state when the DC solve fails); default [true] *)
   budget : Resilience.Budget.t option;
-      (** work/deadline bound threaded into the backend; default
-          unbounded *)
+      (** work/deadline bound threaded into the backend; the DC seed
+          is solved outside it. Default unbounded *)
   (* single-time discretization *)
   steps_per_period : int;  (** shooting; default [256] *)
   segments : int;  (** multiple shooting windows; default [8] *)

@@ -246,9 +246,8 @@ let run_job ?deadline ?max_newton_per_job ?(per_job_telemetry = false)
      job_finished event, so whoever that event wakes (the service's
      HTTP loop, streaming the result line) finds the record written. *)
   (match on_outcome with Some f when publish -> f outcome | _ -> ());
-  (* The armed check here (one atomic load when idle) also gates the
-     health classification, which is only worth computing when a
-     listener is watching. Status follows checkpoint-record semantics,
+  (* The armed check here costs one atomic load when no listener is
+     watching. Status follows checkpoint-record semantics,
      except that an unconverged Ok is "failed" (the checkpoint encodes
      that in a separate [converged] column). *)
   if publish && Observe.Publish.armed () then begin
@@ -258,8 +257,7 @@ let run_job ?deadline ?max_newton_per_job ?(per_job_telemetry = false)
       | Ok r ->
           let health =
             health_class
-              (Diagnostics.Health.of_report r.Backend.Result.report)
-                .Diagnostics.Health.convergence
+              r.Backend.Result.health.Diagnostics.Health.convergence
           in
           if not r.Backend.Result.converged then ("failed", Some health)
           else if degraded then ("degraded", Some health)

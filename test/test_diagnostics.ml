@@ -460,15 +460,20 @@ let test_newton_history_recorded () =
 
 (* ---------- Diagonal residual + health on the quickstart circuit ---------- *)
 
+let quickstart_f1 = 1e6
+let quickstart_fd = 1e3
+
+let quickstart_circuit () =
+  Circuits.rc_lowpass ~r:1e3 ~c:100e-12
+    ~drive:
+      (W.sum
+         (W.sine ~amplitude:1.0 ~freq:quickstart_f1 ())
+         (W.sine ~amplitude:1.0 ~freq:(quickstart_f1 +. quickstart_fd) ()))
+    ()
+
 let quickstart_solution () =
-  let f1 = 1e6 and fd = 1e3 in
-  let { Circuits.mna; _ } =
-    Circuits.rc_lowpass ~r:1e3 ~c:100e-12
-      ~drive:
-        (W.sum (W.sine ~amplitude:1.0 ~freq:f1 ()) (W.sine ~amplitude:1.0 ~freq:(f1 +. fd) ()))
-      ()
-  in
-  let shear = Mpde.Shear.make ~fast_freq:f1 ~slow_freq:fd in
+  let { Circuits.mna; _ } = quickstart_circuit () in
+  let shear = Mpde.Shear.make ~fast_freq:quickstart_f1 ~slow_freq:quickstart_fd in
   (Mpde.Solver.solve_mna ~shear ~n1:32 ~n2:16 mna, mna)
 
 let test_diagonal_residual_small_on_quickstart () =
@@ -481,10 +486,19 @@ let test_diagonal_residual_small_on_quickstart () =
     true
     (Float.is_finite r && r >= 0.0 && r < 0.1)
 
-let test_health_of_solution () =
-  let sol, mna = quickstart_solution () in
+(* The assessment rfss health prints: the engine's MPDE result, probed
+   for κ and the diagonal residual. *)
+let test_health_probe () =
+  let problem =
+    Engine.Problem.make ~label:"quickstart" ~output:"out" ~f_fast:quickstart_f1
+      ~fd:quickstart_fd quickstart_circuit
+  in
+  let options = { Engine.Options.default with n1 = 32; n2 = 16 } in
+  let r = Engine.run problem (Engine.make ~options Engine.Mpde) in
+  let sol = Option.get r.Engine.Result.mpde_solution in
+  let { Circuits.mna; _ } = quickstart_circuit () in
   let unknown = Circuit.Mna.node_index mna "out" in
-  let h = D.Health.of_solution ~diagonal_unknown:unknown sol in
+  let h = D.Health.probe sol ~unknown r.Engine.Result.health in
   Alcotest.(check bool) "converged" true h.D.Health.converged;
   (match h.D.Health.condition_estimate with
   | Some k -> Alcotest.(check bool) "kappa finite and >= 1" true (Float.is_finite k && k >= 1.0)
@@ -685,6 +699,6 @@ let () =
           Alcotest.test_case "newton history" `Quick test_newton_history_recorded;
           Alcotest.test_case "diagonal residual" `Quick
             test_diagonal_residual_small_on_quickstart;
-          Alcotest.test_case "health assessment" `Quick test_health_of_solution;
+          Alcotest.test_case "health assessment" `Quick test_health_probe;
         ] );
     ]

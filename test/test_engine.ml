@@ -135,6 +135,40 @@ let test_run_respects_budget () =
       Alcotest.failf "expected exhausted, got %s"
         (Resilience.Report.outcome_to_string o)
 
+let catalog_problem (c : Serve.Catalog.t) =
+  Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
+    ~fd:c.Serve.Catalog.default_fd
+
+(* The DC seed is solved outside the job's budget: on the balanced
+   mixer DC takes 6 Newton steps, and a budget of 8 must still leave the
+   MPDE solve its full unbudgeted count. A budget too small for the
+   solve exhausts it, and no ladder stage produced the value. *)
+let test_dc_seed_outside_budget () =
+  let problem =
+    catalog_problem (Result.get_ok (Serve.Catalog.find "balanced-mixer"))
+  in
+  let run budget =
+    let options =
+      {
+        Engine.Options.default with
+        n1 = 16;
+        n2 = 12;
+        budget = Option.map (fun n -> Resilience.Budget.make ~max_newton:n ()) budget;
+      }
+    in
+    Engine.run problem (Engine.make ~options Engine.Mpde)
+  in
+  let free = run None in
+  Alcotest.(check bool) "unbudgeted converged" true free.Engine.Result.converged;
+  let capped = run (Some 8) in
+  Alcotest.(check bool) "budget 8 converged" true capped.Engine.Result.converged;
+  Alcotest.(check int) "budget 8 newton" free.Engine.Result.newton_iterations
+    capped.Engine.Result.newton_iterations;
+  let starved = run (Some 2) in
+  Alcotest.(check bool) "budget 2 converged" false starved.Engine.Result.converged;
+  Alcotest.(check string) "budget 2 strategy" "none"
+    starved.Engine.Result.health.Diagnostics.Health.strategy
+
 (* ---------- Sweep ---------- *)
 
 let fd_values = [| 1e3; 2e3; 5e3; 1e4; 2e4; 5e4; 1e5; 2e5 |]
@@ -488,10 +522,6 @@ let test_sweep_per_job_telemetry () =
 let single_time_kinds =
   [ Engine.Shooting; Engine.Multiple_shooting; Engine.Hb; Engine.Periodic_fd ]
 
-let catalog_problem (c : Serve.Catalog.t) =
-  Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
-    ~fd:c.Serve.Catalog.default_fd
-
 (* The report shape every single-time backend shares: strategy
    "newton", one stage named after the backend holding the outer Newton
    iterations, and no linear iterations. *)
@@ -614,6 +644,8 @@ let () =
           Alcotest.test_case "period choice" `Quick test_period_choice;
           Alcotest.test_case "pre-exhausted budget" `Quick
             test_run_respects_budget;
+          Alcotest.test_case "DC seed outside the budget" `Quick
+            test_dc_seed_outside_budget;
         ] );
       ( "sweep",
         [
