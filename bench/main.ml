@@ -898,11 +898,49 @@ let serve_bench () =
   Serve.Jobs.stop jobs;
   (stats, warm_starts)
 
+(* How much two solves slow each other on this host: the wall time of
+   two processes each running one fixed job at once (three 40x30
+   balanced-mixer solves) over the wall time of one process running it
+   alone, best of three each. 1.0 means the copies ran independently,
+   2.0 that they ran as if on one core. It runs first, while no other
+   domain is running ([Unix.fork] refuses otherwise). Recorded ungated
+   next to [cores]: it tells a host limit from a program regression in
+   the speedup figures, and excuses neither. *)
+let parallel_capacity_2 () =
+  let copies k =
+    flush_all ();
+    let t0 = Telemetry.Clock.wall () in
+    let child () =
+      match
+        for _ = 1 to 3 do
+          ignore (solve_balanced_mixer ())
+        done
+      with
+      | () -> Unix._exit 0
+      | exception _ -> Unix._exit 1
+    in
+    let pids = List.init k (fun _ -> match Unix.fork () with 0 -> child () | pid -> pid) in
+    List.iter
+      (fun pid ->
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> failwith "parallel_capacity_2: a probe process failed")
+      pids;
+    Telemetry.Clock.wall () -. t0
+  in
+  let best k = List.fold_left Float.min infinity (List.init 3 (fun _ -> copies k)) in
+  let one = best 1 in
+  let two = best 2 in
+  pr "host capacity: one copy %.4fs, two concurrent copies %.4fs, ratio %.2f\n" one two
+    (two /. one);
+  two /. one
+
 (* One telemetry-instrumented solve of the paper's balanced mixer plus
    an MPDE-vs-shooting comparison, dumped as BENCH_mpde.json so CI can
    archive and diff solver performance across commits. *)
 let bench_json ?(file = "BENCH_mpde.json") () =
   header (Printf.sprintf "JSON - writing %s" file);
+  let capacity_2 = parallel_capacity_2 () in
   (* GC attribution across everything the bench runs (mixer solve,
      repeats, sweep on 1/2/4 domains): armed before the first solve so
      worker-domain rings are covered from spawn. *)
@@ -916,19 +954,23 @@ let bench_json ?(file = "BENCH_mpde.json") () =
   (* The solve is deterministic, so min-of-3 wall is the honest number:
      repeats (untraced, so the counters above stay single-run) strip
      scheduler noise that a single sample on a busy runner would bake
-     into the baseline. *)
-  let wall, cpu =
-    let w = ref wall and c = ref cpu in
-    for _ = 1 to 2 do
+     into the baseline. The first repeat also counts the solve's
+     minor-heap words, a function of the code path alone. *)
+  let wall, cpu, mixer_words =
+    let w = ref wall and c = ref cpu and words = ref 0.0 in
+    for k = 1 to 2 do
+      let w0 = Gc.minor_words () in
       let _, wi, ci = time solve_balanced_mixer in
+      if k = 1 then words := Gc.minor_words () -. w0;
       if wi < !w then begin
         w := wi;
         c := ci
       end
     done;
-    (!w, !c)
+    (!w, !c, !words)
   in
   let stats = sol.Mpde.Solver.stats in
+  let words_per_newton = mixer_words /. float_of_int stats.Mpde.Solver.newton_iterations in
   let disparity = 100.0 in
   let fd = 1e6 /. disparity in
   let mna, shear = unbalanced_fixture fd in
@@ -946,12 +988,16 @@ let bench_json ?(file = "BENCH_mpde.json") () =
   | Some rev -> Buffer.add_string buf (Printf.sprintf ",\"revision\":%s" (Telemetry.Json.quote rev))
   | None -> ());
   Buffer.add_string buf
+    (Printf.sprintf ",\"host\":{\"cores\":%d,\"parallel_capacity_2\":%.3f}"
+       (Engine.Sweep.default_domains ())
+       capacity_2);
+  Buffer.add_string buf
     (Printf.sprintf
-       ",\"mixer\":{\"circuit\":\"balanced-mixer\",\"n1\":40,\"n2\":30,\"converged\":%b,\"strategy\":%s,\"newton_iterations\":%d,\"gmres_iterations\":%d,\"residual_norm\":%.6e,\"wall_seconds\":%.6f,\"cpu_seconds\":%.6f"
+       ",\"mixer\":{\"circuit\":\"balanced-mixer\",\"n1\":40,\"n2\":30,\"converged\":%b,\"strategy\":%s,\"newton_iterations\":%d,\"gmres_iterations\":%d,\"residual_norm\":%.6e,\"wall_seconds\":%.6f,\"cpu_seconds\":%.6f,\"minor_words_per_newton\":%.1f"
        stats.Mpde.Solver.converged
        (Telemetry.Json.quote stats.Mpde.Solver.strategy)
        stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations
-       stats.Mpde.Solver.residual_norm wall cpu);
+       stats.Mpde.Solver.residual_norm wall cpu words_per_newton);
   (match telemetry with
   | Some summary ->
       Buffer.add_string buf ",\"telemetry\":";
@@ -1016,8 +1062,8 @@ let bench_json ?(file = "BENCH_mpde.json") () =
   let oc = open_out file in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  pr "mixer: wall=%.3fs cpu=%.3fs newton=%d gmres=%d\n" wall cpu
-    stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations;
+  pr "mixer: wall=%.3fs cpu=%.3fs newton=%d gmres=%d minor words/newton=%.0f\n" wall cpu
+    stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations words_per_newton;
   pr "speedup at disparity %.0f: mpde=%.4fs shooting=%.4fs ratio=%.1fx\n" disparity
     mpde_t shoot_t
     (shoot_t /. Float.max mpde_t 1e-12);

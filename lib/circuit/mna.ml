@@ -73,8 +73,18 @@ let[@inline] add_node vec n value = if n > 0 then vec.(n - 1) <- vec.(n - 1) +. 
 (* Stamp helpers for branch rows (already 0-based absolute indices). *)
 let[@inline] add_row vec r value = vec.(r) <- vec.(r) +. value
 
+(* The device models read their voltages from, and write their currents
+   and conductances into, a caller-owned buffer ({!Mosfet.evaluate_into},
+   {!Bjt.evaluate_into}). This module is that caller, with one buffer
+   per domain: an evaluation runs start to finish on one domain, so no
+   two evaluations ever write one buffer at once, whoever shares the
+   [t]. *)
+let model_buffer =
+  Domain.DLS.new_key (fun () -> Array.make (max Mosfet.buffer_size Bjt.buffer_size) 0.0)
+
 let eval_f_into m x f =
   Array.fill f 0 m.size 0.0;
+  let out = Domain.DLS.get model_buffer in
   (* gmin loading on node rows *)
   if m.gmin > 0.0 then
     for k = 0 to m.nodes - 1 do
@@ -106,18 +116,19 @@ let eval_f_into m x f =
         add_node f anode i;
         add_node f cathode (-.i)
     | Device.Mosfet { drain; gate; source; params; _ } ->
-        let vgs = v_of x gate -. v_of x source in
-        let vds = v_of x drain -. v_of x source in
-        let op = Mosfet.evaluate params ~vgs ~vds in
-        add_node f drain op.Mosfet.ids;
-        add_node f source (-.op.Mosfet.ids)
+        out.(Mosfet.vgs_slot) <- v_of x gate -. v_of x source;
+        out.(Mosfet.vds_slot) <- v_of x drain -. v_of x source;
+        Mosfet.evaluate_into params out;
+        let ids = out.(Mosfet.ids_slot) in
+        add_node f drain ids;
+        add_node f source (-.ids)
     | Device.Bjt { collector; base; emitter; params; _ } ->
-        let vbe = v_of x base -. v_of x emitter in
-        let vbc = v_of x base -. v_of x collector in
-        let op = Bjt.evaluate params ~vbe ~vbc in
-        add_node f collector op.Bjt.ic;
-        add_node f base op.Bjt.ib;
-        add_node f emitter op.Bjt.ie
+        out.(Bjt.vbe_slot) <- v_of x base -. v_of x emitter;
+        out.(Bjt.vbc_slot) <- v_of x base -. v_of x collector;
+        Bjt.evaluate_into params out;
+        add_node f collector out.(Bjt.ic_slot);
+        add_node f base out.(Bjt.ib_slot);
+        add_node f emitter out.(Bjt.ie_slot)
     | Device.Vccs { out_plus; out_minus; in_plus; in_minus; gm; _ } ->
         let i = gm *. (v_of x in_plus -. v_of x in_minus) in
         add_node f out_plus i;
@@ -238,6 +249,7 @@ let[@inline] stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va 
   add_jac g row b_minus (-.(sign *. gain *. va))
 
 let stamp_jacobians m x g c =
+  let out = Domain.DLS.get model_buffer in
   if m.gmin > 0.0 then
     for k = 0 to m.nodes - 1 do
       put g k k m.gmin
@@ -269,10 +281,10 @@ let stamp_jacobians m x g c =
         if params.Diode.junction_cap > 0.0 then
           stamp_pair c anode cathode params.Diode.junction_cap
     | Device.Mosfet { drain; gate; source; params; _ } ->
-        let vgs = v_of x gate -. v_of x source in
-        let vds = v_of x drain -. v_of x source in
-        let op = Mosfet.evaluate params ~vgs ~vds in
-        let gm = op.Mosfet.gm and gds = op.Mosfet.gds in
+        out.(Mosfet.vgs_slot) <- v_of x gate -. v_of x source;
+        out.(Mosfet.vds_slot) <- v_of x drain -. v_of x source;
+        Mosfet.evaluate_into params out;
+        let gm = out.(Mosfet.gm_slot) and gds = out.(Mosfet.gds_slot) in
         (* ids rows: +drain, −source; columns d, g, s. *)
         add_jac g drain drain gds;
         add_jac g drain gate gm;
@@ -283,15 +295,16 @@ let stamp_jacobians m x g c =
         stamp_pair c gate source params.Mosfet.cgs;
         stamp_pair c gate drain params.Mosfet.cgd
     | Device.Bjt { collector; base; emitter; params; _ } ->
-        let vbe = v_of x base -. v_of x emitter in
-        let vbc = v_of x base -. v_of x collector in
-        let op = Bjt.evaluate params ~vbe ~vbc in
-        stamp_bjt_row g ~base ~emitter ~collector collector op.Bjt.d_ic_d_vbe
-          op.Bjt.d_ic_d_vbc;
-        stamp_bjt_row g ~base ~emitter ~collector base op.Bjt.d_ib_d_vbe op.Bjt.d_ib_d_vbc;
+        out.(Bjt.vbe_slot) <- v_of x base -. v_of x emitter;
+        out.(Bjt.vbc_slot) <- v_of x base -. v_of x collector;
+        Bjt.evaluate_into params out;
+        let ic_be = out.(Bjt.d_ic_d_vbe_slot) and ic_bc = out.(Bjt.d_ic_d_vbc_slot) in
+        let ib_be = out.(Bjt.d_ib_d_vbe_slot) and ib_bc = out.(Bjt.d_ib_d_vbc_slot) in
+        stamp_bjt_row g ~base ~emitter ~collector collector ic_be ic_bc;
+        stamp_bjt_row g ~base ~emitter ~collector base ib_be ib_bc;
         stamp_bjt_row g ~base ~emitter ~collector emitter
-          (-.(op.Bjt.d_ic_d_vbe +. op.Bjt.d_ib_d_vbe))
-          (-.(op.Bjt.d_ic_d_vbc +. op.Bjt.d_ib_d_vbc));
+          (-.(ic_be +. ib_be))
+          (-.(ic_bc +. ib_bc));
         stamp_pair c base emitter params.Bjt.cbe;
         stamp_pair c base collector params.Bjt.cbc
     | Device.Vccs { out_plus; out_minus; in_plus; in_minus; gm; _ } ->

@@ -82,6 +82,15 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
+      (* Minor-heap words per MPDE Newton iterate of the untraced 40x30
+         balanced-mixer solve: deterministic like the shooting figure. *)
+      metric = "mixer.minor_words_per_newton";
+      path = [ "mixer"; "minor_words_per_newton" ];
+      direction = Lower_better;
+      tolerance = tol "mixer.minor_words_per_newton";
+      absolute = 0.0;
+    };
+    {
       metric = "speedup.ratio";
       path = [ "speedup"; "ratio" ];
       direction = Higher_better;

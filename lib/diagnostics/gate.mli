@@ -52,7 +52,9 @@ val default_checks : ?overrides:(string * float) list -> float -> check list
     sweep-preconditioner applications per solve, read from the embedded
     telemetry counters), [shooting.minor_words_per_step] (minor-heap
     words per time step of the d = 756.5 shooting job, deterministic
-    like an iteration count), [sweep.wall_1] (lower is better),
+    like an iteration count), [mixer.minor_words_per_newton] (minor-heap
+    words per MPDE Newton iterate of the untraced 40x30 mixer solve,
+    equally deterministic), [sweep.wall_1] (lower is better),
     [speedup.ratio], [sweep.speedup_2] and [sweep.speedup_4] (higher is
     better), the kernel micro-benchmarks [kernel.spmv_mflops] and
     [kernel.block_solve_cols_per_s] (higher is better, 50% default

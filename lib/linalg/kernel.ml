@@ -34,9 +34,17 @@ let of_array (a : float array) : vec =
   done;
   v
 
+let blit_to_array (v : vec) (a : float array) =
+  let n = Array.length a in
+  if Bigarray.Array1.dim v <> n then invalid_arg "Kernel.blit_to_array: dimension mismatch";
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get v i)
+  done
+
 let to_array (v : vec) =
-  let n = Bigarray.Array1.dim v in
-  Array.init n (fun i -> Bigarray.Array1.unsafe_get v i)
+  let a = Array.create_float (Bigarray.Array1.dim v) in
+  blit_to_array v a;
+  a
 
 let blit_from_array (a : float array) (v : vec) =
   let n = Array.length a in

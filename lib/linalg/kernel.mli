@@ -25,6 +25,9 @@ val to_array : vec -> float array
 
 val blit_from_array : float array -> vec -> unit
 
+val blit_to_array : vec -> float array -> unit
+(** [blit_to_array v a] copies [v] into [a] (same length). *)
+
 val dot : vec -> vec -> float
 val nrm2 : vec -> float
 

@@ -2,22 +2,27 @@ type t = { lu : Mat.t; perm : int array; sign : float }
 
 exception Singular of int
 
-(* Doolittle LU with partial pivoting, overwriting [lu]. [factor] hands
-   in a copy; [factor_in_place] consumes a caller-owned staging matrix
-   so the per-grid-point preconditioner rebuild allocates nothing big.
-   The shape is validated once up front; the loops then run unchecked
-   over the row-major data (the sweep preconditioner factors one block
-   per grid point per Newton iterate). The arithmetic is the textbook
-   order: pivot search by strict [>], whole-row swaps, and the update
-   a_ij − l_ik·a_kj skipped for zero multipliers. *)
-let factor_into ?(pivot_tol = 1e-300) lu =
-  let n, m = Mat.dims lu in
+(* Doolittle LU with partial pivoting, overwriting [lu] and writing the
+   row permutation into [perm]; returns the number of row swaps (an int,
+   so the in-place entry point boxes nothing). [factor] hands in a
+   copy; [factor_in_place] consumes a caller-owned staging matrix and
+   permutation so the per-grid-point preconditioner rebuild allocates
+   nothing. The shape is validated once up front; the loops then run
+   unchecked over the row-major data (the sweep preconditioner factors
+   one block per grid point per Newton iterate). The arithmetic is the
+   textbook order: pivot search by strict [>], whole-row swaps, and the
+   update a_ij − l_ik·a_kj skipped for zero multipliers. *)
+let factor_into ~pivot_tol lu perm =
+  let n = lu.Mat.rows in
   let a = lu.Mat.data in
-  if n <> m || Array.length a <> n * n then
+  if n <> lu.Mat.cols || Array.length a <> n * n then
     invalid_arg "Lu.factor: matrix not square";
+  if Array.length perm <> n then invalid_arg "Lu.factor_in_place: permutation length";
   Telemetry.count "lu.dense_factors";
-  let perm = Array.init n (fun i -> i) in
-  let sign = ref 1.0 in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
+  let swaps = ref 0 in
   for k = 0 to n - 1 do
     let kb = k * n in
     let piv = ref k in
@@ -39,7 +44,7 @@ let factor_into ?(pivot_tol = 1e-300) lu =
       let tmp = perm.(k) in
       perm.(k) <- perm.(!piv);
       perm.(!piv) <- tmp;
-      sign := -. !sign
+      incr swaps
     end;
     let pivot = Array.unsafe_get a (kb + k) in
     if Float.abs pivot < pivot_tol then raise (Singular k);
@@ -54,10 +59,18 @@ let factor_into ?(pivot_tol = 1e-300) lu =
         done
     done
   done;
-  { lu; perm; sign = !sign }
+  !swaps
 
-let factor ?pivot_tol a = factor_into ?pivot_tol (Mat.copy a)
-let factor_in_place ?pivot_tol a = factor_into ?pivot_tol a
+let default_pivot_tol = 1e-300
+
+let factor ?(pivot_tol = default_pivot_tol) a =
+  let lu = Mat.copy a in
+  let perm = Array.make lu.Mat.rows 0 in
+  let swaps = factor_into ~pivot_tol lu perm in
+  { lu; perm; sign = (if swaps land 1 = 0 then 1.0 else -1.0) }
+
+let factor_in_place ?(pivot_tol = default_pivot_tol) a ~perm =
+  ignore (factor_into ~pivot_tol a perm : int)
 
 let size f = f.lu.Mat.rows
 let packed f = (f.lu, f.perm, f.sign)

@@ -16,11 +16,11 @@ val factor : ?pivot_tol:float -> Mat.t -> t
     modified. @raise Singular if a pivot underflows [pivot_tol]
     (default [1e-300]). @raise Invalid_argument on non-square input. *)
 
-val factor_in_place : ?pivot_tol:float -> Mat.t -> t
-(** Like {!factor} but overwrites [a] with the packed factors instead
-    of copying — the returned factorization owns [a]'s storage. For
-    workspace-style callers that restamp and refactor the same staging
-    matrix every rebuild. *)
+val factor_in_place : ?pivot_tol:float -> Mat.t -> perm:int array -> unit
+(** Like {!factor} but overwrites [a] with the packed [L\U] factors and
+    writes the row permutation into [perm] (length [n]) instead of
+    allocating either — for workspace-style callers that restamp and
+    refactor the same staging matrix every rebuild. *)
 
 val packed : t -> Mat.t * int array * float
 (** The packed [L\U] factors (shared, not copied), the row permutation

@@ -275,27 +275,44 @@ let rebuild_point ws big_x p =
   then ws.big_stale <- true;
   ws.jacs.(p) <- jac
 
+(* Refresh point [p] in place; a point whose sparsity drifted at this
+   iterate (a stamp crossed an exact zero) is rebuilt from scratch. *)
+let refresh_point ws refresh big_x p =
+  let gp, cp = ws.jacs.(p) in
+  if not (refresh (load_state ws big_x p) ~g:gp ~c:cp) then begin
+    Telemetry.count "mpde.assemble.jac_rebuilds";
+    rebuild_point ws big_x p
+  end
+
+(* The first build: point 0 from scratch, every other point on a copy
+   of point 0's interned pattern with values of its own, filled by the
+   refresher. The refresher replays the stamps in [of_coo]'s summation
+   order, so each point's values are bitwise a fresh build's; a point
+   whose stamps leave the pattern takes [refresh_point]'s rebuild. *)
+let first_jacobians ws refresh big_x =
+  let ((g0, c0) as jac0) = build_point ws big_x 0 in
+  let fresh (m : Sparse.Csr.t) =
+    { m with Sparse.Csr.values = Array.make (Array.length m.Sparse.Csr.values) 0.0 }
+  in
+  ws.jacs <- Array.init ws.ws_np (fun p -> if p = 0 then jac0 else (fresh g0, fresh c0));
+  for p = 1 to ws.ws_np - 1 do
+    refresh_point ws refresh big_x p
+  done
+
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
   let np = ws.ws_np in
-  if Array.length ws.jacs <> np then ws.jacs <- Array.init np (build_point ws big_x)
-  else begin
-    match ws.refresh_jacs with
-    | Some refresh ->
-        for p = 0 to np - 1 do
-          let gp, cp = ws.jacs.(p) in
-          if not (refresh (load_state ws big_x p) ~g:gp ~c:cp) then begin
-            (* Sparsity drifted at this iterate (a stamp crossed an
-               exact zero): rebuild this point from scratch. *)
-            Telemetry.count "mpde.assemble.jac_rebuilds";
-            rebuild_point ws big_x p
-          end
-        done
-    | None ->
-        for p = 0 to np - 1 do
-          rebuild_point ws big_x p
-        done
-  end;
+  (match ws.refresh_jacs with
+  | Some refresh when Array.length ws.jacs <> np -> first_jacobians ws refresh big_x
+  | Some refresh ->
+      for p = 0 to np - 1 do
+        refresh_point ws refresh big_x p
+      done
+  | None when Array.length ws.jacs <> np -> ws.jacs <- Array.init np (build_point ws big_x)
+  | None ->
+      for p = 0 to np - 1 do
+        rebuild_point ws big_x p
+      done);
   ws.jacs
 
 (* One pattern search per [walk_big] entry; done once per set of

@@ -112,11 +112,17 @@ val point_jacobians_ws :
     instances are refreshed in place via the system's
     [fast.jacobian_refresher] (falling back to a from-scratch rebuild
     of any point whose sparsity drifted, or of every point when the
-    system has no fast interface). Structurally equal per-point
-    patterns share one pair of [row_ptr]/[col_idx] arrays, so the
-    refresher maps the stamp stream onto one pattern for the whole
-    grid. The returned array and its matrices are owned by the
-    workspace and overwritten by the next call. *)
+    system has no fast interface). The first call builds point 0 from
+    scratch only: every other point gets a copy of point 0's pattern
+    with values of its own, filled by the refresher, and is rebuilt
+    only when its stamps leave that pattern. The refresher replays the
+    stamps in [of_coo]'s summation order, so every value is bitwise a
+    fresh build's (an entry the copied pattern has and a fresh build
+    lacks holds +0). Structurally equal per-point patterns share one
+    pair of [row_ptr]/[col_idx] arrays, so the refresher maps the
+    stamp stream onto one pattern for the whole grid. The returned
+    array and its matrices are owned by the workspace and overwritten
+    by the next call. *)
 
 val jacobian_ws : workspace -> Sparse.Csr.t
 (** Global sparse Jacobian stamped from the workspace's current

@@ -9,6 +9,7 @@ type t = {
   n : int;
   np : int;
   stage : Linalg.Mat.t;  (* n×n staging block, factored in place *)
+  stage_perm : int array;  (* n: the staging block's row permutation *)
   pats : pattern array;  (* per point; physically shared within a run *)
   offs : int array;  (* per point offset into [vals] *)
   mutable vals : float array;
@@ -27,6 +28,7 @@ let create ~n ~np =
     n;
     np;
     stage = Linalg.Mat.create n n;
+    stage_perm = Array.make n 0;
     pats = Array.make np no_pattern;
     offs = Array.make np 0;
     vals = Array.make (np * n) 0.0;
@@ -96,9 +98,9 @@ let blocks_uniform (jacs : (Sparse.Csr.t * Sparse.Csr.t) array) =
   !ok
 
 (* Stamp D_p = scale_c·C_p + G_p (+ extra_diag·I) straight from the CSR
-   arrays into the staging matrix and factor it in place; returns the
-   packed factors and the permutation. *)
-let factor_point t ~scale_c ~jacs ~extra_diag p =
+   arrays into the staging matrix and factor it in place: the packed
+   factors are left in [t.stage], the permutation in [t.stage_perm]. *)
+let[@inline] factor_point t ~scale_c ~jacs ~extra_diag p =
   let n = t.n in
   let gp, cp = jacs.(p) in
   let a = t.stage.Linalg.Mat.data in
@@ -121,8 +123,7 @@ let factor_point t ~scale_c ~jacs ~extra_diag p =
     done;
     if extra_diag <> 0.0 then a.(ib + i) <- a.(ib + i) +. extra_diag
   done;
-  let lu, perm, _ = Linalg.Lu.packed (Linalg.Lu.factor_in_place t.stage) in
-  (lu.Linalg.Mat.data, perm)
+  Linalg.Lu.factor_in_place t.stage ~perm:t.stage_perm
 
 (* The structure of packed factors [a]: every off-diagonal entry that
    is not exactly zero (NaN included) is kept. *)
@@ -152,6 +153,20 @@ let pattern_of n (a : float array) perm =
 
 exception Mismatch
 
+(* One strict-L or strict-U segment of [extract]: row [ib / n]'s
+   columns [j0 .. j1] against [pat]'s entries [k0 .. k1 − 1]. *)
+let extract_segment cols (a : float array) vals off ib k0 k1 j0 j1 =
+  let k = ref k0 in
+  for j = j0 to j1 do
+    let v = Array.unsafe_get a (ib + j) in
+    if v <> 0.0 then begin
+      if !k >= k1 || Array.unsafe_get cols !k <> j then raise_notrace Mismatch;
+      Array.unsafe_set vals (off + !k) v;
+      incr k
+    end
+  done;
+  if !k <> k1 then raise_notrace Mismatch
+
 (* Copy the nonzero entries of packed factors [a] into [vals] at [off]
    following [pat]'s layout, checking on the way that [pat] lists
    exactly those entries: one fused pass for the common case of a point
@@ -159,31 +174,22 @@ exception Mismatch
    @raise Mismatch at the first entry [pat] does not list. *)
 let extract pat n (a : float array) vals off =
   let ptr = pat.ptr and cols = pat.cols in
-  let segment ib k0 k1 j0 j1 =
-    let k = ref k0 in
-    for j = j0 to j1 do
-      let v = Array.unsafe_get a (ib + j) in
-      if v <> 0.0 then begin
-        if !k >= k1 || Array.unsafe_get cols !k <> j then raise_notrace Mismatch;
-        Array.unsafe_set vals (off + !k) v;
-        incr k
-      end
-    done;
-    if !k <> k1 then raise_notrace Mismatch
-  in
   let diag = off + ptr.(2 * n) in
   for i = 0 to n - 1 do
     let ib = i * n in
-    segment ib ptr.(i) ptr.(i + 1) 0 (i - 1);
-    segment ib ptr.(n + i) ptr.(n + i + 1) (i + 1) (n - 1);
+    extract_segment cols a vals off ib ptr.(i) ptr.(i + 1) 0 (i - 1);
+    extract_segment cols a vals off ib ptr.(n + i) ptr.(n + i + 1) (i + 1) (n - 1);
     Array.unsafe_set vals (diag + i) (Array.unsafe_get a (ib + i))
   done
 
-(* Factor point [p] and store it at [off]: under [prev]'s pattern when
-   identical, otherwise under a fresh one. Returns the pattern used. *)
-let store_point t ~scale_c ~jacs ~extra_diag ~prev ~off p =
+(* Factor point [p] (whose C weight is [scales.(p mod n1)]) and store
+   it at [off]: under [prev]'s pattern when identical, otherwise under
+   a fresh one, which alone copies the permutation. Returns the pattern
+   used. *)
+let store_point t ~scales ~n1 ~jacs ~extra_diag ~prev ~off p =
   let n = t.n in
-  let a, perm = factor_point t ~scale_c ~jacs ~extra_diag p in
+  factor_point t ~scale_c:scales.(p mod n1) ~jacs ~extra_diag p;
+  let a = t.stage.Linalg.Mat.data in
   (* A point takes at most n² values; grow geometrically. *)
   if off + (n * n) > Array.length t.vals then begin
     let bigger = Array.make (max (2 * Array.length t.vals) (off + (n * n))) 0.0 in
@@ -191,7 +197,7 @@ let store_point t ~scale_c ~jacs ~extra_diag ~prev ~off p =
     t.vals <- bigger
   end;
   let shared =
-    ints_equal prev.perm perm
+    ints_equal prev.perm t.stage_perm
     &&
     try
       extract prev n a t.vals off;
@@ -200,7 +206,7 @@ let store_point t ~scale_c ~jacs ~extra_diag ~prev ~off p =
   in
   if shared then prev
   else begin
-    let pat = pattern_of n a perm in
+    let pat = pattern_of n a (Array.copy t.stage_perm) in
     extract pat n a t.vals off;
     pat
   end
@@ -211,8 +217,12 @@ let build t op1 (g : Grid.t) ~jacs ~extra_diag =
   let diag, lower = t1_part op1 in
   t.lower <- lower;
   let inv_h2 = 1.0 /. g.Grid.h2 in
-  let scale_c p = diag.(p mod g.Grid.n1) +. inv_h2 in
-  let store ~prev ~off p = store_point t ~scale_c:(scale_c p) ~jacs ~extra_diag ~prev ~off p in
+  (* Per fast index, the weight of C_p in D_p; read from a float array
+     so no per-point float crosses a call boxed. *)
+  let scales = Array.map (fun d -> d +. inv_h2) diag in
+  let store ~prev ~off p =
+    store_point t ~scales ~n1:g.Grid.n1 ~jacs ~extra_diag ~prev ~off p
+  in
   (* A build cut short by a singular block leaves no usable store. *)
   t.runs <- 0;
   if blocks_uniform jacs && Array.for_all (fun d -> d = diag.(0)) diag then begin
@@ -235,6 +245,23 @@ let build t op1 (g : Grid.t) ~jacs ~extra_diag =
   end;
   Telemetry.gauge "mpde.precond.patterns" (float_of_int t.runs)
 
+(* b += inv_h · C_q x_q, reading the CSR arrays directly — this runs
+   n·nnz(C) times per sweep, too hot for the iter_row closure (and the
+   reciprocal is hoisted to a multiply). Inlined, so [inv_h] is never
+   boxed. *)
+let[@inline] couple b (x : Linalg.Kernel.vec) n (c : Sparse.Csr.t) inv_h q =
+  let rp = c.Sparse.Csr.row_ptr and ci = c.Sparse.Csr.col_idx and cv = c.Sparse.Csr.values in
+  let xb = q * n in
+  for row = 0 to n - 1 do
+    let s = ref 0.0 in
+    for k = rp.(row) to rp.(row + 1) - 1 do
+      s :=
+        !s
+        +. (Array.unsafe_get cv k *. Bigarray.Array1.unsafe_get x (xb + Array.unsafe_get ci k))
+    done;
+    b.(row) <- b.(row) +. (inv_h *. !s)
+  done
+
 (* One pass in lexicographic point order: point (i,j) reads only the
    already-solved (l < i, j) and (i, j−1). Per point: gather r_p, move
    the lower-neighbour couplings (w/s·C) to the right side, permute,
@@ -245,25 +272,6 @@ let apply t (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
   let n = t.n and n1 = g.Grid.n1 in
   let inv_h2 = 1.0 /. g.Grid.h2 in
   let x = t.sx and b = t.rhs and y = t.y and vals = t.vals and lower_rows = t.lower in
-  (* b += inv_h · C_q x_q, reading the CSR arrays directly — this runs
-     n·nnz(C) times per sweep, too hot for the iter_row closure (and
-     the reciprocal is hoisted to a multiply). *)
-  let couple (c : Sparse.Csr.t) inv_h q =
-    let rp = c.Sparse.Csr.row_ptr
-    and ci = c.Sparse.Csr.col_idx
-    and cv = c.Sparse.Csr.values in
-    let xb = q * n in
-    for row = 0 to n - 1 do
-      let s = ref 0.0 in
-      for k = rp.(row) to rp.(row + 1) - 1 do
-        s :=
-          !s
-          +. (Array.unsafe_get cv k
-             *. Bigarray.Array1.unsafe_get x (xb + Array.unsafe_get ci k))
-      done;
-      b.(row) <- b.(row) +. (inv_h *. !s)
-    done
-  in
   for j = 0 to g.Grid.n2 - 1 do
     for i = 0 to n1 - 1 do
       let p = (j * n1) + i in
@@ -274,9 +282,9 @@ let apply t (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
       let lower = Array.unsafe_get lower_rows i in
       for e = 0 to Array.length lower - 1 do
         let l, c = Array.unsafe_get lower e in
-        couple (snd jacs.(p - i + l)) c (p - i + l)
+        couple b x n (snd jacs.(p - i + l)) c (p - i + l)
       done;
-      if j > 0 then couple (snd jacs.(p - n1)) inv_h2 (p - n1);
+      if j > 0 then couple b x n (snd jacs.(p - n1)) inv_h2 (p - n1);
       let { perm; ptr; cols } = t.pats.(p) and o = t.offs.(p) in
       for row = 0 to n - 1 do
         Array.unsafe_set y row (Array.unsafe_get b (Array.unsafe_get perm row))

@@ -113,17 +113,16 @@ let gmres_workspace ws ~restart ~n =
 
 let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~out
     ~linear_iters =
-  (* The converged GMRES iterate, or a stall: budget exhaustion when the
-     budget ran out, [Linear_stall] otherwise. *)
+  (* GMRES writes its iterate into [out]; unless it converged, a stall:
+     budget exhaustion when the budget ran out, [Linear_stall]
+     otherwise. *)
   let run_gmres ~restart ~max_iter ~tol ~precond op =
     let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
     let result =
-      Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ?budget ~workspace op rhs
+      Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ?budget ~workspace ~out op rhs
     in
     linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
-    if result.Sparse.Krylov.converged then
-      Array.blit result.Sparse.Krylov.x 0 out 0 (Array.length out)
-    else begin
+    if not result.Sparse.Krylov.converged then begin
       (match budget with
       | Some b -> ( match Budget.exhausted b with Some e -> raise (Budget.Exhausted e) | None -> ())
       | None -> ());
@@ -163,29 +162,41 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
       run_gmres ~restart ~max_iter ~tol ~precond op)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
-   a NaN entry in G or C would otherwise poison GMRES silently. *)
+   a NaN entry in G or C would otherwise poison GMRES silently. Each
+   values array is read in a plain loop, in row order; only the first
+   non-finite entry pays for locating its row and column. *)
 let check_jacobians_finite ~n jacs =
-  Array.iteri
-    (fun p (gp, cp) ->
-      let check_csr which (m : Sparse.Csr.t) =
-        for i = 0 to n - 1 do
-          Sparse.Csr.iter_row m i (fun j v ->
-              if not (Float.is_finite v) then
-                raise
-                  (Guard.Non_finite
-                     {
-                       Guard.index = (p * n) + i;
-                       value = v;
-                       block = Some p;
-                       offset = Some i;
-                       context =
-                         Printf.sprintf "MPDE %s-Jacobian entry (%d,%d)" which i j;
-                     }))
-        done
-      in
-      check_csr "G" gp;
-      check_csr "C" cp)
-    jacs
+  let check p which (m : Sparse.Csr.t) =
+    let values = m.Sparse.Csr.values in
+    let len = Array.length values in
+    let k = ref 0 in
+    while !k < len && Float.is_finite (Array.unsafe_get values !k) do
+      incr k
+    done;
+    if !k < len then begin
+      let k = !k and i = ref 0 in
+      while m.Sparse.Csr.row_ptr.(!i + 1) <= k do
+        incr i
+      done;
+      let i = !i in
+      raise
+        (Guard.Non_finite
+           {
+             Guard.index = (p * n) + i;
+             value = values.(k);
+             block = Some p;
+             offset = Some i;
+             context =
+               Printf.sprintf "MPDE %s-Jacobian entry (%d,%d)" which i
+                 m.Sparse.Csr.col_idx.(k);
+           })
+    end
+  in
+  for p = 0 to Array.length jacs - 1 do
+    let gp, cp = jacs.(p) in
+    check p "G" gp;
+    check p "C" cp
+  done
 
 (* Pseudo-transient loading: residual gains [alpha·(x − anchor)] and the
    Jacobian [alpha·I], pulling the iterate toward the anchor while

@@ -78,16 +78,15 @@ let workspace ~restart ~n =
    buffer — every value GMRES keeps across calls is copied into its own
    (workspace) storage before the next operator application. *)
 let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
-    ?x0 ?workspace:ws op b =
+    ?x0 ?workspace:ws ?out op b =
   Telemetry.span "gmres" @@ fun () ->
   let n = Array.length b in
   if Resilience.Faultinject.gmres_stall () then begin
     (* Injected stagnation: report a zero-progress stall so callers
        escalate through exactly the path a real one would take. *)
     Telemetry.count "gmres.stalls";
-    let x =
-      match x0 with Some x0 -> Array.copy x0 | None -> Array.make n 0.0
-    in
+    let x = match out with Some o -> o | None -> Array.make n 0.0 in
+    (match x0 with Some x0 -> Array.blit x0 0 x 0 n | None -> Array.fill x 0 n 0.0);
     {
       x;
       converged = false;
@@ -276,8 +275,15 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
   | Budget_exhausted -> Telemetry.count "gmres.budget_stops"
   | Max_iterations when not !converged -> Telemetry.count "gmres.max_iter_stops"
   | _ -> ());
+  let x =
+    match out with
+    | Some o ->
+        Kernel.blit_to_array x o;
+        o
+    | None -> Kernel.to_array x
+  in
   {
-    x = Kernel.to_array x;
+    x;
     converged = !converged;
     iterations = !total_iters;
     residual_norm = !final_res;

@@ -44,6 +44,7 @@ val gmres :
   ?budget:Resilience.Budget.t ->
   ?x0:Linalg.Vec.t ->
   ?workspace:workspace ->
+  ?out:Linalg.Vec.t ->
   operator ->
   Linalg.Vec.t ->
   result
@@ -62,7 +63,9 @@ val gmres :
     [converged = false] (never raising) when it runs out.
 
     [workspace] supplies preallocated scratch (ignored and rebuilt
-    locally if its shape does not cover [(restart, n)]). Buffer
+    locally if its shape does not cover [(restart, n)]). [out] (length
+    [n]), when given, receives the solution and is the returned [x];
+    otherwise [x] is a fresh array. Buffer
     contract: [op] and [precond] may return a shared internal buffer —
     GMRES copies anything it keeps before the next call, and may mutate
     the returned vector in place. *)

@@ -235,30 +235,47 @@ let minor_words f =
   f ();
   Gc.minor_words () -. w0
 
-(* Linear circuits evaluate no device model, so a refresh after the
-   first (which records the stamp stream) allocates nothing at all —
-   no triplet list, no slot search. *)
+(* A refresh after the first (which records the stamp stream) allocates
+   nothing at all — no triplet list, no slot search — and neither does a
+   residual evaluation: the MOSFET and BJT models write into the
+   per-domain buffer of {!Circuit.Mna}, so no operating-point record and
+   no boxed voltage is left on the heap. *)
 let test_refresher_allocates_nothing () =
   List.iter
     (fun (name, { Circuits.mna; _ }) ->
       let dae = Circuit.Mna.dae mna in
-      let x = Array.make dae.Numeric.Dae.size 0.3 in
+      let fast = Option.get dae.Numeric.Dae.fast in
+      let n = dae.Numeric.Dae.size in
+      let x = Array.init n (fun i -> 0.3 +. (0.05 *. float_of_int i)) in
       let g, c = dae.Numeric.Dae.jacobians x in
       let refresh = refresher_of mna in
       ignore (refresh x ~g ~c);
       Alcotest.(check (float 0.0)) (name ^ ": words per refresh") 0.0
-        (minor_words (fun () -> ignore (refresh x ~g ~c))))
+        (minor_words (fun () -> ignore (refresh x ~g ~c)));
+      let f = Array.make n 0.0 in
+      fast.Numeric.Dae.eval_f_into x f;
+      Alcotest.(check (float 0.0)) (name ^ ": words per eval_f_into") 0.0
+        (minor_words (fun () -> fast.Numeric.Dae.eval_f_into x f)))
     [
       ("rc", Circuits.rc_lowpass ~drive:drive_1k ());
       ("rlc", Circuits.rlc_series ~drive:drive_1k ());
+      ( "unbalanced mixer (MOSFET)",
+        Circuits.unbalanced_mixer ~f_lo:1e6
+          ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:1.01e6 ())
+          ~rf_amplitude:0.05 () );
+      ( "gilbert cell (BJT)",
+        Circuits.gilbert_mixer ~f_lo:1e6
+          ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:1.01e6 ())
+          ~rf_amplitude:0.02 () );
     ]
 
 (* A backward-Euler step of the unbalanced mixer (5 unknowns, about 1.8
    Newton iterations per step) allocates its result, Newton's buffers,
-   residual-history ring and iteration closure, and the MOSFET model's
-   records: about 340 words. Before stamps were replayed into frozen
-   slots and Newton worked in place it was about 970. *)
-let implicit_step_word_budget = 400.0
+   residual-history ring and iteration closure: about 240 words. While
+   the MOSFET model returned records it was about 340, and before
+   stamps were replayed into frozen slots and Newton worked in place
+   about 970. *)
+let implicit_step_word_budget = 300.0
 
 let test_implicit_step_allocation () =
   let f_lo = 1e6 and fd = 1e6 /. 756.5 in

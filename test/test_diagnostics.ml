@@ -225,7 +225,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
     ?(spmv_mflops = 800.0) ?(block_cols = 2.0e6) ?(sweep_wall = 2.0)
     ?(sweep_speedup = 1.6) ?(sweep_speedup_4 = 1.4) ?(cores = 4.0)
     ?(retries = 0.0) ?(degraded = 0.0) ?(util_2 = 0.9) ?(util_4 = 0.8)
-    ?(gc_major_p99 = 0.001) ?(shooting_words = 250.0) () =
+    ?(gc_major_p99 = 0.001) ?(shooting_words = 250.0) ?(mixer_words = 60000.0) () =
   let open Telemetry.Json in
   Obj
     [
@@ -236,6 +236,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
             ("wall_seconds", Num wall);
             ("newton_iterations", Num newton);
             ("gmres_iterations", Num gmres);
+            ("minor_words_per_newton", Num mixer_words);
             ( "telemetry",
               Obj
                 [
@@ -275,7 +276,7 @@ let test_gate_passes_identical () =
   let r = D.Gate.evaluate ~baseline:doc ~current:doc () in
   Alcotest.(check bool) "passes" true r.D.Gate.passed;
   Alcotest.(check int) "no errors" 0 (List.length r.D.Gate.errors);
-  Alcotest.(check int) "fifteen verdicts" 15 (List.length r.D.Gate.verdicts)
+  Alcotest.(check int) "sixteen verdicts" 16 (List.length r.D.Gate.verdicts)
 
 let test_gate_improvement_passes () =
   (* Faster wall clock and a better speedup ratio must never fail. *)
@@ -373,7 +374,12 @@ let test_gate_speedup_floor () =
   let r =
     D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~shooting_words:400.0 ()) ()
   in
-  Alcotest.(check bool) "shooting allocation regression fails" false r.D.Gate.passed
+  Alcotest.(check bool) "shooting allocation regression fails" false r.D.Gate.passed;
+  (* And the MPDE mixer's words per Newton iterate. *)
+  let r =
+    D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~mixer_words:120000.0 ()) ()
+  in
+  Alcotest.(check bool) "mixer allocation regression fails" false r.D.Gate.passed
 
 let test_gate_retry_floor () =
   (* Any retry or degraded job on the bench's clean sweep is a hard

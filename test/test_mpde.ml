@@ -566,6 +566,81 @@ let test_assemble_ws_bitwise_refresh () =
     Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
   done
 
+(* [a] and [b] hold the same n×n block bit for bit (an entry one
+   pattern lacks reads +0). *)
+let same_block what p (a : Sparse.Csr.t) (b : Sparse.Csr.t) =
+  let n = a.Sparse.Csr.rows in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let va = Sparse.Csr.get a i j and vb = Sparse.Csr.get b i j in
+      if Int64.bits_of_float va <> Int64.bits_of_float vb then
+        Alcotest.failf "%s, point %d, entry (%d,%d): first build %h, fresh %h" what p i j va vb
+    done
+  done
+
+let test_first_jacobians_equal_fresh () =
+  (* The first [point_jacobians_ws] of a workspace builds point 0 and
+     refreshes every other point on a copy of its pattern. On a
+     converged, non-uniform mixer surface each point must still hold a
+     fresh build's values bit for bit. *)
+  let mna, shear = mixer_fixture () in
+  let sol = Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna in
+  Alcotest.(check bool) "converged" true sol.Mpde.Solver.stats.Mpde.Solver.converged;
+  let sys = sol.Mpde.Solver.system and g = sol.Mpde.Solver.grid in
+  let n = sys.Mpde.Assemble.size in
+  let first_build what x =
+    let ws = Mpde.Assemble.workspace Mpde.Assemble.Backward sys g in
+    let jacs = Mpde.Assemble.point_jacobians_ws ws x in
+    Array.iteri
+      (fun p (gp, cp) ->
+        let gf, cf = sys.Mpde.Assemble.jacobians (Mpde.Assemble.state_of ~size:n x p) in
+        same_block (what ^ " G") p gp gf;
+        same_block (what ^ " C") p cp cf)
+      jacs;
+    (* The points that kept point 0's pattern, and all the others. *)
+    let g0 = fst jacs.(0) in
+    let shared = ref 0 in
+    for p = 1 to Array.length jacs - 1 do
+      if (fst jacs.(p)).Sparse.Csr.col_idx == g0.Sparse.Csr.col_idx then incr shared
+    done;
+    (!shared, Array.length jacs - 1)
+  in
+  let shared, _ = first_build "converged surface" sol.Mpde.Solver.big_x in
+  Alcotest.(check bool) "points refreshed on point 0's pattern" true (shared > 0);
+  (* Forced drift: at the zero state point 0's MOSFETs are cut off, so
+     its G pattern has no slot for the transconductance stamps the
+     conducting points carry; those points take the rebuild path. *)
+  let x = Array.copy sol.Mpde.Solver.big_x in
+  Array.fill x 0 n 0.0;
+  let shared, others = first_build "drifted surface" x in
+  Alcotest.(check bool) "a drifted point is rebuilt on its own pattern" true (shared < others)
+
+(* The paper's 40x30 balanced-mixer solve through [Engine.run]: 5 Newton
+   iterates at about 68 k minor words each (the whole run over its
+   Newton count: the DC seed, the solve and the waveform metrics).
+   Before the device models wrote into a caller buffer, the first
+   Jacobian build refreshed copies of point 0's pattern and the
+   finiteness check lost its per-row closures, the same run took about
+   1.12 M words per Newton iterate (5.61 M in all). *)
+let newton_word_budget = 100_000.0
+
+let test_newton_word_budget () =
+  let c = Result.get_ok (Serve.Catalog.find "balanced-mixer") in
+  let problem =
+    Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
+      ~fd:c.Serve.Catalog.default_fd
+  in
+  let engine =
+    Engine.make ~options:{ Engine.Options.default with n1 = 40; n2 = 30 } Engine.Mpde
+  in
+  let w0 = Gc.minor_words () in
+  let r = Engine.run problem engine in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  let per_newton = words /. float_of_int r.Engine.Result.newton_iterations in
+  if per_newton > newton_word_budget then
+    Alcotest.failf "%.0f words per Newton iterate, budget %.0f" per_newton newton_word_budget
+
 (* The backward scheme written out by hand, as it was before the
    schemes became operator pairs: the residual
    ((q − q_{i−1,j})/h1) + ((q − q_{i,j−1})/h2) + f − b, and the stamp
@@ -1008,6 +1083,8 @@ let () =
             test_assemble_ws_bitwise_refresh;
           Alcotest.test_case "backward = hand-written reference" `Quick
             test_assemble_backward_reference;
+          Alcotest.test_case "first Jacobians equal fresh builds" `Quick
+            test_first_jacobians_equal_fresh;
         ] );
       ( "solver",
         [
@@ -1024,6 +1101,7 @@ let () =
             test_solver_bridge_sweep_guard;
           Alcotest.test_case "workspace slot reuse" `Quick
             test_solver_workspace_slot_reuse;
+          Alcotest.test_case "Newton word budget" `Quick test_newton_word_budget;
           Alcotest.test_case "block sweep mixer = dense" `Quick test_block_sweep_mixer;
           Alcotest.test_case "block sweep seed = dense" `Quick test_block_sweep_seed;
           Alcotest.test_case "block sweep bridge = dense" `Quick test_block_sweep_bridge;
