@@ -73,6 +73,21 @@ let axpy a (x : vec) (y : vec) =
       (Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i))
   done
 
+(* Modified Gram-Schmidt's step: the update and the next projection
+   (or, with [z == y], the squared norm) in one read of [y]. [z] is read
+   after [y]'s element is written, so [z == y] sees the update. *)
+let axpy_dot a (x : vec) (y : vec) (z : vec) =
+  check_same_dim x y;
+  check_same_dim z y;
+  let n = Bigarray.Array1.dim x in
+  let s = ref 0.0 in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set y i
+      (Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i));
+    s := !s +. (Bigarray.Array1.unsafe_get z i *. Bigarray.Array1.unsafe_get y i)
+  done;
+  !s
+
 let scale_ip a (x : vec) =
   let n = Bigarray.Array1.dim x in
   for i = 0 to n - 1 do

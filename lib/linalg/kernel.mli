@@ -34,6 +34,11 @@ val nrm2 : vec -> float
 val axpy : float -> vec -> vec -> unit
 (** [axpy a x y] computes [y <- y + a*x]. *)
 
+val axpy_dot : float -> vec -> vec -> vec -> float
+(** [axpy_dot a x y z] computes [y <- y + a*x] and returns [dot z y] of
+    the updated [y], in one pass: bitwise [axpy a x y] followed by
+    [dot z y], also when [z] is [y]. *)
+
 val scale_ip : float -> vec -> unit
 val scale_into : float -> vec -> vec -> unit
 (** [scale_into a x y] computes [y <- a*x]. *)

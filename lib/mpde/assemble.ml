@@ -153,7 +153,7 @@ let jacobian_csr scheme (g : Grid.t) ~size ~jacs =
 
 type workspace = {
   ws_sys : system;
-  ws_t1 : Numeric.Collocation.operator;
+  ws_ops : Numeric.Collocation.operator * Numeric.Collocation.operator;
   ws_stencil : stencil;
   ws_n : int;
   ws_np : int;
@@ -178,7 +178,7 @@ and big = { big_jac : Sparse.Csr.t; slots : int array }
 let workspace scheme sys (g : Grid.t) =
   let n = sys.size in
   let np = Grid.points g in
-  let ((t1, _) as ops) = operators scheme g in
+  let ops = operators scheme g in
   let eval_f_into, eval_q_into, refresh_jacs =
     match sys.fast with
     | Some fast ->
@@ -194,7 +194,7 @@ let workspace scheme sys (g : Grid.t) =
   in
   {
     ws_sys = sys;
-    ws_t1 = t1;
+    ws_ops = ops;
     ws_stencil = stencil ops g;
     ws_n = n;
     ws_np = np;
@@ -212,7 +212,7 @@ let workspace scheme sys (g : Grid.t) =
     big_stale = false;
   }
 
-let t1_operator ws = ws.ws_t1
+let workspace_operators ws = ws.ws_ops
 
 (* Stage grid point [p]'s state into the workspace's slice buffer.
    Consumers must finish with the buffer before the next call. *)

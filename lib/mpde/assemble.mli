@@ -98,7 +98,9 @@ val workspace : scheme -> system -> Grid.t -> workspace
     triple, with the operator pair's stencil kept per operator row.
     Validates the grid eagerly (see {!operators}). *)
 
-val t1_operator : workspace -> Numeric.Collocation.operator
+val workspace_operators :
+  workspace -> Numeric.Collocation.operator * Numeric.Collocation.operator
+(** The workspace's {!operators} pair, the same values on every call. *)
 
 val residual_into :
   workspace -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t -> unit

@@ -5,6 +5,26 @@
    diagonal entries from [ptr.(2n)]. *)
 type pattern = { perm : int array; ptr : int array; cols : int array }
 
+(* The sweep's share of the operator pair and the rest. Per fast index
+   i: [scales.(i)], the weight of C_p in D_p, and [lower1.(i)], M's t1
+   couplings as right-side terms (l < i, −w/s); per slow index j:
+   [lower2.(j)], M's backward t2 coupling (j − 1, 1/h2). [rest1.(i)]
+   and [rest2.(j)] hold R = J − M on each axis as (index along the
+   axis, coefficient) entries, the diagonal included. Derived once per
+   operator pair and grid, and kept while they stay the same. *)
+type split = {
+  op1 : Numeric.Collocation.operator;
+  op2 : Numeric.Collocation.operator;
+  h2 : float;
+  n1 : int;
+  n2 : int;
+  scales : float array;
+  lower1 : (int * float) array array;
+  lower2 : (int * float) array array;
+  rest1 : (int * float) array array;
+  rest2 : (int * float) array array;
+}
+
 type t = {
   n : int;
   np : int;
@@ -14,10 +34,11 @@ type t = {
   offs : int array;  (* per point offset into [vals] *)
   mutable vals : float array;
   mutable runs : int;  (* 0 until a build completes *)
-  mutable lower : (int * float) array array;
-      (* per fast index i: the t1 couplings (l < i, −w/s) of the last build *)
+  mutable split : split option;  (* of the last build *)
+  mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* of the last build *)
   rhs : Linalg.Vec.t;  (* n: one point's gathered right-hand side *)
   y : Linalg.Vec.t;  (* n: one point's substitution *)
+  cy : Linalg.Kernel.vec;  (* np*n: C_p·y_p, written as each point is solved *)
   sx : Linalg.Kernel.vec;  (* np*n result, returned to GMRES *)
 }
 
@@ -33,31 +54,62 @@ let create ~n ~np =
     offs = Array.make np 0;
     vals = Array.make (np * n) 0.0;
     runs = 0;
-    lower = [||];
+    split = None;
+    jacs = [||];
     rhs = Array.make n 0.0;
     y = Array.make n 0.0;
+    cy = Linalg.Kernel.create (np * n);
     sx = Linalg.Kernel.create (np * n);
   }
 
 let fits t ~n ~np = t.n = n && t.np = np
 let patterns t = t.runs
+let c_products t = t.cy
 
-(* The t1 operator's share of the sweep, per fast index i: its diagonal
-   (added to C_p's weight in D_p) and its couplings to the earlier points
-   l < i, negated for the right side. Only a lower-triangular operator
-   has a share; for any other the sweep is a block Gauss-Seidel over the
-   t2 columns and GMRES carries the t1 coupling. *)
-let t1_part (op : Numeric.Collocation.operator) =
-  let s = op.Numeric.Collocation.scale and rows = op.Numeric.Collocation.weights in
-  if Numeric.Collocation.lower_triangular op then
-    ( Numeric.Collocation.diagonal op,
-      Array.mapi
-        (fun i row ->
-          List.filter_map (fun (l, w) -> if l < i then Some (l, -.(w /. s)) else None)
-            (Array.to_list row)
-          |> Array.of_list)
-        rows )
-  else (Array.map (fun _ -> 0.0) rows, Array.map (fun _ -> [||]) rows)
+(* [a − b] for two rows of (index, coefficient) entries: one entry per
+   index whose coefficients differ, in index order. *)
+let row_difference a b =
+  let sum row l = List.fold_left (fun s (l', c) -> if l' = l then s +. c else s) 0.0 row in
+  List.sort_uniq compare (List.map fst a @ List.map fst b)
+  |> List.filter_map (fun l ->
+         let c = sum a l -. sum b l in
+         if c = 0.0 then None else Some (l, c))
+  |> Array.of_list
+
+(* M and R on both axes. A row of J on an axis is its operator's row
+   (diagonal as {!Numeric.Collocation.diagonal} sums it, then the other
+   entries' w/s); M's t1 row is J's diagonal and lower entries when the
+   t1 operator is lower-triangular, and empty otherwise, when the sweep
+   is a block Gauss-Seidel over the t2 columns; M's t2 row is always
+   the backward difference without its wrap. *)
+let split_of (op1, op2) (g : Grid.t) =
+  let module C = Numeric.Collocation in
+  let inv_h2 = 1.0 /. g.Grid.h2 and tri = C.lower_triangular op1 in
+  let self1 = C.diagonal op1 and self2 = C.diagonal op2 in
+  let row (op : C.operator) self r =
+    (r, self.(r))
+    :: List.filter_map
+         (fun (l, w) -> if l = r then None else Some (l, w /. op.C.scale))
+         (Array.to_list op.C.weights.(r))
+  in
+  let m1 i = if tri then List.filter (fun (l, _) -> l <= i) (row op1 self1 i) else [] in
+  let m2 j = (j, inv_h2) :: (if j > 0 then [ (j - 1, -.inv_h2) ] else []) in
+  let right_side m r =
+    Array.of_list (List.filter_map (fun (l, c) -> if l = r then None else Some (l, -.c)) m)
+  in
+  let n1 = g.Grid.n1 and n2 = g.Grid.n2 in
+  {
+    op1;
+    op2;
+    h2 = g.Grid.h2;
+    n1;
+    n2;
+    scales = Array.init n1 (fun i -> (if tri then self1.(i) else 0.0) +. inv_h2);
+    lower1 = Array.init n1 (fun i -> right_side (m1 i) i);
+    lower2 = Array.init n2 (fun j -> right_side (m2 j) j);
+    rest1 = Array.init n1 (fun i -> row_difference (row op1 self1 i) (m1 i));
+    rest2 = Array.init n2 (fun j -> row_difference (row op2 self2 j) (m2 j));
+  }
 
 let ints_equal (a : int array) (b : int array) =
   a == b
@@ -211,21 +263,25 @@ let store_point t ~scales ~n1 ~jacs ~extra_diag ~prev ~off p =
     pat
   end
 
-let build t op1 (g : Grid.t) ~jacs ~extra_diag =
+let build t ((op1, op2) as ops) (g : Grid.t) ~jacs ~extra_diag =
   Telemetry.span "mpde.precond.build" @@ fun () ->
   let n = t.n in
-  let diag, lower = t1_part op1 in
-  t.lower <- lower;
-  let inv_h2 = 1.0 /. g.Grid.h2 in
-  (* Per fast index, the weight of C_p in D_p; read from a float array
-     so no per-point float crosses a call boxed. *)
-  let scales = Array.map (fun d -> d +. inv_h2) diag in
+  let sp =
+    match t.split with
+    | Some sp when sp.op1 == op1 && sp.op2 == op2 && sp.h2 = g.Grid.h2 -> sp
+    | _ ->
+        let sp = split_of ops g in
+        t.split <- Some sp;
+        sp
+  in
+  let scales = sp.scales in
   let store ~prev ~off p =
-    store_point t ~scales ~n1:g.Grid.n1 ~jacs ~extra_diag ~prev ~off p
+    store_point t ~scales ~n1:sp.n1 ~jacs ~extra_diag ~prev ~off p
   in
   (* A build cut short by a singular block leaves no usable store. *)
   t.runs <- 0;
-  if blocks_uniform jacs && Array.for_all (fun d -> d = diag.(0)) diag then begin
+  t.jacs <- jacs;
+  if blocks_uniform jacs && Array.for_all (fun s -> s = scales.(0)) scales then begin
     Telemetry.count "mpde.precond.shared_builds";
     Array.fill t.pats 0 t.np (store ~prev:no_pattern ~off:0 0);
     Array.fill t.offs 0 t.np 0;
@@ -245,46 +301,68 @@ let build t op1 (g : Grid.t) ~jacs ~extra_diag =
   end;
   Telemetry.gauge "mpde.precond.patterns" (float_of_int t.runs)
 
-(* b += inv_h · C_q x_q, reading the CSR arrays directly — this runs
-   n·nnz(C) times per sweep, too hot for the iter_row closure (and the
-   reciprocal is hoisted to a multiply). Inlined, so [inv_h] is never
-   boxed. *)
-let[@inline] couple b (x : Linalg.Kernel.vec) n (c : Sparse.Csr.t) inv_h q =
+(* b += c · (C_q y_q), read from the per-point products [cy]. Inlined,
+   so [c] is never boxed. *)
+let[@inline] add_scaled (b : float array) (cy : Linalg.Kernel.vec) n c q =
+  let qb = q * n in
+  for row = 0 to n - 1 do
+    Array.unsafe_set b row
+      (Array.unsafe_get b row +. (c *. Bigarray.Array1.unsafe_get cy (qb + row)))
+  done
+
+(* out_p += c · (C_q y_q), on the output vector. *)
+let[@inline] add_product (out : Linalg.Kernel.vec) base (cy : Linalg.Kernel.vec) n c q =
+  let qb = q * n in
+  for row = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set out (base + row)
+      (Bigarray.Array1.unsafe_get out (base + row)
+      +. (c *. Bigarray.Array1.unsafe_get cy (qb + row)))
+  done
+
+(* cy_p = C_p y_p, each row summed from 0.0 in CSR order. *)
+let[@inline] c_times (cy : Linalg.Kernel.vec) n (c : Sparse.Csr.t) (y : float array) base =
   let rp = c.Sparse.Csr.row_ptr and ci = c.Sparse.Csr.col_idx and cv = c.Sparse.Csr.values in
-  let xb = q * n in
   for row = 0 to n - 1 do
     let s = ref 0.0 in
-    for k = rp.(row) to rp.(row + 1) - 1 do
-      s :=
-        !s
-        +. (Array.unsafe_get cv k *. Bigarray.Array1.unsafe_get x (xb + Array.unsafe_get ci k))
+    for k = Array.unsafe_get rp row to Array.unsafe_get rp (row + 1) - 1 do
+      s := !s +. (Array.unsafe_get cv k *. Array.unsafe_get y (Array.unsafe_get ci k))
     done;
-    b.(row) <- b.(row) +. (inv_h *. !s)
+    Bigarray.Array1.unsafe_set cy (base + row) !s
   done
+
+(* The split of a completed build. *)
+let built t =
+  match t.split with
+  | Some sp when t.runs > 0 -> sp
+  | _ -> invalid_arg "Block_sweep.apply: no factors built"
 
 (* One pass in lexicographic point order: point (i,j) reads only the
    already-solved (l < i, j) and (i, j−1). Per point: gather r_p, move
-   the lower-neighbour couplings (w/s·C) to the right side, permute,
-   then forward/back substitution over the stored nonzeros. *)
-let apply t (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
-  if t.runs = 0 then invalid_arg "Block_sweep.apply: no factors built";
+   the lower-neighbour couplings (w/s·C_q y_q, from [cy]) to the right
+   side, permute, forward/back substitution over the stored nonzeros,
+   then C_p y_p into [cy]. *)
+let sweep t (r : Linalg.Kernel.vec) =
+  let sp = built t in
   Telemetry.count "mpde.precond.sweeps";
-  let n = t.n and n1 = g.Grid.n1 in
-  let inv_h2 = 1.0 /. g.Grid.h2 in
-  let x = t.sx and b = t.rhs and y = t.y and vals = t.vals and lower_rows = t.lower in
-  for j = 0 to g.Grid.n2 - 1 do
+  let n = t.n and n1 = sp.n1 and jacs = t.jacs in
+  let x = t.sx and b = t.rhs and y = t.y and cy = t.cy and vals = t.vals in
+  for j = 0 to sp.n2 - 1 do
+    let lower2 = Array.unsafe_get sp.lower2 j in
     for i = 0 to n1 - 1 do
       let p = (j * n1) + i in
       let base = p * n in
       for row = 0 to n - 1 do
         Array.unsafe_set b row (Bigarray.Array1.unsafe_get r (base + row))
       done;
-      let lower = Array.unsafe_get lower_rows i in
-      for e = 0 to Array.length lower - 1 do
-        let l, c = Array.unsafe_get lower e in
-        couple b x n (snd jacs.(p - i + l)) c (p - i + l)
+      let lower1 = Array.unsafe_get sp.lower1 i in
+      for e = 0 to Array.length lower1 - 1 do
+        let l, c = Array.unsafe_get lower1 e in
+        add_scaled b cy n c (p - i + l)
       done;
-      if j > 0 then couple b x n (snd jacs.(p - n1)) inv_h2 (p - n1);
+      for e = 0 to Array.length lower2 - 1 do
+        let m, c = Array.unsafe_get lower2 e in
+        add_scaled b cy n c (p + ((m - j) * n1))
+      done;
       let { perm; ptr; cols } = t.pats.(p) and o = t.offs.(p) in
       for row = 0 to n - 1 do
         Array.unsafe_set y row (Array.unsafe_get b (Array.unsafe_get perm row))
@@ -313,7 +391,40 @@ let apply t (g : Grid.t) ~jacs (r : Linalg.Kernel.vec) =
         let v = !s /. Array.unsafe_get vals (diag + row) in
         Array.unsafe_set y row v;
         Bigarray.Array1.unsafe_set x (base + row) v
-      done
+      done;
+      c_times cy n (snd (Array.unsafe_get jacs p)) y base
     done
   done;
   x
+
+(* J·M⁻¹v = M·y + R·y = v + R·y with y = M⁻¹v. R reads y only through
+   [cy], so the result overwrites y in the output buffer. Only the
+   points with R entries (the wraps, for a lower-triangular t1
+   operator) do more than the copy of [v]. *)
+let product_sweep t (v : Linalg.Kernel.vec) =
+  let x = sweep t v in
+  Linalg.Kernel.blit v x;
+  let sp = built t in
+  let n = t.n and n1 = sp.n1 and cy = t.cy in
+  for j = 0 to sp.n2 - 1 do
+    let rest2 = Array.unsafe_get sp.rest2 j in
+    for i = 0 to n1 - 1 do
+      let rest1 = Array.unsafe_get sp.rest1 i in
+      if Array.length rest1 > 0 || Array.length rest2 > 0 then begin
+        let p = (j * n1) + i in
+        let base = p * n in
+        for e = 0 to Array.length rest1 - 1 do
+          let l, c = Array.unsafe_get rest1 e in
+          add_product x base cy n c (p - i + l)
+        done;
+        for e = 0 to Array.length rest2 - 1 do
+          let m, c = Array.unsafe_get rest2 e in
+          add_product x base cy n c (p + ((m - j) * n1))
+        done
+      end
+    done
+  done;
+  x
+
+let apply t r = Telemetry.span_app "mpde.precond.apply" sweep t r
+let product t v = Telemetry.span_app "mpde.precond.apply" product_sweep t v

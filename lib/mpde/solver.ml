@@ -70,7 +70,6 @@ type workspace = {
   mutable gmres_restart : int;
   op_ba : Linalg.Kernel.vec;  (* shared operator output (GMRES buffer contract) *)
   sweep : Block_sweep.t;
-  cw : Linalg.Kernel.vec;  (* np*n scratch: C_p v_p for the matrix-free J·v *)
   mutable splu : Sparse.Splu.t option;
 }
 
@@ -84,7 +83,6 @@ let make_workspace scheme sys (g : Grid.t) =
     gmres_restart = 0;
     op_ba = Linalg.Kernel.create big;
     sweep = Block_sweep.create ~n ~np;
-    cw = Linalg.Kernel.create big;
     splu = None;
   }
 
@@ -116,10 +114,11 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
   (* GMRES writes its iterate into [out]; unless it converged, a stall:
      budget exhaustion when the budget ran out, [Linear_stall]
      otherwise. *)
-  let run_gmres ~restart ~max_iter ~tol ~precond op =
+  let run_gmres ~restart ~max_iter ~tol ~precond ~product op =
     let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
     let result =
-      Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ?budget ~workspace ~out op rhs
+      Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ~product ?budget ~workspace ~out
+        op rhs
     in
     linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
     if not result.Sparse.Krylov.converged then begin
@@ -149,17 +148,20 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
   | Gmres_sweep { restart; max_iter; tol } -> (
       Telemetry.span "mpde.linear.gmres-sweep" @@ fun () ->
       (* Matrix-free for every scheme: the big Jacobian is never
-         assembled on this path. *)
+         assembled on this path. The true J·x only forms restart
+         residuals, with the sweep's C·y buffer as its C·v scratch;
+         each Arnoldi step takes J·M⁻¹v from the sweep. *)
       let op v =
-        Assemble.jacobian_apply_ws ws.asm ~extra_diag ~cw:ws.cw v ws.op_ba;
+        Assemble.jacobian_apply_ws ws.asm ~extra_diag ~cw:(Block_sweep.c_products ws.sweep) v
+          ws.op_ba;
         ws.op_ba
       in
       (* Exact factors at every Newton iterate: a lagged or shared
          block lets a switching device's conductance drift unseen, and
          GMRES pays for it many times over (DESIGN.md §12). *)
-      Block_sweep.build ws.sweep (Assemble.t1_operator ws.asm) g ~jacs ~extra_diag;
-      let precond = Block_sweep.apply ws.sweep g ~jacs in
-      run_gmres ~restart ~max_iter ~tol ~precond op)
+      Block_sweep.build ws.sweep (Assemble.workspace_operators ws.asm) g ~jacs ~extra_diag;
+      run_gmres ~restart ~max_iter ~tol ~precond:(Block_sweep.apply ws.sweep)
+        ~product:(Block_sweep.product ws.sweep) op)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
    a NaN entry in G or C would otherwise poison GMRES silently. Each

@@ -4,15 +4,18 @@
 
     - [Direct]: general sparse LU on the global Jacobian — robust,
       reasonable for grids up to a few thousand points;
-    - [Gmres_sweep]: matrix-free GMRES
-      ({!Assemble.jacobian_apply_ws}) right-preconditioned by a block
-      forward-substitution sweep. With lexicographic ordering the
-      backward-difference Jacobian is block lower-triangular except for
-      the two periodic wrap couplings, so one sweep (factoring only the
-      [n] x [n] diagonal blocks) is a very strong preconditioner — the
-      multi-time analogue of the matrix-free Krylov shooting of the
-      paper's ref. [10]. The diagonal blocks are refactored exactly
-      from the current Jacobian for every linear solve.
+    - [Gmres_sweep]: matrix-free GMRES right-preconditioned by a block
+      forward-substitution sweep ({!Block_sweep}). With lexicographic
+      ordering the backward-difference Jacobian is block
+      lower-triangular except for the two periodic wrap couplings, so
+      one sweep (factoring only the [n] x [n] diagonal blocks) is a
+      very strong preconditioner — the multi-time analogue of the
+      matrix-free Krylov shooting of the paper's ref. [10]. Each
+      Arnoldi step costs one sweep: {!Block_sweep.product} gives
+      J·M⁻¹v from it, and the true J·x
+      ({!Assemble.jacobian_apply_ws}) only forms restart residuals.
+      The diagonal blocks are refactored exactly from the current
+      Jacobian for every linear solve.
 
     There is no incomplete-factorization rung: an MNA voltage-source or
     inductor branch row has no diagonal entry, so a zero-fill ILU hits

@@ -43,6 +43,7 @@ type workspace = {
   xv : Kernel.vec;  (* the iterate *)
   bv : Kernel.vec;  (* right-hand side staged once per call *)
   ident : Kernel.vec;  (* output of the default (identity) preconditioner *)
+  mutable w : Kernel.vec;  (* the product being orthogonalized (not owned) *)
 }
 
 let workspace ~restart ~n =
@@ -61,7 +62,25 @@ let workspace ~restart ~n =
     xv = Kernel.create n;
     bv = Kernel.create n;
     ident = Kernel.create n;
+    w = Kernel.create 0;
   }
+
+(* [op v], timed as the true operator apply; a closed function, so
+   [span_app] allocates nothing around it. *)
+let apply_op op v = Telemetry.span_app "gmres.apply_op" (fun op v -> op v) op v
+
+(* Modified Gram-Schmidt of [ws.w] against basis vectors 0 .. j into
+   Hessenberg column j, its norm last. Each [axpy_dot] removes one
+   projection and takes the next (the norm, at the end) in the same
+   pass, so [w] is read once per basis vector; the values are bitwise
+   those of the unfused dot, axpy, ..., nrm2 sequence. *)
+let orth ws j =
+  let w = ws.w and basis = ws.basis and hj = ws.hcols.(j) in
+  hj.(0) <- Kernel.dot basis.(0) w;
+  for i = 0 to j - 1 do
+    hj.(i + 1) <- Kernel.axpy_dot (-.hj.(i)) basis.(i) w basis.(i + 1)
+  done;
+  hj.(j + 1) <- sqrt (Kernel.axpy_dot (-.hj.(j)) basis.(j) w w)
 
 (* Restarted GMRES with right preconditioning and Givens-rotation QR of
    the Hessenberg matrix, on Bigarray vectors.
@@ -74,10 +93,14 @@ let workspace ~restart ~n =
    Givens QR; if no finite progress was made at all the whole solve
    aborts rather than looping on an unchanged iterate.
 
-   Buffer contract: [op] and [precond] may return a shared internal
-   buffer — every value GMRES keeps across calls is copied into its own
-   (workspace) storage before the next operator application. *)
-let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
+   The Arnoldi step applies [product] (default [op ∘ precond]); [op]
+   itself only forms restart residuals.
+
+   Buffer contract: [op], [precond] and [product] may return a shared
+   internal buffer — every value GMRES keeps across calls is copied
+   into its own (workspace) storage before the next operator
+   application. *)
+let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?budget
     ?x0 ?workspace:ws ?out op b =
   Telemetry.span "gmres" @@ fun () ->
   let n = Array.length b in
@@ -112,6 +135,9 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
           Kernel.blit v ws.ident;
           ws.ident
   in
+  let product =
+    match product with Some p -> p | None -> fun v -> apply_op op (precond v)
+  in
   let x = ws.xv in
   Kernel.blit_from_array b ws.bv;
   let bv = ws.bv in
@@ -137,7 +163,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
        let r = ws.r in
        if !total_iters = 0 && x0 = None then Kernel.blit bv r
        else begin
-         let ax = op x in
+         let ax = apply_op op x in
          Kernel.sub_into bv ax r
        end;
        let beta = Kernel.nrm2 r in
@@ -167,16 +193,13 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?budget
        let poisoned = ref false in
        while (not !inner_done) && !k < m do
          let j = !k in
-         let w = op (precond basis.(j)) in
+         (* [w] may be the product's shared buffer — orthogonalizing
+            it in place is fine, the normalized copy below is what
+            survives the next call. *)
+         let w = product basis.(j) in
+         ws.w <- w;
+         Telemetry.span_app "gmres.orth" orth ws j;
          let hj = h.(j) in
-         (* Modified Gram-Schmidt ([w] may be the operator's shared
-            buffer — mutating it in place is fine, the normalized copy
-            below is what survives the next operator call). *)
-         for i = 0 to j do
-           hj.(i) <- Kernel.dot basis.(i) w;
-           Kernel.axpy (-.hj.(i)) basis.(i) w
-         done;
-         hj.(j + 1) <- Kernel.nrm2 w;
          if not (Float.is_finite hj.(j + 1)) then begin
            (* Poisoned column: solve with the j columns accepted so far. *)
            poisoned := true;

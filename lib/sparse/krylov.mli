@@ -41,6 +41,7 @@ val gmres :
   ?max_iter:int ->
   ?tol:float ->
   ?precond:operator ->
+  ?product:operator ->
   ?budget:Resilience.Budget.t ->
   ?x0:Linalg.Vec.t ->
   ?workspace:workspace ->
@@ -55,6 +56,16 @@ val gmres :
     identity preconditioner (which copies into workspace storage, never
     returning its argument).
 
+    [product v] must return [op (precond v)] up to rounding; each
+    Arnoldi step applies it once, and [op] alone then only forms the
+    true residual [b − op x] at a restart (never on the first cycle
+    without [x0]). It defaults to exactly [op (precond v)]. A caller
+    whose preconditioner yields the product more cheaply than a fresh
+    [op] apply passes it here — the MPDE block sweep gives
+    [J·M⁻¹v = v + (J − M)·M⁻¹v] for the few couplings [J − M] it
+    drops. Telemetry: [gmres.apply_op] times every [op] apply (the
+    default product's too) and [gmres.orth] the Gram-Schmidt step.
+
     Robustness: happy breakdown (zero Hessenberg subdiagonal) returns
     the exact iterate instead of dividing by zero; a non-finite basis
     vector terminates the sweep with the last finite iterate instead of
@@ -66,6 +77,7 @@ val gmres :
     locally if its shape does not cover [(restart, n)]). [out] (length
     [n]), when given, receives the solution and is the returned [x];
     otherwise [x] is a fresh array. Buffer
-    contract: [op] and [precond] may return a shared internal buffer —
-    GMRES copies anything it keeps before the next call, and may mutate
-    the returned vector in place. *)
+    contract: [op], [precond] and [product] may return a shared internal
+    buffer, the same one for all three — GMRES copies anything it keeps
+    before the next call, and may mutate the returned vector in place.
+    None of them may return or mutate its argument. *)

@@ -489,6 +489,35 @@ let prop_kernel_dot_bitwise =
       && Int64.bits_of_float (Kernel.nrm2 x)
          = Int64.bits_of_float (Vec.norm2 a))
 
+(* The fused Gram-Schmidt step: bitwise axpy then dot, also with the
+   projection vector [z] being [y] itself (the closing norm). *)
+let prop_kernel_axpy_dot_bitwise =
+  QCheck.Test.make ~count:100 ~name:"kernel: axpy_dot bitwise = axpy then dot"
+    QCheck.(
+      make
+        Gen.(
+          pair (float_range (-5.0) 5.0)
+            (triple
+               (array_size (return 17) (float_range (-50.0) 50.0))
+               (array_size (return 17) (float_range (-50.0) 50.0))
+               (array_size (return 17) (float_range (-50.0) 50.0)))))
+    (fun (a, (xa, ya, za)) ->
+      let bits = Int64.bits_of_float in
+      let x = Kernel.of_array xa and z = Kernel.of_array za in
+      let same_vec u w =
+        Array.for_all2 (fun p q -> bits p = bits q) (Kernel.to_array u) (Kernel.to_array w)
+      in
+      let y_ref = Kernel.of_array ya in
+      Kernel.axpy a x y_ref;
+      let y = Kernel.of_array ya in
+      let d = Kernel.axpy_dot a x y z in
+      let y_self = Kernel.of_array ya in
+      let d_self = Kernel.axpy_dot a x y_self y_self in
+      bits d = bits (Kernel.dot z y_ref)
+      && same_vec y y_ref
+      && bits d_self = bits (Kernel.dot y_ref y_ref)
+      && same_vec y_self y_ref)
+
 let prop_mat_mul_assoc =
   QCheck.Test.make ~count:40 ~name:"mat: (ab)c = a(bc)"
     QCheck.(
@@ -562,6 +591,7 @@ let () =
             prop_solve_many_bitwise;
             prop_factor_bitwise;
             prop_kernel_dot_bitwise;
+            prop_kernel_axpy_dot_bitwise;
             prop_vec_triangle;
             prop_vec_cauchy_schwarz;
             prop_mat_mul_assoc;

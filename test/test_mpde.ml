@@ -860,13 +860,12 @@ let test_vector len =
 let check_sweep_bitwise ?(extra_diag = 0.0) ?(applies = 2) what scheme g jacs =
   let np = Grid.points g and n = (fst jacs.(0)).Sparse.Csr.rows in
   let t = Block_sweep.create ~n ~np in
-  let t1 = fst (Mpde.Assemble.operators scheme g) in
-  Block_sweep.build t t1 g ~jacs ~extra_diag;
+  Block_sweep.build t (Mpde.Assemble.operators scheme g) g ~jacs ~extra_diag;
   (* Repeated applies reuse the workspace and must not drift. *)
   for k = 1 to applies do
     let r = Array.map (fun v -> v *. float_of_int k) (test_vector (np * n)) in
     let got =
-      Linalg.Kernel.to_array (Block_sweep.apply t g ~jacs (Linalg.Kernel.of_array r))
+      Linalg.Kernel.to_array (Block_sweep.apply t (Linalg.Kernel.of_array r))
     in
     Alcotest.(check bool)
       (Printf.sprintf "%s: apply %d bitwise = dense" what k)
@@ -937,21 +936,178 @@ let test_block_sweep_bridge () =
 let test_block_sweep_validation () =
   let t = Block_sweep.create ~n:2 ~np:4 in
   let g = Grid.make ~shear:shear_1g ~n1:2 ~n2:2 in
-  let apply_fails what jacs =
-    Alcotest.check_raises what (Invalid_argument "Block_sweep.apply: no factors built")
-      (fun () -> ignore (Block_sweep.apply t g ~jacs (Linalg.Kernel.create 8)))
+  let apply_fails what =
+    List.iter
+      (fun (name, f) ->
+        Alcotest.check_raises (what ^ ": " ^ name)
+          (Invalid_argument "Block_sweep.apply: no factors built")
+          (fun () -> ignore (f t (Linalg.Kernel.create 8))))
+      [ ("apply", Block_sweep.apply); ("product", Block_sweep.product) ]
   in
-  apply_fails "apply before build" [||];
+  apply_fails "apply before build";
   (* A singular block aborts the build, and the half-written store must
      not be applied. *)
   let eye = Sparse.Csr.identity 2 and zero = Sparse.Csr.scale 0.0 (Sparse.Csr.identity 2) in
   let jacs = [| (eye, eye); (eye, eye); (zero, zero); (eye, eye) |] in
-  let t1 = fst (Mpde.Assemble.operators Mpde.Assemble.Backward g) in
-  Block_sweep.build t t1 g ~jacs:(Array.make 4 (eye, eye)) ~extra_diag:0.0;
-  (match Block_sweep.build t t1 g ~jacs ~extra_diag:0.0 with
+  let ops = Mpde.Assemble.operators Mpde.Assemble.Backward g in
+  Block_sweep.build t ops g ~jacs:(Array.make 4 (eye, eye)) ~extra_diag:0.0;
+  (match Block_sweep.build t ops g ~jacs ~extra_diag:0.0 with
   | () -> Alcotest.fail "singular block accepted"
   | exception Linalg.Lu.Singular _ -> ());
-  apply_fails "apply after a failed build" jacs
+  apply_fails "apply after a failed build"
+
+(* Eisenstat's product against the true operator: [Block_sweep.product v]
+   must equal [jacobian_apply_ws] applied to ŷ = [Block_sweep.apply v]
+   up to rounding. The bound, per unknown, with u = 2⁻⁵³ and
+   γ_k = k·u/(1 − k·u):
+
+   Exactly, v + R·ŷ − J·ŷ = v − M·ŷ since R = J − M, so
+     product − fl(J·ŷ) = (v − M·ŷ) + (product − (v + R·ŷ)) − (fl(J·ŷ) − J·ŷ).
+   - The sweep forms b̂_p = fl(v_p + Σ c·fl(C_q·ŷ_q)) over M's couplings,
+     stamps D̂_p = fl(σ·C_p + G_p + e·I) and solves by LU, so
+     (D̂_p + Δ)·ŷ_p = b̂_p with |Δ| ≤ γ_3n·Pᵀ|L̂||Û| (Higham, Thm 9.4):
+     |v − M·ŷ| ≤ γ_K·(|v| + |M||ŷ|) + γ_3n·Pᵀ|L̂||Û||ŷ|.
+   - The product rounds C_q·ŷ_q, R's coefficients (differences of J's
+     and M's) and its sums: |product − (v + R·ŷ)| ≤ γ_K·(|v| + (|J| + |M|)|ŷ|).
+   - The matrix-free J·ŷ: |fl(J·ŷ) − J·ŷ| ≤ γ_K·|J||ŷ|.
+   So |product − fl(J·ŷ)| ≤ γ_K·(2|v| + 2|J||ŷ| + 2|M||ŷ| + Pᵀ|L̂||Û||ŷ|)
+   with K = 3n + (largest row of C or G) + (stencil terms of one point,
+   J's and M's) + 4, which covers every count above. |J| and |M| are
+   taken entry by entry (|w/s| per stencil weight), and the magnitudes
+   are themselves computed with relative error far below the slack. A
+   coupling R missed or double-counted would be off by about
+   |w/s|·|C_q||ŷ_q|, orders of magnitude above the bound. *)
+let check_sweep_product ?(extra_diag = 0.0) what scheme sys (g : Grid.t) x =
+  let module K = Linalg.Kernel in
+  let ws = Mpde.Assemble.workspace scheme sys g in
+  let jacs = Mpde.Assemble.point_jacobians_ws ws x in
+  let ((op1, op2) as ops) = Mpde.Assemble.workspace_operators ws in
+  let n = sys.Mpde.Assemble.size and np = Grid.points g and n1 = g.Grid.n1 in
+  let t = Block_sweep.create ~n ~np in
+  Block_sweep.build t ops g ~jacs ~extra_diag;
+  let v = test_vector (np * n) in
+  let y = K.to_array (Block_sweep.apply t (K.of_array v)) in
+  let product = K.to_array (Block_sweep.product t (K.of_array v)) in
+  let jy = K.create (np * n) in
+  Mpde.Assemble.jacobian_apply_ws ws ~extra_diag ~cw:(K.create (np * n)) (K.of_array y) jy;
+  let jy = K.to_array jy in
+  (* |A||ŷ_p| for one per-point CSR block, and its largest row. *)
+  let abs_mul (a : Sparse.Csr.t) p =
+    Array.init n (fun r ->
+        let s = ref 0.0 in
+        Sparse.Csr.iter_row a r (fun c w -> s := !s +. (Float.abs w *. Float.abs y.((p * n) + c)));
+        !s)
+  in
+  let widest (a : Sparse.Csr.t) =
+    let rp = a.Sparse.Csr.row_ptr in
+    Array.fold_left max 0 (Array.init n (fun r -> rp.(r + 1) - rp.(r)))
+  in
+  let cy = Array.init np (fun p -> abs_mul (snd jacs.(p)) p) in
+  let gy = Array.init np (fun p -> abs_mul (fst jacs.(p)) p) in
+  let nnz = Array.fold_left (fun m (gp, cp) -> max m (max (widest gp) (widest cp))) 0 jacs in
+  let weights (op : Numeric.Collocation.operator) r =
+    Array.map (fun (l, w) -> (l, Float.abs (w /. op.Numeric.Collocation.scale))) op.weights.(r)
+  in
+  (* M as the sweep (and [dense_sweep]) builds it: the t1 diagonal and
+     lower neighbour only for the backward scheme, and the backward t2
+     difference without its wrap. *)
+  let t1d = scheme = Mpde.Assemble.Backward in
+  let inv_h1 = 1.0 /. g.Grid.h1 and inv_h2 = 1.0 /. g.Grid.h2 in
+  let terms = ref 0 in
+  let bound = Array.make (np * n) 0.0 in
+  for p = 0 to np - 1 do
+    let i = p mod n1 and j = p / n1 in
+    let j1 = weights op1 i and j2 = weights op2 j in
+    let m_diag = (if t1d then inv_h1 else 0.0) +. inv_h2 in
+    let m_lower =
+      (if t1d && i > 0 then [ (p - 1, inv_h1) ] else [])
+      @ if j > 0 then [ (p - n1, inv_h2) ] else []
+    in
+    terms := max !terms (Array.length j1 + Array.length j2 + List.length m_lower + 3);
+    let d = Linalg.Mat.create n n in
+    let gp, cp = jacs.(p) in
+    for r = 0 to n - 1 do
+      Sparse.Csr.iter_row cp r (fun c w ->
+          Linalg.Mat.set d r c (Linalg.Mat.get d r c +. (m_diag *. w)));
+      Sparse.Csr.iter_row gp r (fun c w -> Linalg.Mat.set d r c (Linalg.Mat.get d r c +. w));
+      Linalg.Mat.set d r r (Linalg.Mat.get d r r +. extra_diag)
+    done;
+    let lu, perm, _ = Linalg.Lu.packed (Linalg.Lu.factor d) in
+    for k = 0 to n - 1 do
+      (* row k of |L̂||Û||ŷ_p| belongs to D_p's row perm.(k) *)
+      let s = ref 0.0 in
+      for m = 0 to k do
+        let l = if m = k then 1.0 else Float.abs (Linalg.Mat.get lu k m) in
+        for c = m to n - 1 do
+          s := !s +. (l *. Float.abs (Linalg.Mat.get lu m c) *. Float.abs y.((p * n) + c))
+        done
+      done;
+      bound.((p * n) + perm.(k)) <- !s
+    done;
+    for r = 0 to n - 1 do
+      let e = Float.abs extra_diag *. Float.abs y.((p * n) + r) in
+      let jmag =
+        Array.fold_left (fun s (l, w) -> s +. (w *. cy.((j * n1) + l).(r))) 0.0 j1
+        +. Array.fold_left (fun s (m, w) -> s +. (w *. cy.((m * n1) + i).(r))) 0.0 j2
+        +. gy.(p).(r) +. e
+      in
+      let mmag =
+        (m_diag *. cy.(p).(r)) +. gy.(p).(r) +. e
+        +. List.fold_left (fun s (q, w) -> s +. (w *. cy.(q).(r))) 0.0 m_lower
+      in
+      let k = (p * n) + r in
+      bound.(k) <- bound.(k) +. (2.0 *. Float.abs v.(k)) +. (2.0 *. jmag) +. (2.0 *. mmag)
+    done
+  done;
+  let u = epsilon_float /. 2.0 in
+  let kk = float_of_int ((3 * n) + nnz + !terms + 4) in
+  let gamma = kk *. u /. (1.0 -. (kk *. u)) in
+  let worst = ref 0.0 and moved = ref false in
+  Array.iteri
+    (fun k b ->
+      let err = Float.abs (product.(k) -. jy.(k)) in
+      worst := Float.max !worst (err /. (gamma *. b));
+      if product.(k) <> v.(k) then moved := true)
+    bound;
+  Alcotest.(check bool) (Printf.sprintf "%s: within bound (worst %.2g of it)" what !worst)
+    true (!worst <= 1.0);
+  Alcotest.(check bool) (what ^ ": R is not empty") true !moved
+
+let test_sweep_product () =
+  let mna, shear = mixer_fixture () in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let g = Grid.make ~shear ~n1:10 ~n2:6 in
+  let x = (Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna).Mpde.Solver.big_x in
+  check_sweep_product "mixer" Mpde.Assemble.Backward sys g x;
+  check_sweep_product ~extra_diag:0.37 "mixer, loaded diagonal" Mpde.Assemble.Backward sys g x;
+  check_sweep_product "mixer, central-t1" Mpde.Assemble.Central_t1 sys g x;
+  (* Spectral axes need an odd number of points. *)
+  let g = Grid.make ~shear ~n1:9 ~n2:5 in
+  let x = (Mpde.Solver.solve_mna ~shear ~n1:9 ~n2:5 mna).Mpde.Solver.big_x in
+  check_sweep_product "mixer, spectral-t1" Mpde.Assemble.Spectral_t1 sys g x;
+  check_sweep_product "mixer, spectral-both" Mpde.Assemble.Spectral_both sys g x;
+  (* The bridge a few Newton steps from its DC seed, as in "block sweep
+     bridge = dense": several factor patterns. *)
+  let f1 = 50e3 and fd = 500.0 in
+  let drive =
+    W.sum (W.sine ~amplitude:10.0 ~freq:f1 ()) (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
+  in
+  let { Circuits.mna; _ } = Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive () in
+  let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let g = Grid.make ~shear ~n1:16 ~n2:6 in
+  let sources = Mpde.Assemble.sources_on_grid sys g in
+  let x = replicated g (Circuit.Dcop.solve_exn mna) in
+  for _ = 1 to 3 do
+    let jacs = Mpde.Assemble.point_jacobians sys g x in
+    let jac =
+      Mpde.Assemble.jacobian_csr Mpde.Assemble.Backward g ~size:sys.Mpde.Assemble.size ~jacs
+    in
+    let r = Mpde.Assemble.residual Mpde.Assemble.Backward sys g ~sources x in
+    let dx = Sparse.Splu.solve (Sparse.Splu.factor jac) r in
+    Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
+  done;
+  check_sweep_product "bridge" Mpde.Assemble.Backward sys g x
 
 (* Random small grids whose per-point blocks differ from their
    neighbours in zero pattern and in which row wins each pivot: G_p is a
@@ -1106,6 +1262,7 @@ let () =
           Alcotest.test_case "block sweep seed = dense" `Quick test_block_sweep_seed;
           Alcotest.test_case "block sweep bridge = dense" `Quick test_block_sweep_bridge;
           Alcotest.test_case "block sweep validation" `Quick test_block_sweep_validation;
+          Alcotest.test_case "sweep product = J·M⁻¹" `Quick test_sweep_product;
           Alcotest.test_case "grid refinement" `Slow test_solver_grid_refinement_converges;
           Alcotest.test_case "central-t1 accuracy" `Slow test_solver_central_scheme_more_accurate;
         ] );
