@@ -899,10 +899,11 @@ let serve_bench () =
   (stats, warm_starts)
 
 (* How much two solves slow each other on this host: the wall time of
-   two processes each running one fixed job at once (three 40x30
-   balanced-mixer solves) over the wall time of one process running it
-   alone, best of three each. 1.0 means the copies ran independently,
-   2.0 that they ran as if on one core. It runs first, while no other
+   two processes each running one fixed job at once (twelve 40x30
+   balanced-mixer solves, long enough to average over scheduling
+   noise) over the wall time of one process running it alone, best of
+   three each, the two measurements alternating. 1.0 means the copies
+   ran independently, 2.0 that they ran as if on one core. It runs first, while no other
    domain is running ([Unix.fork] refuses otherwise). Recorded ungated
    next to [cores]: it tells a host limit from a program regression in
    the speedup figures, and excuses neither. *)
@@ -912,7 +913,7 @@ let parallel_capacity_2 () =
     let t0 = Telemetry.Clock.wall () in
     let child () =
       match
-        for _ = 1 to 3 do
+        for _ = 1 to 12 do
           ignore (solve_balanced_mixer ())
         done
       with
@@ -928,9 +929,14 @@ let parallel_capacity_2 () =
       pids;
     Telemetry.Clock.wall () -. t0
   in
-  let best k = List.fold_left Float.min infinity (List.init 3 (fun _ -> copies k)) in
-  let one = best 1 in
-  let two = best 2 in
+  (* One and two copies alternate, so a change in the host's load
+     reaches both. *)
+  let one = ref infinity and two = ref infinity in
+  for _ = 1 to 3 do
+    one := Float.min !one (copies 1);
+    two := Float.min !two (copies 2)
+  done;
+  let one = !one and two = !two in
   pr "host capacity: one copy %.4fs, two concurrent copies %.4fs, ratio %.2f\n" one two
     (two /. one);
   two /. one
@@ -971,6 +977,16 @@ let bench_json ?(file = "BENCH_mpde.json") () =
   in
   let stats = sol.Mpde.Solver.stats in
   let words_per_newton = mixer_words /. float_of_int stats.Mpde.Solver.newton_iterations in
+  (* Block factorizations of the traced solve, on either path. *)
+  let block_factors =
+    match telemetry with
+    | Some summary ->
+        let counter name =
+          Option.value ~default:0 (List.assoc_opt name summary.Telemetry.Summary.counters)
+        in
+        counter "mpde.precond.refactors" + counter "lu.dense_factors"
+    | None -> 0
+  in
   let disparity = 100.0 in
   let fd = 1e6 /. disparity in
   let mna, shear = unbalanced_fixture fd in
@@ -993,11 +1009,11 @@ let bench_json ?(file = "BENCH_mpde.json") () =
        capacity_2);
   Buffer.add_string buf
     (Printf.sprintf
-       ",\"mixer\":{\"circuit\":\"balanced-mixer\",\"n1\":40,\"n2\":30,\"converged\":%b,\"strategy\":%s,\"newton_iterations\":%d,\"gmres_iterations\":%d,\"residual_norm\":%.6e,\"wall_seconds\":%.6f,\"cpu_seconds\":%.6f,\"minor_words_per_newton\":%.1f"
+       ",\"mixer\":{\"circuit\":\"balanced-mixer\",\"n1\":40,\"n2\":30,\"converged\":%b,\"strategy\":%s,\"newton_iterations\":%d,\"gmres_iterations\":%d,\"residual_norm\":%.6e,\"wall_seconds\":%.6f,\"cpu_seconds\":%.6f,\"minor_words_per_newton\":%.1f,\"block_factors\":%d"
        stats.Mpde.Solver.converged
        (Telemetry.Json.quote stats.Mpde.Solver.strategy)
        stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations
-       stats.Mpde.Solver.residual_norm wall cpu words_per_newton);
+       stats.Mpde.Solver.residual_norm wall cpu words_per_newton block_factors);
   (match telemetry with
   | Some summary ->
       Buffer.add_string buf ",\"telemetry\":";

@@ -749,7 +749,8 @@ let report_cmd file top =
               in
               match (fstr "name" ev, value) with
               | Some name, Some v
-                when String.starts_with ~prefix:"mpde.precond." name ->
+                when String.starts_with ~prefix:"mpde.precond." name
+                     || name = "lu.dense_factors" ->
                   precond := (name, v) :: !precond
               | _ -> ())
           | _ -> ())
@@ -866,7 +867,9 @@ let report_cmd file top =
             (Option.value ~default:0.0 (gnum "lost_events"))
       | _ -> ());
       (* Which sweep-preconditioner path ran: pattern runs per build,
-         shared (uniform) builds, sweeps — a range when parts differ. *)
+         shared (uniform) builds, blocks factored on a compiled
+         schedule (refactors) and densely (lu.dense_factors), sweeps —
+         a range when parts differ. *)
       if !precond <> [] then begin
         let names = List.sort_uniq compare (List.map fst !precond) in
         Printf.printf "precond:";

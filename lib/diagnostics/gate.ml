@@ -53,13 +53,14 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
-      (* Dense diagonal-block factorizations per mixer solve — one
-         exact build per Newton iterate, shared at the replicated
-         seed; creeping up means more Newton steps or ladder work. *)
-      metric = "mixer.lu_dense_factors";
-      path = [ "mixer"; "telemetry"; "counters"; "lu.dense_factors" ];
+      (* Diagonal-block factorizations per mixer solve, on a compiled
+         schedule or dense — one exact build per Newton iterate,
+         shared at the replicated seed; creeping up means more Newton
+         steps or ladder work. *)
+      metric = "mixer.block_factors";
+      path = [ "mixer"; "block_factors" ];
       direction = Lower_better;
-      tolerance = tol "mixer.lu_dense_factors";
+      tolerance = tol "mixer.block_factors";
       absolute = 0.0;
     };
     {

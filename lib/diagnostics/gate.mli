@@ -47,10 +47,12 @@ val default_tolerance : float
 
 val default_checks : ?overrides:(string * float) list -> float -> check list
 (** The watched metrics — [mixer.wall_seconds], [mixer.newton_iterations],
-    [mixer.gmres_iterations], [mixer.lu_dense_factors] and
-    [mixer.precond_sweeps] (dense preconditioner factorizations and
-    sweep-preconditioner applications per solve, read from the embedded
-    telemetry counters), [shooting.minor_words_per_step] (minor-heap
+    [mixer.gmres_iterations], [mixer.block_factors] (the sweep
+    preconditioner's block factorizations per solve, on a compiled
+    schedule or dense: the bench's sum of the [mpde.precond.refactors]
+    and [lu.dense_factors] counters) and [mixer.precond_sweeps]
+    (sweep-preconditioner applications per solve, read from the
+    embedded telemetry counters), [shooting.minor_words_per_step] (minor-heap
     words per time step of the d = 756.5 shooting job, deterministic
     like an iteration count), [mixer.minor_words_per_newton] (minor-heap
     words per MPDE Newton iterate of the untraced 40x30 mixer solve,

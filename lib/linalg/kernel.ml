@@ -65,27 +65,54 @@ let dot (x : vec) (y : vec) =
 
 let nrm2 x = sqrt (dot x x)
 
+(* The per-step loops below run two elements per iteration; each
+   element gets the same operations as in a one-element loop, so the
+   unrolling changes no bit. *)
 let axpy a (x : vec) (y : vec) =
   check_same_dim x y;
   let n = Bigarray.Array1.dim x in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set y i
-      (Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i))
-  done
+  for k = 0 to (n / 2) - 1 do
+    let i = 2 * k in
+    let y0 = Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i) in
+    let y1 =
+      Bigarray.Array1.unsafe_get y (i + 1) +. (a *. Bigarray.Array1.unsafe_get x (i + 1))
+    in
+    Bigarray.Array1.unsafe_set y i y0;
+    Bigarray.Array1.unsafe_set y (i + 1) y1
+  done;
+  if n land 1 = 1 then
+    Bigarray.Array1.unsafe_set y (n - 1)
+      (Bigarray.Array1.unsafe_get y (n - 1) +. (a *. Bigarray.Array1.unsafe_get x (n - 1)))
 
 (* Modified Gram-Schmidt's step: the update and the next projection
-   (or, with [z == y], the squared norm) in one read of [y]. [z] is read
-   after [y]'s element is written, so [z == y] sees the update. *)
+   (or, with [z == y], the squared norm) in one read of [y]. The
+   updated element stays in a register for the product instead of
+   being reloaded; [z] is read after [y]'s element is written, so
+   [z == y] sees the update. The sum runs left to right, as [dot]'s. *)
 let axpy_dot a (x : vec) (y : vec) (z : vec) =
   check_same_dim x y;
   check_same_dim z y;
   let n = Bigarray.Array1.dim x in
   let s = ref 0.0 in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set y i
-      (Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i));
-    s := !s +. (Bigarray.Array1.unsafe_get z i *. Bigarray.Array1.unsafe_get y i)
+  for k = 0 to (n / 2) - 1 do
+    let i = 2 * k in
+    let y0 = Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i) in
+    Bigarray.Array1.unsafe_set y i y0;
+    let y1 =
+      Bigarray.Array1.unsafe_get y (i + 1) +. (a *. Bigarray.Array1.unsafe_get x (i + 1))
+    in
+    Bigarray.Array1.unsafe_set y (i + 1) y1;
+    s :=
+      !s
+      +. (Bigarray.Array1.unsafe_get z i *. y0)
+      +. (Bigarray.Array1.unsafe_get z (i + 1) *. y1)
   done;
+  if n land 1 = 1 then begin
+    let i = n - 1 in
+    let y0 = Bigarray.Array1.unsafe_get y i +. (a *. Bigarray.Array1.unsafe_get x i) in
+    Bigarray.Array1.unsafe_set y i y0;
+    s := !s +. (Bigarray.Array1.unsafe_get z i *. y0)
+  end;
   !s
 
 let scale_ip a (x : vec) =
@@ -97,9 +124,15 @@ let scale_ip a (x : vec) =
 let scale_into a (x : vec) (y : vec) =
   check_same_dim x y;
   let n = Bigarray.Array1.dim x in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set y i (a *. Bigarray.Array1.unsafe_get x i)
-  done
+  for k = 0 to (n / 2) - 1 do
+    let i = 2 * k in
+    let y0 = a *. Bigarray.Array1.unsafe_get x i
+    and y1 = a *. Bigarray.Array1.unsafe_get x (i + 1) in
+    Bigarray.Array1.unsafe_set y i y0;
+    Bigarray.Array1.unsafe_set y (i + 1) y1
+  done;
+  if n land 1 = 1 then
+    Bigarray.Array1.unsafe_set y (n - 1) (a *. Bigarray.Array1.unsafe_get x (n - 1))
 
 (* y = a − b, elementwise (the GMRES residual update). *)
 let sub_into (a : vec) (b : vec) (y : vec) =

@@ -32,16 +32,20 @@ val dot : vec -> vec -> float
 val nrm2 : vec -> float
 
 val axpy : float -> vec -> vec -> unit
-(** [axpy a x y] computes [y <- y + a*x]. *)
+(** [axpy a x y] computes [y <- y + a*x], two elements per
+    iteration. *)
 
 val axpy_dot : float -> vec -> vec -> vec -> float
 (** [axpy_dot a x y z] computes [y <- y + a*x] and returns [dot z y] of
     the updated [y], in one pass: bitwise [axpy a x y] followed by
-    [dot z y], also when [z] is [y]. *)
+    [dot z y], also when [z] is [y]. Each updated element is kept in a
+    register for its product rather than reloaded after the store, two
+    elements per iteration, with the sum still taken left to right. *)
 
 val scale_ip : float -> vec -> unit
 val scale_into : float -> vec -> vec -> unit
-(** [scale_into a x y] computes [y <- a*x]. *)
+(** [scale_into a x y] computes [y <- a*x], two elements per
+    iteration. *)
 
 val sub_into : vec -> vec -> vec -> unit
 (** [sub_into a b y] computes [y <- a - b]. *)

@@ -14,7 +14,12 @@ exception Singular of int
 val factor : ?pivot_tol:float -> Mat.t -> t
 (** [factor a] computes the factorization of square [a]. [a] is not
     modified. @raise Singular if a pivot underflows [pivot_tol]
-    (default [1e-300]). @raise Invalid_argument on non-square input. *)
+    (default {!default_pivot_tol}). @raise Invalid_argument on
+    non-square input. *)
+
+val default_pivot_tol : float
+(** [1e-300]: the pivot magnitude below which {!factor} and
+    {!factor_in_place} raise {!Singular} by default. *)
 
 val factor_in_place : ?pivot_tol:float -> Mat.t -> perm:int array -> unit
 (** Like {!factor} but overwrites [a] with the packed [L\U] factors and

@@ -2,8 +2,59 @@
    [vals] at [offs.(p)]: strict-L row i at [ptr.(i) .. ptr.(i+1) − 1],
    strict-U row i at [ptr.(n+i) .. ptr.(n+i+1) − 1] (columns in
    [cols] at the same indices, ascending within a row), then the n
-   diagonal entries from [ptr.(2n)]. *)
+   diagonal entries from [ptr.(2n)]. Patterns are interned in the
+   workspace: two points have physically the same pattern exactly when
+   their permutations and L/U structures are equal. *)
 type pattern = { perm : int array; ptr : int array; cols : int array }
+
+let no_pattern = { perm = [||]; ptr = [||]; cols = [||] }
+
+(* A compiled factor schedule: the elimination of one G/C stamp
+   structure under one pivot order, as operations on store slots (a
+   slot is an index into a point's [vals] region, in [pat]'s layout).
+   [pat] is the symbolic factor structure: the permuted stamp entries
+   and their fill, the diagonal always included. G's CSR entry k is
+   stamped into [g_slot.(k)], C's into [c_slot.(k)], and, when
+   [loaded], [extra_diag] into [d_slot.(i)], the slot of D_p(i, i).
+   Column k of the elimination divides the multiplier slots
+   [mult.(m)], [col_ptr.(k) <= m < col_ptr.(k+1)], by the pivot slot,
+   and multiplier m updates the slots [targets.(tgt_ptr.(m) + q)] by
+   U row k's q-th entry. The key is the structure arrays (rebound to
+   the caller's arrays when their contents match), [pat.perm] and
+   [loaded]: a nonzero [extra_diag] stamps every D_p(i, i), which may
+   add slots. *)
+type schedule = {
+  loaded : bool;
+  mutable g_ptr : int array;
+  mutable g_cols : int array;
+  mutable c_ptr : int array;
+  mutable c_cols : int array;
+  pat : pattern;
+  g_slot : int array;
+  c_slot : int array;
+  d_slot : int array;
+  col_ptr : int array;
+  mult : int array;
+  tgt_ptr : int array;
+  targets : int array;
+}
+
+let no_schedule =
+  {
+    loaded = false;
+    g_ptr = [||];
+    g_cols = [||];
+    c_ptr = [||];
+    c_cols = [||];
+    pat = no_pattern;
+    g_slot = [||];
+    c_slot = [||];
+    d_slot = [||];
+    col_ptr = [||];
+    mult = [||];
+    tgt_ptr = [||];
+    targets = [||];
+  }
 
 (* The sweep's share of the operator pair and the rest. Per fast index
    i: [scales.(i)], the weight of C_p in D_p, and [lower1.(i)], M's t1
@@ -28,12 +79,16 @@ type split = {
 type t = {
   n : int;
   np : int;
-  stage : Linalg.Mat.t;  (* n×n staging block, factored in place *)
+  stage : Linalg.Mat.t;  (* n×n staging block of the dense path, factored in place *)
   stage_perm : int array;  (* n: the staging block's row permutation *)
   pats : pattern array;  (* per point; physically shared within a run *)
   offs : int array;  (* per point offset into [vals] *)
   mutable vals : float array;
   mutable runs : int;  (* 0 until a build completes *)
+  mutable refactors : int;  (* points of the current build factored on a schedule *)
+  mutable sched : schedule;  (* the last point's, or [no_schedule] *)
+  mutable scheds : schedule list;  (* interned, newest first *)
+  mutable interned : pattern list;  (* every pattern a schedule or point uses *)
   mutable split : split option;  (* of the last build *)
   mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* of the last build *)
   rhs : Linalg.Vec.t;  (* n: one point's gathered right-hand side *)
@@ -41,8 +96,6 @@ type t = {
   cy : Linalg.Kernel.vec;  (* np*n: C_p·y_p, written as each point is solved *)
   sx : Linalg.Kernel.vec;  (* np*n result, returned to GMRES *)
 }
-
-let no_pattern = { perm = [||]; ptr = [||]; cols = [||] }
 
 let create ~n ~np =
   {
@@ -54,6 +107,10 @@ let create ~n ~np =
     offs = Array.make np 0;
     vals = Array.make (np * n) 0.0;
     runs = 0;
+    refactors = 0;
+    sched = no_schedule;
+    scheds = [];
+    interned = [];
     split = None;
     jacs = [||];
     rhs = Array.make n 0.0;
@@ -111,14 +168,19 @@ let split_of (op1, op2) (g : Grid.t) =
     rest2 = Array.init n2 (fun j -> row_difference (row op2 self2 j) (m2 j));
   }
 
+
+(* [a] and [b] hold the same ints: one typed loop, no closure. *)
 let ints_equal (a : int array) (b : int array) =
   a == b
   ||
   let len = Array.length a in
   len = Array.length b
   &&
-  let rec go i = i = len || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < len && Array.unsafe_get a !i = Array.unsafe_get b !i do
+    incr i
+  done;
+  !i = len
 
 let csr_values_equal (a : Sparse.Csr.t) (b : Sparse.Csr.t) =
   let va = a.Sparse.Csr.values and vb = b.Sparse.Csr.values in
@@ -149,12 +211,12 @@ let blocks_uniform (jacs : (Sparse.Csr.t * Sparse.Csr.t) array) =
   done;
   !ok
 
-(* Stamp D_p = scale_c·C_p + G_p (+ extra_diag·I) straight from the CSR
-   arrays into the staging matrix and factor it in place: the packed
-   factors are left in [t.stage], the permutation in [t.stage_perm]. *)
-let[@inline] factor_point t ~scale_c ~jacs ~extra_diag p =
+(* The dense path. Stamp D_p = scale_c·C_p + G_p (+ extra_diag·I)
+   straight from the CSR arrays into the staging matrix and factor it
+   in place: the packed factors are left in [t.stage], the permutation
+   in [t.stage_perm]. *)
+let[@inline] factor_point t ~scale_c ~(gp : Sparse.Csr.t) ~(cp : Sparse.Csr.t) ~extra_diag =
   let n = t.n in
-  let gp, cp = jacs.(p) in
   let a = t.stage.Linalg.Mat.data in
   Array.fill a 0 (n * n) 0.0;
   let crp = cp.Sparse.Csr.row_ptr
@@ -219,49 +281,278 @@ let extract_segment cols (a : float array) vals off ib k0 k1 j0 j1 =
   done;
   if !k <> k1 then raise_notrace Mismatch
 
-(* Copy the nonzero entries of packed factors [a] into [vals] at [off]
-   following [pat]'s layout, checking on the way that [pat] lists
-   exactly those entries: one fused pass for the common case of a point
-   sharing its predecessor's pattern.
-   @raise Mismatch at the first entry [pat] does not list. *)
-let extract pat n (a : float array) vals off =
+(* Copy the nonzero entries of packed factors [a] with permutation
+   [perm] into [vals] at [off] following [pat]'s layout, checking on
+   the way that [pat] has that permutation and lists exactly those
+   entries: one fused pass. [false] (with [vals] partly written) at the
+   first difference. *)
+let extract pat n (a : float array) perm vals off =
+  ints_equal pat.perm perm
+  &&
   let ptr = pat.ptr and cols = pat.cols in
   let diag = off + ptr.(2 * n) in
+  match
+    for i = 0 to n - 1 do
+      let ib = i * n in
+      extract_segment cols a vals off ib ptr.(i) ptr.(i + 1) 0 (i - 1);
+      extract_segment cols a vals off ib ptr.(n + i) ptr.(n + i + 1) (i + 1) (n - 1);
+      Array.unsafe_set vals (diag + i) (Array.unsafe_get a (ib + i))
+    done
+  with
+  | () -> true
+  | exception Mismatch -> false
+
+(* The interned pattern equal to [pat], interning [pat] if none is. *)
+let intern t pat =
+  let same q = ints_equal q.perm pat.perm && ints_equal q.ptr pat.ptr && ints_equal q.cols pat.cols in
+  match List.find_opt same t.interned with
+  | Some q -> q
+  | None ->
+      t.interned <- pat :: t.interned;
+      pat
+
+(* Compile the schedule of [g]/[c]'s stamp structure (plus D_p's
+   diagonal when [loaded]) under pivot order [perm] (the row of D_p at
+   factor row r is [perm.(r)]). The symbolic structure is the permuted
+   stamp pattern plus the factor's diagonal, closed under fill: (r, k)
+   and (k, j) with k < r, j give (r, j). *)
+let compile t ~loaded (g : Sparse.Csr.t) (c : Sparse.Csr.t) perm =
+  let n = t.n in
+  let pinv = Array.make n 0 in
+  Array.iteri (fun r i -> pinv.(i) <- r) perm;
+  (* The structure as a mask in factor order: 1.0 marks an entry. *)
+  let nz = Array.make (n * n) 0.0 in
+  let mark (m : Sparse.Csr.t) =
+    for i = 0 to n - 1 do
+      for k = m.Sparse.Csr.row_ptr.(i) to m.Sparse.Csr.row_ptr.(i + 1) - 1 do
+        nz.((pinv.(i) * n) + m.Sparse.Csr.col_idx.(k)) <- 1.0
+      done
+    done
+  in
+  mark g;
+  mark c;
+  if loaded then
+    for r = 0 to n - 1 do
+      nz.((r * n) + perm.(r)) <- 1.0
+    done;
+  for k = 0 to n - 1 do
+    for r = k + 1 to n - 1 do
+      if nz.((r * n) + k) <> 0.0 then
+        for j = k + 1 to n - 1 do
+          if nz.((k * n) + j) <> 0.0 then nz.((r * n) + j) <- 1.0
+        done
+    done
+  done;
+  (* Laid out as packed factors with exactly these nonzeros would be. *)
+  let ({ ptr; cols; _ } as pat) = pattern_of n nz (Array.copy perm) in
+  let slot = Array.make_matrix n n (-1) in
+  for r = 0 to n - 1 do
+    slot.(r).(r) <- ptr.(2 * n) + r;
+    for q = ptr.(r) to ptr.(r + 1) - 1 do
+      slot.(r).(cols.(q)) <- q
+    done;
+    for q = ptr.(n + r) to ptr.(n + r + 1) - 1 do
+      slot.(r).(cols.(q)) <- q
+    done
+  done;
+  let stamp_slots (m : Sparse.Csr.t) =
+    let s = Array.make (Array.length m.Sparse.Csr.col_idx) 0 in
+    for i = 0 to n - 1 do
+      for k = m.Sparse.Csr.row_ptr.(i) to m.Sparse.Csr.row_ptr.(i + 1) - 1 do
+        s.(k) <- slot.(pinv.(i)).(m.Sparse.Csr.col_idx.(k))
+      done
+    done;
+    s
+  in
+  (* Column k's multipliers (r, k), r ascending; each updates (r, j)
+     for U row k's columns j, in the row's order. *)
+  let mult = ref [] and tgt_ptr = ref [] and targets = ref [] and ntargets = ref 0 in
+  let col_ptr = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    for r = k + 1 to n - 1 do
+      if nz.((r * n) + k) <> 0.0 then begin
+        col_ptr.(k + 1) <- col_ptr.(k + 1) + 1;
+        mult := slot.(r).(k) :: !mult;
+        tgt_ptr := !ntargets :: !tgt_ptr;
+        for q = ptr.(n + k) to ptr.(n + k + 1) - 1 do
+          targets := slot.(r).(cols.(q)) :: !targets;
+          incr ntargets
+        done
+      end
+    done;
+    col_ptr.(k + 1) <- col_ptr.(k + 1) + col_ptr.(k)
+  done;
+  let rev l = Array.of_list (List.rev l) in
+  {
+    loaded;
+    g_ptr = g.Sparse.Csr.row_ptr;
+    g_cols = g.Sparse.Csr.col_idx;
+    c_ptr = c.Sparse.Csr.row_ptr;
+    c_cols = c.Sparse.Csr.col_idx;
+    pat = intern t pat;
+    g_slot = stamp_slots g;
+    c_slot = stamp_slots c;
+    d_slot = Array.init n (fun i -> slot.(pinv.(i)).(i));
+    col_ptr;
+    mult = rev !mult;
+    tgt_ptr = rev !tgt_ptr;
+    targets = rev !targets;
+  }
+
+(* Is [s] compiled for [g]/[c]'s stamp structure? A match on contents
+   rebinds the key to the caller's arrays, so the points that share
+   them (assembly interns equal patterns) match physically after. *)
+let same_structure s (g : Sparse.Csr.t) (c : Sparse.Csr.t) =
+  let gp = g.Sparse.Csr.row_ptr and gc = g.Sparse.Csr.col_idx
+  and cp = c.Sparse.Csr.row_ptr and cc = c.Sparse.Csr.col_idx in
+  (s.g_cols == gc && s.c_cols == cc && s.g_ptr == gp && s.c_ptr == cp)
+  || ints_equal s.g_cols gc && ints_equal s.c_cols cc && ints_equal s.g_ptr gp
+     && ints_equal s.c_ptr cp
+     && begin
+          s.g_ptr <- gp;
+          s.g_cols <- gc;
+          s.c_ptr <- cp;
+          s.c_cols <- cc;
+          true
+        end
+
+(* The newest interned schedule for [g]/[c]'s structure and [loaded],
+   or [no_schedule]. *)
+let rec newest_for ~loaded g c = function
+  | [] -> no_schedule
+  | s :: rest ->
+      if s.loaded = loaded && same_structure s g c then s else newest_for ~loaded g c rest
+
+(* The interned schedule for [g]/[c], [loaded] and [perm], compiled if
+   new. *)
+let schedule_for t ~loaded g c perm =
+  let fits s = s.loaded = loaded && ints_equal s.pat.perm perm && same_structure s g c in
+  match List.find_opt fits t.scheds with
+  | Some s -> s
+  | None ->
+      let s = compile t ~loaded g c perm in
+      t.scheds <- s :: t.scheds;
+      s
+
+exception Fallback
+
+(* Factor one point on schedule [s] into [vals] at [off]: stamp the
+   block (C weighted by [scales.(si)]) into its slots, then eliminate
+   in dense k-order, each slot receiving the dense factorization's
+   operations in the dense order.
+   The result is bitwise the dense path's (DESIGN.md §12) when every
+   pivot strictly dominates the rest of its column (so partial
+   pivoting picks the same row) and every slot ends finite and
+   nonzero (so the dense path's nonzeros are exactly the slots).
+   @raise Fallback otherwise, with [vals] partly written. *)
+let refactor s n (vals : float array) off ~scales ~si ~(gp : Sparse.Csr.t)
+    ~(cp : Sparse.Csr.t) ~extra_diag =
+  let ptr = s.pat.ptr and scale_c = Array.unsafe_get scales si in
+  let dg = off + Array.unsafe_get ptr (2 * n) in
+  let last = dg + n - 1 in
+  Array.fill vals off (last - off + 1) 0.0;
+  let crp = cp.Sparse.Csr.row_ptr and cv = cp.Sparse.Csr.values and c_slot = s.c_slot in
+  let grp = gp.Sparse.Csr.row_ptr and gv = gp.Sparse.Csr.values and g_slot = s.g_slot in
   for i = 0 to n - 1 do
-    let ib = i * n in
-    extract_segment cols a vals off ib ptr.(i) ptr.(i + 1) 0 (i - 1);
-    extract_segment cols a vals off ib ptr.(n + i) ptr.(n + i + 1) (i + 1) (n - 1);
-    Array.unsafe_set vals (diag + i) (Array.unsafe_get a (ib + i))
+    for k = Array.unsafe_get crp i to Array.unsafe_get crp (i + 1) - 1 do
+      let e = off + Array.unsafe_get c_slot k in
+      Array.unsafe_set vals e (Array.unsafe_get vals e +. (scale_c *. Array.unsafe_get cv k))
+    done;
+    for k = Array.unsafe_get grp i to Array.unsafe_get grp (i + 1) - 1 do
+      let e = off + Array.unsafe_get g_slot k in
+      Array.unsafe_set vals e (Array.unsafe_get vals e +. Array.unsafe_get gv k)
+    done;
+    if extra_diag <> 0.0 then begin
+      let e = off + Array.unsafe_get s.d_slot i in
+      Array.unsafe_set vals e (Array.unsafe_get vals e +. extra_diag)
+    end
+  done;
+  let col_ptr = s.col_ptr and mult = s.mult and tgt_ptr = s.tgt_ptr and targets = s.targets in
+  for k = 0 to n - 1 do
+    let pv = Array.unsafe_get vals (dg + k) in
+    let apv = Float.abs pv in
+    (* [not (_ >= _)] and [not (_ > _)] also reject NaN. *)
+    if not (apv >= Linalg.Lu.default_pivot_tol) then raise_notrace Fallback;
+    let m0 = Array.unsafe_get col_ptr k and m1 = Array.unsafe_get col_ptr (k + 1) in
+    for m = m0 to m1 - 1 do
+      if not (apv > Float.abs (Array.unsafe_get vals (off + Array.unsafe_get mult m))) then
+        raise_notrace Fallback
+    done;
+    let u0 = off + Array.unsafe_get ptr (n + k) in
+    let ulen = Array.unsafe_get ptr (n + k + 1) - Array.unsafe_get ptr (n + k) in
+    for m = m0 to m1 - 1 do
+      let e = off + Array.unsafe_get mult m in
+      let f = Array.unsafe_get vals e /. pv in
+      Array.unsafe_set vals e f;
+      let t0 = Array.unsafe_get tgt_ptr m in
+      for q = 0 to ulen - 1 do
+        let e = off + Array.unsafe_get targets (t0 + q) in
+        Array.unsafe_set vals e
+          (Array.unsafe_get vals e -. (f *. Array.unsafe_get vals (u0 + q)))
+      done
+    done
+  done;
+  for e = off to last do
+    let v = Array.unsafe_get vals e in
+    if v = 0.0 || v -. v <> 0.0 then raise_notrace Fallback
   done
 
-(* Factor point [p] (whose C weight is [scales.(p mod n1)]) and store
-   it at [off]: under [prev]'s pattern when identical, otherwise under
-   a fresh one, which alone copies the permutation. Returns the pattern
-   used. *)
+(* Factor point [p] and store it at [off]; returns its pattern. The
+   point tries the previous point's schedule when it was compiled for
+   the point's stamp structure, else the newest interned one that was,
+   else one compiled for the structure under the previous pivot order.
+   When it rejects the point (or no point has been factored yet), the
+   point is stamped and factored densely and stored under [prev]'s
+   pattern, its schedule's or a fresh interned one, and its pivot order
+   selects (or compiles) the schedule for the next point. *)
 let store_point t ~scales ~n1 ~jacs ~extra_diag ~prev ~off p =
   let n = t.n in
-  factor_point t ~scale_c:scales.(p mod n1) ~jacs ~extra_diag p;
-  let a = t.stage.Linalg.Mat.data in
+  let gp, cp = jacs.(p) in
+  let si = p mod n1 in
   (* A point takes at most n² values; grow geometrically. *)
   if off + (n * n) > Array.length t.vals then begin
     let bigger = Array.make (max (2 * Array.length t.vals) (off + (n * n))) 0.0 in
     Array.blit t.vals 0 bigger 0 off;
     t.vals <- bigger
   end;
-  let shared =
-    ints_equal prev.perm t.stage_perm
-    &&
-    try
-      extract prev n a t.vals off;
-      true
-    with Mismatch -> false
+  let loaded = extra_diag <> 0.0 in
+  let s =
+    let last = t.sched in
+    if last == no_schedule then last
+    else if last.loaded = loaded && same_structure last gp cp then last
+    else
+      let s = newest_for ~loaded gp cp t.scheds in
+      if s != no_schedule then s else schedule_for t ~loaded gp cp last.pat.perm
   in
-  if shared then prev
-  else begin
-    let pat = pattern_of n a (Array.copy t.stage_perm) in
-    extract pat n a t.vals off;
-    pat
+  let on_schedule =
+    s != no_schedule
+    &&
+    match refactor s n t.vals off ~scales ~si ~gp ~cp ~extra_diag with
+    | () -> true
+    | exception Fallback -> false
+  in
+  if on_schedule then begin
+    t.sched <- s;
+    t.refactors <- t.refactors + 1;
+    s.pat
   end
+  else begin
+    factor_point t ~scale_c:scales.(si) ~gp ~cp ~extra_diag;
+    let a = t.stage.Linalg.Mat.data and perm = t.stage_perm in
+    let s = schedule_for t ~loaded gp cp perm in
+    t.sched <- s;
+    if extract prev n a perm t.vals off then prev
+    else if extract s.pat n a perm t.vals off then s.pat
+    else begin
+      let pat = intern t (pattern_of n a (Array.copy perm)) in
+      ignore (extract pat n a perm t.vals off : bool);
+      pat
+    end
+  end
+
+(* Interned schedules kept across builds; past this many (several
+   circuits through one workspace) a build starts afresh. *)
+let max_schedules = 64
 
 let build t ((op1, op2) as ops) (g : Grid.t) ~jacs ~extra_diag =
   Telemetry.span "mpde.precond.build" @@ fun () ->
@@ -278,8 +569,14 @@ let build t ((op1, op2) as ops) (g : Grid.t) ~jacs ~extra_diag =
   let store ~prev ~off p =
     store_point t ~scales ~n1:sp.n1 ~jacs ~extra_diag ~prev ~off p
   in
+  if List.compare_length_with t.scheds max_schedules > 0 then begin
+    t.scheds <- [];
+    t.interned <- [];
+    t.sched <- no_schedule
+  end;
   (* A build cut short by a singular block leaves no usable store. *)
   t.runs <- 0;
+  t.refactors <- 0;
   t.jacs <- jacs;
   if blocks_uniform jacs && Array.for_all (fun s -> s = scales.(0)) scales then begin
     Telemetry.count "mpde.precond.shared_builds";
@@ -299,6 +596,7 @@ let build t ((op1, op2) as ops) (g : Grid.t) ~jacs ~extra_diag =
     done;
     t.runs <- !runs
   end;
+  Telemetry.count ~by:t.refactors "mpde.precond.refactors";
   Telemetry.gauge "mpde.precond.patterns" (float_of_int t.runs)
 
 (* b += c · (C_q y_q), read from the per-point products [cy]. Inlined,

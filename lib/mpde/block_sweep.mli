@@ -20,16 +20,27 @@
     and R both read one buffer of C_p·y_p, formed once per point as the
     point is solved.
 
-    The diagonal blocks are factored with {!Linalg.Lu.factor_in_place}
-    and kept in compact form: the permutation, the nonzero strict-L and
-    strict-U entries by row, and the diagonal. A point shares the
-    previous point's pattern (permutation plus L/U column indices) when
-    it is identical. Substitution over the stored nonzeros only performs
-    the dense substitution's arithmetic in the same order, minus
-    products whose factor entry is exactly zero; for finite operands
-    those products cannot change the running sum except for the sign of
-    an exact zero, so the apply matches a dense per-point
-    {!Linalg.Lu.solve_into} sweep bitwise. *)
+    The diagonal blocks are kept in compact form: the permutation, the
+    nonzero strict-L and strict-U entries by row, and the diagonal. A
+    point shares the previous point's pattern (permutation plus L/U
+    column indices) when it is identical. Substitution over the stored
+    nonzeros only performs the dense substitution's arithmetic in the
+    same order, minus products whose factor entry is exactly zero; for
+    finite operands those products cannot change the running sum except
+    for the sign of an exact zero, so the apply matches a dense
+    per-point {!Linalg.Lu.solve_into} sweep bitwise.
+
+    Each block is factored straight into the compact store on a
+    compiled schedule: for one G/C stamp structure and one pivot order,
+    the symbolic factor structure, the store slot of every stamp entry
+    and the elimination as slot operations in dense k-order. A point is
+    refactored on it when every pivot strictly dominates the rest of its
+    column and every slot ends finite and nonzero; the result is then
+    bitwise {!Linalg.Lu.factor_in_place}'s (DESIGN.md §12). Otherwise
+    the point is stamped into a dense staging block and factored by
+    {!Linalg.Lu.factor_in_place}, and its pivot order selects (or
+    compiles) the schedule for the next point. Schedules and factor
+    patterns stay interned in the workspace across builds. *)
 
 type t
 
@@ -63,9 +74,13 @@ val build :
     blocks are equal (a replicated iterate, such as the DC seed) one
     factor serves every point. [jacs] is kept, unmodified, for
     {!apply} and {!product}: the caller must not change it until the
-    next build. Records the [mpde.precond.build] span and the
-    [mpde.precond.patterns] gauge.
-    @raise Linalg.Lu.Singular on a singular block. *)
+    next build. Records the [mpde.precond.build] span, the
+    [mpde.precond.patterns] gauge and the [mpde.precond.refactors]
+    counter (blocks factored on a compiled schedule; the dense path
+    counts [lu.dense_factors]). A warm build that refactors every point
+    allocates nothing per point.
+    @raise Linalg.Lu.Singular on a singular block, or one whose pivot
+    is below {!Linalg.Lu.default_pivot_tol}, as the dense path would. *)
 
 val apply : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec
 (** [apply t r] returns y = M⁻¹ r in the workspace's output buffer

@@ -22,8 +22,11 @@ type result = {
 (* Preallocated GMRES scratch: the Krylov basis, the column-wise
    Hessenberg, the Givens rotation coefficients, and the residual /
    update vectors. Sized for a (restart, n) pair and reused across
-   restart cycles, Newton iterations, and whole solves — nothing is
-   allocated inside the restart loop when one is supplied.
+   restart cycles, Newton iterations, and whole solves — once a basis
+   vector exists, nothing is allocated inside the restart loop. Basis
+   vector j is created at its first use ([basis_vec]): a solve that
+   converges in a few iterations never pays for the other restart
+   columns.
 
    The O(n) vectors are Float64 Bigarrays driven by the {!Kernel}
    hot loops; the O(restart) rotation machinery stays in plain float
@@ -32,7 +35,7 @@ type result = {
 type workspace = {
   ws_n : int;
   ws_restart : int;
-  basis : Kernel.vec array;  (* restart+1 vectors of length n *)
+  basis : Kernel.vec array;  (* restart+1 slots; length n once created, empty before *)
   hcols : Vec.t array;  (* Hessenberg columns; hcols.(j) has length j+2 *)
   cs : Vec.t;
   sn : Vec.t;
@@ -51,7 +54,7 @@ let workspace ~restart ~n =
   {
     ws_n = n;
     ws_restart = restart;
-    basis = Array.init (restart + 1) (fun _ -> Kernel.create n);
+    basis = Array.make (restart + 1) (Kernel.create 0);
     hcols = Array.init restart (fun j -> Array.make (j + 2) 0.0);
     cs = Array.make restart 0.0;
     sn = Array.make restart 0.0;
@@ -64,6 +67,17 @@ let workspace ~restart ~n =
     ident = Kernel.create n;
     w = Kernel.create 0;
   }
+
+(* Basis vector [j], created at its first use; it is written before it
+   is read, like every other field. *)
+let basis_vec ws j =
+  let v = ws.basis.(j) in
+  if Kernel.dim v = ws.ws_n then v
+  else begin
+    let v = Kernel.create ws.ws_n in
+    ws.basis.(j) <- v;
+    v
+  end
 
 (* [op v], timed as the true operator apply; a closed function, so
    [span_app] allocates nothing around it. *)
@@ -182,7 +196,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
        let m = min restart (max_iter - !total_iters) in
        let basis = ws.basis in
        let inv_beta = 1.0 /. beta in
-       Kernel.scale_into inv_beta r basis.(0);
+       Kernel.scale_into inv_beta r (basis_vec ws 0);
        (* Hessenberg stored column-wise: h.(j) has length j+2. *)
        let h = ws.hcols in
        let cs = ws.cs and sn = ws.sn in
@@ -208,7 +222,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
          end
          else begin
            let happy = hj.(j + 1) <= 1e-300 in
-           let bj1 = basis.(j + 1) in
+           let bj1 = basis_vec ws (j + 1) in
            if happy then Kernel.fill bj1 0.0
            else begin
              let inv = 1.0 /. hj.(j + 1) in

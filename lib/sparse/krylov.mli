@@ -26,15 +26,17 @@ type result = {
 type workspace
 (** Preallocated GMRES scratch (Krylov basis, Hessenberg columns,
     rotation coefficients, residual/update vectors) for a fixed
-    [(restart, n)] shape. Reusing one across calls removes every
-    allocation inside the restart loop, and keeps no state between
-    calls: a solve on a used workspace is bitwise the solve on a fresh
-    one. A workspace belongs to one solve stream on one domain — it
+    [(restart, n)] shape. Basis vectors are created at their first
+    use, so a solve pays only for the columns it reaches. Reusing one
+    across calls removes every allocation inside the restart loop once
+    those columns exist, and keeps no values between calls: a solve on
+    a used workspace is bitwise the solve on a fresh one. A workspace belongs to one solve stream on one domain — it
     must not be shared concurrently. *)
 
 val workspace : restart:int -> n:int -> workspace
-(** Allocate scratch for systems of size [n] solved with up to
-    [restart] inner iterations per cycle. *)
+(** Scratch for systems of size [n] solved with up to [restart] inner
+    iterations per cycle; the basis vectors are allocated later, as
+    they are first used. *)
 
 val gmres :
   ?restart:int ->

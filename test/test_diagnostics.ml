@@ -221,7 +221,7 @@ let test_json_parse_errors () =
 (* ---------- Gate ---------- *)
 
 let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
-    ?(dense_factors = 1200.0) ?(precond_sweeps = 40.0) ?(ratio = 4.0)
+    ?(block_factors = 1200.0) ?(precond_sweeps = 40.0) ?(ratio = 4.0)
     ?(spmv_mflops = 800.0) ?(block_cols = 2.0e6) ?(sweep_wall = 2.0)
     ?(sweep_speedup = 1.6) ?(sweep_speedup_4 = 1.4) ?(cores = 4.0)
     ?(retries = 0.0) ?(degraded = 0.0) ?(util_2 = 0.9) ?(util_4 = 0.8)
@@ -237,13 +237,13 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
             ("newton_iterations", Num newton);
             ("gmres_iterations", Num gmres);
             ("minor_words_per_newton", Num mixer_words);
+            ("block_factors", Num block_factors);
             ( "telemetry",
               Obj
                 [
                   ( "counters",
                     Obj
                       [
-                        ("lu.dense_factors", Num dense_factors);
                         ("mpde.precond.sweeps", Num precond_sweeps);
                       ] );
                 ] );
@@ -362,14 +362,14 @@ let test_gate_speedup_floor () =
   let serial = bench_doc ~sweep_speedup:0.4 ~sweep_speedup_4:0.4 ~cores:1.0 () in
   let r = D.Gate.evaluate ~baseline:serial ~current:serial () in
   Alcotest.(check bool) "single-core escape hatch passes" true r.D.Gate.passed;
-  (* The growth in dense factorizations is watched too. *)
+  (* The growth in block factorizations is watched too. *)
   let r =
     D.Gate.evaluate
       ~baseline:(bench_doc ())
-      ~current:(bench_doc ~dense_factors:6000.0 ())
+      ~current:(bench_doc ~block_factors:6000.0 ())
       ()
   in
-  Alcotest.(check bool) "dense-factor regression fails" false r.D.Gate.passed;
+  Alcotest.(check bool) "block-factor regression fails" false r.D.Gate.passed;
   (* So are the shooting job's words per step. *)
   let r =
     D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~shooting_words:400.0 ()) ()

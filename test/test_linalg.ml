@@ -490,17 +490,20 @@ let prop_kernel_dot_bitwise =
          = Int64.bits_of_float (Vec.norm2 a))
 
 (* The fused Gram-Schmidt step: bitwise axpy then dot, also with the
-   projection vector [z] being [y] itself (the closing norm). *)
+   projection vector [z] being [y] itself (the closing norm), over
+   lengths 0-40 (even and odd, for the two-element loops). [axpy] and
+   [scale_into] are checked against the float-array reference too. *)
 let prop_kernel_axpy_dot_bitwise =
-  QCheck.Test.make ~count:100 ~name:"kernel: axpy_dot bitwise = axpy then dot"
+  QCheck.Test.make ~count:200 ~name:"kernel: axpy_dot bitwise = axpy then dot"
     QCheck.(
       make
         Gen.(
+          int_range 0 40 >>= fun len ->
           pair (float_range (-5.0) 5.0)
             (triple
-               (array_size (return 17) (float_range (-50.0) 50.0))
-               (array_size (return 17) (float_range (-50.0) 50.0))
-               (array_size (return 17) (float_range (-50.0) 50.0)))))
+               (array_size (return len) (float_range (-50.0) 50.0))
+               (array_size (return len) (float_range (-50.0) 50.0))
+               (array_size (return len) (float_range (-50.0) 50.0)))))
     (fun (a, (xa, ya, za)) ->
       let bits = Int64.bits_of_float in
       let x = Kernel.of_array xa and z = Kernel.of_array za in
@@ -509,14 +512,21 @@ let prop_kernel_axpy_dot_bitwise =
       in
       let y_ref = Kernel.of_array ya in
       Kernel.axpy a x y_ref;
+      let y_vec = Array.copy ya in
+      Vec.axpy a xa y_vec;
       let y = Kernel.of_array ya in
       let d = Kernel.axpy_dot a x y z in
       let y_self = Kernel.of_array ya in
       let d_self = Kernel.axpy_dot a x y_self y_self in
+      let scaled = Kernel.create (Array.length xa) in
+      Kernel.scale_into a x scaled;
       bits d = bits (Kernel.dot z y_ref)
       && same_vec y y_ref
+      && same_vec y_ref (Kernel.of_array y_vec)
+      && bits d = bits (Vec.dot za y_vec)
       && bits d_self = bits (Kernel.dot y_ref y_ref)
-      && same_vec y_self y_ref)
+      && same_vec y_self y_ref
+      && same_vec scaled (Kernel.of_array (Array.map (fun v -> a *. v) xa)))
 
 let prop_mat_mul_assoc =
   QCheck.Test.make ~count:40 ~name:"mat: (ab)c = a(bc)"

@@ -855,12 +855,22 @@ let dense_sweep scheme (g : Grid.t) ~jacs ~extra_diag (r : float array) =
 let test_vector len =
   Array.init len (fun k -> sin (0.37 *. float_of_int (k + 1)) +. (0.01 *. float_of_int (k mod 7)))
 
-(* Build + apply the compact sweep and compare it bitwise with the dense
-   reference on [r]; returns the build's pattern count. *)
-let check_sweep_bitwise ?(extra_diag = 0.0) ?(applies = 2) what scheme g jacs =
-  let np = Grid.points g and n = (fst jacs.(0)).Sparse.Csr.rows in
-  let t = Block_sweep.create ~n ~np in
+(* Build [t] with telemetry on; returns the build's factor paths:
+   (blocks refactored on a compiled schedule, dense factorizations). *)
+let build_counted t scheme g ~jacs ~extra_diag =
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
   Block_sweep.build t (Mpde.Assemble.operators scheme g) g ~jacs ~extra_diag;
+  let counters =
+    match Telemetry.snapshot () with Some s -> s.Telemetry.counters | None -> []
+  in
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+  (count "mpde.precond.refactors", count "lu.dense_factors")
+
+(* Apply the built sweep [t] and compare it bitwise with the dense
+   reference on [r]; returns the build's pattern count. *)
+let check_applies ?(extra_diag = 0.0) ?(applies = 2) t what scheme g jacs =
+  let np = Grid.points g and n = (fst jacs.(0)).Sparse.Csr.rows in
   (* Repeated applies reuse the workspace and must not drift. *)
   for k = 1 to applies do
     let r = Array.map (fun v -> v *. float_of_int k) (test_vector (np * n)) in
@@ -873,6 +883,15 @@ let check_sweep_bitwise ?(extra_diag = 0.0) ?(applies = 2) what scheme g jacs =
       (float_array_bits_equal got (dense_sweep scheme g ~jacs ~extra_diag r))
   done;
   Block_sweep.patterns t
+
+(* Build + apply the compact sweep on a fresh workspace and compare it
+   bitwise with the dense reference; returns the build's pattern
+   count. *)
+let check_sweep_bitwise ?(extra_diag = 0.0) ?(applies = 2) what scheme g jacs =
+  let np = Grid.points g and n = (fst jacs.(0)).Sparse.Csr.rows in
+  let t = Block_sweep.create ~n ~np in
+  Block_sweep.build t (Mpde.Assemble.operators scheme g) g ~jacs ~extra_diag;
+  check_applies ~extra_diag ~applies t what scheme g jacs
 
 let replicated g (dc : float array) =
   let n = Array.length dc in
@@ -906,10 +925,11 @@ let test_block_sweep_seed () =
   Alcotest.(check int) "one pattern" 1
     (check_sweep_bitwise "replicated seed" Mpde.Assemble.Backward g jacs)
 
-let test_block_sweep_bridge () =
-  (* The hard-switching bridge after a few Newton steps from the DC
-     seed: diodes switch between grid points, so pivots and fill differ
-     and the store holds several patterns. *)
+(* The hard-switching bridge (a2 = 2 V) on a 16x6 grid after three
+   exact Newton steps from the DC seed: diodes switch between grid
+   points, so pivots and fill differ from point to point. Returns the
+   system, the grid and the iterate. *)
+let bridge_after_three_steps () =
   let f1 = 50e3 and fd = 500.0 in
   let drive =
     W.sum (W.sine ~amplitude:10.0 ~freq:f1 ()) (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
@@ -928,6 +948,11 @@ let test_block_sweep_bridge () =
     let dx = Sparse.Splu.solve (Sparse.Splu.factor jac) r in
     Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
   done;
+  (sys, g, x)
+
+let test_block_sweep_bridge () =
+  (* The store holds several patterns. *)
+  let sys, g, x = bridge_after_three_steps () in
   Alcotest.(check bool) "iterate finite" true (Array.for_all Float.is_finite x);
   let jacs = Mpde.Assemble.point_jacobians sys g x in
   let patterns = check_sweep_bitwise "bridge" Mpde.Assemble.Backward g jacs in
@@ -954,7 +979,160 @@ let test_block_sweep_validation () =
   (match Block_sweep.build t ops g ~jacs ~extra_diag:0.0 with
   | () -> Alcotest.fail "singular block accepted"
   | exception Linalg.Lu.Singular _ -> ());
-  apply_fails "apply after a failed build"
+  apply_fails "apply after a failed build";
+  (* A pivot below the dense path's tolerance is singular on a compiled
+     schedule too: points 0 and 1 set up the schedule, point 2 would
+     pass every other check on it. *)
+  let tiny = Sparse.Csr.scale 1e-310 eye in
+  let jacs = [| (eye, zero); (eye, zero); (tiny, zero); (eye, zero) |] in
+  match Block_sweep.build t ops g ~jacs ~extra_diag:0.0 with
+  | () -> Alcotest.fail "tiny pivot accepted"
+  | exception Linalg.Lu.Singular _ -> ()
+
+(* ---------- block sweep: the compiled-schedule refactor path ---------- *)
+
+(* The converged mixer: every block has the pivot order of the first,
+   so the first build factors point 0 densely and refactors every other
+   point on the schedule compiled from it; later builds on the same
+   workspace find the schedule interned. [extra_diag] toggling between
+   builds switches between a loaded and an unloaded schedule, the
+   loaded one compiled under the unloaded one's pivot order: no dense
+   point at all. *)
+let test_block_sweep_refactor_mixer () =
+  let mna, shear = mixer_fixture () in
+  let g = Grid.make ~shear ~n1:10 ~n2:6 in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let sol = Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna in
+  let jacs = Mpde.Assemble.point_jacobians sys g sol.Mpde.Solver.big_x in
+  let np = Grid.points g in
+  let t = Block_sweep.create ~n:sys.Mpde.Assemble.size ~np in
+  let backward = Mpde.Assemble.Backward in
+  Alcotest.(check (pair int int))
+    "first build: point 0 dense, the rest refactored" (np - 1, 1)
+    (build_counted t backward g ~jacs ~extra_diag:0.0);
+  Alcotest.(check int) "one pattern" 1 (check_applies t "mixer, refactored" backward g jacs);
+  Alcotest.(check (pair int int))
+    "second build: all refactored" (np, 0)
+    (build_counted t backward g ~jacs ~extra_diag:0.0);
+  ignore (check_applies t "mixer, second build" backward g jacs);
+  List.iteri
+    (fun k extra_diag ->
+      let refactors, dense = build_counted t backward g ~jacs ~extra_diag in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "build %d (extra_diag %g): all refactored" k extra_diag)
+        (np, 0) (refactors, dense);
+      ignore
+        (check_applies ~extra_diag t
+           (Printf.sprintf "mixer, build %d, extra_diag %g" k extra_diag)
+           backward g jacs))
+    [ 0.37; 0.0; 0.37; 0.0 ]
+
+(* The bridge's pivot order changes between points: those points fall
+   back to the dense factorization, the rest are refactored, and the
+   result stays bitwise the dense reference. *)
+let test_block_sweep_refactor_bridge () =
+  let sys, g, x = bridge_after_three_steps () in
+  let jacs = Mpde.Assemble.point_jacobians sys g x in
+  let np = Grid.points g in
+  let t = Block_sweep.create ~n:sys.Mpde.Assemble.size ~np in
+  let backward = Mpde.Assemble.Backward in
+  let refactors, dense = build_counted t backward g ~jacs ~extra_diag:0.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "fallbacks (%d dense) and refactors (%d)" dense refactors)
+    true
+    (dense > 1 && refactors > 0 && refactors + dense = np);
+  let patterns = check_applies t "bridge, refactored" backward g jacs in
+  let refactors', dense' = build_counted t backward g ~jacs ~extra_diag:0.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "rebuild: %d dense <= %d" dense' dense)
+    true
+    (dense' <= dense && refactors' + dense' = np);
+  Alcotest.(check int) "rebuild: same patterns" patterns
+    (check_applies t "bridge, rebuilt" backward g jacs)
+
+(* Four hand-made blocks on a 2x2 grid: [blocks] are dense G_p, every
+   entry that is not 0 stored, NaN included (C_p an explicit zero
+   diagonal, so D_p = G_p exactly). Checks the applies bitwise and
+   returns the built workspace, the build's factor paths and its
+   pattern count. *)
+let hand_blocks blocks =
+  let n = Array.length blocks.(0) in
+  let g = Grid.make ~shear:shear_1g ~n1:2 ~n2:2 in
+  let zero = Sparse.Csr.scale 0.0 (Sparse.Csr.identity n) in
+  let csr b =
+    let coo = Sparse.Coo.create n n in
+    Array.iteri (fun i row -> Array.iteri (fun j v -> if v <> 0.0 then Sparse.Coo.add coo i j v) row) b;
+    Sparse.Csr.of_coo coo
+  in
+  let jacs = Array.map (fun b -> (csr b, zero)) blocks in
+  let t = Block_sweep.create ~n ~np:(Array.length blocks) in
+  let counts = build_counted t Mpde.Assemble.Backward g ~jacs ~extra_diag:0.0 in
+  (t, counts, check_applies t "hand blocks" Mpde.Assemble.Backward g jacs)
+
+let test_block_sweep_refactor_tie () =
+  (* Point 0 pivots on row 1 and compiles that schedule. Point 1 ties:
+     |4| = |4| in column 0, where partial pivoting keeps row 0, not the
+     schedule's row 1, so it must fall back. Point 2 ties on the
+     identity schedule point 1 selected; point 3 is refactored. *)
+  let _, counts, _ =
+    hand_blocks
+      [|
+        [| [| 1.0; 1.0 |]; [| 4.0; 3.0 |] |];
+        [| [| 4.0; 1.0 |]; [| 4.0; 3.0 |] |];
+        [| [| 4.0; 1.0 |]; [| -4.0; 3.0 |] |];
+        [| [| 4.0; 1.0 |]; [| 1.0; 3.0 |] |];
+      |]
+  in
+  Alcotest.(check (pair int int)) "ties fall back" (1, 3) counts
+
+let test_block_sweep_refactor_cancel () =
+  (* U(1, 2) = 0.5 − 0.5·1 cancels to exactly 0 at point 2: the dense
+     factor has no (1, 2) entry, so the point falls back and is stored
+     under its own pattern; point 3 returns to the schedule. *)
+  let block u12 = [| [| 2.0; 0.0; 1.0 |]; [| 1.0; 1.0; u12 |]; [| 0.0; 0.0; 1.0 |] |] in
+  let _, counts, patterns = hand_blocks [| block 0.25; block 0.25; block 0.5; block 0.25 |] in
+  Alcotest.(check (pair int int)) "the zero slot falls back" (2, 2) counts;
+  Alcotest.(check int) "three pattern runs" 3 patterns
+
+let test_block_sweep_refactor_nonfinite () =
+  (* A NaN or Inf entry sends the point down the dense path, which keeps
+     the non-finite entries in the store as before: the apply returns
+     the dense reference's NaNs bit for bit. *)
+  let t, counts, _ =
+    hand_blocks
+      [|
+        [| [| 4.0; 1.0 |]; [| 1.0; 3.0 |] |];
+        [| [| 4.0; Float.nan |]; [| 1.0; 3.0 |] |];
+        [| [| 4.0; 1.0 |]; [| 1.0; 3.0 |] |];
+        [| [| 4.0; 1.0 |]; [| Float.infinity; 3.0 |] |];
+      |]
+  in
+  Alcotest.(check (pair int int)) "non-finite blocks fall back" (1, 3) counts;
+  let y = Linalg.Kernel.to_array (Block_sweep.apply t (Linalg.Kernel.of_array (test_vector 8))) in
+  Alcotest.(check bool) "NaN kept" true (Array.exists Float.is_nan y)
+
+(* A warm build refactors every point without allocating: its words
+   do not grow with the grid (60 against 240 points). *)
+let test_block_sweep_refactor_alloc () =
+  let mna, shear = mixer_fixture () in
+  let g = Grid.make ~shear ~n1:10 ~n2:6 in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let sol = Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna in
+  let jacs = Mpde.Assemble.point_jacobians sys g sol.Mpde.Solver.big_x in
+  let warm_words g jacs =
+    let t = Block_sweep.create ~n:sys.Mpde.Assemble.size ~np:(Grid.points g) in
+    let ops = Mpde.Assemble.operators Mpde.Assemble.Backward g in
+    Block_sweep.build t ops g ~jacs ~extra_diag:0.0;
+    Block_sweep.build t ops g ~jacs ~extra_diag:0.0;
+    let w0 = Gc.minor_words () in
+    Block_sweep.build t ops g ~jacs ~extra_diag:0.0;
+    Gc.minor_words () -. w0
+  in
+  let g4 = Grid.make ~shear ~n1:20 ~n2:12 in
+  let jacs4 = Array.init (Grid.points g4) (fun p -> jacs.(p mod Array.length jacs)) in
+  let small = warm_words g jacs and large = warm_words g4 jacs4 in
+  if large <> small then
+    Alcotest.failf "warm build: %.0f words at 60 points, %.0f at 240" small large
 
 (* Eisenstat's product against the true operator: [Block_sweep.product v]
    must equal [jacobian_apply_ws] applied to ŷ = [Block_sweep.apply v]
@@ -1088,34 +1266,18 @@ let test_sweep_product () =
   check_sweep_product "mixer, spectral-both" Mpde.Assemble.Spectral_both sys g x;
   (* The bridge a few Newton steps from its DC seed, as in "block sweep
      bridge = dense": several factor patterns. *)
-  let f1 = 50e3 and fd = 500.0 in
-  let drive =
-    W.sum (W.sine ~amplitude:10.0 ~freq:f1 ()) (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
-  in
-  let { Circuits.mna; _ } = Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive () in
-  let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
-  let sys = Mpde.Assemble.of_mna ~shear mna in
-  let g = Grid.make ~shear ~n1:16 ~n2:6 in
-  let sources = Mpde.Assemble.sources_on_grid sys g in
-  let x = replicated g (Circuit.Dcop.solve_exn mna) in
-  for _ = 1 to 3 do
-    let jacs = Mpde.Assemble.point_jacobians sys g x in
-    let jac =
-      Mpde.Assemble.jacobian_csr Mpde.Assemble.Backward g ~size:sys.Mpde.Assemble.size ~jacs
-    in
-    let r = Mpde.Assemble.residual Mpde.Assemble.Backward sys g ~sources x in
-    let dx = Sparse.Splu.solve (Sparse.Splu.factor jac) r in
-    Array.iteri (fun i d -> x.(i) <- x.(i) -. d) dx
-  done;
+  let sys, g, x = bridge_after_three_steps () in
   check_sweep_product "bridge" Mpde.Assemble.Backward sys g x
 
 (* Random small grids whose per-point blocks differ from their
    neighbours in zero pattern and in which row wins each pivot: G_p is a
    row-permuted, diagonally dominant sparse matrix (nonsingular, its
    pivot order set by the permutation) and C_p a small sparse
-   perturbation; half the points copy their predecessor's blocks so
-   shared pattern runs are exercised too. h1, h2 are O(1) so C does not
-   swamp G. *)
+   perturbation. A quarter of the points copy their predecessor's
+   blocks, so shared pattern runs are exercised too, and a quarter
+   keep its structure with every value scaled by up to ±1 %, so they
+   usually keep its pivot order and are refactored on its schedule.
+   h1, h2 are O(1) so C does not swamp G. *)
 let prop_block_sweep_random =
   QCheck.Test.make ~count:200 ~name:"block sweep: compact = dense on random grids"
     QCheck.(
@@ -1147,9 +1309,22 @@ let prop_block_sweep_random =
       in
       let np = Grid.points g in
       let jacs = Array.make np (Sparse.Csr.identity n, Sparse.Csr.identity n) in
+      let perturbed (m : Sparse.Csr.t) =
+        {
+          m with
+          Sparse.Csr.values =
+            Array.map
+              (fun v -> v *. (1.0 +. (0.01 *. (Random.State.float st 2.0 -. 1.0))))
+              m.Sparse.Csr.values;
+        }
+      in
       for p = 0 to np - 1 do
         jacs.(p) <-
-          (if p > 0 && Random.State.bool st then jacs.(p - 1)
+          (if p > 0 && Random.State.bool st then
+             if Random.State.bool st then jacs.(p - 1)
+             else
+               let gp, cp = jacs.(p - 1) in
+               (perturbed gp, perturbed cp)
            else
              ( sparse_block ~density:(Random.State.float st 1.0) ~scale:1.0 ~dominant:true,
                sparse_block ~density:0.3 ~scale:0.05 ~dominant:false ))
@@ -1262,6 +1437,14 @@ let () =
           Alcotest.test_case "block sweep seed = dense" `Quick test_block_sweep_seed;
           Alcotest.test_case "block sweep bridge = dense" `Quick test_block_sweep_bridge;
           Alcotest.test_case "block sweep validation" `Quick test_block_sweep_validation;
+          Alcotest.test_case "block sweep refactor mixer" `Quick test_block_sweep_refactor_mixer;
+          Alcotest.test_case "block sweep refactor bridge" `Quick test_block_sweep_refactor_bridge;
+          Alcotest.test_case "block sweep refactor tie" `Quick test_block_sweep_refactor_tie;
+          Alcotest.test_case "block sweep refactor cancel" `Quick test_block_sweep_refactor_cancel;
+          Alcotest.test_case "block sweep refactor non-finite" `Quick
+            test_block_sweep_refactor_nonfinite;
+          Alcotest.test_case "block sweep refactor allocates nothing" `Quick
+            test_block_sweep_refactor_alloc;
           Alcotest.test_case "sweep product = J·M⁻¹" `Quick test_sweep_product;
           Alcotest.test_case "grid refinement" `Slow test_solver_grid_refinement_converges;
           Alcotest.test_case "central-t1 accuracy" `Slow test_solver_central_scheme_more_accurate;
