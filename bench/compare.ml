@@ -22,7 +22,7 @@ let usage () =
 
 let parse_args () =
   let positional = ref [] in
-  let tolerance = ref Diagnostics.Gate.default_tolerance in
+  let tolerance = ref Gate.default_tolerance in
   let overrides = ref [] in
   let rec go = function
     | [] -> ()
@@ -73,15 +73,15 @@ let () =
   let baseline_file, current_file, tolerance, overrides = parse_args () in
   let baseline = read_json "baseline" baseline_file in
   let current = read_json "current" current_file in
-  let checks = Diagnostics.Gate.default_checks ~overrides tolerance in
-  let result = Diagnostics.Gate.evaluate ~checks ~baseline ~current () in
+  let checks = Gate.default_checks ~overrides tolerance in
+  let result = Gate.evaluate ~checks ~baseline ~current () in
   Printf.printf "baseline: %s\ncurrent:  %s\n\n" baseline_file current_file;
-  print_string (Diagnostics.Gate.render result);
+  print_string (Gate.render result);
   (* The gate silently waives the absolute speedup floor on single-core
      hosts (there is no parallelism to win); say so, or a passing run on
      a 1-core box looks like the sweep actually cleared the floor. *)
-  (match Diagnostics.Gate.lookup_num current [ "sweep"; "cores" ] with
+  (match Gate.lookup_num current [ "sweep"; "cores" ] with
   | Some cores when cores < 2.0 ->
       print_string "note: speedup gates skipped: 1-core host\n"
   | _ -> ());
-  if not result.Diagnostics.Gate.passed then exit 1
+  if not result.Gate.passed then exit 1

@@ -281,44 +281,11 @@ let ablation_linear_solvers () =
         time (fun () -> Mpde.Solver.solve_mna ~options ~shear ~n1 ~n2 mna)
       in
       let _, direct_t, _ = run Mpde.Solver.Direct in
-      let sol_g, gmres_t, _ = run Mpde.Solver.default_gmres in
+      let sol_g, gmres_t, _ = run Mpde.Solver.Gmres_sweep in
       pr "%-10s %-16.4f %-16.4f %-14d\n"
         (Printf.sprintf "%dx%d" n1 n2)
         direct_t gmres_t sol_g.Mpde.Solver.stats.linear_iterations)
     [ (16, 8); (32, 16); (40, 30); (64, 32) ]
-
-(* ------------------------------------------------------------------ *)
-(* ABL-RCM: bandwidth / fill-in of the MPDE Jacobian under reordering  *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_rcm () =
-  header "ABL-RCM - RCM reordering of the MPDE Jacobian (direct-solver fill-in)";
-  let mna, shear = unbalanced_fixture 1e4 in
-  let sys = Mpde.Assemble.of_mna ~shear mna in
-  pr "%-10s %-12s %-12s %-14s %-14s %-12s %-12s\n" "grid" "bandwidth" "rcm bw"
-    "LU nnz" "rcm LU nnz" "factor (s)" "rcm (s)";
-  List.iter
-    (fun (n1, n2) ->
-      let grid = Mpde.Grid.make ~shear ~n1 ~n2 in
-      let n = sys.Mpde.Assemble.size in
-      let big = Array.make (Mpde.Grid.points grid * n) 0.01 in
-      let jacs = Mpde.Assemble.point_jacobians sys grid big in
-      let jac = Mpde.Assemble.jacobian_csr Mpde.Assemble.Backward grid ~size:n ~jacs in
-      let perm = Sparse.Rcm.ordering jac in
-      let reordered = Sparse.Rcm.permute_symmetric jac perm in
-      let f, t_plain, _ = time (fun () -> Sparse.Splu.factor jac) in
-      let fr, t_rcm, _ = time (fun () -> Sparse.Splu.factor reordered) in
-      let lnz, unz = Sparse.Splu.lu_nnz f in
-      let lnz_r, unz_r = Sparse.Splu.lu_nnz fr in
-      pr "%-10s %-12d %-12d %-14d %-14d %-12.4f %-12.4f\n"
-        (Printf.sprintf "%dx%d" n1 n2)
-        (Sparse.Rcm.bandwidth jac)
-        (Sparse.Rcm.bandwidth reordered)
-        (lnz + unz) (lnz_r + unz_r) t_plain t_rcm)
-    [ (16, 8); (32, 16); (40, 30) ];
-  pr "(the natural MPDE ordering is already banded in t1 but wraps periodically;\n\
-     \ RCM trims the wrap-induced bandwidth — the GMRES+sweep path avoids the\n\
-     \ issue entirely and remains the default)\n"
 
 (* ------------------------------------------------------------------ *)
 (* ABL-DISC: backward vs central-in-t1 accuracy                        *)
@@ -1096,7 +1063,6 @@ let () =
     newton_table ();
     gain_distortion_table ();
     ablation_linear_solvers ();
-    ablation_rcm ();
     ablation_discretization ();
     ablation_hb_sharpness ()
   in

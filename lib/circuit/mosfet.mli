@@ -49,9 +49,6 @@ val gm_slot : int
 val gds_slot : int
 (** Output: [∂ids/∂vds]. *)
 
-val region_slot : int
-(** Output: region code, [0.] cutoff, [1.] triode, [2.] saturation. *)
-
 val buffer_size : int
 
 val evaluate_into : params -> float array -> unit

@@ -9,9 +9,6 @@ val node : t -> string -> Device.node
 (** Look up or create the node named [s]; ["0"] and ["gnd"] intern to
     the ground node [0]. *)
 
-val add : t -> Device.t -> unit
-(** @raise Invalid_argument on duplicate device names. *)
-
 val devices : t -> Device.t list
 (** In insertion order. *)
 

@@ -36,9 +36,6 @@ type term = { gain : float; factors : factor list }
 
 type t = { dc : float; terms : term list }
 
-val eval_periodic : periodic -> float -> float
-(** Evaluate a normalized shape at phase [θ] (any real; period 1). *)
-
 val eval : t -> float -> float
 (** One-time evaluation [w(t)]. *)
 

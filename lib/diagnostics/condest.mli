@@ -19,30 +19,6 @@
     All starting vectors come from a deterministic LCG so repeated runs
     agree to the last bit. *)
 
-val two_norm_est :
-  ?iters:int ->
-  ?seed:int ->
-  n:int ->
-  apply:(float array -> float array) ->
-  apply_t:(float array -> float array) ->
-  unit ->
-  float
-(** Largest singular value of the operator [apply] (with transpose
-    [apply_t]) on vectors of length [n], by power iteration on [AᵀA].
-    [iters] defaults to 30. Returns [0.] for [n = 0]. *)
-
-val spectral_radius_est :
-  ?iters:int ->
-  ?restarts:int ->
-  ?seed:int ->
-  n:int ->
-  apply:(float array -> float array) ->
-  unit ->
-  float
-(** Largest eigenvalue magnitude of [apply], by power iteration with
-    [restarts] (default 2) independent deterministic starts; the largest
-    estimate wins. *)
-
 val condest_dense : Linalg.Mat.t -> Linalg.Lu.t -> float
 (** 2-norm condition estimate [sigma_max(A) * sigma_max(A⁻¹)] for a
     square matrix with its factorization. [infinity] when the inverse

@@ -89,5 +89,3 @@ let to_string = function
   | Diverging -> "diverging"
   | Rescued s -> Printf.sprintf "rescued(%s)" s
   | Insufficient_data -> "insufficient-data"
-
-let pp ppf c = Format.pp_print_string ppf (to_string c)

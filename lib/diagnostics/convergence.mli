@@ -35,15 +35,9 @@ val classify : ?strategy:string -> float array -> cls
     be meaningless. Non-finite and non-positive samples are dropped
     before analysis. *)
 
-val rate_estimate : float array -> float option
-(** Geometric mean of the decreasing step ratios, when at least one
-    exists. *)
-
 val observed_order : float array -> float option
 (** Median observed convergence order over the strictly decreasing
     tail; [None] with fewer than 3 strictly decreasing samples. *)
 
 val to_string : cls -> string
 (** Compact rendering, e.g. ["quadratic"], ["linear(rate=0.31)"]. *)
-
-val pp : Format.formatter -> cls -> unit

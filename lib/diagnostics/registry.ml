@@ -367,92 +367,3 @@ let parse_prometheus text =
         | None -> failwith ("bad metric value: " ^ line)
       end)
     lines
-
-let split_csv_line line =
-  let fields = ref [] in
-  let buf = Buffer.create 32 in
-  let in_quotes = ref false in
-  let i = ref 0 in
-  let n = String.length line in
-  while !i < n do
-    let c = line.[!i] in
-    if !in_quotes then begin
-      if c = '"' then
-        if !i + 1 < n && line.[!i + 1] = '"' then begin
-          Buffer.add_char buf '"';
-          incr i
-        end
-        else in_quotes := false
-      else Buffer.add_char buf c
-    end
-    else if c = '"' then in_quotes := true
-    else if c = ',' then begin
-      fields := Buffer.contents buf :: !fields;
-      Buffer.clear buf
-    end
-    else Buffer.add_char buf c;
-    incr i
-  done;
-  fields := Buffer.contents buf :: !fields;
-  List.rev !fields
-
-(* Quoted fields may span newlines, so records cannot be found with a
-   plain line split: walk the text once, treating a newline as a record
-   break only outside quotes. *)
-let split_csv_records text =
-  let records = ref [] in
-  let buf = Buffer.create 64 in
-  let in_quotes = ref false in
-  String.iter
-    (fun c ->
-      if c = '"' then begin
-        in_quotes := not !in_quotes;
-        Buffer.add_char buf c
-      end
-      else if c = '\n' && not !in_quotes then begin
-        records := Buffer.contents buf :: !records;
-        Buffer.clear buf
-      end
-      else Buffer.add_char buf c)
-    text;
-  if Buffer.length buf > 0 then records := Buffer.contents buf :: !records;
-  List.rev !records
-
-let parse_csv text =
-  match split_csv_records text with
-  | [] -> []
-  | header :: rows ->
-      if String.trim header <> "name,labels,kind,value" then
-        failwith ("bad CSV header: " ^ header);
-      List.filter_map
-        (fun row ->
-          if String.trim row = "" then None
-          else
-            match split_csv_line row with
-            | [ name; labels; kind; value ] ->
-                let labels =
-                  if labels = "" then []
-                  else
-                    String.split_on_char ';' labels
-                    |> List.map (fun pair ->
-                           match String.index_opt pair '=' with
-                           | Some eq ->
-                               ( String.sub pair 0 eq,
-                                 String.sub pair (eq + 1)
-                                   (String.length pair - eq - 1) )
-                           | None -> failwith ("bad CSV label: " ^ row))
-                in
-                let kind =
-                  match kind with
-                  | "counter" -> Counter
-                  | "gauge" -> Gauge
-                  | k -> failwith ("bad CSV kind: " ^ k)
-                in
-                let value =
-                  match parse_float_special value with
-                  | Some v -> v
-                  | None -> failwith ("bad CSV value: " ^ row)
-                in
-                Some { name; labels; kind; value; help = None }
-            | _ -> failwith ("bad CSV row: " ^ row))
-        rows

@@ -83,7 +83,3 @@ val to_csv : t -> string
 val parse_prometheus : string -> (string * (string * string) list * float) list
 (** Sample lines of a Prometheus text page (comments skipped), in file
     order. @raise Failure on lines that are neither. *)
-
-val parse_csv : string -> sample list
-(** Inverse of {!to_csv} up to [help] (not serialized) and name
-    sanitization (already applied). @raise Failure on malformed rows. *)

@@ -70,9 +70,6 @@ type t
 val create : string -> t
 (** Open [path], loading any valid records already present (resume). *)
 
-val records : t -> record list
-(** Current records, in file order. *)
-
 val find : t -> key:string -> record option
 
 val append : t -> record -> unit

@@ -50,5 +50,10 @@ let degrade o =
   }
 
 let to_mpde o =
-  Mpde.Solver.make_options ~max_newton:o.max_newton ~tol:o.tol
-    ~allow_continuation:o.allow_continuation ?budget:o.budget ()
+  {
+    Mpde.Solver.default_options with
+    max_newton = o.max_newton;
+    tol = o.tol;
+    allow_continuation = o.allow_continuation;
+    budget = o.budget;
+  }

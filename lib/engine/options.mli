@@ -11,8 +11,8 @@
     own names because they genuinely differ. DESIGN.md §11 tabulates
     the mapping onto each backend's native record.
 
-    The MPDE backend always runs the [Backward] scheme with
-    {!Mpde.Solver.default_gmres}; other schemes and linear solvers are
+    The MPDE backend always runs the [Backward] scheme with the
+    [Gmres_sweep] linear solver; other schemes and linear solvers are
     reached through {!Mpde.Solver.options} directly. Its health
     assessment, like every backend's, is
     {!Diagnostics.Health.of_report}; the condition estimate and the
@@ -61,5 +61,6 @@ val degrade : t -> t
     floors. *)
 
 val to_mpde : t -> Mpde.Solver.options
-(** Project onto the MPDE backend's native record, with its default
-    [Backward] scheme and {!Mpde.Solver.default_gmres} linear solver. *)
+(** Project onto the MPDE backend's native record: a record update of
+    {!Mpde.Solver.default_options}, so the scheme is [Backward] and the
+    linear solver [Gmres_sweep]. *)

@@ -7,7 +7,6 @@ let create rows cols = { rows; cols; data = Array.make (rows * cols) Complex.zer
 let init rows cols f =
   { rows; cols; data = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) }
 
-let identity n = init n n (fun i j -> if i = j then Complex.one else Complex.zero)
 let copy m = { m with data = Array.copy m.data }
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
@@ -22,15 +21,6 @@ let mul_vec a x =
       let s = ref Complex.zero in
       for j = 0 to a.cols - 1 do
         s := Complex.add !s (Complex.mul (get a i j) x.(j))
-      done;
-      !s)
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Cmat.mul: dimension mismatch";
-  init a.rows b.cols (fun i j ->
-      let s = ref Complex.zero in
-      for k = 0 to a.cols - 1 do
-        s := Complex.add !s (Complex.mul (get a i k) (get b k j))
       done;
       !s)
 

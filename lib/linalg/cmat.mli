@@ -7,21 +7,9 @@ val create : int -> int -> t
 
 val init : int -> int -> (int -> int -> Complex.t) -> t
 
-val identity : int -> t
-
-val copy : t -> t
-
-val get : t -> int -> int -> Complex.t
-
-val set : t -> int -> int -> Complex.t -> unit
-
 val add_entry : t -> int -> int -> Complex.t -> unit
 
 val mul_vec : t -> Cvec.t -> Cvec.t
-
-val mul : t -> t -> t
-
-val swap_rows : t -> int -> int -> unit
 
 exception Singular of int
 

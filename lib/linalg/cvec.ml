@@ -2,8 +2,6 @@ type t = Complex.t array
 
 let create n = Array.make n Complex.zero
 let init = Array.init
-let copy = Array.copy
-let dim = Array.length
 
 let check_same_dim x y =
   if Array.length x <> Array.length y then invalid_arg "Cvec: dimension mismatch"
@@ -15,18 +13,6 @@ let imag x = Array.map (fun (z : Complex.t) -> z.im) x
 let add x y =
   check_same_dim x y;
   Array.init (Array.length x) (fun i -> Complex.add x.(i) y.(i))
-
-let sub x y =
-  check_same_dim x y;
-  Array.init (Array.length x) (fun i -> Complex.sub x.(i) y.(i))
-
-let scale a x = Array.map (Complex.mul a) x
-
-let axpy a x y =
-  check_same_dim x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- Complex.add y.(i) (Complex.mul a x.(i))
-  done
 
 let dot x y =
   check_same_dim x y;
@@ -40,12 +26,3 @@ let norm2 x = sqrt (dot x x).Complex.re
 
 let norm_inf x =
   Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0.0 x
-
-let approx_equal ?(tol = 1e-9) x y =
-  Array.length x = Array.length y
-  &&
-  let ok = ref true in
-  for i = 0 to Array.length x - 1 do
-    if Complex.norm (Complex.sub x.(i) y.(i)) > tol then ok := false
-  done;
-  !ok

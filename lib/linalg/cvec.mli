@@ -8,10 +8,6 @@ val create : int -> t
 
 val init : int -> (int -> Complex.t) -> t
 
-val copy : t -> t
-
-val dim : t -> int
-
 val of_real : Vec.t -> t
 
 val real : t -> Vec.t
@@ -20,18 +16,9 @@ val imag : t -> Vec.t
 
 val add : t -> t -> t
 
-val sub : t -> t -> t
-
-val scale : Complex.t -> t -> t
-
-val axpy : Complex.t -> t -> t -> unit
-(** [axpy a x y] performs [y := a*x + y]. *)
-
 val dot : t -> t -> Complex.t
 (** Conjugate-linear in the first argument: [Σ conj(x_i) * y_i]. *)
 
 val norm2 : t -> float
 
 val norm_inf : t -> float
-
-val approx_equal : ?tol:float -> t -> t -> bool

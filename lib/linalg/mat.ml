@@ -22,25 +22,15 @@ let copy m = { m with data = Array.copy m.data }
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
 
-let add_entry m i j v =
-  let k = (i * m.cols) + j in
-  m.data.(k) <- m.data.(k) +. v
-
 let dims m = (m.rows, m.cols)
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let check_same_dims a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Mat: dimension mismatch"
 
-let add a b =
-  check_same_dims a b;
-  { a with data = Array.init (Array.length a.data) (fun k -> a.data.(k) +. b.data.(k)) }
-
 let sub a b =
   check_same_dims a b;
   { a with data = Array.init (Array.length a.data) (fun k -> a.data.(k) -. b.data.(k)) }
-
-let scale s a = { a with data = Array.map (fun v -> s *. v) a.data }
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
@@ -111,13 +101,6 @@ let norm_inf m =
   done;
   !best
 
-let approx_equal ?(tol = 1e-9) a b =
-  a.rows = b.rows && a.cols = b.cols
-  &&
-  let ok = ref true in
-  Array.iteri (fun k v -> if Float.abs (v -. b.data.(k)) > tol then ok := false) a.data;
-  !ok
-
 let outer x y =
   init (Array.length x) (Array.length y) (fun i j -> x.(i) *. y.(j))
 
@@ -128,12 +111,3 @@ let trace m =
     s := !s +. get m i i
   done;
   !s
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "@[|";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf ppf " %10.4g" (get m i j)
-    done;
-    Format.fprintf ppf " |@]@\n"
-  done

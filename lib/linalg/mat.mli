@@ -21,27 +21,17 @@ val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 
-val add_entry : t -> int -> int -> float -> unit
-(** [add_entry m i j v] performs [m.(i,j) <- m.(i,j) + v] (stamping). *)
-
 val dims : t -> int * int
 
 val transpose : t -> t
 
-val add : t -> t -> t
-
 val sub : t -> t -> t
-
-val scale : float -> t -> t
 
 val mul : t -> t -> t
 (** Matrix-matrix product. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 (** Matrix-vector product. *)
-
-val mul_vec_into : t -> Vec.t -> Vec.t -> unit
-(** [mul_vec_into a x y] stores [a*x] in [y]. *)
 
 val tmul_vec : t -> Vec.t -> Vec.t
 (** Transposed matrix-vector product [aᵀ x]. *)
@@ -57,10 +47,6 @@ val frobenius_norm : t -> float
 val norm_inf : t -> float
 (** Maximum absolute row sum. *)
 
-val approx_equal : ?tol:float -> t -> t -> bool
-
 val outer : Vec.t -> Vec.t -> t
 
 val trace : t -> float
-
-val pp : Format.formatter -> t -> unit

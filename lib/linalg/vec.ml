@@ -2,11 +2,8 @@ type t = float array
 
 let create n = Array.make n 0.0
 let init = Array.init
-let copy = Array.copy
 let dim = Array.length
-let fill x v = Array.fill x 0 (Array.length x) v
 let of_list = Array.of_list
-let to_list = Array.to_list
 let map = Array.map
 
 let check_same_dim x y =
@@ -91,19 +88,3 @@ let max_abs_index x =
 let mean x =
   if Array.length x = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 x /. float_of_int (Array.length x)
-
-let approx_equal ?(tol = 1e-9) x y =
-  Array.length x = Array.length y
-  &&
-  let ok = ref true in
-  for i = 0 to Array.length x - 1 do
-    if Float.abs (x.(i) -. y.(i)) > tol then ok := false
-  done;
-  !ok
-
-let pp ppf x =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf v -> Format.fprintf ppf "%.6g" v))
-    (Array.to_list x)

@@ -11,19 +11,11 @@ val create : int -> t
 
 val init : int -> (int -> float) -> t
 
-val copy : t -> t
-
 val dim : t -> int
-
-val fill : t -> float -> unit
 
 val of_list : float list -> t
 
-val to_list : t -> float list
-
 val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
 
 val add : t -> t -> t
 
@@ -64,9 +56,3 @@ val max_abs_index : t -> int
     the empty vector. *)
 
 val mean : t -> float
-
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Component-wise comparison with absolute tolerance [tol]
-    (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

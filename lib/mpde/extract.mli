@@ -3,10 +3,6 @@
     one-time waveform reconstruction along the diagonal (Fig. 6), and
     conversion gain / distortion figures. *)
 
-val surface : Solver.solution -> unknown:int -> float array array
-(** [surface sol ~unknown] is the [n1] x [n2] array of the unknown's
-    values: result.(i).(j) = x̂ at [(t1_i, t2_j)]. *)
-
 val surface_of_node : Solver.solution -> Circuit.Mna.t -> string -> float array array
 
 val differential_surface :

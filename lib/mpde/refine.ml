@@ -1,12 +1,3 @@
-type report = {
-  solution : Solver.solution;
-  n1 : int;
-  n2 : int;
-  est_error_t1 : float;
-  est_error_t2 : float;
-  refinements : int;
-}
-
 (* Max abs difference between a coarse solution and a fine solution at
    the coarse grid points, over all unknowns. [stride1]/[stride2] map
    coarse indices into the fine grid (2 along a doubled direction). *)
@@ -36,16 +27,3 @@ let estimate_errors ?options ?seed sys ~shear ~n1 ~n2 =
   ( base,
     compare_at_shared base fine1 ~stride1:2 ~stride2:1,
     compare_at_shared base fine2 ~stride1:1 ~stride2:2 )
-
-let auto ?options ?seed ?(tol = 1e-3) ?(max_points = 20000) sys ~shear ~n1 ~n2 =
-  let rec go n1 n2 refinements =
-    let base, e1, e2 = estimate_errors ?options ?seed sys ~shear ~n1 ~n2 in
-    let done_ = e1 <= tol && e2 <= tol in
-    let next_n1, next_n2 =
-      if e1 >= e2 then (2 * n1, n2) else (n1, 2 * n2)
-    in
-    if done_ || next_n1 * next_n2 > max_points then
-      { solution = base; n1; n2; est_error_t1 = e1; est_error_t2 = e2; refinements }
-    else go next_n1 next_n2 (refinements + 1)
-  in
-  go n1 n2 0

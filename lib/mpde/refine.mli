@@ -1,19 +1,6 @@
-(** Grid-convergence estimation and automatic refinement for the MPDE
-    solver. The paper picks 40 x 30 by judgement; this module makes the
-    choice quantitative: solve, double each grid direction in turn,
-    compare the solutions at shared grid points, and keep refining the
-    direction with the larger estimated error until a tolerance or a
-    budget is hit. *)
-
-type report = {
-  solution : Solver.solution;  (** solution on the final grid *)
-  n1 : int;
-  n2 : int;
-  est_error_t1 : float;
-      (** max abs difference vs the t1-doubled grid at shared points *)
-  est_error_t2 : float;
-  refinements : int;  (** doubling steps taken *)
-}
+(** Grid-convergence estimation for the MPDE solver: solve, double each
+    grid direction in turn, and compare the solutions at shared grid
+    points. *)
 
 val estimate_errors :
   ?options:Solver.options ->
@@ -24,18 +11,6 @@ val estimate_errors :
   n2:int ->
   Solver.solution * float * float
 (** [(solution, err_t1, err_t2)] — the base solve plus the two
-    direction-wise Richardson-style error estimates. *)
-
-val auto :
-  ?options:Solver.options ->
-  ?seed:Linalg.Vec.t ->
-  ?tol:float ->
-  ?max_points:int ->
-  Assemble.system ->
-  shear:Shear.t ->
-  n1:int ->
-  n2:int ->
-  report
-(** Refine until both direction estimates fall below [tol]
-    (default [1e-3], in solution units) or the grid would exceed
-    [max_points] (default [20000] points). *)
+    direction-wise Richardson-style error estimates: the max abs
+    difference, over all unknowns, against the t1- and t2-doubled grids
+    at the shared points. *)

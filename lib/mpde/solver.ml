@@ -8,11 +8,13 @@ let log_src = Logs.Src.create "rfss.mpde" ~doc:"MPDE solver resilience"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type linear_solver =
-  | Direct
-  | Gmres_sweep of { restart : int; max_iter : int; tol : float }
+type linear_solver = Direct | Gmres_sweep
 
-let default_gmres = Gmres_sweep { restart = 60; max_iter = 600; tol = 1e-9 }
+(* GMRES on the sweep-preconditioned system: Krylov space per cycle,
+   total inner iterations, and tolerance relative to the Newton rhs. *)
+let gmres_restart = 60
+let gmres_max_iter = 600
+let gmres_tol = 1e-9
 
 exception Linear_stall of string
 
@@ -30,15 +32,10 @@ let default_options =
     max_newton = 50;
     tol = 1e-8;
     scheme = Assemble.Backward;
-    linear_solver = default_gmres;
+    linear_solver = Gmres_sweep;
     allow_continuation = true;
     budget = None;
   }
-
-let make_options ?(max_newton = default_options.max_newton)
-    ?(tol = default_options.tol)
-    ?(allow_continuation = default_options.allow_continuation) ?budget () =
-  { default_options with max_newton; tol; allow_continuation; budget }
 
 type stats = {
   newton_iterations : int;
@@ -67,7 +64,6 @@ type solution = {
 type workspace = {
   mutable asm : Assemble.workspace;
   mutable gmres_ws : Sparse.Krylov.workspace option;
-  mutable gmres_restart : int;
   op_ba : Linalg.Kernel.vec;  (* shared operator output (GMRES buffer contract) *)
   sweep : Block_sweep.t;
   mutable splu : Sparse.Splu.t option;
@@ -80,7 +76,6 @@ let make_workspace scheme sys (g : Grid.t) =
   {
     asm = Assemble.workspace scheme sys g;
     gmres_ws = None;
-    gmres_restart = 0;
     op_ba = Linalg.Kernel.create big;
     sweep = Block_sweep.create ~n ~np;
     splu = None;
@@ -100,37 +95,16 @@ let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.splu <- None;
   ws
 
-let gmres_workspace ws ~restart ~n =
+let gmres_workspace ws ~n =
   match ws.gmres_ws with
-  | Some k when ws.gmres_restart >= restart -> k
-  | _ ->
-      let k = Sparse.Krylov.workspace ~restart ~n in
+  | Some k -> k
+  | None ->
+      let k = Sparse.Krylov.workspace ~restart:gmres_restart ~n in
       ws.gmres_ws <- Some k;
-      ws.gmres_restart <- restart;
       k
 
 let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~out
     ~linear_iters =
-  (* GMRES writes its iterate into [out]; unless it converged, a stall:
-     budget exhaustion when the budget ran out, [Linear_stall]
-     otherwise. *)
-  let run_gmres ~restart ~max_iter ~tol ~precond ~product op =
-    let workspace = gmres_workspace ws ~restart ~n:(Array.length rhs) in
-    let result =
-      Sparse.Krylov.gmres ~restart ~max_iter ~tol ~precond ~product ?budget ~workspace ~out
-        op rhs
-    in
-    linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
-    if not result.Sparse.Krylov.converged then begin
-      (match budget with
-      | Some b -> ( match Budget.exhausted b with Some e -> raise (Budget.Exhausted e) | None -> ())
-      | None -> ());
-      raise
-        (Linear_stall
-           (Printf.sprintf "GMRES stalled (residual %.3e after %d iterations)"
-              result.Sparse.Krylov.residual_norm result.Sparse.Krylov.iterations))
-    end
-  in
   match linear_solver with
   | Direct -> (
       Telemetry.span "mpde.linear.direct" @@ fun () ->
@@ -145,7 +119,7 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
       let f = Sparse.Splu.refactor_or_factor ws.splu m in
       ws.splu <- Some f;
       Sparse.Splu.solve_into f rhs out)
-  | Gmres_sweep { restart; max_iter; tol } -> (
+  | Gmres_sweep -> (
       Telemetry.span "mpde.linear.gmres-sweep" @@ fun () ->
       (* Matrix-free for every scheme: the big Jacobian is never
          assembled on this path. The true J·x only forms restart
@@ -160,8 +134,26 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
          block lets a switching device's conductance drift unseen, and
          GMRES pays for it many times over (DESIGN.md §12). *)
       Block_sweep.build ws.sweep (Assemble.workspace_operators ws.asm) g ~jacs ~extra_diag;
-      run_gmres ~restart ~max_iter ~tol ~precond:(Block_sweep.apply ws.sweep)
-        ~product:(Block_sweep.product ws.sweep) op)
+      let workspace = gmres_workspace ws ~n:(Array.length rhs) in
+      let result =
+        Sparse.Krylov.gmres ~restart:gmres_restart ~max_iter:gmres_max_iter ~tol:gmres_tol
+          ~precond:(Block_sweep.apply ws.sweep) ~product:(Block_sweep.product ws.sweep)
+          ?budget ~workspace ~out op rhs
+      in
+      linear_iters := !linear_iters + result.Sparse.Krylov.iterations;
+      (* GMRES wrote its iterate into [out]; unless it converged, a
+         stall: budget exhaustion when the budget ran out,
+         [Linear_stall] otherwise. *)
+      if not result.Sparse.Krylov.converged then begin
+        (match budget with
+        | Some b -> (
+            match Budget.exhausted b with Some e -> raise (Budget.Exhausted e) | None -> ())
+        | None -> ());
+        raise
+          (Linear_stall
+             (Printf.sprintf "GMRES stalled (residual %.3e after %d iterations)"
+                result.Sparse.Krylov.residual_norm result.Sparse.Krylov.iterations))
+      end)
 
 (* Scan per-point Jacobian blocks before they reach the linear solver:
    a NaN entry in G or C would otherwise poison GMRES silently. Each

@@ -38,11 +38,10 @@
     strategy, per-stage records, and residual trajectory are returned
     as a structured {!Resilience.Report.t}. *)
 
-type linear_solver =
-  | Direct
-  | Gmres_sweep of { restart : int; max_iter : int; tol : float }
-
-val default_gmres : linear_solver
+type linear_solver = Direct | Gmres_sweep
+(** [Gmres_sweep] runs GMRES with a 60-vector Krylov space, at most 600
+    inner iterations and a tolerance of 1e-9 relative to the Newton
+    right-hand side. *)
 
 exception Linear_stall of string
 (** Raised internally by the linear layer on a GMRES stall; captured by
@@ -62,21 +61,9 @@ type options = {
 }
 
 val default_options : options
-
-val make_options :
-  ?max_newton:int ->
-  ?tol:float ->
-  ?allow_continuation:bool ->
-  ?budget:Resilience.Budget.t ->
-  unit ->
-  options
-(** Smart constructor under the *normalized* option vocabulary shared
-    with the unified engine API ([Engine.Options]): [max_newton] is the
-    per-stage Newton cap (other engines historically said [max_iter]),
-    [tol] the residual infinity-norm target (elsewhere [rtol]); see
-    DESIGN.md §11 for the full name mapping. Omitted fields default to
-    {!default_options}, and [scheme] and [linear_solver] always take
-    its values; set those with a record update. *)
+(** [Gmres_sweep] on the [Backward] scheme. [Engine.Options.to_mpde]
+    maps the engine's normalized option vocabulary onto a record update
+    of it; see DESIGN.md §11 for the name mapping. *)
 
 type stats = {
   newton_iterations : int;  (** cumulated across all ladder stages *)

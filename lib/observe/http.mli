@@ -29,12 +29,6 @@ val parse_request : string -> (request, string) result
 val query_int : request -> string -> int option
 (** First integer-valued occurrence of the query parameter. *)
 
-val header : request -> string -> string option
-(** Header value by case-insensitive name. *)
-
-val content_length : request -> int option
-(** Parsed [Content-Length], or [None] when absent or non-numeric. *)
-
 val max_header_bytes : int
 (** Hard cap on the header block: 16 KiB. *)
 
@@ -54,8 +48,6 @@ val parse_framed : ?max_body:int -> string -> framed
     first, then [Content-Length] body bytes (absent length means an
     empty body, the GET case). [max_body] defaults to
     {!max_body_bytes}. *)
-
-val status_reason : int -> string
 
 val response :
   ?status:int ->

@@ -130,10 +130,6 @@ val events_since : int -> slice
 (** Events with [seq > since], ascending. Compare [since + 1] against
     [slice.oldest_seq] to detect a gap. *)
 
-val rank_of_health : string -> int
-(** Severity order used for [worst]: quadratic < linear < unknown <
-    rescued < stagnating < diverging < failed. *)
-
 val event_to_json : event -> string
 (** One JSONL line (no trailing newline). *)
 

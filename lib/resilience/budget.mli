@@ -28,9 +28,6 @@ val of_limits : ?wall_seconds:float -> ?max_newton:int -> unit -> t option
 (** [None] when neither limit is given (no budget at all), otherwise a
     fresh {!make} budget with those limits. *)
 
-val elapsed : t -> float
-(** Wall-clock seconds since creation. *)
-
 val exhausted : t -> exhaustion option
 (** Non-raising check of this budget and all ancestors. *)
 

@@ -299,8 +299,6 @@ let install plan =
   Atomic.set skew_bits 0L;
   plan_ref := Some plan
 
-let installed () = !plan_ref
-
 (* ---------- firing ---------- *)
 
 let context_of scope =

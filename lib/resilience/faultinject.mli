@@ -71,9 +71,6 @@ type plan = { seed : int; faults : fault array }
 exception
   Injected_crash of { site : string; occurrence : int; context : string }
 
-val site_name : site -> string
-val kind_name : kind -> string
-
 val parse : string -> (plan, string) result
 (** Parse the spec grammar above. Errors name the offending item. *)
 
@@ -91,8 +88,6 @@ val install : plan -> unit
 val uninstall : unit -> unit
 (** Remove the plan and restore the clock source. Idempotent. *)
 
-val installed : unit -> plan option
-
 (** {2 Scopes and stages}
 
     Scope and stage tracking are unconditional (a few domain-local
@@ -108,7 +103,6 @@ val set_stage : string option -> unit
 (** Called by {!Ladder} around each stage attempt. [Some name] also
     records [name] as the last stage entered on this domain. *)
 
-val current_stage : unit -> string option
 val last_stage : unit -> string option
 (** The most recent stage entered on this domain since the enclosing
     scope began — survives the stage's exit, so an exception handler

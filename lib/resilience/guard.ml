@@ -23,11 +23,6 @@ let scan ?(context = "") ?block_size (v : Linalg.Vec.t) =
   in
   find 0
 
-let check ?context ?block_size v =
-  match scan ?context ?block_size v with
-  | Some violation -> raise (Non_finite violation)
-  | None -> ()
-
 let finite v =
   let ok = ref true and i = ref 0 in
   while !ok && !i < Array.length v do

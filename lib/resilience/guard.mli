@@ -22,9 +22,6 @@ exception Non_finite of violation
 val scan : ?context:string -> ?block_size:int -> Linalg.Vec.t -> violation option
 (** First non-finite entry, if any. *)
 
-val check : ?context:string -> ?block_size:int -> Linalg.Vec.t -> unit
-(** @raise Non_finite on the first non-finite entry. *)
-
 val finite : Linalg.Vec.t -> bool
 
 val guarded :

@@ -66,27 +66,6 @@ let status_to_string = function
   | `Failed _ -> "failed"
   | `Skipped -> "skipped"
 
-let pp ppf r =
-  Format.fprintf ppf "@[<v>outcome: %s@," (outcome_to_string r.outcome);
-  (match r.strategy with
-  | Some s -> Format.fprintf ppf "strategy: %s@," s
-  | None -> ());
-  Format.fprintf ppf "newton: %d  linear: %d  residual: %.3e  wall: %.3fs@,"
-    r.newton_iterations r.linear_iterations r.residual_norm r.wall_seconds;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  %-16s %-8s iters=%-5d wall=%.3fs" s.name
-        (status_to_string s.status) s.iterations s.wall_seconds;
-      (match s.status with
-      | `Failed msg -> Format.fprintf ppf "  (%s)" msg
-      | _ -> ());
-      Format.pp_print_cut ppf ())
-    r.stages;
-  (match r.telemetry with
-  | Some t -> Format.fprintf ppf "%a@," Telemetry.Summary.pp t
-  | None -> ());
-  Format.fprintf ppf "@]"
-
 let to_json_string r =
   let module J = Telemetry.Json in
   let buf = Buffer.create 512 in

@@ -63,8 +63,5 @@ val of_ladder :
 
 val outcome_to_string : outcome -> string
 
-val pp : Format.formatter -> t -> unit
-(** Multi-line human-readable rendering. *)
-
 val to_json_string : t -> string
 (** Single-line JSON. *)

@@ -45,10 +45,6 @@ val warm_starts : t -> int
 (** Solves whose answer came from a shared nearby surface: a seed the
     per-job path re-solved cold is not counted. *)
 
-val registry : t -> Diagnostics.Registry.t
-(** Fresh [serve.*] metric samples (job counters, cache hit/miss/
-    eviction, warm-start counters, queue depth). *)
-
 val publish_metrics : t -> unit
 (** Push {!registry} into {!Observe.Publish.set_metrics} so /metrics
     scrapes include the serve counters. Called internally after every

@@ -55,8 +55,3 @@ let of_triplets rows cols triplets =
   let m = create ~capacity:(max 16 (List.length triplets)) rows cols in
   List.iter (fun (i, j, v) -> add m i j v) triplets;
   m
-
-let to_dense m =
-  let d = Linalg.Mat.create m.rows m.cols in
-  iter (fun i j v -> Linalg.Mat.add_entry d i j v) m;
-  d

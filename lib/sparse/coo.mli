@@ -25,5 +25,3 @@ val clear : t -> unit
 val iter : (int -> int -> float -> unit) -> t -> unit
 
 val of_triplets : int -> int -> (int * int * float) list -> t
-
-val to_dense : t -> Linalg.Mat.t

@@ -70,26 +70,6 @@ let of_coo coo =
       values = Array.sub values 0 !out;
     }
 
-let of_dense ?(drop_tol = 0.0) m =
-  let rows, cols = Linalg.Mat.dims m in
-  let coo = Coo.create ~capacity:(rows * 4) rows cols in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      let v = Linalg.Mat.get m i j in
-      if Float.abs v > drop_tol then Coo.add coo i j v
-    done
-  done;
-  of_coo coo
-
-let to_dense m =
-  let d = Linalg.Mat.create m.rows m.cols in
-  for i = 0 to m.rows - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      Linalg.Mat.set d i m.col_idx.(k) m.values.(k)
-    done
-  done;
-  d
-
 let slot m i j =
   let lo = ref m.row_ptr.(i) and hi = ref (m.row_ptr.(i + 1) - 1) in
   let found = ref (-1) in
@@ -179,8 +159,7 @@ let diag m =
   done;
   d
 
-let map_values f m = { m with values = Array.map f m.values }
-let scale s m = map_values (fun v -> s *. v) m
+let scale s m = { m with values = Array.map (fun v -> s *. v) m.values }
 
 let add a b =
   if a.rows <> b.rows || a.cols <> b.cols then invalid_arg "Csr.add: dimension mismatch";

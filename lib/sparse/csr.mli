@@ -16,11 +16,6 @@ val of_coo : Coo.t -> t
     only if they were never inserted (explicit zeros from summation are
     kept so patterns remain stable across Newton iterations). *)
 
-val of_dense : ?drop_tol:float -> Linalg.Mat.t -> t
-(** Entries with magnitude [<= drop_tol] (default [0.]) are dropped. *)
-
-val to_dense : t -> Linalg.Mat.t
-
 val nnz : t -> int
 
 val get : t -> int -> int -> float
@@ -52,8 +47,6 @@ val transpose_map : t -> int array * int array * int array
 
 val diag : t -> Linalg.Vec.t
 (** Main diagonal (zeros where absent). *)
-
-val map_values : (float -> float) -> t -> t
 
 val scale : float -> t -> t
 

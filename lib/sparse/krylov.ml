@@ -116,6 +116,7 @@ let orth ws j =
    application. *)
 let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?budget
     ?x0 ?workspace:ws ?out op b =
+  if restart < 1 then invalid_arg "Krylov.gmres: restart < 1";
   Telemetry.span "gmres" @@ fun () ->
   let n = Array.length b in
   if Resilience.Faultinject.gmres_stall () then begin

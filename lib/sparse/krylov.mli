@@ -56,7 +56,8 @@ val gmres :
     is [precond y]. Defaults: [restart = 50], [max_iter = 500],
     [tol = 1e-10] (relative to [‖b‖], absolute when [b = 0]), and the
     identity preconditioner (which copies into workspace storage, never
-    returning its argument).
+    returning its argument). Raises [Invalid_argument] when
+    [restart < 1].
 
     [product v] must return [op (precond v)] up to rounding; each
     Arnoldi step applies it once, and [op] alone then only forms the

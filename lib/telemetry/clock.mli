@@ -15,22 +15,19 @@ type source = {
       (** block for the given seconds ([<= 0] is a no-op) *)
 }
 
-val monotonic : source
-(** The real clocks: [CLOCK_MONOTONIC] for wall, [Sys.time] for CPU,
-    [Unix.sleepf] for sleep. *)
-
 val install : source -> unit
 (** Replace the process-global clock source (tests). *)
 
 val uninstall : unit -> unit
-(** Restore [monotonic]. *)
+(** Restore the real clocks: [CLOCK_MONOTONIC] for wall, [Sys.time] for
+    CPU, [Unix.sleepf] for sleep. *)
 
 val source : unit -> source
 (** The currently installed source (so wrappers — e.g. fault-injected
     slowdowns — can decorate rather than replace it). *)
 
 val overridden : unit -> bool
-(** [true] when a source other than [monotonic] is installed — i.e.
+(** [true] when a source other than the real clocks is installed — i.e.
     the process runs in deterministic-replay mode. Recorders use this
     to suppress measurements that no fake source can replay (GC
     allocation deltas), keeping fake-clock traces byte-reproducible. *)

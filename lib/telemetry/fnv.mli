@@ -7,9 +7,6 @@
 val basis : int64
 (** The FNV-1a 64 offset basis, [0xcbf29ce484222325]. *)
 
-val prime : int64
-(** The FNV-1a 64 prime, [0x100000001b3]. *)
-
 val mix_byte : int64 -> int -> int64
 (** [(h xor byte) * prime]; [byte] is used as given, not masked. *)
 

@@ -23,9 +23,6 @@ type t = {
 
 val of_snapshot : Core.snapshot -> t
 
-val total_wall : t -> float
-(** Sum of the root spans' wall time. *)
-
 val find : t -> string -> node option
 (** Depth-first search for the first node with the given name. *)
 

@@ -134,7 +134,7 @@ let test_prometheus_round_trip () =
 
 let test_csv_round_trip () =
   let reg = fill_registry () in
-  let parsed = D.Registry.parse_csv (D.Registry.to_csv reg) in
+  let parsed = Support.parse_registry_csv (D.Registry.to_csv reg) in
   Alcotest.(check int) "sample count" 4 (List.length parsed);
   let find name =
     match List.find_opt (fun s -> s.D.Registry.name = name) parsed with
@@ -273,78 +273,78 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
 
 let test_gate_passes_identical () =
   let doc = bench_doc () in
-  let r = D.Gate.evaluate ~baseline:doc ~current:doc () in
-  Alcotest.(check bool) "passes" true r.D.Gate.passed;
-  Alcotest.(check int) "no errors" 0 (List.length r.D.Gate.errors);
-  Alcotest.(check int) "sixteen verdicts" 16 (List.length r.D.Gate.verdicts)
+  let r = Gate.evaluate ~baseline:doc ~current:doc () in
+  Alcotest.(check bool) "passes" true r.Gate.passed;
+  Alcotest.(check int) "no errors" 0 (List.length r.Gate.errors);
+  Alcotest.(check int) "sixteen verdicts" 16 (List.length r.Gate.verdicts)
 
 let test_gate_improvement_passes () =
   (* Faster wall clock and a better speedup ratio must never fail. *)
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(bench_doc ~wall:0.5 ~ratio:8.0 ())
       ()
   in
-  Alcotest.(check bool) "improvement passes" true r.D.Gate.passed
+  Alcotest.(check bool) "improvement passes" true r.Gate.passed
 
 let test_gate_fails_on_regression () =
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~wall:1.3 ()) ()
+    Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~wall:1.3 ()) ()
   in
-  Alcotest.(check bool) "30% wall regression fails" false r.D.Gate.passed;
-  let bad = List.find (fun v -> not v.D.Gate.ok) r.D.Gate.verdicts in
+  Alcotest.(check bool) "30% wall regression fails" false r.Gate.passed;
+  let bad = List.find (fun v -> not v.Gate.ok) r.Gate.verdicts in
   Alcotest.(check string) "the wall check tripped" "mixer.wall_seconds"
-    bad.D.Gate.check.D.Gate.metric;
+    bad.Gate.check.Gate.metric;
   (* A speedup-ratio drop is a regression even though the number fell. *)
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~ratio:2.0 ()) ()
+    Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~ratio:2.0 ()) ()
   in
-  Alcotest.(check bool) "ratio drop fails" false r.D.Gate.passed
+  Alcotest.(check bool) "ratio drop fails" false r.Gate.passed
 
 let test_gate_within_tolerance_passes () =
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~wall:1.1 ()) ()
+    Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~wall:1.1 ()) ()
   in
-  Alcotest.(check bool) "10% < 15% passes" true r.D.Gate.passed
+  Alcotest.(check bool) "10% < 15% passes" true r.Gate.passed
 
 let test_gate_hard_errors () =
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(bench_doc ~converged:false ())
       ()
   in
-  Alcotest.(check bool) "non-convergence fails" false r.D.Gate.passed;
-  Alcotest.(check bool) "with an error" true (r.D.Gate.errors <> []);
+  Alcotest.(check bool) "non-convergence fails" false r.Gate.passed;
+  Alcotest.(check bool) "with an error" true (r.Gate.errors <> []);
   let open Telemetry.Json in
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(Obj [ ("mixer", Obj [ ("converged", Bool true) ]) ])
       ()
   in
-  Alcotest.(check bool) "missing metrics fail" false r.D.Gate.passed;
+  Alcotest.(check bool) "missing metrics fail" false r.Gate.passed;
   Alcotest.(check bool) "missing metrics reported" true
-    (List.length r.D.Gate.errors >= 4)
+    (List.length r.Gate.errors >= 4)
 
 let test_gate_speedup_floor () =
   (* A multi-core runner whose parallel sweep loses to serial fails
      outright, even when the baseline blessed the same bad number. *)
   let slow = bench_doc ~sweep_speedup:0.4 ~cores:2.0 () in
-  let r = D.Gate.evaluate ~baseline:slow ~current:slow () in
+  let r = Gate.evaluate ~baseline:slow ~current:slow () in
   Alcotest.(check bool) "sub-serial speedup on 2 cores fails" false
-    r.D.Gate.passed;
+    r.Gate.passed;
   Alcotest.(check bool) "reported as an error" true
     (List.exists
        (fun e ->
          (* the floor is a hard error, not a relative verdict *)
          String.length e > 0 && String.sub e 0 8 = "parallel")
-       r.D.Gate.errors);
+       r.Gate.errors);
   (* The 4-domain configuration has its own floor: a healthy 2-domain
      speedup does not excuse a 4-domain slowdown (that is contention,
      not a missing core). *)
   let slow4 = bench_doc ~sweep_speedup_4:0.7 ~cores:4.0 () in
-  let r = D.Gate.evaluate ~baseline:slow4 ~current:slow4 () in
+  let r = Gate.evaluate ~baseline:slow4 ~current:slow4 () in
   Alcotest.(check bool) "sub-serial speedup_4 on 4 cores fails" false
-    r.D.Gate.passed;
+    r.Gate.passed;
   Alcotest.(check bool) "speedup_4 floor names the metric" true
     (List.exists
        (fun e ->
@@ -356,46 +356,46 @@ let test_gate_speedup_floor () =
            && (String.sub e i 9 = "speedup_4" || contains (i + 1))
          in
          contains 0)
-       r.D.Gate.errors);
+       r.Gate.errors);
   (* Same numbers on a single-core runner: the floor is skipped (no
      parallelism to win) and the relative check carries the verdict. *)
   let serial = bench_doc ~sweep_speedup:0.4 ~sweep_speedup_4:0.4 ~cores:1.0 () in
-  let r = D.Gate.evaluate ~baseline:serial ~current:serial () in
-  Alcotest.(check bool) "single-core escape hatch passes" true r.D.Gate.passed;
+  let r = Gate.evaluate ~baseline:serial ~current:serial () in
+  Alcotest.(check bool) "single-core escape hatch passes" true r.Gate.passed;
   (* The growth in block factorizations is watched too. *)
   let r =
-    D.Gate.evaluate
+    Gate.evaluate
       ~baseline:(bench_doc ())
       ~current:(bench_doc ~block_factors:6000.0 ())
       ()
   in
-  Alcotest.(check bool) "block-factor regression fails" false r.D.Gate.passed;
+  Alcotest.(check bool) "block-factor regression fails" false r.Gate.passed;
   (* So are the shooting job's words per step. *)
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~shooting_words:400.0 ()) ()
+    Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~shooting_words:400.0 ()) ()
   in
-  Alcotest.(check bool) "shooting allocation regression fails" false r.D.Gate.passed;
+  Alcotest.(check bool) "shooting allocation regression fails" false r.Gate.passed;
   (* And the MPDE mixer's words per Newton iterate. *)
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~mixer_words:120000.0 ()) ()
+    Gate.evaluate ~baseline:(bench_doc ()) ~current:(bench_doc ~mixer_words:120000.0 ()) ()
   in
-  Alcotest.(check bool) "mixer allocation regression fails" false r.D.Gate.passed
+  Alcotest.(check bool) "mixer allocation regression fails" false r.Gate.passed
 
 let test_gate_retry_floor () =
   (* Any retry or degraded job on the bench's clean sweep is a hard
      error — the baseline blessing the same count does not excuse it. *)
   let noisy = bench_doc ~retries:2.0 () in
-  let r = D.Gate.evaluate ~baseline:noisy ~current:noisy () in
-  Alcotest.(check bool) "nonzero retries fail" false r.D.Gate.passed;
+  let r = Gate.evaluate ~baseline:noisy ~current:noisy () in
+  Alcotest.(check bool) "nonzero retries fail" false r.Gate.passed;
   let demoted = bench_doc ~degraded:1.0 () in
-  let r = D.Gate.evaluate ~baseline:demoted ~current:demoted () in
-  Alcotest.(check bool) "degraded job fails" false r.D.Gate.passed;
+  let r = Gate.evaluate ~baseline:demoted ~current:demoted () in
+  Alcotest.(check bool) "degraded job fails" false r.Gate.passed;
   let missing =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(bench_doc ~sweep_speedup:1.6 ())
       ()
   in
-  Alcotest.(check bool) "zero counters pass" true missing.D.Gate.passed
+  Alcotest.(check bool) "zero counters pass" true missing.Gate.passed
 
 let test_gate_absolute_slack () =
   (* gc.major_pause_p99 has 50ms of absolute slack: a pause going from
@@ -403,43 +403,43 @@ let test_gate_absolute_slack () =
      band, so it passes; 200ms exceeds the band and the huge relative
      drift makes it fail. *)
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(bench_doc ~gc_major_p99:0.04 ())
       ()
   in
-  Alcotest.(check bool) "inside the absolute band passes" true r.D.Gate.passed;
+  Alcotest.(check bool) "inside the absolute band passes" true r.Gate.passed;
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(bench_doc ~gc_major_p99:0.2 ())
       ()
   in
-  Alcotest.(check bool) "outside the band fails" false r.D.Gate.passed;
-  let bad = List.find (fun v -> not v.D.Gate.ok) r.D.Gate.verdicts in
+  Alcotest.(check bool) "outside the band fails" false r.Gate.passed;
+  let bad = List.find (fun v -> not v.Gate.ok) r.Gate.verdicts in
   Alcotest.(check string) "the gc check tripped" "gc.major_pause_p99"
-    bad.D.Gate.check.D.Gate.metric;
+    bad.Gate.check.Gate.metric;
   (* Utilization dropping 0.9 -> 0.75 is within the 0.2 band. *)
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(bench_doc ~util_2:0.75 ())
       ()
   in
-  Alcotest.(check bool) "utilization wobble passes" true r.D.Gate.passed;
+  Alcotest.(check bool) "utilization wobble passes" true r.Gate.passed;
   (* A collapse to 0.3 is both outside the band and past the relative
      tolerance. *)
   let r =
-    D.Gate.evaluate ~baseline:(bench_doc ())
+    Gate.evaluate ~baseline:(bench_doc ())
       ~current:(bench_doc ~util_2:0.3 ())
       ()
   in
-  Alcotest.(check bool) "utilization collapse fails" false r.D.Gate.passed
+  Alcotest.(check bool) "utilization collapse fails" false r.Gate.passed
 
 let test_gate_overrides () =
-  let checks = D.Gate.default_checks ~overrides:[ ("mixer.wall_seconds", 0.5) ] 0.15 in
+  let checks = Gate.default_checks ~overrides:[ ("mixer.wall_seconds", 0.5) ] 0.15 in
   let r =
-    D.Gate.evaluate ~checks ~baseline:(bench_doc ()) ~current:(bench_doc ~wall:1.3 ())
+    Gate.evaluate ~checks ~baseline:(bench_doc ()) ~current:(bench_doc ~wall:1.3 ())
       ()
   in
-  Alcotest.(check bool) "loosened wall tolerance passes" true r.D.Gate.passed
+  Alcotest.(check bool) "loosened wall tolerance passes" true r.Gate.passed
 
 (* ---------- Newton residual history (end to end) ---------- *)
 

@@ -59,83 +59,6 @@ let test_mshoot_validation () =
         (Steady.Multiple_shooting.solve ~dae:(Circuit.Mna.dae mna) ~period:1e-3
            ~segments:0 ()))
 
-(* ---------- Rcm ---------- *)
-
-let grid_laplacian nx ny =
-  (* 2-D 5-point Laplacian in row-major natural ordering — the classic
-     bandwidth-reduction showcase. *)
-  let n = nx * ny in
-  let coo = Sparse.Coo.create n n in
-  for y = 0 to ny - 1 do
-    for x = 0 to nx - 1 do
-      let i = (y * nx) + x in
-      Sparse.Coo.add coo i i 4.0;
-      if x > 0 then Sparse.Coo.add coo i (i - 1) (-1.0);
-      if x < nx - 1 then Sparse.Coo.add coo i (i + 1) (-1.0);
-      if y > 0 then Sparse.Coo.add coo i (i - nx) (-1.0);
-      if y < ny - 1 then Sparse.Coo.add coo i (i + nx) (-1.0)
-    done
-  done;
-  Sparse.Csr.of_coo coo
-
-let test_rcm_is_permutation () =
-  let a = grid_laplacian 7 5 in
-  let perm = Sparse.Rcm.ordering a in
-  let seen = Array.make 35 false in
-  Array.iter
-    (fun old_index ->
-      Alcotest.(check bool) "no duplicates" false seen.(old_index);
-      seen.(old_index) <- true)
-    perm;
-  Alcotest.(check bool) "covers all" true (Array.for_all (fun b -> b) seen)
-
-let test_rcm_inverse () =
-  let perm = [| 2; 0; 1 |] in
-  Alcotest.(check (array int)) "inverse" [| 1; 2; 0 |] (Sparse.Rcm.inverse perm)
-
-let test_rcm_reduces_bandwidth () =
-  (* Scramble a grid Laplacian with a random-ish permutation, then
-     check RCM restores a small bandwidth. *)
-  let a = grid_laplacian 12 12 in
-  let n = 144 in
-  let scramble = Array.init n (fun i -> (i * 89) mod n) in
-  let scrambled = Sparse.Rcm.permute_symmetric a scramble in
-  let before = Sparse.Rcm.bandwidth scrambled in
-  let perm = Sparse.Rcm.ordering scrambled in
-  let after = Sparse.Rcm.bandwidth (Sparse.Rcm.permute_symmetric scrambled perm) in
-  Alcotest.(check bool)
-    (Printf.sprintf "bandwidth shrinks (%d -> %d)" before after)
-    true
-    (after < before / 3)
-
-let test_rcm_permute_preserves_solution () =
-  let a = grid_laplacian 6 6 in
-  let b = Array.init 36 (fun i -> sin (float_of_int i)) in
-  let x = Sparse.Splu.solve (Sparse.Splu.factor a) b in
-  let perm = Sparse.Rcm.ordering a in
-  let inv = Sparse.Rcm.inverse perm in
-  let pa = Sparse.Rcm.permute_symmetric a perm in
-  let pb = Array.init 36 (fun k -> b.(perm.(k))) in
-  let px = Sparse.Splu.solve (Sparse.Splu.factor pa) pb in
-  (* px.(new) corresponds to x.(perm.(new)). *)
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun old_index v -> worst := Float.max !worst (Float.abs (px.(inv.(old_index)) -. v)))
-    x;
-  Alcotest.(check bool) "same solution after reordering" true (!worst < 1e-10)
-
-let test_rcm_disconnected () =
-  (* Block-diagonal with two components must still order everything. *)
-  let coo = Sparse.Coo.create 4 4 in
-  Sparse.Coo.add coo 0 0 1.0;
-  Sparse.Coo.add coo 1 1 1.0;
-  Sparse.Coo.add coo 0 1 0.5;
-  Sparse.Coo.add coo 1 0 0.5;
-  Sparse.Coo.add coo 2 2 1.0;
-  Sparse.Coo.add coo 3 3 1.0;
-  let perm = Sparse.Rcm.ordering (Sparse.Csr.of_coo coo) in
-  Alcotest.(check int) "length" 4 (Array.length perm)
-
 (* ---------- Mpde.Refine ---------- *)
 
 let two_tone_system () =
@@ -155,30 +78,6 @@ let test_refine_estimates_decrease () =
   Alcotest.(check bool)
     (Printf.sprintf "finer grid -> smaller t1 estimate (%.4f vs %.4f)" e1_fine e1_coarse)
     true (e1_fine < e1_coarse)
-
-let test_refine_auto_reaches_tolerance_or_budget () =
-  let sys, shear, seed = two_tone_system () in
-  let report = Mpde.Refine.auto ~seed ~tol:0.02 ~max_points:4096 sys ~shear ~n1:8 ~n2:8 in
-  Alcotest.(check bool) "solution converged" true
-    report.Mpde.Refine.solution.Mpde.Solver.stats.converged;
-  Alcotest.(check bool) "made progress or already good" true
-    (report.Mpde.Refine.refinements >= 0);
-  Alcotest.(check bool) "within budget" true (report.Mpde.Refine.n1 * report.Mpde.Refine.n2 <= 4096);
-  (* Either tolerance was reached or the budget stopped us. *)
-  let hit_tol =
-    report.Mpde.Refine.est_error_t1 <= 0.02 && report.Mpde.Refine.est_error_t2 <= 0.02
-  in
-  let hit_budget = 2 * report.Mpde.Refine.n1 * report.Mpde.Refine.n2 > 4096 in
-  Alcotest.(check bool) "tol or budget" true (hit_tol || hit_budget)
-
-let test_refine_refines_needier_direction () =
-  (* The fast axis carries the MHz waveform, the slow axis a smooth
-     1 kHz envelope: with a deliberately coarse t1 and fine t2, the
-     first refinement must double n1. *)
-  let sys, shear, seed = two_tone_system () in
-  let report = Mpde.Refine.auto ~seed ~tol:1e-9 ~max_points:(8 * 32 * 2) sys ~shear ~n1:8 ~n2:32 in
-  Alcotest.(check bool) "doubled t1 first" true
-    (report.Mpde.Refine.n1 >= 16 || report.Mpde.Refine.refinements = 0)
 
 (* ---------- Gilbert mixer ---------- *)
 
@@ -394,19 +293,9 @@ let () =
           Alcotest.test_case "single segment" `Quick test_mshoot_single_segment_is_shooting;
           Alcotest.test_case "validation" `Quick test_mshoot_validation;
         ] );
-      ( "rcm",
-        [
-          Alcotest.test_case "is a permutation" `Quick test_rcm_is_permutation;
-          Alcotest.test_case "inverse" `Quick test_rcm_inverse;
-          Alcotest.test_case "reduces bandwidth" `Quick test_rcm_reduces_bandwidth;
-          Alcotest.test_case "solution preserved" `Quick test_rcm_permute_preserves_solution;
-          Alcotest.test_case "disconnected graphs" `Quick test_rcm_disconnected;
-        ] );
       ( "refine",
         [
           Alcotest.test_case "estimates decrease" `Quick test_refine_estimates_decrease;
-          Alcotest.test_case "auto reaches tol/budget" `Quick test_refine_auto_reaches_tolerance_or_budget;
-          Alcotest.test_case "refines needier direction" `Quick test_refine_refines_needier_direction;
         ] );
       ( "gilbert mixer",
         [

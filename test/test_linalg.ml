@@ -153,14 +153,14 @@ let test_lu_inverse () =
   let a = Mat.of_arrays [| [| 4.0; 7.0 |]; [| 2.0; 6.0 |] |] in
   let inv = Lu.inverse (Lu.factor a) in
   let product = Mat.mul a inv in
-  Alcotest.(check bool) "a·a⁻¹ = I" true (Mat.approx_equal ~tol:1e-12 product (Mat.identity 2))
+  Alcotest.(check bool) "a·a⁻¹ = I" true (Support.mat_approx_equal ~tol:1e-12 product (Mat.identity 2))
 
 let test_lu_transposed () =
   let a = Mat.of_arrays [| [| 2.0; 1.0 |]; [| 0.0; 3.0 |] |] in
   let b = Vec.of_list [ 4.0; 5.0 ] in
   let x = Lu.solve_transposed (Lu.factor a) b in
   let r = Mat.mul_vec (Mat.transpose a) x in
-  Alcotest.(check bool) "aᵀx=b" true (Vec.approx_equal ~tol:1e-12 r b)
+  Alcotest.(check bool) "aᵀx=b" true (Support.vec_approx_equal ~tol:1e-12 r b)
 
 let test_lu_rcond () =
   let well = Lu.factor (Mat.identity 4) in
@@ -387,7 +387,7 @@ let test_cmat_lu_solve () =
   let b = [| Complex.one; i |] in
   let x = Linalg.Cmat.lu_solve a b in
   let r = Linalg.Cmat.mul_vec a x in
-  Alcotest.(check bool) "ax=b" true (Linalg.Cvec.approx_equal ~tol:1e-12 r b)
+  Alcotest.(check bool) "ax=b" true (Support.cvec_approx_equal ~tol:1e-12 r b)
 
 let test_cmat_singular () =
   let a = Linalg.Cmat.create 2 2 in
@@ -533,7 +533,7 @@ let prop_mat_mul_assoc =
     QCheck.(
       make Gen.(triple (random_matrix_gen 3) (random_matrix_gen 3) (random_matrix_gen 3)))
     (fun (a, b, c) ->
-      Mat.approx_equal ~tol:1e-6 (Mat.mul (Mat.mul a b) c) (Mat.mul a (Mat.mul b c)))
+      Support.mat_approx_equal ~tol:1e-6 (Mat.mul (Mat.mul a b) c) (Mat.mul a (Mat.mul b c)))
 
 let () =
   Alcotest.run "linalg"

@@ -135,7 +135,7 @@ let test_assemble_sources_diagonal_consistency () =
       Alcotest.(check bool)
         (Printf.sprintf "diagonal at t=%g" t)
         true
-        (Linalg.Vec.approx_equal ~tol:1e-9 b_hat b))
+        (Support.vec_approx_equal ~tol:1e-9 b_hat b))
     [ 0.0; 1.7e-7; 4.2e-6; 9.9e-4 ]
 
 let test_assemble_residual_zero_for_exact_solution () =
@@ -237,7 +237,7 @@ let test_solver_linear_two_tone () =
 let test_solver_direct_equals_gmres () =
   let opts solver = { Mpde.Solver.default_options with linear_solver = solver } in
   let sol_d, _ = solve_linear_two_tone ~options:(opts Mpde.Solver.Direct) () in
-  let sol_g, _ = solve_linear_two_tone ~options:(opts Mpde.Solver.default_gmres) () in
+  let sol_g, _ = solve_linear_two_tone ~options:(opts Mpde.Solver.Gmres_sweep) () in
   Alcotest.(check bool) "both converged" true
     (sol_d.Mpde.Solver.stats.converged && sol_g.Mpde.Solver.stats.converged);
   Alcotest.(check bool) "same solution" true
@@ -740,7 +740,7 @@ let test_solver_sweep_matches_direct_mixer () =
       ~shear ~n1:16 ~n2:10 mna
   in
   let direct = solve Mpde.Solver.Direct
-  and sweep = solve Mpde.Solver.default_gmres in
+  and sweep = solve Mpde.Solver.Gmres_sweep in
   Alcotest.(check bool) "both converged" true
     (direct.Mpde.Solver.stats.converged && sweep.Mpde.Solver.stats.converged);
   Alcotest.(check bool) "both residuals < 1e-7" true
@@ -1305,7 +1305,7 @@ let prop_block_sweep_random =
           if dominant then
             Linalg.Mat.set m perm.(i) i (float_of_int n +. 1.0 +. Random.State.float st 1.0)
         done;
-        Sparse.Csr.of_dense m
+        Support.csr_of_dense m
       in
       let np = Grid.points g in
       let jacs = Array.make np (Sparse.Csr.identity n, Sparse.Csr.identity n) in

@@ -27,25 +27,25 @@ let test_fft_pow2_matches_dft () =
   let x = Linalg.Cvec.init 16 (fun k ->
       { Complex.re = sin (0.7 *. float_of_int k); im = cos (1.3 *. float_of_int k) }) in
   Alcotest.(check bool) "radix-2 = naive DFT" true
-    (Linalg.Cvec.approx_equal ~tol:1e-9 (Fft.fft x) (dft_naive x))
+    (Support.cvec_approx_equal ~tol:1e-9 (Fft.fft x) (dft_naive x))
 
 let test_fft_bluestein_matches_dft () =
   (* Non-power-of-two length exercises the chirp-z path. *)
   let x = Linalg.Cvec.init 12 (fun k ->
       { Complex.re = float_of_int (k mod 5); im = -.float_of_int (k mod 3) }) in
   Alcotest.(check bool) "bluestein = naive DFT" true
-    (Linalg.Cvec.approx_equal ~tol:1e-8 (Fft.fft x) (dft_naive x))
+    (Support.cvec_approx_equal ~tol:1e-8 (Fft.fft x) (dft_naive x))
 
 let test_fft_prime_length () =
   let x = Linalg.Cvec.init 13 (fun k -> { Complex.re = exp (-0.1 *. float_of_int k); im = 0.0 }) in
   Alcotest.(check bool) "prime length" true
-    (Linalg.Cvec.approx_equal ~tol:1e-8 (Fft.fft x) (dft_naive x))
+    (Support.cvec_approx_equal ~tol:1e-8 (Fft.fft x) (dft_naive x))
 
 let test_fft_roundtrip () =
   let x = Linalg.Cvec.init 21 (fun k ->
       { Complex.re = float_of_int k; im = float_of_int (k * k mod 7) }) in
   Alcotest.(check bool) "ifft (fft x) = x" true
-    (Linalg.Cvec.approx_equal ~tol:1e-8 (Fft.ifft (Fft.fft x)) x)
+    (Support.cvec_approx_equal ~tol:1e-8 (Fft.ifft (Fft.fft x)) x)
 
 let test_fft_impulse () =
   let x = Linalg.Cvec.create 8 in
@@ -450,7 +450,7 @@ let test_step_workspace_paths () =
     in
     Alcotest.(check bool) "fresh step converged" true r.Integrator.converged;
     x := r.Integrator.x;
-    let close a b = Vec.approx_equal ~tol:1e-9 a b in
+    let close a b = Support.vec_approx_equal ~tol:1e-9 a b in
     Alcotest.(check bool) (Printf.sprintf "step %d: shared = fresh" k) true
       (close shared.Integrator.states.(k) !x);
     Alcotest.(check bool) (Printf.sprintf "step %d: no fast path = fresh" k) true
@@ -515,7 +515,7 @@ let prop_fft_linearity =
       let ca = Linalg.Cvec.of_real a and cb = Linalg.Cvec.of_real b in
       let lhs = Fft.fft (Linalg.Cvec.add ca cb) in
       let rhs = Linalg.Cvec.add (Fft.fft ca) (Fft.fft cb) in
-      Linalg.Cvec.approx_equal ~tol:1e-7 lhs rhs)
+      Support.cvec_approx_equal ~tol:1e-7 lhs rhs)
 
 let prop_fft_roundtrip =
   QCheck.Test.make ~count:50 ~name:"fft: ifft ∘ fft = id (arbitrary length)"
@@ -523,7 +523,7 @@ let prop_fft_roundtrip =
       make Gen.(int_range 2 40 >>= fun n -> array_size (return n) (float_range (-10.0) 10.0)))
     (fun a ->
       let c = Linalg.Cvec.of_real a in
-      Linalg.Cvec.approx_equal ~tol:1e-7 (Fft.ifft (Fft.fft c)) c)
+      Support.cvec_approx_equal ~tol:1e-7 (Fft.ifft (Fft.fft c)) c)
 
 let prop_interp_periodic_shift =
   QCheck.Test.make ~count:100 ~name:"interp: periodic in its argument"

@@ -66,11 +66,11 @@ let test_csr_tmul_vec () =
 
 let test_csr_transpose_dense_roundtrip () =
   let d = Mat.of_arrays [| [| 1.0; 0.0; 2.0 |]; [| 0.0; 3.0; 0.0 |] |] in
-  let c = Csr.of_dense d in
-  Alcotest.(check bool) "roundtrip" true (Mat.approx_equal d (Csr.to_dense c));
+  let c = Support.csr_of_dense d in
+  Alcotest.(check bool) "roundtrip" true (Support.mat_approx_equal d (Support.csr_to_dense c));
   let t = Csr.transpose c in
   Alcotest.(check bool) "transpose" true
-    (Mat.approx_equal (Mat.transpose d) (Csr.to_dense t))
+    (Support.mat_approx_equal (Mat.transpose d) (Support.csr_to_dense t))
 
 let test_csr_diag_identity () =
   let i5 = Csr.identity 5 in
@@ -117,8 +117,8 @@ let test_splu_vs_dense () =
   let a = Csr.of_coo coo in
   let b = Vec.init 6 (fun i -> float_of_int (i + 1)) in
   let x_sparse = Sparse.Splu.solve (Sparse.Splu.factor a) b in
-  let x_dense = Linalg.Lu.solve_dense (Csr.to_dense a) b in
-  Alcotest.(check bool) "agree" true (Vec.approx_equal ~tol:1e-10 x_sparse x_dense)
+  let x_dense = Linalg.Lu.solve_dense (Support.csr_to_dense a) b in
+  Alcotest.(check bool) "agree" true (Support.vec_approx_equal ~tol:1e-10 x_sparse x_dense)
 
 let test_splu_permutation_needed () =
   (* Structurally requires row exchanges: zero diagonal. *)
@@ -257,7 +257,7 @@ let test_gmres_identity () =
       b
   in
   Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
-  Alcotest.(check bool) "exact" true (Vec.approx_equal ~tol:1e-8 b r.Sparse.Krylov.x)
+  Alcotest.(check bool) "exact" true (Support.vec_approx_equal ~tol:1e-8 b r.Sparse.Krylov.x)
 
 let test_gmres_spd () =
   let a = laplacian_1d 30 in
@@ -293,6 +293,18 @@ let test_gmres_restart_path () =
   in
   Alcotest.(check bool) "converged across restarts" true r.Sparse.Krylov.converged;
   Alcotest.(check bool) "residual small" true (Csr.residual_norm a r.Sparse.Krylov.x b < 1e-6)
+
+let test_gmres_restart_zero () =
+  (* A zero-length cycle never advances the iteration count, so this
+     call would spin forever; it must be rejected up front. *)
+  let y = Kernel.create 4 in
+  let twice v =
+    Kernel.scale_into 2.0 v y;
+    y
+  in
+  Alcotest.check_raises "restart 0" (Invalid_argument "Krylov.gmres: restart < 1")
+    (fun () ->
+      ignore (Sparse.Krylov.gmres ~restart:0 ~max_iter:50 twice (Array.make 4 1.0)))
 
 let test_gmres_x0 () =
   let a = laplacian_1d 10 in
@@ -349,30 +361,21 @@ let prop_splu_matches_dense =
   QCheck.Test.make ~count:80 ~name:"splu: matches dense LU" (QCheck.make sparse_system_gen)
     (fun (a, b) ->
       let xs = Sparse.Splu.solve (Sparse.Splu.factor a) b in
-      let xd = Linalg.Lu.solve_dense (Csr.to_dense a) b in
+      let xd = Linalg.Lu.solve_dense (Support.csr_to_dense a) b in
       Vec.dist2 xs xd < 1e-8)
 
 let prop_csr_spmv_matches_dense =
   QCheck.Test.make ~count:80 ~name:"csr: spmv matches dense" (QCheck.make sparse_system_gen)
     (fun (a, x) ->
       let sparse = Csr.mul_vec a x in
-      let dense = Mat.mul_vec (Csr.to_dense a) x in
+      let dense = Mat.mul_vec (Support.csr_to_dense a) x in
       Vec.dist2 sparse dense < 1e-9)
 
 let prop_csr_transpose_involution =
   QCheck.Test.make ~count:60 ~name:"csr: transpose is an involution"
     (QCheck.make sparse_system_gen)
     (fun (a, _) ->
-      Mat.approx_equal (Csr.to_dense a) (Csr.to_dense (Csr.transpose (Csr.transpose a))))
-
-let prop_rcm_permutation_valid =
-  QCheck.Test.make ~count:60 ~name:"rcm: always a valid permutation"
-    (QCheck.make sparse_system_gen)
-    (fun (a, _) ->
-      let perm = Sparse.Rcm.ordering a in
-      let sorted = Array.copy perm in
-      Array.sort compare sorted;
-      sorted = Array.init (Array.length perm) (fun i -> i))
+      Support.mat_approx_equal (Support.csr_to_dense a) (Support.csr_to_dense (Csr.transpose (Csr.transpose a))))
 
 let prop_gmres_solves =
   QCheck.Test.make ~count:40 ~name:"gmres: residual contract honoured"
@@ -420,6 +423,7 @@ let () =
           Alcotest.test_case "gmres spd" `Quick test_gmres_spd;
           Alcotest.test_case "gmres + splu" `Quick test_gmres_with_splu;
           Alcotest.test_case "gmres restarts" `Quick test_gmres_restart_path;
+          Alcotest.test_case "gmres restart 0 rejected" `Quick test_gmres_restart_zero;
           Alcotest.test_case "gmres warm start" `Quick test_gmres_x0;
           Alcotest.test_case "gmres zero rhs" `Quick test_gmres_zero_rhs;
           Alcotest.test_case "csr ba spmv bitwise" `Quick
@@ -435,7 +439,6 @@ let () =
             prop_splu_matches_dense;
             prop_csr_spmv_matches_dense;
             prop_csr_transpose_involution;
-            prop_rcm_permutation_valid;
             prop_gmres_solves;
           ] );
     ]
