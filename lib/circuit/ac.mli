@@ -12,8 +12,6 @@ type result = {
   response : Linalg.Cvec.t array;  (** per frequency, full unknown vector *)
 }
 
-val frequencies : sweep -> float array
-
 val analyze :
   ?x_op:Linalg.Vec.t ->
   ?ac_sources:string list ->

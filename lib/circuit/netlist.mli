@@ -5,10 +5,6 @@ type t
 
 val create : unit -> t
 
-val node : t -> string -> Device.node
-(** Look up or create the node named [s]; ["0"] and ["gnd"] intern to
-    the ground node [0]. *)
-
 val devices : t -> Device.t list
 (** In insertion order. *)
 

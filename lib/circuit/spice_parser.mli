@@ -34,7 +34,3 @@ val parse_string : string -> deck
 (** @raise Parse_error on malformed input. Per SPICE convention the
     first line is always the title; start the deck with a blank or
     comment line if no title is wanted. *)
-
-val parse_value : string -> float option
-(** Parse one SPICE number with optional engineering suffix
-    ([1k] → [1000.], [2.2u] → [2.2e-6], [100meg] → [1e8]). *)

@@ -31,9 +31,6 @@ let run ?method_ ?newton_options ?budget ?x0 ~mna ~t_stop ~steps () =
   in
   { trace; dc_iterations }
 
-let node_waveform mna result node =
-  Array.map (fun x -> Mna.voltage mna x node) result.trace.Numeric.Integrator.states
-
 let differential_waveform mna result node_a node_b =
   Array.map
     (fun x -> Mna.differential_voltage mna x node_a node_b)

@@ -24,7 +24,4 @@ val run :
 (** Fixed-step transient from [t = 0] to [t_stop]. When [x0] is absent
     the DC operating point is computed first. *)
 
-val node_waveform : Mna.t -> result -> string -> float array
-(** Time series of a node voltage. *)
-
 val differential_waveform : Mna.t -> result -> string -> string -> float array

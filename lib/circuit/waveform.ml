@@ -113,20 +113,6 @@ let pulse ?(delay_frac = 0.0) ?(rise_frac = 0.01) ?(fall_frac = 0.01) ~low ~high
       ];
   }
 
-let bit_stream ?(transition_frac = 0.05) ?(low = 0.0) ~bits ~symbol_freq ~high () =
-  let n = max 1 (Array.length bits) in
-  let pattern_freq = symbol_freq /. float_of_int n in
-  {
-    dc = 0.0;
-    terms =
-      [
-        {
-          gain = 1.0;
-          factors = [ { shape = Bits { bits; low; high; transition_frac }; freq = pattern_freq } ];
-        };
-      ];
-  }
-
 let modulated_carrier ?(carrier_phase = 0.0) ?(transition_frac = 0.05) ?(low = 0.0)
     ~amplitude ~carrier_freq ~bits ~symbol_freq () =
   let n = max 1 (Array.length bits) in

@@ -66,16 +66,6 @@ val pulse :
   unit ->
   t
 
-val bit_stream :
-  ?transition_frac:float ->
-  ?low:float ->
-  bits:bool array ->
-  symbol_freq:float ->
-  high:float ->
-  unit ->
-  t
-(** Baseband NRZ stream; the pattern repeats at [symbol_freq / nbits]. *)
-
 val modulated_carrier :
   ?carrier_phase:float ->
   ?transition_frac:float ->

@@ -35,9 +35,5 @@ val classify : ?strategy:string -> float array -> cls
     be meaningless. Non-finite and non-positive samples are dropped
     before analysis. *)
 
-val observed_order : float array -> float option
-(** Median observed convergence order over the strictly decreasing
-    tail; [None] with fewer than 3 strictly decreasing samples. *)
-
 val to_string : cls -> string
 (** Compact rendering, e.g. ["quadratic"], ["linear(rate=0.31)"]. *)

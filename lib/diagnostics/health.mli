@@ -50,9 +50,6 @@ val summary_line : t -> string
 (** One-line rendering for CLI output, e.g.
     ["health: quadratic | newton=9 | residual=3.1e-10 | kappa~2.4e+03 | diag=1.2e-02"]. *)
 
-val to_json : t -> string
-(** JSON object; embeddable as a {!Resilience.Report} section. *)
-
 val attach : t -> Resilience.Report.t -> Resilience.Report.t
 (** Append this assessment as the report's ["diagnostics"] section. *)
 

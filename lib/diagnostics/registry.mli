@@ -64,10 +64,6 @@ val of_telemetry : ?registry:t -> Telemetry.snapshot -> t
     [span.wall_seconds] / [span.cpu_seconds] gauges and a [span.calls]
     counter, labelled [span="<name>"]. *)
 
-val sanitize_name : ?kind:kind -> string -> string
-(** Prometheus-legal name: [rfss_] prefix, invalid chars to [_],
-    [_total] appended for counters (unless already present). *)
-
 val to_prometheus : t -> string
 (** Text exposition format: [# HELP] and [# TYPE] lines for {e every}
     metric family (a generated fallback when no help text was given),

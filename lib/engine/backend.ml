@@ -1,7 +1,5 @@
 type kind = Shooting | Multiple_shooting | Hb | Periodic_fd | Mpde
 
-let all_kinds = [ Shooting; Multiple_shooting; Hb; Periodic_fd; Mpde ]
-
 let kind_name = function
   | Shooting -> "shooting"
   | Multiple_shooting -> "multiple-shooting"

@@ -10,8 +10,6 @@
 
 type kind = Shooting | Multiple_shooting | Hb | Periodic_fd | Mpde
 
-val all_kinds : kind list
-
 val kind_name : kind -> string
 (** ["shooting"], ["multiple-shooting"], ["hb"], ["periodic-fd"],
     ["mpde"]. *)

@@ -14,7 +14,7 @@
     same directory and [Sys.rename]s it over the old one — on POSIX an
     atomic replacement, so the log on disk is always a prefix-complete,
     parseable set of records; a crash mid-write loses at most the
-    record being added. {!load} drops lines that fail to parse or whose
+    record being added. Loading drops lines that fail to parse or whose
     digest does not match, so even a torn write (non-POSIX rename, NFS)
     degrades to re-running one job rather than poisoning the resume. *)
 
@@ -51,10 +51,6 @@ val waveform_hash : Backend.Result.waveform -> string
 (** FNV-1a over the raw float bits of times and values — the same
     fingerprint the sweep CSV prints. *)
 
-val digest : record -> string
-(** Hash of the record's serialized content (excluding any previous
-    digest), stored on write and checked on load. *)
-
 val rows_json : no_wall:bool -> record array -> string
 (** The records as the JSON array [rfss sweep --format json] prints,
     one object per line: identity, status and attempts, then either
@@ -75,8 +71,3 @@ val find : t -> key:string -> record option
 val append : t -> record -> unit
 (** Add one record and atomically rewrite the log. A record whose key
     is already present replaces the old one. *)
-
-val load : string -> record list
-(** Parse a log without opening it for writing. Unreadable files are
-    an empty list; unparseable or digest-mismatched lines are
-    skipped. *)

@@ -35,8 +35,9 @@ let hash ~label ~engine ~f_fast ~fd ~options =
   let h = mix_int h o.Options.max_newton in
   let h = mix_float h o.Options.tol in
   let h = mix_int h (if o.Options.warm_start then 1 else 0) in
-  (* The MPDE scheme tag: the backend always runs [Backward] (0). It
-     stays in the encoding so stored [rfss.key/1] keys keep matching. *)
+  (* The MPDE scheme tag and continuation flag: the backend always runs
+     [Backward] (0) with continuation enabled (1). Both stay in the
+     encoding so stored [rfss.key/1] keys keep matching. *)
   let h = mix_int h 0 in
-  let h = mix_int h (if o.Options.allow_continuation then 1 else 0) in
+  let h = mix_int h 1 in
   hex h

@@ -15,9 +15,6 @@
     silently aliasing old entries. A regression test pins a literal
     key value to catch accidental drift. *)
 
-val version : string
-(** ["rfss.key/1"] *)
-
 val hash :
   label:string ->
   engine:string ->

@@ -10,7 +10,6 @@ type t = {
   points : int;
   n1 : int;
   n2 : int;
-  allow_continuation : bool;
   initial_surface : Linalg.Vec.t option;
 }
 
@@ -27,7 +26,6 @@ let default =
     points = 64;
     n1 = 32;
     n2 = 24;
-    allow_continuation = true;
     initial_surface = None;
   }
 
@@ -54,6 +52,5 @@ let to_mpde o =
     Mpde.Solver.default_options with
     max_newton = o.max_newton;
     tol = o.tol;
-    allow_continuation = o.allow_continuation;
     budget = o.budget;
   }

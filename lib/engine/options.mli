@@ -38,8 +38,6 @@ type t = {
   (* MPDE grid *)
   n1 : int;  (** fast-scale grid points; default [32] *)
   n2 : int;  (** slow-scale grid points; default [24] *)
-  allow_continuation : bool;
-      (** enable the MPDE nonlinear escalation rungs; default [true] *)
   initial_surface : Linalg.Vec.t option;
       (** full flattened MPDE grid state used as the Newton initial
           guess instead of the replicated DC point (MPDE only) —
@@ -62,5 +60,6 @@ val degrade : t -> t
 
 val to_mpde : t -> Mpde.Solver.options
 (** Project onto the MPDE backend's native record: a record update of
-    {!Mpde.Solver.default_options}, so the scheme is [Backward] and the
-    linear solver [Gmres_sweep]. *)
+    {!Mpde.Solver.default_options}, so the scheme is [Backward], the
+    linear solver [Gmres_sweep], and the nonlinear escalation rungs
+    (continuation) are enabled. *)

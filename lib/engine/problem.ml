@@ -16,8 +16,6 @@ let make ?(label = "problem") ?(period = Fast_tone) ?(output = "out") ?output_b
   if not (fd > 0.0) then invalid_arg "Problem.make: fd must be > 0";
   { label; build; f_fast; fd; period; output; output_b }
 
-let disparity p = p.f_fast /. p.fd
-
 let engine_period p =
   match p.period with
   | Fast_tone -> 1.0 /. p.f_fast

@@ -40,9 +40,6 @@ val make :
 (** Defaults: [label = "problem"], [period = Fast_tone],
     [output = "out"], no differential pair. *)
 
-val disparity : t -> float
-(** [f_fast /. fd] — the paper's frequency-separation parameter. *)
-
 val engine_period : t -> float
 (** The period a single-time engine solves: [1/f_fast] or [1/fd]
     according to [period]. *)

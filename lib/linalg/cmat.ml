@@ -4,9 +4,6 @@ exception Singular of int
 
 let create rows cols = { rows; cols; data = Array.make (rows * cols) Complex.zero }
 
-let init rows cols f =
-  { rows; cols; data = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) }
-
 let copy m = { m with data = Array.copy m.data }
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
@@ -14,15 +11,6 @@ let set m i j v = m.data.((i * m.cols) + j) <- v
 let add_entry m i j v =
   let k = (i * m.cols) + j in
   m.data.(k) <- Complex.add m.data.(k) v
-
-let mul_vec a x =
-  if a.cols <> Array.length x then invalid_arg "Cmat.mul_vec: dimension mismatch";
-  Array.init a.rows (fun i ->
-      let s = ref Complex.zero in
-      for j = 0 to a.cols - 1 do
-        s := Complex.add !s (Complex.mul (get a i j) x.(j))
-      done;
-      !s)
 
 let swap_rows m i j =
   if i <> j then

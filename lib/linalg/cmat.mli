@@ -5,11 +5,7 @@ type t = { rows : int; cols : int; data : Complex.t array }
 
 val create : int -> int -> t
 
-val init : int -> int -> (int -> int -> Complex.t) -> t
-
 val add_entry : t -> int -> int -> Complex.t -> unit
-
-val mul_vec : t -> Cvec.t -> Cvec.t
 
 exception Singular of int
 

@@ -14,7 +14,6 @@ let create n : vec =
   v
 
 let dim (v : vec) = Bigarray.Array1.dim v
-let get (v : vec) i = Bigarray.Array1.get v i
 let set (v : vec) i x = Bigarray.Array1.set v i x
 let fill (v : vec) x = Bigarray.Array1.fill v x
 
@@ -115,12 +114,6 @@ let axpy_dot a (x : vec) (y : vec) (z : vec) =
   end;
   !s
 
-let scale_ip a (x : vec) =
-  let n = Bigarray.Array1.dim x in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set x i (a *. Bigarray.Array1.unsafe_get x i)
-  done
-
 let scale_into a (x : vec) (y : vec) =
   check_same_dim x y;
   let n = Bigarray.Array1.dim x in
@@ -151,14 +144,6 @@ let add_ip (x : vec) (y : vec) =
     Bigarray.Array1.unsafe_set x i
       (Bigarray.Array1.unsafe_get x i +. Bigarray.Array1.unsafe_get y i)
   done
-
-let is_finite (x : vec) =
-  let n = Bigarray.Array1.dim x in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if not (Float.is_finite (Bigarray.Array1.unsafe_get x i)) then ok := false
-  done;
-  !ok
 
 (* CSR sparse matrix-vector product y = A x with the index arrays
    handed in raw. One validation pass over [row_ptr]'s extremes and the

@@ -13,7 +13,6 @@ val create : int -> vec
 (** Zero-filled vector of the given length. *)
 
 val dim : vec -> int
-val get : vec -> int -> float
 val set : vec -> int -> float -> unit
 val fill : vec -> float -> unit
 
@@ -42,7 +41,6 @@ val axpy_dot : float -> vec -> vec -> vec -> float
     register for its product rather than reloaded after the store, two
     elements per iteration, with the sum still taken left to right. *)
 
-val scale_ip : float -> vec -> unit
 val scale_into : float -> vec -> vec -> unit
 (** [scale_into a x y] computes [y <- a*x], two elements per
     iteration. *)
@@ -52,9 +50,6 @@ val sub_into : vec -> vec -> vec -> unit
 
 val add_ip : vec -> vec -> unit
 (** [add_ip x y] computes [x <- x + y]. *)
-
-val is_finite : vec -> bool
-(** No element is NaN or infinite. *)
 
 val spmv :
   rows:int ->

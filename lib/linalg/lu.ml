@@ -190,43 +190,4 @@ let solve_transposed f b =
   done;
   x
 
-let solve_mat f b =
-  let n = size f in
-  if b.Mat.rows <> n then invalid_arg "Lu.solve_mat: dimension mismatch";
-  let x = Mat.create n b.Mat.cols in
-  let column = Array.make n 0.0 in
-  for j = 0 to b.Mat.cols - 1 do
-    for i = 0 to n - 1 do
-      column.(i) <- Mat.get b i j
-    done;
-    solve_into f column column;
-    for i = 0 to n - 1 do
-      Mat.set x i j column.(i)
-    done
-  done;
-  x
-
-let det f =
-  let n = size f in
-  let d = ref f.sign in
-  for i = 0 to n - 1 do
-    d := !d *. Mat.get f.lu i i
-  done;
-  !d
-
-let inverse f = solve_mat f (Mat.identity (size f))
-
 let solve_dense a b = solve (factor a) b
-
-let rcond_estimate f =
-  let n = size f in
-  if n = 0 then 1.0
-  else begin
-    let mn = ref infinity and mx = ref 0.0 in
-    for i = 0 to n - 1 do
-      let d = Float.abs (Mat.get f.lu i i) in
-      if d < !mn then mn := d;
-      if d > !mx then mx := d
-    done;
-    if !mx = 0.0 then 0.0 else !mn /. !mx
-  end

@@ -55,17 +55,5 @@ val solve_many_into : t -> ?off:int -> cols:int -> Vec.t -> Vec.t -> unit
 val solve_transposed : t -> Vec.t -> Vec.t
 (** [solve_transposed lu b] returns [x] with [aᵀ x = b]. *)
 
-val solve_mat : t -> Mat.t -> Mat.t
-(** Column-wise solve: [solve_mat lu b] returns [x] with [a x = b]. *)
-
-val det : t -> float
-(** Determinant of the factored matrix (sign includes permutation). *)
-
-val inverse : t -> Mat.t
-
 val solve_dense : Mat.t -> Vec.t -> Vec.t
 (** One-shot convenience: factor then solve. *)
-
-val rcond_estimate : t -> float
-(** Cheap reciprocal-condition estimate: [min |u_ii| / max |u_ii|].
-    Zero means singular-to-working-precision. *)

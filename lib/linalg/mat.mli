@@ -23,30 +23,10 @@ val set : t -> int -> int -> float -> unit
 
 val dims : t -> int * int
 
-val transpose : t -> t
-
 val sub : t -> t -> t
-
-val mul : t -> t -> t
-(** Matrix-matrix product. *)
 
 val mul_vec : t -> Vec.t -> Vec.t
 (** Matrix-vector product. *)
 
 val tmul_vec : t -> Vec.t -> Vec.t
 (** Transposed matrix-vector product [aᵀ x]. *)
-
-val row : t -> int -> Vec.t
-
-val col : t -> int -> Vec.t
-
-val swap_rows : t -> int -> int -> unit
-
-val frobenius_norm : t -> float
-
-val norm_inf : t -> float
-(** Maximum absolute row sum. *)
-
-val outer : Vec.t -> Vec.t -> t
-
-val trace : t -> float

@@ -27,7 +27,3 @@ val t2_of : t -> int -> float
 val point_index : t -> int -> int -> int
 (** [point_index g i j = j*n1 + i] with periodic wrapping of both
     indices. *)
-
-val wrap1 : t -> int -> int
-
-val wrap2 : t -> int -> int

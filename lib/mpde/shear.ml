@@ -11,7 +11,6 @@ let fast_freq s = s.fast
 let slow_freq s = s.slow
 let t1_period s = 1.0 /. s.fast
 let t2_period s = 1.0 /. s.slow
-let disparity s = s.fast /. s.slow
 
 let lattice ?(tol = 1e-6) s freq =
   if freq = 0.0 then (0, 0)

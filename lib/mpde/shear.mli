@@ -30,18 +30,12 @@ val t1_period : t -> float
 
 val t2_period : t -> float
 
-val disparity : t -> float
-(** [fast_freq / slow_freq] — the frequency-separation factor the
-    paper's speedup analysis is parameterized by. *)
-
-val lattice : ?tol:float -> t -> float -> int * int
-(** [(m, k)] with [f = m·f1 + k·fs] to relative tolerance [tol]
-    (default [1e-6]); [m] is the nearest integer to [f/f1], so slow
-    offsets must stay below [f1/2]. @raise Off_lattice otherwise. *)
-
 val phase : t -> t1:float -> t2:float -> float -> float
-(** Sheared multi-time phase of frequency [f] at [(t1, t2)] — pass as
-    [phase_of] to {!Circuit.Waveform.eval_with} / {!Circuit.Mna.source_with}.
+(** Sheared multi-time phase [m·f1·t1 + k·fs·t2] of frequency [f] at
+    [(t1, t2)] — pass as [phase_of] to {!Circuit.Waveform.eval_with} /
+    {!Circuit.Mna.source_with}. [m] is the nearest integer to [f/f1]
+    (so slow offsets must stay below [f1/2]) and [f = m·f1 + k·fs] must
+    hold to relative tolerance [1e-6].
     @raise Off_lattice for frequencies off the lattice. *)
 
 val phase_unsheared : t -> t1:float -> t2:float -> float -> float

@@ -37,7 +37,3 @@ let linear ~g ~c ~source =
                 g' == g && c' == c);
         };
   }
-
-let residual dae ~x ~qdot ~t_now =
-  let f = dae.eval_f x and b = dae.source t_now in
-  Array.init dae.size (fun i -> qdot.(i) +. f.(i) -. b.(i))

@@ -45,7 +45,3 @@ type t = {
 
 val linear : g:Sparse.Csr.t -> c:Sparse.Csr.t -> source:(float -> Linalg.Vec.t) -> t
 (** Convenience constructor for linear time-invariant systems. *)
-
-val residual : t -> x:Linalg.Vec.t -> qdot:Linalg.Vec.t -> t_now:float -> Linalg.Vec.t
-(** [residual dae ~x ~qdot ~t_now] is [qdot + f(x) − b(t_now)], useful
-    for verifying solutions computed by any method. *)

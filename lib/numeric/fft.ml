@@ -130,16 +130,12 @@ let transform re im sign =
 let split (x : Linalg.Cvec.t) =
   (Array.map (fun (z : Complex.t) -> z.re) x, Array.map (fun (z : Complex.t) -> z.im) x)
 
-let join ?(scale = 1.0) (re, im) : Linalg.Cvec.t =
-  Array.init (Array.length re) (fun k -> { Complex.re = re.(k) *. scale; im = im.(k) *. scale })
+let join (re, im) : Linalg.Cvec.t =
+  Array.init (Array.length re) (fun k -> { Complex.re = re.(k); im = im.(k) })
 
 let fft x =
   let re, im = split x in
   join (transform re im (-1.0))
-
-let ifft x =
-  let re, im = split x in
-  join ~scale:(1.0 /. float_of_int (max (Array.length x) 1)) (transform re im 1.0)
 
 let rfft x = join (transform (Array.copy x) (Array.make (Array.length x) 0.0) (-1.0))
 

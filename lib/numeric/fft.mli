@@ -3,7 +3,7 @@
     Radix-2 iterative Cooley–Tukey for power-of-two lengths and
     Bluestein's chirp-z algorithm for arbitrary lengths. Forward
     transform uses the engineering sign convention
-    [X_k = Σ_n x_n exp(−2πi kn/N)]; the inverse divides by [N].
+    [X_k = Σ_n x_n exp(−2πi kn/N)].
 
     The kernel runs in place on split real/imaginary float arrays
     (unboxed, so a butterfly allocates nothing), and every twiddle is
@@ -12,12 +12,8 @@
     come from one {!real_harmonics} call, with {!thd} reading the
     same array. *)
 
-val is_power_of_two : int -> bool
-
 val fft : Linalg.Cvec.t -> Linalg.Cvec.t
 (** Forward transform of any length (Bluestein fallback). *)
-
-val ifft : Linalg.Cvec.t -> Linalg.Cvec.t
 
 val rfft : Linalg.Vec.t -> Linalg.Cvec.t
 (** Forward transform of a real signal (full spectrum returned). *)

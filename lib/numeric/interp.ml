@@ -2,18 +2,6 @@ let frac u =
   let f = Float.rem u 1.0 in
   if f < 0.0 then f +. 1.0 else f
 
-let linear_uniform samples u =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Interp.linear_uniform: empty samples";
-  if n = 1 then samples.(0)
-  else begin
-    let u = Float.max 0.0 (Float.min 1.0 u) in
-    let pos = u *. float_of_int (n - 1) in
-    let i = min (n - 2) (int_of_float pos) in
-    let w = pos -. float_of_int i in
-    ((1.0 -. w) *. samples.(i)) +. (w *. samples.(i + 1))
-  end
-
 let linear_periodic samples u =
   let n = Array.length samples in
   if n = 0 then invalid_arg "Interp.linear_periodic: empty samples";
@@ -21,27 +9,6 @@ let linear_periodic samples u =
   let i = int_of_float pos mod n in
   let w = pos -. Float.of_int (int_of_float pos) in
   ((1.0 -. w) *. samples.(i)) +. (w *. samples.((i + 1) mod n))
-
-let catmull_rom_periodic samples u =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Interp.catmull_rom_periodic: empty samples";
-  if n < 4 then linear_periodic samples u
-  else begin
-    let pos = frac u *. float_of_int n in
-    let i = int_of_float pos mod n in
-    let w = pos -. Float.of_int (int_of_float pos) in
-    let p0 = samples.((i + n - 1) mod n)
-    and p1 = samples.(i)
-    and p2 = samples.((i + 1) mod n)
-    and p3 = samples.((i + 2) mod n) in
-    let w2 = w *. w in
-    let w3 = w2 *. w in
-    0.5
-    *. ((2.0 *. p1)
-       +. ((p2 -. p0) *. w)
-       +. (((2.0 *. p0) -. (5.0 *. p1) +. (4.0 *. p2) -. p3) *. w2)
-       +. (((3.0 *. (p1 -. p2)) +. p3 -. p0) *. w3))
-  end
 
 let bilinear_periodic grid u v =
   let n1 = Array.length grid in
@@ -57,23 +24,6 @@ let bilinear_periodic grid u v =
   +. (wu *. (1.0 -. wv) *. grid.(i1).(j))
   +. ((1.0 -. wu) *. wv *. grid.(i).(j1))
   +. (wu *. wv *. grid.(i1).(j1))
-
-let nonuniform_linear ~xs ~ys x =
-  let n = Array.length xs in
-  if n = 0 || Array.length ys <> n then
-    invalid_arg "Interp.nonuniform_linear: bad arrays";
-  if x <= xs.(0) then ys.(0)
-  else if x >= xs.(n - 1) then ys.(n - 1)
-  else begin
-    (* binary search for the bracketing interval *)
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if xs.(mid) <= x then lo := mid else hi := mid
-    done;
-    let w = (x -. xs.(!lo)) /. (xs.(!hi) -. xs.(!lo)) in
-    ((1.0 -. w) *. ys.(!lo)) +. (w *. ys.(!hi))
-  end
 
 let resample_periodic samples m =
   Array.init m (fun k -> linear_periodic samples (float_of_int k /. float_of_int m))

@@ -1,24 +1,13 @@
-(** Interpolation utilities: linear / Catmull–Rom on uniform grids,
-    periodic variants, and periodic bilinear interpolation on the
-    multi-time grid. *)
-
-val linear_uniform : float array -> float -> float
-(** [linear_uniform samples u] interpolates at normalized position
-    [u ∈ [0, 1]] over samples placed at [k/(n−1)]. Clamps outside. *)
+(** Periodic interpolation: linear on one period of uniform samples,
+    and bilinear on the multi-time grid. *)
 
 val linear_periodic : float array -> float -> float
 (** Samples at [k/n] over one period; [u] is taken modulo 1. *)
-
-val catmull_rom_periodic : float array -> float -> float
-(** C¹ cubic interpolation over periodic samples at [k/n]. *)
 
 val bilinear_periodic : float array array -> float -> float -> float
 (** [bilinear_periodic grid u v] interpolates [grid.(i).(j)] with [i]
     placed at [i/n1] (coordinate [u]) and [j] at [j/n2] (coordinate [v]),
     both periodic. *)
-
-val nonuniform_linear : xs:float array -> ys:float array -> float -> float
-(** Piecewise-linear on sorted abscissae [xs]; clamps outside. *)
 
 val resample_periodic : float array -> int -> float array
 (** [resample_periodic samples m] returns [m] linear-interpolated samples

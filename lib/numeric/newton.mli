@@ -73,5 +73,3 @@ val solve :
     one of them and belongs to the caller. Exceptions raised by the solver
     closure are captured as [Solver_failure], except
     {!Resilience.Budget.Exhausted} which becomes [Exhausted]. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -45,8 +45,6 @@ let tick_newton ?(count = 1) b =
   bump count b;
   check b
 
-let newton_used b = b.newton
-
 let pp_exhaustion ppf = function
   | Wall_clock { limit; elapsed } ->
       Format.fprintf ppf "wall-clock(limit=%.3fs elapsed=%.3fs)" limit elapsed

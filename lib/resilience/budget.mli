@@ -39,8 +39,6 @@ val tick_newton : ?count:int -> t -> unit
 (** Record [count] (default 1) Newton iterations, then {!check}.
     Counters propagate to ancestors. @raise Exhausted *)
 
-val newton_used : t -> int
-
 val pp_exhaustion : Format.formatter -> exhaustion -> unit
 
 val exhaustion_to_string : exhaustion -> string

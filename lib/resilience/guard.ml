@@ -41,25 +41,6 @@ let guarded ?context ?block_size ~on_violation f x r =
   | Some violation -> on_violation violation
   | None -> ())
 
-let clamp ~limit (v : Linalg.Vec.t) =
-  let touched = ref 0 in
-  for i = 0 to Array.length v - 1 do
-    let x = v.(i) in
-    if Float.is_nan x then begin
-      v.(i) <- 0.0;
-      incr touched
-    end
-    else if x > limit then begin
-      v.(i) <- limit;
-      incr touched
-    end
-    else if x < -.limit then begin
-      v.(i) <- -.limit;
-      incr touched
-    end
-  done;
-  !touched
-
 let pp_violation ppf { index; value; block; offset; context } =
   let where =
     match (block, offset) with

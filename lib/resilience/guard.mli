@@ -19,9 +19,6 @@ type violation = {
 
 exception Non_finite of violation
 
-val scan : ?context:string -> ?block_size:int -> Linalg.Vec.t -> violation option
-(** First non-finite entry, if any. *)
-
 val finite : Linalg.Vec.t -> bool
 
 val guarded :
@@ -37,11 +34,6 @@ val guarded :
     callback fires (once per evaluation) and [r] is left unmodified. The caller's Newton loop rejects
     the step via its non-finite residual-norm handling; the callback
     exists for attribution/logging. *)
-
-val clamp : limit:float -> Linalg.Vec.t -> int
-(** In-place containment: NaN entries become [0.], entries beyond
-    [±limit] (including ±Inf) are clamped to [±limit]. Returns the
-    number of entries modified. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

@@ -23,8 +23,6 @@ type t = {
   sections : (string * string) list;
 }
 
-let success r = r.outcome = Converged
-
 let add_section r name json = { r with sections = r.sections @ [ (name, json) ] }
 
 let outcome_to_string = function

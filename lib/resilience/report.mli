@@ -40,8 +40,6 @@ type t = {
           itself never interprets them *)
 }
 
-val success : t -> bool
-
 val add_section : t -> string -> string -> t
 (** [add_section r name json] appends a top-level JSON section; [json]
     must already be valid JSON text. *)
@@ -60,8 +58,6 @@ val of_ladder :
     to the Newton iterations it consumed (default 0). The outcome is
     [Converged] when the ladder produced a value, [Exhausted] when it
     stopped on a budget, [Failed] otherwise. *)
-
-val outcome_to_string : outcome -> string
 
 val to_json_string : t -> string
 (** Single-line JSON. *)

@@ -1,12 +1,3 @@
-let db ratio = if ratio <= 0.0 then -300.0 else 20.0 *. log10 ratio
-
-let thd samples ?max_harmonic () =
-  Numeric.Fft.thd ?max_harmonic ~peak:(Linalg.Vec.norm_inf samples)
-    (Numeric.Fft.real_harmonics samples)
-
-let conversion_gain_db ~baseband_amplitude ~rf_amplitude =
-  db (baseband_amplitude /. rf_amplitude)
-
 type eye = {
   opening : float;
   level_one : float;

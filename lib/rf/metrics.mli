@@ -1,18 +1,7 @@
-(** Communication-link metrics on baseband waveforms: conversion gain,
-    distortion, and the eye-diagram / inter-symbol-interference figures
-    the paper names as the method's target applications (“well-suited
+(** Communication-link metrics on baseband waveforms: the eye-diagram /
+    inter-symbol-interference and adjacent-channel figures the paper
+    names as the method's target applications (“well-suited
     for estimating effects such as ISI and ACI”). *)
-
-val db : float -> float
-(** [20·log10] voltage ratio, with a −300 dB floor. *)
-
-val thd : float array -> ?max_harmonic:int -> unit -> float
-(** Total harmonic distortion of one period of samples:
-    {!Numeric.Fft.thd} over their {!Numeric.Fft.real_harmonics}, so
-    [sqrt(Σ_{k≥2} A_k²) / A_1], and [infinity] when [A_1] is at the
-    roundoff floor. *)
-
-val conversion_gain_db : baseband_amplitude:float -> rf_amplitude:float -> float
 
 type eye = {
   opening : float;  (** worst-case vertical separation at the sample instant *)

@@ -8,24 +8,3 @@ let lfsr ~bits ~tap_a ~tap_b ~seed n =
       bit = 1)
 
 let prbs7 ?(seed = 0x5A) n = lfsr ~bits:7 ~tap_a:6 ~tap_b:5 ~seed n
-let prbs15 ?(seed = 0x3FFF) n = lfsr ~bits:15 ~tap_a:14 ~tap_b:13 ~seed n
-let alternating n = Array.init n (fun i -> i mod 2 = 0)
-
-let balance bits =
-  if Array.length bits = 0 then 0.0
-  else begin
-    let ones = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 bits in
-    float_of_int ones /. float_of_int (Array.length bits)
-  end
-
-let run_lengths bits =
-  let n = Array.length bits in
-  if n = 0 then []
-  else begin
-    let rec go i current acc =
-      if i = n then List.rev (current :: acc)
-      else if bits.(i) = bits.(i - 1) then go (i + 1) (current + 1) acc
-      else go (i + 1) 1 (current :: acc)
-    in
-    go 1 1 []
-  end

@@ -6,15 +6,3 @@ val prbs7 : ?seed:int -> int -> bool array
 (** [prbs7 n] is the first [n] bits of the PRBS-7 sequence
     ([x⁷ + x⁶ + 1], period 127). [seed] must be nonzero in its low
     7 bits (default 0x5A). *)
-
-val prbs15 : ?seed:int -> int -> bool array
-(** PRBS-15 ([x¹⁵ + x¹⁴ + 1], period 32767). *)
-
-val alternating : int -> bool array
-(** [1 0 1 0 …] — worst-case transition density. *)
-
-val balance : bool array -> float
-(** Fraction of ones. *)
-
-val run_lengths : bool array -> int list
-(** Lengths of consecutive equal-bit runs, in order. *)

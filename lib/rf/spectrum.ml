@@ -30,23 +30,7 @@ let periodogram ?(window = `Hann) ~sample_rate samples =
   in
   { freqs; power }
 
-let power_db p = if p <= 0.0 then -300.0 else 10.0 *. log10 p
-
 let band_power t ~f_lo ~f_hi =
   let s = ref 0.0 in
   Array.iteri (fun k f -> if f >= f_lo && f <= f_hi then s := !s +. t.power.(k)) t.freqs;
   !s
-
-let peak_bin t ~f_near =
-  let n = Array.length t.freqs in
-  if n = 0 then invalid_arg "Spectrum.peak_bin: empty spectrum";
-  let df = if n > 1 then t.freqs.(1) -. t.freqs.(0) else 1.0 in
-  let centre =
-    let k = int_of_float (Float.round (f_near /. df)) in
-    max 0 (min (n - 1) k)
-  in
-  let best = ref (max 0 (centre - 2)) in
-  for k = max 0 (centre - 2) to min (n - 1) (centre + 2) do
-    if t.power.(k) > t.power.(!best) then best := k
-  done;
-  !best

@@ -10,11 +10,5 @@ val periodogram : ?window:[ `Rect | `Hann ] -> sample_rate:float -> float array 
 (** One-sided windowed periodogram (default Hann), coherent-gain
     corrected so a full-scale sine reads its squared RMS amplitude. *)
 
-val power_db : float -> float
-(** [10·log10] with a −300 dB floor for zero power. *)
-
 val band_power : t -> f_lo:float -> f_hi:float -> float
 (** Sum of bin powers within [[f_lo, f_hi]]. *)
-
-val peak_bin : t -> f_near:float -> int
-(** Index of the strongest bin within ±2 bins of [f_near]. *)

@@ -71,5 +71,3 @@ let stats t =
   }
 
 let keys t = locked t @@ fun () -> t.order
-
-let mem t key = locked t @@ fun () -> Hashtbl.mem t.table key

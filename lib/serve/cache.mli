@@ -19,9 +19,6 @@ val add : t -> string -> string -> unit
 (** [add t key payload] inserts (or refreshes) the entry as MRU and
     evicts least-recently-used entries beyond the capacity. *)
 
-val mem : t -> string -> bool
-(** Presence probe; does not touch recency or the hit/miss counters. *)
-
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 val stats : t -> stats

@@ -20,7 +20,6 @@ let create ?(capacity = 16) rows cols =
 
 let rows m = m.rows
 let cols m = m.cols
-let nnz m = m.n
 
 let grow m =
   let capacity = 2 * Array.length m.values in
@@ -43,8 +42,6 @@ let add m i j v =
     m.values.(m.n) <- v;
     m.n <- m.n + 1
   end
-
-let clear m = m.n <- 0
 
 let iter f m =
   for k = 0 to m.n - 1 do

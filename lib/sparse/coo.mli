@@ -12,15 +12,9 @@ val rows : t -> int
 
 val cols : t -> int
 
-val nnz : t -> int
-(** Number of stored triplets (duplicates counted separately). *)
-
 val add : t -> int -> int -> float -> unit
 (** [add m i j v] appends triplet [(i, j, v)]. Zero values are skipped.
     @raise Invalid_argument when the index is out of range. *)
-
-val clear : t -> unit
-(** Remove all triplets, keeping capacity. *)
 
 val iter : (int -> int -> float -> unit) -> t -> unit
 

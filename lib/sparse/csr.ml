@@ -148,10 +148,6 @@ let transpose_map m =
   done;
   (row_ptr, col_idx, src)
 
-let transpose m =
-  let row_ptr, col_idx, src = transpose_map m in
-  { rows = m.cols; cols = m.rows; row_ptr; col_idx; values = Array.map (fun k -> m.values.(k)) src }
-
 let diag m =
   let d = Array.make (min m.rows m.cols) 0.0 in
   for i = 0 to Array.length d - 1 do
@@ -187,7 +183,3 @@ let iter_row m i f =
   for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
     f m.col_idx.(k) m.values.(k)
   done
-
-let residual_norm a x b =
-  let r = mul_vec a x in
-  Linalg.Vec.dist2 b r

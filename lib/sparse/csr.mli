@@ -38,10 +38,8 @@ val mul_vec_ba_into : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec -> unit
 val tmul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** Transposed product [mᵀ x]. *)
 
-val transpose : t -> t
-
 val transpose_map : t -> int array * int array * int array
-(** [(row_ptr, col_idx, src)] of [transpose m], whose entry [p] is
+(** [(row_ptr, col_idx, src)] of the transpose of [m], whose entry [p] is
     [m.values.(src.(p))]: a column view of [m] that stays valid while
     [m]'s pattern does, whatever its values. *)
 
@@ -56,6 +54,3 @@ val add : t -> t -> t
 val identity : int -> t
 
 val iter_row : t -> int -> (int -> float -> unit) -> unit
-
-val residual_norm : t -> Linalg.Vec.t -> Linalg.Vec.t -> float
-(** [residual_norm a x b] is [‖b − a·x‖₂]. *)

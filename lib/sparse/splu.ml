@@ -272,8 +272,6 @@ let refactor_or_factor prev a =
       with Singular _ -> factor a)
   | _ -> factor a
 
-let size f = f.n
-
 let solve_into f b out =
   let n = f.n in
   if Array.length b <> n || Array.length out <> n then
@@ -308,5 +306,3 @@ let solve f b =
   let x = Array.make f.n 0.0 in
   solve_into f b x;
   x
-
-let lu_nnz f = (f.l_ptr.(f.n), f.u_ptr.(f.n))

@@ -5,7 +5,3 @@ let solve ?max_newton ?tol ?budget ?x_init ~dae ~period ~harmonics () =
   let times = Array.init points (fun k -> float_of_int k *. period /. float_of_int points) in
   Solution.collocate ?max_newton ?tol ?budget ?x_init ~dae ~times
     (Numeric.Collocation.of_matrix (Numeric.Spectral.diff_matrix points period))
-
-let harmonic_amplitude (result : Solution.t) ~unknown ~harmonic =
-  let samples = Array.map (fun x -> x.(unknown)) result.trace.Numeric.Integrator.states in
-  Numeric.Fft.amplitude_at samples harmonic

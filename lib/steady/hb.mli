@@ -29,7 +29,3 @@ val solve :
 (** [budget] is ticked once per collocation Newton iteration; on
     exhaustion the best iterate is returned with
     [outcome = Exhausted _]. *)
-
-val harmonic_amplitude : Solution.t -> unknown:int -> harmonic:int -> float
-(** Amplitude of harmonic [k] of the given unknown's steady-state
-    waveform. *)

@@ -144,7 +144,7 @@ let begin_on st name =
 
 let end_on st id =
   (* Pop to (and including) [id]; closes any unbalanced inner spans so
-     the log stays well-nested even if a span_end was skipped. *)
+     the log stays well-nested even if an inner span was left open. *)
   let rec pop = function
     | (id', name) :: rest ->
         push st (Span_end { id = id'; name; wall = wall_of st; cpu = cpu_of st });
@@ -172,13 +172,6 @@ let span_app name f a b =
           raise e)
 
 let span name f = span_app name (fun f () -> f ()) f ()
-
-let span_begin name =
-  match !(state ()) with None -> -1 | Some st -> begin_on st name
-
-let span_end id =
-  if id >= 0 then
-    match !(state ()) with None -> () | Some st -> end_on st id
 
 let count ?(by = 1) name =
   match !(state ()) with

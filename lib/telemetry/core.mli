@@ -87,12 +87,6 @@ val span_app : string -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
     closure: it allocates nothing of its own, for spans around
     per-evaluation callbacks. *)
 
-val span_begin : string -> int
-(** Open a span without scoping; returns its id (or -1 when disabled).
-    Must be closed with {!span_end} in LIFO order. *)
-
-val span_end : int -> unit
-
 val count : ?by:int -> string -> unit
 (** Add [by] (default 1) to a named monotonic counter. *)
 

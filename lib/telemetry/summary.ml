@@ -92,16 +92,6 @@ let of_snapshot (s : Core.snapshot) =
 
 let total_wall t = List.fold_left (fun s n -> s +. n.wall) 0.0 t.roots
 
-let find t name =
-  let rec search = function
-    | [] -> None
-    | n :: rest ->
-        if n.name = name then Some n
-        else (
-          match search n.children with Some _ as r -> r | None -> search rest)
-  in
-  search t.roots
-
 let pp ppf t =
   let open Format in
   fprintf ppf "@[<v>span summary (%.3fs instrumented, %.3fs in spans)@,"
@@ -181,8 +171,3 @@ let add_json buf t =
         (num (Core.quantile h 0.99)))
     t.histograms;
   add "}}"
-
-let to_json_string t =
-  let buf = Buffer.create 1024 in
-  add_json buf t;
-  Buffer.contents buf

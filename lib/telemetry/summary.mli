@@ -23,12 +23,7 @@ type t = {
 
 val of_snapshot : Core.snapshot -> t
 
-val find : t -> string -> node option
-(** Depth-first search for the first node with the given name. *)
-
 val pp : Format.formatter -> t -> unit
 (** Human-readable tree, e.g. what [rfss … --timings] prints. *)
 
 val add_json : Buffer.t -> t -> unit
-
-val to_json_string : t -> string

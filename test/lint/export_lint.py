@@ -6,7 +6,8 @@ bin/, bench/, examples/ or rfssbench/ names, other than its own module's
 .ml, and compares that list with the committed allowlist
 (test/lint/exports.allow). The allowlist may only shrink: the lint fails
 on an unused export that is not listed, on a listed entry that is no
-longer an unused export, and on an entry without a reason.
+longer an unused export, and on an entry whose reason does not start
+with one of the tags `seam:`, `oracle:`, `fixture:` or `roadmap item N:`.
 
 A value `v` of module `M` counts as called from a file when the file
 names `M.v`, `A.v` for a local alias `module A = ... M`, or a bare `v`
@@ -29,6 +30,9 @@ CALLER_DIRS = ("lib", "bin", "bench", "examples", "rfssbench")
 IDENT = r"[a-z_][A-Za-z0-9_']*"
 CHAR_LIT = re.compile(r"'(?:[^\\']|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3}))'")
 QUOTED_OPEN = re.compile(r"\{([a-z_]*)\|")
+# Why an export no program calls may stay: it is a test seam, a test
+# oracle, a test-input fixture, or the base of an open ROADMAP item.
+REASON_TAG = re.compile(r"(seam|oracle|fixture|roadmap item [0-9]+):\s*\S")
 
 
 def strip(src):
@@ -199,8 +203,10 @@ def main():
             if not line or line.startswith("#"):
                 continue
             name, _, reason = line.partition(" ")
-            if not reason.strip():
-                problems.append(f"{allow_path}:{lineno}: {name} has no reason")
+            if not REASON_TAG.match(reason.strip()):
+                problems.append(f"untagged allowlist entry: {name} ({allow_path}:{lineno}: "
+                                "the reason must start with seam:, oracle:, fixture: "
+                                "or roadmap item N:)")
             allow.add(name)
 
     for name in unused:

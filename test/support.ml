@@ -144,3 +144,21 @@ let parse_registry_csv text =
                 Some { Diagnostics.Registry.name; labels; kind; value; help = None }
             | _ -> failwith ("bad CSV row: " ^ row))
         rows
+
+(* The ["outcome"] field of a report's JSON line, e.g. ["converged"] or
+   ["exhausted: newton-iterations(limit=3 used=4)"]. *)
+let report_outcome (r : Resilience.Report.t) =
+  match
+    Option.bind
+      (Telemetry.Json.member "outcome" (Telemetry.Json.parse (Resilience.Report.to_json_string r)))
+      Telemetry.Json.str
+  with
+  | Some s -> s
+  | None -> failwith "report JSON has no outcome"
+
+(* The lattice coordinates (m, k), f = m·f1 + k·fs, that [Shear.phase]
+   gives [f]: its phase is m at (t1, t2) = (1/f1, 0) and k at (0, 1/fs).
+   @raise Mpde.Shear.Off_lattice as [phase] does. *)
+let shear_lattice s f =
+  let at ~t1 ~t2 = int_of_float (Float.round (Mpde.Shear.phase s ~t1 ~t2 f)) in
+  (at ~t1:(Mpde.Shear.t1_period s) ~t2:0.0, at ~t1:0.0 ~t2:(Mpde.Shear.t2_period s))

@@ -33,7 +33,11 @@ let test_waveform_pulse_ramps () =
 
 let test_waveform_bits () =
   let bits = [| true; false; true; true |] in
-  let w = W.bit_stream ~transition_frac:0.0 ~bits ~symbol_freq:4.0 ~high:1.0 () in
+  (* An on-off-keyed carrier at 0 Hz is the bare NRZ bit shape. *)
+  let w =
+    W.modulated_carrier ~transition_frac:0.0 ~amplitude:1.0 ~carrier_freq:0.0 ~bits
+      ~symbol_freq:4.0 ()
+  in
   (* symbol_freq 4 Hz and 4 bits → pattern period 1 s, symbol 0.25 s. *)
   check_float "bit0" 1.0 (W.eval w 0.1);
   check_float "bit1" 0.0 (W.eval w 0.35);
@@ -42,7 +46,10 @@ let test_waveform_bits () =
 
 let test_waveform_bits_smoothing () =
   let bits = [| true; false |] in
-  let w = W.bit_stream ~transition_frac:0.5 ~bits ~symbol_freq:2.0 ~high:1.0 () in
+  let w =
+    W.modulated_carrier ~transition_frac:0.5 ~amplitude:1.0 ~carrier_freq:0.0 ~bits
+      ~symbol_freq:2.0 ()
+  in
   (* Halfway through the transition window the level is halfway. *)
   let mid = W.eval w 0.625 in
   Alcotest.(check (float 1e-9)) "raised-cosine midpoint" 0.5 mid
@@ -183,16 +190,29 @@ let test_pmos_mirror () =
 
 let test_netlist_ground_aliases () =
   let nl = N.create () in
-  Alcotest.(check int) "0" 0 (N.node nl "0");
-  Alcotest.(check int) "gnd" 0 (N.node nl "gnd");
-  Alcotest.(check int) "GND" 0 (N.node nl "GND")
+  N.resistor nl "r1" "a" "0" 1.0;
+  N.resistor nl "r2" "a" "gnd" 1.0;
+  N.resistor nl "r3" "a" "GND" 1.0;
+  Alcotest.(check int) "one non-ground node" 1 (N.num_nodes nl);
+  List.iter
+    (fun g -> Alcotest.(check (option int)) g (Some 0) (N.find_node nl g))
+    [ "0"; "gnd"; "GND" ]
 
 let test_netlist_interning () =
   let nl = N.create () in
-  let a = N.node nl "a" in
-  Alcotest.(check int) "same index" a (N.node nl "a");
-  Alcotest.(check int) "count" 1 (N.num_nodes nl);
-  Alcotest.(check string) "name" "a" (N.node_name nl a)
+  N.resistor nl "r1" "a" "0" 1.0;
+  N.capacitor nl "c1" "a" "b" 1.0;
+  Alcotest.(check int) "count" 2 (N.num_nodes nl);
+  match N.find_node nl "a" with
+  | None -> Alcotest.fail "node a not interned"
+  | Some a ->
+      Alcotest.(check string) "name" "a" (N.node_name nl a);
+      Alcotest.(check bool) "same index" true
+        (List.exists
+           (function
+             | Circuit.Device.Capacitor { n_plus; _ } -> n_plus = a
+             | _ -> false)
+           (N.devices nl))
 
 let test_netlist_duplicate_device () =
   let nl = N.create () in
@@ -413,7 +433,7 @@ let test_transient_rc_charging () =
     Circuit.Transient.run ~method_:Numeric.Integrator.Trapezoidal ~x0 ~mna:m
       ~t_stop:5e-3 ~steps:500 ()
   in
-  let v = Circuit.Transient.node_waveform m r "out" in
+  let v = Circuit.Transient.differential_waveform m r "out" "0" in
   let worst = ref 0.0 in
   Array.iteri
     (fun k t ->
@@ -436,7 +456,7 @@ let test_transient_lc_resonance () =
     Circuit.Transient.run ~method_:Numeric.Integrator.Trapezoidal ~x0 ~mna:m
       ~t_stop:(4.0 /. f0) ~steps:2000 ()
   in
-  let v = Circuit.Transient.node_waveform m r "out" in
+  let v = Circuit.Transient.differential_waveform m r "out" "0" in
   (* Find the first two maxima and compare their spacing to 1/f0. *)
   let peaks = ref [] in
   for k = 1 to Array.length v - 2 do
@@ -458,7 +478,7 @@ let test_transient_rectifier_charges_up () =
   N.capacitor nl "cl" "out" "0" 1e-6;
   let m = Circuit.Mna.build nl in
   let r = Circuit.Transient.run ~mna:m ~t_stop:10e-3 ~steps:2000 () in
-  let v = Circuit.Transient.node_waveform m r "out" in
+  let v = Circuit.Transient.differential_waveform m r "out" "0" in
   let final = v.(Array.length v - 1) in
   Alcotest.(check bool) "peak detector" true (final > 3.5 && final < 5.0)
 

@@ -103,12 +103,12 @@ let test_paper_rf_bitstream_lattice () =
   let shear = Mpde.Shear.make ~fast_freq:f_lo ~slow_freq:fd in
   (* Every frequency in the bitstream drive must be on the shear lattice. *)
   List.iter
-    (fun f -> ignore (Mpde.Shear.lattice shear f))
+    (fun f -> ignore (Support.shear_lattice shear f))
     (W.frequencies w);
   (* The carrier must be at 2·f_lo + fd. *)
   Alcotest.(check bool) "carrier on lattice as (2,1)" true
     (List.exists
-       (fun f -> Mpde.Shear.lattice shear f = (2, 1))
+       (fun f -> Support.shear_lattice shear f = (2, 1))
        (W.frequencies w))
 
 let test_paper_rf_bitstream_custom_bits () =

@@ -37,6 +37,8 @@ let small_options =
 
 (* ---------- Engine.run over every backend ---------- *)
 
+let all_kinds = Engine.[ Shooting; Multiple_shooting; Hb; Periodic_fd; Mpde ]
+
 let test_all_kinds_converge () =
   let problem = rc_problem () in
   List.iter
@@ -46,7 +48,7 @@ let test_all_kinds_converge () =
       Alcotest.(check bool) (name ^ " converged") true r.Engine.Result.converged;
       Alcotest.(check bool)
         (name ^ " report success") true
-        (Resilience.Report.success r.Engine.Result.report);
+        (r.Engine.Result.report.Resilience.Report.outcome = Resilience.Report.Converged);
       Alcotest.(check string) (name ^ " label") "rc" r.Engine.Result.label;
       Alcotest.(check bool)
         (name ^ " has waveform") true
@@ -89,7 +91,7 @@ let test_all_kinds_converge () =
           Alcotest.(check bool)
             (name ^ " no mpde solution") true
             (r.Engine.Result.mpde_solution = None))
-    Engine.all_kinds
+    all_kinds
 
 let test_kind_names_round_trip () =
   List.iter
@@ -97,7 +99,7 @@ let test_kind_names_round_trip () =
       match Engine.kind_of_name (Engine.kind_name kind) with
       | Ok k -> Alcotest.(check bool) "round trip" true (k = kind)
       | Error e -> Alcotest.fail e)
-    Engine.all_kinds;
+    all_kinds;
   (match Engine.kind_of_name "msh" with
   | Ok Engine.Multiple_shooting -> ()
   | _ -> Alcotest.fail "msh alias");
@@ -116,9 +118,7 @@ let test_period_choice () =
   Alcotest.(check (float 1e-12)) "fast period" 1e-6
     (Engine.Problem.engine_period fast);
   Alcotest.(check (float 1e-10)) "difference period" 1e-4
-    (Engine.Problem.engine_period diff);
-  Alcotest.(check (float 1e-9)) "disparity" 100.0
-    (Engine.Problem.disparity fast)
+    (Engine.Problem.engine_period diff)
 
 let test_run_respects_budget () =
   (* A pre-exhausted wall budget must surface as a clean Exhausted
@@ -131,9 +131,9 @@ let test_run_respects_budget () =
   Alcotest.(check bool) "not converged" false r.Engine.Result.converged;
   match r.Engine.Result.report.Resilience.Report.outcome with
   | Resilience.Report.Exhausted _ -> ()
-  | o ->
+  | _ ->
       Alcotest.failf "expected exhausted, got %s"
-        (Resilience.Report.outcome_to_string o)
+        (Support.report_outcome r.Engine.Result.report)
 
 let catalog_problem (c : Serve.Catalog.t) =
   Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
@@ -255,10 +255,10 @@ let test_sweep_deadline_propagates () =
       Alcotest.(check bool) "not converged" false r.Engine.Result.converged;
       match r.Engine.Result.report.Resilience.Report.outcome with
       | Resilience.Report.Exhausted _ -> ()
-      | out ->
+      | _ ->
           Alcotest.failf "job %d: expected exhausted, got %s"
             o.Engine.Sweep.index
-            (Resilience.Report.outcome_to_string out))
+            (Support.report_outcome r.Engine.Result.report))
     outcomes
 
 let test_sweep_max_newton_per_job () =
@@ -579,7 +579,7 @@ let test_multiple_shooting_matches_shooting () =
     Serve.Catalog.all
 
 let outcome_of (r : Engine.Result.t) =
-  Resilience.Report.outcome_to_string r.Engine.Result.report.Resilience.Report.outcome
+  Support.report_outcome r.Engine.Result.report
 
 (* The exits of the shared outer loops, pinned on the rectifier. The
    shooting backends thread the budget into every inner time-step

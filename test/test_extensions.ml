@@ -54,10 +54,17 @@ let test_ac_rlc_resonance () =
   Alcotest.(check bool) "peaking magnitude" true (mags.(!peak_idx) > 8.0)
 
 let test_ac_decade_sweep_geometry () =
-  let freqs =
-    Circuit.Ac.frequencies
+  let nl = N.create () in
+  N.vsource nl "v1" "in" "0" (W.dc 1.0);
+  N.resistor nl "r1" "in" "out" 1e3;
+  N.capacitor nl "c1" "out" "0" 1e-6;
+  let r =
+    Circuit.Ac.analyze (Circuit.Mna.build nl)
       (Circuit.Ac.Decade { f_start = 10.0; f_stop = 1000.0; points_per_decade = 10 })
   in
+  let freqs = r.Circuit.Ac.freqs in
+  Alcotest.(check int) "one response per point" (Array.length freqs)
+    (Array.length r.Circuit.Ac.response);
   Alcotest.(check int) "count" 21 (Array.length freqs);
   Alcotest.(check (float 1e-6)) "start" 10.0 freqs.(0);
   Alcotest.(check (float 1e-3)) "stop" 1000.0 freqs.(20);
@@ -177,11 +184,14 @@ let test_bjt_differential_pair_transient () =
 (* ---------- Spice_parser ---------- *)
 
 let test_parse_value_suffixes () =
-  let check s expected =
-    match Circuit.Spice_parser.parse_value s with
-    | Some v -> Alcotest.(check (float 1e-9)) s expected v
-    | None -> Alcotest.failf "failed to parse %S" s
+  (* Each value as a resistance in a one-line deck. *)
+  let resistance s =
+    let deck = Circuit.Spice_parser.parse_string ("values\nR1 a 0 " ^ s ^ "\n.end\n") in
+    match Circuit.Netlist.devices deck.Circuit.Spice_parser.netlist with
+    | [ Circuit.Device.Resistor { resistance; _ } ] -> resistance
+    | _ -> Alcotest.failf "%S: expected one resistor" s
   in
+  let check s expected = Alcotest.(check (float 1e-9)) s expected (resistance s) in
   check "1k" 1e3;
   check "2.2u" 2.2e-6;
   check "100meg" 1e8;
@@ -194,7 +204,9 @@ let test_parse_value_suffixes () =
   check "2G" 2e9;
   check "4f" 4e-15;
   Alcotest.(check bool) "garbage rejected" true
-    (Circuit.Spice_parser.parse_value "abc" = None)
+    (match resistance "abc" with
+    | _ -> false
+    | exception Circuit.Spice_parser.Parse_error _ -> true)
 
 let test_parse_simple_deck () =
   let deck =

@@ -9,62 +9,50 @@ let check_float = Alcotest.(check (float 1e-9))
 (* ---------- Vec ---------- *)
 
 let test_vec_create () =
-  let v = Vec.create 4 in
-  Alcotest.(check int) "dim" 4 (Vec.dim v);
-  check_float "zero" 0.0 v.(2)
-
-let test_vec_init_map () =
-  let v = Vec.init 5 float_of_int in
-  let w = Vec.map (fun x -> 2.0 *. x) v in
-  check_float "map" 6.0 w.(3)
+  (* The allocating operations return fresh vectors of their input's
+     dimension and leave the input alone. *)
+  let v = [| 1.0; -2.0; 3.0 |] in
+  List.iter
+    (fun (name, w) ->
+      Alcotest.(check int) (name ^ " dim") 3 (Vec.dim w);
+      Alcotest.(check bool) (name ^ " fresh") true (w != v))
+    [ ("sub", Vec.sub v v); ("scale", Vec.scale 2.0 v); ("neg", Vec.neg v) ];
+  check_float "neg" 2.0 (Vec.neg v).(1);
+  check_float "input intact" (-2.0) v.(1)
 
 let test_vec_add_sub () =
-  let a = Vec.of_list [ 1.0; 2.0 ] and b = Vec.of_list [ 3.0; 5.0 ] in
-  check_float "add" 7.0 (Vec.add a b).(1);
-  check_float "sub" (-2.0) (Vec.sub a b).(0)
+  let a = [| 1.0; 2.0 |] and b = [| 3.0; 5.0 |] in
+  check_float "sub" (-2.0) (Vec.sub a b).(0);
+  Vec.add_ip a b;
+  check_float "add_ip" 7.0 a.(1)
 
 let test_vec_dot_norms () =
-  let v = Vec.of_list [ 3.0; 4.0 ] in
+  let v = [| 3.0; 4.0 |] in
   check_float "dot" 25.0 (Vec.dot v v);
   check_float "norm2" 5.0 (Vec.norm2 v);
-  check_float "norm1" 7.0 (Vec.norm1 v);
   check_float "norm_inf" 4.0 (Vec.norm_inf v)
 
 let test_vec_axpy () =
-  let x = Vec.of_list [ 1.0; 1.0 ] and y = Vec.of_list [ 2.0; 0.0 ] in
+  let x = [| 1.0; 1.0 |] and y = [| 2.0; 0.0 |] in
   Vec.axpy 3.0 x y;
   check_float "axpy" 5.0 y.(0);
   check_float "axpy" 3.0 y.(1)
 
-let test_vec_axpby () =
-  let x = Vec.of_list [ 1.0; 2.0 ] and y = Vec.of_list [ 10.0; 20.0 ] in
-  let z = Vec.axpby 2.0 x 0.5 y in
-  check_float "axpby" 7.0 z.(0)
-
-let test_vec_dist2 () =
-  let a = Vec.of_list [ 0.0; 0.0 ] and b = Vec.of_list [ 3.0; 4.0 ] in
-  check_float "dist2" 5.0 (Vec.dist2 a b)
-
 let test_vec_mismatch () =
-  let a = Vec.create 2 and b = Vec.create 3 in
+  let a = Array.make 2 0.0 and b = Array.make 3 0.0 in
   Alcotest.check_raises "mismatch" (Invalid_argument "Vec: dimension mismatch") (fun () ->
       ignore (Vec.dot a b))
 
-let test_vec_max_abs_index () =
-  Alcotest.(check int) "max abs" 1 (Vec.max_abs_index (Vec.of_list [ 2.0; -5.0; 4.0 ]))
-
 let test_vec_mean () =
-  check_float "mean" 2.0 (Vec.mean (Vec.of_list [ 1.0; 2.0; 3.0 ]));
+  check_float "mean" 2.0 (Vec.mean [| 1.0; 2.0; 3.0 |]);
   check_float "mean empty" 0.0 (Vec.mean [||])
 
 let test_vec_inplace () =
-  let x = Vec.of_list [ 1.0; 2.0 ] in
+  let x = [| 1.0; 2.0 |] in
   Vec.scale_ip 2.0 x;
   check_float "scale_ip" 4.0 x.(1);
-  Vec.add_ip x (Vec.of_list [ 1.0; 1.0 ]);
-  check_float "add_ip" 3.0 x.(0);
-  Vec.sub_ip x (Vec.of_list [ 3.0; 5.0 ]);
-  check_float "sub_ip" 0.0 x.(0)
+  Vec.add_ip x [| 1.0; 1.0 |];
+  check_float "add_ip" 3.0 x.(0)
 
 (* ---------- Mat ---------- *)
 
@@ -79,69 +67,57 @@ let test_mat_of_arrays () =
   Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_arrays: ragged rows")
     (fun () -> ignore (Mat.of_arrays [| [| 1.0 |]; [| 1.0; 2.0 |] |]))
 
-let test_mat_mul () =
-  let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let b = Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let c = Mat.mul a b in
-  check_float "c00" 2.0 (Mat.get c 0 0);
-  check_float "c01" 1.0 (Mat.get c 0 1);
-  check_float "c10" 4.0 (Mat.get c 1 0)
-
 let test_mat_mul_vec () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let y = Mat.mul_vec a (Vec.of_list [ 1.0; 1.0 ]) in
+  let y = Mat.mul_vec a [| 1.0; 1.0 |] in
   check_float "y0" 3.0 y.(0);
   check_float "y1" 7.0 y.(1)
 
 let test_mat_tmul_vec () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let y = Mat.tmul_vec a (Vec.of_list [ 1.0; 1.0 ]) in
+  let y = Mat.tmul_vec a [| 1.0; 1.0 |] in
   check_float "y0" 4.0 y.(0);
   check_float "y1" 6.0 y.(1)
 
 let test_mat_transpose () =
+  (* [tmul_vec] on a non-square matrix is [mul_vec] of its transpose. *)
   let a = Mat.of_arrays [| [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] |] in
-  let t = Mat.transpose a in
+  let t = Mat.init 3 2 (fun i j -> Mat.get a j i) in
+  let x = [| 1.0; -2.0 |] in
   Alcotest.(check (pair int int)) "dims" (3, 2) (Mat.dims t);
-  check_float "entry" 2.0 (Mat.get t 1 0)
-
-let test_mat_rows_cols () =
-  let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  check_float "row" 4.0 (Mat.row a 1).(1);
-  check_float "col" 2.0 (Mat.col a 1).(0);
-  Mat.swap_rows a 0 1;
-  check_float "swapped" 3.0 (Mat.get a 0 0)
-
-let test_mat_norms () =
-  let a = Mat.of_arrays [| [| 3.0; 4.0 |]; [| 0.0; 0.0 |] |] in
-  check_float "frobenius" 5.0 (Mat.frobenius_norm a);
-  check_float "inf" 7.0 (Mat.norm_inf a);
-  check_float "trace" 3.0 (Mat.trace a)
-
-let test_mat_outer () =
-  let m = Mat.outer (Vec.of_list [ 1.0; 2.0 ]) (Vec.of_list [ 3.0; 4.0 ]) in
-  check_float "outer" 8.0 (Mat.get m 1 1)
+  Alcotest.(check bool) "aᵀx" true
+    (Support.vec_approx_equal ~tol:0.0 (Mat.tmul_vec a x) (Mat.mul_vec t x))
 
 (* ---------- Lu ---------- *)
 
 let test_lu_solve_2x2 () =
   let a = Mat.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 3.0 |] |] in
-  let x = Lu.solve_dense a (Vec.of_list [ 3.0; 5.0 |> fun v -> v ]) in
+  let x = Lu.solve_dense a [| 3.0; 5.0 |] in
   check_float "x0" 0.8 x.(0);
   check_float "x1" 1.4 x.(1)
 
 let test_lu_needs_pivoting () =
   (* Zero on the first diagonal forces a row exchange. *)
   let a = Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = Lu.solve_dense a (Vec.of_list [ 2.0; 3.0 ]) in
+  let x = Lu.solve_dense a [| 2.0; 3.0 |] in
   check_float "x0" 3.0 x.(0);
   check_float "x1" 2.0 x.(1)
 
+(* The determinant the packed factors encode: the permutation's sign
+   times U's diagonal. *)
+let packed_det f =
+  let lu, _, sign = Lu.packed f in
+  let d = ref sign in
+  for i = 0 to lu.Mat.rows - 1 do
+    d := !d *. Mat.get lu i i
+  done;
+  !d
+
 let test_lu_det () =
   let a = Mat.of_arrays [| [| 2.0; 0.0 |]; [| 0.0; 3.0 |] |] in
-  check_float "det" 6.0 (Lu.det (Lu.factor a));
+  check_float "det" 6.0 (packed_det (Lu.factor a));
   let swapped = Mat.of_arrays [| [| 0.0; 3.0 |]; [| 2.0; 0.0 |] |] in
-  check_float "det sign" (-6.0) (Lu.det (Lu.factor swapped))
+  check_float "det sign" (-6.0) (packed_det (Lu.factor swapped))
 
 let test_lu_singular () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
@@ -150,27 +126,35 @@ let test_lu_singular () =
   | _ -> Alcotest.fail "expected Singular"
 
 let test_lu_inverse () =
+  (* A panel solve against the identity's columns is the inverse. *)
   let a = Mat.of_arrays [| [| 4.0; 7.0 |]; [| 2.0; 6.0 |] |] in
-  let inv = Lu.inverse (Lu.factor a) in
-  let product = Mat.mul a inv in
-  Alcotest.(check bool) "a·a⁻¹ = I" true (Support.mat_approx_equal ~tol:1e-12 product (Mat.identity 2))
+  let id = Mat.identity 2 in
+  let inv = Array.make 4 0.0 in
+  Lu.solve_many_into (Lu.factor a) ~cols:2 id.Mat.data inv;
+  for c = 0 to 1 do
+    Alcotest.(check bool) "a·a⁻¹ = I" true
+      (Support.vec_approx_equal ~tol:1e-12
+         (Mat.mul_vec a (Array.sub inv (2 * c) 2))
+         (Array.sub id.Mat.data (2 * c) 2))
+  done
+
+let test_lu_solve_mat () =
+  (* A x = B for a two-column B, as one panel solve. *)
+  let a = Mat.of_arrays [| [| 2.0; 0.0 |]; [| 0.0; 4.0 |] |] in
+  let b = [| 1.0; 0.0; 3.0; 8.0 |] (* columns (1, 0) and (3, 8) *) in
+  let x = Array.make 4 0.0 in
+  Lu.solve_many_into (Lu.factor a) ~cols:2 b x;
+  check_float "x00" 0.5 x.(0);
+  check_float "x10" 0.0 x.(1);
+  check_float "x01" 1.5 x.(2);
+  check_float "x11" 2.0 x.(3)
 
 let test_lu_transposed () =
   let a = Mat.of_arrays [| [| 2.0; 1.0 |]; [| 0.0; 3.0 |] |] in
-  let b = Vec.of_list [ 4.0; 5.0 ] in
+  let b = [| 4.0; 5.0 |] in
   let x = Lu.solve_transposed (Lu.factor a) b in
-  let r = Mat.mul_vec (Mat.transpose a) x in
+  let r = Mat.tmul_vec a x in
   Alcotest.(check bool) "aᵀx=b" true (Support.vec_approx_equal ~tol:1e-12 r b)
-
-let test_lu_rcond () =
-  let well = Lu.factor (Mat.identity 4) in
-  check_float "rcond identity" 1.0 (Lu.rcond_estimate well)
-
-let test_lu_solve_mat () =
-  let a = Mat.of_arrays [| [| 2.0; 0.0 |]; [| 0.0; 4.0 |] |] in
-  let x = Lu.solve_mat (Lu.factor a) (Mat.identity 2) in
-  check_float "inv00" 0.5 (Mat.get x 0 0);
-  check_float "inv11" 0.25 (Mat.get x 1 1)
 
 (* ---------- blocked multi-RHS solves ---------- *)
 
@@ -206,7 +190,7 @@ let test_lu_solve_many_bitwise () =
   let x = Array.make (total * n) nan in
   Lu.solve_many_into f ~off ~cols b x;
   let x_ref = Array.make (total * n) nan in
-  let bc = Vec.create n and xc = Vec.create n in
+  let bc = Array.make n 0.0 and xc = Array.make n 0.0 in
   for c = off to off + cols - 1 do
     Array.blit b (c * n) bc 0 n;
     Lu.solve_into f bc xc;
@@ -225,18 +209,18 @@ let test_lu_solve_many_bitwise () =
 
 let test_lu_solve_many_validates () =
   let f = Lu.factor (Mat.identity 3) in
-  let b = Vec.create 6 in
+  let b = Array.make 6 0.0 in
   Alcotest.check_raises "aliased"
     (Invalid_argument "Lu.solve_many_into: aliased panels") (fun () ->
       Lu.solve_many_into f ~cols:2 b b);
   Alcotest.check_raises "short panel"
     (Invalid_argument "Lu.solve_many_into: panel dimension mismatch")
-    (fun () -> Lu.solve_many_into f ~cols:3 b (Vec.create 9))
+    (fun () -> Lu.solve_many_into f ~cols:3 b (Array.make 9 0.0))
 
 (* ---------- factor kernel vs checked reference ---------- *)
 
 (* The checked Doolittle kernel [Lu.factor_into] replaced (Mat.get /
-   Mat.set / Mat.swap_rows), kept verbatim as the bitwise reference for
+   Mat.set and a checked row swap), kept as the bitwise reference for
    the unchecked one. Returns the packed factors, permutation and sign,
    or the column of the failing pivot. *)
 let reference_factor ?(pivot_tol = 1e-300) a =
@@ -251,7 +235,11 @@ let reference_factor ?(pivot_tol = 1e-300) a =
         if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !piv k) then piv := i
       done;
       if !piv <> k then begin
-        Mat.swap_rows lu k !piv;
+        for j = 0 to n - 1 do
+          let tmp = Mat.get lu k j in
+          Mat.set lu k j (Mat.get lu !piv j);
+          Mat.set lu !piv j tmp
+        done;
         let tmp = perm.(k) in
         perm.(k) <- perm.(!piv);
         perm.(!piv) <- tmp;
@@ -334,11 +322,11 @@ let test_kernel_roundtrip () =
   bits_equal "roundtrip" a (Kernel.to_array v);
   let w = Kernel.create 4 in
   Kernel.blit v w;
-  check_float "blit" (-2.25) (Kernel.get w 1);
+  check_float "blit" (-2.25) (Kernel.to_array w).(1);
   Kernel.set w 1 7.0;
-  check_float "set" 7.0 (Kernel.get w 1);
+  check_float "set" 7.0 (Kernel.to_array w).(1);
   Kernel.fill w 0.5;
-  check_float "fill" 0.5 (Kernel.get w 3)
+  check_float "fill" 0.5 (Kernel.to_array w).(3)
 
 let test_kernel_bitwise_vs_vec () =
   (* The Bigarray kernels promise the same accumulation order as the
@@ -354,39 +342,33 @@ let test_kernel_bitwise_vs_vec () =
   Vec.axpy 1.75 xa ya';
   Kernel.axpy 1.75 x y;
   bits_equal "axpy" ya' (Kernel.to_array y);
-  Kernel.scale_ip 0.3 y;
+  Kernel.scale_into 0.3 y y;
   Vec.scale_ip 0.3 ya';
-  bits_equal "scale_ip" ya' (Kernel.to_array y);
+  bits_equal "scale_into in place" ya' (Kernel.to_array y);
   let za = Vec.sub xa ya' in
   let z = Kernel.create n in
   Kernel.sub_into x y z;
-  bits_equal "sub_into" za (Kernel.to_array z);
-  Alcotest.(check bool) "is_finite" true (Kernel.is_finite z);
-  Kernel.set z 5 Float.nan;
-  Alcotest.(check bool) "is_finite nan" false (Kernel.is_finite z)
+  bits_equal "sub_into" za (Kernel.to_array z)
 
 (* ---------- complex ---------- *)
 
 let test_cvec_roundtrip () =
-  let v = Linalg.Cvec.of_real (Vec.of_list [ 1.0; -2.0 ]) in
-  check_float "real part" (-2.0) (Linalg.Cvec.real v).(1);
-  check_float "imag part" 0.0 (Linalg.Cvec.imag v).(0)
-
-let test_cvec_dot_norm () =
-  let i = { Complex.re = 0.0; im = 1.0 } in
-  let v = [| i; Complex.one |] in
-  let d = Linalg.Cvec.dot v v in
-  check_float "‖v‖² real" 2.0 d.Complex.re;
-  check_float "‖v‖² imag" 0.0 d.Complex.im;
-  check_float "norm" (sqrt 2.0) (Linalg.Cvec.norm2 v)
+  let v = Linalg.Cvec.of_real [| 1.0; -2.0 |] in
+  check_float "real part" (-2.0) v.(1).Complex.re;
+  check_float "imag part" 0.0 v.(0).Complex.im
 
 let test_cmat_lu_solve () =
+  (* a = [[1+i, 2], [0, 1+i]] couples the rows, so the solve must
+     back-substitute. *)
   let i = { Complex.re = 0.0; im = 1.0 } in
-  let a = Linalg.Cmat.init 2 2 (fun r c ->
-      if r = c then Complex.add Complex.one i else Complex.zero) in
+  let d = Complex.add Complex.one i and two = { Complex.re = 2.0; im = 0.0 } in
+  let a = Linalg.Cmat.create 2 2 in
+  Linalg.Cmat.add_entry a 0 0 d;
+  Linalg.Cmat.add_entry a 0 1 two;
+  Linalg.Cmat.add_entry a 1 1 d;
   let b = [| Complex.one; i |] in
   let x = Linalg.Cmat.lu_solve a b in
-  let r = Linalg.Cmat.mul_vec a x in
+  let r = [| Complex.add (Complex.mul d x.(0)) (Complex.mul two x.(1)); Complex.mul d x.(1) |] in
   Alcotest.(check bool) "ax=b" true (Support.cvec_approx_equal ~tol:1e-12 r b)
 
 let test_cmat_singular () =
@@ -413,13 +395,14 @@ let prop_lu_solves =
           pair (random_matrix_gen 5) (array_size (return 5) (float_range (-5.0) 5.0))))
     (fun (a, b) ->
       let x = Lu.solve_dense a b in
-      Vec.dist2 (Mat.mul_vec a x) b < 1e-8)
+      Vec.norm2 (Vec.sub (Mat.mul_vec a x) b) < 1e-8)
 
 let prop_lu_det_transpose =
   QCheck.Test.make ~count:60 ~name:"lu: det a = det aᵀ"
     (QCheck.make (random_matrix_gen 4))
     (fun a ->
-      let d1 = Lu.det (Lu.factor a) and d2 = Lu.det (Lu.factor (Mat.transpose a)) in
+      let at = Mat.init 4 4 (fun i j -> Mat.get a j i) in
+      let d1 = packed_det (Lu.factor a) and d2 = packed_det (Lu.factor at) in
       Float.abs (d1 -. d2) < 1e-6 *. Float.max 1.0 (Float.abs d1))
 
 let prop_vec_triangle =
@@ -430,7 +413,8 @@ let prop_vec_triangle =
           pair
             (array_size (return 8) (float_range (-100.0) 100.0))
             (array_size (return 8) (float_range (-100.0) 100.0))))
-    (fun (a, b) -> Vec.norm2 (Vec.add a b) <= Vec.norm2 a +. Vec.norm2 b +. 1e-9)
+    (fun (a, b) ->
+      Vec.norm2 (Array.map2 ( +. ) a b) <= Vec.norm2 a +. Vec.norm2 b +. 1e-9)
 
 let prop_vec_cauchy_schwarz =
   QCheck.Test.make ~count:200 ~name:"vec: |⟨a,b⟩| ≤ ‖a‖‖b‖"
@@ -528,27 +512,16 @@ let prop_kernel_axpy_dot_bitwise =
       && same_vec y_self y_ref
       && same_vec scaled (Kernel.of_array (Array.map (fun v -> a *. v) xa)))
 
-let prop_mat_mul_assoc =
-  QCheck.Test.make ~count:40 ~name:"mat: (ab)c = a(bc)"
-    QCheck.(
-      make Gen.(triple (random_matrix_gen 3) (random_matrix_gen 3) (random_matrix_gen 3)))
-    (fun (a, b, c) ->
-      Support.mat_approx_equal ~tol:1e-6 (Mat.mul (Mat.mul a b) c) (Mat.mul a (Mat.mul b c)))
-
 let () =
   Alcotest.run "linalg"
     [
       ( "vec",
         [
           Alcotest.test_case "create" `Quick test_vec_create;
-          Alcotest.test_case "init/map" `Quick test_vec_init_map;
           Alcotest.test_case "add/sub" `Quick test_vec_add_sub;
           Alcotest.test_case "dot/norms" `Quick test_vec_dot_norms;
           Alcotest.test_case "axpy" `Quick test_vec_axpy;
-          Alcotest.test_case "axpby" `Quick test_vec_axpby;
-          Alcotest.test_case "dist2" `Quick test_vec_dist2;
           Alcotest.test_case "mismatch raises" `Quick test_vec_mismatch;
-          Alcotest.test_case "max_abs_index" `Quick test_vec_max_abs_index;
           Alcotest.test_case "mean" `Quick test_vec_mean;
           Alcotest.test_case "in-place ops" `Quick test_vec_inplace;
         ] );
@@ -556,13 +529,9 @@ let () =
         [
           Alcotest.test_case "identity" `Quick test_mat_identity;
           Alcotest.test_case "of_arrays" `Quick test_mat_of_arrays;
-          Alcotest.test_case "mul" `Quick test_mat_mul;
           Alcotest.test_case "mul_vec" `Quick test_mat_mul_vec;
           Alcotest.test_case "tmul_vec" `Quick test_mat_tmul_vec;
           Alcotest.test_case "transpose" `Quick test_mat_transpose;
-          Alcotest.test_case "rows/cols/swap" `Quick test_mat_rows_cols;
-          Alcotest.test_case "norms/trace" `Quick test_mat_norms;
-          Alcotest.test_case "outer" `Quick test_mat_outer;
         ] );
       ( "lu",
         [
@@ -572,7 +541,6 @@ let () =
           Alcotest.test_case "singular detection" `Quick test_lu_singular;
           Alcotest.test_case "inverse" `Quick test_lu_inverse;
           Alcotest.test_case "transposed solve" `Quick test_lu_transposed;
-          Alcotest.test_case "rcond" `Quick test_lu_rcond;
           Alcotest.test_case "solve_mat" `Quick test_lu_solve_mat;
           Alcotest.test_case "solve_many_into bitwise" `Quick
             test_lu_solve_many_bitwise;
@@ -589,7 +557,6 @@ let () =
       ( "complex",
         [
           Alcotest.test_case "cvec roundtrip" `Quick test_cvec_roundtrip;
-          Alcotest.test_case "cvec dot/norm" `Quick test_cvec_dot_norm;
           Alcotest.test_case "cmat lu solve" `Quick test_cmat_lu_solve;
           Alcotest.test_case "cmat singular" `Quick test_cmat_singular;
         ] );
@@ -604,6 +571,5 @@ let () =
             prop_kernel_axpy_dot_bitwise;
             prop_vec_triangle;
             prop_vec_cauchy_schwarz;
-            prop_mat_mul_assoc;
           ] );
     ]

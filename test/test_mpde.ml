@@ -15,8 +15,7 @@ let shear_1g = Shear.make ~fast_freq:1e9 ~slow_freq:10e3
 let test_shear_accessors () =
   Alcotest.(check (float 1e-3)) "fast" 1e9 (Shear.fast_freq shear_1g);
   Alcotest.(check (float 1e-9)) "t1 period" 1e-9 (Shear.t1_period shear_1g);
-  Alcotest.(check (float 1e-9)) "t2 period" 1e-4 (Shear.t2_period shear_1g);
-  Alcotest.(check (float 1e-3)) "disparity" 1e5 (Shear.disparity shear_1g)
+  Alcotest.(check (float 1e-9)) "t2 period" 1e-4 (Shear.t2_period shear_1g)
 
 let test_shear_make_validation () =
   Alcotest.check_raises "slow >= fast"
@@ -24,14 +23,14 @@ let test_shear_make_validation () =
       ignore (Shear.make ~fast_freq:1.0 ~slow_freq:2.0))
 
 let test_shear_lattice_basic () =
-  Alcotest.(check (pair int int)) "f1" (1, 0) (Shear.lattice shear_1g 1e9);
-  Alcotest.(check (pair int int)) "f1 - fd" (1, -1) (Shear.lattice shear_1g (1e9 -. 10e3));
-  Alcotest.(check (pair int int)) "2f1 + fd" (2, 1) (Shear.lattice shear_1g (2e9 +. 10e3));
-  Alcotest.(check (pair int int)) "pure fd" (0, 1) (Shear.lattice shear_1g 10e3);
-  Alcotest.(check (pair int int)) "dc" (0, 0) (Shear.lattice shear_1g 0.0)
+  Alcotest.(check (pair int int)) "f1" (1, 0) (Support.shear_lattice shear_1g 1e9);
+  Alcotest.(check (pair int int)) "f1 - fd" (1, -1) (Support.shear_lattice shear_1g (1e9 -. 10e3));
+  Alcotest.(check (pair int int)) "2f1 + fd" (2, 1) (Support.shear_lattice shear_1g (2e9 +. 10e3));
+  Alcotest.(check (pair int int)) "pure fd" (0, 1) (Support.shear_lattice shear_1g 10e3);
+  Alcotest.(check (pair int int)) "dc" (0, 0) (Support.shear_lattice shear_1g 0.0)
 
 let test_shear_off_lattice () =
-  match Shear.lattice shear_1g (1e9 +. 3333.0) with
+  match Support.shear_lattice shear_1g (1e9 +. 3333.0) with
   | exception Shear.Off_lattice _ -> ()
   | _ -> Alcotest.fail "expected Off_lattice"
 
@@ -99,8 +98,8 @@ let test_grid_geometry () =
 
 let test_grid_wrapping () =
   let g = Grid.make ~shear:shear_1g ~n1:10 ~n2:5 in
-  Alcotest.(check int) "wrap1 negative" 9 (Grid.wrap1 g (-1));
-  Alcotest.(check int) "wrap2 over" 0 (Grid.wrap2 g 5);
+  Alcotest.(check int) "wrap1 negative" (Grid.point_index g 9 0) (Grid.point_index g (-1) 0);
+  Alcotest.(check int) "wrap2 over" (Grid.point_index g 0 0) (Grid.point_index g 0 5);
   Alcotest.(check int) "index" 13 (Grid.point_index g 3 1);
   Alcotest.(check int) "index wrapped" (Grid.point_index g 3 1) (Grid.point_index g 13 6)
 
@@ -241,7 +240,7 @@ let test_solver_direct_equals_gmres () =
   Alcotest.(check bool) "both converged" true
     (sol_d.Mpde.Solver.stats.converged && sol_g.Mpde.Solver.stats.converged);
   Alcotest.(check bool) "same solution" true
-    (Linalg.Vec.dist2 sol_d.Mpde.Solver.big_x sol_g.Mpde.Solver.big_x < 1e-5)
+    (Linalg.Vec.norm2 (Linalg.Vec.sub sol_d.Mpde.Solver.big_x sol_g.Mpde.Solver.big_x) < 1e-5)
 
 let test_solver_residual_check () =
   let sol, _ = solve_linear_two_tone () in
@@ -465,16 +464,33 @@ let test_envelope_follow_constant_drive () =
   let c0 = result.Mpde.Envelope_follow.columns.(0) in
   let c5 = result.Mpde.Envelope_follow.columns.(5) in
   let worst = ref 0.0 in
-  Array.iteri (fun i x -> worst := Float.max !worst (Linalg.Vec.dist2 x c5.(i))) c0;
+  Array.iteri (fun i x -> worst := Float.max !worst (Linalg.Vec.norm2 (Linalg.Vec.sub x c5.(i)))) c0;
   Alcotest.(check bool) "stationary" true (!worst < 1e-6)
 
-let test_envelope_follow_matches_biperiodic () =
-  let f1 = 1e6 and fd = 2e4 in
-  let { Circuits.mna; _ } = Circuits.envelope_detector ~f1 ~f2:(f1 +. fd) ~amplitude:1.0 () in
+(* The envelope march and [Solver.solve_mna] discretize t2 alike
+   (backward Euler, [steps_per_period] steps per slow period) and t1
+   alike ([Backward], 32 points), so a marched slow period that has
+   settled solves the very equations of the bi-periodic surface, and
+   only two things separate the two answers:
+   - the march's start-up transient: gone after the first period on
+     these circuits (the gap reads the same at periods 2, 3 and 6);
+   - the two Newton stops, each at a residual below [tol = 1e-8] A.
+     Through a node's resistance to ground R (the detector's 10 kΩ
+     load; 1 kΩ on rc and ideal-mixer) a stop moves a node by at most
+     tol·R <= 1e-4 V, which is below 1e-4 of every swing here (1.0 to
+     3.2 V). Newton stops after a quadratically converging step, far
+     below tol, so the two stops do not add up to that worst case.
+   Measured gaps, as a fraction of the swing: 1.8e-6 (detector),
+   1.9e-7 (rc), 1.1e-11 (ideal-mixer). Comparing against the surface
+   shifted by one t2 step instead reads 0.18 of the detector's swing. *)
+let envelope_gap name =
+  let c = Result.get_ok (Serve.Catalog.find name) in
+  let f1 = c.Serve.Catalog.default_fast and fd = c.Serve.Catalog.default_fd in
+  let { Circuits.mna; _ } = c.Serve.Catalog.build ~f_fast:f1 ~fd in
   let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
   let sys = Mpde.Assemble.of_mna ~shear mna in
   let seed = Circuit.Dcop.solve_exn mna in
-  let out = Circuit.Mna.node_index mna "out" in
+  let out = Circuit.Mna.node_index mna c.Serve.Catalog.output_node in
   let t2p = Shear.t2_period shear in
   let steps_per_period = 24 in
   let result =
@@ -482,24 +498,38 @@ let test_envelope_follow_matches_biperiodic () =
       ~t2_stop:(3.0 *. t2p)
       ~steps:(3 * steps_per_period) ()
   in
-  Alcotest.(check bool) "converged" true result.Mpde.Envelope_follow.converged;
+  Alcotest.(check bool) (name ^ " converged") true result.Mpde.Envelope_follow.converged;
   let env =
     Mpde.Envelope_follow.envelope_of result ~unknown:out ~mode:Mpde.Extract.Mean_t1
   in
   let sol = Mpde.Solver.solve_mna ~shear ~n1:32 ~n2:steps_per_period mna in
-  let vout = Mpde.Extract.surface_of_node sol mna "out" in
+  let vout = Mpde.Extract.surface_of_node sol mna c.Serve.Catalog.output_node in
   let steady = Mpde.Extract.envelope sol ~values:vout in
-  (* Compare the third marched period (transients decayed) pointwise. *)
-  let worst = ref 0.0 in
+  (* Compare the third marched period with the surface pointwise, and
+     its baseband envelope with the surface's. *)
+  let worst = ref 0.0 and lo = ref infinity and hi = ref neg_infinity in
   for j = 0 to steps_per_period - 1 do
-    worst :=
-      Float.max !worst (Float.abs (env.((2 * steps_per_period) + j) -. steady.(j)))
+    let s = (2 * steps_per_period) + j in
+    worst := Float.max !worst (Float.abs (env.(s) -. steady.(j)));
+    Array.iteri
+      (fun i x ->
+        let v = vout.(i).(j) in
+        lo := Float.min !lo v;
+        hi := Float.max !hi v;
+        worst := Float.max !worst (Float.abs (x.(out) -. v)))
+      result.Mpde.Envelope_follow.columns.(s)
   done;
-  let swing =
-    Array.fold_left Float.max neg_infinity steady
-    -. Array.fold_left Float.min infinity steady
-  in
-  Alcotest.(check bool) "matches bi-periodic steady state" true (!worst < 0.15 *. swing)
+  (!worst, !hi -. !lo)
+
+let test_envelope_follow_matches_biperiodic () =
+  List.iter
+    (fun name ->
+      let worst, swing = envelope_gap name in
+      if not (worst < 1e-4 *. swing) then
+        Alcotest.failf "%s: marched period differs from the bi-periodic surface by %.3e \
+                        (%.3e of the swing %.3e)"
+          name worst (worst /. swing) swing)
+    [ "detector"; "rc"; "ideal-mixer" ]
 
 let test_envelope_follow_validation () =
   let f1 = 1e6 in
@@ -747,7 +777,7 @@ let test_solver_sweep_matches_direct_mixer () =
     (Mpde.Solver.residual_norm_check sweep < 1e-7
     && Mpde.Solver.residual_norm_check direct < 1e-7);
   Alcotest.(check bool) "same solution" true
-    (Linalg.Vec.dist2 direct.Mpde.Solver.big_x sweep.Mpde.Solver.big_x < 1e-5)
+    (Linalg.Vec.norm2 (Linalg.Vec.sub direct.Mpde.Solver.big_x sweep.Mpde.Solver.big_x) < 1e-5)
 
 let test_solver_bridge_sweep_guard () =
   (* Hard-switching guard: on the full-wave diode bridge a lagged or
@@ -1356,7 +1386,7 @@ let prop_shear_lattice_roundtrip =
     QCheck.(make Gen.(pair (int_range 0 4) (int_range (-40) 40)))
     (fun (m, k) ->
       let f = (float_of_int m *. 1e9) +. (float_of_int k *. 10e3) in
-      f <= 0.0 || Shear.lattice shear_1g f = (m, k))
+      f <= 0.0 || Support.shear_lattice shear_1g f = (m, k))
 
 let prop_grid_index_bijective =
   QCheck.Test.make ~count:200 ~name:"grid: point_index is a bijection on [0,n1)x[0,n2)"

@@ -16,24 +16,27 @@ let csr_1x1 v =
 
 (* ---------- Guard ---------- *)
 
+(* The violations [Guard.guarded] reports for an evaluation that writes
+   [values]. *)
+let guarded_violations ?block_size values =
+  let seen = ref [] in
+  let r = Array.make (Array.length values) 0.0 in
+  Guard.guarded ~context:"res" ?block_size
+    ~on_violation:(fun v -> seen := v :: !seen)
+    (fun _ r -> Array.blit values 0 r 0 (Array.length values))
+    [||] r;
+  !seen
+
 let test_guard_scan () =
-  Alcotest.(check bool) "clean" true (Guard.scan [| 1.0; -2.0; 0.0 |] = None);
-  (match Guard.scan ~context:"res" ~block_size:2 [| 1.0; 2.0; nan; 4.0 |] with
-  | Some v ->
+  Alcotest.(check int) "clean" 0 (List.length (guarded_violations [| 1.0; -2.0; 0.0 |]));
+  (match guarded_violations ~block_size:2 [| 1.0; 2.0; nan; 4.0 |] with
+  | [ v ] ->
       Alcotest.(check int) "index" 2 v.Guard.index;
       Alcotest.(check (option int)) "block" (Some 1) v.Guard.block;
-      Alcotest.(check (option int)) "offset" (Some 0) v.Guard.offset
-  | None -> Alcotest.fail "expected a violation");
+      Alcotest.(check (option int)) "offset" (Some 0) v.Guard.offset;
+      Alcotest.(check string) "context" "res" v.Guard.context
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
   Alcotest.(check bool) "finite" false (Guard.finite [| infinity |])
-
-let test_guard_clamp () =
-  let v = [| nan; 1e30; -1e30; 0.5 |] in
-  let n = Guard.clamp ~limit:1e6 v in
-  Alcotest.(check int) "modified" 3 n;
-  Alcotest.(check (float 0.0)) "nan zeroed" 0.0 v.(0);
-  Alcotest.(check (float 0.0)) "clamped up" 1e6 v.(1);
-  Alcotest.(check (float 0.0)) "clamped down" (-1e6) v.(2);
-  Alcotest.(check (float 0.0)) "untouched" 0.5 v.(3)
 
 (* ---------- Budget ---------- *)
 
@@ -69,7 +72,8 @@ let test_budget_parent_chain () =
   for _ = 1 to 5 do
     Budget.tick_newton child
   done;
-  Alcotest.(check int) "propagated" 5 (Budget.newton_used parent);
+  Alcotest.(check bool) "propagated to the parent" true
+    (try Budget.tick_newton parent; false with Budget.Exhausted _ -> true);
   Alcotest.(check bool) "child sees parent limit" true
     (try Budget.tick_newton child; false with Budget.Exhausted _ -> true)
 
@@ -98,7 +102,7 @@ let test_newton_rejects_nonfinite_step () =
   let _, stats = Numeric.Newton.solve problem [| 0.0 |] in
   match stats.Numeric.Newton.outcome with
   | Numeric.Newton.Solver_failure _ -> ()
-  | o -> Alcotest.failf "expected Solver_failure, got %a" Numeric.Newton.pp_outcome o
+  | _ -> Alcotest.failf "expected Solver_failure after %d iterations" stats.Numeric.Newton.iterations
 
 let test_newton_budget_exhaustion () =
   (* A slowly converging scalar problem with a 2-iteration budget. *)
@@ -116,7 +120,7 @@ let test_newton_budget_exhaustion () =
   match stats.Numeric.Newton.outcome with
   | Numeric.Newton.Exhausted (Budget.Newton_iterations _) ->
       Alcotest.(check bool) "stopped early" true (stats.Numeric.Newton.iterations <= 3)
-  | o -> Alcotest.failf "expected Exhausted, got %a" Numeric.Newton.pp_outcome o
+  | _ -> Alcotest.failf "expected Exhausted after %d iterations" stats.Numeric.Newton.iterations
 
 (* ---------- GMRES regressions ---------- *)
 
@@ -292,7 +296,7 @@ let test_report_json () =
       ~residual_trajectory:[| 1.0; 0.1 |] ~residual_norm:1e-10 ~newton_iterations:4
       ~linear_iterations:7 ~wall_seconds:0.25 run
   in
-  Alcotest.(check bool) "success" true (Report.success report);
+  Alcotest.(check bool) "success" true ((report.Report.outcome = Report.Converged));
   let json = Report.to_json_string report in
   let contains needle =
     let nl = String.length needle and hl = String.length json in
@@ -344,7 +348,7 @@ let test_mpde_ladder_recovers () =
   Alcotest.(check bool) "ladder recovers" true stats.Mpde.Solver.converged;
   Alcotest.(check bool) "via continuation" true
     (stats.Mpde.Solver.strategy = "source-ramp" || stats.Mpde.Solver.strategy = "ptc-ramp");
-  Alcotest.(check bool) "report successful" true (Report.success sol.Mpde.Solver.report);
+  Alcotest.(check bool) "report successful" true ((sol.Mpde.Solver.report.Report.outcome = Report.Converged));
   (* The winning stage is recorded as the strategy in the report too. *)
   Alcotest.(check (option string)) "report strategy" (Some stats.Mpde.Solver.strategy)
     sol.Mpde.Solver.report.Report.strategy
@@ -391,7 +395,7 @@ let test_mpde_budget_exhaustion () =
   Alcotest.(check bool) "not converged" false sol.Mpde.Solver.stats.Mpde.Solver.converged;
   (match sol.Mpde.Solver.report.Report.outcome with
   | Report.Exhausted _ -> ()
-  | o -> Alcotest.failf "expected Exhausted, got %s" (Report.outcome_to_string o));
+  | _ -> Alcotest.failf "expected Exhausted, got %s" (Support.report_outcome sol.Mpde.Solver.report));
   Alcotest.(check bool) "terminated promptly" true (wall < 30.0)
 
 let test_mpde_wall_deadline () =
@@ -408,7 +412,9 @@ let test_mpde_wall_deadline () =
   in
   match sol.Mpde.Solver.report.Report.outcome with
   | Report.Exhausted (Budget.Wall_clock _) -> ()
-  | o -> Alcotest.failf "expected wall-clock exhaustion, got %s" (Report.outcome_to_string o)
+  | _ ->
+      Alcotest.failf "expected wall-clock exhaustion, got %s"
+        (Support.report_outcome sol.Mpde.Solver.report)
 
 (* ---------- Dcop on the ladder ---------- *)
 
@@ -420,7 +426,7 @@ let test_dcop_reports () =
   in
   let r = Circuit.Dcop.solve mna in
   Alcotest.(check bool) "converged" true r.Circuit.Dcop.converged;
-  Alcotest.(check bool) "report success" true (Report.success r.Circuit.Dcop.resilience);
+  Alcotest.(check bool) "report success" true ((r.Circuit.Dcop.resilience.Report.outcome = Report.Converged));
   Alcotest.(check bool) "stages listed" true
     (List.length r.Circuit.Dcop.resilience.Report.stages = 3)
 
@@ -438,7 +444,9 @@ let test_dcop_budget () =
   Alcotest.(check bool) "not converged" false r.Circuit.Dcop.converged;
   match r.Circuit.Dcop.resilience.Report.outcome with
   | Report.Exhausted _ -> ()
-  | o -> Alcotest.failf "expected Exhausted, got %s" (Report.outcome_to_string o)
+  | _ ->
+      Alcotest.failf "expected Exhausted, got %s"
+        (Support.report_outcome r.Circuit.Dcop.resilience)
 
 let () =
   Alcotest.run "resilience"
@@ -446,7 +454,6 @@ let () =
       ( "guard",
         [
           Alcotest.test_case "scan attribution" `Quick test_guard_scan;
-          Alcotest.test_case "clamp" `Quick test_guard_clamp;
         ] );
       ( "budget",
         [

@@ -18,11 +18,20 @@ let fixture_exn name =
 (* Pinned literal: if this changes, the encoding changed and the key
    version must be bumped (see lib/engine/key.mli). *)
 let test_key_stability () =
-  Alcotest.(check string) "key version" "rfss.key/1" Engine.Key.version;
   Alcotest.(check string)
     "pinned key literal" "b414458d45afe627"
     (Engine.Key.hash ~label:"balanced-mixer" ~engine:"mpde" ~f_fast:450e6
        ~fd:15e3 ~options:default)
+
+(* The key a default rc/mpde rfss.jobs/1 request is cached and resumed
+   under, pinned: a served request must keep hitting the entries its
+   predecessors stored. *)
+let test_default_job_key () =
+  match Serve.Protocol.parse_job {|{"v":"rfss.jobs/1","circuit":"rc","engine":"mpde"}|} with
+  | Ok job ->
+      Alcotest.(check string) "default rc/mpde job key" "1b762baff61b3308"
+        (Serve.Protocol.key_of_job job)
+  | Error e -> Alcotest.fail (Serve.Protocol.error_message e)
 
 let test_key_sensitivity () =
   let base = Engine.Key.hash ~label:"rc" ~engine:"mpde" ~f_fast:1e6 ~fd:1e3 in
@@ -52,8 +61,6 @@ let test_key_sensitivity () =
   differs "points" (base ~options:{ default with Engine.Options.points = 65 });
   differs "harmonics"
     (base ~options:{ default with Engine.Options.harmonics = 9 });
-  differs "allow_continuation"
-    (base ~options:{ default with Engine.Options.allow_continuation = false });
   (* Budget and warm-start seed change how fast a solve converges, not
      what it converges to: same key, so a warm resubmission hits the
      entry its cold twin populated. *)
@@ -89,8 +96,6 @@ let test_cache_lru () =
   Alcotest.(check (list string)) "MRU order" [ "k3"; "k1" ] (Serve.Cache.keys c);
   Alcotest.(check bool) "k2 evicted" true (Serve.Cache.find c "k2" = None);
   Alcotest.(check bool) "k1 kept" true (Serve.Cache.find c "k1" = Some "v1");
-  (* mem probes without touching recency or the counters. *)
-  Alcotest.(check bool) "mem" true (Serve.Cache.mem c "k3");
   let s = Serve.Cache.stats c in
   Alcotest.(check int) "hits" 2 s.Serve.Cache.hits;
   Alcotest.(check int) "misses" 1 s.Serve.Cache.misses;
@@ -669,6 +674,7 @@ let () =
       ( "key",
         [
           Alcotest.test_case "pinned literal stability" `Quick test_key_stability;
+          Alcotest.test_case "default job key" `Quick test_default_job_key;
           Alcotest.test_case "sensitivity and exclusions" `Quick
             test_key_sensitivity;
         ] );

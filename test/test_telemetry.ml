@@ -36,6 +36,16 @@ let capture () =
 
 (* ---------- core recorder ---------- *)
 
+(* The summary node at [path] under [nodes]: a root, then a child per
+   step. *)
+let rec node_at nodes = function
+  | [] -> None
+  | name :: rest -> (
+      match List.find_opt (fun n -> n.Telemetry.Summary.name = name) nodes with
+      | Some n when rest = [] -> Some n
+      | Some n -> node_at n.Telemetry.Summary.children rest
+      | None -> None)
+
 let test_span_nesting () =
   with_fake_telemetry @@ fun advance ->
   Telemetry.span "outer" (fun () ->
@@ -58,13 +68,13 @@ let test_span_nesting () =
       Alcotest.(check int) "inner's parent is outer" 0 parent
   | _ -> Alcotest.fail "expected begin");
   let summary = Telemetry.Summary.of_snapshot s in
-  (match Telemetry.Summary.find summary "outer" with
+  (match node_at summary.Telemetry.Summary.roots [ "outer" ] with
   | Some node ->
       Alcotest.(check int) "outer calls" 1 node.Telemetry.Summary.calls;
       Alcotest.(check (float 1e-9)) "outer wall" 3.5 node.Telemetry.Summary.wall;
       Alcotest.(check (float 1e-9)) "outer self" 1.0 node.Telemetry.Summary.self
   | None -> Alcotest.fail "no outer node");
-  match Telemetry.Summary.find summary "inner" with
+  match node_at summary.Telemetry.Summary.roots [ "outer"; "inner" ] with
   | Some node ->
       (* Same-name siblings aggregate into one node. *)
       Alcotest.(check int) "inner calls" 2 node.Telemetry.Summary.calls;
@@ -106,8 +116,6 @@ let test_disabled_noop () =
   Telemetry.gauge "ignored" 1.0;
   Telemetry.observe "ignored" 1.0;
   Alcotest.(check int) "mark is 0" 0 (Telemetry.mark ());
-  Alcotest.(check int) "span_begin is -1" (-1) (Telemetry.span_begin "x");
-  Telemetry.span_end (-1);
   Alcotest.(check bool) "snapshot is None" true (Telemetry.snapshot () = None)
 
 let test_exception_safety () =
@@ -119,7 +127,7 @@ let test_exception_safety () =
    with Failure _ -> ());
   Telemetry.span "after" (fun () -> advance 1.0);
   let summary = Telemetry.Summary.of_snapshot (capture ()) in
-  (match Telemetry.Summary.find summary "boom" with
+  (match node_at summary.Telemetry.Summary.roots [ "boom" ] with
   | Some node -> Alcotest.(check (float 1e-9)) "boom closed at raise" 1.0 node.Telemetry.Summary.wall
   | None -> Alcotest.fail "raising span was not recorded");
   (* "after" must be a root alongside "boom": the raising span did not
@@ -146,7 +154,7 @@ let test_span_app () =
    (try Telemetry.span_app "raise" (fun () () -> failwith "inner") () ()
     with Failure _ -> ());
    let summary = Telemetry.Summary.of_snapshot (capture ()) in
-   (match Telemetry.Summary.find summary "add" with
+   (match node_at summary.Telemetry.Summary.roots [ "add" ] with
    | Some node -> Alcotest.(check (float 1e-9)) "add timed" 1.0 node.Telemetry.Summary.wall
    | None -> Alcotest.fail "span_app was not recorded");
    let roots = List.map (fun n -> n.Telemetry.Summary.name) summary.Telemetry.Summary.roots in
@@ -168,7 +176,9 @@ let test_fake_clock_determinism () =
         advance 0.25;
         Telemetry.span "b" (fun () -> advance 0.75));
     advance 1.0;
-    Telemetry.Summary.to_json_string (Telemetry.Summary.of_snapshot (capture ()))
+    let buf = Buffer.create 256 in
+    Telemetry.Summary.add_json buf (Telemetry.Summary.of_snapshot (capture ()));
+    Buffer.contents buf
   in
   let first = run () and second = run () in
   Alcotest.(check string) "byte-identical reruns" first second;
@@ -188,7 +198,7 @@ let test_mark_and_windowed_snapshot () =
   in
   Alcotest.(check int) "only second solve captured" 2 (Array.length windowed.Telemetry.events);
   let summary = Telemetry.Summary.of_snapshot windowed in
-  match Telemetry.Summary.find summary "solve" with
+  match node_at summary.Telemetry.Summary.roots [ "solve" ] with
   | Some node ->
       Alcotest.(check int) "calls" 1 node.Telemetry.Summary.calls;
       Alcotest.(check (float 1e-9)) "wall of second solve only" 3.0 node.Telemetry.Summary.wall
@@ -196,15 +206,16 @@ let test_mark_and_windowed_snapshot () =
 
 let test_open_spans_closed_in_snapshot () =
   with_fake_telemetry @@ fun advance ->
-  let id = Telemetry.span_begin "still-open" in
-  advance 2.0;
-  let s = capture () in
+  let s =
+    Telemetry.span "still-open" (fun () ->
+        advance 2.0;
+        capture ())
+  in
   Alcotest.(check int) "begin + synthesized end" 2 (Array.length s.Telemetry.events);
-  (match s.Telemetry.events.(1) with
+  match s.Telemetry.events.(1) with
   | Telemetry.Span_end { wall; _ } ->
       Alcotest.(check (float 1e-9)) "closed at capture time" 2.0 wall
-  | _ -> Alcotest.fail "expected synthesized end");
-  Telemetry.span_end id
+  | _ -> Alcotest.fail "expected synthesized end"
 
 (* ---------- exporters ---------- *)
 
