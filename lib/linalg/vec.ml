@@ -29,18 +29,16 @@ let dot x y =
 let norm2 x = sqrt (dot x x)
 
 (* A loop, not a fold: a fold's float accumulator is boxed at every
-   element, and Newton takes this norm of every residual. *)
+   element, and Newton takes this norm of every residual. The test is
+   [Float.max !m a] without the call: on magnitudes it keeps the larger
+   one, and the latest NaN once there is one, bit for bit. *)
 let norm_inf x =
   let m = ref 0.0 in
   for i = 0 to Array.length x - 1 do
-    m := Float.max !m (Float.abs x.(i))
+    let a = Float.abs x.(i) in
+    if a > !m || Float.is_nan a then m := a
   done;
   !m
-
-let scale_ip a x =
-  for i = 0 to Array.length x - 1 do
-    x.(i) <- a *. x.(i)
-  done
 
 let add_ip x y =
   check_same_dim x y;

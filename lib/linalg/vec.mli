@@ -22,8 +22,6 @@ val norm2 : t -> float
 
 val norm_inf : t -> float
 
-val scale_ip : float -> t -> unit
-
 val add_ip : t -> t -> unit
 (** [add_ip x y] performs [x := x + y]. *)
 

@@ -9,11 +9,26 @@ type step_result = {
   outcome : Newton.outcome;
 }
 
+(* A step's scalars in a float-only record, so that setting them
+   allocates nothing: the step size, the step Jacobian's scales
+   [sc]/[sg] for J = sc·C + sg·G, and the scales of the held factor. *)
+type scalars = {
+  mutable h : float;
+  mutable sc : float;
+  mutable sg : float;
+  mutable lu_sc : float;
+  mutable lu_sg : float;
+}
+
 (* Step workspace. G and C live on frozen patterns and are refreshed
    in place through [Dae.fast.jacobian_refresher]; J = sc·C + sg·G lives
    on the union pattern, filled through slot maps and refactored on the
    frozen pivot order. [lin_x] is the iterate G and C hold; [lu] is J's
-   factor at [lin_x] with scales [lu_sc]/[lu_sg] while [lu_valid]. *)
+   factor at [lin_x] with scales [lu_sc]/[lu_sg] while [lu_valid].
+   [q_buf]/[f_buf] hold q and f at [qf_x] while [qf_valid]: the last
+   residual a step evaluated, which is its accepted iterate and so the
+   next step's [x_prev]. [problem] is the step's Newton problem, built
+   once over the workspace's fields and run on [newton]. *)
 type workspace = {
   dae : Dae.t;
   refresh : (Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
@@ -22,6 +37,8 @@ type workspace = {
   source_into : float -> Vec.t -> unit;
   q_buf : Vec.t;
   f_buf : Vec.t;
+  qf_x : Vec.t;
+  mutable qf_valid : bool;
   q_prev : Vec.t;
   f_prev : Vec.t;  (* f(x_prev), for trapezoidal *)
   b_next : Vec.t;
@@ -35,8 +52,10 @@ type workspace = {
   lin_x : Vec.t;
   mutable lin_valid : bool;
   mutable lu_valid : bool;
-  mutable lu_sc : float;
-  mutable lu_sg : float;
+  scalars : scalars;
+  mutable method_ : method_;
+  newton : Newton.workspace;
+  problem : Newton.problem;
 }
 
 let empty_csr n =
@@ -46,48 +65,6 @@ let empty_csr n =
     row_ptr = Array.make (n + 1) 0;
     col_idx = [||];
     values = [||];
-  }
-
-let workspace (dae : Dae.t) =
-  let n = dae.Dae.size in
-  let refresh, eval_q_into, eval_f_into, source_into =
-    match dae.Dae.fast with
-    | Some fast ->
-        (* One private stamping stream per workspace; a workspace is
-           single-domain by contract. *)
-        ( Some (fast.Dae.jacobian_refresher ()),
-          fast.Dae.eval_q_into,
-          fast.Dae.eval_f_into,
-          fast.Dae.source_into )
-    | None ->
-        ( None,
-          (fun x out -> Array.blit (dae.Dae.eval_q x) 0 out 0 n),
-          (fun x out -> Array.blit (dae.Dae.eval_f x) 0 out 0 n),
-          fun t out -> Array.blit (dae.Dae.source t) 0 out 0 n )
-  in
-  {
-    dae;
-    refresh;
-    eval_q_into;
-    eval_f_into;
-    source_into;
-    q_buf = Array.make n 0.0;
-    f_buf = Array.make n 0.0;
-    q_prev = Array.make n 0.0;
-    f_prev = Array.make n 0.0;
-    b_next = Array.make n 0.0;
-    b_prev = Array.make n 0.0;
-    g = empty_csr n;
-    c = empty_csr n;
-    jac = empty_csr n;
-    g_slot = [||];
-    c_slot = [||];
-    lu = None;
-    lin_x = Array.make n 0.0;
-    lin_valid = false;
-    lu_valid = false;
-    lu_sc = 0.0;
-    lu_sg = 0.0;
   }
 
 let size ws = ws.dae.Dae.size
@@ -148,14 +125,17 @@ let evaluate_jacobians ws x =
   end
 
 (* J = (1/h) C + β G for each method. *)
-let scales method_ h =
-  match method_ with
-  | Backward_euler -> (1.0 /. h, 1.0)
-  | Trapezoidal -> (1.0 /. h, 0.5)
+let set_scales s method_ h =
+  s.h <- h;
+  s.sc <- 1.0 /. h;
+  s.sg <- (match method_ with Backward_euler -> 1.0 | Trapezoidal -> 0.5)
 
-let factor_jacobian ws ~sc ~sg x =
+(* Factor J at [x] with the workspace's current scales. *)
+let factor_jacobian ws x =
   evaluate_jacobians ws x;
-  if not (ws.lu_valid && ws.lu_sc = sc && ws.lu_sg = sg) then begin
+  let s = ws.scalars in
+  if not (ws.lu_valid && s.lu_sc = s.sc && s.lu_sg = s.sg) then begin
+    let sc = s.sc and sg = s.sg in
     (* Slot-wise C then G: the same sum, bit for bit, as merging the
        scaled C and G triplets of a row through [Csr.of_coo]. *)
     let v = ws.jac.Sparse.Csr.values in
@@ -171,98 +151,174 @@ let factor_jacobian ws ~sc ~sg x =
     done;
     (* A failed refactor leaves [lu]'s values unspecified. *)
     ws.lu_valid <- false;
-    ws.lu <- Some (Sparse.Splu.refactor_or_factor ws.lu ws.jac);
-    ws.lu_sc <- sc;
-    ws.lu_sg <- sg;
+    let lu = Sparse.Splu.refactor_or_factor ws.lu ws.jac in
+    (match ws.lu with Some held when held == lu -> () | _ -> ws.lu <- Some lu);
+    s.lu_sc <- sc;
+    s.lu_sg <- sg;
     ws.lu_valid <- true
   end
 
 let linearize ws ~method_ ~h x =
-  let sc, sg = scales method_ h in
-  factor_jacobian ws ~sc ~sg x
+  set_scales ws.scalars method_ h;
+  factor_jacobian ws x
 
-let solve_into ws b out =
+let factor ws =
   match ws.lu with
-  | Some lu when ws.lu_valid -> Sparse.Splu.solve_into lu b out
-  | _ -> invalid_arg "Integrator.solve_into: no step Jacobian factored"
+  | Some lu when ws.lu_valid -> lu
+  | _ -> invalid_arg "Integrator: no step Jacobian factored"
+
+let solve_columns ws cols = Sparse.Splu.solve_columns (factor ws) cols
 
 let charge_jacobian ws =
   if not ws.lin_valid then invalid_arg "Integrator.charge_jacobian: nothing evaluated";
   ws.c
 
-(* Build the Newton problem for one implicit step. The residual is
-   (q(x) − q(x_prev))/h plus the method's f and source combination,
-   written into Newton's buffer from the workspace's q/f/b vectors;
-   the Jacobian is  (1/h) C(x) + beta G(x). *)
-let implicit_step ?(newton_options = Newton.default_options) ~method_ ~workspace:ws
-    ~t_next ~h ~x_prev () =
+(* q and f at [x] into [q_buf]/[f_buf], unless they already hold them. *)
+let evaluate_charges ws x =
+  if not (ws.qf_valid && same_bits ws.qf_x x) then begin
+    ws.qf_valid <- false;
+    ws.eval_q_into x ws.q_buf;
+    ws.eval_f_into x ws.f_buf;
+    Array.blit x 0 ws.qf_x 0 (size ws);
+    ws.qf_valid <- true
+  end
+
+(* The step residual: (q(x) − q(x_prev))/h plus the method's f and
+   source combination. *)
+let step_residual ws x r =
+  evaluate_charges ws x;
+  let q = ws.q_buf and f = ws.f_buf and q_prev = ws.q_prev and b_next = ws.b_next in
+  let h = ws.scalars.h in
+  match ws.method_ with
+  | Backward_euler ->
+      for i = 0 to size ws - 1 do
+        r.(i) <- ((q.(i) -. q_prev.(i)) /. h) +. f.(i) -. b_next.(i)
+      done
+  | Trapezoidal ->
+      let f_prev = ws.f_prev and b_prev = ws.b_prev in
+      for i = 0 to size ws - 1 do
+        r.(i) <-
+          ((q.(i) -. q_prev.(i)) /. h)
+          +. (0.5 *. (f.(i) -. b_next.(i)))
+          +. (0.5 *. (f_prev.(i) -. b_prev.(i)))
+      done
+
+(* The step Jacobian is (1/h) C(x) + beta G(x). *)
+let step_solve ws x r delta =
+  factor_jacobian ws x;
+  Sparse.Splu.solve_into (factor ws) r delta
+
+let workspace (dae : Dae.t) =
+  let n = dae.Dae.size in
+  let refresh, eval_q_into, eval_f_into, source_into =
+    match dae.Dae.fast with
+    | Some fast ->
+        (* One private stamping stream per workspace; a workspace is
+           single-domain by contract. *)
+        ( Some (fast.Dae.jacobian_refresher ()),
+          fast.Dae.eval_q_into,
+          fast.Dae.eval_f_into,
+          fast.Dae.source_into )
+    | None ->
+        ( None,
+          (fun x out -> Array.blit (dae.Dae.eval_q x) 0 out 0 n),
+          (fun x out -> Array.blit (dae.Dae.eval_f x) 0 out 0 n),
+          fun t out -> Array.blit (dae.Dae.source t) 0 out 0 n )
+  in
+  let q_buf = Array.make n 0.0 and f_buf = Array.make n 0.0 and qf_x = Array.make n 0.0 in
+  let q_prev = Array.make n 0.0 and f_prev = Array.make n 0.0 in
+  let b_next = Array.make n 0.0 and b_prev = Array.make n 0.0 in
+  let lin_x = Array.make n 0.0 and newton = Newton.workspace n in
+  let scalars = { h = 0.0; sc = 0.0; sg = 0.0; lu_sc = 0.0; lu_sg = 0.0 } in
+  let rec ws =
+    {
+      dae;
+      refresh;
+      eval_q_into;
+      eval_f_into;
+      source_into;
+      q_buf;
+      f_buf;
+      qf_x;
+      qf_valid = false;
+      q_prev;
+      f_prev;
+      b_next;
+      b_prev;
+      g = empty_csr n;
+      c = empty_csr n;
+      jac = empty_csr n;
+      g_slot = [||];
+      c_slot = [||];
+      lu = None;
+      lin_x;
+      lin_valid = false;
+      lu_valid = false;
+      scalars;
+      method_ = Backward_euler;
+      newton;
+      problem =
+        {
+          Newton.residual_into = (fun x r -> step_residual ws x r);
+          solve_into = (fun x r delta -> step_solve ws x r delta);
+        };
+    }
+  in
+  ws
+
+(* One implicit step: the step's scalars, q(x_prev) and the sources go
+   into the workspace, then the step problem runs on the workspace's
+   Newton loop. q(x_prev) (and f(x_prev) for trapezoidal) is carried
+   from the previous step's accepted iterate when x_prev is that point,
+   and so is its first residual's q and f. *)
+let implicit_step ?newton_options ~method_ ~workspace:ws ~t_next ~h ~x_prev () =
   let n = size ws in
-  let q_prev = ws.q_prev and q = ws.q_buf and f = ws.f_buf and b_next = ws.b_next in
-  ws.eval_q_into x_prev q_prev;
-  ws.source_into t_next b_next;
-  let residual_into =
-    match method_ with
-    | Backward_euler ->
-        fun x r ->
-          ws.eval_q_into x q;
-          ws.eval_f_into x f;
-          for i = 0 to n - 1 do
-            r.(i) <- ((q.(i) -. q_prev.(i)) /. h) +. f.(i) -. b_next.(i)
-          done
-    | Trapezoidal ->
-        let f_prev = ws.f_prev and b_prev = ws.b_prev in
-        ws.eval_f_into x_prev f_prev;
-        ws.source_into (t_next -. h) b_prev;
-        fun x r ->
-          ws.eval_q_into x q;
-          ws.eval_f_into x f;
-          for i = 0 to n - 1 do
-            r.(i) <-
-              ((q.(i) -. q_prev.(i)) /. h)
-              +. (0.5 *. (f.(i) -. b_next.(i)))
-              +. (0.5 *. (f_prev.(i) -. b_prev.(i)))
-          done
-  in
-  let sc, sg = scales method_ h in
-  let solve_into x r delta =
-    factor_jacobian ws ~sc ~sg x;
-    solve_into ws r delta
-  in
-  let x, stats =
-    Newton.solve ~options:newton_options { Newton.residual_into; solve_into } x_prev
-  in
+  set_scales ws.scalars method_ h;
+  ws.method_ <- method_;
+  evaluate_charges ws x_prev;
+  Array.blit ws.q_buf 0 ws.q_prev 0 n;
+  ws.source_into t_next ws.b_next;
+  (match method_ with
+  | Backward_euler -> ()
+  | Trapezoidal ->
+      Array.blit ws.f_buf 0 ws.f_prev 0 n;
+      ws.source_into (t_next -. h) ws.b_prev);
+  let outcome = Newton.solve_in ?options:newton_options ws.newton ws.problem x_prev in
   {
-    x;
-    newton_iterations = stats.Newton.iterations;
-    converged = Newton.converged stats;
-    outcome = stats.Newton.outcome;
+    x = Array.copy (Newton.iterate ws.newton);
+    newton_iterations = Newton.iterations ws.newton;
+    converged = outcome = Newton.Converged;
+    outcome;
   }
 
 type trace = { times : float array; states : Vec.t array }
 
 (* One macro-step that recursively halves on Newton failure. *)
-let robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev () =
-  let rec attempt ~t_start ~h ~x_prev ~depth ~remaining_newton =
-    if depth > 8 then failwith "Integrator: Newton failed at minimum step size";
-    let r =
-      implicit_step ?newton_options ~method_ ~workspace ~t_next:(t_start +. h) ~h ~x_prev ()
-    in
-    if r.converged then
-      { r with newton_iterations = r.newton_iterations + remaining_newton }
-    else if (match r.outcome with Newton.Exhausted _ -> true | _ -> false) then
-      (* Budget ran out: halving the step would only re-trip it. *)
-      { r with newton_iterations = r.newton_iterations + remaining_newton }
-    else begin
-      let half = h /. 2.0 in
-      let mid =
-        attempt ~t_start ~h:half ~x_prev ~depth:(depth + 1)
-          ~remaining_newton:(remaining_newton + r.newton_iterations)
-      in
-      attempt ~t_start:(t_start +. half) ~h:half ~x_prev:mid.x ~depth:(depth + 1)
-        ~remaining_newton:mid.newton_iterations
-    end
+let rec attempt ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev ~depth
+    ~remaining_newton () =
+  if depth > 8 then failwith "Integrator: Newton failed at minimum step size";
+  let r =
+    implicit_step ?newton_options ~method_ ~workspace ~t_next:(t_start +. h) ~h ~x_prev ()
   in
-  attempt ~t_start ~h ~x_prev ~depth:0 ~remaining_newton:0
+  if
+    r.converged
+    || (* Budget ran out: halving the step would only re-trip it. *)
+    match r.outcome with Newton.Exhausted _ -> true | _ -> false
+  then
+    if remaining_newton = 0 then r
+    else { r with newton_iterations = r.newton_iterations + remaining_newton }
+  else begin
+    let half = h /. 2.0 in
+    let mid =
+      attempt ?newton_options ~method_ ~workspace ~t_start ~h:half ~x_prev ~depth:(depth + 1)
+        ~remaining_newton:(remaining_newton + r.newton_iterations) ()
+    in
+    attempt ?newton_options ~method_ ~workspace ~t_start:(t_start +. half) ~h:half
+      ~x_prev:mid.x ~depth:(depth + 1) ~remaining_newton:mid.newton_iterations ()
+  end
+
+let robust_step ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev () =
+  attempt ?newton_options ~method_ ~workspace ~t_start ~h ~x_prev ~depth:0 ~remaining_newton:0 ()
 
 let transient ?newton_options ?(method_ = Backward_euler) ~dae ~x0 ~t0 ~t1 ~steps () =
   if steps <= 0 then invalid_arg "Integrator.transient: steps must be positive";

@@ -32,8 +32,9 @@ val linearize : workspace -> method_:method_ -> h:float -> Linalg.Vec.t -> unit
     held factor has the same key).
     @raise Sparse.Splu.Singular when [J] is singular. *)
 
-val solve_into : workspace -> Linalg.Vec.t -> Linalg.Vec.t -> unit
-(** [solve_into ws b out] writes [J⁻¹ b] for the last factored [J].
+val solve_columns : workspace -> Linalg.Vec.t array -> unit
+(** [solve_columns ws cols] overwrites each column with [J⁻¹] of it for
+    the last factored [J], through {!Sparse.Splu.solve_columns}.
     @raise Invalid_argument when no factor is held. *)
 
 val charge_jacobian : workspace -> Sparse.Csr.t
@@ -50,18 +51,21 @@ val implicit_step :
   unit ->
   step_result
 (** Single implicit step to [t_next] of size [h] for the workspace's
-    DAE. Trapezoidal needs
-    [b] and [f] at the previous time, which it recomputes from [x_prev]
-    and [t_next -. h]. Each Newton iteration factors [J] through
-    {!linearize}, so the first iteration reuses a factor already held at
-    [x_prev].
+    DAE. Trapezoidal needs [b] and [f] at the previous time, which it
+    takes at [x_prev] and [t_next -. h]. Each Newton iteration factors
+    [J] through {!linearize}, so the first iteration reuses a factor
+    already held at [x_prev].
 
-    The step residual is written into {!Newton}'s buffer from the
-    workspace's [q]/[f] vectors and a source evaluated once per step
-    through {!Dae.fast}[.source_into]; the Jacobian is refreshed in
-    place and refactored without allocation. What a step allocates is
-    its result, Newton's per-solve buffers and whatever the DAE's
-    device models allocate. *)
+    The step's Newton problem is built once per workspace and runs on
+    the workspace's {!Newton.workspace}; the step residual is written
+    from the workspace's [q]/[f] vectors and a source evaluated once
+    per step through {!Dae.fast}[.source_into]; the Jacobian is
+    refreshed in place and refactored without allocation. [q] and [f]
+    are keyed on the bits of the point they were evaluated at, so
+    [q(x_prev)] and the first residual reuse the previous step's
+    accepted iterate's instead of evaluating them again. What a step
+    allocates is its result (the record and a copy of the iterate),
+    and whatever the DAE's device models allocate. *)
 
 type trace = { times : float array; states : Linalg.Vec.t array }
 

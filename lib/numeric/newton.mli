@@ -20,10 +20,10 @@ type problem = {
           approximation is acceptable — convergence degrades
           gracefully). *)
 }
-(** Both callbacks work on buffers that {!solve} owns: [x], [r] and
-    [delta] are valid only for the duration of the call, and a callback
-    must not keep them (nor the iterate handed to [on_iteration]) —
-    {!solve} overwrites them on later iterations. *)
+(** Both callbacks work on buffers that the solve's {!workspace} owns:
+    [x], [r] and [delta] are valid only for the duration of the call,
+    and a callback must not keep them (nor the iterate handed to
+    [on_iteration]) — the solve overwrites them on later iterations. *)
 
 type options = {
   max_iterations : int;  (** default 50 *)
@@ -61,6 +61,34 @@ val converged : stats -> bool
 val report_outcome : stats -> Resilience.Report.outcome
 (** Map final stats onto a structured report outcome. *)
 
+type workspace
+(** The loop's iterate, trial, residual and step buffers, its
+    residual-norm history ring and its state, for solves of one
+    dimension. A solve on a reused workspace allocates no buffer,
+    closure or ref. Single-domain: one solve at a time. *)
+
+val workspace : int -> workspace
+(** [workspace n] holds buffers for [n] unknowns. *)
+
+val solve_in :
+  ?options:options ->
+  ?on_iteration:(int -> Linalg.Vec.t -> float -> unit) ->
+  workspace ->
+  problem ->
+  Linalg.Vec.t ->
+  outcome
+(** [solve_in ws problem x0] is {!solve}'s loop on [ws]'s buffers: it
+    iterates from [x0] (not modified) and returns the outcome. The
+    final iterate is {!iterate}[ ws], which the next solve on [ws]
+    overwrites.
+    @raise Invalid_argument when [x0] is not of [ws]'s dimension. *)
+
+val iterate : workspace -> Linalg.Vec.t
+(** The last solve's final iterate; it belongs to the workspace. *)
+
+val iterations : workspace -> int
+(** The last solve's accepted Newton steps. *)
+
 val solve :
   ?options:options ->
   ?on_iteration:(int -> Linalg.Vec.t -> float -> unit) ->
@@ -68,8 +96,8 @@ val solve :
   Linalg.Vec.t ->
   Linalg.Vec.t * stats
 (** [solve problem x0] iterates from [x0] (not modified) and returns the
-    final iterate with statistics. It allocates its iterate, trial,
-    residual and step buffers once per call; the returned iterate is
-    one of them and belongs to the caller. Exceptions raised by the solver
+    final iterate with statistics. It runs {!solve_in} on a fresh
+    {!workspace}; the returned iterate is one of its buffers and
+    belongs to the caller. Exceptions raised by the solver
     closure are captured as [Solver_failure], except
     {!Resilience.Budget.Exhausted} which becomes [Exhausted]. *)

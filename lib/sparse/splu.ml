@@ -203,6 +203,12 @@ let factor ?(pivot_threshold = 0.1) (a : Csr.t) =
 
 let refactorable f (a : Csr.t) = f.complete && f.pattern == a.Csr.col_idx
 
+(* Unchecked access for the loops that replay and solve on a factor's
+   own structure arrays: [factor] builds every index in them in range
+   of the arrays they index. *)
+external get : 'a array -> int -> 'a = "%array_unsafe_get"
+external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 (* Numeric-only refactorization: keep the symbolic structure (reach sets,
    fill pattern, pivot order) from [factor] and recompute only the
    values. The stored U entries of each column are exactly the pivotal
@@ -213,43 +219,47 @@ let refactorable f (a : Csr.t) = f.complete && f.pattern == a.Csr.col_idx
    values the fixed pivot order is no longer threshold-optimal (same
    trade as any KLU-style refactor); callers using the result as an
    exact solver should watch {!Csr.residual_norm} or the pivot
-   magnitudes. *)
+   magnitudes. [a]'s values are read with bounds checks: only its
+   pattern array is known to be the factored one. *)
 let replay f (a : Csr.t) =
   let x = f.x and values = a.Csr.values in
+  let l_ptr = f.l_ptr and l_idx = f.l_idx and l_val = f.l_val in
+  let u_ptr = f.u_ptr and u_idx = f.u_idx and u_val = f.u_val in
   for k = 0 to f.n - 1 do
-    for p = f.a_ptr.(k) to f.a_ptr.(k + 1) - 1 do
-      x.(f.pinv.(f.a_row.(p))) <- values.(f.a_src.(p))
+    for p = get f.a_ptr k to get f.a_ptr (k + 1) - 1 do
+      set x (get f.pinv (get f.a_row p)) values.(get f.a_src p)
     done;
     (* Replay the sparse triangular solve over the stored U rows
        (topological order; diagonal excluded — it is stored last). *)
-    let dpos = f.u_ptr.(k + 1) - 1 in
-    for p = f.u_ptr.(k) to dpos - 1 do
-      let j = f.u_idx.(p) in
-      let xj = x.(j) in
-      f.u_val.(p) <- xj;
+    let dpos = get u_ptr (k + 1) - 1 in
+    for p = get u_ptr k to dpos - 1 do
+      let j = get u_idx p in
+      let xj = get x j in
+      set u_val p xj;
       if xj <> 0.0 then
-        for q = f.l_ptr.(j) + 1 to f.l_ptr.(j + 1) - 1 do
-          x.(f.l_idx.(q)) <- x.(f.l_idx.(q)) -. (f.l_val.(q) *. xj)
+        for q = get l_ptr j + 1 to get l_ptr (j + 1) - 1 do
+          let i = get l_idx q in
+          set x i (get x i -. (get l_val q *. xj))
         done
     done;
-    let pivot = x.(k) in
+    let pivot = get x k in
     if pivot = 0.0 || not (Float.is_finite pivot) then begin
       (* Leave the scratch clean for the next call. *)
       Array.fill x 0 f.n 0.0;
       raise (Singular k)
     end;
-    f.u_val.(dpos) <- pivot;
-    for q = f.l_ptr.(k) + 1 to f.l_ptr.(k + 1) - 1 do
-      f.l_val.(q) <- x.(f.l_idx.(q)) /. pivot
+    set u_val dpos pivot;
+    for q = get l_ptr k + 1 to get l_ptr (k + 1) - 1 do
+      set l_val q (get x (get l_idx q) /. pivot)
     done;
     (* Every position written above is covered by the column's stored
        U/L entries, so this restores all-zeros. *)
-    for p = f.u_ptr.(k) to dpos do
-      x.(f.u_idx.(p)) <- 0.0
+    for p = get u_ptr k to dpos do
+      set x (get u_idx p) 0.0
     done;
-    x.(k) <- 0.0;
-    for q = f.l_ptr.(k) to f.l_ptr.(k + 1) - 1 do
-      x.(f.l_idx.(q)) <- 0.0
+    set x k 0.0;
+    for q = get l_ptr k to get l_ptr (k + 1) - 1 do
+      set x (get l_idx q) 0.0
     done
   done
 
@@ -272,35 +282,57 @@ let refactor_or_factor prev a =
       with Singular _ -> factor a)
   | _ -> factor a
 
+(* x = A⁻¹ b for [b] in the scratch [y] on entry, left there on exit:
+   [y] is permuted to P b, then the two triangular solves run in
+   place. *)
+let solve_scratch f b =
+  let n = f.n and y = f.y in
+  let l_ptr = f.l_ptr and l_idx = f.l_idx and l_val = f.l_val in
+  let u_ptr = f.u_ptr and u_idx = f.u_idx and u_val = f.u_val in
+  (* y = P b *)
+  for i = 0 to n - 1 do
+    set y (get f.pinv i) (get b i)
+  done;
+  (* Forward: L y' = y, columns of L (unit diagonal first). *)
+  for j = 0 to n - 1 do
+    let yj = get y j in
+    if yj <> 0.0 then
+      for p = get l_ptr j + 1 to get l_ptr (j + 1) - 1 do
+        let i = get l_idx p in
+        set y i (get y i -. (get l_val p *. yj))
+      done
+  done;
+  (* Backward: U x = y', diagonal stored last in each column. *)
+  for j = n - 1 downto 0 do
+    let dpos = get u_ptr (j + 1) - 1 in
+    let xj = get y j /. get u_val dpos in
+    set y j xj;
+    if xj <> 0.0 then
+      for p = get u_ptr j to dpos - 1 do
+        let i = get u_idx p in
+        set y i (get y i -. (get u_val p *. xj))
+      done
+  done
+
 let solve_into f b out =
   let n = f.n in
   if Array.length b <> n || Array.length out <> n then
     invalid_arg "Splu.solve_into: dimension mismatch";
   Telemetry.count "splu.solves";
-  (* y = P b *)
-  let y = f.y in
-  for i = 0 to n - 1 do
-    y.(f.pinv.(i)) <- b.(i)
+  solve_scratch f b;
+  Array.blit f.y 0 out 0 n
+
+let solve_columns f cols =
+  let n = f.n in
+  for j = 0 to Array.length cols - 1 do
+    if Array.length cols.(j) <> n then invalid_arg "Splu.solve_columns: dimension mismatch"
   done;
-  (* Forward: L y' = y, columns of L (unit diagonal first). *)
-  for j = 0 to n - 1 do
-    let yj = y.(j) in
-    if yj <> 0.0 then
-      for p = f.l_ptr.(j) + 1 to f.l_ptr.(j + 1) - 1 do
-        y.(f.l_idx.(p)) <- y.(f.l_idx.(p)) -. (f.l_val.(p) *. yj)
-      done
-  done;
-  (* Backward: U x = y', diagonal stored last in each column. *)
-  for j = n - 1 downto 0 do
-    let dpos = f.u_ptr.(j + 1) - 1 in
-    let xj = y.(j) /. f.u_val.(dpos) in
-    y.(j) <- xj;
-    if xj <> 0.0 then
-      for p = f.u_ptr.(j) to dpos - 1 do
-        y.(f.u_idx.(p)) <- y.(f.u_idx.(p)) -. (f.u_val.(p) *. xj)
-      done
-  done;
-  Array.blit y 0 out 0 n
+  Telemetry.count ~by:(Array.length cols) "splu.solves";
+  for j = 0 to Array.length cols - 1 do
+    let col = get cols j in
+    solve_scratch f col;
+    Array.blit f.y 0 col 0 n
+  done
 
 let solve f b =
   let x = Array.make f.n 0.0 in

@@ -47,3 +47,9 @@ val solve_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** [solve_into lu b out] writes [x] with [a x = b] into [out] through
     the factor's scratch; it allocates nothing. [b] and [out] may be
     the same vector. *)
+
+val solve_columns : t -> Linalg.Vec.t array -> unit
+(** [solve_columns lu cols] overwrites each column [cols.(j)] with
+    [a⁻¹ cols.(j)], as {!solve_into} would, checking the dimensions
+    and counting the solves once for the whole set. It allocates
+    nothing. *)

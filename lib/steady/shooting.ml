@@ -26,7 +26,7 @@ let integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0 ~duration ~ste
   (* S by columns, double-buffered. *)
   let s = ref (Array.init n (fun j -> Array.init n (fun i -> if i = j then 1.0 else 0.0))) in
   let s_next = ref (Array.init n (fun _ -> Array.make n 0.0)) in
-  let rhs = Array.make n 0.0 in
+  let inv_h = 1.0 /. h in
   linearize x0;
   (* C(x_prev) keeps its own values: the workspace refreshes C in place. *)
   let c_prev = ref (copy_values (I.charge_jacobian workspace)) in
@@ -53,12 +53,21 @@ let integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0 ~duration ~ste
     let x_next = step.I.x in
     linearize x_next;
     let s_cur = !s and s_new = !s_next in
+    (* S⁺(:,j) = J⁻¹ (C_prev/h) S(:,j): each right side formed in one
+       pass over C_prev's rows (the row sum, then the 1/h scale), then
+       all columns solved in place. *)
+    let { Sparse.Csr.row_ptr; col_idx; values; _ } = !c_prev in
     for j = 0 to n - 1 do
-      (* rhs = (C_prev/h) · S(:,j) *)
-      Sparse.Csr.mul_vec_into !c_prev s_cur.(j) rhs;
-      Vec.scale_ip (1.0 /. h) rhs;
-      I.solve_into workspace rhs s_new.(j)
+      let sj = s_cur.(j) and rhs = s_new.(j) in
+      for i = 0 to n - 1 do
+        let acc = ref 0.0 in
+        for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+          acc := !acc +. (values.(p) *. sj.(col_idx.(p)))
+        done;
+        rhs.(i) <- inv_h *. !acc
+      done
     done;
+    I.solve_columns workspace s_new;
     s := s_new;
     s_next := s_cur;
     keep_charge ();

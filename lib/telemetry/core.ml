@@ -104,10 +104,21 @@ let state_key : state option ref Domain.DLS.key =
 
 let state () = Domain.DLS.get state_key
 
-let enabled () = !(state ()) <> None
+(* Recorders live on any domain. While there are none, the untraced
+   case, [recorder] answers without the domain-local lookup, which is
+   most of what a disabled span, counter or histogram costs. A domain
+   that exits with its recorder enabled leaves the count raised, which
+   only sends every call down the lookup. *)
+let live = Atomic.make 0
+
+let recorder () = if Atomic.get live = 0 then None else !(state ())
+
+let enabled () = recorder () <> None
 
 let enable () =
-  state ()
+  let r = state () in
+  if !r = None then Atomic.incr live;
+  r
   := Some
        {
          events_rev = [];
@@ -121,10 +132,13 @@ let enable () =
          cpu0 = Clock.cpu ();
        }
 
-let disable () = state () := None
+let disable () =
+  let r = state () in
+  if !r <> None then Atomic.decr live;
+  r := None
 
 let enabled_at () =
-  match !(state ()) with None -> None | Some st -> Some st.wall0
+  match recorder () with None -> None | Some st -> Some st.wall0
 
 let push st e =
   st.events_rev <- e :: st.events_rev;
@@ -159,22 +173,22 @@ let end_on st id =
    raises, the span is closed only if the recorder it was opened on is
    still the current one. *)
 let span_app name f a b =
-  match !(state ()) with
+  match recorder () with
   | None -> f a b
   | Some st -> (
       let id = begin_on st name in
       match f a b with
       | y ->
-          (match !(state ()) with Some st' when st' == st -> end_on st id | _ -> ());
+          (match recorder () with Some st' when st' == st -> end_on st id | _ -> ());
           y
       | exception e ->
-          (match !(state ()) with Some st' when st' == st -> end_on st id | _ -> ());
+          (match recorder () with Some st' when st' == st -> end_on st id | _ -> ());
           raise e)
 
 let span name f = span_app name (fun f () -> f ()) f ()
 
 let count ?(by = 1) name =
-  match !(state ()) with
+  match recorder () with
   | None -> ()
   | Some st -> (
       match Hashtbl.find_opt st.counters name with
@@ -182,7 +196,7 @@ let count ?(by = 1) name =
       | None -> Hashtbl.add st.counters name (ref by))
 
 let gauge name v =
-  match !(state ()) with
+  match recorder () with
   | None -> ()
   | Some st -> (
       match Hashtbl.find_opt st.gauges name with
@@ -216,7 +230,7 @@ let with_alloc_gauges prefix f =
   end
 
 let observe name v =
-  match !(state ()) with
+  match recorder () with
   | None -> ()
   | Some st -> (
       match Hashtbl.find_opt st.hists name with
@@ -234,7 +248,7 @@ let observe name v =
 
 let merge_histogram name (h : histogram) =
   if h.count > 0 then
-    match !(state ()) with
+    match recorder () with
     | None -> ()
     | Some st -> (
         match Hashtbl.find_opt st.hists name with
@@ -256,14 +270,14 @@ let merge_histogram name (h : histogram) =
                 h_buckets = Array.copy h.buckets;
               })
 
-let mark () = match !(state ()) with None -> 0 | Some st -> st.len
+let mark () = match recorder () with None -> 0 | Some st -> st.len
 
 let sorted_bindings tbl value_of =
   Hashtbl.fold (fun k v acc -> (k, value_of v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let snapshot ?(since = 0) () =
-  match !(state ()) with
+  match recorder () with
   | None -> None
   | Some st ->
       let wall = wall_of st and cpu = cpu_of st in

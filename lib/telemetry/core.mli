@@ -1,9 +1,11 @@
 (** Domain-local solve telemetry: hierarchical spans, monotonic
     counters, gauges, and value histograms.
 
-    Disabled (the default) every entry point is a single match on a
-    [ref] — effectively free, so the whole solver stack stays
-    instrumented unconditionally. [enable] installs a fresh recorder;
+    Disabled (the default) every entry point is a load of the
+    process-wide count of live recorders and a match — effectively
+    free, so the whole solver stack stays instrumented
+    unconditionally; while some domain records, the others add a
+    domain-local lookup. [enable] installs a fresh recorder;
     spans then capture wall and CPU timestamps from {!Clock} (relative
     to the enable instant) into an in-memory event log that the sinks
     ({!Sink}, {!Summary}) render after the fact. Counters, gauges, and

@@ -270,12 +270,14 @@ let test_refresher_allocates_nothing () =
     ]
 
 (* A backward-Euler step of the unbalanced mixer (5 unknowns, about 1.8
-   Newton iterations per step) allocates its result, Newton's buffers,
-   residual-history ring and iteration closure: about 240 words. While
-   the MOSFET model returned records it was about 340, and before
-   stamps were replayed into frozen slots and Newton worked in place
-   about 970. *)
-let implicit_step_word_budget = 300.0
+   Newton iterations per step) allocates its result record, its copy of
+   the state, the sources' waveform evaluation and floats boxed for the
+   telemetry and axpy calls: about 48 words. While Newton built its
+   buffers, residual-history ring and iteration closure per step it was
+   about 240, while the MOSFET model returned records about 340, and
+   before stamps were replayed into frozen slots and Newton worked in
+   place about 970. *)
+let implicit_step_word_budget = 100.0
 
 let test_implicit_step_allocation () =
   let f_lo = 1e6 and fd = 1e6 /. 756.5 in

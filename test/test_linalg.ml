@@ -48,9 +48,7 @@ let test_vec_mean () =
   check_float "mean empty" 0.0 (Vec.mean [||])
 
 let test_vec_inplace () =
-  let x = [| 1.0; 2.0 |] in
-  Vec.scale_ip 2.0 x;
-  check_float "scale_ip" 4.0 x.(1);
+  let x = [| 2.0; 4.0 |] in
   Vec.add_ip x [| 1.0; 1.0 |];
   check_float "add_ip" 3.0 x.(0)
 
@@ -343,7 +341,7 @@ let test_kernel_bitwise_vs_vec () =
   Kernel.axpy 1.75 x y;
   bits_equal "axpy" ya' (Kernel.to_array y);
   Kernel.scale_into 0.3 y y;
-  Vec.scale_ip 0.3 ya';
+  let ya' = Vec.scale 0.3 ya' in
   bits_equal "scale_into in place" ya' (Kernel.to_array y);
   let za = Vec.sub xa ya' in
   let z = Kernel.create n in

@@ -275,6 +275,58 @@ let test_newton_on_iteration_callback () =
   let _ = Newton.solve ~on_iteration:(fun _ _ _ -> incr calls) problem [| 1.0 |] in
   Alcotest.(check bool) "callback fired" true (!calls > 0)
 
+(* A reused workspace: every solve on it matches a fresh [Newton.solve]
+   bit for bit, including after a solve with another iteration cap
+   (which resizes the history ring), and allocates none of the loop's
+   buffers. With 64 unknowns one buffer is 65 words; what a solve does
+   allocate is a few boxed floats for the telemetry and axpy calls. *)
+let test_newton_workspace_reuse () =
+  let n = 64 in
+  (* x_i² = i + 2, componentwise: callbacks that allocate nothing *)
+  let problem =
+    {
+      Newton.residual_into =
+        (fun x r ->
+          for i = 0 to n - 1 do
+            r.(i) <- (x.(i) *. x.(i)) -. float_of_int (i + 2)
+          done);
+      solve_into =
+        (fun x r d ->
+          for i = 0 to n - 1 do
+            d.(i) <- r.(i) /. (2.0 *. x.(i))
+          done);
+    }
+  in
+  let ws = Newton.workspace n in
+  let check_against_fresh ?options x0 =
+    let outcome = Newton.solve_in ?options ws problem x0 in
+    let x, stats = Newton.solve ?options problem x0 in
+    Alcotest.(check bool) "same outcome" true (outcome = stats.Newton.outcome);
+    Alcotest.(check int) "same iterations" stats.Newton.iterations (Newton.iterations ws);
+    Alcotest.(check bool) "same iterate, bit for bit" true
+      (Array.for_all2
+         (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+         x (Newton.iterate ws))
+  in
+  check_against_fresh (Array.make n 1.0);
+  check_against_fresh
+    ~options:{ Newton.default_options with max_iterations = 3 }
+    (Array.init n (fun i -> 1.0 +. float_of_int i));
+  check_against_fresh (Array.make n 3.0);
+  let x0 = Array.make n 1.0 in
+  let solves = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to solves do
+    ignore (Newton.solve_in ws problem x0)
+  done;
+  let per_solve = (Gc.minor_words () -. before) /. float_of_int solves in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per solve < one 65-word buffer" per_solve)
+    true (per_solve < 65.0);
+  Alcotest.check_raises "dimension mismatch"
+    (Invalid_argument "Newton.solve_in: dimension mismatch") (fun () ->
+      ignore (Newton.solve_in ws problem [| 1.0 |]))
+
 (* ---------- Continuation ---------- *)
 
 let test_continuation_reaches_target () =
@@ -610,6 +662,7 @@ let () =
           Alcotest.test_case "solver failure capture" `Quick test_newton_solver_failure_capture;
           Alcotest.test_case "already converged" `Quick test_newton_already_converged;
           Alcotest.test_case "iteration callback" `Quick test_newton_on_iteration_callback;
+          Alcotest.test_case "workspace reuse" `Quick test_newton_workspace_reuse;
         ] );
       ( "continuation",
         [

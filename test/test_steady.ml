@@ -198,8 +198,12 @@ let test_monodromy_rectifier () =
 
 (* Allocation guard on the shooting hot loop: one difference period of
    the unbalanced mixer at disparity 756.5 (7 565 steps) stays under
-   2 000 minor words per step. Rebuilding the step Jacobian from
-   scratch costs about 5 000. *)
+   100 minor words per step. It reads about 48: the step's result and
+   its copy of the state (11), the sources' waveform evaluation (18)
+   and floats boxed for the telemetry and axpy calls.
+   A Newton loop that builds its buffers, ring and closures per step
+   reads about 256, and rebuilding the step Jacobian from scratch
+   about 5 000. *)
 let test_shooting_step_allocation () =
   let disparity = 756.5 in
   let mna, period = unbalanced_mixer_fixture disparity in
@@ -212,8 +216,48 @@ let test_shooting_step_allocation () =
     (Steady.Shooting.integrate_with_sensitivity ~workspace ~x0 ~t0:0.0 ~duration:period ~steps
        ());
   let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
-  Alcotest.(check bool) (Printf.sprintf "%.0f minor words per step <= 2000" per_step) true
-    (per_step <= 2000.0)
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words per step <= 100" per_step) true
+    (per_step <= 100.0)
+
+(* Bitwise pins on the time-stepping path. Each value is
+   {!Engine.Checkpoint.waveform_hash} (FNV-1a over the raw bits of the
+   times and the output voltages), recorded before the step Newton
+   moved onto a reused workspace: a step that reorders one float
+   operation changes the hash. *)
+let mixer_problem_d40 () =
+  let f_lo = 1e6 in
+  let fd = f_lo /. 40.0 in
+  Engine.Problem.make ~label:"mixer d=40" ~period:Engine.Problem.Difference_tone ~output:"out"
+    ~f_fast:f_lo ~fd (fun () ->
+      Circuits.unbalanced_mixer ~f_lo
+        ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+        ~rf_amplitude:0.05 ())
+
+let engine_hash kind =
+  let options = { Engine.Options.default with steps_per_period = 400 } in
+  let r = Engine.run (mixer_problem_d40 ()) (Engine.make ~options kind) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Engine.Checkpoint.waveform_hash r.Engine.Result.waveform
+
+let test_shooting_bitwise () =
+  Alcotest.(check string) "shooting d=40" "63f9571be3cc7c10" (engine_hash Engine.Shooting)
+
+let test_multiple_shooting_bitwise () =
+  Alcotest.(check string) "multiple shooting d=40" "039206fb824cdca1"
+    (engine_hash Engine.Multiple_shooting)
+
+let test_transient_bitwise () =
+  let mna = rectifier_fixture () in
+  let r = Circuit.Transient.run ~mna ~t_stop:(2.0 /. rc_freq) ~steps:400 () in
+  let trace = r.Circuit.Transient.trace in
+  let waveform =
+    {
+      Engine.Result.times = trace.Numeric.Integrator.times;
+      values = Numeric.Integrator.sample trace (Circuit.Mna.node_index mna "out");
+    }
+  in
+  Alcotest.(check string) "rectifier transient" "2fdee70ae1eda0d1"
+    (Engine.Checkpoint.waveform_hash waveform)
 
 (* ---------- Periodic FD ---------- *)
 
@@ -372,6 +416,12 @@ let () =
           Alcotest.test_case "monodromy vs FD, rectifier" `Quick test_monodromy_rectifier;
           Alcotest.test_case "step allocation" `Quick test_shooting_step_allocation;
           Alcotest.test_case "input validation" `Quick test_shooting_rejects_zero_steps;
+        ] );
+      ( "bitwise",
+        [
+          Alcotest.test_case "shooting d=40" `Quick test_shooting_bitwise;
+          Alcotest.test_case "multiple shooting d=40" `Quick test_multiple_shooting_bitwise;
+          Alcotest.test_case "rectifier transient" `Quick test_transient_bitwise;
         ] );
       ( "periodic_fd",
         [
