@@ -39,17 +39,21 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
+      (* The four mixer counts are deterministic (the solve is bitwise
+         reproducible), so they are watched exactly: one more Newton
+         step, GMRES iteration, factor or sweep means the solver
+         changed. *)
       metric = "mixer.newton_iterations";
       path = [ "mixer"; "newton_iterations" ];
       direction = Lower_better;
-      tolerance = tol "mixer.newton_iterations";
+      tolerance = tol ~default:0.0 "mixer.newton_iterations";
       absolute = 0.0;
     };
     {
       metric = "mixer.gmres_iterations";
       path = [ "mixer"; "gmres_iterations" ];
       direction = Lower_better;
-      tolerance = tol "mixer.gmres_iterations";
+      tolerance = tol ~default:0.0 "mixer.gmres_iterations";
       absolute = 0.0;
     };
     {
@@ -60,7 +64,7 @@ let default_checks ?(overrides = []) tolerance =
       metric = "mixer.block_factors";
       path = [ "mixer"; "block_factors" ];
       direction = Lower_better;
-      tolerance = tol "mixer.block_factors";
+      tolerance = tol ~default:0.0 "mixer.block_factors";
       absolute = 0.0;
     };
     {
@@ -69,7 +73,7 @@ let default_checks ?(overrides = []) tolerance =
       metric = "mixer.precond_sweeps";
       path = [ "mixer"; "telemetry"; "counters"; "mpde.precond.sweeps" ];
       direction = Lower_better;
-      tolerance = tol "mixer.precond_sweeps";
+      tolerance = tol ~default:0.0 "mixer.precond_sweeps";
       absolute = 0.0;
     };
     {

@@ -65,7 +65,9 @@ val default_checks : ?overrides:(string * float) list -> float -> check list
     [sweep.domain_utilization_4] (higher is better, 0.2 absolute slack)
     and [gc.major_pause_p99] (lower is better, 50ms absolute slack) —
     at the given default tolerance, with optional per-metric overrides
-    keyed by display name. The [sweep.*] group watches the parallel
+    keyed by display name. The four deterministic mixer counts
+    ([newton_iterations], [gmres_iterations], [block_factors],
+    [precond_sweeps]) default to tolerance [0.]: any rise fails. The [sweep.*] group watches the parallel
     sweep executor: serial wall time for the 8-job MPDE sweep, the
     2- and 4-domain speedups over it, and how evenly the domains stay
     busy.

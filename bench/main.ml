@@ -696,16 +696,16 @@ let sweep_bench () =
 (* KERNEL micro-benchmarks: the two hot kernels the mixer solve leans
    on, timed in isolation so a regression is attributable to the kernel
    rather than to solver iteration counts. [spmv_mflops] applies the
-   assembled mixer-grid Jacobian (the matrix the CSR Bigarray SpMV
-   route sees); [block_solve_cols_per_s] applies one n=13 dense LU
-   factor to a 30-column panel through {!Linalg.Lu.solve_many_into},
+   assembled mixer-grid Jacobian through {!Sparse.Csr.mul_vec_into};
+   [block_solve_cols_per_s] applies one n=13 dense LU factor to a
+   30-column panel through {!Linalg.Lu.solve_many_into},
    the dense multi-RHS kernel (the sweep preconditioner itself
    substitutes over compact per-point factors). Both report the best
    of three timed batches. *)
 type kernel_results = { spmv_mflops : float; block_solve_cols_per_s : float }
 
 let kernel_bench () =
-  header "KERNEL - hot-kernel micro-benchmarks (Bigarray SpMV, blocked panel solve)";
+  header "KERNEL - hot-kernel micro-benchmarks (CSR SpMV, blocked panel solve)";
   let f_lo = 450e6 and fd = 15e3 in
   let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
   let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
@@ -719,15 +719,12 @@ let kernel_bench () =
   let jacs = Mpde.Assemble.point_jacobians sys grid state in
   let jac = Mpde.Assemble.jacobian_csr Mpde.Assemble.Backward grid ~size:n ~jacs in
   (* SpMV: y <- A x on the big mixer Jacobian, batched to ~tens of ms. *)
-  let x = Linalg.Kernel.create big and y = Linalg.Kernel.create big in
-  for i = 0 to big - 1 do
-    Linalg.Kernel.set x i (sin (float_of_int i))
-  done;
+  let x = Array.init big (fun i -> sin (float_of_int i)) and y = Array.make big 0.0 in
   let spmv_reps = 400 in
   let _, spmv_t =
     best_of_3 (fun () ->
         for _ = 1 to spmv_reps do
-          Sparse.Csr.mul_vec_ba_into jac x y
+          Sparse.Csr.mul_vec_into jac x y
         done)
   in
   let nnz = Sparse.Csr.nnz jac in

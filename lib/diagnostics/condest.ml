@@ -14,7 +14,7 @@ let lcg_vector ~seed n =
   Array.init n (fun _ -> next ())
 
 let normalize v =
-  let nrm = Vec.norm2 v in
+  let nrm = Kernel.nrm2 v in
   if nrm > 0.0 && Float.is_finite nrm then Vec.scale (1.0 /. nrm) v
   else (
     let u = Array.make (Array.length v) 0.0 in
@@ -29,7 +29,7 @@ let two_norm_est ?(iters = 30) ?(seed = 1) ~n ~apply ~apply_t () =
     (try
        for _ = 1 to iters do
          let w = apply !v in
-         let s = Vec.norm2 w in
+         let s = Kernel.nrm2 w in
          if not (Float.is_finite s) then begin
            sigma := infinity;
            raise Exit
@@ -55,7 +55,7 @@ let spectral_radius_est ?(iters = 30) ?(restarts = 2) ?(seed = 1) ~n ~apply ()
       (try
          for _ = 1 to iters do
            let w = apply !v in
-           let s = Vec.norm2 w in
+           let s = Kernel.nrm2 w in
            if not (Float.is_finite s) then begin
              best := infinity;
              raise Exit

@@ -47,8 +47,8 @@ let options e = e.options
 
 (* One retained MPDE solver workspace per domain: sweep pools run many
    same-shaped jobs per domain, and the workspace's multi-megabyte
-   numeric buffers (dense block staging, Krylov basis, Bigarray
-   vectors) dominate each job's allocation profile. The solver rebinds
+   numeric buffers (dense block staging, Krylov basis, operator
+   buffers) dominate each job's allocation profile. The solver rebinds
    or rejects the retained workspace per job, so reuse never changes
    results. *)
 let mpde_workspace_slot :

@@ -1,54 +1,44 @@
-(** Unboxed Float64 kernels on Bigarray vectors.
+(** Unboxed float kernels on {!Vec.t} ([float array]) vectors.
 
-    The allocation-free inner loops of the Krylov layer and the MPDE
-    matrix-free operator run on these: bounds checks are hoisted to one
-    dimension test per call and the element loops use unchecked
-    accesses. [dot], [nrm2], [axpy] and [spmv] accumulate in the same
-    sequential order as their {!Vec} / {!Sparse.Csr} [float array]
-    counterparts, so results are bitwise identical. *)
+    The allocation-free inner loops of Newton, the Krylov layer and the
+    MPDE matrix-free operator run on these: bounds checks are hoisted
+    to one dimension test per call and the element loops use unchecked
+    accesses. Every sum runs left to right in plain sequential order,
+    so each result is bitwise that of the plain one-element loop.
+    Mismatched lengths raise [Invalid_argument]. *)
 
-type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+val create : int -> float array
+(** Zero-filled vector of the given length. Kept for the benchmark's
+    SpMV probe only; it goes when ROADMAP item 15 lands. *)
 
-val create : int -> vec
-(** Zero-filled vector of the given length. *)
+val of_array : float array -> float array
+(** A copy of the array. Kept for the benchmark's SpMV probe only; it
+    goes when ROADMAP item 15 lands. *)
 
-val dim : vec -> int
-val set : vec -> int -> float -> unit
-val fill : vec -> float -> unit
+val dot : float array -> float array -> float
 
-val blit : vec -> vec -> unit
-(** [blit src dst] copies [src] into [dst] (same length). *)
+val nrm2 : float array -> float
+(** Euclidean norm, [sqrt (dot x x)]. *)
 
-val of_array : float array -> vec
-val to_array : vec -> float array
-
-val blit_from_array : float array -> vec -> unit
-
-val blit_to_array : vec -> float array -> unit
-(** [blit_to_array v a] copies [v] into [a] (same length). *)
-
-val dot : vec -> vec -> float
-val nrm2 : vec -> float
-
-val axpy : float -> vec -> vec -> unit
+val axpy : float -> float array -> float array -> unit
 (** [axpy a x y] computes [y <- y + a*x], two elements per
     iteration. *)
 
-val axpy_dot : float -> vec -> vec -> vec -> float
+val axpy_dot : float -> float array -> float array -> float array -> float
 (** [axpy_dot a x y z] computes [y <- y + a*x] and returns [dot z y] of
     the updated [y], in one pass: bitwise [axpy a x y] followed by
     [dot z y], also when [z] is [y]. Each updated element is kept in a
     register for its product rather than reloaded after the store, two
     elements per iteration, with the sum still taken left to right. *)
 
-val scale_into : float -> vec -> vec -> unit
+val scale_into : float -> float array -> float array -> unit
 (** [scale_into a x y] computes [y <- a*x], two elements per
     iteration. *)
 
-val sub_into : vec -> vec -> vec -> unit
+val sub_into : float array -> float array -> float array -> unit
 (** [sub_into a b y] computes [y <- a - b]. *)
 
-val add_ip : vec -> vec -> unit
+val add_ip : float array -> float array -> unit
 (** [add_ip x y] computes [x <- x + y]. *)
 
 val spmv :
@@ -56,10 +46,10 @@ val spmv :
   row_ptr:int array ->
   col_idx:int array ->
   values:float array ->
-  vec ->
-  vec ->
+  float array ->
+  float array ->
   unit
 (** CSR sparse matrix-vector product [y <- A x] from raw index/value
     arrays; column indices are validated once, then the row loops run
-    unchecked. Accumulation order per row matches
-    [Sparse.Csr.mul_vec_into]. *)
+    unchecked, each row summed from [0.] in CSR order. The one SpMV:
+    [Sparse.Csr.mul_vec_into] runs it. *)

@@ -12,22 +12,6 @@ let map2 f x y =
 let sub x y = map2 ( -. ) x y
 let scale a x = Array.map (fun v -> a *. v) x
 
-let axpy a x y =
-  check_same_dim x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (a *. x.(i))
-  done
-
-let dot x y =
-  check_same_dim x y;
-  let s = ref 0.0 in
-  for i = 0 to Array.length x - 1 do
-    s := !s +. (x.(i) *. y.(i))
-  done;
-  !s
-
-let norm2 x = sqrt (dot x x)
-
 (* A loop, not a fold: a fold's float accumulator is boxed at every
    element, and Newton takes this norm of every residual. The test is
    [Float.max !m a] without the call: on magnitudes it keeps the larger
@@ -39,12 +23,6 @@ let norm_inf x =
     if a > !m || Float.is_nan a then m := a
   done;
   !m
-
-let add_ip x y =
-  check_same_dim x y;
-  for i = 0 to Array.length x - 1 do
-    x.(i) <- x.(i) +. y.(i)
-  done
 
 let neg x = Array.map (fun v -> -.v) x
 

@@ -367,10 +367,13 @@ let jacobian_ws ws =
    two operators' diagonals; pass 2 adds (w/s)·cw_q for every
    off-diagonal stencil entry, t1 then t2. One apply costs nnz(C) +
    nnz(G) multiplies per point plus n per stencil entry. *)
-let jacobian_apply_ws ws ~extra_diag ~(cw : Linalg.Kernel.vec) (v : Linalg.Kernel.vec)
-    (out : Linalg.Kernel.vec) =
+let jacobian_apply_ws ws ~extra_diag ~(cw : Linalg.Vec.t) (v : Linalg.Vec.t)
+    (out : Linalg.Vec.t) =
   if Array.length ws.jacs = 0 then
     invalid_arg "Mpde.Assemble.jacobian_apply_ws: call point_jacobians_ws first";
+  let big = ws.ws_np * ws.ws_n in
+  if Array.length v <> big || Array.length out <> big || Array.length cw <> big then
+    invalid_arg "Mpde.Assemble.jacobian_apply_ws: dimension mismatch";
   let n = ws.ws_n and st = ws.ws_stencil in
   for j = 0 to st.n2 - 1 do
     for i = 0 to st.n1 - 1 do
@@ -390,18 +393,18 @@ let jacobian_apply_ws ws ~extra_diag ~(cw : Linalg.Kernel.vec) (v : Linalg.Kerne
           s :=
             !s
             +. (Array.unsafe_get cv k
-                *. Bigarray.Array1.unsafe_get v (base + Array.unsafe_get cci k))
+                *. Array.unsafe_get v (base + Array.unsafe_get cci k))
         done;
-        Bigarray.Array1.unsafe_set cw (base + r) !s;
+        Array.unsafe_set cw (base + r) !s;
         let t = ref (self *. !s) in
         for k = grp.(r) to grp.(r + 1) - 1 do
           t :=
             !t
             +. (Array.unsafe_get gv k
-                *. Bigarray.Array1.unsafe_get v (base + Array.unsafe_get gci k))
+                *. Array.unsafe_get v (base + Array.unsafe_get gci k))
         done;
-        Bigarray.Array1.unsafe_set out (base + r)
-          (!t +. (extra_diag *. Bigarray.Array1.unsafe_get v (base + r)))
+        Array.unsafe_set out (base + r)
+          (!t +. (extra_diag *. Array.unsafe_get v (base + r)))
       done
     done
   done;
@@ -413,9 +416,9 @@ let jacobian_apply_ws ws ~extra_diag ~(cw : Linalg.Kernel.vec) (v : Linalg.Kerne
       if l <> r then begin
         let c = Array.unsafe_get coef e and qb = (base + (l * ax.stride)) * n in
         for k = 0 to n - 1 do
-          Bigarray.Array1.unsafe_set out (pb + k)
-            (Bigarray.Array1.unsafe_get out (pb + k)
-            +. (c *. Bigarray.Array1.unsafe_get cw (qb + k)))
+          Array.unsafe_set out (pb + k)
+            (Array.unsafe_get out (pb + k)
+            +. (c *. Array.unsafe_get cw (qb + k)))
         done
       end
     done

@@ -140,9 +140,9 @@ val jacobian_ws : workspace -> Sparse.Csr.t
 val jacobian_apply_ws :
   workspace ->
   extra_diag:float ->
-  cw:Linalg.Kernel.vec ->
-  Linalg.Kernel.vec ->
-  Linalg.Kernel.vec ->
+  cw:Linalg.Vec.t ->
+  Linalg.Vec.t ->
+  Linalg.Vec.t ->
   unit
 (** [jacobian_apply_ws ws ~extra_diag ~cw v out] writes
     [(J + extra_diag·I)·v] into [out] from the current per-point blocks

@@ -93,8 +93,8 @@ type t = {
   mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* of the last build *)
   rhs : Linalg.Vec.t;  (* n: one point's gathered right-hand side *)
   y : Linalg.Vec.t;  (* n: one point's substitution *)
-  cy : Linalg.Kernel.vec;  (* np*n: C_p·y_p, written as each point is solved *)
-  sx : Linalg.Kernel.vec;  (* np*n result, returned to GMRES *)
+  cy : Linalg.Vec.t;  (* np*n: C_p·y_p, written as each point is solved *)
+  sx : Linalg.Vec.t;  (* np*n result, returned to GMRES *)
 }
 
 let create ~n ~np =
@@ -115,8 +115,8 @@ let create ~n ~np =
     jacs = [||];
     rhs = Array.make n 0.0;
     y = Array.make n 0.0;
-    cy = Linalg.Kernel.create (np * n);
-    sx = Linalg.Kernel.create (np * n);
+    cy = Array.make (np * n) 0.0;
+    sx = Array.make (np * n) 0.0;
   }
 
 let fits t ~n ~np = t.n = n && t.np = np
@@ -601,31 +601,31 @@ let build t ((op1, op2) as ops) (g : Grid.t) ~jacs ~extra_diag =
 
 (* b += c · (C_q y_q), read from the per-point products [cy]. Inlined,
    so [c] is never boxed. *)
-let[@inline] add_scaled (b : float array) (cy : Linalg.Kernel.vec) n c q =
+let[@inline] add_scaled (b : float array) (cy : Linalg.Vec.t) n c q =
   let qb = q * n in
   for row = 0 to n - 1 do
     Array.unsafe_set b row
-      (Array.unsafe_get b row +. (c *. Bigarray.Array1.unsafe_get cy (qb + row)))
+      (Array.unsafe_get b row +. (c *. Array.unsafe_get cy (qb + row)))
   done
 
 (* out_p += c · (C_q y_q), on the output vector. *)
-let[@inline] add_product (out : Linalg.Kernel.vec) base (cy : Linalg.Kernel.vec) n c q =
+let[@inline] add_product (out : Linalg.Vec.t) base (cy : Linalg.Vec.t) n c q =
   let qb = q * n in
   for row = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set out (base + row)
-      (Bigarray.Array1.unsafe_get out (base + row)
-      +. (c *. Bigarray.Array1.unsafe_get cy (qb + row)))
+    Array.unsafe_set out (base + row)
+      (Array.unsafe_get out (base + row)
+      +. (c *. Array.unsafe_get cy (qb + row)))
   done
 
 (* cy_p = C_p y_p, each row summed from 0.0 in CSR order. *)
-let[@inline] c_times (cy : Linalg.Kernel.vec) n (c : Sparse.Csr.t) (y : float array) base =
+let[@inline] c_times (cy : Linalg.Vec.t) n (c : Sparse.Csr.t) (y : float array) base =
   let rp = c.Sparse.Csr.row_ptr and ci = c.Sparse.Csr.col_idx and cv = c.Sparse.Csr.values in
   for row = 0 to n - 1 do
     let s = ref 0.0 in
     for k = Array.unsafe_get rp row to Array.unsafe_get rp (row + 1) - 1 do
       s := !s +. (Array.unsafe_get cv k *. Array.unsafe_get y (Array.unsafe_get ci k))
     done;
-    Bigarray.Array1.unsafe_set cy (base + row) !s
+    Array.unsafe_set cy (base + row) !s
   done
 
 (* The split of a completed build. *)
@@ -639,8 +639,9 @@ let built t =
    the lower-neighbour couplings (w/s·C_q y_q, from [cy]) to the right
    side, permute, forward/back substitution over the stored nonzeros,
    then C_p y_p into [cy]. *)
-let sweep t (r : Linalg.Kernel.vec) =
+let sweep t (r : Linalg.Vec.t) =
   let sp = built t in
+  if Array.length r <> t.np * t.n then invalid_arg "Block_sweep.apply: dimension mismatch";
   Telemetry.count "mpde.precond.sweeps";
   let n = t.n and n1 = sp.n1 and jacs = t.jacs in
   let x = t.sx and b = t.rhs and y = t.y and cy = t.cy and vals = t.vals in
@@ -650,7 +651,7 @@ let sweep t (r : Linalg.Kernel.vec) =
       let p = (j * n1) + i in
       let base = p * n in
       for row = 0 to n - 1 do
-        Array.unsafe_set b row (Bigarray.Array1.unsafe_get r (base + row))
+        Array.unsafe_set b row (Array.unsafe_get r (base + row))
       done;
       let lower1 = Array.unsafe_get sp.lower1 i in
       for e = 0 to Array.length lower1 - 1 do
@@ -688,7 +689,7 @@ let sweep t (r : Linalg.Kernel.vec) =
         done;
         let v = !s /. Array.unsafe_get vals (diag + row) in
         Array.unsafe_set y row v;
-        Bigarray.Array1.unsafe_set x (base + row) v
+        Array.unsafe_set x (base + row) v
       done;
       c_times cy n (snd (Array.unsafe_get jacs p)) y base
     done
@@ -699,9 +700,9 @@ let sweep t (r : Linalg.Kernel.vec) =
    [cy], so the result overwrites y in the output buffer. Only the
    points with R entries (the wraps, for a lower-triangular t1
    operator) do more than the copy of [v]. *)
-let product_sweep t (v : Linalg.Kernel.vec) =
+let product_sweep t (v : Linalg.Vec.t) =
   let x = sweep t v in
-  Linalg.Kernel.blit v x;
+  Array.blit v 0 x 0 (Array.length x);
   let sp = built t in
   let n = t.n and n1 = sp.n1 and cy = t.cy in
   for j = 0 to sp.n2 - 1 do

@@ -82,7 +82,7 @@ val build :
     @raise Linalg.Lu.Singular on a singular block, or one whose pivot
     is below {!Linalg.Lu.default_pivot_tol}, as the dense path would. *)
 
-val apply : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec
+val apply : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [apply t r] returns y = M⁻¹ r in the workspace's output buffer
     (overwritten by the next {!apply} or {!product}), with the
     couplings and blocks of the last {!build}. As point p is solved,
@@ -92,7 +92,7 @@ val apply : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec
     [mpde.precond.apply] span.
     @raise Invalid_argument unless a {!build} has completed. *)
 
-val product : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec
+val product : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [product t v] returns J·M⁻¹v = v + R·y with y = M⁻¹v (Eisenstat's
     product): one sweep plus R's entries, which read the buffered
     C_q·y_q. For the backward scheme R touches only the wrap points
@@ -103,7 +103,7 @@ val product : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec
     {!apply}'s y by the sweep's rounding only. Same span, counter and
     errors as {!apply}. *)
 
-val c_products : t -> Linalg.Kernel.vec
+val c_products : t -> Linalg.Vec.t
 (** The per-point C_p·y_p buffer (length [np·n]) that {!apply} and
     {!product} fill and read within one call. Nothing in it survives
     from one call to the next, so between calls it is free scratch of

@@ -64,7 +64,7 @@ type solution = {
 type workspace = {
   mutable asm : Assemble.workspace;
   mutable gmres_ws : Sparse.Krylov.workspace option;
-  op_ba : Linalg.Kernel.vec;  (* shared operator output (GMRES buffer contract) *)
+  op_out : Vec.t;  (* shared operator output (GMRES buffer contract) *)
   sweep : Block_sweep.t;
   mutable splu : Sparse.Splu.t option;
 }
@@ -76,7 +76,7 @@ let make_workspace scheme sys (g : Grid.t) =
   {
     asm = Assemble.workspace scheme sys g;
     gmres_ws = None;
-    op_ba = Linalg.Kernel.create big;
+    op_out = Array.make big 0.0;
     sweep = Block_sweep.create ~n ~np;
     splu = None;
   }
@@ -127,8 +127,8 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
          each Arnoldi step takes J·M⁻¹v from the sweep. *)
       let op v =
         Assemble.jacobian_apply_ws ws.asm ~extra_diag ~cw:(Block_sweep.c_products ws.sweep) v
-          ws.op_ba;
-        ws.op_ba
+          ws.op_out;
+        ws.op_out
       in
       (* Exact factors at every Newton iterate: a lagged or shared
          block lets a switching device's conductance drift unseen, and
@@ -277,7 +277,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   let sources = Assemble.sources_on_grid sys g in
   (* Sweep-scale solves reuse one workspace per domain through the
      caller-held slot: the multi-megabyte numeric buffers (compact
-     sweep factors, Krylov basis, Bigarray vectors) survive from job
+     sweep factors, Krylov basis, operator buffers) survive from job
      to job, while everything bound to the previous system is rebound
      or dropped. A shape mismatch falls back to a fresh workspace. *)
   let ws =

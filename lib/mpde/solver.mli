@@ -88,7 +88,7 @@ type solution = {
 type workspace
 (** Per-solve numeric state: assembly scratch, the sweep
     preconditioner's compact factor store, the GMRES
-    Krylov basis, and the Bigarray operator buffers. Owned by exactly
+    Krylov basis, and the operator buffers. Owned by exactly
     one solve on one domain at a time. *)
 
 val solve :

@@ -188,7 +188,7 @@ let iteration ws () =
   let tries = ref 0 in
   while (not !accepted) && !tries <= options.max_backtracks do
     Array.blit x 0 trial 0 (Array.length x);
-    Vec.axpy (-. !damping) delta trial;
+    Linalg.Kernel.axpy (-. !damping) delta trial;
     residual_into ws.problem trial rt;
     let rtnorm = norm_inf rt in
     if Float.is_finite rtnorm && rtnorm < rnorm then begin

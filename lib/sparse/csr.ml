@@ -94,24 +94,15 @@ let get m i j =
 let mul_vec_into m x y =
   if Array.length x <> m.cols || Array.length y <> m.rows then
     invalid_arg "Csr.mul_vec_into: dimension mismatch";
-  for i = 0 to m.rows - 1 do
-    let s = ref 0.0 in
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      s := !s +. (m.values.(k) *. x.(m.col_idx.(k)))
-    done;
-    y.(i) <- !s
-  done
+  Linalg.Kernel.spmv ~rows:m.rows ~row_ptr:m.row_ptr ~col_idx:m.col_idx ~values:m.values x y
 
 let mul_vec m x =
   let y = Array.make m.rows 0.0 in
   mul_vec_into m x y;
   y
 
-let mul_vec_ba_into m x y =
-  if Linalg.Kernel.dim x <> m.cols || Linalg.Kernel.dim y <> m.rows then
-    invalid_arg "Csr.mul_vec_ba_into: dimension mismatch";
-  Linalg.Kernel.spmv ~rows:m.rows ~row_ptr:m.row_ptr ~col_idx:m.col_idx
-    ~values:m.values x y
+(* Kept for rfssbench/probe.ml only; goes when ROADMAP item 15 lands. *)
+let mul_vec_ba_into = mul_vec_into
 
 let tmul_vec m x =
   if Array.length x <> m.rows then invalid_arg "Csr.tmul_vec: dimension mismatch";

@@ -29,11 +29,13 @@ val slot : t -> int -> int -> int
 val mul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
 
 val mul_vec_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [mul_vec_into m x y] computes [y <- m x] with the unchecked
+    {!Linalg.Kernel.spmv} loop, each row summed from [0.] in CSR
+    order. *)
 
-val mul_vec_ba_into : t -> Linalg.Kernel.vec -> Linalg.Kernel.vec -> unit
-(** [mul_vec_ba_into m x y] computes [y <- m x] on Bigarray vectors via
-    the unchecked {!Linalg.Kernel.spmv} hot loop; accumulation order
-    (and hence every bit of the result) matches {!mul_vec_into}. *)
+val mul_vec_ba_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** {!mul_vec_into} under its old name, kept for the benchmark's SpMV
+    probe only; it goes when ROADMAP item 15 lands. *)
 
 val tmul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** Transposed product [mᵀ x]. *)

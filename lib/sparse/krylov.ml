@@ -1,7 +1,7 @@
 module Vec = Linalg.Vec
 module Kernel = Linalg.Kernel
 
-type operator = Kernel.vec -> Kernel.vec
+type operator = Vec.t -> Vec.t
 
 type stop_reason =
   | Tolerance
@@ -28,25 +28,22 @@ type result = {
    converges in a few iterations never pays for the other restart
    columns.
 
-   The O(n) vectors are Float64 Bigarrays driven by the {!Kernel}
-   hot loops; the O(restart) rotation machinery stays in plain float
-   arrays. Every field is overwritten before it is read, so a solve
-   on a used workspace is bitwise the solve on a fresh one. *)
+   The O(n) vectors are driven by the {!Kernel} hot loops. Every
+   field is overwritten before it is read, so a solve on a used
+   workspace is bitwise the solve on a fresh one. *)
 type workspace = {
   ws_n : int;
   ws_restart : int;
-  basis : Kernel.vec array;  (* restart+1 slots; length n once created, empty before *)
+  basis : Vec.t array;  (* restart+1 slots; length n once created, empty before *)
   hcols : Vec.t array;  (* Hessenberg columns; hcols.(j) has length j+2 *)
   cs : Vec.t;
   sn : Vec.t;
   g : Vec.t;  (* restart+1 *)
   y : Vec.t;
-  r : Kernel.vec;
-  update : Kernel.vec;
-  xv : Kernel.vec;  (* the iterate *)
-  bv : Kernel.vec;  (* right-hand side staged once per call *)
-  ident : Kernel.vec;  (* output of the default (identity) preconditioner *)
-  mutable w : Kernel.vec;  (* the product being orthogonalized (not owned) *)
+  r : Vec.t;
+  update : Vec.t;
+  ident : Vec.t;  (* output of the default (identity) preconditioner *)
+  mutable w : Vec.t;  (* the product being orthogonalized (not owned) *)
 }
 
 let workspace ~restart ~n =
@@ -54,27 +51,25 @@ let workspace ~restart ~n =
   {
     ws_n = n;
     ws_restart = restart;
-    basis = Array.make (restart + 1) (Kernel.create 0);
+    basis = Array.make (restart + 1) [||];
     hcols = Array.init restart (fun j -> Array.make (j + 2) 0.0);
     cs = Array.make restart 0.0;
     sn = Array.make restart 0.0;
     g = Array.make (restart + 1) 0.0;
     y = Array.make restart 0.0;
-    r = Kernel.create n;
-    update = Kernel.create n;
-    xv = Kernel.create n;
-    bv = Kernel.create n;
-    ident = Kernel.create n;
-    w = Kernel.create 0;
+    r = Array.make n 0.0;
+    update = Array.make n 0.0;
+    ident = Array.make n 0.0;
+    w = [||];
   }
 
 (* Basis vector [j], created at its first use; it is written before it
    is read, like every other field. *)
 let basis_vec ws j =
   let v = ws.basis.(j) in
-  if Kernel.dim v = ws.ws_n then v
+  if Array.length v = ws.ws_n then v
   else begin
-    let v = Kernel.create ws.ws_n in
+    let v = Array.make ws.ws_n 0.0 in
     ws.basis.(j) <- v;
     v
   end
@@ -97,7 +92,7 @@ let orth ws j =
   hj.(j + 1) <- sqrt (Kernel.axpy_dot (-.hj.(j)) basis.(j) w w)
 
 (* Restarted GMRES with right preconditioning and Givens-rotation QR of
-   the Hessenberg matrix, on Bigarray vectors.
+   the Hessenberg matrix.
 
    Breakdown handling: a vanishing Hessenberg subdiagonal ("happy
    breakdown" — the Krylov space became invariant) finishes the inner
@@ -119,6 +114,12 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
   if restart < 1 then invalid_arg "Krylov.gmres: restart < 1";
   Telemetry.span "gmres" @@ fun () ->
   let n = Array.length b in
+  (match x0 with
+  | Some v when Array.length v <> n -> invalid_arg "Krylov.gmres: x0 length differs from b"
+  | _ -> ());
+  (match out with
+  | Some v when Array.length v <> n -> invalid_arg "Krylov.gmres: out length differs from b"
+  | _ -> ());
   if Resilience.Faultinject.gmres_stall () then begin
     (* Injected stagnation: report a zero-progress stall so callers
        escalate through exactly the path a real one would take. *)
@@ -147,18 +148,22 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
         (* Identity into its own buffer: the caller may mutate the
            returned vector, so never hand back the argument. *)
         fun v ->
-          Kernel.blit v ws.ident;
+          Array.blit v 0 ws.ident 0 n;
           ws.ident
   in
   let product =
     match product with Some p -> p | None -> fun v -> apply_op op (precond v)
   in
-  let x = ws.xv in
-  Kernel.blit_from_array b ws.bv;
-  let bv = ws.bv in
+  (* The iterate lives in [out] (or a fresh array), so nothing is
+     copied back at the end. [b] and [x0] are only read; where [out]
+     is [b], [b] is copied first, and where [out] is [x0] the iterate
+     already starts there. *)
+  let bv = match out with Some o when o == b -> Array.copy b | _ -> b in
+  let x = match out with Some o -> o | None -> Array.make n 0.0 in
   (match x0 with
-  | Some x0 -> Kernel.blit_from_array x0 x
-  | None -> Kernel.fill x 0.0);
+  | Some x0 when x0 != x -> Array.blit x0 0 x 0 n
+  | Some _ -> ()
+  | None -> Array.fill x 0 n 0.0);
   let bnorm = Kernel.nrm2 bv in
   let target = if bnorm > 0.0 then tol *. bnorm else tol in
   let total_iters = ref 0 in
@@ -176,7 +181,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
        incr restarts;
        Telemetry.count "gmres.restarts";
        let r = ws.r in
-       if !total_iters = 0 && x0 = None then Kernel.blit bv r
+       if !total_iters = 0 && x0 = None then Array.blit bv 0 r 0 n
        else begin
          let ax = apply_op op x in
          Kernel.sub_into bv ax r
@@ -224,7 +229,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
          else begin
            let happy = hj.(j + 1) <= 1e-300 in
            let bj1 = basis_vec ws (j + 1) in
-           if happy then Kernel.fill bj1 0.0
+           if happy then Array.fill bj1 0 n 0.0
            else begin
              let inv = 1.0 /. hj.(j + 1) in
              Kernel.scale_into inv w bj1
@@ -287,7 +292,7 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
          y.(i) <- (if Float.abs h.(i).(i) > 0.0 then !s /. h.(i).(i) else 0.0)
        done;
        let update = ws.update in
-       Kernel.fill update 0.0;
+       Array.fill update 0 n 0.0;
        for j = 0 to k - 1 do
          Kernel.axpy y.(j) basis.(j) update
        done;
@@ -313,13 +318,6 @@ let gmres ?(restart = 50) ?(max_iter = 500) ?(tol = 1e-10) ?precond ?product ?bu
   | Budget_exhausted -> Telemetry.count "gmres.budget_stops"
   | Max_iterations when not !converged -> Telemetry.count "gmres.max_iter_stops"
   | _ -> ());
-  let x =
-    match out with
-    | Some o ->
-        Kernel.blit_to_array x o;
-        o
-    | None -> Kernel.to_array x
-  in
   {
     x;
     converged = !converged;

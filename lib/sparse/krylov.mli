@@ -1,11 +1,11 @@
 (** Matrix-free restarted GMRES.
 
-    The operator and the (right) preconditioner are closures over the
-    unboxed Float64 {!Linalg.Kernel.vec}s the solver runs on, so it can
-    be driven by explicit CSR matrices ({!Csr.mul_vec_ba_into}), by the
-    structure-exploiting MPDE block sweep, or fully matrix-free. *)
+    The operator and the (right) preconditioner are closures over
+    {!Linalg.Vec.t}s, so it can be driven by explicit CSR matrices
+    ({!Csr.mul_vec_into}), by the structure-exploiting MPDE block
+    sweep, or fully matrix-free. *)
 
-type operator = Linalg.Kernel.vec -> Linalg.Kernel.vec
+type operator = Linalg.Vec.t -> Linalg.Vec.t
 
 type stop_reason =
   | Tolerance  (** residual met the convergence target *)
@@ -78,8 +78,12 @@ val gmres :
 
     [workspace] supplies preallocated scratch (ignored and rebuilt
     locally if its shape does not cover [(restart, n)]). [out] (length
-    [n]), when given, receives the solution and is the returned [x];
-    otherwise [x] is a fresh array. Buffer
+    [n]), when given, holds the iterate and is the returned [x];
+    otherwise [x] is a fresh array. GMRES writes no argument but
+    [out]. [out] may be [b] (copied once first) or [x0] (the iterate
+    then starts in place); either gives the bits of a separate [out].
+    An [x0] or [out] whose length is not [n] raises
+    [Invalid_argument]. Buffer
     contract: [op], [precond] and [product] may return a shared internal
     buffer, the same one for all three — GMRES copies anything it keeps
     before the next call, and may mutate the returned vector in place.

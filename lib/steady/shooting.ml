@@ -163,7 +163,7 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0
       Telemetry.span "shooting.newton_update" @@ fun () ->
       try Linalg.Lu.solve_dense (Mat.sub monodromy (Mat.identity n)) (Vec.neg r)
       with e -> failwith ("monodromy solve failed: " ^ Printexc.to_string e))
-    ~apply:(Vec.add_ip x0)
+    ~apply:(Linalg.Kernel.add_ip x0)
     ~trace:(function
       | Some (trace, _) -> trace
       | None -> { Numeric.Integrator.times = [| 0.0 |]; states = [| x0 |] })

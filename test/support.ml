@@ -1,6 +1,7 @@
 (* Oracles shared by the test suites: tolerance comparisons, dense
-   views of sparse matrices, and a parser for the registry's CSV
-   exposition. Nothing outside test/ needs them. *)
+   views of sparse matrices, plain-loop references of the vector
+   kernels, and a parser for the registry's CSV exposition. Nothing
+   outside test/ needs them. *)
 
 let vec_approx_equal ?(tol = 1e-9) (x : Linalg.Vec.t) y =
   Array.length x = Array.length y
@@ -46,6 +47,31 @@ let csr_to_dense (m : Sparse.Csr.t) =
     done
   done;
   d
+
+(* ---------- Plain-loop kernel references ---------- *)
+
+(* One element per iteration, checked accesses, sums from 0. left to
+   right: the loops the unrolled, unchecked Linalg.Kernel loops must
+   match bit for bit. *)
+let ref_dot (x : float array) y =
+  let s = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    s := !s +. (x.(i) *. y.(i))
+  done;
+  !s
+
+let ref_axpy a (x : float array) y =
+  for i = 0 to Array.length x - 1 do
+    y.(i) <- y.(i) +. (a *. x.(i))
+  done
+
+let ref_spmv (m : Sparse.Csr.t) (x : float array) =
+  Array.init m.rows (fun i ->
+      let s = ref 0.0 in
+      for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
+        s := !s +. (m.values.(k) *. x.(m.col_idx.(k)))
+      done;
+      !s)
 
 (* ---------- Registry CSV (inverse of Registry.to_csv) ---------- *)
 

@@ -404,6 +404,20 @@ let test_gate_speedup_floor () =
   in
   Alcotest.(check bool) "mixer allocation regression fails" false r.Gate.passed
 
+let test_gate_exact_counts () =
+  (* The mixer's counts are deterministic and watched at tolerance 0:
+     one extra GMRES iteration (2 %) or sweep fails, even under a loose
+     default tolerance; one fewer passes. *)
+  let base = bench_doc () in
+  let checks = Gate.default_checks 0.5 in
+  let run current = (Gate.evaluate ~checks ~baseline:base ~current ()).Gate.passed in
+  Alcotest.(check bool) "one more gmres iteration fails" false (run (bench_doc ~gmres:51.0 ()));
+  Alcotest.(check bool) "one more sweep fails" false (run (bench_doc ~precond_sweeps:41.0 ()));
+  Alcotest.(check bool) "one more newton step fails" false (run (bench_doc ~newton:11.0 ()));
+  Alcotest.(check bool) "one more factor fails" false
+    (run (bench_doc ~block_factors:1201.0 ()));
+  Alcotest.(check bool) "one fewer gmres iteration passes" true (run (bench_doc ~gmres:49.0 ()))
+
 let test_gate_retry_floor () =
   (* Any retry or degraded job on the bench's clean sweep is a hard
      error — the baseline blessing the same count does not excuse it. *)
@@ -714,6 +728,7 @@ let () =
           Alcotest.test_case "overrides" `Quick test_gate_overrides;
           Alcotest.test_case "absolute slack" `Quick test_gate_absolute_slack;
           Alcotest.test_case "retry floor" `Quick test_gate_retry_floor;
+          Alcotest.test_case "exact counts" `Quick test_gate_exact_counts;
           Alcotest.test_case "speedup floor and factor watch" `Quick
             test_gate_speedup_floor;
         ] );

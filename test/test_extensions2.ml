@@ -252,7 +252,7 @@ let test_quasi_static_start_close_to_solution () =
     <= from_dc.Mpde.Solver.stats.newton_iterations);
   (* Both starts must land on the same solution. *)
   Alcotest.(check bool) "same fixed point" true
-    (Linalg.Vec.norm2 (Linalg.Vec.sub from_qs.Mpde.Solver.big_x from_dc.Mpde.Solver.big_x) < 1e-5)
+    (Linalg.Kernel.nrm2 (Linalg.Vec.sub from_qs.Mpde.Solver.big_x from_dc.Mpde.Solver.big_x) < 1e-5)
 
 let test_frozen_column_is_periodic_steady_state () =
   (* A frozen column at t2 is the fast-scale periodic problem: on a

@@ -1,6 +1,7 @@
 (* Unit and property tests for the dense linear-algebra substrate. *)
 
 module Vec = Linalg.Vec
+module Kernel = Linalg.Kernel
 module Mat = Linalg.Mat
 module Lu = Linalg.Lu
 
@@ -23,25 +24,27 @@ let test_vec_create () =
 let test_vec_add_sub () =
   let a = [| 1.0; 2.0 |] and b = [| 3.0; 5.0 |] in
   check_float "sub" (-2.0) (Vec.sub a b).(0);
-  Vec.add_ip a b;
+  Kernel.add_ip a b;
   check_float "add_ip" 7.0 a.(1)
 
 let test_vec_dot_norms () =
   let v = [| 3.0; 4.0 |] in
-  check_float "dot" 25.0 (Vec.dot v v);
-  check_float "norm2" 5.0 (Vec.norm2 v);
+  check_float "dot" 25.0 (Kernel.dot v v);
+  check_float "norm2" 5.0 (Kernel.nrm2 v);
   check_float "norm_inf" 4.0 (Vec.norm_inf v)
 
 let test_vec_axpy () =
   let x = [| 1.0; 1.0 |] and y = [| 2.0; 0.0 |] in
-  Vec.axpy 3.0 x y;
+  Kernel.axpy 3.0 x y;
   check_float "axpy" 5.0 y.(0);
   check_float "axpy" 3.0 y.(1)
 
 let test_vec_mismatch () =
   let a = Array.make 2 0.0 and b = Array.make 3 0.0 in
   Alcotest.check_raises "mismatch" (Invalid_argument "Vec: dimension mismatch") (fun () ->
-      ignore (Vec.dot a b))
+      ignore (Vec.sub a b));
+  Alcotest.check_raises "kernel mismatch" (Invalid_argument "Kernel: dimension mismatch")
+    (fun () -> ignore (Kernel.dot a b))
 
 let test_vec_mean () =
   check_float "mean" 2.0 (Vec.mean [| 1.0; 2.0; 3.0 |]);
@@ -49,7 +52,7 @@ let test_vec_mean () =
 
 let test_vec_inplace () =
   let x = [| 2.0; 4.0 |] in
-  Vec.add_ip x [| 1.0; 1.0 |];
+  Kernel.add_ip x [| 1.0; 1.0 |];
   check_float "add_ip" 3.0 x.(0)
 
 (* ---------- Mat ---------- *)
@@ -309,44 +312,29 @@ let test_lu_factor_matches_reference () =
     (Invalid_argument "Lu.factor: matrix not square") (fun () ->
       ignore (Lu.factor (Mat.create 2 3)))
 
-(* ---------- Bigarray kernels ---------- *)
+(* ---------- Kernels ---------- *)
 
-module Kernel = Linalg.Kernel
-
-let test_kernel_roundtrip () =
-  let a = [| 1.5; -2.25; 0.0; 3.125 |] in
-  let v = Kernel.of_array a in
-  Alcotest.(check int) "dim" 4 (Kernel.dim v);
-  bits_equal "roundtrip" a (Kernel.to_array v);
-  let w = Kernel.create 4 in
-  Kernel.blit v w;
-  check_float "blit" (-2.25) (Kernel.to_array w).(1);
-  Kernel.set w 1 7.0;
-  check_float "set" 7.0 (Kernel.to_array w).(1);
-  Kernel.fill w 0.5;
-  check_float "fill" 0.5 (Kernel.to_array w).(3)
-
-let test_kernel_bitwise_vs_vec () =
-  (* The Bigarray kernels promise the same accumulation order as the
-     float-array reference, so equality is bitwise, not approximate. *)
+let test_kernel_bitwise_vs_plain_loop () =
+  (* The unrolled, unchecked kernels promise the accumulation order of
+     the plain loops, so equality is bitwise, not approximate. *)
   let rand = lcg 7 in
   let n = 129 in
   let xa = Array.init n (fun _ -> 100.0 *. rand ()) in
   let ya = Array.init n (fun _ -> 100.0 *. rand ()) in
-  let x = Kernel.of_array xa and y = Kernel.of_array ya in
-  bits_equal "dot" [| Vec.dot xa ya |] [| Kernel.dot x y |];
-  bits_equal "nrm2" [| Vec.norm2 xa |] [| Kernel.nrm2 x |];
+  let y = Array.copy ya in
+  bits_equal "dot" [| Support.ref_dot xa ya |] [| Kernel.dot xa ya |];
+  bits_equal "nrm2" [| sqrt (Support.ref_dot xa xa) |] [| Kernel.nrm2 xa |];
   let ya' = Array.copy ya in
-  Vec.axpy 1.75 xa ya';
-  Kernel.axpy 1.75 x y;
-  bits_equal "axpy" ya' (Kernel.to_array y);
+  Support.ref_axpy 1.75 xa ya';
+  Kernel.axpy 1.75 xa y;
+  bits_equal "axpy" ya' y;
   Kernel.scale_into 0.3 y y;
   let ya' = Vec.scale 0.3 ya' in
-  bits_equal "scale_into in place" ya' (Kernel.to_array y);
+  bits_equal "scale_into in place" ya' y;
   let za = Vec.sub xa ya' in
-  let z = Kernel.create n in
-  Kernel.sub_into x y z;
-  bits_equal "sub_into" za (Kernel.to_array z)
+  let z = Array.make n 0.0 in
+  Kernel.sub_into xa y z;
+  bits_equal "sub_into" za z
 
 (* ---------- complex ---------- *)
 
@@ -393,7 +381,7 @@ let prop_lu_solves =
           pair (random_matrix_gen 5) (array_size (return 5) (float_range (-5.0) 5.0))))
     (fun (a, b) ->
       let x = Lu.solve_dense a b in
-      Vec.norm2 (Vec.sub (Mat.mul_vec a x) b) < 1e-8)
+      Kernel.nrm2 (Vec.sub (Mat.mul_vec a x) b) < 1e-8)
 
 let prop_lu_det_transpose =
   QCheck.Test.make ~count:60 ~name:"lu: det a = det aᵀ"
@@ -412,7 +400,7 @@ let prop_vec_triangle =
             (array_size (return 8) (float_range (-100.0) 100.0))
             (array_size (return 8) (float_range (-100.0) 100.0))))
     (fun (a, b) ->
-      Vec.norm2 (Array.map2 ( +. ) a b) <= Vec.norm2 a +. Vec.norm2 b +. 1e-9)
+      Kernel.nrm2 (Array.map2 ( +. ) a b) <= Kernel.nrm2 a +. Kernel.nrm2 b +. 1e-9)
 
 let prop_vec_cauchy_schwarz =
   QCheck.Test.make ~count:200 ~name:"vec: |⟨a,b⟩| ≤ ‖a‖‖b‖"
@@ -422,7 +410,7 @@ let prop_vec_cauchy_schwarz =
           pair
             (array_size (return 6) (float_range (-50.0) 50.0))
             (array_size (return 6) (float_range (-50.0) 50.0))))
-    (fun (a, b) -> Float.abs (Vec.dot a b) <= (Vec.norm2 a *. Vec.norm2 b) +. 1e-9)
+    (fun (a, b) -> Float.abs (Kernel.dot a b) <= (Kernel.nrm2 a *. Kernel.nrm2 b) +. 1e-9)
 
 let prop_solve_many_bitwise =
   QCheck.Test.make ~count:60 ~name:"lu: solve_many_into ≡ per-column solve_into"
@@ -458,7 +446,7 @@ let prop_factor_bitwise =
     factor_matches_reference
 
 let prop_kernel_dot_bitwise =
-  QCheck.Test.make ~count:100 ~name:"kernel: dot/nrm2 bitwise vs Vec"
+  QCheck.Test.make ~count:100 ~name:"kernel: dot/nrm2 bitwise vs loop"
     QCheck.(
       make
         Gen.(
@@ -466,15 +454,14 @@ let prop_kernel_dot_bitwise =
             (array_size (return 17) (float_range (-50.0) 50.0))
             (array_size (return 17) (float_range (-50.0) 50.0))))
     (fun (a, b) ->
-      let x = Kernel.of_array a and y = Kernel.of_array b in
-      Int64.bits_of_float (Kernel.dot x y) = Int64.bits_of_float (Vec.dot a b)
-      && Int64.bits_of_float (Kernel.nrm2 x)
-         = Int64.bits_of_float (Vec.norm2 a))
+      Int64.bits_of_float (Kernel.dot a b) = Int64.bits_of_float (Support.ref_dot a b)
+      && Int64.bits_of_float (Kernel.nrm2 a)
+         = Int64.bits_of_float (sqrt (Support.ref_dot a a)))
 
 (* The fused Gram-Schmidt step: bitwise axpy then dot, also with the
    projection vector [z] being [y] itself (the closing norm), over
    lengths 0-40 (even and odd, for the two-element loops). [axpy] and
-   [scale_into] are checked against the float-array reference too. *)
+   [scale_into] are checked against the plain loops too. *)
 let prop_kernel_axpy_dot_bitwise =
   QCheck.Test.make ~count:200 ~name:"kernel: axpy_dot bitwise = axpy then dot"
     QCheck.(
@@ -488,27 +475,24 @@ let prop_kernel_axpy_dot_bitwise =
                (array_size (return len) (float_range (-50.0) 50.0)))))
     (fun (a, (xa, ya, za)) ->
       let bits = Int64.bits_of_float in
-      let x = Kernel.of_array xa and z = Kernel.of_array za in
-      let same_vec u w =
-        Array.for_all2 (fun p q -> bits p = bits q) (Kernel.to_array u) (Kernel.to_array w)
-      in
-      let y_ref = Kernel.of_array ya in
-      Kernel.axpy a x y_ref;
-      let y_vec = Array.copy ya in
-      Vec.axpy a xa y_vec;
-      let y = Kernel.of_array ya in
-      let d = Kernel.axpy_dot a x y z in
-      let y_self = Kernel.of_array ya in
-      let d_self = Kernel.axpy_dot a x y_self y_self in
-      let scaled = Kernel.create (Array.length xa) in
-      Kernel.scale_into a x scaled;
-      bits d = bits (Kernel.dot z y_ref)
+      let same_vec u w = Array.for_all2 (fun p q -> bits p = bits q) u w in
+      let y_ref = Array.copy ya in
+      Kernel.axpy a xa y_ref;
+      let y_loop = Array.copy ya in
+      Support.ref_axpy a xa y_loop;
+      let y = Array.copy ya in
+      let d = Kernel.axpy_dot a xa y za in
+      let y_self = Array.copy ya in
+      let d_self = Kernel.axpy_dot a xa y_self y_self in
+      let scaled = Array.make (Array.length xa) 0.0 in
+      Kernel.scale_into a xa scaled;
+      bits d = bits (Kernel.dot za y_ref)
       && same_vec y y_ref
-      && same_vec y_ref (Kernel.of_array y_vec)
-      && bits d = bits (Vec.dot za y_vec)
+      && same_vec y_ref y_loop
+      && bits d = bits (Support.ref_dot za y_loop)
       && bits d_self = bits (Kernel.dot y_ref y_ref)
       && same_vec y_self y_ref
-      && same_vec scaled (Kernel.of_array (Array.map (fun v -> a *. v) xa)))
+      && same_vec scaled (Array.map (fun v -> a *. v) xa))
 
 let () =
   Alcotest.run "linalg"
@@ -549,8 +533,7 @@ let () =
         ] );
       ( "kernel",
         [
-          Alcotest.test_case "roundtrip" `Quick test_kernel_roundtrip;
-          Alcotest.test_case "bitwise vs Vec" `Quick test_kernel_bitwise_vs_vec;
+          Alcotest.test_case "bitwise vs plain loop" `Quick test_kernel_bitwise_vs_plain_loop;
         ] );
       ( "complex",
         [

@@ -240,7 +240,7 @@ let test_solver_direct_equals_gmres () =
   Alcotest.(check bool) "both converged" true
     (sol_d.Mpde.Solver.stats.converged && sol_g.Mpde.Solver.stats.converged);
   Alcotest.(check bool) "same solution" true
-    (Linalg.Vec.norm2 (Linalg.Vec.sub sol_d.Mpde.Solver.big_x sol_g.Mpde.Solver.big_x) < 1e-5)
+    (Linalg.Kernel.nrm2 (Linalg.Vec.sub sol_d.Mpde.Solver.big_x sol_g.Mpde.Solver.big_x) < 1e-5)
 
 let test_solver_residual_check () =
   let sol, _ = solve_linear_two_tone () in
@@ -464,7 +464,7 @@ let test_envelope_follow_constant_drive () =
   let c0 = result.Mpde.Envelope_follow.columns.(0) in
   let c5 = result.Mpde.Envelope_follow.columns.(5) in
   let worst = ref 0.0 in
-  Array.iteri (fun i x -> worst := Float.max !worst (Linalg.Vec.norm2 (Linalg.Vec.sub x c5.(i)))) c0;
+  Array.iteri (fun i x -> worst := Float.max !worst (Linalg.Kernel.nrm2 (Linalg.Vec.sub x c5.(i)))) c0;
   Alcotest.(check bool) "stationary" true (!worst < 1e-6)
 
 (* The envelope march and [Solver.solve_mna] discretize t2 alike
@@ -777,7 +777,7 @@ let test_solver_sweep_matches_direct_mixer () =
     (Mpde.Solver.residual_norm_check sweep < 1e-7
     && Mpde.Solver.residual_norm_check direct < 1e-7);
   Alcotest.(check bool) "same solution" true
-    (Linalg.Vec.norm2 (Linalg.Vec.sub direct.Mpde.Solver.big_x sweep.Mpde.Solver.big_x) < 1e-5)
+    (Linalg.Kernel.nrm2 (Linalg.Vec.sub direct.Mpde.Solver.big_x sweep.Mpde.Solver.big_x) < 1e-5)
 
 let test_solver_bridge_sweep_guard () =
   (* Hard-switching guard: on the full-wave diode bridge a lagged or
@@ -905,7 +905,7 @@ let check_applies ?(extra_diag = 0.0) ?(applies = 2) t what scheme g jacs =
   for k = 1 to applies do
     let r = Array.map (fun v -> v *. float_of_int k) (test_vector (np * n)) in
     let got =
-      Linalg.Kernel.to_array (Block_sweep.apply t (Linalg.Kernel.of_array r))
+      Array.copy (Block_sweep.apply t r)
     in
     Alcotest.(check bool)
       (Printf.sprintf "%s: apply %d bitwise = dense" what k)
@@ -996,7 +996,7 @@ let test_block_sweep_validation () =
       (fun (name, f) ->
         Alcotest.check_raises (what ^ ": " ^ name)
           (Invalid_argument "Block_sweep.apply: no factors built")
-          (fun () -> ignore (f t (Linalg.Kernel.create 8))))
+          (fun () -> ignore (f t (Array.make 8 0.0))))
       [ ("apply", Block_sweep.apply); ("product", Block_sweep.product) ]
   in
   apply_fails "apply before build";
@@ -1006,6 +1006,14 @@ let test_block_sweep_validation () =
   let jacs = [| (eye, eye); (eye, eye); (zero, zero); (eye, eye) |] in
   let ops = Mpde.Assemble.operators Mpde.Assemble.Backward g in
   Block_sweep.build t ops g ~jacs:(Array.make 4 (eye, eye)) ~extra_diag:0.0;
+  (* The sweep indexes its argument unchecked, so a vector of the wrong
+     length is rejected up front. *)
+  List.iter
+    (fun (name, f) ->
+      Alcotest.check_raises ("short vector: " ^ name)
+        (Invalid_argument "Block_sweep.apply: dimension mismatch")
+        (fun () -> ignore (f t (Array.make 7 0.0))))
+    [ ("apply", Block_sweep.apply); ("product", Block_sweep.product) ];
   (match Block_sweep.build t ops g ~jacs ~extra_diag:0.0 with
   | () -> Alcotest.fail "singular block accepted"
   | exception Linalg.Lu.Singular _ -> ());
@@ -1138,7 +1146,7 @@ let test_block_sweep_refactor_nonfinite () =
       |]
   in
   Alcotest.(check (pair int int)) "non-finite blocks fall back" (1, 3) counts;
-  let y = Linalg.Kernel.to_array (Block_sweep.apply t (Linalg.Kernel.of_array (test_vector 8))) in
+  let y = Block_sweep.apply t (test_vector 8) in
   Alcotest.(check bool) "NaN kept" true (Array.exists Float.is_nan y)
 
 (* A warm build refactors every point without allocating: its words
@@ -1186,7 +1194,6 @@ let test_block_sweep_refactor_alloc () =
    coupling R missed or double-counted would be off by about
    |w/s|·|C_q||ŷ_q|, orders of magnitude above the bound. *)
 let check_sweep_product ?(extra_diag = 0.0) what scheme sys (g : Grid.t) x =
-  let module K = Linalg.Kernel in
   let ws = Mpde.Assemble.workspace scheme sys g in
   let jacs = Mpde.Assemble.point_jacobians_ws ws x in
   let ((op1, op2) as ops) = Mpde.Assemble.workspace_operators ws in
@@ -1194,11 +1201,14 @@ let check_sweep_product ?(extra_diag = 0.0) what scheme sys (g : Grid.t) x =
   let t = Block_sweep.create ~n ~np in
   Block_sweep.build t ops g ~jacs ~extra_diag;
   let v = test_vector (np * n) in
-  let y = K.to_array (Block_sweep.apply t (K.of_array v)) in
-  let product = K.to_array (Block_sweep.product t (K.of_array v)) in
-  let jy = K.create (np * n) in
-  Mpde.Assemble.jacobian_apply_ws ws ~extra_diag ~cw:(K.create (np * n)) (K.of_array y) jy;
-  let jy = K.to_array jy in
+  let y = Array.copy (Block_sweep.apply t v) in
+  let product = Block_sweep.product t v in
+  let jy = Array.make (np * n) 0.0 in
+  Mpde.Assemble.jacobian_apply_ws ws ~extra_diag ~cw:(Array.make (np * n) 0.0) y jy;
+  Alcotest.check_raises (what ^ ": short J·v output")
+    (Invalid_argument "Mpde.Assemble.jacobian_apply_ws: dimension mismatch") (fun () ->
+      Mpde.Assemble.jacobian_apply_ws ws ~extra_diag ~cw:(Array.make (np * n) 0.0) y
+        (Array.make ((np * n) - 1) 0.0));
   (* |A||ŷ_p| for one per-point CSR block, and its largest row. *)
   let abs_mul (a : Sparse.Csr.t) p =
     Array.init n (fun r ->

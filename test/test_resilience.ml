@@ -129,7 +129,7 @@ let test_gmres_happy_breakdown () =
      subspace the Krylov space is exhausted after one iteration: the
      Hessenberg subdiagonal is exactly zero. The solver must detect the
      breakdown, return the exact solution, and not divide by zero. *)
-  let y = Linalg.Kernel.create 3 in
+  let y = Array.make 3 0.0 in
   let op v =
     Linalg.Kernel.scale_into 2.0 v y;
     y
@@ -145,9 +145,9 @@ let test_gmres_nan_operator_terminates () =
   (* An operator that poisons every product must not NaN-pollute the
      Givens QR or loop forever on restarts; the result is a clean
      non-converged report with the finite initial iterate. *)
-  let y = Linalg.Kernel.create 2 in
+  let y = Array.make 2 0.0 in
   let op _ =
-    Linalg.Kernel.fill y nan;
+    Array.fill y 0 2 nan;
     y
   in
   let b = [| 1.0; 2.0 |] in
@@ -160,12 +160,12 @@ let test_gmres_budget () =
      GMRES checks the budget every inner iteration, so it must stop
      after the first with converged=false rather than raising. *)
   let n = 100 in
-  let y = Linalg.Kernel.create n in
+  let y = Array.make n 0.0 in
   let op v =
     for i = 0 to n - 1 do
-      let left = if i > 0 then v.{i - 1} else 0.0 in
-      let right = if i < n - 1 then v.{i + 1} else 0.0 in
-      y.{i} <- (2.0 *. v.{i}) -. left -. right
+      let left = if i > 0 then v.(i - 1) else 0.0 in
+      let right = if i < n - 1 then v.(i + 1) else 0.0 in
+      y.(i) <- (2.0 *. v.(i)) -. left -. right
     done;
     y
   in

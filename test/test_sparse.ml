@@ -1,6 +1,7 @@
 (* Unit and property tests for the sparse-matrix substrate. *)
 
 module Vec = Linalg.Vec
+module Kernel = Linalg.Kernel
 module Mat = Linalg.Mat
 module Coo = Sparse.Coo
 module Csr = Sparse.Csr
@@ -8,7 +9,7 @@ module Csr = Sparse.Csr
 let check_float = Alcotest.(check (float 1e-9))
 
 (* [‖b − a·x‖₂] *)
-let residual_norm a x b = Vec.norm2 (Vec.sub b (Csr.mul_vec a x))
+let residual_norm a x b = Kernel.nrm2 (Vec.sub b (Csr.mul_vec a x))
 
 (* The triplets a builder holds, duplicates counted separately. *)
 let triplets m =
@@ -188,9 +189,7 @@ let test_splu_refactor_or_factor () =
   Alcotest.(check bool) "fell back to a fresh factor" true (f'' != f');
   Alcotest.(check bool) "fallback solves" true (solves f'')
 
-(* ---------- Bigarray spmv ---------- *)
-
-module Kernel = Linalg.Kernel
+(* ---------- spmv ---------- *)
 
 let float_array_bits_equal a b =
   Array.length a = Array.length b
@@ -233,45 +232,47 @@ let test_splu_no_allocation () =
   let expected = Sparse.Splu.solve (Sparse.Splu.factor a) b in
   Sparse.Splu.solve_into f b b;
   Alcotest.(check bool) "solves the changed matrix" true
-    (Linalg.Vec.norm2 (Linalg.Vec.sub expected b) <= 1e-12 *. Linalg.Vec.norm2 expected)
+    (Kernel.nrm2 (Linalg.Vec.sub expected b) <= 1e-12 *. Kernel.nrm2 expected)
 
 let test_csr_mul_vec_ba_bitwise () =
-  (* The Bigarray spmv kernel promises the same per-row accumulation
-     order as [mul_vec], so results match bitwise. *)
+  (* The unchecked spmv kernel promises the per-row accumulation order
+     of the plain loop, so results match bitwise; the benchmark's old
+     name for it is the same function. *)
   let a = laplacian_1d 25 in
-  let xa = Array.init 25 (fun i -> sin (float_of_int (i * i))) in
-  let x = Kernel.of_array xa and y = Kernel.create 25 in
-  Csr.mul_vec_ba_into a x y;
-  Alcotest.(check bool) "bitwise" true
-    (float_array_bits_equal (Csr.mul_vec a xa) (Kernel.to_array y))
+  let x = Array.init 25 (fun i -> sin (float_of_int (i * i))) in
+  let y = Array.make 25 0.0 and y_ba = Array.make 25 0.0 in
+  Csr.mul_vec_into a x y;
+  Csr.mul_vec_ba_into a x y_ba;
+  Alcotest.(check bool) "bitwise" true (float_array_bits_equal (Support.ref_spmv a x) y);
+  Alcotest.(check bool) "alias bitwise" true (float_array_bits_equal y y_ba)
 
 let test_csr_mul_vec_ba_validates () =
   let a = laplacian_1d 4 in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Csr.mul_vec_ba_into: dimension mismatch") (fun () ->
-      Csr.mul_vec_ba_into a (Kernel.create 5) (Kernel.create 4))
+    (Invalid_argument "Csr.mul_vec_into: dimension mismatch") (fun () ->
+      Csr.mul_vec_into a (Array.make 5 0.0) (Array.make 4 0.0))
 
 (* ---------- Krylov ---------- *)
 
-let ba_csr_operator a =
-  let y = Kernel.create a.Csr.rows in
+let csr_operator a =
+  let y = Array.make a.Csr.rows 0.0 in
   fun x ->
-    Csr.mul_vec_ba_into a x y;
+    Csr.mul_vec_into a x y;
     y
 
 let splu_precond a =
-  let f = Sparse.Splu.factor a and y = Kernel.create a.Csr.rows in
+  let f = Sparse.Splu.factor a and y = Array.make a.Csr.rows 0.0 in
   fun r ->
-    Kernel.blit_from_array (Sparse.Splu.solve f (Kernel.to_array r)) y;
+    Sparse.Splu.solve_into f r y;
     y
 
 let test_gmres_identity () =
   let b = [| 1.0; 2.0; 3.0 |] in
-  let y = Kernel.create 3 in
+  let y = Array.make 3 0.0 in
   let r =
     Sparse.Krylov.gmres
       (fun v ->
-        Kernel.blit v y;
+        Array.blit v 0 y 0 3;
         y)
       b
   in
@@ -281,7 +282,7 @@ let test_gmres_identity () =
 let test_gmres_spd () =
   let a = laplacian_1d 30 in
   let b = Array.init 30 (fun i -> cos (float_of_int i)) in
-  let r = Sparse.Krylov.gmres ~tol:1e-12 (ba_csr_operator a) b in
+  let r = Sparse.Krylov.gmres ~tol:1e-12 (csr_operator a) b in
   Alcotest.(check bool) "converged" true r.Sparse.Krylov.converged;
   Alcotest.(check bool) "residual" true (residual_norm a r.Sparse.Krylov.x b < 1e-8)
 
@@ -290,9 +291,9 @@ let test_gmres_with_splu () =
      identity, so GMRES converges at once where the plain run cannot. *)
   let a = laplacian_1d 50 in
   let b = Array.make 50 1.0 in
-  let plain = Sparse.Krylov.gmres ~tol:1e-10 (ba_csr_operator a) b in
+  let plain = Sparse.Krylov.gmres ~tol:1e-10 (csr_operator a) b in
   let pre =
-    Sparse.Krylov.gmres ~tol:1e-10 ~precond:(splu_precond a) (ba_csr_operator a) b
+    Sparse.Krylov.gmres ~tol:1e-10 ~precond:(splu_precond a) (csr_operator a) b
   in
   Alcotest.(check bool) "both converge" true
     (plain.Sparse.Krylov.converged && pre.Sparse.Krylov.converged);
@@ -308,7 +309,7 @@ let test_gmres_restart_path () =
   let b = Array.make 40 1.0 in
   (* Force multiple restarts with a tiny Krylov space. *)
   let r =
-    Sparse.Krylov.gmres ~restart:5 ~max_iter:2000 ~tol:1e-10 (ba_csr_operator a) b
+    Sparse.Krylov.gmres ~restart:5 ~max_iter:2000 ~tol:1e-10 (csr_operator a) b
   in
   Alcotest.(check bool) "converged across restarts" true r.Sparse.Krylov.converged;
   Alcotest.(check bool) "residual small" true (residual_norm a r.Sparse.Krylov.x b < 1e-6)
@@ -316,7 +317,7 @@ let test_gmres_restart_path () =
 let test_gmres_restart_zero () =
   (* A zero-length cycle never advances the iteration count, so this
      call would spin forever; it must be rejected up front. *)
-  let y = Kernel.create 4 in
+  let y = Array.make 4 0.0 in
   let twice v =
     Kernel.scale_into 2.0 v y;
     y
@@ -329,14 +330,14 @@ let test_gmres_x0 () =
   let a = laplacian_1d 10 in
   let b = Array.make 10 1.0 in
   let exact = Sparse.Splu.solve (Sparse.Splu.factor a) b in
-  let r = Sparse.Krylov.gmres ~x0:exact (ba_csr_operator a) b in
+  let r = Sparse.Krylov.gmres ~x0:exact (csr_operator a) b in
   Alcotest.(check bool) "starts converged" true
     (r.Sparse.Krylov.converged && r.Sparse.Krylov.iterations = 0)
 
 let test_gmres_zero_rhs () =
   let a = laplacian_1d 5 in
-  let r = Sparse.Krylov.gmres (ba_csr_operator a) (Array.make 5 0.0) in
-  Alcotest.(check bool) "zero solution" true (Vec.norm2 r.Sparse.Krylov.x < 1e-12)
+  let r = Sparse.Krylov.gmres (csr_operator a) (Array.make 5 0.0) in
+  Alcotest.(check bool) "zero solution" true (Kernel.nrm2 r.Sparse.Krylov.x < 1e-12)
 
 let test_gmres_used_workspace_bitwise () =
   (* A workspace left over from another operator's solve (a worker
@@ -353,13 +354,54 @@ let test_gmres_used_workspace_bitwise () =
   done;
   let other = Csr.of_coo coo in
   let ws = Sparse.Krylov.workspace ~restart:50 ~n in
-  ignore (Sparse.Krylov.gmres ~tol:1e-10 ~workspace:ws (ba_csr_operator other) b);
-  let reused = Sparse.Krylov.gmres ~tol:1e-10 ~workspace:ws (ba_csr_operator a) b in
-  let fresh = Sparse.Krylov.gmres ~tol:1e-10 (ba_csr_operator a) b in
+  ignore (Sparse.Krylov.gmres ~tol:1e-10 ~workspace:ws (csr_operator other) b);
+  let reused = Sparse.Krylov.gmres ~tol:1e-10 ~workspace:ws (csr_operator a) b in
+  let fresh = Sparse.Krylov.gmres ~tol:1e-10 (csr_operator a) b in
   Alcotest.(check bool) "bitwise identical" true
     (float_array_bits_equal reused.Sparse.Krylov.x fresh.Sparse.Krylov.x);
   Alcotest.(check int) "same iterations" fresh.Sparse.Krylov.iterations
     reused.Sparse.Krylov.iterations
+
+let test_gmres_arguments () =
+  (* GMRES writes no argument but [out]. With [out] being [x0] (the
+     iterate then starts in place) or [b] (copied first) it gives the
+     bits of a separate [out]. A small restart forces restart
+     residuals, which read [b] and the iterate. *)
+  let n = 20 in
+  let coo = Coo.create n n in
+  for i = 0 to n - 1 do
+    Coo.add coo i i 4.0;
+    if i > 0 then Coo.add coo i (i - 1) (-1.5);
+    if i < n - 1 then Coo.add coo i (i + 1) 0.5
+  done;
+  let a = Csr.of_coo coo in
+  let b = Array.init n (fun i -> cos (0.3 *. float_of_int i)) in
+  let x0 = Array.init n (fun i -> 0.1 *. sin (float_of_int i)) in
+  let solve ?x0 ?out b =
+    Sparse.Krylov.gmres ~restart:4 ~max_iter:400 ~tol:1e-10 ?x0 ?out (csr_operator a) b
+  in
+  let b_copy = Array.copy b and x0_copy = Array.copy x0 in
+  let out = Array.make n 0.0 in
+  let separate = solve ~x0 ~out b in
+  Alcotest.(check bool) "converged after restarts" true
+    (separate.Sparse.Krylov.converged && separate.Sparse.Krylov.restarts > 1);
+  Alcotest.(check bool) "returns out" true (separate.Sparse.Krylov.x == out);
+  Alcotest.(check bool) "b unchanged" true (float_array_bits_equal b b_copy);
+  Alcotest.(check bool) "x0 unchanged" true (float_array_bits_equal x0 x0_copy);
+  let fresh = solve ~x0 b in
+  Alcotest.(check bool) "fresh out bitwise" true
+    (float_array_bits_equal fresh.Sparse.Krylov.x out);
+  let in_place = Array.copy x0 in
+  let aliased = solve ~x0:in_place ~out:in_place b in
+  Alcotest.(check bool) "out = x0 bitwise" true (float_array_bits_equal in_place out);
+  Alcotest.(check int) "out = x0 iterations" separate.Sparse.Krylov.iterations
+    aliased.Sparse.Krylov.iterations;
+  let cold = solve ~out:(Array.make n 0.0) b in
+  let rhs = Array.copy b in
+  ignore (solve ~out:rhs rhs);
+  Alcotest.(check bool) "out = b bitwise" true (float_array_bits_equal rhs cold.Sparse.Krylov.x);
+  Alcotest.check_raises "short x0" (Invalid_argument "Krylov.gmres: x0 length differs from b")
+    (fun () -> ignore (solve ~x0:(Array.make (n - 1) 0.0) b))
 
 (* ---------- properties ---------- *)
 
@@ -381,14 +423,14 @@ let prop_splu_matches_dense =
     (fun (a, b) ->
       let xs = Sparse.Splu.solve (Sparse.Splu.factor a) b in
       let xd = Linalg.Lu.solve_dense (Support.csr_to_dense a) b in
-      Vec.norm2 (Vec.sub xs xd) < 1e-8)
+      Kernel.nrm2 (Vec.sub xs xd) < 1e-8)
 
 let prop_csr_spmv_matches_dense =
   QCheck.Test.make ~count:80 ~name:"csr: spmv matches dense" (QCheck.make sparse_system_gen)
     (fun (a, x) ->
       let sparse = Csr.mul_vec a x in
       let dense = Mat.mul_vec (Support.csr_to_dense a) x in
-      Vec.norm2 (Vec.sub sparse dense) < 1e-9)
+      Kernel.nrm2 (Vec.sub sparse dense) < 1e-9)
 
 let prop_csr_transpose_involution =
   QCheck.Test.make ~count:60 ~name:"csr: transpose is an involution"
@@ -400,9 +442,9 @@ let prop_gmres_solves =
   QCheck.Test.make ~count:40 ~name:"gmres: residual contract honoured"
     (QCheck.make sparse_system_gen)
     (fun (a, b) ->
-      let r = Sparse.Krylov.gmres ~tol:1e-10 (ba_csr_operator a) b in
+      let r = Sparse.Krylov.gmres ~tol:1e-10 (csr_operator a) b in
       (not r.Sparse.Krylov.converged)
-      || residual_norm a r.Sparse.Krylov.x b <= 1e-8 *. Float.max 1.0 (Vec.norm2 b))
+      || residual_norm a r.Sparse.Krylov.x b <= 1e-8 *. Float.max 1.0 (Kernel.nrm2 b))
 
 let () =
   Alcotest.run "sparse"
@@ -450,6 +492,7 @@ let () =
             test_csr_mul_vec_ba_validates;
           Alcotest.test_case "gmres used workspace bitwise" `Quick
             test_gmres_used_workspace_bitwise;
+          Alcotest.test_case "gmres arguments" `Quick test_gmres_arguments;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -93,7 +93,7 @@ let test_shooting_periodicity () =
   in
   let states = r.Steady.Solution.trace.Numeric.Integrator.states in
   let first = states.(0) and last = states.(Array.length states - 1) in
-  Alcotest.(check bool) "x(T) = x(0)" true (Linalg.Vec.norm2 (Linalg.Vec.sub first last) < 1e-6)
+  Alcotest.(check bool) "x(T) = x(0)" true (Linalg.Kernel.nrm2 (Linalg.Vec.sub first last) < 1e-6)
 
 let test_shooting_rectifier () =
   let mna = rectifier_fixture () in
@@ -259,6 +259,70 @@ let test_transient_bitwise () =
   Alcotest.(check string) "rectifier transient" "2fdee70ae1eda0d1"
     (Engine.Checkpoint.waveform_hash waveform)
 
+(* The same pins on the MPDE path: Newton, the matrix-free GMRES with
+   the block-sweep preconditioner, the sparse-LU direct solve, and the
+   κ estimate of Health.probe. *)
+let mpde_hash ?(n1 = 40) ?(n2 = 30) problem =
+  let options = { Engine.Options.default with n1; n2 } in
+  let r = Engine.run problem (Engine.make ~options Engine.Mpde) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Engine.Checkpoint.waveform_hash r.Engine.Result.waveform
+
+(* The paper's balanced mixer on its 40x30 grid, as the paper-mixer
+   benchmark builds it. *)
+let test_mpde_mixer_bitwise () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let nodes = Circuits.balanced_mixer_nodes in
+  let problem =
+    Engine.Problem.make ~label:"balanced-mixer" ~output:nodes.Circuits.out_plus
+      ~output_b:nodes.Circuits.out_minus ~f_fast:f_lo ~fd (fun () ->
+        let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+        Circuits.balanced_mixer ~f_lo ~rf_signal ())
+  in
+  Alcotest.(check string) "balanced mixer 40x30" "82708a38e68c7f68" (mpde_hash problem)
+
+(* The full-wave bridge on its 24x12 grid, as the bridge-rectifier
+   benchmark builds it. *)
+let test_mpde_bridge_bitwise () =
+  let f1 = 50e3 and fd = 500.0 in
+  let problem =
+    Engine.Problem.make ~label:"bridge-rectifier" ~output:"p" ~output_b:"n" ~f_fast:f1 ~fd
+      (fun () ->
+        let drive =
+          W.sum (W.sine ~amplitude:10.0 ~freq:f1 ()) (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
+        in
+        Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive ())
+  in
+  Alcotest.(check string) "bridge rectifier 24x12" "8ed7a83dd61dd748" (mpde_hash ~n1:24 ~n2:12 problem)
+
+let test_mpde_direct_bitwise () =
+  let mna, period = unbalanced_mixer_fixture 40.0 in
+  let shear = Mpde.Shear.make ~fast_freq:1e6 ~slow_freq:(1.0 /. period) in
+  let sol =
+    Mpde.Solver.solve_mna
+      ~options:{ Mpde.Solver.default_options with linear_solver = Mpde.Solver.Direct }
+      ~shear ~n1:16 ~n2:10 mna
+  in
+  Alcotest.(check bool) "converged" true sol.Mpde.Solver.stats.Mpde.Solver.converged;
+  Alcotest.(check string) "direct mixer 16x10" "e077daf08d44c127"
+    (Engine.Checkpoint.waveform_hash { Engine.Result.times = [||]; values = sol.Mpde.Solver.big_x })
+
+let test_health_kappa_bitwise () =
+  let fixture = Result.get_ok (Serve.Catalog.find "rc") in
+  let f_fast = fixture.Serve.Catalog.default_fast and fd = fixture.Serve.Catalog.default_fd in
+  let r =
+    Engine.run (Serve.Catalog.problem_of fixture ~f_fast ~fd) (Engine.make Engine.Mpde)
+  in
+  let { Circuits.mna; _ } = fixture.Serve.Catalog.build ~f_fast ~fd in
+  let unknown = Circuit.Mna.node_index mna fixture.Serve.Catalog.output_node in
+  let h =
+    Diagnostics.Health.probe (Option.get r.Engine.Result.mpde_solution) ~unknown
+      r.Engine.Result.health
+  in
+  let kappa = Option.get h.Diagnostics.Health.condition_estimate in
+  Alcotest.(check string) "rc kappa bits" "408f4170ce28755d"
+    (Printf.sprintf "%016Lx" (Int64.bits_of_float kappa))
+
 (* ---------- Periodic FD ---------- *)
 
 let test_periodic_fd_rc () =
@@ -422,6 +486,10 @@ let () =
           Alcotest.test_case "shooting d=40" `Quick test_shooting_bitwise;
           Alcotest.test_case "multiple shooting d=40" `Quick test_multiple_shooting_bitwise;
           Alcotest.test_case "rectifier transient" `Quick test_transient_bitwise;
+          Alcotest.test_case "mpde balanced mixer 40x30" `Quick test_mpde_mixer_bitwise;
+          Alcotest.test_case "mpde bridge rectifier 24x12" `Quick test_mpde_bridge_bitwise;
+          Alcotest.test_case "mpde direct mixer 16x10" `Quick test_mpde_direct_bitwise;
+          Alcotest.test_case "health kappa rc" `Quick test_health_kappa_bitwise;
         ] );
       ( "periodic_fd",
         [
