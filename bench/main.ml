@@ -249,11 +249,13 @@ let newton_table () =
   let shear = Mpde.Shear.make ~fast_freq:f_lo ~slow_freq:fd in
   let grid = Mpde.Grid.make ~shear ~n1:40 ~n2:30 in
   let sys = Mpde.Assemble.of_mna ~shear mna in
-  pr "%-28s %-8s %-10s %-14s %-10s\n" "start" "newton" "converged" "continuation" "wall (s)";
+  pr "%-28s %-8s %-8s %-10s %-14s %-10s\n" "start" "newton" "gmres" "converged" "continuation"
+    "wall (s)";
   let run name seed options =
     let sol, seconds, _ = time (fun () -> Mpde.Solver.solve ~options ?seed sys grid) in
-    pr "%-28s %-8d %-10b %-14d %-10.2f\n" name sol.Mpde.Solver.stats.newton_iterations
-      sol.Mpde.Solver.stats.converged sol.Mpde.Solver.stats.continuation_steps seconds
+    pr "%-28s %-8d %-8d %-10b %-14d %-10.2f\n" name sol.Mpde.Solver.stats.newton_iterations
+      sol.Mpde.Solver.stats.linear_iterations sol.Mpde.Solver.stats.converged
+      sol.Mpde.Solver.stats.continuation_steps seconds
   in
   let dc = Circuit.Dcop.solve_exn mna in
   run "warm (DC operating point)" (Some dc) Mpde.Solver.default_options;
@@ -261,7 +263,8 @@ let newton_table () =
   run "cold, no continuation" None
     { Mpde.Solver.default_options with allow_continuation = false };
   let qs, qs_seconds, _ = time (fun () -> Mpde.Solver.quasi_static_start ~seed:dc sys grid) in
-  pr "%-28s %-8s %-10s %-14s %-10.2f\n" "(quasi-static seed build)" "-" "-" "-" qs_seconds;
+  pr "%-28s %-8s %-8s %-10s %-14s %-10.2f\n" "(quasi-static seed build)" "-" "-" "-" "-"
+    qs_seconds;
   run "quasi-static start" (Some qs) Mpde.Solver.default_options;
   pr "(paper: 26 NR iterations from a good starting guess; continuation\n\
      \ reliably obtained solutions when plain Newton failed)\n"

@@ -10,11 +10,20 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type linear_solver = Direct | Gmres_sweep
 
-(* GMRES on the sweep-preconditioned system: Krylov space per cycle,
-   total inner iterations, and tolerance relative to the Newton rhs. *)
+(* GMRES on the sweep-preconditioned system: Krylov space per cycle
+   and total inner iterations. Its tolerance relative to the Newton rhs
+   is the forcing term of an inexact Newton method (Eisenstat & Walker,
+   SIAM J. Sci. Comput. 17(1), 1996, choice 2 with its safeguard;
+   DESIGN.md §5), kept in [forcing_min, forcing_max]. The first solve
+   of each Newton solve runs at [forcing_min], so a linear circuit or a
+   one-step warm start is solved as tightly as ever. The safeguard can
+   only bind with a cap above √(0.1/0.9). *)
 let gmres_restart = 60
 let gmres_max_iter = 600
-let gmres_tol = 1e-9
+let forcing_gamma = 0.9
+let forcing_safeguard = 0.1
+let forcing_min = 1e-9
+let forcing_max = 1e-3
 
 exception Linear_stall of string
 
@@ -95,6 +104,27 @@ let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.splu <- None;
   ws
 
+(* The forcing state of one Newton solve: [fnorm] is ‖F‖∞ at its last
+   linear solve (negative before the first) and [eta] that solve's
+   tolerance. Float-only, so updating it boxes nothing. *)
+type forcing = { mutable fnorm : float; mutable eta : float }
+
+(* η_k = γ·(‖F_k‖∞/‖F_{k−1}‖∞)², at least γ·η_{k−1}² when that exceeds
+   the safeguard, clamped. *)
+let next_forcing fc r =
+  let fnorm = Vec.norm_inf r in
+  let eta =
+    if fc.fnorm < 0.0 then forcing_min
+    else
+      let ratio = fnorm /. fc.fnorm in
+      let eta = forcing_gamma *. ratio *. ratio in
+      let prev = forcing_gamma *. fc.eta *. fc.eta in
+      let eta = if prev > forcing_safeguard then Float.max eta prev else eta in
+      Float.min forcing_max (Float.max forcing_min eta)
+  in
+  fc.fnorm <- fnorm;
+  fc.eta <- eta
+
 let gmres_workspace ws ~n =
   match ws.gmres_ws with
   | Some k -> k
@@ -103,8 +133,8 @@ let gmres_workspace ws ~n =
       ws.gmres_ws <- Some k;
       k
 
-let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs ~out
-    ~linear_iters =
+let solve_linear ~ws ~linear_solver ~budget ~forcing (g : Grid.t) ~jacs ~extra_diag ~rhs
+    ~out ~linear_iters =
   match linear_solver with
   | Direct -> (
       Telemetry.span "mpde.linear.direct" @@ fun () ->
@@ -135,8 +165,10 @@ let solve_linear ~ws ~linear_solver ~budget (g : Grid.t) ~jacs ~extra_diag ~rhs 
          GMRES pays for it many times over (DESIGN.md §12). *)
       Block_sweep.build ws.sweep (Assemble.workspace_operators ws.asm) g ~jacs ~extra_diag;
       let workspace = gmres_workspace ws ~n:(Array.length rhs) in
+      next_forcing forcing rhs;
+      Telemetry.observe "gmres.forcing" forcing.eta;
       let result =
-        Sparse.Krylov.gmres ~restart:gmres_restart ~max_iter:gmres_max_iter ~tol:gmres_tol
+        Sparse.Krylov.gmres ~restart:gmres_restart ~max_iter:gmres_max_iter ~tol:forcing.eta
           ~precond:(Block_sweep.apply ws.sweep) ~product:(Block_sweep.product ws.sweep)
           ?budget ~workspace ~out op rhs
       in
@@ -216,6 +248,7 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
     | None -> ()
   in
   let extra_diag = match ptc with Some { alpha; _ } -> alpha | None -> 0.0 in
+  let forcing = { fnorm = -1.0; eta = forcing_min } in
   {
     Numeric.Newton.residual_into =
       Guard.guarded ~context:"MPDE residual" ~block_size:n
@@ -249,7 +282,7 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
          with Guard.Non_finite v as e ->
            on_residual_violation v;
            raise e);
-        solve_linear ~ws ~linear_solver ~budget:options.budget g ~jacs
+        solve_linear ~ws ~linear_solver ~budget:options.budget ~forcing g ~jacs
           ~extra_diag ~rhs:r ~out:delta ~linear_iters);
   }
 

@@ -40,8 +40,10 @@
 
 type linear_solver = Direct | Gmres_sweep
 (** [Gmres_sweep] runs GMRES with a 60-vector Krylov space, at most 600
-    inner iterations and a tolerance of 1e-9 relative to the Newton
-    right-hand side. *)
+    inner iterations and a tolerance relative to the Newton right-hand
+    side that is the Eisenstat–Walker forcing term of the Newton solve:
+    1e-9 for its first linear solve, then between 1e-9 and 1e-3 from
+    the observed residual decrease. *)
 
 exception Linear_stall of string
 (** Raised internally by the linear layer on a GMRES stall; captured by

@@ -349,6 +349,48 @@ let max_abs_diff a b =
   Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. b.(i)))) a;
   !worst
 
+(* Cold multi-step MPDE jobs, each the anchor of its own group, so two
+   lanes solve them concurrently: the GMRES forcing term lives in each
+   Newton solve, and a job's numbers do not depend on its neighbour. *)
+let test_cold_sweep_forcing_per_solve () =
+  let bridge ~a2 =
+    Engine.Problem.make ~label:(Printf.sprintf "bridge a2=%g" a2) ~output:"p" ~output_b:"n"
+      ~f_fast:50e3 ~fd:500.0 (fun () ->
+        let drive =
+          W.sum (W.sine ~amplitude:10.0 ~freq:50e3 ()) (W.sine ~amplitude:a2 ~freq:50.5e3 ())
+        in
+        Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive ())
+  in
+  let detector = Result.get_ok (Serve.Catalog.find "detector") in
+  let grid n1 n2 = { Engine.Options.default with n1; n2 } in
+  let jobs () =
+    [|
+      Engine.Sweep.job ~options:(grid 24 12) ~kind:Engine.Mpde (bridge ~a2:2.0);
+      Engine.Sweep.job ~options:(grid 16 8) ~kind:Engine.Mpde (bridge ~a2:2.5);
+      Engine.Sweep.job ~kind:Engine.Mpde
+        (Serve.Catalog.problem_of detector ~f_fast:detector.Serve.Catalog.default_fast
+           ~fd:detector.Serve.Catalog.default_fd);
+    |]
+  in
+  let serial = Engine.Sweep.run ~domains:1 (jobs ()) in
+  let parallel = Engine.Sweep.run ~domains:2 (jobs ()) in
+  Array.iteri
+    (fun i (o : Engine.Sweep.outcome) ->
+      let r = result_exn o and r1 = result_exn serial.(i) in
+      Alcotest.(check (option int)) (Printf.sprintf "job %d cold" i) None o.Engine.Sweep.anchor;
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d multi-step" i)
+        true
+        (r1.Engine.Result.newton_iterations > 1);
+      Alcotest.(check int)
+        (Printf.sprintf "job %d newton" i)
+        r1.Engine.Result.newton_iterations r.Engine.Result.newton_iterations;
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d bitwise on 2 domains" i)
+        true
+        (waveform_bits r = waveform_bits r1))
+    parallel
+
 let test_warm_sweep_seeds_dependents () =
   let runs =
     List.map (fun d -> (d, Engine.Sweep.run ~domains:d (mixer_jobs ()))) [ 1; 2; 4 ]
@@ -664,6 +706,8 @@ let () =
         [
           Alcotest.test_case "seeded sweep bitwise on 1, 2, 4 domains" `Quick
             test_warm_sweep_seeds_dependents;
+          Alcotest.test_case "cold multi-step jobs bitwise on 2 domains" `Quick
+            test_cold_sweep_forcing_per_solve;
           Alcotest.test_case "resume re-solves the anchor silently" `Quick
             test_warm_sweep_resume;
           Alcotest.test_case "seeded failure falls back cold" `Quick

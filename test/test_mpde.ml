@@ -1398,6 +1398,179 @@ let prop_shear_lattice_roundtrip =
       let f = (float_of_int m *. 1e9) +. (float_of_int k *. 10e3) in
       f <= 0.0 || Support.shear_lattice shear_1g f = (m, k))
 
+(* ---------- Inexact Newton ---------- *)
+
+(* The GMRES path stops each Newton correction at the Eisenstat–Walker
+   forcing term; Newton's own test (‖F‖∞ ≤ tol) is unchanged. These
+   tests check the solution against the exact-linear-solve path and
+   the Newton counts against those of the fixed 1e-9 tolerance. *)
+
+(* The full-wave bridge of the bridge-rectifier benchmark. *)
+let bridge_f1 = 50e3
+let bridge_fd = 500.0
+
+let bridge ~a2 () =
+  let drive =
+    W.sum
+      (W.sine ~amplitude:10.0 ~freq:bridge_f1 ())
+      (W.sine ~amplitude:a2 ~freq:(bridge_f1 +. bridge_fd) ())
+  in
+  Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive ()
+
+let bridge_problem ~a2 =
+  Engine.Problem.make ~label:"bridge-rectifier" ~output:"p" ~output_b:"n" ~f_fast:bridge_f1
+    ~fd:bridge_fd (bridge ~a2)
+
+(* ‖A‖∞, the largest absolute row sum. *)
+let csr_norm_inf (m : Sparse.Csr.t) =
+  let worst = ref 0.0 in
+  for i = 0 to m.Sparse.Csr.rows - 1 do
+    let sum = ref 0.0 in
+    Sparse.Csr.iter_row m i (fun _ v -> sum := !sum +. Float.abs v);
+    worst := Float.max !worst !sum
+  done;
+  !worst
+
+(* ‖C·A⁻¹‖∞ for a sparse C given by its rows: row k of C·A⁻¹ is
+   (A⁻ᵀc_k)ᵀ, one solve each with the sparse LU of Aᵀ. With C = I this
+   is ‖A⁻¹‖∞ exactly. *)
+let selected_inverse_norm_inf (a : Sparse.Csr.t) rows =
+  let n = a.Sparse.Csr.rows in
+  let at = Sparse.Coo.create n n in
+  for i = 0 to n - 1 do
+    Sparse.Csr.iter_row a i (fun j v -> Sparse.Coo.add at j i v)
+  done;
+  let lu = Sparse.Splu.factor (Sparse.Csr.of_coo at) in
+  let c = Array.make n 0.0 and y = Array.make n 0.0 in
+  Array.fold_left
+    (fun worst row ->
+      List.iter (fun (k, v) -> c.(k) <- v) row;
+      Sparse.Splu.solve_into lu c y;
+      List.iter (fun (k, _) -> c.(k) <- 0.0) row;
+      Float.max worst (Array.fold_left (fun acc v -> acc +. Float.abs v) 0.0 y))
+    0.0 rows
+
+let jacobian_at (sol : Mpde.Solver.solution) x =
+  let sys = sol.Mpde.Solver.system and g = sol.Mpde.Solver.grid in
+  Mpde.Assemble.jacobian_csr sol.Mpde.Solver.scheme g ~size:sys.Mpde.Assemble.size
+    ~jacs:(Mpde.Assemble.point_jacobians sys g x)
+
+(* GMRES (inexact) against sparse LU (exact) Newton corrections on the
+   same problem. Let x_g, x_d be the two solutions, Δx = x_g − x_d,
+   and r_g = F(x_g), r_d = F(x_d) their residuals. By the mean-value
+   theorem r_g − r_d = J̄·Δx with J̄ = ∫₀¹ J(x_d + tΔx) dt, so, exactly,
+     J_d·Δx = r_g − r_d − E·Δx,   E = J̄ − J_d,
+   and for any linear read-out C of the state
+     ‖C·Δx‖∞ ≤ ‖C·J_d⁻¹‖∞·(‖r_g‖∞ + ‖r_d‖∞ + ‖E‖∞·‖Δx‖∞).
+   For a smooth J, E = ½(J(x_g) − J_d) + O(‖Δx‖²), so ‖J(x_g) − J_d‖∞
+   bounds ‖E‖∞ with a factor 2 to spare at leading order. Every factor
+   is computed here, ‖C·J_d⁻¹‖∞ exactly, so the bound holds whatever
+   tolerance each linear solve stopped at. [readout] gives C's rows
+   for a problem of [size] unknowns per point on [points] points. *)
+let check_against_direct what ~readout ~shear ~n1 ~n2 mna =
+  let gmres = Mpde.Solver.solve_mna ~shear ~n1 ~n2 mna in
+  let direct =
+    Mpde.Solver.solve_mna
+      ~options:{ Mpde.Solver.default_options with linear_solver = Mpde.Solver.Direct }
+      ~shear ~n1 ~n2 mna
+  in
+  let ok (s : Mpde.Solver.solution) = s.Mpde.Solver.stats.Mpde.Solver.converged in
+  Alcotest.(check bool) (what ^ ": both converged") true (ok gmres && ok direct);
+  let r_g = Mpde.Solver.residual_norm_check gmres
+  and r_d = Mpde.Solver.residual_norm_check direct in
+  let tol = Mpde.Solver.default_options.Mpde.Solver.tol in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: residuals %.2e, %.2e <= %.0e" what r_g r_d tol)
+    true
+    (r_g <= tol && r_d <= tol);
+  let x_g = gmres.Mpde.Solver.big_x and x_d = direct.Mpde.Solver.big_x in
+  let j_d = jacobian_at direct x_d in
+  let rows =
+    readout ~size:direct.Mpde.Solver.system.Mpde.Assemble.size
+      ~points:(Grid.points direct.Mpde.Solver.grid)
+  in
+  let sensitivity = selected_inverse_norm_inf j_d rows in
+  let drift =
+    csr_norm_inf (Sparse.Csr.add (jacobian_at gmres x_g) (Sparse.Csr.scale (-1.0) j_d))
+  in
+  let dx = Array.fold_left Float.max 0.0 (Array.mapi (fun i v -> Float.abs (v -. x_d.(i))) x_g) in
+  let bound = sensitivity *. (r_g +. r_d +. (drift *. dx)) in
+  let read_dx =
+    Array.fold_left
+      (fun worst row ->
+        Float.max worst
+          (Float.abs (List.fold_left (fun acc (k, v) -> acc +. (v *. (x_g.(k) -. x_d.(k)))) 0.0 row)))
+      0.0 rows
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: |C·Δx| %.2e <= %.2e" what read_dx bound)
+    true (read_dx <= bound)
+
+(* The whole state: the mixer's Jacobian is well conditioned. *)
+let whole_state ~size ~points = Array.init (size * points) (fun k -> [ (k, 1.0) ])
+
+let test_inexact_mixer_vs_direct () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+  let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+  check_against_direct "balanced mixer 16x10" ~readout:whole_state
+    ~shear:(Shear.make ~fast_freq:f_lo ~slow_freq:fd) ~n1:16 ~n2:10 mna
+
+(* The bridge's output pair floats: p and n are tied to ground only
+   through the diodes, which on this grid conduct too briefly to pin
+   their common mode (‖J⁻¹‖∞ ≈ 3e11), so two solves may leave p and n
+   shifted together by volts at residuals below 1e-8. The well-posed
+   read-out is the differential output p − n at every grid point. *)
+let test_inexact_bridge_vs_direct () =
+  let { Circuits.mna; _ } = bridge ~a2:2.0 () in
+  let shear = Shear.make ~fast_freq:bridge_f1 ~slow_freq:bridge_fd in
+  let p = Circuit.Mna.node_index mna "p" and n = Circuit.Mna.node_index mna "n" in
+  let differential ~size ~points =
+    Array.init points (fun q -> [ ((q * size) + p, 1.0); ((q * size) + n, -1.0) ])
+  in
+  check_against_direct "bridge 24x12 output" ~readout:differential ~shear ~n1:24 ~n2:12 mna
+
+(* Newton iterations under the fixed 1e-9 GMRES tolerance, which the
+   forcing terms must not exceed: the catalog at its default grid,
+   and the bridge on 24x12 over its drive amplitude a2. *)
+let catalog_newton_ceiling =
+  [
+    ("rc", 1);
+    ("rectifier", 7);
+    ("detector", 14);
+    ("ideal-mixer", 2);
+    ("unbalanced-mixer", 2);
+    ("balanced-mixer", 5);
+  ]
+
+let bridge_newton_ceiling = [ (1.5, 27); (2.0, 23); (2.5, 28) ]
+
+let test_newton_counts_no_higher () =
+  let check what ceiling (r : Engine.Result.t) =
+    Alcotest.(check bool) (what ^ " converged") true r.Engine.Result.converged;
+    let k = r.Engine.Result.newton_iterations in
+    Alcotest.(check bool) (Printf.sprintf "%s: newton %d <= %d" what k ceiling) true (k <= ceiling)
+  in
+  List.iter
+    (fun (name, ceiling) ->
+      let fixture = Result.get_ok (Serve.Catalog.find name) in
+      let f_fast = fixture.Serve.Catalog.default_fast
+      and fd = fixture.Serve.Catalog.default_fd in
+      let r =
+        Engine.run (Serve.Catalog.problem_of fixture ~f_fast ~fd) (Engine.make Engine.Mpde)
+      in
+      check name ceiling r;
+      if name = "rc" then Alcotest.(check int) "rc: one step" 1 r.Engine.Result.newton_iterations)
+    catalog_newton_ceiling;
+  let options = { Engine.Options.default with n1 = 24; n2 = 12 } in
+  List.iter
+    (fun (a2, ceiling) ->
+      check
+        (Printf.sprintf "bridge 24x12 a2=%g" a2)
+        ceiling
+        (Engine.run (bridge_problem ~a2) (Engine.make ~options Engine.Mpde)))
+    bridge_newton_ceiling
+
 let prop_grid_index_bijective =
   QCheck.Test.make ~count:200 ~name:"grid: point_index is a bijection on [0,n1)x[0,n2)"
     QCheck.(make Gen.(pair (int_range 0 9) (int_range 0 4)))
@@ -1425,6 +1598,12 @@ let prop_waveform_mt_diagonal =
 let () =
   Alcotest.run "mpde"
     [
+      ( "inexact newton",
+        [
+          Alcotest.test_case "balanced mixer vs direct" `Quick test_inexact_mixer_vs_direct;
+          Alcotest.test_case "bridge vs direct" `Quick test_inexact_bridge_vs_direct;
+          Alcotest.test_case "newton counts no higher" `Quick test_newton_counts_no_higher;
+        ] );
       ( "shear",
         [
           Alcotest.test_case "accessors" `Quick test_shear_accessors;

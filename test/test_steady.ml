@@ -261,7 +261,11 @@ let test_transient_bitwise () =
 
 (* The same pins on the MPDE path: Newton, the matrix-free GMRES with
    the block-sweep preconditioner, the sparse-LU direct solve, and the
-   κ estimate of Health.probe. *)
+   κ estimate of Health.probe. The mixer and bridge pins were
+   re-captured when GMRES took its tolerance from the Eisenstat–Walker
+   forcing term (mixer 82708a38e68c7f68, bridge 8ed7a83dd61dd748
+   before); the rc and warm-start pins were captured before it and
+   hold because their one linear solve still runs at 1e-9. *)
 let mpde_hash ?(n1 = 40) ?(n2 = 30) problem =
   let options = { Engine.Options.default with n1; n2 } in
   let r = Engine.run problem (Engine.make ~options Engine.Mpde) in
@@ -279,7 +283,7 @@ let test_mpde_mixer_bitwise () =
         let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
         Circuits.balanced_mixer ~f_lo ~rf_signal ())
   in
-  Alcotest.(check string) "balanced mixer 40x30" "82708a38e68c7f68" (mpde_hash problem)
+  Alcotest.(check string) "balanced mixer 40x30" "4c7f2c925b961f15" (mpde_hash problem)
 
 (* The full-wave bridge on its 24x12 grid, as the bridge-rectifier
    benchmark builds it. *)
@@ -293,7 +297,38 @@ let test_mpde_bridge_bitwise () =
         in
         Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive ())
   in
-  Alcotest.(check string) "bridge rectifier 24x12" "8ed7a83dd61dd748" (mpde_hash ~n1:24 ~n2:12 problem)
+  Alcotest.(check string) "bridge rectifier 24x12" "b15b8ee9ce94b64c" (mpde_hash ~n1:24 ~n2:12 problem)
+
+(* The catalog rc circuit is linear: one Newton step. *)
+let test_mpde_rc_bitwise () =
+  let fixture = Result.get_ok (Serve.Catalog.find "rc") in
+  let f_fast = fixture.Serve.Catalog.default_fast and fd = fixture.Serve.Catalog.default_fd in
+  let r = Engine.run (Serve.Catalog.problem_of fixture ~f_fast ~fd) (Engine.make Engine.Mpde) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check int) "one newton step" 1 r.Engine.Result.newton_iterations;
+  Alcotest.(check string) "rc catalog" "733f9f4f6d9126f9"
+    (Engine.Checkpoint.waveform_hash r.Engine.Result.waveform)
+
+(* A warm start one Newton step away: the mixer surface at RF amplitude
+   0.05 seeds the solve at 0.0505, as a sweep's seeded job does. *)
+let test_mpde_warm_start_bitwise () =
+  let f_lo = 1e6 in
+  let fd = f_lo /. 40.0 in
+  let shear = Mpde.Shear.make ~fast_freq:f_lo ~slow_freq:fd in
+  let mixer rf_amplitude =
+    (Circuits.unbalanced_mixer ~f_lo
+       ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+       ~rf_amplitude ())
+      .Circuits.mna
+  in
+  let cold = Mpde.Solver.solve_mna ~shear ~n1:16 ~n2:10 (mixer 0.05) in
+  let sol =
+    Mpde.Solver.solve_mna ~seed:cold.Mpde.Solver.big_x ~shear ~n1:16 ~n2:10 (mixer 0.0505)
+  in
+  Alcotest.(check bool) "converged" true sol.Mpde.Solver.stats.Mpde.Solver.converged;
+  Alcotest.(check int) "one newton step" 1 sol.Mpde.Solver.stats.Mpde.Solver.newton_iterations;
+  Alcotest.(check string) "warm mixer 16x10" "f81a94831c10194f"
+    (Engine.Checkpoint.waveform_hash { Engine.Result.times = [||]; values = sol.Mpde.Solver.big_x })
 
 let test_mpde_direct_bitwise () =
   let mna, period = unbalanced_mixer_fixture 40.0 in
@@ -488,6 +523,8 @@ let () =
           Alcotest.test_case "rectifier transient" `Quick test_transient_bitwise;
           Alcotest.test_case "mpde balanced mixer 40x30" `Quick test_mpde_mixer_bitwise;
           Alcotest.test_case "mpde bridge rectifier 24x12" `Quick test_mpde_bridge_bitwise;
+          Alcotest.test_case "mpde rc catalog" `Quick test_mpde_rc_bitwise;
+          Alcotest.test_case "mpde warm start one step" `Quick test_mpde_warm_start_bitwise;
           Alcotest.test_case "mpde direct mixer 16x10" `Quick test_mpde_direct_bitwise;
           Alcotest.test_case "health kappa rc" `Quick test_health_kappa_bitwise;
         ] );
