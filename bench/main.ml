@@ -770,6 +770,7 @@ let kernel_bench () =
 type shooting_results = {
   sh_wall : float;
   sh_steps : int;  (** steps per period *)
+  sh_integrated : int;  (** backward-Euler steps the solve integrated *)
   sh_newton : int;  (** outer shooting iterations *)
   sh_minor_words : float;  (** whole job *)
   sh_words_per_step : float;  (** whole job over every integrated step *)
@@ -805,15 +806,26 @@ let shooting_bench () =
   done;
   let wall = !best_wall in
   if not r.Engine.Result.converged then failwith "shooting bench: d = 756.5 job did not converge";
-  (* A converged shooting solve integrates the period once per outer
-     iteration plus once more to confirm the defect. *)
-  let integrated = steps * (r.Engine.Result.newton_iterations + 1) in
-  let per_step = words /. float_of_int integrated in
-  pr "steps/period=%d  newton=%d  wall=%.4fs  minor words=%.3gM (%.0f per step)\n" steps
-    r.Engine.Result.newton_iterations wall (words /. 1e6) per_step;
+  (* The steps the solve integrated, counted in one more run under a
+     recorder: a confirming integration that rejoins the previous
+     trajectory stops there and takes that trajectory's tail, so the
+     count is not steps × (newton + 1). *)
+  let integrated =
+    Telemetry.enable ();
+    ignore (Engine.run problem engine);
+    let snap = Telemetry.snapshot () in
+    Telemetry.disable ();
+    match snap with
+    | Some s -> Option.value ~default:0 (List.assoc_opt "shooting.steps" s.Telemetry.counters)
+    | None -> 0
+  in
+  let per_step = words /. float_of_int (max 1 integrated) in
+  pr "steps/period=%d  integrated=%d  newton=%d  wall=%.4fs  minor words=%.3gM (%.0f per step)\n"
+    steps integrated r.Engine.Result.newton_iterations wall (words /. 1e6) per_step;
   {
     sh_wall = wall;
     sh_steps = steps;
+    sh_integrated = integrated;
     sh_newton = r.Engine.Result.newton_iterations;
     sh_minor_words = words;
     sh_words_per_step = per_step;
@@ -995,8 +1007,9 @@ let bench_json ?(file = "BENCH_mpde.json") () =
   let sh = shooting_bench () in
   Buffer.add_string buf
     (Printf.sprintf
-       ",\"shooting\":{\"disparity\":756.5,\"steps\":%d,\"newton_iterations\":%d,\"wall_seconds\":%.6f,\"minor_words\":%.0f,\"minor_words_per_step\":%.1f}"
-       sh.sh_steps sh.sh_newton sh.sh_wall sh.sh_minor_words sh.sh_words_per_step);
+       ",\"shooting\":{\"disparity\":756.5,\"steps\":%d,\"integrated_steps\":%d,\"newton_iterations\":%d,\"wall_seconds\":%.6f,\"minor_words\":%.0f,\"minor_words_per_step\":%.1f}"
+       sh.sh_steps sh.sh_integrated sh.sh_newton sh.sh_wall sh.sh_minor_words
+       sh.sh_words_per_step);
   let kr = kernel_bench () in
   Buffer.add_string buf
     (Printf.sprintf

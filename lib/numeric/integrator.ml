@@ -28,7 +28,10 @@ type scalars = {
    [q_buf]/[f_buf] hold q and f at [qf_x] while [qf_valid]: the last
    residual a step evaluated, which is its accepted iterate and so the
    next step's [x_prev]. [problem] is the step's Newton problem, built
-   once over the workspace's fields and run on [newton]. *)
+   once over the workspace's fields and run on [newton]. [structure]
+   counts the changes of what the caches are not keyed on: G/C/J
+   patterns adopted by [install], and fresh factors (new pivot
+   orders). *)
 type workspace = {
   dae : Dae.t;
   refresh : (Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
@@ -54,6 +57,7 @@ type workspace = {
   mutable lu_valid : bool;
   scalars : scalars;
   mutable method_ : method_;
+  mutable structure : int;
   newton : Newton.workspace;
   problem : Newton.problem;
 }
@@ -95,7 +99,8 @@ let install ws g c =
   ws.c <- c;
   ws.jac <- jac;
   ws.g_slot <- slots g;
-  ws.c_slot <- slots c
+  ws.c_slot <- slots c;
+  ws.structure <- ws.structure + 1
 
 let same_bits (a : Vec.t) (b : Vec.t) =
   let i = ref (Array.length a - 1) in
@@ -152,7 +157,11 @@ let factor_jacobian ws x =
     (* A failed refactor leaves [lu]'s values unspecified. *)
     ws.lu_valid <- false;
     let lu = Sparse.Splu.refactor_or_factor ws.lu ws.jac in
-    (match ws.lu with Some held when held == lu -> () | _ -> ws.lu <- Some lu);
+    (match ws.lu with
+    | Some held when held == lu -> ()
+    | _ ->
+        ws.lu <- Some lu;
+        ws.structure <- ws.structure + 1);
     s.lu_sc <- sc;
     s.lu_sg <- sg;
     ws.lu_valid <- true
@@ -168,6 +177,8 @@ let factor ws =
   | _ -> invalid_arg "Integrator: no step Jacobian factored"
 
 let solve_columns ws cols = Sparse.Splu.solve_columns (factor ws) cols
+
+let structure ws = ws.structure
 
 let charge_jacobian ws =
   if not ws.lin_valid then invalid_arg "Integrator.charge_jacobian: nothing evaluated";
@@ -256,6 +267,7 @@ let workspace (dae : Dae.t) =
       lu_valid = false;
       scalars;
       method_ = Backward_euler;
+      structure = 0;
       newton;
       problem =
         {

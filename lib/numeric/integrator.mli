@@ -37,6 +37,22 @@ val solve_columns : workspace -> Linalg.Vec.t array -> unit
     the last factored [J], through {!Sparse.Splu.solve_columns}.
     @raise Invalid_argument when no factor is held. *)
 
+val same_bits : Linalg.Vec.t -> Linalg.Vec.t -> bool
+(** [same_bits a b] holds when the two vectors (of equal length) hold
+    the same floats bit for bit: the key the workspace's caches match
+    on. *)
+
+val structure : workspace -> int
+(** A counter of the workspace's structural changes: it moves when G
+    and C are rebuilt on new patterns (a refresher miss) and when the
+    step Jacobian gets a fresh factor, hence a new pivot order, instead
+    of a replay on the held one. Nothing else moves it. Every other
+    piece of workspace state is a cache keyed by the bits of its point,
+    so while the counter stands still an {!implicit_step} is a pure
+    function of [x_prev], [t_next], [h], the method and the Newton
+    options: two runs from bitwise-equal states under the same count
+    produce bitwise-equal results. *)
+
 val charge_jacobian : workspace -> Sparse.Csr.t
 (** [C] at the last evaluated iterate. The workspace overwrites its
     values on the next evaluation; copy what must outlive it. *)

@@ -6,14 +6,37 @@ module Report = Resilience.Report
 let copy_values (m : Sparse.Csr.t) =
   { m with Sparse.Csr.values = Array.copy m.Sparse.Csr.values }
 
+(* A finished period integration: its trace, the window monodromy
+   ([None] when the integration joined an earlier trace, see
+   [integrate]), the workspace's {!Numeric.Integrator.structure} count
+   at its end, and [settled], the last step during which that count
+   moved (0 if none did): every later step ran under the final
+   structure. *)
+type period = {
+  trace : Numeric.Integrator.trace;
+  monodromy : Mat.t option;
+  structure : int;
+  settled : int;
+}
+
 (* Integrate one period with backward Euler while propagating the
    sensitivity S = ∂x(t)/∂x(0). The BE step residual
    [q(x⁺) − q(x)]/h + f(x⁺) − b = 0 gives S⁺ = J⁻¹ (C/h) S with
    J = C⁺/h + G⁺ evaluated at the accepted state. That J(x⁺) is also
    the matrix the next step's first Newton iteration needs at its
    [x_prev], so the workspace factors it once for both, and C⁺ is kept
-   as the next step's [c_prev]. *)
-let integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0 ~duration ~steps () =
+   as the next step's [c_prev].
+
+   [join] is an earlier integration [p] of the same window on the same
+   workspace, with a test of its end state. When step k's state equals
+   [p]'s state k bit for bit, [p] ran its steps k+1…N under the
+   workspace structure held now, and the test accepts [p]'s end state,
+   then steps k+1…N would replay [p]'s bit for bit (a step is a pure
+   function of its start under a fixed structure): the integration
+   takes [p]'s tail and stops without a monodromy. The test is asked
+   at most once; state 0 is never compared, since the caller may have
+   mutated [p]'s initial state in place. *)
+let integrate ?newton_options ?join ~workspace ~x0 ~t0 ~duration ~steps () =
   Telemetry.span "shooting.integrate" @@ fun () ->
   let module I = Numeric.Integrator in
   let n = Array.length x0 in
@@ -38,44 +61,86 @@ let integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0 ~duration ~ste
   in
   let times = Array.make (steps + 1) t0 in
   let states = Array.make (steps + 1) x0 in
-  for k = 1 to steps do
-    let x_prev = states.(k - 1) in
-    let t_next = t0 +. (float_of_int k *. h) in
-    let step =
-      I.implicit_step ?newton_options ~method_:I.Backward_euler ~workspace ~t_next ~h
-        ~x_prev ()
-    in
-    if not step.I.converged then begin
-      match step.I.outcome with
-      | Numeric.Newton.Exhausted e -> raise (Budget.Exhausted e)
-      | _ -> failwith "Shooting: Newton failed inside period integration"
-    end;
-    let x_next = step.I.x in
-    linearize x_next;
-    let s_cur = !s and s_new = !s_next in
-    (* S⁺(:,j) = J⁻¹ (C_prev/h) S(:,j): each right side formed in one
-       pass over C_prev's rows (the row sum, then the 1/h scale), then
-       all columns solved in place. *)
-    let { Sparse.Csr.row_ptr; col_idx; values; _ } = !c_prev in
-    for j = 0 to n - 1 do
-      let sj = s_cur.(j) and rhs = s_new.(j) in
-      for i = 0 to n - 1 do
-        let acc = ref 0.0 in
-        for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-          acc := !acc +. (values.(p) *. sj.(col_idx.(p)))
+  let structure = ref (I.structure workspace) and settled = ref 0 in
+  let note_structure k =
+    if I.structure workspace <> !structure then begin
+      structure := I.structure workspace;
+      settled := k
+    end
+  in
+  let exception Joined of period * int in
+  let pending = ref join in
+  let joined =
+    try
+      for k = 1 to steps do
+        let x_prev = states.(k - 1) in
+        let t_next = t0 +. (float_of_int k *. h) in
+        let step =
+          I.implicit_step ?newton_options ~method_:I.Backward_euler ~workspace ~t_next ~h
+            ~x_prev ()
+        in
+        if not step.I.converged then begin
+          match step.I.outcome with
+          | Numeric.Newton.Exhausted e -> raise (Budget.Exhausted e)
+          | _ -> failwith "Shooting: Newton failed inside period integration"
+        end;
+        let x_next = step.I.x in
+        times.(k) <- t_next;
+        states.(k) <- x_next;
+        note_structure k;
+        (match !pending with
+        | Some (p, accept)
+          when I.same_bits x_next p.trace.I.states.(k)
+               && k >= p.settled && !structure = p.structure ->
+            pending := None;
+            if accept p then raise (Joined (p, k))
+        | _ -> ());
+        linearize x_next;
+        let s_cur = !s and s_new = !s_next in
+        (* S⁺(:,j) = J⁻¹ (C_prev/h) S(:,j): each right side formed in one
+           pass over C_prev's rows (the row sum, then the 1/h scale), then
+           all columns solved in place. *)
+        let { Sparse.Csr.row_ptr; col_idx; values; _ } = !c_prev in
+        for j = 0 to n - 1 do
+          let sj = s_cur.(j) and rhs = s_new.(j) in
+          for i = 0 to n - 1 do
+            let acc = ref 0.0 in
+            for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+              acc := !acc +. (values.(p) *. sj.(col_idx.(p)))
+            done;
+            rhs.(i) <- inv_h *. !acc
+          done
         done;
-        rhs.(i) <- inv_h *. !acc
-      done
-    done;
-    I.solve_columns workspace s_new;
-    s := s_new;
-    s_next := s_cur;
-    keep_charge ();
-    times.(k) <- t_next;
-    states.(k) <- x_next
-  done;
-  let s = !s in
-  ({ I.times; states }, Mat.init n n (fun i j -> s.(j).(i)))
+        I.solve_columns workspace s_new;
+        s := s_new;
+        s_next := s_cur;
+        keep_charge ();
+        note_structure k
+      done;
+      None
+    with Joined (p, k) -> Some (p, k)
+  in
+  let monodromy =
+    match joined with
+    | Some (p, j) ->
+        (* The tail's states are shared with [p]'s trace: nothing
+           mutates a state after its step. *)
+        Array.blit p.trace.I.times (j + 1) times (j + 1) (steps - j);
+        Array.blit p.trace.I.states (j + 1) states (j + 1) (steps - j);
+        Telemetry.count ~by:j "shooting.steps";
+        Telemetry.count ~by:(steps - j) "shooting.steps_reused";
+        Telemetry.observe "shooting.join_step" (float_of_int j);
+        None
+    | None ->
+        Telemetry.count ~by:steps "shooting.steps";
+        let s = !s in
+        Some (Mat.init n n (fun i j -> s.(j).(i)))
+  in
+  { trace = { I.times; states }; monodromy; structure = !structure; settled = !settled }
+
+let integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0 ~duration ~steps () =
+  let p = integrate ?newton_options ~workspace ~x0 ~t0 ~duration ~steps () in
+  (p.trace, Option.get p.monodromy)
 
 (* The outer Newton loop of both shooting backends. Each iteration
    ticks the budget, integrates from the current unknowns, measures the
@@ -150,21 +215,36 @@ let solve ?(max_newton = 25) ?(tol = 1e-8) ?(steps_per_period = 200) ?budget ?x0
     | None -> None
     | Some b -> Some { Numeric.Newton.default_options with budget = Some b }
   in
+  (* The periodicity defect x(T) − x0 of a trace and its norm: what
+     the outer loop measures, and what decides whether an integration
+     may join the previous one. *)
+  let defect trace =
+    let r = Vec.sub trace.Numeric.Integrator.states.(steps_per_period) x0 in
+    (r, Vec.norm_inf r)
+  in
+  let accept p = snd (defect p.trace) <= tol in
+  let previous = ref None in
   outer_newton ~name:"shooting" ~diverged:"periodicity residual diverged (non-finite)"
     ~max_newton ~tol ?budget
     ~integrate:(fun () ->
-      integrate_with_sensitivity ?newton_options ~workspace ~x0 ~t0:0.0 ~duration:period
-        ~steps:steps_per_period ())
-    ~defect:(fun (trace, _) ->
-      let r = Vec.sub trace.Numeric.Integrator.states.(steps_per_period) x0 in
-      (r, Vec.norm_inf r))
-    ~update:(fun (_, monodromy) r ->
-      (* Solve (M − I) δ = −r; the update is x0 ← x0 + δ. *)
+      let join = Option.map (fun p -> (p, accept)) !previous in
+      let p =
+        integrate ?newton_options ?join ~workspace ~x0 ~t0:0.0 ~duration:period
+          ~steps:steps_per_period ()
+      in
+      previous := Some p;
+      p)
+    ~defect:(fun p -> defect p.trace)
+    ~update:(fun p r ->
+      (* Solve (M − I) δ = −r; the update is x0 ← x0 + δ. A joined
+         integration has no monodromy, but its defect meets [tol], so
+         the loop never asks for its update. *)
+      let monodromy = Option.get p.monodromy in
       Telemetry.span "shooting.newton_update" @@ fun () ->
       try Linalg.Lu.solve_dense (Mat.sub monodromy (Mat.identity n)) (Vec.neg r)
       with e -> failwith ("monodromy solve failed: " ^ Printexc.to_string e))
     ~apply:(Linalg.Kernel.add_ip x0)
     ~trace:(function
-      | Some (trace, _) -> trace
+      | Some p -> p.trace
       | None -> { Numeric.Integrator.times = [| 0.0 |]; states = [| x0 |] })
     ()

@@ -7,7 +7,22 @@
     the dense [(M − I)] system. This is the baseline whose cost grows
     linearly with the number of time steps per period — i.e. linearly
     with the fast/slow frequency disparity when the period is the
-    difference period (paper §3, “Computational speedup”).
+    difference period (paper §3, “Computational speedup”). Each step
+    costs one sparse-LU refactor plus [n] triangular solves for the
+    sensitivity.
+
+    An integration after the first one of a solve joins the previous
+    trajectory when it rejoins it: once its state at some step [k ≥ 1]
+    equals the previous integration's state [k] bit for bit, under an
+    unchanged workspace structure ({!Numeric.Integrator.structure}),
+    and the previous end state meets [tol] against the current [x0],
+    it takes the previous states [k+1…N] as its own and skips the
+    monodromy, which the converged loop never reads. The result is the
+    one a full integration gives, bit for bit. A solve that converges
+    after [u] updates therefore integrates [u] full periods plus the
+    steps up to the rejoin (about 20 on the unbalanced mixer at 10
+    steps per LO cycle), not [u + 1] periods; where the trajectories
+    never rejoin bit for bit it is [u + 1] periods, as before.
 
     Resilience: an optional {!Resilience.Budget.t} is ticked per outer
     shooting iteration and threaded into every inner time-step Newton
@@ -35,7 +50,10 @@ val solve :
     yields [outcome = Exhausted _] with the best iterate so far. The
     solution's [trace] is one steady-state period, [steps_per_period +
     1] samples from [t = 0] to [t = period], and its residual is
-    [‖Φ_T(x0) − x0‖∞].
+    [‖Φ_T(x0) − x0‖∞]. Telemetry: the ["shooting.steps"] counter adds
+    the steps each integration ran, ["shooting.steps_reused"] the
+    steps a joining integration took from the previous one, and the
+    ["shooting.join_step"] histogram the step at which it joined.
     @raise Invalid_argument if [steps_per_period < 1]. *)
 
 val integrate_with_sensitivity :
@@ -49,7 +67,8 @@ val integrate_with_sensitivity :
   Numeric.Integrator.trace * Linalg.Mat.t
 (** Backward-Euler integration over [[t0, t0 + duration]] that also
     propagates the sensitivity [∂x(t0+duration)/∂x(t0)] (the window
-    monodromy). Building block shared with {!Multiple_shooting}.
+    monodromy). Building block shared with {!Multiple_shooting}; it
+    always integrates the whole window.
 
     Each step's sensitivity update factors the step Jacobian
     [J(x⁺) = C(x⁺)/h + G(x⁺)] once in the [workspace]; the next step's

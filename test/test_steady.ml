@@ -111,6 +111,14 @@ let test_shooting_rectifier () =
 
 (* ---------- Shooting sensitivity ---------- *)
 
+(* [f ()] under a fresh recorder, with a reader of its counters. *)
+let with_counters f =
+  Telemetry.enable ();
+  let r = f () in
+  let snap = match Telemetry.snapshot () with Some s -> s | None -> assert false in
+  Telemetry.disable ();
+  (r, fun name -> Option.value ~default:0 (List.assoc_opt name snap.Telemetry.counters))
+
 (* The window monodromy from [integrate_with_sensitivity] against
    central differences of the window's end state, each perturbed run on
    a fresh workspace. Returns max |M| and max |M − M_fd|; the integer
@@ -122,14 +130,8 @@ let monodromy_vs_fd ~dae ~x0 ~t0 ~duration ~steps =
       ~workspace:(Numeric.Integrator.workspace dae)
       ~x0 ~t0 ~duration ~steps ()
   in
-  Telemetry.enable ();
-  let _, m = integrate x0 in
-  let snap = match Telemetry.snapshot () with Some s -> s | None -> assert false in
-  Telemetry.disable ();
-  let rebuilds =
-    Option.value ~default:0
-      (List.assoc_opt "integrator.jacobian_rebuilds" snap.Telemetry.counters)
-  in
+  let (_, m), counter = with_counters (fun () -> integrate x0) in
+  let rebuilds = counter "integrator.jacobian_rebuilds" in
   let n = dae.Numeric.Dae.size in
   let m_max = ref 0.0 and err = ref 0.0 in
   for j = 0 to n - 1 do
@@ -224,20 +226,27 @@ let test_shooting_step_allocation () =
    times and the output voltages), recorded before the step Newton
    moved onto a reused workspace: a step that reorders one float
    operation changes the hash. *)
-let mixer_problem_d40 () =
+let mixer_problem disparity =
   let f_lo = 1e6 in
-  let fd = f_lo /. 40.0 in
-  Engine.Problem.make ~label:"mixer d=40" ~period:Engine.Problem.Difference_tone ~output:"out"
-    ~f_fast:f_lo ~fd (fun () ->
+  let fd = f_lo /. disparity in
+  Engine.Problem.make ~label:(Printf.sprintf "mixer d=%g" disparity)
+    ~period:Engine.Problem.Difference_tone ~output:"out" ~f_fast:f_lo ~fd (fun () ->
       Circuits.unbalanced_mixer ~f_lo
         ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
         ~rf_amplitude:0.05 ())
 
 let engine_hash kind =
   let options = { Engine.Options.default with steps_per_period = 400 } in
-  let r = Engine.run (mixer_problem_d40 ()) (Engine.make ~options kind) in
+  let r = Engine.run (mixer_problem 40.0) (Engine.make ~options kind) in
   Alcotest.(check bool) "converged" true r.Engine.Result.converged;
   Engine.Checkpoint.waveform_hash r.Engine.Result.waveform
+
+(* The disparity sweep's shooting job at disparity [d]: 10 steps per
+   LO cycle across the difference period. *)
+let sweep_shooting ?(tol = Engine.Options.default.Engine.Options.tol) d =
+  let steps = int_of_float (Float.round (10.0 *. d)) in
+  let options = { Engine.Options.default with steps_per_period = steps; tol } in
+  Engine.run (mixer_problem d) (Engine.make ~options Engine.Shooting)
 
 let test_shooting_bitwise () =
   Alcotest.(check string) "shooting d=40" "63f9571be3cc7c10" (engine_hash Engine.Shooting)
@@ -245,6 +254,14 @@ let test_shooting_bitwise () =
 let test_multiple_shooting_bitwise () =
   Alcotest.(check string) "multiple shooting d=40" "039206fb824cdca1"
     (engine_hash Engine.Multiple_shooting)
+
+(* Captured before a confirming integration could join the previous
+   trajectory: the joined solve must print the same bits. *)
+let test_sweep_shooting_bitwise () =
+  let r = sweep_shooting 756.5 in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check string) "shooting d=756.5" "b694ec2576f3e350"
+    (Engine.Checkpoint.waveform_hash r.Engine.Result.waveform)
 
 let test_transient_bitwise () =
   let mna = rectifier_fixture () in
@@ -258,6 +275,137 @@ let test_transient_bitwise () =
   in
   Alcotest.(check string) "rectifier transient" "2fdee70ae1eda0d1"
     (Engine.Checkpoint.waveform_hash waveform)
+
+(* ---------- Shooting: joining the previous trajectory ---------- *)
+
+(* The d = 756.5 sweep job converges in one update; the confirming
+   integration rejoins the first one bit for bit about 20 steps in and
+   takes the rest of its trace, so the solve integrates barely more
+   than one period. *)
+let test_join_saves_a_period () =
+  let r, counter = with_counters (fun () -> sweep_shooting 756.5) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check int) "one update" 1 r.Engine.Result.newton_iterations;
+  let steps = counter "shooting.steps" and reused = counter "shooting.steps_reused" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d integrated steps < 1.01 x 7565" steps)
+    true
+    (float_of_int steps < 1.01 *. 7565.0);
+  Alcotest.(check int) "integrated + reused = two periods" (2 * 7565) (steps + reused)
+
+(* The balanced mixer's confirming integration never rejoins the
+   previous trajectory: three full periods of 256 steps, as before
+   joining existed. *)
+let test_no_join_full_path () =
+  let c = Result.get_ok (Serve.Catalog.find "balanced-mixer") in
+  let problem =
+    Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
+      ~fd:c.Serve.Catalog.default_fd
+  in
+  let r, counter = with_counters (fun () -> Engine.run problem (Engine.make Engine.Shooting)) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check int) "integrated steps" (3 * 256) (counter "shooting.steps");
+  Alcotest.(check int) "reused steps" 0 (counter "shooting.steps_reused")
+
+(* At tol = 0 and disparity 39.81 the second integration rejoins the
+   first, but the joined end state's defect is 0x1.d8p-67, not 0: the
+   join is refused and the period is integrated in full, so the update
+   that brings the defect to 0 still has its monodromy. The hash was
+   captured before joining existed. *)
+let test_join_refused_on_tolerance () =
+  let r, counter = with_counters (fun () -> sweep_shooting ~tol:0.0 39.81) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check int) "two updates" 2 r.Engine.Result.newton_iterations;
+  Alcotest.(check string) "tol 0, d=39.81" "21393eb6c62cb066"
+    (Engine.Checkpoint.waveform_hash r.Engine.Result.waveform);
+  let steps = counter "shooting.steps" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d integrated steps > 2 x 398" steps)
+    true
+    (steps > 2 * 398);
+  Alcotest.(check int) "three periods in all" (3 * 398) (steps + counter "shooting.steps_reused")
+
+(* A two-unknown algebraic DAE with f(x) = (x0²/2 + x1, x0 + x1²/2)
+   − b, so G = [[x0, 1], [1, x1]]; G's (1,1) entry is in the pattern
+   only when it was built at x1 ≠ 0, and the refresher misses when it
+   must stamp a nonzero x1 there. *)
+let structure_dae b =
+  let f x = [| (0.5 *. x.(0) *. x.(0)) +. x.(1); x.(0) +. (0.5 *. x.(1) *. x.(1)) |] in
+  let g x =
+    Sparse.Csr.of_coo
+      (Sparse.Coo.of_triplets 2 2
+         ((0, 0, x.(0)) :: (0, 1, 1.0) :: (1, 0, 1.0)
+         :: (if x.(1) <> 0.0 then [ (1, 1, x.(1)) ] else [])))
+  in
+  let c = Sparse.Csr.of_coo (Sparse.Coo.of_triplets 2 2 []) in
+  let refresh x ~g ~c:_ =
+    let slot = Sparse.Csr.slot g in
+    let s00 = slot 0 0 and s01 = slot 0 1 and s10 = slot 1 0 and s11 = slot 1 1 in
+    if s00 < 0 || s01 < 0 || s10 < 0 || (s11 < 0 && x.(1) <> 0.0) then false
+    else begin
+      let v = g.Sparse.Csr.values in
+      v.(s00) <- x.(0);
+      v.(s01) <- 1.0;
+      v.(s10) <- 1.0;
+      if s11 >= 0 then v.(s11) <- x.(1);
+      true
+    end
+  in
+  {
+    Numeric.Dae.size = 2;
+    eval_f = f;
+    eval_q = (fun _ -> [| 0.0; 0.0 |]);
+    jacobians = (fun x -> (g x, c));
+    source = (fun _ -> Array.copy b);
+    fast =
+      Some
+        {
+          Numeric.Dae.eval_f_into = (fun x out -> Array.blit (f x) 0 out 0 2);
+          eval_q_into = (fun _ out -> Array.fill out 0 2 0.0);
+          source_into = (fun _ out -> Array.blit b 0 out 0 2);
+          jacobian_refresher = (fun () -> refresh);
+        };
+  }
+
+(* The structure count moves on a pattern rebuild and on a fresh factor
+   (here forced by a zero pivot on the held pivot order), and on
+   nothing else: not on re-asking for a held factor, an in-place
+   refresh and replayed factor at a new point or step size, solves, or
+   a whole implicit step. *)
+let test_structure_counter () =
+  let module I = Numeric.Integrator in
+  let dae = structure_dae [| 3.305; 2.705 |] in
+  let ws = I.workspace dae in
+  Telemetry.enable ();
+  let rebuilds () =
+    let snap = match Telemetry.snapshot () with Some s -> s | None -> assert false in
+    Option.value ~default:0 (List.assoc_opt "integrator.jacobian_rebuilds" snap.Telemetry.counters)
+  in
+  let expect what ~moves ~rebuilt f =
+    let before = I.structure ws and rebuilds_before = rebuilds () in
+    f ();
+    Alcotest.(check int) (what ^ ": pattern rebuilds") rebuilt (rebuilds () - rebuilds_before);
+    Alcotest.(check bool) (what ^ ": structure count moved") moves (I.structure ws <> before)
+  in
+  let linearize ?(h = 1.0) x () = I.linearize ws ~method_:I.Backward_euler ~h x in
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  expect "first point" ~moves:true ~rebuilt:1 (linearize [| 2.0; 0.0 |]);
+  expect "same point" ~moves:false ~rebuilt:0 (linearize [| 2.0; 0.0 |]);
+  expect "refresh and replay" ~moves:false ~rebuilt:0 (linearize [| 3.0; 0.0 |]);
+  expect "new step size" ~moves:false ~rebuilt:0 (linearize ~h:0.5 [| 3.0; 0.0 |]);
+  expect "solves" ~moves:false ~rebuilt:0 (fun () ->
+      I.solve_columns ws [| [| 1.0; 2.0 |] |];
+      ignore (I.charge_jacobian ws));
+  expect "zero pivot, fresh factor" ~moves:true ~rebuilt:0 (linearize [| 0.0; 0.0 |]);
+  expect "pattern growth" ~moves:true ~rebuilt:1 (linearize [| 2.0; 1.0 |]);
+  expect "implicit step" ~moves:false ~rebuilt:0 (fun () ->
+      let r =
+        I.implicit_step ~method_:I.Backward_euler ~workspace:ws ~t_next:1.0 ~h:1.0
+          ~x_prev:[| 2.0; 1.0 |] ()
+      in
+      Alcotest.(check bool) "step converged" true r.I.converged;
+      Alcotest.(check (float 1e-6)) "x0" 2.1 r.I.x.(0);
+      Alcotest.(check (float 1e-6)) "x1" 1.1 r.I.x.(1))
 
 (* The same pins on the MPDE path: Newton, the matrix-free GMRES with
    the block-sweep preconditioner, the sparse-LU direct solve, and the
@@ -515,11 +663,17 @@ let () =
           Alcotest.test_case "monodromy vs FD, rectifier" `Quick test_monodromy_rectifier;
           Alcotest.test_case "step allocation" `Quick test_shooting_step_allocation;
           Alcotest.test_case "input validation" `Quick test_shooting_rejects_zero_steps;
+          Alcotest.test_case "join saves a period, d=756.5" `Quick test_join_saves_a_period;
+          Alcotest.test_case "no join, balanced mixer" `Quick test_no_join_full_path;
+          Alcotest.test_case "join refused on tolerance, tol 0" `Quick
+            test_join_refused_on_tolerance;
+          Alcotest.test_case "structure counter" `Quick test_structure_counter;
         ] );
       ( "bitwise",
         [
           Alcotest.test_case "shooting d=40" `Quick test_shooting_bitwise;
           Alcotest.test_case "multiple shooting d=40" `Quick test_multiple_shooting_bitwise;
+          Alcotest.test_case "shooting d=756.5" `Quick test_sweep_shooting_bitwise;
           Alcotest.test_case "rectifier transient" `Quick test_transient_bitwise;
           Alcotest.test_case "mpde balanced mixer 40x30" `Quick test_mpde_mixer_bitwise;
           Alcotest.test_case "mpde bridge rectifier 24x12" `Quick test_mpde_bridge_bitwise;
