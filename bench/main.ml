@@ -269,6 +269,54 @@ let newton_table () =
   pr "(paper: 26 NR iterations from a good starting guess; continuation\n\
      \ reliably obtained solutions when plain Newton failed)\n"
 
+(* Cold solves that take the nested start (DESIGN.md §5), against the
+   plain Newton from the same DC point. The plain row hands the DC
+   point over as a full surface, which a solve takes as a seed and
+   starts plain Newton from. Newton steps per level, coarsest first,
+   fine grid last; wall is the solve alone, best of three. *)
+let nested_start_table () =
+  header "NEWTON (nested start) - cold solves, plain vs nested";
+  pr "%-26s %-8s %-18s %-8s %-10s\n" "circuit" "start" "newton per level" "gmres" "wall (s)";
+  let row name ~f_fast ~fd ~n1 ~n2 mna =
+    let shear = Mpde.Shear.make ~fast_freq:f_fast ~slow_freq:fd in
+    let grid = Mpde.Grid.make ~shear ~n1 ~n2 in
+    let sys = Mpde.Assemble.of_mna ~shear mna in
+    let dc = Circuit.Dcop.solve_exn mna in
+    let surface = Array.concat (List.init (Mpde.Grid.points grid) (fun _ -> dc)) in
+    List.iter
+      (fun (start, seed) ->
+        let sol, wall = best_of_3 (fun () -> Mpde.Solver.solve ~seed sys grid) in
+        let stats = sol.Mpde.Solver.stats in
+        let levels =
+          List.filter_map
+            (fun s ->
+              let open Resilience.Report in
+              if String.starts_with ~prefix:"newton" s.name then Some (string_of_int s.iterations)
+              else None)
+            sol.Mpde.Solver.report.Resilience.Report.stages
+        in
+        pr "%-26s %-8s %-18s %-8d %-10.4f\n"
+          (Printf.sprintf "%s %dx%d" name n1 n2)
+          start (String.concat "+" levels) stats.Mpde.Solver.linear_iterations wall)
+      [ ("plain", surface); ("nested", dc) ]
+  in
+  let bridge =
+    let drive =
+      W.sum (W.sine ~amplitude:10.0 ~freq:50e3 ()) (W.sine ~amplitude:2.0 ~freq:50.5e3 ())
+    in
+    (Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive ()).Circuits.mna
+  in
+  row "bridge rectifier" ~f_fast:50e3 ~fd:500.0 ~n1:24 ~n2:12 bridge;
+  let detector = Result.get_ok (Serve.Catalog.find "detector") in
+  let f_fast = detector.Serve.Catalog.default_fast and fd = detector.Serve.Catalog.default_fd in
+  row "detector" ~f_fast ~fd ~n1:32 ~n2:24 (detector.Serve.Catalog.build ~f_fast ~fd).Circuits.mna;
+  let f_lo = 100e6 and fd = 1e4 in
+  row "gilbert cell" ~f_fast:f_lo ~fd ~n1:32 ~n2:16
+    (Circuits.gilbert_mixer ~f_lo
+       ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+       ~rf_amplitude:0.02 ())
+      .Circuits.mna
+
 (* ------------------------------------------------------------------ *)
 (* ABL-LIN: direct sparse LU vs GMRES + block sweep                    *)
 (* ------------------------------------------------------------------ *)
@@ -1074,6 +1122,7 @@ let () =
     ignore (fig3_to_fig6 ());
     speedup_tables ();
     newton_table ();
+    nested_start_table ();
     gain_distortion_table ();
     ablation_linear_solvers ();
     ablation_discretization ();

@@ -181,9 +181,16 @@ let solve_cmd tele listen kind ((fixture : Serve.Catalog.t), f_fast, fd) period
               r.Engine.Result.health.Diagnostics.Health.convergence))
       ~wall_seconds:r.Engine.Result.wall_seconds ~attempts:1;
   Observe.Publish.run_finished ();
-  Printf.printf "# engine=%s converged=%b newton=%d residual=%.2e wall=%.3fs\n"
+  (* An MPDE result also names where its Newton run started. *)
+  let start =
+    match r.Engine.Result.mpde_solution with
+    | Some sol ->
+        " start=" ^ Mpde.Solver.start_name sol.Mpde.Solver.stats.Mpde.Solver.start
+    | None -> ""
+  in
+  Printf.printf "# engine=%s converged=%b newton=%d%s residual=%.2e wall=%.3fs\n"
     (Engine.kind_name r.Engine.Result.kind) r.Engine.Result.converged
-    r.Engine.Result.newton_iterations r.Engine.Result.residual_norm
+    r.Engine.Result.newton_iterations start r.Engine.Result.residual_norm
     r.Engine.Result.wall_seconds;
   List.iter
     (fun (k, v) -> Printf.printf "# metric %s=%.6e\n" k v)
@@ -223,8 +230,10 @@ let mpde_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2 output
   let { Circuits.mna; _ } = fixture.build ~f_fast ~fd in
   let stats = sol.Mpde.Solver.stats in
   Printf.printf
-    "# converged=%b strategy=%s newton=%d gmres=%d continuation=%d residual=%.2e wall=%.2fs\n"
+    "# converged=%b strategy=%s start=%s newton=%d gmres=%d continuation=%d residual=%.2e \
+     wall=%.2fs\n"
     stats.Mpde.Solver.converged stats.Mpde.Solver.strategy
+    (Mpde.Solver.start_name stats.Mpde.Solver.start)
     stats.Mpde.Solver.newton_iterations stats.Mpde.Solver.linear_iterations
     stats.Mpde.Solver.continuation_steps stats.Mpde.Solver.residual_norm
     stats.Mpde.Solver.wall_seconds;
@@ -941,6 +950,8 @@ let health_cmd tele ((fixture : Serve.Catalog.t), f_fast, fd) n1 n2 budget_secon
   Printf.printf "convergence:        %s\n"
     (Diagnostics.Convergence.to_string health.Diagnostics.Health.convergence);
   Printf.printf "strategy:           %s\n" health.Diagnostics.Health.strategy;
+  Printf.printf "start:              %s\n"
+    (Mpde.Solver.start_name sol.Mpde.Solver.stats.Mpde.Solver.start);
   Printf.printf "newton iterations:  %d (linear %d)\n"
     health.Diagnostics.Health.newton_iterations
     health.Diagnostics.Health.linear_iterations;

@@ -108,10 +108,10 @@ let run_job ?deadline ?max_newton_per_job ?(per_job_telemetry = false)
      job ("fd=8000"), one attempt ("#1"), or the degraded pass ("#d").
      A seeded solve that does not converge is re-solved from DC in the
      same scope, so a one-shot fault that sank the seeded solve spares
-     the cold one. So is one that converged without a Newton step: the
-     seed already met the residual tolerance, which bounds the
-     residual, not the waveform — the cold solve's last step lands far
-     inside it. Returns whether the seed was kept. *)
+     the cold one. A seed that already meets the residual tolerance
+     needs no re-solve: the solver takes a Newton step from any
+     surface, and that step lands far inside the tolerance, where the
+     cold solve's last one does. Returns whether the seed was kept. *)
   let one_attempt ~scope_key ~surface (j : job) =
     Resilience.Faultinject.with_scope ~key:scope_key (fun () ->
         let failure e =
@@ -150,10 +150,7 @@ let run_job ?deadline ?max_newton_per_job ?(per_job_telemetry = false)
                        (fun o -> { o with Options.initial_surface = Some surface })
                        j)
                 with
-                | Ok r as seeded
-                  when r.Backend.Result.converged
-                       && r.Backend.Result.newton_iterations > 0 ->
-                    (seeded, true)
+                | Ok r as seeded when r.Backend.Result.converged -> (seeded, true)
                 | _ -> (solve j, false))
             | None -> (solve j, false)))
   in

@@ -24,12 +24,11 @@
     stay bitwise equal across domain counts. A seeded solve that does
     not converge (or raises) is re-solved once from DC in the same
     attempt, so seeding never turns a converging job into a failing
-    one. So is a seeded solve that converged without a Newton step:
-    its seed already met the residual tolerance, which bounds the
-    residual and not the waveform, and the cold solve's last step
-    lands far inside it. A job whose anchor did not converge runs
-    cold. Phase 2 is
-    skipped when no group has a second job.
+    one. A seed that already meets the residual tolerance is kept: the
+    MPDE solver takes a Newton step from any surface, so the answer
+    lands as far inside the tolerance as the cold solve's. A job whose
+    anchor did not converge runs cold. Phase 2 is skipped when no group
+    has a second job.
 
     A job that raises (a mis-built circuit, an
     off-lattice MPDE frequency, an injected crash) is captured as
@@ -109,8 +108,7 @@ type outcome = {
       (** input index of the anchor whose converged surface seeded the
           returned result; [None] for anchors, ungrouped jobs, jobs
           whose anchor did not converge, a seeded job re-solved cold
-          (the seeded solve failed, or took no Newton step), and a
-          degraded result *)
+          (the seeded solve failed), and a degraded result *)
   trace : (float * Telemetry.snapshot) option;
       (** with [per_job_trace]: [(base, snapshot)] where [base] is the
           absolute {!Telemetry.Clock.wall} instant the snapshot's span

@@ -23,3 +23,22 @@ let t2_of g j = float_of_int j *. g.h2
 let wrap1 g i = ((i mod g.n1) + g.n1) mod g.n1
 let wrap2 g j = ((j mod g.n2) + g.n2) mod g.n2
 let point_index g i j = (wrap2 g j * g.n1) + wrap1 g i
+
+let prolong ~size coarse x fine =
+  let values = Array.make_matrix coarse.n1 coarse.n2 0.0 in
+  let out = Array.make (points fine * size) 0.0 in
+  for k = 0 to size - 1 do
+    for j = 0 to coarse.n2 - 1 do
+      for i = 0 to coarse.n1 - 1 do
+        values.(i).(j) <- x.((point_index coarse i j * size) + k)
+      done
+    done;
+    for j = 0 to fine.n2 - 1 do
+      let v = float_of_int j /. float_of_int fine.n2 in
+      for i = 0 to fine.n1 - 1 do
+        out.((point_index fine i j * size) + k) <-
+          Numeric.Interp.bilinear_periodic values (float_of_int i /. float_of_int fine.n1) v
+      done
+    done
+  done;
+  out

@@ -27,3 +27,13 @@ val t2_of : t -> int -> float
 val point_index : t -> int -> int -> int
 (** [point_index g i j = j*n1 + i] with periodic wrapping of both
     indices. *)
+
+val prolong : size:int -> t -> Linalg.Vec.t -> t -> Linalg.Vec.t
+(** [prolong ~size coarse x fine] carries the flattened surface [x]
+    ([size] unknowns per point of [coarse]) onto [fine] over the same
+    periods: every unknown is interpolated by
+    {!Numeric.Interp.bilinear_periodic} at the fine points'
+    fractional coordinates [(i/n1, j/n2)]. Exact for a constant surface,
+    and for a bilinear one at the fine points outside the wrap-around
+    cells. The grids need not nest: 7 points go onto 15 as well as
+    onto 14. *)

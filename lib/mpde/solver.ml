@@ -46,6 +46,10 @@ let default_options =
     budget = None;
   }
 
+type start = Plain | Seeded | Nested
+
+let start_name = function Plain -> "plain" | Seeded -> "seeded" | Nested -> "nested"
+
 type stats = {
   newton_iterations : int;
   converged : bool;
@@ -54,6 +58,7 @@ type stats = {
   continuation_steps : int;
   continuation_rejected : int;
   strategy : string;
+  start : start;
   wall_seconds : float;
 }
 
@@ -286,6 +291,36 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
           ~extra_diag ~rhs:r ~out:delta ~linear_iters);
   }
 
+(* Nested-iteration start (DESIGN.md §5). A cold solve (from a DC state
+   or zero) watches its first Newton step. A step that keeps more than
+   [nested_gate] of ‖F‖∞ means Newton is in its damped or linear phase,
+   whose steps cost as many iterations on a coarser grid at a fraction
+   of the price. The solve then solves the ⌊n1/2⌋×⌊n2/2⌋ grid by the
+   same rule, recursively while both axes keep [nested_floor] points,
+   and runs its own Newton from that solution, prolonged. The catalog
+   falls far from the gate on both sides: first-step ratios of at most
+   2e-3 on the mixers and rc, at least 0.75 on the rectifiers, the
+   detector and the Gilbert cell. *)
+let nested_gate = 0.1
+let nested_floor = 3
+
+exception Slow_start
+
+let coarser (g : Grid.t) =
+  let n1 = g.Grid.n1 / 2 and n2 = g.Grid.n2 / 2 in
+  if n1 >= nested_floor && n2 >= nested_floor then Some (Grid.make ~shear:g.Grid.shear ~n1 ~n2)
+  else None
+
+(* [hook], plus the gate: raises [Slow_start] before iteration 1 when
+   the first step kept more than [nested_gate] of ‖F₀‖∞. A step that
+   converges ends the solve before iteration 1 and passes. *)
+let gated hook =
+  let r0 = ref Float.nan in
+  fun k x rnorm ->
+    if k = 0 then r0 := rnorm
+    else if k = 1 && rnorm > nested_gate *. !r0 then raise Slow_start;
+    hook k x rnorm
+
 let solve ?(options = default_options) ?seed ?workspace_slot
     (sys : Assemble.system) (g : Grid.t) =
   let t_start = Telemetry.Clock.wall () in
@@ -293,10 +328,12 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   Telemetry.span "mpde.solve" @@ fun () ->
   Telemetry.with_alloc_gauges "alloc" @@ fun () ->
   let n = sys.Assemble.size in
-  let np = Grid.points g in
-  let big = np * n in
-  let big_x0 =
-    let x = Array.make big 0.0 in
+  let big = Grid.points g * n in
+  (* A seed of one circuit state (the DC point) goes to every grid
+     point; a full surface is taken as is. *)
+  let start_on (lg : Grid.t) =
+    let np = Grid.points lg in
+    let x = Array.make (np * n) 0.0 in
     (match seed with
     | Some s when Array.length s = n ->
         for p = 0 to np - 1 do
@@ -307,6 +344,8 @@ let solve ?(options = default_options) ?seed ?workspace_slot
     | None -> ());
     x
   in
+  let big_x0 = start_on g in
+  let cold = match seed with Some s -> Array.length s <> big | None -> true in
   let sources = Assemble.sources_on_grid sys g in
   (* Sweep-scale solves reuse one workspace per domain through the
      caller-held slot: the multi-megabyte numeric buffers (compact
@@ -331,18 +370,24 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   let continuation_steps = ref 0 and continuation_rejected = ref 0 in
   let trajectory = ref [] in
   let stage_iters : (string * int) list ref = ref [] in
+  let levels : Report.stage list ref = ref [] in
+  let start = ref (if cold then Plain else Seeded) in
   let last_x = ref big_x0 in
+  (* The last converged run of the plain problem (unscaled, unloaded):
+     its final iterate and ‖F‖∞, which is the solve's residual norm
+     when that iterate is the answer. *)
+  let accepted = ref None in
   (* Attribution for non-finite residuals: remember the first violation
      per stage so a Diverged Newton outcome can be classified and
      reported with its grid point. *)
   let residual_violation = ref None in
-  let on_residual_violation v =
+  let on_residual_violation (lg : Grid.t) v =
     if !residual_violation = None then begin
       residual_violation := Some v;
       let p = Option.value v.Guard.block ~default:(v.Guard.index / n) in
       Log.warn (fun m ->
-          m "non-finite residual at grid point (%d,%d), unknown %d: %h"
-            (p mod g.Grid.n1) (p / g.Grid.n1)
+          m "non-finite residual at grid point (%d,%d) of %dx%d, unknown %d: %h"
+            (p mod lg.Grid.n1) (p / lg.Grid.n1) lg.Grid.n1 lg.Grid.n2
             (Option.value v.Guard.offset ~default:(v.Guard.index mod n))
             v.Guard.value)
     end
@@ -384,29 +429,119 @@ let solve ?(options = default_options) ?seed ?workspace_slot
     | Numeric.Newton.Stalled -> (Ladder.Nonlinear, "Newton stalled")
     | Numeric.Newton.Max_iterations -> (Ladder.Nonlinear, "Newton hit max iterations")
   in
-  let run_newton ~name ~linear_solver ?ptc ~source_scale x_init =
+  (* One Newton solve on grid [lg] with workspace [lws]. [min_iterations]
+     is 1 from a foreign start: a surface meeting the tolerance is not
+     taken without a step (a residual bound is not a waveform bound). *)
+  let newton_on (lg, lws, lsources) ~linear_solver ?ptc ?(min_iterations = 0) ~source_scale
+      ~on_iteration x_init =
     residual_violation := None;
     let problem =
-      newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_iters
-        ~source_scale ~on_residual_violation ()
+      newton_problem ~options ~linear_solver ~ws:lws ?ptc ~sys ~g:lg ~sources:lsources
+        ~linear_iters ~source_scale ~on_residual_violation:(on_residual_violation lg) ()
     in
-    let x, stats = Numeric.Newton.solve ~options:newton_options ~on_iteration problem x_init in
-    newton_total := !newton_total + stats.Numeric.Newton.iterations;
-    record_stage name stats.Numeric.Newton.iterations;
-    last_x := x;
-    (x, stats)
+    Numeric.Newton.solve
+      ~options:{ newton_options with min_iterations }
+      ~on_iteration problem x_init
   in
+  let run_newton ~name ~linear_solver ?ptc ?min_iterations ?(gate = false) ~source_scale x_init =
+    let on_iteration = if gate then gated on_iteration else on_iteration in
+    match
+      newton_on (g, ws, sources) ~linear_solver ?ptc ?min_iterations ~source_scale
+        ~on_iteration x_init
+    with
+    | exception Slow_start ->
+        (* the gate fires after exactly one step *)
+        newton_total := !newton_total + 1;
+        record_stage name 1;
+        raise Slow_start
+    | x, stats ->
+        newton_total := !newton_total + stats.Numeric.Newton.iterations;
+        record_stage name stats.Numeric.Newton.iterations;
+        last_x := x;
+        if ptc = None && source_scale = 1.0 && Numeric.Newton.converged stats then
+          accepted := Some (x, stats.Numeric.Newton.residual_norm);
+        (x, stats)
+  in
+  (* The cold-start rule on grid [lg]: [run ~gate ~min_iterations x]
+     is one Newton solve there. Returns the final run and whether it
+     started from the coarser grids' solution. A nested start that
+     fails falls back to the plain start. *)
+  let rec cold_solve (lg : Grid.t) x0 run =
+    let plain () = (run ~gate:false ~min_iterations:0 x0, false) in
+    match coarser lg with
+    | None -> plain ()
+    | Some cg -> (
+        match run ~gate:true ~min_iterations:0 x0 with
+        | exception Slow_start -> (
+            match coarse_solve cg with
+            | Some cx -> (
+                match run ~gate:false ~min_iterations:1 (Grid.prolong ~size:n cg cx lg) with
+                | (_, stats) as r when Numeric.Newton.converged stats -> (r, true)
+                | _ -> plain ())
+            | None -> plain ())
+        | r -> (r, false))
+  (* A coarse level: its own workspace, so the domain's retained fine
+     workspace survives; its Newton steps count in the total and in a
+     stage row of its own. *)
+  and coarse_solve (cg : Grid.t) =
+    let t0 = Telemetry.Clock.wall () in
+    let level = (cg, make_workspace options.scheme sys cg, Assemble.sources_on_grid sys cg) in
+    let iters = ref 0 in
+    let run ~gate ~min_iterations x =
+      let hook _ _ _ = () in
+      match
+        newton_on level ~linear_solver:options.linear_solver ~min_iterations ~source_scale:1.0
+          ~on_iteration:(if gate then gated hook else hook) x
+      with
+      | exception Slow_start ->
+          incr iters;
+          raise Slow_start
+      | (_, stats) as r ->
+          iters := !iters + stats.Numeric.Newton.iterations;
+          r
+    in
+    let (x, stats), _ = cold_solve cg (start_on cg) run in
+    newton_total := !newton_total + !iters;
+    let converged = Numeric.Newton.converged stats in
+    levels :=
+      {
+        Report.name = Printf.sprintf "newton@%dx%d" cg.Grid.n1 cg.Grid.n2;
+        status = (if converged then `Success else `Failed (snd (classify stats)));
+        iterations = !iters;
+        wall_seconds = Telemetry.Clock.wall () -. t0;
+      }
+      :: !levels;
+    if converged then Some x else None
+  in
+  let finish (x, stats) = if Numeric.Newton.converged stats then Ok x else Error (classify stats) in
   let plain_stage name linear_solver =
     fun () ->
-      match run_newton ~name ~linear_solver ~source_scale:1.0 big_x0 with
-      | x, stats when Numeric.Newton.converged stats -> Ok x
-      | _, stats -> Error (classify stats)
+      finish
+        (run_newton ~name ~linear_solver ~min_iterations:(if cold then 0 else 1)
+           ~source_scale:1.0 big_x0)
+  in
+  let newton_stage () =
+    if not cold then plain_stage "newton" options.linear_solver ()
+    else
+      let run ~gate ~min_iterations x =
+        let saved = !trajectory in
+        try
+          run_newton ~name:"newton" ~linear_solver:options.linear_solver ~min_iterations ~gate
+            ~source_scale:1.0 x
+        with Slow_start ->
+          (* the trajectory is the fine solve the answer comes from *)
+          trajectory := saved;
+          raise Slow_start
+      in
+      let r, nested = cold_solve g big_x0 run in
+      if nested then start := Nested;
+      finish r
   in
   let source_ramp_stage () =
     residual_violation := None;
     let problem_at lambda =
       newton_problem ~options ~linear_solver:options.linear_solver ~ws ~sys ~g ~sources
-        ~linear_iters ~source_scale:lambda ~on_residual_violation ()
+        ~linear_iters ~source_scale:lambda ~on_residual_violation:(on_residual_violation g) ()
     in
     let x, cstats =
       Numeric.Continuation.trace ?budget:options.budget ~newton_options ~problem_at
@@ -471,7 +606,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
       {
         Ladder.name = "newton";
         applies = Ladder.always;
-        attempt = plain_stage "newton" options.linear_solver;
+        attempt = newton_stage;
       };
       {
         Ladder.name = "direct-lu";
@@ -498,9 +633,12 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   | _ -> ());
   let big_x = match run.Ladder.value with Some x -> x | None -> !last_x in
   let residual_norm =
-    let r = Array.make big 0.0 in
-    Assemble.residual_into ws.asm ~sources big_x r;
-    Vec.norm_inf r
+    match (run.Ladder.value, !accepted) with
+    | Some x, Some (x', rnorm) when x == x' -> rnorm
+    | _ ->
+        let r = Array.make big 0.0 in
+        Assemble.residual_into ws.asm ~sources big_x r;
+        Vec.norm_inf r
   in
   let converged = run.Ladder.value <> None in
   let wall_seconds = Telemetry.Clock.wall () -. t_start in
@@ -515,6 +653,9 @@ let solve ?(options = default_options) ?seed ?workspace_slot
       ~residual_norm ~newton_iterations:!newton_total ~linear_iterations:!linear_iters
       ~wall_seconds run
   in
+  (* The coarse levels' rows, coarsest first, ahead of the ladder's;
+     the newton stage's wall includes theirs. *)
+  let report = { report with Report.stages = List.rev_append !levels report.Report.stages } in
   {
     grid = g;
     scheme = options.scheme;
@@ -529,6 +670,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
         continuation_steps = !continuation_steps;
         continuation_rejected = !continuation_rejected;
         strategy = Option.value run.Ladder.strategy ~default:"none";
+        start = !start;
         wall_seconds;
       };
     report;

@@ -67,14 +67,27 @@ val default_options : options
     maps the engine's normalized option vocabulary onto a record update
     of it; see DESIGN.md §11 for the name mapping. *)
 
+type start =
+  | Plain  (** Newton from the DC state or zero on the solve's own grid *)
+  | Seeded  (** Newton from the caller's full surface *)
+  | Nested
+      (** Newton from the prolonged solution of the coarser grids: the
+          nested start of a cold solve whose first step barely
+          contracted (DESIGN.md §5) *)
+
+val start_name : start -> string
+(** ["plain"], ["seeded"] or ["nested"]. *)
+
 type stats = {
-  newton_iterations : int;  (** cumulated across all ladder stages *)
+  newton_iterations : int;
+      (** cumulated across all ladder stages and nested-start levels *)
   converged : bool;
   residual_norm : float;
   linear_iterations : int;  (** cumulated GMRES inner iterations (0 for Direct) *)
   continuation_steps : int;  (** accepted source-ramp/Ptc steps; 0 when plain Newton succeeded *)
   continuation_rejected : int;  (** rejected (halved) continuation steps *)
   strategy : string;  (** winning ladder stage, or ["none"] *)
+  start : start;  (** where the winning Newton run started *)
   wall_seconds : float;
 }
 
@@ -105,6 +118,16 @@ val solve :
     state (e.g. from {!quasi_static_start}); default is the zero
     state. Never raises on solver failure: inspect
     [solution.stats.converged] / [solution.report].
+
+    A full-surface seed is foreign: Newton takes at least one step from
+    it even when it already meets [tol]. A cold solve (a single-state
+    seed or none) whose first Newton step keeps more than a tenth of
+    ‖F‖∞ takes the nested start: it solves the ⌊n1/2⌋×⌊n2/2⌋ grid by
+    the same rule (while both axes keep 3 points), prolongs that
+    solution ({!Grid.prolong}) and runs Newton from it; the report
+    lists each coarse level as a [newton@<n1>x<n2>] stage row. A failed
+    nested start falls back to plain Newton from the seed before the
+    ladder escalates (DESIGN.md §5).
 
     [workspace_slot] is an in-out slot for cross-job workspace reuse
     (one slot per domain in sweep pools): when the retained workspace

@@ -8,6 +8,7 @@ type problem = {
 
 type options = {
   max_iterations : int;
+  min_iterations : int;
   abs_tol : float;
   step_tol : float;
   max_backtracks : int;
@@ -18,6 +19,7 @@ type options = {
 let default_options =
   {
     max_iterations = 50;
+    min_iterations = 0;
     abs_tol = 1e-9;
     step_tol = 1e-12;
     max_backtracks = 12;
@@ -163,7 +165,8 @@ let iteration ws () =
      every ‖F‖ comparison against NaN is false, so the old code spun
      through max_iterations of useless halvings. Bail out at once. *)
   if not (Float.is_finite ws.norm.rnorm) then finish ws Diverged;
-  if ws.norm.rnorm <= options.abs_tol then finish ws Converged;
+  if ws.norm.rnorm <= options.abs_tol && ws.iterations >= options.min_iterations then
+    finish ws Converged;
   (match options.budget with
   | Some b -> (
       try Budget.tick_newton b with Budget.Exhausted e -> finish ws (Exhausted e))
@@ -176,10 +179,12 @@ let iteration ws () =
      that contains NaN/Inf still contains NaN/Inf. *)
   if not (Resilience.Guard.finite delta) then
     finish ws (Solver_failure "non-finite Newton step");
-  (* Backtracking: accept the first damping that reduces ‖F‖∞, or,
-     failing that, the smallest tried damping (helps escape regions
-     where the residual is momentarily non-monotone). Either way
-     the candidate is the last trial evaluated. *)
+  (* Backtracking: accept the first damping that reduces ‖F‖∞ or
+     meets the tolerance (the latter only decides a step that
+     [min_iterations] forces from a converged start), or, failing
+     that, the smallest tried damping (helps escape regions where the
+     residual is momentarily non-monotone). Either way the candidate
+     is the last trial evaluated. *)
   let x = ws.x and trial = ws.trial and rt = ws.rt in
   let rnorm = ws.norm.rnorm in
   let damping = ref 1.0 in
@@ -191,7 +196,7 @@ let iteration ws () =
     Linalg.Kernel.axpy (-. !damping) delta trial;
     residual_into ws.problem trial rt;
     let rtnorm = norm_inf rt in
-    if Float.is_finite rtnorm && rtnorm < rnorm then begin
+    if Float.is_finite rtnorm && (rtnorm < rnorm || rtnorm <= options.abs_tol) then begin
       accepted := true;
       candidate := true
     end
@@ -214,9 +219,15 @@ let iteration ws () =
   record_residual ws ws.norm.rnorm;
   ws.iterations <- ws.iterations + 1;
   if not (Float.is_finite ws.norm.rnorm) then finish ws Diverged;
-  if ws.norm.rnorm <= options.abs_tol then finish ws Converged;
+  if ws.norm.rnorm <= options.abs_tol && ws.iterations >= options.min_iterations then
+    finish ws Converged;
   if step_size <= options.step_tol then
     finish ws (if ws.norm.rnorm <= options.abs_tol then Converged else Stalled)
+
+let record_counts ws =
+  Telemetry.count ~by:ws.iterations "newton.iterations";
+  Telemetry.count ~by:ws.backtracks "newton.backtracks";
+  Telemetry.observe "newton.final_residual" ws.norm.rnorm
 
 let run ws x0 =
   let options = ws.options in
@@ -237,10 +248,13 @@ let run ws x0 =
      while ws.iterations < options.max_iterations do
        Telemetry.span_app "newton.iter" iteration ws ()
      done
-   with Exit -> ());
-  Telemetry.count ~by:ws.iterations "newton.iterations";
-  Telemetry.count ~by:ws.backtracks "newton.backtracks";
-  Telemetry.observe "newton.final_residual" ws.norm.rnorm;
+   with
+  | Exit -> ()
+  | e ->
+      (* [on_iteration] abandoned the solve: its steps still count. *)
+      record_counts ws;
+      raise e);
+  record_counts ws;
   ws.outcome
 
 let solve_in ?(options = default_options) ?on_iteration ws problem x0 =

@@ -27,6 +27,11 @@ type problem = {
 
 type options = {
   max_iterations : int;  (** default 50 *)
+  min_iterations : int;
+      (** steps taken before a small residual may end the solve,
+          default 0; 1 makes a solve from a foreign start (a surface
+          that was not computed for this problem) take one step even
+          when the start already meets [abs_tol] *)
   abs_tol : float;  (** residual infinity-norm target, default 1e-9 *)
   step_tol : float;  (** stop when the damped step is this small, default 1e-12 *)
   max_backtracks : int;  (** line-search halvings, default 12 *)
@@ -100,4 +105,9 @@ val solve :
     {!workspace}; the returned iterate is one of its buffers and
     belongs to the caller. Exceptions raised by the solver
     closure are captured as [Solver_failure], except
-    {!Resilience.Budget.Exhausted} which becomes [Exhausted]. *)
+    {!Resilience.Budget.Exhausted} which becomes [Exhausted].
+
+    [on_iteration k x rnorm] is called before iteration [k] with the
+    iterate and its ‖F‖∞ ([k = 0] for the start). An exception it
+    raises abandons the solve and propagates; the steps taken so far
+    are still counted in telemetry. *)

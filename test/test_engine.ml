@@ -349,10 +349,9 @@ let max_abs_diff a b =
   Array.iteri (fun i x -> worst := Float.max !worst (Float.abs (x -. b.(i)))) a;
   !worst
 
-(* Cold multi-step MPDE jobs, each the anchor of its own group, so two
-   lanes solve them concurrently: the GMRES forcing term lives in each
-   Newton solve, and a job's numbers do not depend on its neighbour. *)
-let test_cold_sweep_forcing_per_solve () =
+(* Cold multi-step MPDE jobs, each the anchor of its own group, so
+   lanes solve them concurrently. All three take the nested start. *)
+let cold_jobs () =
   let bridge ~a2 =
     Engine.Problem.make ~label:(Printf.sprintf "bridge a2=%g" a2) ~output:"p" ~output_b:"n"
       ~f_fast:50e3 ~fd:500.0 (fun () ->
@@ -363,17 +362,19 @@ let test_cold_sweep_forcing_per_solve () =
   in
   let detector = Result.get_ok (Serve.Catalog.find "detector") in
   let grid n1 n2 = { Engine.Options.default with n1; n2 } in
-  let jobs () =
-    [|
-      Engine.Sweep.job ~options:(grid 24 12) ~kind:Engine.Mpde (bridge ~a2:2.0);
-      Engine.Sweep.job ~options:(grid 16 8) ~kind:Engine.Mpde (bridge ~a2:2.5);
-      Engine.Sweep.job ~kind:Engine.Mpde
-        (Serve.Catalog.problem_of detector ~f_fast:detector.Serve.Catalog.default_fast
-           ~fd:detector.Serve.Catalog.default_fd);
-    |]
-  in
-  let serial = Engine.Sweep.run ~domains:1 (jobs ()) in
-  let parallel = Engine.Sweep.run ~domains:2 (jobs ()) in
+  [|
+    Engine.Sweep.job ~options:(grid 24 12) ~kind:Engine.Mpde (bridge ~a2:2.0);
+    Engine.Sweep.job ~options:(grid 16 8) ~kind:Engine.Mpde (bridge ~a2:2.5);
+    Engine.Sweep.job ~kind:Engine.Mpde
+      (Serve.Catalog.problem_of detector ~f_fast:detector.Serve.Catalog.default_fast
+         ~fd:detector.Serve.Catalog.default_fd);
+  |]
+
+(* The GMRES forcing term lives in each Newton solve, and a job's
+   numbers do not depend on its neighbour. *)
+let test_cold_sweep_forcing_per_solve () =
+  let serial = Engine.Sweep.run ~domains:1 (cold_jobs ()) in
+  let parallel = Engine.Sweep.run ~domains:2 (cold_jobs ()) in
   Array.iteri
     (fun i (o : Engine.Sweep.outcome) ->
       let r = result_exn o and r1 = result_exn serial.(i) in
@@ -390,6 +391,28 @@ let test_cold_sweep_forcing_per_solve () =
         true
         (waveform_bits r = waveform_bits r1))
     parallel
+
+(* A nested start's coarse levels run on workspaces of their own, so
+   its answer does not depend on which domain, holding which retained
+   workspace, solved it. *)
+let test_nested_sweep_bitwise () =
+  let start (r : Engine.Result.t) =
+    Mpde.Solver.start_name
+      (Option.get r.Engine.Result.mpde_solution).Mpde.Solver.stats.Mpde.Solver.start
+  in
+  let serial = Engine.Sweep.run ~domains:1 (cold_jobs ()) in
+  List.iter
+    (fun d ->
+      Array.iteri
+        (fun i (o : Engine.Sweep.outcome) ->
+          let r = result_exn o and r1 = result_exn serial.(i) in
+          Alcotest.(check string) (Printf.sprintf "job %d nested" i) "nested" (start r);
+          Alcotest.(check bool)
+            (Printf.sprintf "job %d bitwise on %d domains" i d)
+            true
+            (waveform_bits r = waveform_bits r1))
+        (Engine.Sweep.run ~domains:d (cold_jobs ())))
+    [ 1; 2; 4 ]
 
 let test_warm_sweep_seeds_dependents () =
   let runs =
@@ -482,16 +505,21 @@ let test_warm_sweep_cold_fallback () =
 
 let test_warm_sweep_zero_step_seed () =
   (* A repeat of the anchor's own point: its surface already meets the
-     residual tolerance, so the seeded solve would take no Newton step
-     and the job is re-solved cold instead. *)
+     residual tolerance. The solver still takes one Newton step from
+     it, so the seed is kept, and the answer lies as far inside the
+     tolerance as the cold solve's. *)
   let jobs = mixer_jobs () in
   let repeat = { jobs.(0) with Engine.Sweep.label = "mixer repeat" } in
   let outcomes = Engine.Sweep.run ~domains:1 [| jobs.(0); repeat |] in
-  let r = result_exn outcomes.(1) in
-  Alcotest.(check (option int)) "not seeded" None outcomes.(1).Engine.Sweep.anchor;
-  Alcotest.(check bool) "took Newton steps" true (r.Engine.Result.newton_iterations > 0);
-  Alcotest.(check bool) "the cold answer" true
-    (waveform_bits r = waveform_bits (result_exn outcomes.(0)))
+  let r = result_exn outcomes.(1) and cold = result_exn outcomes.(0) in
+  Alcotest.(check (option int)) "seeded" (Some 0) outcomes.(1).Engine.Sweep.anchor;
+  Alcotest.(check int) "one Newton step" 1 r.Engine.Result.newton_iterations;
+  let diff =
+    max_abs_diff r.Engine.Result.waveform.Engine.Result.values
+      cold.Engine.Result.waveform.Engine.Result.values
+  in
+  if not (diff <= mixer_options.Engine.Options.tol) then
+    Alcotest.failf "seeded waveform %.3e V from the cold one" diff
 
 let test_warm_digest () =
   (* A sweep's points over one circuit share a digest: tones are not
@@ -708,11 +736,13 @@ let () =
             test_warm_sweep_seeds_dependents;
           Alcotest.test_case "cold multi-step jobs bitwise on 2 domains" `Quick
             test_cold_sweep_forcing_per_solve;
+          Alcotest.test_case "nested start bitwise on 1, 2, 4 domains" `Quick
+            test_nested_sweep_bitwise;
           Alcotest.test_case "resume re-solves the anchor silently" `Quick
             test_warm_sweep_resume;
           Alcotest.test_case "seeded failure falls back cold" `Quick
             test_warm_sweep_cold_fallback;
-          Alcotest.test_case "zero-step seed re-solved cold" `Quick
+          Alcotest.test_case "zero-step seed takes one step" `Quick
             test_warm_sweep_zero_step_seed;
           Alcotest.test_case "catalog digests" `Quick test_warm_digest;
         ] );

@@ -1455,8 +1455,9 @@ let jacobian_at (sol : Mpde.Solver.solution) x =
   Mpde.Assemble.jacobian_csr sol.Mpde.Solver.scheme g ~size:sys.Mpde.Assemble.size
     ~jacs:(Mpde.Assemble.point_jacobians sys g x)
 
-(* GMRES (inexact) against sparse LU (exact) Newton corrections on the
-   same problem. Let x_g, x_d be the two solutions, Δx = x_g − x_d,
+(* Two converged solutions of the same problem: GMRES (inexact) against
+   sparse LU (exact) Newton corrections, or two starts. Let x_g, x_d be
+   the two solutions, Δx = x_g − x_d,
    and r_g = F(x_g), r_d = F(x_d) their residuals. By the mean-value
    theorem r_g − r_d = J̄·Δx with J̄ = ∫₀¹ J(x_d + tΔx) dt, so, exactly,
      J_d·Δx = r_g − r_d − E·Δx,   E = J̄ − J_d,
@@ -1467,13 +1468,7 @@ let jacobian_at (sol : Mpde.Solver.solution) x =
    is computed here, ‖C·J_d⁻¹‖∞ exactly, so the bound holds whatever
    tolerance each linear solve stopped at. [readout] gives C's rows
    for a problem of [size] unknowns per point on [points] points. *)
-let check_against_direct what ~readout ~shear ~n1 ~n2 mna =
-  let gmres = Mpde.Solver.solve_mna ~shear ~n1 ~n2 mna in
-  let direct =
-    Mpde.Solver.solve_mna
-      ~options:{ Mpde.Solver.default_options with linear_solver = Mpde.Solver.Direct }
-      ~shear ~n1 ~n2 mna
-  in
+let check_close what ~readout (gmres : Mpde.Solver.solution) (direct : Mpde.Solver.solution) =
   let ok (s : Mpde.Solver.solution) = s.Mpde.Solver.stats.Mpde.Solver.converged in
   Alcotest.(check bool) (what ^ ": both converged") true (ok gmres && ok direct);
   let r_g = Mpde.Solver.residual_norm_check gmres
@@ -1506,6 +1501,15 @@ let check_against_direct what ~readout ~shear ~n1 ~n2 mna =
     (Printf.sprintf "%s: |C·Δx| %.2e <= %.2e" what read_dx bound)
     true (read_dx <= bound)
 
+let check_against_direct what ~readout ~shear ~n1 ~n2 mna =
+  let gmres = Mpde.Solver.solve_mna ~shear ~n1 ~n2 mna in
+  let direct =
+    Mpde.Solver.solve_mna
+      ~options:{ Mpde.Solver.default_options with linear_solver = Mpde.Solver.Direct }
+      ~shear ~n1 ~n2 mna
+  in
+  check_close what ~readout gmres direct
+
 (* The whole state: the mixer's Jacobian is well conditioned. *)
 let whole_state ~size ~points = Array.init (size * points) (fun k -> [ (k, 1.0) ])
 
@@ -1532,18 +1536,23 @@ let test_inexact_bridge_vs_direct () =
 
 (* Newton iterations under the fixed 1e-9 GMRES tolerance, which the
    forcing terms must not exceed: the catalog at its default grid,
-   and the bridge on 24x12 over its drive amplitude a2. *)
+   and the bridge on 24x12 over its drive amplitude a2. A nested start
+   (the rectifier, the detector and the bridge) is one Newton solve per
+   level, and the forcing terms can cost a solve one step: the
+   detector's levels, 4x3 to 32x24, take 13, 14, 8 and 7 steps against
+   the fixed tolerance's 12, 13, 8 and 6. A nested ceiling is the fixed
+   tolerance's sum over the levels plus one step per level. *)
 let catalog_newton_ceiling =
   [
     ("rc", 1);
-    ("rectifier", 7);
-    ("detector", 14);
+    ("rectifier", 27 + 4);
+    ("detector", 39 + 4);
     ("ideal-mixer", 2);
     ("unbalanced-mixer", 2);
     ("balanced-mixer", 5);
   ]
 
-let bridge_newton_ceiling = [ (1.5, 27); (2.0, 23); (2.5, 28) ]
+let bridge_newton_ceiling = [ (1.5, 40 + 3); (2.0, 46 + 3); (2.5, 43 + 3) ]
 
 let test_newton_counts_no_higher () =
   let check what ceiling (r : Engine.Result.t) =
@@ -1570,6 +1579,194 @@ let test_newton_counts_no_higher () =
         ceiling
         (Engine.run (bridge_problem ~a2) (Engine.make ~options Engine.Mpde)))
     bridge_newton_ceiling
+
+(* ---------- Nested start ---------- *)
+
+(* [Grid.prolong] reproduces what bilinear interpolation can: a
+   constant everywhere, and a field bilinear in (u, v) = (i/n1, j/n2)
+   at the fine points outside the wrap-around cells, u ≤ (m1−1)/m1 and
+   v ≤ (m2−1)/m2 on an m1×m2 coarse grid, where periodic interpolation
+   bridges the last sample back to the first. Non-nested halvings
+   (7 onto 15) included. *)
+let test_prolong_exact () =
+  let shear = Shear.make ~fast_freq:1e6 ~slow_freq:1e3 in
+  let bilinear u v = 0.3 +. (2.0 *. u) -. (1.5 *. v) +. (4.0 *. u *. v) in
+  let coords (g : Grid.t) i j =
+    (float_of_int i /. float_of_int g.Grid.n1, float_of_int j /. float_of_int g.Grid.n2)
+  in
+  List.iter
+    (fun (m1, m2, n1, n2) ->
+      let coarse = Grid.make ~shear ~n1:m1 ~n2:m2 and fine = Grid.make ~shear ~n1 ~n2 in
+      let x = Array.make (Grid.points coarse * 2) 0.0 in
+      for j = 0 to m2 - 1 do
+        for i = 0 to m1 - 1 do
+          let p = Grid.point_index coarse i j and u, v = coords coarse i j in
+          x.(2 * p) <- 1.5;
+          x.((2 * p) + 1) <- bilinear u v
+        done
+      done;
+      let y = Grid.prolong ~size:2 coarse x fine in
+      let what = Printf.sprintf "%dx%d onto %dx%d" m1 m2 n1 n2 in
+      for j = 0 to n2 - 1 do
+        for i = 0 to n1 - 1 do
+          let p = Grid.point_index fine i j and u, v = coords fine i j in
+          Alcotest.(check (float 1e-12)) (what ^ ": constant") 1.5 y.(2 * p);
+          if u <= float_of_int (m1 - 1) /. float_of_int m1
+             && v <= float_of_int (m2 - 1) /. float_of_int m2
+          then Alcotest.(check (float 1e-12)) (what ^ ": bilinear") (bilinear u v) y.((2 * p) + 1)
+        done
+      done)
+    [ (8, 6, 16, 12); (7, 5, 15, 11); (3, 3, 7, 6); (12, 6, 24, 12) ]
+
+let solution_of (r : Engine.Result.t) = Option.get r.Engine.Result.mpde_solution
+
+let start_of r = Mpde.Solver.start_name (solution_of r).Mpde.Solver.stats.Mpde.Solver.start
+
+let stage_names (r : Engine.Result.t) =
+  List.map (fun s -> s.Resilience.Report.name) r.Engine.Result.report.Resilience.Report.stages
+
+(* The Gilbert cell of the disparity-sweep benchmark, at its middle fd. *)
+let gilbert_problem () =
+  let f_lo = 100e6 and fd = 1e4 in
+  let nodes = Circuits.gilbert_mixer_nodes in
+  Engine.Problem.make ~label:"gilbert" ~period:Engine.Problem.Difference_tone
+    ~output:nodes.Circuits.out_plus ~output_b:nodes.Circuits.out_minus ~f_fast:f_lo ~fd
+    (fun () ->
+      Circuits.gilbert_mixer ~f_lo
+        ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+        ~rf_amplitude:0.02 ())
+
+(* The gate reads ≤ 2e-3 on the mixers (rc converges in its first
+   step) and ≥ 0.75 on the rest. Either way the answer meets the Newton
+   tolerance, and the stage table adds up to the reported total. *)
+let test_start_choice () =
+  let check what expected ~levels (r : Engine.Result.t) =
+    Alcotest.(check bool) (what ^ ": converged") true r.Engine.Result.converged;
+    Alcotest.(check string) (what ^ ": start") expected (start_of r);
+    Alcotest.(check bool)
+      (what ^ ": residual within the tolerance")
+      true
+      (Mpde.Solver.residual_norm_check (solution_of r) <= Engine.Options.default.Engine.Options.tol);
+    Alcotest.(check int) (what ^ ": stages add up") r.Engine.Result.newton_iterations
+      (List.fold_left
+         (fun acc s -> acc + s.Resilience.Report.iterations)
+         0 r.Engine.Result.report.Resilience.Report.stages);
+    Alcotest.(check (list string))
+      (what ^ ": stage rows")
+      (levels @ [ "newton"; "direct-lu"; "source-ramp"; "ptc-ramp" ])
+      (stage_names r)
+  in
+  let default_levels = [ "newton@4x3"; "newton@8x6"; "newton@16x12" ] in
+  List.iter
+    (fun (name, expected) ->
+      let fixture = Result.get_ok (Serve.Catalog.find name) in
+      let r =
+        Engine.run
+          (Serve.Catalog.problem_of fixture ~f_fast:fixture.Serve.Catalog.default_fast
+             ~fd:fixture.Serve.Catalog.default_fd)
+          (Engine.make Engine.Mpde)
+      in
+      check name expected ~levels:(if expected = "nested" then default_levels else []) r)
+    [
+      ("rc", "plain");
+      ("rectifier", "nested");
+      ("detector", "nested");
+      ("ideal-mixer", "plain");
+      ("unbalanced-mixer", "plain");
+      ("balanced-mixer", "plain");
+    ];
+  let grid n1 n2 = Engine.make ~options:{ Engine.Options.default with n1; n2 } Engine.Mpde in
+  check "bridge 24x12" "nested" ~levels:[ "newton@6x3"; "newton@12x6" ]
+    (Engine.run (bridge_problem ~a2:2.0) (grid 24 12));
+  check "gilbert 32x16" "nested" ~levels:[ "newton@8x4"; "newton@16x8" ]
+    (Engine.run (gilbert_problem ()) (grid 32 16))
+
+(* The nested and the plain start reach the same answer, within the
+   bound [check_close] derives, on the bridge's output p − n. The plain
+   start is taken from the DC point handed over as a full surface: a
+   seeded solve runs plain Newton from it, which is the cold path
+   without the gate (22 steps, as at 24x12 before the nested start). *)
+let test_nested_vs_plain () =
+  let { Circuits.mna; _ } = bridge ~a2:2.0 () in
+  let shear = Shear.make ~fast_freq:bridge_f1 ~slow_freq:bridge_fd in
+  let grid = Grid.make ~shear ~n1:24 ~n2:12 in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let dc = Circuit.Dcop.solve_exn mna in
+  let nested = Mpde.Solver.solve ~seed:dc sys grid in
+  let plain =
+    Mpde.Solver.solve ~seed:(Array.concat (List.init (Grid.points grid) (fun _ -> dc))) sys grid
+  in
+  let start (s : Mpde.Solver.solution) = Mpde.Solver.start_name s.Mpde.Solver.stats.Mpde.Solver.start in
+  Alcotest.(check string) "nested" "nested" (start nested);
+  Alcotest.(check string) "plain" "seeded" (start plain);
+  Alcotest.(check int) "plain steps" 22 plain.Mpde.Solver.stats.Mpde.Solver.newton_iterations;
+  let p = Circuit.Mna.node_index mna "p" and n = Circuit.Mna.node_index mna "n" in
+  let differential ~size ~points =
+    Array.init points (fun q -> [ ((q * size) + p, 1.0); ((q * size) + n, -1.0) ])
+  in
+  check_close "bridge 24x12 nested vs plain" ~readout:differential nested plain
+
+let detector_problem () =
+  let fixture = Result.get_ok (Serve.Catalog.find "detector") in
+  Serve.Catalog.problem_of fixture ~f_fast:fixture.Serve.Catalog.default_fast
+    ~fd:fixture.Serve.Catalog.default_fd
+
+(* The job's budget is ticked for every level's steps: a Newton cap of
+   the reported total converges, bit for bit, and one less runs out. *)
+let test_nested_budget () =
+  let run max_newton =
+    let budget = Option.map (fun m -> Resilience.Budget.make ~max_newton:m ()) max_newton in
+    Engine.run (detector_problem ())
+      (Engine.make ~options:{ Engine.Options.default with budget } Engine.Mpde)
+  in
+  let free = run None in
+  let total = free.Engine.Result.newton_iterations in
+  Alcotest.(check string) "nested" "nested" (start_of free);
+  let capped = run (Some total) in
+  Alcotest.(check bool) "cap = total converges" true capped.Engine.Result.converged;
+  Alcotest.(check bool) "same answer" true
+    (capped.Engine.Result.waveform.Engine.Result.values
+    = free.Engine.Result.waveform.Engine.Result.values);
+  let short = run (Some (total - 1)) in
+  Alcotest.(check bool) "cap below total exhausts" false short.Engine.Result.converged;
+  match short.Engine.Result.report.Resilience.Report.outcome with
+  | Resilience.Report.Exhausted _ -> ()
+  | _ -> Alcotest.fail "expected an exhausted report"
+
+(* A GMRES stall on the second linear solve (the first on the 16x12
+   level) sinks the nested start: the plain Newton from the DC point
+   runs next, on the fine grid, and its answer is the plain start's,
+   bit for bit. *)
+let test_nested_fallback () =
+  let plan = Resilience.Faultinject.parse_exn "stall@gmres/newton:2" in
+  Resilience.Faultinject.install plan;
+  let r =
+    Fun.protect ~finally:Resilience.Faultinject.uninstall (fun () ->
+        Engine.run (detector_problem ()) (Engine.make Engine.Mpde))
+  in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Alcotest.(check string) "plain start" "plain" (start_of r);
+  Alcotest.(check (option string)) "by plain Newton" (Some "newton")
+    r.Engine.Result.report.Resilience.Report.strategy;
+  (match r.Engine.Result.report.Resilience.Report.stages with
+  | { Resilience.Report.name = "newton@16x12"; status = `Failed _; _ } :: _ -> ()
+  | _ -> Alcotest.fail "expected a failed 16x12 level first");
+  let dc =
+    Circuit.Dcop.solve_exn ((detector_problem ()).Engine.Problem.build ()).Circuits.mna
+  in
+  let options = Engine.Options.default in
+  let surface =
+    Array.concat (List.init (options.Engine.Options.n1 * options.Engine.Options.n2) (fun _ -> dc))
+  in
+  let plain =
+    Engine.run (detector_problem ())
+      (Engine.make
+         ~options:{ options with Engine.Options.initial_surface = Some surface }
+         Engine.Mpde)
+  in
+  Alcotest.(check bool) "the plain answer" true
+    (r.Engine.Result.waveform.Engine.Result.values
+    = plain.Engine.Result.waveform.Engine.Result.values)
 
 let prop_grid_index_bijective =
   QCheck.Test.make ~count:200 ~name:"grid: point_index is a bijection on [0,n1)x[0,n2)"
@@ -1603,6 +1800,14 @@ let () =
           Alcotest.test_case "balanced mixer vs direct" `Quick test_inexact_mixer_vs_direct;
           Alcotest.test_case "bridge vs direct" `Quick test_inexact_bridge_vs_direct;
           Alcotest.test_case "newton counts no higher" `Quick test_newton_counts_no_higher;
+        ] );
+      ( "nested start",
+        [
+          Alcotest.test_case "prolongation exact" `Quick test_prolong_exact;
+          Alcotest.test_case "start per circuit" `Quick test_start_choice;
+          Alcotest.test_case "nested vs plain" `Quick test_nested_vs_plain;
+          Alcotest.test_case "budget counts every level" `Quick test_nested_budget;
+          Alcotest.test_case "failed nested start falls back" `Quick test_nested_fallback;
         ] );
       ( "shear",
         [

@@ -269,6 +269,19 @@ let test_newton_already_converged () =
   let _, stats = Newton.solve problem [| 0.0 |] in
   Alcotest.(check int) "zero iterations" 0 stats.Newton.iterations
 
+(* [min_iterations = 1] takes one step from a start that already meets
+   the tolerance, also when the step cannot lower a zero residual. *)
+let test_newton_min_iterations () =
+  let options = { Newton.default_options with min_iterations = 1 } in
+  let problem = scalar_problem (fun x -> (x *. x) -. 2.0) (fun x -> 2.0 *. x) in
+  let x, stats = Newton.solve ~options problem [| sqrt 2.0 +. 1e-11 |] in
+  Alcotest.(check int) "one step" 1 stats.Newton.iterations;
+  Alcotest.(check bool) "converged" true (Newton.converged stats);
+  Alcotest.(check (float 1e-14)) "sqrt 2" (sqrt 2.0) x.(0);
+  let _, stats = Newton.solve ~options (scalar_problem (fun x -> x) (fun _ -> 1.0)) [| 0.0 |] in
+  Alcotest.(check int) "one step from the root" 1 stats.Newton.iterations;
+  Alcotest.(check bool) "still converged" true (Newton.converged stats)
+
 let test_newton_on_iteration_callback () =
   let calls = ref 0 in
   let problem = scalar_problem (fun x -> (x *. x) -. 4.0) (fun x -> 2.0 *. x) in
@@ -661,6 +674,7 @@ let () =
           Alcotest.test_case "history ring" `Quick test_newton_history_ring;
           Alcotest.test_case "solver failure capture" `Quick test_newton_solver_failure_capture;
           Alcotest.test_case "already converged" `Quick test_newton_already_converged;
+          Alcotest.test_case "min iterations" `Quick test_newton_min_iterations;
           Alcotest.test_case "iteration callback" `Quick test_newton_on_iteration_callback;
           Alcotest.test_case "workspace reuse" `Quick test_newton_workspace_reuse;
         ] );

@@ -485,7 +485,11 @@ let test_warm_start_fewer_newton () =
 (* A seed that already meets the request's tolerance takes no Newton
    step and would hand back its own waveform: the served path re-solves
    it cold, as a sweep does, and does not report a warm start. *)
-let test_warm_seed_within_tol_resolved_cold () =
+(* A stored surface that already meets the job's (looser) tolerance is
+   handed out and taken with one Newton step, which lands as far inside
+   the tolerance as the cold solve's last one. The served CSV prints
+   each value v to 7 significant digits, off by at most 5e-7·|v|. *)
+let test_warm_seed_within_tol_one_step () =
   let jobs = Serve.Jobs.create ~workers:1 () in
   Fun.protect ~finally:(fun () -> Serve.Jobs.stop jobs) @@ fun () ->
   let tight = rc_job ~warm:true () in
@@ -504,9 +508,9 @@ let test_warm_seed_within_tol_resolved_cold () =
   Alcotest.(check int) "the store handed back the surface" 1
     (Engine.Warm.served (Serve.Jobs.warm jobs));
   let served = line_with_event lines "result" in
-  Alcotest.(check bool) "not warm-started" false
-    (member_bool served "warm_started");
-  Alcotest.(check int) "no warm start counted" 0 (Serve.Jobs.warm_starts jobs);
+  Alcotest.(check bool) "warm-started" true (member_bool served "warm_started");
+  Alcotest.(check int) "warm start counted" 1 (Serve.Jobs.warm_starts jobs);
+  Alcotest.(check int) "one Newton step" 1 (member_int served "newton");
   let fixture = loose.Serve.Protocol.fixture in
   let cold =
     Engine.run
@@ -514,17 +518,21 @@ let test_warm_seed_within_tol_resolved_cold () =
          ~fd:loose.Serve.Protocol.fd)
       (Engine.make ~options:loose.Serve.Protocol.options Engine.Mpde)
   in
-  let strip line =
-    match J.parse line with
-    | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> "wall_seconds") fields)
-    | j -> j
+  let values =
+    String.split_on_char '\n' (member_str served "waveform_csv")
+    |> List.tl
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> float_of_string (List.nth (String.split_on_char ',' l) 1))
   in
-  Alcotest.(check bool) "result line = a cold solve's" true
-    (strip served
-    = strip
-        (Serve.Protocol.result_line
-           ~key:(Serve.Protocol.key_of_job loose)
-           ~warm_started:false loose cold))
+  let cold_values = cold.Engine.Result.waveform.Engine.Result.values in
+  Alcotest.(check int) "samples" (Array.length cold_values) (List.length values);
+  let tol = loose.Serve.Protocol.options.Engine.Options.tol in
+  List.iteri
+    (fun k v ->
+      let d = Float.abs (v -. cold_values.(k)) in
+      if not (d <= tol +. (5e-7 *. Float.abs v *. (1.0 +. 1e-6))) then
+        Alcotest.failf "sample %d: served %.6e, cold %.9e" k v cold_values.(k))
+    values
 
 (* ---------- served verdicts reach the introspection plane ---------- *)
 
@@ -699,8 +707,8 @@ let () =
             test_resubmission_cache_hit;
           Alcotest.test_case "warm start beats cold Newton count" `Quick
             test_warm_start_fewer_newton;
-          Alcotest.test_case "seed within tol re-solved cold" `Quick
-            test_warm_seed_within_tol_resolved_cold;
+          Alcotest.test_case "seed within tol takes one step" `Quick
+            test_warm_seed_within_tol_one_step;
           Alcotest.test_case "served verdicts published" `Quick
             test_served_verdicts_published;
           Alcotest.test_case "routes speak the protocol" `Quick test_routes;
