@@ -272,8 +272,9 @@ let newton_table () =
 (* Cold solves that take the nested start (DESIGN.md §5), against the
    plain Newton from the same DC point. The plain row hands the DC
    point over as a full surface, which a solve takes as a seed and
-   starts plain Newton from. Newton steps per level, coarsest first,
-   fine grid last; wall is the solve alone, best of three. *)
+   starts plain Newton from. Newton steps per level, coarsest first
+   (the first level's run begins with the probe's step), fine grid
+   last; wall is the solve alone, best of three. *)
 let nested_start_table () =
   header "NEWTON (nested start) - cold solves, plain vs nested";
   pr "%-26s %-8s %-18s %-8s %-10s\n" "circuit" "start" "newton per level" "gmres" "wall (s)";
@@ -307,9 +308,14 @@ let nested_start_table () =
     (Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive ()).Circuits.mna
   in
   row "bridge rectifier" ~f_fast:50e3 ~fd:500.0 ~n1:24 ~n2:12 bridge;
-  let detector = Result.get_ok (Serve.Catalog.find "detector") in
-  let f_fast = detector.Serve.Catalog.default_fast and fd = detector.Serve.Catalog.default_fd in
-  row "detector" ~f_fast ~fd ~n1:32 ~n2:24 (detector.Serve.Catalog.build ~f_fast ~fd).Circuits.mna;
+  let catalog name ~n1 ~n2 =
+    let c = Result.get_ok (Serve.Catalog.find name) in
+    let f_fast = c.Serve.Catalog.default_fast and fd = c.Serve.Catalog.default_fd in
+    row name ~f_fast ~fd ~n1 ~n2 (c.Serve.Catalog.build ~f_fast ~fd).Circuits.mna
+  in
+  catalog "detector" ~n1:32 ~n2:24;
+  catalog "rectifier" ~n1:32 ~n2:24;
+  catalog "rectifier" ~n1:40 ~n2:30;
   let f_lo = 100e6 and fd = 1e4 in
   row "gilbert cell" ~f_fast:f_lo ~fd ~n1:32 ~n2:16
     (Circuits.gilbert_mixer ~f_lo

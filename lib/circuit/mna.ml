@@ -393,8 +393,8 @@ let jacobian_refresher m () =
     stamp_jacobians m x g_sink c_sink;
     g_replay.fits && c_replay.fits
 
-let source_into_with m ~phase_of b =
-  Array.fill b 0 m.size 0.0;
+let source_with m ~phase_of =
+  let b = Array.make m.size 0.0 in
   for d = 0 to Array.length m.devices - 1 do
     match m.devices.(d) with
     | Device.Voltage_source { waveform; _ } ->
@@ -409,12 +409,41 @@ let source_into_with m ~phase_of b =
     | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Diode _
     | Device.Mosfet _ | Device.Bjt _ | Device.Vccs _ | Device.Multiplier _ ->
         ()
+  done;
+  b
+
+(* One float per domain that a source's value passes through, as the
+   device models' values pass through [model_buffer]. *)
+let source_value = Domain.DLS.new_key (fun () -> Array.make 1 0.0)
+
+(* [source_with] at the one-time phases [freq *. t], into [b], through
+   {!Waveform.eval_into}: the per-step source of the integrators
+   allocates nothing. *)
+let source_into m t b =
+  let v = Domain.DLS.get source_value in
+  Array.fill b 0 m.size 0.0;
+  for d = 0 to Array.length m.devices - 1 do
+    match m.devices.(d) with
+    | Device.Voltage_source { waveform; _ } ->
+        Waveform.eval_into waveform t v 0;
+        add_row b m.branch.(d) v.(0)
+    | Device.Current_source { n_plus; n_minus; waveform; _ } ->
+        Waveform.eval_into waveform t v 0;
+        add_node b n_plus (-.v.(0));
+        add_node b n_minus v.(0)
+    | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Diode _
+    | Device.Mosfet _ | Device.Bjt _ | Device.Vccs _ | Device.Multiplier _ ->
+        ()
   done
 
-let source_with m ~phase_of =
-  let b = Array.make m.size 0.0 in
-  source_into_with m ~phase_of b;
-  b
+let linear m =
+  Array.for_all
+    (function
+      | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Voltage_source _
+      | Device.Current_source _ | Device.Vccs _ ->
+          true
+      | Device.Diode _ | Device.Mosfet _ | Device.Bjt _ | Device.Multiplier _ -> false)
+    m.devices
 
 let source_frequencies m =
   let add acc f = if List.mem f acc then acc else f :: acc in
@@ -434,13 +463,17 @@ let dae m =
     eval_f = eval_f m;
     eval_q = eval_q m;
     jacobians = jacobians m;
-    source = (fun t -> source_with m ~phase_of:(fun freq -> freq *. t));
+    source =
+      (fun t ->
+        let b = Array.make m.size 0.0 in
+        source_into m t b;
+        b);
     fast =
       Some
         {
           Numeric.Dae.eval_f_into = eval_f_into m;
           eval_q_into = eval_q_into m;
-          source_into = (fun t b -> source_into_with m ~phase_of:(fun freq -> freq *. t) b);
+          source_into = source_into m;
           jacobian_refresher = jacobian_refresher m;
         };
   }

@@ -27,6 +27,11 @@ val source_with : t -> phase_of:(float -> float) -> Linalg.Vec.t
     evaluated at phase [phase_of f] — the multi-time hook
     (see {!Waveform.eval_with}). *)
 
+val linear : t -> bool
+(** No device evaluates a model (resistors, capacitors, inductors,
+    sources and VCCSs only): [f] and [q] are linear in the unknowns, so
+    Newton solves any discretization of the system in one step. *)
+
 val source_frequencies : t -> float list
 (** Distinct frequencies appearing in any source waveform. *)
 

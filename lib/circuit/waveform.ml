@@ -18,14 +18,17 @@ type t = { dc : float; terms : term list }
 
 let two_pi = 8.0 *. atan 1.0
 
-let frac theta =
+let[@inline] frac theta =
   let f = Float.rem theta 1.0 in
   if f < 0.0 then f +. 1.0 else f
 
 (* Smooth raised-cosine ramp from 0 to 1 over w ∈ [0, 1]. *)
-let smooth w = 0.5 *. (1.0 -. cos (w *. (two_pi /. 2.0)))
+let[@inline] smooth w = 0.5 *. (1.0 -. cos (w *. (two_pi /. 2.0)))
 
-let eval_periodic shape theta =
+(* Inlined into both evaluators, so that neither the phase nor the
+   shape's value is boxed (only [Sampled] calls out, to the
+   interpolator). *)
+let[@inline] eval_periodic shape theta =
   match shape with
   | Sin { phase } -> sin (two_pi *. (theta +. phase))
   | Cos { phase } -> cos (two_pi *. (theta +. phase))
@@ -47,12 +50,11 @@ let eval_periodic shape theta =
         let u = frac theta *. float_of_int n in
         let k = min (n - 1) (int_of_float u) in
         let w = u -. float_of_int k in
-        let level b = if b then high else low in
-        let current = level bits.(k) in
+        let current = if bits.(k) then high else low in
         if transition_frac <= 0.0 then current
         else if w < transition_frac then begin
           (* Blend from the previous symbol across the boundary. *)
-          let prev = level bits.((k + n - 1) mod n) in
+          let prev = if bits.((k + n - 1) mod n) then high else low in
           prev +. ((current -. prev) *. smooth (w /. transition_frac))
         end
         else current
@@ -81,7 +83,28 @@ let eval_with ~phase_of w =
   done;
   !acc
 
-let eval w t = eval_with ~phase_of:(fun freq -> freq *. t) w
+(* [eval_with] at the phases [freq *. t], written in rather than passed
+   as a closure over the boxed [t], so that no phase is boxed. *)
+let[@inline] eval w t =
+  let acc = ref w.dc and terms = ref w.terms in
+  while not (List.is_empty !terms) do
+    match !terms with
+    | [] -> ()
+    | { gain; factors } :: rest ->
+        let prod = ref gain and fs = ref factors in
+        while not (List.is_empty !fs) do
+          match !fs with
+          | [] -> ()
+          | { shape; freq } :: more ->
+              prod := !prod *. eval_periodic shape (freq *. t);
+              fs := more
+        done;
+        acc := !acc +. !prod;
+        terms := rest
+  done;
+  !acc
+
+let eval_into w t out k = out.(k) <- eval w t
 
 let frequencies w =
   let add acc f = if List.mem f acc then acc else f :: acc in

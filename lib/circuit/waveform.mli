@@ -39,6 +39,10 @@ type t = { dc : float; terms : term list }
 val eval : t -> float -> float
 (** One-time evaluation [w(t)]. *)
 
+val eval_into : t -> float -> float array -> int -> unit
+(** [eval_into w t out k] writes [eval w t] into [out.(k)], allocating
+    nothing: the per-step source evaluation of the integrators. *)
+
 val eval_with : phase_of:(float -> float) -> t -> float
 (** [eval_with ~phase_of w] evaluates each factor's shape at
     [phase_of freq] instead of [freq *. t]. This is the hook through

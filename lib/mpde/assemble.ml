@@ -5,6 +5,7 @@ type system = {
   jacobians : Linalg.Vec.t -> Sparse.Csr.t * Sparse.Csr.t;
   source_at : t1:float -> t2:float -> Linalg.Vec.t;
   fast : Numeric.Dae.fast option;
+  linear : bool;
 }
 
 let of_mna ~shear mna =
@@ -17,6 +18,7 @@ let of_mna ~shear mna =
     source_at =
       (fun ~t1 ~t2 -> Circuit.Mna.source_with mna ~phase_of:(Shear.phase shear ~t1 ~t2));
     fast = dae.Numeric.Dae.fast;
+    linear = Circuit.Mna.linear mna;
   }
 
 let of_dae (dae : Numeric.Dae.t) =
@@ -27,6 +29,7 @@ let of_dae (dae : Numeric.Dae.t) =
     jacobians = dae.Numeric.Dae.jacobians;
     source_at = (fun ~t1 ~t2:_ -> dae.Numeric.Dae.source t1);
     fast = dae.Numeric.Dae.fast;
+    linear = false;
   }
 
 let to_dae (sys : system) ~source =

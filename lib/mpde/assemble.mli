@@ -17,6 +17,9 @@ type system = {
   fast : Numeric.Dae.fast option;
       (** allocation-free evaluation callbacks, when the producer has
           them ({!of_mna} does); used by {!workspace} *)
+  linear : bool;
+      (** [f] and [q] are linear in the unknowns ({!of_mna} of a circuit
+          without device models; [false] from {!of_dae}) *)
 }
 
 val of_mna : shear:Shear.t -> Circuit.Mna.t -> system

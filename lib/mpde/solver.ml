@@ -81,6 +81,8 @@ type workspace = {
   op_out : Vec.t;  (* shared operator output (GMRES buffer contract) *)
   sweep : Block_sweep.t;
   mutable splu : Sparse.Splu.t option;
+  mutable coarsest : workspace option;
+      (* the nested start's coarsest level, kept for the next solve *)
 }
 
 let make_workspace scheme sys (g : Grid.t) =
@@ -93,6 +95,7 @@ let make_workspace scheme sys (g : Grid.t) =
     op_out = Array.make big 0.0;
     sweep = Block_sweep.create ~n ~np;
     splu = None;
+    coarsest = None;
   }
 
 (* Can a retained workspace serve a new solve of this shape? The big
@@ -292,34 +295,53 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
   }
 
 (* Nested-iteration start (DESIGN.md §5). A cold solve (from a DC state
-   or zero) watches its first Newton step. A step that keeps more than
-   [nested_gate] of ‖F‖∞ means Newton is in its damped or linear phase,
-   whose steps cost as many iterations on a coarser grid at a fraction
-   of the price. The solve then solves the ⌊n1/2⌋×⌊n2/2⌋ grid by the
-   same rule, recursively while both axes keep [nested_floor] points,
-   and runs its own Newton from that solution, prolonged. The catalog
-   falls far from the gate on both sides: first-step ratios of at most
-   2e-3 on the mixers and rc, at least 0.75 on the rectifiers, the
-   detector and the Gilbert cell. *)
+   or zero) of a nonlinear system decides its start on the coarsest
+   grid of the halving chain (⌊n1/2⌋×⌊n2/2⌋, recursively while both axes
+   keep [nested_floor] points). That grid's Newton runs from the seed,
+   and its first step is the probe. A step that converges, or keeps at
+   most [nested_gate] of ‖F‖∞, means Newton is past its damped phase:
+   the probe stops there and the fine grid runs plain Newton from the
+   seed. Otherwise the probe's run goes on as the coarsest level, and
+   each finer grid runs Newton from the prolonged solution of the one
+   below. The first-step ratio hardly depends on the grid: the
+   catalog's mixers read at most 2e-3 and the rectifiers, the detector
+   and the Gilbert cell at least 0.39, on the coarsest grids and on the
+   fine ones. A linear system takes no probe: Newton solves it in one
+   step from any start. *)
 let nested_gate = 0.1
 let nested_floor = 3
 
-exception Slow_start
+exception Fast_start
 
 let coarser (g : Grid.t) =
   let n1 = g.Grid.n1 / 2 and n2 = g.Grid.n2 / 2 in
   if n1 >= nested_floor && n2 >= nested_floor then Some (Grid.make ~shear:g.Grid.shear ~n1 ~n2)
   else None
 
-(* [hook], plus the gate: raises [Slow_start] before iteration 1 when
-   the first step kept more than [nested_gate] of ‖F₀‖∞. A step that
-   converges ends the solve before iteration 1 and passes. *)
-let gated hook =
+(* The grids of the halving chain below [g], coarsest first. *)
+let halvings g =
+  let rec down acc g = match coarser g with Some cg -> down (cg :: acc) cg | None -> acc in
+  down [] g
+
+(* The probe's hook: raises [Fast_start] before iteration 1 when the
+   first step kept at most [nested_gate] of ‖F₀‖∞, and otherwise sets
+   [slow]. A step that converges ends the run before iteration 1. *)
+let probe_gate slow =
   let r0 = ref Float.nan in
-  fun k x rnorm ->
+  fun k _ rnorm ->
     if k = 0 then r0 := rnorm
-    else if k = 1 && rnorm > nested_gate *. !r0 then raise Slow_start;
-    hook k x rnorm
+    else if k = 1 then if rnorm <= nested_gate *. !r0 then raise Fast_start else slow := true
+
+(* The coarsest level's workspace, kept inside the solve's [ws]: a
+   domain's next probe on a grid of the same shape reuses its
+   buffers. *)
+let coarsest_workspace ws scheme sys (cg : Grid.t) =
+  match ws.coarsest with
+  | Some w when workspace_fits w sys cg -> rebind_workspace w scheme sys cg
+  | _ ->
+      let w = make_workspace scheme sys cg in
+      ws.coarsest <- Some w;
+      w
 
 let solve ?(options = default_options) ?seed ?workspace_slot
     (sys : Assemble.system) (g : Grid.t) =
@@ -443,75 +465,39 @@ let solve ?(options = default_options) ?seed ?workspace_slot
       ~options:{ newton_options with min_iterations }
       ~on_iteration problem x_init
   in
-  let run_newton ~name ~linear_solver ?ptc ?min_iterations ?(gate = false) ~source_scale x_init =
-    let on_iteration = if gate then gated on_iteration else on_iteration in
-    match
-      newton_on (g, ws, sources) ~linear_solver ?ptc ?min_iterations ~source_scale
-        ~on_iteration x_init
-    with
-    | exception Slow_start ->
-        (* the gate fires after exactly one step *)
-        newton_total := !newton_total + 1;
-        record_stage name 1;
-        raise Slow_start
-    | x, stats ->
-        newton_total := !newton_total + stats.Numeric.Newton.iterations;
-        record_stage name stats.Numeric.Newton.iterations;
-        last_x := x;
-        if ptc = None && source_scale = 1.0 && Numeric.Newton.converged stats then
-          accepted := Some (x, stats.Numeric.Newton.residual_norm);
-        (x, stats)
-  in
-  (* The cold-start rule on grid [lg]: [run ~gate ~min_iterations x]
-     is one Newton solve there. Returns the final run and whether it
-     started from the coarser grids' solution. A nested start that
-     fails falls back to the plain start. *)
-  let rec cold_solve (lg : Grid.t) x0 run =
-    let plain () = (run ~gate:false ~min_iterations:0 x0, false) in
-    match coarser lg with
-    | None -> plain ()
-    | Some cg -> (
-        match run ~gate:true ~min_iterations:0 x0 with
-        | exception Slow_start -> (
-            match coarse_solve cg with
-            | Some cx -> (
-                match run ~gate:false ~min_iterations:1 (Grid.prolong ~size:n cg cx lg) with
-                | (_, stats) as r when Numeric.Newton.converged stats -> (r, true)
-                | _ -> plain ())
-            | None -> plain ())
-        | r -> (r, false))
-  (* A coarse level: its own workspace, so the domain's retained fine
-     workspace survives; its Newton steps count in the total and in a
-     stage row of its own. *)
-  and coarse_solve (cg : Grid.t) =
-    let t0 = Telemetry.Clock.wall () in
-    let level = (cg, make_workspace options.scheme sys cg, Assemble.sources_on_grid sys cg) in
-    let iters = ref 0 in
-    let run ~gate ~min_iterations x =
-      let hook _ _ _ = () in
-      match
-        newton_on level ~linear_solver:options.linear_solver ~min_iterations ~source_scale:1.0
-          ~on_iteration:(if gate then gated hook else hook) x
-      with
-      | exception Slow_start ->
-          incr iters;
-          raise Slow_start
-      | (_, stats) as r ->
-          iters := !iters + stats.Numeric.Newton.iterations;
-          r
+  let run_newton ~name ~linear_solver ?ptc ?min_iterations ~source_scale x_init =
+    let x, stats =
+      newton_on (g, ws, sources) ~linear_solver ?ptc ?min_iterations ~source_scale ~on_iteration
+        x_init
     in
-    let (x, stats), _ = cold_solve cg (start_on cg) run in
-    newton_total := !newton_total + !iters;
-    let converged = Numeric.Newton.converged stats in
+    newton_total := !newton_total + stats.Numeric.Newton.iterations;
+    record_stage name stats.Numeric.Newton.iterations;
+    last_x := x;
+    if ptc = None && source_scale = 1.0 && Numeric.Newton.converged stats then
+      accepted := Some (x, stats.Numeric.Newton.residual_norm);
+    (x, stats)
+  in
+  (* A coarse level: its Newton solve from [x] on grid [lg] with
+     workspace [lws], and its stage row [<name>@<n1>x<n2>], whose
+     iterations count in the total and whose wall starts at [t0]. *)
+  let level_newton ?(on_iteration = fun _ _ _ -> ()) ~min_iterations lg lws x =
+    newton_on
+      (lg, lws, Assemble.sources_on_grid sys lg)
+      ~linear_solver:options.linear_solver ~min_iterations ~source_scale:1.0 ~on_iteration x
+  in
+  let level_row name (lg : Grid.t) ~t0 iterations status =
+    newton_total := !newton_total + iterations;
     levels :=
       {
-        Report.name = Printf.sprintf "newton@%dx%d" cg.Grid.n1 cg.Grid.n2;
-        status = (if converged then `Success else `Failed (snd (classify stats)));
-        iterations = !iters;
+        Report.name = Printf.sprintf "%s@%dx%d" name lg.Grid.n1 lg.Grid.n2;
+        status;
+        iterations;
         wall_seconds = Telemetry.Clock.wall () -. t0;
       }
-      :: !levels;
-    if converged then Some x else None
+      :: !levels
+  in
+  let level_status stats =
+    if Numeric.Newton.converged stats then `Success else `Failed (snd (classify stats))
   in
   let finish (x, stats) = if Numeric.Newton.converged stats then Ok x else Error (classify stats) in
   let plain_stage name linear_solver =
@@ -521,21 +507,56 @@ let solve ?(options = default_options) ?seed ?workspace_slot
            ~source_scale:1.0 big_x0)
   in
   let newton_stage () =
-    if not cold then plain_stage "newton" options.linear_solver ()
-    else
-      let run ~gate ~min_iterations x =
-        let saved = !trajectory in
-        try
-          run_newton ~name:"newton" ~linear_solver:options.linear_solver ~min_iterations ~gate
-            ~source_scale:1.0 x
-        with Slow_start ->
-          (* the trajectory is the fine solve the answer comes from *)
-          trajectory := saved;
-          raise Slow_start
-      in
-      let r, nested = cold_solve g big_x0 run in
-      if nested then start := Nested;
-      finish r
+    let plain = plain_stage "newton" options.linear_solver in
+    (* Up the chain from the level [cg] solved as [cx]: each finer grid
+       runs Newton from the prolonged answer, the fine grid last. A
+       level that fails sends the solve back to the plain start. *)
+    let rec climb (cg : Grid.t) cx = function
+      | [] -> (
+          match
+            run_newton ~name:"newton" ~linear_solver:options.linear_solver ~min_iterations:1
+              ~source_scale:1.0 (Grid.prolong ~size:n cg cx g)
+          with
+          | (_, stats) as r when Numeric.Newton.converged stats ->
+              start := Nested;
+              finish r
+          | _ -> plain ())
+      | lg :: finer ->
+          let t0 = Telemetry.Clock.wall () in
+          let x, stats =
+            level_newton ~min_iterations:1 lg (make_workspace options.scheme sys lg)
+              (Grid.prolong ~size:n cg cx lg)
+          in
+          level_row "newton" lg ~t0 stats.Numeric.Newton.iterations (level_status stats);
+          if Numeric.Newton.converged stats then climb lg x finer else plain ()
+    in
+    match halvings g with
+    | cg :: finer when cold && not sys.Assemble.linear -> (
+        let t0 = Telemetry.Clock.wall () in
+        let slow = ref false in
+        let probe =
+          Telemetry.span "mpde.probe" @@ fun () ->
+          match
+            level_newton ~on_iteration:(probe_gate slow) ~min_iterations:0 cg
+              (coarsest_workspace ws options.scheme sys cg)
+              (start_on cg)
+          with
+          | exception Fast_start -> `Fast 1
+          | _, stats when Numeric.Newton.converged stats && not !slow ->
+              `Fast stats.Numeric.Newton.iterations
+          | r -> `Ran r
+        in
+        match probe with
+        | `Fast steps ->
+            level_row "probe" cg ~t0 steps `Success;
+            plain ()
+        | `Ran (cx, stats) ->
+            (* past the probe's step only on the slow verdict *)
+            level_row
+              (if !slow then "newton" else "probe")
+              cg ~t0 stats.Numeric.Newton.iterations (level_status stats);
+            if Numeric.Newton.converged stats then climb cg cx finer else plain ())
+    | _ -> plain ()
   in
   let source_ramp_stage () =
     residual_violation := None;

@@ -72,15 +72,16 @@ type start =
   | Seeded  (** Newton from the caller's full surface *)
   | Nested
       (** Newton from the prolonged solution of the coarser grids: the
-          nested start of a cold solve whose first step barely
-          contracted (DESIGN.md §5) *)
+          nested start of a cold solve whose first step on the coarsest
+          grid barely contracted (DESIGN.md §5) *)
 
 val start_name : start -> string
 (** ["plain"], ["seeded"] or ["nested"]. *)
 
 type stats = {
   newton_iterations : int;
-      (** cumulated across all ladder stages and nested-start levels *)
+      (** cumulated across all ladder stages, the start probe and the
+          nested-start levels *)
   converged : bool;
   residual_norm : float;
   linear_iterations : int;  (** cumulated GMRES inner iterations (0 for Direct) *)
@@ -103,8 +104,9 @@ type solution = {
 type workspace
 (** Per-solve numeric state: assembly scratch, the sweep
     preconditioner's compact factor store, the GMRES
-    Krylov basis, and the operator buffers. Owned by exactly
-    one solve on one domain at a time. *)
+    Krylov basis, the operator buffers, and the same for the
+    nested start's coarsest grid. Owned by exactly one solve on one
+    domain at a time. *)
 
 val solve :
   ?options:options ->
@@ -121,13 +123,19 @@ val solve :
 
     A full-surface seed is foreign: Newton takes at least one step from
     it even when it already meets [tol]. A cold solve (a single-state
-    seed or none) whose first Newton step keeps more than a tenth of
-    ‖F‖∞ takes the nested start: it solves the ⌊n1/2⌋×⌊n2/2⌋ grid by
-    the same rule (while both axes keep 3 points), prolongs that
-    solution ({!Grid.prolong}) and runs Newton from it; the report
-    lists each coarse level as a [newton@<n1>x<n2>] stage row. A failed
-    nested start falls back to plain Newton from the seed before the
-    ladder escalates (DESIGN.md §5).
+    seed or none) of a nonlinear system decides its start on the
+    coarsest grid of the halving chain (⌊n1/2⌋×⌊n2/2⌋ while both axes
+    keep 3 points): Newton runs there from the seed, and its first step
+    is the probe. A step that converges or keeps at most a tenth of
+    ‖F‖∞ ends that run, which leaves a [probe@<n1>x<n2>] stage row, and
+    plain Newton runs on the solve's grid. Otherwise the run goes on
+    as the coarsest level of the nested start: each finer grid runs
+    Newton from the prolonged solution of the one below
+    ({!Grid.prolong}), and the report lists each coarse level as a
+    [newton@<n1>x<n2>] stage row. The probe's steps and the levels'
+    count in [newton_iterations] and tick the budget. A failed nested
+    start falls back to plain Newton from the seed before the ladder
+    escalates (DESIGN.md §5).
 
     [workspace_slot] is an in-out slot for cross-job workspace reuse
     (one slot per domain in sweep pools): when the retained workspace

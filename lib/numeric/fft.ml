@@ -67,11 +67,23 @@ let radix2_ip re im (wr, wi) sign =
     len := !len * 2
   done
 
-(* Bluestein chirp-z: express the length-n DFT as a convolution of
-   length 2n-1, evaluated with power-of-two FFTs that share one
-   twiddle table. Returns fresh arrays. *)
-let bluestein re im sign =
-  let n = Array.length re in
+(* What a length-n transform of exponent sign [sign] needs besides its
+   data: the radix-2 twiddle table, or Bluestein's chirp-z plan, which
+   writes the DFT as a convolution of length 2n-1 evaluated with
+   power-of-two FFTs of length [m] that share one twiddle [table]:
+   the chirp [(chr, chi)] and the FFT [(fr, fi)] of the chirp filter. *)
+type chirp = {
+  m : int;
+  table : float array * float array;
+  chr : float array;
+  chi : float array;
+  fr : float array;
+  fi : float array;
+}
+
+type plan = Radix2 of (float array * float array) | Bluestein of chirp
+
+let bluestein_plan n sign =
   let m =
     let rec next p = if p >= (2 * n) - 1 then p else next (2 * p) in
     next 1
@@ -82,27 +94,61 @@ let bluestein re im sign =
     chr.(k) <- cos phase;
     chi.(k) <- sin phase
   done;
+  let fr = Array.make m 0.0 and fi = Array.make m 0.0 in
+  fr.(0) <- chr.(0);
+  fi.(0) <- -.chi.(0);
+  for k = 1 to n - 1 do
+    fr.(k) <- chr.(k);
+    fi.(k) <- -.chi.(k);
+    fr.(m - k) <- chr.(k);
+    fi.(m - k) <- -.chi.(k)
+  done;
+  let table = twiddles m in
+  radix2_ip fr fi table (-1.0);
+  Bluestein { m; table; chr; chi; fr; fi }
+
+let plan_floats = function
+  | Radix2 (wr, wi) -> Array.length wr + Array.length wi
+  | Bluestein { m; chr; chi; _ } -> m + (2 * m) + Array.length chr + Array.length chi
+
+(* Plans by (length, sign), per domain, most recently used first, at
+   most [cache_floats] floats (16 MB) in all: a shooting job's metrics
+   transform one odd length per period, and a sweep repeats it. *)
+let cache_floats = 1 lsl 21
+
+let plans : ((int * float) * plan) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let plan n sign =
+  let cache = Domain.DLS.get plans in
+  match List.assoc_opt (n, sign) !cache with
+  | Some p ->
+      cache := ((n, sign), p) :: List.remove_assoc (n, sign) !cache;
+      p
+  | None ->
+      let p = if is_power_of_two n then Radix2 (twiddles n) else bluestein_plan n sign in
+      let rec keep budget = function
+        | [] -> []
+        | ((_, q) as entry) :: rest ->
+            let budget = budget - plan_floats q in
+            if budget < 0 then [] else entry :: keep budget rest
+      in
+      if plan_floats p <= cache_floats then
+        cache := ((n, sign), p) :: keep (cache_floats - plan_floats p) !cache;
+      p
+
+let bluestein re im { m; table; chr; chi; fr; fi } =
+  let n = Array.length re in
   let ar = Array.make m 0.0 and ai = Array.make m 0.0 in
   for k = 0 to n - 1 do
     ar.(k) <- (re.(k) *. chr.(k)) -. (im.(k) *. chi.(k));
     ai.(k) <- (re.(k) *. chi.(k)) +. (im.(k) *. chr.(k))
   done;
-  let br = Array.make m 0.0 and bi = Array.make m 0.0 in
-  br.(0) <- chr.(0);
-  bi.(0) <- -.chi.(0);
-  for k = 1 to n - 1 do
-    br.(k) <- chr.(k);
-    bi.(k) <- -.chi.(k);
-    br.(m - k) <- chr.(k);
-    bi.(m - k) <- -.chi.(k)
-  done;
-  let table = twiddles m in
   radix2_ip ar ai table (-1.0);
-  radix2_ip br bi table (-1.0);
   for k = 0 to m - 1 do
     let xr = ar.(k) and xi = ai.(k) in
-    ar.(k) <- (xr *. br.(k)) -. (xi *. bi.(k));
-    ai.(k) <- (xr *. bi.(k)) +. (xi *. br.(k))
+    ar.(k) <- (xr *. fr.(k)) -. (xi *. fi.(k));
+    ai.(k) <- (xr *. fi.(k)) +. (xi *. fr.(k))
   done;
   radix2_ip ar ai table 1.0;
   let scale = 1.0 /. float_of_int m in
@@ -121,11 +167,12 @@ let transform re im sign =
   let n = Array.length re in
   Telemetry.count "fft.transforms";
   if n <= 1 then (re, im)
-  else if is_power_of_two n then begin
-    radix2_ip re im (twiddles n) sign;
-    (re, im)
-  end
-  else bluestein re im sign
+  else
+    match plan n sign with
+    | Radix2 table ->
+        radix2_ip re im table sign;
+        (re, im)
+    | Bluestein chirp -> bluestein re im chirp
 
 let split (x : Linalg.Cvec.t) =
   (Array.map (fun (z : Complex.t) -> z.re) x, Array.map (fun (z : Complex.t) -> z.im) x)
@@ -144,11 +191,15 @@ let real_harmonics x =
   if n = 0 then [||]
   else begin
     let re, im = transform (Array.copy x) (Array.make n 0.0) (-1.0) in
+    (* A harmonic k of 0 < k < n/2 is X_k and its mirror X_{n−k}; for
+       even n the bin n/2 is its own mirror, so its cosine amplitude is
+       |X|/n, as the mean's is. *)
     Array.init ((n / 2) + 1) (fun k ->
         if k = 0 then (re.(0) /. float_of_int n, 0.0)
         else
           let z = { Complex.re = re.(k); im = im.(k) } in
-          (2.0 *. Complex.norm z /. float_of_int n, Complex.arg z))
+          let bins = if 2 * k = n then 1.0 else 2.0 in
+          (bins *. Complex.norm z /. float_of_int n, Complex.arg z))
   end
 
 let amplitude_at x k =

@@ -10,7 +10,9 @@
     computed from its own index rather than by a running product.
     Each call counts one [fft.transforms]; a result's metrics should
     come from one {!real_harmonics} call, with {!thd} reading the
-    same array. *)
+    same array. What a length needs besides its data (twiddles, and
+    Bluestein's chirp and chirp-filter transform) is kept per domain,
+    most recently used first, up to 16 MB. *)
 
 val fft : Linalg.Cvec.t -> Linalg.Cvec.t
 (** Forward transform of any length (Bluestein fallback). *)
@@ -21,7 +23,9 @@ val rfft : Linalg.Vec.t -> Linalg.Cvec.t
 val real_harmonics : Linalg.Vec.t -> (float * float) array
 (** [real_harmonics x] returns [(dc_or_amplitude, phase)] per harmonic
     [k = 0 .. n/2]: index 0 is the mean; index [k>0] holds the amplitude
-    [2|X_k|/n] and phase of the cosine component at harmonic [k]. *)
+    and phase of the cosine component at harmonic [k], the amplitude
+    [2|X_k|/n], or [|X_k|/n] for the Nyquist harmonic [k = n/2] of an
+    even [n] (its bin has no mirror). *)
 
 val amplitude_at : Linalg.Vec.t -> int -> float
 (** [amplitude_at x k] is the amplitude of harmonic [k] of the periodic

@@ -2,6 +2,7 @@
    operating points, and basic physical behaviour. *)
 
 module W = Circuit.Waveform
+module N = Circuit.Netlist
 
 let drive_1k = W.sine ~amplitude:1.0 ~freq:1e3 ()
 
@@ -269,10 +270,65 @@ let test_refresher_allocates_nothing () =
           ~rf_amplitude:0.02 () );
     ]
 
+(* [source_into] at each of [times], already boxed, so that the loop
+   itself allocates nothing. *)
+let rec feed source b = function
+  | [] -> ()
+  | t :: rest ->
+      source t b;
+      feed source b rest
+
+(* The one-time source evaluation an integrator runs at every step
+   allocates nothing (no closure over the time, no boxed phase or
+   value) and gives the floats of the multi-time hook at the phases
+   [freq *. t], bit for bit: sines, cosines, a trapezoid pulse and the
+   paper's bit-stream-modulated carrier, through voltage and current
+   sources. *)
+let test_source_into_allocates_nothing () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+  let times = List.init 200 (fun k -> float_of_int k *. 3.7e-10) in
+  List.iter
+    (fun (name, { Circuits.mna; _ }) ->
+      let dae = Circuit.Mna.dae mna in
+      let source_into = (Option.get dae.Numeric.Dae.fast).Numeric.Dae.source_into in
+      let b = Array.make dae.Numeric.Dae.size 0.0 in
+      feed source_into b times;
+      Alcotest.(check (float 0.0)) (name ^ ": words per source_into") 0.0
+        (minor_words (fun () -> feed source_into b times));
+      List.iter
+        (fun t ->
+          source_into t b;
+          let reference = Circuit.Mna.source_with mna ~phase_of:(fun freq -> freq *. t) in
+          Array.iteri
+            (fun i v ->
+              if Int64.bits_of_float v <> Int64.bits_of_float b.(i) then
+                Alcotest.failf "%s: b(%g).(%d) = %h, the multi-time hook gives %h" name t i b.(i) v)
+            reference)
+        times)
+    [
+      ("rc", Circuits.rc_lowpass ~drive:drive_1k ());
+      ( "unbalanced mixer",
+        Circuits.unbalanced_mixer ~f_lo:1e6
+          ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:1.01e6 ())
+          ~rf_amplitude:0.05 () );
+      ( "pulse-driven rectifier",
+        Circuits.diode_rectifier ~drive:(W.pulse ~low:0.0 ~high:2.0 ~duty:0.5 ~freq:1e6 ()) () );
+      ("balanced mixer (bit stream)", Circuits.balanced_mixer ~f_lo ~rf_signal ());
+      ( "current-driven rc",
+        let nl = N.create () in
+        N.isource nl "i1" "0" "out"
+          (W.sum (W.sine ~amplitude:1e-3 ~freq:1e6 ()) (W.dc (-2e-4)));
+        N.resistor nl "r1" "out" "0" 1e3;
+        N.capacitor nl "c1" "out" "0" 1e-9;
+        { Circuits.netlist = nl; mna = Circuit.Mna.build nl } );
+    ]
+
 (* A backward-Euler step of the unbalanced mixer (5 unknowns, about 1.8
    Newton iterations per step) allocates its result record, its copy of
-   the state, the sources' waveform evaluation and floats boxed for the
-   telemetry and axpy calls: about 48 words. While Newton built its
+   the state and floats boxed for the telemetry and axpy calls: about 28
+   words. While the sources' waveform evaluation built a closure over
+   the time and boxed its phases it was about 44, while Newton built its
    buffers, residual-history ring and iteration closure per step it was
    about 240, while the MOSFET model returned records about 340, and
    before stamps were replayed into frozen slots and Newton worked in
@@ -340,6 +396,8 @@ let () =
           Alcotest.test_case "refresher = rebuild bitwise" `Quick test_refresher_matches_rebuild;
           Alcotest.test_case "stamp crossing zero" `Quick test_refresher_zero_crossing;
           Alcotest.test_case "refresh allocates nothing" `Quick test_refresher_allocates_nothing;
+          Alcotest.test_case "source_into allocates nothing" `Quick
+            test_source_into_allocates_nothing;
           Alcotest.test_case "implicit step word budget" `Quick test_implicit_step_allocation;
         ] );
     ]

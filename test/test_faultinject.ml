@@ -193,24 +193,27 @@ let test_stage_direct_lu () =
 let test_stage_direct_lu_every_circuit () =
   (* Every built-in circuit, with and without branch rows: direct-lu
      is the only linear fallback, so a linear stall on the "newton"
-     rung is rescued by it, and the report records the four rungs. *)
+     rung is rescued by it, and the report records the four rungs. A
+     nonlinear circuit's start probe on the coarsest grid meets the
+     stall first and leaves its own row ahead of them. *)
   let rows =
-    ("irc", current_rc_problem ())
+    ("irc", [], current_rc_problem ())
     :: List.map
          (fun (c : Serve.Catalog.t) ->
            ( c.Serve.Catalog.name,
+             (if c.Serve.Catalog.name = "rc" then [] else [ "probe@4x3" ]),
              Serve.Catalog.problem_of c ~f_fast:c.Serve.Catalog.default_fast
                ~fd:c.Serve.Catalog.default_fd ))
          Serve.Catalog.all
   in
   List.iter
-    (fun (name, problem) ->
+    (fun (name, probe, problem) ->
       let r = run_mpde ~spec:"stall@gmres/newton:1x9999" problem in
       Alcotest.(check bool) (name ^ " converged") true r.Engine.Result.converged;
       Alcotest.(check string) (name ^ " rescued by direct-lu") "direct-lu" (strategy r);
       Alcotest.(check (list string))
         (name ^ " stages")
-        [ "newton"; "direct-lu"; "source-ramp"; "ptc-ramp" ]
+        (probe @ [ "newton"; "direct-lu"; "source-ramp"; "ptc-ramp" ])
         (List.map
            (fun s -> s.Resilience.Report.name)
            r.Engine.Result.report.Resilience.Report.stages))

@@ -138,6 +138,58 @@ let test_thd_pure_second_harmonic () =
   Alcotest.(check (float 1e-3)) "1e-6 fundamental" 1e6
     (Fft.thd ~peak:(Linalg.Vec.norm_inf y) (Fft.real_harmonics y))
 
+(* The Nyquist harmonic of an even length is one bin with no mirror:
+   the alternating signal (−1)^j is a cosine of amplitude 1 at
+   k = n/2, on radix-2 lengths and on Bluestein ones. *)
+let test_real_harmonics_nyquist () =
+  List.iter
+    (fun n ->
+      let x = Array.init n (fun j -> if j land 1 = 0 then 1.0 else -1.0) in
+      let what = Printf.sprintf "n = %d" n in
+      Alcotest.(check (float 1e-12)) (what ^ ": amplitude") 1.0 (fst (Fft.real_harmonics x).(n / 2));
+      Alcotest.(check (float 1e-12)) (what ^ ": amplitude_at") 1.0 (Fft.amplitude_at x (n / 2)))
+    [ 8; 10; 24; 30; 64 ]
+
+(* ... so THD counts it once: a unit fundamental plus 0.1 of the
+   Nyquist harmonic reads 0.1. *)
+let test_thd_nyquist_once () =
+  List.iter
+    (fun n ->
+      let x =
+        Array.init n (fun j ->
+            cos (2.0 *. pi *. float_of_int j /. float_of_int n)
+            +. (0.1 *. if j land 1 = 0 then 1.0 else -1.0))
+      in
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "n = %d: thd" n)
+        0.1
+        (Fft.thd ~peak:(Linalg.Vec.norm_inf x) (Fft.real_harmonics x)))
+    [ 8; 24; 30; 64 ]
+
+(* The plans a domain keeps change no bit: a length transformed again
+   from its plan, and again after a long length has evicted it, gives
+   the floats of a fresh domain, which keeps none. *)
+let test_fft_plans_bitwise () =
+  let signal n =
+    Array.init n (fun k ->
+        { Complex.re = sin (0.37 *. float_of_int k); im = cos (1.3 *. float_of_int k) })
+  in
+  let bits n =
+    Array.map
+      (fun (z : Complex.t) -> (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im))
+      (Fft.fft (signal n))
+  in
+  let lengths = [ 7565; 1000; 30; 24; 64 ] in
+  let transforms () = List.map bits lengths in
+  let fresh = Domain.join (Domain.spawn transforms) in
+  let check what got =
+    Alcotest.(check bool) what true (List.for_all2 (fun a b -> a = b) fresh got)
+  in
+  check "first" (transforms ());
+  check "from the plans" (transforms ());
+  ignore (Fft.fft (signal 150_001));
+  check "after eviction" (transforms ())
+
 (* A single-time run computes its output spectrum once, and its THD is
    Fft.thd of the one-period trace's harmonics, bit for bit. *)
 let test_engine_one_spectrum_per_result () =
@@ -662,6 +714,9 @@ let () =
           Alcotest.test_case "sweep lengths vs DFT" `Quick test_fft_sweep_lengths_vs_dft;
           Alcotest.test_case "sweep lengths roundtrip" `Quick test_fft_sweep_lengths_roundtrip;
           Alcotest.test_case "thd pure second harmonic" `Quick test_thd_pure_second_harmonic;
+          Alcotest.test_case "nyquist harmonic" `Quick test_real_harmonics_nyquist;
+          Alcotest.test_case "thd counts nyquist once" `Quick test_thd_nyquist_once;
+          Alcotest.test_case "plans bitwise" `Quick test_fft_plans_bitwise;
           Alcotest.test_case "one spectrum per result" `Quick test_engine_one_spectrum_per_result;
         ] );
       ( "newton",

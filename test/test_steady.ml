@@ -449,6 +449,31 @@ let test_mpde_bridge_bitwise () =
   in
   Alcotest.(check string) "bridge rectifier 24x12" "13e5a27f9fcf2bcd" (mpde_hash ~n1:24 ~n2:12 problem)
 
+(* Two more cold solves that take the nested start: the envelope
+   detector on the engine's default 32x24 grid (4x3, 8x6, 16x12, then
+   32x24) and the Gilbert cell of the disparity-sweep benchmark, its
+   cold anchor, on 32x16 (8x4, 16x8, then 32x16). *)
+let test_mpde_detector_bitwise () =
+  let fixture = Result.get_ok (Serve.Catalog.find "detector") in
+  let problem =
+    Serve.Catalog.problem_of fixture ~f_fast:fixture.Serve.Catalog.default_fast
+      ~fd:fixture.Serve.Catalog.default_fd
+  in
+  Alcotest.(check string) "detector 32x24" "b77869ede7e6ca0f" (mpde_hash ~n1:32 ~n2:24 problem)
+
+let test_mpde_gilbert_bitwise () =
+  let f_lo = 100e6 and fd = 1e4 in
+  let nodes = Circuits.gilbert_mixer_nodes in
+  let problem =
+    Engine.Problem.make ~label:"gilbert" ~period:Engine.Problem.Difference_tone
+      ~output:nodes.Circuits.out_plus ~output_b:nodes.Circuits.out_minus ~f_fast:f_lo ~fd
+      (fun () ->
+        Circuits.gilbert_mixer ~f_lo
+          ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+          ~rf_amplitude:0.02 ())
+  in
+  Alcotest.(check string) "gilbert 32x16" "8b16903af6c49982" (mpde_hash ~n1:32 ~n2:16 problem)
+
 (* The catalog rc circuit is linear: one Newton step. *)
 let test_mpde_rc_bitwise () =
   let fixture = Result.get_ok (Serve.Catalog.find "rc") in
@@ -679,6 +704,8 @@ let () =
           Alcotest.test_case "rectifier transient" `Quick test_transient_bitwise;
           Alcotest.test_case "mpde balanced mixer 40x30" `Quick test_mpde_mixer_bitwise;
           Alcotest.test_case "mpde bridge rectifier 24x12" `Quick test_mpde_bridge_bitwise;
+          Alcotest.test_case "mpde detector 32x24 nested" `Quick test_mpde_detector_bitwise;
+          Alcotest.test_case "mpde gilbert 32x16 cold" `Quick test_mpde_gilbert_bitwise;
           Alcotest.test_case "mpde rc catalog" `Quick test_mpde_rc_bitwise;
           Alcotest.test_case "mpde warm start one step" `Quick test_mpde_warm_start_bitwise;
           Alcotest.test_case "mpde direct mixer 16x10" `Quick test_mpde_direct_bitwise;
