@@ -18,9 +18,7 @@ let dc_problem mna ~source_scale ~extra_gmin =
   let b0 = Mna.source_with mna ~phase_of:(fun _ -> 0.0) in
   let dae = Mna.dae mna in
   let residual_into x r =
-    (match dae.Numeric.Dae.fast with
-    | Some fast -> fast.Numeric.Dae.eval_f_into x r
-    | None -> Array.blit (dae.Numeric.Dae.eval_f x) 0 r 0 (Mna.size mna));
+    dae.Numeric.Dae.eval_f_into x r;
     for i = 0 to Mna.size mna - 1 do
       let load = if i < nodes then extra_gmin *. x.(i) else 0.0 in
       r.(i) <- r.(i) +. load -. (source_scale *. b0.(i))

@@ -142,11 +142,6 @@ let eval_f_into m x f =
         add_node f out_minus (-.i)
   done
 
-let eval_f m x =
-  let f = Array.make m.size 0.0 in
-  eval_f_into m x f;
-  f
-
 let eval_q_into m x q =
   Array.fill q 0 m.size 0.0;
   for d = 0 to Array.length m.devices - 1 do
@@ -179,11 +174,6 @@ let eval_q_into m x q =
     | Device.Vccs _ | Device.Multiplier _ ->
         ()
   done
-
-let eval_q m x =
-  let q = Array.make m.size 0.0 in
-  eval_q_into m x q;
-  q
 
 (* Where a Jacobian stamp goes. Every device stamps the same positions
    in the same order at every iterate; only the values change. [Build]
@@ -460,20 +450,9 @@ let source_frequencies m =
 let dae m =
   {
     Numeric.Dae.size = m.size;
-    eval_f = eval_f m;
-    eval_q = eval_q m;
+    eval_f_into = eval_f_into m;
+    eval_q_into = eval_q_into m;
+    source_into = source_into m;
     jacobians = jacobians m;
-    source =
-      (fun t ->
-        let b = Array.make m.size 0.0 in
-        source_into m t b;
-        b);
-    fast =
-      Some
-        {
-          Numeric.Dae.eval_f_into = eval_f_into m;
-          eval_q_into = eval_q_into m;
-          source_into = source_into m;
-          jacobian_refresher = jacobian_refresher m;
-        };
+    jacobian_refresher = jacobian_refresher m;
   }

@@ -1,46 +1,29 @@
 type system = {
   size : int;
-  eval_f : Linalg.Vec.t -> Linalg.Vec.t;
-  eval_q : Linalg.Vec.t -> Linalg.Vec.t;
-  jacobians : Linalg.Vec.t -> Sparse.Csr.t * Sparse.Csr.t;
+  dae : Numeric.Dae.t;
   source_at : t1:float -> t2:float -> Linalg.Vec.t;
-  fast : Numeric.Dae.fast option;
   linear : bool;
 }
 
 let of_mna ~shear mna =
-  let dae = Circuit.Mna.dae mna in
   {
     size = Circuit.Mna.size mna;
-    eval_f = dae.Numeric.Dae.eval_f;
-    eval_q = dae.Numeric.Dae.eval_q;
-    jacobians = dae.Numeric.Dae.jacobians;
+    dae = Circuit.Mna.dae mna;
     source_at =
       (fun ~t1 ~t2 -> Circuit.Mna.source_with mna ~phase_of:(Shear.phase shear ~t1 ~t2));
-    fast = dae.Numeric.Dae.fast;
     linear = Circuit.Mna.linear mna;
   }
 
 let of_dae (dae : Numeric.Dae.t) =
-  {
-    size = dae.Numeric.Dae.size;
-    eval_f = dae.Numeric.Dae.eval_f;
-    eval_q = dae.Numeric.Dae.eval_q;
-    jacobians = dae.Numeric.Dae.jacobians;
-    source_at = (fun ~t1 ~t2:_ -> dae.Numeric.Dae.source t1);
-    fast = dae.Numeric.Dae.fast;
-    linear = false;
-  }
+  let source_at ~t1 ~t2:_ =
+    let b = Array.make dae.Numeric.Dae.size 0.0 in
+    dae.Numeric.Dae.source_into t1 b;
+    b
+  in
+  { size = dae.Numeric.Dae.size; dae; source_at; linear = false }
 
-let to_dae (sys : system) ~source =
-  {
-    Numeric.Dae.size = sys.size;
-    eval_f = sys.eval_f;
-    eval_q = sys.eval_q;
-    jacobians = sys.jacobians;
-    source;
-    fast = sys.fast;
-  }
+let to_dae sys ~source =
+  { sys.dae with Numeric.Dae.source_into = (fun t b -> Array.blit (source t) 0 b 0 sys.size) }
 
 type scheme = Backward | Central_t1 | Spectral_t1 | Spectral_both
 
@@ -111,7 +94,8 @@ let accumulate ax r p ~n ~(qs : Linalg.Vec.t array) (acc : Linalg.Vec.t) =
 
 let point_jacobians sys (g : Grid.t) big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
-  Array.init (Grid.points g) (fun p -> sys.jacobians (state_of ~size:sys.size big_x p))
+  Array.init (Grid.points g) (fun p ->
+      sys.dae.Numeric.Dae.jacobians (state_of ~size:sys.size big_x p))
 
 (* Walk the big MPDE Jacobian's entries in stamp order: per point, the
    t2 entries, then G, then the t1 entries, each block [(w/s)·C_q];
@@ -165,9 +149,7 @@ type workspace = {
   x_buf : Linalg.Vec.t;  (* staging slice of the flattened iterate *)
   a1 : Linalg.Vec.t;  (* per-axis stencil sums of one point *)
   a2 : Linalg.Vec.t;
-  eval_f_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
-  eval_q_into : Linalg.Vec.t -> Linalg.Vec.t -> unit;
-  refresh_jacs : (Linalg.Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
+  refresh_jacs : Linalg.Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
   mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* [||] until built *)
   mutable patterns : Sparse.Csr.t list;  (* one per distinct per-point pattern *)
   mutable big : big option;  (* lazy: matrix-free solves never stamp *)
@@ -182,19 +164,6 @@ let workspace scheme sys (g : Grid.t) =
   let n = sys.size in
   let np = Grid.points g in
   let ops = operators scheme g in
-  let eval_f_into, eval_q_into, refresh_jacs =
-    match sys.fast with
-    | Some fast ->
-        ( fast.Numeric.Dae.eval_f_into,
-          fast.Numeric.Dae.eval_q_into,
-          (* One private stamping stream per workspace: a workspace is
-             single-domain by contract, so this is the single writer. *)
-          Some (fast.Numeric.Dae.jacobian_refresher ()) )
-    | None ->
-        ( (fun x out -> Array.blit (sys.eval_f x) 0 out 0 n),
-          (fun x out -> Array.blit (sys.eval_q x) 0 out 0 n),
-          None )
-  in
   {
     ws_sys = sys;
     ws_ops = ops;
@@ -206,9 +175,9 @@ let workspace scheme sys (g : Grid.t) =
     x_buf = Array.make n 0.0;
     a1 = Array.make n 0.0;
     a2 = Array.make n 0.0;
-    eval_f_into;
-    eval_q_into;
-    refresh_jacs;
+    (* One private stamping stream per workspace: a workspace is
+       single-domain by contract, so this is the single writer. *)
+    refresh_jacs = sys.dae.Numeric.Dae.jacobian_refresher ();
     jacs = [||];
     patterns = [];
     big = None;
@@ -225,15 +194,15 @@ let load_state ws big_x p =
 
 let residual_into ws ~sources big_x r =
   Telemetry.span "mpde.assemble.residual" @@ fun () ->
-  let n = ws.ws_n and st = ws.ws_stencil and qs = ws.qs in
+  let n = ws.ws_n and st = ws.ws_stencil and qs = ws.qs and dae = ws.ws_sys.dae in
   for p = 0 to ws.ws_np - 1 do
-    ws.eval_q_into (load_state ws big_x p) qs.(p)
+    dae.Numeric.Dae.eval_q_into (load_state ws big_x p) qs.(p)
   done;
   let s1 = st.t1.s and s2 = st.t2.s and a1 = ws.a1 and a2 = ws.a2 and f = ws.f_buf in
   for j = 0 to st.n2 - 1 do
     for i = 0 to st.n1 - 1 do
       let p = (j * st.n1) + i in
-      ws.eval_f_into (load_state ws big_x p) f;
+      dae.Numeric.Dae.eval_f_into (load_state ws big_x p) f;
       accumulate st.t1 i p ~n ~qs a1;
       accumulate st.t2 j p ~n ~qs a2;
       let b = sources.(p) and base = p * n in
@@ -266,7 +235,7 @@ let intern ws (m : Sparse.Csr.t) =
       m
 
 let build_point ws big_x p =
-  let g, c = ws.ws_sys.jacobians (state_of ~size:ws.ws_n big_x p) in
+  let g, c = ws.ws_sys.dae.Numeric.Dae.jacobians (state_of ~size:ws.ws_n big_x p) in
   (intern ws g, intern ws c)
 
 (* Rebuild point [p]; the big Jacobian's slots go stale only when the
@@ -280,9 +249,9 @@ let rebuild_point ws big_x p =
 
 (* Refresh point [p] in place; a point whose sparsity drifted at this
    iterate (a stamp crossed an exact zero) is rebuilt from scratch. *)
-let refresh_point ws refresh big_x p =
+let refresh_point ws big_x p =
   let gp, cp = ws.jacs.(p) in
-  if not (refresh (load_state ws big_x p) ~g:gp ~c:cp) then begin
+  if not (ws.refresh_jacs (load_state ws big_x p) ~g:gp ~c:cp) then begin
     Telemetry.count "mpde.assemble.jac_rebuilds";
     rebuild_point ws big_x p
   end
@@ -292,30 +261,23 @@ let refresh_point ws refresh big_x p =
    refresher. The refresher replays the stamps in [of_coo]'s summation
    order, so each point's values are bitwise a fresh build's; a point
    whose stamps leave the pattern takes [refresh_point]'s rebuild. *)
-let first_jacobians ws refresh big_x =
+let first_jacobians ws big_x =
   let ((g0, c0) as jac0) = build_point ws big_x 0 in
   let fresh (m : Sparse.Csr.t) =
     { m with Sparse.Csr.values = Array.make (Array.length m.Sparse.Csr.values) 0.0 }
   in
   ws.jacs <- Array.init ws.ws_np (fun p -> if p = 0 then jac0 else (fresh g0, fresh c0));
   for p = 1 to ws.ws_np - 1 do
-    refresh_point ws refresh big_x p
+    refresh_point ws big_x p
   done
 
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
-  let np = ws.ws_np in
-  (match ws.refresh_jacs with
-  | Some refresh when Array.length ws.jacs <> np -> first_jacobians ws refresh big_x
-  | Some refresh ->
-      for p = 0 to np - 1 do
-        refresh_point ws refresh big_x p
-      done
-  | None when Array.length ws.jacs <> np -> ws.jacs <- Array.init np (build_point ws big_x)
-  | None ->
-      for p = 0 to np - 1 do
-        rebuild_point ws big_x p
-      done);
+  if Array.length ws.jacs <> ws.ws_np then first_jacobians ws big_x
+  else
+    for p = 0 to ws.ws_np - 1 do
+      refresh_point ws big_x p
+    done;
   ws.jacs
 
 (* One pattern search per [walk_big] entry; done once per set of

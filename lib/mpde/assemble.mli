@@ -9,14 +9,12 @@
     one tensor-product stencil. *)
 
 type system = {
-  size : int;  (** circuit unknowns per grid point *)
-  eval_f : Linalg.Vec.t -> Linalg.Vec.t;
-  eval_q : Linalg.Vec.t -> Linalg.Vec.t;
-  jacobians : Linalg.Vec.t -> Sparse.Csr.t * Sparse.Csr.t;
+  size : int;  (** circuit unknowns per grid point, [dae.size] *)
+  dae : Numeric.Dae.t;
+      (** the circuit's q, f and Jacobians; the MPDE takes its
+          excitation from [source_at] alone, and {!to_dae} replaces
+          [dae.source_into] along a path *)
   source_at : t1:float -> t2:float -> Linalg.Vec.t;  (** [b̂(t1, t2)] *)
-  fast : Numeric.Dae.fast option;
-      (** allocation-free evaluation callbacks, when the producer has
-          them ({!of_mna} does); used by {!workspace} *)
   linear : bool;
       (** [f] and [q] are linear in the unknowns ({!of_mna} of a circuit
           without device models; [false] from {!of_dae}) *)
@@ -36,7 +34,9 @@ val to_dae : system -> source:(float -> Linalg.Vec.t) -> Numeric.Dae.t
 (** The one-time DAE of the system along a path through the
     [(t1, t2)] plane, given as its excitation [source t]: e.g.
     [fun t1 -> sys.source_at ~t1 ~t2] for the fast column at a fixed
-    [t2], or [fun t -> sys.source_at ~t1:t ~t2:t] for the diagonal. *)
+    [t2], or [fun t -> sys.source_at ~t1:t ~t2:t] for the diagonal.
+    Its [source_into t] writes exactly the floats of [source t]; q, f
+    and the Jacobians are the system's. *)
 
 type scheme =
   | Backward  (** backward, backward: fully implicit (default) *)
@@ -115,9 +115,8 @@ val point_jacobians_ws :
   workspace -> Linalg.Vec.t -> (Sparse.Csr.t * Sparse.Csr.t) array
 (** Like {!point_jacobians}, but after the first call the cached CSR
     instances are refreshed in place via the system's
-    [fast.jacobian_refresher] (falling back to a from-scratch rebuild
-    of any point whose sparsity drifted, or of every point when the
-    system has no fast interface). The first call builds point 0 from
+    [dae.jacobian_refresher] (falling back to a from-scratch rebuild
+    of any point whose sparsity drifted). The first call builds point 0 from
     scratch only: every other point gets a copy of point 0's pattern
     with values of its own, filled by the refresher, and is rebuilt
     only when its stamps leave that pattern. The refresher replays the

@@ -44,16 +44,36 @@ let problem ?anchor (dae : Dae.t) op ~times =
   let n = dae.Dae.size in
   let points = Array.length op.weights in
   let big = points * n in
-  let sources = Array.map dae.Dae.source times in
-  let anchor = Option.map (fun (h, prev) -> (h, Array.map dae.Dae.eval_q prev)) anchor in
+  (* [x] stages one point's state; [qs] and [f] hold q and f, [sources]
+     b, at the points, evaluated in place. *)
+  let x = Array.make n 0.0 and f = Array.make n 0.0 in
+  let evaluate eval v =
+    let out = Array.make n 0.0 in
+    eval v out;
+    out
+  in
+  let sources = Array.map (evaluate dae.Dae.source_into) times in
+  let anchor =
+    Option.map (fun (h, prev) -> (h, Array.map (evaluate dae.Dae.eval_q_into) prev)) anchor
+  in
+  let qs = Array.init points (fun _ -> Array.make n 0.0) in
+  let load big_x k =
+    Array.blit big_x (k * n) x 0 n;
+    x
+  in
   let residual_into big_x r =
-    let xs = states n big_x in
-    let qs = Array.map dae.Dae.eval_q xs in
     for k = 0 to points - 1 do
-      let f = dae.Dae.eval_f xs.(k) and b = sources.(k) in
+      dae.Dae.eval_q_into (load big_x k) qs.(k)
+    done;
+    for k = 0 to points - 1 do
+      dae.Dae.eval_f_into (load big_x k) f;
+      let b = sources.(k) and row = op.weights.(k) in
       for i = 0 to n - 1 do
         let dq = ref 0.0 in
-        Array.iter (fun (l, w) -> dq := !dq +. (w *. qs.(l).(i))) op.weights.(k);
+        for e = 0 to Array.length row - 1 do
+          let l, w = row.(e) in
+          dq := !dq +. (w *. qs.(l).(i))
+        done;
         let dt = !dq /. op.scale in
         let dt =
           match anchor with

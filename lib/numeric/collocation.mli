@@ -42,8 +42,10 @@ val problem :
   operator ->
   times:float array ->
   Newton.problem
-(** The stacked Newton problem with [b_k = dae.source times.(k)], one
-    time per operator point.
+(** The stacked Newton problem with [b_k] the DAE's source at
+    [times.(k)], one time per operator point. [q], [f] and [b] are
+    written by the DAE's callbacks into buffers the problem owns, so
+    one problem serves one Newton run at a time.
     [anchor = (h, prev)] adds one backward-Euler step in a second time,
     [(q(x_k) − q(prev_k))/h], to every point (envelope following);
     [q(prev_k)] is evaluated once, here. *)

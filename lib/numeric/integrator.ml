@@ -21,23 +21,20 @@ type scalars = {
 }
 
 (* Step workspace. G and C live on frozen patterns and are refreshed
-   in place through [Dae.fast.jacobian_refresher]; J = sc·C + sg·G lives
-   on the union pattern, filled through slot maps and refactored on the
-   frozen pivot order. [lin_x] is the iterate G and C hold; [lu] is J's
-   factor at [lin_x] with scales [lu_sc]/[lu_sg] while [lu_valid].
-   [q_buf]/[f_buf] hold q and f at [qf_x] while [qf_valid]: the last
-   residual a step evaluated, which is its accepted iterate and so the
-   next step's [x_prev]. [problem] is the step's Newton problem, built
-   once over the workspace's fields and run on [newton]. [structure]
-   counts the changes of what the caches are not keyed on: G/C/J
-   patterns adopted by [install], and fresh factors (new pivot
-   orders). *)
+   in place through the workspace's own [Dae.jacobian_refresher];
+   J = sc·C + sg·G lives on the union pattern, filled through slot maps
+   and refactored on the frozen pivot order. [lin_x] is the iterate G
+   and C hold; [lu] is J's factor at [lin_x] with scales
+   [lu_sc]/[lu_sg] while [lu_valid]. [q_buf]/[f_buf] hold q and f at
+   [qf_x] while [qf_valid]: the last residual a step evaluated, which
+   is its accepted iterate and so the next step's [x_prev]. [problem]
+   is the step's Newton problem, built once over the workspace's fields
+   and run on [newton]. [structure] counts the changes of what the
+   caches are not keyed on: G/C/J patterns adopted by [install], and
+   fresh factors (new pivot orders). *)
 type workspace = {
   dae : Dae.t;
-  refresh : (Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool) option;
-  eval_q_into : Vec.t -> Vec.t -> unit;
-  eval_f_into : Vec.t -> Vec.t -> unit;
-  source_into : float -> Vec.t -> unit;
+  refresh : Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
   q_buf : Vec.t;
   f_buf : Vec.t;
   qf_x : Vec.t;
@@ -110,17 +107,13 @@ let same_bits (a : Vec.t) (b : Vec.t) =
   !i < 0
 
 (* G and C at [x]: an in-place refresh, or a rebuild from [jacobians]
-   when there is no refresher or the pattern grew (the empty patterns
-   of a new workspace always grow). Nothing is valid until it
-   succeeds. *)
+   when the pattern grew (the empty patterns of a new workspace always
+   grow). Nothing is valid until it succeeds. *)
 let evaluate_jacobians ws x =
   if not (ws.lin_valid && same_bits ws.lin_x x) then begin
     ws.lin_valid <- false;
     ws.lu_valid <- false;
-    let refreshed =
-      match ws.refresh with Some refresh -> refresh x ~g:ws.g ~c:ws.c | None -> false
-    in
-    if not refreshed then begin
+    if not (ws.refresh x ~g:ws.g ~c:ws.c) then begin
       Telemetry.count "integrator.jacobian_rebuilds";
       let g, c = ws.dae.Dae.jacobians x in
       install ws g c
@@ -188,8 +181,8 @@ let charge_jacobian ws =
 let evaluate_charges ws x =
   if not (ws.qf_valid && same_bits ws.qf_x x) then begin
     ws.qf_valid <- false;
-    ws.eval_q_into x ws.q_buf;
-    ws.eval_f_into x ws.f_buf;
+    ws.dae.Dae.eval_q_into x ws.q_buf;
+    ws.dae.Dae.eval_f_into x ws.f_buf;
     Array.blit x 0 ws.qf_x 0 (size ws);
     ws.qf_valid <- true
   end
@@ -221,21 +214,6 @@ let step_solve ws x r delta =
 
 let workspace (dae : Dae.t) =
   let n = dae.Dae.size in
-  let refresh, eval_q_into, eval_f_into, source_into =
-    match dae.Dae.fast with
-    | Some fast ->
-        (* One private stamping stream per workspace; a workspace is
-           single-domain by contract. *)
-        ( Some (fast.Dae.jacobian_refresher ()),
-          fast.Dae.eval_q_into,
-          fast.Dae.eval_f_into,
-          fast.Dae.source_into )
-    | None ->
-        ( None,
-          (fun x out -> Array.blit (dae.Dae.eval_q x) 0 out 0 n),
-          (fun x out -> Array.blit (dae.Dae.eval_f x) 0 out 0 n),
-          fun t out -> Array.blit (dae.Dae.source t) 0 out 0 n )
-  in
   let q_buf = Array.make n 0.0 and f_buf = Array.make n 0.0 and qf_x = Array.make n 0.0 in
   let q_prev = Array.make n 0.0 and f_prev = Array.make n 0.0 in
   let b_next = Array.make n 0.0 and b_prev = Array.make n 0.0 in
@@ -244,10 +222,9 @@ let workspace (dae : Dae.t) =
   let rec ws =
     {
       dae;
-      refresh;
-      eval_q_into;
-      eval_f_into;
-      source_into;
+      (* One private stamping stream per workspace; a workspace is
+         single-domain by contract. *)
+      refresh = dae.Dae.jacobian_refresher ();
       q_buf;
       f_buf;
       qf_x;
@@ -289,12 +266,12 @@ let implicit_step ?newton_options ~method_ ~workspace:ws ~t_next ~h ~x_prev () =
   ws.method_ <- method_;
   evaluate_charges ws x_prev;
   Array.blit ws.q_buf 0 ws.q_prev 0 n;
-  ws.source_into t_next ws.b_next;
+  ws.dae.Dae.source_into t_next ws.b_next;
   (match method_ with
   | Backward_euler -> ()
   | Trapezoidal ->
       Array.blit ws.f_buf 0 ws.f_prev 0 n;
-      ws.source_into (t_next -. h) ws.b_prev);
+      ws.dae.Dae.source_into (t_next -. h) ws.b_prev);
   let outcome = Newton.solve_in ?options:newton_options ws.newton ws.problem x_prev in
   {
     x = Array.copy (Newton.iterate ws.newton);

@@ -15,9 +15,9 @@ type step_result = {
 
 type workspace
 (** Per-stream step state: [G] and [C] on frozen sparsity patterns,
-    refreshed in place through {!Dae.fast}[.jacobian_refresher] (or
-    rebuilt from {!Dae.t}[.jacobians] when the pattern changes or the
-    DAE has no fast callbacks), the step Jacobian [J = (1/h) C + β G]
+    refreshed in place through {!Dae.t}[.jacobian_refresher] (or
+    rebuilt from {!Dae.t}[.jacobians] when the refresher reports that
+    the pattern changed), the step Jacobian [J = (1/h) C + β G]
     on the union pattern, refactored in place with
     {!Sparse.Splu.refactor_or_factor}, and the residual's [q]/[f]/[b]
     buffers. The factor is kept with its key — the bits of the iterate
@@ -75,7 +75,7 @@ val implicit_step :
     The step's Newton problem is built once per workspace and runs on
     the workspace's {!Newton.workspace}; the step residual is written
     from the workspace's [q]/[f] vectors and a source evaluated once
-    per step through {!Dae.fast}[.source_into]; the Jacobian is
+    per step through {!Dae.t}[.source_into]; the Jacobian is
     refreshed in place and refactored without allocation. [q] and [f]
     are keyed on the bits of the point they were evaluated at, so
     [q(x_prev)] and the first residual reuse the previous step's

@@ -13,8 +13,8 @@ A value `v` of module `M` counts as called from a file when the file
 names `M.v`, `A.v` for a local alias `module A = ... M`, or a bare `v`
 after `open M`, `let open M in` or `M.( ... )`. A library's main module
 that does `include M` (Engine includes Backend) and an interface that is
-`include module type of struct include M end` (Json_min) are aliases of
-M everywhere. The match is textual and errs towards "called".
+`include module type of struct include M end` (an interface re-exporting
+another module's) are aliases of M everywhere. The match is textual and errs towards "called".
 
 Usage: python3 test/lint/export_lint.py [--root DIR]
 Prints every mismatch and exits 1 when there is any, 0 otherwise.
@@ -137,7 +137,7 @@ def unused_exports(root, caller_dirs=CALLER_DIRS):
         for m in re.finditer(r"^include\s+(?:[A-Z]\w*\.)*([A-Z]\w*)\s*$", text, re.M):
             if m.group(1) in names:
                 names[m.group(1)].add(module_name(rel))
-    # Json_min-style interface aliases chain through Json's names.
+    # Interface aliases chain through their target module's names.
     for target in list(names):
         for alias in list(names[target]):
             if alias != target and alias in names:

@@ -326,12 +326,13 @@ let test_mna_jacobian_matches_fd () =
   let n = Circuit.Mna.size m in
   let x = Array.init n (fun i -> 0.3 +. (0.17 *. float_of_int i)) in
   let g, _ = dae.Numeric.Dae.jacobians x in
-  let f0 = dae.Numeric.Dae.eval_f x in
+  let f0 = Array.make n 0.0 and fj = Array.make n 0.0 in
+  dae.Numeric.Dae.eval_f_into x f0;
   let h = 1e-7 in
   for j = 0 to n - 1 do
     let xj = Array.copy x in
     xj.(j) <- xj.(j) +. h;
-    let fj = dae.Numeric.Dae.eval_f xj in
+    dae.Numeric.Dae.eval_f_into xj fj;
     for i = 0 to n - 1 do
       let numeric = (fj.(i) -. f0.(i)) /. h in
       let stamped = Sparse.Csr.get g i j in
@@ -352,12 +353,13 @@ let test_mna_charge_jacobian_matches_fd () =
   let n = Circuit.Mna.size m in
   let x = Array.init n (fun i -> 0.1 *. float_of_int (i + 1)) in
   let _, c = dae.Numeric.Dae.jacobians x in
-  let q0 = dae.Numeric.Dae.eval_q x in
+  let q0 = Array.make n 0.0 and qj = Array.make n 0.0 in
+  dae.Numeric.Dae.eval_q_into x q0;
   let h = 1e-7 in
   for j = 0 to n - 1 do
     let xj = Array.copy x in
     xj.(j) <- xj.(j) +. h;
-    let qj = dae.Numeric.Dae.eval_q xj in
+    dae.Numeric.Dae.eval_q_into xj qj;
     for i = 0 to n - 1 do
       let numeric = (qj.(i) -. q0.(i)) /. h in
       let stamped = Sparse.Csr.get c i j in

@@ -158,10 +158,7 @@ let same_values what ~(frozen : Sparse.Csr.t) (fresh : Sparse.Csr.t) =
             (Sparse.Csr.get fresh i j))
   done
 
-let refresher_of mna =
-  match (Circuit.Mna.dae mna).Numeric.Dae.fast with
-  | Some fast -> fast.Numeric.Dae.jacobian_refresher ()
-  | None -> Alcotest.fail "MNA systems have fast callbacks"
+let refresher_of mna = (Circuit.Mna.dae mna).Numeric.Dae.jacobian_refresher ()
 
 (* At the DC point and at seeded iterates around it, the slot-replay
    refresher either fits (and then equals a rebuild bit for bit) or
@@ -245,7 +242,6 @@ let test_refresher_allocates_nothing () =
   List.iter
     (fun (name, { Circuits.mna; _ }) ->
       let dae = Circuit.Mna.dae mna in
-      let fast = Option.get dae.Numeric.Dae.fast in
       let n = dae.Numeric.Dae.size in
       let x = Array.init n (fun i -> 0.3 +. (0.05 *. float_of_int i)) in
       let g, c = dae.Numeric.Dae.jacobians x in
@@ -254,9 +250,9 @@ let test_refresher_allocates_nothing () =
       Alcotest.(check (float 0.0)) (name ^ ": words per refresh") 0.0
         (minor_words (fun () -> ignore (refresh x ~g ~c)));
       let f = Array.make n 0.0 in
-      fast.Numeric.Dae.eval_f_into x f;
+      dae.Numeric.Dae.eval_f_into x f;
       Alcotest.(check (float 0.0)) (name ^ ": words per eval_f_into") 0.0
-        (minor_words (fun () -> fast.Numeric.Dae.eval_f_into x f)))
+        (minor_words (fun () -> dae.Numeric.Dae.eval_f_into x f)))
     [
       ("rc", Circuits.rc_lowpass ~drive:drive_1k ());
       ("rlc", Circuits.rlc_series ~drive:drive_1k ());
@@ -291,7 +287,7 @@ let test_source_into_allocates_nothing () =
   List.iter
     (fun (name, { Circuits.mna; _ }) ->
       let dae = Circuit.Mna.dae mna in
-      let source_into = (Option.get dae.Numeric.Dae.fast).Numeric.Dae.source_into in
+      let source_into = dae.Numeric.Dae.source_into in
       let b = Array.make dae.Numeric.Dae.size 0.0 in
       feed source_into b times;
       Alcotest.(check (float 0.0)) (name ^ ": words per source_into") 0.0

@@ -127,15 +127,42 @@ let test_assemble_sources_diagonal_consistency () =
   let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
   let sys = Mpde.Assemble.of_mna ~shear mna in
   let dae = Circuit.Mna.dae mna in
+  let b = Array.make dae.Numeric.Dae.size 0.0 in
   List.iter
     (fun t ->
       let b_hat = sys.Mpde.Assemble.source_at ~t1:t ~t2:t in
-      let b = dae.Numeric.Dae.source t in
+      dae.Numeric.Dae.source_into t b;
       Alcotest.(check bool)
         (Printf.sprintf "diagonal at t=%g" t)
         true
         (Support.vec_approx_equal ~tol:1e-9 b_hat b))
     [ 0.0; 1.7e-7; 4.2e-6; 9.9e-4 ]
+
+(* A DAE along a path carries that path's excitation and no other: the
+   balanced mixer's fast column at a fixed t2 writes b̂(t1, t2) from its
+   [source_into], bit for bit, and not the circuit's one-time b(t1). *)
+let test_to_dae_source_follows_path () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+  let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+  let shear = Shear.make ~fast_freq:f_lo ~slow_freq:fd in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let t2 = 0.37 *. Shear.t2_period shear in
+  let dae =
+    Mpde.Assemble.to_dae sys ~source:(fun t1 -> sys.Mpde.Assemble.source_at ~t1 ~t2)
+  in
+  let b = Array.make dae.Numeric.Dae.size nan in
+  List.iter
+    (fun k ->
+      let t1 = float_of_int k /. 7.0 *. Shear.t1_period shear in
+      dae.Numeric.Dae.source_into t1 b;
+      Array.iteri
+        (fun v expected ->
+          Alcotest.(check int64)
+            (Printf.sprintf "b at t1 = %d/7 T1, entry %d" k v)
+            (Int64.bits_of_float expected) (Int64.bits_of_float b.(v)))
+        (sys.Mpde.Assemble.source_at ~t1 ~t2))
+    [ 0; 1; 2; 3; 5 ]
 
 let test_assemble_residual_zero_for_exact_solution () =
   (* For C ẋ + x/R = b with b̂ constant, x̂ = R·b̂ is an exact grid
@@ -623,7 +650,9 @@ let test_first_jacobians_equal_fresh () =
     let jacs = Mpde.Assemble.point_jacobians_ws ws x in
     Array.iteri
       (fun p (gp, cp) ->
-        let gf, cf = sys.Mpde.Assemble.jacobians (Mpde.Assemble.state_of ~size:n x p) in
+        let gf, cf =
+          sys.Mpde.Assemble.dae.Numeric.Dae.jacobians (Mpde.Assemble.state_of ~size:n x p)
+        in
         same_block (what ^ " G") p gp gf;
         same_block (what ^ " C") p cp cf)
       jacs;
@@ -678,12 +707,15 @@ let test_newton_word_budget () =
    The generic stencil walk must reproduce both bitwise. *)
 let backward_reference_residual sys (g : Grid.t) ~sources big_x =
   let n = sys.Mpde.Assemble.size and np = Grid.points g in
+  let dae = sys.Mpde.Assemble.dae in
   let state p = Mpde.Assemble.state_of ~size:n big_x p in
-  let qs = Array.init np (fun p -> sys.Mpde.Assemble.eval_q (state p)) in
-  let r = Array.make (np * n) 0.0 in
+  let qs = Array.init np (fun _ -> Array.make n 0.0) in
+  Array.iteri (fun p q -> dae.Numeric.Dae.eval_q_into (state p) q) qs;
+  let r = Array.make (np * n) 0.0 and f = Array.make n 0.0 in
   for p = 0 to np - 1 do
     let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
-    let f = sys.Mpde.Assemble.eval_f (state p) and b = sources.(p) in
+    dae.Numeric.Dae.eval_f_into (state p) f;
+    let b = sources.(p) in
     let q = qs.(p) in
     let q_im1 = qs.(Grid.point_index g (i - 1) j) and q_jm1 = qs.(Grid.point_index g i (j - 1)) in
     for v = 0 to n - 1 do
@@ -1906,6 +1938,8 @@ let () =
         [
           Alcotest.test_case "source diagonal consistency" `Quick
             test_assemble_sources_diagonal_consistency;
+          Alcotest.test_case "path DAE source follows the path" `Quick
+            test_to_dae_source_follows_path;
           Alcotest.test_case "exact solution residual" `Quick
             test_assemble_residual_zero_for_exact_solution;
           Alcotest.test_case "jacobian matches finite differences" `Slow

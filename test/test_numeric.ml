@@ -421,21 +421,16 @@ let rc_dae ~r ~c ~b =
   Numeric.Dae.linear
     ~g:(Sparse.Csr.of_coo (Sparse.Coo.of_triplets 1 1 [ (0, 0, 1.0 /. r) ]))
     ~c:(Sparse.Csr.of_coo (Sparse.Coo.of_triplets 1 1 [ (0, 0, c) ]))
-    ~source:(fun t -> [| b t |])
+    ~source_into:(fun t out -> out.(0) <- b t)
 
 let test_dae_residual () =
-  (* At the DC point x = r·b the residual qdot + f(x) − b(t) vanishes,
-     on the allocating callbacks and on the fast ones alike. *)
+  (* At the DC point x = r·b the residual qdot + f(x) − b(t) vanishes. *)
   let dae = rc_dae ~r:2.0 ~c:1.0 ~b:(fun _ -> 1.0) in
   let x = [| 2.0 |] in
-  check_float "residual" 0.0 ((dae.Numeric.Dae.eval_f x).(0) -. (dae.Numeric.Dae.source 0.0).(0));
-  match dae.Numeric.Dae.fast with
-  | None -> Alcotest.fail "linear DAE without fast callbacks"
-  | Some fast ->
-      let f = [| nan |] and b = [| nan |] in
-      fast.Numeric.Dae.eval_f_into x f;
-      fast.Numeric.Dae.source_into 0.0 b;
-      check_float "fast residual" 0.0 (f.(0) -. b.(0))
+  let f = [| nan |] and b = [| nan |] in
+  dae.Numeric.Dae.eval_f_into x f;
+  dae.Numeric.Dae.source_into 0.0 b;
+  check_float "residual" 0.0 (f.(0) -. b.(0))
 
 let test_be_step_decay () =
   (* dx/dt = -x (R=C=1, b=0): BE gives x1 = x0/(1+h). *)
@@ -565,8 +560,9 @@ let test_transient_sample () =
 
 (* One workspace across a transient (in-place refresh, frozen-pivot
    refactors, the step-k factor reused at step k+1) against a fresh
-   workspace per step (fresh factors only), and against the allocating
-   callbacks of a DAE without [fast]. *)
+   workspace per step (fresh factors only), and against a workspace
+   whose refresher reports drift at every iterate, so that it rebuilds
+   G and C from [jacobians] each time, as on a pattern change. *)
 let test_step_workspace_paths () =
   let { Circuits.mna; _ } =
     Circuits.diode_rectifier
@@ -579,7 +575,9 @@ let test_step_workspace_paths () =
   let h = t1 /. float_of_int steps in
   let shared = Integrator.transient ~dae ~x0 ~t0:0.0 ~t1 ~steps () in
   let slow =
-    Integrator.transient ~dae:{ dae with Numeric.Dae.fast = None } ~x0 ~t0:0.0 ~t1 ~steps ()
+    Integrator.transient
+      ~dae:{ dae with Numeric.Dae.jacobian_refresher = (fun () _ ~g:_ ~c:_ -> false) }
+      ~x0 ~t0:0.0 ~t1 ~steps ()
   in
   let x = ref x0 in
   for k = 1 to steps do
@@ -592,7 +590,7 @@ let test_step_workspace_paths () =
     let close a b = Support.vec_approx_equal ~tol:1e-9 a b in
     Alcotest.(check bool) (Printf.sprintf "step %d: shared = fresh" k) true
       (close shared.Integrator.states.(k) !x);
-    Alcotest.(check bool) (Printf.sprintf "step %d: no fast path = fresh" k) true
+    Alcotest.(check bool) (Printf.sprintf "step %d: rebuilt every iterate = fresh" k) true
       (close slow.Integrator.states.(k) !x)
   done
 

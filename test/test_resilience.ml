@@ -309,6 +309,10 @@ let test_report_json () =
 
 (* ---------- MPDE integration ---------- *)
 
+(* A refresher that reports drift at every iterate: the assembler
+   rebuilds each point's Jacobians from [jacobians]. *)
+let rebuild_always () _x ~g:_ ~c:_ = false
+
 (* A 1-unknown DAE with ferociously stiff exponential nonlinearity
    (think: back-to-back diodes with emission coefficient ~1/30 V).
    Driven hard, plain Newton from the zero state overshoots into the
@@ -319,11 +323,11 @@ let stiff_dae ~amplitude ~freq =
   let g x = (30.0 *. exp (30.0 *. (x -. 1.0))) +. (30.0 *. exp (-30.0 *. (x +. 1.0))) +. 0.1 in
   {
     Numeric.Dae.size = 1;
-    eval_f = (fun x -> [| f x.(0) |]);
-    eval_q = (fun x -> [| 1e-6 *. x.(0) |]);
+    eval_f_into = (fun x out -> out.(0) <- f x.(0));
+    eval_q_into = (fun x out -> out.(0) <- 1e-6 *. x.(0));
+    source_into = (fun t out -> out.(0) <- amplitude *. cos (2.0 *. pi *. freq *. t));
     jacobians = (fun x -> (csr_1x1 (g x.(0)), csr_1x1 1e-6));
-    source = (fun t -> [| amplitude *. cos (2.0 *. pi *. freq *. t) |]);
-    fast = None;
+    jacobian_refresher = rebuild_always;
   }
 
 let mpde_fixture ?(n1 = 8) ?(n2 = 6) dae =
@@ -361,11 +365,11 @@ let test_mpde_nan_poisoned_terminates () =
   let dae =
     {
       Numeric.Dae.size = 1;
-      eval_f = (fun x -> [| f x.(0) |]);
-      eval_q = (fun x -> [| 1e-6 *. x.(0) |]);
+      eval_f_into = (fun x out -> out.(0) <- f x.(0));
+      eval_q_into = (fun x out -> out.(0) <- 1e-6 *. x.(0));
+      source_into = (fun t out -> out.(0) <- cos (2.0 *. pi *. 1e3 *. t));
       jacobians = (fun x -> (csr_1x1 (if Float.abs x.(0) < 1e-12 then 1.0 else nan), csr_1x1 1e-6));
-      source = (fun t -> [| cos (2.0 *. pi *. 1e3 *. t) |]);
-      fast = None;
+      jacobian_refresher = rebuild_always;
     }
   in
   let system, grid = mpde_fixture dae in

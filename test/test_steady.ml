@@ -353,18 +353,11 @@ let structure_dae b =
   in
   {
     Numeric.Dae.size = 2;
-    eval_f = f;
-    eval_q = (fun _ -> [| 0.0; 0.0 |]);
+    eval_f_into = (fun x out -> Array.blit (f x) 0 out 0 2);
+    eval_q_into = (fun _ out -> Array.fill out 0 2 0.0);
+    source_into = (fun _ out -> Array.blit b 0 out 0 2);
     jacobians = (fun x -> (g x, c));
-    source = (fun _ -> Array.copy b);
-    fast =
-      Some
-        {
-          Numeric.Dae.eval_f_into = (fun x out -> Array.blit (f x) 0 out 0 2);
-          eval_q_into = (fun _ out -> Array.fill out 0 2 0.0);
-          source_into = (fun _ out -> Array.blit b 0 out 0 2);
-          jacobian_refresher = (fun () -> refresh);
-        };
+    jacobian_refresher = (fun () -> refresh);
   }
 
 (* The structure count moves on a pattern rebuild and on a fresh factor
@@ -532,6 +525,43 @@ let test_health_kappa_bitwise () =
   let kappa = Option.get h.Diagnostics.Health.condition_estimate in
   Alcotest.(check string) "rc kappa bits" "408f4170ce28755d"
     (Printf.sprintf "%016Lx" (Int64.bits_of_float kappa))
+
+(* Bitwise pins on the collocation path: periodic FD and harmonic
+   balance at the [rfss solve] defaults, and one frozen MPDE fast
+   column away from t2 = 0. Recorded while the collocation kernel
+   still evaluated q, f and b through allocating callbacks: evaluating
+   them in place must give the same bits. *)
+let catalog_hash name kind =
+  let fixture = Result.get_ok (Serve.Catalog.find name) in
+  let problem =
+    Serve.Catalog.problem_of fixture ~f_fast:fixture.Serve.Catalog.default_fast
+      ~fd:fixture.Serve.Catalog.default_fd
+  in
+  let r = Engine.run problem (Engine.make kind) in
+  Alcotest.(check bool) "converged" true r.Engine.Result.converged;
+  Engine.Checkpoint.waveform_hash r.Engine.Result.waveform
+
+let test_periodic_fd_detector_bitwise () =
+  Alcotest.(check string) "periodic-fd detector" "3b12928d9490b51e"
+    (catalog_hash "detector" Engine.Periodic_fd)
+
+let test_hb_unbalanced_mixer_bitwise () =
+  Alcotest.(check string) "hb unbalanced mixer" "7ab2dee7cb5e6a01"
+    (catalog_hash "unbalanced-mixer" Engine.Hb)
+
+let test_frozen_column_bitwise () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+  let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+  let shear = Mpde.Shear.make ~fast_freq:f_lo ~slow_freq:fd in
+  let sys = Mpde.Assemble.of_mna ~shear mna in
+  let column =
+    Mpde.Fast_column.frozen_column ~seed:(Circuit.Dcop.solve_exn mna) sys ~n1:40 ~shear
+      ~t2:(0.37 *. Mpde.Shear.t2_period shear)
+  in
+  Alcotest.(check string) "frozen column" "25c14d14c2d4d180"
+    (Engine.Checkpoint.waveform_hash
+       { Engine.Result.times = [||]; values = Array.concat (Array.to_list column) })
 
 (* ---------- Periodic FD ---------- *)
 
@@ -710,6 +740,9 @@ let () =
           Alcotest.test_case "mpde warm start one step" `Quick test_mpde_warm_start_bitwise;
           Alcotest.test_case "mpde direct mixer 16x10" `Quick test_mpde_direct_bitwise;
           Alcotest.test_case "health kappa rc" `Quick test_health_kappa_bitwise;
+          Alcotest.test_case "periodic-fd detector" `Quick test_periodic_fd_detector_bitwise;
+          Alcotest.test_case "hb unbalanced mixer" `Quick test_hb_unbalanced_mixer_bitwise;
+          Alcotest.test_case "frozen column balanced mixer" `Quick test_frozen_column_bitwise;
         ] );
       ( "periodic_fd",
         [
