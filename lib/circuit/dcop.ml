@@ -12,21 +12,23 @@ type report = {
 }
 
 (* DC problem at source scaling [source_scale] with extra gmin loading
-   [extra_gmin] on the node rows. *)
+   [extra_gmin] on the node rows. The residual loads f and G at its
+   iterate in one device pass, and the solve at that iterate (Newton's
+   next call) factors that G ([Numeric.Stacked], one point). *)
 let dc_problem mna ~source_scale ~extra_gmin =
   let nodes = Mna.num_nodes mna in
+  let n = Mna.size mna in
   let b0 = Mna.source_with mna ~phase_of:(fun _ -> 0.0) in
-  let dae = Mna.dae mna in
+  let point = Numeric.Stacked.create (Mna.dae mna) ~points:1 in
   let residual_into x r =
-    dae.Numeric.Dae.eval_f_into x r;
-    for i = 0 to Mna.size mna - 1 do
+    Numeric.Stacked.load point x ~f:r;
+    for i = 0 to n - 1 do
       let load = if i < nodes then extra_gmin *. x.(i) else 0.0 in
       r.(i) <- r.(i) +. load -. (source_scale *. b0.(i))
     done
   in
   let solve_into x r delta =
-    let g, _ = dae.Numeric.Dae.jacobians x in
-    let n = Mna.size mna in
+    let g, _ = (Numeric.Stacked.jacobians point x).(0) in
     let coo = Sparse.Coo.create ~capacity:(Sparse.Csr.nnz g + n) n n in
     for i = 0 to n - 1 do
       Sparse.Csr.iter_row g i (fun j v -> Sparse.Coo.add coo i j v);

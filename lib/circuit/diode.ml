@@ -14,25 +14,26 @@ let default =
    preserving C¹ continuity, the standard SPICE junction treatment. *)
 let v_crit p = p.ideality *. thermal_voltage *. 40.0
 
-let current p v =
+let v_slot = 0
+let current_slot = 1
+let conductance_slot = 2
+let charge_slot = 3
+let buffer_size = 4
+
+(* Current and conductance share one exponential. *)
+let evaluate_into p out =
+  let v = out.(v_slot) in
+  out.(charge_slot) <- p.junction_cap *. v;
   let vt = p.ideality *. thermal_voltage in
   let vc = v_crit p in
-  let core =
-    if v <= vc then p.saturation_current *. (exp (v /. vt) -. 1.0)
-    else begin
-      let e = exp (vc /. vt) in
-      p.saturation_current *. ((e -. 1.0) +. (e /. vt *. (v -. vc)))
-    end
-  in
-  core +. (p.gmin *. v)
-
-let conductance p v =
-  let vt = p.ideality *. thermal_voltage in
-  let vc = v_crit p in
-  let core =
-    if v <= vc then p.saturation_current /. vt *. exp (v /. vt)
-    else p.saturation_current /. vt *. exp (vc /. vt)
-  in
-  core +. p.gmin
-
-let charge p v = p.junction_cap *. v
+  if v <= vc then begin
+    let e = exp (v /. vt) in
+    out.(current_slot) <- (p.saturation_current *. (e -. 1.0)) +. (p.gmin *. v);
+    out.(conductance_slot) <- (p.saturation_current /. vt *. e) +. p.gmin
+  end
+  else begin
+    let e = exp (vc /. vt) in
+    out.(current_slot) <-
+      (p.saturation_current *. ((e -. 1.0) +. (e /. vt *. (v -. vc)))) +. (p.gmin *. v);
+    out.(conductance_slot) <- (p.saturation_current /. vt *. e) +. p.gmin
+  end

@@ -14,12 +14,28 @@ val default : params
 val thermal_voltage : float
 (** kT/q at 300 K. *)
 
-val current : params -> float -> float
-(** [current p v] is the anode-to-cathode current at junction voltage
-    [v]. Above the critical voltage the exponential is continued
-    linearly (first-order Taylor) so Newton never overflows. *)
+(** {2 Evaluation in a caller-owned buffer}
 
-val conductance : params -> float -> float
-(** d(current)/dv — consistent with {!current}'s linear continuation. *)
+    As {!Mosfet.evaluate_into}: the model reads the junction voltage
+    from one slot of a float array the caller owns and writes the
+    current, the conductance and the charge into three others,
+    computing the exponential once for the first two. A call allocates
+    nothing. *)
 
-val charge : params -> float -> float
+val v_slot : int
+(** Input: anode-to-cathode junction voltage [v]. *)
+
+val current_slot : int
+(** Output: the anode-to-cathode current. Above the critical voltage
+    the exponential is continued linearly (first-order Taylor) so
+    Newton never overflows. *)
+
+val conductance_slot : int
+(** Output: d(current)/dv, consistent with the linear continuation. *)
+
+val charge_slot : int
+(** Output: the junction charge [junction_cap · v]. *)
+
+val buffer_size : int
+
+val evaluate_into : params -> float array -> unit

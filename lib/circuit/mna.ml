@@ -1,3 +1,16 @@
+(* A recorded stamp stream (see [sink] below): stamp k goes to row
+   [rows.(k)], column [cols.(k)]; it is variable when [var.(k) >= 0],
+   its index among the [vars] variable stamps, and a constant of value
+   [value.(k)] otherwise. *)
+type stream = {
+  mutable len : int;
+  mutable rows : int array;
+  mutable cols : int array;
+  mutable var : int array;
+  mutable value : float array;
+  mutable vars : int;
+}
+
 type t = {
   netlist : Netlist.t;
   size : int;
@@ -7,12 +20,16 @@ type t = {
       (* devices.(d)'s branch-current unknown, or -1 when it has none *)
   branches : (string * int) list;  (* device name -> unknown index *)
   gmin : float;
+  g_stream : stream;  (* G's and C's stamp streams, recorded at build *)
+  c_stream : stream;
 }
+
+let new_stream () = { len = 0; rows = [||]; cols = [||]; var = [||]; value = [||]; vars = 0 }
 
 (* The device list and every branch index are resolved once here, so
    the per-evaluation loops below walk an array and read an int
    instead of rebuilding the list and searching it by name. *)
-let build ?(gmin = 1e-12) netlist =
+let make ?(gmin = 1e-12) netlist =
   let nodes = Netlist.num_nodes netlist in
   let devices = Array.of_list (Netlist.devices netlist) in
   let branch = Array.make (Array.length devices) (-1) in
@@ -34,6 +51,8 @@ let build ?(gmin = 1e-12) netlist =
     branch;
     branches = List.rev !branches;
     gmin;
+    g_stream = new_stream ();
+    c_stream = new_stream ();
   }
 
 let size m = m.size
@@ -74,220 +93,203 @@ let[@inline] add_node vec n value = if n > 0 then vec.(n - 1) <- vec.(n - 1) +. 
 let[@inline] add_row vec r value = vec.(r) <- vec.(r) +. value
 
 (* The device models read their voltages from, and write their currents
-   and conductances into, a caller-owned buffer ({!Mosfet.evaluate_into},
-   {!Bjt.evaluate_into}). This module is that caller, with one buffer
-   per domain: an evaluation runs start to finish on one domain, so no
-   two evaluations ever write one buffer at once, whoever shares the
-   [t]. *)
+   and conductances into, a caller-owned buffer ({!Diode.evaluate_into},
+   {!Mosfet.evaluate_into}, {!Bjt.evaluate_into}). This module is that
+   caller, with one buffer per domain: an evaluation runs start to
+   finish on one domain, so no two evaluations ever write one buffer at
+   once, whoever shares the [t]. *)
 let model_buffer =
-  Domain.DLS.new_key (fun () -> Array.make (max Mosfet.buffer_size Bjt.buffer_size) 0.0)
+  Domain.DLS.new_key (fun () ->
+      Array.make (max Diode.buffer_size (max Mosfet.buffer_size Bjt.buffer_size)) 0.0)
 
-let eval_f_into m x f =
-  Array.fill f 0 m.size 0.0;
+(* Where a Jacobian stamp goes. Every device stamps the same positions
+   in the same order at every iterate; only the values of its
+   variable stamps change (a nonlinear model's conductances). The
+   constant stamps are C's (every charge model here is linear), the
+   linear devices' and gmin. [Build] collects triplets for a fresh CSR
+   ([Coo.add] skips exact zeros, so the built pattern can depend on
+   the iterate). [Record] notes each position, zeros included, with a
+   constant's value: the stream. [Load] keeps only the variable
+   values, in stream order; the walk skips the constant stamps. *)
+type vars = { mutable vals : float array; mutable pos : int }
+
+type sink = Build of Sparse.Coo.t | Record of stream | Load of vars
+
+let grow s =
+  let grow a fill =
+    let b = Array.make (max 16 (2 * s.len)) fill in
+    Array.blit a 0 b 0 s.len;
+    b
+  in
+  s.rows <- grow s.rows 0;
+  s.cols <- grow s.cols 0;
+  s.var <- grow s.var 0;
+  s.value <- grow s.value 0.0
+
+(* Inlined, so that [value] is never boxed. *)
+let[@inline] record s i j ~variable value =
+  if s.len = Array.length s.rows then grow s;
+  s.rows.(s.len) <- i;
+  s.cols.(s.len) <- j;
+  s.value.(s.len) <- value;
+  if variable then begin
+    s.var.(s.len) <- s.vars;
+    s.vars <- s.vars + 1
+  end
+  else s.var.(s.len) <- -1;
+  s.len <- s.len + 1
+
+(* [i], [j] are 0-based unknown indices. *)
+let[@inline] put_var sink i j value =
+  match sink with
+  | Load l ->
+      l.vals.(l.pos) <- value;
+      l.pos <- l.pos + 1
+  | Build coo -> Sparse.Coo.add coo i j value
+  | Record s -> record s i j ~variable:true value
+
+let[@inline] put_const sink i j value =
+  match sink with
+  | Load _ -> ()
+  | Build coo -> Sparse.Coo.add coo i j value
+  | Record s -> record s i j ~variable:false value
+
+(* Node-indexed stamps: ground rows and columns absorb them. *)
+let[@inline] var sink r c value = if r > 0 && c > 0 then put_var sink (r - 1) (c - 1) value
+let[@inline] const sink r c value = if r > 0 && c > 0 then put_const sink (r - 1) (c - 1) value
+
+(* A two-terminal conductance/capacitance between nodes p and n. *)
+let[@inline] var_pair sink p n value =
+  var sink p p value;
+  var sink p n (-.value);
+  var sink n p (-.value);
+  var sink n n value
+
+let[@inline] const_pair sink p n value =
+  const sink p p value;
+  const sink p n (-.value);
+  const sink n p (-.value);
+  const sink n n value
+
+(* BJT row [row] by the chain rule with vbe = vb − ve, vbc = vb − vc. *)
+let[@inline] stamp_bjt_row g ~base ~emitter ~collector row d_vbe d_vbc =
+  var g row base (d_vbe +. d_vbc);
+  var g row emitter (-.d_vbe);
+  var g row collector (-.d_vbc)
+
+let[@inline] stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va ~vb sign
+    row =
+  var g row a_plus (sign *. gain *. vb);
+  var g row a_minus (-.(sign *. gain *. vb));
+  var g row b_plus (sign *. gain *. va);
+  var g row b_minus (-.(sign *. gain *. va))
+
+(* A branch current k between nodes p and n: ±i_k in the KCL rows and
+   v_p − v_n in row k. *)
+let[@inline] stamp_branch g ~n_plus ~n_minus k =
+  if n_plus > 0 then put_const g (n_plus - 1) k 1.0;
+  if n_minus > 0 then put_const g (n_minus - 1) k (-1.0);
+  if n_plus > 0 then put_const g k (n_plus - 1) 1.0;
+  if n_minus > 0 then put_const g k (n_minus - 1) (-1.0)
+
+(* The one device walk: q and f at [x] into [q] and [f], G's stamps into
+   [g] and C's into [c]. The constant stamps are emitted only when
+   [consts]; the variable ones always, in the same order, so a [Load]
+   walk's k-th value is the recorded stream's k-th variable stamp.
+   f and q take their terms in the order of the stamps, gmin first. *)
+let walk m x ~q ~f ~consts g c =
+  for k = 0 to m.size - 1 do
+    f.(k) <- 0.0;
+    q.(k) <- 0.0
+  done;
   let out = Domain.DLS.get model_buffer in
   (* gmin loading on node rows *)
   if m.gmin > 0.0 then
     for k = 0 to m.nodes - 1 do
-      f.(k) <- f.(k) +. (m.gmin *. x.(k))
+      f.(k) <- f.(k) +. (m.gmin *. x.(k));
+      if consts then put_const g k k m.gmin
     done;
   for d = 0 to Array.length m.devices - 1 do
     match m.devices.(d) with
     | Device.Resistor { n_plus; n_minus; resistance; _ } ->
         let i = (v_of x n_plus -. v_of x n_minus) /. resistance in
         add_node f n_plus i;
-        add_node f n_minus (-.i)
-    | Device.Capacitor _ -> ()
-    | Device.Inductor { n_plus; n_minus; _ } ->
+        add_node f n_minus (-.i);
+        if consts then const_pair g n_plus n_minus (1.0 /. resistance)
+    | Device.Capacitor { n_plus; n_minus; capacitance; _ } ->
+        let charge = capacitance *. (v_of x n_plus -. v_of x n_minus) in
+        add_node q n_plus charge;
+        add_node q n_minus (-.charge);
+        if consts then const_pair c n_plus n_minus capacitance
+    | Device.Inductor { n_plus; n_minus; inductance; _ } ->
         let k = m.branch.(d) in
         let il = x.(k) in
         add_node f n_plus il;
         add_node f n_minus (-.il);
-        add_row f k (v_of x n_plus -. v_of x n_minus)
+        add_row f k (v_of x n_plus -. v_of x n_minus);
+        add_row q k (-.(inductance *. il));
+        (* KCL rows get ±i_l; branch row is v+ − v− with flux −L·i. *)
+        if consts then begin
+          stamp_branch g ~n_plus ~n_minus k;
+          put_const c k k (-.inductance)
+        end
     | Device.Voltage_source { n_plus; n_minus; _ } ->
         let k = m.branch.(d) in
         let i = x.(k) in
         add_node f n_plus i;
         add_node f n_minus (-.i);
-        add_row f k (v_of x n_plus -. v_of x n_minus)
+        add_row f k (v_of x n_plus -. v_of x n_minus);
+        if consts then stamp_branch g ~n_plus ~n_minus k
     | Device.Current_source _ -> ()
     | Device.Diode { anode; cathode; params; _ } ->
         let v = v_of x anode -. v_of x cathode in
-        let i = Diode.current params v in
+        out.(Diode.v_slot) <- v;
+        Diode.evaluate_into params out;
+        let i = out.(Diode.current_slot) in
         add_node f anode i;
-        add_node f cathode (-.i)
+        add_node f cathode (-.i);
+        let charge = out.(Diode.charge_slot) in
+        add_node q anode charge;
+        add_node q cathode (-.charge);
+        var_pair g anode cathode out.(Diode.conductance_slot);
+        if consts && params.Diode.junction_cap > 0.0 then
+          const_pair c anode cathode params.Diode.junction_cap
     | Device.Mosfet { drain; gate; source; params; _ } ->
         out.(Mosfet.vgs_slot) <- v_of x gate -. v_of x source;
         out.(Mosfet.vds_slot) <- v_of x drain -. v_of x source;
         Mosfet.evaluate_into params out;
         let ids = out.(Mosfet.ids_slot) in
         add_node f drain ids;
-        add_node f source (-.ids)
+        add_node f source (-.ids);
+        let qgs = params.Mosfet.cgs *. (v_of x gate -. v_of x source) in
+        let qgd = params.Mosfet.cgd *. (v_of x gate -. v_of x drain) in
+        add_node q gate (qgs +. qgd);
+        add_node q source (-.qgs);
+        add_node q drain (-.qgd);
+        let gm = out.(Mosfet.gm_slot) and gds = out.(Mosfet.gds_slot) in
+        (* ids rows: +drain, −source; columns d, g, s. *)
+        var g drain drain gds;
+        var g drain gate gm;
+        var g drain source (-.(gm +. gds));
+        var g source drain (-.gds);
+        var g source gate (-.gm);
+        var g source source (gm +. gds);
+        if consts then begin
+          const_pair c gate source params.Mosfet.cgs;
+          const_pair c gate drain params.Mosfet.cgd
+        end
     | Device.Bjt { collector; base; emitter; params; _ } ->
         out.(Bjt.vbe_slot) <- v_of x base -. v_of x emitter;
         out.(Bjt.vbc_slot) <- v_of x base -. v_of x collector;
         Bjt.evaluate_into params out;
         add_node f collector out.(Bjt.ic_slot);
         add_node f base out.(Bjt.ib_slot);
-        add_node f emitter out.(Bjt.ie_slot)
-    | Device.Vccs { out_plus; out_minus; in_plus; in_minus; gm; _ } ->
-        let i = gm *. (v_of x in_plus -. v_of x in_minus) in
-        add_node f out_plus i;
-        add_node f out_minus (-.i)
-    | Device.Multiplier { out_plus; out_minus; a_plus; a_minus; b_plus; b_minus; gain; _ }
-      ->
-        let va = v_of x a_plus -. v_of x a_minus in
-        let vb = v_of x b_plus -. v_of x b_minus in
-        let i = gain *. va *. vb in
-        add_node f out_plus i;
-        add_node f out_minus (-.i)
-  done
-
-let eval_q_into m x q =
-  Array.fill q 0 m.size 0.0;
-  for d = 0 to Array.length m.devices - 1 do
-    match m.devices.(d) with
-    | Device.Capacitor { n_plus; n_minus; capacitance; _ } ->
-        let charge = capacitance *. (v_of x n_plus -. v_of x n_minus) in
-        add_node q n_plus charge;
-        add_node q n_minus (-.charge)
-    | Device.Inductor { inductance; _ } ->
-        let k = m.branch.(d) in
-        add_row q k (-.(inductance *. x.(k)))
-    | Device.Diode { anode; cathode; params; _ } ->
-        let v = v_of x anode -. v_of x cathode in
-        let charge = Diode.charge params v in
-        add_node q anode charge;
-        add_node q cathode (-.charge)
-    | Device.Mosfet { drain; gate; source; params; _ } ->
-        let qgs = params.Mosfet.cgs *. (v_of x gate -. v_of x source) in
-        let qgd = params.Mosfet.cgd *. (v_of x gate -. v_of x drain) in
-        add_node q gate (qgs +. qgd);
-        add_node q source (-.qgs);
-        add_node q drain (-.qgd)
-    | Device.Bjt { collector; base; emitter; params; _ } ->
+        add_node f emitter out.(Bjt.ie_slot);
         let qbe = params.Bjt.cbe *. (v_of x base -. v_of x emitter) in
         let qbc = params.Bjt.cbc *. (v_of x base -. v_of x collector) in
         add_node q base (qbe +. qbc);
         add_node q emitter (-.qbe);
-        add_node q collector (-.qbc)
-    | Device.Resistor _ | Device.Voltage_source _ | Device.Current_source _
-    | Device.Vccs _ | Device.Multiplier _ ->
-        ()
-  done
-
-(* Where a Jacobian stamp goes. Every device stamps the same positions
-   in the same order at every iterate; only the values change. [Build]
-   collects triplets for a fresh CSR ([Coo.add] skips exact zeros, so
-   the built pattern can depend on the iterate). [Record] notes each
-   position, zeros included: the stream. [Replay] adds stream entry k
-   into value slot [slots.(k)] of a frozen pattern, or, where the
-   pattern has no slot, notes drift unless the value is exactly 0. *)
-type positions = { mutable len : int; mutable rows : int array; mutable cols : int array }
-
-type replay = {
-  mutable slots : int array;
-  mutable values : float array;
-  mutable pos : int;
-  mutable fits : bool;
-}
-
-type sink = Build of Sparse.Coo.t | Record of positions | Replay of replay
-
-let record ps i j =
-  if ps.len = Array.length ps.rows then begin
-    let grow a = Array.append a (Array.make (max 16 ps.len) 0) in
-    ps.rows <- grow ps.rows;
-    ps.cols <- grow ps.cols
-  end;
-  ps.rows.(ps.len) <- i;
-  ps.cols.(ps.len) <- j;
-  ps.len <- ps.len + 1
-
-(* [i], [j] are 0-based unknown indices. *)
-let[@inline] put sink i j value =
-  match sink with
-  | Replay r ->
-      let k = r.pos in
-      r.pos <- k + 1;
-      let s = r.slots.(k) in
-      if s >= 0 then r.values.(s) <- r.values.(s) +. value
-      else if value <> 0.0 then r.fits <- false
-  | Build coo -> Sparse.Coo.add coo i j value
-  | Record ps -> record ps i j
-
-(* Node-indexed stamp: ground rows and columns absorb it. *)
-let[@inline] add_jac sink r c value = if r > 0 && c > 0 then put sink (r - 1) (c - 1) value
-
-(* Stamp a two-terminal conductance/capacitance between nodes p and n. *)
-let[@inline] stamp_pair sink p n value =
-  add_jac sink p p value;
-  add_jac sink p n (-.value);
-  add_jac sink n p (-.value);
-  add_jac sink n n value
-
-(* BJT row [row] by the chain rule with vbe = vb − ve, vbc = vb − vc. *)
-let[@inline] stamp_bjt_row g ~base ~emitter ~collector row d_vbe d_vbc =
-  add_jac g row base (d_vbe +. d_vbc);
-  add_jac g row emitter (-.d_vbe);
-  add_jac g row collector (-.d_vbc)
-
-let[@inline] stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va ~vb sign
-    row =
-  add_jac g row a_plus (sign *. gain *. vb);
-  add_jac g row a_minus (-.(sign *. gain *. vb));
-  add_jac g row b_plus (sign *. gain *. va);
-  add_jac g row b_minus (-.(sign *. gain *. va))
-
-let stamp_jacobians m x g c =
-  let out = Domain.DLS.get model_buffer in
-  if m.gmin > 0.0 then
-    for k = 0 to m.nodes - 1 do
-      put g k k m.gmin
-    done;
-  for d = 0 to Array.length m.devices - 1 do
-    match m.devices.(d) with
-    | Device.Resistor { n_plus; n_minus; resistance; _ } ->
-        stamp_pair g n_plus n_minus (1.0 /. resistance)
-    | Device.Capacitor { n_plus; n_minus; capacitance; _ } ->
-        stamp_pair c n_plus n_minus capacitance
-    | Device.Inductor { n_plus; n_minus; inductance; _ } ->
-        let k = m.branch.(d) in
-        (* KCL rows get ±i_l; branch row is v+ − v− with flux −L·i. *)
-        if n_plus > 0 then put g (n_plus - 1) k 1.0;
-        if n_minus > 0 then put g (n_minus - 1) k (-1.0);
-        if n_plus > 0 then put g k (n_plus - 1) 1.0;
-        if n_minus > 0 then put g k (n_minus - 1) (-1.0);
-        put c k k (-.inductance)
-    | Device.Voltage_source { n_plus; n_minus; _ } ->
-        let k = m.branch.(d) in
-        if n_plus > 0 then put g (n_plus - 1) k 1.0;
-        if n_minus > 0 then put g (n_minus - 1) k (-1.0);
-        if n_plus > 0 then put g k (n_plus - 1) 1.0;
-        if n_minus > 0 then put g k (n_minus - 1) (-1.0)
-    | Device.Current_source _ -> ()
-    | Device.Diode { anode; cathode; params; _ } ->
-        let v = v_of x anode -. v_of x cathode in
-        stamp_pair g anode cathode (Diode.conductance params v);
-        if params.Diode.junction_cap > 0.0 then
-          stamp_pair c anode cathode params.Diode.junction_cap
-    | Device.Mosfet { drain; gate; source; params; _ } ->
-        out.(Mosfet.vgs_slot) <- v_of x gate -. v_of x source;
-        out.(Mosfet.vds_slot) <- v_of x drain -. v_of x source;
-        Mosfet.evaluate_into params out;
-        let gm = out.(Mosfet.gm_slot) and gds = out.(Mosfet.gds_slot) in
-        (* ids rows: +drain, −source; columns d, g, s. *)
-        add_jac g drain drain gds;
-        add_jac g drain gate gm;
-        add_jac g drain source (-.(gm +. gds));
-        add_jac g source drain (-.gds);
-        add_jac g source gate (-.gm);
-        add_jac g source source (gm +. gds);
-        stamp_pair c gate source params.Mosfet.cgs;
-        stamp_pair c gate drain params.Mosfet.cgd
-    | Device.Bjt { collector; base; emitter; params; _ } ->
-        out.(Bjt.vbe_slot) <- v_of x base -. v_of x emitter;
-        out.(Bjt.vbc_slot) <- v_of x base -. v_of x collector;
-        Bjt.evaluate_into params out;
+        add_node q collector (-.qbc);
         let ic_be = out.(Bjt.d_ic_d_vbe_slot) and ic_bc = out.(Bjt.d_ic_d_vbc_slot) in
         let ib_be = out.(Bjt.d_ib_d_vbe_slot) and ib_bc = out.(Bjt.d_ib_d_vbc_slot) in
         stamp_bjt_row g ~base ~emitter ~collector collector ic_be ic_bc;
@@ -295,93 +297,186 @@ let stamp_jacobians m x g c =
         stamp_bjt_row g ~base ~emitter ~collector emitter
           (-.(ic_be +. ib_be))
           (-.(ic_bc +. ib_bc));
-        stamp_pair c base emitter params.Bjt.cbe;
-        stamp_pair c base collector params.Bjt.cbc
+        if consts then begin
+          const_pair c base emitter params.Bjt.cbe;
+          const_pair c base collector params.Bjt.cbc
+        end
     | Device.Vccs { out_plus; out_minus; in_plus; in_minus; gm; _ } ->
-        add_jac g out_plus in_plus gm;
-        add_jac g out_plus in_minus (-.gm);
-        add_jac g out_minus in_plus (-.gm);
-        add_jac g out_minus in_minus gm
+        let i = gm *. (v_of x in_plus -. v_of x in_minus) in
+        add_node f out_plus i;
+        add_node f out_minus (-.i);
+        if consts then begin
+          const g out_plus in_plus gm;
+          const g out_plus in_minus (-.gm);
+          const g out_minus in_plus (-.gm);
+          const g out_minus in_minus gm
+        end
     | Device.Multiplier { out_plus; out_minus; a_plus; a_minus; b_plus; b_minus; gain; _ }
       ->
         let va = v_of x a_plus -. v_of x a_minus in
         let vb = v_of x b_plus -. v_of x b_minus in
+        let i = gain *. va *. vb in
+        add_node f out_plus i;
+        add_node f out_minus (-.i);
         stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va ~vb 1.0 out_plus;
         stamp_multiplier_row g ~a_plus ~a_minus ~b_plus ~b_minus ~gain ~va ~vb (-1.0)
           out_minus
   done
 
+(* The recorded streams bound the triplet counts. *)
 let jacobians m x =
-  let g_coo = Sparse.Coo.create ~capacity:(8 * m.size) m.size m.size in
-  let c_coo = Sparse.Coo.create ~capacity:(4 * m.size) m.size m.size in
-  stamp_jacobians m x (Build g_coo) (Build c_coo);
+  let g_coo = Sparse.Coo.create ~capacity:m.g_stream.len m.size m.size in
+  let c_coo = Sparse.Coo.create ~capacity:m.c_stream.len m.size m.size in
+  let scratch = Array.make m.size 0.0 in
+  walk m x ~q:scratch ~f:scratch ~consts:true (Build g_coo) (Build c_coo);
   (Sparse.Csr.of_coo g_coo, Sparse.Csr.of_coo c_coo)
 
-(* One slot map per distinct pattern structure a refresher is handed.
+(* A stream compiled against one pattern. Each slot's run of constant
+   stamps before its first variable stamp is summed, from 0.0 and in
+   stream order, into [base]; the rest of the stream — every variable
+   stamp and each constant that follows a variable stamp in its slot —
+   is replayed in stream order: entry e adds [vals.(src.(e))] (or
+   [const.(e)] where [src.(e) < 0]) into value slot [slot.(e)], or,
+   where the pattern has no slot, is drift unless exactly 0. Each slot
+   so takes the additions a rebuild sums, in the order [of_coo] sums
+   them, from the same start: the values are a rebuild's bit for bit.
+   [fits] is false when a constant that is not exactly 0 has no slot.
    [key] is the [col_idx] array this structure was last seen with: a
    caller that keeps its pattern arrays (Assemble interns its per-point
    patterns) hits by physical equality, and a rebuilt but structurally
    equal pattern is found by comparison and becomes the new key. The
-   list grows only with distinct structures, and a circuit has few: one
-   per set of stamps that are exactly 0.0 at a rebuild. *)
-type slot_map = { mutable key : int array; row_ptr : int array; slot_of : int array }
+   list of programs grows only with distinct structures, and a circuit
+   has few: one per set of stamps that are exactly 0.0 at a rebuild. *)
+type program = {
+  mutable key : int array;
+  row_ptr : int array;
+  base : float array;
+  slot : int array;
+  src : int array;
+  const : float array;
+  fits : bool;
+  vars : int;
+}
+
+let compile (s : stream) (a : Sparse.Csr.t) =
+  let nnz = Array.length a.Sparse.Csr.values in
+  let base = Array.make nnz 0.0 and varied = Bytes.make nnz '0' in
+  let slot_of k =
+    let i = s.rows.(k) in
+    if i >= a.Sparse.Csr.rows then -1 else Sparse.Csr.slot a i s.cols.(k)
+  in
+  (* Pass 1 folds each slot's leading constants into [base] and counts
+     the replayed stamps; pass 2 lists them, the same ones in the same
+     order: a slot is marked varied at its first variable stamp. *)
+  let fits = ref true and count = ref 0 in
+  for k = 0 to s.len - 1 do
+    let sl = slot_of k in
+    if s.var.(k) >= 0 then begin
+      if sl >= 0 then Bytes.set varied sl '1';
+      incr count
+    end
+    else if sl < 0 then (if s.value.(k) <> 0.0 then fits := false)
+    else if Bytes.get varied sl = '1' then incr count
+    else base.(sl) <- base.(sl) +. s.value.(k)
+  done;
+  let slot = Array.make !count 0 and src = Array.make !count 0 in
+  let const = Array.make !count 0.0 in
+  Bytes.fill varied 0 nnz '0';
+  let e = ref 0 in
+  for k = 0 to s.len - 1 do
+    let sl = slot_of k in
+    let var = s.var.(k) in
+    if var >= 0 || (sl >= 0 && Bytes.get varied sl = '1') then begin
+      if var >= 0 && sl >= 0 then Bytes.set varied sl '1';
+      slot.(!e) <- sl;
+      src.(!e) <- var;
+      if var < 0 then const.(!e) <- s.value.(k);
+      incr e
+    end
+  done;
+  {
+    key = a.Sparse.Csr.col_idx;
+    row_ptr = a.Sparse.Csr.row_ptr;
+    base;
+    slot;
+    src;
+    const;
+    fits = !fits;
+    vars = s.vars;
+  }
 
 let rec by_key col_idx = function
   | [] -> raise Not_found
-  | m :: rest -> if m.key == col_idx then m.slot_of else by_key col_idx rest
+  | p :: rest -> if p.key == col_idx then p else by_key col_idx rest
 
-let slots_for maps (ps : positions) (a : Sparse.Csr.t) =
+let program_for programs stream (a : Sparse.Csr.t) =
   let col_idx = a.Sparse.Csr.col_idx in
-  try by_key col_idx !maps
+  try by_key col_idx !programs
   with Not_found -> (
-    let same m = m.row_ptr = a.Sparse.Csr.row_ptr && m.key = col_idx in
-    match List.find_opt same !maps with
-    | Some m ->
-        m.key <- col_idx;
-        m.slot_of
+    let same p = p.row_ptr = a.Sparse.Csr.row_ptr && p.key = col_idx in
+    match List.find_opt same !programs with
+    | Some p ->
+        p.key <- col_idx;
+        p
     | None ->
         Telemetry.count "mna.slot_maps";
-        let slot k =
-          let i = ps.rows.(k) in
-          if i >= a.Sparse.Csr.rows then -1 else Sparse.Csr.slot a i ps.cols.(k)
-        in
-        let slot_of = Array.init ps.len slot in
-        maps := { key = col_idx; row_ptr = a.Sparse.Csr.row_ptr; slot_of } :: !maps;
-        slot_of)
+        let p = compile stream a in
+        programs := p :: !programs;
+        p)
 
-(* Numeric-refresh path for the symbolic/numeric assembly split. The
-   first call records the stamp stream; each distinct G/C pattern then
-   gets one map from stream position to value slot. A refresh replays
-   the stream into those slots in stream order — the order [of_coo]
-   sums duplicates in — so refreshed values are bitwise equal to a
-   rebuild (adding an exact zero never changes a running sum that
-   starts at +0). A nonzero stamp with no slot (a stamp that was
+(* The values of [a] from [p]: the base, then the replayed entries.
+   Plain loops: these arrays are short, and [Array.blit] costs a C
+   call. The indices are checked once here: [compile] made every slot
+   less than [base]'s length and every source less than the stream's
+   variable count, which is [vals]'s length. *)
+let replay p (vals : float array) (a : Sparse.Csr.t) =
+  let values = a.Sparse.Csr.values and base = p.base in
+  if Array.length values <> Array.length base || Array.length vals <> p.vars then
+    invalid_arg "Mna.load: pattern mismatch";
+  for s = 0 to Array.length base - 1 do
+    Array.unsafe_set values s (Array.unsafe_get base s)
+  done;
+  let fits = ref p.fits in
+  let slot = p.slot and src = p.src and const = p.const in
+  for e = 0 to Array.length slot - 1 do
+    let k = Array.unsafe_get src e in
+    let v = if k >= 0 then Array.unsafe_get vals k else Array.unsafe_get const e in
+    let s = Array.unsafe_get slot e in
+    if s >= 0 then Array.unsafe_set values s (Array.unsafe_get values s +. v)
+    else if v <> 0.0 then fits := false
+  done;
+  !fits
+
+(* The stamp stream depends on the circuit alone — the positions, which
+   stamps are variable, the constants' values — so it is recorded once,
+   here, at the zero state; it is never written again, and loads on
+   every domain read it. *)
+let build ?gmin netlist =
+  let m = make ?gmin netlist in
+  (* q and f are not kept: one scratch vector takes both. *)
+  let scratch = Array.make m.size 0.0 in
+  walk m (Array.make m.size 0.0) ~q:scratch ~f:scratch ~consts:true (Record m.g_stream)
+    (Record m.c_stream);
+  m
+
+(* The one-pass load. Each distinct G/C pattern gets one compiled
+   program of the circuit's streams. A load walks the devices once —
+   q, f and the variable stamps' values — and writes G and C from
+   their programs. A nonzero stamp with no slot (a stamp that was
    exactly 0.0 when the pattern was built) is drift: [false], and the
    caller rebuilds. *)
-let jacobian_refresher m () =
-  let g_stream = { len = 0; rows = [||]; cols = [||] } in
-  let c_stream = { len = 0; rows = [||]; cols = [||] } in
-  let recorded = ref false in
-  let g_maps = ref [] and c_maps = ref [] in
-  let g_replay = { slots = [||]; values = [||]; pos = 0; fits = true } in
-  let c_replay = { slots = [||]; values = [||]; pos = 0; fits = true } in
-  let g_sink = Replay g_replay and c_sink = Replay c_replay in
-  let arm r slots (a : Sparse.Csr.t) =
-    r.slots <- slots;
-    r.values <- a.Sparse.Csr.values;
-    r.pos <- 0;
-    r.fits <- true;
-    Array.fill a.Sparse.Csr.values 0 (Array.length a.Sparse.Csr.values) 0.0
-  in
-  fun x ~g ~c ->
-    if not !recorded then begin
-      stamp_jacobians m x (Record g_stream) (Record c_stream);
-      recorded := true
-    end;
-    arm g_replay (slots_for g_maps g_stream g) g;
-    arm c_replay (slots_for c_maps c_stream c) c;
-    stamp_jacobians m x g_sink c_sink;
-    g_replay.fits && c_replay.fits
+let load m () =
+  let g_programs = ref [] and c_programs = ref [] in
+  let g_vars = { vals = Array.make m.g_stream.vars 0.0; pos = 0 } in
+  let c_vars = { vals = Array.make m.c_stream.vars 0.0; pos = 0 } in
+  let g_sink = Load g_vars and c_sink = Load c_vars in
+  fun x ~q ~f ~g ~c ->
+    let gp = program_for g_programs m.g_stream g and cp = program_for c_programs m.c_stream c in
+    g_vars.pos <- 0;
+    c_vars.pos <- 0;
+    walk m x ~q ~f ~consts:false g_sink c_sink;
+    let g_fits = replay gp g_vars.vals g in
+    replay cp c_vars.vals c && g_fits
 
 let source_with m ~phase_of =
   let b = Array.make m.size 0.0 in
@@ -450,9 +545,7 @@ let source_frequencies m =
 let dae m =
   {
     Numeric.Dae.size = m.size;
-    eval_f_into = eval_f_into m;
-    eval_q_into = eval_q_into m;
     source_into = source_into m;
     jacobians = jacobians m;
-    jacobian_refresher = jacobian_refresher m;
+    load = load m;
   }

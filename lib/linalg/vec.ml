@@ -29,3 +29,18 @@ let neg x = Array.map (fun v -> -.v) x
 let mean x =
   if Array.length x = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 x /. float_of_int (Array.length x)
+
+(* Float equality is bit equality except at zero (+0 = -0) and at NaN
+   (never equal to itself), so only those look at the bits: reading
+   them is a C call per element. *)
+let same_bits (a : t) (b : t) =
+  let n = Array.length a in
+  if Array.length b <> n then invalid_arg "Vec.same_bits: dimension mismatch";
+  let same = ref true in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    if (x <> y || x = 0.0)
+       && not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    then same := false
+  done;
+  !same

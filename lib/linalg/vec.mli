@@ -18,3 +18,8 @@ val norm_inf : t -> float
 val neg : t -> t
 
 val mean : t -> float
+
+val same_bits : t -> t -> bool
+(** [same_bits a b] holds when the two vectors hold the same floats bit
+    for bit: the key on which the solvers' caches of a point's
+    evaluation match. @raise Invalid_argument on different lengths. *)

@@ -6,11 +6,11 @@ type system = {
 }
 
 let of_mna ~shear mna =
+  let phase = Shear.resolve shear (Circuit.Mna.source_frequencies mna) in
   {
     size = Circuit.Mna.size mna;
     dae = Circuit.Mna.dae mna;
-    source_at =
-      (fun ~t1 ~t2 -> Circuit.Mna.source_with mna ~phase_of:(Shear.phase shear ~t1 ~t2));
+    source_at = (fun ~t1 ~t2 -> Circuit.Mna.source_with mna ~phase_of:(phase ~t1 ~t2));
     linear = Circuit.Mna.linear mna;
   }
 
@@ -139,26 +139,23 @@ let jacobian_csr scheme (g : Grid.t) ~size ~jacs =
 (* ------------------------------------------------------------------ *)
 
 type workspace = {
-  ws_sys : system;
-  ws_ops : Numeric.Collocation.operator * Numeric.Collocation.operator;
-  ws_stencil : stencil;
+  mutable ws_sys : system;
+  mutable ws_ops : Numeric.Collocation.operator * Numeric.Collocation.operator;
+  mutable ws_stencil : stencil;
   ws_n : int;
   ws_np : int;
-  qs : Linalg.Vec.t array;  (* np charge buffers of length n *)
-  f_buf : Linalg.Vec.t;
-  x_buf : Linalg.Vec.t;  (* staging slice of the flattened iterate *)
+  points : Numeric.Stacked.t;  (* q, G and C per grid point *)
   a1 : Linalg.Vec.t;  (* per-axis stencil sums of one point *)
   a2 : Linalg.Vec.t;
-  refresh_jacs : Linalg.Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
-  mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* [||] until built *)
-  mutable patterns : Sparse.Csr.t list;  (* one per distinct per-point pattern *)
+  mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;
+      (* the last [point_jacobians_ws]'s blocks, [||] before it *)
   mutable big : big option;  (* lazy: matrix-free solves never stamp *)
-  mutable big_stale : bool;  (* a point's pattern changed since [big]'s slots *)
 }
 
 (* The assembled big Jacobian with its value slot per [walk_big] entry
-   (-1 where its pattern has none). *)
-and big = { big_jac : Sparse.Csr.t; slots : int array }
+   (-1 where its pattern has none), for the per-point patterns of
+   [structure]. *)
+and big = { big_jac : Sparse.Csr.t; slots : int array; structure : int }
 
 let workspace scheme sys (g : Grid.t) =
   let n = sys.size in
@@ -170,39 +167,40 @@ let workspace scheme sys (g : Grid.t) =
     ws_stencil = stencil ops g;
     ws_n = n;
     ws_np = np;
-    qs = Array.init np (fun _ -> Array.make n 0.0);
-    f_buf = Array.make n 0.0;
-    x_buf = Array.make n 0.0;
+    points = Numeric.Stacked.create sys.dae ~points:np;
     a1 = Array.make n 0.0;
     a2 = Array.make n 0.0;
-    (* One private stamping stream per workspace: a workspace is
-       single-domain by contract, so this is the single writer. *)
-    refresh_jacs = sys.dae.Numeric.Dae.jacobian_refresher ();
     jacs = [||];
-    patterns = [];
     big = None;
-    big_stale = false;
   }
+
+(* Everything bound to the old job is dropped; the per-point buffers and
+   matrices of the grid's shape are kept (see [Stacked.rebind]). *)
+let rebind ws scheme sys (g : Grid.t) =
+  if sys.size <> ws.ws_n || Grid.points g <> ws.ws_np then workspace scheme sys g
+  else begin
+    let ops = operators scheme g in
+    ws.ws_sys <- sys;
+    ws.ws_ops <- ops;
+    ws.ws_stencil <- stencil ops g;
+    Numeric.Stacked.rebind ws.points sys.dae;
+    ws.jacs <- [||];
+    ws.big <- None;
+    ws
+  end
 
 let workspace_operators ws = ws.ws_ops
 
-(* Stage grid point [p]'s state into the workspace's slice buffer.
-   Consumers must finish with the buffer before the next call. *)
-let load_state ws big_x p =
-  Array.blit big_x (p * ws.ws_n) ws.x_buf 0 ws.ws_n;
-  ws.x_buf
-
-let residual_into ws ~sources big_x r =
+let residual_with ~jacobians ws ~sources big_x r =
   Telemetry.span "mpde.assemble.residual" @@ fun () ->
-  let n = ws.ws_n and st = ws.ws_stencil and qs = ws.qs and dae = ws.ws_sys.dae in
-  for p = 0 to ws.ws_np - 1 do
-    dae.Numeric.Dae.eval_q_into (load_state ws big_x p) qs.(p)
-  done;
-  let s1 = st.t1.s and s2 = st.t2.s and a1 = ws.a1 and a2 = ws.a2 and f = ws.f_buf in
+  (* f goes straight into [r], which holds it until the loop below
+     overwrites it. *)
+  Numeric.Stacked.load ~jacobians ws.points big_x ~f:r;
+  let n = ws.ws_n and st = ws.ws_stencil and qs = Numeric.Stacked.charges ws.points in
+  let s1 = st.t1.s and s2 = st.t2.s and a1 = ws.a1 and a2 = ws.a2 in
   for j = 0 to st.n2 - 1 do
     for i = 0 to st.n1 - 1 do
       let p = (j * st.n1) + i in
-      dae.Numeric.Dae.eval_f_into (load_state ws big_x p) f;
       accumulate st.t1 i p ~n ~qs a1;
       accumulate st.t2 j p ~n ~qs a2;
       let b = sources.(p) and base = p * n in
@@ -210,74 +208,23 @@ let residual_into ws ~sources big_x r =
         Array.unsafe_set r (base + v)
           ((Array.unsafe_get a1 v /. s1)
           +. (Array.unsafe_get a2 v /. s2)
-          +. Array.unsafe_get f v -. Array.unsafe_get b v)
+          +. Array.unsafe_get r (base + v)
+          -. Array.unsafe_get b v)
       done
     done
   done
 
+let residual_into = residual_with ~jacobians:true
+
+(* No solve follows a one-shot residual: it loads q and f alone. *)
 let residual scheme sys g ~sources big_x =
   let r = Array.make (Grid.points g * sys.size) 0.0 in
-  residual_into (workspace scheme sys g) ~sources big_x r;
+  residual_with ~jacobians:false (workspace scheme sys g) ~sources big_x r;
   r
-
-(* Structurally equal per-point patterns share one pair of pattern
-   arrays, so the refresher keeps one slot map for the whole grid. *)
-let intern ws (m : Sparse.Csr.t) =
-  let same (r : Sparse.Csr.t) =
-    r.Sparse.Csr.rows = m.Sparse.Csr.rows
-    && r.Sparse.Csr.row_ptr = m.Sparse.Csr.row_ptr
-    && r.Sparse.Csr.col_idx = m.Sparse.Csr.col_idx
-  in
-  match List.find_opt same ws.patterns with
-  | Some r -> { m with Sparse.Csr.row_ptr = r.Sparse.Csr.row_ptr; col_idx = r.Sparse.Csr.col_idx }
-  | None ->
-      ws.patterns <- m :: ws.patterns;
-      m
-
-let build_point ws big_x p =
-  let g, c = ws.ws_sys.dae.Numeric.Dae.jacobians (state_of ~size:ws.ws_n big_x p) in
-  (intern ws g, intern ws c)
-
-(* Rebuild point [p]; the big Jacobian's slots go stale only when the
-   point's interned pattern changes. *)
-let rebuild_point ws big_x p =
-  let ((g, c) as jac) = build_point ws big_x p in
-  let g0, c0 = ws.jacs.(p) in
-  if g.Sparse.Csr.col_idx != g0.Sparse.Csr.col_idx || c.Sparse.Csr.col_idx != c0.Sparse.Csr.col_idx
-  then ws.big_stale <- true;
-  ws.jacs.(p) <- jac
-
-(* Refresh point [p] in place; a point whose sparsity drifted at this
-   iterate (a stamp crossed an exact zero) is rebuilt from scratch. *)
-let refresh_point ws big_x p =
-  let gp, cp = ws.jacs.(p) in
-  if not (ws.refresh_jacs (load_state ws big_x p) ~g:gp ~c:cp) then begin
-    Telemetry.count "mpde.assemble.jac_rebuilds";
-    rebuild_point ws big_x p
-  end
-
-(* The first build: point 0 from scratch, every other point on a copy
-   of point 0's interned pattern with values of its own, filled by the
-   refresher. The refresher replays the stamps in [of_coo]'s summation
-   order, so each point's values are bitwise a fresh build's; a point
-   whose stamps leave the pattern takes [refresh_point]'s rebuild. *)
-let first_jacobians ws big_x =
-  let ((g0, c0) as jac0) = build_point ws big_x 0 in
-  let fresh (m : Sparse.Csr.t) =
-    { m with Sparse.Csr.values = Array.make (Array.length m.Sparse.Csr.values) 0.0 }
-  in
-  ws.jacs <- Array.init ws.ws_np (fun p -> if p = 0 then jac0 else (fresh g0, fresh c0));
-  for p = 1 to ws.ws_np - 1 do
-    refresh_point ws big_x p
-  done
 
 let point_jacobians_ws ws big_x =
   Telemetry.span "mpde.assemble.jacobians" @@ fun () ->
-  if Array.length ws.jacs <> ws.ws_np then first_jacobians ws big_x
-  else
-    for p = 0 to ws.ws_np - 1 do
-      refresh_point ws big_x p
-    done;
+  ws.jacs <- Numeric.Stacked.jacobians ws.points big_x;
   ws.jacs
 
 (* One pattern search per [walk_big] entry; done once per set of
@@ -286,8 +233,11 @@ let big_slots ws (m : Sparse.Csr.t) =
   let slots = ref [] in
   walk_big ws.ws_stencil ~n:ws.ws_n ~jacs:ws.jacs (fun i j _ ->
       slots := Sparse.Csr.slot m i j :: !slots);
-  ws.big_stale <- false;
-  { big_jac = m; slots = Array.of_list (List.rev !slots) }
+  {
+    big_jac = m;
+    slots = Array.of_list (List.rev !slots);
+    structure = Numeric.Stacked.structure ws.points;
+  }
 
 (* Rewrite [b.big_jac]'s values by adding each [walk_big] entry into
    its slot, in walk order: the order [of_coo] sums duplicates in.
@@ -309,7 +259,10 @@ let jacobian_ws ws =
   let refreshed =
     match ws.big with
     | Some b ->
-        let b = if ws.big_stale then big_slots ws b.big_jac else b in
+        let b =
+          if b.structure <> Numeric.Stacked.structure ws.points then big_slots ws b.big_jac
+          else b
+        in
         ws.big <- Some b;
         if replay_big ws b then Some b.big_jac else None
     | None -> None

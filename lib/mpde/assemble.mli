@@ -87,12 +87,17 @@ val state_of : size:int -> Linalg.Vec.t -> int -> Linalg.Vec.t
     The one-shot entry points above rebuild every buffer and every
     sparsity pattern per call. A {!workspace} instead freezes the
     expensive symbolic work — the big Jacobian's CSR pattern, the
-    per-point Jacobian patterns, the charge/conductive evaluation
-    buffers — at the first call and only rewrites float values on later
-    Newton iterations. The Jacobian is bitwise identical to the
-    one-shot path (both stamp through the same loop, and CSR value
-    refresh replays the duplicate-merge order of a fresh build). A workspace belongs to one solve stream on one domain; it
-    must never be shared concurrently. *)
+    per-point Jacobian patterns, the per-point q buffers — at the first
+    call and only rewrites float values on later Newton iterations.
+    Each residual walks the devices once per grid point
+    ({!Numeric.Stacked.load}), writing q, f, G and C together; the
+    Jacobians of a solve at the residual's iterate are those values, so
+    a Newton iteration walks the devices once. The
+    Jacobian is bitwise identical to the one-shot path (the load sums
+    each slot's stamps in the duplicate-merge order of a fresh build,
+    and the big CSR's refresh replays the same walk as its build). A
+    workspace belongs to one solve stream on one domain; it must never
+    be shared concurrently. *)
 
 type workspace
 
@@ -100,6 +105,13 @@ val workspace : scheme -> system -> Grid.t -> workspace
 (** Allocate reusable assembly scratch for a (scheme, system, grid)
     triple, with the operator pair's stencil kept per operator row.
     Validates the grid eagerly (see {!operators}). *)
+
+val rebind : workspace -> scheme -> system -> Grid.t -> workspace
+(** [rebind ws scheme sys g] is a workspace for a new job: [ws] itself
+    when [sys.size] and the grid's point count match its own, with its
+    per-point buffers and matrices kept and everything bound to the old
+    job dropped (its results are then those of a fresh workspace, bit
+    for bit); a fresh {!workspace} otherwise. *)
 
 val workspace_operators :
   workspace -> Numeric.Collocation.operator * Numeric.Collocation.operator
@@ -109,24 +121,20 @@ val residual_into :
   workspace -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** [residual_into ws ~sources x r] writes {!residual} at [x] into [r]
     (length [points · size]), reusing the workspace's internal
-    buffers: it allocates nothing of the grid's size. *)
+    buffers: it allocates nothing of the grid's size. It loads G and C
+    at [x] too, for a following {!point_jacobians_ws} at the same [x]. *)
 
 val point_jacobians_ws :
   workspace -> Linalg.Vec.t -> (Sparse.Csr.t * Sparse.Csr.t) array
-(** Like {!point_jacobians}, but after the first call the cached CSR
-    instances are refreshed in place via the system's
-    [dae.jacobian_refresher] (falling back to a from-scratch rebuild
-    of any point whose sparsity drifted). The first call builds point 0 from
-    scratch only: every other point gets a copy of point 0's pattern
-    with values of its own, filled by the refresher, and is rebuilt
-    only when its stamps leave that pattern. The refresher replays the
-    stamps in [of_coo]'s summation order, so every value is bitwise a
-    fresh build's (an entry the copied pattern has and a fresh build
-    lacks holds +0). Structurally equal per-point patterns share one
-    pair of [row_ptr]/[col_idx] arrays, so the refresher maps the
-    stamp stream onto one pattern for the whole grid. The returned
-    array and its matrices are owned by the workspace and overwritten
-    by the next call. *)
+(** Like {!point_jacobians}, on the workspace's cached CSR instances
+    ({!Numeric.Stacked.jacobians}): when [x] is the last
+    {!residual_into}'s iterate bit for bit, the values that residual
+    loaded; otherwise a load of every point at [x]. A point whose stamps
+    left its pattern at [x] (a stamp crossed an exact zero) is rebuilt
+    from [dae.jacobians]. Every value is bitwise a fresh build's (an
+    entry a shared pattern has and a fresh build lacks holds +0). The
+    returned array and its matrices are owned by the workspace and
+    overwritten by the next load. *)
 
 val jacobian_ws : workspace -> Sparse.Csr.t
 (** Global sparse Jacobian stamped from the workspace's current

@@ -28,6 +28,25 @@ let phase s ~t1 ~t2 freq =
   let m, k = lattice s freq in
   (float_of_int m *. s.fast *. t1) +. (float_of_int k *. s.slow *. t2)
 
+(* Each frequency's (m, k) scaled once: [phase] is
+   (m·f1)·t1 + (k·fs)·t2 in the same float operations. A frequency off
+   the lattice keeps [nan] and goes through [phase], which raises. *)
+let resolve s freqs =
+  let freqs = Array.of_list freqs in
+  let scaled scale f =
+    match lattice s f with
+    | m, k -> scale (m, k)
+    | exception Off_lattice _ -> Float.nan
+  in
+  let fast = Array.map (scaled (fun (m, _) -> float_of_int m *. s.fast)) freqs in
+  let slow = Array.map (scaled (fun (_, k) -> float_of_int k *. s.slow)) freqs in
+  fun ~t1 ~t2 f ->
+    let i = ref 0 in
+    while !i < Array.length freqs && not (freqs.(!i) = f && Float.is_finite fast.(!i)) do
+      incr i
+    done;
+    if !i < Array.length freqs then (fast.(!i) *. t1) +. (slow.(!i) *. t2) else phase s ~t1 ~t2 f
+
 let phase_unsheared s ~t1 ~t2 freq =
   (* Multiples of the fast fundamental ride on t1; everything else,
      including the nearby second tone, rides on t2 (paper eq. (9)). *)

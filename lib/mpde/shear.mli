@@ -38,6 +38,12 @@ val phase : t -> t1:float -> t2:float -> float -> float
     hold to relative tolerance [1e-6].
     @raise Off_lattice for frequencies off the lattice. *)
 
+val resolve : t -> float list -> t1:float -> t2:float -> float -> float
+(** [resolve s freqs] looks up the lattice coordinates of each of
+    [freqs] once: the returned [phase_of ~t1 ~t2 f] is
+    [phase s ~t1 ~t2 f], bit for bit, without re-deriving [(m, k)] for
+    those frequencies (any other [f] goes through {!phase}). *)
+
 val phase_unsheared : t -> t1:float -> t2:float -> float -> float
 (** The *unsheared* two-tone assignment of paper eq. (9)/Figure 1:
     frequencies at (multiples of) the fast fundamental evolve along

@@ -103,12 +103,13 @@ let make_workspace scheme sys (g : Grid.t) =
 let workspace_fits ws sys (g : Grid.t) =
   Block_sweep.fits ws.sweep ~n:sys.Assemble.size ~np:(Grid.points g)
 
-(* Rebind a retained workspace to a new solve job: fresh assembly
-   workspace (it is bound to the system/grid and cheap — the big COO is
-   lazy), dropped numeric caches, kept big allocations. The GMRES
-   workspace keeps no state between solves, so it is kept as is. *)
+(* Rebind a retained workspace to a new solve job: the assembly
+   workspace keeps its per-point buffers and is rebound to the
+   system/grid, the numeric caches are dropped, the big allocations
+   kept. The GMRES workspace keeps no state between solves, so it is
+   kept as is. *)
 let rebind_workspace ws scheme sys (g : Grid.t) =
-  ws.asm <- Assemble.workspace scheme sys g;
+  ws.asm <- Assemble.rebind ws.asm scheme sys g;
   ws.splu <- None;
   ws
 
@@ -265,8 +266,8 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_ite
       (fun big_x r delta ->
         let jacs = Assemble.point_jacobians_ws ws.asm big_x in
         (* Fault-injection hook: corrupt row 0 of the first point-block.
-           The workspace CSRs are restamped from the circuit on every
-           evaluation, so the damage is transient — the next linearize
+           The workspace CSRs are reloaded from the circuit by every
+           residual, so the damage is transient — the next linearize
            sees clean Jacobians, exactly like a data-dependent glitch. *)
         (match Resilience.Faultinject.jacobian_fault () with
         | None -> ()

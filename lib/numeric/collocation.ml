@@ -44,9 +44,9 @@ let problem ?anchor (dae : Dae.t) op ~times =
   let n = dae.Dae.size in
   let points = Array.length op.weights in
   let big = points * n in
-  (* [x] stages one point's state; [qs] and [f] hold q and f, [sources]
-     b, at the points, evaluated in place. *)
-  let x = Array.make n 0.0 and f = Array.make n 0.0 in
+  (* q, G and C at the points, one device pass each ([Stacked]); f goes
+     straight into the residual, [sources] hold b. *)
+  let stack = Stacked.create dae ~points in
   let evaluate eval v =
     let out = Array.make n 0.0 in
     eval v out;
@@ -54,19 +54,16 @@ let problem ?anchor (dae : Dae.t) op ~times =
   in
   let sources = Array.map (evaluate dae.Dae.source_into) times in
   let anchor =
-    Option.map (fun (h, prev) -> (h, Array.map (evaluate dae.Dae.eval_q_into) prev)) anchor
-  in
-  let qs = Array.init points (fun _ -> Array.make n 0.0) in
-  let load big_x k =
-    Array.blit big_x (k * n) x 0 n;
-    x
+    Option.map
+      (fun (h, prev) ->
+        Stacked.load stack (Array.concat (Array.to_list prev)) ~f:(Array.make big 0.0);
+        (h, Array.map Array.copy (Stacked.charges stack)))
+      anchor
   in
   let residual_into big_x r =
+    Stacked.load stack big_x ~f:r;
+    let qs = Stacked.charges stack in
     for k = 0 to points - 1 do
-      dae.Dae.eval_q_into (load big_x k) qs.(k)
-    done;
-    for k = 0 to points - 1 do
-      dae.Dae.eval_f_into (load big_x k) f;
       let b = sources.(k) and row = op.weights.(k) in
       for i = 0 to n - 1 do
         let dq = ref 0.0 in
@@ -80,12 +77,15 @@ let problem ?anchor (dae : Dae.t) op ~times =
           | None -> dt
           | Some (h, q_prev) -> dt +. ((qs.(k).(i) -. q_prev.(k).(i)) /. h)
         in
-        r.((k * n) + i) <- dt +. f.(i) -. b.(i)
+        r.((k * n) + i) <- dt +. r.((k * n) + i) -. b.(i)
       done
     done
   in
+  (* The stacked COO skips exact zeros, so a slot a point's pattern has
+     and a fresh build lacks (+0) changes neither the stacked CSR nor
+     its factor. *)
   let solve_into big_x r delta =
-    let jacs = Array.map dae.Dae.jacobians (states n big_x) in
+    let jacs = Stacked.jacobians stack big_x in
     let coo = Sparse.Coo.create ~capacity:(4 * big) big big in
     let add_block k l scale (m : Sparse.Csr.t) =
       for i = 0 to n - 1 do

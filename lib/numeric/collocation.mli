@@ -12,7 +12,8 @@
 
     and the Jacobian, whose block [(k, l)] is [(w_kl/s)·C(x_l)] plus
     [G(x_k)] when [l = k], is assembled as triplets, compressed and
-    solved with the general sparse LU. *)
+    solved with the general sparse LU. The triplets skip exact zeros,
+    so the stacked matrix does not depend on the per-point patterns. *)
 
 type operator = private { weights : (int * float) array array; scale : float }
 (** Sparse weights [w_kl], row [k] in summation order, and a scale [s],
@@ -45,7 +46,9 @@ val problem :
 (** The stacked Newton problem with [b_k] the DAE's source at
     [times.(k)], one time per operator point. [q], [f] and [b] are
     written by the DAE's callbacks into buffers the problem owns, so
-    one problem serves one Newton run at a time.
+    one problem serves one Newton run at a time. The residual loads q,
+    f, G and C at every point in one device pass ({!Stacked}), and the
+    solve at that iterate stacks those G and C.
     [anchor = (h, prev)] adds one backward-Euler step in a second time,
     [(q(x_k) − q(prev_k))/h], to every point (envelope following);
     [q(prev_k)] is evaluated once, here. *)

@@ -20,25 +20,28 @@ type scalars = {
   mutable lu_sg : float;
 }
 
-(* Step workspace. G and C live on frozen patterns and are refreshed
-   in place through the workspace's own [Dae.jacobian_refresher];
+(* Step workspace. [load] writes q and f into [q_buf]/[f_buf] and G and
+   C's values into their frozen patterns in one device pass: all four
+   are at [at_x] while [at_valid], G and C only if [gc_fits] too (a
+   load whose stamps left the patterns leaves them to be rebuilt from
+   [jacobians] when a solve needs them). The last residual a step
+   evaluated is its accepted iterate, so the Newton solve at that
+   point and the next step's [x_prev] find everything loaded.
    J = sc·C + sg·G lives on the union pattern, filled through slot maps
-   and refactored on the frozen pivot order. [lin_x] is the iterate G
-   and C hold; [lu] is J's factor at [lin_x] with scales
-   [lu_sc]/[lu_sg] while [lu_valid]. [q_buf]/[f_buf] hold q and f at
-   [qf_x] while [qf_valid]: the last residual a step evaluated, which
-   is its accepted iterate and so the next step's [x_prev]. [problem]
-   is the step's Newton problem, built once over the workspace's fields
+   and refactored on the frozen pivot order; [lu] is J's factor at
+   [at_x] with scales [lu_sc]/[lu_sg] while [lu_valid]. [problem] is
+   the step's Newton problem, built once over the workspace's fields
    and run on [newton]. [structure] counts the changes of what the
    caches are not keyed on: G/C/J patterns adopted by [install], and
    fresh factors (new pivot orders). *)
 type workspace = {
   dae : Dae.t;
-  refresh : Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
+  load : Vec.t -> q:Vec.t -> f:Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
   q_buf : Vec.t;
   f_buf : Vec.t;
-  qf_x : Vec.t;
-  mutable qf_valid : bool;
+  at_x : Vec.t;
+  mutable at_valid : bool;
+  mutable gc_fits : bool;
   q_prev : Vec.t;
   f_prev : Vec.t;  (* f(x_prev), for trapezoidal *)
   b_next : Vec.t;
@@ -49,8 +52,6 @@ type workspace = {
   mutable g_slot : int array;
   mutable c_slot : int array;
   mutable lu : Sparse.Splu.t option;
-  lin_x : Vec.t;
-  mutable lin_valid : bool;
   mutable lu_valid : bool;
   scalars : scalars;
   mutable method_ : method_;
@@ -99,27 +100,32 @@ let install ws g c =
   ws.c_slot <- slots c;
   ws.structure <- ws.structure + 1
 
-let same_bits (a : Vec.t) (b : Vec.t) =
-  let i = ref (Array.length a - 1) in
-  while !i >= 0 && Int64.equal (Int64.bits_of_float a.(!i)) (Int64.bits_of_float b.(!i)) do
-    decr i
-  done;
-  !i < 0
+let rebuild ws x =
+  Telemetry.count "integrator.jacobian_rebuilds";
+  let g, c = ws.dae.Dae.jacobians x in
+  install ws g c
 
-(* G and C at [x]: an in-place refresh, or a rebuild from [jacobians]
-   when the pattern grew (the empty patterns of a new workspace always
-   grow). Nothing is valid until it succeeds. *)
-let evaluate_jacobians ws x =
-  if not (ws.lin_valid && same_bits ws.lin_x x) then begin
-    ws.lin_valid <- false;
+(* q, f, G and C at [x] in one device pass, unless the workspace
+   already holds them. The first evaluation builds G and C's patterns
+   at [x] ([structure] is 0 until a first [install]). A new point
+   invalidates the held factor. *)
+let evaluate ws x =
+  if not (ws.at_valid && Vec.same_bits ws.at_x x) then begin
+    ws.at_valid <- false;
     ws.lu_valid <- false;
-    if not (ws.refresh x ~g:ws.g ~c:ws.c) then begin
-      Telemetry.count "integrator.jacobian_rebuilds";
-      let g, c = ws.dae.Dae.jacobians x in
-      install ws g c
-    end;
-    Array.blit x 0 ws.lin_x 0 (size ws);
-    ws.lin_valid <- true
+    if ws.structure = 0 then rebuild ws x;
+    ws.gc_fits <- ws.load x ~q:ws.q_buf ~f:ws.f_buf ~g:ws.g ~c:ws.c;
+    Array.blit x 0 ws.at_x 0 (size ws);
+    ws.at_valid <- true
+  end
+
+(* G and C at [x]: the values the load at [x] wrote, or a rebuild from
+   [jacobians] when its stamps left the patterns. *)
+let evaluate_jacobians ws x =
+  evaluate ws x;
+  if not ws.gc_fits then begin
+    rebuild ws x;
+    ws.gc_fits <- true
   end
 
 (* J = (1/h) C + β G for each method. *)
@@ -174,23 +180,14 @@ let solve_columns ws cols = Sparse.Splu.solve_columns (factor ws) cols
 let structure ws = ws.structure
 
 let charge_jacobian ws =
-  if not ws.lin_valid then invalid_arg "Integrator.charge_jacobian: nothing evaluated";
+  if not (ws.at_valid && ws.gc_fits) then
+    invalid_arg "Integrator.charge_jacobian: nothing evaluated";
   ws.c
-
-(* q and f at [x] into [q_buf]/[f_buf], unless they already hold them. *)
-let evaluate_charges ws x =
-  if not (ws.qf_valid && same_bits ws.qf_x x) then begin
-    ws.qf_valid <- false;
-    ws.dae.Dae.eval_q_into x ws.q_buf;
-    ws.dae.Dae.eval_f_into x ws.f_buf;
-    Array.blit x 0 ws.qf_x 0 (size ws);
-    ws.qf_valid <- true
-  end
 
 (* The step residual: (q(x) − q(x_prev))/h plus the method's f and
    source combination. *)
 let step_residual ws x r =
-  evaluate_charges ws x;
+  evaluate ws x;
   let q = ws.q_buf and f = ws.f_buf and q_prev = ws.q_prev and b_next = ws.b_next in
   let h = ws.scalars.h in
   match ws.method_ with
@@ -214,33 +211,32 @@ let step_solve ws x r delta =
 
 let workspace (dae : Dae.t) =
   let n = dae.Dae.size in
-  let q_buf = Array.make n 0.0 and f_buf = Array.make n 0.0 and qf_x = Array.make n 0.0 in
+  let q_buf = Array.make n 0.0 and f_buf = Array.make n 0.0 and at_x = Array.make n 0.0 in
   let q_prev = Array.make n 0.0 and f_prev = Array.make n 0.0 in
   let b_next = Array.make n 0.0 and b_prev = Array.make n 0.0 in
-  let lin_x = Array.make n 0.0 and newton = Newton.workspace n in
+  let newton = Newton.workspace n and empty = empty_csr n in
   let scalars = { h = 0.0; sc = 0.0; sg = 0.0; lu_sc = 0.0; lu_sg = 0.0 } in
   let rec ws =
     {
       dae;
       (* One private stamping stream per workspace; a workspace is
          single-domain by contract. *)
-      refresh = dae.Dae.jacobian_refresher ();
+      load = dae.Dae.load ();
       q_buf;
       f_buf;
-      qf_x;
-      qf_valid = false;
+      at_x;
+      at_valid = false;
+      gc_fits = false;
       q_prev;
       f_prev;
       b_next;
       b_prev;
-      g = empty_csr n;
-      c = empty_csr n;
-      jac = empty_csr n;
+      g = empty;
+      c = empty;
+      jac = empty;
       g_slot = [||];
       c_slot = [||];
       lu = None;
-      lin_x;
-      lin_valid = false;
       lu_valid = false;
       scalars;
       method_ = Backward_euler;
@@ -264,7 +260,7 @@ let implicit_step ?newton_options ~method_ ~workspace:ws ~t_next ~h ~x_prev () =
   let n = size ws in
   set_scales ws.scalars method_ h;
   ws.method_ <- method_;
-  evaluate_charges ws x_prev;
+  evaluate ws x_prev;
   Array.blit ws.q_buf 0 ws.q_prev 0 n;
   ws.dae.Dae.source_into t_next ws.b_next;
   (match method_ with

@@ -14,15 +14,19 @@ type step_result = {
 }
 
 type workspace
-(** Per-stream step state: [G] and [C] on frozen sparsity patterns,
-    refreshed in place through {!Dae.t}[.jacobian_refresher] (or
-    rebuilt from {!Dae.t}[.jacobians] when the refresher reports that
-    the pattern changed), the step Jacobian [J = (1/h) C + β G]
-    on the union pattern, refactored in place with
-    {!Sparse.Splu.refactor_or_factor}, and the residual's [q]/[f]/[b]
-    buffers. The factor is kept with its key — the bits of the iterate
-    plus the two scales — so asking again for [J] at the same point
-    costs nothing. Single-domain: create one per solve stream. *)
+(** Per-stream step state: [q], [f], [G] and [C] at the last point the
+    workspace evaluated, written by one {!Dae.t}[.load] pass over the
+    devices ([G] and [C] on frozen sparsity patterns, rebuilt from
+    {!Dae.t}[.jacobians] when a load reports that the pattern changed),
+    the step Jacobian [J = (1/h) C + β G] on the union pattern,
+    refactored in place with {!Sparse.Splu.refactor_or_factor}, and the
+    residual's [b] buffers. Newton's solve at an iterate follows the
+    residual at that iterate, so it factors the [G] and [C] that
+    residual loaded: a Newton iteration walks the devices once. The
+    evaluation and the factor are kept with their key — the bits of
+    the iterate, plus the two scales for the factor — so asking again
+    at the same point costs nothing. Single-domain: create one per
+    solve stream. *)
 
 val workspace : Dae.t -> workspace
 
@@ -37,14 +41,9 @@ val solve_columns : workspace -> Linalg.Vec.t array -> unit
     the last factored [J], through {!Sparse.Splu.solve_columns}.
     @raise Invalid_argument when no factor is held. *)
 
-val same_bits : Linalg.Vec.t -> Linalg.Vec.t -> bool
-(** [same_bits a b] holds when the two vectors (of equal length) hold
-    the same floats bit for bit: the key the workspace's caches match
-    on. *)
-
 val structure : workspace -> int
 (** A counter of the workspace's structural changes: it moves when G
-    and C are rebuilt on new patterns (a refresher miss) and when the
+    and C are rebuilt on new patterns (a load reports drift) and when the
     step Jacobian gets a fresh factor, hence a new pivot order, instead
     of a replay on the held one. Nothing else moves it. Every other
     piece of workspace state is a cache keyed by the bits of its point,

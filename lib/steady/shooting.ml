@@ -90,7 +90,7 @@ let integrate ?newton_options ?join ~workspace ~x0 ~t0 ~duration ~steps () =
         note_structure k;
         (match !pending with
         | Some (p, accept)
-          when I.same_bits x_next p.trace.I.states.(k)
+          when Vec.same_bits x_next p.trace.I.states.(k)
                && k >= p.settled && !structure = p.structure ->
             pending := None;
             if accept p then raise (Joined (p, k))

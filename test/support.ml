@@ -188,3 +188,25 @@ let report_outcome (r : Resilience.Report.t) =
 let shear_lattice s f =
   let at ~t1 ~t2 = int_of_float (Float.round (Mpde.Shear.phase s ~t1 ~t2 f)) in
   (at ~t1:(Mpde.Shear.t1_period s) ~t2:0.0, at ~t1:0.0 ~t2:(Mpde.Shear.t2_period s))
+
+(* ---------- DAE evaluation ---------- *)
+
+(* q and f of a DAE at [x], through one load on empty G/C patterns
+   (the Jacobian values are dropped). *)
+let eval_qf (dae : Numeric.Dae.t) x ~q ~f =
+  let n = dae.Numeric.Dae.size in
+  let empty () =
+    { Sparse.Csr.rows = n; cols = n; row_ptr = Array.make (n + 1) 0; col_idx = [||]; values = [||] }
+  in
+  ignore (dae.Numeric.Dae.load () x ~q ~f ~g:(empty ()) ~c:(empty ()))
+
+(* The diode's outputs at [v], from its buffer evaluation. *)
+let diode_slot slot p v =
+  let out = Array.make Circuit.Diode.buffer_size 0.0 in
+  out.(Circuit.Diode.v_slot) <- v;
+  Circuit.Diode.evaluate_into p out;
+  out.(slot)
+
+let diode_current = diode_slot Circuit.Diode.current_slot
+let diode_conductance = diode_slot Circuit.Diode.conductance_slot
+let diode_charge = diode_slot Circuit.Diode.charge_slot

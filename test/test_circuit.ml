@@ -92,20 +92,20 @@ let test_waveform_sampled () =
 let test_diode_reverse () =
   let p = Circuit.Diode.default in
   Alcotest.(check bool) "reverse ≈ -Is" true
-    (Float.abs (Circuit.Diode.current p (-1.0) +. p.Circuit.Diode.saturation_current +. 1e-12)
+    (Float.abs (Support.diode_current p (-1.0) +. p.Circuit.Diode.saturation_current +. 1e-12)
      < 1e-11)
 
 let test_diode_forward_monotone () =
   let p = Circuit.Diode.default in
-  let i1 = Circuit.Diode.current p 0.6 and i2 = Circuit.Diode.current p 0.7 in
+  let i1 = Support.diode_current p 0.6 and i2 = Support.diode_current p 0.7 in
   Alcotest.(check bool) "monotone" true (i2 > i1 && i1 > 0.0)
 
 let test_diode_no_overflow () =
   let p = Circuit.Diode.default in
-  let i = Circuit.Diode.current p 100.0 in
+  let i = Support.diode_current p 100.0 in
   Alcotest.(check bool) "finite at 100 V" true (Float.is_finite i);
   Alcotest.(check bool) "conductance finite" true
-    (Float.is_finite (Circuit.Diode.conductance p 100.0))
+    (Float.is_finite (Support.diode_conductance p 100.0))
 
 let test_diode_conductance_consistent () =
   (* g must be the derivative of i, including across the continuation
@@ -115,9 +115,9 @@ let test_diode_conductance_consistent () =
     (fun v ->
       let h = 1e-7 in
       let numeric =
-        (Circuit.Diode.current p (v +. h) -. Circuit.Diode.current p (v -. h)) /. (2.0 *. h)
+        (Support.diode_current p (v +. h) -. Support.diode_current p (v -. h)) /. (2.0 *. h)
       in
-      let analytic = Circuit.Diode.conductance p v in
+      let analytic = Support.diode_conductance p v in
       Alcotest.(check bool)
         (Printf.sprintf "derivative at %.2f" v)
         true
@@ -126,7 +126,7 @@ let test_diode_conductance_consistent () =
 
 let test_diode_charge () =
   let p = { Circuit.Diode.default with junction_cap = 1e-12 } in
-  check_float "charge" 1e-12 (Circuit.Diode.charge p 1.0)
+  check_float "charge" 1e-12 (Support.diode_charge p 1.0)
 
 (* ---------- MOSFET model ---------- *)
 
@@ -326,13 +326,13 @@ let test_mna_jacobian_matches_fd () =
   let n = Circuit.Mna.size m in
   let x = Array.init n (fun i -> 0.3 +. (0.17 *. float_of_int i)) in
   let g, _ = dae.Numeric.Dae.jacobians x in
-  let f0 = Array.make n 0.0 and fj = Array.make n 0.0 in
-  dae.Numeric.Dae.eval_f_into x f0;
+  let f0 = Array.make n 0.0 and fj = Array.make n 0.0 and q = Array.make n 0.0 in
+  Support.eval_qf dae x ~q ~f:f0;
   let h = 1e-7 in
   for j = 0 to n - 1 do
     let xj = Array.copy x in
     xj.(j) <- xj.(j) +. h;
-    dae.Numeric.Dae.eval_f_into xj fj;
+    Support.eval_qf dae xj ~q ~f:fj;
     for i = 0 to n - 1 do
       let numeric = (fj.(i) -. f0.(i)) /. h in
       let stamped = Sparse.Csr.get g i j in
@@ -353,13 +353,13 @@ let test_mna_charge_jacobian_matches_fd () =
   let n = Circuit.Mna.size m in
   let x = Array.init n (fun i -> 0.1 *. float_of_int (i + 1)) in
   let _, c = dae.Numeric.Dae.jacobians x in
-  let q0 = Array.make n 0.0 and qj = Array.make n 0.0 in
-  dae.Numeric.Dae.eval_q_into x q0;
+  let q0 = Array.make n 0.0 and qj = Array.make n 0.0 and f = Array.make n 0.0 in
+  Support.eval_qf dae x ~q:q0 ~f;
   let h = 1e-7 in
   for j = 0 to n - 1 do
     let xj = Array.copy x in
     xj.(j) <- xj.(j) +. h;
-    dae.Numeric.Dae.eval_q_into xj qj;
+    Support.eval_qf dae xj ~q:qj ~f;
     for i = 0 to n - 1 do
       let numeric = (qj.(i) -. q0.(i)) /. h in
       let stamped = Sparse.Csr.get c i j in
@@ -382,7 +382,7 @@ let test_dcop_diode_drop () =
   Alcotest.(check bool) "diode drop plausible" true (vd > 0.6 && vd < 0.8);
   (* Verify KCL: i through resistor equals the diode current. *)
   let ir = (5.0 -. vd) /. 1e3 in
-  let id = Circuit.Diode.current Circuit.Diode.default vd in
+  let id = Support.diode_current Circuit.Diode.default vd in
   Alcotest.(check bool) "KCL" true (Float.abs (ir -. id) < 1e-6)
 
 let test_dcop_inductor_short () =
@@ -536,7 +536,7 @@ let prop_diode_monotone =
     QCheck.(make Gen.(pair (float_range (-2.0) 3.0) (float_range 1e-3 1.0)))
     (fun (v, dv) ->
       let p = Circuit.Diode.default in
-      Circuit.Diode.current p (v +. dv) > Circuit.Diode.current p v)
+      Support.diode_current p (v +. dv) > Support.diode_current p v)
 
 let prop_dcop_divider =
   QCheck.Test.make ~count:50 ~name:"dcop: resistive dividers"

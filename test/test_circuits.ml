@@ -158,18 +158,23 @@ let same_values what ~(frozen : Sparse.Csr.t) (fresh : Sparse.Csr.t) =
             (Sparse.Csr.get fresh i j))
   done
 
-let refresher_of mna = (Circuit.Mna.dae mna).Numeric.Dae.jacobian_refresher ()
+(* A load closure of [mna]'s DAE, with q and f into scratch. *)
+let loader_of mna =
+  let dae = Circuit.Mna.dae mna in
+  let load = dae.Numeric.Dae.load () in
+  let q = Array.make dae.Numeric.Dae.size 0.0 and f = Array.make dae.Numeric.Dae.size 0.0 in
+  fun x ~g ~c -> load x ~q ~f ~g ~c
 
-(* At the DC point and at seeded iterates around it, the slot-replay
-   refresher either fits (and then equals a rebuild bit for bit) or
-   reports drift exactly when a rebuild has an entry outside the frozen
+(* At the DC point and at seeded iterates around it, the load either
+   fits (and then writes a rebuild's values bit for bit) or reports
+   drift exactly when a rebuild has an entry outside the frozen
    pattern; after drift the caller's rebuild becomes the new pattern,
-   with a slot map of its own. *)
+   with a program of its own. *)
 let test_refresher_matches_rebuild () =
   List.iter
     (fun (name, mna) ->
       let dae = Circuit.Mna.dae mna in
-      let refresh = refresher_of mna in
+      let refresh = loader_of mna in
       let dc = (Circuit.Dcop.solve mna).Circuit.Dcop.x in
       let st = Random.State.make [| 17 |] in
       let iterates =
@@ -203,7 +208,8 @@ let test_refresher_matches_rebuild () =
 
 (* The ideal mixer's multiplier stamps gain·v_rf and gain·v_lo: exactly
    0.0 at the zero state, so a pattern built there has no slots for
-   them. *)
+   them. A load there reports drift and still writes q and f; the
+   caller's rebuild then fits. *)
 let test_refresher_zero_crossing () =
   let { Circuits.mna; _ } =
     Circuits.ideal_mixer ~lo:(W.sine ~amplitude:1.0 ~freq:1e6 ())
@@ -212,9 +218,15 @@ let test_refresher_zero_crossing () =
   let dae = Circuit.Mna.dae mna in
   let n = dae.Numeric.Dae.size in
   let zero = Array.make n 0.0 and x = Array.init n (fun i -> 0.1 *. float_of_int (i + 1)) in
-  let refresh = refresher_of mna in
+  let load = dae.Numeric.Dae.load () in
+  let q = Array.make n nan and f = Array.make n nan in
+  let refresh x ~g ~c = load x ~q ~f ~g ~c in
   let g0, c0 = dae.Numeric.Dae.jacobians zero in
   Alcotest.(check bool) "a stamp leaving 0.0 is drift" false (refresh x ~g:g0 ~c:c0);
+  let q', f' = (Array.make n nan, Array.make n nan) in
+  Support.eval_qf dae x ~q:q' ~f:f';
+  Alcotest.(check bool) "q and f hold on drift" true
+    (Array.for_all2 bits_equal q q' && Array.for_all2 bits_equal f f');
   let g, c = dae.Numeric.Dae.jacobians x in
   Alcotest.(check bool) "the caller's rebuild has the missing entries" true
     (Sparse.Csr.nnz g > Sparse.Csr.nnz g0);
@@ -233,11 +245,11 @@ let minor_words f =
   f ();
   Gc.minor_words () -. w0
 
-(* A refresh after the first (which records the stamp stream) allocates
-   nothing at all — no triplet list, no slot search — and neither does a
-   residual evaluation: the MOSFET and BJT models write into the
-   per-domain buffer of {!Circuit.Mna}, so no operating-point record and
-   no boxed voltage is left on the heap. *)
+(* A load after the first (which records the stamp stream) allocates
+   nothing at all — no triplet list, no slot search, no boxed value of
+   q or f: the diode, MOSFET and BJT models write into the per-domain
+   buffer of {!Circuit.Mna}, so no operating-point record and no boxed
+   voltage is left on the heap. *)
 let test_refresher_allocates_nothing () =
   List.iter
     (fun (name, { Circuits.mna; _ }) ->
@@ -245,14 +257,11 @@ let test_refresher_allocates_nothing () =
       let n = dae.Numeric.Dae.size in
       let x = Array.init n (fun i -> 0.3 +. (0.05 *. float_of_int i)) in
       let g, c = dae.Numeric.Dae.jacobians x in
-      let refresh = refresher_of mna in
-      ignore (refresh x ~g ~c);
-      Alcotest.(check (float 0.0)) (name ^ ": words per refresh") 0.0
-        (minor_words (fun () -> ignore (refresh x ~g ~c)));
-      let f = Array.make n 0.0 in
-      dae.Numeric.Dae.eval_f_into x f;
-      Alcotest.(check (float 0.0)) (name ^ ": words per eval_f_into") 0.0
-        (minor_words (fun () -> dae.Numeric.Dae.eval_f_into x f)))
+      let load = dae.Numeric.Dae.load () in
+      let q = Array.make n 0.0 and f = Array.make n 0.0 in
+      ignore (load x ~q ~f ~g ~c);
+      Alcotest.(check (float 0.0)) (name ^ ": words per load") 0.0
+        (minor_words (fun () -> ignore (load x ~q ~f ~g ~c))))
     [
       ("rc", Circuits.rc_lowpass ~drive:drive_1k ());
       ("rlc", Circuits.rlc_series ~drive:drive_1k ());
@@ -264,7 +273,41 @@ let test_refresher_allocates_nothing () =
         Circuits.gilbert_mixer ~f_lo:1e6
           ~rf_signal:(W.cosine ~amplitude:1.0 ~freq:1.01e6 ())
           ~rf_amplitude:0.02 () );
+      ("bridge (diodes)", Circuits.bridge_rectifier ~drive:drive_1k ());
     ]
+
+(* A slot whose stamps run constant, variable, constant keeps that
+   order: the load folds only the constants ahead of the slot's first
+   variable stamp into its base (as the balanced mixer's dp node takes
+   a MOSFET's stamps and then a resistor's). Here node a's diagonal
+   takes gmin, 1/R1, the diode's conductance and 1/R2, in that order;
+   at some of the iterates, adding 1/R2 ahead of the conductance gives
+   other floats, so a load that folded it into the base would show. *)
+let test_stamp_order_kept () =
+  let nl = N.create () in
+  N.resistor nl "r1" "a" "0" 1.0;
+  N.diode nl "d1" "a" "0" Circuit.Diode.default;
+  N.resistor nl "r2" "a" "0" 3.0;
+  let mna = Circuit.Mna.build nl in
+  let dae = Circuit.Mna.dae mna in
+  let load = loader_of mna in
+  let gmin = 1e-12 in
+  let reordered = ref 0 in
+  for k = 0 to 199 do
+    let x = [| 0.5 +. (0.002 *. float_of_int k) |] in
+    let g, c = dae.Numeric.Dae.jacobians x in
+    let g' = { g with Sparse.Csr.values = Array.make 1 nan } in
+    Alcotest.(check bool) "fits" true (load x ~g:g' ~c);
+    let v = g'.Sparse.Csr.values.(0) in
+    if not (bits_equal v g.Sparse.Csr.values.(0)) then
+      Alcotest.failf "x = %h: load %h, rebuild %h" x.(0) v g.Sparse.Csr.values.(0);
+    let gd = Support.diode_conductance Circuit.Diode.default x.(0) in
+    let in_order = 0.0 +. gmin +. 1.0 +. gd +. (1.0 /. 3.0) in
+    let folded = 0.0 +. gmin +. 1.0 +. (1.0 /. 3.0) +. gd in
+    Alcotest.(check bool) "the stream order" true (bits_equal in_order v);
+    if not (bits_equal in_order folded) then incr reordered
+  done;
+  Alcotest.(check bool) "some iterates tell the orders apart" true (!reordered > 0)
 
 (* [source_into] at each of [times], already boxed, so that the loop
    itself allocates nothing. *)
@@ -365,6 +408,69 @@ let test_implicit_step_allocation () =
   if per_step > implicit_step_word_budget then
     Alcotest.failf "%.0f words per step, budget %.0f" per_step implicit_step_word_budget
 
+(* q, f, G and C of every stamped circuit at fixed iterates, hashed bit
+   for bit: the six catalog circuits (the ideal mixer's multiplier
+   among them), the bridge and the Gilbert cell (BJT), at the zero
+   state, a ramp and two scrambled states. The iterates avoid libm so that they are the same
+   floats everywhere. The pins were captured from the separate
+   q, f and Jacobian walks that preceded the one-pass load. *)
+let pin_iterates n =
+  [
+    Array.make n 0.0;
+    Array.init n (fun i -> 0.3 +. (0.05 *. float_of_int i));
+    Array.init n (fun i -> (float_of_int ((i * 37) mod 23) /. 11.0) -. 1.0);
+    Array.init n (fun i -> (float_of_int (((i * 53) + 7) mod 31) /. 6.0) -. 2.5);
+  ]
+
+let hash_vec h v = Array.fold_left Telemetry.Fnv.mix_float h v
+
+let hash_csr h (m : Sparse.Csr.t) =
+  let h = Array.fold_left Telemetry.Fnv.mix_int h m.Sparse.Csr.row_ptr in
+  let h = Array.fold_left Telemetry.Fnv.mix_int h m.Sparse.Csr.col_idx in
+  hash_vec h m.Sparse.Csr.values
+
+(* q, f, G and C at [x] from one load: G and C on the pattern a fresh
+   build has at [x], their values the load's. *)
+let evaluate_all dae x =
+  let n = dae.Numeric.Dae.size in
+  let q = Array.make n nan and f = Array.make n nan in
+  let g, c = dae.Numeric.Dae.jacobians x in
+  let fill (m : Sparse.Csr.t) = Array.fill m.Sparse.Csr.values 0 (Sparse.Csr.nnz m) nan in
+  fill g;
+  fill c;
+  if not (dae.Numeric.Dae.load () x ~q ~f ~g ~c) then Alcotest.fail "a load missed its own pattern";
+  (q, f, g, c)
+
+let device_pins =
+  [
+    ("rc", "a3669734646e7f47");
+    ("rectifier", "0f645c653f83ff55");
+    ("detector", "911d182c35b6b46c");
+    ("ideal-mixer", "bded0ba06e279199");
+    ("unbalanced-mixer", "599e47247e2dcdab");
+    ("balanced-mixer", "ccd294cf5debd112");
+    ("bridge", "676558cc14e94f75");
+    ("gilbert", "f405cf71f49b1c70");
+  ]
+
+let test_device_pins () =
+  let got =
+    List.map
+      (fun (name, mna) ->
+        let dae = Circuit.Mna.dae mna in
+        let h =
+          List.fold_left
+            (fun h x ->
+              let q, f, g, c = evaluate_all dae x in
+              hash_csr (hash_csr (hash_vec (hash_vec h q) f) g) c)
+            Telemetry.Fnv.basis
+            (pin_iterates dae.Numeric.Dae.size)
+        in
+        (name, Telemetry.Fnv.hex h))
+      (stamp_circuits ())
+  in
+  Alcotest.(check (list (pair string string))) "q, f, G, C pins" device_pins got
+
 let () =
   Alcotest.run "circuits"
     [
@@ -395,5 +501,7 @@ let () =
           Alcotest.test_case "source_into allocates nothing" `Quick
             test_source_into_allocates_nothing;
           Alcotest.test_case "implicit step word budget" `Quick test_implicit_step_allocation;
+          Alcotest.test_case "device pins" `Quick test_device_pins;
+          Alcotest.test_case "stamp order kept" `Quick test_stamp_order_kept;
         ] );
     ]

@@ -228,6 +228,36 @@ let test_stage_ptc_ramp () =
   check_rescued ~expect:"ptc-ramp"
     "nan@residual/newton:1,nan@residual/source-ramp:1x9999" (rc_problem ())
 
+(* The Jacobian fault damages the G and C the first linear solve sees
+   (row 0 of point 0 zeroed): the GMRES rung fails, and direct-lu
+   restarts Newton, whose first residual loads every point's G and C
+   from the circuit again. The damage is gone, bit for bit: the rescued
+   answer is a clean direct solve's. *)
+let test_jacobian_damage_transient () =
+  let f_fast = 1e6 and fd = 1e4 in
+  let { Circuits.mna; _ } =
+    Circuits.rc_lowpass
+      ~drive:
+        (W.sum (W.sine ~amplitude:1.0 ~freq:f_fast ()) (W.sine ~amplitude:1.0 ~freq:(f_fast +. fd) ()))
+      ()
+  in
+  let shear = Mpde.Shear.make ~fast_freq:f_fast ~slow_freq:fd in
+  let solve ?options () = Mpde.Solver.solve_mna ?options ~shear ~n1:16 ~n2:12 mna in
+  let faulted =
+    with_plan "singular@jacobian:1" (fun () -> FI.with_scope ~key:"rc" (fun () -> solve ()))
+  in
+  let clean =
+    solve ~options:{ Mpde.Solver.default_options with linear_solver = Mpde.Solver.Direct } ()
+  in
+  Alcotest.(check bool) "faulted solve converged" true
+    faulted.Mpde.Solver.stats.Mpde.Solver.converged;
+  Alcotest.(check string) "rescued by direct-lu" "direct-lu"
+    faulted.Mpde.Solver.stats.Mpde.Solver.strategy;
+  Alcotest.(check bool) "rescued answer = clean direct answer, bit for bit" true
+    (Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       faulted.Mpde.Solver.big_x clean.Mpde.Solver.big_x)
+
 (* ---------- sweep retry / degradation / failure context ---------- *)
 
 let sweep_jobs ?(labels = [| "fd=1000"; "fd=2000" |]) () =
@@ -457,6 +487,7 @@ let () =
           Alcotest.test_case "direct-lu rescue" `Quick test_stage_direct_lu;
           Alcotest.test_case "source-ramp rescue" `Quick test_stage_source_ramp;
           Alcotest.test_case "ptc-ramp rescue" `Quick test_stage_ptc_ramp;
+          Alcotest.test_case "jacobian damage transient" `Quick test_jacobian_damage_transient;
         ] );
       ( "sweep",
         [

@@ -61,6 +61,24 @@ let test_shear_phase_periodicity () =
   Alcotest.(check bool) "T1 shift" true (is_integer (p1 -. p0));
   Alcotest.(check bool) "Td shift" true (is_integer (p2 -. p0))
 
+(* [resolve] looks each frequency's (m, k) up once and gives [phase]'s
+   floats bit for bit; a frequency it was not given, or one off the
+   lattice, goes through [phase]. *)
+let test_shear_resolve () =
+  let on = [ 1e9; 2e9 +. 10e3; 1e9 -. 10e3; 0.0 ] and off = 1e9 +. 3.3e3 in
+  let phase_of = Shear.resolve shear_1g (off :: on) in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (t1, t2) ->
+          let a = phase_of ~t1 ~t2 f and b = Shear.phase shear_1g ~t1 ~t2 f in
+          if Int64.bits_of_float a <> Int64.bits_of_float b then
+            Alcotest.failf "f=%g: resolved %h, phase %h" f a b)
+        [ (0.0, 0.0); (0.3e-9, 2.7e-5); (7.77e-10, 9.1e-5); (1.5e-9, 1.3e-4) ])
+    (on @ [ 3e9 ]);
+  Alcotest.check_raises "off the lattice" (Shear.Off_lattice off) (fun () ->
+      ignore (phase_of ~t1:0.0 ~t2:0.0 off))
+
 let test_shear_unsheared_assignment () =
   (* Unsheared: fast-multiple frequencies ride on t1, others on t2. *)
   let p_fast = Shear.phase_unsheared shear_1g ~t1:1.0e-9 ~t2:0.0 1e9 in
@@ -674,6 +692,86 @@ let test_first_jacobians_equal_fresh () =
   let shared, others = first_build "drifted surface" x in
   Alcotest.(check bool) "a drifted point is rebuilt on its own pattern" true (shared < others)
 
+(* A solve's Jacobians are the G and C its residual loaded at the same
+   iterate; at any other iterate they are loaded afresh. Either way each
+   point holds a fresh build's values bit for bit. *)
+let test_residual_loads_jacobians () =
+  let mna, shear = mixer_fixture () in
+  let sol = Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna in
+  let sys = sol.Mpde.Solver.system and g = sol.Mpde.Solver.grid in
+  let n = sys.Mpde.Assemble.size in
+  let sources = Mpde.Assemble.sources_on_grid sys g in
+  let x = sol.Mpde.Solver.big_x in
+  let x' = Array.mapi (fun i v -> v +. (1e-3 *. float_of_int (i mod 7))) x in
+  let r = Array.make (Array.length x) 0.0 in
+  let ws = Mpde.Assemble.workspace Mpde.Assemble.Backward sys g in
+  let check what x =
+    Array.iteri
+      (fun p (gp, cp) ->
+        let gf, cf =
+          sys.Mpde.Assemble.dae.Numeric.Dae.jacobians (Mpde.Assemble.state_of ~size:n x p)
+        in
+        same_block (what ^ " G") p gp gf;
+        same_block (what ^ " C") p cp cf)
+      (Mpde.Assemble.point_jacobians_ws ws x)
+  in
+  Mpde.Assemble.residual_into ws ~sources x r;
+  check "after the residual at x" x;
+  Mpde.Assemble.residual_into ws ~sources x' r;
+  check "at x after a residual at x'" x;
+  check "at x' after Jacobians at x" x'
+
+(* A workspace rebound to a new job equals a fresh one: every point back
+   on the new point 0's pattern, whatever the last job left (here the
+   zero state's cut-off pattern and the points rebuilt off it), and the
+   same residual, per-point Jacobians and big Jacobian, bit for bit. It
+   keeps its per-point buffers, so a rebound job allocates less. *)
+let test_assemble_rebind_equals_fresh () =
+  let mna, shear = mixer_fixture () in
+  let sol = Mpde.Solver.solve_mna ~shear ~n1:10 ~n2:6 mna in
+  let sys = sol.Mpde.Solver.system and g = sol.Mpde.Solver.grid in
+  let sources = Mpde.Assemble.sources_on_grid sys g in
+  let x = sol.Mpde.Solver.big_x in
+  let zero = Array.make (Array.length x) 0.0 in
+  let r = Array.make (Array.length x) 0.0 and r' = Array.make (Array.length x) 0.0 in
+  let used = Mpde.Assemble.workspace Mpde.Assemble.Backward sys g in
+  Mpde.Assemble.residual_into used ~sources zero r;
+  ignore (Mpde.Assemble.point_jacobians_ws used zero);
+  ignore (Mpde.Assemble.point_jacobians_ws used x);
+  ignore (Mpde.Assemble.jacobian_ws used);
+  let job ws =
+    let words = Gc.minor_words () in
+    let ws = ws () in
+    Mpde.Assemble.residual_into ws ~sources x r;
+    let jacs = Mpde.Assemble.point_jacobians_ws ws x in
+    (ws, jacs, Gc.minor_words () -. words)
+  in
+  let rebound, jr, words_rebound =
+    job (fun () -> Mpde.Assemble.rebind used Mpde.Assemble.Backward sys g)
+  in
+  Array.blit r 0 r' 0 (Array.length r);
+  let fresh, jf, words_fresh =
+    job (fun () -> Mpde.Assemble.workspace Mpde.Assemble.Backward sys g)
+  in
+  Alcotest.(check bool) "rebind keeps the workspace" true (rebound == used);
+  Alcotest.(check bool) "residual bitwise" true (float_array_bits_equal r r');
+  let same_pattern (a : Sparse.Csr.t) (b : Sparse.Csr.t) =
+    a.Sparse.Csr.row_ptr = b.Sparse.Csr.row_ptr && a.Sparse.Csr.col_idx = b.Sparse.Csr.col_idx
+  in
+  Array.iteri
+    (fun p (gr, cr) ->
+      let gf, cf = jf.(p) in
+      if not (same_pattern gr gf && same_pattern cr cf) then
+        Alcotest.failf "point %d: pattern differs from a fresh workspace's" p;
+      same_block "rebound G" p gr gf;
+      same_block "rebound C" p cr cf)
+    jr;
+  let jb = Mpde.Assemble.jacobian_ws rebound and jb' = Mpde.Assemble.jacobian_ws fresh in
+  Alcotest.(check bool) "big Jacobian bitwise" true
+    (same_pattern jb jb' && float_array_bits_equal jb.Sparse.Csr.values jb'.Sparse.Csr.values);
+  if not (words_rebound < words_fresh) then
+    Alcotest.failf "rebound job %.0f words, fresh %.0f" words_rebound words_fresh
+
 (* The paper's 40x30 balanced-mixer solve through [Engine.run]: 5 Newton
    iterates at about 68 k minor words each (the whole run over its
    Newton count: the DC seed, the solve and the waveform metrics).
@@ -710,11 +808,11 @@ let backward_reference_residual sys (g : Grid.t) ~sources big_x =
   let dae = sys.Mpde.Assemble.dae in
   let state p = Mpde.Assemble.state_of ~size:n big_x p in
   let qs = Array.init np (fun _ -> Array.make n 0.0) in
-  Array.iteri (fun p q -> dae.Numeric.Dae.eval_q_into (state p) q) qs;
   let r = Array.make (np * n) 0.0 and f = Array.make n 0.0 in
+  Array.iteri (fun p q -> Support.eval_qf dae (state p) ~q ~f) qs;
   for p = 0 to np - 1 do
     let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
-    dae.Numeric.Dae.eval_f_into (state p) f;
+    Support.eval_qf dae (state p) ~q:(Array.make n 0.0) ~f;
     let b = sources.(p) in
     let q = qs.(p) in
     let q_im1 = qs.(Grid.point_index g (i - 1) j) and q_jm1 = qs.(Grid.point_index g i (j - 1)) in
@@ -1926,6 +2024,7 @@ let () =
           Alcotest.test_case "diagonal identity" `Quick test_shear_phase_diagonal_identity;
           Alcotest.test_case "bi-periodicity" `Quick test_shear_phase_periodicity;
           Alcotest.test_case "unsheared assignment" `Quick test_shear_unsheared_assignment;
+          Alcotest.test_case "resolve = phase bitwise" `Quick test_shear_resolve;
           Alcotest.test_case "source validation" `Quick test_shear_validate_sources;
         ] );
       ( "grid",
@@ -1946,6 +2045,9 @@ let () =
             test_assemble_jacobian_matches_fd;
           Alcotest.test_case "workspace refresh bitwise" `Quick
             test_assemble_ws_bitwise_refresh;
+          Alcotest.test_case "residual loads the Jacobians" `Quick
+            test_residual_loads_jacobians;
+          Alcotest.test_case "rebind equals fresh" `Quick test_assemble_rebind_equals_fresh;
           Alcotest.test_case "backward = hand-written reference" `Quick
             test_assemble_backward_reference;
           Alcotest.test_case "first Jacobians equal fresh builds" `Quick

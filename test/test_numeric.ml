@@ -427,8 +427,8 @@ let test_dae_residual () =
   (* At the DC point x = r·b the residual qdot + f(x) − b(t) vanishes. *)
   let dae = rc_dae ~r:2.0 ~c:1.0 ~b:(fun _ -> 1.0) in
   let x = [| 2.0 |] in
-  let f = [| nan |] and b = [| nan |] in
-  dae.Numeric.Dae.eval_f_into x f;
+  let f = [| nan |] and q = [| nan |] and b = [| nan |] in
+  Support.eval_qf dae x ~q ~f;
   dae.Numeric.Dae.source_into 0.0 b;
   check_float "residual" 0.0 (f.(0) -. b.(0))
 
@@ -561,7 +561,7 @@ let test_transient_sample () =
 (* One workspace across a transient (in-place refresh, frozen-pivot
    refactors, the step-k factor reused at step k+1) against a fresh
    workspace per step (fresh factors only), and against a workspace
-   whose refresher reports drift at every iterate, so that it rebuilds
+   whose load reports drift at every iterate, so that it rebuilds
    G and C from [jacobians] each time, as on a pattern change. *)
 let test_step_workspace_paths () =
   let { Circuits.mna; _ } =
@@ -576,7 +576,14 @@ let test_step_workspace_paths () =
   let shared = Integrator.transient ~dae ~x0 ~t0:0.0 ~t1 ~steps () in
   let slow =
     Integrator.transient
-      ~dae:{ dae with Numeric.Dae.jacobian_refresher = (fun () _ ~g:_ ~c:_ -> false) }
+      ~dae:
+        {
+          dae with
+          Numeric.Dae.load =
+            (fun () ->
+              let load = dae.Numeric.Dae.load () in
+              fun x ~q ~f ~g ~c -> load x ~q ~f ~g ~c && false);
+        }
       ~x0 ~t0:0.0 ~t1 ~steps ()
   in
   let x = ref x0 in

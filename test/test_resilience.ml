@@ -309,9 +309,20 @@ let test_report_json () =
 
 (* ---------- MPDE integration ---------- *)
 
-(* A refresher that reports drift at every iterate: the assembler
-   rebuilds each point's Jacobians from [jacobians]. *)
-let rebuild_always () _x ~g:_ ~c:_ = false
+(* A scalar DAE with charge [1e-6·x] whose load reports drift at every
+   iterate: the assembler rebuilds each point's Jacobians from
+   [jacobians]. *)
+let scalar_dae ~f ~g ~source_into =
+  {
+    Numeric.Dae.size = 1;
+    source_into;
+    jacobians = (fun x -> (csr_1x1 (g x.(0)), csr_1x1 1e-6));
+    load =
+      (fun () x ~q ~f:out ~g:_ ~c:_ ->
+        q.(0) <- 1e-6 *. x.(0);
+        out.(0) <- f x.(0);
+        false);
+  }
 
 (* A 1-unknown DAE with ferociously stiff exponential nonlinearity
    (think: back-to-back diodes with emission coefficient ~1/30 V).
@@ -321,14 +332,8 @@ let rebuild_always () _x ~g:_ ~c:_ = false
 let stiff_dae ~amplitude ~freq =
   let f x = exp (30.0 *. (x -. 1.0)) -. exp (-30.0 *. (x +. 1.0)) +. (0.1 *. x) in
   let g x = (30.0 *. exp (30.0 *. (x -. 1.0))) +. (30.0 *. exp (-30.0 *. (x +. 1.0))) +. 0.1 in
-  {
-    Numeric.Dae.size = 1;
-    eval_f_into = (fun x out -> out.(0) <- f x.(0));
-    eval_q_into = (fun x out -> out.(0) <- 1e-6 *. x.(0));
-    source_into = (fun t out -> out.(0) <- amplitude *. cos (2.0 *. pi *. freq *. t));
-    jacobians = (fun x -> (csr_1x1 (g x.(0)), csr_1x1 1e-6));
-    jacobian_refresher = rebuild_always;
-  }
+  scalar_dae ~f ~g ~source_into:(fun t out ->
+      out.(0) <- amplitude *. cos (2.0 *. pi *. freq *. t))
 
 let mpde_fixture ?(n1 = 8) ?(n2 = 6) dae =
   let shear = Mpde.Shear.make ~fast_freq:1e3 ~slow_freq:1e2 in
@@ -363,14 +368,9 @@ let test_mpde_nan_poisoned_terminates () =
      structured failure report, not crash or hang. *)
   let f x = if Float.abs x < 1e-12 then 0.0 else nan in
   let dae =
-    {
-      Numeric.Dae.size = 1;
-      eval_f_into = (fun x out -> out.(0) <- f x.(0));
-      eval_q_into = (fun x out -> out.(0) <- 1e-6 *. x.(0));
-      source_into = (fun t out -> out.(0) <- cos (2.0 *. pi *. 1e3 *. t));
-      jacobians = (fun x -> (csr_1x1 (if Float.abs x.(0) < 1e-12 then 1.0 else nan), csr_1x1 1e-6));
-      jacobian_refresher = rebuild_always;
-    }
+    scalar_dae ~f
+      ~g:(fun x -> if Float.abs x < 1e-12 then 1.0 else nan)
+      ~source_into:(fun t out -> out.(0) <- cos (2.0 *. pi *. 1e3 *. t))
   in
   let system, grid = mpde_fixture dae in
   let sol = Mpde.Solver.solve system grid in

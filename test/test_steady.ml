@@ -327,8 +327,8 @@ let test_join_refused_on_tolerance () =
 
 (* A two-unknown algebraic DAE with f(x) = (x0²/2 + x1, x0 + x1²/2)
    − b, so G = [[x0, 1], [1, x1]]; G's (1,1) entry is in the pattern
-   only when it was built at x1 ≠ 0, and the refresher misses when it
-   must stamp a nonzero x1 there. *)
+   only when it was built at x1 ≠ 0, and the load misses when it must
+   stamp a nonzero x1 there. *)
 let structure_dae b =
   let f x = [| (0.5 *. x.(0) *. x.(0)) +. x.(1); x.(0) +. (0.5 *. x.(1) *. x.(1)) |] in
   let g x =
@@ -353,11 +353,13 @@ let structure_dae b =
   in
   {
     Numeric.Dae.size = 2;
-    eval_f_into = (fun x out -> Array.blit (f x) 0 out 0 2);
-    eval_q_into = (fun _ out -> Array.fill out 0 2 0.0);
     source_into = (fun _ out -> Array.blit b 0 out 0 2);
     jacobians = (fun x -> (g x, c));
-    jacobian_refresher = (fun () -> refresh);
+    load =
+      (fun () x ~q ~f:out ~g ~c ->
+        Array.blit (f x) 0 out 0 2;
+        Array.fill q 0 2 0.0;
+        refresh x ~g ~c);
   }
 
 (* The structure count moves on a pattern rebuild and on a fresh factor
