@@ -21,10 +21,11 @@ let dc_problem mna ~source_scale ~extra_gmin =
   let b0 = Mna.source_with mna ~phase_of:(fun _ -> 0.0) in
   let point = Numeric.Stacked.create (Mna.dae mna) ~points:1 in
   let residual_into x r =
-    Numeric.Stacked.load point x ~f:r;
+    Numeric.Stacked.load point x;
+    let f = (Numeric.Stacked.forces point).(0) in
     for i = 0 to n - 1 do
       let load = if i < nodes then extra_gmin *. x.(i) else 0.0 in
-      r.(i) <- r.(i) +. load -. (source_scale *. b0.(i))
+      r.(i) <- f.(i) +. load -. (source_scale *. b0.(i))
     done
   in
   let solve_into x r delta =

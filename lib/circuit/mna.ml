@@ -521,6 +521,25 @@ let source_into m t b =
         ()
   done
 
+(* [source_with] at the listed phases, into [out] at [off]: the same
+   additions into a zeroed block, through the domain's value slot. *)
+let sources_into m ~freqs ~phases out off =
+  let v = Domain.DLS.get source_value in
+  Array.fill out off m.size 0.0;
+  for d = 0 to Array.length m.devices - 1 do
+    match m.devices.(d) with
+    | Device.Voltage_source { waveform; _ } ->
+        Waveform.eval_phases_into waveform ~freqs ~phases v 0;
+        add_row out (off + m.branch.(d)) v.(0)
+    | Device.Current_source { n_plus; n_minus; waveform; _ } ->
+        Waveform.eval_phases_into waveform ~freqs ~phases v 0;
+        if n_plus > 0 then add_row out (off + n_plus - 1) (-.v.(0));
+        if n_minus > 0 then add_row out (off + n_minus - 1) v.(0)
+    | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Diode _
+    | Device.Mosfet _ | Device.Bjt _ | Device.Vccs _ | Device.Multiplier _ ->
+        ()
+  done
+
 let linear m =
   Array.for_all
     (function

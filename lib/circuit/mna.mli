@@ -27,6 +27,14 @@ val source_with : t -> phase_of:(float -> float) -> Linalg.Vec.t
     evaluated at phase [phase_of f] — the multi-time hook
     (see {!Waveform.eval_with}). *)
 
+val sources_into :
+  t -> freqs:float array -> phases:float array -> Linalg.Vec.t -> int -> unit
+(** [sources_into m ~freqs ~phases out off] writes into
+    [out.(off) .. out.(off + size − 1)] the floats of {!source_with}
+    with each waveform factor of frequency [freqs.(i)] at phase
+    [phases.(i)] (see {!Waveform.eval_phases_into}), allocating
+    nothing: one grid point of the MPDE's sources. *)
+
 val linear : t -> bool
 (** No device evaluates a model (resistors, capacitors, inductors,
     sources and VCCSs only): [f] and [q] are linear in the unknowns, so

@@ -106,6 +106,35 @@ let[@inline] eval w t =
 
 let eval_into w t out k = out.(k) <- eval w t
 
+(* The phase [phases.(i)] of the first [freqs.(i)] equal to [f]. *)
+let[@inline] phase_in ~(freqs : float array) ~(phases : float array) (f : float) =
+  let i = ref 0 in
+  while !i < Array.length freqs && Array.unsafe_get freqs !i <> f do
+    incr i
+  done;
+  if !i = Array.length freqs then invalid_arg "Waveform.eval_phases_into: frequency not listed";
+  Array.unsafe_get phases !i
+
+(* [eval_with] at the listed phases, written in like [eval]. *)
+let eval_phases_into w ~freqs ~phases out k =
+  let acc = ref w.dc and terms = ref w.terms in
+  while not (List.is_empty !terms) do
+    match !terms with
+    | [] -> ()
+    | { gain; factors } :: rest ->
+        let prod = ref gain and fs = ref factors in
+        while not (List.is_empty !fs) do
+          match !fs with
+          | [] -> ()
+          | { shape; freq } :: more ->
+              prod := !prod *. eval_periodic shape (phase_in ~freqs ~phases freq);
+              fs := more
+        done;
+        acc := !acc +. !prod;
+        terms := rest
+  done;
+  out.(k) <- !acc
+
 let frequencies w =
   let add acc f = if List.mem f acc then acc else f :: acc in
   List.fold_left

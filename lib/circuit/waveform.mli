@@ -48,6 +48,14 @@ val eval_with : phase_of:(float -> float) -> t -> float
     [phase_of freq] instead of [freq *. t]. This is the hook through
     which the MPDE shear substitutes difference-frequency time scales. *)
 
+val eval_phases_into :
+  t -> freqs:float array -> phases:float array -> float array -> int -> unit
+(** [eval_phases_into w ~freqs ~phases out k] writes into [out.(k)]
+    the floats of [eval_with ~phase_of w] for [phase_of freqs.(i) =
+    phases.(i)] (the first [i] that lists the frequency), allocating
+    nothing: the MPDE's per-point sources at their sheared phases.
+    @raise Invalid_argument when a factor's frequency is not listed. *)
+
 val frequencies : t -> float list
 (** All distinct factor frequencies (unsorted, duplicates removed). *)
 

@@ -2,25 +2,64 @@ type system = {
   size : int;
   dae : Numeric.Dae.t;
   source_at : t1:float -> t2:float -> Linalg.Vec.t;
+  sources_into : Grid.t -> Linalg.Vec.t -> unit;
   linear : bool;
 }
 
+(* Each source frequency's sheared phase at (t1, t2) into [phases]
+   ([Shear.phase]'s floats, and its [Off_lattice] for a frequency off
+   the lattice), then b̂ into [out] at [off]. Inlined into both callers,
+   so no time is boxed. *)
+let[@inline] excite mna shear ~freqs ~fast ~slow phases out off t1 t2 =
+  for k = 0 to Array.length freqs - 1 do
+    let f = fast.(k) in
+    if Float.is_finite f then phases.(k) <- (f *. t1) +. (slow.(k) *. t2)
+    else phases.(k) <- Shear.phase shear ~t1 ~t2 freqs.(k)
+  done;
+  Circuit.Mna.sources_into mna ~freqs ~phases out off
+
 let of_mna ~shear mna =
-  let phase = Shear.resolve shear (Circuit.Mna.source_frequencies mna) in
+  let n = Circuit.Mna.size mna in
+  let freqs = Array.of_list (Circuit.Mna.source_frequencies mna) in
+  let fast, slow = Shear.scales shear freqs in
+  let phases () = Array.make (Array.length freqs) 0.0 in
   {
-    size = Circuit.Mna.size mna;
+    size = n;
     dae = Circuit.Mna.dae mna;
-    source_at = (fun ~t1 ~t2 -> Circuit.Mna.source_with mna ~phase_of:(phase ~t1 ~t2));
+    source_at =
+      (fun ~t1 ~t2 ->
+        let b = Array.make n 0.0 in
+        excite mna shear ~freqs ~fast ~slow (phases ()) b 0 t1 t2;
+        b);
+    sources_into =
+      (fun g out ->
+        let phases = phases () in
+        (* [Grid.t1_of]/[t2_of]'s floats, formed here unboxed. *)
+        for j = 0 to g.Grid.n2 - 1 do
+          let t2 = float_of_int j *. g.Grid.h2 in
+          for i = 0 to g.Grid.n1 - 1 do
+            excite mna shear ~freqs ~fast ~slow phases out
+              (((j * g.Grid.n1) + i) * n)
+              (float_of_int i *. g.Grid.h1)
+              t2
+          done
+        done);
     linear = Circuit.Mna.linear mna;
   }
 
 let of_dae (dae : Numeric.Dae.t) =
+  let n = dae.Numeric.Dae.size in
   let source_at ~t1 ~t2:_ =
-    let b = Array.make dae.Numeric.Dae.size 0.0 in
+    let b = Array.make n 0.0 in
     dae.Numeric.Dae.source_into t1 b;
     b
   in
-  { size = dae.Numeric.Dae.size; dae; source_at; linear = false }
+  let sources_into g out =
+    for p = 0 to Grid.points g - 1 do
+      Array.blit (source_at ~t1:(Grid.t1_of g (p mod g.Grid.n1)) ~t2:0.0) 0 out (p * n) n
+    done
+  in
+  { size = n; dae; source_at; sources_into; linear = false }
 
 let to_dae sys ~source =
   { sys.dae with Numeric.Dae.source_into = (fun t b -> Array.blit (source t) 0 b 0 sys.size) }
@@ -72,9 +111,9 @@ let stencil (op1, op2) (g : Grid.t) =
 let state_of ~size big_x p = Array.sub big_x (p * size) size
 
 let sources_on_grid sys (g : Grid.t) =
-  Array.init (Grid.points g) (fun p ->
-      let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
-      sys.source_at ~t1:(Grid.t1_of g i) ~t2:(Grid.t2_of g j))
+  let b = Array.make (Grid.points g * sys.size) 0.0 in
+  sys.sources_into g b;
+  b
 
 (* acc := Σ_e w_e·q(nbr_e) over point p's entries in row r of one
    axis. The sum starts from the first term, not from 0.0, so a
@@ -191,26 +230,47 @@ let rebind ws scheme sys (g : Grid.t) =
 
 let workspace_operators ws = ws.ws_ops
 
+(* r_p = Σ_l w1·q_l/s1 + Σ_m w2·q_m/s2 + f_p − b_p. Each axis sum
+   starts from its first term, as [accumulate] does; rows of two
+   entries on both axes (the backward and central differences) are
+   summed inline, reading q and f where the load left them. *)
 let residual_with ~jacobians ws ~sources big_x r =
   Telemetry.span "mpde.assemble.residual" @@ fun () ->
-  (* f goes straight into [r], which holds it until the loop below
-     overwrites it. *)
-  Numeric.Stacked.load ~jacobians ws.points big_x ~f:r;
-  let n = ws.ws_n and st = ws.ws_stencil and qs = Numeric.Stacked.charges ws.points in
-  let s1 = st.t1.s and s2 = st.t2.s and a1 = ws.a1 and a2 = ws.a2 in
+  Numeric.Stacked.load ~jacobians ws.points big_x;
+  let n = ws.ws_n and st = ws.ws_stencil in
+  let qs = Numeric.Stacked.charges ws.points and fs = Numeric.Stacked.forces ws.points in
+  let t1 = st.t1 and t2 = st.t2 in
+  let s1 = t1.s and s2 = t2.s and a1 = ws.a1 and a2 = ws.a2 in
   for j = 0 to st.n2 - 1 do
+    let cols2 = t2.cols.(j) and w2 = t2.w.(j) and base2 = -j * t2.stride in
     for i = 0 to st.n1 - 1 do
       let p = (j * st.n1) + i in
-      accumulate st.t1 i p ~n ~qs a1;
-      accumulate st.t2 j p ~n ~qs a2;
-      let b = sources.(p) and base = p * n in
-      for v = 0 to n - 1 do
-        Array.unsafe_set r (base + v)
-          ((Array.unsafe_get a1 v /. s1)
-          +. (Array.unsafe_get a2 v /. s2)
-          +. Array.unsafe_get r (base + v)
-          -. Array.unsafe_get b v)
-      done
+      let cols1 = t1.cols.(i) and w1 = t1.w.(i) in
+      let f = fs.(p) and base = p * n in
+      if Array.length cols1 = 2 && Array.length cols2 = 2 then begin
+        let qa = qs.(p - i + cols1.(0)) and qb = qs.(p - i + cols1.(1)) in
+        let qc = qs.(p + base2 + (cols2.(0) * t2.stride))
+        and qd = qs.(p + base2 + (cols2.(1) * t2.stride)) in
+        let wa = w1.(0) and wb = w1.(1) and wc = w2.(0) and wd = w2.(1) in
+        for v = 0 to n - 1 do
+          Array.unsafe_set r (base + v)
+            (((wa *. Array.unsafe_get qa v) +. (wb *. Array.unsafe_get qb v)) /. s1
+            +. (((wc *. Array.unsafe_get qc v) +. (wd *. Array.unsafe_get qd v)) /. s2)
+            +. Array.unsafe_get f v
+            -. Array.unsafe_get sources (base + v))
+        done
+      end
+      else begin
+        accumulate t1 i p ~n ~qs a1;
+        accumulate t2 j p ~n ~qs a2;
+        for v = 0 to n - 1 do
+          Array.unsafe_set r (base + v)
+            ((Array.unsafe_get a1 v /. s1)
+            +. (Array.unsafe_get a2 v /. s2)
+            +. Array.unsafe_get f v
+            -. Array.unsafe_get sources (base + v))
+        done
+      end
     done
   done
 

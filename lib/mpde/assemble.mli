@@ -14,7 +14,12 @@ type system = {
       (** the circuit's q, f and Jacobians; the MPDE takes its
           excitation from [source_at] alone, and {!to_dae} replaces
           [dae.source_into] along a path *)
-  source_at : t1:float -> t2:float -> Linalg.Vec.t;  (** [b̂(t1, t2)] *)
+  source_at : t1:float -> t2:float -> Linalg.Vec.t;  (** [b̂(t1, t2)], a fresh vector *)
+  sources_into : Grid.t -> Linalg.Vec.t -> unit;
+      (** [sources_into g out] writes [b̂] at every point of [g] into
+          [out] (length [points · size], point p at offset [p·size]):
+          the floats of [source_at] at the point's [(t1, t2)]. From
+          {!of_mna} it allocates only one phase per source frequency. *)
   linear : bool;
       (** [f] and [q] are linear in the unknowns ({!of_mna} of a circuit
           without device models; [false] from {!of_dae}) *)
@@ -58,12 +63,13 @@ val operators :
     schemes apart. @raise Invalid_argument on a spectral axis with an
     even number of points or fewer than 3. *)
 
-val sources_on_grid : system -> Grid.t -> Linalg.Vec.t array
-(** Per-point [b̂] samples in flattened point order (precompute once —
-    the excitation does not depend on the iterate). *)
+val sources_on_grid : system -> Grid.t -> Linalg.Vec.t
+(** [b̂] at every grid point, flattened like the iterate, in a fresh
+    vector ([sources_into]; precompute once — the excitation does not
+    depend on the iterate). *)
 
 val residual :
-  scheme -> system -> Grid.t -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t
+  scheme -> system -> Grid.t -> sources:Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
 (** Residual of the discretized MPDE at the flattened iterate: one
     {!residual_into} on a fresh {!workspace} and a fresh vector. *)
 
@@ -118,7 +124,7 @@ val workspace_operators :
 (** The workspace's {!operators} pair, the same values on every call. *)
 
 val residual_into :
-  workspace -> sources:Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+  workspace -> sources:Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** [residual_into ws ~sources x r] writes {!residual} at [x] into [r]
     (length [points · size]), reusing the workspace's internal
     buffers: it allocates nothing of the grid's size. It loads G and C

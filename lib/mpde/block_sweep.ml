@@ -56,13 +56,20 @@ let no_schedule =
     targets = [||];
   }
 
+(* One axis's coupling rows, flat: row r's entries are
+   [ptr.(r) .. ptr.(r+1) − 1], entry e coupling point p to the point
+   whose block starts [off.(e)] floats after p's (negative for an
+   earlier point) with coefficient [coef.(e)], in index order along
+   the axis. *)
+type couplings = { ptr : int array; off : int array; coef : float array }
+
 (* The sweep's share of the operator pair and the rest. Per fast index
-   i: [scales.(i)], the weight of C_p in D_p, and [lower1.(i)], M's t1
-   couplings as right-side terms (l < i, −w/s); per slow index j:
-   [lower2.(j)], M's backward t2 coupling (j − 1, 1/h2). [rest1.(i)]
-   and [rest2.(j)] hold R = J − M on each axis as (index along the
-   axis, coefficient) entries, the diagonal included. Derived once per
-   operator pair and grid, and kept while they stay the same. *)
+   i: [scales.(i)], the weight of C_p in D_p, and row i of [lower1],
+   M's t1 couplings as right-side terms (l < i, −w/s); per slow index
+   j: row j of [lower2], M's backward t2 coupling (j − 1, 1/h2).
+   [rest1] and [rest2] hold R = J − M on each axis, the diagonal
+   included. Derived once per operator pair, grid and block size, and
+   kept while they stay the same. *)
 type split = {
   op1 : Numeric.Collocation.operator;
   op2 : Numeric.Collocation.operator;
@@ -70,10 +77,10 @@ type split = {
   n1 : int;
   n2 : int;
   scales : float array;
-  lower1 : (int * float) array array;
-  lower2 : (int * float) array array;
-  rest1 : (int * float) array array;
-  rest2 : (int * float) array array;
+  lower1 : couplings;
+  lower2 : couplings;
+  rest1 : couplings;
+  rest2 : couplings;
 }
 
 type t = {
@@ -133,13 +140,23 @@ let row_difference a b =
          if c = 0.0 then None else Some (l, c))
   |> Array.of_list
 
-(* M and R on both axes. A row of J on an axis is its operator's row
-   (diagonal as {!Numeric.Collocation.diagonal} sums it, then the other
-   entries' w/s); M's t1 row is J's diagonal and lower entries when the
-   t1 operator is lower-triangular, and empty otherwise, when the sweep
-   is a block Gauss-Seidel over the t2 columns; M's t2 row is always
-   the backward difference without its wrap. *)
-let split_of (op1, op2) (g : Grid.t) =
+(* Rows of (index along the axis, coefficient) entries, flattened with
+   each index turned into a block offset from the row's own point:
+   [(l − r)·stride·n] floats. *)
+let flatten ~stride ~n rows =
+  let ptr = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun r row -> ptr.(r + 1) <- ptr.(r) + Array.length row) rows;
+  let entries = Array.concat (Array.to_list (Array.mapi (fun r row -> Array.map (fun (l, c) -> ((l - r) * stride * n, c)) row) rows)) in
+  { ptr; off = Array.map fst entries; coef = Array.map snd entries }
+
+(* M and R on both axes, for blocks of [n] unknowns. A row of J on an
+   axis is its operator's row (diagonal as
+   {!Numeric.Collocation.diagonal} sums it, then the other entries'
+   w/s); M's t1 row is J's diagonal and lower entries when the t1
+   operator is lower-triangular, and empty otherwise, when the sweep is
+   a block Gauss-Seidel over the t2 columns; M's t2 row is always the
+   backward difference without its wrap. *)
+let split_of (op1, op2) (g : Grid.t) ~n =
   let module C = Numeric.Collocation in
   let inv_h2 = 1.0 /. g.Grid.h2 and tri = C.lower_triangular op1 in
   let self1 = C.diagonal op1 and self2 = C.diagonal op2 in
@@ -155,6 +172,7 @@ let split_of (op1, op2) (g : Grid.t) =
     Array.of_list (List.filter_map (fun (l, c) -> if l = r then None else Some (l, -.c)) m)
   in
   let n1 = g.Grid.n1 and n2 = g.Grid.n2 in
+  let axis1 = flatten ~stride:1 ~n and axis2 = flatten ~stride:n1 ~n in
   {
     op1;
     op2;
@@ -162,12 +180,11 @@ let split_of (op1, op2) (g : Grid.t) =
     n1;
     n2;
     scales = Array.init n1 (fun i -> (if tri then self1.(i) else 0.0) +. inv_h2);
-    lower1 = Array.init n1 (fun i -> right_side (m1 i) i);
-    lower2 = Array.init n2 (fun j -> right_side (m2 j) j);
-    rest1 = Array.init n1 (fun i -> row_difference (row op1 self1 i) (m1 i));
-    rest2 = Array.init n2 (fun j -> row_difference (row op2 self2 j) (m2 j));
+    lower1 = axis1 (Array.init n1 (fun i -> right_side (m1 i) i));
+    lower2 = axis2 (Array.init n2 (fun j -> right_side (m2 j) j));
+    rest1 = axis1 (Array.init n1 (fun i -> row_difference (row op1 self1 i) (m1 i)));
+    rest2 = axis2 (Array.init n2 (fun j -> row_difference (row op2 self2 j) (m2 j)));
   }
-
 
 (* [a] and [b] hold the same ints: one typed loop, no closure. *)
 let ints_equal (a : int array) (b : int array) =
@@ -561,7 +578,7 @@ let build t ((op1, op2) as ops) (g : Grid.t) ~jacs ~extra_diag =
     match t.split with
     | Some sp when sp.op1 == op1 && sp.op2 == op2 && sp.h2 = g.Grid.h2 -> sp
     | _ ->
-        let sp = split_of ops g in
+        let sp = split_of ops g ~n in
         t.split <- Some sp;
         sp
   in
@@ -599,24 +616,6 @@ let build t ((op1, op2) as ops) (g : Grid.t) ~jacs ~extra_diag =
   Telemetry.count ~by:t.refactors "mpde.precond.refactors";
   Telemetry.gauge "mpde.precond.patterns" (float_of_int t.runs)
 
-(* b += c · (C_q y_q), read from the per-point products [cy]. Inlined,
-   so [c] is never boxed. *)
-let[@inline] add_scaled (b : float array) (cy : Linalg.Vec.t) n c q =
-  let qb = q * n in
-  for row = 0 to n - 1 do
-    Array.unsafe_set b row
-      (Array.unsafe_get b row +. (c *. Array.unsafe_get cy (qb + row)))
-  done
-
-(* out_p += c · (C_q y_q), on the output vector. *)
-let[@inline] add_product (out : Linalg.Vec.t) base (cy : Linalg.Vec.t) n c q =
-  let qb = q * n in
-  for row = 0 to n - 1 do
-    Array.unsafe_set out (base + row)
-      (Array.unsafe_get out (base + row)
-      +. (c *. Array.unsafe_get cy (qb + row)))
-  done
-
 (* cy_p = C_p y_p, each row summed from 0.0 in CSR order. *)
 let[@inline] c_times (cy : Linalg.Vec.t) n (c : Sparse.Csr.t) (y : float array) base =
   let rp = c.Sparse.Csr.row_ptr and ci = c.Sparse.Csr.col_idx and cv = c.Sparse.Csr.values in
@@ -635,37 +634,66 @@ let built t =
   | _ -> invalid_arg "Block_sweep.apply: no factors built"
 
 (* One pass in lexicographic point order: point (i,j) reads only the
-   already-solved (l < i, j) and (i, j−1). Per point: gather r_p, move
-   the lower-neighbour couplings (w/s·C_q y_q, from [cy]) to the right
-   side, permute, forward/back substitution over the stored nonzeros,
-   then C_p y_p into [cy]. *)
-let sweep t (r : Linalg.Vec.t) =
+   already-solved (l < i, j) and (i, j−1). Per point, one loop gathers
+   the permuted right side y_k = r_{perm k} + Σ_e c_e·(C_q y_q)_{perm k}
+   over M's lower t1 couplings and then its t2 couplings (from [cy]),
+   each sum in the order of the unfused gather, scale-add and permute;
+   then forward/back substitution over the stored nonzeros, and
+   C_p y_p into [cy]. A point's pattern arrays are read only when they
+   differ from the previous point's. With [~keep:false] (the product)
+   y is not stored into the output, which the caller overwrites. *)
+let sweep ~keep t (r : Linalg.Vec.t) =
   let sp = built t in
   if Array.length r <> t.np * t.n then invalid_arg "Block_sweep.apply: dimension mismatch";
   Telemetry.count "mpde.precond.sweeps";
   let n = t.n and n1 = sp.n1 and jacs = t.jacs in
-  let x = t.sx and b = t.rhs and y = t.y and cy = t.cy and vals = t.vals in
+  let x = t.sx and y = t.y and cy = t.cy and vals = t.vals and pats = t.pats in
+  let { ptr = l1_ptr; off = l1_off; coef = l1_coef } = sp.lower1 in
+  let { ptr = l2_ptr; off = l2_off; coef = l2_coef } = sp.lower2 in
+  let pat = ref no_pattern and perm = ref [||] and ptr = ref [||] and cols = ref [||] in
   for j = 0 to sp.n2 - 1 do
-    let lower2 = Array.unsafe_get sp.lower2 j in
+    let e2 = Array.unsafe_get l2_ptr j and e2_end = Array.unsafe_get l2_ptr (j + 1) in
     for i = 0 to n1 - 1 do
       let p = (j * n1) + i in
       let base = p * n in
-      for row = 0 to n - 1 do
-        Array.unsafe_set b row (Array.unsafe_get r (base + row))
-      done;
-      let lower1 = Array.unsafe_get sp.lower1 i in
-      for e = 0 to Array.length lower1 - 1 do
-        let l, c = Array.unsafe_get lower1 e in
-        add_scaled b cy n c (p - i + l)
-      done;
-      for e = 0 to Array.length lower2 - 1 do
-        let m, c = Array.unsafe_get lower2 e in
-        add_scaled b cy n c (p + ((m - j) * n1))
-      done;
-      let { perm; ptr; cols } = t.pats.(p) and o = t.offs.(p) in
-      for row = 0 to n - 1 do
-        Array.unsafe_set y row (Array.unsafe_get b (Array.unsafe_get perm row))
-      done;
+      let e1 = Array.unsafe_get l1_ptr i and e1_end = Array.unsafe_get l1_ptr (i + 1) in
+      let pp = Array.unsafe_get pats p in
+      if pp != !pat then begin
+        pat := pp;
+        perm := pp.perm;
+        ptr := pp.ptr;
+        cols := pp.cols
+      end;
+      let perm = !perm and ptr = !ptr and cols = !cols in
+      if e1_end - e1 = 1 && e2_end - e2 = 1 then begin
+        (* An interior point of a backward grid: one coupling per axis. *)
+        let c1 = Array.unsafe_get l1_coef e1 and o1 = Array.unsafe_get l1_off e1 in
+        let c2 = Array.unsafe_get l2_coef e2 and o2 = Array.unsafe_get l2_off e2 in
+        for k = 0 to n - 1 do
+          let pk = base + Array.unsafe_get perm k in
+          Array.unsafe_set y k
+            (Array.unsafe_get r pk
+            +. (c1 *. Array.unsafe_get cy (pk + o1))
+            +. (c2 *. Array.unsafe_get cy (pk + o2)))
+        done
+      end
+      else
+        for k = 0 to n - 1 do
+          let pk = base + Array.unsafe_get perm k in
+          let s = ref (Array.unsafe_get r pk) in
+          for e = e1 to e1_end - 1 do
+            s :=
+              !s
+              +. (Array.unsafe_get l1_coef e *. Array.unsafe_get cy (pk + Array.unsafe_get l1_off e))
+          done;
+          for e = e2 to e2_end - 1 do
+            s :=
+              !s
+              +. (Array.unsafe_get l2_coef e *. Array.unsafe_get cy (pk + Array.unsafe_get l2_off e))
+          done;
+          Array.unsafe_set y k !s
+        done;
+      let o = Array.unsafe_get t.offs p in
       (* Forward substitution with unit L. *)
       for row = 1 to n - 1 do
         let s = ref (Array.unsafe_get y row) in
@@ -689,41 +717,50 @@ let sweep t (r : Linalg.Vec.t) =
         done;
         let v = !s /. Array.unsafe_get vals (diag + row) in
         Array.unsafe_set y row v;
-        Array.unsafe_set x (base + row) v
+        if keep then Array.unsafe_set x (base + row) v
       done;
       c_times cy n (snd (Array.unsafe_get jacs p)) y base
     done
   done;
   x
 
+(* out_p += c · (C_q y_q), with q's block [off] floats from p's.
+   Inlined, so [c] is never boxed. *)
+let[@inline] add_product (out : Linalg.Vec.t) base (cy : Linalg.Vec.t) n c off =
+  let qb = base + off in
+  for row = 0 to n - 1 do
+    Array.unsafe_set out (base + row)
+      (Array.unsafe_get out (base + row) +. (c *. Array.unsafe_get cy (qb + row)))
+  done
+
 (* J·M⁻¹v = M·y + R·y = v + R·y with y = M⁻¹v. R reads y only through
-   [cy], so the result overwrites y in the output buffer. Only the
-   points with R entries (the wraps, for a lower-triangular t1
+   [cy], so the result is [v] plus R's terms, in the output buffer.
+   Only the points with R entries (the wraps, for a lower-triangular t1
    operator) do more than the copy of [v]. *)
 let product_sweep t (v : Linalg.Vec.t) =
-  let x = sweep t v in
+  let x = sweep ~keep:false t v in
   Array.blit v 0 x 0 (Array.length x);
   let sp = built t in
   let n = t.n and n1 = sp.n1 and cy = t.cy in
+  let { ptr = r1_ptr; off = r1_off; coef = r1_coef } = sp.rest1 in
+  let { ptr = r2_ptr; off = r2_off; coef = r2_coef } = sp.rest2 in
   for j = 0 to sp.n2 - 1 do
-    let rest2 = Array.unsafe_get sp.rest2 j in
+    let e2 = r2_ptr.(j) and e2_end = r2_ptr.(j + 1) in
     for i = 0 to n1 - 1 do
-      let rest1 = Array.unsafe_get sp.rest1 i in
-      if Array.length rest1 > 0 || Array.length rest2 > 0 then begin
-        let p = (j * n1) + i in
-        let base = p * n in
-        for e = 0 to Array.length rest1 - 1 do
-          let l, c = Array.unsafe_get rest1 e in
-          add_product x base cy n c (p - i + l)
+      let e1 = r1_ptr.(i) and e1_end = r1_ptr.(i + 1) in
+      if e1 < e1_end || e2 < e2_end then begin
+        let base = ((j * n1) + i) * n in
+        for e = e1 to e1_end - 1 do
+          add_product x base cy n r1_coef.(e) r1_off.(e)
         done;
-        for e = 0 to Array.length rest2 - 1 do
-          let m, c = Array.unsafe_get rest2 e in
-          add_product x base cy n c (p + ((m - j) * n1))
+        for e = e2 to e2_end - 1 do
+          add_product x base cy n r2_coef.(e) r2_off.(e)
         done
       end
     done
   done;
   x
 
-let apply t r = Telemetry.span_app "mpde.precond.apply" sweep t r
+let apply_sweep t r = sweep ~keep:true t r
+let apply t r = Telemetry.span_app "mpde.precond.apply" apply_sweep t r
 let product t v = Telemetry.span_app "mpde.precond.apply" product_sweep t v

@@ -30,16 +30,19 @@ let phase s ~t1 ~t2 freq =
 
 (* Each frequency's (m, k) scaled once: [phase] is
    (m·f1)·t1 + (k·fs)·t2 in the same float operations. A frequency off
-   the lattice keeps [nan] and goes through [phase], which raises. *)
-let resolve s freqs =
-  let freqs = Array.of_list freqs in
+   the lattice keeps [nan]. *)
+let scales s freqs =
   let scaled scale f =
     match lattice s f with
     | m, k -> scale (m, k)
     | exception Off_lattice _ -> Float.nan
   in
-  let fast = Array.map (scaled (fun (m, _) -> float_of_int m *. s.fast)) freqs in
-  let slow = Array.map (scaled (fun (_, k) -> float_of_int k *. s.slow)) freqs in
+  ( Array.map (scaled (fun (m, _) -> float_of_int m *. s.fast)) freqs,
+    Array.map (scaled (fun (_, k) -> float_of_int k *. s.slow)) freqs )
+
+let resolve s freqs =
+  let freqs = Array.of_list freqs in
+  let fast, slow = scales s freqs in
   fun ~t1 ~t2 f ->
     let i = ref 0 in
     while !i < Array.length freqs && not (freqs.(!i) = f && Float.is_finite fast.(!i)) do

@@ -44,6 +44,11 @@ val resolve : t -> float list -> t1:float -> t2:float -> float -> float
     [phase s ~t1 ~t2 f], bit for bit, without re-deriving [(m, k)] for
     those frequencies (any other [f] goes through {!phase}). *)
 
+val scales : t -> float array -> float array * float array
+(** [scales s freqs] is each frequency's [(m·f1, k·fs)], [nan] in both
+    for a frequency off the lattice: [fast.(i)·t1 + slow.(i)·t2] is
+    [phase s ~t1 ~t2 freqs.(i)], bit for bit. *)
+
 val phase_unsheared : t -> t1:float -> t2:float -> float -> float
 (** The *unsheared* two-tone assignment of paper eq. (9)/Figure 1:
     frequencies at (multiples of) the fast fundamental evolve along

@@ -71,12 +71,14 @@ type solution = {
   report : Report.t;
 }
 
-(* Per-solve workspace: assembly scratch plus the linear-solver caches
-   (GMRES Krylov basis, sweep factors, the sparse-LU factorization
-   refreshed numerically on its frozen pattern). Owned by exactly one
-   solve on one domain. *)
+(* Per-solve workspace: assembly scratch, the grid's sources, plus the
+   linear-solver caches (GMRES Krylov basis, sweep factors, the
+   sparse-LU factorization refreshed numerically on its frozen
+   pattern). Owned by exactly one solve on one domain. *)
 type workspace = {
   mutable asm : Assemble.workspace;
+  sources : Vec.t;  (* b̂ on the grid, written once per solve *)
+  scaled : Vec.t;  (* λ·b̂ for a source-ramp step *)
   mutable gmres_ws : Sparse.Krylov.workspace option;
   op_out : Vec.t;  (* shared operator output (GMRES buffer contract) *)
   sweep : Block_sweep.t;
@@ -91,6 +93,8 @@ let make_workspace scheme sys (g : Grid.t) =
   let big = np * n in
   {
     asm = Assemble.workspace scheme sys g;
+    sources = Array.make big 0.0;
+    scaled = Array.make big 0.0;
     gmres_ws = None;
     op_out = Array.make big 0.0;
     sweep = Block_sweep.create ~n ~np;
@@ -111,6 +115,11 @@ let workspace_fits ws sys (g : Grid.t) =
 let rebind_workspace ws scheme sys (g : Grid.t) =
   ws.asm <- Assemble.rebind ws.asm scheme sys g;
   ws.splu <- None;
+  ws
+
+(* The workspace with the grid's sources written into it. *)
+let with_sources ws sys (g : Grid.t) =
+  sys.Assemble.sources_into g ws.sources;
   ws
 
 (* The forcing state of one Newton solve: [fnorm] is ‖F‖∞ at its last
@@ -240,15 +249,23 @@ let check_jacobians_finite ~n jacs =
    the full MPDE grid vector. *)
 type ptc = { alpha : float; anchor : Vec.t }
 
-let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~sources ~linear_iters
+(* A Newton problem on [ws]'s grid. A scaled problem writes λ·b̂ into
+   [ws.scaled]; Newton runs one problem at a time, so each scaled
+   problem owns that buffer while it runs. *)
+let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~linear_iters
     ~source_scale ~on_residual_violation () =
   let n = sys.Assemble.size in
-  let scaled_sources =
-    if source_scale = 1.0 then sources
-    else Array.map (Vec.scale source_scale) sources
+  let sources =
+    if source_scale = 1.0 then ws.sources
+    else begin
+      for k = 0 to Array.length ws.sources - 1 do
+        ws.scaled.(k) <- source_scale *. ws.sources.(k)
+      done;
+      ws.scaled
+    end
   in
   let base_residual big_x r =
-    Assemble.residual_into ws.asm ~sources:scaled_sources big_x r;
+    Assemble.residual_into ws.asm ~sources big_x r;
     match ptc with
     | Some { alpha; anchor } ->
         for i = 0 to Array.length r - 1 do
@@ -369,7 +386,6 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   in
   let big_x0 = start_on g in
   let cold = match seed with Some s -> Array.length s <> big | None -> true in
-  let sources = Assemble.sources_on_grid sys g in
   (* Sweep-scale solves reuse one workspace per domain through the
      caller-held slot: the multi-megabyte numeric buffers (compact
      sweep factors, Krylov basis, operator buffers) survive from job
@@ -388,6 +404,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
             w)
     | None -> make_workspace options.scheme sys g
   in
+  let ws = with_sources ws sys g in
   let linear_iters = ref 0 in
   let newton_total = ref 0 in
   let continuation_steps = ref 0 and continuation_rejected = ref 0 in
@@ -455,12 +472,11 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   (* One Newton solve on grid [lg] with workspace [lws]. [min_iterations]
      is 1 from a foreign start: a surface meeting the tolerance is not
      taken without a step (a residual bound is not a waveform bound). *)
-  let newton_on (lg, lws, lsources) ~linear_solver ?ptc ?(min_iterations = 0) ~source_scale
+  let newton_on (lg, lws) ~linear_solver ?ptc ?(min_iterations = 0) ~source_scale
       ~on_iteration x_init =
     residual_violation := None;
     let problem =
-      newton_problem ~options ~linear_solver ~ws:lws ?ptc ~sys ~g:lg ~sources:lsources
-        ~linear_iters ~source_scale ~on_residual_violation:(on_residual_violation lg) ()
+      newton_problem ~options ~linear_solver ~ws:lws ?ptc ~sys ~g:lg ~linear_iters ~source_scale ~on_residual_violation:(on_residual_violation lg) ()
     in
     Numeric.Newton.solve
       ~options:{ newton_options with min_iterations }
@@ -468,7 +484,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   in
   let run_newton ~name ~linear_solver ?ptc ?min_iterations ~source_scale x_init =
     let x, stats =
-      newton_on (g, ws, sources) ~linear_solver ?ptc ?min_iterations ~source_scale ~on_iteration
+      newton_on (g, ws) ~linear_solver ?ptc ?min_iterations ~source_scale ~on_iteration
         x_init
     in
     newton_total := !newton_total + stats.Numeric.Newton.iterations;
@@ -483,7 +499,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
      iterations count in the total and whose wall starts at [t0]. *)
   let level_newton ?(on_iteration = fun _ _ _ -> ()) ~min_iterations lg lws x =
     newton_on
-      (lg, lws, Assemble.sources_on_grid sys lg)
+      (lg, with_sources lws sys lg)
       ~linear_solver:options.linear_solver ~min_iterations ~source_scale:1.0 ~on_iteration x
   in
   let level_row name (lg : Grid.t) ~t0 iterations status =
@@ -562,8 +578,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   let source_ramp_stage () =
     residual_violation := None;
     let problem_at lambda =
-      newton_problem ~options ~linear_solver:options.linear_solver ~ws ~sys ~g ~sources
-        ~linear_iters ~source_scale:lambda ~on_residual_violation:(on_residual_violation g) ()
+      newton_problem ~options ~linear_solver:options.linear_solver ~ws ~sys ~g ~linear_iters ~source_scale:lambda ~on_residual_violation:(on_residual_violation g) ()
     in
     let x, cstats =
       Numeric.Continuation.trace ?budget:options.budget ~newton_options ~problem_at
@@ -659,7 +674,7 @@ let solve ?(options = default_options) ?seed ?workspace_slot
     | Some x, Some (x', rnorm) when x == x' -> rnorm
     | _ ->
         let r = Array.make big 0.0 in
-        Assemble.residual_into ws.asm ~sources big_x r;
+        Assemble.residual_into ws.asm ~sources:ws.sources big_x r;
         Vec.norm_inf r
   in
   let converged = run.Ladder.value <> None in

@@ -56,15 +56,15 @@ let problem ?anchor (dae : Dae.t) op ~times =
   let anchor =
     Option.map
       (fun (h, prev) ->
-        Stacked.load stack (Array.concat (Array.to_list prev)) ~f:(Array.make big 0.0);
+        Stacked.load stack (Array.concat (Array.to_list prev));
         (h, Array.map Array.copy (Stacked.charges stack)))
       anchor
   in
   let residual_into big_x r =
-    Stacked.load stack big_x ~f:r;
-    let qs = Stacked.charges stack in
+    Stacked.load stack big_x;
+    let qs = Stacked.charges stack and fs = Stacked.forces stack in
     for k = 0 to points - 1 do
-      let b = sources.(k) and row = op.weights.(k) in
+      let b = sources.(k) and f = fs.(k) and row = op.weights.(k) in
       for i = 0 to n - 1 do
         let dq = ref 0.0 in
         for e = 0 to Array.length row - 1 do
@@ -77,7 +77,7 @@ let problem ?anchor (dae : Dae.t) op ~times =
           | None -> dt
           | Some (h, q_prev) -> dt +. ((qs.(k).(i) -. q_prev.(k).(i)) /. h)
         in
-        r.((k * n) + i) <- dt +. r.((k * n) + i) -. b.(i)
+        r.((k * n) + i) <- dt +. f.(i) -. b.(i)
       done
     done
   in

@@ -194,12 +194,17 @@ let real_harmonics x =
     (* A harmonic k of 0 < k < n/2 is X_k and its mirror X_{n−k}; for
        even n the bin n/2 is its own mirror, so its cosine amplitude is
        |X|/n, as the mean's is. *)
-    Array.init ((n / 2) + 1) (fun k ->
-        if k = 0 then (re.(0) /. float_of_int n, 0.0)
-        else
-          let z = { Complex.re = re.(k); im = im.(k) } in
-          let bins = if 2 * k = n then 1.0 else 2.0 in
-          (bins *. Complex.norm z /. float_of_int n, Complex.arg z))
+    (* Filled in place from a static pair: [Array.init] would build the
+       array from the young first pair, which forces a minor collection
+       once there are more than 256 harmonics (OCaml 5.1). *)
+    let h = Array.make ((n / 2) + 1) (0.0, 0.0) in
+    h.(0) <- (re.(0) /. float_of_int n, 0.0);
+    for k = 1 to n / 2 do
+      let z = { Complex.re = re.(k); im = im.(k) } in
+      let bins = if 2 * k = n then 1.0 else 2.0 in
+      h.(k) <- (bins *. Complex.norm z /. float_of_int n, Complex.arg z)
+    done;
+    h
   end
 
 let amplitude_at x k =

@@ -310,7 +310,10 @@ let transient ?newton_options ?(method_ = Backward_euler) ~dae ~x0 ~t0 ~t1 ~step
   let h = (t1 -. t0) /. float_of_int steps in
   let workspace = workspace dae in
   let times = Array.make (steps + 1) t0 in
-  let states = Array.make (steps + 1) x0 in
+  (* Sized from [||], not from the young [x0]: a larger array made from
+     a young block forces a minor collection (OCaml 5.1). *)
+  let states = Array.make (steps + 1) [||] in
+  states.(0) <- x0;
   let reached = ref steps in
   (try
      for k = 1 to steps do

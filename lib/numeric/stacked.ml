@@ -1,6 +1,7 @@
 module Vec = Linalg.Vec
 
-(* [qs] hold q and [jacs] G and C at [loaded_x] while [loaded];
+(* [qs] and [fs] hold q and f at the last load, [jacs] G and C at
+   [loaded_x] while [loaded];
    [fits.(p)] is false where point p's last load left its pattern.
    [fresh] marks a job whose first load has not run. *)
 type t = {
@@ -9,7 +10,7 @@ type t = {
   mutable dae : Dae.t;
   mutable load_dae : Vec.t -> q:Vec.t -> f:Vec.t -> g:Sparse.Csr.t -> c:Sparse.Csr.t -> bool;
   qs : Vec.t array;
-  f_buf : Vec.t;
+  fs : Vec.t array;
   x_buf : Vec.t;  (* staging slice of the stacked iterate *)
   mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* [||] until the first load *)
   mutable fresh : bool;
@@ -20,6 +21,17 @@ type t = {
   mutable structure : int;
 }
 
+(* [points] vectors of [n] zeros. Built from the empty array, never
+   from a young block: [Array.make] and [Array.init] of more than 256
+   elements from a young block force a minor collection (OCaml 5.1's
+   [caml_make_vect]). *)
+let per_point points n =
+  let vs = Array.make points [||] in
+  for p = 0 to points - 1 do
+    vs.(p) <- Array.make n 0.0
+  done;
+  vs
+
 let create (dae : Dae.t) ~points =
   let n = dae.Dae.size in
   {
@@ -29,8 +41,8 @@ let create (dae : Dae.t) ~points =
     (* One private stamping workspace: [t] is single-domain, so this
        is the single writer. *)
     load_dae = dae.Dae.load ();
-    qs = Array.init points (fun _ -> Array.make n 0.0);
-    f_buf = Array.make n 0.0;
+    qs = per_point points n;
+    fs = per_point points n;
     x_buf = Array.make n 0.0;
     jacs = [||];
     fresh = true;
@@ -49,15 +61,20 @@ let rebind t (dae : Dae.t) =
   t.loaded <- false
 
 let charges t = t.qs
+let forces t = t.fs
 let structure t = t.structure
 
-(* Point [p]'s state, staged in [x_buf] until the next call. *)
+(* Point [p]'s state: [x] itself for a single point, else staged in
+   [x_buf] until the next call. *)
 let state t x p =
-  let base = p * t.size and s = t.x_buf in
-  for v = 0 to t.size - 1 do
-    s.(v) <- x.(base + v)
-  done;
-  s
+  if t.points = 1 then x
+  else begin
+    let base = p * t.size and s = t.x_buf in
+    for v = 0 to t.size - 1 do
+      Array.unsafe_set s v (x.(base + v))
+    done;
+    s
+  end
 
 let intern t (m : Sparse.Csr.t) =
   let same (r : Sparse.Csr.t) =
@@ -74,6 +91,12 @@ let intern t (m : Sparse.Csr.t) =
 let build t x p =
   let g, c = t.dae.Dae.jacobians (state t x p) in
   (intern t g, intern t c)
+
+(* A static placeholder, so that sizing the per-point array forces no
+   minor collection (see [per_point]). *)
+let no_jacobians =
+  ( { Sparse.Csr.rows = 0; cols = 0; row_ptr = [||]; col_idx = [||]; values = [||] },
+    { Sparse.Csr.rows = 0; cols = 0; row_ptr = [||]; col_idx = [||]; values = [||] } )
 
 (* A job's first load: point 0 from scratch, every other point on point
    0's interned pattern with values of its own, which the load then
@@ -97,48 +120,40 @@ let first_points t x =
     | _ -> { m0 with Sparse.Csr.values = Array.make (Array.length m0.Sparse.Csr.values) 0.0 }
   in
   let keep p = if Array.length old > 0 then Some old.(p) else None in
-  t.jacs <-
-    Array.init t.points (fun p ->
-        if p = 0 then jac0
-        else
-          let old = keep p in
-          (on_point0 g0 (Option.map fst old), on_point0 c0 (Option.map snd old)));
+  let jacs = Array.make t.points no_jacobians in
+  jacs.(0) <- jac0;
+  for p = 1 to t.points - 1 do
+    let old = keep p in
+    jacs.(p) <- (on_point0 g0 (Option.map fst old), on_point0 c0 (Option.map snd old))
+  done;
+  t.jacs <- jacs;
   t.structure <- t.structure + 1;
   t.fresh <- false
 
-(* Point p's f goes to [f] at offset p·size; an empty [f] drops it. *)
-let load_into t x f =
+let load_into t x =
   if t.fresh then first_points t x;
-  let n = t.size and fp = t.f_buf in
   for p = 0 to t.points - 1 do
     let g, c = t.jacs.(p) in
-    t.fits.(p) <- t.load_dae (state t x p) ~q:t.qs.(p) ~f:fp ~g ~c;
-    if Array.length f > 0 then
-      for v = 0 to n - 1 do
-        f.((p * n) + v) <- fp.(v)
-      done
+    t.fits.(p) <- t.load_dae (state t x p) ~q:t.qs.(p) ~f:t.fs.(p) ~g ~c
   done;
-  Array.blit x 0 t.loaded_x 0 (t.points * n);
+  Array.blit x 0 t.loaded_x 0 (t.points * t.size);
   t.loaded <- true
 
 (* q and f alone: every point loads into one pair of matrices with no
    entries, so nothing is built or kept for G and C. *)
-let load_charges t x f =
-  let n = t.size and fp = t.f_buf in
+let load_charges t x =
+  let n = t.size in
   let empty =
     { Sparse.Csr.rows = n; cols = n; row_ptr = Array.make (n + 1) 0; col_idx = [||]; values = [||] }
   in
   for p = 0 to t.points - 1 do
-    ignore (t.load_dae (state t x p) ~q:t.qs.(p) ~f:fp ~g:empty ~c:empty);
-    for v = 0 to n - 1 do
-      f.((p * n) + v) <- fp.(v)
-    done
+    ignore (t.load_dae (state t x p) ~q:t.qs.(p) ~f:t.fs.(p) ~g:empty ~c:empty)
   done;
   t.loaded <- false
 
-let load ?(jacobians = true) t x ~f =
-  if Array.length f <> t.points * t.size then invalid_arg "Stacked.load: f has the wrong length";
-  if jacobians then load_into t x f else load_charges t x f
+let load ?(jacobians = true) t x =
+  if Array.length x <> t.points * t.size then invalid_arg "Stacked.load: x has the wrong length";
+  if jacobians then load_into t x else load_charges t x
 
 (* Point [p] from scratch; the structure moves only when its interned
    pattern changes. *)
@@ -152,7 +167,7 @@ let rebuild t x p =
   t.fits.(p) <- true
 
 let jacobians t x =
-  if not (t.loaded && Vec.same_bits t.loaded_x x) then load_into t x [||];
+  if not (t.loaded && Vec.same_bits t.loaded_x x) then load_into t x;
   for p = 0 to t.points - 1 do
     if not t.fits.(p) then rebuild t x p
   done;

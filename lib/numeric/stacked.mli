@@ -28,15 +28,18 @@ val rebind : t -> Dae.t -> unit
     those of a fresh {!create}, bit for bit.
     @raise Invalid_argument when [dae.size] differs. *)
 
-val load : ?jacobians:bool -> t -> Linalg.Vec.t -> f:Linalg.Vec.t -> unit
-(** [load t x ~f] loads q, G and C at every point of [x], and writes
-    point p's f into [f] at offset [p·size]. With [~jacobians:false]
-    (a residual no solve follows, such as a one-shot check) it loads q
-    and f alone and keeps no G or C: the next {!jacobians} loads
-    afresh. *)
+val load : ?jacobians:bool -> t -> Linalg.Vec.t -> unit
+(** [load t x] loads q, f, G and C at every point of [x]. With
+    [~jacobians:false] (a residual no solve follows, such as a one-shot
+    check) it loads q and f alone and keeps no G or C: the next
+    {!jacobians} loads afresh. A single point's device walk reads [x]
+    itself; more points stage each point's state in one buffer. *)
 
 val charges : t -> Linalg.Vec.t array
 (** q per point, as of the last {!load}: owned by [t]. *)
+
+val forces : t -> Linalg.Vec.t array
+(** f per point, as of the last {!load}: owned by [t]. *)
 
 val jacobians : t -> Linalg.Vec.t -> (Sparse.Csr.t * Sparse.Csr.t) array
 (** [(G, C)] per point at [x]: the last {!load}'s when [x] is its

@@ -60,7 +60,10 @@ let integrate ?newton_options ?join ~workspace ~x0 ~t0 ~duration ~steps () =
     else c_prev := copy_values c
   in
   let times = Array.make (steps + 1) t0 in
-  let states = Array.make (steps + 1) x0 in
+  (* Sized from [||], not from the young [x0]: a larger array made from
+     a young block forces a minor collection (OCaml 5.1). *)
+  let states = Array.make (steps + 1) [||] in
+  states.(0) <- x0;
   let structure = ref (I.structure workspace) and settled = ref 0 in
   let note_structure k =
     if I.structure workspace <> !structure then begin

@@ -66,6 +66,7 @@ type t = {
   mutable callbacks : Runtime_events.Callbacks.t;
   rings : (int, ring) Hashtbl.t;
   mutable domain_spawns : int;
+  mutable forced_minors : int;
   mutable lost_events : int;
   mutable freed : bool;
 }
@@ -77,6 +78,7 @@ type stats = {
   major_slices : int;
   domains_seen : int;
   domain_spawns : int;
+  forced_minors : int;
   lost_events : int;
 }
 
@@ -115,6 +117,7 @@ let start () =
           callbacks = Runtime_events.Callbacks.create ();
           rings;
           domain_spawns = 0;
+          forced_minors = 0;
           lost_events = 0;
           freed = false;
         }
@@ -152,10 +155,16 @@ let start () =
             t.domain_spawns <- t.domain_spawns + 1
         | _ -> ()
       in
+      let runtime_counter _id _ts counter n =
+        match counter with
+        | Runtime_events.EV_C_FORCE_MINOR_MAKE_VECT ->
+            t.forced_minors <- t.forced_minors + n
+        | _ -> ()
+      in
       let lost_events _id n = t.lost_events <- t.lost_events + n in
       t.callbacks <-
-        Runtime_events.Callbacks.create ~runtime_begin ~runtime_end ~lifecycle
-          ~lost_events ();
+        Runtime_events.Callbacks.create ~runtime_begin ~runtime_end ~runtime_counter
+          ~lifecycle ~lost_events ();
       Some t
 
 let poll t =
@@ -186,6 +195,7 @@ let stats t =
     major_slices = !majors;
     domains_seen = Hashtbl.length t.rings;
     domain_spawns = t.domain_spawns;
+    forced_minors = t.forced_minors;
     lost_events = t.lost_events;
   }
 
@@ -205,6 +215,7 @@ let observe_into_telemetry ?(prefix = "gc") t =
       (float_of_int s.minor_collections);
     Core.gauge (prefix ^ ".major_slices") (float_of_int s.major_slices);
     Core.gauge (prefix ^ ".domains_seen") (float_of_int s.domains_seen);
+    Core.gauge (prefix ^ ".forced_minors") (float_of_int s.forced_minors);
     Core.gauge (prefix ^ ".lost_events") (float_of_int s.lost_events);
     if s.major_pause.Core.count > 0 then
       Core.gauge

@@ -22,6 +22,11 @@ type stats = {
   major_slices : int;
   domains_seen : int;  (** distinct ring buffers that emitted events *)
   domain_spawns : int;  (** EV_DOMAIN_SPAWN lifecycle events *)
+  forced_minors : int;
+      (** minor collections the runtime forced to build an array of
+          more than 256 elements from a young value
+          (EV_C_FORCE_MINOR_MAKE_VECT); they count in
+          [minor_collections] too *)
   lost_events : int;  (** ring overwrites before the consumer caught up *)
 }
 
@@ -41,7 +46,7 @@ val observe_into_telemetry : ?prefix:string -> t -> unit
 (** Fold [stats] into the current domain's recorder (no-op when
     disabled): histograms [<prefix>.minor_pause_seconds] /
     [.major_pause_seconds], gauges [.minor_collections],
-    [.major_slices], [.domains_seen], [.lost_events], and
+    [.major_slices], [.domains_seen], [.forced_minors], [.lost_events], and
     [.minor_pause_p99] / [.major_pause_p99] when samples exist.
     Default prefix ["gc"]. *)
 

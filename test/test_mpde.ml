@@ -813,14 +813,13 @@ let backward_reference_residual sys (g : Grid.t) ~sources big_x =
   for p = 0 to np - 1 do
     let i = p mod g.Grid.n1 and j = p / g.Grid.n1 in
     Support.eval_qf dae (state p) ~q:(Array.make n 0.0) ~f;
-    let b = sources.(p) in
     let q = qs.(p) in
     let q_im1 = qs.(Grid.point_index g (i - 1) j) and q_jm1 = qs.(Grid.point_index g i (j - 1)) in
     for v = 0 to n - 1 do
       r.((p * n) + v) <-
         ((q.(v) -. q_im1.(v)) /. g.Grid.h1)
         +. ((q.(v) -. q_jm1.(v)) /. g.Grid.h2)
-        +. f.(v) -. b.(v)
+        +. f.(v) -. sources.((p * n) + v)
     done
   done;
   r
@@ -1997,6 +1996,95 @@ let prop_waveform_mt_diagonal =
       let multi_time = W.eval_with ~phase_of:(Shear.phase shear_1g ~t1:t ~t2:t) w in
       Float.abs (one_time -. multi_time) < 1e-3)
 
+(* ---------- kernel pins ---------- *)
+
+(* Hashes of the per-point passes every MPDE Newton iterate repeats:
+   the grid sources, [Assemble.residual_into], and [Block_sweep.apply]
+   and [product] on a sweep built from that residual's Jacobians. They
+   were captured before the passes were fused and inlined, and the
+   rewritten passes must reproduce them bit for bit. *)
+let kernel_hash values = Engine.Checkpoint.waveform_hash { Engine.Result.times = [||]; values }
+
+let kernel_pins ?(extra_diag = 0.0) scheme (sys : Mpde.Assemble.system) g x =
+  let n = sys.Mpde.Assemble.size and np = Grid.points g in
+  let ws = Mpde.Assemble.workspace scheme sys g in
+  let sources = Mpde.Assemble.sources_on_grid sys g in
+  let r = Array.make (np * n) 0.0 in
+  Mpde.Assemble.residual_into ws ~sources x r;
+  let jacs = Mpde.Assemble.point_jacobians_ws ws x in
+  let t = Block_sweep.create ~n ~np in
+  Block_sweep.build t (Mpde.Assemble.workspace_operators ws) g ~jacs ~extra_diag;
+  let applied = kernel_hash (Block_sweep.apply t r) in
+  let product = kernel_hash (Block_sweep.product t (test_vector (np * n))) in
+  (Block_sweep.patterns t, [ kernel_hash r; applied; product ])
+
+let pin_mixer () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+  let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
+  let shear = Shear.make ~fast_freq:f_lo ~slow_freq:fd in
+  (mna, shear, Mpde.Assemble.of_mna ~shear mna, Grid.make ~shear ~n1:40 ~n2:30)
+
+let pin_bridge () =
+  let f1 = 50e3 and fd = 500.0 in
+  let drive =
+    W.sum (W.sine ~amplitude:10.0 ~freq:f1 ()) (W.sine ~amplitude:2.0 ~freq:(f1 +. fd) ())
+  in
+  let { Circuits.mna; _ } = Circuits.bridge_rectifier ~load_r:1e3 ~load_c:2e-7 ~drive () in
+  let shear = Shear.make ~fast_freq:f1 ~slow_freq:fd in
+  (mna, shear, Mpde.Assemble.of_mna ~shear mna, Grid.make ~shear ~n1:24 ~n2:12)
+
+let pin_solve ?(tol = Mpde.Solver.default_options.Mpde.Solver.tol) (mna, shear, _, (g : Grid.t)) =
+  let sol =
+    Mpde.Solver.solve_mna
+      ~options:{ Mpde.Solver.default_options with tol }
+      ~shear ~n1:g.Grid.n1 ~n2:g.Grid.n2 mna
+  in
+  Alcotest.(check bool) "converged" true sol.Mpde.Solver.stats.Mpde.Solver.converged;
+  sol
+
+let kernel_pin_cases () =
+  let ((_, _, msys, mg) as mixer) = pin_mixer () in
+  (* A loose tolerance stops the solver's own Newton run two steps
+     early: a mid-Newton iterate of the 40x30 mixer. *)
+  let mid = pin_solve ~tol:1e-2 mixer in
+  let conv = pin_solve mixer in
+  let ((_, _, bsys, bg) as bridge) = pin_bridge () in
+  let bconv = pin_solve bridge in
+  let open Mpde.Assemble in
+  [
+    ("mixer mid-Newton", mid.Mpde.Solver.stats.Mpde.Solver.newton_iterations,
+      kernel_pins Backward msys mg mid.Mpde.Solver.big_x);
+    ("mixer converged", conv.Mpde.Solver.stats.Mpde.Solver.newton_iterations,
+      kernel_pins Backward msys mg conv.Mpde.Solver.big_x);
+    ("bridge 24x12", bconv.Mpde.Solver.stats.Mpde.Solver.newton_iterations,
+      kernel_pins Backward bsys bg bconv.Mpde.Solver.big_x);
+    ("mixer central-t1", 0, kernel_pins Central_t1 msys mg mid.Mpde.Solver.big_x);
+    ("mixer ptc", 0, kernel_pins ~extra_diag:0.37 Backward msys mg mid.Mpde.Solver.big_x);
+  ]
+
+(* Captured from the unfused passes: residual, apply, product. *)
+let kernel_pin_values =
+  [
+    ("mixer mid-Newton", 2, 1, [ "a3f83087cb1f9c28"; "7f8142fed9a7311d"; "5281682b6be2308a" ]);
+    ("mixer converged", 6, 1, [ "7d77022c3454d14d"; "b8bb15bc51d50cba"; "f60c117f3cff94af" ]);
+    ("bridge 24x12", 44, 49, [ "bed3b5ceb25f8807"; "91722ef0f3f412e9"; "deb6b67d4f8f9cbb" ]);
+    ("mixer central-t1", 0, 1, [ "8fb34c1eb5803ebf"; "f07b6d35af8b4fb9"; "82e708bdb3c4d938" ]);
+    ("mixer ptc", 0, 1, [ "a3f83087cb1f9c28"; "9100cc4b43c77040"; "db9d2bae1e3dce10" ]);
+  ]
+
+let test_kernel_pins () =
+  List.iter2
+    (fun (name, newton, (patterns, hashes)) (name', newton', patterns', hashes') ->
+      Alcotest.(check string) "case" name' name;
+      Alcotest.(check int) (name ^ ": newton") newton' newton;
+      Alcotest.(check int) (name ^ ": pattern runs") patterns' patterns;
+      Alcotest.(check (list string)) (name ^ ": residual, apply, product") hashes' hashes)
+    (kernel_pin_cases ()) kernel_pin_values;
+  let sources (_, _, sys, g) = kernel_hash (Mpde.Assemble.sources_on_grid sys g) in
+  Alcotest.(check string) "mixer sources" "835723210de9a96d" (sources (pin_mixer ()));
+  Alcotest.(check string) "bridge sources" "eab7190beba15565" (sources (pin_bridge ()))
+
 let () =
   Alcotest.run "mpde"
     [
@@ -2082,6 +2170,7 @@ let () =
           Alcotest.test_case "block sweep refactor allocates nothing" `Quick
             test_block_sweep_refactor_alloc;
           Alcotest.test_case "sweep product = J·M⁻¹" `Quick test_sweep_product;
+          Alcotest.test_case "kernel pins" `Quick test_kernel_pins;
           Alcotest.test_case "grid refinement" `Slow test_solver_grid_refinement_converges;
           Alcotest.test_case "central-t1 accuracy" `Slow test_solver_central_scheme_more_accurate;
         ] );

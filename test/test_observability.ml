@@ -469,6 +469,9 @@ let test_runtime_events_smoke () =
         = s.Telemetry.Runtime.minor_collections);
       Alcotest.(check bool) "at least one ring" true
         (s.Telemetry.Runtime.domains_seen >= 1);
+      (* Each [Array.init] of young pairs forced a minor collection. *)
+      Alcotest.(check bool) "forced minors counted" true
+        (s.Telemetry.Runtime.forced_minors >= 3);
       Alcotest.(check bool) "pauses are positive and finite" true
         (s.Telemetry.Runtime.minor_pause.Telemetry.count = 0
         || Float.is_finite s.Telemetry.Runtime.minor_pause.Telemetry.sum
@@ -488,6 +491,51 @@ let test_runtime_events_smoke () =
         (List.mem_assoc "gc.minor_pause_p99" snap.Telemetry.gauges)
 
 (* ---------- run ---------- *)
+
+(* No solve path builds an array of more than 256 elements from a young
+   value: OCaml 5.1 forces a stop-the-world minor collection for each
+   ([caml_make_vect], EV_C_FORCE_MINOR_MAKE_VECT). Counted around a
+   warm 40x30 balanced-mixer MPDE run, a d = 100 shooting run and the
+   harmonics of a 7 565-sample waveform. *)
+let test_no_forced_minors () =
+  let f_lo = 450e6 and fd = 15e3 in
+  let nodes = Circuits.balanced_mixer_nodes in
+  let mixer =
+    Engine.Problem.make ~label:"balanced-mixer" ~output:nodes.Circuits.out_plus
+      ~output_b:nodes.Circuits.out_minus ~f_fast:f_lo ~fd (fun () ->
+        let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
+        Circuits.balanced_mixer ~f_lo ~rf_signal ())
+  in
+  let mpde = Engine.make ~options:{ Engine.Options.default with n1 = 40; n2 = 30 } Engine.Mpde in
+  let shooting =
+    let f_lo = 1e6 in
+    let fd = f_lo /. 100.0 in
+    Engine.Problem.make ~label:"mixer d=100" ~period:Engine.Problem.Difference_tone ~output:"out"
+      ~f_fast:f_lo ~fd (fun () ->
+        Circuits.unbalanced_mixer ~f_lo
+          ~rf_signal:(Circuit.Waveform.cosine ~amplitude:1.0 ~freq:(f_lo +. fd) ())
+          ~rf_amplitude:0.05 ())
+  in
+  let shooter =
+    Engine.make ~options:{ Engine.Options.default with steps_per_period = 1000 } Engine.Shooting
+  in
+  let samples = Array.init 7565 (fun k -> sin (0.01 *. float_of_int k)) in
+  ignore (Engine.run mixer mpde);
+  match Telemetry.Runtime.start () with
+  | None -> ()
+  | Some t ->
+      Fun.protect ~finally:(fun () -> Telemetry.Runtime.stop t) @@ fun () ->
+      let forced what f =
+        Telemetry.Runtime.poll t;
+        let before = (Telemetry.Runtime.stats t).Telemetry.Runtime.forced_minors in
+        ignore (Sys.opaque_identity (f ()));
+        Telemetry.Runtime.poll t;
+        let n = (Telemetry.Runtime.stats t).Telemetry.Runtime.forced_minors - before in
+        Alcotest.(check int) (what ^ ": forced minor collections") 0 n
+      in
+      forced "warm mixer 40x30" (fun () -> Engine.run mixer mpde);
+      forced "shooting d=100" (fun () -> Engine.run shooting shooter);
+      forced "real_harmonics 7565" (fun () -> Numeric.Fft.real_harmonics samples)
 
 let () =
   Alcotest.run "observability"
@@ -519,6 +567,7 @@ let () =
         ] );
       ( "runtime-events",
         [
+          Alcotest.test_case "no forced minor collections" `Quick test_no_forced_minors;
           Alcotest.test_case "gc consumer smoke" `Quick
             test_runtime_events_smoke;
         ] );
