@@ -120,6 +120,13 @@ let default_checks ?(overrides = []) tolerance =
       absolute = 0.0;
     };
     {
+      metric = "kernel.sweep_points_per_s";
+      path = [ "kernel"; "sweep_points_per_s" ];
+      direction = Higher_better;
+      tolerance = tol ~default:0.5 "kernel.sweep_points_per_s";
+      absolute = 0.0;
+    };
+    {
       metric = "sweep.wall_1";
       path = [ "sweep"; "wall_1" ];
       direction = Lower_better;

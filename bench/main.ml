@@ -750,19 +750,25 @@ let sweep_bench () =
     sw_degraded_jobs = degraded_jobs;
   }
 
-(* KERNEL micro-benchmarks: the two hot kernels the mixer solve leans
-   on, timed in isolation so a regression is attributable to the kernel
+(* KERNEL micro-benchmarks: the hot kernels the mixer solve leans on,
+   timed in isolation so a regression is attributable to the kernel
    rather than to solver iteration counts. [spmv_mflops] applies the
    assembled mixer-grid Jacobian through {!Sparse.Csr.mul_vec_into};
    [block_solve_cols_per_s] applies one n=13 dense LU factor to a
-   30-column panel through {!Linalg.Lu.solve_many_into},
-   the dense multi-RHS kernel (the sweep preconditioner itself
-   substitutes over compact per-point factors). Both report the best
-   of three timed batches. *)
-type kernel_results = { spmv_mflops : float; block_solve_cols_per_s : float }
+   30-column panel through {!Linalg.Lu.solve_many_into}, the dense
+   multi-RHS kernel (kept as a legacy row: the sweep no longer calls
+   it); [sweep_points_per_s] runs {!Mpde.Block_sweep.product}, the
+   preconditioned Arnoldi product GMRES takes, over the 40x30 grid
+   built at the same state, and counts grid points. All report the
+   best of three timed batches. *)
+type kernel_results = {
+  spmv_mflops : float;
+  block_solve_cols_per_s : float;
+  sweep_points_per_s : float;
+}
 
 let kernel_bench () =
-  header "KERNEL - hot-kernel micro-benchmarks (CSR SpMV, blocked panel solve)";
+  header "KERNEL - hot-kernel micro-benchmarks (CSR SpMV, blocked panel solve, block sweep)";
   let f_lo = 450e6 and fd = 15e3 in
   let rf_signal, _ = Circuits.paper_rf_bitstream ~f_lo ~fd () in
   let { Circuits.mna; _ } = Circuits.balanced_mixer ~f_lo ~rf_signal () in
@@ -810,10 +816,25 @@ let kernel_bench () =
   let block_solve_cols_per_s =
     float_of_int (cols * panel_reps) /. Float.max panel_t 1e-12
   in
+  (* Block sweep: one Eisenstat product J·M⁻¹v per batch entry. *)
+  let sweep = Mpde.Block_sweep.create ~n ~np in
+  Mpde.Block_sweep.build sweep
+    (Mpde.Assemble.operators Mpde.Assemble.Backward grid)
+    grid ~jacs ~extra_diag:0.0;
+  let sweep_reps = 200 in
+  let _, sweep_t =
+    best_of_3 (fun () ->
+        for _ = 1 to sweep_reps do
+          ignore (Mpde.Block_sweep.product sweep x)
+        done)
+  in
+  let sweep_points_per_s = float_of_int (np * sweep_reps) /. Float.max sweep_t 1e-12 in
   pr "spmv (big mixer Jacobian, %d nnz): %.1f MFLOP/s\n" nnz spmv_mflops;
   pr "blocked panel solve (n=%d, %d cols): %.3g columns/s\n" n cols
     block_solve_cols_per_s;
-  { spmv_mflops; block_solve_cols_per_s }
+  pr "block sweep product (%dx%d grid): %.3g points/s\n" grid.Mpde.Grid.n1 grid.Mpde.Grid.n2
+    sweep_points_per_s;
+  { spmv_mflops; block_solve_cols_per_s; sweep_points_per_s }
 
 (* SHOOTING: the disparity sweep's heaviest shooting job (unbalanced
    mixer, LO 1 MHz, disparity 756.5, 10 backward-Euler steps per LO
@@ -1067,8 +1088,8 @@ let bench_json ?(file = "BENCH_mpde.json") () =
   let kr = kernel_bench () in
   Buffer.add_string buf
     (Printf.sprintf
-       ",\"kernel\":{\"spmv_mflops\":%.3f,\"block_solve_cols_per_s\":%.1f}"
-       kr.spmv_mflops kr.block_solve_cols_per_s);
+       ",\"kernel\":{\"spmv_mflops\":%.3f,\"block_solve_cols_per_s\":%.1f,\"sweep_points_per_s\":%.1f}"
+       kr.spmv_mflops kr.block_solve_cols_per_s kr.sweep_points_per_s);
   let sw = sweep_bench () in
   Buffer.add_string buf
     (Printf.sprintf

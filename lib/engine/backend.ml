@@ -106,7 +106,7 @@ let run_in_span ~tele_mark (problem : Problem.t) (engine : t) : Result.t =
      traces differ run to run. *)
   let alloc0 =
     if Telemetry.enabled () && not (Telemetry.Clock.overridden ()) then
-      Some (Gc.quick_stat ())
+      Some (Gc.minor_words (), Gc.quick_stat ())
     else None
   in
   tele_mark := Telemetry.mark ();
@@ -132,10 +132,12 @@ let run_in_span ~tele_mark (problem : Problem.t) (engine : t) : Result.t =
        solve), recorded before the snapshot so the gauges appear in
        this job's own summary. *)
     (match alloc0 with
-    | Some s0 ->
+    | Some (m0, s0) ->
+        (* Minor words from [Gc.minor_words], which counts this
+           domain's young allocation up to now: [quick_stat]'s count
+           stops at the domain's last minor collection. *)
         let s1 = Gc.quick_stat () in
-        Telemetry.gauge "alloc.job.minor_words"
-          (s1.Gc.minor_words -. s0.Gc.minor_words);
+        Telemetry.gauge "alloc.job.minor_words" (Gc.minor_words () -. m0);
         Telemetry.gauge "alloc.job.major_words"
           (s1.Gc.major_words -. s0.Gc.major_words);
         Telemetry.gauge "alloc.job.promoted_words"

@@ -40,16 +40,6 @@ let scales s freqs =
   ( Array.map (scaled (fun (m, _) -> float_of_int m *. s.fast)) freqs,
     Array.map (scaled (fun (_, k) -> float_of_int k *. s.slow)) freqs )
 
-let resolve s freqs =
-  let freqs = Array.of_list freqs in
-  let fast, slow = scales s freqs in
-  fun ~t1 ~t2 f ->
-    let i = ref 0 in
-    while !i < Array.length freqs && not (freqs.(!i) = f && Float.is_finite fast.(!i)) do
-      incr i
-    done;
-    if !i < Array.length freqs then (fast.(!i) *. t1) +. (slow.(!i) *. t2) else phase s ~t1 ~t2 f
-
 let phase_unsheared s ~t1 ~t2 freq =
   (* Multiples of the fast fundamental ride on t1; everything else,
      including the nearby second tone, rides on t2 (paper eq. (9)). *)

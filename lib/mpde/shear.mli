@@ -38,12 +38,6 @@ val phase : t -> t1:float -> t2:float -> float -> float
     hold to relative tolerance [1e-6].
     @raise Off_lattice for frequencies off the lattice. *)
 
-val resolve : t -> float list -> t1:float -> t2:float -> float -> float
-(** [resolve s freqs] looks up the lattice coordinates of each of
-    [freqs] once: the returned [phase_of ~t1 ~t2 f] is
-    [phase s ~t1 ~t2 f], bit for bit, without re-deriving [(m, k)] for
-    those frequencies (any other [f] goes through {!phase}). *)
-
 val scales : t -> float array -> float array * float array
 (** [scales s freqs] is each frequency's [(m·f1, k·fs)], [nan] in both
     for a frequency off the lattice: [fast.(i)·t1 + slow.(i)·t2] is

@@ -78,7 +78,7 @@ type solution = {
 type workspace = {
   mutable asm : Assemble.workspace;
   sources : Vec.t;  (* b̂ on the grid, written once per solve *)
-  scaled : Vec.t;  (* λ·b̂ for a source-ramp step *)
+  mutable scaled : Vec.t;  (* λ·b̂ for a source-ramp step, [||] until one runs *)
   mutable gmres_ws : Sparse.Krylov.workspace option;
   op_out : Vec.t;  (* shared operator output (GMRES buffer contract) *)
   sweep : Block_sweep.t;
@@ -94,7 +94,7 @@ let make_workspace scheme sys (g : Grid.t) =
   {
     asm = Assemble.workspace scheme sys g;
     sources = Array.make big 0.0;
-    scaled = Array.make big 0.0;
+    scaled = [||];
     gmres_ws = None;
     op_out = Array.make big 0.0;
     sweep = Block_sweep.create ~n ~np;
@@ -258,7 +258,9 @@ let newton_problem ~options ~linear_solver ~ws ?ptc ~sys ~g ~linear_iters
   let sources =
     if source_scale = 1.0 then ws.sources
     else begin
-      for k = 0 to Array.length ws.sources - 1 do
+      let big = Array.length ws.sources in
+      if Array.length ws.scaled <> big then ws.scaled <- Array.make big 0.0;
+      for k = 0 to big - 1 do
         ws.scaled.(k) <- source_scale *. ws.sources.(k)
       done;
       ws.scaled

@@ -203,19 +203,22 @@ let gauge name v =
       | Some r -> r := v
       | None -> Hashtbl.add st.gauges name (ref v))
 
-(* Allocation gauges from Gc.quick_stat deltas: cheap (no heap walk),
-   and [quick_stat] itself allocates nothing. Words, not bytes, so the
-   numbers are word-size independent. *)
+(* Allocation gauges from GC counter deltas: cheap (no heap walk).
+   Minor words come from [Gc.minor_words], which includes this domain's
+   young allocation since its last minor collection; [quick_stat]'s
+   minor count stops at that collection, so its deltas lump whole minor
+   heaps into whichever call a collection falls in. Words, not bytes,
+   so the numbers are word-size independent. *)
 let with_alloc_gauges prefix f =
   (* GC deltas are environment measurements no fake clock can replay;
      recording them under an overridden clock would break the byte-
      reproducibility that deterministic traces promise. *)
   if not (enabled ()) || Clock.overridden () then f ()
   else begin
-    let s0 = Gc.quick_stat () in
+    let s0 = Gc.quick_stat () and m0 = Gc.minor_words () in
     let finish () =
       let s1 = Gc.quick_stat () in
-      gauge (prefix ^ ".minor_words") (s1.Gc.minor_words -. s0.Gc.minor_words);
+      gauge (prefix ^ ".minor_words") (Gc.minor_words () -. m0);
       gauge (prefix ^ ".major_words") (s1.Gc.major_words -. s0.Gc.major_words);
       gauge (prefix ^ ".promoted_words")
         (s1.Gc.promoted_words -. s0.Gc.promoted_words)

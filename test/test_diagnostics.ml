@@ -278,6 +278,7 @@ let bench_doc ?(converged = true) ?(wall = 1.0) ?(newton = 10.0) ?(gmres = 50.0)
           [
             ("spmv_mflops", Num spmv_mflops);
             ("block_solve_cols_per_s", Num block_cols);
+            ("sweep_points_per_s", Num 7e6);
           ] );
       ( "sweep",
         Obj
