@@ -300,7 +300,7 @@ let test_gate_passes_identical () =
   let r = Gate.evaluate ~baseline:doc ~current:doc () in
   Alcotest.(check bool) "passes" true r.Gate.passed;
   Alcotest.(check int) "no errors" 0 (List.length r.Gate.errors);
-  Alcotest.(check int) "sixteen verdicts" 16 (List.length r.Gate.verdicts)
+  Alcotest.(check int) "seventeen verdicts" 17 (List.length r.Gate.verdicts)
 
 let test_gate_improvement_passes () =
   (* Faster wall clock and a better speedup ratio must never fail. *)
