@@ -18,7 +18,9 @@ type report = {
 let dc_problem mna ~source_scale ~extra_gmin =
   let nodes = Mna.num_nodes mna in
   let n = Mna.size mna in
-  let b0 = Mna.source_with mna ~phase_of:(fun _ -> 0.0) in
+  let b0 = Array.make n 0.0 in
+  let freqs = Array.of_list (Mna.source_frequencies mna) in
+  Mna.sources_into mna ~freqs ~phases:(Array.make (Array.length freqs) 0.0) b0 0;
   let point = Numeric.Stacked.create (Mna.dae mna) ~points:1 in
   let residual_into x r =
     Numeric.Stacked.load point x;

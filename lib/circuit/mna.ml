@@ -478,30 +478,11 @@ let load m () =
     let g_fits = replay gp g_vars.vals g in
     replay cp c_vars.vals c && g_fits
 
-let source_with m ~phase_of =
-  let b = Array.make m.size 0.0 in
-  for d = 0 to Array.length m.devices - 1 do
-    match m.devices.(d) with
-    | Device.Voltage_source { waveform; _ } ->
-        let k = m.branch.(d) in
-        add_row b k (Waveform.eval_with ~phase_of waveform)
-    | Device.Current_source { n_plus; n_minus; waveform; _ } ->
-        (* Current flows n_plus → n_minus through the source, so it
-           leaves the circuit at n_plus: b(n+) = −I, b(n−) = +I. *)
-        let i = Waveform.eval_with ~phase_of waveform in
-        add_node b n_plus (-.i);
-        add_node b n_minus i
-    | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Diode _
-    | Device.Mosfet _ | Device.Bjt _ | Device.Vccs _ | Device.Multiplier _ ->
-        ()
-  done;
-  b
-
 (* One float per domain that a source's value passes through, as the
    device models' values pass through [model_buffer]. *)
 let source_value = Domain.DLS.new_key (fun () -> Array.make 1 0.0)
 
-(* [source_with] at the one-time phases [freq *. t], into [b], through
+(* b at the one-time phases [freq *. t], into [b], through
    {!Waveform.eval_into}: the per-step source of the integrators
    allocates nothing. *)
 let source_into m t b =
@@ -521,8 +502,9 @@ let source_into m t b =
         ()
   done
 
-(* [source_with] at the listed phases, into [out] at [off]: the same
-   additions into a zeroed block, through the domain's value slot. *)
+(* b with each waveform factor at its listed phase, into [out] at
+   [off]: [source_into]'s additions into a zeroed block, through the
+   domain's value slot. *)
 let sources_into m ~freqs ~phases out off =
   let v = Domain.DLS.get source_value in
   Array.fill out off m.size 0.0;

@@ -22,18 +22,15 @@ val num_nodes : t -> int
 
 val dae : t -> Numeric.Dae.t
 
-val source_with : t -> phase_of:(float -> float) -> Linalg.Vec.t
-(** Excitation vector with each waveform factor of frequency [f]
-    evaluated at phase [phase_of f] — the multi-time hook
-    (see {!Waveform.eval_with}). *)
-
 val sources_into :
   t -> freqs:float array -> phases:float array -> Linalg.Vec.t -> int -> unit
 (** [sources_into m ~freqs ~phases out off] writes into
-    [out.(off) .. out.(off + size − 1)] the floats of {!source_with}
-    with each waveform factor of frequency [freqs.(i)] at phase
+    [out.(off) .. out.(off + size − 1)] the excitation vector with each
+    waveform factor of frequency [freqs.(i)] evaluated at phase
     [phases.(i)] (see {!Waveform.eval_phases_into}), allocating
-    nothing: one grid point of the MPDE's sources. *)
+    nothing: the multi-time hook, one MPDE grid point at its sheared
+    phases. With [phases.(i) = freqs.(i) *. t] it is [dae]'s
+    [source_into t], bit for bit. *)
 
 val linear : t -> bool
 (** No device evaluates a model (resistors, capacitors, inductors,

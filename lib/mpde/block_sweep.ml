@@ -98,7 +98,6 @@ type t = {
   mutable interned : pattern list;  (* every pattern a schedule or point uses *)
   mutable split : split option;  (* of the last build *)
   mutable jacs : (Sparse.Csr.t * Sparse.Csr.t) array;  (* of the last build *)
-  rhs : Linalg.Vec.t;  (* n: one point's gathered right-hand side *)
   y : Linalg.Vec.t;  (* n: one point's substitution *)
   cy : Linalg.Vec.t;  (* np*n: C_p·y_p, written as each point is solved *)
   sx : Linalg.Vec.t;  (* np*n result, returned to GMRES *)
@@ -120,7 +119,6 @@ let create ~n ~np =
     interned = [];
     split = None;
     jacs = [||];
-    rhs = Array.make n 0.0;
     y = Array.make n 0.0;
     cy = Array.make (np * n) 0.0;
     sx = Array.make (np * n) 0.0;
@@ -146,7 +144,10 @@ let row_difference a b =
 let flatten ~stride ~n rows =
   let ptr = Array.make (Array.length rows + 1) 0 in
   Array.iteri (fun r row -> ptr.(r + 1) <- ptr.(r) + Array.length row) rows;
-  let entries = Array.concat (Array.to_list (Array.mapi (fun r row -> Array.map (fun (l, c) -> ((l - r) * stride * n, c)) row) rows)) in
+  let entries =
+    Array.concat
+      (Array.to_list (Array.mapi (fun r -> Array.map (fun (l, c) -> ((l - r) * stride * n, c))) rows))
+  in
   { ptr; off = Array.map fst entries; coef = Array.map snd entries }
 
 (* M and R on both axes, for blocks of [n] unknowns. A row of J on an

@@ -32,8 +32,8 @@ val t2_period : t -> float
 
 val phase : t -> t1:float -> t2:float -> float -> float
 (** Sheared multi-time phase [m·f1·t1 + k·fs·t2] of frequency [f] at
-    [(t1, t2)] — pass as [phase_of] to {!Circuit.Waveform.eval_with} /
-    {!Circuit.Mna.source_with}. [m] is the nearest integer to [f/f1]
+    [(t1, t2)] — pass as [phase_of] to {!Circuit.Waveform.eval_with}, or
+    as a phase to {!Circuit.Mna.sources_into}. [m] is the nearest integer to [f/f1]
     (so slow offsets must stay below [f1/2]) and [f = m·f1 + k·fs] must
     hold to relative tolerance [1e-6].
     @raise Off_lattice for frequencies off the lattice. *)

@@ -478,7 +478,8 @@ let solve ?(options = default_options) ?seed ?workspace_slot
       ~on_iteration x_init =
     residual_violation := None;
     let problem =
-      newton_problem ~options ~linear_solver ~ws:lws ?ptc ~sys ~g:lg ~linear_iters ~source_scale ~on_residual_violation:(on_residual_violation lg) ()
+      newton_problem ~options ~linear_solver ~ws:lws ?ptc ~sys ~g:lg ~linear_iters ~source_scale
+        ~on_residual_violation:(on_residual_violation lg) ()
     in
     Numeric.Newton.solve
       ~options:{ newton_options with min_iterations }
@@ -580,7 +581,8 @@ let solve ?(options = default_options) ?seed ?workspace_slot
   let source_ramp_stage () =
     residual_violation := None;
     let problem_at lambda =
-      newton_problem ~options ~linear_solver:options.linear_solver ~ws ~sys ~g ~linear_iters ~source_scale:lambda ~on_residual_violation:(on_residual_violation g) ()
+      newton_problem ~options ~linear_solver:options.linear_solver ~ws ~sys ~g ~linear_iters
+        ~source_scale:lambda ~on_residual_violation:(on_residual_violation g) ()
     in
     let x, cstats =
       Numeric.Continuation.trace ?budget:options.budget ~newton_options ~problem_at

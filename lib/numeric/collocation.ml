@@ -44,8 +44,8 @@ let problem ?anchor (dae : Dae.t) op ~times =
   let n = dae.Dae.size in
   let points = Array.length op.weights in
   let big = points * n in
-  (* q, G and C at the points, one device pass each ([Stacked]); f goes
-     straight into the residual, [sources] hold b. *)
+  (* q, f, G and C at the points, one device pass each ([Stacked]);
+     [sources] hold b. *)
   let stack = Stacked.create dae ~points in
   let evaluate eval v =
     let out = Array.make n 0.0 in

@@ -71,7 +71,7 @@ let state t x p =
   else begin
     let base = p * t.size and s = t.x_buf in
     for v = 0 to t.size - 1 do
-      Array.unsafe_set s v (x.(base + v))
+      s.(v) <- x.(base + v)
     done;
     s
   end

@@ -3,7 +3,7 @@
     collocation problem ({!Collocation}) and of the MPDE grid.
 
     One {!load} walks the devices once per point and keeps each point's
-    q, G and C (f goes to the caller). The Jacobians of a solve at the
+    q, f, G and C. The Jacobians of a solve at the
     same iterate are those values: Newton always solves at the iterate
     whose residual it just evaluated, so an iteration walks the devices
     once per point. The first load builds point 0's patterns from

@@ -297,7 +297,8 @@ let test_mna_source_with_phase () =
   N.vsource nl "v1" "a" "0" (W.sine ~amplitude:1.0 ~freq:100.0 ());
   N.resistor nl "r1" "a" "0" 1.0;
   let m = Circuit.Mna.build nl in
-  let b = Circuit.Mna.source_with m ~phase_of:(fun _ -> 0.25) in
+  let b = Array.make (Circuit.Mna.size m) 0.0 in
+  Circuit.Mna.sources_into m ~freqs:[| 100.0 |] ~phases:[| 0.25 |] b 0;
   Alcotest.(check (float 1e-12)) "warped source" 1.0 b.(Circuit.Mna.branch_index m "v1")
 
 let test_mna_source_frequencies () =

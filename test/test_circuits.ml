@@ -335,10 +335,20 @@ let test_source_into_allocates_nothing () =
       feed source_into b times;
       Alcotest.(check (float 0.0)) (name ^ ": words per source_into") 0.0
         (minor_words (fun () -> feed source_into b times));
+      let freqs = Array.of_list (Circuit.Mna.source_frequencies mna) in
+      let phases = Array.make (Array.length freqs) 0.0 in
+      let reference = Array.make dae.Numeric.Dae.size 0.0 in
+      let multi_time t =
+        Array.iteri (fun i f -> phases.(i) <- f *. t) freqs;
+        Circuit.Mna.sources_into mna ~freqs ~phases reference 0
+      in
+      multi_time 1e-9;
+      Alcotest.(check (float 0.0)) (name ^ ": words per sources_into") 0.0
+        (minor_words (fun () -> Circuit.Mna.sources_into mna ~freqs ~phases reference 0));
       List.iter
         (fun t ->
           source_into t b;
-          let reference = Circuit.Mna.source_with mna ~phase_of:(fun freq -> freq *. t) in
+          multi_time t;
           Array.iteri
             (fun i v ->
               if Int64.bits_of_float v <> Int64.bits_of_float b.(i) then
