@@ -12,8 +12,8 @@ type system = {
   size : int;  (** circuit unknowns per grid point, [dae.size] *)
   dae : Numeric.Dae.t;
       (** the circuit's q, f and Jacobians; the MPDE takes its
-          excitation from [source_at] alone, and {!to_dae} replaces
-          [dae.source_into] along a path *)
+          excitation from [source_at] and [sources_into] alone, and
+          {!to_dae} replaces [dae.source_into] along a path *)
   source_at : t1:float -> t2:float -> Linalg.Vec.t;  (** [b̂(t1, t2)], a fresh vector *)
   sources_into : Grid.t -> Linalg.Vec.t -> unit;
       (** [sources_into g out] writes [b̂] at every point of [g] into

@@ -638,9 +638,9 @@ let built t =
    already-solved (l < i, j) and (i, j−1). Per point, one loop gathers
    the permuted right side y_k = r_{perm k} + Σ_e c_e·(C_q y_q)_{perm k}
    over M's lower t1 couplings and then its t2 couplings (from [cy]),
-   each sum in the order of the unfused gather, scale-add and permute;
-   then forward/back substitution over the stored nonzeros, and
-   C_p y_p into [cy]. A point's pattern arrays are read only when they
+   each sum started from r and taken in that order (DESIGN.md §12 on
+   why the bits hold); then forward/back substitution over the stored
+   nonzeros, and C_p y_p into [cy]. A point's pattern arrays are read only when they
    differ from the previous point's. With [~keep:false] (the product)
    y is not stored into the output, which the caller overwrites. *)
 let sweep ~keep t (r : Linalg.Vec.t) =
