@@ -61,9 +61,6 @@ let test_shear_phase_periodicity () =
   Alcotest.(check bool) "T1 shift" true (is_integer (p1 -. p0));
   Alcotest.(check bool) "Td shift" true (is_integer (p2 -. p0))
 
-(* [resolve] looks each frequency's (m, k) up once and gives [phase]'s
-   floats bit for bit; a frequency it was not given, or one off the
-   lattice, goes through [phase]. *)
 (* Each frequency's lattice resolved once: (m·f1)·t1 + (k·fs)·t2 from
    [Shear.scales] is [Shear.phase], bit for bit; an off-lattice
    frequency reads nan. *)
@@ -2048,8 +2045,8 @@ let pin_solve ?(tol = Mpde.Solver.default_options.Mpde.Solver.tol) (mna, shear, 
 
 let kernel_pin_cases () =
   let ((_, _, msys, mg) as mixer) = pin_mixer () in
-  (* A loose tolerance stops the solver's own Newton run two steps
-     early: a mid-Newton iterate of the 40x30 mixer. *)
+  (* A loose tolerance stops the solver's own Newton run after two of
+     its six steps: a mid-Newton iterate of the 40x30 mixer. *)
   let mid = pin_solve ~tol:1e-2 mixer in
   let conv = pin_solve mixer in
   let ((_, _, bsys, bg) as bridge) = pin_bridge () in
