@@ -482,45 +482,34 @@ let load m () =
    device models' values pass through [model_buffer]. *)
 let source_value = Domain.DLS.new_key (fun () -> Array.make 1 0.0)
 
-(* b at the one-time phases [freq *. t], into [b], through
-   {!Waveform.eval_into}: the per-step source of the integrators
-   allocates nothing. *)
-let source_into m t b =
-  let v = Domain.DLS.get source_value in
-  Array.fill b 0 m.size 0.0;
-  for d = 0 to Array.length m.devices - 1 do
-    match m.devices.(d) with
-    | Device.Voltage_source { waveform; _ } ->
-        Waveform.eval_into waveform t v 0;
-        add_row b m.branch.(d) v.(0)
-    | Device.Current_source { n_plus; n_minus; waveform; _ } ->
-        Waveform.eval_into waveform t v 0;
-        add_node b n_plus (-.v.(0));
-        add_node b n_minus v.(0)
-    | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Diode _
-    | Device.Mosfet _ | Device.Bjt _ | Device.Vccs _ | Device.Multiplier _ ->
-        ()
-  done
-
-(* b with each waveform factor at its listed phase, into [out] at
-   [off]: [source_into]'s additions into a zeroed block, through the
-   domain's value slot. *)
-let sources_into m ~freqs ~phases out off =
+(* b into [out] at [off], each waveform factor at the one-time phase
+   [freq *. t] or, with [~listed], at its listed phase, through the
+   domain's value slot. Inlined into both callers, so [t] is never
+   boxed. *)
+let[@inline] add_sources m ~listed ~freqs ~phases t out off =
   let v = Domain.DLS.get source_value in
   Array.fill out off m.size 0.0;
   for d = 0 to Array.length m.devices - 1 do
     match m.devices.(d) with
     | Device.Voltage_source { waveform; _ } ->
-        Waveform.eval_phases_into waveform ~freqs ~phases v 0;
+        if listed then Waveform.eval_phases_into waveform ~freqs ~phases v 0
+        else Waveform.eval_into waveform t v 0;
         add_row out (off + m.branch.(d)) v.(0)
     | Device.Current_source { n_plus; n_minus; waveform; _ } ->
-        Waveform.eval_phases_into waveform ~freqs ~phases v 0;
+        if listed then Waveform.eval_phases_into waveform ~freqs ~phases v 0
+        else Waveform.eval_into waveform t v 0;
         if n_plus > 0 then add_row out (off + n_plus - 1) (-.v.(0));
         if n_minus > 0 then add_row out (off + n_minus - 1) v.(0)
     | Device.Resistor _ | Device.Capacitor _ | Device.Inductor _ | Device.Diode _
     | Device.Mosfet _ | Device.Bjt _ | Device.Vccs _ | Device.Multiplier _ ->
         ()
   done
+
+(* The per-step source of the integrators; it allocates nothing. *)
+let source_into m t b = add_sources m ~listed:false ~freqs:[||] ~phases:[||] t b 0
+
+let sources_into m ~freqs ~phases out off =
+  add_sources m ~listed:true ~freqs ~phases 0.0 out off
 
 let linear m =
   Array.for_all

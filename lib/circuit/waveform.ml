@@ -83,29 +83,6 @@ let eval_with ~phase_of w =
   done;
   !acc
 
-(* [eval_with] at the phases [freq *. t], written in rather than passed
-   as a closure over the boxed [t], so that no phase is boxed. *)
-let[@inline] eval w t =
-  let acc = ref w.dc and terms = ref w.terms in
-  while not (List.is_empty !terms) do
-    match !terms with
-    | [] -> ()
-    | { gain; factors } :: rest ->
-        let prod = ref gain and fs = ref factors in
-        while not (List.is_empty !fs) do
-          match !fs with
-          | [] -> ()
-          | { shape; freq } :: more ->
-              prod := !prod *. eval_periodic shape (freq *. t);
-              fs := more
-        done;
-        acc := !acc +. !prod;
-        terms := rest
-  done;
-  !acc
-
-let eval_into w t out k = out.(k) <- eval w t
-
 (* The phase [phases.(i)] of the first [freqs.(i)] equal to [f]. *)
 let[@inline] phase_in ~(freqs : float array) ~(phases : float array) (f : float) =
   let i = ref 0 in
@@ -115,8 +92,11 @@ let[@inline] phase_in ~(freqs : float array) ~(phases : float array) (f : float)
   if !i = Array.length freqs then invalid_arg "Waveform.eval_phases_into: frequency not listed";
   Array.unsafe_get phases !i
 
-(* [eval_with] at the listed phases, written in like [eval]. *)
-let eval_phases_into w ~freqs ~phases out k =
+(* [eval_with] with each factor at the phase [freq *. t], or with
+   [~listed] at its listed phase: the phase rule is written in rather
+   than passed as a closure over the boxed [t], so that no phase is
+   boxed. *)
+let[@inline] eval_at ~listed ~freqs ~phases w t =
   let acc = ref w.dc and terms = ref w.terms in
   while not (List.is_empty !terms) do
     match !terms with
@@ -127,13 +107,20 @@ let eval_phases_into w ~freqs ~phases out k =
           match !fs with
           | [] -> ()
           | { shape; freq } :: more ->
-              prod := !prod *. eval_periodic shape (phase_in ~freqs ~phases freq);
+              let theta = if listed then phase_in ~freqs ~phases freq else freq *. t in
+              prod := !prod *. eval_periodic shape theta;
               fs := more
         done;
         acc := !acc +. !prod;
         terms := rest
   done;
-  out.(k) <- !acc
+  !acc
+
+let[@inline] eval w t = eval_at ~listed:false ~freqs:[||] ~phases:[||] w t
+let eval_into w t out k = out.(k) <- eval_at ~listed:false ~freqs:[||] ~phases:[||] w t
+
+let eval_phases_into w ~freqs ~phases out k =
+  out.(k) <- eval_at ~listed:true ~freqs ~phases w 0.0
 
 let frequencies w =
   let add acc f = if List.mem f acc then acc else f :: acc in

@@ -1,65 +1,56 @@
 type system = {
   size : int;
   dae : Numeric.Dae.t;
-  source_at : t1:float -> t2:float -> Linalg.Vec.t;
-  sources_into : Grid.t -> Linalg.Vec.t -> unit;
+  source_into : t1:float -> t2:float -> Linalg.Vec.t -> int -> unit;
   linear : bool;
 }
-
-(* Each source frequency's sheared phase at (t1, t2) into [phases]
-   ([Shear.phase]'s floats, and its [Off_lattice] for a frequency off
-   the lattice), then b̂ into [out] at [off]. Inlined into both callers,
-   so no time is boxed. *)
-let[@inline] excite mna shear ~freqs ~fast ~slow phases out off t1 t2 =
-  for k = 0 to Array.length freqs - 1 do
-    let f = fast.(k) in
-    if Float.is_finite f then phases.(k) <- (f *. t1) +. (slow.(k) *. t2)
-    else phases.(k) <- Shear.phase shear ~t1 ~t2 freqs.(k)
-  done;
-  Circuit.Mna.sources_into mna ~freqs ~phases out off
 
 let of_mna ~shear mna =
   let n = Circuit.Mna.size mna in
   let freqs = Array.of_list (Circuit.Mna.source_frequencies mna) in
   let fast, slow = Shear.scales shear freqs in
-  let phases () = Array.make (Array.length freqs) 0.0 in
   {
     size = n;
     dae = Circuit.Mna.dae mna;
-    source_at =
-      (fun ~t1 ~t2 ->
-        let b = Array.make n 0.0 in
-        excite mna shear ~freqs ~fast ~slow (phases ()) b 0 t1 t2;
-        b);
-    sources_into =
-      (fun g out ->
-        let phases = phases () in
-        (* [Grid.t1_of]/[t2_of]'s floats, formed here unboxed. *)
-        for j = 0 to g.Grid.n2 - 1 do
-          let t2 = float_of_int j *. g.Grid.h2 in
-          for i = 0 to g.Grid.n1 - 1 do
-            excite mna shear ~freqs ~fast ~slow phases out
-              (((j * g.Grid.n1) + i) * n)
-              (float_of_int i *. g.Grid.h1)
-              t2
-          done
-        done);
+    source_into =
+      (fun ~t1 ~t2 out off ->
+        (* Each source frequency's sheared phase ([Shear.phase]'s
+           floats, and its [Off_lattice] for a frequency off the
+           lattice), in a buffer of the call's own: a system may serve
+           several domains. *)
+        let phases = Array.make (Array.length freqs) 0.0 in
+        for k = 0 to Array.length freqs - 1 do
+          let f = fast.(k) in
+          if Float.is_finite f then phases.(k) <- (f *. t1) +. (slow.(k) *. t2)
+          else phases.(k) <- Shear.phase shear ~t1 ~t2 freqs.(k)
+        done;
+        Circuit.Mna.sources_into mna ~freqs ~phases out off);
     linear = Circuit.Mna.linear mna;
   }
 
 let of_dae (dae : Numeric.Dae.t) =
   let n = dae.Numeric.Dae.size in
-  let source_at ~t1 ~t2:_ =
+  let source_into ~t1 ~t2:_ out off =
     let b = Array.make n 0.0 in
     dae.Numeric.Dae.source_into t1 b;
-    b
+    Array.blit b 0 out off n
   in
-  let sources_into g out =
-    for p = 0 to Grid.points g - 1 do
-      Array.blit (source_at ~t1:(Grid.t1_of g (p mod g.Grid.n1)) ~t2:0.0) 0 out (p * n) n
+  { size = n; dae; source_into; linear = false }
+
+let source_at sys ~t1 ~t2 =
+  let b = Array.make sys.size 0.0 in
+  sys.source_into ~t1 ~t2 b 0;
+  b
+
+(* [Grid.t1_of]/[t2_of]'s floats at every point, formed here. *)
+let sources_into sys (g : Grid.t) out =
+  for j = 0 to g.Grid.n2 - 1 do
+    let t2 = float_of_int j *. g.Grid.h2 in
+    for i = 0 to g.Grid.n1 - 1 do
+      sys.source_into ~t1:(float_of_int i *. g.Grid.h1) ~t2 out
+        (((j * g.Grid.n1) + i) * sys.size)
     done
-  in
-  { size = n; dae; source_at; sources_into; linear = false }
+  done
 
 let to_dae sys ~source =
   { sys.dae with Numeric.Dae.source_into = (fun t b -> Array.blit (source t) 0 b 0 sys.size) }
@@ -112,7 +103,7 @@ let state_of ~size big_x p = Array.sub big_x (p * size) size
 
 let sources_on_grid sys (g : Grid.t) =
   let b = Array.make (Grid.points g * sys.size) 0.0 in
-  sys.sources_into g b;
+  sources_into sys g b;
   b
 
 (* acc := Σ_e w_e·q(nbr_e) over point p's entries in row r of one
@@ -236,8 +227,10 @@ let workspace_operators ws = ws.ws_ops
    summed inline, reading q and f where the load left them. *)
 let residual_with ~jacobians ws ~sources big_x r =
   Telemetry.span "mpde.assemble.residual" @@ fun () ->
-  Numeric.Stacked.load ~jacobians ws.points big_x;
   let n = ws.ws_n and st = ws.ws_stencil in
+  if Array.length r <> ws.ws_np * n || Array.length sources <> ws.ws_np * n then
+    invalid_arg "Mpde.Assemble.residual: dimension mismatch";
+  Numeric.Stacked.load ~jacobians ws.points big_x;
   let qs = Numeric.Stacked.charges ws.points and fs = Numeric.Stacked.forces ws.points in
   let t1 = st.t1 and t2 = st.t2 in
   let s1 = t1.s and s2 = t2.s and a1 = ws.a1 and a2 = ws.a2 in

@@ -12,14 +12,12 @@ type system = {
   size : int;  (** circuit unknowns per grid point, [dae.size] *)
   dae : Numeric.Dae.t;
       (** the circuit's q, f and Jacobians; the MPDE takes its
-          excitation from [source_at] and [sources_into] alone, and
-          {!to_dae} replaces [dae.source_into] along a path *)
-  source_at : t1:float -> t2:float -> Linalg.Vec.t;  (** [b̂(t1, t2)], a fresh vector *)
-  sources_into : Grid.t -> Linalg.Vec.t -> unit;
-      (** [sources_into g out] writes [b̂] at every point of [g] into
-          [out] (length [points · size], point p at offset [p·size]):
-          the floats of [source_at] at the point's [(t1, t2)]. From
-          {!of_mna} it allocates only one phase per source frequency. *)
+          excitation from [source_into] alone, and {!to_dae} replaces
+          [dae.source_into] along a path *)
+  source_into : t1:float -> t2:float -> Linalg.Vec.t -> int -> unit;
+      (** [source_into ~t1 ~t2 out off] writes [b̂(t1, t2)] into [out]
+          at [off..off+size-1]. From {!of_mna} it allocates only one
+          phase per source frequency. *)
   linear : bool;
       (** [f] and [q] are linear in the unknowns ({!of_mna} of a circuit
           without device models; [false] from {!of_dae}) *)
@@ -35,11 +33,19 @@ val of_dae : Numeric.Dae.t -> system
     {!of_mna} for multi-tone excitations, where the shear warps each
     source's phase individually. *)
 
+val source_at : system -> t1:float -> t2:float -> Linalg.Vec.t
+(** [b̂(t1, t2)] in a fresh vector: [source_into] at offset 0. *)
+
+val sources_into : system -> Grid.t -> Linalg.Vec.t -> unit
+(** [sources_into sys g out] writes [b̂] at every point of [g] into
+    [out] (length [points · size], point p at offset [p·size]): one
+    [source_into] per point at its [(Grid.t1_of g i, Grid.t2_of g j)]. *)
+
 val to_dae : system -> source:(float -> Linalg.Vec.t) -> Numeric.Dae.t
 (** The one-time DAE of the system along a path through the
     [(t1, t2)] plane, given as its excitation [source t]: e.g.
-    [fun t1 -> sys.source_at ~t1 ~t2] for the fast column at a fixed
-    [t2], or [fun t -> sys.source_at ~t1:t ~t2:t] for the diagonal.
+    [fun t1 -> source_at sys ~t1 ~t2] for the fast column at a fixed
+    [t2], or [fun t -> source_at sys ~t1:t ~t2:t] for the diagonal.
     Its [source_into t] writes exactly the floats of [source t]; q, f
     and the Jacobians are the system's. *)
 
@@ -65,7 +71,7 @@ val operators :
 
 val sources_on_grid : system -> Grid.t -> Linalg.Vec.t
 (** [b̂] at every grid point, flattened like the iterate, in a fresh
-    vector ([sources_into]; precompute once — the excitation does not
+    vector ({!sources_into}; precompute once — the excitation does not
     depend on the iterate). *)
 
 val residual :
@@ -128,7 +134,9 @@ val residual_into :
 (** [residual_into ws ~sources x r] writes {!residual} at [x] into [r]
     (length [points · size]), reusing the workspace's internal
     buffers: it allocates nothing of the grid's size. It loads G and C
-    at [x] too, for a following {!point_jacobians_ws} at the same [x]. *)
+    at [x] too, for a following {!point_jacobians_ws} at the same [x].
+    @raise Invalid_argument unless [x], [r] and [sources] all have
+    length [points · size]. *)
 
 val point_jacobians_ws :
   workspace -> Linalg.Vec.t -> (Sparse.Csr.t * Sparse.Csr.t) array

@@ -70,7 +70,7 @@ let diagonal_residual ?(periods = 2) ?(steps_per_period = 128)
   let sys = sol.Solver.system in
   let t_stop = float_of_int periods *. Shear.t1_period sol.Solver.grid.Grid.shear in
   let steps = periods * steps_per_period in
-  let dae = Assemble.to_dae sys ~source:(fun t -> sys.Assemble.source_at ~t1:t ~t2:t) in
+  let dae = Assemble.to_dae sys ~source:(fun t -> Assemble.source_at sys ~t1:t ~t2:t) in
   match
     Numeric.Integrator.transient ~method_:Numeric.Integrator.Trapezoidal ~dae
       ~x0:(Solver.state_at sol ~i:0 ~j:0) ~t0:0.0 ~t1:t_stop ~steps ()

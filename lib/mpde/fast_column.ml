@@ -4,7 +4,7 @@ let column_problem ?anchor (sys : Assemble.system) ~n1 ~shear ~t2 =
   let h1 = Shear.t1_period shear /. float_of_int n1 in
   let times = Array.init n1 (fun i -> float_of_int i *. h1) in
   Numeric.Collocation.problem ?anchor
-    (Assemble.to_dae sys ~source:(fun t1 -> sys.Assemble.source_at ~t1 ~t2))
+    (Assemble.to_dae sys ~source:(fun t1 -> Assemble.source_at sys ~t1 ~t2))
     (Numeric.Collocation.backward_difference ~points:n1 ~h:h1)
     ~times
 

@@ -119,7 +119,7 @@ let rebind_workspace ws scheme sys (g : Grid.t) =
 
 (* The workspace with the grid's sources written into it. *)
 let with_sources ws sys (g : Grid.t) =
-  sys.Assemble.sources_into g ws.sources;
+  Assemble.sources_into sys g ws.sources;
   ws
 
 (* The forcing state of one Newton solve: [fnorm] is ‖F‖∞ at its last

@@ -148,7 +148,7 @@ let test_assemble_sources_diagonal_consistency () =
   let b = Array.make dae.Numeric.Dae.size 0.0 in
   List.iter
     (fun t ->
-      let b_hat = sys.Mpde.Assemble.source_at ~t1:t ~t2:t in
+      let b_hat = Mpde.Assemble.source_at sys ~t1:t ~t2:t in
       dae.Numeric.Dae.source_into t b;
       Alcotest.(check bool)
         (Printf.sprintf "diagonal at t=%g" t)
@@ -167,7 +167,7 @@ let test_to_dae_source_follows_path () =
   let sys = Mpde.Assemble.of_mna ~shear mna in
   let t2 = 0.37 *. Shear.t2_period shear in
   let dae =
-    Mpde.Assemble.to_dae sys ~source:(fun t1 -> sys.Mpde.Assemble.source_at ~t1 ~t2)
+    Mpde.Assemble.to_dae sys ~source:(fun t1 -> Mpde.Assemble.source_at sys ~t1 ~t2)
   in
   let b = Array.make dae.Numeric.Dae.size nan in
   List.iter
@@ -179,7 +179,7 @@ let test_to_dae_source_follows_path () =
           Alcotest.(check int64)
             (Printf.sprintf "b at t1 = %d/7 T1, entry %d" k v)
             (Int64.bits_of_float expected) (Int64.bits_of_float b.(v)))
-        (sys.Mpde.Assemble.source_at ~t1 ~t2))
+        (Mpde.Assemble.source_at sys ~t1 ~t2))
     [ 0; 1; 2; 3; 5 ]
 
 let test_assemble_residual_zero_for_exact_solution () =
@@ -719,7 +719,17 @@ let test_residual_loads_jacobians () =
   check "after the residual at x" x;
   Mpde.Assemble.residual_into ws ~sources x' r;
   check "at x after a residual at x'" x;
-  check "at x' after Jacobians at x" x'
+  check "at x' after Jacobians at x" x';
+  (* A short r or sources (a coarser grid's, say) is refused, not read
+     or written past its end. *)
+  let short = Array.make (Array.length x - n) 0.0 in
+  let mismatch = Invalid_argument "Mpde.Assemble.residual: dimension mismatch" in
+  Alcotest.check_raises "short r" mismatch (fun () ->
+      Mpde.Assemble.residual_into ws ~sources x short);
+  Alcotest.check_raises "short sources" mismatch (fun () ->
+      Mpde.Assemble.residual_into ws ~sources:short x r);
+  Alcotest.check_raises "short sources, one-shot" mismatch (fun () ->
+      ignore (Mpde.Assemble.residual Mpde.Assemble.Backward sys g ~sources:short x))
 
 (* A workspace rebound to a new job equals a fresh one: every point back
    on the new point 0's pattern, whatever the last job left (here the
